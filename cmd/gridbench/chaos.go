@@ -30,9 +30,9 @@ type chaosReport struct {
 // delta-subscription path with explicit infosys partition windows, so
 // the exported traces carry DeltaPublished/SubscriptionGap events and
 // the checker's staleness invariant has something to bite on.
-func chaos(out, traceout string, quick, delta bool, seed int64, engine string) error {
+func chaos(out, traceout string, quick, delta bool, seed int64) error {
 	pts, err := experiments.ChaosSweep(experiments.ChaosConfig{
-		Seed: seed, Quick: quick, Traced: traceout != "", Delta: delta, Engine: engine,
+		Seed: seed, Quick: quick, Traced: traceout != "", Delta: delta,
 	})
 	if err != nil {
 		return err

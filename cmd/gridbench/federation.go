@@ -28,9 +28,9 @@ type federationReport struct {
 // baseline. Fully deterministic for a fixed seed: two runs produce
 // byte-identical reports (and, with -traceout, byte-identical merged
 // event logs).
-func federation(out, baseline, traceout string, quick bool, seed int64, tolerance float64, engine string) error {
+func federation(out, baseline, traceout string, quick bool, seed int64, tolerance float64) error {
 	pts, err := experiments.FederationSweep(experiments.FederationConfig{
-		Seed: seed, Quick: quick, Traced: traceout != "", Engine: engine,
+		Seed: seed, Quick: quick, Traced: traceout != "",
 	})
 	if err != nil {
 		return err

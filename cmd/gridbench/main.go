@@ -22,11 +22,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -36,58 +39,75 @@ import (
 )
 
 func main() {
-	os.Exit(realMain())
+	os.Exit(realMain(os.Args[1:], os.Stderr))
+}
+
+// experimentNames are the values -exp accepts, in run order.
+var experimentNames = []string{
+	"table1", "load", "day", "fig6", "fig7", "fig8", "ablations", "bench", "scale",
+	"chaos", "federation", "dataaware", "replay", "checktrace", "all",
 }
 
 // realMain carries the exit code back so deferred profile writers run
-// before the process exits (os.Exit skips defers).
-func realMain() int {
-	exp := flag.String("exp", "all", "experiment: table1, fig6, fig7, fig8, load, day, ablations, bench, scale, chaos, federation, dataaware, replay, checktrace, all")
-	rounds := flag.Int("rounds", 1000, "ping-pong sequences per cell (figs 6/7)")
-	runs := flag.Int("runs", 100, "submissions per method (table 1)")
-	iters := flag.Int("iters", 1000, "loop iterations (fig 8)")
-	scale := flag.Float64("scale", 1.0, "network delay scale for real-time experiments")
-	series := flag.Bool("series", false, "dump raw per-iteration series as CSV")
-	seed := flag.Int64("seed", 2006, "randomization seed")
-	benchOut := flag.String("benchout", "BENCH_matchmaking.json", "output path for -exp bench")
-	chaosOut := flag.String("chaosout", "BENCH_chaos.json", "output path for -exp chaos")
-	fedOut := flag.String("fedout", "BENCH_federation.json", "output path for -exp federation")
-	fedBaseline := flag.String("fedbaseline", "", "committed BENCH_federation.json to compare -exp federation goodput against")
-	dataOut := flag.String("dataout", "BENCH_dataaware.json", "output path for -exp dataaware")
-	dataBaseline := flag.String("databaseline", "", "committed BENCH_dataaware.json to compare -exp dataaware speedups against")
-	quick := flag.Bool("quick", false, "shrink -exp chaos, federation, dataaware and scale for smoke runs")
-	traceOut := flag.String("traceout", "", "enable event tracing in -exp chaos/federation and write the logs as JSONL here")
-	traceIn := flag.String("tracein", "", "JSONL event log to verify with -exp checktrace")
-	chromeOut := flag.String("chromeout", "", "also convert -tracein to Chrome trace_event JSON at this path")
-	baseline := flag.String("baseline", "", "committed BENCH_matchmaking.json to compare -exp bench results against")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional regression vs a baseline before failing")
-	shards := flag.Int("shards", 16, "information-service shard count for -exp scale")
-	pageSize := flag.Int("pagesize", 0, "discovery page size for -exp scale (0 = infosys default)")
-	scaleOut := flag.String("scaleout", "BENCH_infosys.json", "output path for -exp scale")
-	scaleBaseline := flag.String("scalebaseline", "", "committed BENCH_infosys.json to compare -exp scale results against")
-	churn := flag.String("churn", "0,64,256,1024", "comma-separated churn-axis publish rates for -exp scale")
-	churnSites := flag.Int("churnsites", 50000, "grid size for the -exp scale churn axis")
-	deltaDepth := flag.Int("deltadepth", 256, "per-shard delta log depth for -exp scale delta cells")
-	deltaChaos := flag.Bool("delta", false, "route -exp chaos matchmaking through the delta-subscription path")
-	tracePath := flag.String("trace", "", "SWF/GWF workload log to drive -exp replay")
-	synth := flag.Int("synth", 0, "generate a deterministic synthetic archive with this many jobs for -exp replay (instead of -trace)")
-	replayOut := flag.String("replayout", "BENCH_replay.json", "output path for -exp replay")
-	replayBaseline := flag.String("replaybaseline", "", "committed BENCH_replay.json to compare -exp replay throughput against")
-	window := flag.String("window", "", "trace window for -exp replay as N:M hours (default whole trace)")
-	speedups := flag.String("speedups", "", "comma-separated arrival speedups for -exp replay (default 1,2,4)")
-	sites := flag.Int("sites", 0, "replay grid sites (0 = 4, or 8 with -synth)")
-	nodes := flag.Int("nodes", 0, "replay nodes per site (0 = 8, or 16 with -synth)")
-	nowall := flag.Bool("nowall", false, "zero the wall-clock throughput fields in -exp replay output (for determinism diffs)")
-	engine := flag.String("engine", "", "simulation engine for the sweep experiments: callback (run-to-completion, the fast default) or goroutine (cooperative reference); both give byte-identical results")
-	fetch := flag.String("fetch", "", "download a workload archive URL into the local content-addressed cache and print its path (see EXPERIMENTS.md)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+// before the process exits (os.Exit skips defers): 0 on success, 1 when
+// an experiment fails, 2 on a usage error.
+func realMain(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gridbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(experimentNames, ", "))
+	rounds := fs.Int("rounds", 1000, "ping-pong sequences per cell (figs 6/7)")
+	runs := fs.Int("runs", 100, "submissions per method (table 1)")
+	iters := fs.Int("iters", 1000, "loop iterations (fig 8)")
+	scale := fs.Float64("scale", 1.0, "network delay scale for real-time experiments")
+	series := fs.Bool("series", false, "dump raw per-iteration series as CSV")
+	seed := fs.Int64("seed", 2006, "randomization seed")
+	benchOut := fs.String("benchout", "BENCH_matchmaking.json", "output path for -exp bench")
+	chaosOut := fs.String("chaosout", "BENCH_chaos.json", "output path for -exp chaos")
+	fedOut := fs.String("fedout", "BENCH_federation.json", "output path for -exp federation")
+	fedBaseline := fs.String("fedbaseline", "", "committed BENCH_federation.json to compare -exp federation goodput against")
+	dataOut := fs.String("dataout", "BENCH_dataaware.json", "output path for -exp dataaware")
+	dataBaseline := fs.String("databaseline", "", "committed BENCH_dataaware.json to compare -exp dataaware speedups against")
+	quick := fs.Bool("quick", false, "shrink -exp chaos, federation, dataaware and scale for smoke runs")
+	traceOut := fs.String("traceout", "", "enable event tracing in -exp chaos/federation and write the logs as JSONL here")
+	traceIn := fs.String("tracein", "", "JSONL event log to verify with -exp checktrace")
+	chromeOut := fs.String("chromeout", "", "also convert -tracein to Chrome trace_event JSON at this path")
+	baseline := fs.String("baseline", "", "committed BENCH_matchmaking.json to compare -exp bench results against")
+	tolerance := fs.Float64("tolerance", 0.25, "allowed fractional regression vs a baseline before failing")
+	shards := fs.Int("shards", 16, "information-service shard count for -exp scale")
+	pageSize := fs.Int("pagesize", 0, "discovery page size for -exp scale (0 = infosys default)")
+	scaleOut := fs.String("scaleout", "BENCH_infosys.json", "output path for -exp scale")
+	scaleBaseline := fs.String("scalebaseline", "", "committed BENCH_infosys.json to compare -exp scale results against")
+	churn := fs.String("churn", "0,64,256,1024", "comma-separated churn-axis publish rates for -exp scale")
+	churnSites := fs.Int("churnsites", 50000, "grid size for the -exp scale churn axis")
+	deltaDepth := fs.Int("deltadepth", 256, "per-shard delta log depth for -exp scale delta cells")
+	deltaChaos := fs.Bool("delta", false, "route -exp chaos matchmaking through the delta-subscription path")
+	tracePath := fs.String("trace", "", "SWF/GWF workload log to drive -exp replay")
+	synth := fs.Int("synth", 0, "generate a deterministic synthetic archive with this many jobs for -exp replay (instead of -trace)")
+	replayOut := fs.String("replayout", "BENCH_replay.json", "output path for -exp replay")
+	replayBaseline := fs.String("replaybaseline", "", "committed BENCH_replay.json to compare -exp replay throughput against")
+	window := fs.String("window", "", "trace window for -exp replay as N:M hours (default whole trace)")
+	speedups := fs.String("speedups", "", "comma-separated arrival speedups for -exp replay (default 1,2,4)")
+	sites := fs.Int("sites", 0, "replay grid sites (0 = 4, or 8 with -synth)")
+	nodes := fs.Int("nodes", 0, "replay nodes per site (0 = 8, or 16 with -synth)")
+	nowall := fs.Bool("nowall", false, "zero the wall-clock throughput fields in -exp replay output (for determinism diffs)")
+	fetch := fs.String("fetch", "", "download a workload archive URL into the local content-addressed cache and print its path (see EXPERIMENTS.md)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if !slices.Contains(experimentNames, *exp) {
+		fmt.Fprintf(stderr, "gridbench: unknown experiment %q (valid: %s)\n", *exp, strings.Join(experimentNames, ", "))
+		return 2
+	}
 
 	if *fetch != "" {
 		path, err := workload.Fetch(*fetch, workload.FetchOptions{})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: -fetch: %v\n", err)
+			fmt.Fprintf(stderr, "gridbench: -fetch: %v\n", err)
 			return 1
 		}
 		fmt.Println(path)
@@ -97,11 +117,11 @@ func realMain() int {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: -cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "gridbench: -cpuprofile: %v\n", err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: -cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "gridbench: -cpuprofile: %v\n", err)
 			return 1
 		}
 		defer func() {
@@ -113,12 +133,12 @@ func realMain() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "gridbench: -memprofile: %v\n", err)
 				return
 			}
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "gridbench: -memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "gridbench: -memprofile: %v\n", err)
 			}
 			f.Close()
 		}()
@@ -131,11 +151,11 @@ func realMain() int {
 		}
 		start := time.Now()
 		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "gridbench: %s: %v\n", name, err)
+			fmt.Fprintf(stderr, "gridbench: %s: %v\n", name, err)
 			exitCode = 1
 			return
 		}
-		fmt.Fprintf(os.Stderr, "[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
 	run("table1", func() error { return table1(*runs, *seed) })
@@ -152,14 +172,14 @@ func realMain() int {
 			return fmt.Errorf("-churn: %w", err)
 		}
 		return scaleExp(*scaleOut, *scaleBaseline, *shards, *pageSize, *quick, *seed, *tolerance,
-			rates, *churnSites, *deltaDepth, *engine)
+			rates, *churnSites, *deltaDepth)
 	})
-	run("chaos", func() error { return chaos(*chaosOut, *traceOut, *quick, *deltaChaos, *seed, *engine) })
+	run("chaos", func() error { return chaos(*chaosOut, *traceOut, *quick, *deltaChaos, *seed) })
 	run("federation", func() error {
-		return federation(*fedOut, *fedBaseline, *traceOut, *quick, *seed, *tolerance, *engine)
+		return federation(*fedOut, *fedBaseline, *traceOut, *quick, *seed, *tolerance)
 	})
 	run("dataaware", func() error {
-		return dataaware(*dataOut, *dataBaseline, *quick, *seed, *tolerance, *engine)
+		return dataaware(*dataOut, *dataBaseline, *quick, *seed, *tolerance)
 	})
 	// replay needs a workload log and checktrace an existing event
 	// log, so both run only when named explicitly (there is nothing to
@@ -172,7 +192,6 @@ func realMain() int {
 				window: *window, speedups: *speedups,
 				seed: *seed, sites: *sites, nodes: *nodes,
 				nowall: *nowall, baseline: *replayBaseline, tolerance: *tolerance,
-				engine: *engine,
 			})
 		})
 	}

@@ -58,7 +58,6 @@ type replayOpts struct {
 	nowall    bool    // -nowall
 	baseline  string  // -replaybaseline
 	tolerance float64 // -tolerance
-	engine    string  // -engine
 }
 
 // parseWindow parses the -window flag: "N:M" replays hours N..M of
@@ -186,7 +185,6 @@ func replay(o replayOpts) error {
 		Speedups: speedups,
 		Seed:     o.seed,
 		Traced:   o.traceout != "",
-		Engine:   o.engine,
 		Source: func(speedup float64) (workload.ReplayStream, error) {
 			tr, err := workload.OpenTraceReader(tracePath, workload.TraceReaderOptions{})
 			if err != nil {

@@ -76,8 +76,9 @@ type ExecCtx struct {
 // Sim returns the simulation clock the job runs on.
 func (c *ExecCtx) Sim() *simclock.Sim { return c.sim }
 
-// SleepOrKilled suspends the job body for d, returning early — and
-// reporting true — if the job is killed first.
+// SleepOrKilled suspends a blocking job body (see simclock.Blocking)
+// for d, returning early — and reporting true — if the job is killed
+// first.
 func (c *ExecCtx) SleepOrKilled(d time.Duration) (killed bool) {
 	w := c.sim.NewTrigger()
 	t := c.sim.AfterFunc(d, w.Fire)
@@ -98,14 +99,10 @@ type Request struct {
 	// Priority orders the pending queue (higher first, FCFS within a
 	// priority level). Local jobs default to 0.
 	Priority int
-	// Run is the job body, started as a simulation process when nodes
-	// are allocated. The job completes when Run returns.
-	Run func(ctx *ExecCtx)
-	// RunCB is the callback-engine job body: instead of blocking, it
-	// wires its own continuations and calls done exactly once when the
-	// job completes. When the clock runs EngineCallback and RunCB is
-	// set, the LRM dispatches it in a plain event (no process); jobs
-	// with only Run fall back to the cooperative path on either engine.
+	// RunCB is the job body, dispatched in a plain event when nodes
+	// are allocated: it wires its own continuations and calls done
+	// exactly once when the job completes. A body written as blocking
+	// steps is wrapped with simclock.Blocking.
 	RunCB func(ctx *ExecCtx, done func())
 }
 
@@ -212,8 +209,8 @@ var (
 // pass (one cycle later), or immediately at the following pass if
 // resources are busy.
 func (q *Queue) Submit(r Request) (*Handle, error) {
-	if r.Run == nil && r.RunCB == nil {
-		return nil, fmt.Errorf("%w: nil Run body", ErrBadRequest)
+	if r.RunCB == nil {
+		return nil, fmt.Errorf("%w: nil RunCB body", ErrBadRequest)
 	}
 	if r.Nodes < 1 {
 		return nil, fmt.Errorf("%w: Nodes = %d", ErrBadRequest, r.Nodes)
@@ -352,18 +349,8 @@ func (q *Queue) start(h *Handle, nodes []*Node) {
 	q.nfree -= len(nodes)
 	h.exec = &ExecCtx{Nodes: nodes, Killed: q.sim.NewTrigger(), sim: q.sim}
 	h.Started.Fire()
-	if h.req.RunCB != nil && q.sim.Callback() {
-		// Run-to-completion body: one event at +0 (the same slot the
-		// cooperative engine's Go start takes), then the body's own
-		// continuation chain; finish runs when the body signals done.
-		q.sim.Post(func() {
-			h.req.RunCB(h.exec, func() { q.finish(h, nodes) })
-		})
-		return
-	}
-	q.sim.Go(func() {
-		h.req.Run(h.exec)
-		q.finish(h, nodes)
+	q.sim.Post(func() {
+		h.req.RunCB(h.exec, func() { q.finish(h, nodes) })
 	})
 }
 
@@ -443,40 +430,9 @@ func (q *Queue) RunningCount() int {
 	return n
 }
 
-// FixedWork returns a job body that consumes the given CPU time on a
-// dedicated slot of every allocated node (the common synthetic batch
-// job), returning early if killed.
-func FixedWork(cpu time.Duration) func(*ExecCtx) {
-	return func(ctx *ExecCtx) {
-		if len(ctx.Nodes) == 0 {
-			return
-		}
-		done := ctx.sim.NewTrigger()
-		remaining := len(ctx.Nodes)
-		slots := make([]*vmslot.Slot, 0, len(ctx.Nodes))
-		for _, n := range ctx.Nodes {
-			slot := n.CPU.NewSlot("batchjob", 100)
-			slots = append(slots, slot)
-			t := slot.Start(cpu)
-			t.OnFire(func() {
-				remaining--
-				if remaining == 0 {
-					done.Fire()
-				}
-			})
-		}
-		ctx.Killed.OnFire(done.Fire)
-		done.Wait()
-		for _, s := range slots {
-			s.Close() // stops any work left when killed; idempotent
-		}
-	}
-}
-
-// FixedWorkCB is FixedWork for the callback engine: the same slot
-// fan-out and Killed race, with the final Wait replaced by a
-// continuation on the same trigger, so both bodies schedule identical
-// events.
+// FixedWorkCB returns a job body that consumes the given CPU time on
+// a dedicated slot of every allocated node (the common synthetic batch
+// job), finishing early if killed.
 func FixedWorkCB(cpu time.Duration) func(*ExecCtx, func()) {
 	return func(ctx *ExecCtx, fin func()) {
 		if len(ctx.Nodes) == 0 {

@@ -17,11 +17,11 @@ func TestSubmitRunsAfterCycle(t *testing.T) {
 	q := newQueue(sim, 2, WithCycle(2*time.Second))
 	start := sim.Now()
 	var startedAt, doneAt time.Duration
-	h, err := q.Submit(Request{ID: "j1", Owner: "u", Nodes: 1, Run: func(ctx *ExecCtx) {
+	h, err := q.Submit(Request{ID: "j1", Owner: "u", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
 		startedAt = sim.Since(start)
 		ctx.SleepOrKilled(10 * time.Second)
 		doneAt = sim.Since(start)
-	}})
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +45,10 @@ func TestFCFSQueueing(t *testing.T) {
 	q := newQueue(sim, 1, WithCycle(time.Second))
 	var order []string
 	mk := func(id string) Request {
-		return Request{ID: id, Nodes: 1, Run: func(ctx *ExecCtx) {
+		return Request{ID: id, Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
 			order = append(order, id)
 			ctx.SleepOrKilled(5 * time.Second)
-		}}
+		})}
 	}
 	q.Submit(mk("a"))
 	q.Submit(mk("b"))
@@ -64,10 +64,10 @@ func TestPriorityOrdering(t *testing.T) {
 	q := newQueue(sim, 1, WithCycle(time.Second))
 	var order []string
 	mk := func(id string, prio int) Request {
-		return Request{ID: id, Nodes: 1, Priority: prio, Run: func(ctx *ExecCtx) {
+		return Request{ID: id, Nodes: 1, Priority: prio, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
 			order = append(order, id)
 			ctx.SleepOrKilled(time.Second)
-		}}
+		})}
 	}
 	q.Submit(mk("low", 0))
 	q.Submit(mk("high", 10))
@@ -81,10 +81,10 @@ func TestMultiNodeAllocation(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	q := newQueue(sim, 4, WithCycle(time.Second))
 	var got int
-	q.Submit(Request{ID: "mpi", Nodes: 3, Run: func(ctx *ExecCtx) {
+	q.Submit(Request{ID: "mpi", Nodes: 3, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
 		got = len(ctx.Nodes)
 		ctx.SleepOrKilled(time.Second)
-	}})
+	})})
 	sim.Run()
 	if got != 3 {
 		t.Fatalf("allocated %d nodes, want 3", got)
@@ -96,14 +96,14 @@ func TestLargeJobBlocksQueueNoBackfill(t *testing.T) {
 	q := newQueue(sim, 2, WithCycle(time.Second))
 	start := sim.Now()
 	var bigStart, smallStart time.Duration
-	q.Submit(Request{ID: "hold", Nodes: 1, Run: func(ctx *ExecCtx) { ctx.SleepOrKilled(10 * time.Second) }})
-	q.Submit(Request{ID: "big", Nodes: 2, Run: func(ctx *ExecCtx) {
+	q.Submit(Request{ID: "hold", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ctx.SleepOrKilled(10 * time.Second) })})
+	q.Submit(Request{ID: "big", Nodes: 2, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
 		bigStart = sim.Since(start)
 		ctx.SleepOrKilled(time.Second)
-	}})
-	q.Submit(Request{ID: "small", Nodes: 1, Run: func(ctx *ExecCtx) {
+	})})
+	q.Submit(Request{ID: "small", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
 		smallStart = sim.Since(start)
-	}})
+	})})
 	sim.Run()
 	// big needs both nodes: waits for hold (ends t=11). small must not
 	// jump ahead of big (FCFS, no backfill).
@@ -119,19 +119,19 @@ func TestSubmitValidation(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	q := newQueue(sim, 2)
 	if _, err := q.Submit(Request{Nodes: 1}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("nil Run: %v", err)
+		t.Fatalf("nil RunCB: %v", err)
 	}
-	body := func(ctx *ExecCtx) {}
-	if _, err := q.Submit(Request{Nodes: 0, Run: body}); !errors.Is(err, ErrBadRequest) {
+	body := func(*ExecCtx, func()) {}
+	if _, err := q.Submit(Request{Nodes: 0, RunCB: body}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("0 nodes: %v", err)
 	}
-	if _, err := q.Submit(Request{Nodes: 3, Run: body}); !errors.Is(err, ErrBadRequest) {
+	if _, err := q.Submit(Request{Nodes: 3, RunCB: body}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("too many nodes: %v", err)
 	}
-	if _, err := q.Submit(Request{ID: "x", Nodes: 1, Run: body}); err != nil {
+	if _, err := q.Submit(Request{ID: "x", Nodes: 1, RunCB: body}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Submit(Request{ID: "x", Nodes: 1, Run: body}); !errors.Is(err, ErrDuplicateID) {
+	if _, err := q.Submit(Request{ID: "x", Nodes: 1, RunCB: body}); !errors.Is(err, ErrDuplicateID) {
 		t.Fatalf("dup id: %v", err)
 	}
 }
@@ -139,8 +139,8 @@ func TestSubmitValidation(t *testing.T) {
 func TestAutoID(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	q := newQueue(sim, 1)
-	h1, _ := q.Submit(Request{Nodes: 1, Run: func(ctx *ExecCtx) {}})
-	h2, _ := q.Submit(Request{Nodes: 1, Run: func(ctx *ExecCtx) {}})
+	h1, _ := q.Submit(Request{Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})})
+	h2, _ := q.Submit(Request{Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})})
 	if h1.ID() == "" || h1.ID() == h2.ID() {
 		t.Fatalf("ids: %q %q", h1.ID(), h2.ID())
 	}
@@ -150,8 +150,8 @@ func TestKillPendingJob(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	q := newQueue(sim, 1, WithCycle(time.Second))
 	ran := false
-	q.Submit(Request{ID: "hold", Nodes: 1, Run: func(ctx *ExecCtx) { ctx.SleepOrKilled(time.Hour) }})
-	h, _ := q.Submit(Request{ID: "victim", Nodes: 1, Run: func(ctx *ExecCtx) { ran = true }})
+	q.Submit(Request{ID: "hold", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ctx.SleepOrKilled(time.Hour) })})
+	h, _ := q.Submit(Request{ID: "victim", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ran = true })})
 	sim.AfterFunc(2*time.Second, func() {
 		if err := q.Kill("victim"); err != nil {
 			t.Errorf("Kill: %v", err)
@@ -170,9 +170,9 @@ func TestKillRunningJob(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	q := newQueue(sim, 1, WithCycle(time.Second))
 	var killedEarly bool
-	h, _ := q.Submit(Request{ID: "j", Nodes: 1, Run: func(ctx *ExecCtx) {
+	h, _ := q.Submit(Request{ID: "j", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
 		killedEarly = ctx.SleepOrKilled(time.Hour)
-	}})
+	})})
 	sim.AfterFunc(5*time.Second, func() { q.Kill("j") })
 	end := sim.Run()
 	if !killedEarly {
@@ -202,8 +202,8 @@ func TestNodeReleasedStartsNext(t *testing.T) {
 	q := newQueue(sim, 1, WithCycle(time.Second))
 	start := sim.Now()
 	var secondStart time.Duration
-	q.Submit(Request{ID: "a", Nodes: 1, Run: func(ctx *ExecCtx) { ctx.SleepOrKilled(4 * time.Second) }})
-	q.Submit(Request{ID: "b", Nodes: 1, Run: func(ctx *ExecCtx) { secondStart = sim.Since(start) }})
+	q.Submit(Request{ID: "a", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ctx.SleepOrKilled(4 * time.Second) })})
+	q.Submit(Request{ID: "b", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { secondStart = sim.Since(start) })})
 	sim.Run()
 	// a starts at 1s, ends at 5s; b starts one cycle later: 6s.
 	if secondStart != 6*time.Second {
@@ -214,8 +214,8 @@ func TestNodeReleasedStartsNext(t *testing.T) {
 func TestIntrospection(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	q := newQueue(sim, 2, WithCycle(time.Second))
-	q.Submit(Request{ID: "a", Nodes: 2, Run: func(ctx *ExecCtx) { ctx.SleepOrKilled(10 * time.Second) }})
-	q.Submit(Request{ID: "b", Nodes: 1, Run: func(ctx *ExecCtx) {}})
+	q.Submit(Request{ID: "a", Nodes: 2, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ctx.SleepOrKilled(10 * time.Second) })})
+	q.Submit(Request{ID: "b", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})})
 	sim.RunFor(2 * time.Second)
 	if q.FreeNodeCount() != 0 || q.QueueLength() != 1 || q.RunningCount() != 1 {
 		t.Fatalf("free=%d queued=%d running=%d", q.FreeNodeCount(), q.QueueLength(), q.RunningCount())
@@ -234,7 +234,7 @@ func TestIntrospection(t *testing.T) {
 func TestFixedWorkConsumesCPU(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	q := newQueue(sim, 2, WithCycle(time.Second))
-	h, _ := q.Submit(Request{ID: "w", Nodes: 2, Run: FixedWork(3 * time.Second)})
+	h, _ := q.Submit(Request{ID: "w", Nodes: 2, RunCB: FixedWorkCB(3 * time.Second)})
 	sim.Run()
 	if h.State() != Completed {
 		t.Fatalf("state = %v", h.State())
@@ -248,7 +248,7 @@ func TestFixedWorkConsumesCPU(t *testing.T) {
 func TestFixedWorkKilledReleasesCPU(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	q := newQueue(sim, 1, WithCycle(time.Second))
-	h, _ := q.Submit(Request{ID: "w", Nodes: 1, Run: FixedWork(time.Hour)})
+	h, _ := q.Submit(Request{ID: "w", Nodes: 1, RunCB: FixedWorkCB(time.Hour)})
 	sim.AfterFunc(5*time.Second, func() { q.Kill("w") })
 	sim.RunFor(20 * time.Second)
 	if h.State() != Killed {
@@ -267,7 +267,7 @@ func TestFixedWorkKilledReleasesCPU(t *testing.T) {
 func TestStartedTrigger(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	q := newQueue(sim, 1, WithCycle(time.Second))
-	h, _ := q.Submit(Request{ID: "j", Nodes: 1, Run: func(ctx *ExecCtx) { ctx.SleepOrKilled(time.Second) }})
+	h, _ := q.Submit(Request{ID: "j", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ctx.SleepOrKilled(time.Second) })})
 	var startedFired bool
 	sim.AfterFunc(1500*time.Millisecond, func() { startedFired = h.Started.Fired() })
 	sim.Run()

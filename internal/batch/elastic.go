@@ -128,8 +128,8 @@ func (p *Pool) Backend() BackendInfo {
 // the pool bound, not the provisioned count: an empty pool still
 // accepts work, it just pays cold starts.
 func (p *Pool) Submit(r Request) (*Handle, error) {
-	if r.Run == nil && r.RunCB == nil {
-		return nil, fmt.Errorf("%w: nil Run body", ErrBadRequest)
+	if r.RunCB == nil {
+		return nil, fmt.Errorf("%w: nil RunCB body", ErrBadRequest)
 	}
 	if r.Nodes < 1 {
 		return nil, fmt.Errorf("%w: Nodes = %d", ErrBadRequest, r.Nodes)
@@ -338,15 +338,8 @@ func (p *Pool) start(h *Handle, nodes []*Node) {
 	h.exec = &ExecCtx{Nodes: nodes, Killed: p.sim.NewTrigger(), sim: p.sim}
 	h.Started.Fire()
 	gen := p.gen
-	if h.req.RunCB != nil && p.sim.Callback() {
-		p.sim.Post(func() {
-			h.req.RunCB(h.exec, func() { p.finish(h, nodes, gen) })
-		})
-		return
-	}
-	p.sim.Go(func() {
-		h.req.Run(h.exec)
-		p.finish(h, nodes, gen)
+	p.sim.Post(func() {
+		h.req.RunCB(h.exec, func() { p.finish(h, nodes, gen) })
 	})
 }
 

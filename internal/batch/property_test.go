@@ -60,13 +60,13 @@ func TestQueueInvariantsUnderRandomLoad(t *testing.T) {
 				h, err := q.Submit(Request{
 					Nodes:    info.nodes,
 					Priority: info.prio,
-					Run: func(ctx *ExecCtx) {
+					RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
 						info.started = sim.Now()
 						if len(ctx.Nodes) != info.nodes {
 							t.Errorf("seed %d: job got %d nodes, want %d", seed, len(ctx.Nodes), info.nodes)
 						}
 						ctx.SleepOrKilled(dur)
-					},
+					}),
 				})
 				if err != nil {
 					t.Errorf("seed %d: submit: %v", seed, err)

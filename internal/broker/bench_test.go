@@ -64,9 +64,8 @@ func BenchmarkSelection(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sim.Go(func() {
-					recs := br.discover(h)
-					cands = len(br.selection(h, recs, nil))
+				br.discover(h, func(snap *infosys.Snapshot) {
+					br.selection(h, snap, nil, func(c []candidate) { cands = len(c) })
 				})
 				sim.RunFor(time.Hour)
 			}

@@ -20,9 +20,9 @@
 //     selection, the gatekeeper and the local queue entirely.
 //
 // The broker runs in virtual time on a simclock.Sim; every submission
-// becomes a simulation process whose phase timestamps (discovery,
-// selection, submission-to-first-output) are recorded on the Handle,
-// which is how the Table I benchmark extracts its rows.
+// becomes a chain of simulation events whose phase timestamps
+// (discovery, selection, submission-to-first-output) are recorded on
+// the Handle, which is how the Table I benchmark extracts its rows.
 package broker
 
 import (
@@ -87,12 +87,15 @@ type FairShare interface {
 // Directory is the broker's window onto the information system:
 // the shared *infosys.Service, or a per-broker *infosys.View in a
 // federation (a split-brain freezes each broker's view
-// independently).
+// independently). A discovery query is the latency, charged by the
+// broker as one timer event, followed by the read at that instant.
 type Directory interface {
-	// Snapshot returns the whole-grid view, charging query latency.
-	Snapshot() *infosys.Snapshot
-	// Discover starts a paged traversal, charging query latency once.
-	Discover(pageSize int) *infosys.Cursor
+	// QueryLatency is the cost of one discovery query.
+	QueryLatency() time.Duration
+	// SnapshotImmediate returns the whole-grid view as of now.
+	SnapshotImmediate() *infosys.Snapshot
+	// DiscoverImmediate starts a paged traversal as of now.
+	DiscoverImmediate(pageSize int) *infosys.Cursor
 	// Publish lands a site record in the shared registry.
 	Publish(rec infosys.SiteRecord) error
 	// Remove deletes a site record from the shared registry.
@@ -149,7 +152,7 @@ type Config struct {
 	// selection phase runs concurrently. 0 or 1 (the default) probes
 	// sites one after another, reproducing the paper's serial
 	// selection cost (~3 s for 20 sites, Table I); a larger width
-	// fans the probes out as concurrent simulation processes so the
+	// fans the probes out across that many concurrent workers so the
 	// selection time approaches the maximum site round trip; negative
 	// probes every site at once.
 	ProbeWidth int
@@ -323,7 +326,8 @@ type RunContext struct {
 }
 
 // Body is a job's execution body, run as a simulation process once
-// per job (not per node).
+// per job (not per node): it may block on rc.Output, rc.Input, slot
+// runs, Sleep and Wait.
 type Body func(rc *RunContext)
 
 // Request is a submission to the broker.
@@ -596,8 +600,8 @@ func (b *Broker) FreeInteractiveVMs() int {
 func (b *Broker) PendingBatch() int { return len(b.pendingBatch) }
 
 // Submit schedules a job. It may be called from any context; the
-// entire flow runs as simulation processes. The returned handle's
-// triggers report progress.
+// flow starts in its own event at the current instant. The returned
+// handle's triggers report progress.
 func (b *Broker) Submit(req Request) (*Handle, error) {
 	if req.Job == nil {
 		return nil, fmt.Errorf("broker: request without job")
@@ -623,21 +627,8 @@ func (b *Broker) Submit(req Request) (*Handle, error) {
 		submittedAt: b.sim.Now(),
 	}
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.Submitted, Job: h.ID, Detail: jobClass(req.Job)})
-	b.startRoute(h)
+	b.sim.Post(func() { b.route(h) })
 	return h, nil
-}
-
-// startRoute launches the scheduling flow on the configured engine —
-// one event at +0 either way. Jobs with a custom blocking Body stay on
-// the cooperative path even under EngineCallback; since both engines
-// schedule identical event patterns, mixed workloads remain
-// deterministic and trace-equivalent.
-func (b *Broker) startRoute(h *Handle) {
-	if b.cbReady() && h.request.Body == nil {
-		b.sim.Post(func() { b.routeCB(h) })
-		return
-	}
-	b.sim.Go(func() { b.route(h) })
 }
 
 // SubmitTransferred adopts a job shipped from a peer broker. The
@@ -667,7 +658,7 @@ func (b *Broker) SubmitTransferred(req Request, id string, attempt int) (*Handle
 		abort:       b.sim.NewTrigger(),
 		submittedAt: b.sim.Now(),
 	}
-	b.startRoute(h)
+	b.sim.Post(func() { b.route(h) })
 	return h, nil
 }
 
@@ -725,7 +716,7 @@ func jobClass(job *jdl.Job) string {
 // console's give-up path when a reliable link exhausts its retry
 // budget, or an operator. The job transitions to Failed with the
 // given reason (ErrAborted if nil) as soon as the owning scheduling
-// process observes the abort; a job waiting in the broker queue is
+// flow observes the abort; a job waiting in the broker queue is
 // dropped at its next dispatch.
 func (b *Broker) Abort(h *Handle, reason error) {
 	if h.state == Done || h.state == Failed || h.abort.Fired() {

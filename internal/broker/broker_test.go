@@ -226,7 +226,7 @@ func TestBatchQueuesInBrokerWhenSaturated(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		g.sites[0].Queue().Submit(batch.Request{
 			ID: fmt.Sprintf("filler%d", i), Nodes: 1,
-			Run: func(ctx *batch.ExecCtx) { ctx.SleepOrKilled(20 * time.Minute) },
+			RunCB: simclock.Blocking(g.sim, func(ctx *batch.ExecCtx) { ctx.SleepOrKilled(20 * time.Minute) }),
 		})
 	}
 	g.sim.RunFor(time.Minute)
@@ -265,7 +265,7 @@ func TestOnLineSchedulingResubmits(t *testing.T) {
 	// (free=1) is stale by the time its job reaches the LRM.
 	sites[0].Queue().Submit(batch.Request{
 		ID: "local", Nodes: 1,
-		Run: func(ctx *batch.ExecCtx) { ctx.SleepOrKilled(time.Hour) },
+		RunCB: simclock.Blocking(sim, func(ctx *batch.ExecCtx) { ctx.SleepOrKilled(time.Hour) }),
 	})
 	req := interactiveJob(jdl.ExclusiveAccess, 0, 1)
 	rank, err := jdl.ParseJob(`Executable="x"; Rank = other.SiteIndex;`)

@@ -45,19 +45,23 @@ func (b *Broker) dataPenalty(job *jdl.Job, site string) (float64, bool) {
 }
 
 // stageData pays the real staging transfer of the job's InputData to
-// the chosen site, charged whenever a catalog is configured: a
-// data-blind broker moves the same bytes, it just didn't plan around
-// them. Zero-cost (local-replica) staging is free and unlogged. Must
-// run in a simulation process.
-func (b *Broker) stageData(h *Handle, siteName string) {
+// the chosen site before cont runs, charged whenever a catalog is
+// configured: a data-blind broker moves the same bytes, it just didn't
+// plan around them. Zero-cost (local-replica) staging is free and
+// unlogged.
+func (b *Broker) stageData(h *Handle, siteName string, cont func()) {
 	c := b.cfg.Data
 	if c == nil || len(h.request.Job.InputData) == 0 {
+		cont()
 		return
 	}
 	d, ok := c.StagingTime(siteName, h.request.Job.InputData)
 	if !ok || d <= 0 {
+		cont()
 		return
 	}
-	b.sim.Sleep(d)
-	b.cfg.Trace.Emit(trace.Event{Kind: trace.DataStaged, Job: h.ID, Site: siteName, Dur: d, Attempt: h.resub})
+	b.sim.AfterFunc(d, func() {
+		b.cfg.Trace.Emit(trace.Event{Kind: trace.DataStaged, Job: h.ID, Site: siteName, Dur: d, Attempt: h.resub})
+		cont()
+	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"crossbroker/internal/batch"
 	"crossbroker/internal/fairshare"
+	"crossbroker/internal/infosys"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/netsim"
 	"crossbroker/internal/simclock"
@@ -32,17 +33,15 @@ func probeGrid(nSites int, cfg Config, qc func(i int) time.Duration) (*simclock.
 	return sim, b
 }
 
-// runSelection executes one discovery+selection pass as a simulation
-// process and returns the handle (phase durations) plus the candidates.
+// runSelection executes one discovery+selection pass and returns the
+// handle (phase durations) plus the candidates.
 func runSelection(t *testing.T, sim *simclock.Sim, b *Broker, job *jdl.Job) (*Handle, []candidate) {
 	t.Helper()
 	h := &Handle{request: Request{Job: job}}
 	var cands []candidate
 	done := false
-	sim.Go(func() {
-		snap := b.discover(h)
-		cands = b.selection(h, snap, nil)
-		done = true
+	b.discover(h, func(snap *infosys.Snapshot) {
+		b.selection(h, snap, nil, func(c []candidate) { cands, done = c, true })
 	})
 	sim.RunFor(time.Hour)
 	if !done {
@@ -227,7 +226,7 @@ func TestDispatchPendingSnapshotsPriorities(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		g.sites[0].Queue().Submit(batch.Request{
 			ID: fmt.Sprintf("fill%d", i), Nodes: 1,
-			Run: func(ctx *batch.ExecCtx) { ctx.SleepOrKilled(30 * time.Minute) },
+			RunCB: simclock.Blocking(g.sim, func(ctx *batch.ExecCtx) { ctx.SleepOrKilled(30 * time.Minute) }),
 		})
 	}
 	g.sim.RunFor(time.Minute)

@@ -18,10 +18,8 @@ func TestLeaseJitterDesynchronizesExpiry(t *testing.T) {
 	}
 	bA, bB := mk(1), mk(2)
 	base := sim.Now().Add(30 * time.Second)
-	sim.Go(func() {
-		bA.lease(&Handle{ID: "a-000001"}, "s00", 1)
-		bB.lease(&Handle{ID: "b-000001"}, "s00", 1)
-	})
+	bA.lease(&Handle{ID: "a-000001"}, "s00", 1)
+	bB.lease(&Handle{ID: "b-000001"}, "s00", 1)
 	sim.RunFor(time.Second)
 	expA := bA.leases["s00"].entries[0].exp
 	expB := bB.leases["s00"].entries[0].exp
@@ -43,7 +41,7 @@ func TestLeaseNoJitterExactExpiry(t *testing.T) {
 	before := b.rng.Uint64()
 	b2 := New(Config{Sim: sim, Seed: 7, LeaseDuration: 30 * time.Second})
 	want := sim.Now().Add(30 * time.Second)
-	sim.Go(func() { b2.lease(&Handle{ID: "cb-000001"}, "s00", 2) })
+	b2.lease(&Handle{ID: "cb-000001"}, "s00", 2)
 	sim.RunFor(time.Second)
 	if exp := b2.leases["s00"].entries[0].exp; !exp.Equal(want) {
 		t.Fatalf("expiry = %v, want exactly +30s", exp)
@@ -84,7 +82,7 @@ func TestHalfOpenProbeSingleFlight(t *testing.T) {
 	job := &jdl.Job{Executable: "x", NodeNumber: 1}
 	var got []int
 	for i := 0; i < 2; i++ {
-		g.sim.Go(func() { got = append(got, g.b.SelectionPass(job)) })
+		g.b.SelectionPassStatsAsync(job, func(ps PassStats) { got = append(got, ps.Candidates) })
 	}
 	g.sim.RunFor(time.Minute)
 	if len(got) != 2 {
@@ -96,7 +94,7 @@ func TestHalfOpenProbeSingleFlight(t *testing.T) {
 	// The answered probe released the gate: a later pass sees the site
 	// again without waiting for a successful submission.
 	var after int
-	g.sim.Go(func() { after = g.b.SelectionPass(job) })
+	g.b.SelectionPassStatsAsync(job, func(ps PassStats) { after = ps.Candidates })
 	g.sim.RunFor(time.Minute)
 	if after != 1 {
 		t.Fatalf("post-probe pass candidates = %d, want 1", after)

@@ -155,7 +155,7 @@ func TestIncrementalTopKBoundsCandidates(t *testing.T) {
 	h := &Handle{request: Request{Job: job}}
 	var got []candidate
 	done := false
-	sim.Go(func() { got = b.matchPass(h, nil); done = true })
+	b.matchPass(h, nil, func(c []candidate) { got, done = c, true })
 	sim.RunFor(time.Hour)
 	if !done {
 		t.Fatal("pass did not complete")
@@ -178,7 +178,7 @@ func TestIncrementalTopKBoundsCandidates(t *testing.T) {
 	churn(t, info, 1)
 	h = &Handle{request: Request{Job: job}}
 	done = false
-	sim.Go(func() { b.matchPass(h, nil); done = true })
+	b.matchPass(h, nil, func([]candidate) { done = true })
 	sim.RunFor(time.Hour)
 	if !done {
 		t.Fatal("second pass did not complete")
@@ -212,7 +212,7 @@ Rank         = other.MemoryMB + other.Preferred;
 
 		poll := func() {
 			done := false
-			sim.Go(func() { s.poll(nil); done = true })
+			s.poll(nil, func() { done = true })
 			sim.RunFor(time.Hour)
 			if !done {
 				t.Fatal("poll did not complete")

@@ -28,11 +28,11 @@ func Test2PCAbortAtSite(t *testing.T) {
 	})
 	var err error
 	returned := sim.NewTrigger()
-	sim.Go(func() {
-		_, err = st.Submit(batch.Request{
-			ID: "job-1", Owner: "u", Nodes: 1,
-			Run: func(ctx *batch.ExecCtx) { ctx.Killed.Wait() },
-		}, site.SubmitOptions{})
+	st.SubmitAsync(batch.Request{
+		ID: "job-1", Owner: "u", Nodes: 1,
+		RunCB: func(ctx *batch.ExecCtx, done func()) { ctx.Killed.WaitThen(done) },
+	}, site.SubmitOptions{}, func(_ *batch.Handle, e error) {
+		err = e
 		returned.Fire()
 	})
 	sim.AfterFunc(1500*time.Millisecond, st.Crash) // inside the commit window

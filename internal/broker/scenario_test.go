@@ -284,7 +284,7 @@ func TestBrokerQueueServesBestPriorityFirst(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		g.sites[0].Queue().Submit(batch.Request{
 			ID: fmt.Sprintf("fill%d", i), Nodes: 1,
-			Run: func(ctx *batch.ExecCtx) { ctx.SleepOrKilled(30 * time.Minute) },
+			RunCB: simclock.Blocking(g.sim, func(ctx *batch.ExecCtx) { ctx.SleepOrKilled(30 * time.Minute) }),
 		})
 	}
 	g.sim.RunFor(time.Minute)

@@ -58,13 +58,13 @@ Rank         = other.Preferred;
 	return job
 }
 
-// runMatchPass executes one matchPass as a simulation process.
+// runMatchPass executes one matchPass to completion.
 func runMatchPass(t *testing.T, sim *simclock.Sim, b *Broker, job *jdl.Job) []candidate {
 	t.Helper()
 	h := &Handle{request: Request{Job: job}}
 	var cands []candidate
 	done := false
-	sim.Go(func() { cands = b.matchPass(h, nil); done = true })
+	b.matchPass(h, nil, func(c []candidate) { cands, done = c, true })
 	sim.RunFor(time.Hour)
 	if !done {
 		t.Fatal("matchmaking pass did not complete")
@@ -146,7 +146,7 @@ func TestStreamTopKBoundsCandidates(t *testing.T) {
 	h := &Handle{request: Request{Job: job}}
 	var got []candidate
 	done := false
-	sim.Go(func() { got = b.matchPass(h, nil); done = true })
+	b.matchPass(h, nil, func(c []candidate) { got, done = c, true })
 	sim.RunFor(time.Hour)
 	if !done {
 		t.Fatal("pass did not complete")

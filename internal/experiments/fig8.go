@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"crossbroker/internal/batch"
 	"crossbroker/internal/glidein"
 	"crossbroker/internal/metrics"
 	"crossbroker/internal/netsim"
@@ -151,8 +152,8 @@ func fig8Shared(cfg Fig8Config, pl int) (Fig8Case, error) {
 	}
 	var agent *glidein.Agent
 	var launchErr error
-	sim.Go(func() {
-		agent, _, launchErr = glidein.Launch(sim, st, payload, 0)
+	glidein.LaunchAsync(sim, st, payload, 0, glidein.Options{}, func(a *glidein.Agent, _ *batch.Handle, err error) {
+		agent, launchErr = a, err
 	})
 	sim.RunFor(5 * time.Minute)
 	if launchErr != nil {
@@ -166,22 +167,18 @@ func fig8Shared(cfg Fig8Config, pl int) (Fig8Case, error) {
 	if effPL < 0 {
 		effPL = 10 // irrelevant without a batch job; any value works
 	}
-	var doneT *simclock.Trigger
-	var startErr error
-	sim.Go(func() {
-		doneT, startErr = agent.StartInteractive(glidein.InteractiveJob{
-			ID: "fig8", Owner: "interuser", PerformanceLoss: effPL,
-			Run: func(ctx *glidein.InteractiveContext) {
-				fig8Loop(sim, ctx.Slot, cfg.Iterations, c.CPU, c.IO)
-			},
-		})
+	doneT, err := agent.StartInteractive(glidein.InteractiveJob{
+		ID: "fig8", Owner: "interuser", PerformanceLoss: effPL,
+		RunCB: simclock.Blocking(sim, func(ctx *glidein.InteractiveContext) {
+			fig8Loop(sim, ctx.Slot, cfg.Iterations, c.CPU, c.IO)
+		}),
 	})
+	if err != nil {
+		return c, err
+	}
 	// ~1s of virtual time per iteration, plus slack.
 	sim.RunFor(time.Duration(cfg.Iterations)*2*time.Second + time.Hour)
-	if startErr != nil {
-		return c, startErr
-	}
-	if doneT == nil || !doneT.Fired() || c.CPU.Len() != cfg.Iterations {
+	if !doneT.Fired() || c.CPU.Len() != cfg.Iterations {
 		return c, fmt.Errorf("experiments: %s incomplete: %d/%d iterations", name, c.CPU.Len(), cfg.Iterations)
 	}
 	return c, nil

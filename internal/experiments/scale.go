@@ -58,11 +58,6 @@ type ScaleConfig struct {
 	// cells (default 256); the repin cells force 0, so every
 	// epoch-advancing poll falls back to a shard snapshot re-pin.
 	DeltaLogDepth int
-	// Engine selects the simulation engine: "" or "callback" for the
-	// run-to-completion event engine (the fast default), "goroutine"
-	// for the cooperative reference engine. Virtual-time latencies and
-	// pass counters are identical across the two.
-	Engine string
 }
 
 func (c *ScaleConfig) setDefaults() {
@@ -248,12 +243,7 @@ func scaleCell(cfg ScaleConfig, job *jdl.Job, spec scaleSpec) (ScalePoint, error
 		}
 	}
 
-	eng, engErr := simclock.ParseEngine(cfg.Engine)
-	if engErr != nil {
-		return pt, engErr
-	}
 	sim := simclock.NewSim(time.Time{})
-	sim.SetEngine(eng)
 	bcfg.Sim = sim
 	info := infosys.NewSharded(sim, 500*time.Millisecond, shards)
 	if delta {
@@ -300,13 +290,9 @@ func scaleCell(cfg ScaleConfig, job *jdl.Job, spec scaleSpec) (ScalePoint, error
 		applyChurn()
 		var st broker.PassStats
 		done := sim.NewTrigger()
-		if sim.Callback() {
-			sim.Post(func() {
-				b.SelectionPassStatsAsync(job, func(ps broker.PassStats) { st = ps; done.Fire() })
-			})
-		} else {
-			sim.Go(func() { st = b.SelectionPassStats(job); done.Fire() })
-		}
+		sim.Post(func() {
+			b.SelectionPassStatsAsync(job, func(ps broker.PassStats) { st = ps; done.Fire() })
+		})
 		sim.RunFor(48 * time.Hour)
 		if !done.Fired() {
 			return st, fmt.Errorf("experiments: scale pass did not complete (%d sites)", n)

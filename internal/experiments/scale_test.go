@@ -52,7 +52,7 @@ func TestScalePassMemoryBounded(t *testing.T) {
 	if floor := uint64(5000 * 16); snap.BytesPerPass < floor {
 		t.Fatalf("snapshot pass allocated only %d bytes — the comparison lost its contrast", snap.BytesPerPass)
 	}
-	if paged.BytesPerPass*4 > snap.BytesPerPass {
+	if !raceEnabled && paged.BytesPerPass*4 > snap.BytesPerPass {
 		t.Fatalf("paged pass bytes (%d) not clearly below snapshot pass bytes (%d)",
 			paged.BytesPerPass, snap.BytesPerPass)
 	}

@@ -153,10 +153,11 @@ func TestGatekeeperStallTimesOutSubmission(t *testing.T) {
 
 	var err error
 	submitted := sim.NewTrigger()
-	sim.Go(func() {
-		sim.Sleep(2 * time.Second) // inside the stall window
-		_, err = st.Submit(batch.Request{Owner: "u", Nodes: 1}, site.SubmitOptions{})
-		submitted.Fire()
+	sim.AfterFunc(2*time.Second, func() { // inside the stall window
+		st.SubmitAsync(batch.Request{Owner: "u", Nodes: 1}, site.SubmitOptions{}, func(_ *batch.Handle, e error) {
+			err = e
+			submitted.Fire()
+		})
 	})
 	sim.RunFor(10 * time.Minute)
 	if !submitted.Fired() {
@@ -174,10 +175,9 @@ func TestCrashKillsQueueAndStopsPublishing(t *testing.T) {
 	st.StartPublishing(info)
 
 	done := sim.NewTrigger()
-	sim.Go(func() {
-		h, err := st.Submit(batch.Request{Owner: "u", Nodes: 1, Run: func(ctx *batch.ExecCtx) {
-			ctx.Killed.Wait()
-		}}, site.SubmitOptions{})
+	st.SubmitAsync(batch.Request{Owner: "u", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *batch.ExecCtx) {
+		ctx.Killed.Wait()
+	})}, site.SubmitOptions{}, func(h *batch.Handle, err error) {
 		if err != nil {
 			t.Errorf("submit: %v", err)
 			done.Fire()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"crossbroker/internal/batch"
 	"crossbroker/internal/simclock"
 )
 
@@ -17,8 +18,7 @@ func launchDegree(t *testing.T, sim *simclock.Sim, degree int, withBatch bool) *
 		payload = &BatchPayload{ID: "b", Owner: "u", Work: 100 * time.Hour}
 	}
 	var agent *Agent
-	sim.Go(func() {
-		a, _, err := LaunchWithOptions(sim, st, payload, 0, Options{Degree: degree})
+	LaunchAsync(sim, st, payload, 0, Options{Degree: degree}, func(a *Agent, _ *batch.Handle, err error) {
 		if err != nil {
 			t.Errorf("launch: %v", err)
 			return
@@ -51,7 +51,7 @@ func TestDegreeNHostsNJobs(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			_, errs[i] = a.StartInteractive(InteractiveJob{
 				ID: string(rune('a' + i)), PerformanceLoss: 10,
-				Run: func(ctx *InteractiveContext) { ctx.Slot.Run(time.Minute) },
+				RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(time.Minute) }),
 			})
 		}
 	})
@@ -75,21 +75,21 @@ func TestDegreeTwoJobsShareCPUEvenly(t *testing.T) {
 	var e1, e2 time.Duration
 	sim.Go(func() {
 		d1, err := a.StartInteractive(InteractiveJob{ID: "i1", PerformanceLoss: 10,
-			Run: func(ctx *InteractiveContext) {
+			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) {
 				t0 := ctx.Sim.Now()
 				ctx.Slot.Run(10 * time.Second)
 				e1 = ctx.Sim.Since(t0)
-			}})
+			})})
 		if err != nil {
 			t.Errorf("i1: %v", err)
 			return
 		}
 		d2, err := a.StartInteractive(InteractiveJob{ID: "i2", PerformanceLoss: 10,
-			Run: func(ctx *InteractiveContext) {
+			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) {
 				t0 := ctx.Sim.Now()
 				ctx.Slot.Run(10 * time.Second)
 				e2 = ctx.Sim.Since(t0)
-			}})
+			})})
 		if err != nil {
 			t.Errorf("i2: %v", err)
 			return
@@ -116,9 +116,9 @@ func TestBatchShareUsesMostRestrictivePL(t *testing.T) {
 
 	sim.Go(func() {
 		d1, _ := a.StartInteractive(InteractiveJob{ID: "i1", PerformanceLoss: 25,
-			Run: func(ctx *InteractiveContext) { ctx.Slot.Run(10 * time.Second) }})
+			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(10 * time.Second) })})
 		d2, _ := a.StartInteractive(InteractiveJob{ID: "i2", PerformanceLoss: 10,
-			Run: func(ctx *InteractiveContext) { ctx.Slot.Run(40 * time.Second) }})
+			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(40 * time.Second) })})
 		d1.Wait()
 		d2.Wait()
 	})
@@ -143,7 +143,7 @@ func TestDuplicateInteractiveIDRejected(t *testing.T) {
 	var err2 error
 	sim.Go(func() {
 		a.StartInteractive(InteractiveJob{ID: "same", PerformanceLoss: 0,
-			Run: func(ctx *InteractiveContext) { ctx.Slot.Run(time.Minute) }})
+			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(time.Minute) })})
 		_, err2 = a.StartInteractive(InteractiveJob{ID: "same"})
 	})
 	sim.RunFor(time.Second)
@@ -157,9 +157,9 @@ func TestAgentLeavesOnlyAfterAllInteractiveDone(t *testing.T) {
 	a := launchDegree(t, sim, 2, false) // no batch: leaves when idle
 	sim.Go(func() {
 		d1, _ := a.StartInteractive(InteractiveJob{ID: "short", PerformanceLoss: 0,
-			Run: func(ctx *InteractiveContext) { ctx.Slot.Run(time.Second) }})
+			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(time.Second) })})
 		a.StartInteractive(InteractiveJob{ID: "long", PerformanceLoss: 0,
-			Run: func(ctx *InteractiveContext) { ctx.Slot.Run(time.Hour) }})
+			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(time.Hour) })})
 		d1.Wait()
 		if a.Released().Fired() {
 			t.Error("agent left while the long job still runs")

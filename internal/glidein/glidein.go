@@ -88,12 +88,10 @@ type InteractiveJob struct {
 	// PerformanceLoss is the percentage of CPU left to the co-located
 	// batch job.
 	PerformanceLoss int
-	// Run is the job body, executed as a simulation process.
-	Run func(ctx *InteractiveContext)
-	// RunCB is the callback-engine job body: it wires its own
-	// continuations and calls done exactly once when the job is
-	// finished. Used instead of Run when the clock runs EngineCallback
-	// and RunCB is set.
+	// RunCB is the job body, dispatched in a plain event: it wires its
+	// own continuations and calls done exactly once when the job is
+	// finished. A body written as blocking steps is wrapped with
+	// simclock.Blocking; nil finishes at once.
 	RunCB func(ctx *InteractiveContext, done func())
 }
 
@@ -136,31 +134,11 @@ type Agent struct {
 	OnRestore func(batchID string)
 }
 
-// Launch submits an agent with default options (one interactive VM).
-func Launch(sim *simclock.Sim, st *site.Site, payload *BatchPayload, priority int) (*Agent, *batch.Handle, error) {
-	return LaunchWithOptions(sim, st, payload, priority, Options{})
-}
-
-// LaunchWithOptions submits an agent (optionally wrapping a batch
-// payload) to the site via the normal gatekeeper path, paying the
-// agent staging cost. It must run in a simulation process. The
-// returned handle tracks the agent's occupancy of the node; the
-// *Agent becomes usable once Ready fires.
-func LaunchWithOptions(sim *simclock.Sim, st *site.Site, payload *BatchPayload, priority int, opts Options) (*Agent, *batch.Handle, error) {
-	a, req := newAgent(sim, st, payload, priority, opts)
-	h, err := st.Submit(req, site.SubmitOptions{
-		WithAgent: true, TraceJob: a.opts.TraceJob, TraceAttempt: a.opts.TraceAttempt})
-	if err != nil {
-		return nil, nil, err
-	}
-	a.id = fmt.Sprintf("agent-%s-%s", st.Name(), h.ID())
-	return a, h, nil
-}
-
-// LaunchAsync is LaunchWithOptions for the callback engine: the
-// gatekeeper submission runs through SubmitAsync and the agent body is
-// dispatched as a continuation chain, so no goroutine hosts the agent.
-// cont receives the same results the blocking variant returns.
+// LaunchAsync submits an agent (optionally wrapping a batch payload)
+// to the site via the normal gatekeeper path, paying the agent staging
+// cost. cont receives the agent and the handle tracking its occupancy
+// of the node, or the submission error; the *Agent becomes usable once
+// Ready fires.
 func LaunchAsync(sim *simclock.Sim, st *site.Site, payload *BatchPayload, priority int, opts Options, cont func(*Agent, *batch.Handle, error)) {
 	a, req := newAgent(sim, st, payload, priority, opts)
 	st.SubmitAsync(req, site.SubmitOptions{
@@ -175,8 +153,7 @@ func LaunchAsync(sim *simclock.Sim, st *site.Site, payload *BatchPayload, priori
 		})
 }
 
-// newAgent builds the agent and its LRM request. Both body shapes are
-// attached; the LRM picks RunCB only on the callback engine.
+// newAgent builds the agent and its LRM request.
 func newAgent(sim *simclock.Sim, st *site.Site, payload *BatchPayload, priority int, opts Options) (*Agent, batch.Request) {
 	if opts.Degree <= 0 {
 		opts.Degree = 1
@@ -204,15 +181,14 @@ func newAgent(sim *simclock.Sim, st *site.Site, payload *BatchPayload, priority 
 		Owner:    owner,
 		Nodes:    1,
 		Priority: priority,
-		Run:      a.body(payload, startup),
-		RunCB:    a.bodyCB(payload, startup),
+		RunCB:    a.body(payload, startup),
 	}
 	return a, req
 }
 
 // body is the agent's life on the worker node.
-func (a *Agent) body(payload *BatchPayload, startup time.Duration) func(*batch.ExecCtx) {
-	return func(ctx *batch.ExecCtx) {
+func (a *Agent) body(payload *BatchPayload, startup time.Duration) func(*batch.ExecCtx, func()) {
+	return func(ctx *batch.ExecCtx, fin func()) {
 		a.node = ctx.Nodes[0]
 		// The agent configures the node: the batch VM exists for the
 		// agent's whole life, interactive VMs are created on demand.
@@ -221,54 +197,8 @@ func (a *Agent) body(payload *BatchPayload, startup time.Duration) func(*batch.E
 
 		if payload != nil {
 			// Start the batch payload on the batch-vm. An eviction
-			// unblocks the wait but must NOT count as completion —
-			// the broker resubmits unfinished payloads elsewhere.
-			a.sim.Go(func() {
-				a.sim.Sleep(startup)
-				finished := true
-				if payload.Work > 0 {
-					workDone := a.batchVM.Start(payload.Work)
-					w := a.sim.NewTrigger()
-					workDone.OnFire(w.Fire)
-					ctx.Killed.OnFire(w.Fire)
-					w.Wait()
-					finished = workDone.Fired()
-				}
-				if finished && !ctx.Killed.Fired() {
-					a.batchFinished()
-				}
-			})
-		} else {
-			a.batchDone = true
-		}
-
-		// The agent holds the node until released or killed by the
-		// LRM.
-		w := a.sim.NewTrigger()
-		a.released.OnFire(w.Fire)
-		ctx.Killed.OnFire(w.Fire)
-		w.Wait()
-		if ctx.Killed.Fired() && !a.released.Fired() {
-			// Evicted: fire released so waiters (and the broker's
-			// resubmission logic) observe the death.
-			a.opts.Trace.Emit(trace.Event{Kind: trace.AgentDied, Site: a.siteName, Detail: a.id + " evicted"})
-			a.released.Fire()
-		}
-		a.batchVM.Close()
-	}
-}
-
-// bodyCB is body for the callback engine: the same lifecycle with the
-// payload sub-process as a Post + timer chain and both waits as
-// trigger continuations — one event per step, at the same instants the
-// cooperative body's Go/Sleep/Wait schedule theirs.
-func (a *Agent) bodyCB(payload *BatchPayload, startup time.Duration) func(*batch.ExecCtx, func()) {
-	return func(ctx *batch.ExecCtx, fin func()) {
-		a.node = ctx.Nodes[0]
-		a.batchVM = a.node.CPU.NewSlot("batch-vm", interactiveTickets)
-		a.ready.Fire()
-
-		if payload != nil {
+			// ends the wait but must NOT count as completion — the
+			// broker resubmits unfinished payloads elsewhere.
 			a.sim.Post(func() {
 				a.sim.AfterFunc(startup, func() {
 					if payload.Work > 0 {
@@ -292,11 +222,15 @@ func (a *Agent) bodyCB(payload *BatchPayload, startup time.Duration) func(*batch
 			a.batchDone = true
 		}
 
+		// The agent holds the node until released or killed by the
+		// LRM.
 		w := a.sim.NewTrigger()
 		a.released.OnFire(w.Fire)
 		ctx.Killed.OnFire(w.Fire)
 		w.WaitThen(func() {
 			if ctx.Killed.Fired() && !a.released.Fired() {
+				// Evicted: fire released so waiters (and the broker's
+				// resubmission logic) observe the death.
 				a.opts.Trace.Emit(trace.Event{Kind: trace.AgentDied, Site: a.siteName, Detail: a.id + " evicted"})
 				a.released.Fire()
 			}
@@ -432,19 +366,10 @@ func (a *Agent) StartInteractive(job InteractiveJob) (*simclock.Trigger, error) 
 		done.Fire()
 		a.maybeLeave()
 	}
-	if a.sim.Callback() && (job.RunCB != nil || job.Run == nil) {
-		a.sim.Post(func() {
-			if job.RunCB != nil {
-				job.RunCB(&InteractiveContext{Sim: a.sim, Slot: slot, Node: a.node}, cleanup)
-				return
-			}
-			cleanup()
-		})
-		return done, nil
-	}
-	a.sim.Go(func() {
-		if job.Run != nil {
-			job.Run(&InteractiveContext{Sim: a.sim, Slot: slot, Node: a.node})
+	a.sim.Post(func() {
+		if job.RunCB != nil {
+			job.RunCB(&InteractiveContext{Sim: a.sim, Slot: slot, Node: a.node}, cleanup)
+			return
 		}
 		cleanup()
 	})

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"crossbroker/internal/batch"
 	"crossbroker/internal/netsim"
 	"crossbroker/internal/simclock"
 	"crossbroker/internal/site"
@@ -26,8 +27,7 @@ func newSite(sim *simclock.Sim, nodes int) *site.Site {
 func launchReady(t *testing.T, sim *simclock.Sim, st *site.Site, payload *BatchPayload) *Agent {
 	t.Helper()
 	var agent *Agent
-	sim.Go(func() {
-		a, _, err := Launch(sim, st, payload, 0)
+	LaunchAsync(sim, st, payload, 0, Options{}, func(a *Agent, _ *batch.Handle, err error) {
 		if err != nil {
 			t.Errorf("launch: %v", err)
 			return
@@ -81,11 +81,11 @@ func TestInteractiveSharesCPUPerPerformanceLoss(t *testing.T) {
 	sim.Go(func() {
 		done, err := a.StartInteractive(InteractiveJob{
 			ID: "i1", Owner: "v", PerformanceLoss: 25,
-			Run: func(ctx *InteractiveContext) {
+			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) {
 				t0 := ctx.Sim.Now()
 				ctx.Slot.Run(10 * time.Second)
 				elapsed = ctx.Sim.Since(t0)
-			},
+			}),
 		})
 		if err != nil {
 			t.Errorf("start interactive: %v", err)
@@ -115,7 +115,7 @@ func TestBatchPriorityRestoredAfterInteractive(t *testing.T) {
 	sim.Go(func() {
 		done, err := a.StartInteractive(InteractiveJob{
 			ID: "i", Owner: "v", PerformanceLoss: 10,
-			Run: func(ctx *InteractiveContext) { ctx.Slot.Run(time.Second) },
+			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(time.Second) }),
 		})
 		if err != nil {
 			t.Errorf("start: %v", err)
@@ -145,7 +145,7 @@ func TestInteractiveVMExclusive(t *testing.T) {
 	var second error
 	sim.Go(func() {
 		a.StartInteractive(InteractiveJob{ID: "i1", PerformanceLoss: 0,
-			Run: func(ctx *InteractiveContext) { ctx.Slot.Run(time.Hour) }})
+			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(time.Hour) })})
 		_, second = a.StartInteractive(InteractiveJob{ID: "i2"})
 	})
 	sim.RunFor(time.Minute)
@@ -161,7 +161,7 @@ func TestAgentWithoutBatchLeavesAfterInteractive(t *testing.T) {
 	sim.Go(func() {
 		done, err := a.StartInteractive(InteractiveJob{
 			ID: "i", PerformanceLoss: 0,
-			Run: func(ctx *InteractiveContext) { ctx.Slot.Run(5 * time.Second) },
+			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(5 * time.Second) }),
 		})
 		if err != nil {
 			t.Errorf("start: %v", err)
@@ -196,8 +196,7 @@ func TestAgentEvictionFiresReleased(t *testing.T) {
 	st := newSite(sim, 1)
 	var handleID string
 	var agent *Agent
-	sim.Go(func() {
-		a, h, err := Launch(sim, st, &BatchPayload{ID: "b", Owner: "u", Work: 10 * time.Hour}, 0)
+	LaunchAsync(sim, st, &BatchPayload{ID: "b", Owner: "u", Work: 10 * time.Hour}, 0, Options{}, func(a *Agent, h *batch.Handle, err error) {
 		if err != nil {
 			t.Errorf("launch: %v", err)
 			return
@@ -242,11 +241,11 @@ func TestInteractiveAloneOverheadNegligible(t *testing.T) {
 	var shared time.Duration
 	sim.Go(func() {
 		done, _ := a.StartInteractive(InteractiveJob{ID: "i", PerformanceLoss: 10,
-			Run: func(ctx *InteractiveContext) {
+			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) {
 				t0 := ctx.Sim.Now()
 				ctx.Slot.Run(921 * time.Millisecond)
 				shared = ctx.Sim.Since(t0)
-			}})
+			})})
 		done.Wait()
 	})
 	sim.RunFor(time.Hour)

@@ -5,13 +5,16 @@
 //
 // The discrete-event clock supports two styles of use:
 //
-//   - Event style: schedule callbacks with AfterFunc/At and drive the
-//     simulation with Run/RunUntil. This is the style used by the grid
-//     site, batch queue and broker simulations.
-//   - Process style: spawn cooperative processes with Sim.Go whose code
-//     reads linearly (Sleep between actions). Processes interleave with
+//   - Event style: schedule callbacks with AfterFunc/At/Post and
+//     Trigger.WaitThen and drive the simulation with Run/RunUntil.
+//     This is the style every scheduling flow (grid site, batch queue,
+//     glide-in agent, broker, federation) is written in.
+//   - Process style: spawn cooperative processes with Sim.Go (or, for a
+//     blocking job body inside a flow, Blocking) whose code reads
+//     linearly (Sleep between actions). Processes interleave with
 //     scheduled events under a single logical thread of control, so
-//     simulations remain deterministic.
+//     simulations remain deterministic. Tests and leaf job bodies use
+//     it.
 //
 // Virtual time only advances when no process is runnable, mirroring the
 // usual sequential discrete-event simulation loop.
@@ -23,9 +26,9 @@
 // heap accident. This holds uniformly across every scheduling source:
 // AfterFunc/At/Post callbacks, Go process starts, Sleep wake-ups, and
 // Trigger/Queue releases all draw from one sequence. The guarantee is
-// part of the Clock contract for the simulated implementation; the
-// byte-identical equivalence between the goroutine and callback
-// engines (see Engine) depends on it and pins it under test.
+// part of the Clock contract for the simulated implementation;
+// byte-reproducible fixed-seed traces depend on it and
+// TestSameTimestampFIFO pins it.
 package simclock
 
 import (

@@ -3,7 +3,6 @@ package simclock
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 	"time"
 )
@@ -11,7 +10,7 @@ import (
 // TestSameTimestampFIFO pins the Clock contract that events scheduled
 // for the same virtual instant dispatch in scheduling order, across
 // every scheduling source: AfterFunc, Post, Go, Sleep wake-ups and
-// Trigger releases. The two-engine equivalence proof depends on this.
+// Trigger releases. Byte-reproducible traces depend on this.
 func TestSameTimestampFIFO(t *testing.T) {
 	s := NewSim(time.Time{})
 	var got []string
@@ -61,8 +60,8 @@ func TestPostRunsAfterPendingEvents(t *testing.T) {
 	}
 }
 
-// TestTimerStopWhileFiring pins the callback-path race fixed in this
-// package: Stop called while the timer's own callback is on the stack
+// TestTimerStopWhileFiring pins a race fixed in this package: Stop
+// called while the timer's own callback is on the stack
 // must report false (the call was not prevented), even though the
 // event has not been recycled yet.
 func TestTimerStopWhileFiring(t *testing.T) {
@@ -169,37 +168,94 @@ func TestWaitThenAfterFire(t *testing.T) {
 	}
 }
 
-// TestEngineKnob pins the Engine accessor plumbing and flag parsing.
-func TestEngineKnob(t *testing.T) {
+// TestBlockingFromEvent pins the adapter's contract when the flow
+// calls it from a plain event: the body starts inside that event (no
+// event of its own, so nothing queued for the same instant overtakes
+// it), control returns to the caller when the body first blocks, and
+// done runs in the process after the body returns.
+func TestBlockingFromEvent(t *testing.T) {
 	s := NewSim(time.Time{})
-	if s.Engine() != defaultEngine {
-		t.Fatalf("NewSim engine = %v, want the process default %v", s.Engine(), defaultEngine)
-	}
-	if os.Getenv("SIMCLOCK_ENGINE") == "" && defaultEngine != EngineGoroutine {
-		t.Fatal("default engine should be goroutine absent a SIMCLOCK_ENGINE override")
-	}
-	s.SetEngine(EngineCallback)
-	if !s.Callback() {
-		t.Fatal("SetEngine(EngineCallback) not reflected")
-	}
-	for _, tc := range []struct {
-		in   string
-		want Engine
-		err  bool
-	}{
-		{"", EngineCallback, false},
-		{"callback", EngineCallback, false},
-		{"cb", EngineCallback, false},
-		{"goroutine", EngineGoroutine, false},
-		{"go", EngineGoroutine, false},
-		{"bogus", EngineGoroutine, true},
-	} {
-		got, err := ParseEngine(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, %v", tc.in, got, err)
+	var got []string
+	rec := func(tag string) { got = append(got, tag) }
+	run := Blocking(s, func(tag string) {
+		rec(tag + ":start")
+		s.Sleep(time.Second)
+		rec(tag + ":woke")
+	})
+	s.Post(func() {
+		before := s.seq
+		run("body", func() {
+			rec("done")
+			s.Sleep(0) // done still runs in the process
+			rec("done:woke")
+		})
+		if s.seq != before+1 {
+			t.Errorf("start drew %d sequence numbers, want 1 (the body's Sleep)", s.seq-before)
 		}
+		rec("caller")
+	})
+	s.Post(func() { rec("queued-behind") })
+	s.Run()
+	want := "[body:start caller queued-behind body:woke done done:woke]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("order = %v, want %v", got, want)
 	}
-	if EngineCallback.String() != "callback" || EngineGoroutine.String() != "goroutine" {
-		t.Error("Engine.String spellings changed")
+	if s.nprocs != 0 || s.cur != nil {
+		t.Fatalf("leaked process state: %v cur=%v", s, s.cur)
+	}
+}
+
+// TestBlockingNested starts a body from inside another process — the
+// shape a trigger callback fired by a process produces — and checks
+// that both processes keep their own identity across the hand-offs.
+func TestBlockingNested(t *testing.T) {
+	s := NewSim(time.Time{})
+	var got []string
+	rec := func(tag string) { got = append(got, tag) }
+	inner := Blocking(s, func(struct{}) {
+		rec("inner:start")
+		s.Sleep(2 * time.Second)
+		rec("inner:woke")
+	})
+	tr := s.NewTrigger()
+	tr.OnFire(func() { inner(struct{}{}, func() { rec("inner:done") }) })
+	s.Go(func() {
+		rec("outer:start")
+		tr.Fire() // runs the callback, and with it inner's first stretch, inline
+		rec("outer:resumed")
+		s.Sleep(time.Second) // must suspend outer, not inner
+		rec("outer:woke")
+	})
+	s.Run()
+	want := "[outer:start inner:start outer:resumed outer:woke inner:woke inner:done]"
+	if fmt.Sprint(got) != want {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	if s.nprocs != 0 {
+		t.Fatalf("leaked processes: %v", s)
+	}
+}
+
+// TestBlockingNeverBlocks: a body that returns without blocking runs
+// to completion, done included, before the adapter returns, schedules
+// nothing, and its worker is reusable at once.
+func TestBlockingNeverBlocks(t *testing.T) {
+	s := NewSim(time.Time{})
+	ran, finished := 0, 0
+	run := Blocking(s, func(n int) { ran += n })
+	s.Post(func() {
+		for i := 0; i < 3; i++ {
+			run(1, func() { finished++ })
+			if ran != i+1 || finished != i+1 {
+				t.Errorf("call %d: ran=%d finished=%d before the adapter returned", i, ran, finished)
+			}
+		}
+	})
+	s.Run()
+	if s.seq != 1 {
+		t.Fatalf("%d events scheduled, want only the Post", s.seq)
+	}
+	if len(s.freePr) != 1 || s.nprocs != 0 {
+		t.Fatalf("workers not recycled: %d pooled, %d live", len(s.freePr), s.nprocs)
 	}
 }

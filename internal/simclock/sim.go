@@ -2,130 +2,52 @@ package simclock
 
 import (
 	"fmt"
-	"os"
 	"time"
 )
 
 // Sim is a deterministic discrete-event simulation clock.
 //
 // A single scheduler goroutine (the caller of Run, RunFor or RunUntil)
-// executes events in virtual-time order. Processes started with Go are
-// cooperative: exactly one process runs at any instant, and control
-// returns to the scheduler whenever the process sleeps, waits on a
-// Trigger, or finishes. Virtual time jumps directly from one event to
-// the next, so simulations covering hours complete in microseconds and
-// are bit-for-bit reproducible.
+// pops events off one heap in (virtual time, seq) order and dispatches
+// each as a plain function call: AfterFunc, At and Post schedule a
+// function, Trigger.WaitThen a continuation. Virtual time jumps
+// directly from one event to the next, so simulations covering hours
+// complete in microseconds and are bit-for-bit reproducible. The
+// scheduling flows of every substrate package (site, batch, glidein,
+// broker, federation) are written in this run-to-completion style.
+//
+// Code that is more naturally written as blocking steps — a job body,
+// a test driver — runs as a cooperative process instead: Go starts one
+// in its own event, Blocking starts one inside the event that is
+// already being dispatched, and a process may call Sleep, Trigger.Wait
+// and Queue.Get. Exactly one process runs at any instant, and control
+// returns to the scheduler whenever it blocks or finishes. A Sleep, a
+// Wait and a process start each cost one event, scheduled at the same
+// execution point as the AfterFunc, WaitThen and Post they correspond
+// to, so the two styles interleave on the heap without either
+// disturbing the other's order.
 //
 // Sim state is deliberately unlocked. Exactly one logical thread is
 // ever active — the scheduler, or the one process it handed control to
 // — and every transfer of control flows through a proc's wake/yield
 // channel handshake, whose sends and receives order all state access
 // between the scheduler goroutine and process goroutines (the race
-// detector sees those edges; CI runs the full suite under -race in
-// both engine modes). Calls from outside a run — the driver thread
-// between RunFor chunks — are part of the same single logical thread.
-// What is NOT supported is calling into one Sim from a second OS
-// thread concurrently with a run; no package in this repository does
-// (netsim, gsi, interpose and mpisim run real goroutines but never
-// touch a Sim). The callback engine gets its hot-loop win from
-// exactly this: event dispatch is a plain function call with no
-// lock, no handshake and no scheduler round-trip.
+// detector sees those edges; CI runs the full suite under -race).
+// Calls from outside a run — the driver thread between RunFor chunks —
+// are part of the same single logical thread. What is NOT supported is
+// calling into one Sim from a second OS thread concurrently with a
+// run; no package in this repository does (netsim, gsi, interpose and
+// mpisim run real goroutines but never touch a Sim).
 type Sim struct {
 	now    time.Time
 	events eventHeap
 	freeEv []*event // recycled events; see event.gen
-	freePr []*proc  // idle pooled process workers; see Go
+	freePr []*proc  // idle pooled process workers; see lease
 	seq    int64
 	cur    *proc  // process currently holding control, nil in plain events
 	firing *event // event currently being dispatched; see simTimer.Stop
 	nprocs int    // live (not yet exited) processes
-	eng    Engine
 }
-
-// Engine selects how components built on Sim execute their logic.
-//
-// The clock itself always supports both styles — Go/Sleep processes and
-// AfterFunc callbacks interleave freely on one heap. The Engine value is
-// a mode switch that substrate packages (site, batch, glidein, broker,
-// federation) consult when they have two implementations of the same
-// flow: a cooperative-process reference version (Go + Sleep, one pooled
-// goroutine per live process, a channel handshake per step) and a
-// run-to-completion version (pure callbacks dispatched inline from the
-// heap, no goroutine, no handshake).
-//
-// The two implementations are event-pattern equivalent by construction:
-// every Go maps to one event at +0, every Sleep(d) to one event at +d
-// scheduled at the same execution point, and every Trigger.Wait to a
-// continuation on the same FIFO waiter list — so seq allocation order,
-// and therefore same-timestamp dispatch order, is identical. Fixed-seed
-// runs produce byte-identical traces under either engine; the
-// equivalence suite in internal/experiments pins this for every
-// committed experiment.
-type Engine int
-
-const (
-	// EngineGoroutine is the cooperative reference engine: hot flows run
-	// as Go/Sleep processes. Default, and the only mode that supports
-	// arbitrary blocking job bodies.
-	EngineGoroutine Engine = iota
-	// EngineCallback is the run-to-completion engine: hot flows run as
-	// continuation-passing callbacks with no goroutine handshake. Flows
-	// without a callback implementation (console/real-time shapes,
-	// custom blocking job bodies) transparently stay on the cooperative
-	// path; a stray Sleep on the scheduler goroutine still panics.
-	EngineCallback
-)
-
-func (e Engine) String() string {
-	if e == EngineCallback {
-		return "callback"
-	}
-	return "goroutine"
-}
-
-// ParseEngine maps the -engine flag spellings to an Engine. The empty
-// string selects the callback engine (the fast default for experiment
-// drivers).
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "callback", "cb":
-		return EngineCallback, nil
-	case "goroutine", "go", "proc":
-		return EngineGoroutine, nil
-	}
-	return EngineGoroutine, fmt.Errorf("simclock: unknown engine %q (want callback or goroutine)", s)
-}
-
-// SetEngine selects the execution engine substrate packages should use.
-// It must be called before any components are driven; switching engines
-// mid-run is not supported.
-func (s *Sim) SetEngine(e Engine) {
-	s.eng = e
-}
-
-// Engine reports the selected execution engine.
-func (s *Sim) Engine() Engine {
-	return s.eng
-}
-
-// Callback reports whether the run-to-completion callback engine is
-// selected.
-func (s *Sim) Callback() bool { return s.Engine() == EngineCallback }
-
-// defaultEngine seeds every NewSim: the goroutine reference engine,
-// unless the SIMCLOCK_ENGINE environment variable names another. The
-// override is CI's engine matrix hook — running the full test suite
-// with every default-constructed Sim in callback mode checks engine
-// equivalence across every suite, not just the tests that set the knob
-// explicitly. Unparseable values fall back to the reference engine.
-var defaultEngine = func() Engine {
-	if v := os.Getenv("SIMCLOCK_ENGINE"); v != "" {
-		if e, err := ParseEngine(v); err == nil {
-			return e
-		}
-	}
-	return EngineGoroutine
-}()
 
 // NewSim returns a simulation clock starting at start. A zero start is
 // replaced with a fixed, arbitrary epoch so tests are reproducible.
@@ -133,7 +55,7 @@ func NewSim(start time.Time) *Sim {
 	if start.IsZero() {
 		start = time.Date(2006, time.September, 25, 12, 0, 0, 0, time.UTC)
 	}
-	return &Sim{now: start, eng: defaultEngine}
+	return &Sim{now: start}
 }
 
 type event struct {
@@ -163,10 +85,9 @@ func (s *Sim) recycle(e *event) {
 //
 // The seq tiebreak is a contract, not an implementation detail: events
 // scheduled for the same timestamp dispatch in the order they were
-// scheduled (FIFO). Both execution engines rely on this — the two-mode
-// equivalence proof holds only because a callback scheduled at the same
-// (time, position-in-code) as a process wake receives the same seq and
-// therefore the same dispatch slot. See TestSameTimestampFIFO.
+// scheduled (FIFO), whether they carry a function or a process wake.
+// Fixed-seed traces are byte-reproducible only because of it. See
+// TestSameTimestampFIFO.
 type eventHeap []*event
 
 func (h eventHeap) less(i, j int) bool {
@@ -219,9 +140,6 @@ func (h *eventHeap) pop() *event {
 
 // proc is one cooperative process. Control is handed to the process by
 // sending on wake; the process returns control by sending on yield.
-// Procs are pooled: the backing goroutine loops, running one body
-// function per lease, so repeated Go calls reuse goroutines and
-// channels instead of allocating fresh ones.
 type proc struct {
 	wake  chan struct{}
 	yield chan struct{}
@@ -269,8 +187,7 @@ func (s *Sim) At(t time.Time, fn func()) Timer {
 }
 
 // Post schedules fn to run in its own event at the current virtual
-// time, after all events already scheduled for this instant (FIFO). It
-// is the callback-engine analogue of Go: one event at +0, no goroutine.
+// time, after all events already scheduled for this instant (FIFO).
 func (s *Sim) Post(fn func()) {
 	s.schedule(0, fn, nil)
 }
@@ -310,26 +227,58 @@ func (t simTimer) Stop() bool {
 // Trigger.Wait freely. Go may be called before Run or from within a
 // running event or process.
 func (s *Sim) Go(fn func()) {
+	s.schedule(0, nil, s.lease(fn))
+}
+
+// lease binds fn to a process worker. Procs are pooled: the backing
+// goroutine loops, running one body per lease, so repeated process
+// starts reuse goroutines and channels instead of allocating fresh
+// ones.
+func (s *Sim) lease(fn func()) *proc {
 	s.nprocs++
-	var p *proc
 	if n := len(s.freePr); n > 0 {
-		p = s.freePr[n-1]
+		p := s.freePr[n-1]
 		s.freePr = s.freePr[:n-1]
 		p.fn = fn
-	} else {
-		p = &proc{wake: make(chan struct{}), yield: make(chan struct{}), fn: fn}
-		go func() {
-			for {
-				<-p.wake
-				p.fn()
-				s.nprocs--
-				p.fn = nil
-				s.freePr = append(s.freePr, p)
-				p.yield <- struct{}{}
-			}
-		}()
+		return p
 	}
-	s.schedule(0, nil, p)
+	p := &proc{wake: make(chan struct{}), yield: make(chan struct{}), fn: fn}
+	go func() {
+		for {
+			<-p.wake
+			p.fn()
+			s.nprocs--
+			p.fn = nil
+			s.freePr = append(s.freePr, p)
+			p.yield <- struct{}{}
+		}
+	}()
+	return p
+}
+
+// Blocking adapts a blocking body — one that calls Sleep, Trigger.Wait
+// or Queue.Get — to the continuation-passing shape the scheduling
+// flows dispatch job bodies in (batch.Request.RunCB,
+// glidein.InteractiveJob.RunCB, broker.Request.Body). The returned
+// function must be called from an event or a process; it starts body
+// as a process inside that dispatch slot, with no event of its own,
+// and returns when body first blocks or finishes. done runs in the
+// process once body returns.
+func Blocking[C any](s *Sim, body func(C)) func(ctx C, done func()) {
+	return func(ctx C, done func()) {
+		p := s.lease(func() {
+			body(ctx)
+			done()
+		})
+		// The caller — scheduler or enclosing process — plays the
+		// scheduler's part of the handshake for this first stretch;
+		// later wake-ups arrive through the heap like any process's.
+		prev := s.cur
+		s.cur = p
+		p.wake <- struct{}{}
+		<-p.yield
+		s.cur = prev
+	}
 }
 
 // Sleep suspends the calling process for d of virtual time. It panics

@@ -5,10 +5,9 @@ package simclock
 // waiters. It is the simulated analogue of closing a channel.
 //
 // Waiters come in two shapes sharing one FIFO list: suspended processes
-// (Wait, cooperative engine) and continuations (WaitThen, callback
-// engine). Fire releases them in registration order regardless of
-// shape, each in its own event at the firing instant, so a flow
-// migrated from Wait to WaitThen keeps its exact dispatch slot.
+// (Wait) and continuations (WaitThen). Fire releases them in
+// registration order regardless of shape, each in its own event at the
+// firing instant.
 //
 // Like the Sim it is bound to, a Trigger is unlocked: all calls happen
 // on the single active logical thread (see the Sim doc comment), so
@@ -118,11 +117,11 @@ func (t *Trigger) Wait() {
 	<-p.wake
 }
 
-// WaitThen is the callback-engine analogue of Wait: it runs cont once
-// the trigger fires. If the trigger already fired, cont runs inline
-// (matching Wait's immediate return); otherwise cont joins the same
-// FIFO waiter list as suspended processes and is dispatched in its own
-// event at the firing instant, in registration order.
+// WaitThen runs cont once the trigger fires. If the trigger already
+// fired, cont runs inline (matching Wait's immediate return);
+// otherwise cont joins the same FIFO waiter list as suspended
+// processes and is dispatched in its own event at the firing instant,
+// in registration order.
 func (t *Trigger) WaitThen(cont func()) {
 	if t.fired {
 		cont()

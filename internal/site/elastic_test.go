@@ -91,12 +91,11 @@ func TestElasticSiteRunsJob(t *testing.T) {
 	})
 	var ran bool
 	var h *batch.Handle
-	sim.Go(func() {
-		var err error
-		h, err = s.Submit(batch.Request{
-			ID: "j1", Nodes: 1,
-			Run: func(ctx *batch.ExecCtx) { ran = true },
-		}, SubmitOptions{})
+	s.SubmitAsync(batch.Request{
+		ID: "j1", Nodes: 1,
+		RunCB: func(_ *batch.ExecCtx, done func()) { ran = true; done() },
+	}, SubmitOptions{}, func(bh *batch.Handle, err error) {
+		h = bh
 		if err != nil {
 			t.Error(err)
 		}

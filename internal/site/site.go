@@ -8,8 +8,8 @@
 // communication (Table I).
 //
 // All operations run in virtual time: methods that model remote calls
-// sleep on the simulation clock and must be invoked from a simulation
-// process.
+// charge their costs as timer events on the simulation clock and hand
+// the result to a continuation.
 package site
 
 import (
@@ -323,31 +323,12 @@ func (s *Site) StartPublishing(is Publisher) {
 // Stats returns the site's two-phase-commit counters.
 func (s *Site) Stats() CommitStats { return s.stats }
 
-// QueryState is the broker's direct query for up-to-date queue
+// QueryStateAsync is the broker's direct query for up-to-date queue
 // information during the selection phase. It costs one network round
-// trip plus a small gatekeeper processing delay, and must run in a
-// simulation process. An unreachable site reports zero capacity; use
-// QueryStateOK to distinguish a probe failure from a full site.
-func (s *Site) QueryState() (free, queued int) {
-	free, queued, _ = s.QueryStateOK()
-	return free, queued
-}
-
-// QueryStateOK is QueryState with an explicit probe outcome: ok is
-// false when the gatekeeper could not be reached (the probe still
-// costs its round trip — the timeout the broker waited out).
-func (s *Site) QueryStateOK() (free, queued int, ok bool) {
-	s.sim.Sleep(s.cfg.Network.RTT() + s.cfg.QueryCost)
-	if !s.Available() {
-		return 0, 0, false
-	}
-	return s.lrms.FreeNodeCount(), s.lrms.QueueLength(), true
-}
-
-// QueryStateAsync is QueryStateOK for the callback engine: the probe's
-// round trip plus gatekeeper processing is charged through one timer
-// event — the same single event a blocking probe's Sleep schedules —
-// and cont receives the result at the same instant.
+// trip plus a small gatekeeper processing delay, charged as one timer
+// event; cont receives the answer at that instant. ok is false when
+// the gatekeeper could not be reached (the probe still costs its round
+// trip — the timeout the broker waited out).
 func (s *Site) QueryStateAsync(cont func(free, queued int, ok bool)) {
 	s.sim.AfterFunc(s.cfg.Network.RTT()+s.cfg.QueryCost, func() {
 		if !s.Available() {
@@ -375,12 +356,12 @@ type SubmitOptions struct {
 	TraceAttempt int
 }
 
-// Submit pushes a job through the gatekeeper into the local queue:
-// staging + two-phase commit at the broker, network transfer, GSI
-// authentication and GRAM setup at the gatekeeper, then the LRM
-// enqueue. It must run in a simulation process and returns once the
-// job is accepted by the LRM (the commit point), with the handle for
-// tracking.
+// SubmitAsync pushes a job through the gatekeeper into the local
+// queue: staging + two-phase commit at the broker, network transfer,
+// GSI authentication and GRAM setup at the gatekeeper, then the LRM
+// enqueue — each cost one timer event. cont runs once the job is
+// accepted by the LRM (the commit point), with the handle for
+// tracking, or with the error that failed the attempt.
 //
 // Failure model: an unreachable gatekeeper fails the attempt with
 // ErrSiteDown after the connection round trip; a site that crashes
@@ -389,77 +370,11 @@ type SubmitOptions struct {
 // aborts the two-phase commit — the uncommitted job is withdrawn from
 // the LRM (if it still exists) and ErrCommitAborted is returned, so
 // the broker's lease release leaves no resources stranded.
-func (s *Site) Submit(req batch.Request, opts SubmitOptions) (*batch.Handle, error) {
+func (s *Site) SubmitAsync(req batch.Request, opts SubmitOptions, cont func(*batch.Handle, error)) {
 	c := s.cfg.Costs
 	if stall := s.gkStallUntil.Sub(s.sim.Now()); stall > 0 {
 		// A wedged jobmanager: the request hangs for the remainder of
 		// the stall window, then the broker's submission times out.
-		s.sim.Sleep(stall)
-		return nil, fmt.Errorf("%w after %v", ErrGatekeeperTimeout, stall)
-	}
-	if !s.Available() {
-		s.sim.Sleep(s.cfg.Network.RTT()) // failed connection attempt
-		return nil, fmt.Errorf("%w: %s", ErrSiteDown, s.cfg.Name)
-	}
-	if !opts.SkipStage {
-		s.sim.Sleep(c.Stage)
-	}
-	// Request travels to the gatekeeper; two-phase commit costs a
-	// second round trip after the LRM accepts.
-	s.sim.Sleep(s.cfg.Network.RTT())
-	if !s.Available() {
-		return nil, fmt.Errorf("%w: %s", ErrSiteDown, s.cfg.Name)
-	}
-	s.sim.Sleep(c.Auth + c.GRAM)
-	if opts.WithAgent {
-		s.sim.Sleep(c.AgentStage)
-	}
-	if !s.Available() {
-		return nil, fmt.Errorf("%w: %s", ErrSiteDown, s.cfg.Name)
-	}
-	h, err := s.lrms.Submit(req) // phase-1 accept
-	if err != nil {
-		s.stats.Phase1Rejects++
-		return nil, err
-	}
-	tj := opts.TraceJob
-	if tj == "" {
-		tj = h.ID()
-	}
-	s.stats.Sent++
-	s.inflight++
-	if s.inflight > s.stats.MaxInflight {
-		s.stats.MaxInflight = s.inflight
-	}
-	s.tracer.Emit(trace.Event{Kind: trace.CommitSent, Job: tj, Site: s.cfg.Name, Attempt: opts.TraceAttempt})
-	s.sim.Sleep(s.cfg.Network.RTT()) // commit acknowledgment
-	s.inflight--
-	if !s.Available() {
-		// Phase 2 never completed: abort. A crash already dropped the
-		// job with the rest of the queue; after a mere outage the LRM
-		// aborts the uncommitted job when its commit timer expires.
-		s.lrms.Kill(req.ID)
-		if req.ID == "" {
-			s.lrms.Kill(h.ID())
-		}
-		s.stats.Aborted++
-		s.tracer.Emit(trace.Event{Kind: trace.CommitAborted, Job: tj, Site: s.cfg.Name, Attempt: opts.TraceAttempt})
-		return nil, fmt.Errorf("%w: %s died before commit", ErrCommitAborted, s.cfg.Name)
-	}
-	s.stats.Committed++
-	s.tracer.Emit(trace.Event{Kind: trace.Committed, Job: tj, Site: s.cfg.Name, Attempt: opts.TraceAttempt})
-	return h, nil
-}
-
-// SubmitAsync is Submit for the callback engine: the same cost chain,
-// availability checks and two-phase-commit bookkeeping, with every
-// Sleep replaced by exactly one timer event at the same execution
-// point — so a fixed-seed run interleaves identically with the
-// blocking version and traces stay byte-identical. cont runs once the
-// commit resolves or the attempt fails.
-func (s *Site) SubmitAsync(req batch.Request, opts SubmitOptions, cont func(*batch.Handle, error)) {
-	c := s.cfg.Costs
-	if stall := s.gkStallUntil.Sub(s.sim.Now()); stall > 0 {
 		s.sim.AfterFunc(stall, func() {
 			cont(nil, fmt.Errorf("%w after %v", ErrGatekeeperTimeout, stall))
 		})
@@ -474,6 +389,10 @@ func (s *Site) SubmitAsync(req batch.Request, opts SubmitOptions, cont func(*bat
 	commitAck := func(h *batch.Handle, tj string) {
 		s.inflight--
 		if !s.Available() {
+			// Phase 2 never completed: abort. A crash already dropped
+			// the job with the rest of the queue; after a mere outage
+			// the LRM aborts the uncommitted job when its commit timer
+			// expires.
 			s.lrms.Kill(req.ID)
 			if req.ID == "" {
 				s.lrms.Kill(h.ID())

@@ -19,6 +19,9 @@ func newSite(sim *simclock.Sim, nodes int) *Site {
 	})
 }
 
+// noop is a job body that finishes at once.
+func noop(_ *batch.ExecCtx, done func()) { done() }
+
 func TestRecordReflectsQueueState(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	s := newSite(sim, 4)
@@ -36,16 +39,15 @@ func TestSubmitPaysMiddlewareCosts(t *testing.T) {
 	s := newSite(sim, 2)
 	start := sim.Now()
 	var acceptedAt, startedAt time.Duration
-	sim.Go(func() {
-		h, err := s.Submit(batch.Request{ID: "j", Nodes: 1, Run: func(ctx *batch.ExecCtx) {
-			startedAt = sim.Since(start)
-		}}, SubmitOptions{})
+	s.SubmitAsync(batch.Request{ID: "j", Nodes: 1, RunCB: func(ctx *batch.ExecCtx, done func()) {
+		startedAt = sim.Since(start)
+		done()
+	}}, SubmitOptions{}, func(_ *batch.Handle, err error) {
 		if err != nil {
 			t.Errorf("submit: %v", err)
 			return
 		}
 		acceptedAt = sim.Since(start)
-		_ = h
 	})
 	sim.Run()
 	c := DefaultCosts()
@@ -64,12 +66,12 @@ func TestSubmitWithAgentCostsMore(t *testing.T) {
 	s := newSite(sim, 2)
 	start := sim.Now()
 	var plain, withAgent time.Duration
-	sim.Go(func() {
-		s.Submit(batch.Request{ID: "a", Nodes: 1, Run: func(*batch.ExecCtx) {}}, SubmitOptions{})
+	s.SubmitAsync(batch.Request{ID: "a", Nodes: 1, RunCB: noop}, SubmitOptions{}, func(*batch.Handle, error) {
 		plain = sim.Since(start)
 		t0 := sim.Now()
-		s.Submit(batch.Request{ID: "b", Nodes: 1, Run: func(*batch.ExecCtx) {}}, SubmitOptions{WithAgent: true})
-		withAgent = sim.Since(t0)
+		s.SubmitAsync(batch.Request{ID: "b", Nodes: 1, RunCB: noop}, SubmitOptions{WithAgent: true}, func(*batch.Handle, error) {
+			withAgent = sim.Since(t0)
+		})
 	})
 	sim.Run()
 	if withAgent-plain != DefaultCosts().AgentStage {
@@ -82,8 +84,7 @@ func TestSkipStage(t *testing.T) {
 	s := newSite(sim, 2)
 	start := sim.Now()
 	var took time.Duration
-	sim.Go(func() {
-		s.Submit(batch.Request{ID: "g", Nodes: 1, Run: func(*batch.ExecCtx) {}}, SubmitOptions{SkipStage: true})
+	s.SubmitAsync(batch.Request{ID: "g", Nodes: 1, RunCB: noop}, SubmitOptions{SkipStage: true}, func(*batch.Handle, error) {
 		took = sim.Since(start)
 	})
 	sim.Run()
@@ -99,8 +100,8 @@ func TestQueryStateCostsRTT(t *testing.T) {
 	start := sim.Now()
 	var took time.Duration
 	var free int
-	sim.Go(func() {
-		free, _ = s.QueryState()
+	s.QueryStateAsync(func(f, _ int, _ bool) {
+		free = f
 		took = sim.Since(start)
 	})
 	sim.Run()
@@ -165,8 +166,7 @@ func TestCommitStatsCountRacedWindows(t *testing.T) {
 	// site sees the race in MaxInflight.
 	for i := 0; i < 2; i++ {
 		id := string(rune('a' + i))
-		sim.Go(func() {
-			_, err := s.Submit(batch.Request{ID: id, Nodes: 1, Run: func(ctx *batch.ExecCtx) {}}, SubmitOptions{})
+		s.SubmitAsync(batch.Request{ID: id, Nodes: 1, RunCB: noop}, SubmitOptions{}, func(_ *batch.Handle, err error) {
 			if err != nil {
 				t.Errorf("submit %s: %v", id, err)
 			}
@@ -185,8 +185,7 @@ func TestCommitStatsCountRacedWindows(t *testing.T) {
 func TestCommitStatsCountAbort(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	s := newSite(sim, 1)
-	sim.Go(func() {
-		_, err := s.Submit(batch.Request{ID: "j", Nodes: 1, Run: func(ctx *batch.ExecCtx) {}}, SubmitOptions{})
+	s.SubmitAsync(batch.Request{ID: "j", Nodes: 1, RunCB: noop}, SubmitOptions{}, func(_ *batch.Handle, err error) {
 		if err == nil {
 			t.Error("submit survived a mid-commit outage")
 		}
