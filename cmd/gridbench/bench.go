@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -182,60 +180,23 @@ func bench(out, baseline string, tolerance float64) error {
 	})
 	add("ASTEval/req+rank", r)
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := writeReport(out, rep); err != nil {
 		return err
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
 	if baseline != "" {
-		return compareBench(rep.Results, baseline, tolerance)
+		return gateReport(benchGate, rep, benchRows, baseline, tolerance)
 	}
 	return nil
 }
 
-// compareBench loads a committed benchReport and flags regressions:
-// any benchmark present in both runs whose ns/op grew by more than
-// tolerance fails the comparison. New or removed benchmarks are
-// reported but never fail (the gate must not block adding coverage).
-func compareBench(results []benchRecord, baseline string, tolerance float64) error {
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		return err
+// benchGate gates every benchmark's ns/op: growth beyond tolerance
+// fails.
+var benchGate = gate{exp: "bench", noun: "benchmark", width: 34, values: "%12.0f -> %12.0f ns/op"}
+
+func benchRows(rep benchReport) []benchRow {
+	rows := make([]benchRow, len(rep.Results))
+	for i, r := range rep.Results {
+		rows[i] = benchRow{r.Name, r.NsPerOp}
 	}
-	var base benchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("bench: parsing baseline %s: %w", baseline, err)
-	}
-	old := make(map[string]benchRecord, len(base.Results))
-	for _, r := range base.Results {
-		old[r.Name] = r
-	}
-	var regressed []string
-	for _, r := range results {
-		b, ok := old[r.Name]
-		if !ok {
-			fmt.Printf("  %-34s new benchmark, no baseline\n", r.Name)
-			continue
-		}
-		if b.NsPerOp <= 0 {
-			continue
-		}
-		delta := (r.NsPerOp - b.NsPerOp) / b.NsPerOp
-		verdict := "ok"
-		if delta > tolerance {
-			verdict = "REGRESSED"
-			regressed = append(regressed, r.Name)
-		}
-		fmt.Printf("  %-34s %12.0f -> %12.0f ns/op (%+.1f%%) %s\n",
-			r.Name, b.NsPerOp, r.NsPerOp, 100*delta, verdict)
-	}
-	if len(regressed) > 0 {
-		return fmt.Errorf("bench: %d benchmark(s) regressed beyond %.0f%% vs %s: %v",
-			len(regressed), 100*tolerance, baseline, regressed)
-	}
-	fmt.Printf("no regressions beyond %.0f%% vs %s\n", 100*tolerance, baseline)
-	return nil
+	return rows
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 
 	"crossbroker/internal/experiments"
@@ -55,47 +53,11 @@ func chaos(out, traceout string, quick, delta bool, seed int64) error {
 		Quick:       quick,
 		Points:      pts,
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := writeReport(out, rep); err != nil {
 		return err
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
 	if traceout != "" {
-		if err := exportChaosTraces(traceout, pts); err != nil {
-			return err
-		}
+		return exportTraces("chaos", traceout, pts, func(p experiments.ChaosPoint) trace.Trace { return p.Trace }, nil)
 	}
-	return nil
-}
-
-// exportChaosTraces runs the invariant checker over every cell's event
-// log — the sweep drained, so the strict CheckComplete applies — and
-// writes the logs as one JSONL stream.
-func exportChaosTraces(path string, pts []experiments.ChaosPoint) error {
-	traces := make([]trace.Trace, 0, len(pts))
-	events := 0
-	for _, p := range pts {
-		if v := trace.CheckComplete(p.Trace.Events); len(v) != 0 {
-			return fmt.Errorf("chaos: %s: %d trace invariant violations, first: %s",
-				p.Trace.Label, len(v), v[0])
-		}
-		events += len(p.Trace.Events)
-		traces = append(traces, p.Trace)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteJSONL(f, traces); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d cells, %d events, invariants clean)\n", path, len(traces), events)
 	return nil
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 
 	"crossbroker/internal/experiments"
@@ -53,16 +51,11 @@ func dataaware(out, baseline string, quick bool, seed int64, tolerance float64) 
 		Quick:       quick,
 		Points:      pts,
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := writeReport(out, rep); err != nil {
 		return err
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
 	if baseline != "" {
-		return compareDataAware(pts, baseline, tolerance)
+		return gateReport(dataawareGate, rep, dataawareRows, baseline, tolerance)
 	}
 	return nil
 }
@@ -75,47 +68,15 @@ func dataawareKey(p experiments.DataAwarePoint) string {
 	return fmt.Sprintf("replicas=%d/%s", p.Replicas, link)
 }
 
-// compareDataAware loads a committed dataawareReport and flags
-// regressions: any cell present in both runs whose aware-over-blind
-// speedup shrank by more than tolerance (of the baseline speedup)
-// fails. New or removed cells are reported but never fail.
-func compareDataAware(results []experiments.DataAwarePoint, baseline string, tolerance float64) error {
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		return err
+// dataawareGate gates the aware-over-blind speedup per cell: shrinking
+// by more than tolerance (of the baseline speedup) fails.
+var dataawareGate = gate{exp: "dataaware", noun: "cell", higherIsBetter: true,
+	width: 20, values: "speedup %5.1f%% -> %5.1f%%"}
+
+func dataawareRows(rep dataawareReport) []benchRow {
+	rows := make([]benchRow, len(rep.Points))
+	for i, p := range rep.Points {
+		rows[i] = benchRow{dataawareKey(p), p.SpeedupPct}
 	}
-	var base dataawareReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("dataaware: parsing baseline %s: %w", baseline, err)
-	}
-	old := make(map[string]experiments.DataAwarePoint, len(base.Points))
-	for _, p := range base.Points {
-		old[dataawareKey(p)] = p
-	}
-	var regressed []string
-	for _, p := range results {
-		key := dataawareKey(p)
-		b, ok := old[key]
-		if !ok {
-			fmt.Printf("  %-20s new cell, no baseline\n", key)
-			continue
-		}
-		if b.SpeedupPct <= 0 {
-			continue
-		}
-		delta := (b.SpeedupPct - p.SpeedupPct) / b.SpeedupPct
-		verdict := "ok"
-		if delta > tolerance {
-			verdict = "REGRESSED"
-			regressed = append(regressed, key)
-		}
-		fmt.Printf("  %-20s speedup %5.1f%% -> %5.1f%% (%+.1f%%) %s\n",
-			key, b.SpeedupPct, p.SpeedupPct, -100*delta, verdict)
-	}
-	if len(regressed) > 0 {
-		return fmt.Errorf("dataaware: %d cell(s) regressed beyond %.0f%% vs %s: %v",
-			len(regressed), 100*tolerance, baseline, regressed)
-	}
-	fmt.Printf("no regressions beyond %.0f%% vs %s\n", 100*tolerance, baseline)
-	return nil
+	return rows
 }

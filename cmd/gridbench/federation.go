@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 
 	"crossbroker/internal/experiments"
@@ -57,21 +55,17 @@ func federation(out, baseline, traceout string, quick bool, seed int64, toleranc
 		Quick:       quick,
 		Points:      pts,
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := writeReport(out, rep); err != nil {
 		return err
 	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
 	if traceout != "" {
-		if err := exportFederationTraces(traceout, pts); err != nil {
+		traceOf := func(p experiments.FederationPoint) trace.Trace { return p.Trace }
+		if err := exportTraces("federation", traceout, pts, traceOf, nil); err != nil {
 			return err
 		}
 	}
 	if baseline != "" {
-		return compareFederation(pts, baseline, tolerance)
+		return gateReport(federationGate, rep, federationRows, baseline, tolerance)
 	}
 	return nil
 }
@@ -80,77 +74,15 @@ func federationKey(p experiments.FederationPoint) string {
 	return fmt.Sprintf("%s/k=%d/rate=%.2g", p.Topology, p.K, p.FaultRate)
 }
 
-// compareFederation loads a committed federationReport and flags
-// regressions: any cell present in both runs whose goodput dropped by
-// more than tolerance fails the comparison. New or removed cells are
-// reported but never fail (the gate must not block resizing the
-// sweep).
-func compareFederation(results []experiments.FederationPoint, baseline string, tolerance float64) error {
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		return err
-	}
-	var base federationReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("federation: parsing baseline %s: %w", baseline, err)
-	}
-	old := make(map[string]experiments.FederationPoint, len(base.Points))
-	for _, p := range base.Points {
-		old[federationKey(p)] = p
-	}
-	var regressed []string
-	for _, p := range results {
-		key := federationKey(p)
-		b, ok := old[key]
-		if !ok {
-			fmt.Printf("  %-24s new cell, no baseline\n", key)
-			continue
-		}
-		if b.GoodputPct <= 0 {
-			continue
-		}
-		delta := (b.GoodputPct - p.GoodputPct) / b.GoodputPct
-		verdict := "ok"
-		if delta > tolerance {
-			verdict = "REGRESSED"
-			regressed = append(regressed, key)
-		}
-		fmt.Printf("  %-24s goodput %5.1f%% -> %5.1f%% (%+.1f%%) %s\n",
-			key, b.GoodputPct, p.GoodputPct, -100*delta, verdict)
-	}
-	if len(regressed) > 0 {
-		return fmt.Errorf("federation: %d cell(s) regressed beyond %.0f%% vs %s: %v",
-			len(regressed), 100*tolerance, baseline, regressed)
-	}
-	fmt.Printf("no regressions beyond %.0f%% vs %s\n", 100*tolerance, baseline)
-	return nil
-}
+// federationGate gates per-cell goodput: a drop of more than tolerance
+// fails.
+var federationGate = gate{exp: "federation", noun: "cell", higherIsBetter: true,
+	width: 24, values: "goodput %5.1f%% -> %5.1f%%"}
 
-// exportFederationTraces re-checks every cell's merged multi-broker
-// log against the trace invariants and writes the logs as one JSONL
-// stream.
-func exportFederationTraces(path string, pts []experiments.FederationPoint) error {
-	traces := make([]trace.Trace, 0, len(pts))
-	events := 0
-	for _, p := range pts {
-		if v := trace.CheckComplete(p.Trace.Events); len(v) != 0 {
-			return fmt.Errorf("federation: %s: %d trace invariant violations, first: %s",
-				p.Trace.Label, len(v), v[0])
-		}
-		events += len(p.Trace.Events)
-		traces = append(traces, p.Trace)
+func federationRows(rep federationReport) []benchRow {
+	rows := make([]benchRow, len(rep.Points))
+	for i, p := range rep.Points {
+		rows[i] = benchRow{federationKey(p), p.GoodputPct}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteJSONL(f, traces); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d cells, %d events, invariants clean)\n", path, len(traces), events)
-	return nil
+	return rows
 }

@@ -61,30 +61,21 @@ func realMain(args []string, stderr io.Writer) int {
 	scale := fs.Float64("scale", 1.0, "network delay scale for real-time experiments")
 	series := fs.Bool("series", false, "dump raw per-iteration series as CSV")
 	seed := fs.Int64("seed", 2006, "randomization seed")
-	benchOut := fs.String("benchout", "BENCH_matchmaking.json", "output path for -exp bench")
-	chaosOut := fs.String("chaosout", "BENCH_chaos.json", "output path for -exp chaos")
-	fedOut := fs.String("fedout", "BENCH_federation.json", "output path for -exp federation")
-	fedBaseline := fs.String("fedbaseline", "", "committed BENCH_federation.json to compare -exp federation goodput against")
-	dataOut := fs.String("dataout", "BENCH_dataaware.json", "output path for -exp dataaware")
-	dataBaseline := fs.String("databaseline", "", "committed BENCH_dataaware.json to compare -exp dataaware speedups against")
+	out := fs.String("out", "", "output path for the one JSON-writing experiment named by -exp (default: its committed BENCH_*.json name)")
 	quick := fs.Bool("quick", false, "shrink -exp chaos, federation, dataaware and scale for smoke runs")
 	traceOut := fs.String("traceout", "", "enable event tracing in -exp chaos/federation and write the logs as JSONL here")
 	traceIn := fs.String("tracein", "", "JSONL event log to verify with -exp checktrace")
 	chromeOut := fs.String("chromeout", "", "also convert -tracein to Chrome trace_event JSON at this path")
-	baseline := fs.String("baseline", "", "committed BENCH_matchmaking.json to compare -exp bench results against")
+	baseline := fs.String("baseline", "", "committed BENCH_*.json of the experiment named by -exp to gate its results against")
 	tolerance := fs.Float64("tolerance", 0.25, "allowed fractional regression vs a baseline before failing")
 	shards := fs.Int("shards", 16, "information-service shard count for -exp scale")
-	pageSize := fs.Int("pagesize", 0, "discovery page size for -exp scale (0 = infosys default)")
-	scaleOut := fs.String("scaleout", "BENCH_infosys.json", "output path for -exp scale")
-	scaleBaseline := fs.String("scalebaseline", "", "committed BENCH_infosys.json to compare -exp scale results against")
+	pageSize := fs.Int("pagesize", 0, "discovery page size for -exp scale (0 or less = infosys default)")
 	churn := fs.String("churn", "0,64,256,1024", "comma-separated churn-axis publish rates for -exp scale")
 	churnSites := fs.Int("churnsites", 50000, "grid size for the -exp scale churn axis")
 	deltaDepth := fs.Int("deltadepth", 256, "per-shard delta log depth for -exp scale delta cells")
 	deltaChaos := fs.Bool("delta", false, "route -exp chaos matchmaking through the delta-subscription path")
 	tracePath := fs.String("trace", "", "SWF/GWF workload log to drive -exp replay")
 	synth := fs.Int("synth", 0, "generate a deterministic synthetic archive with this many jobs for -exp replay (instead of -trace)")
-	replayOut := fs.String("replayout", "BENCH_replay.json", "output path for -exp replay")
-	replayBaseline := fs.String("replaybaseline", "", "committed BENCH_replay.json to compare -exp replay throughput against")
 	window := fs.String("window", "", "trace window for -exp replay as N:M hours (default whole trace)")
 	speedups := fs.String("speedups", "", "comma-separated arrival speedups for -exp replay (default 1,2,4)")
 	sites := fs.Int("sites", 0, "replay grid sites (0 = 4, or 8 with -synth)")
@@ -102,6 +93,18 @@ func realMain(args []string, stderr io.Writer) int {
 	if !slices.Contains(experimentNames, *exp) {
 		fmt.Fprintf(stderr, "gridbench: unknown experiment %q (valid: %s)\n", *exp, strings.Join(experimentNames, ", "))
 		return 2
+	}
+	if *exp == "all" && (*out != "" || *baseline != "") {
+		fmt.Fprintln(stderr, "gridbench: -out and -baseline name one experiment's report: pass -exp with them")
+		return 2
+	}
+	// outPath is where an experiment writes its report: -out, or the
+	// file name its committed baseline carries.
+	outPath := func(def string) string {
+		if *out != "" {
+			return *out
+		}
+		return def
 	}
 
 	if *fetch != "" {
@@ -165,21 +168,21 @@ func realMain(args []string, stderr io.Writer) int {
 	run("fig7", func() error { return pingpong("fig7", netsim.WideArea(), *rounds, *scale, *seed, *series) })
 	run("fig8", func() error { return fig8(*iters, *series) })
 	run("ablations", func() error { return ablations(*scale, *seed) })
-	run("bench", func() error { return bench(*benchOut, *baseline, *tolerance) })
+	run("bench", func() error { return bench(outPath("BENCH_matchmaking.json"), *baseline, *tolerance) })
 	run("scale", func() error {
 		rates, err := parseIntList(*churn)
 		if err != nil {
 			return fmt.Errorf("-churn: %w", err)
 		}
-		return scaleExp(*scaleOut, *scaleBaseline, *shards, *pageSize, *quick, *seed, *tolerance,
+		return scaleExp(outPath("BENCH_infosys.json"), *baseline, *shards, *pageSize, *quick, *seed, *tolerance,
 			rates, *churnSites, *deltaDepth)
 	})
-	run("chaos", func() error { return chaos(*chaosOut, *traceOut, *quick, *deltaChaos, *seed) })
+	run("chaos", func() error { return chaos(outPath("BENCH_chaos.json"), *traceOut, *quick, *deltaChaos, *seed) })
 	run("federation", func() error {
-		return federation(*fedOut, *fedBaseline, *traceOut, *quick, *seed, *tolerance)
+		return federation(outPath("BENCH_federation.json"), *baseline, *traceOut, *quick, *seed, *tolerance)
 	})
 	run("dataaware", func() error {
-		return dataaware(*dataOut, *dataBaseline, *quick, *seed, *tolerance)
+		return dataaware(outPath("BENCH_dataaware.json"), *baseline, *quick, *seed, *tolerance)
 	})
 	// replay needs a workload log and checktrace an existing event
 	// log, so both run only when named explicitly (there is nothing to
@@ -188,10 +191,10 @@ func realMain(args []string, stderr io.Writer) int {
 		run("replay", func() error {
 			return replay(replayOpts{
 				trace: *tracePath, synth: *synth,
-				out: *replayOut, traceout: *traceOut,
+				out: outPath("BENCH_replay.json"), traceout: *traceOut,
 				window: *window, speedups: *speedups,
 				seed: *seed, sites: *sites, nodes: *nodes,
-				nowall: *nowall, baseline: *replayBaseline, tolerance: *tolerance,
+				nowall: *nowall, baseline: *baseline, tolerance: *tolerance,
 			})
 		})
 	}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -48,7 +47,7 @@ type replayReport struct {
 type replayOpts struct {
 	trace     string  // -trace: SWF/GWF file
 	synth     int     // -synth: generate this many synthetic jobs instead
-	out       string  // -replayout
+	out       string  // -out
 	traceout  string  // -traceout
 	window    string  // -window
 	speedups  string  // -speedups
@@ -56,7 +55,7 @@ type replayOpts struct {
 	sites     int     // -sites (0 = auto)
 	nodes     int     // -nodes (0 = auto)
 	nowall    bool    // -nowall
-	baseline  string  // -replaybaseline
+	baseline  string  // -baseline
 	tolerance float64 // -tolerance
 }
 
@@ -181,7 +180,6 @@ func replay(o replayOpts) error {
 
 	cfg := experiments.ReplayConfig{
 		Sites: o.sites, NodesPerSite: o.nodes,
-		StartHour: start, EndHour: end,
 		Speedups: speedups,
 		Seed:     o.seed,
 		Traced:   o.traceout != "",
@@ -231,21 +229,18 @@ func replay(o replayOpts) error {
 		fmt.Printf("replayed %d submissions in %v wall (%.0f jobs/s)\n",
 			total, wall.Round(time.Millisecond), rep.WallJobsPerSec)
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := writeReport(o.out, rep); err != nil {
 		return err
 	}
-	if err := os.WriteFile(o.out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", o.out)
 	if o.traceout != "" {
-		if err := exportReplayTraces(o.traceout, pts); err != nil {
+		traceOf := func(p experiments.ReplayPoint) trace.Trace { return p.Trace }
+		partial := func(p experiments.ReplayPoint) bool { return p.Pending > 0 }
+		if err := exportTraces("replay", o.traceout, pts, traceOf, partial); err != nil {
 			return err
 		}
 	}
 	if o.baseline != "" {
-		return compareReplay(rep, o.baseline, o.tolerance)
+		return gateReport(replayGate, rep, replayRows, o.baseline, o.tolerance)
 	}
 	return nil
 }
@@ -257,84 +252,16 @@ func orDefault(v, def int) int {
 	return v
 }
 
-// compareReplay gates replay throughput against a committed
-// BENCH_replay.json, mirroring the matchmaking and infosys gates:
-// per-point simulated-time jobs/sec and sweep-level wall-clock
-// jobs/sec may not drop by more than tolerance (fractional; 0.25 =
-// 25%). Points present on only one side are reported, never failed.
-func compareReplay(rep replayReport, baseline string, tolerance float64) error {
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		return err
-	}
-	var base replayReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("replay: parsing baseline %s: %w", baseline, err)
-	}
-	old := make(map[float64]experiments.ReplayPoint, len(base.Points))
-	for _, p := range base.Points {
-		old[p.Speedup] = p
-	}
-	var regressed []string
-	check := func(name string, baseV, newV float64) {
-		if baseV <= 0 {
-			return
-		}
-		delta := (newV - baseV) / baseV
-		verdict := "ok"
-		if delta < -tolerance {
-			verdict = "REGRESSED"
-			regressed = append(regressed, name)
-		}
-		fmt.Printf("  %-28s %12.1f -> %12.1f jobs/s (%+.1f%%) %s\n", name, baseV, newV, 100*delta, verdict)
-	}
-	for _, p := range rep.Points {
-		b, ok := old[p.Speedup]
-		if !ok {
-			fmt.Printf("  speedup=%g: new point, no baseline\n", p.Speedup)
-			continue
-		}
-		check(fmt.Sprintf("sim-throughput/speedup=%g", p.Speedup), b.SimJobsPerSec, p.SimJobsPerSec)
-	}
-	check("wall-throughput/sweep", base.WallJobsPerSec, rep.WallJobsPerSec)
-	if len(regressed) > 0 {
-		return fmt.Errorf("replay: %d throughput value(s) regressed beyond %.0f%% vs %s: %v",
-			len(regressed), 100*tolerance, baseline, regressed)
-	}
-	fmt.Printf("no throughput regressions beyond %.0f%% vs %s\n", 100*tolerance, baseline)
-	return nil
-}
+// replayGate gates replay throughput, mirroring the matchmaking and
+// infosys gates: per-point simulated-time jobs/sec and sweep-level
+// wall-clock jobs/sec may not drop by more than tolerance.
+var replayGate = gate{exp: "replay", noun: "throughput value", higherIsBetter: true,
+	width: 28, values: "%12.1f -> %12.1f jobs/s"}
 
-// exportReplayTraces checks every cell's event log against the trace
-// invariants — the strict drained-grid checks when the cell emptied,
-// the structural subset when jobs were left pending — and writes the
-// logs as one JSONL stream.
-func exportReplayTraces(path string, pts []experiments.ReplayPoint) error {
-	traces := make([]trace.Trace, 0, len(pts))
-	events := 0
-	for _, p := range pts {
-		check := trace.CheckComplete
-		if p.Pending > 0 {
-			check = trace.Check
-		}
-		if v := check(p.Trace.Events); len(v) != 0 {
-			return fmt.Errorf("replay: %s: %d trace invariant violations, first: %s",
-				p.Trace.Label, len(v), v[0])
-		}
-		events += len(p.Trace.Events)
-		traces = append(traces, p.Trace)
+func replayRows(rep replayReport) []benchRow {
+	rows := make([]benchRow, 0, len(rep.Points)+1)
+	for _, p := range rep.Points {
+		rows = append(rows, benchRow{fmt.Sprintf("sim-throughput/speedup=%g", p.Speedup), p.SimJobsPerSec})
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteJSONL(f, traces); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d cells, %d events, invariants clean)\n", path, len(traces), events)
-	return nil
+	return append(rows, benchRow{"wall-throughput/sweep", rep.WallJobsPerSec})
 }

@@ -92,8 +92,6 @@ type FairShare interface {
 type Directory interface {
 	// QueryLatency is the cost of one discovery query.
 	QueryLatency() time.Duration
-	// SnapshotImmediate returns the whole-grid view as of now.
-	SnapshotImmediate() *infosys.Snapshot
 	// DiscoverImmediate starts a paged traversal as of now.
 	DiscoverImmediate(pageSize int) *infosys.Cursor
 	// Publish lands a site record in the shared registry.
@@ -191,15 +189,12 @@ type Config struct {
 	// PageSize bounds how many registry records one discovery page
 	// carries: matchmaking streams the information system page by
 	// page instead of materializing one flat snapshot of every site.
-	// 0 (the default) uses infosys.DefaultPageSize; a negative value
-	// selects the pre-paging whole-snapshot pass, kept as the
-	// reference path for equivalence tests.
+	// 0 or less (the default) uses infosys.DefaultPageSize.
 	PageSize int
-	// TopK bounds the candidate heap of a streamed matchmaking pass:
-	// only the K best sites by published-state rank are held, probed
-	// and re-ranked, so per-pass memory is O(PageSize + TopK) no
-	// matter how many sites match. 0 (the default) keeps every match,
-	// which reproduces the whole-snapshot pass exactly.
+	// TopK bounds the candidate set a matchmaking pass keeps: only the
+	// K best sites by published-state rank are held, probed and
+	// re-ranked, so per-pass memory is O(PageSize + TopK) no matter how
+	// many sites match. 0 (the default) keeps every match.
 	TopK int
 	// Incremental routes matchmaking through the delta-subscription
 	// path: the broker mirrors the registry by polling per-shard
@@ -479,6 +474,11 @@ type Broker struct {
 	// sub is the delta-subscription mirror (incremental.go); non-nil
 	// only when Config.Incremental is set.
 	sub *subscriber
+
+	// matchOracle, when set, replaces the match pipeline. Only
+	// oracle_test.go sets it, to run whole scheduling scenarios on the
+	// naive whole-snapshot reference.
+	matchOracle func(h *Handle, excluded map[string]bool, cont func([]candidate))
 }
 
 // agentEntry pairs a registered agent with its hosting site in the
@@ -904,26 +904,13 @@ func (b *Broker) quarantineNow(name string) {
 	hl.quarantinedUntil = b.sim.Now().Add(b.cfg.QuarantineCooldown)
 }
 
-// quarantined reports whether a site is currently excluded.
-func (b *Broker) quarantined(name string) bool {
-	hl := b.health[name]
-	return hl != nil && b.sim.Now().Before(hl.quarantinedUntil)
-}
-
-// siteExcluded is the matchmaking-pass filter over quarantine state.
-// Beyond the plain time window it implements the half-open gate: the
-// first pass to reach a cooled-down tripped site claims the probe-back
+// siteExcludedAt is the admit stage's filter over quarantine state,
+// with the breaker state and clock already resolved. Beyond the plain
+// time window it implements the half-open gate: the first pass to
+// reach a cooled-down tripped site claims the probe-back
 // (probing=true) and may include it; until that probe resolves,
 // concurrent passes — even in the same tick — keep the site excluded,
 // so a tentatively readmitted site sees exactly one probe in flight.
-func (b *Broker) siteExcluded(name string) bool {
-	return b.siteExcludedAt(b.health[name], b.sim.Now())
-}
-
-// siteExcludedAt is siteExcluded with the breaker state and clock
-// already resolved — the page scan reads both once per page instead
-// of once per record (no virtual time passes inside a page, so the
-// hoisted clock read is exact).
 func (b *Broker) siteExcludedAt(hl *siteHealth, now time.Time) bool {
 	if hl == nil {
 		return false

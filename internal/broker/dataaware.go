@@ -8,11 +8,11 @@ package broker
 // The composition argument, which the equivalence and property tests
 // pin down:
 //
-//   - The penalty is a pure function of (job, site, catalog version):
-//     every match path — whole-snapshot, streamed top-K, incremental
-//     treap — derives the same number for the same pair, so the kept
-//     sets and final candidate orders stay byte-identical across
-//     paths.
+//   - The penalty is a pure function of (job, site, catalog version)
+//     and enters matchmaking at the pipeline's one evaluate stage, so
+//     both candidate sources — page scan and standing tree — derive
+//     the same number for the same pair, and the kept sets and final
+//     candidate orders stay byte-identical across them.
 //   - rank' = rank − staging_seconds preserves the paper's randomized
 //     tie-break: ties in rank' are still resolved by seeded noise.
 //   - A site strictly dominated on (rank, staging) — no better compute
@@ -21,7 +21,7 @@ package broker
 //     while the dominating site is available (the optimality property
 //     test).
 //   - With DataAware off, no catalog, or no InputData the penalty is
-//     identically zero and every path reduces to the pre-data code.
+//     identically zero and matchmaking reduces to the pre-data rank.
 
 import (
 	"crossbroker/internal/jdl"

@@ -41,9 +41,9 @@ InputData    = {` + list + `};
 
 // TestDataAwareEquivalentAcrossPaths extends the PR 5/PR 8 oracle
 // contract to data-aware ranking: with a non-empty catalog and a job
-// that names datasets, the whole-snapshot reference, the streamed
-// paged pass, and the incremental delta pass must produce byte-for-
-// byte identical candidate lists.
+// that names datasets, the whole-snapshot oracle, the streamed paged
+// pass, and the incremental delta pass must produce byte-for-byte
+// identical candidate lists.
 func TestDataAwareEquivalentAcrossPaths(t *testing.T) {
 	const seed = 2006
 	links := datacat.NewLinks(netsim.CampusGrid())
@@ -57,8 +57,8 @@ func TestDataAwareEquivalentAcrossPaths(t *testing.T) {
 	}
 	job := dataJob(t, []string{"cal.db", "events.raw"})
 
-	sim, ref := equivGrid(Config{Seed: seed, PageSize: -1, Data: cat, DataAware: true}, 1)
-	want := runMatchPass(t, sim, ref, job)
+	sim, ref := equivGrid(Config{Seed: seed, Data: cat, DataAware: true}, 1)
+	want := runMatchPass(t, sim, useOracle(ref), job)
 	if len(want) == 0 {
 		t.Fatal("reference pass matched no sites")
 	}
@@ -108,7 +108,8 @@ func TestDataAwareIncrementalTracksCatalogChanges(t *testing.T) {
 	simInc, inc, _ := deltaGrid(Config{Seed: seed, Incremental: true, Data: cat, DataAware: true}, 8, 64)
 	// The whole-snapshot reference advances in lockstep over the same
 	// shared catalog, so each round compares equal pass indices.
-	simRef, ref := equivGrid(Config{Seed: seed, PageSize: -1, Data: cat, DataAware: true}, 1)
+	simRef, ref := equivGrid(Config{Seed: seed, Data: cat, DataAware: true}, 1)
+	useOracle(ref)
 
 	step := func(round int) {
 		want := runMatchPass(t, simRef, ref, job)

@@ -7,7 +7,6 @@ import (
 
 	"crossbroker/internal/batch"
 	"crossbroker/internal/fairshare"
-	"crossbroker/internal/infosys"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/netsim"
 	"crossbroker/internal/simclock"
@@ -40,9 +39,7 @@ func runSelection(t *testing.T, sim *simclock.Sim, b *Broker, job *jdl.Job) (*Ha
 	h := &Handle{request: Request{Job: job}}
 	var cands []candidate
 	done := false
-	b.discover(h, func(snap *infosys.Snapshot) {
-		b.selection(h, snap, nil, func(c []candidate) { cands, done = c, true })
-	})
+	b.matchPass(h, nil, func(c []candidate) { cands, done = c, true })
 	sim.RunFor(time.Hour)
 	if !done {
 		t.Fatal("selection pass did not complete")

@@ -1,31 +1,29 @@
 package broker
 
-// Incremental matchmaking over delta subscriptions: instead of
-// re-scanning the registry every pass (whole snapshot or paged
-// stream), the broker mirrors the registry once and repairs it — and a
-// standing rank tree per queued job — only for sites named in arriving
-// deltas. A pass then costs one poll round trip plus work proportional
-// to churn, not grid size, which is the scaling contrast the scale
+// The standing-tree candidate source of the match pipeline
+// (matchmaking.go): instead of re-scanning the registry every pass,
+// the broker mirrors it once and repairs the mirror — and a standing
+// rank tree per queued job — only for sites named in arriving deltas.
+// A pass then costs one poll round trip plus work proportional to
+// churn, not grid size, which is the scaling contrast the scale
 // experiment's churn axis measures.
 //
-// Equivalence with the reference whole-snapshot pass is structural:
+// The source yields what the page scan would, by construction:
 //
 //   - The mirror replays the shard logs, so after a poll it equals the
 //     registry (delta) or the re-pinned shard snapshots (gap) — the
-//     same records a snapshot pass would enumerate.
-//   - Each job's standing tree holds exactly the requirement-passing
-//     sites, ordered by (preliminary rank desc, name asc) — a treap
-//     with name-hash priorities, so its shape (and every walk) is
-//     independent of the order mutations arrived in.
-//   - Top-K extraction walks that order and resolves the boundary tie
-//     group by (noise asc, name asc) — the same total order the
-//     streamed pass's bounded heap keeps — so the kept set is the
-//     heap's kept set; survivors then share finishSelection, which
-//     probes in name order and ranks identically.
+//     same records a page scan would enumerate.
+//   - Each job's standing tree holds exactly the sites that pass the
+//     pipeline's evaluate stage, ordered by (preliminary rank desc,
+//     name asc) — a treap with name-hash priorities, so its shape (and
+//     every walk) is independent of the order mutations arrived in.
+//   - Extraction walks that order through the same admit stage and
+//     resolves the boundary tie group by (noise asc, name asc) — the
+//     total order the scan's bounded heap keeps — so the kept set is
+//     the heap's kept set; survivors then share finishSelection.
 //
-// The equivalence tests (incremental_test.go) assert candidate-level
-// byte equality against the oracle, the same way PR 5 proved
-// streaming ≡ snapshot.
+// oracle_test.go asserts candidate-level equality with the page scan
+// and the naive whole-snapshot reference.
 
 import (
 	"sort"
@@ -275,43 +273,19 @@ func (s *subscriber) state(job *jdl.Job) *jobState {
 // drop releases a job's standing state (terminal event).
 func (s *subscriber) drop(job *jdl.Job) { delete(s.jobs, job) }
 
-// update re-evaluates one site against the job's predicates and
-// repairs the tree: evict on requirement failure, re-rank (remove +
-// re-insert) on preliminary-rank change, admit on first pass.
+// update re-evaluates one site through the pipeline's evaluate stage
+// and repairs the tree: evict on failure, re-rank (remove + re-insert)
+// on preliminary-rank change, admit on first pass.
 func (js *jobState) update(s *subscriber, ent *mirrorEntry) {
-	req, rank := js.job.CompiledPredicates(s.schema)
-	pass := true
-	if req != nil {
-		ok, err := req.EvalBool(ent.vals)
-		pass = err == nil && ok
-	}
 	name := ent.rec.Name
 	old := js.nodes[name]
-	pen := 0.0
-	if pass {
-		// An unobtainable dataset excludes the site like a failing
-		// Requirements clause, on every path.
-		var pok bool
-		pen, pok = s.b.dataPenalty(js.job, name)
-		pass = pok
-	}
+	pass, prelim, rankErr := s.b.evaluate(js.job, s.schema, ent.vals, name, ent.rec.FreeCPUs)
 	if !pass {
 		if old != nil {
 			js.removeNode(old)
 		}
 		return
 	}
-	prelim, rankErr := 0.0, false
-	if rank != nil {
-		if r, err := rank.EvalNumber(ent.vals); err != nil {
-			rankErr = true
-		} else {
-			prelim = r
-		}
-	} else {
-		prelim = float64(ent.rec.FreeCPUs)
-	}
-	prelim -= pen
 	if old != nil {
 		if old.prelim == prelim {
 			old.rankErr, old.ent = rankErr, ent
@@ -443,10 +417,9 @@ func walkTree(t *standNode, fn func(*standNode) bool) bool {
 	return walkTree(t.right, fn)
 }
 
-// matchIncremental is the delta-subscription matchmaking pass:
-// discovery is a poll (cost: slowest shard's answer), selection
-// extracts the job's candidates from its standing tree and shares
-// finishSelection's probe/rank pipeline with the other passes.
+// matchIncremental is the standing-tree pass: discovery is a poll
+// (cost: slowest shard's answer), selection extracts the job's
+// candidates from its standing tree and hands them to finishSelection.
 func (b *Broker) matchIncremental(h *Handle, excluded map[string]bool, cont func([]candidate)) {
 	h.state = Matching
 	s := b.sub
@@ -476,18 +449,13 @@ func (b *Broker) matchIncremental(h *Handle, excluded map[string]bool, cont func
 		js := s.state(job)
 		h.scanned = len(s.mirror)
 		h.unavailable = 0
-		kept := b.getTasks()
-		if topk := b.cfg.TopK; topk > 0 {
-			kept = s.extractTopK(b, js, nonce, topk, excluded, kept)
-		} else {
-			kept = s.extractAll(b, js, nonce, excluded, kept)
-		}
+		kept := s.extractTopK(js, nonce, b.cfg.TopK, excluded, sstart, b.getTasks())
 		h.peak = len(kept)
-		// Pre-probe unavailable accounting, oracle-style: the snapshot
-		// pass counts every quarantined registry record it enumerates.
-		// The walk above never visits requirement-failing sites, so count
-		// from the health map instead (pure reads — no half-open claims —
-		// so map order cannot matter).
+		// Pre-probe unavailable accounting: the page scan counts every
+		// quarantined registry record it enumerates. The walk above never
+		// visits requirement-failing sites, so count from the health map
+		// instead (pure reads — no half-open claims — so map order cannot
+		// matter).
 		if len(b.health) > 0 {
 			now := b.sim.Now()
 			for name, hl := range b.health {
@@ -507,79 +475,44 @@ func (b *Broker) matchIncremental(h *Handle, excluded map[string]bool, cont func
 	})
 }
 
-// extractAll collects every live tree entry (TopK disabled) — the
-// whole-snapshot pass's kept set, including Rank-error sites, which
-// finishSelection excludes after probing exactly as the oracle does.
-func (s *subscriber) extractAll(b *Broker, js *jobState, nonce uint64, excluded map[string]bool, kept []probeTask) []probeTask {
-	walkTree(js.root, func(n *standNode) bool {
-		name := n.name
-		if excluded[name] || b.siteExcluded(name) {
-			return true
-		}
-		st, ok := b.sites[name]
-		if !ok {
-			return true
-		}
-		p := probeTask{st: st, vals: n.ent.vals, schema: s.schema, prelim: n.prelim}
-		if !b.cfg.Deterministic {
-			p.noise = selectionNoise(nonce, name)
-		}
-		kept = append(kept, p)
-		return true
-	})
-	return kept
-}
-
-// extractTopK walks the tree best-first and keeps the K best by
-// (prelim desc, noise asc, name asc) — the streamed heap's order. The
-// walk yields (prelim desc, name asc), so whole tie groups are taken
-// while they fit and the boundary group is resolved by (noise, name);
-// the kept set equals the heap's and the walk touches O(K + boundary
-// group) nodes, independent of grid size.
-func (s *subscriber) extractTopK(b *Broker, js *jobState, nonce uint64, topk int, excluded map[string]bool, kept []probeTask) []probeTask {
+// extractTopK is the standing-tree source's keep-K stage: it walks the
+// tree best-first through the admit stage and keeps the K best by
+// (prelim desc, noise asc, name asc) — the scan heap's order. The walk
+// yields (prelim desc, name asc), so whole tie groups are taken while
+// they fit and the boundary group is resolved by (noise, name); the
+// kept set equals the heap's and the walk touches O(K + boundary
+// group) nodes, independent of grid size. topk <= 0 means no bound:
+// every admitted entry is kept, Rank-error sites included, which
+// finishSelection excludes after probing exactly as the unbounded scan
+// does.
+func (s *subscriber) extractTopK(js *jobState, nonce uint64, topk int, excluded map[string]bool, now time.Time, kept []probeTask) []probeTask {
+	bounded := topk > 0
 	group := s.group[:0]
 	groupPrelim := 0.0
 	flush := func() bool { // false = kept is full, stop walking
-		if len(group) == 0 {
-			return true
-		}
-		if room := topk - len(kept); len(group) <= room {
+		if room := topk - len(kept); !bounded || len(group) <= room {
 			kept = append(kept, group...)
 		} else {
-			sort.Slice(group, func(i, j int) bool {
-				if group[i].noise != group[j].noise {
-					return group[i].noise < group[j].noise
-				}
-				return group[i].st.Name() < group[j].st.Name()
-			})
+			sort.Slice(group, func(i, j int) bool { return probeBetter(&group[i], &group[j]) })
 			kept = append(kept, group[:room]...)
 		}
 		group = group[:0]
-		return len(kept) < topk
+		return !bounded || len(kept) < topk
 	}
 	walkTree(js.root, func(n *standNode) bool {
-		if n.rankErr {
-			return true // streamed pass drops Rank errors pre-heap
+		if bounded && n.rankErr {
+			return true // the bounded scan drops Rank errors pre-heap
 		}
-		if len(group) > 0 && n.prelim != groupPrelim {
-			if !flush() {
-				return false
-			}
+		if len(group) > 0 && n.prelim != groupPrelim && !flush() {
+			return false
 		}
-		name := n.name
-		if excluded[name] || b.siteExcluded(name) {
+		st, _ := s.b.admit(n.name, excluded, now)
+		if st == nil {
 			return true
-		}
-		st, ok := b.sites[name]
-		if !ok {
-			return true
-		}
-		p := probeTask{st: st, vals: n.ent.vals, schema: s.schema, prelim: n.prelim}
-		if !b.cfg.Deterministic {
-			p.noise = selectionNoise(nonce, name)
 		}
 		groupPrelim = n.prelim
-		group = append(group, p)
+		group = append(group, probeTask{})
+		s.b.newTask(&group[len(group)-1], st, s.schema, n.ent.vals, n.prelim, nonce)
 		return true
 	})
 	flush()

@@ -73,18 +73,20 @@ func churn(t *testing.T, info *infosys.Service, round int) {
 	}
 }
 
-// TestIncrementalEquivalentToSnapshotPass is the delta refactor's
-// oracle test, the same contract PR 5 proved for the streamed pass:
-// for a fixed seed the incremental pass must produce the exact ordered
-// candidate list of the whole-snapshot pass — across shard counts,
-// TopK settings and log depths (depth 0 forces a re-pin every poll),
-// and across passes with identical churn applied to both grids.
+// TestIncrementalEquivalentToSnapshotPass is the standing-tree
+// source's oracle test, the same contract the page scan holds: for a
+// fixed seed the incremental pass must produce the exact ordered
+// candidate list of the naive whole-snapshot oracle (oracle_test.go) —
+// across shard counts, TopK settings and log depths (depth 0 forces a
+// re-pin every poll), and across passes with identical churn applied
+// to both grids.
 func TestIncrementalEquivalentToSnapshotPass(t *testing.T) {
 	const seed, rounds = 2006, 4
 	job := equivJob(t)
 
 	reference := func() [][]string {
-		sim, ref := equivGrid(Config{Seed: seed, PageSize: -1}, 1)
+		sim, ref := equivGrid(Config{Seed: seed}, 1)
+		useOracle(ref)
 		var info *infosys.Service = ref.cfg.Info.(*infosys.Service)
 		var out [][]string
 		for r := 0; r < rounds; r++ {
@@ -148,8 +150,8 @@ func TestIncrementalTopKBoundsCandidates(t *testing.T) {
 	const seed, k = 2006, 5
 	job := equivJob(t)
 
-	sim, ref := equivGrid(Config{Seed: seed, PageSize: -1}, 1)
-	want := runMatchPass(t, sim, ref, job)
+	sim, ref := equivGrid(Config{Seed: seed}, 1)
+	want := runMatchPass(t, sim, useOracle(ref), job)
 
 	sim, b, info := deltaGrid(Config{Seed: seed, TopK: k, Incremental: true}, 8, 64)
 	h := &Handle{request: Request{Job: job}}
@@ -333,13 +335,17 @@ func mustParseJob(t *testing.T, src string) *jdl.Job {
 // TestIncrementalRunsMatchSnapshotRuns replays the whole scheduling
 // scenario of TestStreamedRunsMatchSnapshotRuns on identically seeded
 // grids differing only in matchmaking path: every job must land on the
-// same site with the same resubmission count whether matched from
-// snapshots, delta subscriptions, or the log-less re-pin fallback.
+// same site with the same resubmission count whether matched by the
+// whole-snapshot oracle, from delta subscriptions, or through the
+// log-less re-pin fallback.
 func TestIncrementalRunsMatchSnapshotRuns(t *testing.T) {
 	type outcome struct{ sites, states string }
-	scenario := func(cfg Config, depth int) outcome {
+	scenario := func(cfg Config, depth int, oracle bool) outcome {
 		g := newGrid(t, 8, 1, cfg)
 		g.info.SetDeltaLog(depth)
+		if oracle {
+			useOracle(g.b)
+		}
 		var hs []*Handle
 		for i := 0; i < 6; i++ {
 			h, err := g.b.Submit(interactiveJob(jdl.ExclusiveAccess, 0, 1))
@@ -365,7 +371,7 @@ func TestIncrementalRunsMatchSnapshotRuns(t *testing.T) {
 		return o
 	}
 
-	ref := scenario(Config{Seed: 99, PageSize: -1}, 0)
+	ref := scenario(Config{Seed: 99}, 0, true)
 	for _, tc := range []struct {
 		name  string
 		depth int
@@ -373,7 +379,7 @@ func TestIncrementalRunsMatchSnapshotRuns(t *testing.T) {
 		{"incremental/depth=64", 64},
 		{"incremental/depth=0", 0}, // every poll re-pins
 	} {
-		if got := scenario(Config{Seed: 99, Incremental: true}, tc.depth); got != ref {
+		if got := scenario(Config{Seed: 99, Incremental: true}, tc.depth, false); got != ref {
 			t.Fatalf("%s diverged from the whole-snapshot run:\n  incremental: %+v\n  reference:   %+v",
 				tc.name, got, ref)
 		}

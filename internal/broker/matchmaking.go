@@ -36,8 +36,8 @@ func candBetter(a, b *candidate) bool {
 // selectionNoise derives a candidate's tie-break noise in [0, 1) from
 // the pass nonce and the site name (FNV-1a). Hashing instead of
 // drawing per candidate makes the noise — and with it the selection
-// outcome — independent of enumeration order, so the streamed
-// (shard-major) and whole-snapshot (name-major) passes pick identical
+// outcome — independent of enumeration order, so the page scan
+// (shard-major) and the standing-tree walk (rank-major) pick identical
 // sites for the same seed.
 func selectionNoise(nonce uint64, name string) float64 {
 	const (
@@ -72,63 +72,38 @@ func (b *Broker) localSnapshot() *infosys.Snapshot {
 	return snap
 }
 
-// discover queries the information system, recording the discovery
-// phase on h: the query latency is one timer event, then the snapshot
-// is read at the post-latency instant. The snapshot handed to cont is
-// immutable and shared between every pass of the current registry
-// epoch.
-func (b *Broker) discover(h *Handle, cont func(*infosys.Snapshot)) {
-	h.state = Matching
-	start := b.sim.Now()
-	finish := func(snap *infosys.Snapshot) {
-		h.Phases.Discovery = b.sim.Since(start)
-		h.scanned = snap.Len()
-		cont(snap)
-	}
-	if info := b.cfg.Info; info != nil {
-		b.sim.AfterFunc(info.QueryLatency(), func() { finish(info.SnapshotImmediate()) })
-		return
-	}
-	finish(b.localSnapshot())
-}
+// The match pipeline. Every matchmaking pass is the same five stages:
+//
+//	candidate source → admit → evaluate → keep-K → finishSelection
+//
+// There are two sources. The page scan (scanPage, below) enumerates
+// the published records of the whole registry and is the default: it
+// costs one discovery round trip plus work linear in grid size. The
+// standing-tree walk (incremental.go, Config.Incremental) enumerates a
+// per-job tree of already-evaluated sites kept current from registry
+// deltas, for large grids whose jobs stand in the broker queue across
+// many passes. Every other stage exists once and both sources call it,
+// so for the same registry, seed and breaker state the two produce the
+// same ordered candidates; oracle_test.go checks both against a naive
+// whole-snapshot reference.
 
-// probeTask carries one requirement-matched site through the direct
-// state probe: idx is the site's record index in snap (the snapshot —
-// whole-grid or per-shard — the record was matched from), free and
-// queued are filled by probeSites, prelim and noise order the
-// streamed pass's top-K heap. The incremental pass has no snapshot; it
-// carries the mirror's flat value vector and schema instead.
+// probeTask carries one admitted, requirement-matched site from the
+// keep-K stage through the direct state probe: vals is the record's
+// published flat attribute vector laid out against schema — shared
+// with the snapshot or mirror it came from, never written — free and
+// queued are filled by probeSites, prelim and noise order the keep-K
+// stage.
 type probeTask struct {
 	st           *site.Site
-	snap         *infosys.Snapshot
-	vals         []any           // snapshot-less (incremental) source: flat values...
-	schema       *infosys.Schema // ...laid out against this schema
-	idx          int
+	schema       *infosys.Schema
+	vals         []any
 	free, queued int
 	ok           bool    // direct probe answered (site reachable)
-	prelim       float64 // published-state rank (top-K heap ordering)
+	prelim       float64 // published-state rank (keep-K ordering)
 	noise        float64 // seeded tie-break, shared with the final order
 }
 
-// matchSchema returns the schema the task's attributes are laid out
-// against, whichever source the pass matched it from.
-func (p *probeTask) matchSchema() *infosys.Schema {
-	if p.snap != nil {
-		return p.snap.Schema()
-	}
-	return p.schema
-}
-
-// matchAttrs returns a pooled flat attribute vector for the task's
-// record; the caller must Release it.
-func (p *probeTask) matchAttrs() *infosys.MatchAttrs {
-	if p.snap != nil {
-		return p.snap.MatchAttrs(p.idx)
-	}
-	return infosys.PooledMatchAttrs(p.schema, p.vals)
-}
-
-// probeBetter orders heap entries by preliminary rank descending, then
+// probeBetter orders kept tasks by preliminary rank descending, then
 // noise, then site name — the same total order candBetter applies
 // after probing.
 func probeBetter(a, b *probeTask) bool {
@@ -152,34 +127,97 @@ func (h topkHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *topkHeap) Push(x any)        { *h = append(*h, x.(probeTask)) }
 func (h *topkHeap) Pop() any          { old := *h; n := len(old) - 1; x := old[n]; *h = old[:n]; return x }
 
-// matchPass runs one discovery+selection attempt for h and hands the
-// ordered candidates to cont. By default the registry streams past
-// page by page (matchStream); Config.Incremental routes the pass
-// through the delta-subscription matchmaker (incremental.go);
-// Config.PageSize < 0 selects the pre-paging whole-snapshot pass, kept
-// as the reference path.
-func (b *Broker) matchPass(h *Handle, excluded map[string]bool, cont func([]candidate)) {
-	if b.cfg.Incremental {
-		b.matchIncremental(h, excluded, cont)
-		return
+// admit is the pipeline's admission stage: it resolves one enumerated
+// site name to its registered site, or rejects it. A name the pass was
+// told to exclude, and a stale record for an unregistered site, are
+// skipped silently (st nil); a site whose circuit breaker excludes it
+// is skipped and reported unavailable — checked before registration,
+// because a stale record may still carry breaker state from before the
+// site was unregistered. One index lookup resolves site and breaker
+// together, and now is read once per pass: no virtual time passes
+// inside the synchronous source→keep-K stretch.
+func (b *Broker) admit(name string, excluded map[string]bool, now time.Time) (st *site.Site, unavailable bool) {
+	if excluded[name] {
+		return nil, false
 	}
-	if b.cfg.PageSize < 0 {
-		b.discover(h, func(snap *infosys.Snapshot) {
-			b.selection(h, snap, excluded, cont)
-		})
-		return
+	ent, registered := b.scan[name]
+	hl := ent.hl
+	if !registered {
+		hl = b.health[name]
 	}
-	b.matchStream(h, excluded, cont)
+	if b.siteExcludedAt(hl, now) {
+		return nil, true
+	}
+	return ent.st, false
 }
 
-// matchStream is the paged matchmaking pass: discovery hands back a
-// cursor over per-shard snapshots and each page is filtered against
-// the job's compiled Requirements as it streams past. With TopK > 0
-// only the K best candidates by published-state rank are held (heap),
-// so the pass keeps O(PageSize + K) state no matter how many sites
-// match; with TopK <= 0 every match is kept and the pass reproduces
-// the whole-snapshot selection exactly. Survivors are probed and
-// re-ranked on fresh state by finishSelection.
+// evaluate is the pipeline's evaluation stage, the one place a job's
+// predicates meet a published record: Requirements, then whether the
+// job's InputData can reach the site at all, then the preliminary rank
+// on published state (the job's Rank expression or free CPUs, minus
+// the staging penalty). name, freeCPUs and vals are the record's: vals
+// its flat vector laid out against sc, which compiled predicates only
+// read, so it is evaluated in place, shared. A failing or erroring
+// Requirements clause and an unobtainable dataset both fail the site;
+// a Rank evaluation error passes it with rankErr set, for the keep-K
+// stage to drop (bounded pass) or finishSelection to exclude after
+// probing (unbounded pass).
+func (b *Broker) evaluate(job *jdl.Job, sc *infosys.Schema, vals []any, name string, freeCPUs int) (pass bool, prelim float64, rankErr bool) {
+	// Schema pointers are stable while the attribute name set is, so
+	// this is a pointer comparison against the job's cached programs.
+	req, rank := job.CompiledPredicates(sc)
+	if req != nil {
+		if ok, err := req.EvalBool(vals); err != nil || !ok {
+			return false, 0, false
+		}
+	}
+	pen, ok := b.dataPenalty(job, name)
+	if !ok {
+		return false, 0, false
+	}
+	if rank == nil {
+		prelim = float64(freeCPUs)
+	} else if r, err := rank.EvalNumber(vals); err != nil {
+		rankErr = true
+	} else {
+		prelim = r
+	}
+	return true, prelim - pen, rankErr
+}
+
+// newTask is the pipeline's task constructor: it fills p, which must be
+// zero, for an admitted, passing site and stamps its tie-break noise
+// for this pass. It writes through a pointer because the scan builds a
+// task per passing record and few enter the bounded heap; returning
+// the 80-byte struct by value cost the scan a copy per record.
+func (b *Broker) newTask(p *probeTask, st *site.Site, sc *infosys.Schema, vals []any, prelim float64, nonce uint64) {
+	p.st, p.schema, p.vals, p.prelim = st, sc, vals, prelim
+	if !b.cfg.Deterministic {
+		p.noise = selectionNoise(nonce, st.Name())
+	}
+}
+
+// matchPass runs one discovery+selection attempt for h and hands the
+// ordered candidates to cont, from the standing-tree source when
+// Config.Incremental is set and from the page scan otherwise.
+func (b *Broker) matchPass(h *Handle, excluded map[string]bool, cont func([]candidate)) {
+	switch {
+	case b.matchOracle != nil:
+		b.matchOracle(h, excluded, cont)
+	case b.cfg.Incremental:
+		b.matchIncremental(h, excluded, cont)
+	default:
+		b.matchStream(h, excluded, cont)
+	}
+}
+
+// matchStream is the page-scan pass: discovery hands back a cursor
+// over per-shard snapshots and each page runs through admit, evaluate
+// and keep-K as it streams past. With TopK > 0 only the K best
+// candidates by published-state rank are held (heap), so the pass
+// keeps O(PageSize + K) state no matter how many sites match; with
+// TopK <= 0 every match is kept. Survivors are probed and re-ranked on
+// fresh state by finishSelection.
 func (b *Broker) matchStream(h *Handle, excluded map[string]bool, cont func([]candidate)) {
 	h.state = Matching
 
@@ -190,10 +228,9 @@ func (b *Broker) matchStream(h *Handle, excluded map[string]bool, cont func([]ca
 		sstart := b.sim.Now()
 		nonce := b.rng.Uint64()
 		h.unavailable, h.scanned, h.peak = 0, 0, 0
-		topk := b.cfg.TopK
 		keep := topkHeap(b.getTasks())
 		for page, ok := cur.Next(); ok; page, ok = cur.Next() {
-			b.scanPage(h, page, excluded, nonce, topk, &keep)
+			b.scanPage(h, page, excluded, sstart, nonce, &keep)
 		}
 		b.finishSelection(h, []probeTask(keep), func(cands []candidate) {
 			b.putTasks([]probeTask(keep))
@@ -208,139 +245,45 @@ func (b *Broker) matchStream(h *Handle, excluded map[string]bool, cont func([]ca
 	withCursor(b.localSnapshot().Cursor(b.cfg.PageSize))
 }
 
-// scanPage filters one discovery page into the bounded top-K
-// candidate heap: pure computation, no virtual time passes inside a
-// page — probes and page latency happen outside — so the clock is
-// read once per page, and the scan index resolves a
-// record's registered site and breaker state in a single lookup. The
-// pass visits every published record, which made the per-record
-// sites/health/clock triple the dominant matchmaking cost on large
-// grids.
-func (b *Broker) scanPage(h *Handle, page infosys.Page, excluded map[string]bool, nonce uint64, topk int, keep *topkHeap) {
+// scanPage is the page-scan candidate source with its keep-K stage, a
+// bounded heap: pure computation, no virtual time passes inside a
+// pass's scan — probes and page latency happen outside. The pass
+// visits every published record, so the per-record work is what large
+// grids pay for.
+func (b *Broker) scanPage(h *Handle, page infosys.Page, excluded map[string]bool, now time.Time, nonce uint64, keep *topkHeap) {
 	job := h.request.Job
-	snap := page.Snapshot()
-	// The schema is shared service-wide, so this compiles once per
-	// job and is a cache hit on every later page and pass.
-	req, rank := job.CompiledPredicates(snap.Schema())
-	now := b.sim.Now()
+	sc := page.Snapshot().Schema()
+	topk := b.cfg.TopK
 	for i := 0; i < page.Len(); i++ {
 		h.scanned++
 		name := page.Name(i)
-		if excluded[name] {
-			continue
-		}
-		ent, registered := b.scan[name]
-		hl := ent.hl
-		if !registered {
-			// A stale record may still carry breaker state (the site
-			// was unregistered after failures were recorded).
-			hl = b.health[name]
-		}
-		if b.siteExcludedAt(hl, now) {
+		st, unavailable := b.admit(name, excluded, now)
+		if unavailable {
 			h.unavailable++
+		}
+		if st == nil {
 			continue
 		}
-		if !registered {
-			continue // stale record for an unregistered site
+		vals := page.Values(i)
+		pass, prelim, rankErr := b.evaluate(job, sc, vals, name, page.RecordShared(i).FreeCPUs)
+		if !pass || (rankErr && topk > 0) {
+			continue
 		}
-		st := ent.st
-		if req != nil {
-			m := page.MatchAttrs(i)
-			pass, err := req.EvalBool(m.Values())
-			m.Release()
-			if err != nil || !pass {
-				continue
-			}
-		}
-		pen, pok := b.dataPenalty(job, name)
-		if !pok {
-			continue // some input dataset is unobtainable here
-		}
-		p := probeTask{st: st, snap: snap, idx: page.Index(i)}
-		if !b.cfg.Deterministic {
-			p.noise = selectionNoise(nonce, name)
-		}
-		if topk > 0 {
-			if rank != nil {
-				m := page.MatchAttrs(i)
-				r, err := rank.EvalNumber(m.Values())
-				m.Release()
-				if err != nil {
-					continue
-				}
-				p.prelim = r - pen
-			} else {
-				p.prelim = float64(page.RecordShared(i).FreeCPUs) - pen
-			}
-			if len(*keep) == topk {
-				if probeBetter(&p, &(*keep)[0]) {
-					(*keep)[0] = p
-					heap.Fix(keep, 0)
-				}
-			} else {
-				heap.Push(keep, p)
-			}
-		} else {
+		var p probeTask
+		b.newTask(&p, st, sc, vals, prelim, nonce)
+		switch {
+		case topk <= 0:
 			*keep = append(*keep, p)
+		case len(*keep) < topk:
+			heap.Push(keep, p)
+		case probeBetter(&p, &(*keep)[0]):
+			(*keep)[0] = p
+			heap.Fix(keep, 0)
 		}
 		if len(*keep) > h.peak {
 			h.peak = len(*keep)
 		}
 	}
-}
-
-// selection is the whole-snapshot matchmaking pass: it filters the
-// full snapshot against the job's compiled Requirements and hands the
-// matches to finishSelection for probing and ranking. The streamed
-// pass (matchStream) replaces it on the hot path; it remains the
-// reference implementation and the equivalence-test oracle.
-func (b *Broker) selection(h *Handle, snap *infosys.Snapshot, excluded map[string]bool, cont func([]candidate)) {
-	start := b.sim.Now()
-
-	job := h.request.Job
-	req, _ := job.CompiledPredicates(snap.Schema())
-	nonce := b.rng.Uint64()
-
-	// Phase 1: requirements filtering against published attributes.
-	// Pure computation — no simulated time passes.
-	h.unavailable = 0
-	h.scanned = snap.Len()
-	kept := make([]probeTask, 0, snap.Len())
-	for i := 0; i < snap.Len(); i++ {
-		name := snap.Name(i)
-		if excluded[name] {
-			continue
-		}
-		if b.siteExcluded(name) {
-			h.unavailable++
-			continue
-		}
-		st, ok := b.sites[name]
-		if !ok {
-			continue // stale record for an unregistered site
-		}
-		if req != nil {
-			m := snap.MatchAttrs(i)
-			ok, err := req.EvalBool(m.Values())
-			m.Release()
-			if err != nil || !ok {
-				continue
-			}
-		}
-		if _, pok := b.dataPenalty(job, name); !pok {
-			continue // some input dataset is unobtainable here
-		}
-		p := probeTask{st: st, snap: snap, idx: i}
-		if !b.cfg.Deterministic {
-			p.noise = selectionNoise(nonce, name)
-		}
-		kept = append(kept, p)
-	}
-	h.peak = len(kept)
-	b.finishSelection(h, kept, func(cands []candidate) {
-		h.Phases.Selection += b.sim.Since(start)
-		cont(cands)
-	})
 }
 
 // finishSelection contacts each kept site directly for up-to-date
@@ -349,25 +292,20 @@ func (b *Broker) selection(h *Handle, snap *infosys.Snapshot, excluded map[strin
 // expression or free CPUs), and orders candidates best first with the
 // seeded tie-break. A candidate whose Rank evaluation errors is
 // excluded, exactly like a failing Requirements evaluation. Shared by
-// every pass.
+// both sources.
 func (b *Broker) finishSelection(h *Handle, kept []probeTask, cont func([]candidate)) {
-	// Probe in site-name order no matter how the pass enumerated its
-	// matches (whole snapshot, shard-major stream, top-K heap): probes
-	// spend simulated time, so a stable order keeps lease expiries and
-	// concurrent passes interleaving identically across paths.
-	sortTasksByName(kept)
+	// Probe in site-name order no matter how the source enumerated its
+	// matches (shard-major stream, top-K heap, rank-ordered tree walk):
+	// probes spend simulated time, so a stable order keeps lease
+	// expiries and concurrent passes interleaving identically across
+	// sources.
+	sort.Slice(kept, func(i, j int) bool { return kept[i].st.Name() < kept[j].st.Name() })
 	// "Information may not be completely accurate ... CrossBroker
 	// contacts each remote site individually and gets the most updated
 	// information about the state of their local queues."
 	b.probeSites(kept, func() {
 		cont(b.rankProbed(h, kept))
 	})
-}
-
-// sortTasksByName orders probe tasks by site name, the stable probe
-// order.
-func sortTasksByName(kept []probeTask) {
-	sort.Slice(kept, func(i, j int) bool { return kept[i].st.Name() < kept[j].st.Name() })
 }
 
 // rankProbed is the pure post-probe half of finishSelection: apply
@@ -384,12 +322,15 @@ func (b *Broker) rankProbed(h *Handle, kept []probeTask) []candidate {
 		}
 		c := candidate{site: p.st, free: p.free, queued: p.queued, noise: p.noise}
 		// The staging penalty is recomputed here (not carried from the
-		// pass) so every path derives the final rank from the same
-		// inputs; unobtainable sites were already excluded pre-probe.
+		// pass) so the final rank derives from the same inputs whichever
+		// source kept the task; unobtainable sites were already excluded
+		// pre-probe.
 		pen, _ := b.dataPenalty(job, p.st.Name())
-		_, rank := job.CompiledPredicates(p.matchSchema())
+		_, rank := job.CompiledPredicates(p.schema)
 		if rank != nil {
-			m := p.matchAttrs()
+			// The one copy of the published vector a pass makes per kept
+			// site: fresh queue state is overlaid on it.
+			m := infosys.PooledMatchAttrs(p.schema, p.vals)
 			m.SetFloat(infosys.AttrFreeCPUs, float64(p.free))
 			m.SetFloat(infosys.AttrQueuedJobs, float64(p.queued))
 			r, err := rank.EvalNumber(m.Values())
@@ -416,9 +357,7 @@ func (b *Broker) rankProbed(h *Handle, kept []probeTask) []candidate {
 // submission, and a fresh slice per pass was the broker's largest
 // allocation source. A free list (rather than a single scratch
 // buffer) is needed because probing spends simulated time, so several
-// passes can be in flight. The whole-snapshot reference pass does not
-// pool — its allocations are meant to scale with the grid, which is
-// exactly the contrast the scale experiment measures.
+// passes can be in flight.
 func (b *Broker) getTasks() []probeTask {
 	if n := len(b.taskPool); n > 0 {
 		t := b.taskPool[n-1]
@@ -430,7 +369,7 @@ func (b *Broker) getTasks() []probeTask {
 
 func (b *Broker) putTasks(t []probeTask) {
 	for i := range t {
-		t[i] = probeTask{} // drop snapshot/site pointers
+		t[i] = probeTask{} // drop site and attribute-vector pointers
 	}
 	b.taskPool = append(b.taskPool, t[:0])
 }

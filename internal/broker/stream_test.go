@@ -78,19 +78,19 @@ func candLine(c candidate) string {
 		c.site.Name(), c.rank, c.free, c.queued, c.noise)
 }
 
-// TestStreamEquivalentToSnapshotPass is the refactor's oracle test:
+// TestStreamEquivalentToSnapshotPass is the page scan's oracle test:
 // for a fixed seed the streamed pass must produce the exact ordered
-// candidate list of the pre-refactor whole-snapshot pass — with TopK 0
-// (keep every match) and with TopK at least the site count — across
-// shard counts and page sizes. The hash-derived tie-break noise makes
-// the outcome independent of enumeration order, so even the
-// shard-major stream must agree byte for byte.
+// candidate list of the naive whole-snapshot oracle (oracle_test.go) —
+// with TopK 0 (keep every match) and with TopK at least the site count
+// — across shard counts and page sizes. The hash-derived tie-break
+// noise makes the outcome independent of enumeration order, so even
+// the shard-major stream must agree byte for byte.
 func TestStreamEquivalentToSnapshotPass(t *testing.T) {
 	const seed = 2006
 	job := equivJob(t)
 
-	sim, ref := equivGrid(Config{Seed: seed, PageSize: -1}, 1)
-	want := runMatchPass(t, sim, ref, job)
+	sim, ref := equivGrid(Config{Seed: seed}, 1)
+	want := runMatchPass(t, sim, useOracle(ref), job)
 	if len(want) == 0 {
 		t.Fatal("reference pass matched no sites")
 	}
@@ -139,8 +139,8 @@ func TestStreamTopKBoundsCandidates(t *testing.T) {
 	const seed, k = 2006, 5
 	job := equivJob(t)
 
-	sim, ref := equivGrid(Config{Seed: seed, PageSize: -1}, 1)
-	want := runMatchPass(t, sim, ref, job)
+	sim, ref := equivGrid(Config{Seed: seed}, 1)
+	want := runMatchPass(t, sim, useOracle(ref), job)
 
 	sim, b := equivGrid(Config{Seed: seed, PageSize: 4, TopK: k}, 8)
 	h := &Handle{request: Request{Job: job}}
@@ -169,13 +169,17 @@ func TestStreamTopKBoundsCandidates(t *testing.T) {
 
 // TestStreamedRunsMatchSnapshotRuns replays a whole scheduling
 // scenario — interactive and batch jobs with resubmissions and leases,
-// the Table I / load-sweep shape — on three identically seeded grids
-// differing only in matchmaking path, and requires every job to land
-// on the same site with the same resubmission count.
+// the Table I / load-sweep shape — on three identically seeded grids,
+// one matching through the whole-snapshot oracle and two through the
+// page scan, and requires every job to land on the same site with the
+// same resubmission count.
 func TestStreamedRunsMatchSnapshotRuns(t *testing.T) {
 	type outcome struct{ sites, states string }
-	scenario := func(cfg Config) outcome {
+	scenario := func(cfg Config, oracle bool) outcome {
 		g := newGrid(t, 8, 1, cfg)
+		if oracle {
+			useOracle(g.b)
+		}
 		var hs []*Handle
 		for i := 0; i < 6; i++ {
 			h, err := g.b.Submit(interactiveJob(jdl.ExclusiveAccess, 0, 1))
@@ -201,7 +205,7 @@ func TestStreamedRunsMatchSnapshotRuns(t *testing.T) {
 		return o
 	}
 
-	ref := scenario(Config{Seed: 99, PageSize: -1})
+	ref := scenario(Config{Seed: 99}, true)
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -209,7 +213,7 @@ func TestStreamedRunsMatchSnapshotRuns(t *testing.T) {
 		{"stream/topk=0", Config{Seed: 99, PageSize: 3}},
 		{"stream/topk=all", Config{Seed: 99, PageSize: 3, TopK: 100}},
 	} {
-		if got := scenario(tc.cfg); got != ref {
+		if got := scenario(tc.cfg, false); got != ref {
 			t.Fatalf("%s diverged from the whole-snapshot run:\n  streamed:  %+v\n  reference: %+v",
 				tc.name, got, ref)
 		}

@@ -205,28 +205,31 @@ func TestLinkNoDuplicatesAcrossManyOutages(t *testing.T) {
 func TestLinkGiveUpAfterMaxRetries(t *testing.T) {
 	nw := netsim.New(netsim.Loopback(), 5)
 	nw.SetDown(true)
-	var mu sync.Mutex
-	var failErr error
+	// The link flips Failed under its lock and calls onFail after
+	// unlocking, so Failed() turning true does not mean the callback has
+	// run yet: wait on the callback's own signal.
+	failed := make(chan error, 1)
 	l, err := NewDialLink(LinkConfig{
 		Mode:          jdl.ReliableStreaming,
 		RetryInterval: 5 * time.Millisecond,
 		MaxRetries:    3,
 		SpillPath:     filepath.Join(t.TempDir(), "s.spill"),
-	}, func() (net.Conn, error) { return nw.Dial("nowhere") }, nil, func(err error) {
-		mu.Lock()
-		failErr = err
-		mu.Unlock()
-	})
+	}, func() (net.Conn, error) { return nw.Dial("nowhere") }, nil, func(err error) { failed <- err })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	l.Start()
-	waitFor(t, l.Failed, "give-up")
-	mu.Lock()
-	defer mu.Unlock()
-	if !errors.Is(failErr, ErrLinkFailed) {
-		t.Fatalf("onFail err = %v", failErr)
+	select {
+	case failErr := <-failed:
+		if !errors.Is(failErr, ErrLinkFailed) {
+			t.Fatalf("onFail err = %v", failErr)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for give-up")
+	}
+	if !l.Failed() {
+		t.Fatal("onFail ran but the link does not report Failed")
 	}
 	if err := l.Send(Stdout, []byte("x")); !errors.Is(err, ErrLinkFailed) {
 		t.Fatalf("Send after failure = %v", err)

@@ -8,8 +8,8 @@
 //
 // The catalog is deterministic by construction — replica sets are kept
 // sorted and ties between equally cheap replicas break by site name —
-// so every matchmaking path (whole-snapshot, streamed top-K,
-// incremental treap) derives identical penalties from it.
+// so both candidate sources of the broker's match pipeline (page scan,
+// standing tree) derive identical penalties from it.
 package datacat
 
 import (

@@ -189,7 +189,7 @@ func TestGoldenHashes(t *testing.T) {
 		}},
 		{"replay-gwf", func(t *testing.T) goldenHash {
 			pts, err := ReplaySweep(ReplayConfig{
-				Jobs: loadFixture(t, "grid5000.gwf"), Seed: 7,
+				Source: fixtureSource("grid5000.gwf", workload.ReplayConfig{}), Seed: 7,
 				Speedups: []float64{1, 4}, Traced: true,
 			})
 			if err != nil {

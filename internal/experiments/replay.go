@@ -73,27 +73,18 @@ type ReplayPoint struct {
 
 // ReplayConfig parametrizes the sweep.
 type ReplayConfig struct {
-	// Jobs is the normalized trace (workload.LoadTrace or
-	// FromSWF/FromGWF output). Ignored when Source is set.
-	Jobs []workload.TraceJob
-	// Source, when set, supplies a fresh replay stream per sweep point
-	// — streamed ingest at constant memory, no materialized job slice.
-	// It receives the point's speedup and must return a stream
-	// positioned at the first job; the sweep closes it.
+	// Source supplies a fresh replay stream per sweep point — streamed
+	// ingest at constant memory, no materialized job slice. It receives
+	// the point's speedup and must return a stream positioned at the
+	// first job; the sweep closes it. The trace window, the
+	// interactive/batch classification rule and the interactive
+	// PerformanceLoss belong to the stream (workload.ReplayConfig).
 	Source func(speedup float64) (workload.ReplayStream, error)
 	// Sites and NodesPerSite shape the grid (default 4x8).
 	Sites, NodesPerSite int
-	// StartHour/EndHour slice the trace window (hours; EndHour <= 0
-	// means to the end).
-	StartHour, EndHour float64
 	// Speedups are the arrival-compression factors to sweep (default
 	// 1, 2, 4).
 	Speedups []float64
-	// Rule classifies trace jobs as interactive or batch (zero value:
-	// runtime <= 10m and width <= 4).
-	Rule workload.ClassifyRule
-	// PerformanceLoss is assigned to interactive jobs (default 10).
-	PerformanceLoss int
 	// TopK bounds each matchmaking pass's candidate heap (and so the
 	// direct site probes per submission, the dominant per-job cost on
 	// large grids). 0 uses 16; negative disables pruning and probes
@@ -127,8 +118,8 @@ func (c *ReplayConfig) setDefaults() {
 // ReplaySweep runs one independent simulation per speedup.
 func ReplaySweep(cfg ReplayConfig) ([]ReplayPoint, error) {
 	cfg.setDefaults()
-	if len(cfg.Jobs) == 0 && cfg.Source == nil {
-		return nil, fmt.Errorf("experiments: replay: no trace jobs (load one with workload.LoadTrace)")
+	if cfg.Source == nil {
+		return nil, fmt.Errorf("experiments: replay: no trace source (open one with workload.OpenTraceReader and NewStreamReplay)")
 	}
 	return runCells(len(cfg.Speedups), cfg.Workers, func(i int) (ReplayPoint, error) {
 		p, err := replayPoint(cfg.Speedups[i], int64(i), cfg)
@@ -141,23 +132,9 @@ func ReplaySweep(cfg ReplayConfig) ([]ReplayPoint, error) {
 
 func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, error) {
 	p := ReplayPoint{Speedup: speedup}
-	rcfg := workload.ReplayConfig{
-		StartHour: cfg.StartHour, EndHour: cfg.EndHour,
-		Speedup: speedup, Rule: cfg.Rule, PerformanceLoss: cfg.PerformanceLoss,
-	}
-	var stream workload.ReplayStream
-	if cfg.Source != nil {
-		s, err := cfg.Source(speedup)
-		if err != nil {
-			return p, err
-		}
-		stream = s
-	} else {
-		s, err := workload.NewReplay(cfg.Jobs, rcfg)
-		if err != nil {
-			return p, err
-		}
-		stream = s
+	stream, err := cfg.Source(speedup)
+	if err != nil {
+		return p, err
 	}
 	defer stream.Close()
 

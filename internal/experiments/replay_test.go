@@ -11,17 +11,23 @@ import (
 	"crossbroker/internal/workload"
 )
 
-func loadFixture(t *testing.T, name string) []workload.TraceJob {
-	t.Helper()
-	jobs, err := workload.LoadTrace("../workload/testdata/"+name, true)
-	if err != nil {
-		t.Fatal(err)
+// fixtureSource streams a workload fixture into the sweep the way
+// gridbench does: a fresh reader per point, rcfg's window and rule with
+// the point's speedup filled in.
+func fixtureSource(name string, rcfg workload.ReplayConfig) func(float64) (workload.ReplayStream, error) {
+	return func(speedup float64) (workload.ReplayStream, error) {
+		tr, err := workload.OpenTraceReader("../workload/testdata/"+name, workload.TraceReaderOptions{})
+		if err != nil {
+			return nil, err
+		}
+		cfg := rcfg // points run concurrently: each gets its own copy
+		cfg.Speedup = speedup
+		return workload.NewStreamReplay(tr, cfg)
 	}
-	return jobs
 }
 
 func TestReplaySweepFixtureOutcomes(t *testing.T) {
-	pts, err := ReplaySweep(ReplayConfig{Jobs: loadFixture(t, "grid5000.gwf"), Seed: 2006, Traced: true})
+	pts, err := ReplaySweep(ReplayConfig{Source: fixtureSource("grid5000.gwf", workload.ReplayConfig{}), Seed: 2006, Traced: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +65,9 @@ func TestReplaySweepFixtureOutcomes(t *testing.T) {
 // byte-identical event logs, run after run, whatever the worker
 // count.
 func TestReplaySweepDeterministic(t *testing.T) {
-	jobs := loadFixture(t, "grid5000.gwf")
+	src := fixtureSource("grid5000.gwf", workload.ReplayConfig{})
 	run := func(workers int) ([]byte, []trace.Trace) {
-		pts, err := ReplaySweep(ReplayConfig{Jobs: jobs, Seed: 7, Workers: workers, Traced: true})
+		pts, err := ReplaySweep(ReplayConfig{Source: src, Seed: 7, Workers: workers, Traced: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +100,7 @@ func TestReplaySweepDeterministic(t *testing.T) {
 
 func TestReplaySweepSWFFixture(t *testing.T) {
 	pts, err := ReplaySweep(ReplayConfig{
-		Jobs: loadFixture(t, "ctc_sp2.swf"), Seed: 2006, Speedups: []float64{1},
+		Source: fixtureSource("ctc_sp2.swf", workload.ReplayConfig{}), Seed: 2006, Speedups: []float64{1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,11 +118,13 @@ func TestReplaySweepSWFFixture(t *testing.T) {
 }
 
 func TestReplaySweepWindowAndRule(t *testing.T) {
-	jobs := loadFixture(t, "grid5000.gwf")
 	// Hours 0..1 of the trace hold jobs 1-6 (submits 0..1800s).
 	pts, err := ReplaySweep(ReplayConfig{
-		Jobs: jobs, StartHour: 0, EndHour: 1, Speedups: []float64{1},
-		Rule: workload.ClassifyRule{MaxRuntime: time.Minute, MaxNodes: 1}, Seed: 3,
+		Source: fixtureSource("grid5000.gwf", workload.ReplayConfig{
+			StartHour: 0, EndHour: 1,
+			Rule: workload.ClassifyRule{MaxRuntime: time.Minute, MaxNodes: 1},
+		}),
+		Speedups: []float64{1}, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,24 +139,22 @@ func TestReplaySweepWindowAndRule(t *testing.T) {
 	}
 }
 
-// A sweep fed by streamed ingest (Source) must produce byte-identical
-// points to one fed the materialized job slice — the streaming path
-// is a drop-in replacement, trace semantics included.
+// A sweep fed by streamed ingest must produce byte-identical points to
+// one fed workload.NewReplay over the materialized job slice — the
+// streamed reader's in-memory reference — trace semantics included.
 func TestReplaySweepStreamedMatchesMaterialized(t *testing.T) {
-	path := "../workload/testdata/grid5000.gwf"
-	cfg := ReplayConfig{Jobs: loadFixture(t, "grid5000.gwf"), Seed: 11, Traced: true}
+	jobs, err := workload.LoadTrace("../workload/testdata/grid5000.gwf", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ReplayConfig{Seed: 11, Traced: true, Source: func(speedup float64) (workload.ReplayStream, error) {
+		return workload.NewReplay(jobs, workload.ReplayConfig{Speedup: speedup})
+	}}
 	batch, err := ReplaySweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Jobs = nil
-	cfg.Source = func(speedup float64) (workload.ReplayStream, error) {
-		tr, err := workload.OpenTraceReader(path, workload.TraceReaderOptions{})
-		if err != nil {
-			return nil, err
-		}
-		return workload.NewStreamReplay(tr, workload.ReplayConfig{Speedup: speedup})
-	}
+	cfg.Source = fixtureSource("grid5000.gwf", workload.ReplayConfig{})
 	streamed, err := ReplaySweep(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +188,7 @@ func TestReplaySweepRejectsEmptyTrace(t *testing.T) {
 
 func TestRenderReplay(t *testing.T) {
 	pts, err := ReplaySweep(ReplayConfig{
-		Jobs: loadFixture(t, "grid5000.gwf"), Seed: 2006, Speedups: []float64{2},
+		Source: fixtureSource("grid5000.gwf", workload.ReplayConfig{}), Seed: 2006, Speedups: []float64{2},
 	})
 	if err != nil {
 		t.Fatal(err)

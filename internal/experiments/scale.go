@@ -17,8 +17,8 @@ import (
 
 // ScaleConfig parametrizes the information-system scaling sweep: how
 // matchmaking-pass latency and memory behave as the grid grows from
-// hundreds to tens of thousands of sites, comparing the classic
-// whole-snapshot pass, the paged top-K stream, and the
+// hundreds to tens of thousands of sites, comparing the unbounded
+// single-shard pass, the sharded paged top-K pass, and the
 // delta-subscription incremental pass — plus a churn axis at fixed
 // grid size that contrasts the delta path against its log-compacted
 // degraded mode (snapshot re-pins).
@@ -95,13 +95,13 @@ func (c *ScaleConfig) setDefaults() {
 type ScalePoint struct {
 	// Sites is the grid size.
 	Sites int `json:"sites"`
-	// Mode is "snapshot" (the classic whole-grid pass, the baseline),
-	// "paged" (sharded registry, streamed top-K selection), "delta"
+	// Mode is "snapshot" (one shard, every match kept: the unbounded
+	// baseline), "paged" (sharded registry, top-K selection), "delta"
 	// (delta-subscription incremental pass) or "repin" (the delta path
 	// with the log disabled, so every poll re-pins shard snapshots).
 	Mode string `json:"mode"`
-	// Shards, PageSize and TopK echo the cell configuration (1/-1/0
-	// for snapshot mode).
+	// Shards, PageSize and TopK echo the cell configuration (Shards 1
+	// and TopK 0 for snapshot mode).
 	Shards   int `json:"shards"`
 	PageSize int `json:"page_size"`
 	TopK     int `json:"top_k"`
@@ -122,9 +122,9 @@ type ScalePoint struct {
 	// both passes; BytesPerPass carries the grid-size contrast.
 	AllocsPerPass uint64 `json:"allocs_per_pass"`
 	// BytesPerPass is the minimum bytes one pass allocated. The
-	// whole-snapshot pass materializes every record's probe task, so
-	// this grows with the grid, while the paged pass stays bounded by
-	// page size + K and the delta pass by churn.
+	// unbounded pass ranks a candidate per matching record, so this
+	// grows with the grid, while the paged pass stays bounded by page
+	// size + K and the delta pass by churn.
 	BytesPerPass uint64 `json:"bytes_per_pass"`
 	// PeakCandidates is the most candidates the pass held at once —
 	// the per-pass memory high-water mark the top-K heap bounds.
@@ -171,7 +171,7 @@ type scaleSpec struct {
 }
 
 // ScaleSweep measures matchmaking passes over grids of cfg.Points
-// sites — snapshot mode (the pre-sharding whole-grid pass), paged mode
+// sites — snapshot mode (one shard, every match kept), paged mode
 // (sharded registry, paged discovery, top-K rank heap) and delta mode
 // (delta-subscription incremental pass under ChurnPerPass churn) — and
 // then walks the churn axis at ChurnSites: each ChurnRates value on
@@ -224,18 +224,20 @@ func ScaleSweep(cfg ScaleConfig) ([]ScalePoint, error) {
 // scaleCell measures one cell on a fresh grid.
 func scaleCell(cfg ScaleConfig, job *jdl.Job, spec scaleSpec) (ScalePoint, error) {
 	n := spec.sites
-	pt := ScalePoint{Sites: n, Mode: spec.mode, Shards: 1, PageSize: -1, Churn: spec.churn}
-	bcfg := broker.Config{Seed: cfg.Seed, PageSize: -1}
+	// The snapshot cell is the unbounded baseline: one shard, every
+	// match kept (TopK 0).
+	pt := ScalePoint{Sites: n, Mode: spec.mode, Shards: 1, PageSize: cfg.PageSize, Churn: spec.churn}
+	bcfg := broker.Config{Seed: cfg.Seed, PageSize: cfg.PageSize}
 	shards := 1
 	delta := false
 	switch spec.mode {
 	case "paged":
-		pt.Shards, pt.PageSize, pt.TopK = cfg.Shards, cfg.PageSize, cfg.TopK
-		bcfg.PageSize, bcfg.TopK = cfg.PageSize, cfg.TopK
+		pt.Shards, pt.TopK = cfg.Shards, cfg.TopK
+		bcfg.TopK = cfg.TopK
 		shards = cfg.Shards
 	case "delta", "repin":
-		pt.Shards, pt.PageSize, pt.TopK = cfg.Shards, cfg.PageSize, cfg.TopK
-		bcfg.PageSize, bcfg.TopK, bcfg.Incremental = cfg.PageSize, cfg.TopK, true
+		pt.Shards, pt.TopK = cfg.Shards, cfg.TopK
+		bcfg.TopK, bcfg.Incremental = cfg.TopK, true
 		shards = cfg.Shards
 		delta = true
 		if spec.mode == "delta" {

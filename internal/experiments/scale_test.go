@@ -4,9 +4,10 @@ import "testing"
 
 // TestScalePassMemoryBounded is the scale sweep's acceptance check at
 // the 5,000-site point: the paged pass's per-pass state and allocations
-// stay bounded by page size + K while the snapshot pass grows with the
-// grid, the paged pass is no slower, and the delta pass's discovery
-// cost is churn-bounded instead of grid-bounded.
+// stay bounded by page size + K while the unbounded "snapshot" cell
+// (one shard, TopK 0) grows with the grid, the paged pass is no
+// slower, and the delta pass's discovery cost is churn-bounded instead
+// of grid-bounded.
 func TestScalePassMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("5000-site sweep in -short mode")
@@ -48,7 +49,7 @@ func TestScalePassMemoryBounded(t *testing.T) {
 	// Object counts are near-constant for both passes now that the
 	// clock's event pool and the broker's scratch pools recycle across
 	// passes; the per-pass byte volume still carries the contrast —
-	// the snapshot pass materializes a probe task per registry record.
+	// the unbounded cell ranks a candidate per registry record.
 	if floor := uint64(5000 * 16); snap.BytesPerPass < floor {
 		t.Fatalf("snapshot pass allocated only %d bytes — the comparison lost its contrast", snap.BytesPerPass)
 	}

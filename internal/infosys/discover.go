@@ -30,19 +30,20 @@ func (p Page) Shard() int { return p.shard }
 // Schema is the resolver to compile predicates against.
 func (p Page) Snapshot() *Snapshot { return p.snap }
 
-// Index maps page record i to its index in the backing snapshot.
-func (p Page) Index(i int) int { return p.lo + i }
-
 // Name returns the site name of page record i without copying.
 func (p Page) Name(i int) string { return p.snap.Name(p.lo + i) }
 
 // RecordShared returns page record i under the snapshot's no-mutate
 // contract (no per-record map clone).
-func (p Page) RecordShared(i int) SiteRecord { return p.snap.RecordShared(p.lo + i) }
+func (p Page) RecordShared(i int) SiteRecord { return p.snap.recs[p.lo+i] }
 
-// MatchAttrs returns a pooled flat attribute vector for page record i;
-// the caller must Release it.
-func (p Page) MatchAttrs(i int) *MatchAttrs { return p.snap.MatchAttrs(p.lo + i) }
+// Values returns page record i's flat attribute vector — static
+// attributes plus publish-time queue state, in schema offset order —
+// without copying. Like RecordShared it stays shared with the snapshot
+// and every other reader and MUST NOT be written: compiled predicates
+// only read it, and a caller that overlays fresh state copies it first
+// (PooledMatchAttrs).
+func (p Page) Values(i int) []any { return p.snap.vals[p.lo+i] }
 
 // Cursor iterates the registry in pages. A cursor is single-use and
 // not safe for concurrent use by multiple goroutines; obtain one per

@@ -32,7 +32,7 @@
 // across the whole grid. Brokers that cannot afford one flat snapshot
 // of every site iterate the registry page by page through Discover
 // (discover.go); the merged whole-grid Snapshot remains available for
-// small grids and as the reference path.
+// instrumentation, federation views and the broker's test oracle.
 package infosys
 
 import (
