@@ -818,8 +818,9 @@ type siteHealth struct {
 	fails            int
 	quarantinedUntil time.Time
 	// probing gates the half-open state to one probe in flight: the
-	// pass that claims the probe-back sets it, concurrent passes keep
-	// treating the site as quarantined until the probe resolves.
+	// pass about to probe the site back sets it (claimHalfOpen),
+	// concurrent passes keep treating the site as quarantined until the
+	// probe resolves.
 	probing bool
 	// trippedAt and lastSuccess are the evidence federation
 	// reconciliation compares: a peer whose success on the site is
@@ -904,27 +905,26 @@ func (b *Broker) quarantineNow(name string) {
 	hl.quarantinedUntil = b.sim.Now().Add(b.cfg.QuarantineCooldown)
 }
 
-// siteExcludedAt is the admit stage's filter over quarantine state,
-// with the breaker state and clock already resolved. Beyond the plain
-// time window it implements the half-open gate: the first pass to
-// reach a cooled-down tripped site claims the probe-back
-// (probing=true) and may include it; until that probe resolves,
-// concurrent passes — even in the same tick — keep the site excluded,
-// so a tentatively readmitted site sees exactly one probe in flight.
-func (b *Broker) siteExcludedAt(hl *siteHealth, now time.Time) bool {
-	if hl == nil {
-		return false
-	}
-	if now.Before(hl.quarantinedUntil) {
-		return true
-	}
-	if hl.fails >= b.cfg.QuarantineThreshold && b.cfg.QuarantineThreshold > 0 && !hl.quarantinedUntil.IsZero() {
-		if hl.probing {
-			return true
-		}
+// breakerOpen is the admit stage's filter over quarantine state, a pure
+// read: a site is excluded while its breaker is inside the cooldown,
+// or half-open with its one probe-back in flight.
+func breakerOpen(hl *siteHealth, now time.Time) bool {
+	return hl != nil && (now.Before(hl.quarantinedUntil) || hl.probing)
+}
+
+// claimHalfOpen takes the half-open gate for a site a pass is about to
+// probe: if the breaker is tripped and cooled down, this probe is the
+// probe-back, and until it is answered or fails (noteProbeAnswered,
+// noteSiteFailure) concurrent passes — even in the same tick — keep
+// the site excluded, so a tentatively readmitted site sees exactly one
+// probe in flight. The claim is taken here, for a site that will be
+// probed, and not by the filter: a claim taken for a site that then
+// failed Requirements or fell out of the top K was never released.
+func (b *Broker) claimHalfOpen(name string) {
+	hl := b.health[name]
+	if hl != nil && b.cfg.QuarantineThreshold > 0 && hl.fails >= b.cfg.QuarantineThreshold && !hl.quarantinedUntil.IsZero() {
 		hl.probing = true
 	}
-	return false
 }
 
 // HealthEvidence is the per-site circuit-breaker evidence a broker

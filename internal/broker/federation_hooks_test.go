@@ -1,11 +1,15 @@
 package broker
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"crossbroker/internal/infosys"
 	"crossbroker/internal/jdl"
+	"crossbroker/internal/netsim"
 	"crossbroker/internal/simclock"
+	"crossbroker/internal/site"
 )
 
 // Two brokers leasing in the same tick must not expire in the same
@@ -98,6 +102,66 @@ func TestHalfOpenProbeSingleFlight(t *testing.T) {
 	g.sim.RunFor(time.Minute)
 	if after != 1 {
 		t.Fatalf("post-probe pass candidates = %d, want 1", after)
+	}
+}
+
+// The half-open claim belongs to the pass that probes the site, not to
+// every pass that enumerates it: a pass that reaches a cooled-down
+// tripped site but does not probe it — the site fails the job's
+// Requirements, or loses its place in the top K — must leave the gate
+// open, or nothing ever clears it and the recovered site stays
+// excluded forever. On the page scan, the bounded scan and the
+// standing-tree walk.
+func TestHalfOpenClaimNotLeakedByUnprobedSite(t *testing.T) {
+	picky := mustParseJob(t, `Executable = "x"; Requirements = other.FreeCPUs > 1000;`)
+	rankLast := mustParseJob(t, `Executable = "x"; Rank = 0 - other.FreeCPUs;`) // site00 has the most CPUs
+	plain := &jdl.Job{Executable: "x", NodeNumber: 1}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		first *jdl.Job
+	}{
+		{"streamed/fails-requirements", Config{}, picky},
+		{"topk/fails-requirements", Config{TopK: 1}, picky},
+		{"topk/falls-out-of-heap", Config{TopK: 1}, rankLast},
+		{"incremental/fails-requirements", Config{Incremental: true}, picky},
+		{"incremental/falls-out-of-walk", Config{Incremental: true, TopK: 1}, rankLast},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.QuarantineThreshold, tc.cfg.QuarantineCooldown = 1, time.Minute
+			sim := simclock.NewSim(time.Time{})
+			tc.cfg.Sim, tc.cfg.Info = sim, infosys.New(sim, 500*time.Millisecond)
+			b := New(tc.cfg)
+			for i, nodes := range []int{4, 1} {
+				b.RegisterSite(site.New(sim, site.Config{
+					Name: fmt.Sprintf("site%02d", i), Nodes: nodes, Network: netsim.CampusGrid(),
+					Costs: site.DefaultCosts(), PublishInterval: 10000 * time.Hour,
+				}))
+			}
+			sim.RunFor(time.Second)
+			b.quarantineNow("site00")
+			sim.RunFor(2 * time.Minute) // past the cooldown: half-open
+
+			pass := func(job *jdl.Job) (ps PassStats) {
+				b.SelectionPassStatsAsync(job, func(s PassStats) { ps = s })
+				sim.RunFor(time.Minute)
+				return ps
+			}
+			if ps := pass(tc.first); ps.Unavailable != 0 {
+				t.Fatalf("first pass: %+v, want the half-open site admitted", ps)
+			}
+			if b.health["site00"].probing {
+				t.Fatal("a pass that did not probe site00 left its half-open gate claimed")
+			}
+			sim.RunFor(24 * time.Hour)
+			want := 2
+			if tc.cfg.TopK > 0 {
+				want = tc.cfg.TopK
+			}
+			if ps := pass(plain); ps.Unavailable != 0 || ps.Candidates != want {
+				t.Fatalf("a day later: %+v, want %d candidates and nothing unavailable", ps, want)
+			}
+		})
 	}
 }
 

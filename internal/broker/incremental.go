@@ -452,19 +452,15 @@ func (b *Broker) matchIncremental(h *Handle, excluded map[string]bool, cont func
 		kept := s.extractTopK(js, nonce, b.cfg.TopK, excluded, sstart, b.getTasks())
 		h.peak = len(kept)
 		// Pre-probe unavailable accounting: the page scan counts every
-		// quarantined registry record it enumerates. The walk above never
+		// registry record whose breaker excludes it. The walk above never
 		// visits requirement-failing sites, so count from the health map
-		// instead (pure reads — no half-open claims — so map order cannot
-		// matter).
-		if len(b.health) > 0 {
-			now := b.sim.Now()
-			for name, hl := range b.health {
-				if excluded[name] || !now.Before(hl.quarantinedUntil) {
-					continue
-				}
-				if _, ok := s.mirror[name]; ok {
-					h.unavailable++
-				}
+		// instead (pure reads, so map order cannot matter).
+		for name, hl := range b.health {
+			if excluded[name] || !breakerOpen(hl, sstart) {
+				continue
+			}
+			if _, ok := s.mirror[name]; ok {
+				h.unavailable++
 			}
 		}
 		b.finishSelection(h, kept, func(cands []candidate) {

@@ -145,7 +145,7 @@ func (b *Broker) admit(name string, excluded map[string]bool, now time.Time) (st
 	if !registered {
 		hl = b.health[name]
 	}
-	if b.siteExcludedAt(hl, now) {
+	if breakerOpen(hl, now) {
 		return nil, true
 	}
 	return ent.st, false
@@ -300,6 +300,11 @@ func (b *Broker) finishSelection(h *Handle, kept []probeTask, cont func([]candid
 	// expiries and concurrent passes interleaving identically across
 	// sources.
 	sort.Slice(kept, func(i, j int) bool { return kept[i].st.Name() < kept[j].st.Name() })
+	// Source and finishSelection run in one event, so the probe-back
+	// claims land before any concurrent pass can filter.
+	for i := range kept {
+		b.claimHalfOpen(kept[i].st.Name())
+	}
 	// "Information may not be completely accurate ... CrossBroker
 	// contacts each remote site individually and gets the most updated
 	// information about the state of their local queues."

@@ -85,7 +85,7 @@ func oraclePass(b *Broker, h *Handle, excluded map[string]bool, cont func([]cand
 			if excluded[rec.Name] {
 				continue
 			}
-			if b.siteExcludedAt(b.health[rec.Name], sstart) {
+			if hl := b.health[rec.Name]; hl != nil && (sstart.Before(hl.quarantinedUntil) || hl.probing) {
 				h.unavailable++
 				continue
 			}
@@ -131,6 +131,9 @@ func oraclePass(b *Broker, h *Handle, excluded map[string]bool, cont func([]cand
 		}
 		h.peak = len(kept)
 		sort.Slice(kept, func(i, j int) bool { return kept[i].rec.Name < kept[j].rec.Name })
+		for _, m := range kept {
+			b.claimHalfOpen(m.rec.Name) // the one probe-back of a cooled-down breaker
+		}
 
 		var cands []candidate
 		var probe func(i int)
@@ -179,14 +182,17 @@ func oraclePass(b *Broker, h *Handle, excluded map[string]bool, cont func([]cand
 }
 
 // passResult is everything the equivalence property compares about
-// one pass.
+// one pass: the ordered candidates, the pass counters, and which sites
+// the pass left with a half-open probe claim.
 type passResult struct {
 	cands                      []string
 	scanned, unavailable, peak int
+	probing                    []string
 }
 
 func (r passResult) String() string {
-	return fmt.Sprintf("scanned=%d unavailable=%d peak=%d cands=%v", r.scanned, r.unavailable, r.peak, r.cands)
+	return fmt.Sprintf("scanned=%d unavailable=%d peak=%d probing=%v cands=%v",
+		r.scanned, r.unavailable, r.peak, r.probing, r.cands)
 }
 
 func runPassResult(t *testing.T, sim *simclock.Sim, b *Broker, job *jdl.Job, excluded map[string]bool) passResult {
@@ -203,6 +209,12 @@ func runPassResult(t *testing.T, sim *simclock.Sim, b *Broker, job *jdl.Job, exc
 	for _, c := range cands {
 		res.cands = append(res.cands, candLine(c))
 	}
+	for name, hl := range b.health {
+		if hl.probing {
+			res.probing = append(res.probing, name)
+		}
+	}
+	sort.Strings(res.probing)
 	return res
 }
 
@@ -220,7 +232,9 @@ type propSite struct {
 type propGrid struct {
 	sites       []propSite
 	stale       []infosys.SiteRecord
-	quarantined []string // tripped, still inside the cooldown at pass time
+	cooled      []string // tripped, cooldown over before the first pass: half-open
+	inFlight    []string // half-open with a probe-back still unanswered
+	quarantined []string // tripped, inside the cooldown at the first pass, half-open at the second
 	excluded    map[string]bool
 	cat         *datacat.Catalog
 	job         *jdl.Job
@@ -261,6 +275,12 @@ func randomPropGrid(t *testing.T, rng *rand.Rand, local bool) propGrid {
 	}
 	for i, k := 0, rng.Intn(4); i < k; i++ {
 		g.quarantined = append(g.quarantined, name())
+	}
+	for i, k := 0, rng.Intn(3); i < k; i++ {
+		g.cooled = append(g.cooled, name())
+	}
+	for i, k := 0, rng.Intn(2); i < k; i++ {
+		g.inFlight = append(g.inFlight, name())
 	}
 	if len(g.stale) > 0 && rng.Intn(2) == 0 {
 		g.quarantined = append(g.quarantined, g.stale[0].Name) // stale record with breaker state
@@ -309,7 +329,10 @@ func randomPropGrid(t *testing.T, rng *rand.Rand, local bool) propGrid {
 // breaker state. info is nil for a local (no information service) arm.
 func (g propGrid) build(cfg Config, info *infosys.Service, sim *simclock.Sim) *Broker {
 	cfg.Sim, cfg.Data, cfg.DataAware = sim, g.cat, true
-	cfg.QuarantineCooldown = 100 * time.Hour // outlasts both passes
+	// Each pass is followed by an hour of simulated time, so a breaker
+	// tripped now is closed for the first pass and half-open for the
+	// second.
+	cfg.QuarantineCooldown = 30 * time.Minute
 	if info != nil {
 		cfg.Info = info
 	}
@@ -326,6 +349,13 @@ func (g propGrid) build(cfg Config, info *infosys.Service, sim *simclock.Sim) *B
 		}
 	}
 	sim.RunFor(time.Second) // land the initial publishes
+	for _, name := range append(g.cooled, g.inFlight...) {
+		b.quarantineNow(name)
+	}
+	sim.RunFor(time.Hour)
+	for _, name := range g.inFlight {
+		b.health[name].probing = true
+	}
 	for _, name := range g.quarantined {
 		b.quarantineNow(name)
 	}
@@ -333,12 +363,14 @@ func (g propGrid) build(cfg Config, info *infosys.Service, sim *simclock.Sim) *B
 }
 
 // TestMatchPipelineAgreesWithOracle is the seeded equivalence property
-// over random grids: stale records, per-pass exclusions, quarantined
-// sites (registered and stale), Rank-error sites with and without a
-// TopK bound, unobtainable datasets, registry churn between passes and
-// brokers without an information service. On every grid the oracle,
-// the page scan (sharded, small pages), and the standing-tree pass
-// must agree candidate for candidate and in the pass counters.
+// over random grids: stale records, per-pass exclusions, quarantined,
+// cooled-down and probe-in-flight sites (registered and stale),
+// Rank-error sites with and without a TopK bound, unobtainable
+// datasets, registry churn between passes and brokers without an
+// information service. On every grid the oracle, the page scan
+// (sharded, small pages), and the standing-tree pass must agree
+// candidate for candidate, in the pass counters, and in which sites
+// each pass leaves holding a half-open probe claim.
 func TestMatchPipelineAgreesWithOracle(t *testing.T) {
 	for trial := int64(0); trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(4200 + trial))
