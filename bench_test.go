@@ -23,6 +23,7 @@ import (
 	"crossbroker/internal/broker"
 	"crossbroker/internal/core"
 	"crossbroker/internal/experiments"
+	"crossbroker/internal/fairshare"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/netsim"
 )
@@ -201,6 +202,7 @@ func BenchmarkBrokerSubmission(b *testing.B) {
 			{Name: "a", Nodes: 64}, {Name: "b", Nodes: 64},
 			{Name: "c", Nodes: 64}, {Name: "d", Nodes: 64},
 		},
+		FairShare: &fairshare.Config{},
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,7 +20,9 @@ import (
 
 	"crossbroker/internal/broker"
 	"crossbroker/internal/core"
+	"crossbroker/internal/fairshare"
 	"crossbroker/internal/jdl"
+	"crossbroker/internal/netsim"
 )
 
 func main() {
@@ -37,15 +39,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	var specs []core.SiteSpec
-	for i := 0; i < *sites; i++ {
-		specs = append(specs, core.SiteSpec{
-			Name:     fmt.Sprintf("site%02d", i),
-			Nodes:    *nodes,
-			WideArea: i%2 == 1, // half the grid is across the WAN
-		})
-	}
-	sys := core.NewSystem(core.SystemConfig{Sites: specs, Seed: 2006})
+	sys := core.NewSystem(core.SystemConfig{
+		Seed:      2006,
+		FairShare: &fairshare.Config{},
+		Sites: []core.SiteSpec{{
+			NameFormat: "site%02d", Count: *sites, Nodes: *nodes,
+			Vary: func(i int, s *core.SiteSpec) {
+				if i%2 == 1 { // half the grid is across the WAN
+					s.Network = netsim.WideArea()
+				}
+			},
+		}},
+	})
 
 	type sub struct {
 		name string

@@ -6,7 +6,6 @@
 //	gridbench -exp fig7                 # wide-area streaming overhead
 //	gridbench -exp fig8                 # VM load overhead
 //	gridbench -exp ablations            # design-choice studies
-//	gridbench -exp bench                # matchmaking benchmarks -> JSON
 //	gridbench -exp scale                # infosys scaling sweep -> JSON
 //	gridbench -exp federation           # federated-broker chaos sweep -> JSON
 //	gridbench -exp dataaware            # data-aware vs data-blind placement -> JSON
@@ -44,7 +43,7 @@ func main() {
 
 // experimentNames are the values -exp accepts, in run order.
 var experimentNames = []string{
-	"table1", "load", "day", "fig6", "fig7", "fig8", "ablations", "bench", "scale",
+	"table1", "load", "day", "fig6", "fig7", "fig8", "ablations", "scale",
 	"chaos", "federation", "dataaware", "replay", "checktrace", "all",
 }
 
@@ -80,7 +79,6 @@ func realMain(args []string, stderr io.Writer) int {
 	speedups := fs.String("speedups", "", "comma-separated arrival speedups for -exp replay (default 1,2,4)")
 	sites := fs.Int("sites", 0, "replay grid sites (0 = 4, or 8 with -synth)")
 	nodes := fs.Int("nodes", 0, "replay nodes per site (0 = 8, or 16 with -synth)")
-	nowall := fs.Bool("nowall", false, "zero the wall-clock throughput fields in -exp replay output (for determinism diffs)")
 	fetch := fs.String("fetch", "", "download a workload archive URL into the local content-addressed cache and print its path (see EXPERIMENTS.md)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -168,7 +166,6 @@ func realMain(args []string, stderr io.Writer) int {
 	run("fig7", func() error { return pingpong("fig7", netsim.WideArea(), *rounds, *scale, *seed, *series) })
 	run("fig8", func() error { return fig8(*iters, *series) })
 	run("ablations", func() error { return ablations(*scale, *seed) })
-	run("bench", func() error { return bench(outPath("BENCH_matchmaking.json"), *baseline, *tolerance) })
 	run("scale", func() error {
 		rates, err := parseIntList(*churn)
 		if err != nil {
@@ -194,7 +191,7 @@ func realMain(args []string, stderr io.Writer) int {
 				out: outPath("BENCH_replay.json"), traceout: *traceOut,
 				window: *window, speedups: *speedups,
 				seed: *seed, sites: *sites, nodes: *nodes,
-				nowall: *nowall, baseline: *baseline, tolerance: *tolerance,
+				baseline: *baseline, tolerance: *tolerance,
 			})
 		})
 	}

@@ -9,9 +9,9 @@ import (
 // TestUsageErrorsExitTwo pins that a command line naming nothing to
 // run fails loudly instead of succeeding vacuously: an unknown -exp
 // value lists the valid ones, -out or -baseline without the one
-// experiment they belong to is refused, and the removed -engine and
-// -scaleout flags are parse errors, so scripts written against them
-// stop.
+// experiment they belong to is refused, and the removed -exp bench,
+// -engine, -scaleout and -nowall are errors, so scripts written against
+// them stop.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -19,6 +19,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}{
 		{[]string{"-exp", "tabel1"}, `unknown experiment "tabel1" (valid: table1, load, day,`},
 		{[]string{"-exp", ""}, `unknown experiment ""`},
+		{[]string{"-exp", "bench"}, `unknown experiment "bench"`},
+		{[]string{"-exp", "replay", "-synth", "100", "-nowall"}, "flag provided but not defined: -nowall"},
 		{[]string{"-exp", "replay", "-engine", "goroutine"}, "flag provided but not defined: -engine"},
 		{[]string{"-exp", "scale", "-scaleout", "x.json"}, "flag provided but not defined: -scaleout"},
 		{[]string{"-exp", "all", "-out", "x.json"}, "-out and -baseline name one experiment's report"},

@@ -32,14 +32,8 @@ type replayReport struct {
 	// UsableJobs and DroppedRecords report trace data quality: how
 	// many records normalized into replayable jobs and how many were
 	// discarded (no submit time, or neither runtime nor request).
-	UsableJobs     int `json:"usable_jobs"`
-	DroppedRecords int `json:"dropped_records"`
-	// WallSeconds and WallJobsPerSec measure real time over the whole
-	// sweep (total submissions / wall seconds). They are the only
-	// machine-dependent fields; -nowall zeroes them so determinism
-	// checks can byte-compare two runs.
-	WallSeconds    float64                   `json:"wall_seconds"`
-	WallJobsPerSec float64                   `json:"wall_jobs_per_sec"`
+	UsableJobs     int                       `json:"usable_jobs"`
+	DroppedRecords int                       `json:"dropped_records"`
 	Points         []experiments.ReplayPoint `json:"points"`
 }
 
@@ -54,7 +48,6 @@ type replayOpts struct {
 	seed      int64   // -seed
 	sites     int     // -sites (0 = auto)
 	nodes     int     // -nodes (0 = auto)
-	nowall    bool    // -nowall
 	baseline  string  // -baseline
 	tolerance float64 // -tolerance
 }
@@ -129,9 +122,9 @@ func synthDir() string { return filepath.Join(os.TempDir(), "gridbench-synth") }
 // sweep point opens its own constant-memory reader, so even a
 // million-job archive never materializes. The sweep is fully
 // deterministic for a fixed trace + seed: two runs produce a
-// byte-identical BENCH_replay.json up to the wall-clock fields (zero
-// them with -nowall), and with -traceout byte-identical event logs
-// that pass -exp checktrace.
+// byte-identical BENCH_replay.json (wall-clock throughput is printed,
+// never written: benchmark/ owns host time), and with -traceout
+// byte-identical event logs that pass -exp checktrace.
 func replay(o replayOpts) error {
 	// Replay is an allocation-heavy batch workload; relaxing the GC
 	// target trades a bounded amount of extra heap (the live set stays
@@ -223,11 +216,9 @@ func replay(o replayOpts) error {
 		DroppedRecords: dropped,
 		Points:         pts,
 	}
-	if !o.nowall && wall > 0 {
-		rep.WallSeconds = wall.Seconds()
-		rep.WallJobsPerSec = float64(total) / wall.Seconds()
+	if wall > 0 {
 		fmt.Printf("replayed %d submissions in %v wall (%.0f jobs/s)\n",
-			total, wall.Round(time.Millisecond), rep.WallJobsPerSec)
+			total, wall.Round(time.Millisecond), float64(total)/wall.Seconds())
 	}
 	if err := writeReport(o.out, rep); err != nil {
 		return err
@@ -252,16 +243,15 @@ func orDefault(v, def int) int {
 	return v
 }
 
-// replayGate gates replay throughput, mirroring the matchmaking and
-// infosys gates: per-point simulated-time jobs/sec and sweep-level
-// wall-clock jobs/sec may not drop by more than tolerance.
+// replayGate gates replay throughput against the simulated clock:
+// per-point jobs/sec may not drop by more than tolerance.
 var replayGate = gate{exp: "replay", noun: "throughput value", higherIsBetter: true,
 	width: 28, values: "%12.1f -> %12.1f jobs/s"}
 
 func replayRows(rep replayReport) []benchRow {
-	rows := make([]benchRow, 0, len(rep.Points)+1)
-	for _, p := range rep.Points {
-		rows = append(rows, benchRow{fmt.Sprintf("sim-throughput/speedup=%g", p.Speedup), p.SimJobsPerSec})
+	rows := make([]benchRow, len(rep.Points))
+	for i, p := range rep.Points {
+		rows[i] = benchRow{fmt.Sprintf("sim-throughput/speedup=%g", p.Speedup), p.SimJobsPerSec}
 	}
-	return append(rows, benchRow{"wall-throughput/sweep", rep.WallJobsPerSec})
+	return rows
 }

@@ -54,7 +54,7 @@ func TestParseSpeedups(t *testing.T) {
 }
 
 // TestReplayCommandDeterministic is the acceptance check end to end:
-// two runs of `gridbench -exp replay -nowall` on the checked-in GWF
+// two runs of `gridbench -exp replay` on the checked-in GWF
 // fixture produce byte-identical BENCH_replay.json files and event
 // logs, and the log passes the -exp checktrace invariants.
 func TestReplayCommandDeterministic(t *testing.T) {
@@ -63,10 +63,10 @@ func TestReplayCommandDeterministic(t *testing.T) {
 	out2 := filepath.Join(dir, "r2.json")
 	tr1 := filepath.Join(dir, "t1.jsonl")
 	tr2 := filepath.Join(dir, "t2.jsonl")
-	if err := replay(replayOpts{trace: gwfFixture, out: out1, traceout: tr1, seed: 2006, nowall: true}); err != nil {
+	if err := replay(replayOpts{trace: gwfFixture, out: out1, traceout: tr1, seed: 2006}); err != nil {
 		t.Fatal(err)
 	}
-	if err := replay(replayOpts{trace: gwfFixture, out: out2, traceout: tr2, seed: 2006, nowall: true}); err != nil {
+	if err := replay(replayOpts{trace: gwfFixture, out: out2, traceout: tr2, seed: 2006}); err != nil {
 		t.Fatal(err)
 	}
 	j1, err := os.ReadFile(out1)
@@ -104,13 +104,13 @@ func TestReplayCommandWindowAndSWF(t *testing.T) {
 }
 
 // The -synth path generates, replays and reports the dropped-record
-// count and throughput fields; a repeat run with -nowall is
-// byte-identical (the deterministic-archive acceptance property).
+// count and throughput fields; a repeat run is byte-identical (the
+// deterministic-archive acceptance property).
 func TestReplayCommandSynth(t *testing.T) {
 	dir := t.TempDir()
 	out1 := filepath.Join(dir, "s1.json")
 	out2 := filepath.Join(dir, "s2.json")
-	opts := replayOpts{synth: 300, out: out1, speedups: "1,4", seed: 5, nowall: true}
+	opts := replayOpts{synth: 300, out: out1, speedups: "1,4", seed: 5}
 	if err := replay(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -136,21 +136,17 @@ func TestReplayCommandSynth(t *testing.T) {
 	if len(rep.Points) != 2 || rep.Points[0].SimJobsPerSec <= 0 {
 		t.Fatalf("points %+v", rep.Points)
 	}
-	if rep.WallSeconds != 0 || rep.WallJobsPerSec != 0 {
-		t.Fatalf("-nowall left wall fields set: %v %v", rep.WallSeconds, rep.WallJobsPerSec)
+	if bytes.Contains(j1, []byte("wall")) {
+		t.Fatalf("the report carries a wall-clock field:\n%s", j1)
 	}
 }
 
 // The throughput gate passes against a self-baseline and fails when
-// the baseline claims far higher throughput. The self-baseline is
-// generated with -nowall so the comparison only exercises the
-// deterministic sim-throughput gate; the wall-clock gate (skipped for
-// a zero baseline value) is too load-sensitive for a ~20ms in-test
-// sweep and is covered by the committed BENCH_replay.json in CI.
+// the baseline claims far higher throughput.
 func TestReplayCommandBaselineGate(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "r.json")
-	opts := replayOpts{synth: 200, out: out, speedups: "1", seed: 9, tolerance: 0.25, nowall: true}
+	opts := replayOpts{synth: 200, out: out, speedups: "1", seed: 9, tolerance: 0.25}
 	if err := replay(opts); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"crossbroker/internal/core"
+	"crossbroker/internal/fairshare"
+	"crossbroker/internal/netsim"
 )
 
 func main() {
@@ -20,10 +22,11 @@ func main() {
 		Sites: []core.SiteSpec{
 			{Name: "uab", Nodes: 4},
 			{Name: "campus2", Nodes: 2},
-			{Name: "ifca", Nodes: 4, WideArea: true},
-			{Name: "cyfronet", Nodes: 8, WideArea: true},
+			{Name: "ifca", Nodes: 4, Network: netsim.WideArea()},
+			{Name: "cyfronet", Nodes: 8, Network: netsim.WideArea()},
 		},
-		Seed: 42,
+		Seed:      42,
+		FairShare: &fairshare.Config{},
 	})
 
 	// 1. A batch job. The broker submits it together with a glide-in

@@ -25,7 +25,7 @@ func main() {
 	sys := core.NewSystem(core.SystemConfig{
 		Sites: []core.SiteSpec{{Name: "uab", Nodes: 1}}, // one node: sharing is the only option
 		Seed:  7,
-		FairShare: fairshare.Config{
+		FairShare: &fairshare.Config{
 			HalfLife:       10 * time.Minute,
 			UpdateInterval: 2 * time.Second, // fine-grained ticks so short jobs accrue
 		},

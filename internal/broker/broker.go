@@ -100,6 +100,10 @@ type Directory interface {
 	Remove(name string)
 }
 
+// agentRegistryCost models the (local) combined discovery+selection
+// step for shared-mode interactive jobs.
+const agentRegistryCost = 50 * time.Millisecond
+
 // Config parametrizes the broker.
 type Config struct {
 	// Sim is the simulation clock everything runs on.
@@ -138,9 +142,6 @@ type Config struct {
 	// are insufficient, users with priority above it are rejected.
 	// Zero means no ceiling.
 	RejectAbove float64
-	// AgentRegistryCost models the (local) combined
-	// discovery+selection step for shared-mode interactive jobs.
-	AgentRegistryCost time.Duration
 	// AgentDegree is the multiprogramming degree of launched agents:
 	// the number of interactive VMs each creates (default 1, the
 	// paper's two-VM configuration; Section 5.2 discusses larger
@@ -232,9 +233,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.RetryInterval <= 0 {
 		c.RetryInterval = 30 * time.Second
-	}
-	if c.AgentRegistryCost <= 0 {
-		c.AgentRegistryCost = 50 * time.Millisecond
 	}
 	if c.AgentDegree <= 0 {
 		c.AgentDegree = 1

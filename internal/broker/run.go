@@ -577,7 +577,7 @@ func (b *Broker) runInteractiveShared(h *Handle) {
 		}
 		// Combined discovery+selection over the local registry.
 		start := b.sim.Now()
-		b.sim.AfterFunc(b.cfg.AgentRegistryCost, func() {
+		b.sim.AfterFunc(agentRegistryCost, func() {
 			free := b.freeAgentsMatching(job, job.NodeNumber)
 			if first {
 				first = false

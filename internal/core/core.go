@@ -10,13 +10,17 @@
 //     Console Shadow on the user side, GSI-secured channels over a
 //     shaped network — for the interactivity path of Figures 6/7.
 //
-// Examples and command-line tools build exclusively on this package.
+// Every virtual-time grid in the module — the examples, crossbroker,
+// and each gridbench experiment driver — is a SystemConfig literal
+// built by NewSystem; NewSites is the one function that loops over
+// site.New (DESIGN.md "Grid assembly").
 package core
 
 import (
 	"fmt"
 	"time"
 
+	"crossbroker/internal/batch"
 	"crossbroker/internal/broker"
 	"crossbroker/internal/fairshare"
 	"crossbroker/internal/faultinject"
@@ -28,17 +32,55 @@ import (
 	"crossbroker/internal/trace"
 )
 
-// SiteSpec describes one site of a simulated grid.
+// SiteSpec describes one site of a simulated grid, or — with
+// NameFormat set — a run of Count sites stamped from it, so a
+// 50,000-site grid is one spec, not a 50,000-element literal.
 type SiteSpec struct {
 	// Name is the site name (unique).
 	Name string
+	// NameFormat, when set, makes the spec a run: Count sites, each named
+	// by formatting its index in the grid (earlier specs count), e.g.
+	// "s%02d". Vary, when set, then adjusts the copy for grid index i:
+	// per-site attributes, an elastic backend on every other site.
+	NameFormat string
+	Count      int
+	Vary       func(i int, s *SiteSpec)
 	// Nodes is the worker-node count.
 	Nodes int
-	// WideArea places the site across the WAN instead of the campus
-	// network.
-	WideArea bool
+	// Network is the path between the broker and the site; the zero
+	// value is the campus network.
+	Network netsim.Profile
 	// Attrs optionally overrides the matchmaking attributes.
 	Attrs map[string]any
+	// LRMCycle is the local scheduler's pass interval (site default
+	// when zero).
+	LRMCycle time.Duration
+	// PublishInterval is how often the site republishes its record
+	// (site default when zero).
+	PublishInterval time.Duration
+	// Elastic, when set, swaps the batch queue for an elastic pool.
+	Elastic *batch.ElasticConfig
+}
+
+// IndexSpec describes the information index.
+type IndexSpec struct {
+	// Latency is the one-way latency to the index (default 250 ms; the
+	// paper's index lived in Germany).
+	Latency time.Duration
+	// Shards splits the registry into hash shards (default 1, the
+	// classic monolithic index). Thousands-of-sites grids shard so a
+	// site's publish invalidates only its own shard's snapshot; the
+	// broker then pages discovery shard by shard (see Broker.PageSize
+	// for the page size).
+	Shards int
+	// DeltaLogDepth enables per-shard delta logs of this depth for
+	// delta-subscribed brokers (Broker.Incremental); 0 leaves them off,
+	// so every epoch-advancing poll re-pins a shard snapshot.
+	DeltaLogDepth int
+	// ShardLink puts each shard behind its own network link, charging
+	// subscription answers for what they carry; the zero value keeps
+	// the flat Latency.
+	ShardLink netsim.Profile
 }
 
 // SystemConfig configures a simulated grid.
@@ -46,31 +88,26 @@ type SystemConfig struct {
 	// Sites lists the grid sites; an empty list creates a default
 	// 4-site campus grid with 4 nodes each.
 	Sites []SiteSpec
-	// InfoLatency is the one-way latency to the information index
-	// (default 250 ms, the paper's index lived in Germany).
-	InfoLatency time.Duration
-	// InfoShards splits the information service's registry into hash
-	// shards (default 1, the classic monolithic index). Thousands-of-
-	// sites grids shard so a site's publish invalidates only its own
-	// shard's snapshot; the broker then pages discovery shard by shard
-	// (see Broker.PageSize for the page size).
-	InfoShards int
+	// Index describes the information index.
+	Index IndexSpec
 	// Seed drives randomized selection.
 	Seed int64
 	// Trace enables system-wide event tracing: NewSystem creates one
 	// trace.Tracer on the simulation clock and threads it through
-	// every component — broker, sites, glide-in agents and (via
-	// NewFaultInjector) fault injection — so a whole run exports as
-	// one timeline, exposed as System.Tracer. Pass System.Tracer as
-	// SessionConfig.Trace to interleave a console session's events.
-	// Supplying Broker.Trace directly also works; System.Tracer then
-	// aliases it.
+	// every component — broker, sites, glide-in agents, the index's
+	// delta logs and (via NewFaultInjector) fault injection — so a
+	// whole run exports as one timeline, exposed as System.Tracer.
+	// Pass System.Tracer as SessionConfig.Trace to interleave a console
+	// session's events. Supplying Broker.Trace directly also works;
+	// System.Tracer then aliases it.
 	Trace bool
-	// Broker optionally tunes the broker beyond defaults; Sim, Info
-	// and Fair are filled in by NewSystem.
+	// Broker optionally tunes the broker beyond defaults; Sim, Info,
+	// Fair and Seed are filled in by NewSystem.
 	Broker broker.Config
-	// FairShare tunes the priority scheme (zero values use defaults).
-	FairShare fairshare.Config
+	// FairShare enables fair-share accounting with the given tuning
+	// (zero values use defaults); nil builds a grid with no manager and
+	// no accounting tick.
+	FairShare *fairshare.Config
 }
 
 // System is an assembled virtual-time grid.
@@ -79,7 +116,8 @@ type System struct {
 	Sim *simclock.Sim
 	// Info is the information service.
 	Info *infosys.Service
-	// Fair is the fair-share manager (already started).
+	// Fair is the fair-share manager (already started); nil when the
+	// grid was configured without one.
 	Fair *fairshare.Manager
 	// Broker is the CrossBroker.
 	Broker *broker.Broker
@@ -90,62 +128,114 @@ type System struct {
 	Tracer *trace.Tracer
 }
 
-// NewSystem builds a grid per cfg.
+// NewSystem builds a grid per cfg. The construction order is part of
+// the contract — simulation clock, index, fair share (started), tracer,
+// broker, then each site in specification order, registered as soon as
+// it exists — because it fixes the (timestamp, seq) of every start-up
+// event, and with it every fixed-seed trace.
 func NewSystem(cfg SystemConfig) *System {
 	if len(cfg.Sites) == 0 {
-		for i := 0; i < 4; i++ {
-			cfg.Sites = append(cfg.Sites, SiteSpec{Name: fmt.Sprintf("site%02d", i), Nodes: 4})
-		}
-	}
-	if cfg.InfoLatency <= 0 {
-		cfg.InfoLatency = 250 * time.Millisecond
+		cfg.Sites = []SiteSpec{{NameFormat: "site%02d", Count: 4, Nodes: 4}}
 	}
 	sim := simclock.NewSim(time.Time{})
-	info := infosys.NewSharded(sim, cfg.InfoLatency, cfg.InfoShards)
-	fair := fairshare.New(sim, cfg.FairShare)
-	fair.Start()
+	sys := &System{Sim: sim, Info: NewIndex(sim, cfg.Index)}
 
 	bcfg := cfg.Broker
-	bcfg.Sim = sim
-	bcfg.Info = info
-	bcfg.Fair = fair
-	bcfg.Seed = cfg.Seed
+	if cfg.FairShare != nil {
+		sys.Fair = fairshare.New(sim, *cfg.FairShare)
+		sys.Fair.Start()
+		bcfg.Fair = sys.Fair
+	}
 	if cfg.Trace && bcfg.Trace == nil {
 		bcfg.Trace = trace.New(sim.Now)
 	}
-	b := broker.New(bcfg)
-
-	sys := &System{Sim: sim, Info: info, Fair: fair, Broker: b, Tracer: bcfg.Trace}
-	for _, spec := range cfg.Sites {
-		profile := netsim.CampusGrid()
-		if spec.WideArea {
-			profile = netsim.WideArea()
-		}
-		st := site.New(sim, site.Config{
-			Name:    spec.Name,
-			Nodes:   spec.Nodes,
-			Network: profile,
-			Costs:   site.DefaultCosts(),
-			Attrs:   spec.Attrs,
-		})
-		b.RegisterSite(st)
-		sys.Sites = append(sys.Sites, st)
-	}
+	sys.Tracer = bcfg.Trace
+	// The index's tracer records delta-log publishes only; an index
+	// without delta logs never emits.
+	sys.Info.SetTracer(sys.Tracer)
+	bcfg.Sim = sim
+	bcfg.Info = sys.Info
+	bcfg.Seed = cfg.Seed
+	sys.Broker = broker.New(bcfg)
+	sys.Sites = NewSites(sim, cfg.Sites, sys.Broker.RegisterSite)
 	return sys
+}
+
+// NewIndex builds an information index on sim.
+func NewIndex(sim *simclock.Sim, spec IndexSpec) *infosys.Service {
+	if spec.Latency <= 0 {
+		spec.Latency = 250 * time.Millisecond
+	}
+	info := infosys.NewSharded(sim, spec.Latency, spec.Shards)
+	if spec.DeltaLogDepth > 0 {
+		info.SetDeltaLog(spec.DeltaLogDepth)
+	}
+	if spec.ShardLink != (netsim.Profile{}) {
+		info.SetShardLink(spec.ShardLink)
+	}
+	return info
+}
+
+// NewSites builds the sites specs describe, in order, handing each to
+// register (a broker's RegisterSite; nil to register later) before the
+// next is built. It is the only place outside benchmark/ that loops
+// over site.New.
+func NewSites(sim *simclock.Sim, specs []SiteSpec, register func(*site.Site)) []*site.Site {
+	var out []*site.Site
+	for _, spec := range specs {
+		run, n := spec.NameFormat != "", 1
+		if run {
+			n = spec.Count
+		}
+		for ; n > 0; n-- {
+			s := spec
+			if run {
+				s.Name = fmt.Sprintf(spec.NameFormat, len(out))
+				if spec.Vary != nil {
+					spec.Vary(len(out), &s)
+				}
+			}
+			if s.Network == (netsim.Profile{}) {
+				s.Network = netsim.CampusGrid()
+			}
+			st := site.New(sim, site.Config{
+				Name:            s.Name,
+				Nodes:           s.Nodes,
+				Network:         s.Network,
+				Costs:           site.DefaultCosts(),
+				Attrs:           s.Attrs,
+				LRMCycle:        s.LRMCycle,
+				PublishInterval: s.PublishInterval,
+				Elastic:         s.Elastic,
+			})
+			if register != nil {
+				register(st)
+			}
+			out = append(out, st)
+		}
+	}
+	return out
 }
 
 // NewFaultInjector builds a fault injector wired to the whole system:
 // every site, the information service (partitions), the broker's agent
 // registry (agent kills) and the system tracer. Call inj.Start with a
 // schedule to begin injecting; the injected faults land on the same
-// timeline as the broker's and sites' events.
+// timeline as the broker's and sites' events. A multi-broker grid
+// assembles a System of its shared parts (clock, sites, fault tracer),
+// leaves Info and Broker nil, and registers its own partition and
+// broker-fault hooks on the result.
 func (s *System) NewFaultInjector(seed int64) *faultinject.Injector {
 	inj := faultinject.New(s.Sim, seed)
 	for _, st := range s.Sites {
 		inj.AddSite(st)
 	}
-	inj.SetInfosys(s.Info)
-	inj.SetAgentKiller(s.Broker)
+	if s.Info != nil {
+		inj.SetInfosys(s.Info)
+	}
+	if s.Broker != nil {
+		inj.SetAgentKiller(s.Broker)
+	}
 	inj.SetTracer(s.Tracer)
 	return inj
 }
@@ -168,12 +258,32 @@ func (s *System) Submit(req broker.Request) (*broker.Handle, error) {
 // Run advances the simulation by d.
 func (s *System) Run(d time.Duration) { s.Sim.RunFor(d) }
 
+// Job is a submission whose lifecycle state can be polled: a
+// *broker.Handle, or a federation's *JobRef.
+type Job interface{ State() broker.State }
+
+// Drain advances the simulation in step-sized chunks until every job
+// is Done or Failed, checking before each chunk and once more after
+// the last of at most rounds chunks, and returns the jobs still not
+// terminal. (A function rather than a System method only because Go
+// methods cannot take type parameters.)
+func Drain[J Job](s *System, jobs []J, step time.Duration, rounds int) (pending []J) {
+	for spent := 0; ; spent++ {
+		pending = pending[:0]
+		for _, j := range jobs {
+			if st := j.State(); st != broker.Done && st != broker.Failed {
+				pending = append(pending, j)
+			}
+		}
+		if allTerminal := len(pending) == 0; allTerminal || spent >= rounds {
+			return pending
+		}
+		s.Sim.RunFor(step)
+	}
+}
+
 // RunUntilDone advances the simulation until the handle completes or
 // maxSim elapses, reporting whether it completed.
 func (s *System) RunUntilDone(h *broker.Handle, maxSim time.Duration) bool {
-	deadline := s.Sim.Now().Add(maxSim)
-	for !h.Done.Fired() && s.Sim.Now().Before(deadline) {
-		s.Sim.RunFor(time.Second)
-	}
-	return h.Done.Fired()
+	return len(Drain(s, []*broker.Handle{h}, time.Second, int(maxSim/time.Second))) == 0
 }

@@ -6,15 +6,22 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"crossbroker/internal/batch"
 	"crossbroker/internal/broker"
 	"crossbroker/internal/console"
+	"crossbroker/internal/fairshare"
+	"crossbroker/internal/infosys"
 	"crossbroker/internal/interpose"
 	"crossbroker/internal/jdl"
+	"crossbroker/internal/netsim"
+	"crossbroker/internal/simclock"
+	"crossbroker/internal/site"
 )
 
 func TestSystemDefaultGrid(t *testing.T) {
@@ -28,7 +35,7 @@ func TestSystemDefaultGrid(t *testing.T) {
 }
 
 func TestSystemSubmitJDLBatch(t *testing.T) {
-	sys := NewSystem(SystemConfig{})
+	sys := NewSystem(SystemConfig{FairShare: &fairshare.Config{}})
 	h, err := sys.SubmitJDL(`
 Executable = "simulation";
 JobType    = "batch";
@@ -356,5 +363,172 @@ StreamingMode = "reliable";
 	}
 	if n := sys.Sites[0].Queue().RunningCount(); n != 0 {
 		t.Fatalf("%d jobs still running at the site", n)
+	}
+}
+
+// handBuilt assembles the grid every experiment driver used to write
+// out by hand: the reference NewSystem must stay indistinguishable
+// from, event for event.
+func handBuilt(n int) (*simclock.Sim, []*site.Site) {
+	sim := simclock.NewSim(time.Time{})
+	info := infosys.New(sim, 250*time.Millisecond)
+	b := broker.New(broker.Config{Sim: sim, Info: info, Seed: 3})
+	var sites []*site.Site
+	for i := 0; i < n; i++ {
+		st := site.New(sim, site.Config{
+			Name:     fmt.Sprintf("s%02d", i),
+			Nodes:    2,
+			Network:  netsim.WideArea(),
+			Costs:    site.DefaultCosts(),
+			LRMCycle: 2 * time.Second,
+			Attrs:    map[string]any{"OS": "linux", "MemoryMB": 512 + i},
+		})
+		b.RegisterSite(st)
+		sites = append(sites, st)
+	}
+	return sim, sites
+}
+
+func uniformSpec(n int) SystemConfig {
+	return SystemConfig{
+		Seed: 3,
+		Sites: []SiteSpec{{
+			NameFormat: "s%02d", Count: n, Nodes: 2, Network: netsim.WideArea(), LRMCycle: 2 * time.Second,
+			Vary: func(i int, s *SiteSpec) {
+				s.Attrs = map[string]any{"OS": "linux", "MemoryMB": 512 + i}
+			},
+		}},
+	}
+}
+
+// A spec without fair share builds no manager and schedules no
+// accounting tick: the clock holds exactly the events of the hand-built
+// grid, and asking for fair share adds exactly the ticker.
+func TestSystemWithoutFairShare(t *testing.T) {
+	hand, _ := handBuilt(5)
+	sys := NewSystem(uniformSpec(5))
+	if sys.Fair != nil {
+		t.Fatal("a spec without FairShare built a manager")
+	}
+	if got, want := sys.Sim.Pending(), hand.Pending(); got != want {
+		t.Fatalf("%d events pending after construction, the hand-built grid has %d", got, want)
+	}
+	spec := uniformSpec(5)
+	spec.FairShare = &fairshare.Config{}
+	fair := NewSystem(spec)
+	if fair.Fair == nil {
+		t.Fatal("FairShare set, no manager")
+	}
+	if got, want := fair.Sim.Pending(), hand.Pending()+1; got != want {
+		t.Fatalf("%d events pending with fair share, want the grid's %d plus one tick", got, want)
+	}
+}
+
+// A run expands to the records the loop it replaces built, name for
+// name and attribute for attribute, in the same order; it numbers on
+// from the specs before it, and a run of zero sites builds none.
+func TestUniformSitesMatchLoop(t *testing.T) {
+	_, want := handBuilt(12)
+	sys := NewSystem(uniformSpec(12))
+	if len(sys.Sites) != len(want) {
+		t.Fatalf("%d sites, want %d", len(sys.Sites), len(want))
+	}
+	for i, st := range sys.Sites {
+		if got, want := st.Record(), want[i].Record(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("site %d record = %+v, want %+v", i, got, want)
+		}
+		if st.Network() != netsim.WideArea() {
+			t.Fatalf("site %d network = %v", i, st.Network().Name)
+		}
+	}
+
+	mixed := NewSystem(SystemConfig{
+		Sites: []SiteSpec{{Name: "exec", Nodes: 4}, {NameFormat: "eu%02d", Count: 2, Nodes: 1}, {NameFormat: "none%d"}},
+	})
+	var names []string
+	for _, st := range mixed.Sites {
+		names = append(names, st.Name())
+	}
+	if want := []string{"exec", "eu01", "eu02"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("names = %v, want %v", names, want)
+	}
+	if p := mixed.Sites[0].Network(); p != netsim.CampusGrid() {
+		t.Fatalf("zero Network built a %q site, want campus", p.Name)
+	}
+}
+
+// The elastic, delta-log, shard and shard-link fields reach the site
+// and the index they describe.
+func TestSpecReachesSiteAndIndex(t *testing.T) {
+	sys := NewSystem(SystemConfig{
+		Index: IndexSpec{Shards: 4, DeltaLogDepth: 64, ShardLink: netsim.WideArea()},
+		Sites: []SiteSpec{
+			{Name: "fixed", Nodes: 2, PublishInterval: time.Hour},
+			{Name: "cloud", Elastic: &batch.ElasticConfig{MaxNodes: 3, ColdStart: 45 * time.Second}},
+		},
+	})
+	if got := sys.Info.ShardCount(); got != 4 {
+		t.Fatalf("ShardCount = %d, want 4", got)
+	}
+	if got := sys.Info.DeltaLogDepth(); got != 64 {
+		t.Fatalf("DeltaLogDepth = %d, want 64", got)
+	}
+	link := netsim.WideArea()
+	if got, want := sys.Info.SubscribeImmediate(0, 0).Cost, link.RTT(); got < want {
+		t.Fatalf("subscription answer cost %v, below the shard link's %v round trip", got, want)
+	}
+	if flat := NewSystem(SystemConfig{}).Info; flat.SubscribeImmediate(0, 0).Cost != flat.QueryLatency() {
+		t.Fatal("an index without a shard link did not charge the flat latency")
+	}
+	if k := sys.Sites[0].Backend().Kind; k != batch.BackendBatch {
+		t.Fatalf("fixed site backend = %q", k)
+	}
+	if k := sys.Sites[1].Backend().Kind; k != batch.BackendElastic {
+		t.Fatalf("elastic site backend = %q", k)
+	}
+	if got := sys.Sites[1].Record().TotalCPUs; got != 3 {
+		t.Fatalf("elastic site publishes %d CPUs, want MaxNodes 3", got)
+	}
+	// The hourly publisher's record is still its registration push
+	// after half an hour; the default two-minute one has moved on.
+	start := sys.Sim.Now()
+	sys.Run(30 * time.Minute)
+	for _, rec := range sys.Info.SnapshotImmediate().Records() {
+		if fresh := rec.UpdatedAt.After(start); fresh != (rec.Name == "cloud") {
+			t.Fatalf("%s last published at %v (start %v): PublishInterval not applied", rec.Name, rec.UpdatedAt, start)
+		}
+	}
+}
+
+type fakeJob struct{ state broker.State }
+
+func (j *fakeJob) State() broker.State { return j.state }
+
+// Drain stops at the first check that finds every job terminal, and
+// when its budget runs out reports the jobs that are not.
+func TestDrain(t *testing.T) {
+	sys := NewSystem(SystemConfig{})
+	a, b := &fakeJob{broker.Running}, &fakeJob{broker.Running}
+	sys.Sim.AfterFunc(20*time.Minute, func() { a.state = broker.Done })
+	sys.Sim.AfterFunc(40*time.Minute, func() { b.state = broker.Failed })
+	start := sys.Sim.Now()
+	if left := Drain(sys, []*fakeJob{a, b}, 15*time.Minute, 8); len(left) != 0 {
+		t.Fatalf("%d jobs left", len(left))
+	}
+	if got := sys.Sim.Since(start); got != 45*time.Minute {
+		t.Fatalf("drained for %v, want to stop at the first all-terminal check (45m)", got)
+	}
+	if left := Drain(sys, []*fakeJob{a, b}, 15*time.Minute, 8); len(left) != 0 || sys.Sim.Since(start) != 45*time.Minute {
+		t.Fatal("a drained grid was advanced again")
+	}
+
+	c := &fakeJob{broker.Pending}
+	start = sys.Sim.Now()
+	left := Drain(sys, []*fakeJob{a, c, b}, 15*time.Minute, 3)
+	if len(left) != 1 || left[0] != c {
+		t.Fatalf("left = %v, want the one pending job", left)
+	}
+	if got := sys.Sim.Since(start); got != 45*time.Minute {
+		t.Fatalf("budget of 3 rounds ran %v", got)
 	}
 }

@@ -21,9 +21,9 @@ import (
 // timeline that round-trips and passes the trace checker.
 func TestSystemUnifiedTrace(t *testing.T) {
 	sys := NewSystem(SystemConfig{
-		Trace:      true,
-		InfoShards: 3,
-		Seed:       7,
+		Trace: true,
+		Index: IndexSpec{Shards: 3},
+		Seed:  7,
 	})
 	if sys.Tracer == nil {
 		t.Fatal("Trace: true produced no tracer")

@@ -7,13 +7,12 @@ import (
 
 	"crossbroker/internal/baseline"
 	"crossbroker/internal/broker"
+	"crossbroker/internal/core"
 	"crossbroker/internal/fairshare"
-	"crossbroker/internal/infosys"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/metrics"
 	"crossbroker/internal/netsim"
 	"crossbroker/internal/simclock"
-	"crossbroker/internal/site"
 )
 
 // BlockSizeSweep quantifies the paper's explanation for why the
@@ -82,21 +81,18 @@ func LeaseSweep(leases []time.Duration, jobs, sitesN int, seed int64) ([]LeaseSw
 	}
 	return runCells(len(leases), 0, func(i int) (LeaseSweepResult, error) {
 		lease := leases[i]
-		sim := simclock.NewSim(time.Time{})
-		info := infosys.New(sim, 250*time.Millisecond)
-		cfg := broker.Config{Sim: sim, Info: info, Seed: seed, QueueTimeout: 5 * time.Second}
-		if lease > 0 {
-			cfg.LeaseDuration = lease
-		} else {
+		cfg := broker.Config{QueueTimeout: 5 * time.Second, LeaseDuration: lease}
+		if lease <= 0 {
 			cfg.LeaseDuration = time.Nanosecond // effectively no lease
 		}
-		b := broker.New(cfg)
-		for i := 0; i < sitesN; i++ {
-			b.RegisterSite(site.New(sim, site.Config{
-				Name: fmt.Sprintf("s%02d", i), Nodes: 1,
-				Network: netsim.CampusGrid(), Costs: site.DefaultCosts(), LRMCycle: 2 * time.Second,
-			}))
-		}
+		sys := core.NewSystem(core.SystemConfig{
+			Seed:   seed,
+			Broker: cfg,
+			Sites: []core.SiteSpec{{
+				NameFormat: "s%02d", Count: sitesN, Nodes: 1, LRMCycle: 2 * time.Second,
+			}},
+		})
+		sim, b := sys.Sim, sys.Broker
 		// Stagger submissions by half a second: a later job's
 		// matchmaking runs inside the window where an earlier job has
 		// been matched but has not yet reached its site's LRM — the
@@ -154,22 +150,18 @@ func SelectionPolicy(jobs, sitesN int) ([]SelectionPolicyResult, error) {
 		if randomized {
 			name = "randomized"
 		}
-		sim := simclock.NewSim(time.Time{})
-		info := infosys.New(sim, 250*time.Millisecond)
-		cfg := broker.Config{Sim: sim, Info: info, QueueTimeout: 5 * time.Second,
-			LeaseDuration: time.Nanosecond}
+		spec := core.SystemConfig{
+			Broker: broker.Config{QueueTimeout: 5 * time.Second, LeaseDuration: time.Nanosecond,
+				Deterministic: !randomized},
+			Sites: []core.SiteSpec{{
+				NameFormat: "s%02d", Count: sitesN, Nodes: 2, LRMCycle: 2 * time.Second,
+			}},
+		}
 		if randomized {
-			cfg.Seed = 42
-		} else {
-			cfg.Deterministic = true
+			spec.Seed = 42
 		}
-		b := broker.New(cfg)
-		for i := 0; i < sitesN; i++ {
-			b.RegisterSite(site.New(sim, site.Config{
-				Name: fmt.Sprintf("s%02d", i), Nodes: 2,
-				Network: netsim.CampusGrid(), Costs: site.DefaultCosts(), LRMCycle: 2 * time.Second,
-			}))
-		}
+		sys := core.NewSystem(spec)
+		sim, b := sys.Sim, sys.Broker
 		var handles []*broker.Handle
 		for j := 0; j < jobs; j++ {
 			h, err := b.Submit(broker.Request{
@@ -263,13 +255,12 @@ func DegreeSweep(degrees []int, jobs int) ([]DegreeSweepResult, error) {
 	}
 	return runCells(len(degrees), 0, func(i int) (DegreeSweepResult, error) {
 		degree := degrees[i]
-		sim := simclock.NewSim(time.Time{})
-		info := infosys.New(sim, 100*time.Millisecond)
-		b := broker.New(broker.Config{Sim: sim, Info: info, AgentDegree: degree})
-		b.RegisterSite(site.New(sim, site.Config{
-			Name: "node", Nodes: 1,
-			Network: netsim.CampusGrid(), Costs: site.DefaultCosts(), LRMCycle: time.Second,
-		}))
+		sys := core.NewSystem(core.SystemConfig{
+			Index:  core.IndexSpec{Latency: 100 * time.Millisecond},
+			Broker: broker.Config{AgentDegree: degree},
+			Sites:  []core.SiteSpec{{Name: "node", Nodes: 1, LRMCycle: time.Second}},
+		})
+		sim, b := sys.Sim, sys.Broker
 
 		burst := metrics.NewSeries("burst")
 		var handles []*broker.Handle

@@ -7,13 +7,10 @@ import (
 
 	"crossbroker/internal/batch"
 	"crossbroker/internal/broker"
+	"crossbroker/internal/core"
 	"crossbroker/internal/faultinject"
-	"crossbroker/internal/infosys"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/metrics"
-	"crossbroker/internal/netsim"
-	"crossbroker/internal/simclock"
-	"crossbroker/internal/site"
 	"crossbroker/internal/trace"
 )
 
@@ -152,68 +149,41 @@ func ChaosSweep(cfg ChaosConfig) ([]ChaosPoint, error) {
 
 func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
 	p := ChaosPoint{CrashRate: rate, Delta: cfg.Delta, Elastic: cfg.Elastic}
-	sim := simclock.NewSim(time.Time{})
-	var tr *trace.Tracer
-	if cfg.Traced {
-		tr = trace.New(sim.Now)
+	// Recovery knobs: bounded resubmission with capped exponential
+	// backoff and heartbeat monitoring, plus circuit-breaker quarantine.
+	bcfg := RecoveryConfig()
+	bcfg.QuarantineThreshold = 3
+	bcfg.QuarantineCooldown = 5 * time.Minute
+	bcfg.Incremental = cfg.Delta
+	grid := core.SystemConfig{
+		Seed:   cfg.Seed + idx,
+		Trace:  cfg.Traced,
+		Broker: bcfg,
+		Sites: []core.SiteSpec{{
+			NameFormat: "s%02d", Count: cfg.Sites, Nodes: cfg.NodesPerSite, LRMCycle: 2 * time.Second,
+			Vary: func(i int, s *core.SiteSpec) {
+				if cfg.Elastic && i%2 == 1 {
+					s.Elastic = &batch.ElasticConfig{
+						MaxNodes:        cfg.NodesPerSite,
+						ColdStart:       45 * time.Second,
+						ColdStartJitter: 15 * time.Second,
+						WarmWindow:      5 * time.Minute,
+						Seed:            cfg.Seed + idx + int64(i),
+					}
+				}
+			},
+		}},
 	}
-	var info *infosys.Service
 	if cfg.Delta {
-		info = infosys.NewSharded(sim, 250*time.Millisecond, 4)
-		info.SetDeltaLog(64)
-		info.SetTracer(tr)
-	} else {
-		info = infosys.New(sim, 250*time.Millisecond)
+		grid.Index = core.IndexSpec{Shards: 4, DeltaLogDepth: 64}
 	}
-	b := broker.New(broker.Config{
-		Sim:         sim,
-		Info:        info,
-		Trace:       tr,
-		Seed:        cfg.Seed + idx,
-		Incremental: cfg.Delta,
-		// Recovery knobs: bounded resubmission with capped exponential
-		// backoff, circuit-breaker quarantine, heartbeat monitoring.
-		MaxResubmits:        10,
-		RetryInterval:       15 * time.Second,
-		RetryBackoff:        2,
-		RetryMaxInterval:    4 * time.Minute,
-		QuarantineThreshold: 3,
-		QuarantineCooldown:  5 * time.Minute,
-		AgentHeartbeat:      10 * time.Second,
-	})
-	var sites []*site.Site
-	for i := 0; i < cfg.Sites; i++ {
-		sc := site.Config{
-			Name:     fmt.Sprintf("s%02d", i),
-			Nodes:    cfg.NodesPerSite,
-			Network:  netsim.CampusGrid(),
-			Costs:    site.DefaultCosts(),
-			LRMCycle: 2 * time.Second,
-		}
-		if cfg.Elastic && i%2 == 1 {
-			sc.Elastic = &batch.ElasticConfig{
-				MaxNodes:        cfg.NodesPerSite,
-				ColdStart:       45 * time.Second,
-				ColdStartJitter: 15 * time.Second,
-				WarmWindow:      5 * time.Minute,
-				Seed:            cfg.Seed + idx + int64(i),
-			}
-		}
-		st := site.New(sim, sc)
-		b.RegisterSite(st)
-		sites = append(sites, st)
-	}
+	sys := core.NewSystem(grid)
+	sim, b := sys.Sim, sys.Broker
 
 	// The fault layer: site crashes drive the sweep axis; the other
 	// kinds are scaled off the same rate so every recovery path is
 	// exercised together.
-	inj := faultinject.New(sim, cfg.Seed+idx)
-	inj.SetTracer(tr)
-	for _, st := range sites {
-		inj.AddSite(st)
-	}
-	inj.SetInfosys(info)
-	inj.SetAgentKiller(b)
+	inj := sys.NewFaultInjector(cfg.Seed + idx)
 	sched := faultinject.Schedule{
 		Seed:    cfg.Seed + idx,
 		Horizon: cfg.Horizon,
@@ -291,19 +261,7 @@ func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
 	// horizon, crashed sites restart, and every surviving retry either
 	// completes or hits its resubmission cap.
 	sim.RunFor(cfg.Horizon)
-	for drained := 0; drained < 8; drained++ {
-		allTerminal := true
-		for _, h := range handles {
-			if s := h.State(); s != broker.Done && s != broker.Failed {
-				allTerminal = false
-				break
-			}
-		}
-		if allTerminal {
-			break
-		}
-		sim.RunFor(15 * time.Minute)
-	}
+	core.Drain(sys, handles, 15*time.Minute, 8)
 
 	recovery := metrics.NewSeries("recovery")
 	p.Submitted = len(handles)
@@ -326,7 +284,7 @@ func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
 		p.P99RecoverySec = recovery.Summarize().P99
 	}
 	p.LeakedLeases = b.LeasedCPUs()
-	p.Trace = tr.Snapshot(fmt.Sprintf("rate=%g", rate))
+	p.Trace = sys.Tracer.Snapshot(fmt.Sprintf("rate=%g", rate))
 	for _, line := range inj.Applied() {
 		if strings.HasSuffix(line, " injected") {
 			p.Injected++

@@ -7,13 +7,11 @@ import (
 	"time"
 
 	"crossbroker/internal/broker"
+	"crossbroker/internal/core"
 	"crossbroker/internal/datacat"
-	"crossbroker/internal/infosys"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/metrics"
 	"crossbroker/internal/netsim"
-	"crossbroker/internal/simclock"
-	"crossbroker/internal/site"
 )
 
 // DataAwareSweep measures what transfer-cost ranking buys: every cell
@@ -131,7 +129,8 @@ func DataAwareSweep(cfg DataAwareConfig) ([]DataAwarePoint, error) {
 func dataAwarePoint(replicas int, asym bool, idx int64, cfg DataAwareConfig) (DataAwarePoint, error) {
 	p := DataAwarePoint{Replicas: replicas, AsymLinks: asym, Jobs: cfg.Jobs}
 	seed := cfg.Seed + idx
-	siteName := func(i int) string { return fmt.Sprintf("d%02d", i) }
+	const siteNameFormat = "d%02d"
+	siteName := func(i int) string { return fmt.Sprintf(siteNameFormat, i) }
 
 	// The link fabric: campus everywhere, or — asym cells — the
 	// wide-area path between the two halves of the grid.
@@ -169,21 +168,15 @@ func dataAwarePoint(replicas int, asym bool, idx int64, cfg DataAwareConfig) (Da
 	}
 
 	run := func(aware bool) (done int, meanTurn, meanStage, localPct float64, err error) {
-		sim := simclock.NewSim(time.Time{})
-		info := infosys.New(sim, 500*time.Millisecond)
-		b := broker.New(broker.Config{
-			Sim: sim, Info: info, Seed: seed,
-			Data: cat, DataAware: aware,
+		sys := core.NewSystem(core.SystemConfig{
+			Index:  core.IndexSpec{Latency: 500 * time.Millisecond},
+			Seed:   seed,
+			Broker: broker.Config{Data: cat, DataAware: aware},
+			Sites: []core.SiteSpec{{
+				NameFormat: siteNameFormat, Count: cfg.Sites, Nodes: cfg.NodesPerSite, LRMCycle: 2 * time.Second,
+			}},
 		})
-		for i := 0; i < cfg.Sites; i++ {
-			b.RegisterSite(site.New(sim, site.Config{
-				Name:     siteName(i),
-				Nodes:    cfg.NodesPerSite,
-				Network:  netsim.CampusGrid(),
-				Costs:    site.DefaultCosts(),
-				LRMCycle: 2 * time.Second,
-			}))
-		}
+		sim, b := sys.Sim, sys.Broker
 		sim.RunFor(time.Second)
 
 		var handles []*broker.Handle

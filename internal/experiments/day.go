@@ -5,13 +5,10 @@ import (
 	"time"
 
 	"crossbroker/internal/broker"
+	"crossbroker/internal/core"
 	"crossbroker/internal/fairshare"
-	"crossbroker/internal/infosys"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/metrics"
-	"crossbroker/internal/netsim"
-	"crossbroker/internal/simclock"
-	"crossbroker/internal/site"
 	"crossbroker/internal/workload"
 )
 
@@ -72,25 +69,18 @@ func Day(cfg DayConfig) (DayReport, error) {
 	cfg.setDefaults()
 	var rep DayReport
 
-	sim := simclock.NewSim(time.Time{})
-	info := infosys.New(sim, 500*time.Millisecond)
-	bcfg := broker.Config{Sim: sim, Info: info, Seed: cfg.Seed}
-	var fair *fairshare.Manager
+	spec := core.SystemConfig{
+		Index: core.IndexSpec{Latency: 500 * time.Millisecond},
+		Seed:  cfg.Seed,
+		Sites: []core.SiteSpec{{
+			NameFormat: "s%02d", Count: cfg.Sites, Nodes: cfg.NodesPerSite, LRMCycle: 5 * time.Second,
+		}},
+	}
 	if cfg.FairShare {
-		fair = fairshare.New(sim, fairshare.Config{HalfLife: 2 * time.Hour, UpdateInterval: time.Minute})
-		fair.Start()
-		bcfg.Fair = fair
+		spec.FairShare = &fairshare.Config{HalfLife: 2 * time.Hour, UpdateInterval: time.Minute}
 	}
-	b := broker.New(bcfg)
-	for i := 0; i < cfg.Sites; i++ {
-		b.RegisterSite(site.New(sim, site.Config{
-			Name:     fmt.Sprintf("s%02d", i),
-			Nodes:    cfg.NodesPerSite,
-			Network:  netsim.CampusGrid(),
-			Costs:    site.DefaultCosts(),
-			LRMCycle: 5 * time.Second,
-		}))
-	}
+	sys := core.NewSystem(spec)
+	sim, b := sys.Sim, sys.Broker
 
 	arrivals, err := workload.NewPoisson(cfg.ArrivalsPerHour, cfg.Seed)
 	if err != nil {

@@ -31,7 +31,10 @@ func TestPingPongSuiteShapeCampus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean := func(m Method, size int) float64 { return res[m][size].Summarize().Mean }
+	// Medians, not means: one descheduled round on a loaded host moves
+	// a mean of 80 wall-clock samples across a sub-millisecond gap, and
+	// does not move the median. The ordering is Figure 6's either way.
+	median := func(m Method, size int) float64 { return res[m][size].Summarize().P50 }
 
 	// Every cell has the requested rounds.
 	for _, m := range AllMethods() {
@@ -44,21 +47,21 @@ func TestPingPongSuiteShapeCampus(t *testing.T) {
 
 	// Paper shape on the campus grid: fast is the best method.
 	for _, m := range []Method{SSH, Glogin, Reliable} {
-		if mean(Fast, 10) >= mean(m, 10) {
-			t.Errorf("fast (%.6f) not fastest at 10B: %s = %.6f", mean(Fast, 10), m, mean(m, 10))
+		if median(Fast, 10) >= median(m, 10) {
+			t.Errorf("fast (%.6f) not fastest at 10B: %s = %.6f", median(Fast, 10), m, median(m, 10))
 		}
 	}
 	// Reliable is the slowest for small messages (disk write-through
 	// per message)...
-	if !(mean(Reliable, 10) > mean(Fast, 10)) {
+	if !(median(Reliable, 10) > median(Fast, 10)) {
 		t.Errorf("reliable (%.6f) not slower than fast (%.6f) at 10B",
-			mean(Reliable, 10), mean(Fast, 10))
+			median(Reliable, 10), median(Fast, 10))
 	}
 	// ...but beats ssh at 10KB (larger internal buffers vs 512B
 	// packetization).
-	if !(mean(Reliable, 10000) < mean(SSH, 10000)) {
+	if !(median(Reliable, 10000) < median(SSH, 10000)) {
 		t.Errorf("reliable (%.6f) not better than ssh (%.6f) at 10KB on campus",
-			mean(Reliable, 10000), mean(SSH, 10000))
+			median(Reliable, 10000), median(SSH, 10000))
 	}
 
 	out := RenderPingPong("Figure 6 (campus)", res, []int{10, 10000})
@@ -84,17 +87,17 @@ func TestPingPongSuiteShapeWAN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean := func(m Method) float64 { return res[m][10000].Summarize().Mean }
+	median := func(m Method) float64 { return res[m][10000].Summarize().P50 }
 	// Paper: "Glogin does not perform very well ... for large sized
 	// data transfers (10K bytes) in the wide area grid."
-	if !(mean(Glogin) > mean(SSH)) {
-		t.Errorf("glogin (%.6f) not degraded vs ssh (%.6f) at 10KB on WAN", mean(Glogin), mean(SSH))
+	if !(median(Glogin) > median(SSH)) {
+		t.Errorf("glogin (%.6f) not degraded vs ssh (%.6f) at 10KB on WAN", median(Glogin), median(SSH))
 	}
 	// "our reliable method ... similar to ssh in the wide area grid"
 	// for large transfers: within 2.5x of ssh, and faster than glogin.
-	if mean(Reliable) > 2.5*mean(SSH) {
+	if median(Reliable) > 2.5*median(SSH) {
 		t.Errorf("reliable (%.6f) not competitive with ssh (%.6f) at 10KB on WAN",
-			mean(Reliable), mean(SSH))
+			median(Reliable), median(SSH))
 	}
 }
 

@@ -7,12 +7,12 @@ import (
 	"time"
 
 	"crossbroker/internal/broker"
+	"crossbroker/internal/core"
 	"crossbroker/internal/faultinject"
 	"crossbroker/internal/federation"
 	"crossbroker/internal/infosys"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/metrics"
-	"crossbroker/internal/netsim"
 	"crossbroker/internal/simclock"
 	"crossbroker/internal/site"
 	"crossbroker/internal/trace"
@@ -154,49 +154,30 @@ func FederationSweep(cfg FederationConfig) ([]FederationPoint, error) {
 	})
 }
 
-// fedMember is one broker of a federation cell.
-type fedMember struct {
-	name  string
-	b     *broker.Broker
-	tr    *trace.Tracer
-	sites []*site.Site
-}
-
-func newFedMember(sim *simclock.Sim, svc *infosys.Service, fed *federation.Federation,
-	name string, seed int64, shape []int, shared []*site.Site) *fedMember {
-	tr := trace.New(sim.Now)
+// addFedMember adds one broker to a federation cell — its own view of
+// svc, count private sites of nodes nodes each (appended to the cell's
+// shared System), then the sites every member registers — and returns
+// its tracer.
+func addFedMember(sys *core.System, svc *infosys.Service, fed *federation.Federation,
+	name string, seed int64, count, nodes int, shared []*site.Site) *trace.Tracer {
+	tr := trace.New(sys.Sim.Now)
 	v := svc.NewView()
-	b := broker.New(broker.Config{
-		Sim: sim, Name: name, Info: v, Trace: tr, Seed: seed,
-		// The same recovery posture as the single-broker chaos sweep,
-		// plus lease jitter so federated expiries desynchronize.
-		MaxResubmits:        10,
-		RetryInterval:       15 * time.Second,
-		RetryBackoff:        2,
-		RetryMaxInterval:    4 * time.Minute,
-		QuarantineThreshold: 3,
-		QuarantineCooldown:  5 * time.Minute,
-		AgentHeartbeat:      10 * time.Second,
-		LeaseJitter:         0.25,
-	})
-	m := &fedMember{name: name, b: b, tr: tr}
-	for i, nodes := range shape {
-		st := site.New(sim, site.Config{
-			Name:     fmt.Sprintf("%s-s%02d", name, i),
-			Nodes:    nodes,
-			Network:  netsim.CampusGrid(),
-			Costs:    site.DefaultCosts(),
-			LRMCycle: 2 * time.Second,
-		})
-		b.RegisterSite(st)
-		m.sites = append(m.sites, st)
-	}
+	// The same recovery posture as the single-broker chaos sweep,
+	// plus lease jitter so federated expiries desynchronize.
+	bcfg := RecoveryConfig()
+	bcfg.Sim, bcfg.Name, bcfg.Info, bcfg.Trace, bcfg.Seed = sys.Sim, name, v, tr, seed
+	bcfg.QuarantineThreshold = 3
+	bcfg.QuarantineCooldown = 5 * time.Minute
+	bcfg.LeaseJitter = 0.25
+	b := broker.New(bcfg)
+	sys.Sites = append(sys.Sites, core.NewSites(sys.Sim, []core.SiteSpec{
+		{NameFormat: name + "-s%02d", Count: count, Nodes: nodes, LRMCycle: 2 * time.Second},
+	}, b.RegisterSite)...)
 	for _, st := range shared {
 		b.RegisterSite(st)
-		m.sites = append(m.sites, st)
 	}
 	fed.AddNode(federation.NodeConfig{Name: name, Broker: b, View: v, Trace: tr})
-	return m
+	return tr
 }
 
 func federationPoint(topo string, k int, rate float64, idx int64, cfg FederationConfig) (FederationPoint, error) {
@@ -204,53 +185,37 @@ func federationPoint(topo string, k int, rate float64, idx int64, cfg Federation
 	sim := simclock.NewSim(time.Time{})
 	seed := cfg.Seed + idx
 	fed := federation.New(federation.Config{Sim: sim, K: k})
+	// The parts every broker shares — clock, sites, fault tracer — as a
+	// System, for the fault wiring and the drain.
+	sys := &core.System{Sim: sim, Tracer: trace.New(sim.Now)}
 
-	var (
-		mA, mB   *fedMember
-		supTr    *trace.Tracer
-		allSites []*site.Site
-	)
+	var trA, trB, supTr *trace.Tracer
 	switch topo {
 	case "mesh":
 		// One shared grid: each peer has a private site plus one site
 		// both register — the contended-lease arena.
-		svc := infosys.New(sim, 250*time.Millisecond)
-		shared := site.New(sim, site.Config{
-			Name:     "shared-s00",
-			Nodes:    1,
-			Network:  netsim.CampusGrid(),
-			Costs:    site.DefaultCosts(),
-			LRMCycle: 2 * time.Second,
-		})
-		mA = newFedMember(sim, svc, fed, "bA", seed, []int{1}, []*site.Site{shared})
-		mB = newFedMember(sim, svc, fed, "bB", seed+1000, []int{4}, []*site.Site{shared})
+		svc := core.NewIndex(sim, core.IndexSpec{})
+		shared := core.NewSites(sim, []core.SiteSpec{
+			{Name: "shared-s00", Nodes: 1, LRMCycle: 2 * time.Second},
+		}, nil)
+		sys.Sites = append(sys.Sites, shared...)
+		trA = addFedMember(sys, svc, fed, "bA", seed, 1, 1, shared)
+		trB = addFedMember(sys, svc, fed, "bB", seed+1000, 1, 4, shared)
 	case "super":
 		// Disjoint grids joined by a pure relay supervisor.
-		svcA := infosys.New(sim, 250*time.Millisecond)
-		svcB := infosys.New(sim, 250*time.Millisecond)
+		svcA := core.NewIndex(sim, core.IndexSpec{})
+		svcB := core.NewIndex(sim, core.IndexSpec{})
 		supTr = trace.New(sim.Now)
 		fed.AddNode(federation.NodeConfig{Name: "sup", Trace: supTr, Relay: true})
-		mA = newFedMember(sim, svcA, fed, "bA", seed, []int{1, 1}, nil)
-		mB = newFedMember(sim, svcB, fed, "bB", seed+1000, []int{4, 4}, nil)
+		trA = addFedMember(sys, svcA, fed, "bA", seed, 2, 1, nil)
+		trB = addFedMember(sys, svcB, fed, "bB", seed+1000, 2, 4, nil)
 	default:
 		return p, fmt.Errorf("unknown topology %q", topo)
-	}
-	seen := map[*site.Site]bool{}
-	for _, st := range append(append([]*site.Site{}, mA.sites...), mB.sites...) {
-		if !seen[st] {
-			seen[st] = true
-			allSites = append(allSites, st)
-		}
 	}
 
 	// The fault layer: broker crashes and peer-link outages drive the
 	// axis; site crashes and split-brain partitions are scaled off it.
-	fedTr := trace.New(sim.Now)
-	inj := faultinject.New(sim, seed)
-	inj.SetTracer(fedTr)
-	for _, st := range allSites {
-		inj.AddSite(st)
-	}
+	inj := sys.NewFaultInjector(seed)
 	inj.SetInfosys(fed)
 	inj.SetBrokerFaulter(fed, "bA", "bB")
 	inj.Start(faultinject.Schedule{
@@ -299,19 +264,7 @@ func federationPoint(topo string, k int, rate float64, idx int64, cfg Federation
 	// Ride out the fault window, then drain until every job is
 	// terminal somewhere in the federation.
 	sim.RunFor(cfg.Horizon)
-	for drained := 0; drained < 12; drained++ {
-		allTerminal := true
-		for _, jr := range refs {
-			if s := jr.State(); s != broker.Done && s != broker.Failed {
-				allTerminal = false
-				break
-			}
-		}
-		if allTerminal {
-			break
-		}
-		sim.RunFor(15 * time.Minute)
-	}
+	core.Drain(sys, refs, 15*time.Minute, 12)
 	fed.Reconcile()
 
 	p.Submitted = len(refs)
@@ -335,7 +288,7 @@ func federationPoint(topo string, k int, rate float64, idx int64, cfg Federation
 	if p.Submitted > 0 {
 		p.GoodputPct = 100 * float64(p.Done) / float64(p.Submitted)
 	}
-	for _, st := range allSites {
+	for _, st := range sys.Sites {
 		if mi := st.Stats().MaxInflight; mi > p.CommitRaces {
 			p.CommitRaces = mi
 		}
@@ -355,11 +308,11 @@ func federationPoint(topo string, k int, rate float64, idx int64, cfg Federation
 	// The safety contract, checked on the merged multi-broker log: one
 	// lifecycle per job, at most one Started per attempt (no double
 	// allocation), balanced leases, paired transfer events.
-	traces := []trace.Trace{mA.tr.Snapshot("bA"), mB.tr.Snapshot("bB")}
+	traces := []trace.Trace{trA.Snapshot("bA"), trB.Snapshot("bB")}
 	if supTr != nil {
 		traces = append(traces, supTr.Snapshot("sup"))
 	}
-	traces = append(traces, fedTr.Snapshot("faults"))
+	traces = append(traces, sys.Tracer.Snapshot("faults"))
 	mergedTrace := trace.MergeByTime(traces)
 	if vs := trace.CheckComplete(mergedTrace.Events); len(vs) != 0 {
 		return p, fmt.Errorf("merged trace: %d invariant violations, first: %s", len(vs), vs[0])

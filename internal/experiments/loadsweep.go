@@ -5,12 +5,9 @@ import (
 	"time"
 
 	"crossbroker/internal/broker"
-	"crossbroker/internal/infosys"
+	"crossbroker/internal/core"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/metrics"
-	"crossbroker/internal/netsim"
-	"crossbroker/internal/simclock"
-	"crossbroker/internal/site"
 )
 
 // LoadSweep quantifies the paper's central motivation (Sections 1 and
@@ -115,18 +112,13 @@ func LoadSweep(loads []float64, cfg LoadSweepConfig) ([]LoadPoint, error) {
 
 func loadPoint(load float64, mp bool, cfg LoadSweepConfig) (LoadPoint, error) {
 	p := LoadPoint{BatchLoad: load, Multiprogramming: mp}
-	sim := simclock.NewSim(time.Time{})
-	info := infosys.New(sim, 250*time.Millisecond)
-	b := broker.New(broker.Config{Sim: sim, Info: info, Seed: cfg.Seed})
-	for i := 0; i < cfg.Sites; i++ {
-		b.RegisterSite(site.New(sim, site.Config{
-			Name:     fmt.Sprintf("s%02d", i),
-			Nodes:    cfg.NodesPerSite,
-			Network:  netsim.CampusGrid(),
-			Costs:    site.DefaultCosts(),
-			LRMCycle: 2 * time.Second,
-		}))
-	}
+	sys := core.NewSystem(core.SystemConfig{
+		Seed: cfg.Seed,
+		Sites: []core.SiteSpec{{
+			NameFormat: "s%02d", Count: cfg.Sites, Nodes: cfg.NodesPerSite, LRMCycle: 2 * time.Second,
+		}},
+	})
+	sim, b := sys.Sim, sys.Broker
 
 	// Occupy the grid with batch jobs (each holds one node via its
 	// agent), staggered so matchmaking sees prior placements. Each

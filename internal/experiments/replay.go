@@ -5,12 +5,9 @@ import (
 	"time"
 
 	"crossbroker/internal/broker"
-	"crossbroker/internal/infosys"
+	"crossbroker/internal/core"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/metrics"
-	"crossbroker/internal/netsim"
-	"crossbroker/internal/simclock"
-	"crossbroker/internal/site"
 	"crossbroker/internal/trace"
 	"crossbroker/internal/workload"
 )
@@ -130,6 +127,18 @@ func ReplaySweep(cfg ReplayConfig) ([]ReplayPoint, error) {
 	})
 }
 
+// RecoveryConfig is the bounded-recovery broker posture the replay,
+// chaos and federation sweeps share: capped resubmission with
+// exponential backoff and heartbeat monitoring, so every job reaches a
+// terminal state even when the workload overloads the grid or faults
+// keep hitting it. Callers set their own fields on the returned value.
+func RecoveryConfig() broker.Config {
+	return broker.Config{
+		MaxResubmits: 10, AgentHeartbeat: 10 * time.Second,
+		RetryInterval: 15 * time.Second, RetryBackoff: 2, RetryMaxInterval: 4 * time.Minute,
+	}
+}
+
 func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, error) {
 	p := ReplayPoint{Speedup: speedup}
 	stream, err := cfg.Source(speedup)
@@ -138,35 +147,18 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 	}
 	defer stream.Close()
 
-	sim := simclock.NewSim(time.Time{})
-	info := infosys.New(sim, 500*time.Millisecond)
-	var tr *trace.Tracer
-	if cfg.Traced {
-		tr = trace.New(sim.Now)
-	}
-	b := broker.New(broker.Config{
-		Sim:   sim,
-		Info:  info,
-		Trace: tr,
-		Seed:  cfg.Seed + idx,
-		// Bounded recovery so every replayed job reaches a terminal
-		// state even if the trace overloads the grid.
-		MaxResubmits:     10,
-		RetryInterval:    15 * time.Second,
-		RetryBackoff:     2,
-		RetryMaxInterval: 4 * time.Minute,
-		AgentHeartbeat:   10 * time.Second,
-		TopK:             cfg.TopK,
+	bcfg := RecoveryConfig()
+	bcfg.TopK = cfg.TopK
+	sys := core.NewSystem(core.SystemConfig{
+		Index:  core.IndexSpec{Latency: 500 * time.Millisecond},
+		Seed:   cfg.Seed + idx,
+		Trace:  cfg.Traced,
+		Broker: bcfg,
+		Sites: []core.SiteSpec{{
+			NameFormat: "s%02d", Count: cfg.Sites, Nodes: cfg.NodesPerSite, LRMCycle: 5 * time.Second,
+		}},
 	})
-	for i := 0; i < cfg.Sites; i++ {
-		b.RegisterSite(site.New(sim, site.Config{
-			Name:     fmt.Sprintf("s%02d", i),
-			Nodes:    cfg.NodesPerSite,
-			Network:  netsim.CampusGrid(),
-			Costs:    site.DefaultCosts(),
-			LRMCycle: 5 * time.Second,
-		}))
-	}
+	sim, b := sys.Sim, sys.Broker
 
 	var (
 		submitErr  error
@@ -316,7 +308,7 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 		s := turnaround.Summarize()
 		p.MeanTurnaroundH, p.P95TurnaroundH = s.Mean/3600, s.P95/3600
 	}
-	p.Trace = tr.Snapshot(fmt.Sprintf("speedup=%g", speedup))
+	p.Trace = sys.Tracer.Snapshot(fmt.Sprintf("speedup=%g", speedup))
 	return p, nil
 }
 

@@ -7,12 +7,11 @@ import (
 	"time"
 
 	"crossbroker/internal/broker"
+	"crossbroker/internal/core"
 	"crossbroker/internal/infosys"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/metrics"
 	"crossbroker/internal/netsim"
-	"crossbroker/internal/simclock"
-	"crossbroker/internal/site"
 )
 
 // ScaleConfig parametrizes the information-system scaling sweep: how
@@ -227,48 +226,38 @@ func scaleCell(cfg ScaleConfig, job *jdl.Job, spec scaleSpec) (ScalePoint, error
 	// The snapshot cell is the unbounded baseline: one shard, every
 	// match kept (TopK 0).
 	pt := ScalePoint{Sites: n, Mode: spec.mode, Shards: 1, PageSize: cfg.PageSize, Churn: spec.churn}
-	bcfg := broker.Config{Seed: cfg.Seed, PageSize: cfg.PageSize}
-	shards := 1
-	delta := false
-	switch spec.mode {
-	case "paged":
-		pt.Shards, pt.TopK = cfg.Shards, cfg.TopK
-		bcfg.TopK = cfg.TopK
-		shards = cfg.Shards
-	case "delta", "repin":
-		pt.Shards, pt.TopK = cfg.Shards, cfg.TopK
-		bcfg.TopK, bcfg.Incremental = cfg.TopK, true
-		shards = cfg.Shards
-		delta = true
-		if spec.mode == "delta" {
-			pt.DeltaDepth = cfg.DeltaLogDepth
-		}
-	}
-
-	sim := simclock.NewSim(time.Time{})
-	bcfg.Sim = sim
-	info := infosys.NewSharded(sim, 500*time.Millisecond, shards)
-	if delta {
-		// Each shard publishes over its own wide-area link; the repin
-		// cells disable the log so every epoch-advancing poll pays a
-		// full shard re-pin instead of a delta replay.
-		info.SetDeltaLog(pt.DeltaDepth)
-		info.SetShardLink(netsim.WideArea())
-	}
-	bcfg.Info = info
-	b := broker.New(bcfg)
-	for i := 0; i < n; i++ {
-		b.RegisterSite(site.New(sim, site.Config{
-			Name:    fmt.Sprintf("site%04d", i),
-			Nodes:   4,
-			Network: netsim.WideArea(),
-			Costs:   site.DefaultCosts(),
+	grid := core.SystemConfig{
+		Index:  core.IndexSpec{Latency: 500 * time.Millisecond, Shards: 1},
+		Seed:   cfg.Seed,
+		Broker: broker.Config{PageSize: cfg.PageSize},
+		Sites: []core.SiteSpec{{
+			NameFormat: "site%04d", Count: n, Nodes: 4, Network: netsim.WideArea(),
 			// Keep republish events out of the measured passes; churn
 			// is applied explicitly between passes instead.
 			PublishInterval: 10000 * time.Hour,
-			Attrs:           map[string]any{"Arch": "x86_64", "OS": "linux", "MemoryMB": 512 + i%1024},
-		}))
+			Vary: func(i int, s *core.SiteSpec) {
+				s.Attrs = map[string]any{"Arch": "x86_64", "OS": "linux", "MemoryMB": 512 + i%1024}
+			},
+		}},
 	}
+	if spec.mode != "snapshot" {
+		pt.Shards, pt.TopK = cfg.Shards, cfg.TopK
+		grid.Broker.TopK = cfg.TopK
+		grid.Index.Shards = cfg.Shards
+	}
+	if spec.mode == "delta" || spec.mode == "repin" {
+		grid.Broker.Incremental = true
+		if spec.mode == "delta" {
+			pt.DeltaDepth = cfg.DeltaLogDepth
+		}
+		// Each shard publishes over its own wide-area link; the repin
+		// cells leave the log off so every epoch-advancing poll pays a
+		// full shard re-pin instead of a delta replay.
+		grid.Index.DeltaLogDepth = pt.DeltaDepth
+		grid.Index.ShardLink = netsim.WideArea()
+	}
+	sys := core.NewSystem(grid)
+	sim, info, b := sys.Sim, sys.Info, sys.Broker
 	sim.RunFor(time.Minute) // let the initial publishes land
 
 	// applyChurn republishes spec.churn records with moved MemoryMB

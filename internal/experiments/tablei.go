@@ -5,12 +5,10 @@ import (
 	"time"
 
 	"crossbroker/internal/broker"
-	"crossbroker/internal/infosys"
+	"crossbroker/internal/core"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/metrics"
 	"crossbroker/internal/netsim"
-	"crossbroker/internal/simclock"
-	"crossbroker/internal/site"
 )
 
 // Scenario selects where the execution machine lives, per Section 6:
@@ -143,31 +141,22 @@ func TableI(cfg TableIConfig) ([]TableIRow, error) {
 func tableIRun(cfg TableIConfig, seed int64) (tableICell, error) {
 	var cell tableICell
 
-	sim := simclock.NewSim(time.Time{})
-	execProfile := cfg.Scenario.profile()
-	info := infosys.New(sim, 500*time.Millisecond) // the index lives in Germany: ~0.5 s per query
-	b := broker.New(broker.Config{Sim: sim, Info: info, Seed: seed})
-
 	// The execution site lives on the scenario network and is always
 	// preferred by rank; the remaining sites are scattered over the
 	// European WAN (they only matter to the selection phase).
-	execSite := site.New(sim, site.Config{
-		Name:    "exec",
-		Nodes:   4,
-		Network: execProfile,
-		Costs:   site.DefaultCosts(),
-		Attrs:   map[string]any{"Arch": "i686", "OS": "linux", "Preferred": 1},
+	execProfile := cfg.Scenario.profile()
+	sys := core.NewSystem(core.SystemConfig{
+		Index: core.IndexSpec{Latency: 500 * time.Millisecond}, // the index lives in Germany: ~0.5 s per query
+		Seed:  seed,
+		Sites: []core.SiteSpec{{
+			Name: "exec", Nodes: 4, Network: execProfile,
+			Attrs: map[string]any{"Arch": "i686", "OS": "linux", "Preferred": 1},
+		}, {
+			NameFormat: "eu%02d", Count: cfg.Sites - 1, Nodes: 4, Network: netsim.WideArea(),
+			Attrs: map[string]any{"Arch": "i686", "OS": "linux", "Preferred": 0},
+		}},
 	})
-	b.RegisterSite(execSite)
-	for i := 1; i < cfg.Sites; i++ {
-		b.RegisterSite(site.New(sim, site.Config{
-			Name:    fmt.Sprintf("eu%02d", i),
-			Nodes:   4,
-			Network: netsim.WideArea(),
-			Costs:   site.DefaultCosts(),
-			Attrs:   map[string]any{"Arch": "i686", "OS": "linux", "Preferred": 0},
-		}))
-	}
+	sim, b, execSite := sys.Sim, sys.Broker, sys.Sites[0]
 	rank := jdl.Expr{Node: jdl.Ref{Scoped: true, Name: "Preferred"}}
 
 	// Provision one long-lived agent on the execution site for the
