@@ -336,8 +336,7 @@ func (b *Broker) rankProbed(h *Handle, kept []probeTask) []candidate {
 			// The one copy of the published vector a pass makes per kept
 			// site: fresh queue state is overlaid on it.
 			m := infosys.PooledMatchAttrs(p.schema, p.vals)
-			m.SetFloat(infosys.AttrFreeCPUs, float64(p.free))
-			m.SetFloat(infosys.AttrQueuedJobs, float64(p.queued))
+			m.SetQueueState(p.free, p.queued)
 			r, err := rank.EvalNumber(m.Values())
 			m.Release()
 			if err != nil {

@@ -3,7 +3,7 @@ package infosys
 // Delta subscriptions: instead of re-reading the registry every
 // scheduling pass, a broker tracks each shard's epoch and asks only for
 // what changed since. Each shard is an independently-publishing unit —
-// it keeps a bounded per-epoch delta log alongside its record map, and
+// it keeps a bounded per-epoch delta log alongside its rows, and
 // Subscribe(shard, since) replays the missed deltas, or falls back to a
 // snapshot re-pin when the log has been compacted past the subscriber's
 // position. Because every effective mutation bumps the owning shard's

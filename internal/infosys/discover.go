@@ -35,7 +35,7 @@ func (p Page) Name(i int) string { return p.snap.Name(p.lo + i) }
 
 // RecordShared returns page record i under the snapshot's no-mutate
 // contract (no per-record map clone).
-func (p Page) RecordShared(i int) SiteRecord { return p.snap.recs[p.lo+i] }
+func (p Page) RecordShared(i int) SiteRecord { return p.snap.rows[p.lo+i].rec }
 
 // Values returns page record i's flat attribute vector — static
 // attributes plus publish-time queue state, in schema offset order —
@@ -43,7 +43,7 @@ func (p Page) RecordShared(i int) SiteRecord { return p.snap.recs[p.lo+i] }
 // and every other reader and MUST NOT be written: compiled predicates
 // only read it, and a caller that overlays fresh state copies it first
 // (PooledMatchAttrs).
-func (p Page) Values(i int) []any { return p.snap.vals[p.lo+i] }
+func (p Page) Values(i int) []any { return p.snap.rows[p.lo+i].vals }
 
 // Cursor iterates the registry in pages. A cursor is single-use and
 // not safe for concurrent use by multiple goroutines; obtain one per

@@ -16,28 +16,36 @@
 //
 // Discovery is the first step of the latency-critical selection path
 // ("the user is waiting"), so queries are served from immutable,
-// epoch-versioned snapshots built copy-on-write: Publish and Remove
-// bump the epoch, and the snapshot is rebuilt at most once per epoch
-// no matter how many brokers query it. Snapshots also carry each
-// record's matchmaking attributes as a flat value slice keyed by a
-// shared Schema, which is what the compiled JDL predicates (package
-// jdl) index into, via MatchAttrs vectors recycled through a
-// sync.Pool.
+// epoch-versioned snapshots: Publish and Remove bump the epoch, and a
+// snapshot is cut at most once per epoch no matter how many brokers
+// query it. Snapshots also carry each record's matchmaking attributes
+// as a flat value slice keyed by a shared Schema, which is what the
+// compiled JDL predicates (package jdl) index into, via MatchAttrs
+// vectors recycled through a sync.Pool.
+//
+// The periodic refresh is the registry's main load (every site
+// republishes on a timer and almost every republish changes nothing
+// but its timestamp or queue state), so the registry is repaired, not
+// rebuilt. Each shard keeps a standing store of immutable rows (record
+// plus flat vector); a publish stores one new row, reusing what did
+// not change of the old one, and a snapshot wraps the standing rows.
 //
 // To scale past a monolithic index the registry is hash-sharded
-// (NewSharded): each shard keeps its own records, epoch and
-// copy-on-write snapshot, so a publish invalidates — and a rebuild
-// pays for — only one shard, while every shard snapshot is laid out
-// against one service-wide Schema so compiled predicates stay cached
-// across the whole grid. Brokers that cannot afford one flat snapshot
-// of every site iterate the registry page by page through Discover
-// (discover.go); the merged whole-grid Snapshot remains available for
-// instrumentation, federation views and the broker's test oracle.
+// (NewSharded): each shard keeps its own rows, epoch and snapshot, so
+// a publish invalidates only one shard's snapshot, while every shard
+// is laid out against one service-wide Schema so compiled predicates
+// stay cached across the whole grid. Brokers that cannot afford one
+// flat snapshot of every site iterate the registry page by page
+// through Discover (discover.go); the merged whole-grid Snapshot
+// remains available for instrumentation, federation views and the
+// broker's test oracle.
 package infosys
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -112,8 +120,13 @@ const (
 // name set is unchanged, so compiled predicates cached against it stay
 // valid across epochs.
 type Schema struct {
-	names []string       // canonical spellings, sorted
-	index map[string]int // lower-cased name -> offset
+	names []string // canonical spellings, sorted
+	// index resolves the lower-cased name and, so that the spelling
+	// every publisher and compiled predicate uses needs no lowered
+	// copy, the canonical one.
+	index map[string]int
+	// Offsets of the queue-state slots every schema carries.
+	total, free, queued int
 }
 
 // newSchema builds a schema over the given attribute names plus the
@@ -121,23 +134,25 @@ type Schema struct {
 // collapse onto one offset (first spelling wins), matching the JDL
 // evaluator's case-insensitive attribute lookup.
 func newSchema(names []string) *Schema {
-	sc := &Schema{index: make(map[string]int, len(names)+3)}
-	add := func(name string) {
+	sc := &Schema{index: make(map[string]int, 2*(len(names)+3))}
+	add := func(name string) int {
 		key := strings.ToLower(name)
-		if _, dup := sc.index[key]; dup {
-			return
+		if off, dup := sc.index[key]; dup {
+			return off
 		}
-		sc.index[key] = len(sc.names)
+		off := len(sc.names)
+		sc.index[key], sc.index[name] = off, off
 		sc.names = append(sc.names, name)
+		return off
 	}
 	sorted := append([]string(nil), names...)
 	sort.Strings(sorted)
 	for _, n := range sorted {
 		add(n)
 	}
-	add(AttrTotalCPUs)
-	add(AttrFreeCPUs)
-	add(AttrQueuedJobs)
+	sc.total = add(AttrTotalCPUs)
+	sc.free = add(AttrFreeCPUs)
+	sc.queued = add(AttrQueuedJobs)
 	return sc
 }
 
@@ -149,6 +164,7 @@ func (sc *Schema) Len() int { return len(sc.names) }
 func (sc *Schema) Names() []string { return append([]string(nil), sc.names...) }
 
 // Offset resolves an attribute name, case-insensitively, to its slot.
+// Canonical and lower-case spellings resolve without allocating.
 func (sc *Schema) Offset(name string) (int, bool) {
 	if i, ok := sc.index[name]; ok {
 		return i, true
@@ -161,7 +177,7 @@ func (sc *Schema) Offset(name string) (int, bool) {
 // name set (case-insensitively), i.e. whether it can be reused for a
 // snapshot over those attributes.
 func (sc *Schema) sameNames(lowered map[string]bool) bool {
-	if len(sc.index) != len(lowered)+3 {
+	if len(sc.names) != len(lowered)+3 {
 		return false
 	}
 	for k := range lowered {
@@ -172,6 +188,14 @@ func (sc *Schema) sameNames(lowered map[string]bool) bool {
 	return true
 }
 
+// row is one site's record with its flat attribute vector. A row is
+// immutable once a shard or a snapshot holds it: a republish stores a
+// new row, so every snapshot cut before keeps reading the old one.
+type row struct {
+	rec  SiteRecord // Attrs private to the registry or the snapshot
+	vals []any      // rec's attributes in the holder's schema order, normalized
+}
+
 // Snapshot is an immutable view of the registry at one epoch. All
 // queries between two mutations share the same snapshot allocation;
 // accessors that expose mutable data (Record, Records) return deep
@@ -179,8 +203,7 @@ func (sc *Schema) sameNames(lowered map[string]bool) bool {
 type Snapshot struct {
 	epoch  uint64
 	schema *Schema
-	recs   []SiteRecord // sorted by name; Attrs maps private to the snapshot
-	vals   [][]any      // per-record attribute values in schema order, normalized
+	rows   []*row // sorted by name, every vector laid out against schema
 }
 
 // newSnapshot builds a snapshot over recs (which must already be
@@ -223,11 +246,18 @@ func newSnapshot(epoch uint64, recs []SiteRecord, prev *Snapshot) *Snapshot {
 // buildSnapshot lays recs — already private to the snapshot and sorted
 // by name — out against the given schema.
 func buildSnapshot(epoch uint64, recs []SiteRecord, schema *Schema) *Snapshot {
-	s := &Snapshot{epoch: epoch, schema: schema, recs: recs, vals: make([][]any, len(recs))}
+	return &Snapshot{epoch: epoch, schema: schema, rows: flatRows(recs, schema)}
+}
+
+// flatRows builds one row per record, flattened against schema.
+func flatRows(recs []SiteRecord, schema *Schema) []*row {
+	backing := make([]row, len(recs))
+	rows := make([]*row, len(recs))
 	for i, r := range recs {
-		s.vals[i] = valsFor(r, schema)
+		backing[i] = row{rec: r, vals: valsFor(r, schema)}
+		rows[i] = &backing[i]
 	}
-	return s
+	return rows
 }
 
 // valsFor flattens one record's attributes (static plus publish-time
@@ -239,15 +269,9 @@ func valsFor(r SiteRecord, schema *Schema) []any {
 			v[off] = normalizeAttr(raw)
 		}
 	}
-	if off, ok := schema.Offset(AttrTotalCPUs); ok {
-		v[off] = float64(r.TotalCPUs)
-	}
-	if off, ok := schema.Offset(AttrFreeCPUs); ok {
-		v[off] = float64(r.FreeCPUs)
-	}
-	if off, ok := schema.Offset(AttrQueuedJobs); ok {
-		v[off] = float64(r.QueuedJobs)
-	}
+	v[schema.total] = float64(r.TotalCPUs)
+	v[schema.free] = float64(r.FreeCPUs)
+	v[schema.queued] = float64(r.QueuedJobs)
 	return v
 }
 
@@ -311,14 +335,14 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 func (s *Snapshot) Schema() *Schema { return s.schema }
 
 // Len reports the number of site records.
-func (s *Snapshot) Len() int { return len(s.recs) }
+func (s *Snapshot) Len() int { return len(s.rows) }
 
 // Name returns the name of record i without copying the record.
-func (s *Snapshot) Name(i int) string { return s.recs[i].Name }
+func (s *Snapshot) Name(i int) string { return s.rows[i].rec.Name }
 
 // Record returns a deep copy of record i, so mutations cannot reach
 // the snapshot or the registry.
-func (s *Snapshot) Record(i int) SiteRecord { return s.recs[i].Clone() }
+func (s *Snapshot) Record(i int) SiteRecord { return s.rows[i].rec.Clone() }
 
 // RecordShared returns record i without copying. The record — its
 // Attrs map included — stays shared with the snapshot (and through it
@@ -326,13 +350,13 @@ func (s *Snapshot) Record(i int) SiteRecord { return s.recs[i].Clone() }
 // discovery hot path reads through this accessor to keep per-site map
 // allocations off each matchmaking pass; callers that need to mutate
 // use Record.
-func (s *Snapshot) RecordShared(i int) SiteRecord { return s.recs[i] }
+func (s *Snapshot) RecordShared(i int) SiteRecord { return s.rows[i].rec }
 
 // Records returns deep copies of all records, sorted by site name.
 func (s *Snapshot) Records() []SiteRecord {
-	out := make([]SiteRecord, len(s.recs))
-	for i, r := range s.recs {
-		out[i] = r.Clone()
+	out := make([]SiteRecord, len(s.rows))
+	for i, r := range s.rows {
+		out[i] = r.rec.Clone()
 	}
 	return out
 }
@@ -342,16 +366,7 @@ func (s *Snapshot) Records() []SiteRecord {
 // state. Callers overlay fresh dynamic state with Set, evaluate, and
 // must Release the vector afterwards.
 func (s *Snapshot) MatchAttrs(i int) *MatchAttrs {
-	m := matchAttrsPool.Get().(*MatchAttrs)
-	m.schema = s.schema
-	src := s.vals[i]
-	if cap(m.vals) < len(src) {
-		m.vals = make([]any, len(src))
-	} else {
-		m.vals = m.vals[:len(src)]
-	}
-	copy(m.vals, src)
-	return m
+	return PooledMatchAttrs(s.schema, s.rows[i].vals)
 }
 
 // MatchAttrs is a reusable flat attribute vector (one value slot per
@@ -393,6 +408,13 @@ func (m *MatchAttrs) SetFloat(name string, v float64) bool {
 	return true
 }
 
+// SetQueueState overlays fresh FreeCPUs and QueuedJobs, the two slots
+// a direct probe refreshes, without resolving their names.
+func (m *MatchAttrs) SetQueueState(freeCPUs, queuedJobs int) {
+	m.vals[m.schema.free] = float64(freeCPUs)
+	m.vals[m.schema.queued] = float64(queuedJobs)
+}
+
 // Get reads one attribute by name (case-insensitively).
 func (m *MatchAttrs) Get(name string) (any, bool) {
 	off, ok := m.schema.Offset(name)
@@ -421,13 +443,12 @@ func (m *MatchAttrs) Release() {
 }
 
 // Service is the information index (the GIIS). Records are
-// hash-sharded by site name: each shard keeps its own registry map,
-// epoch and copy-on-write snapshot, so a publish invalidates — and the
-// next query re-lays-out — only one shard, while the attribute Schema
-// is shared service-wide so compiled JDL predicates stay cached across
-// shards and epochs. New builds the classic single-shard (monolithic)
-// index; NewSharded builds an N-shard one for thousands-of-sites grids
-// paged through Discover.
+// hash-sharded by site name: each shard keeps its own row store, epoch
+// and snapshot, so a publish invalidates only one shard's snapshot,
+// while the attribute Schema is shared service-wide so compiled JDL
+// predicates stay cached across shards and epochs. New builds the
+// classic single-shard (monolithic) index; NewSharded builds an
+// N-shard one for thousands-of-sites grids paged through Discover.
 type Service struct {
 	clock        simclock.Clock
 	queryLatency time.Duration
@@ -469,16 +490,38 @@ type Service struct {
 	tracer     *trace.Tracer
 }
 
-// shard is one hash partition of the registry. Lock ordering: shard.mu
-// may be held while taking Service.mu (Publish/Remove update the
-// shared attribute counts under both); Service.mu is never held while
-// taking a shard lock.
+// shard is one hash partition of the registry: a standing row store
+// that Publish and Remove repair in place, so cutting a snapshot wraps
+// the rows instead of re-deriving them. Lock ordering: shard.mu may be
+// held while taking Service.mu (Publish/Remove update the shared
+// attribute counts under both); Service.mu is never held while taking
+// a shard lock.
 type shard struct {
-	mu      sync.Mutex
-	records map[string]SiteRecord
-	epoch   uint64
-	snap    *Snapshot // valid while snap.epoch == epoch and the schema matches
-	log     *deltaLog // bounded mutation history; nil while disabled
+	mu    sync.Mutex
+	rows  []*row         // one immutable row per site
+	index map[string]int // site name -> position in rows
+	// schema is what every row's vector is laid out against; nil while
+	// rows stored before the first snapshot have none yet. A snapshot
+	// asked for under another schema re-flattens the shard.
+	schema *Schema
+	// sorted says rows is in name order. An insert appends and a remove
+	// swaps with the last row, so either may clear it; the next snapshot
+	// sorts.
+	sorted bool
+	// shared says a snapshot holds rows' backing array, so the next
+	// write copies the slice (8 bytes a row) first.
+	shared bool
+	epoch  uint64
+	snap   *Snapshot // valid while snap.epoch == epoch and the schema matches
+	log    *deltaLog // bounded mutation history; nil while disabled
+}
+
+// own makes rows writable: snapshots keep the array they were cut from.
+func (sh *shard) own() {
+	if sh.shared {
+		sh.rows = slices.Clone(sh.rows)
+		sh.shared = false
+	}
 }
 
 // New creates an information service on clock whose queries cost
@@ -501,7 +544,7 @@ func NewSharded(clock simclock.Clock, queryLatency time.Duration, shards int) *S
 		attrCanon:    make(map[string]string),
 	}
 	for i := range s.shards {
-		s.shards[i] = &shard{records: make(map[string]SiteRecord)}
+		s.shards[i] = &shard{index: make(map[string]int), sorted: true}
 	}
 	return s
 }
@@ -519,11 +562,6 @@ func (s *Service) shardIndexFor(name string) int {
 	return int(h.Sum32() % uint32(len(s.shards)))
 }
 
-// shardFor hashes a site name onto its shard.
-func (s *Service) shardFor(name string) *shard {
-	return s.shards[s.shardIndexFor(name)]
-}
-
 // QueryLatency returns the configured per-query round-trip cost.
 func (s *Service) QueryLatency() time.Duration { return s.queryLatency }
 
@@ -531,32 +569,63 @@ func (s *Service) QueryLatency() time.Duration { return s.queryLatency }
 // current time. Sites call this periodically (push model, as GRIS to
 // GIIS registration). Each publish starts a new snapshot epoch on the
 // record's shard (and a new global epoch).
+//
+// A publish pays for what changed since the site's last one, judged by
+// the content of Attrs (a publisher may reuse, and mutate, the map it
+// published before): unchanged attributes keep the stored private map
+// and vector, changed values re-flatten this one row, and only a
+// changed name set or a new site touches the shared schema's counts.
 func (s *Service) Publish(rec SiteRecord) error {
 	if rec.Name == "" {
 		return fmt.Errorf("infosys: record without site name")
 	}
-	rec = rec.Clone()
 	rec.UpdatedAt = s.clock.Now()
 	si := s.shardIndexFor(rec.Name)
 	sh := s.shards[si]
 	sh.mu.Lock()
-	old, replaced := sh.records[rec.Name]
-	sh.records[rec.Name] = rec
-	sh.epoch++
-	dk := DeltaAdded
+	at, replaced := sh.index[rec.Name]
+	var old *row
+	sameNames, sameValues := false, false
 	if replaced {
-		dk = DeltaUpdated
+		old = sh.rows[at]
+		sameNames, sameValues = compareAttrs(old.rec.Attrs, rec.Attrs)
 	}
+	nr := &row{rec: rec}
+	if sameValues {
+		nr.rec.Attrs = old.rec.Attrs
+		nr.vals = sh.schema.requeued(old, rec)
+	} else {
+		nr.rec = rec.Clone()
+		if sh.schema != nil {
+			nr.vals = valsFor(nr.rec, sh.schema)
+		}
+	}
+	sh.own()
+	dk := DeltaUpdated
+	if replaced {
+		sh.rows[at] = nr
+	} else {
+		dk = DeltaAdded
+		if n := len(sh.rows); n > 0 && sh.rows[n-1].rec.Name > rec.Name {
+			sh.sorted = false
+		}
+		sh.index[rec.Name] = len(sh.rows)
+		sh.rows = append(sh.rows, nr)
+	}
+	sh.epoch++
 	s.mu.Lock()
 	s.epoch++
 	globalEpoch := s.epoch
-	if replaced {
-		s.dropAttrsLocked(old)
-	} else {
+	if !replaced {
 		s.count++
 	}
-	s.addAttrsLocked(rec)
-	emit := s.logDeltaLocked(sh, dk, rec)
+	if !sameNames {
+		if replaced {
+			s.dropAttrsLocked(old.rec)
+		}
+		s.addAttrsLocked(nr.rec)
+	}
+	emit := s.logDeltaLocked(sh, dk, nr.rec)
 	s.mu.Unlock()
 	sh.mu.Unlock()
 	if emit {
@@ -566,6 +635,66 @@ func (s *Service) Publish(rec SiteRecord) error {
 	return nil
 }
 
+// compareAttrs reports whether two attribute maps have the same names
+// (exact spellings) and, if so, also the same values.
+func compareAttrs(old, now map[string]any) (sameNames, sameValues bool) {
+	if len(old) != len(now) {
+		return false, false
+	}
+	sameValues = true
+	for k, v := range now {
+		ov, ok := old[k]
+		if !ok {
+			return false, false
+		}
+		sameValues = sameValues && attrEqual(ov, v)
+	}
+	return true, sameValues
+}
+
+// attrEqual compares two attribute values of the types sites publish.
+// Anything else (which may not even be comparable) counts as changed,
+// which only costs the publish its shortcut.
+func attrEqual(a, b any) bool {
+	switch x := a.(type) {
+	case string:
+		y, ok := b.(string)
+		return ok && x == y
+	case int:
+		y, ok := b.(int)
+		return ok && x == y
+	case float64:
+		y, ok := b.(float64)
+		return ok && x == y
+	case bool:
+		y, ok := b.(bool)
+		return ok && x == y
+	}
+	return false
+}
+
+// requeued returns old's vector carrying rec's queue state: the same
+// slice when the three counts did not move (or old has no vector yet),
+// else a copy with the moved slots overwritten. rec's static attributes
+// must equal old's.
+func (sc *Schema) requeued(old *row, rec SiteRecord) []any {
+	o := &old.rec
+	if old.vals == nil || o.TotalCPUs == rec.TotalCPUs && o.FreeCPUs == rec.FreeCPUs && o.QueuedJobs == rec.QueuedJobs {
+		return old.vals
+	}
+	v := slices.Clone(old.vals)
+	if o.TotalCPUs != rec.TotalCPUs {
+		v[sc.total] = float64(rec.TotalCPUs)
+	}
+	if o.FreeCPUs != rec.FreeCPUs {
+		v[sc.free] = float64(rec.FreeCPUs)
+	}
+	if o.QueuedJobs != rec.QueuedJobs {
+		v[sc.queued] = float64(rec.QueuedJobs)
+	}
+	return v
+}
+
 // Remove deletes a site record (site decommissioned or expired).
 func (s *Service) Remove(name string) {
 	si := s.shardIndexFor(name)
@@ -573,14 +702,24 @@ func (s *Service) Remove(name string) {
 	sh.mu.Lock()
 	emit := false
 	var globalEpoch uint64
-	if old, ok := sh.records[name]; ok {
-		delete(sh.records, name)
+	if at, ok := sh.index[name]; ok {
+		old := sh.rows[at]
+		sh.own()
+		last := len(sh.rows) - 1
+		if at != last {
+			sh.rows[at] = sh.rows[last]
+			sh.index[sh.rows[at].rec.Name] = at
+			sh.sorted = false
+		}
+		sh.rows[last] = nil
+		sh.rows = sh.rows[:last]
+		delete(sh.index, name)
 		sh.epoch++
 		s.mu.Lock()
 		s.epoch++
 		globalEpoch = s.epoch
 		s.count--
-		s.dropAttrsLocked(old)
+		s.dropAttrsLocked(old.rec)
 		emit = s.logDeltaLocked(sh, DeltaRemoved, SiteRecord{Name: name})
 		s.mu.Unlock()
 	}
@@ -712,63 +851,58 @@ func (s *Service) SnapshotImmediate() *Snapshot {
 	return merged
 }
 
-// shardSnapshot returns shard i's copy-on-write snapshot laid out
-// against sc, rebuilding it only when the shard's epoch moved or the
-// shared schema changed.
+// shardSnapshot returns shard i's snapshot laid out against sc, cutting
+// a new one only when the shard's epoch moved or the shared schema
+// changed. Cutting wraps the standing rows: it sorts only after an
+// insert or remove left them out of name order, and re-flattens only
+// when the rows are laid out against another schema.
 func (s *Service) shardSnapshot(i int, sc *Schema) *Snapshot {
 	sh := s.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.snap == nil || sh.snap.epoch != sh.epoch || sh.snap.schema != sc {
-		recs := make([]SiteRecord, 0, len(sh.records))
-		for _, r := range sh.records {
-			// Records were cloned on Publish and are never handed out
-			// mutably, so the snapshot may share them; accessors that
-			// expose mutable state clone on the way out.
-			recs = append(recs, r)
-		}
-		sort.Slice(recs, func(a, b int) bool { return recs[a].Name < recs[b].Name })
-		sh.snap = buildSnapshot(sh.epoch, recs, sc)
+	if sh.snap != nil && sh.snap.epoch == sh.epoch && sh.snap.schema == sc {
+		return sh.snap
 	}
+	if !sh.sorted {
+		// The insert or remove that cleared sorted took rows back from
+		// every snapshot (own), and none was cut since.
+		sortRows(sh.rows)
+		for at, r := range sh.rows {
+			sh.index[r.rec.Name] = at
+		}
+		sh.sorted = true
+	}
+	if sh.schema != sc {
+		recs := make([]SiteRecord, len(sh.rows))
+		for at, r := range sh.rows {
+			recs[at] = r.rec
+		}
+		sh.rows, sh.schema = flatRows(recs, sc), sc
+	}
+	sh.snap = &Snapshot{epoch: sh.epoch, schema: sc, rows: sh.rows}
+	sh.shared = true
 	return sh.snap
 }
 
-// mergeSnapshots concatenates per-shard snapshots into one whole-grid
-// snapshot sorted by site name. Parts already laid out against sc
-// share their record and value slices with the merged view; a part
-// caught mid-schema-change is re-flattened.
+// mergeSnapshots concatenates per-shard snapshots, all laid out
+// against sc, into one whole-grid snapshot sorted by site name. The
+// merged view shares the shards' rows.
 func mergeSnapshots(epoch uint64, parts []*Snapshot, sc *Schema) *Snapshot {
 	n := 0
 	for _, p := range parts {
-		n += len(p.recs)
+		n += len(p.rows)
 	}
-	m := &Snapshot{epoch: epoch, schema: sc,
-		recs: make([]SiteRecord, 0, n), vals: make([][]any, 0, n)}
+	m := &Snapshot{epoch: epoch, schema: sc, rows: make([]*row, 0, n)}
 	for _, p := range parts {
-		m.recs = append(m.recs, p.recs...)
-		if p.schema == sc {
-			m.vals = append(m.vals, p.vals...)
-			continue
-		}
-		for _, r := range p.recs {
-			m.vals = append(m.vals, valsFor(r, sc))
-		}
+		m.rows = append(m.rows, p.rows...)
 	}
-	sort.Sort(&jointSort{m.recs, m.vals})
+	sortRows(m.rows)
 	return m
 }
 
-// jointSort name-sorts a record slice and its parallel value slice.
-type jointSort struct {
-	recs []SiteRecord
-	vals [][]any
-}
-
-func (j *jointSort) Len() int           { return len(j.recs) }
-func (j *jointSort) Less(a, b int) bool { return j.recs[a].Name < j.recs[b].Name }
-func (j *jointSort) Swap(a, b int) {
-	j.recs[a], j.recs[b] = j.recs[b], j.recs[a]
-	j.vals[a], j.vals[b] = j.vals[b], j.vals[a]
+// sortRows orders rows by site name.
+func sortRows(rows []*row) {
+	slices.SortFunc(rows, func(a, b *row) int { return cmp.Compare(a.rec.Name, b.rec.Name) })
 }
 
 // SetPartitioned cuts (or heals) the broker↔index link. While cut,
@@ -836,9 +970,9 @@ func (s *Service) StaleAfter(maxAge time.Duration) []string {
 	var stale []string
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for name, r := range sh.records {
-			if now.Sub(r.UpdatedAt) > maxAge {
-				stale = append(stale, name)
+		for _, r := range sh.rows {
+			if now.Sub(r.rec.UpdatedAt) > maxAge {
+				stale = append(stale, r.rec.Name)
 			}
 		}
 		sh.mu.Unlock()

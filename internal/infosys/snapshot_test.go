@@ -112,6 +112,46 @@ func TestSchemaReusedAcrossEpochs(t *testing.T) {
 	}
 }
 
+// TestSchemaStableWhenSoleHolderRepublishes: a site that is the only
+// holder of an attribute republishes it on every refresh. Un-counting
+// the old record before counting the new one used to take the name's
+// holder count through zero, so the schema pointer — every job's
+// compiled-predicate cache key — changed on each of those publishes.
+// It may change only when the name set does.
+func TestSchemaStableWhenSoleHolderRepublishes(t *testing.T) {
+	s := New(simclock.Real(), 0)
+	b := SiteRecord{Name: "b", Attrs: map[string]any{"OS": "linux", "Preferred": true}, TotalCPUs: 4}
+	s.Publish(SiteRecord{Name: "a", Attrs: map[string]any{"OS": "linux"}, TotalCPUs: 4})
+	s.Publish(b)
+	sc := s.SnapshotImmediate().Schema()
+
+	s.Publish(b)
+	if s.SnapshotImmediate().Schema() != sc {
+		t.Fatal("an unchanged republish by the only holder of Preferred rebuilt the schema")
+	}
+	b.FreeCPUs = 3
+	b.Attrs["Preferred"] = false
+	s.Publish(b)
+	snap := s.SnapshotImmediate()
+	if snap.Schema() != sc {
+		t.Fatal("a changed value under an unchanged name set rebuilt the schema")
+	}
+	if m := snap.MatchAttrs(1); m.Map()["Preferred"] != false || m.Map()[AttrFreeCPUs] != float64(3) {
+		t.Fatalf("republished values not served: %v", m.Map())
+	}
+
+	// The only holder drops the name: now the schema must change.
+	delete(b.Attrs, "Preferred")
+	s.Publish(b)
+	dropped := s.SnapshotImmediate().Schema()
+	if dropped == sc {
+		t.Fatal("dropping an attribute's last holder kept the schema")
+	}
+	if _, ok := dropped.Offset("Preferred"); ok {
+		t.Fatal("dropped attribute still in the schema")
+	}
+}
+
 // TestMatchAttrsVector covers the pooled vector surface: schema-ordered
 // values, case-insensitive access, dynamic slots normalized to float64.
 func TestMatchAttrsVector(t *testing.T) {
@@ -139,6 +179,13 @@ func TestMatchAttrsVector(t *testing.T) {
 	}
 	if got := m.Map()["FreeCPUs"]; got != float64(2) {
 		t.Fatalf("Map() FreeCPUs = %v, want 2", got)
+	}
+	m.SetQueueState(3, 5)
+	if free, _ := m.Get("freecpus"); free != float64(3) {
+		t.Fatalf("SetQueueState: FreeCPUs = %v, want 3", free)
+	}
+	if queued, _ := m.Get(AttrQueuedJobs); queued != float64(5) {
+		t.Fatalf("SetQueueState: QueuedJobs = %v, want 5", queued)
 	}
 }
 
