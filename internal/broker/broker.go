@@ -197,13 +197,16 @@ type Config struct {
 	// re-ranked, so per-pass memory is O(PageSize + TopK) no matter how
 	// many sites match. 0 (the default) keeps every match.
 	TopK int
-	// Incremental routes matchmaking through the delta-subscription
-	// path: the broker mirrors the registry by polling per-shard
-	// epoch deltas (infosys.DeltaSource, which Info must implement)
-	// and keeps standing per-job rank trees repaired only for sites
-	// named in arriving deltas, so pass cost is proportional to churn
-	// instead of grid size. TopK and the probe/rank pipeline behave
-	// exactly as on the streamed path.
+	// Incremental selects how the broker reads the registry — a
+	// property of the modelled deployment, like
+	// core.IndexSpec.ShardLink, not a match algorithm. Instead of
+	// fetching every record each pass, the broker mirrors the
+	// registry by polling per-shard epoch deltas
+	// (infosys.DeltaSource, which Info must implement), so
+	// discovery's wire cost is proportional to churn instead of grid
+	// size. Selection is the same scan, over the mirror; TopK and
+	// the probe/rank pipeline behave exactly as after a discovery
+	// query.
 	Incremental bool
 	// Data is the grid's replica catalog. When set, jobs with
 	// InputData pay their real staging transfers before submission
@@ -752,9 +755,6 @@ func (b *Broker) fail(h *Handle, err error) {
 		kind = trace.Aborted
 	}
 	b.cfg.Trace.Emit(trace.Event{Kind: kind, Job: h.ID, Site: h.site, Attempt: h.resub, Detail: err.Error()})
-	if b.sub != nil {
-		b.sub.drop(h.request.Job)
-	}
 	h.Done.Fire()
 }
 
@@ -765,9 +765,6 @@ func (b *Broker) finish(h *Handle) {
 	h.state = Done
 	h.finishedAt = b.sim.Now()
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.Done, Job: h.ID, Site: h.site, Attempt: h.resub})
-	if b.sub != nil {
-		b.sub.drop(h.request.Job)
-	}
 	h.Done.Fire()
 	b.kickDispatch()
 }

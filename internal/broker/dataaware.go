@@ -8,11 +8,12 @@ package broker
 // The composition argument, which the equivalence and property tests
 // pin down:
 //
-//   - The penalty is a pure function of (job, site, catalog version)
-//     and enters matchmaking at the pipeline's one evaluate stage, so
-//     both candidate sources — page scan and standing tree — derive
-//     the same number for the same pair, and the kept sets and final
-//     candidate orders stay byte-identical across them.
+//   - The penalty is a pure function of (job, site, catalog contents)
+//     and enters matchmaking at the pipeline's one evaluate stage,
+//     computed afresh every pass, so both registry reads — discovery
+//     pages and the delta mirror — derive the same number for the
+//     same pair, and the kept sets and final candidate orders stay
+//     byte-identical across them.
 //   - rank' = rank − staging_seconds preserves the paper's randomized
 //     tie-break: ties in rank' are still resolved by seeded noise.
 //   - A site strictly dominated on (rank, staging) — no better compute

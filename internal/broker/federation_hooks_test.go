@@ -110,8 +110,8 @@ func TestHalfOpenProbeSingleFlight(t *testing.T) {
 // tripped site but does not probe it — the site fails the job's
 // Requirements, or loses its place in the top K — must leave the gate
 // open, or nothing ever clears it and the recovered site stays
-// excluded forever. On the page scan, the bounded scan and the
-// standing-tree walk.
+// excluded forever. On the page scan, the bounded scan and the scan
+// of a delta-subscribed mirror.
 func TestHalfOpenClaimNotLeakedByUnprobedSite(t *testing.T) {
 	picky := mustParseJob(t, `Executable = "x"; Requirements = other.FreeCPUs > 1000;`)
 	rankLast := mustParseJob(t, `Executable = "x"; Rank = 0 - other.FreeCPUs;`) // site00 has the most CPUs

@@ -3,7 +3,9 @@ package broker
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,9 +75,9 @@ func churn(t *testing.T, info *infosys.Service, round int) {
 	}
 }
 
-// TestIncrementalEquivalentToSnapshotPass is the standing-tree
-// source's oracle test, the same contract the page scan holds: for a
-// fixed seed the incremental pass must produce the exact ordered
+// TestIncrementalEquivalentToSnapshotPass is the delta-subscribed
+// pass's oracle test, the same contract the page scan holds: for a
+// fixed seed the pass over the mirror must produce the exact ordered
 // candidate list of the naive whole-snapshot oracle (oracle_test.go) —
 // across shard counts, TopK settings and log depths (depth 0 forces a
 // re-pin every poll), and across passes with identical churn applied
@@ -142,10 +144,10 @@ func TestIncrementalEquivalentToSnapshotPass(t *testing.T) {
 	}
 }
 
-// TestIncrementalTopKBoundsCandidates mirrors the streamed pass's
-// memory contract: TopK bounds the extracted set and the survivors are
-// the reference pass's best K, with the pass reporting delta — not
-// snapshot — discovery work once the mirror is warm.
+// TestIncrementalTopKBoundsCandidates holds the mirror scan to the
+// page scan's memory contract: TopK bounds the kept set and the
+// survivors are the reference pass's best K, with the pass reporting
+// delta — not snapshot — discovery work once the mirror is warm.
 func TestIncrementalTopKBoundsCandidates(t *testing.T) {
 	const seed, k = 2006, 5
 	job := equivJob(t)
@@ -193,41 +195,34 @@ func TestIncrementalTopKBoundsCandidates(t *testing.T) {
 	}
 }
 
-// TestStandingTreeMatchesRecompute is the property test: after any
+// TestMirrorMatchesRegistry is the mirror's property test: after any
 // random sequence of publishes, updates, removes and schema changes —
-// including bursts past the log depth that force re-pins — each
-// standing job's tree must hold exactly the requirement-passing sites
-// in (prelim desc, name asc) order, as recomputed independently from a
-// registry snapshot. Runs under -race in the CI matrix.
-func TestStandingTreeMatchesRecompute(t *testing.T) {
-	jobs := []*jdl.Job{equivJob(t), mustParseJob(t, `
-Executable   = "iapp2";
-JobType      = {"interactive", "sequential"};
-Requirements = other.MemoryMB >= 320;
-Rank         = other.MemoryMB + other.Preferred;
-`)}
-
+// including bursts past a shard's log depth that force re-pins — a
+// poll must leave the subscriber's mirror holding exactly the registry
+// snapshot's records, each with the snapshot's flat vector against the
+// snapshot's schema, none extra and none missing. Runs under -race in
+// the CI matrix.
+func TestMirrorMatchesRegistry(t *testing.T) {
+	var polled Handle // counts the deltas and re-pins every poll applied
 	for trial := int64(0); trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(7000 + trial))
-		sim, b, info := deltaGrid(Config{Seed: 1, Incremental: true, TopK: 4}, 4, 8)
+		sim, b, info := deltaGrid(Config{Seed: 1, Incremental: true}, 4, 2)
 		s := b.sub
 
 		poll := func() {
 			done := false
-			s.poll(nil, func() { done = true })
+			s.poll(&polled, func() { done = true })
 			sim.RunFor(time.Hour)
 			if !done {
 				t.Fatal("poll did not complete")
 			}
 		}
 		poll()
-		for _, job := range jobs {
-			s.state(job) // make the trees standing
-		}
 
 		for step := 0; step < 40; step++ {
-			// A burst of mutations; bursts larger than the depth-8 log
-			// force gap re-pins on the touched shards.
+			// A burst of mutations over the four shards; a shard that
+			// takes more than its depth-2 log holds answers the next
+			// poll with a gap re-pin, the others with deltas.
 			burst := 1 + rng.Intn(12)
 			for m := 0; m < burst; m++ {
 				i := rng.Intn(34) // names beyond the registered 30 exercise add/remove
@@ -242,7 +237,7 @@ Rank         = other.MemoryMB + other.Preferred;
 					}
 					if rng.Intn(20) == 0 {
 						// Widen the attribute set: a schema change that
-						// forces the subscriber to re-flatten and rebuild.
+						// forces the subscriber to re-flatten the mirror.
 						attrs[fmt.Sprintf("Extra%d", rng.Intn(3))] = step
 					}
 					if err := info.Publish(infosys.SiteRecord{
@@ -255,72 +250,95 @@ Rank         = other.MemoryMB + other.Preferred;
 			poll()
 
 			snap := info.SnapshotImmediate()
-			if len(s.mirror) != snap.Len() {
-				t.Fatalf("trial %d step %d: mirror holds %d records, registry %d", trial, step, len(s.mirror), snap.Len())
+			if s.schema != snap.Schema() {
+				t.Fatalf("trial %d step %d: mirror laid out against a stale schema", trial, step)
 			}
-			for _, job := range jobs {
-				js := s.jobs[job]
-				var got []string
-				walkTree(js.root, func(n *standNode) bool {
-					got = append(got, fmt.Sprintf("%s:%g", n.name, n.prelim))
-					return true
-				})
-				want := recomputeStanding(t, job, snap)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d step %d: tree has %d sites, recompute %d\n tree: %v\n want: %v",
-						trial, step, len(got), len(want), got, want)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d step %d entry %d: tree %s, recompute %s", trial, step, i, got[i], want[i])
+			seen := 0
+			cur := snap.Cursor(0)
+			for page, ok := cur.Next(); ok; page, ok = cur.Next() {
+				for i := 0; i < page.Len(); i++ {
+					name := page.Name(i)
+					ent := s.mirror[name]
+					if ent == nil {
+						t.Fatalf("trial %d step %d: mirror is missing %s", trial, step, name)
+					}
+					seen++
+					if want := page.RecordShared(i); !reflect.DeepEqual(ent.rec, want) {
+						t.Fatalf("trial %d step %d: mirror holds %+v for %s, registry %+v", trial, step, ent.rec, name, want)
+					}
+					if want := page.Values(i); !reflect.DeepEqual(ent.vals, want) {
+						t.Fatalf("trial %d step %d: mirror vector for %s is %v, registry %v", trial, step, name, ent.vals, want)
 					}
 				}
 			}
+			if seen != snap.Len() || len(s.mirror) != seen {
+				t.Fatalf("trial %d step %d: mirror holds %d records, %d of the registry's %d",
+					trial, step, len(s.mirror), seen, snap.Len())
+			}
 		}
+	}
+	if polled.deltas < 100 || polled.repins < 100 {
+		t.Fatalf("polls applied %d deltas and %d re-pins: the bursts no longer exercise both repairs", polled.deltas, polled.repins)
 	}
 }
 
-// recomputeStanding evaluates the job against every snapshot record
-// directly — no treap, no mirror — and returns the standing order.
-func recomputeStanding(t *testing.T, job *jdl.Job, snap *infosys.Snapshot) []string {
-	t.Helper()
-	sc := snap.Schema()
-	req, rank := job.CompiledPredicates(sc)
-	type entry struct {
-		name   string
-		prelim float64
-	}
-	var entries []entry
-	for i := 0; i < snap.Len(); i++ {
-		r := snap.RecordShared(i)
-		vals := sc.Flatten(r)
-		if req != nil {
-			ok, err := req.EvalBool(vals)
-			if err != nil || !ok {
-				continue
+// TestScanOrderIndependent pins what scanning the mirror, a Go map,
+// relies on: the per-record stage's kept set and counters do not depend
+// on the order records arrive in. One record set is fed to the stage
+// name-sorted, reversed and shuffled, unbounded and with TopK cutting
+// inside a group of equal preliminary ranks, where only the tie-break
+// (seeded noise, or the site name in Deterministic mode) decides who
+// is kept.
+func TestScanOrderIndependent(t *testing.T) {
+	job := equivJob(t)
+	for _, det := range []bool{false, true} {
+		for _, tc := range []struct{ topk, kept int }{{0, 22}, {1, 1}, {16, 16}} {
+			sim, b := equivGrid(Config{Seed: 2006, TopK: tc.topk, Deterministic: det}, 4)
+			// 24 sites pass Requirements in three Preferred groups of 8.
+			// Excluding one of rank 3 and quarantining one of rank 2
+			// leaves groups of 7, 7 and 8: TopK 1 cuts inside the first,
+			// TopK 16 inside the last.
+			excluded := map[string]bool{"site02": true}
+			b.quarantineNow("site07")
+
+			snap := b.cfg.Info.(*infosys.Service).SnapshotImmediate()
+			page, _ := snap.Cursor(snap.Len()).Next()
+			feed := func(order []int) string {
+				h := &Handle{request: Request{Job: job}}
+				s := passScan{b: b, h: h, excluded: excluded, now: sim.Now(), nonce: 42}
+				for _, i := range order {
+					s.record(snap.Schema(), page.Name(i), page.Values(i), page.RecordShared(i).FreeCPUs)
+				}
+				kept := make([]string, len(s.keep))
+				for i, p := range s.keep {
+					kept[i] = fmt.Sprintf("%s:%g:%g", p.st.Name(), p.prelim, p.noise)
+				}
+				sort.Strings(kept)
+				return fmt.Sprintf("kept=%v peak=%d scanned=%d unavailable=%d", kept, h.peak, h.scanned, h.unavailable)
+			}
+
+			n := page.Len()
+			sorted, reversed := make([]int, n), make([]int, n)
+			for i := range sorted {
+				sorted[i], reversed[i] = i, n-1-i
+			}
+			want := feed(sorted)
+			if !strings.HasSuffix(want, fmt.Sprintf("] peak=%d scanned=30 unavailable=1", tc.kept)) {
+				t.Fatalf("det=%v topk=%d: name-sorted feed: %s", det, tc.topk, want)
+			}
+			orders := [][]int{reversed}
+			rng := rand.New(rand.NewSource(int64(tc.topk)))
+			for i := 0; i < 8; i++ {
+				orders = append(orders, rng.Perm(n))
+			}
+			for _, order := range orders {
+				if got := feed(order); got != want {
+					t.Fatalf("det=%v topk=%d: the stage observed enumeration order %v:\n  got:  %s\n  want: %s",
+						det, tc.topk, order, got, want)
+				}
 			}
 		}
-		prelim := float64(r.FreeCPUs)
-		if rank != nil {
-			if v, err := rank.EvalNumber(vals); err == nil {
-				prelim = v
-			} else {
-				prelim = 0
-			}
-		}
-		entries = append(entries, entry{r.Name, prelim})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].prelim != entries[j].prelim {
-			return entries[i].prelim > entries[j].prelim
-		}
-		return entries[i].name < entries[j].name
-	})
-	out := make([]string, len(entries))
-	for i, e := range entries {
-		out[i] = fmt.Sprintf("%s:%g", e.name, e.prelim)
-	}
-	return out
 }
 
 func mustParseJob(t *testing.T, src string) *jdl.Job {

@@ -36,9 +36,9 @@ func candBetter(a, b *candidate) bool {
 // selectionNoise derives a candidate's tie-break noise in [0, 1) from
 // the pass nonce and the site name (FNV-1a). Hashing instead of
 // drawing per candidate makes the noise — and with it the selection
-// outcome — independent of enumeration order, so the page scan
-// (shard-major) and the standing-tree walk (rank-major) pick identical
-// sites for the same seed.
+// outcome — independent of enumeration order, so a scan of discovery
+// pages (shard-major) and a scan of the subscriber's mirror (a Go map:
+// any order) pick identical sites for the same seed.
 func selectionNoise(nonce uint64, name string) float64 {
 	const (
 		offset64 = 14695981039346656037
@@ -72,20 +72,20 @@ func (b *Broker) localSnapshot() *infosys.Snapshot {
 	return snap
 }
 
-// The match pipeline. Every matchmaking pass is the same five stages:
+// The match pipeline. Every matchmaking pass is the same stages:
 //
-//	candidate source → admit → evaluate → keep-K → finishSelection
+//	registry read → per record: admit → evaluate → keep-K → finishSelection
 //
-// There are two sources. The page scan (scanPage, below) enumerates
-// the published records of the whole registry and is the default: it
-// costs one discovery round trip plus work linear in grid size. The
-// standing-tree walk (incremental.go, Config.Incremental) enumerates a
-// per-job tree of already-evaluated sites kept current from registry
-// deltas, for large grids whose jobs stand in the broker queue across
-// many passes. Every other stage exists once and both sources call it,
-// so for the same registry, seed and breaker state the two produce the
-// same ordered candidates; oracle_test.go checks both against a naive
-// whole-snapshot reference.
+// The registry read is the pass's one fork. By default the broker
+// fetches the published records of the whole registry: one discovery
+// round trip, then a cursor of pages. A delta-subscribed broker
+// (Config.Incremental, incremental.go) polls each shard for what
+// changed since its last pass and repairs a mirror, so discovery costs
+// wire proportional to churn. Either way the pass then visits every
+// record the read returned through the one per-record stage
+// (passScan.record), so for the same registry, seed and breaker state
+// the two reads produce the same ordered candidates; oracle_test.go
+// checks both against a naive whole-snapshot reference.
 
 // probeTask carries one admitted, requirement-matched site from the
 // keep-K stage through the direct state probe: vals is the record's
@@ -118,7 +118,8 @@ func probeBetter(a, b *probeTask) bool {
 
 // topkHeap is a bounded min-heap of the best K candidates seen so far:
 // the root is the worst kept entry, so a better newcomer replaces it
-// in O(log K).
+// in O(log K). It grows by append + heap.Fix, not heap.Push, which
+// would box the 80-byte task into an interface on every push.
 type topkHeap []probeTask
 
 func (h topkHeap) Len() int           { return len(h) }
@@ -198,91 +199,112 @@ func (b *Broker) newTask(p *probeTask, st *site.Site, sc *infosys.Schema, vals [
 }
 
 // matchPass runs one discovery+selection attempt for h and hands the
-// ordered candidates to cont, from the standing-tree source when
-// Config.Incremental is set and from the page scan otherwise.
+// ordered candidates to cont. It forks once, on how this broker reads
+// the registry (a poll of the delta subscription, a discovery query,
+// or the local sites for a broker without an information service);
+// every step after the read exists once. With TopK > 0 only the K best candidates by published-state rank are held
+// (heap), so the pass keeps O(PageSize + K) state no matter how many
+// sites match; with TopK <= 0 every match is kept. Survivors are probed
+// and re-ranked on fresh state by finishSelection.
 func (b *Broker) matchPass(h *Handle, excluded map[string]bool, cont func([]candidate)) {
-	switch {
-	case b.matchOracle != nil:
+	if b.matchOracle != nil {
 		b.matchOracle(h, excluded, cont)
-	case b.cfg.Incremental:
-		b.matchIncremental(h, excluded, cont)
-	default:
-		b.matchStream(h, excluded, cont)
+		return
 	}
-}
-
-// matchStream is the page-scan pass: discovery hands back a cursor
-// over per-shard snapshots and each page runs through admit, evaluate
-// and keep-K as it streams past. With TopK > 0 only the K best
-// candidates by published-state rank are held (heap), so the pass
-// keeps O(PageSize + K) state no matter how many sites match; with
-// TopK <= 0 every match is kept. Survivors are probed and re-ranked on
-// fresh state by finishSelection.
-func (b *Broker) matchStream(h *Handle, excluded map[string]bool, cont func([]candidate)) {
 	h.state = Matching
 
 	dstart := b.sim.Now()
-	withCursor := func(cur *infosys.Cursor) {
+	// selectFrom runs once the read has landed: over the discovery
+	// cursor, or over the subscriber's mirror when cur is nil.
+	selectFrom := func(cur *infosys.Cursor) {
 		h.Phases.Discovery = b.sim.Since(dstart)
 
 		sstart := b.sim.Now()
-		nonce := b.rng.Uint64()
 		h.unavailable, h.scanned, h.peak = 0, 0, 0
-		keep := topkHeap(b.getTasks())
-		for page, ok := cur.Next(); ok; page, ok = cur.Next() {
-			b.scanPage(h, page, excluded, sstart, nonce, &keep)
+		s := passScan{b: b, h: h, excluded: excluded, now: sstart, nonce: b.rng.Uint64(), keep: b.getTasks()}
+		if cur == nil {
+			for name, ent := range b.sub.mirror {
+				s.record(b.sub.schema, name, ent.vals, ent.rec.FreeCPUs)
+			}
+		} else {
+			for page, ok := cur.Next(); ok; page, ok = cur.Next() {
+				sc := page.Snapshot().Schema()
+				for i := 0; i < page.Len(); i++ {
+					s.record(sc, page.Name(i), page.Values(i), page.RecordShared(i).FreeCPUs)
+				}
+			}
 		}
-		b.finishSelection(h, []probeTask(keep), func(cands []candidate) {
-			b.putTasks([]probeTask(keep))
+		kept := []probeTask(s.keep)
+		b.finishSelection(h, kept, func(cands []candidate) {
+			b.putTasks(kept)
 			h.Phases.Selection += b.sim.Since(sstart)
 			cont(cands)
 		})
 	}
-	if info := b.cfg.Info; info != nil {
-		b.sim.AfterFunc(info.QueryLatency(), func() { withCursor(info.DiscoverImmediate(b.cfg.PageSize)) })
-		return
+	switch info := b.cfg.Info; {
+	case b.sub != nil:
+		h.polledAt = dstart
+		h.deltas, h.repins = 0, 0
+		b.sub.poll(h, func() {
+			h.matchEpoch = b.sub.applied
+			selectFrom(nil)
+		})
+	case info != nil:
+		b.sim.AfterFunc(info.QueryLatency(), func() { selectFrom(info.DiscoverImmediate(b.cfg.PageSize)) })
+	default:
+		selectFrom(b.localSnapshot().Cursor(b.cfg.PageSize))
 	}
-	withCursor(b.localSnapshot().Cursor(b.cfg.PageSize))
 }
 
-// scanPage is the page-scan candidate source with its keep-K stage, a
-// bounded heap: pure computation, no virtual time passes inside a
-// pass's scan — probes and page latency happen outside. The pass
-// visits every published record, so the per-record work is what large
-// grids pay for.
-func (b *Broker) scanPage(h *Handle, page infosys.Page, excluded map[string]bool, now time.Time, nonce uint64, keep *topkHeap) {
-	job := h.request.Job
-	sc := page.Snapshot().Schema()
-	topk := b.cfg.TopK
-	for i := 0; i < page.Len(); i++ {
-		h.scanned++
-		name := page.Name(i)
-		st, unavailable := b.admit(name, excluded, now)
-		if unavailable {
-			h.unavailable++
-		}
-		if st == nil {
-			continue
-		}
-		vals := page.Values(i)
-		pass, prelim, rankErr := b.evaluate(job, sc, vals, name, page.RecordShared(i).FreeCPUs)
-		if !pass || (rankErr && topk > 0) {
-			continue
-		}
-		var p probeTask
-		b.newTask(&p, st, sc, vals, prelim, nonce)
-		switch {
-		case topk <= 0:
-			*keep = append(*keep, p)
-		case len(*keep) < topk:
-			heap.Push(keep, p)
-		case probeBetter(&p, &(*keep)[0]):
-			(*keep)[0] = p
-			heap.Fix(keep, 0)
-		}
-		if len(*keep) > h.peak {
-			h.peak = len(*keep)
-		}
+// passScan is one pass's synchronous stretch from registry read to
+// kept set: the pass-wide inputs of the per-record stage and the
+// bounded heap it fills. Pure computation, no virtual time passes
+// inside it — the read's latency and the probes happen outside.
+type passScan struct {
+	b        *Broker
+	h        *Handle
+	excluded map[string]bool
+	now      time.Time
+	nonce    uint64
+	keep     topkHeap
+}
+
+// record is the per-record stage, run for every record the registry
+// read returned — each page record of a discovery cursor, each entry of
+// a subscriber's mirror: count it, admit, evaluate, build the task,
+// keep it if it is among the K best so far. The pass visits every
+// published record, so this is what large grids pay for. The kept set
+// and the counters do not depend on the order records arrive in
+// (probeBetter is a total order and the noise is hashed from the name),
+// which the mirror, a Go map, relies on.
+func (s *passScan) record(sc *infosys.Schema, name string, vals []any, freeCPUs int) {
+	b, h, topk := s.b, s.h, s.b.cfg.TopK
+	h.scanned++
+	st, unavailable := b.admit(name, s.excluded, s.now)
+	if unavailable {
+		h.unavailable++
+	}
+	if st == nil {
+		return
+	}
+	pass, prelim, rankErr := b.evaluate(h.request.Job, sc, vals, name, freeCPUs)
+	if !pass || (rankErr && topk > 0) {
+		return
+	}
+	var p probeTask
+	b.newTask(&p, st, sc, vals, prelim, s.nonce)
+	switch {
+	case topk <= 0:
+		s.keep = append(s.keep, p)
+	case len(s.keep) < topk:
+		s.keep = append(s.keep, p)
+		heap.Fix(&s.keep, len(s.keep)-1)
+	case probeBetter(&p, &s.keep[0]):
+		s.keep[0] = p
+		heap.Fix(&s.keep, 0)
+	}
+	if len(s.keep) > h.peak {
+		h.peak = len(s.keep)
 	}
 }
 
@@ -291,16 +313,15 @@ func (b *Broker) scanPage(h *Handle, page infosys.Page, excluded map[string]bool
 // applies leases, ranks the survivors on the fresh state (job Rank
 // expression or free CPUs), and orders candidates best first with the
 // seeded tie-break. A candidate whose Rank evaluation errors is
-// excluded, exactly like a failing Requirements evaluation. Shared by
-// both sources.
+// excluded, exactly like a failing Requirements evaluation.
 func (b *Broker) finishSelection(h *Handle, kept []probeTask, cont func([]candidate)) {
-	// Probe in site-name order no matter how the source enumerated its
-	// matches (shard-major stream, top-K heap, rank-ordered tree walk):
+	// Probe in site-name order no matter how the scan enumerated its
+	// matches (shard-major pages, a map-ordered mirror, top-K heap):
 	// probes spend simulated time, so a stable order keeps lease
 	// expiries and concurrent passes interleaving identically across
-	// sources.
+	// registry reads.
 	sort.Slice(kept, func(i, j int) bool { return kept[i].st.Name() < kept[j].st.Name() })
-	// Source and finishSelection run in one event, so the probe-back
+	// Scan and finishSelection run in one event, so the probe-back
 	// claims land before any concurrent pass can filter.
 	for i := range kept {
 		b.claimHalfOpen(kept[i].st.Name())

@@ -22,7 +22,7 @@ import (
 // attribute map, rank with the interpreted Rank AST, sort, truncate to
 // TopK, probe each survivor in name order and re-rank on the fresh
 // answer. It shares no compiled predicate, flat vector, page, heap or
-// tree code with the pipeline it checks — only the broker state both
+// mirror code with the pipeline it checks — only the broker state both
 // read (registered sites, breaker, leases, catalog) and the seeded
 // noise function that defines the tie-break.
 
@@ -368,9 +368,9 @@ func (g propGrid) build(cfg Config, info *infosys.Service, sim *simclock.Sim) *B
 // Rank-error sites with and without a TopK bound, unobtainable
 // datasets, registry churn between passes and brokers without an
 // information service. On every grid the oracle, the page scan
-// (sharded, small pages), and the standing-tree pass must agree
-// candidate for candidate, in the pass counters, and in which sites
-// each pass leaves holding a half-open probe claim.
+// (sharded, small pages), and the scan of a delta-subscribed broker's
+// mirror must agree candidate for candidate, in the pass counters, and
+// in which sites each pass leaves holding a half-open probe claim.
 func TestMatchPipelineAgreesWithOracle(t *testing.T) {
 	for trial := int64(0); trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(4200 + trial))
@@ -414,7 +414,7 @@ func TestMatchPipelineAgreesWithOracle(t *testing.T) {
 				{"scan", with(Config{PageSize: page}, shards, 0, false)},
 			}
 			if !local {
-				arms = append(arms, arm{"tree", with(Config{Incremental: true}, shards, depth, false)})
+				arms = append(arms, arm{"mirror", with(Config{Incremental: true}, shards, depth, false)})
 			}
 			want := arms[0].run()
 			for _, a := range arms[1:] {

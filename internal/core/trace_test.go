@@ -76,8 +76,11 @@ func TestSystemUnifiedTrace(t *testing.T) {
 	sess.Close()
 
 	// One timeline: broker lifecycle, injected faults and console
-	// attach all present in a single log.
-	events := sys.Tracer.Events()
+	// attach all present in a single log. The log is read once: the
+	// shadow's reader goroutine may still emit its link-down after
+	// Close returns, and a second read could be one event longer.
+	unified := sys.Tracer.Snapshot("unified")
+	events := unified.Events
 	seen := make(map[trace.Kind]bool, len(events))
 	for _, e := range events {
 		seen[e.Kind] = true
@@ -91,7 +94,7 @@ func TestSystemUnifiedTrace(t *testing.T) {
 	// The log exports as one JSONL document, round-trips, and passes
 	// the structural checker.
 	var buf bytes.Buffer
-	if err := trace.WriteJSONL(&buf, []trace.Trace{sys.Tracer.Snapshot("unified")}); err != nil {
+	if err := trace.WriteJSONL(&buf, []trace.Trace{unified}); err != nil {
 		t.Fatal(err)
 	}
 	traces, err := trace.ParseJSONL(bytes.NewReader(buf.Bytes()))

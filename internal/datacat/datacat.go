@@ -8,8 +8,8 @@
 //
 // The catalog is deterministic by construction — replica sets are kept
 // sorted and ties between equally cheap replicas break by site name —
-// so both candidate sources of the broker's match pipeline (page scan,
-// standing tree) derive identical penalties from it.
+// so the penalty the broker's match pipeline derives from it does not
+// depend on the order sites or replicas were enumerated in.
 package datacat
 
 import (
@@ -66,7 +66,6 @@ type dataset struct {
 type Catalog struct {
 	links    *Links
 	datasets map[string]*dataset
-	version  uint64
 }
 
 // New creates an empty catalog over the given link topology (nil
@@ -74,11 +73,6 @@ type Catalog struct {
 func New(links *Links) *Catalog {
 	return &Catalog{links: links, datasets: make(map[string]*dataset)}
 }
-
-// Version counts catalog mutations. Matchmaking paths that cache
-// derived state (the incremental treaps) compare it to know when to
-// rebuild.
-func (c *Catalog) Version() uint64 { return c.version }
 
 // AddReplica registers size bytes of dataset name at the given sites
 // (merged into any existing replica set). The size of an existing
@@ -109,7 +103,6 @@ func (c *Catalog) AddReplica(name string, size int64, sites ...string) error {
 		copy(d.sites[i+1:], d.sites[i:])
 		d.sites[i] = s
 	}
-	c.version++
 	return nil
 }
 
@@ -124,7 +117,6 @@ func (c *Catalog) DropReplica(name, site string) {
 	i := sort.SearchStrings(d.sites, site)
 	if i < len(d.sites) && d.sites[i] == site {
 		d.sites = append(d.sites[:i], d.sites[i+1:]...)
-		c.version++
 	}
 }
 

@@ -42,25 +42,6 @@ func TestStagingUnobtainable(t *testing.T) {
 	}
 }
 
-func TestCatalogVersionCounts(t *testing.T) {
-	c := New(NewLinks(netsim.CampusGrid()))
-	v0 := c.Version()
-	c.AddReplica("d", 10, "a")
-	if c.Version() == v0 {
-		t.Fatal("AddReplica did not bump version")
-	}
-	v1 := c.Version()
-	c.DropReplica("d", "a")
-	if c.Version() == v1 {
-		t.Fatal("DropReplica did not bump version")
-	}
-	v2 := c.Version()
-	c.DropReplica("d", "a") // no-op: replica already gone
-	if c.Version() != v2 {
-		t.Fatal("no-op drop bumped version")
-	}
-}
-
 func TestAddReplicaValidation(t *testing.T) {
 	c := New(NewLinks(netsim.CampusGrid()))
 	if err := c.AddReplica("", 10, "a"); err == nil {

@@ -150,10 +150,9 @@ func ChaosSweep(cfg ChaosConfig) ([]ChaosPoint, error) {
 func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
 	p := ChaosPoint{CrashRate: rate, Delta: cfg.Delta, Elastic: cfg.Elastic}
 	// Recovery knobs: bounded resubmission with capped exponential
-	// backoff and heartbeat monitoring, plus circuit-breaker quarantine.
+	// backoff; heartbeat monitoring and the circuit-breaker quarantine
+	// run at the broker's defaults.
 	bcfg := RecoveryConfig()
-	bcfg.QuarantineThreshold = 3
-	bcfg.QuarantineCooldown = 5 * time.Minute
 	bcfg.Incremental = cfg.Delta
 	grid := core.SystemConfig{
 		Seed:   cfg.Seed + idx,

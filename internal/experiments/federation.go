@@ -166,8 +166,6 @@ func addFedMember(sys *core.System, svc *infosys.Service, fed *federation.Federa
 	// plus lease jitter so federated expiries desynchronize.
 	bcfg := RecoveryConfig()
 	bcfg.Sim, bcfg.Name, bcfg.Info, bcfg.Trace, bcfg.Seed = sys.Sim, name, v, tr, seed
-	bcfg.QuarantineThreshold = 3
-	bcfg.QuarantineCooldown = 5 * time.Minute
 	bcfg.LeaseJitter = 0.25
 	b := broker.New(bcfg)
 	sys.Sites = append(sys.Sites, core.NewSites(sys.Sim, []core.SiteSpec{

@@ -129,12 +129,13 @@ func ReplaySweep(cfg ReplayConfig) ([]ReplayPoint, error) {
 
 // RecoveryConfig is the bounded-recovery broker posture the replay,
 // chaos and federation sweeps share: capped resubmission with
-// exponential backoff and heartbeat monitoring, so every job reaches a
-// terminal state even when the workload overloads the grid or faults
-// keep hitting it. Callers set their own fields on the returned value.
+// exponential backoff, so every job reaches a terminal state even when
+// the workload overloads the grid or faults keep hitting it. Heartbeat
+// monitoring and the circuit breaker run at the broker's defaults.
+// Callers set their own fields on the returned value.
 func RecoveryConfig() broker.Config {
 	return broker.Config{
-		MaxResubmits: 10, AgentHeartbeat: 10 * time.Second,
+		MaxResubmits:  10,
 		RetryInterval: 15 * time.Second, RetryBackoff: 2, RetryMaxInterval: 4 * time.Minute,
 	}
 }

@@ -150,9 +150,9 @@ func ScalePointKey(p ScalePoint) string {
 
 // scaleJob is the representative job the sweep matches: a string
 // Requirements over published attributes and a Rank over MemoryMB, so
-// preliminary ranks form many small tie groups — the top-K heap, the
-// boundary tie-break and the standing trees' re-rank path are all
-// exercised without collapsing into one grid-wide tie.
+// preliminary ranks form many small tie groups — the top-K heap and
+// its boundary tie-break are exercised without collapsing into one
+// grid-wide tie.
 func scaleJob() (*jdl.Job, error) {
 	return jdl.ParseJob(`
 Executable   = "scaleprobe";
@@ -261,8 +261,8 @@ func scaleCell(cfg ScaleConfig, job *jdl.Job, spec scaleSpec) (ScalePoint, error
 	sim.RunFor(time.Minute) // let the initial publishes land
 
 	// applyChurn republishes spec.churn records with moved MemoryMB
-	// ranks — the between-pass update stream the delta path repairs
-	// standing trees from (and the repin path re-pins over).
+	// ranks — the between-pass update stream the delta path repairs its
+	// mirror from (and the repin path re-pins over).
 	churned := 0
 	applyChurn := func() {
 		for j := 0; j < spec.churn; j++ {
