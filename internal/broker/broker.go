@@ -112,7 +112,8 @@ type Config struct {
 	// so two brokers' submissions never collide in a merged trace.
 	// Empty — the single-broker default — keeps the classic "cb" prefix.
 	Name string
-	// Info is the information system used for resource discovery.
+	// Info is the information system used for resource discovery
+	// (required).
 	Info Directory
 	// Fair is the fair-share policy; nil disables accounting.
 	Fair FairShare
@@ -147,14 +148,6 @@ type Config struct {
 	// paper's two-VM configuration; Section 5.2 discusses larger
 	// degrees as an extension).
 	AgentDegree int
-	// ProbeWidth bounds how many direct site-state probes the
-	// selection phase runs concurrently. 0 or 1 (the default) probes
-	// sites one after another, reproducing the paper's serial
-	// selection cost (~3 s for 20 sites, Table I); a larger width
-	// fans the probes out across that many concurrent workers so the
-	// selection time approaches the maximum site round trip; negative
-	// probes every site at once.
-	ProbeWidth int
 	// MaxResubmits bounds failure-driven resubmissions per job
 	// (queue-timeout kills, site deaths mid-run, agent losses, failed
 	// gatekeeper submissions). 0 means unlimited — the paper's
@@ -170,10 +163,6 @@ type Config struct {
 	// RetryMaxInterval caps the backed-off retry delay (default
 	// 16×RetryInterval).
 	RetryMaxInterval time.Duration
-	// RetryJitter adds a seeded random fraction in [0, RetryJitter)
-	// of the delay to each retry, desynchronizing resubmission storms
-	// when a site recovers. Default 0 (deterministic pacing).
-	RetryJitter float64
 	// QuarantineThreshold is the consecutive-failure count after
 	// which a site is excluded from matchmaking (circuit breaker;
 	// default 3). After QuarantineCooldown the site is probed again:
@@ -200,11 +189,11 @@ type Config struct {
 	// Incremental selects how the broker reads the registry — a
 	// property of the modelled deployment, like
 	// core.IndexSpec.ShardLink, not a match algorithm. Instead of
-	// fetching every record each pass, the broker mirrors the
-	// registry by polling per-shard epoch deltas
-	// (infosys.DeltaSource, which Info must implement), so
+	// a discovery query each pass, the broker polls per-shard epoch
+	// deltas (infosys.DeltaSource, which Info must implement), so
 	// discovery's wire cost is proportional to churn instead of grid
-	// size. Selection is the same scan, over the mirror; TopK and
+	// size. Every answer carries the shard snapshot it caught up to,
+	// and selection is the same scan, over those snapshots; TopK and
 	// the probe/rank pipeline behave exactly as after a discovery
 	// query.
 	Incremental bool
@@ -459,11 +448,6 @@ type Broker struct {
 	reqMemo     map[*site.Site]bool
 	taskPool    [][]probeTask // recycled matchmaking scratch, see getTasks
 
-	// lastSnap keeps the previous discovery snapshot when running
-	// without an information service, so schema pointers (and the
-	// jobs' compiled-predicate caches) stay stable across passes.
-	lastSnap *infosys.Snapshot
-
 	pendingBatch []*Handle
 	seq          int
 	dispatching  bool
@@ -472,8 +456,8 @@ type Broker struct {
 	// nil outside a federation.
 	offloader func(h *Handle) bool
 
-	// sub is the delta-subscription mirror (incremental.go); non-nil
-	// only when Config.Incremental is set.
+	// sub is the delta subscription (incremental.go); non-nil only
+	// when Config.Incremental is set.
 	sub *subscriber
 
 	// matchOracle, when set, replaces the match pipeline. Only
@@ -502,6 +486,9 @@ func New(cfg Config) *Broker {
 	cfg.setDefaults()
 	if cfg.Sim == nil {
 		panic("broker: Config.Sim is required")
+	}
+	if cfg.Info == nil {
+		panic("broker: Config.Info is required")
 	}
 	b := &Broker{
 		cfg:        cfg,
@@ -539,9 +526,7 @@ func (b *Broker) RegisterSite(st *site.Site) {
 		b.quarantineNow(name)
 		b.kickDispatch()
 	})
-	if b.cfg.Info != nil {
-		st.StartPublishing(b.cfg.Info)
-	}
+	st.StartPublishing(b.cfg.Info)
 	if b.cfg.Fair != nil {
 		total := 0
 		for _, s := range b.sites {
@@ -560,9 +545,7 @@ func (b *Broker) UnregisterSite(name string) {
 	}
 	delete(b.sites, name)
 	delete(b.scan, name)
-	if b.cfg.Info != nil {
-		b.cfg.Info.Remove(name)
-	}
+	b.cfg.Info.Remove(name)
 	b.releaseSiteLeases(name)
 	if b.cfg.Fair != nil {
 		total := 0

@@ -11,9 +11,9 @@ package broker
 //   - The penalty is a pure function of (job, site, catalog contents)
 //     and enters matchmaking at the pipeline's one evaluate stage,
 //     computed afresh every pass, so both registry reads — discovery
-//     pages and the delta mirror — derive the same number for the
-//     same pair, and the kept sets and final candidate orders stay
-//     byte-identical across them.
+//     pages and the delta subscription's pinned snapshots — derive the
+//     same number for the same pair, and the kept sets and final
+//     candidate orders stay byte-identical across them.
 //   - rank' = rank − staging_seconds preserves the paper's randomized
 //     tie-break: ties in rank' are still resolved by seeded noise.
 //   - A site strictly dominated on (rank, staging) — no better compute

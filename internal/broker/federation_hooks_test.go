@@ -18,7 +18,7 @@ import (
 func TestLeaseJitterDesynchronizesExpiry(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	mk := func(seed int64) *Broker {
-		return New(Config{Sim: sim, Seed: seed, LeaseDuration: 30 * time.Second, LeaseJitter: 0.5})
+		return New(Config{Sim: sim, Info: infosys.New(sim, 0), Seed: seed, LeaseDuration: 30 * time.Second, LeaseJitter: 0.5})
 	}
 	bA, bB := mk(1), mk(2)
 	base := sim.Now().Add(30 * time.Second)
@@ -41,9 +41,10 @@ func TestLeaseJitterDesynchronizesExpiry(t *testing.T) {
 // untouched): single-broker benchmark artifacts depend on it.
 func TestLeaseNoJitterExactExpiry(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
-	b := New(Config{Sim: sim, Seed: 7, LeaseDuration: 30 * time.Second})
+	info := infosys.New(sim, 0)
+	b := New(Config{Sim: sim, Info: info, Seed: 7, LeaseDuration: 30 * time.Second})
 	before := b.rng.Uint64()
-	b2 := New(Config{Sim: sim, Seed: 7, LeaseDuration: 30 * time.Second})
+	b2 := New(Config{Sim: sim, Info: info, Seed: 7, LeaseDuration: 30 * time.Second})
 	want := sim.Now().Add(30 * time.Second)
 	b2.lease(&Handle{ID: "cb-000001"}, "s00", 2)
 	sim.RunFor(time.Second)
@@ -111,7 +112,7 @@ func TestHalfOpenProbeSingleFlight(t *testing.T) {
 // Requirements, or loses its place in the top K — must leave the gate
 // open, or nothing ever clears it and the recovered site stays
 // excluded forever. On the page scan, the bounded scan and the scan
-// of a delta-subscribed mirror.
+// of a delta-subscribed broker's pinned snapshots.
 func TestHalfOpenClaimNotLeakedByUnprobedSite(t *testing.T) {
 	picky := mustParseJob(t, `Executable = "x"; Requirements = other.FreeCPUs > 1000;`)
 	rankLast := mustParseJob(t, `Executable = "x"; Rank = 0 - other.FreeCPUs;`) // site00 has the most CPUs

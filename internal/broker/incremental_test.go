@@ -77,11 +77,11 @@ func churn(t *testing.T, info *infosys.Service, round int) {
 
 // TestIncrementalEquivalentToSnapshotPass is the delta-subscribed
 // pass's oracle test, the same contract the page scan holds: for a
-// fixed seed the pass over the mirror must produce the exact ordered
-// candidate list of the naive whole-snapshot oracle (oracle_test.go) —
-// across shard counts, TopK settings and log depths (depth 0 forces a
-// re-pin every poll), and across passes with identical churn applied
-// to both grids.
+// fixed seed the pass over the pinned snapshots must produce the exact
+// ordered candidate list of the naive whole-snapshot oracle
+// (oracle_test.go) — across shard counts, TopK settings and log depths
+// (depth 0 forces a re-pin every poll), and across passes with
+// identical churn applied to both grids.
 func TestIncrementalEquivalentToSnapshotPass(t *testing.T) {
 	const seed, rounds = 2006, 4
 	job := equivJob(t)
@@ -144,10 +144,10 @@ func TestIncrementalEquivalentToSnapshotPass(t *testing.T) {
 	}
 }
 
-// TestIncrementalTopKBoundsCandidates holds the mirror scan to the
-// page scan's memory contract: TopK bounds the kept set and the
+// TestIncrementalTopKBoundsCandidates holds the delta-subscribed scan
+// to the page scan's memory contract: TopK bounds the kept set and the
 // survivors are the reference pass's best K, with the pass reporting
-// delta — not snapshot — discovery work once the mirror is warm.
+// delta — not snapshot — discovery work once the subscription is warm.
 func TestIncrementalTopKBoundsCandidates(t *testing.T) {
 	const seed, k = 2006, 5
 	job := equivJob(t)
@@ -178,7 +178,7 @@ func TestIncrementalTopKBoundsCandidates(t *testing.T) {
 		t.Fatalf("first poll: deltas=%d repins=%d, want the 30 initial publishes as deltas", h.deltas, h.repins)
 	}
 
-	// Steady state: a churned pass applies deltas, not re-pins.
+	// Steady state: a churned pass is answered with deltas, not re-pins.
 	churn(t, info, 1)
 	h = &Handle{request: Request{Job: job}}
 	done = false
@@ -195,15 +195,33 @@ func TestIncrementalTopKBoundsCandidates(t *testing.T) {
 	}
 }
 
-// TestMirrorMatchesRegistry is the mirror's property test: after any
+// pagedRecord is one record as a cursor enumerates it.
+type pagedRecord struct {
+	rec  infosys.SiteRecord
+	vals []any
+	sc   *infosys.Schema
+}
+
+func readCursor(cur *infosys.Cursor) []pagedRecord {
+	var out []pagedRecord
+	for page, ok := cur.Next(); ok; page, ok = cur.Next() {
+		for i := 0; i < page.Len(); i++ {
+			out = append(out, pagedRecord{page.RecordShared(i), page.Values(i), page.Snapshot().Schema()})
+		}
+	}
+	return out
+}
+
+// TestPinsFollowRegistry is the subscription's property test: after any
 // random sequence of publishes, updates, removes and schema changes —
 // including bursts past a shard's log depth that force re-pins — a
-// poll must leave the subscriber's mirror holding exactly the registry
-// snapshot's records, each with the snapshot's flat vector against the
-// snapshot's schema, none extra and none missing. Runs under -race in
-// the CI matrix.
-func TestMirrorMatchesRegistry(t *testing.T) {
-	var polled Handle // counts the deltas and re-pins every poll applied
+// poll must leave the subscriber pinned to exactly what a discovery
+// query reads at that instant: the same records in the same order, each
+// with the very flat vector the registry holds (no copy) against the
+// same schema, none extra and none missing. Runs under -race in the CI
+// matrix.
+func TestPinsFollowRegistry(t *testing.T) {
+	var polled Handle // counts the deltas and re-pins every poll received
 	for trial := int64(0); trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(7000 + trial))
 		sim, b, info := deltaGrid(Config{Seed: 1, Incremental: true}, 4, 2)
@@ -237,7 +255,7 @@ func TestMirrorMatchesRegistry(t *testing.T) {
 					}
 					if rng.Intn(20) == 0 {
 						// Widen the attribute set: a schema change that
-						// forces the subscriber to re-flatten the mirror.
+						// re-flattens every shard the next poll pins.
 						attrs[fmt.Sprintf("Extra%d", rng.Intn(3))] = step
 					}
 					if err := info.Publish(infosys.SiteRecord{
@@ -249,31 +267,20 @@ func TestMirrorMatchesRegistry(t *testing.T) {
 			}
 			poll()
 
-			snap := info.SnapshotImmediate()
-			if s.schema != snap.Schema() {
-				t.Fatalf("trial %d step %d: mirror laid out against a stale schema", trial, step)
+			got := readCursor(infosys.PinnedCursor(s.pins, 3))
+			want := readCursor(info.DiscoverImmediate(0))
+			if len(got) != len(want) || len(want) != info.Len() {
+				t.Fatalf("trial %d step %d: pins hold %d records, discovery reads %d of the registry's %d",
+					trial, step, len(got), len(want), info.Len())
 			}
-			seen := 0
-			cur := snap.Cursor(0)
-			for page, ok := cur.Next(); ok; page, ok = cur.Next() {
-				for i := 0; i < page.Len(); i++ {
-					name := page.Name(i)
-					ent := s.mirror[name]
-					if ent == nil {
-						t.Fatalf("trial %d step %d: mirror is missing %s", trial, step, name)
-					}
-					seen++
-					if want := page.RecordShared(i); !reflect.DeepEqual(ent.rec, want) {
-						t.Fatalf("trial %d step %d: mirror holds %+v for %s, registry %+v", trial, step, ent.rec, name, want)
-					}
-					if want := page.Values(i); !reflect.DeepEqual(ent.vals, want) {
-						t.Fatalf("trial %d step %d: mirror vector for %s is %v, registry %v", trial, step, name, ent.vals, want)
-					}
+			for i, w := range want {
+				g := got[i]
+				if !reflect.DeepEqual(g.rec, w.rec) {
+					t.Fatalf("trial %d step %d: record %d pinned as %+v, registry %+v", trial, step, i, g.rec, w.rec)
 				}
-			}
-			if seen != snap.Len() || len(s.mirror) != seen {
-				t.Fatalf("trial %d step %d: mirror holds %d records, %d of the registry's %d",
-					trial, step, len(s.mirror), seen, snap.Len())
+				if &g.vals[0] != &w.vals[0] || g.sc != w.sc {
+					t.Fatalf("trial %d step %d: %s pinned with another vector or schema than the registry holds", trial, step, w.rec.Name)
+				}
 			}
 		}
 	}
@@ -282,9 +289,10 @@ func TestMirrorMatchesRegistry(t *testing.T) {
 	}
 }
 
-// TestScanOrderIndependent pins what scanning the mirror, a Go map,
-// relies on: the per-record stage's kept set and counters do not depend
-// on the order records arrive in. One record set is fed to the stage
+// TestScanOrderIndependent pins that the per-record stage's kept set
+// and counters do not depend on the order records arrive in, as the
+// shard-major page order varies with the shard count. One record set is
+// fed to the stage
 // name-sorted, reversed and shuffled, unbounded and with TopK cutting
 // inside a group of equal preliminary ranks, where only the tie-break
 // (seeded noise, or the site name in Deterministic mode) decides who
@@ -302,7 +310,7 @@ func TestScanOrderIndependent(t *testing.T) {
 			b.quarantineNow("site07")
 
 			snap := b.cfg.Info.(*infosys.Service).SnapshotImmediate()
-			page, _ := snap.Cursor(snap.Len()).Next()
+			page, _ := infosys.PinnedCursor([]*infosys.Snapshot{snap}, snap.Len()).Next()
 			feed := func(order []int) string {
 				h := &Handle{request: Request{Job: job}}
 				s := passScan{b: b, h: h, excluded: excluded, now: sim.Now(), nonce: 42}

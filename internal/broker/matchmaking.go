@@ -36,9 +36,9 @@ func candBetter(a, b *candidate) bool {
 // selectionNoise derives a candidate's tie-break noise in [0, 1) from
 // the pass nonce and the site name (FNV-1a). Hashing instead of
 // drawing per candidate makes the noise — and with it the selection
-// outcome — independent of enumeration order, so a scan of discovery
-// pages (shard-major) and a scan of the subscriber's mirror (a Go map:
-// any order) pick identical sites for the same seed.
+// outcome — independent of enumeration order, so scans of the same
+// records in shard-major page order pick identical sites for the same
+// seed whatever the shard count.
 func selectionNoise(nonce uint64, name string) float64 {
 	const (
 		offset64 = 14695981039346656037
@@ -56,43 +56,27 @@ func selectionNoise(nonce uint64, name string) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-// localSnapshot rebuilds the local-registry snapshot for brokers
-// running without an information service. The previous snapshot is
-// threaded through so the schema pointer — and with it each job's
-// compiled-predicate cache — survives rebuilds; records come from
-// site.Record() already private, so the snapshot takes ownership
-// instead of cloning a second time.
-func (b *Broker) localSnapshot() *infosys.Snapshot {
-	recs := make([]infosys.SiteRecord, 0, len(b.sites))
-	for _, s := range b.sites {
-		recs = append(recs, s.Record())
-	}
-	snap := infosys.NewSnapshotOwned(recs, b.lastSnap)
-	b.lastSnap = snap
-	return snap
-}
-
 // The match pipeline. Every matchmaking pass is the same stages:
 //
-//	registry read → per record: admit → evaluate → keep-K → finishSelection
+//	registry read → cursor → per record: admit → evaluate → keep-K → finishSelection
 //
-// The registry read is the pass's one fork. By default the broker
-// fetches the published records of the whole registry: one discovery
-// round trip, then a cursor of pages. A delta-subscribed broker
-// (Config.Incremental, incremental.go) polls each shard for what
-// changed since its last pass and repairs a mirror, so discovery costs
-// wire proportional to churn. Either way the pass then visits every
-// record the read returned through the one per-record stage
-// (passScan.record), so for the same registry, seed and breaker state
-// the two reads produce the same ordered candidates; oracle_test.go
-// checks both against a naive whole-snapshot reference.
+// The registry read is the pass's one fork, and it only decides which
+// cursor the pass pages. By default the broker queries the registry:
+// one discovery round trip, then a cursor that pins each shard as it
+// reaches it. A delta-subscribed broker (Config.Incremental,
+// incremental.go) polls each shard for what changed since its last
+// pass, so discovery costs wire proportional to churn, and pages the
+// shard snapshots the poll caught it up to. Either way the pass then
+// visits every record the cursor returns through the one per-record
+// stage (passScan.record), so for the same registry, seed and breaker
+// state the two reads produce the same ordered candidates;
+// oracle_test.go checks both against a naive whole-snapshot reference.
 
 // probeTask carries one admitted, requirement-matched site from the
 // keep-K stage through the direct state probe: vals is the record's
 // published flat attribute vector laid out against schema — shared
-// with the snapshot or mirror it came from, never written — free and
-// queued are filled by probeSites, prelim and noise order the keep-K
-// stage.
+// with the snapshot it came from, never written — free and queued are
+// filled by probeSites, prelim and noise order the keep-K stage.
 type probeTask struct {
 	st           *site.Site
 	schema       *infosys.Schema
@@ -200,12 +184,12 @@ func (b *Broker) newTask(p *probeTask, st *site.Site, sc *infosys.Schema, vals [
 
 // matchPass runs one discovery+selection attempt for h and hands the
 // ordered candidates to cont. It forks once, on how this broker reads
-// the registry (a poll of the delta subscription, a discovery query,
-// or the local sites for a broker without an information service);
-// every step after the read exists once. With TopK > 0 only the K best candidates by published-state rank are held
-// (heap), so the pass keeps O(PageSize + K) state no matter how many
-// sites match; with TopK <= 0 every match is kept. Survivors are probed
-// and re-ranked on fresh state by finishSelection.
+// the registry (a poll of the delta subscription, or a discovery
+// query); both end in a cursor, and every step after it exists once.
+// With TopK > 0 only the K best candidates by published-state rank are
+// held (heap), so the pass keeps O(PageSize + K) state no matter how
+// many sites match; with TopK <= 0 every match is kept. Survivors are
+// probed and re-ranked on fresh state by finishSelection.
 func (b *Broker) matchPass(h *Handle, excluded map[string]bool, cont func([]candidate)) {
 	if b.matchOracle != nil {
 		b.matchOracle(h, excluded, cont)
@@ -214,24 +198,17 @@ func (b *Broker) matchPass(h *Handle, excluded map[string]bool, cont func([]cand
 	h.state = Matching
 
 	dstart := b.sim.Now()
-	// selectFrom runs once the read has landed: over the discovery
-	// cursor, or over the subscriber's mirror when cur is nil.
+	// selectFrom runs once the read has landed.
 	selectFrom := func(cur *infosys.Cursor) {
 		h.Phases.Discovery = b.sim.Since(dstart)
 
 		sstart := b.sim.Now()
 		h.unavailable, h.scanned, h.peak = 0, 0, 0
 		s := passScan{b: b, h: h, excluded: excluded, now: sstart, nonce: b.rng.Uint64(), keep: b.getTasks()}
-		if cur == nil {
-			for name, ent := range b.sub.mirror {
-				s.record(b.sub.schema, name, ent.vals, ent.rec.FreeCPUs)
-			}
-		} else {
-			for page, ok := cur.Next(); ok; page, ok = cur.Next() {
-				sc := page.Snapshot().Schema()
-				for i := 0; i < page.Len(); i++ {
-					s.record(sc, page.Name(i), page.Values(i), page.RecordShared(i).FreeCPUs)
-				}
+		for page, ok := cur.Next(); ok; page, ok = cur.Next() {
+			sc := page.Snapshot().Schema()
+			for i := 0; i < page.Len(); i++ {
+				s.record(sc, page.Name(i), page.Values(i), page.RecordShared(i).FreeCPUs)
 			}
 		}
 		kept := []probeTask(s.keep)
@@ -241,19 +218,17 @@ func (b *Broker) matchPass(h *Handle, excluded map[string]bool, cont func([]cand
 			cont(cands)
 		})
 	}
-	switch info := b.cfg.Info; {
-	case b.sub != nil:
-		h.polledAt = dstart
-		h.deltas, h.repins = 0, 0
-		b.sub.poll(h, func() {
-			h.matchEpoch = b.sub.applied
-			selectFrom(nil)
-		})
-	case info != nil:
+	if b.sub == nil {
+		info := b.cfg.Info
 		b.sim.AfterFunc(info.QueryLatency(), func() { selectFrom(info.DiscoverImmediate(b.cfg.PageSize)) })
-	default:
-		selectFrom(b.localSnapshot().Cursor(b.cfg.PageSize))
+		return
 	}
+	h.polledAt = dstart
+	h.deltas, h.repins = 0, 0
+	b.sub.poll(h, func() {
+		h.matchEpoch = b.sub.applied
+		selectFrom(infosys.PinnedCursor(b.sub.pins, b.cfg.PageSize))
+	})
 }
 
 // passScan is one pass's synchronous stretch from registry read to
@@ -270,13 +245,12 @@ type passScan struct {
 }
 
 // record is the per-record stage, run for every record the registry
-// read returned — each page record of a discovery cursor, each entry of
-// a subscriber's mirror: count it, admit, evaluate, build the task,
+// read's cursor returned: count it, admit, evaluate, build the task,
 // keep it if it is among the K best so far. The pass visits every
 // published record, so this is what large grids pay for. The kept set
 // and the counters do not depend on the order records arrive in
 // (probeBetter is a total order and the noise is hashed from the name),
-// which the mirror, a Go map, relies on.
+// so the shard-major page order may vary with the shard count.
 func (s *passScan) record(sc *infosys.Schema, name string, vals []any, freeCPUs int) {
 	b, h, topk := s.b, s.h, s.b.cfg.TopK
 	h.scanned++
@@ -308,15 +282,15 @@ func (s *passScan) record(sc *infosys.Schema, name string, vals []any, freeCPUs 
 	}
 }
 
-// finishSelection contacts each kept site directly for up-to-date
-// queue state (serially or probeWidth-wide, see Config.ProbeWidth),
-// applies leases, ranks the survivors on the fresh state (job Rank
-// expression or free CPUs), and orders candidates best first with the
-// seeded tie-break. A candidate whose Rank evaluation errors is
-// excluded, exactly like a failing Requirements evaluation.
+// finishSelection contacts each kept site directly, one after another,
+// for up-to-date queue state, applies leases, ranks the survivors on
+// the fresh state (job Rank expression or free CPUs), and orders
+// candidates best first with the seeded tie-break. A candidate whose
+// Rank evaluation errors is excluded, exactly like a failing
+// Requirements evaluation.
 func (b *Broker) finishSelection(h *Handle, kept []probeTask, cont func([]candidate)) {
 	// Probe in site-name order no matter how the scan enumerated its
-	// matches (shard-major pages, a map-ordered mirror, top-K heap):
+	// matches (shard-major pages over any shard count, top-K heap):
 	// probes spend simulated time, so a stable order keeps lease
 	// expiries and concurrent passes interleaving identically across
 	// registry reads.
@@ -402,12 +376,9 @@ func (b *Broker) putTasks(t []probeTask) {
 // probeSites fills each task's free/queued fields via the site's
 // direct QueryStateAsync, subtracting the broker's active leases as
 // each answer arrives (so concurrent matchmaking passes see each
-// other's reservations). With ProbeWidth <= 1 sites are contacted one
-// after another (the paper's behavior: selection costs the sum of site
-// round trips, ~3 s for 20 sites in Table I). With a larger width that
-// many workers pull from a shared counter, each chaining its probes,
-// and the elapsed simulated time is the maximum round trip over each
-// worker's share.
+// other's reservations). Sites are contacted one after another, the
+// paper's behavior: selection costs the sum of site round trips, ~3 s
+// for 20 sites in Table I.
 func (b *Broker) probeSites(tasks []probeTask, cont func()) {
 	n := len(tasks)
 	if n == 0 {
@@ -427,49 +398,18 @@ func (b *Broker) probeSites(tasks []probeTask, cont func()) {
 		}
 		tasks[i].free, tasks[i].queued = free, queued
 	}
-	width := b.cfg.ProbeWidth
-	if width >= 0 && width <= 1 {
-		var step func(i int)
-		step = func(i int) {
-			if i == n {
-				cont()
-				return
-			}
-			tasks[i].st.QueryStateAsync(func(free, queued int, ok bool) {
-				handle(i, free, queued, ok)
-				step(i + 1)
-			})
-		}
-		step(0)
-		return
-	}
-	workers := n
-	if width > 0 && width < n {
-		workers = width
-	}
-	next := 0
-	remaining := workers
-	done := b.sim.NewTrigger()
-	var runWorker func()
-	runWorker = func() {
-		if next >= n {
-			remaining--
-			if remaining == 0 {
-				done.Fire()
-			}
+	var step func(i int)
+	step = func(i int) {
+		if i == n {
+			cont()
 			return
 		}
-		i := next
-		next++
 		tasks[i].st.QueryStateAsync(func(free, queued int, ok bool) {
 			handle(i, free, queued, ok)
-			runWorker()
+			step(i + 1)
 		})
 	}
-	for w := 0; w < workers; w++ {
-		b.sim.Post(runWorker)
-	}
-	done.WaitThen(cont)
+	step(0)
 }
 
 // PassStats describes one matchmaking pass for instrumentation (the
@@ -485,8 +425,8 @@ type PassStats struct {
 	// Unavailable counts matches skipped as quarantined or probe-dead.
 	Unavailable int
 	// Deltas and Repins count, for the incremental pass, the per-site
-	// deltas applied and the shard snapshot re-pins (gap fallbacks) the
-	// deciding poll performed; zero on the other paths.
+	// deltas and the shard snapshot re-pins (gap fallbacks) the deciding
+	// poll was answered with; zero on the discovery path.
 	Deltas, Repins int
 	// Discovery and Selection are the simulated phase durations.
 	Discovery, Selection time.Duration
@@ -703,10 +643,10 @@ func (b *Broker) dispatchPending() {
 	}
 }
 
-// scheduleRetry re-queues a batch job with capped exponential backoff
-// (plus seeded jitter), or aborts it terminally once the resubmission
-// budget is spent. With the default RetryBackoff of 1 the pacing is
-// the fixed RetryInterval of the original design.
+// scheduleRetry re-queues a batch job with capped exponential backoff,
+// or aborts it terminally once the resubmission budget is spent. With
+// the default RetryBackoff of 1 the pacing is the fixed RetryInterval
+// of the original design.
 func (b *Broker) scheduleRetry(h *Handle) {
 	if b.cfg.MaxResubmits > 0 && h.resub > b.cfg.MaxResubmits {
 		b.failResubmits(h)
@@ -726,8 +666,7 @@ func (b *Broker) scheduleRetry(h *Handle) {
 }
 
 // retryDelay computes the dispatch delay for a job's n-th re-queue:
-// RetryInterval × RetryBackoff^n, capped at RetryMaxInterval, plus a
-// seeded jitter fraction.
+// RetryInterval × RetryBackoff^n, capped at RetryMaxInterval.
 func (b *Broker) retryDelay(n int) time.Duration {
 	d := b.cfg.RetryInterval
 	for i := 0; i < n && d < b.cfg.RetryMaxInterval; i++ {
@@ -735,9 +674,6 @@ func (b *Broker) retryDelay(n int) time.Duration {
 	}
 	if d > b.cfg.RetryMaxInterval {
 		d = b.cfg.RetryMaxInterval
-	}
-	if b.cfg.RetryJitter > 0 {
-		d += time.Duration(b.cfg.RetryJitter * b.rng.Float64() * float64(d))
 	}
 	return d
 }

@@ -21,10 +21,10 @@ import (
 // filter it with the *interpreted* Requirements AST over a per-record
 // attribute map, rank with the interpreted Rank AST, sort, truncate to
 // TopK, probe each survivor in name order and re-rank on the fresh
-// answer. It shares no compiled predicate, flat vector, page, heap or
-// mirror code with the pipeline it checks — only the broker state both
-// read (registered sites, breaker, leases, catalog) and the seeded
-// noise function that defines the tie-break.
+// answer. It shares no compiled predicate, flat vector, page, cursor,
+// subscription or heap code with the pipeline it checks — only the
+// broker state both read (registered sites, breaker, leases, catalog)
+// and the seeded noise function that defines the tie-break.
 
 // oracleMatch is one site the oracle kept.
 type oracleMatch struct {
@@ -43,17 +43,8 @@ func useOracle(b *Broker) *Broker {
 	return b
 }
 
-// oracleRecords is the oracle's discovery: every published record, or
-// every registered site's own record for a broker without an
-// information service.
+// oracleRecords is the oracle's discovery: every published record.
 func oracleRecords(b *Broker) []infosys.SiteRecord {
-	if b.cfg.Info == nil {
-		var recs []infosys.SiteRecord
-		for _, s := range b.sites {
-			recs = append(recs, s.Record())
-		}
-		return recs
-	}
 	return b.cfg.Info.(interface{ SnapshotImmediate() *infosys.Snapshot }).SnapshotImmediate().Records()
 }
 
@@ -174,11 +165,7 @@ func oraclePass(b *Broker, h *Handle, excluded map[string]bool, cont func([]cand
 		}
 		probe(0)
 	}
-	if info := b.cfg.Info; info != nil {
-		b.sim.AfterFunc(info.QueryLatency(), selectFrom)
-		return
-	}
-	selectFrom()
+	b.sim.AfterFunc(b.cfg.Info.QueryLatency(), selectFrom)
 }
 
 // passResult is everything the equivalence property compares about
@@ -242,7 +229,7 @@ type propGrid struct {
 	churn       []infosys.SiteRecord // republished between the two passes
 }
 
-func randomPropGrid(t *testing.T, rng *rand.Rand, local bool) propGrid {
+func randomPropGrid(t *testing.T, rng *rand.Rand) propGrid {
 	t.Helper()
 	var g propGrid
 	n := 8 + rng.Intn(17)
@@ -260,18 +247,16 @@ func randomPropGrid(t *testing.T, rng *rand.Rand, local bool) propGrid {
 		g.sites = append(g.sites, propSite{name: fmt.Sprintf("site%02d", i), nodes: 1 + rng.Intn(3), attrs: attrsFor()})
 	}
 	name := func() string { return g.sites[rng.Intn(n)].name }
-	if !local {
-		for i, k := 0, rng.Intn(4); i < k; i++ {
-			g.stale = append(g.stale, infosys.SiteRecord{
-				Name: fmt.Sprintf("ghost%d", i), TotalCPUs: 2, FreeCPUs: 2, Attrs: attrsFor(),
-			})
-		}
-		for i, k := 0, rng.Intn(5); i < k; i++ {
-			s := g.sites[rng.Intn(n)]
-			g.churn = append(g.churn, infosys.SiteRecord{
-				Name: s.name, TotalCPUs: s.nodes, FreeCPUs: rng.Intn(s.nodes + 1), Attrs: attrsFor(),
-			})
-		}
+	for i, k := 0, rng.Intn(4); i < k; i++ {
+		g.stale = append(g.stale, infosys.SiteRecord{
+			Name: fmt.Sprintf("ghost%d", i), TotalCPUs: 2, FreeCPUs: 2, Attrs: attrsFor(),
+		})
+	}
+	for i, k := 0, rng.Intn(5); i < k; i++ {
+		s := g.sites[rng.Intn(n)]
+		g.churn = append(g.churn, infosys.SiteRecord{
+			Name: s.name, TotalCPUs: s.nodes, FreeCPUs: rng.Intn(s.nodes + 1), Attrs: attrsFor(),
+		})
 	}
 	for i, k := 0, rng.Intn(4); i < k; i++ {
 		g.quarantined = append(g.quarantined, name())
@@ -326,16 +311,13 @@ func randomPropGrid(t *testing.T, rng *rand.Rand, local bool) propGrid {
 }
 
 // build stands one arm's broker up over the scenario and imposes its
-// breaker state. info is nil for a local (no information service) arm.
+// breaker state.
 func (g propGrid) build(cfg Config, info *infosys.Service, sim *simclock.Sim) *Broker {
-	cfg.Sim, cfg.Data, cfg.DataAware = sim, g.cat, true
+	cfg.Sim, cfg.Info, cfg.Data, cfg.DataAware = sim, info, g.cat, true
 	// Each pass is followed by an hour of simulated time, so a breaker
 	// tripped now is closed for the first pass and half-open for the
 	// second.
 	cfg.QuarantineCooldown = 30 * time.Minute
-	if info != nil {
-		cfg.Info = info
-	}
 	b := New(cfg)
 	for _, s := range g.sites {
 		b.RegisterSite(site.New(sim, site.Config{
@@ -366,16 +348,15 @@ func (g propGrid) build(cfg Config, info *infosys.Service, sim *simclock.Sim) *B
 // over random grids: stale records, per-pass exclusions, quarantined,
 // cooled-down and probe-in-flight sites (registered and stale),
 // Rank-error sites with and without a TopK bound, unobtainable
-// datasets, registry churn between passes and brokers without an
-// information service. On every grid the oracle, the page scan
-// (sharded, small pages), and the scan of a delta-subscribed broker's
-// mirror must agree candidate for candidate, in the pass counters, and
-// in which sites each pass leaves holding a half-open probe claim.
+// datasets and registry churn between passes. On every grid the
+// oracle, the page scan (sharded, small pages), and the scan of a
+// delta-subscribed broker's pinned snapshots must agree candidate for
+// candidate, in the pass counters, and in which sites each pass leaves
+// holding a half-open probe claim.
 func TestMatchPipelineAgreesWithOracle(t *testing.T) {
 	for trial := int64(0); trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(4200 + trial))
-		local := trial%5 == 4
-		g := randomPropGrid(t, rng, local)
+		g := randomPropGrid(t, rng)
 		shards, page, depth := 1+rng.Intn(8), 1+rng.Intn(6), rng.Intn(3)*4
 		for _, topk := range []int{0, 1 + rng.Intn(6)} {
 			type arm struct {
@@ -396,11 +377,8 @@ func TestMatchPipelineAgreesWithOracle(t *testing.T) {
 			with := func(cfg Config, shards, depth int, oracle bool) func() [2]passResult {
 				return func() [2]passResult {
 					sim := simclock.NewSim(time.Time{})
-					var info *infosys.Service
-					if !local {
-						info = infosys.NewSharded(sim, 500*time.Millisecond, shards)
-						info.SetDeltaLog(depth)
-					}
+					info := infosys.NewSharded(sim, 500*time.Millisecond, shards)
+					info.SetDeltaLog(depth)
 					cfg.Seed, cfg.TopK = 2006+trial, topk
 					b := g.build(cfg, info, sim)
 					if oracle {
@@ -412,17 +390,15 @@ func TestMatchPipelineAgreesWithOracle(t *testing.T) {
 			arms := []arm{
 				{"oracle", with(Config{}, 1, 0, true)},
 				{"scan", with(Config{PageSize: page}, shards, 0, false)},
-			}
-			if !local {
-				arms = append(arms, arm{"mirror", with(Config{Incremental: true}, shards, depth, false)})
+				{"delta", with(Config{Incremental: true, PageSize: page}, shards, depth, false)},
 			}
 			want := arms[0].run()
 			for _, a := range arms[1:] {
 				got := a.run()
 				for p := range got {
 					if got[p].String() != want[p].String() {
-						t.Fatalf("trial %d topk=%d pass %d (shards=%d page=%d depth=%d local=%v):\n  %s: %s\n  oracle: %s\n  job: %s",
-							trial, topk, p, shards, page, depth, local, a.name, got[p], want[p], g.jobSrc)
+						t.Fatalf("trial %d topk=%d pass %d (shards=%d page=%d depth=%d):\n  %s: %s\n  oracle: %s\n  job: %s",
+							trial, topk, p, shards, page, depth, a.name, got[p], want[p], g.jobSrc)
 					}
 				}
 			}

@@ -181,20 +181,6 @@ func TestRetryBackoffPacing(t *testing.T) {
 			t.Fatalf("default retryDelay(%d) = %v, want fixed 30s", n, d)
 		}
 	}
-
-	// Jitter is seeded: two brokers with the same seed draw the same
-	// delays; the jittered delay stays within [d, d*(1+jitter)).
-	j1 := newGrid(t, 1, 1, Config{Seed: 9, RetryInterval: 30 * time.Second, RetryJitter: 0.5})
-	j2 := newGrid(t, 1, 1, Config{Seed: 9, RetryInterval: 30 * time.Second, RetryJitter: 0.5})
-	for n := 0; n < 4; n++ {
-		d1, d2 := j1.b.retryDelay(n), j2.b.retryDelay(n)
-		if d1 != d2 {
-			t.Fatalf("same-seed jitter diverged: %v vs %v", d1, d2)
-		}
-		if d1 < 30*time.Second || d1 >= 45*time.Second {
-			t.Fatalf("jittered delay %v outside [30s,45s)", d1)
-		}
-	}
 }
 
 // TestAgentDeathResubmitsSharedJob: killing the glide-in hosting a

@@ -129,12 +129,12 @@ type ScalePoint struct {
 	// the per-pass memory high-water mark the top-K heap bounds.
 	PeakCandidates int `json:"peak_candidates"`
 	// Scanned counts registry records enumerated per pass (for the
-	// incremental pass: mirror size).
+	// incremental pass: the records of the pinned shard snapshots).
 	Scanned int `json:"scanned"`
 	// Candidates is the ordered candidate count the pass returned.
 	Candidates int `json:"candidates"`
 	// DeltasPerPass and RepinsPerPass report, for the delta and repin
-	// cells, what the steady-state poll applied.
+	// cells, what the steady-state poll was answered with.
 	DeltasPerPass int `json:"deltas_per_pass,omitempty"`
 	RepinsPerPass int `json:"repins_per_pass,omitempty"`
 }
@@ -261,8 +261,8 @@ func scaleCell(cfg ScaleConfig, job *jdl.Job, spec scaleSpec) (ScalePoint, error
 	sim.RunFor(time.Minute) // let the initial publishes land
 
 	// applyChurn republishes spec.churn records with moved MemoryMB
-	// ranks — the between-pass update stream the delta path repairs its
-	// mirror from (and the repin path re-pins over).
+	// ranks — the between-pass update stream the delta path is sent as
+	// deltas (and the repin path re-pins over).
 	churned := 0
 	applyChurn := func() {
 		for j := 0; j < spec.churn; j++ {

@@ -63,7 +63,7 @@ func TestScalePassMemoryBounded(t *testing.T) {
 	}
 
 	// The delta cell runs under the default per-pass churn: a steady
-	// pass applies exactly that many deltas, holds TopK candidates, and
+	// pass is sent exactly that many deltas, holds TopK candidates, and
 	// its discovery (the poll) is far below the paged pass's serial
 	// page walk, let alone the snapshot transfer.
 	if delta.Churn != cfg.ChurnPerPass || delta.DeltasPerPass != delta.Churn || delta.RepinsPerPass != 0 {
@@ -71,7 +71,7 @@ func TestScalePassMemoryBounded(t *testing.T) {
 			delta.Churn, delta.DeltasPerPass, delta.RepinsPerPass, cfg.ChurnPerPass)
 	}
 	if delta.Scanned != 5000 || delta.PeakCandidates != cfg.TopK {
-		t.Fatalf("delta cell: scanned=%d peak=%d, want full mirror and TopK peak", delta.Scanned, delta.PeakCandidates)
+		t.Fatalf("delta cell: scanned=%d peak=%d, want every pinned record and TopK peak", delta.Scanned, delta.PeakCandidates)
 	}
 	if !raceEnabled && delta.DiscoveryMicros >= paged.DiscoveryMicros {
 		t.Fatalf("delta poll (%dµs) not below paged discovery (%dµs)",

@@ -4,19 +4,23 @@ package infosys
 // scheduling pass, a broker tracks each shard's epoch and asks only for
 // what changed since. Each shard is an independently-publishing unit —
 // it keeps a bounded per-epoch delta log alongside its rows, and
-// Subscribe(shard, since) replays the missed deltas, or falls back to a
-// snapshot re-pin when the log has been compacted past the subscriber's
-// position. Because every effective mutation bumps the owning shard's
-// epoch by exactly one and appends exactly one delta, a shard's log
-// covers a contiguous epoch interval and "covered" is a pure range
-// check.
+// SubscribeImmediate(shard, since) answers with the missed deltas, or
+// with a snapshot re-pin when the log has been compacted past the
+// subscriber's position. Because every effective mutation bumps the
+// owning shard's epoch by exactly one and appends exactly one delta, a
+// shard's log covers a contiguous epoch interval and "covered" is a
+// pure range check.
 //
-// The answer's transfer cost is modeled with a netsim link profile per
-// shard (SetShardLink): a delta poll pays one round trip plus the
-// serialized deltas, a re-pin pays one round trip plus the whole shard
-// — which is exactly the cost asymmetry the scale experiment's churn
-// axis measures. Without a link profile the classic flat query latency
-// is charged, so existing callers are unchanged.
+// Either way the answer carries the shard snapshot it caught the
+// subscriber up to, which the registry already holds (a snapshot wraps
+// the shard's standing rows), so a subscriber keeps no copy of the
+// records: what the deltas or the re-pin decide is the modeled wire
+// cost. It is modeled with a netsim link profile per shard
+// (SetShardLink): a delta poll pays one round trip plus the serialized
+// deltas, a re-pin pays one round trip plus the whole shard — which is
+// exactly the cost asymmetry the scale experiment's churn axis
+// measures. Without a link profile the classic flat query latency is
+// charged.
 
 import (
 	"time"
@@ -69,23 +73,24 @@ type SubUpdate struct {
 	// Shard is the shard index the answer is for.
 	Shard int
 	// FromEpoch is the subscriber's position the poll asked from;
-	// ToEpoch is the position the subscriber holds after applying the
-	// answer. On a gap fallback ToEpoch is the re-pinned snapshot's own
-	// epoch — NOT the epoch the log happened to reach — so the first
-	// post-fallback delta (epoch ToEpoch+1) is applied exactly once.
+	// ToEpoch is the position the subscriber holds after the answer:
+	// always Snapshot's own epoch — on a gap fallback NOT the epoch the
+	// log happened to reach — so the first later delta (epoch
+	// ToEpoch+1) is counted exactly once.
 	FromEpoch, ToEpoch uint64
 	// Deltas are the missed mutations in epoch order (empty on a no-op
 	// poll and on a gap fallback).
 	Deltas []Delta
-	// Gap reports that the log was compacted past FromEpoch and the
-	// subscriber must rebuild from Snapshot.
+	// Gap reports that the log was compacted past FromEpoch, so the
+	// answer costs the whole snapshot on the wire.
 	Gap bool
-	// Snapshot is the shard snapshot to rebuild from when Gap is set.
+	// Snapshot is the shard as the subscriber now holds it: the shard
+	// as served at ToEpoch (frozen while the reader is partitioned),
+	// equal to what replaying Deltas over the previous answer's
+	// snapshot yields.
 	Snapshot *Snapshot
-	// Schema is the service-wide schema the answer is laid out against.
-	Schema *Schema
-	// Cost is the modeled wire cost of this answer; Subscribe charges
-	// it, SubscribeImmediate leaves charging to the caller.
+	// Cost is the modeled wire cost of this answer; the caller charges
+	// it.
 	Cost time.Duration
 }
 
@@ -93,8 +98,6 @@ type SubUpdate struct {
 // consumes; *Service and *View both implement it.
 type DeltaSource interface {
 	ShardCount() int
-	DeltaLogDepth() int
-	Subscribe(shard int, since uint64) SubUpdate
 	SubscribeImmediate(shard int, since uint64) SubUpdate
 }
 
@@ -208,76 +211,52 @@ func (s *Service) subCost(nDeltas int, repin *Snapshot) time.Duration {
 	return link.RTT() + link.TransferTime(nDeltas*deltaWireBytes)
 }
 
-// Subscribe polls shard for mutations since the given shard epoch,
-// charging the answer's modeled cost on the service clock (the caller
-// must be a simulation process when the clock is a simulation clock).
-func (s *Service) Subscribe(shard int, since uint64) SubUpdate {
-	u := s.SubscribeImmediate(shard, since)
-	s.clock.Sleep(u.Cost)
-	return u
-}
-
-// SubscribeImmediate is Subscribe without charging the cost — the
-// incremental matchmaker polls every shard and charges the slowest
-// answer once, as parallel per-shard link waits.
+// SubscribeImmediate polls shard for mutations since the given shard
+// epoch without charging the answer's cost — the incremental
+// matchmaker polls every shard and charges the slowest answer once, as
+// parallel per-shard link waits.
 //
-// While the service is partitioned the answer is bounded at the frozen
+// While the service is partitioned the answer stops at the frozen
 // shard snapshot: the subscriber can catch up to the cut point but sees
 // nothing published behind the partition until it heals.
 func (s *Service) SubscribeImmediate(shard int, since uint64) SubUpdate {
-	s.mu.Lock()
-	if s.partitioned {
-		f := s.frozenShards[shard]
-		s.mu.Unlock()
-		return s.subscribeBounded(shard, since, f.epoch, f)
-	}
-	s.mu.Unlock()
-	return s.subscribeBounded(shard, since, ^uint64(0), nil)
+	return s.subscribeTo(shard, since, s.shardView(shard))
 }
 
-// subscribeBounded answers a poll up to min(current shard epoch,
-// bound); pinned, when non-nil, is the snapshot to serve on a gap
-// (the frozen shard view during a partition).
-func (s *Service) subscribeBounded(shard int, since, bound uint64, pinned *Snapshot) SubUpdate {
-	sh := s.shards[shard]
-	sc := s.sharedSchema()
-	u := SubUpdate{Shard: shard, FromEpoch: since, Schema: sc}
+// SubscribeImmediate polls through this view without charging; while
+// the view is partitioned the answer stops at the view's own frozen
+// shard snapshot, so a split-brained broker's subscriber is held at its
+// cut point independently of other views.
+func (v *View) SubscribeImmediate(shard int, since uint64) SubUpdate {
+	return v.svc.subscribeTo(shard, since, v.shardView(shard))
+}
 
-	sh.mu.Lock()
-	target := sh.epoch
-	if bound < target {
-		target = bound
-	}
-	if since >= target {
-		sh.mu.Unlock()
-		u.ToEpoch = since
+// subscribeTo answers a poll of shard from since up to snap, the shard
+// as the polling reader sees it (live, or frozen at the reader's cut).
+// The answer carries snap, and the reader's new position is snap's own
+// epoch — not whatever epoch the log has reached since, which would
+// skip or replay the mutations in between. The missed deltas or, when
+// the log no longer covers them, the whole snapshot only set the
+// modeled wire cost.
+func (s *Service) subscribeTo(shard int, since uint64, snap *Snapshot) SubUpdate {
+	u := SubUpdate{Shard: shard, FromEpoch: since, ToEpoch: snap.epoch, Snapshot: snap}
+	if since >= snap.epoch {
 		u.Cost = s.subCost(0, nil)
 		return u
 	}
+	sh := s.shards[shard]
+	covered := false
+	sh.mu.Lock()
 	if sh.log != nil {
-		if ds, ok := sh.log.slice(since, target); ok {
-			sh.mu.Unlock()
-			u.Deltas = ds
-			u.ToEpoch = target
-			u.Cost = s.subCost(len(ds), nil)
-			return u
-		}
+		u.Deltas, covered = sh.log.slice(since, snap.epoch)
 	}
 	sh.mu.Unlock()
-
-	// Compacted past the subscriber: fall back to a snapshot re-pin.
-	// The subscriber's new position is the snapshot's OWN epoch — using
-	// the poll target here would skip (or replay) whatever landed while
-	// the snapshot was cut, double- or zero-counting the first
-	// post-fallback delta.
-	u.Gap = true
-	if pinned != nil {
-		u.Snapshot = pinned
+	if covered {
+		u.Cost = s.subCost(len(u.Deltas), nil)
 	} else {
-		u.Snapshot = s.shardSnapshot(shard, sc)
+		u.Gap = true
+		u.Cost = s.subCost(0, snap)
 	}
-	u.ToEpoch = u.Snapshot.epoch
-	u.Cost = s.subCost(0, u.Snapshot)
 	return u
 }
 
@@ -293,40 +272,9 @@ func (s *Service) logDeltaLocked(sh *shard, k DeltaKind, rec SiteRecord) bool {
 	return s.tracer != nil
 }
 
-// ShardCount, DeltaLogDepth, Subscribe and SubscribeImmediate on a View
-// delegate to the service; while the view is partitioned, answers are
-// bounded at the view's own frozen shard snapshots, so a split-brained
-// broker's subscriber is held at its cut point independently of other
-// views.
-
-// DeltaLogDepth reports the underlying service's log depth.
-func (v *View) DeltaLogDepth() int { return v.svc.DeltaLogDepth() }
-
-// ShardCount reports the underlying service's shard count.
-func (v *View) ShardCount() int { return v.svc.ShardCount() }
-
-// Subscribe polls through this view, charging the answer's cost.
-func (v *View) Subscribe(shard int, since uint64) SubUpdate {
-	u := v.SubscribeImmediate(shard, since)
-	v.svc.clock.Sleep(u.Cost)
-	return u
-}
-
-// SubscribeImmediate polls through this view without charging.
-func (v *View) SubscribeImmediate(shard int, since uint64) SubUpdate {
-	v.mu.Lock()
-	if v.partitioned {
-		f := v.frozenShards[shard]
-		v.mu.Unlock()
-		return v.svc.subscribeBounded(shard, since, f.epoch, f)
-	}
-	v.mu.Unlock()
-	return v.svc.SubscribeImmediate(shard, since)
-}
-
 // Flatten lays one record's attributes out against the schema, in
-// offset order — the incremental matchmaker's mirror uses it to keep
-// flat vectors alongside records received as deltas.
+// offset order, as a snapshot lays out its rows; benchmarks use it to
+// evaluate compiled predicates without a registry.
 func (sc *Schema) Flatten(r SiteRecord) []any { return valsFor(r, sc) }
 
 // PooledMatchAttrs wraps an externally-held flat value slice (laid out

@@ -1,15 +1,17 @@
 package infosys
 
-// Paged discovery: brokers that cannot afford one flat snapshot of
-// every site iterate the registry shard by shard, page by page,
-// through a Cursor. The cursor pins each shard's copy-on-write
-// snapshot the first time it reaches that shard and pages through the
-// pinned view, so within a shard a traversal sees one consistent epoch
-// — no torn pages, duplicates or omissions — even while sites keep
-// publishing. Across shards the view is only loosely consistent
-// (shards pinned later may reflect later epochs), which is exactly the
-// staleness the paper's hierarchical MDS already exposes between GRIS
-// refreshes.
+// Paged reads: every matchmaking pass iterates the registry shard by
+// shard, page by page, through a Cursor instead of one flat snapshot of
+// every site. A discovery cursor (Discover) pins each shard's
+// copy-on-write snapshot the first time it reaches that shard and pages
+// through the pinned view, so within a shard a traversal sees one
+// consistent epoch — no torn pages, duplicates or omissions — even
+// while sites keep publishing. Across shards the view is only loosely
+// consistent (shards pinned later may reflect later epochs), which is
+// exactly the staleness the paper's hierarchical MDS already exposes
+// between GRIS refreshes. A delta subscriber already holds one pinned
+// snapshot per shard, the ones its last poll caught up to, and pages
+// them through a PinnedCursor.
 
 // Page is one contiguous run of records from a single shard snapshot.
 // Records reached through a page are shared with the snapshot and must
@@ -49,14 +51,26 @@ func (p Page) Values(i int) []any { return p.snap.rows[p.lo+i].vals }
 // not safe for concurrent use by multiple goroutines; obtain one per
 // matchmaking pass.
 type Cursor struct {
-	svc      *Service
-	view     *View     // non-nil when paging a per-broker view
-	single   *Snapshot // non-nil when paging one standalone snapshot
+	src      shardSource
 	pageSize int
 	shard    int
 	cur      *Snapshot // pinned snapshot of the current shard
 	off      int
 }
+
+// shardSource is what a cursor pages: a Service or a View, which pin a
+// shard as that reader sees it when the cursor reaches it, or a slice
+// of snapshots pinned before.
+type shardSource interface {
+	ShardCount() int
+	shardView(i int) *Snapshot
+}
+
+// pinned is a shardSource over snapshots the caller already holds.
+type pinned []*Snapshot
+
+func (p pinned) ShardCount() int           { return len(p) }
+func (p pinned) shardView(i int) *Snapshot { return p[i] }
 
 // DefaultPageSize bounds discovery pages when callers pass a
 // non-positive page size.
@@ -74,57 +88,27 @@ func (s *Service) Discover(pageSize int) *Cursor {
 
 // DiscoverImmediate starts a paged traversal without charging query
 // latency; tests and instrumentation use it.
-func (s *Service) DiscoverImmediate(pageSize int) *Cursor {
+func (s *Service) DiscoverImmediate(pageSize int) *Cursor { return newCursor(s, pageSize) }
+
+// PinnedCursor pages over shard snapshots the caller already holds, one
+// per shard in shard order — such as the ones a delta subscriber caught
+// up to — with the same API as a discovery cursor. pins must not change
+// while the cursor is in use.
+func PinnedCursor(pins []*Snapshot, pageSize int) *Cursor { return newCursor(pinned(pins), pageSize) }
+
+func newCursor(src shardSource, pageSize int) *Cursor {
 	if pageSize < 1 {
 		pageSize = DefaultPageSize
 	}
-	return &Cursor{svc: s, pageSize: pageSize}
-}
-
-// Cursor pages over a standalone snapshot (one pinned "shard") with
-// the same API, for brokers running without an information service.
-func (s *Snapshot) Cursor(pageSize int) *Cursor {
-	if pageSize < 1 {
-		pageSize = DefaultPageSize
-	}
-	return &Cursor{single: s, pageSize: pageSize}
-}
-
-// shardView pins shard i's current snapshot — or, while the service is
-// partitioned, the view frozen at partition start.
-func (s *Service) shardView(i int) *Snapshot {
-	s.mu.Lock()
-	if s.partitioned {
-		fs := s.frozenShards[i]
-		s.mu.Unlock()
-		return fs
-	}
-	s.mu.Unlock()
-	return s.shardSnapshot(i, s.sharedSchema())
+	return &Cursor{src: src, pageSize: pageSize}
 }
 
 // Next returns the next non-empty page, or ok=false when the traversal
 // is done. Empty shards are skipped.
 func (c *Cursor) Next() (Page, bool) {
-	if c.single != nil {
-		if c.off >= c.single.Len() {
-			return Page{}, false
-		}
-		lo := c.off
-		hi := lo + c.pageSize
-		if hi > c.single.Len() {
-			hi = c.single.Len()
-		}
-		c.off = hi
-		return Page{snap: c.single, lo: lo, hi: hi}, true
-	}
-	for c.shard < len(c.svc.shards) {
+	for c.shard < c.src.ShardCount() {
 		if c.cur == nil {
-			if c.view != nil {
-				c.cur = c.view.shardView(c.shard)
-			} else {
-				c.cur = c.svc.shardView(c.shard)
-			}
+			c.cur = c.src.shardView(c.shard)
 			c.off = 0
 		}
 		if c.off < c.cur.Len() {

@@ -221,26 +221,34 @@ func TestCursorObservesRemove(t *testing.T) {
 	}
 }
 
-// TestCursorSnapshotStandalone pages a single snapshot (the broker's
-// registry-less fallback) with the same coverage contract.
+// TestCursorSnapshotStandalone pages snapshots the caller holds (a
+// delta subscriber's pins) with the same coverage contract: shard by
+// shard, each shard's records in name order, empty shards skipped.
 func TestCursorSnapshotStandalone(t *testing.T) {
-	recs := make([]SiteRecord, 23)
-	for i := range recs {
-		recs[i] = SiteRecord{Name: fmt.Sprintf("s%02d", i), Attrs: map[string]any{"OS": "linux"}}
+	snapOf := func(lo, hi int) *Snapshot {
+		var recs []SiteRecord
+		for i := lo; i < hi; i++ {
+			recs = append(recs, SiteRecord{Name: fmt.Sprintf("s%02d", i), Attrs: map[string]any{"OS": "linux"}})
+		}
+		return NewSnapshot(recs, nil)
 	}
-	snap := NewSnapshot(recs, nil)
+	pins := []*Snapshot{snapOf(10, 23), snapOf(0, 0), snapOf(0, 10)}
 	var names []string
-	for c := snap.Cursor(10); ; {
+	shards := map[int]int{}
+	for c := PinnedCursor(pins, 4); ; {
 		p, ok := c.Next()
 		if !ok {
 			break
 		}
+		shards[p.Shard()] += p.Len()
 		for i := 0; i < p.Len(); i++ {
 			names = append(names, p.Name(i))
 		}
 	}
-	if len(names) != 23 || !sort.StringsAreSorted(names) {
-		t.Fatalf("standalone cursor yielded %d names (sorted=%v), want all 23 in order",
-			len(names), sort.StringsAreSorted(names))
+	if len(names) != 23 || !sort.StringsAreSorted(names[:13]) || !sort.StringsAreSorted(names[13:]) {
+		t.Fatalf("pinned cursor yielded %v, want all 23, each shard in name order", names)
+	}
+	if shards[0] != 13 || shards[1] != 0 || shards[2] != 10 {
+		t.Fatalf("records per shard %v, want 13 from shard 0 and 10 from shard 2", shards)
 	}
 }

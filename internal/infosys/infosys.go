@@ -275,8 +275,7 @@ func valsFor(r SiteRecord, schema *Schema) []any {
 	return v
 }
 
-// NewSnapshot builds a standalone snapshot from records — for brokers
-// running without an information service, and for tests and
+// NewSnapshot builds a standalone snapshot from records, for tests and
 // benchmarks. Records are cloned; prev (may be nil) allows schema
 // reuse across rebuilds so compiled predicates stay cached.
 func NewSnapshot(recs []SiteRecord, prev *Snapshot) *Snapshot {
@@ -289,18 +288,6 @@ func NewSnapshot(recs []SiteRecord, prev *Snapshot) *Snapshot {
 		epoch = prev.epoch + 1
 	}
 	return newSnapshot(epoch, cloned, prev)
-}
-
-// NewSnapshotOwned is NewSnapshot without the defensive copy: the
-// caller hands recs — and their Attrs maps — over to the snapshot and
-// must not touch them afterwards. Brokers rebuilding local snapshots
-// from records they just materialized use it to avoid cloning twice.
-func NewSnapshotOwned(recs []SiteRecord, prev *Snapshot) *Snapshot {
-	var epoch uint64
-	if prev != nil {
-		epoch = prev.epoch + 1
-	}
-	return newSnapshot(epoch, recs, prev)
 }
 
 // normalizeAttr converts integer attribute values to float64 (the JDL
@@ -473,13 +460,12 @@ type Service struct {
 	merged      *Snapshot
 	mergedEpoch uint64
 
-	// partitioned freezes the served view: while set, queries are
-	// answered from the snapshots taken at partition start even though
-	// sites keep publishing. Models a network partition between the
-	// broker and the index (or a wedged GIIS serving stale registrations).
-	partitioned  bool
-	frozenShards []*Snapshot
-	frozenMerged *Snapshot
+	// freeze is the service-wide partition switch: while cut, queries
+	// are answered from the snapshots taken at partition start even
+	// though sites keep publishing. Models a network partition between
+	// the broker and the index (or a wedged GIIS serving stale
+	// registrations).
+	freeze
 
 	// Delta subscription state (delta.go): per-shard log depth, the
 	// modeled per-shard link, and the tracer DeltaPublished events go
@@ -814,13 +800,25 @@ func (s *Service) Snapshot() *Snapshot {
 // shard's slice reflects exactly one shard epoch) but, under
 // concurrent publishing, shards may be captured at slightly different
 // global epochs — the same guarantee Discover gives page by page.
-func (s *Service) SnapshotImmediate() *Snapshot {
+func (s *Service) SnapshotImmediate() *Snapshot { return s.freeze.servedWhole(s) }
+
+// shardView pins shard i's current snapshot — or, while the service is
+// partitioned, the one frozen at partition start.
+func (s *Service) shardView(i int) *Snapshot { return s.freeze.servedShard(i, s) }
+
+// SetPartitioned cuts (or heals) the broker↔index link. While cut,
+// every query — whole-grid, paged or subscribed — is served from the
+// snapshots taken at partition start: publishes still land in the
+// registry, but brokers see a stale world until the partition heals.
+// Healing resumes normal (current-epoch) service on the next query.
+func (s *Service) SetPartitioned(cut bool) { s.freeze.set(cut, s) }
+
+// thawedShard is shard i of the live registry.
+func (s *Service) thawedShard(i int) *Snapshot { return s.shardSnapshot(i, s.sharedSchema()) }
+
+// thawedWhole is the live whole-grid snapshot.
+func (s *Service) thawedWhole() *Snapshot {
 	s.mu.Lock()
-	if s.partitioned {
-		fm := s.frozenMerged
-		s.mu.Unlock()
-		return fm
-	}
 	epoch := s.epoch
 	if s.merged != nil && s.mergedEpoch == epoch {
 		m := s.merged
@@ -844,7 +842,7 @@ func (s *Service) SnapshotImmediate() *Snapshot {
 		merged = mergeSnapshots(epoch, parts, sc)
 	}
 	s.mu.Lock()
-	if s.epoch == epoch && !s.partitioned {
+	if s.epoch == epoch {
 		s.merged, s.mergedEpoch = merged, epoch
 	}
 	s.mu.Unlock()
@@ -905,62 +903,9 @@ func sortRows(rows []*row) {
 	slices.SortFunc(rows, func(a, b *row) int { return cmp.Compare(a.rec.Name, b.rec.Name) })
 }
 
-// SetPartitioned cuts (or heals) the broker↔index link. While cut,
-// every query — whole-grid or paged — is served from the snapshots
-// taken at partition start: publishes still land in the registry, but
-// brokers see a stale world until the partition heals. Healing resumes
-// normal (current-epoch) service on the next query.
-func (s *Service) SetPartitioned(cut bool) {
-	if !cut {
-		s.mu.Lock()
-		s.partitioned, s.frozenShards, s.frozenMerged = false, nil, nil
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Lock()
-	already := s.partitioned
-	s.mu.Unlock()
-	if already {
-		return
-	}
-	sc := s.sharedSchema()
-	parts := make([]*Snapshot, len(s.shards))
-	for i := range s.shards {
-		parts[i] = s.shardSnapshot(i, sc)
-	}
-	merged := parts[0]
-	if len(parts) > 1 {
-		s.mu.Lock()
-		epoch := s.epoch
-		s.mu.Unlock()
-		merged = mergeSnapshots(epoch, parts, sc)
-	}
-	s.mu.Lock()
-	if !s.partitioned {
-		s.partitioned, s.frozenShards, s.frozenMerged = true, parts, merged
-	}
-	s.mu.Unlock()
-}
-
-// Partitioned reports whether the service is currently serving the
-// frozen partition-time view.
-func (s *Service) Partitioned() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.partitioned
-}
-
-// Query returns a deep-copied snapshot of all published records,
-// sorted by site name. It costs the service's query latency; when the
-// clock is a simulation clock the caller must be a simulation process.
-// The selection hot path uses Snapshot instead.
-func (s *Service) Query() []SiteRecord {
-	s.clock.Sleep(s.queryLatency)
-	return s.SnapshotImmediate().Records()
-}
-
-// QueryImmediate returns the deep-copied snapshot without charging
-// query latency; tests and instrumentation use it.
+// QueryImmediate returns deep copies of all published records, sorted
+// by site name, without charging query latency; tests and
+// instrumentation use it.
 func (s *Service) QueryImmediate() []SiteRecord { return s.SnapshotImmediate().Records() }
 
 // StaleAfter reports the records older than maxAge at the current

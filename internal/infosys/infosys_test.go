@@ -27,7 +27,7 @@ func TestPublishAndQuery(t *testing.T) {
 	var elapsed time.Duration
 	start := sim.Now()
 	sim.Go(func() {
-		got = svc.Query()
+		got = svc.Snapshot().Records()
 		elapsed = sim.Since(start)
 	})
 	sim.Run()

@@ -77,7 +77,7 @@ type snapCopy struct {
 
 func copyOf(s *Snapshot) snapCopy {
 	c := snapCopy{Epoch: s.Epoch(), Schema: s.Schema().Names(), Recs: s.Records(), Vals: make([][]any, 0, s.Len())}
-	for cur := s.Cursor(7); ; {
+	for cur := PinnedCursor([]*Snapshot{s}, 7); ; {
 		p, ok := cur.Next()
 		if !ok {
 			return c
@@ -389,7 +389,7 @@ func (c snapCopy) differs(s *Snapshot) string {
 	if s.Len() != len(c.Recs) {
 		return fmt.Sprintf("%d records, want %d", s.Len(), len(c.Recs))
 	}
-	page, _ := s.Cursor(s.Len() + 1).Next()
+	page, _ := PinnedCursor([]*Snapshot{s}, s.Len()+1).Next()
 	for i, want := range c.Recs {
 		if got := s.RecordShared(i); s.Name(i) != want.Name || !sameRecord(got, want) {
 			return fmt.Sprintf("record %d (%s) = %+v, want %+v", i, s.Name(i), got, want)
@@ -570,7 +570,10 @@ func (m *regModel) cursorStep(b byte) {
 // poll asks one shard for what a subscriber missed, through the service
 // or the view. The log is shallow, so the model says whether the answer
 // must be deltas (one per missed epoch) or a re-pin, and either way the
-// subscriber must end up with the shard as served.
+// subscriber must end up with the shard as served. Every answer carries
+// the shard snapshot at its ToEpoch, which must hold exactly what the
+// subscriber replayed: a broker pages that snapshot in place of keeping
+// the records itself.
 func (m *regModel) poll(b byte) {
 	view := b&1 != 0
 	sub := m.subs[b&1]
@@ -582,32 +585,23 @@ func (m *regModel) poll(b byte) {
 	} else {
 		u = m.svc.SubscribeImmediate(shard, since)
 	}
+	if u.Snapshot == nil || u.Snapshot.Epoch() != u.ToEpoch {
+		m.fatalf("poll of shard %d from %d to %d carries snapshot %v", shard, since, u.ToEpoch, u.Snapshot)
+	}
+	m.remember(u.Snapshot)
 	w := m.servedBy(view)
 	target := w.epochs[shard]
-	if since >= target {
+	switch {
+	case since >= target:
 		if u.Gap || len(u.Deltas) != 0 || u.ToEpoch != since {
 			m.fatalf("caught-up poll of shard %d from %d: %+v", shard, since, u)
 		}
-		return
-	}
-	// The ring holds the shard's last propLogDepth mutations.
-	oldest := uint64(1)
-	if e := m.live.epochs[shard]; e > propLogDepth {
-		oldest = e - propLogDepth + 1
-	}
-	if wantGap := since+1 < oldest; u.Gap != wantGap {
-		m.fatalf("poll of shard %d from %d to %d (log from %d): gap=%v", shard, since, target, oldest, u.Gap)
-	}
-	if u.ToEpoch != target {
-		m.fatalf("poll of shard %d from %d: to %d, want %d", shard, since, u.ToEpoch, target)
-	}
-	if u.Gap {
+	case u.Gap:
 		sub.recs[shard] = make(map[string]SiteRecord)
 		for i := 0; i < u.Snapshot.Len(); i++ {
 			sub.recs[shard][u.Snapshot.Name(i)] = u.Snapshot.RecordShared(i)
 		}
-		m.remember(u.Snapshot)
-	} else {
+	default:
 		if uint64(len(u.Deltas)) != target-since {
 			m.fatalf("poll of shard %d from %d to %d carried %d deltas", shard, since, target, len(u.Deltas))
 		}
@@ -622,6 +616,19 @@ func (m *regModel) poll(b byte) {
 			}
 		}
 	}
+	if since < target {
+		// The ring holds the shard's last propLogDepth mutations.
+		oldest := uint64(1)
+		if e := m.live.epochs[shard]; e > propLogDepth {
+			oldest = e - propLogDepth + 1
+		}
+		if wantGap := since+1 < oldest; u.Gap != wantGap {
+			m.fatalf("poll of shard %d from %d to %d (log from %d): gap=%v", shard, since, target, oldest, u.Gap)
+		}
+		if u.ToEpoch != target {
+			m.fatalf("poll of shard %d from %d: to %d, want %d", shard, since, u.ToEpoch, target)
+		}
+	}
 	sub.pos[shard] = u.ToEpoch
 	want := make(map[string]SiteRecord)
 	for name, r := range w.recs {
@@ -632,6 +639,14 @@ func (m *regModel) poll(b byte) {
 	if !maps.EqualFunc(sub.recs[shard], want, sameRecord) {
 		m.fatalf("subscriber of shard %d at %d holds %+v, served %+v", shard, target, sub.recs[shard], want)
 	}
+	held := make(map[string]SiteRecord, u.Snapshot.Len())
+	for i := 0; i < u.Snapshot.Len(); i++ {
+		held[u.Snapshot.Name(i)] = u.Snapshot.RecordShared(i)
+	}
+	if !maps.EqualFunc(held, sub.recs[shard], sameRecord) {
+		m.fatalf("poll of shard %d to %d carries a snapshot holding %+v, the subscriber replayed %+v", shard, u.ToEpoch, held, sub.recs[shard])
+	}
+	m.mustEqual(fmt.Sprintf("polled shard %d", shard), u.Snapshot, m.oracle(w, shard))
 }
 
 // TestRegistryRepairedEqualsRebuilt runs seeded random operation
