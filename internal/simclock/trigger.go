@@ -18,14 +18,31 @@ package simclock
 // millions per large replay — and the overwhelmingly common shape is
 // "one waiter, one callback". The layout leans into that: the first
 // waiter and the first callback live inline (w0/cb0) so a typical
-// trigger costs a single slab cell and no slice allocations at all.
+// trigger needs no slice allocations at all. A trigger with a fixed
+// owner lives inside it (see InitTrigger), so it costs no allocation of
+// its own either.
+//
+// A callback or waiter holds whatever it closes over until the trigger
+// fires. A registration made for one scheduling attempt must therefore
+// never land on a trigger that outlives the attempt (an agent's
+// Released, a job's abort): it would pin the attempt's whole state for
+// the trigger's lifetime. Such owners keep a list of current attempts
+// and notify it from one registration of their own.
 type Trigger struct {
-	s         *Sim
-	fired     bool
-	w0        waiter   // first waiter, inline
-	cb0       func()   // first OnFire callback, inline
-	waiters   []waiter // second and later waiters
-	callbacks []func() // second and later callbacks
+	s     *Sim
+	fired bool
+	w0    waiter    // first waiter, inline
+	cb0   func()    // first OnFire callback, inline
+	more  *overflow // second and later waiters and callbacks, rare
+}
+
+// overflow holds a Trigger's second and later registrations. It sits
+// behind a pointer so the common one-waiter, one-callback trigger stays
+// small: most triggers are embedded in an owner that lives as long as
+// a job, and the two slices would double their size.
+type overflow struct {
+	waiters   []waiter
+	callbacks []func()
 }
 
 // waiter is one entry in a Trigger's FIFO wait list: a suspended
@@ -37,17 +54,42 @@ type waiter struct {
 
 func (w waiter) empty() bool { return w.p == nil && w.fn == nil }
 
-// NewTrigger returns an unfired Trigger bound to s.
+// NewTrigger returns an unfired Trigger bound to s, in an allocation of
+// its own. A trigger whose owner is fixed — a handle, a scheduling
+// attempt, a run — is a field of the owner instead, bound by
+// InitTrigger, so one allocation carries the owner and all its
+// triggers.
 //
-// Triggers are allocated individually on purpose: a bump-allocation
-// slab variant cut allocator calls 256-fold but pinned every slab
-// until its last trigger died, and the resident-set growth cost more
-// in page faults than the allocator savings on small hosts.
+// There is no trigger pool or slab: a bump-allocation slab variant cut
+// allocator calls 256-fold but pinned every slab until its last
+// trigger died, and the resident-set growth cost more in page faults
+// than the allocator savings on small hosts.
 func (s *Sim) NewTrigger() *Trigger { return &Trigger{s: s} }
+
+// InitTrigger binds t, a Trigger embedded in its owner, to s as an
+// unfired trigger. It must be called before t is used and while
+// nothing waits on it.
+func (s *Sim) InitTrigger(t *Trigger) { *t = Trigger{s: s} }
 
 // Fired reports whether Fire has been called.
 func (t *Trigger) Fired() bool {
 	return t.fired
+}
+
+// Registered reports how many waiters and callbacks wait for the
+// trigger to fire: a leak check's view of what the trigger keeps alive.
+func (t *Trigger) Registered() int {
+	n := 0
+	if !t.w0.empty() {
+		n++
+	}
+	if t.cb0 != nil {
+		n++
+	}
+	if t.more != nil {
+		n += len(t.more.waiters) + len(t.more.callbacks)
+	}
+	return n
 }
 
 // Fire releases all waiting processes at the current virtual time. It
@@ -57,36 +99,43 @@ func (t *Trigger) Fire() {
 		return
 	}
 	t.fired = true
-	w0 := t.w0
-	ws := t.waiters
-	cb0 := t.cb0
-	cbs := t.callbacks
-	t.w0 = waiter{}
-	t.waiters = nil
-	t.cb0 = nil
-	t.callbacks = nil
+	w0, cb0, more := t.w0, t.cb0, t.more
+	t.w0, t.cb0, t.more = waiter{}, nil, nil
 	if !w0.empty() {
 		t.s.schedule(0, w0.fn, w0.p)
 	}
-	for _, w := range ws {
-		t.s.schedule(0, w.fn, w.p)
+	if more != nil {
+		for _, w := range more.waiters {
+			t.s.schedule(0, w.fn, w.p)
+		}
 	}
 	if cb0 != nil {
 		cb0()
 	}
-	for _, fn := range cbs {
-		fn()
+	if more != nil {
+		for _, fn := range more.callbacks {
+			fn()
+		}
 	}
+}
+
+// overflow returns t's overflow lists, creating them on first use.
+func (t *Trigger) overflow() *overflow {
+	if t.more == nil {
+		t.more = new(overflow)
+	}
+	return t.more
 }
 
 // addWaiter appends to the FIFO wait list, filling the inline slot
 // first.
 func (t *Trigger) addWaiter(w waiter) {
-	if t.w0.empty() && len(t.waiters) == 0 {
+	if t.w0.empty() {
 		t.w0 = w
 		return
 	}
-	t.waiters = append(t.waiters, w)
+	o := t.overflow()
+	o.waiters = append(o.waiters, w)
 }
 
 // OnFire registers fn to run when the trigger fires; if it has already
@@ -97,11 +146,12 @@ func (t *Trigger) OnFire(fn func()) {
 		fn()
 		return
 	}
-	if t.cb0 == nil && len(t.callbacks) == 0 {
+	if t.cb0 == nil {
 		t.cb0 = fn
 		return
 	}
-	t.callbacks = append(t.callbacks, fn)
+	o := t.overflow()
+	o.callbacks = append(o.callbacks, fn)
 }
 
 // Wait suspends the calling process until the trigger fires. It
@@ -128,6 +178,19 @@ func (t *Trigger) WaitThen(cont func()) {
 		return
 	}
 	t.addWaiter(waiter{fn: cont})
+}
+
+// WaitAny runs cont once the first of ts fires, through w: w fires at
+// that instant and cont is its waiter, exactly as WaitThen (inline if
+// one of ts has already fired). w.Fire is bound once for all
+// registrations, which are made in the order of ts. A source that is not
+// a Trigger registers w itself before calling WaitAny.
+func (w *Trigger) WaitAny(cont func(), ts ...*Trigger) {
+	fire := w.Fire
+	for _, t := range ts {
+		t.OnFire(fire)
+	}
+	w.WaitThen(cont)
 }
 
 // Queue is an unbounded FIFO communication channel between simulation

@@ -23,7 +23,7 @@ import (
 // ordering perturbation of at most one quantum, well inside the
 // scheduler's behavioural tolerances, and fully deterministic.
 type burst struct {
-	timer    simclock.Timer
+	timer    simclock.SimTimer
 	start    time.Time
 	busyBase time.Duration // machine busyFor at burst start
 	cost     time.Duration // virtual time until the winning completion
@@ -257,9 +257,9 @@ func (m *Machine) fuse() bool {
 	b.winner, _, _, _ = b.fin.advance(-1)
 	b.cost = b.fin.elapsed
 	m.current = nil
-	m.curEvent = nil
+	m.curEvent = simclock.SimTimer{}
 	m.burst = b
-	b.timer = m.sim.AfterFunc(b.cost, func() { m.finishBurst(b) })
+	b.timer = m.sim.AfterFuncTimer(b.cost, m.burstEnd)
 	return true
 }
 
@@ -300,12 +300,11 @@ func (m *Machine) finishRun(r *run) {
 	m.dispatch()
 }
 
-// finishBurst runs at the burst's end: apply the precomputed final
-// state and complete the winning run.
-func (m *Machine) finishBurst(b *burst) {
-	if m.burst != b {
-		return // superseded; its timer was stopped or is stale
-	}
+// finishBurst runs at the active burst's end: apply the precomputed
+// final state and complete the winning run. A superseded burst never
+// gets here: interrupt stops its timer before dropping it.
+func (m *Machine) finishBurst() {
+	b := m.burst
 	m.burst = nil
 	m.apply(&b.fin)
 	m.finishRun(b.fin.runs[b.winner].r)
@@ -337,5 +336,5 @@ func (m *Machine) interrupt() {
 	m.curStart = b.start.Add(bs.elapsed)
 	m.curSlice = slice
 	m.curCost = cost
-	m.curEvent = m.sim.AfterFunc(bs.elapsed+cost-elapsed, func() { m.complete(r, slice) })
+	m.curEvent = m.sim.AfterFuncTimer(bs.elapsed+cost-elapsed, m.sliceEnd)
 }

@@ -74,14 +74,20 @@ type Machine struct {
 	// Current slice bookkeeping, for the uncontended fast path: a lone
 	// run is dispatched as one big slice (instead of millions of
 	// quantum events) and preempted with exact partial accounting when
-	// competition arrives.
-	curEvent simclock.Timer
+	// competition arrives. curEvent is zero when no slice is in flight.
+	curEvent simclock.SimTimer
 	curStart time.Time
 	curSlice time.Duration
 	curCost  time.Duration
 
 	// burst is the fused contended-dispatch state, nil outside bursts.
 	burst *burst
+
+	// sliceEnd and burstEnd are the timer callbacks of the current slice
+	// and the current burst, bound once per machine: the slice in flight
+	// is always (current, curSlice), and a burst's timer is stopped
+	// whenever the burst is superseded.
+	sliceEnd, burstEnd func()
 }
 
 // Option configures a Machine.
@@ -109,6 +115,8 @@ func NewMachine(sim *simclock.Sim, opts ...Option) *Machine {
 	if m.quantum <= 0 {
 		panic("vmslot: quantum must be positive")
 	}
+	m.sliceEnd = func() { m.complete(m.current, m.curSlice) }
+	m.burstEnd = m.finishBurst
 	return m
 }
 
@@ -124,11 +132,12 @@ type Slot struct {
 	closed  bool
 }
 
-// run is one outstanding Run request.
+// run is one outstanding Run request. Its completion trigger lives
+// inside it: Start costs one allocation.
 type run struct {
 	slot      *Slot
 	remaining time.Duration
-	done      *simclock.Trigger
+	done      simclock.Trigger
 }
 
 // NewSlot creates a slot with the given tickets. Zero tickets marks a
@@ -200,15 +209,16 @@ func (s *Slot) Run(work time.Duration) {
 // Start begins work seconds of CPU on the slot and returns a trigger
 // that fires on completion, without blocking.
 func (s *Slot) Start(work time.Duration) *simclock.Trigger {
-	t := s.m.sim.NewTrigger()
 	if work <= 0 {
+		t := s.m.sim.NewTrigger()
 		t.Fire()
 		return t
 	}
 	if s.closed {
 		panic(fmt.Sprintf("vmslot: Run on closed slot %q", s.name))
 	}
-	r := &run{slot: s, remaining: work, done: t}
+	r := &run{slot: s, remaining: work}
+	s.m.sim.InitTrigger(&r.done)
 	// Materialize any fused burst and account any in-flight long slice
 	// before computing the newcomer's pass floor, so the class virtual
 	// time reflects all consumed CPU.
@@ -227,7 +237,7 @@ func (s *Slot) Start(work time.Duration) *simclock.Trigger {
 		// it immediately (zero elapsed) so quantum sharing starts now.
 		s.m.preemptLongSlice()
 	}
-	return t
+	return &r.done
 }
 
 // reenter applies the bounded catch-up rule when a slot becomes
@@ -314,7 +324,7 @@ func (m *Machine) dispatch() {
 	m.curStart = m.sim.Now()
 	m.curSlice = slice
 	m.curCost = cost
-	m.curEvent = m.sim.AfterFunc(cost, func() { m.complete(r, slice) })
+	m.curEvent = m.sim.AfterFuncTimer(cost, m.sliceEnd)
 }
 
 // preemptLongSlice interrupts a running slice longer than the quantum,
@@ -322,7 +332,7 @@ func (m *Machine) dispatch() {
 // under normal quantum sharing.
 func (m *Machine) preemptLongSlice() {
 	r := m.current
-	if r == nil || m.curSlice <= m.quantum || m.curEvent == nil {
+	if r == nil || m.curSlice <= m.quantum || m.curEvent == (simclock.SimTimer{}) {
 		return
 	}
 	if !m.curEvent.Stop() {
@@ -346,7 +356,7 @@ func (m *Machine) complete(r *run, used time.Duration) {
 	// switch overhead (curCost/curSlice describe the current slice,
 	// and complete only ever runs for it).
 	m.busyFor += used + (m.curCost - m.curSlice)
-	m.curEvent = nil
+	m.curEvent = simclock.SimTimer{}
 	if s.tickets > 0 {
 		s.pass += used.Seconds() / float64(s.tickets)
 		if s.pass > m.vtime {
@@ -385,7 +395,7 @@ func (m *Machine) Busy() time.Duration {
 		return b.busyBase + elapsed
 	}
 	busy := m.busyFor
-	if m.current != nil && m.curEvent != nil {
+	if m.current != nil && m.curEvent != (simclock.SimTimer{}) {
 		elapsed := m.sim.Since(m.curStart)
 		if elapsed > m.curCost {
 			elapsed = m.curCost
