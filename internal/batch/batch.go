@@ -5,7 +5,9 @@
 // mechanism.
 //
 // The model is a space-shared FCFS queue (with optional priorities)
-// over a fixed pool of worker nodes, running in virtual time. Each
+// over worker nodes, running in virtual time. The nodes are a fixed
+// pool (NewQueue) or an on-demand supply up to a bound (NewPool, the
+// elastic cloud backend of elastic.go); nothing else differs. Each
 // worker node owns a vmslot.Machine so that jobs, glide-in agents and
 // virtual machine slots can consume simulated CPU on it. The broker
 // interacts with the queue only through Submit/Kill and the
@@ -140,12 +142,35 @@ func (h *Handle) QueueWait() time.Duration {
 	return h.startAt.Sub(h.submitAt)
 }
 
+// Backend kinds, one per node supply.
+const (
+	// BackendBatch is the classic always-provisioned space-shared
+	// queue (NewQueue).
+	BackendBatch = "batch"
+	// BackendElastic is the cloud-style queue that cold-starts nodes on
+	// demand (NewPool).
+	BackendElastic = "elastic"
+)
+
+// BackendInfo describes the shape of a queue's node supply, published
+// as site attributes so matchmaking (and the interactive classifier)
+// can reason about it.
+type BackendInfo struct {
+	// Kind is the supply family (BackendBatch, BackendElastic).
+	Kind string
+	// Startup is the advertised worst-case delay between the LRM
+	// accepting a job and a node being able to run it, beyond queueing:
+	// zero for always-provisioned pools, the cold-start bound for
+	// elastic ones.
+	Startup time.Duration
+}
+
 // Queue is the site's local resource manager.
 type Queue struct {
 	sim   *simclock.Sim
 	name  string
-	nodes []*Node
-	nfree int // nodes with no holder, maintained by start/finish
+	nodes []*Node // provisioned nodes: all of a fixed pool, the warm or busy ones of an elastic queue
+	nfree int     // provisioned nodes with no holder, maintained by start/finish
 
 	// cycle is the LRM's scheduling pass interval: a submitted job is
 	// considered at the next pass, modeling PBS/Condor negotiation
@@ -153,7 +178,7 @@ type Queue struct {
 	cycle time.Duration
 
 	pending []*Handle
-	jobs    map[string]*Handle
+	jobs    map[string]*Handle // pending and running jobs; finished ones are forgotten
 	seq     int
 	passing bool
 
@@ -161,6 +186,15 @@ type Queue struct {
 	// the fault layer): submissions are still accepted, but no pending
 	// job starts before the stall ends.
 	stalledUntil time.Time
+
+	// elastic is the on-demand node supply (elastic.go), nil for a fixed
+	// pool. gen invalidates its in-flight boot and reclaim timers and the
+	// node releases of jobs started before a crash; idleAt stamps its
+	// warm nodes. Both stay zero for a fixed pool (delete on a nil map is
+	// a no-op).
+	elastic *supply
+	gen     int
+	idleAt  map[*Node]time.Time
 }
 
 // QueueOption configures a Queue.
@@ -195,7 +229,8 @@ func NewQueue(sim *simclock.Sim, name string, n int, machineOpts []vmslot.Option
 // Name returns the queue (site) name.
 func (q *Queue) Name() string { return q.name }
 
-// Nodes returns the worker nodes (shared slice; do not mutate).
+// Nodes returns the provisioned worker nodes (shared slice; do not
+// mutate). An elastic queue's set grows and shrinks.
 func (q *Queue) Nodes() []*Node { return q.nodes }
 
 // Submission errors.
@@ -205,9 +240,11 @@ var (
 	ErrUnknownJob  = errors.New("batch: unknown job")
 )
 
-// Submit enqueues a job. The job is considered at the next scheduling
-// pass (one cycle later), or immediately at the following pass if
-// resources are busy.
+// Submit enqueues a job (2PC phase 1). The job is considered at the
+// next scheduling pass (one cycle later), or immediately at the
+// following pass if resources are busy. Capacity is validated against
+// TotalCPUs: an empty elastic queue still accepts work, it just pays
+// cold starts.
 func (q *Queue) Submit(r Request) (*Handle, error) {
 	if r.RunCB == nil {
 		return nil, fmt.Errorf("%w: nil RunCB body", ErrBadRequest)
@@ -215,8 +252,8 @@ func (q *Queue) Submit(r Request) (*Handle, error) {
 	if r.Nodes < 1 {
 		return nil, fmt.Errorf("%w: Nodes = %d", ErrBadRequest, r.Nodes)
 	}
-	if r.Nodes > len(q.nodes) {
-		return nil, fmt.Errorf("%w: job %q wants %d nodes, site has %d", ErrBadRequest, r.ID, r.Nodes, len(q.nodes))
+	if total := q.TotalCPUs(); r.Nodes > total {
+		return nil, fmt.Errorf("%w: job %q wants %d nodes, site has %d", ErrBadRequest, r.ID, r.Nodes, total)
 	}
 	if r.ID == "" {
 		r.ID = fmt.Sprintf("%s.%d", q.name, q.seq)
@@ -276,12 +313,18 @@ func (q *Queue) Stall(d time.Duration) {
 func (q *Queue) Stalled() bool { return q.sim.Now().Before(q.stalledUntil) }
 
 // CrashAll models the site's worker pool dying with its gatekeeper:
-// every running job is killed (bodies observe their Killed trigger)
-// and every pending job is dropped as Killed, including uncommitted
-// two-phase-commit submissions.
+// every pending job is dropped as Killed, including uncommitted
+// two-phase-commit submissions, and every running job is killed
+// (bodies observe their Killed trigger). An elastic queue also loses
+// its whole tenancy, booting nodes included: a restarted site begins
+// cold.
 func (q *Queue) CrashAll() {
+	if q.elastic != nil {
+		q.gen++ // before the kills: the dead tenancy's nodes are never released
+	}
 	for _, h := range q.pending {
 		h.st = Killed
+		delete(q.jobs, h.req.ID)
 		h.Done.Fire()
 	}
 	q.pending = nil
@@ -298,11 +341,15 @@ func (q *Queue) CrashAll() {
 	for _, h := range running {
 		h.exec.Killed.Fire()
 	}
+	if q.elastic != nil {
+		q.deprovision()
+	}
 }
 
 // pass starts every pending job that fits, in priority order (FCFS
 // within a level). No backfill: a large job at the head blocks later
-// jobs, as in a plain FCFS PBS configuration.
+// jobs, as in a plain FCFS PBS configuration; an elastic queue boots
+// the head job's deficit while it waits.
 func (q *Queue) pass() {
 	if q.Stalled() {
 		if len(q.pending) > 0 {
@@ -319,6 +366,9 @@ func (q *Queue) pass() {
 	for len(q.pending) > 0 {
 		h := q.pending[0]
 		if q.nfree < h.req.Nodes {
+			if q.elastic != nil {
+				q.bootDeficit(h.req.Nodes - q.nfree)
+			}
 			return
 		}
 		// Exact-size allocation: the slice is retained in ExecCtx for
@@ -345,20 +395,31 @@ func (q *Queue) start(h *Handle, nodes []*Node) {
 	j := &job{h: h}
 	for _, n := range nodes {
 		n.holder = j
+		delete(q.idleAt, n)
 	}
 	q.nfree -= len(nodes)
 	h.exec = &ExecCtx{Nodes: nodes, Killed: q.sim.NewTrigger(), sim: q.sim}
 	h.Started.Fire()
+	gen := q.gen
 	q.sim.Post(func() {
-		h.req.RunCB(h.exec, func() { q.finish(h, nodes) })
+		h.req.RunCB(h.exec, func() { q.finish(h, nodes, gen) })
 	})
 }
 
-func (q *Queue) finish(h *Handle, nodes []*Node) {
-	for _, n := range nodes {
-		if n.holder != nil && n.holder.h == h {
-			n.holder = nil
-			q.nfree++
+// finish ends a job whose body returned and forgets it. Its nodes go
+// back to the pool only if the queue has not crashed since the job
+// started: a crashed elastic queue deprovisioned them already.
+func (q *Queue) finish(h *Handle, nodes []*Node, gen int) {
+	live := gen == q.gen
+	if live {
+		for _, n := range nodes {
+			if n.holder != nil && n.holder.h == h {
+				n.holder = nil
+				q.nfree++
+				if q.elastic != nil {
+					q.noteIdle(n)
+				}
+			}
 		}
 	}
 	if h.st == Running {
@@ -368,15 +429,18 @@ func (q *Queue) finish(h *Handle, nodes []*Node) {
 			h.st = Completed
 		}
 	}
+	delete(q.jobs, h.req.ID)
 	h.Done.Fire()
-	if len(q.pending) > 0 {
+	if live && len(q.pending) > 0 {
 		q.schedulePass()
 	}
 }
 
 // Kill removes a pending job or signals a running one to stop. The
 // running job's body must honour its Killed trigger; the node is
-// released when the body returns.
+// released when the body returns. A job that has finished, or was
+// dropped while pending, is forgotten: killing it reports
+// ErrUnknownJob.
 func (q *Queue) Kill(id string) error {
 	h, ok := q.jobs[id]
 	if !ok {
@@ -391,6 +455,7 @@ func (q *Queue) Kill(id string) error {
 			}
 		}
 		h.st = Killed
+		delete(q.jobs, id)
 		h.Done.Fire()
 	case Running:
 		h.exec.Killed.Fire()
@@ -398,23 +463,36 @@ func (q *Queue) Kill(id string) error {
 	return nil
 }
 
-// Lookup returns the handle for a job id.
+// Lookup returns the handle of a pending or running job. A job killed
+// while running stays until its body returns; a finished job is
+// forgotten, and its submitter's Handle is the only record left.
 func (q *Queue) Lookup(id string) (*Handle, bool) {
 	h, ok := q.jobs[id]
 	return h, ok
 }
 
-// FreeNodeCount reports nodes with no holder.
-func (q *Queue) FreeNodeCount() int { return q.nfree }
+// FreeNodeCount reports placeable capacity: provisioned nodes with no
+// holder, plus the headroom an elastic queue could cold-start into.
+func (q *Queue) FreeNodeCount() int { return q.nfree + q.TotalCPUs() - len(q.nodes) }
 
-// TotalCPUs reports the queue's capacity. For the fixed batch pool it
-// equals the provisioned node count.
-func (q *Queue) TotalCPUs() int { return len(q.nodes) }
+// TotalCPUs reports the queue's capacity: the node count of a fixed
+// pool, the bound of an elastic queue.
+func (q *Queue) TotalCPUs() int {
+	if q.elastic != nil {
+		return q.elastic.MaxNodes
+	}
+	return len(q.nodes)
+}
 
-// Backend describes the batch queue's shape: an always-provisioned
-// space-shared pool with no node startup cost beyond the scheduling
-// cycle.
-func (q *Queue) Backend() BackendInfo { return BackendInfo{Kind: BackendBatch} }
+// Backend describes the queue's shape. A fixed pool is always
+// provisioned, with no node startup cost beyond the scheduling cycle;
+// an elastic queue advertises its worst-case cold start.
+func (q *Queue) Backend() BackendInfo {
+	if e := q.elastic; e != nil {
+		return BackendInfo{Kind: BackendElastic, Startup: e.ColdStart + e.ColdStartJitter}
+	}
+	return BackendInfo{Kind: BackendBatch}
+}
 
 // QueueLength reports the number of pending jobs.
 func (q *Queue) QueueLength() int { return len(q.pending) }

@@ -2,6 +2,7 @@ package batch
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -115,24 +116,29 @@ func TestLargeJobBlocksQueueNoBackfill(t *testing.T) {
 	}
 }
 
+// TestSubmitValidation checks admission on both node supplies: an
+// elastic queue validates against its bound, not the (zero) nodes it
+// has provisioned.
 func TestSubmitValidation(t *testing.T) {
-	sim := simclock.NewSim(time.Time{})
-	q := newQueue(sim, 2)
-	if _, err := q.Submit(Request{Nodes: 1}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("nil RunCB: %v", err)
-	}
-	body := func(*ExecCtx, func()) {}
-	if _, err := q.Submit(Request{Nodes: 0, RunCB: body}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("0 nodes: %v", err)
-	}
-	if _, err := q.Submit(Request{Nodes: 3, RunCB: body}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("too many nodes: %v", err)
-	}
-	if _, err := q.Submit(Request{ID: "x", Nodes: 1, RunCB: body}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Submit(Request{ID: "x", Nodes: 1, RunCB: body}); !errors.Is(err, ErrDuplicateID) {
-		t.Fatalf("dup id: %v", err)
+	for _, sup := range supplies {
+		sim := simclock.NewSim(time.Time{})
+		q := sup.new(sim, 2, rand.New(rand.NewSource(1)))
+		if _, err := q.Submit(Request{Nodes: 1}); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("%s: nil RunCB: %v", sup.name, err)
+		}
+		body := func(*ExecCtx, func()) {}
+		if _, err := q.Submit(Request{Nodes: 0, RunCB: body}); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("%s: 0 nodes: %v", sup.name, err)
+		}
+		if _, err := q.Submit(Request{Nodes: 3, RunCB: body}); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("%s: too many nodes: %v", sup.name, err)
+		}
+		if _, err := q.Submit(Request{ID: "x", Nodes: 2, RunCB: body}); err != nil {
+			t.Fatalf("%s: %v", sup.name, err)
+		}
+		if _, err := q.Submit(Request{ID: "x", Nodes: 1, RunCB: body}); !errors.Is(err, ErrDuplicateID) {
+			t.Fatalf("%s: dup id: %v", sup.name, err)
+		}
 	}
 }
 
@@ -163,6 +169,18 @@ func TestKillPendingJob(t *testing.T) {
 	}
 	if !h.Done.Fired() {
 		t.Fatal("Done not fired for killed pending job")
+	}
+	// The dropped job is forgotten, and so is a finished one.
+	if _, ok := q.Lookup("victim"); ok {
+		t.Fatal("killed pending job still known")
+	}
+	if err := q.Kill("victim"); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("second Kill: err = %v, want ErrUnknownJob", err)
+	}
+	q.Kill("hold")
+	sim.RunFor(time.Second)
+	if _, ok := q.Lookup("hold"); ok || q.RunningCount() != 0 {
+		t.Fatalf("finished job still known: running = %d", q.RunningCount())
 	}
 }
 

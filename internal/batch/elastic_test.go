@@ -1,14 +1,14 @@
 package batch
 
 import (
-	"errors"
 	"testing"
 	"time"
 
 	"crossbroker/internal/simclock"
 )
 
-func newPool(sim *simclock.Sim, cfg ElasticConfig) *Pool {
+// newPool builds an elastic queue with the default 2s scheduling cycle.
+func newPool(sim *simclock.Sim, cfg ElasticConfig) *Queue {
 	return NewPool(sim, "cloud", cfg, nil)
 }
 
@@ -16,7 +16,7 @@ func TestElasticColdStartThenWarmReuse(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	p := newPool(sim, ElasticConfig{
 		MaxNodes: 2, ColdStart: 45 * time.Second,
-		WarmWindow: 5 * time.Minute, Cycle: 2 * time.Second,
+		WarmWindow: 5 * time.Minute,
 	})
 	start := sim.Now()
 	var firstStart, secondStart time.Duration
@@ -49,7 +49,7 @@ func TestElasticScaleDownReclaim(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	p := newPool(sim, ElasticConfig{
 		MaxNodes: 3, ColdStart: 30 * time.Second,
-		WarmWindow: 2 * time.Minute, Cycle: 2 * time.Second,
+		WarmWindow: 2 * time.Minute,
 	})
 	p.Submit(Request{ID: "a", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
 		ctx.SleepOrKilled(10 * time.Second)
@@ -79,7 +79,7 @@ func TestElasticWarmReuseResetsReclaimTimer(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	p := newPool(sim, ElasticConfig{
 		MaxNodes: 1, ColdStart: 30 * time.Second,
-		WarmWindow: 1 * time.Minute, Cycle: 2 * time.Second,
+		WarmWindow: 1 * time.Minute,
 	})
 	p.Submit(Request{ID: "a", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
 		ctx.SleepOrKilled(50 * time.Second)
@@ -111,7 +111,7 @@ func TestElasticCrashAllKillsAndDeprovisions(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	p := newPool(sim, ElasticConfig{
 		MaxNodes: 2, ColdStart: 20 * time.Second,
-		WarmWindow: 5 * time.Minute, Cycle: 2 * time.Second,
+		WarmWindow: 5 * time.Minute,
 	})
 	var killedOrder []string
 	mk := func(id string) Request {
@@ -160,7 +160,7 @@ func TestElasticCrashDuringBoot(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	p := newPool(sim, ElasticConfig{
 		MaxNodes: 1, ColdStart: 30 * time.Second,
-		WarmWindow: time.Minute, Cycle: 2 * time.Second,
+		WarmWindow: time.Minute,
 	})
 	h, _ := p.Submit(Request{ID: "a", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})})
 	sim.RunFor(10 * time.Second) // boot in flight
@@ -186,7 +186,7 @@ func TestElasticSeededJitterDeterministic(t *testing.T) {
 		sim := simclock.NewSim(time.Time{})
 		p := newPool(sim, ElasticConfig{
 			MaxNodes: 1, ColdStart: 30 * time.Second, ColdStartJitter: 10 * time.Second,
-			WarmWindow: time.Minute, Cycle: 2 * time.Second, Seed: 7,
+			WarmWindow: time.Minute, Seed: 7,
 		})
 		start := sim.Now()
 		var at time.Duration
@@ -201,27 +201,6 @@ func TestElasticSeededJitterDeterministic(t *testing.T) {
 	base := 2*time.Second + 30*time.Second + 2*time.Second
 	if a < base || a > base+10*time.Second {
 		t.Fatalf("jittered start %v outside [%v, %v]", a, base, base+10*time.Second)
-	}
-}
-
-func TestElasticCapacityValidation(t *testing.T) {
-	sim := simclock.NewSim(time.Time{})
-	p := newPool(sim, ElasticConfig{MaxNodes: 2, ColdStart: time.Second, WarmWindow: time.Minute})
-	if _, err := p.Submit(Request{ID: "x", Nodes: 3, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("oversized job: err = %v, want ErrBadRequest", err)
-	}
-	if _, err := p.Submit(Request{ID: "x", Nodes: 0, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("zero-node job: err = %v, want ErrBadRequest", err)
-	}
-	if _, err := p.Submit(Request{ID: "x", Nodes: 1, RunCB: nil}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("nil body: err = %v, want ErrBadRequest", err)
-	}
-	p.Submit(Request{ID: "dup", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ctx.SleepOrKilled(time.Hour) })})
-	if _, err := p.Submit(Request{ID: "dup", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})}); !errors.Is(err, ErrDuplicateID) {
-		t.Fatalf("duplicate id: err = %v, want ErrDuplicateID", err)
-	}
-	if err := p.Kill("nope"); !errors.Is(err, ErrUnknownJob) {
-		t.Fatalf("unknown kill: err = %v, want ErrUnknownJob", err)
 	}
 }
 
@@ -244,7 +223,7 @@ func TestElasticBackendInfo(t *testing.T) {
 func TestElasticStallDelaysScheduling(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	p := newPool(sim, ElasticConfig{
-		MaxNodes: 1, ColdStart: 10 * time.Second, WarmWindow: time.Minute, Cycle: 2 * time.Second,
+		MaxNodes: 1, ColdStart: 10 * time.Second, WarmWindow: time.Minute,
 	})
 	start := sim.Now()
 	var at time.Duration

@@ -15,19 +15,18 @@ import (
 )
 
 // probeGrid builds a broker (over a zero-latency information service,
-// so discovery is free) over sites whose direct-query cost is qc(i),
+// so discovery is free) over sites whose network round trip is rtt(i),
 // for the probe timing tests.
-func probeGrid(nSites int, cfg Config, qc func(i int) time.Duration) (*simclock.Sim, *Broker) {
+func probeGrid(nSites int, cfg Config, rtt func(i int) time.Duration) (*simclock.Sim, *Broker) {
 	sim := simclock.NewSim(time.Time{})
 	cfg.Sim, cfg.Info = sim, infosys.New(sim, 0)
 	b := New(cfg)
 	for i := 0; i < nSites; i++ {
 		b.RegisterSite(site.New(sim, site.Config{
-			Name:      fmt.Sprintf("site%02d", i),
-			Nodes:     1,
-			Network:   netsim.Loopback(),
-			Costs:     site.DefaultCosts(),
-			QueryCost: qc(i),
+			Name:    fmt.Sprintf("site%02d", i),
+			Nodes:   1,
+			Network: netsim.Profile{Name: "probe", OneWayDelay: rtt(i) / 2},
+			Costs:   site.DefaultCosts(),
 		}))
 	}
 	return sim, b
@@ -77,15 +76,16 @@ func TestRankEvalErrorExcludesSite(t *testing.T) {
 
 // TestSerialProbeCostsSumOfRTTs pins the default (paper-faithful)
 // selection cost: sites are probed one after another, so the phase
-// lasts the sum of per-site round trips.
+// lasts the sum of per-site round trips, each plus the gatekeeper's
+// fixed 130 ms query processing.
 func TestSerialProbeCostsSumOfRTTs(t *testing.T) {
 	const n = 20
-	qc := func(i int) time.Duration { return time.Duration(i+1) * 100 * time.Millisecond }
+	rtt := func(i int) time.Duration { return time.Duration(i+1) * 100 * time.Millisecond }
 	var sum time.Duration
 	for i := 0; i < n; i++ {
-		sum += qc(i)
+		sum += rtt(i) + 130*time.Millisecond
 	}
-	sim, b := probeGrid(n, Config{}, qc)
+	sim, b := probeGrid(n, Config{}, rtt)
 	h, cands := runSelection(t, sim, b, &jdl.Job{Executable: "x"})
 	if len(cands) != n {
 		t.Fatalf("got %d candidates, want %d", len(cands), n)

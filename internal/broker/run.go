@@ -35,8 +35,9 @@ func fairshareClass(job *jdl.Job) fairshare.Class {
 }
 
 // attemptID names the LRM job of h's current attempt. One LRM job per
-// attempt: a retry may land on the site that still holds the killed
-// attempt's record, and the queue rejects a duplicate id.
+// attempt: a retry may land on the site whose queue still holds the
+// killed attempt while its body unwinds, and the queue rejects a
+// duplicate id until that job finishes and is forgotten.
 func attemptID(h *Handle) string {
 	return h.ID + "." + strconv.Itoa(h.resub)
 }

@@ -98,11 +98,11 @@ type ChaosConfig struct {
 	// the partition→bounded-subscription→heal→catch-up path is
 	// exercised at every rate, including rate 0.
 	Delta bool
-	// Elastic swaps every odd-indexed site's batch queue for an
-	// elastic pool backend (cold starts, warm-pool reuse, scale-down
-	// reclaim), so the crash/stall/quarantine recovery machinery is
-	// exercised against provisioning latencies: a crash landing during
-	// a cold boot must still release its lease.
+	// Elastic gives every odd-indexed site's queue an elastic node
+	// supply (cold starts, warm-pool reuse, scale-down reclaim), so the
+	// crash/stall/quarantine recovery machinery is exercised against
+	// provisioning latencies: a crash landing during a cold boot must
+	// still release its lease.
 	Elastic bool
 }
 

@@ -139,8 +139,8 @@ func TestChaosSweepRecovers(t *testing.T) {
 }
 
 // TestChaosSweepElasticRecovers is the acceptance check for the
-// elastic LRMS adapter under fire: with half the sites running the
-// cloud-style pool backend, every job still reaches a terminal state,
+// elastic node supply under fire: with half the sites running the
+// cloud-style elastic queue, every job still reaches a terminal state,
 // the sweep stays deterministic, and — the 2PC/lease contract — zero
 // leases leak even when crashes land during cold boots and warm-pool
 // reclaims.

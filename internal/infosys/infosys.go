@@ -107,7 +107,7 @@ const (
 )
 
 // Backend-shape attribute names sites publish among their static
-// attributes (see batch.BackendInfo): the adapter kind and its
+// attributes (see batch.BackendInfo): the node-supply kind and its
 // advertised worst-case node startup cost in seconds.
 const (
 	AttrBackend    = "Backend"

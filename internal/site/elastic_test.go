@@ -33,6 +33,9 @@ func TestElasticSitePublishesBackendAttrs(t *testing.T) {
 	if r.FreeCPUs != 6 {
 		t.Fatalf("FreeCPUs = %d, want 6 (placeable headroom, nothing provisioned)", r.FreeCPUs)
 	}
+	if got := s.QueueSlots(); got != 12 {
+		t.Fatalf("QueueSlots = %d, want twice the capacity bound", got)
+	}
 	if got := r.Attrs[infosys.AttrBackend]; got != batch.BackendElastic {
 		t.Fatalf("attrs[%s] = %v", infosys.AttrBackend, got)
 	}
@@ -80,13 +83,13 @@ func TestElasticSiteAttrsOverride(t *testing.T) {
 func TestElasticSiteRunsJob(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	s := New(sim, Config{
-		Name:    "cloud00",
-		Network: netsim.CampusGrid(),
-		Costs:   DefaultCosts(),
+		Name:     "cloud00",
+		Network:  netsim.CampusGrid(),
+		Costs:    DefaultCosts(),
+		LRMCycle: 2 * time.Second,
 		Elastic: &batch.ElasticConfig{
 			MaxNodes:  2,
 			ColdStart: 30 * time.Second,
-			Cycle:     2 * time.Second,
 		},
 	})
 	var ran bool

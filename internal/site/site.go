@@ -95,28 +95,26 @@ type Config struct {
 	// PublishInterval is how often the site pushes its record to the
 	// information system.
 	PublishInterval time.Duration
-	// QueueSlots caps how many jobs the local queue will hold pending
-	// before the broker considers the site full (default 2x Nodes).
-	QueueSlots int
-	// QueryCost is the gatekeeper's processing time for a direct
-	// queue-state query (default 130 ms; with ~20 European sites this
-	// yields the paper's ~3 s selection phase).
-	QueryCost time.Duration
 	// MachineOpts configure each worker node's CPU.
 	MachineOpts []vmslot.Option
-	// Elastic, when set, replaces the classic batch queue with a
-	// cloud-style elastic pool: nodes cold-start on demand up to
-	// Elastic.MaxNodes (Nodes is ignored), stay warm for reuse, and are
-	// reclaimed when idle. The adapter publishes its shape through the
-	// Backend/StartupSec attributes.
+	// Elastic, when set, gives the local queue a cloud-style on-demand
+	// node supply: nodes cold-start up to Elastic.MaxNodes (Nodes is
+	// ignored), stay warm for reuse, and are reclaimed when idle. The
+	// queue publishes its shape through the Backend/StartupSec
+	// attributes.
 	Elastic *batch.ElasticConfig
 }
+
+// queryCost is the gatekeeper's processing time for a direct
+// queue-state query: with ~20 European sites it yields the paper's
+// ~3 s selection phase.
+const queryCost = 130 * time.Millisecond
 
 // Site is one grid site.
 type Site struct {
 	sim    *simclock.Sim
 	cfg    Config
-	lrms   batch.LRMS
+	lrms   *batch.Queue
 	tracer *trace.Tracer
 
 	// Failure-model state (driven by internal/faultinject or tests).
@@ -154,8 +152,8 @@ type CommitStats struct {
 }
 
 // New creates a site with its local resource manager and worker
-// nodes: the classic batch queue, or an elastic pool when cfg.Elastic
-// is set.
+// nodes: a fixed pool of cfg.Nodes, or an elastic supply when
+// cfg.Elastic is set.
 func New(sim *simclock.Sim, cfg Config) *Site {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
@@ -169,22 +167,11 @@ func New(sim *simclock.Sim, cfg Config) *Site {
 	if cfg.Attrs == nil {
 		cfg.Attrs = map[string]any{"Arch": "i686", "OS": "linux", "MemoryMB": 512}
 	}
-	var lrms batch.LRMS
+	var lrms *batch.Queue
 	if cfg.Elastic != nil {
-		ec := *cfg.Elastic
-		if ec.Cycle <= 0 {
-			ec.Cycle = cfg.LRMCycle
-		}
-		lrms = batch.NewPool(sim, cfg.Name, ec, cfg.MachineOpts)
-		cfg.Nodes = lrms.TotalCPUs()
+		lrms = batch.NewPool(sim, cfg.Name, *cfg.Elastic, cfg.MachineOpts, batch.WithCycle(cfg.LRMCycle))
 	} else {
 		lrms = batch.NewQueue(sim, cfg.Name, cfg.Nodes, cfg.MachineOpts, batch.WithCycle(cfg.LRMCycle))
-	}
-	if cfg.QueueSlots <= 0 {
-		cfg.QueueSlots = 2 * cfg.Nodes
-	}
-	if cfg.QueryCost <= 0 {
-		cfg.QueryCost = 130 * time.Millisecond
 	}
 	// Publish the backend's shape alongside the user attributes, so
 	// compiled Requirements/Rank expressions (and the interactive
@@ -212,11 +199,10 @@ func (s *Site) Name() string { return s.cfg.Name }
 // sets it at registration.
 func (s *Site) SetTracer(t *trace.Tracer) { s.tracer = t }
 
-// Queue exposes the local resource manager adapter (a *batch.Queue or
-// *batch.Pool behind the LRMS interface).
-func (s *Site) Queue() batch.LRMS { return s.lrms }
+// Queue exposes the local resource manager.
+func (s *Site) Queue() *batch.Queue { return s.lrms }
 
-// Backend describes the site's LRMS shape.
+// Backend describes the shape of the site's node supply.
 func (s *Site) Backend() batch.BackendInfo { return s.lrms.Backend() }
 
 // Costs returns the site's cost model.
@@ -225,8 +211,9 @@ func (s *Site) Costs() Costs { return s.cfg.Costs }
 // Network returns the broker<->site path profile.
 func (s *Site) Network() netsim.Profile { return s.cfg.Network }
 
-// QueueSlots returns the pending-queue capacity the broker respects.
-func (s *Site) QueueSlots() int { return s.cfg.QueueSlots }
+// QueueSlots returns how many jobs the local queue holds pending before
+// the broker considers the site full: twice its capacity.
+func (s *Site) QueueSlots() int { return 2 * s.lrms.TotalCPUs() }
 
 // Crash kills the site: the gatekeeper stops answering, every running
 // job dies (their bodies observe Killed, evicting glide-in agents),
@@ -330,7 +317,7 @@ func (s *Site) Stats() CommitStats { return s.stats }
 // the gatekeeper could not be reached (the probe still costs its round
 // trip — the timeout the broker waited out).
 func (s *Site) QueryStateAsync(cont func(free, queued int, ok bool)) {
-	s.sim.AfterFunc(s.cfg.Network.RTT()+s.cfg.QueryCost, func() {
+	s.sim.AfterFunc(s.cfg.Network.RTT()+queryCost, func() {
 		if !s.Available() {
 			cont(0, 0, false)
 			return

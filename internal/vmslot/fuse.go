@@ -23,26 +23,24 @@ import (
 // ordering perturbation of at most one quantum, well inside the
 // scheduler's behavioural tolerances, and fully deterministic.
 type burst struct {
-	timer    simclock.SimTimer
-	start    time.Time
-	busyBase time.Duration // machine busyFor at burst start
-	cost     time.Duration // virtual time until the winning completion
-	winner   int           // index into fin.runs of the completing run
-	init     burstState    // state at burst start, for interrupt replay
-	fin      burstState    // state at the winning completion
+	timer  simclock.SimTimer
+	start  time.Time
+	cost   time.Duration // virtual time until the winning completion
+	winner int           // index into fin.runs of the completing run
+	init   burstState    // state at burst start, for interrupt replay
+	fin    burstState    // state at the winning completion
 }
 
 // burstState is a scratch copy of every scheduler variable the
 // dispatch loop touches, so the schedule can be computed (and
-// re-computed on interrupt) without disturbing the live machine.
+// re-computed on interrupt) without disturbing the live machine. The
+// CPU is busy for the whole of a burst, so elapsed is also the busy
+// time it adds.
 type burstState struct {
-	m        *Machine
 	ticketed bool // execution class: ticketed runs, else background
 	runs     []burstRun
 	vtime    float64
 	bgvtime  float64
-	busyFor  time.Duration
-	lastUse  *Slot
 	elapsed  time.Duration
 }
 
@@ -66,11 +64,8 @@ type burstRun struct {
 // path interrupts the burst first.
 func (m *Machine) newBurstState() burstState {
 	b := burstState{
-		m:       m,
 		vtime:   m.vtime,
 		bgvtime: m.bgvtime,
-		busyFor: m.busyFor,
-		lastUse: m.lastUse,
 	}
 	for _, r := range m.runq {
 		if r.slot.tickets > 0 {
@@ -127,9 +122,8 @@ func (b *burstState) pickIdx() int {
 
 // commit charges one slice to br, mirroring complete for a full,
 // uninterrupted slice.
-func (b *burstState) commit(br *burstRun, slice, cost time.Duration) {
+func (b *burstState) commit(br *burstRun, slice time.Duration) {
 	br.used += slice
-	b.busyFor += cost
 	if b.ticketed {
 		br.pass += slice.Seconds() / float64(br.tickets)
 		if br.pass > b.vtime {
@@ -142,8 +136,7 @@ func (b *burstState) commit(br *burstRun, slice, cost time.Duration) {
 		}
 	}
 	br.remaining -= slice
-	b.lastUse = br.r.slot
-	b.elapsed += cost
+	b.elapsed += slice
 }
 
 // advance executes the dispatch loop on the scratch state until a run
@@ -151,7 +144,7 @@ func (b *burstState) commit(br *burstRun, slice, cost time.Duration) {
 // next slice would end past limit and returns (-1, slice descriptor)
 // for the in-flight slice instead. Slices ending exactly at limit are
 // committed.
-func (b *burstState) advance(limit time.Duration) (winner, idx int, slice, cost time.Duration) {
+func (b *burstState) advance(limit time.Duration) (winner, idx int, slice time.Duration) {
 	for {
 		i := b.pickIdx()
 		br := &b.runs[i]
@@ -159,16 +152,12 @@ func (b *burstState) advance(limit time.Duration) (winner, idx int, slice, cost 
 		if br.remaining < sl {
 			sl = br.remaining
 		}
-		c := sl
-		if b.m.overhead > 0 && b.lastUse != br.r.slot {
-			c += b.m.overhead
+		if limit >= 0 && b.elapsed+sl > limit {
+			return -1, i, sl
 		}
-		if limit >= 0 && b.elapsed+c > limit {
-			return -1, i, sl, c
-		}
-		b.commit(br, sl, c)
+		b.commit(br, sl)
 		if br.remaining <= 0 {
-			return i, -1, 0, 0
+			return i, -1, 0
 		}
 		b.jump(limit)
 	}
@@ -182,7 +171,6 @@ func (b *burstState) advance(limit time.Duration) (winner, idx int, slice, cost 
 // leaving the finish to the exact per-slice loop above.
 func (b *burstState) jump(limit time.Duration) {
 	var (
-		k         int
 		roundCost time.Duration
 		minp      = math.Inf(1)
 		maxp      = math.Inf(-1)
@@ -194,7 +182,6 @@ func (b *burstState) jump(limit time.Duration) {
 		if !br.active {
 			continue
 		}
-		k++
 		if br.pass < minp {
 			minp = br.pass
 		}
@@ -211,15 +198,6 @@ func (b *burstState) jump(limit time.Duration) {
 	}
 	if maxp-minp > minDelta {
 		return // still converging (catch-up); stay slice-exact
-	}
-	if b.m.overhead > 0 {
-		if k > 1 {
-			// Bulk rounds cannot tell which switches pay overhead;
-			// overhead configs stay on the exact per-slice loop.
-			return
-		}
-		// A lone active run never switches again after its first
-		// slice (lastUse is already its slot post-commit).
 	}
 	if limit >= 0 {
 		if fit := int64(limit-b.elapsed) / int64(roundCost); fit < rounds {
@@ -245,16 +223,15 @@ func (b *burstState) jump(limit time.Duration) {
 			b.bgvtime = br.pass
 		}
 	}
-	b.busyFor += time.Duration(rounds) * roundCost
 	b.elapsed += time.Duration(rounds) * roundCost
 }
 
 // fuse starts a fused burst for a contended runq: compute the schedule
 // up to the next completion and sleep in one event.
 func (m *Machine) fuse() bool {
-	b := &burst{start: m.sim.Now(), busyBase: m.busyFor, init: m.newBurstState()}
+	b := &burst{start: m.sim.Now(), init: m.newBurstState()}
 	b.fin = b.init.clone()
-	b.winner, _, _, _ = b.fin.advance(-1)
+	b.winner, _, _ = b.fin.advance(-1)
 	b.cost = b.fin.elapsed
 	m.current = nil
 	m.curEvent = simclock.SimTimer{}
@@ -281,8 +258,7 @@ func (m *Machine) apply(bs *burstState) {
 	}
 	m.vtime = bs.vtime
 	m.bgvtime = bs.bgvtime
-	m.busyFor = bs.busyFor
-	m.lastUse = bs.lastUse
+	m.busyFor += bs.elapsed // untouched since the burst started
 }
 
 // finishrun mirrors the completion tail of complete: remove the run,
@@ -324,7 +300,7 @@ func (m *Machine) interrupt() {
 	m.burst = nil
 	elapsed := m.sim.Since(b.start)
 	bs := b.init
-	w, idx, slice, cost := bs.advance(elapsed)
+	w, idx, slice := bs.advance(elapsed)
 	m.apply(&bs)
 	if w >= 0 {
 		// The interrupt landed exactly on the winning completion.
@@ -335,6 +311,5 @@ func (m *Machine) interrupt() {
 	m.current = r
 	m.curStart = b.start.Add(bs.elapsed)
 	m.curSlice = slice
-	m.curCost = cost
-	m.curEvent = m.sim.AfterFuncTimer(bs.elapsed+cost-elapsed, m.sliceEnd)
+	m.curEvent = m.sim.AfterFuncTimer(bs.elapsed+slice-elapsed, m.sliceEnd)
 }

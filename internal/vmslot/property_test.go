@@ -12,9 +12,8 @@ import (
 // TestSchedulerInvariantsUnderRandomLoad runs randomized slot
 // workloads and checks the scheduler's conservation laws:
 //
-//  1. Work conservation: total CPU handed out equals total busy time
-//     (no overhead configured), and the machine is never idle while
-//     work is runnable.
+//  1. Work conservation: total CPU handed out equals total busy time,
+//     and the machine is never idle while work is runnable.
 //  2. Completeness: every Run eventually finishes and each slot's Used
 //     equals exactly the work it requested.
 //  3. Proportionality: two continuously backlogged slots split the CPU

@@ -54,11 +54,8 @@ const fullShareTickets = 100
 type Machine struct {
 	sim *simclock.Sim
 	// Quantum is the scheduling slice. Shorter quanta track the ideal
-	// fluid shares more closely at higher dispatch overhead.
+	// fluid shares more closely at the cost of more dispatches.
 	quantum time.Duration
-	// overhead is charged on every dispatch that switches slots,
-	// modeling context-switch cost. Zero by default.
-	overhead time.Duration
 	// maxCatchup bounds how much exclusive CPU a newly woken slot may
 	// claim to repay its deficit.
 	maxCatchup time.Duration
@@ -69,7 +66,6 @@ type Machine struct {
 	vtime   float64 // virtual time: max pass dispatched so far (ticketed)
 	bgvtime float64 // same for zero-ticket (background) slots
 	busyFor time.Duration
-	lastUse *Slot
 
 	// Current slice bookkeeping, for the uncontended fast path: a lone
 	// run is dispatched as one big slice (instead of millions of
@@ -78,7 +74,6 @@ type Machine struct {
 	curEvent simclock.SimTimer
 	curStart time.Time
 	curSlice time.Duration
-	curCost  time.Duration
 
 	// burst is the fused contended-dispatch state, nil outside bursts.
 	burst *burst
@@ -92,9 +87,6 @@ type Machine struct {
 
 // Option configures a Machine.
 type Option func(*Machine)
-
-// WithOverhead sets the per-switch dispatch overhead.
-func WithOverhead(d time.Duration) Option { return func(m *Machine) { m.overhead = d } }
 
 // WithMaxCatchup bounds the exclusive catch-up work of a woken slot.
 func WithMaxCatchup(d time.Duration) Option { return func(m *Machine) { m.maxCatchup = d } }
@@ -316,15 +308,9 @@ func (m *Machine) dispatch() {
 	if r.remaining < slice {
 		slice = r.remaining
 	}
-	cost := slice
-	if m.overhead > 0 && m.lastUse != r.slot {
-		cost += m.overhead
-	}
-	m.lastUse = r.slot
 	m.curStart = m.sim.Now()
 	m.curSlice = slice
-	m.curCost = cost
-	m.curEvent = m.sim.AfterFuncTimer(cost, m.sliceEnd)
+	m.curEvent = m.sim.AfterFuncTimer(slice, m.sliceEnd)
 }
 
 // preemptLongSlice interrupts a running slice longer than the quantum,
@@ -338,11 +324,7 @@ func (m *Machine) preemptLongSlice() {
 	if !m.curEvent.Stop() {
 		return // completion is already firing
 	}
-	elapsed := m.sim.Since(m.curStart)
-	used := elapsed - (m.curCost - m.curSlice) // subtract any switch overhead
-	if used < 0 {
-		used = 0
-	}
+	used := m.sim.Since(m.curStart)
 	if used > m.curSlice {
 		used = m.curSlice
 	}
@@ -352,10 +334,7 @@ func (m *Machine) preemptLongSlice() {
 func (m *Machine) complete(r *run, used time.Duration) {
 	s := r.slot
 	s.used += used
-	// Busy time accrues at slice end: actual usage plus the slice's
-	// switch overhead (curCost/curSlice describe the current slice,
-	// and complete only ever runs for it).
-	m.busyFor += used + (m.curCost - m.curSlice)
+	m.busyFor += used
 	m.curEvent = simclock.SimTimer{}
 	if s.tickets > 0 {
 		s.pass += used.Seconds() / float64(s.tickets)
@@ -381,9 +360,8 @@ func (m *Machine) complete(r *run, used time.Duration) {
 	m.dispatch()
 }
 
-// Busy returns the cumulative time the CPU spent executing slices and
-// switch overhead, including the in-flight portion of the current
-// slice.
+// Busy returns the cumulative time the CPU spent executing slices,
+// including the in-flight portion of the current slice.
 func (m *Machine) Busy() time.Duration {
 	if b := m.burst; b != nil {
 		// A contended burst keeps the CPU busy for its whole span, so
@@ -392,13 +370,13 @@ func (m *Machine) Busy() time.Duration {
 		if elapsed > b.cost {
 			elapsed = b.cost
 		}
-		return b.busyBase + elapsed
+		return m.busyFor + elapsed
 	}
 	busy := m.busyFor
 	if m.current != nil && m.curEvent != (simclock.SimTimer{}) {
 		elapsed := m.sim.Since(m.curStart)
-		if elapsed > m.curCost {
-			elapsed = m.curCost
+		if elapsed > m.curSlice {
+			elapsed = m.curSlice
 		}
 		if elapsed > 0 {
 			busy += elapsed
