@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -201,6 +202,27 @@ func TestElasticSeededJitterDeterministic(t *testing.T) {
 	base := 2*time.Second + 30*time.Second + 2*time.Second
 	if a < base || a > base+10*time.Second {
 		t.Fatalf("jittered start %v outside [%v, %v]", a, base, base+10*time.Second)
+	}
+}
+
+func TestElasticCapacityValidation(t *testing.T) {
+	sim := simclock.NewSim(time.Time{})
+	p := newPool(sim, ElasticConfig{MaxNodes: 2, ColdStart: time.Second, WarmWindow: time.Minute})
+	if _, err := p.Submit(Request{ID: "x", Nodes: 3, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("oversized job: err = %v, want ErrBadRequest", err)
+	}
+	if _, err := p.Submit(Request{ID: "x", Nodes: 0, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("zero-node job: err = %v, want ErrBadRequest", err)
+	}
+	if _, err := p.Submit(Request{ID: "x", Nodes: 1, RunCB: nil}); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("nil body: err = %v, want ErrBadRequest", err)
+	}
+	p.Submit(Request{ID: "dup", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ctx.SleepOrKilled(time.Hour) })})
+	if _, err := p.Submit(Request{ID: "dup", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})}); !errors.Is(err, ErrDuplicateID) {
+		t.Fatalf("duplicate id: err = %v, want ErrDuplicateID", err)
+	}
+	if err := p.Kill("nope"); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("unknown kill: err = %v, want ErrUnknownJob", err)
 	}
 }
 
