@@ -95,7 +95,9 @@ func parseSpeedups(s string) ([]float64, error) {
 
 // countTrace makes one streamed pass over the archive, counting
 // usable jobs and dropped records without materializing anything. It
-// doubles as an up-front parse check before the sweep spins up.
+// doubles as an up-front check before the sweep spins up: a parse
+// error, or an archive with no usable job, fails the command instead
+// of writing an empty report.
 func countTrace(path string) (usable, dropped int, err error) {
 	tr, err := workload.OpenTraceReader(path, workload.TraceReaderOptions{})
 	if err != nil {
@@ -104,10 +106,13 @@ func countTrace(path string) (usable, dropped int, err error) {
 	defer tr.Close()
 	for {
 		if _, err := tr.Next(); err != nil {
-			if err == io.EOF {
-				return usable, tr.Dropped(), nil
+			if err != io.EOF {
+				return 0, 0, err
 			}
-			return 0, 0, err
+			if usable == 0 {
+				return 0, tr.Dropped(), fmt.Errorf("%w: %s", workload.ErrNoUsableRecords, path)
+			}
+			return usable, tr.Dropped(), nil
 		}
 		usable++
 	}

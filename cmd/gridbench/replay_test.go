@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"crossbroker/internal/workload"
 )
 
 const gwfFixture = "../../internal/workload/testdata/grid5000.gwf"
@@ -200,5 +203,30 @@ func TestReplayCommandErrors(t *testing.T) {
 	}
 	if err := replay(replayOpts{trace: gwfFixture, out: out, speedups: "zero", seed: 1}); err == nil {
 		t.Fatal("bad -speedups accepted")
+	}
+}
+
+// A trace none of whose records replay can use fails the command, exit
+// 1, instead of replaying nothing and writing an empty report.
+func TestReplayCommandRejectsTraceWithoutUsableJobs(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "norun.swf")
+	// One record with neither a runtime nor a requested time.
+	if err := os.WriteFile(path, []byte("1 0 -1 -1 1 -1 -1 1 -1 -1 1 1 1 -1 -1 -1 -1 -1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out.json")
+	if err := replay(replayOpts{trace: path, out: out, seed: 1}); !errors.Is(err, workload.ErrNoUsableRecords) {
+		t.Fatalf("replay err = %v, want ErrNoUsableRecords", err)
+	}
+	var stderr bytes.Buffer
+	if code := realMain([]string{"-exp", "replay", "-trace", path, "-out", out}, &stderr); code != 1 {
+		t.Fatalf("gridbench exited %d, want 1; stderr %q", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "no usable records") {
+		t.Fatalf("stderr = %q, want the no-usable-records error", stderr.String())
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("a report was written: %v", err)
 	}
 }

@@ -479,8 +479,8 @@ type Broker struct {
 	freeAgents  []agentEntry
 	freeSet     map[*glidein.Agent]bool
 	freeScratch []*glidein.Agent
-	reqMemo     map[*site.Site]bool
-	taskPool    [][]probeTask // recycled matchmaking scratch, see getTasks
+	reqMemo     map[string]bool // site name -> Requirements pass
+	taskPool    [][]probeTask   // recycled matchmaking scratch, see getTasks
 
 	pendingBatch []*Handle
 	seq          int

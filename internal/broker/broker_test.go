@@ -195,6 +195,91 @@ func TestSharedFallsBackToFreshAgent(t *testing.T) {
 	}
 }
 
+// TestSharedPlacementHonoursRequirements covers the Requirements branch
+// of shared-VM placement. Free agents on a site the job's Requirements
+// reject are never chosen, and the clause is decided on the site's
+// published record, the row matchmaking reads, not on its live queue.
+func TestSharedPlacementHonoursRequirements(t *testing.T) {
+	// hostSites runs a shared two-node job and reports the sites of the
+	// agents it was placed on.
+	hostSites := func(t *testing.T, g *grid, requirements string) (*Handle, []string) {
+		t.Helper()
+		job := mustParseJob(t, `Executable = "mpi"; JobType = {"interactive", "mpich-g2"};
+NodeNumber = 2; MachineAccess = "shared"; PerformanceLoss = 10;
+Requirements = `+requirements+`;`)
+		var hosts []string
+		var h *Handle
+		h, err := g.b.Submit(Request{Job: job, User: "u", Body: func(rc *RunContext) {
+			for a, ps := range g.b.watching {
+				for _, p := range ps {
+					if p.h == h {
+						hosts = append(hosts, g.b.agentSites[a].Name())
+					}
+				}
+			}
+			rc.Output(64)
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.sim.RunFor(time.Hour)
+		return h, hosts
+	}
+	grid := func(t *testing.T, memoryMB ...int) *grid {
+		t.Helper()
+		sim := simclock.NewSim(time.Time{})
+		info := infosys.New(sim, 500*time.Millisecond)
+		g := &grid{sim: sim, info: info, b: New(Config{Sim: sim, Info: info, Seed: 7})}
+		for i, mem := range memoryMB {
+			st := site.New(sim, site.Config{
+				Name: fmt.Sprintf("site%02d", i), Nodes: 2, Network: netsim.CampusGrid(),
+				Costs: site.DefaultCosts(), LRMCycle: 2 * time.Second,
+				// Published once at registration: FreeCPUs stays 2 in the
+				// registry while agents take the nodes.
+				PublishInterval: 10000 * time.Hour,
+				Attrs:           map[string]any{"Arch": "i686", "MemoryMB": mem},
+			})
+			g.b.RegisterSite(st)
+			g.sites = append(g.sites, st)
+		}
+		// Long batch jobs put a glide-in agent, and its free interactive
+		// VM, on every node.
+		for range 2 * len(memoryMB) {
+			g.b.Submit(batchJob(4 * time.Hour))
+			g.sim.RunFor(2 * time.Minute)
+		}
+		if got := g.b.FreeAgents(); got != 2*len(memoryMB) {
+			t.Fatalf("FreeAgents = %d, want one per node (%d)", got, 2*len(memoryMB))
+		}
+		return g
+	}
+
+	t.Run("memory", func(t *testing.T) {
+		g := grid(t, 256, 1024)
+		h, hosts := hostSites(t, g, `other.MemoryMB >= 512`)
+		if h.State() != Done || !h.Shared() {
+			t.Fatalf("state = %v shared = %v err = %v", h.State(), h.Shared(), h.Err())
+		}
+		if len(hosts) != 2 || hosts[0] != "site01" || hosts[1] != "site01" {
+			t.Fatalf("placed on %v, want both subjobs on site01's agents", hosts)
+		}
+	})
+
+	// Live, the site has no free node (its agents hold both); published,
+	// it has two. Only the published view admits the agents.
+	t.Run("published-view", func(t *testing.T) {
+		g := grid(t, 512)
+		if live := g.sites[0].Record().FreeCPUs; live != 0 {
+			t.Fatalf("live FreeCPUs = %d, want 0", live)
+		}
+		h, hosts := hostSites(t, g, `other.FreeCPUs >= 2`)
+		if h.State() != Done || !h.Shared() || len(hosts) != 2 {
+			t.Fatalf("state = %v shared = %v hosts = %v err = %v; want placed on the published view",
+				h.State(), h.Shared(), hosts, h.Err())
+		}
+	})
+}
+
 func TestInteractiveFailsWhenGridFull(t *testing.T) {
 	g := newGrid(t, 1, 1, Config{})
 	// Fill the single node with an interactive job (its VM is busy).

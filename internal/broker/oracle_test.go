@@ -48,16 +48,26 @@ func oracleRecords(b *Broker) []infosys.SiteRecord {
 	return b.cfg.Info.(interface{ SnapshotImmediate() *infosys.Snapshot }).SnapshotImmediate().Records()
 }
 
+// oracleAttrs is the record's attribute map for the interpreted
+// predicates: its static attributes plus the given queue state.
+func oracleAttrs(rec infosys.SiteRecord, free, queued int) map[string]any {
+	m := make(map[string]any, len(rec.Attrs)+3)
+	for k, v := range rec.Attrs {
+		m[k] = v
+	}
+	m[infosys.AttrTotalCPUs] = rec.TotalCPUs
+	m[infosys.AttrFreeCPUs] = free
+	m[infosys.AttrQueuedJobs] = queued
+	return m
+}
+
 // oracleRank evaluates the interpreted Rank (free CPUs without one)
 // over the record's attributes with the given queue state.
 func oracleRank(job *jdl.Job, rec infosys.SiteRecord, free, queued int) (float64, error) {
 	if job.Rank == nil {
 		return float64(free), nil
 	}
-	attrs := rec.MatchAttrs()
-	attrs[infosys.AttrFreeCPUs] = free
-	attrs[infosys.AttrQueuedJobs] = queued
-	return job.Rank.EvalNumber(attrs)
+	return job.Rank.EvalNumber(oracleAttrs(rec, free, queued))
 }
 
 func oraclePass(b *Broker, h *Handle, excluded map[string]bool, cont func([]candidate)) {
@@ -85,7 +95,7 @@ func oraclePass(b *Broker, h *Handle, excluded map[string]bool, cont func([]cand
 				continue
 			}
 			if job.Requirements != nil {
-				if ok, err := job.Requirements.EvalBool(rec.MatchAttrs()); err != nil || !ok {
+				if ok, err := job.Requirements.EvalBool(oracleAttrs(rec, rec.FreeCPUs, rec.QueuedJobs)); err != nil || !ok {
 					continue
 				}
 			}

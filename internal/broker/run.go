@@ -721,7 +721,17 @@ func (b *Broker) runInteractiveShared(h *Handle) {
 // seeded shuffle). It reuses a scratch result buffer: the returned
 // slice is only valid until the next call, which is fine because
 // callers consume it before yielding to the simulation.
-// Requirements are evaluated once per distinct site, not per agent.
+//
+// Requirements are evaluated once per distinct site that hosts a free
+// agent, not per agent, and the same way matchmaking evaluates them:
+// the job's compiled predicates over the site's published row, read
+// through this broker's own Config.Info. That is the row the scan
+// decides on, so a partitioned View or a stale record gives both
+// paths the same answer. The site's live LRM state is not read: it
+// would hand this path, in zero virtual time, what the scan pays a
+// probe round trip to learn. A site with no published record fails,
+// as it does in the scan.
+//
 // need caps how many leading agents the caller will consume, so only
 // that prefix is randomized (a partial Fisher-Yates draws each prefix
 // element uniformly from the whole match set, exactly as a full
@@ -732,19 +742,28 @@ func (b *Broker) freeAgentsMatching(job *jdl.Job, need int) []*glidein.Agent {
 		for _, e := range b.freeAgents {
 			out = append(out, e.agent)
 		}
-	} else {
+	} else if len(b.freeAgents) > 0 {
 		if b.reqMemo == nil {
-			b.reqMemo = make(map[*site.Site]bool)
+			b.reqMemo = make(map[string]bool)
 		}
 		clear(b.reqMemo)
 		for _, e := range b.freeAgents {
-			ok, seen := b.reqMemo[e.site]
-			if !seen {
-				v, err := job.Requirements.EvalBool(e.site.Record().MatchAttrs())
-				ok = err == nil && v
-				b.reqMemo[e.site] = ok
+			b.reqMemo[e.site.Name()] = false
+		}
+		left := len(b.reqMemo)
+		cur := b.cfg.Info.DiscoverImmediate(b.cfg.PageSize)
+		for page, ok := cur.Next(); ok && left > 0; page, ok = cur.Next() {
+			req, _ := job.CompiledPredicates(page.Snapshot().Schema())
+			for i := 0; i < page.Len(); i++ {
+				if _, hosts := b.reqMemo[page.Name(i)]; hosts {
+					v, err := req.EvalBool(page.Values(i))
+					b.reqMemo[page.Name(i)] = err == nil && v
+					left--
+				}
 			}
-			if ok {
+		}
+		for _, e := range b.freeAgents {
+			if b.reqMemo[e.site.Name()] {
 				out = append(out, e.agent)
 			}
 		}

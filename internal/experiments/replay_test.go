@@ -139,47 +139,6 @@ func TestReplaySweepWindowAndRule(t *testing.T) {
 	}
 }
 
-// A sweep fed by streamed ingest must produce byte-identical points to
-// one fed workload.NewReplay over the materialized job slice — the
-// streamed reader's in-memory reference — trace semantics included.
-func TestReplaySweepStreamedMatchesMaterialized(t *testing.T) {
-	jobs, err := workload.LoadTrace("../workload/testdata/grid5000.gwf", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ReplayConfig{Seed: 11, Traced: true, Source: func(speedup float64) (workload.ReplayStream, error) {
-		return workload.NewReplay(jobs, workload.ReplayConfig{Speedup: speedup})
-	}}
-	batch, err := ReplaySweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Source = fixtureSource("grid5000.gwf", workload.ReplayConfig{})
-	streamed, err := ReplaySweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, _ := json.Marshal(batch)
-	js, _ := json.Marshal(streamed)
-	if !bytes.Equal(jb, js) {
-		t.Fatalf("streamed sweep diverged from materialized:\n%s\n---\n%s", jb, js)
-	}
-	for i := range batch {
-		if !bytes.Equal(traceJSON(t, batch[i].Trace), traceJSON(t, streamed[i].Trace)) {
-			t.Fatalf("point %d: event logs diverged", i)
-		}
-	}
-}
-
-func traceJSON(t *testing.T, tr trace.Trace) []byte {
-	t.Helper()
-	var b bytes.Buffer
-	if err := trace.WriteJSONL(&b, []trace.Trace{tr}); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes()
-}
-
 func TestReplaySweepRejectsEmptyTrace(t *testing.T) {
 	if _, err := ReplaySweep(ReplayConfig{}); err == nil {
 		t.Fatal("empty trace accepted")

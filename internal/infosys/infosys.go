@@ -20,8 +20,8 @@
 // snapshot is cut at most once per epoch no matter how many brokers
 // query it. Snapshots also carry each record's matchmaking attributes
 // as a flat value slice keyed by a shared Schema, which is what the
-// compiled JDL predicates (package jdl) index into, via MatchAttrs
-// vectors recycled through a sync.Pool.
+// compiled JDL predicates (package jdl) index into, in place; a probe's
+// fresh queue state is overlaid on a pooled copy (MatchAttrs).
 //
 // The periodic refresh is the registry's main load (every site
 // republishes on a timer and almost every republish changes nothing
@@ -82,21 +82,6 @@ func (r SiteRecord) Clone() SiteRecord {
 	}
 	r.Attrs = attrs
 	return r
-}
-
-// MatchAttrs merges the static attributes with the dynamic queue state
-// for Requirements/Rank evaluation. It allocates a fresh map per call;
-// the selection hot path uses Snapshot.MatchAttrs instead, which
-// recycles flat vectors through a pool.
-func (r SiteRecord) MatchAttrs() map[string]any {
-	m := make(map[string]any, len(r.Attrs)+3)
-	for k, v := range r.Attrs {
-		m[k] = v
-	}
-	m["TotalCPUs"] = r.TotalCPUs
-	m["FreeCPUs"] = r.FreeCPUs
-	m["QueuedJobs"] = r.QueuedJobs
-	return m
 }
 
 // The dynamic attribute names present in every schema.
@@ -348,18 +333,10 @@ func (s *Snapshot) Records() []SiteRecord {
 	return out
 }
 
-// MatchAttrs returns a pooled flat attribute vector for record i,
-// preloaded with the record's static attributes and publish-time queue
-// state. Callers overlay fresh dynamic state with Set, evaluate, and
-// must Release the vector afterwards.
-func (s *Snapshot) MatchAttrs(i int) *MatchAttrs {
-	return PooledMatchAttrs(s.schema, s.rows[i].vals)
-}
-
-// MatchAttrs is a reusable flat attribute vector (one value slot per
-// schema offset) used for Requirements/Rank evaluation against one
-// candidate. Vectors are recycled through a sync.Pool; a Released
-// vector must not be used again.
+// MatchAttrs is a reusable copy of one record's flat attribute vector
+// (one value slot per schema offset), onto which a direct probe's fresh
+// queue state is overlaid for Rank evaluation. Vectors are recycled
+// through a sync.Pool; a Released vector must not be used again.
 type MatchAttrs struct {
 	schema *Schema
 	vals   []any
@@ -367,60 +344,14 @@ type MatchAttrs struct {
 
 var matchAttrsPool = sync.Pool{New: func() any { return &MatchAttrs{} }}
 
-// Schema returns the schema the vector is laid out against.
-func (m *MatchAttrs) Schema() *Schema { return m.schema }
-
 // Values exposes the flat value slice compiled predicates index into.
 func (m *MatchAttrs) Values() []any { return m.vals }
-
-// Set overrides one attribute (normalizing integers to float64),
-// reporting whether the name exists in the schema.
-func (m *MatchAttrs) Set(name string, v any) bool {
-	off, ok := m.schema.Offset(name)
-	if !ok {
-		return false
-	}
-	m.vals[off] = normalizeAttr(v)
-	return true
-}
-
-// SetFloat overrides a numeric attribute without boxing through
-// normalizeAttr's any parameter.
-func (m *MatchAttrs) SetFloat(name string, v float64) bool {
-	off, ok := m.schema.Offset(name)
-	if !ok {
-		return false
-	}
-	m.vals[off] = v
-	return true
-}
 
 // SetQueueState overlays fresh FreeCPUs and QueuedJobs, the two slots
 // a direct probe refreshes, without resolving their names.
 func (m *MatchAttrs) SetQueueState(freeCPUs, queuedJobs int) {
 	m.vals[m.schema.free] = float64(freeCPUs)
 	m.vals[m.schema.queued] = float64(queuedJobs)
-}
-
-// Get reads one attribute by name (case-insensitively).
-func (m *MatchAttrs) Get(name string) (any, bool) {
-	off, ok := m.schema.Offset(name)
-	if !ok || m.vals[off] == nil {
-		return nil, false
-	}
-	return m.vals[off], true
-}
-
-// Map materializes the vector as an attribute map, for the uncompiled
-// evaluation path and debugging.
-func (m *MatchAttrs) Map() map[string]any {
-	out := make(map[string]any, len(m.vals))
-	for i, v := range m.vals {
-		if v != nil {
-			out[m.schema.names[i]] = v
-		}
-	}
-	return out
 }
 
 // Release returns the vector to the pool.

@@ -88,12 +88,22 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// The published row predicates evaluate merges the static attributes
+// with the publish-time queue state, numbers as float64.
 func TestMatchAttrsMergesDynamicState(t *testing.T) {
+	svc := New(simclock.Real(), 0)
 	r := rec("a", 3)
 	r.QueuedJobs = 5
-	m := r.MatchAttrs()
-	if m["Arch"] != "i686" || m["FreeCPUs"] != 3 || m["QueuedJobs"] != 5 || m["TotalCPUs"] != 8 {
-		t.Fatalf("attrs = %v", m)
+	svc.Publish(r)
+	page, ok := svc.DiscoverImmediate(0).Next()
+	if !ok || page.Len() != 1 {
+		t.Fatal("published record not served")
+	}
+	sc, vals := page.Snapshot().Schema(), page.Values(0)
+	for name, want := range map[string]any{"Arch": "i686", "os": "linux", AttrFreeCPUs: 3.0, AttrQueuedJobs: 5.0, AttrTotalCPUs: 8.0} {
+		if off, ok := sc.Offset(name); !ok || vals[off] != want {
+			t.Fatalf("%s = %v, want %v (row %v)", name, vals[off], want, vals)
+		}
 	}
 }
 

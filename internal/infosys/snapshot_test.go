@@ -9,6 +9,15 @@ import (
 	"crossbroker/internal/simclock"
 )
 
+// attrOf reads one attribute of snapshot record i's flat row.
+func attrOf(snap *Snapshot, i int, name string) any {
+	off, ok := snap.Schema().Offset(name)
+	if !ok {
+		return nil
+	}
+	return snap.rows[i].vals[off]
+}
+
 func snapService(t *testing.T, n int) *Service {
 	t.Helper()
 	s := New(simclock.Real(), 0)
@@ -72,17 +81,14 @@ func TestSnapshotImmutable(t *testing.T) {
 		t.Fatal("mutating Records() output reached the snapshot")
 	}
 
-	m := snap.MatchAttrs(0)
-	m.SetFloat(AttrFreeCPUs, 0)
-	m.Set("Arch", "sparc")
+	m := PooledMatchAttrs(snap.Schema(), snap.rows[0].vals)
+	m.SetQueueState(0, 9)
 	m.Release()
-	m2 := snap.MatchAttrs(0)
-	defer m2.Release()
-	if v, _ := m2.Get(AttrFreeCPUs); v != float64(4) {
-		t.Fatalf("MatchAttrs override leaked into the snapshot: FreeCPUs = %v", v)
+	if v := attrOf(snap, 0, AttrFreeCPUs); v != float64(4) {
+		t.Fatalf("MatchAttrs overlay leaked into the snapshot: FreeCPUs = %v", v)
 	}
-	if v, _ := m2.Get("Arch"); v != "i686" {
-		t.Fatalf("MatchAttrs override leaked into the snapshot: Arch = %v", v)
+	if v := attrOf(snap, 0, AttrQueuedJobs); v != float64(0) {
+		t.Fatalf("MatchAttrs overlay leaked into the snapshot: QueuedJobs = %v", v)
 	}
 
 	// And the registry itself is unaffected by all of the above.
@@ -136,8 +142,8 @@ func TestSchemaStableWhenSoleHolderRepublishes(t *testing.T) {
 	if snap.Schema() != sc {
 		t.Fatal("a changed value under an unchanged name set rebuilt the schema")
 	}
-	if m := snap.MatchAttrs(1); m.Map()["Preferred"] != false || m.Map()[AttrFreeCPUs] != float64(3) {
-		t.Fatalf("republished values not served: %v", m.Map())
+	if attrOf(snap, 1, "Preferred") != false || attrOf(snap, 1, AttrFreeCPUs) != float64(3) {
+		t.Fatalf("republished values not served: %v", snap.rows[1].vals)
 	}
 
 	// The only holder drops the name: now the schema must change.
@@ -152,40 +158,43 @@ func TestSchemaStableWhenSoleHolderRepublishes(t *testing.T) {
 	}
 }
 
-// TestMatchAttrsVector covers the pooled vector surface: schema-ordered
-// values, case-insensitive access, dynamic slots normalized to float64.
+// TestMatchAttrsVector covers the pooled vector surface: a copy of the
+// row in schema order, numbers normalized to float64, and a queue-state
+// overlay that lands in the named slots of the copy only.
 func TestMatchAttrsVector(t *testing.T) {
 	s := snapService(t, 1)
 	snap := s.SnapshotImmediate()
-	m := snap.MatchAttrs(0)
+	m := PooledMatchAttrs(snap.Schema(), snap.rows[0].vals)
 	defer m.Release()
-	if m.Schema() != snap.Schema() {
-		t.Fatal("vector schema differs from snapshot schema")
-	}
-	if len(m.Values()) != snap.Schema().Len() {
+	vals := m.Values()
+	if len(vals) != snap.Schema().Len() {
 		t.Fatal("vector length differs from schema length")
 	}
-	if v, ok := m.Get("memorymb"); !ok || v != float64(256) {
-		t.Fatalf("MemoryMB = %v, %v; want 256 (normalized float64)", v, ok)
+	at := func(name string) any {
+		off, ok := snap.Schema().Offset(name)
+		if !ok {
+			t.Fatalf("%s missing from the schema", name)
+		}
+		return vals[off]
 	}
-	if v, ok := m.Get(AttrQueuedJobs); !ok || v != float64(0) {
-		t.Fatalf("QueuedJobs = %v, %v; want 0", v, ok)
+	if v := at("memorymb"); v != float64(256) {
+		t.Fatalf("MemoryMB = %v; want 256 (normalized float64)", v)
 	}
-	if m.Set("NoSuchAttr", 1) {
-		t.Fatal("Set of an unknown attribute should report false")
-	}
-	if !m.SetFloat(AttrFreeCPUs, 2) {
-		t.Fatal("SetFloat of a schema attribute should report true")
-	}
-	if got := m.Map()["FreeCPUs"]; got != float64(2) {
-		t.Fatalf("Map() FreeCPUs = %v, want 2", got)
+	if v := at(AttrQueuedJobs); v != float64(0) {
+		t.Fatalf("QueuedJobs = %v; want 0", v)
 	}
 	m.SetQueueState(3, 5)
-	if free, _ := m.Get("freecpus"); free != float64(3) {
+	if free := at("freecpus"); free != float64(3) {
 		t.Fatalf("SetQueueState: FreeCPUs = %v, want 3", free)
 	}
-	if queued, _ := m.Get(AttrQueuedJobs); queued != float64(5) {
+	if queued := at(AttrQueuedJobs); queued != float64(5) {
 		t.Fatalf("SetQueueState: QueuedJobs = %v, want 5", queued)
+	}
+	if v := at("Arch"); v != "i686" {
+		t.Fatalf("SetQueueState touched Arch: %v", v)
+	}
+	if v := attrOf(snap, 0, AttrFreeCPUs); v != float64(4) {
+		t.Fatalf("the overlay wrote through to the row: FreeCPUs = %v", v)
 	}
 }
 
@@ -221,11 +230,9 @@ func TestConcurrentPublishQueryRemove(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				snap := s.SnapshotImmediate()
 				for j := 0; j < snap.Len(); j++ {
-					m := snap.MatchAttrs(j)
-					if _, ok := m.Get(AttrFreeCPUs); !ok {
+					if attrOf(snap, j, AttrFreeCPUs) == nil {
 						t.Error("snapshot row without FreeCPUs")
 					}
-					m.Release()
 				}
 				if recs := s.QueryImmediate(); len(recs) != snap.Len() && s.Epoch() == snap.Epoch() {
 					t.Error("query and snapshot disagree within one epoch")
@@ -250,9 +257,8 @@ func BenchmarkMatchAttrs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := snap.MatchAttrs(i % snap.Len())
-		m.SetFloat(AttrFreeCPUs, 3)
-		m.SetFloat(AttrQueuedJobs, 1)
+		m := PooledMatchAttrs(snap.Schema(), snap.rows[i%snap.Len()].vals)
+		m.SetQueueState(3, 1)
 		m.Release()
 	}
 }

@@ -1,6 +1,9 @@
 package jdl
 
 import (
+	"math"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -34,45 +37,55 @@ func flatten(attrs map[string]any) (*sliceResolver, []any) {
 	return r, vals
 }
 
+// mixedAttrs is the fixed attribute set the compiled path is checked
+// against: strings, raw integers the compiled path must normalize,
+// floats, booleans, a zero divisor, a value of an unsupported type and
+// an unset slot.
+var mixedAttrs = map[string]any{
+	"Arch": "i686", "OS": "linux", "MemoryMB": 512,
+	"FreeCPUs": 3, "TotalCPUs": 4, "QueuedJobs": 2,
+	"HasMPI": true, "Load": 1.5, "Site": "uab",
+	"Idle": false, "Zero": 0, "Neg": int64(-7), "Huge": 1e300, "Empty": "",
+	"Tags": []string{"mpi"}, "Unset": nil,
+}
+
+// interpreterCases are expressions whose compiled and interpreted
+// results must agree; num evaluates as Rank (number) instead of
+// Requirements (bool).
+var interpreterCases = []struct {
+	expr string
+	num  bool
+}{
+	{expr: `other.Arch == "i686"`},
+	{expr: `other.arch == "I686"`}, // case-insensitive names and strings
+	{expr: `other.Arch == "x86_64"`},
+	{expr: `other.MemoryMB >= 256 && other.OS == "linux"`},
+	{expr: `other.MemoryMB < 256 || other.HasMPI`},
+	{expr: `!other.HasMPI`},
+	{expr: `!(other.FreeCPUs > 0 && other.QueuedJobs == 0)`},
+	{expr: `other.FreeCPUs * 2 >= other.TotalCPUs`},
+	{expr: `other.Load + 0.5 == 2`},
+	{expr: `other.Site + "-cluster" == "uab-cluster"`}, // string concat stays generic
+	{expr: `other.Missing == 1`},                       // undefined attribute -> error
+	{expr: `other.Arch > 5`},                           // type mismatch -> error
+	{expr: `other.HasMPI && other.Load`},               // non-boolean operand -> error
+	{expr: `other.FreeCPUs - other.QueuedJobs / 2`, num: true},
+	{expr: `(other.TotalCPUs - other.FreeCPUs) * other.Load`, num: true},
+	{expr: `other.FreeCPUs / (other.TotalCPUs - 4)`, num: true}, // division by zero -> error
+	{expr: `other.MemoryMB / 0.5`, num: true},
+	{expr: `other.Load + other.FreeCPUs`, num: true}, // "+" on the generic path
+	{expr: `other.HasMPI`, num: true},                // bool promotes to 1/0
+	{expr: `other.Missing * 3`, num: true},           // undefined attribute -> error
+	{expr: `other.Site * 2`, num: true},              // type mismatch -> error
+}
+
 // TestCompiledMatchesInterpreter runs a table of expressions through
 // both evaluation paths and requires identical results — including
 // identical error-ness — so the compiled fast path can never diverge
 // from the JDL semantics the interpreter defines.
 func TestCompiledMatchesInterpreter(t *testing.T) {
-	attrs := map[string]any{
-		"Arch": "i686", "OS": "linux", "MemoryMB": 512,
-		"FreeCPUs": 3, "TotalCPUs": 4, "QueuedJobs": 2,
-		"HasMPI": true, "Load": 1.5, "Site": "uab",
-	}
-	cases := []struct {
-		expr string
-		num  bool // evaluate as Rank (number) instead of Requirements (bool)
-	}{
-		{expr: `other.Arch == "i686"`},
-		{expr: `other.arch == "I686"`}, // case-insensitive names and strings
-		{expr: `other.Arch == "x86_64"`},
-		{expr: `other.MemoryMB >= 256 && other.OS == "linux"`},
-		{expr: `other.MemoryMB < 256 || other.HasMPI`},
-		{expr: `!other.HasMPI`},
-		{expr: `!(other.FreeCPUs > 0 && other.QueuedJobs == 0)`},
-		{expr: `other.FreeCPUs * 2 >= other.TotalCPUs`},
-		{expr: `other.Load + 0.5 == 2`},
-		{expr: `other.Site + "-cluster" == "uab-cluster"`}, // string concat stays generic
-		{expr: `other.Missing == 1`},                       // undefined attribute -> error
-		{expr: `other.Arch > 5`},                           // type mismatch -> error
-		{expr: `other.HasMPI && other.Load`},               // non-boolean operand -> error
-		{expr: `other.FreeCPUs - other.QueuedJobs / 2`, num: true},
-		{expr: `(other.TotalCPUs - other.FreeCPUs) * other.Load`, num: true},
-		{expr: `other.FreeCPUs / (other.TotalCPUs - 4)`, num: true}, // division by zero -> error
-		{expr: `other.MemoryMB / 0.5`, num: true},
-		{expr: `other.Load + other.FreeCPUs`, num: true}, // "+" on the generic path
-		{expr: `other.HasMPI`, num: true},                // bool promotes to 1/0
-		{expr: `other.Missing * 3`, num: true},           // undefined attribute -> error
-		{expr: `other.Site * 2`, num: true},              // type mismatch -> error
-	}
-
-	r, vals := flatten(attrs)
-	for _, c := range cases {
+	r, vals := flatten(mixedAttrs)
+	for _, c := range interpreterCases {
 		field := "Requirements"
 		if c.num {
 			field = "Rank"
@@ -82,7 +95,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 			t.Fatalf("parse %q: %v", c.expr, err)
 		}
 		if c.num {
-			want, wantErr := j.Rank.EvalNumber(attrs)
+			want, wantErr := j.Rank.EvalNumber(mixedAttrs)
 			got, gotErr := Compile(j.Rank, r).EvalNumber(vals)
 			if (wantErr != nil) != (gotErr != nil) {
 				t.Errorf("%s: interpreter err=%v, compiled err=%v", c.expr, wantErr, gotErr)
@@ -90,7 +103,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 				t.Errorf("%s: interpreter %v, compiled %v", c.expr, want, got)
 			}
 		} else {
-			want, wantErr := j.Requirements.EvalBool(attrs)
+			want, wantErr := j.Requirements.EvalBool(mixedAttrs)
 			got, gotErr := Compile(j.Requirements, r).EvalBool(vals)
 			if (wantErr != nil) != (gotErr != nil) {
 				t.Errorf("%s: interpreter err=%v, compiled err=%v", c.expr, wantErr, gotErr)
@@ -99,6 +112,64 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzCompiledMatchesAST extends TestCompiledMatchesInterpreter to every
+// expression ParseJob accepts as a Requirements or a Rank: against
+// mixedAttrs the compiled program and the interpreter must agree, as a
+// boolean and as a number, in value (NaN matching NaN) and in whether
+// evaluation errors.
+func FuzzCompiledMatchesAST(f *testing.F) {
+	for _, c := range interpreterCases {
+		f.Add(c.expr)
+	}
+	examples, err := filepath.Glob("../../examples/jobs/*.jdl")
+	if err != nil || len(examples) == 0 {
+		f.Fatalf("example jobs: %v (%d files)", err, len(examples))
+	}
+	for _, path := range examples {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		j, err := ParseJob(string(src))
+		if err != nil {
+			f.Fatalf("%s: %v", path, err)
+		}
+		for _, e := range []*Expr{j.Requirements, j.Rank} {
+			if e != nil {
+				f.Add(e.Node.String())
+			}
+		}
+	}
+	r, vals := flatten(mixedAttrs)
+	f.Fuzz(func(t *testing.T, expr string) {
+		for _, field := range []string{"Requirements", "Rank"} {
+			j, err := ParseJob(`Executable = "x"; ` + field + ` = ` + expr + `;`)
+			if err != nil {
+				continue
+			}
+			e := j.Requirements
+			if field == "Rank" {
+				e = j.Rank
+			}
+			if e == nil {
+				continue
+			}
+			c := Compile(e, r)
+			wantB, wantErr := e.EvalBool(mixedAttrs)
+			gotB, gotErr := c.EvalBool(vals)
+			if (wantErr != nil) != (gotErr != nil) || wantErr == nil && gotB != wantB {
+				t.Fatalf("%s = %s as boolean: interpreter %v, %v; compiled %v, %v", field, e.Node, wantB, wantErr, gotB, gotErr)
+			}
+			wantN, wantErr := e.EvalNumber(mixedAttrs)
+			gotN, gotErr := c.EvalNumber(vals)
+			same := gotN == wantN || math.IsNaN(gotN) && math.IsNaN(wantN)
+			if (wantErr != nil) != (gotErr != nil) || wantErr == nil && !same {
+				t.Fatalf("%s = %s as number: interpreter %v, %v; compiled %v, %v", field, e.Node, wantN, wantErr, gotN, gotErr)
+			}
+		}
+	})
 }
 
 func TestCompileNilExpression(t *testing.T) {

@@ -172,7 +172,7 @@ func validateArchive(path string) error {
 		usable++
 	}
 	if usable == 0 {
-		return fmt.Errorf("workload: %s: no usable jobs", path)
+		return fmt.Errorf("%w: %s", ErrNoUsableRecords, path)
 	}
 	return nil
 }

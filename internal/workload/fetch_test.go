@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -105,6 +106,16 @@ func TestFetchRejectsUnparseableDownload(t *testing.T) {
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 0 {
 		t.Fatalf("bad download left %d file(s) in the cache", len(entries))
+	}
+}
+
+// An archive that parses but holds no record replay can use is refused
+// with ErrNoUsableRecords.
+func TestFetchRejectsArchiveWithoutUsableJobs(t *testing.T) {
+	srv, _ := fetchServer(t, []byte("1 0 -1 -1 1 -1 -1 1 -1 -1 1 1 1 -1 -1 -1 -1 -1\n"))
+	_, err := Fetch(srv.URL+"/empty.swf", FetchOptions{Dir: t.TempDir(), Client: srv.Client()})
+	if !errors.Is(err, ErrNoUsableRecords) {
+		t.Fatalf("Fetch err = %v, want ErrNoUsableRecords", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 // The checked-in fixtures are canonical-form excerpts in the style of
 // the Parallel Workloads Archive's CTC SP2 log and the Grid Workloads
 // Archive's Grid5000 log. These tests pin the exact parse of every
-// field and the normalization into TraceJobs.
+// field and the streamed normalization into TraceJobs.
 
 func readFixture(t *testing.T, name string) []byte {
 	t.Helper()
@@ -63,9 +64,10 @@ func TestGoldenSWF(t *testing.T) {
 		}
 	}
 
-	jobs, dropped := FromSWF(tr)
-	if dropped != 0 || len(jobs) != 12 {
-		t.Fatalf("FromSWF: %d jobs, %d dropped", len(jobs), dropped)
+	rd := NewTraceReader(strings.NewReader(string(raw)), FormatSWF, TraceReaderOptions{Strict: true})
+	jobs := drainTraceReader(t, rd)
+	if rd.Dropped() != 0 || len(jobs) != 12 {
+		t.Fatalf("streamed: %d jobs, %d dropped", len(jobs), rd.Dropped())
 	}
 	// Job 7 lacks a recorded runtime and width; normalization falls
 	// back to the requested time and processors.
@@ -118,11 +120,12 @@ func TestGoldenGWF(t *testing.T) {
 		}
 	}
 
-	jobs, dropped := FromGWF(tr)
+	rd := NewTraceReader(strings.NewReader(string(raw)), FormatGWF, TraceReaderOptions{Strict: true})
+	jobs := drainTraceReader(t, rd)
 	// Job 7 was cancelled before running and requested nothing: it is
 	// the one record replay cannot use.
-	if dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", dropped)
+	if rd.Dropped() != 1 {
+		t.Fatalf("dropped = %d, want 1", rd.Dropped())
 	}
 	sec := func(n int64) time.Duration { return time.Duration(n) * time.Second }
 	wantJobs := []TraceJob{
@@ -137,40 +140,45 @@ func TestGoldenGWF(t *testing.T) {
 		{ID: 10, Submit: sec(6300), Runtime: sec(600), Nodes: 2, User: "/O=Trace/CN=user9"},
 	}
 	if !reflect.DeepEqual(jobs, wantJobs) {
-		t.Fatalf("FromGWF:\n got %+v\nwant %+v", jobs, wantJobs)
+		t.Fatalf("streamed:\n got %+v\nwant %+v", jobs, wantJobs)
 	}
 
 	// The default classification rule tags the short, narrow jobs as
 	// interactive sessions.
-	rep, err := NewReplay(jobs, ReplayConfig{})
+	s, err := NewStreamReplay(NewTraceReader(strings.NewReader(string(raw)), FormatGWF, TraceReaderOptions{}), ReplayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inter, batch := rep.Classified()
+	inter, batch := 0, 0
+	for _, a := range collect(t, s) {
+		if a.job.Kind == InteractiveJob {
+			inter++
+		} else {
+			batch++
+		}
+	}
 	if inter != 6 || batch != 3 {
 		t.Fatalf("classified %d interactive, %d batch; want 6, 3", inter, batch)
 	}
 }
 
+// OpenTraceReader streams both fixtures strictly and refuses a missing
+// file and an unknown extension.
 func TestLoadTraceFixtures(t *testing.T) {
-	swfJobs, err := LoadTrace("testdata/ctc_sp2.swf", true)
-	if err != nil {
-		t.Fatal(err)
+	for name, want := range map[string]int{"ctc_sp2.swf": 12, "grid5000.gwf": 9} {
+		tr, err := OpenTraceReader("testdata/"+name, TraceReaderOptions{Strict: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jobs := drainTraceReader(t, tr); len(jobs) != want {
+			t.Fatalf("%s: %d jobs, want %d", name, len(jobs), want)
+		}
+		tr.Close()
 	}
-	if len(swfJobs) != 12 {
-		t.Fatalf("swf: %d jobs", len(swfJobs))
-	}
-	gwfJobs, err := LoadTrace("testdata/grid5000.gwf", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gwfJobs) != 9 {
-		t.Fatalf("gwf: %d jobs", len(gwfJobs))
-	}
-	if _, err := LoadTrace("testdata/absent.swf", false); err == nil {
+	if _, err := OpenTraceReader("testdata/absent.swf", TraceReaderOptions{}); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	if _, err := LoadTrace("golden_test.go", false); err == nil {
+	if _, err := OpenTraceReader("golden_test.go", TraceReaderOptions{}); err == nil {
 		t.Fatal("unknown extension accepted")
 	}
 }

@@ -1,27 +1,20 @@
 package workload
 
 import (
-	"errors"
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
-
-	"crossbroker/internal/workload/gwf"
-	"crossbroker/internal/workload/swf"
 )
 
-// This file is the trace-ingest half of the package: recorded grid
-// workloads (SWF from the Parallel Workloads Archive, GWF from the
-// Grid Workloads Archive) normalized into TraceJobs and replayed
-// through the same Stream abstraction the synthetic generators feed.
-// Real logs exercise broker behavior the synthetic mixes never
-// produce — heavy-tailed runtimes, daily arrival waves, correlated
-// bursts — so the day experiment can run against published traces.
+// This file holds what trace replay means, independent of how records
+// are read: recorded grid workloads (SWF from the Parallel Workloads
+// Archive, GWF from the Grid Workloads Archive) are normalized into
+// TraceJobs, classified as interactive or batch, windowed and
+// speed-scaled into the same Stream abstraction the synthetic
+// generators feed. stream.go reads the archives. Real logs exercise
+// broker behavior the synthetic mixes never produce — heavy-tailed
+// runtimes, daily arrival waves, correlated bursts — so the day
+// experiment can run against published traces.
 
 // TraceJob is one normalized job drawn from a parsed trace.
 type TraceJob struct {
@@ -38,10 +31,6 @@ type TraceJob struct {
 	User string
 }
 
-// ErrNoUsableRecords reports a trace whose records all lacked the
-// fields replay needs.
-var ErrNoUsableRecords = errors.New("workload: trace has no usable records")
-
 // traceUser renders a trace user ID as the DN-style identity the rest
 // of the stack expects.
 func traceUser(id int64) string {
@@ -51,20 +40,10 @@ func traceUser(id int64) string {
 	return "/O=Trace/CN=user" + strconv.FormatInt(id, 10)
 }
 
-// normalize converts one record's raw fields, dropping records that
-// carry neither a runtime nor a requested time, or no submit time.
-// The first-seen submit offset is rebased to zero by the caller.
-func normalize(id, submit, runtime, reqTime, procs, reqProcs, user int64) (TraceJob, bool) {
-	j, ok := normalizeFields(id, submit, runtime, reqTime, procs, reqProcs)
-	if ok {
-		j.User = traceUser(user)
-	}
-	return j, ok
-}
-
-// normalizeFields is normalize without the user string, so streaming
-// ingest can intern user identities instead of allocating one per
-// record.
+// normalizeFields converts one record's raw fields, dropping records
+// that carry neither a runtime nor a requested time, or no submit
+// time. It leaves User empty, so the reader can intern user identities
+// instead of allocating one per record.
 func normalizeFields(id, submit, runtime, reqTime, procs, reqProcs int64) (TraceJob, bool) {
 	if submit < 0 {
 		return TraceJob{}, false
@@ -89,102 +68,6 @@ func normalizeFields(id, submit, runtime, reqTime, procs, reqProcs int64) (Trace
 		Runtime: time.Duration(rt) * time.Second,
 		Nodes:   int(n),
 	}, true
-}
-
-// FromSWF normalizes a parsed SWF trace. Records missing both runtime
-// and requested time (or a submit time) are dropped; the count of
-// drops is returned alongside the jobs.
-func FromSWF(t *swf.Trace) ([]TraceJob, int) {
-	jobs := make([]TraceJob, 0, len(t.Records))
-	dropped := 0
-	for _, r := range t.Records {
-		j, ok := normalize(r.JobID, r.Submit, r.Runtime, r.ReqTime, r.Procs, r.ReqProcs, r.User)
-		if !ok {
-			dropped++
-			continue
-		}
-		jobs = append(jobs, j)
-	}
-	return rebase(jobs), dropped
-}
-
-// FromGWF normalizes a parsed GWF trace, same dropping rules as
-// FromSWF.
-func FromGWF(t *gwf.Trace) ([]TraceJob, int) {
-	jobs := make([]TraceJob, 0, len(t.Records))
-	dropped := 0
-	for _, r := range t.Records {
-		j, ok := normalize(r.JobID, r.Submit, r.Runtime, r.ReqTime, r.Procs, r.ReqProcs, r.User)
-		if !ok {
-			dropped++
-			continue
-		}
-		jobs = append(jobs, j)
-	}
-	return rebase(jobs), dropped
-}
-
-// rebase sorts by submit offset (ties by job ID, then input order —
-// a total order, so replays are deterministic) and shifts the first
-// arrival to zero.
-func rebase(jobs []TraceJob) []TraceJob {
-	sort.SliceStable(jobs, func(i, k int) bool {
-		if jobs[i].Submit != jobs[k].Submit {
-			return jobs[i].Submit < jobs[k].Submit
-		}
-		return jobs[i].ID < jobs[k].ID
-	})
-	if len(jobs) > 0 {
-		base := jobs[0].Submit
-		for i := range jobs {
-			jobs[i].Submit -= base
-		}
-	}
-	return jobs
-}
-
-// LoadTrace parses an SWF or GWF file, chosen by extension (.swf /
-// .gwf, case-insensitive), and normalizes it. Parsing is tolerant;
-// pass strict to validate fixtures instead.
-func LoadTrace(path string, strict bool) ([]TraceJob, error) {
-	jobs, _, err := LoadTraceCounted(path, strict)
-	return jobs, err
-}
-
-// LoadTraceCounted is LoadTrace, but it also reports how many records
-// normalization dropped (no submit time, or neither a runtime nor a
-// requested time) — silently losing that count hid data-quality
-// problems in replayed archives.
-func LoadTraceCounted(path string, strict bool) ([]TraceJob, int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	var (
-		jobs    []TraceJob
-		dropped int
-	)
-	switch ext := filepath.Ext(path); {
-	case strings.EqualFold(ext, ".swf"):
-		t, err := swf.Parse(f, swf.Options{Strict: strict})
-		if err != nil {
-			return nil, 0, err
-		}
-		jobs, dropped = FromSWF(t)
-	case strings.EqualFold(ext, ".gwf"):
-		t, err := gwf.Parse(f, gwf.Options{Strict: strict})
-		if err != nil {
-			return nil, 0, err
-		}
-		jobs, dropped = FromGWF(t)
-	default:
-		return nil, 0, fmt.Errorf("workload: %s: unknown trace extension (want .swf or .gwf)", path)
-	}
-	if len(jobs) == 0 {
-		return nil, dropped, fmt.Errorf("%w: %s", ErrNoUsableRecords, path)
-	}
-	return jobs, dropped, nil
 }
 
 // ClassifyRule is the interactive/batch heuristic applied to trace
@@ -239,7 +122,7 @@ func (r ClassifyRule) Interactive(j TraceJob) bool {
 	return j.Runtime <= ceil
 }
 
-// ReplayConfig parametrizes a Replay stream.
+// ReplayConfig parametrizes a StreamReplay.
 type ReplayConfig struct {
 	// StartHour and EndHour slice the trace window [StartHour,
 	// EndHour) in hours of trace time; EndHour <= 0 means "to the
@@ -265,67 +148,6 @@ func (c *ReplayConfig) setDefaults() {
 	c.Rule.setDefaults()
 }
 
-// Replay streams a recorded trace: each Next yields the job converted
-// through the classification rule plus the delay since the previous
-// arrival. It implements Stream; the delays alone satisfy Arrivals.
-type Replay struct {
-	jobs []TraceJob
-	cfg  ReplayConfig
-	// gaps[i] is the scaled delay between arrival i-1 and i (for i=0,
-	// from the window start).
-	gaps []time.Duration
-	next int
-}
-
-// NewReplay slices, rebases and scales the trace per cfg. The input
-// slice is not retained. Window bounds must be ordered and Speedup
-// non-negative.
-func NewReplay(jobs []TraceJob, cfg ReplayConfig) (*Replay, error) {
-	cfg.setDefaults()
-	if cfg.Speedup < 0 || math.IsNaN(cfg.Speedup) || math.IsInf(cfg.Speedup, 0) {
-		return nil, fmt.Errorf("workload: replay speedup %v (want a positive finite factor)", cfg.Speedup)
-	}
-	if cfg.StartHour < 0 {
-		return nil, fmt.Errorf("workload: replay window start %vh before the trace", cfg.StartHour)
-	}
-	if cfg.EndHour > 0 && cfg.EndHour <= cfg.StartHour {
-		return nil, fmt.Errorf("workload: empty replay window [%vh, %vh)", cfg.StartHour, cfg.EndHour)
-	}
-	start := time.Duration(cfg.StartHour * float64(time.Hour))
-	end := time.Duration(math.MaxInt64)
-	if cfg.EndHour > 0 {
-		end = time.Duration(cfg.EndHour * float64(time.Hour))
-	}
-	r := &Replay{cfg: cfg}
-	sorted := rebaseKeepOffsets(jobs)
-	prev := start
-	for _, j := range sorted {
-		if j.Submit < start || j.Submit >= end {
-			continue
-		}
-		// Scale each gap individually so gap_i(sim) == gap_i(trace)/S
-		// exactly, then rebase onto the window start.
-		gap := ScaleGap(j.Submit-prev, cfg.Speedup)
-		prev = j.Submit
-		r.gaps = append(r.gaps, gap)
-		r.jobs = append(r.jobs, j)
-	}
-	return r, nil
-}
-
-// rebaseKeepOffsets sorts a copy without shifting offsets (window
-// bounds are absolute trace time).
-func rebaseKeepOffsets(jobs []TraceJob) []TraceJob {
-	sorted := append([]TraceJob(nil), jobs...)
-	sort.SliceStable(sorted, func(i, k int) bool {
-		if sorted[i].Submit != sorted[k].Submit {
-			return sorted[i].Submit < sorted[k].Submit
-		}
-		return sorted[i].ID < sorted[k].ID
-	})
-	return sorted
-}
-
 // ScaleGap divides one inter-arrival gap by the speedup factor. It is
 // exported so property tests (and experiment code) apply the exact
 // arithmetic the stream uses.
@@ -339,50 +161,3 @@ func ScaleGap(gap time.Duration, speedup float64) time.Duration {
 	}
 	return time.Duration(v)
 }
-
-// Len returns the number of jobs the replay will yield.
-func (r *Replay) Len() int { return len(r.jobs) }
-
-// Jobs returns the sliced, ordered trace jobs backing the stream.
-func (r *Replay) Jobs() []TraceJob { return r.jobs }
-
-// Classified reports how many of the replay's jobs the rule tags
-// interactive.
-func (r *Replay) Classified() (interactive, batch int) {
-	for _, j := range r.jobs {
-		if r.cfg.Rule.Interactive(j) {
-			interactive++
-		} else {
-			batch++
-		}
-	}
-	return
-}
-
-// Next yields the next job and the delay before it arrives, or
-// ok=false when the trace is exhausted.
-func (r *Replay) Next() (Job, time.Duration, bool) {
-	if r.next >= len(r.jobs) {
-		return Job{}, 0, false
-	}
-	tj := r.jobs[r.next]
-	delay := r.gaps[r.next]
-	r.next++
-	j := Job{Kind: BatchJob, User: tj.User, CPU: tj.Runtime, Nodes: tj.Nodes, TraceID: tj.ID}
-	if r.cfg.Rule.Interactive(tj) {
-		j.Kind = InteractiveJob
-		j.PerformanceLoss = r.cfg.PerformanceLoss
-	}
-	return j, delay, true
-}
-
-// Reset rewinds the stream to the first job.
-func (r *Replay) Reset() { r.next = 0 }
-
-// Err reports no error: a materialized replay cannot fail mid-stream.
-// With Close, it lets *Replay satisfy ReplayStream so experiment code
-// is agnostic about whether a trace was materialized or streamed.
-func (r *Replay) Err() error { return nil }
-
-// Close is a no-op; the jobs are in memory.
-func (r *Replay) Close() error { return nil }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -27,23 +28,12 @@ func randomTraceJobs(seed int64, n int, hours float64) []TraceJob {
 	return jobs
 }
 
-func drain(t *testing.T, r *Replay) (jobs []Job, delays []time.Duration) {
-	t.Helper()
-	for {
-		j, d, ok := r.Next()
-		if !ok {
-			return
-		}
-		jobs = append(jobs, j)
-		delays = append(delays, d)
-	}
-}
-
 // Property: arrival times are monotonically non-decreasing — every
 // inter-arrival delay the stream yields is >= 0, whatever the input
 // order, window or speedup.
 func TestReplayArrivalsMonotone(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
+		src := renderSWF(randomTraceJobs(seed, 300, 24))
 		cfgs := []ReplayConfig{
 			{},
 			{Speedup: 3.7},
@@ -51,22 +41,14 @@ func TestReplayArrivalsMonotone(t *testing.T) {
 			{StartHour: 1.5, EndHour: 22, Speedup: 0.25},
 		}
 		for _, cfg := range cfgs {
-			r, err := NewReplay(randomTraceJobs(seed, 300, 24), cfg)
-			if err != nil {
-				t.Fatal(err)
+			got := streamSWF(t, src, cfg)
+			if len(got) == 0 {
+				t.Fatalf("seed %d cfg %+v: empty replay", seed, cfg)
 			}
-			_, delays := drain(t, r)
-			for i, d := range delays {
-				if d < 0 {
-					t.Fatalf("seed %d cfg %+v: delay %d is %v", seed, cfg, i, d)
+			for i, a := range got {
+				if a.delay < 0 {
+					t.Fatalf("seed %d cfg %+v: delay %d is %v", seed, cfg, i, a.delay)
 				}
-			}
-			prev := TraceJob{}
-			for i, j := range r.Jobs() {
-				if i > 0 && j.Submit < prev.Submit {
-					t.Fatalf("seed %d: submit offsets unsorted at %d", seed, i)
-				}
-				prev = j
 			}
 		}
 	}
@@ -78,36 +60,25 @@ func TestReplayArrivalsMonotone(t *testing.T) {
 func TestReplayWindowPartitionConservesJobs(t *testing.T) {
 	partitions := [][2]float64{{0, 3}, {3, 6}, {6, 11.5}, {11.5, 24}}
 	for seed := int64(1); seed <= 20; seed++ {
-		jobs := randomTraceJobs(seed, 400, 24)
-		full, err := NewReplay(jobs, ReplayConfig{StartHour: 0, EndHour: 24})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []int64
+		src := renderSWF(randomTraceJobs(seed, 400, 24))
+		full := streamSWF(t, src, ReplayConfig{StartHour: 0, EndHour: 24})
+		seen := map[int64]bool{}
 		total := 0
 		for _, p := range partitions {
-			r, err := NewReplay(jobs, ReplayConfig{StartHour: p[0], EndHour: p[1]})
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += r.Len()
-			for _, j := range r.Jobs() {
-				got = append(got, j.ID)
+			for _, a := range streamSWF(t, src, ReplayConfig{StartHour: p[0], EndHour: p[1]}) {
+				if seen[a.job.TraceID] {
+					t.Fatalf("seed %d: job %d appears in two partitions", seed, a.job.TraceID)
+				}
+				seen[a.job.TraceID] = true
+				total++
 			}
 		}
-		if total != full.Len() {
-			t.Fatalf("seed %d: partitions hold %d jobs, full window %d", seed, total, full.Len())
+		if total != len(full) {
+			t.Fatalf("seed %d: partitions hold %d jobs, full window %d", seed, total, len(full))
 		}
-		seen := map[int64]bool{}
-		for _, id := range got {
-			if seen[id] {
-				t.Fatalf("seed %d: job %d appears in two partitions", seed, id)
-			}
-			seen[id] = true
-		}
-		for _, j := range full.Jobs() {
-			if !seen[j.ID] {
-				t.Fatalf("seed %d: job %d lost by partitioning", seed, j.ID)
+		for _, a := range full {
+			if !seen[a.job.TraceID] {
+				t.Fatalf("seed %d: job %d lost by partitioning", seed, a.job.TraceID)
 			}
 		}
 	}
@@ -118,30 +89,20 @@ func TestReplayWindowPartitionConservesJobs(t *testing.T) {
 // ScaleGap applied to the unscaled stream's delays, gap by gap.
 func TestReplaySpeedupScalesEveryGap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		jobs := randomTraceJobs(seed, 250, 24)
-		base, err := NewReplay(jobs, ReplayConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, baseDelays := drain(t, base)
+		src := renderSWF(randomTraceJobs(seed, 250, 24))
+		base := streamSWF(t, src, ReplayConfig{})
 		for _, s := range []float64{0.5, 1, 2, 7.25, 60} {
-			scaled, err := NewReplay(jobs, ReplayConfig{Speedup: s})
-			if err != nil {
-				t.Fatal(err)
+			scaled := streamSWF(t, src, ReplayConfig{Speedup: s})
+			if len(scaled) != len(base) {
+				t.Fatalf("seed %d S=%v: %d delays vs %d", seed, s, len(scaled), len(base))
 			}
-			scaledJobs, scaledDelays := drain(t, scaled)
-			if len(scaledDelays) != len(baseDelays) {
-				t.Fatalf("seed %d S=%v: %d delays vs %d", seed, s, len(scaledDelays), len(baseDelays))
-			}
-			for i := range baseDelays {
-				if want := ScaleGap(baseDelays[i], s); scaledDelays[i] != want {
+			for i := range base {
+				if want := ScaleGap(base[i].delay, s); scaled[i].delay != want {
 					t.Fatalf("seed %d S=%v gap %d: %v, want %v (unscaled %v)",
-						seed, s, i, scaledDelays[i], want, baseDelays[i])
+						seed, s, i, scaled[i].delay, want, base[i].delay)
 				}
-			}
-			// Scaling must not change the jobs themselves.
-			for i, j := range scaledJobs {
-				if j.TraceID != base.Jobs()[i].ID || j.CPU != base.Jobs()[i].Runtime {
+				// Scaling must not change the jobs themselves.
+				if scaled[i].job != base[i].job {
 					t.Fatalf("seed %d S=%v: job %d mutated by scaling", seed, s, i)
 				}
 			}
@@ -150,57 +111,57 @@ func TestReplaySpeedupScalesEveryGap(t *testing.T) {
 }
 
 func TestReplayConfigValidation(t *testing.T) {
-	jobs := randomTraceJobs(1, 10, 24)
+	src := renderSWF(randomTraceJobs(1, 10, 24))
+	reader := func() *TraceReader { return NewTraceReader(strings.NewReader(src), FormatSWF, TraceReaderOptions{}) }
 	bad := []ReplayConfig{
 		{Speedup: -1},
+		{Speedup: math.NaN()},
+		{Speedup: math.Inf(1)},
 		{StartHour: -2},
 		{StartHour: 5, EndHour: 5},
 		{StartHour: 7, EndHour: 2},
 	}
 	for _, cfg := range bad {
-		if _, err := NewReplay(jobs, cfg); err == nil {
+		if _, err := NewStreamReplay(reader(), cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
 		}
 	}
 	// An empty window selection is not an error — just an empty stream.
-	r, err := NewReplay(jobs, ReplayConfig{StartHour: 500, EndHour: 501})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 0 {
-		t.Fatalf("%d jobs in an empty window", r.Len())
-	}
-	if _, _, ok := r.Next(); ok {
-		t.Fatal("empty stream yielded a job")
+	if got := streamSWF(t, src, ReplayConfig{StartHour: 500, EndHour: 501}); len(got) != 0 {
+		t.Fatalf("%d jobs in an empty window", len(got))
 	}
 }
 
+// Classification tags short, narrow jobs interactive with the
+// configured PerformanceLoss and everything else batch. A stream is
+// rewound by reopening it, as each sweep point does: a second stream
+// over the same source yields the same sequence.
 func TestReplayClassificationAndReset(t *testing.T) {
-	jobs := []TraceJob{
-		{ID: 1, Submit: 0, Runtime: 5 * time.Minute, Nodes: 1, User: "u"},
-		{ID: 2, Submit: time.Minute, Runtime: 5 * time.Hour, Nodes: 1, User: "u"},
-		{ID: 3, Submit: 2 * time.Minute, Runtime: 5 * time.Minute, Nodes: 64, User: "u"},
+	src := renderSWF([]TraceJob{
+		{ID: 1, Submit: 0, Runtime: 5 * time.Minute, Nodes: 1, User: traceUser(1)},
+		{ID: 2, Submit: time.Minute, Runtime: 5 * time.Hour, Nodes: 1, User: traceUser(1)},
+		{ID: 3, Submit: 2 * time.Minute, Runtime: 5 * time.Minute, Nodes: 64, User: traceUser(1)},
+	})
+	cfg := ReplayConfig{Rule: ClassifyRule{MaxRuntime: 10 * time.Minute, MaxNodes: 4}, PerformanceLoss: 25}
+	got := streamSWF(t, src, cfg)
+	if len(got) != 3 {
+		t.Fatalf("%d jobs, want 3", len(got))
 	}
-	r, err := NewReplay(jobs, ReplayConfig{Rule: ClassifyRule{MaxRuntime: 10 * time.Minute, MaxNodes: 4}, PerformanceLoss: 25})
-	if err != nil {
-		t.Fatal(err)
+	if got[0].job.Kind != InteractiveJob || got[0].job.PerformanceLoss != 25 {
+		t.Fatalf("short narrow job not interactive: %+v", got[0].job)
 	}
-	got, _ := drain(t, r)
-	if got[0].Kind != InteractiveJob || got[0].PerformanceLoss != 25 {
-		t.Fatalf("short narrow job not interactive: %+v", got[0])
+	if got[1].job.Kind != BatchJob || got[1].job.PerformanceLoss != 0 {
+		t.Fatalf("long job not batch: %+v", got[1].job)
 	}
-	if got[1].Kind != BatchJob || got[1].PerformanceLoss != 0 {
-		t.Fatalf("long job not batch: %+v", got[1])
+	if got[2].job.Kind != BatchJob {
+		t.Fatalf("wide job not batch: %+v", got[2].job)
 	}
-	if got[2].Kind != BatchJob {
-		t.Fatalf("wide job not batch: %+v", got[2])
+	if again := streamSWF(t, src, cfg); len(again) != len(got) || again[2] != got[2] {
+		t.Fatal("a reopened stream did not replay the same sequence")
 	}
-	r.Reset()
-	if again, _ := drain(t, r); len(again) != len(got) {
-		t.Fatal("Reset did not rewind the stream")
-	}
-	if i, b := r.Classified(); i != 1 || b != 2 {
-		t.Fatalf("Classified = %d, %d", i, b)
+	// The default PerformanceLoss is 10.
+	if def := streamSWF(t, src, ReplayConfig{Rule: cfg.Rule}); def[0].job.PerformanceLoss != 10 {
+		t.Fatalf("default PerformanceLoss = %d, want 10", def[0].job.PerformanceLoss)
 	}
 }
 
@@ -236,6 +197,7 @@ func TestTraceUser(t *testing.T) {
 	}
 }
 
+// OpenTraceReader picks the format by extension, case-insensitively.
 func TestLoadTraceCaseInsensitiveExtension(t *testing.T) {
 	dir := t.TempDir()
 	src, err := os.ReadFile("testdata/ctc_sp2.swf")
@@ -246,11 +208,12 @@ func TestLoadTraceCaseInsensitiveExtension(t *testing.T) {
 	if err := os.WriteFile(upper, src, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := LoadTrace(upper, true)
+	tr, err := OpenTraceReader(upper, TraceReaderOptions{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs) != 12 {
+	defer tr.Close()
+	if jobs := drainTraceReader(t, tr); len(jobs) != 12 {
 		t.Fatalf("%d jobs from .SWF, want 12", len(jobs))
 	}
 }

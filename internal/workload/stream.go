@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -13,13 +14,18 @@ import (
 	"crossbroker/internal/workload/swf"
 )
 
-// This file is the constant-memory counterpart to replay.go: a
-// TraceReader that normalizes, reorders (within a bound) and rebases
-// records straight off the record iterators in swf/gwf, and a
-// StreamReplay that slices and speed-scales that stream into the Job
-// sequence the batch Replay produces — without ever materializing the
-// trace. Memory is O(reorder window), independent of trace length, so
-// million-job archives replay in a few MB.
+// This file is the one trace-ingest path: a TraceReader that
+// normalizes, reorders (within a bound) and rebases records straight
+// off the record iterators in swf/gwf, and a StreamReplay that slices
+// and speed-scales that stream into Jobs, without ever materializing
+// the trace. Memory is O(reorder window), independent of trace length,
+// so million-job archives replay in a few MB. The materialized replay
+// (parse everything, sort, slice) survives only as the test oracle in
+// stream_test.go.
+
+// ErrNoUsableRecords reports a trace whose records all lacked the
+// fields replay needs.
+var ErrNoUsableRecords = errors.New("workload: trace has no usable records")
 
 // TraceFormat selects the archive dialect a TraceReader decodes.
 type TraceFormat int
@@ -67,7 +73,7 @@ type rawRec struct {
 
 // pendEntry is one normalized record waiting in the reorder heap.
 // seq is the input arrival index, the stability tiebreaker that makes
-// heap-pop order identical to the batch loader's stable sort.
+// heap-pop order identical to a stable sort of the whole trace.
 type pendEntry struct {
 	job  TraceJob
 	user int64
@@ -76,8 +82,8 @@ type pendEntry struct {
 
 // TraceReader streams normalized TraceJobs from an archive in submit
 // order, holding at most ReorderWindow+1 records in memory. It
-// replicates the batch pipeline (parse → normalize/drop → stable sort
-// by (submit, job ID) → rebase first arrival to zero) exactly, as
+// yields exactly what parsing the whole trace would (normalize/drop →
+// stable sort by (submit, job ID) → rebase first arrival to zero), as
 // long as no record is displaced more than ReorderWindow kept records
 // from its sorted position. Past that bound, strict mode returns an
 // error; tolerant mode clamps the stray submit to the last emitted
@@ -129,8 +135,7 @@ func NewTraceReader(r io.Reader, format TraceFormat, opts TraceReaderOptions) *T
 }
 
 // OpenTraceReader opens an archive file, picking the format from the
-// extension (.swf / .gwf, case-insensitive) exactly like LoadTrace.
-// Close releases the file.
+// extension (.swf / .gwf, case-insensitive). Close releases the file.
 func OpenTraceReader(path string, opts TraceReaderOptions) (*TraceReader, error) {
 	var format TraceFormat
 	switch ext := filepath.Ext(path); {
@@ -288,11 +293,11 @@ type ReplayStream interface {
 	Close() error
 }
 
-// StreamReplay is the streaming counterpart of Replay: it slices the
-// [StartHour, EndHour) window, rebases arrivals onto the window start
-// and divides gaps by the speedup, one record at a time. It yields
-// exactly the (Job, delay) sequence NewReplay(LoadTrace(...)) yields
-// whenever the trace is within the reader's reorder bound.
+// StreamReplay slices the [StartHour, EndHour) window, rebases
+// arrivals onto the window start and divides gaps by the speedup, one
+// record at a time. It yields exactly the (Job, delay) sequence the
+// materialized oracle in stream_test.go yields whenever the trace is
+// within the reader's reorder bound.
 type StreamReplay struct {
 	tr         *TraceReader
 	cfg        ReplayConfig
@@ -303,7 +308,8 @@ type StreamReplay struct {
 }
 
 // NewStreamReplay wraps a TraceReader in window slicing and arrival
-// scaling. Validation mirrors NewReplay.
+// scaling. Window bounds must be ordered and Speedup a non-negative
+// finite factor.
 func NewStreamReplay(tr *TraceReader, cfg ReplayConfig) (*StreamReplay, error) {
 	cfg.setDefaults()
 	if cfg.Speedup < 0 || math.IsNaN(cfg.Speedup) || math.IsInf(cfg.Speedup, 0) {
@@ -364,12 +370,6 @@ func (s *StreamReplay) Err() error { return s.err }
 
 // Count reports how many jobs the stream has yielded.
 func (s *StreamReplay) Count() int { return s.count }
-
-// Dropped reports the underlying reader's normalization drop count.
-func (s *StreamReplay) Dropped() int { return s.tr.Dropped() }
-
-// Clamped reports the underlying reader's out-of-order clamp count.
-func (s *StreamReplay) Clamped() int { return s.tr.Clamped() }
 
 // Close releases the underlying trace source.
 func (s *StreamReplay) Close() error { return s.tr.Close() }

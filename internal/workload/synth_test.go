@@ -99,11 +99,12 @@ func TestSynthTracePath(t *testing.T) {
 	if filepath.Dir(p1) != dir {
 		t.Fatalf("path %s not under %s", p1, dir)
 	}
-	jobs, dropped, err := LoadTraceCounted(p1, true)
+	tr, err := OpenTraceReader(p1, TraceReaderOptions{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs) != cfg.Jobs || dropped != 0 {
-		t.Fatalf("loaded %d jobs (%d dropped), want %d (0)", len(jobs), dropped, cfg.Jobs)
+	defer tr.Close()
+	if jobs := drainTraceReader(t, tr); len(jobs) != cfg.Jobs || tr.Dropped() != 0 {
+		t.Fatalf("loaded %d jobs (%d dropped), want %d (0)", len(jobs), tr.Dropped(), cfg.Jobs)
 	}
 }
