@@ -85,10 +85,10 @@ type FairShare interface {
 	SetTotal(cpus int)
 }
 
-// Directory is the broker's window onto the information system:
-// the shared *infosys.Service, or a per-broker *infosys.View in a
-// federation (a split-brain freezes each broker's view
-// independently). A discovery query is the latency, charged by the
+// Directory is the broker's window onto the information system: an
+// *infosys.Service — in a multi-broker grid the one the broker shares
+// with its peers, or its own (a split brain freezes every index at the
+// same instant). A discovery query is the latency, charged by the
 // broker as one timer event, followed by the read at that instant.
 type Directory interface {
 	// QueryLatency is the cost of one discovery query.
@@ -539,7 +539,7 @@ func New(cfg Config) *Broker {
 	if cfg.Incremental {
 		src, ok := cfg.Info.(infosys.DeltaSource)
 		if !ok {
-			panic("broker: Config.Incremental requires an Info that serves delta subscriptions (infosys.Service or View)")
+			panic("broker: Config.Incremental requires an Info that serves delta subscriptions (infosys.Service)")
 		}
 		b.sub = newSubscriber(b, src)
 	}

@@ -726,7 +726,7 @@ func (b *Broker) runInteractiveShared(h *Handle) {
 // agent, not per agent, and the same way matchmaking evaluates them:
 // the job's compiled predicates over the site's published row, read
 // through this broker's own Config.Info. That is the row the scan
-// decides on, so a partitioned View or a stale record gives both
+// decides on, so a partitioned index or a stale record gives both
 // paths the same answer. The site's live LRM state is not read: it
 // would hand this path, in zero virtual time, what the scan pays a
 // probe round trip to learn. A site with no published record fails,

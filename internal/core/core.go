@@ -11,9 +11,9 @@
 //     shaped network — for the interactivity path of Figures 6/7.
 //
 // Every virtual-time grid in the module — the examples, crossbroker,
-// and each gridbench experiment driver — is a SystemConfig literal
-// built by NewSystem; NewSites is the one function that loops over
-// site.New (DESIGN.md "Grid assembly").
+// each gridbench experiment driver, a federation — is a SystemConfig
+// literal built by NewSystem; NewSites is the one function that loops
+// over site.New (DESIGN.md "Grid assembly").
 package core
 
 import (
@@ -83,10 +83,27 @@ type IndexSpec struct {
 	ShardLink netsim.Profile
 }
 
+// MemberSpec describes one broker of a multi-broker grid.
+type MemberSpec struct {
+	// Name prefixes the broker's job IDs and keys it in a federation;
+	// Seed drives its randomized selection.
+	Name string
+	Seed int64
+	// Index, when set, gives the member an index of its own, as SAMGrid
+	// separates the job and information services: its sites publish
+	// only there, and it registers none of the shared sites. Nil shares
+	// System.Info.
+	Index *IndexSpec
+	// Sites are the member's private sites; runs count within the
+	// member ("bA-s%02d": bA-s00, bA-s01).
+	Sites []SiteSpec
+}
+
 // SystemConfig configures a simulated grid.
 type SystemConfig struct {
-	// Sites lists the grid sites; an empty list creates a default
-	// 4-site campus grid with 4 nodes each.
+	// Sites lists the grid sites — with Members, the sites every
+	// system-index member registers; an empty list without Members
+	// creates a default 4-site campus grid with 4 nodes each.
 	Sites []SiteSpec
 	// Index describes the information index.
 	Index IndexSpec
@@ -102,12 +119,26 @@ type SystemConfig struct {
 	// System.Tracer then aliases it.
 	Trace bool
 	// Broker optionally tunes the broker beyond defaults; Sim, Info,
-	// Fair and Seed are filled in by NewSystem.
+	// Fair and Seed are filled in by NewSystem (and, per member, Name
+	// and Trace).
 	Broker broker.Config
 	// FairShare enables fair-share accounting with the given tuning
 	// (zero values use defaults); nil builds a grid with no manager and
 	// no accounting tick.
 	FairShare *fairshare.Config
+	// Members, when set, makes the grid multi-broker: one broker per
+	// member, each built from Broker, and no System.Broker.
+	Members []MemberSpec
+}
+
+// Member is one built broker of a multi-broker grid. Info is the index
+// it discovers through, its own or System.Info; Tracer is its own (nil
+// when tracing is off), so System.Tracer records only faults.
+type Member struct {
+	Name   string
+	Broker *broker.Broker
+	Info   *infosys.Service
+	Tracer *trace.Tracer
 }
 
 // System is an assembled virtual-time grid.
@@ -119,9 +150,12 @@ type System struct {
 	// Fair is the fair-share manager (already started); nil when the
 	// grid was configured without one.
 	Fair *fairshare.Manager
-	// Broker is the CrossBroker.
+	// Broker is the CrossBroker; nil in a multi-broker grid.
 	Broker *broker.Broker
-	// Sites are the grid sites, in specification order.
+	// Members are a multi-broker grid's brokers, in spec order.
+	Members []Member
+	// Sites are the grid sites in build order: the shared sites, then
+	// each member's private ones.
 	Sites []*site.Site
 	// Tracer is the system-wide event tracer (nil when tracing is
 	// off); its Events/WriteJSONL export the unified timeline.
@@ -132,9 +166,11 @@ type System struct {
 // the contract — simulation clock, index, fair share (started), tracer,
 // broker, then each site in specification order, registered as soon as
 // it exists — because it fixes the (timestamp, seq) of every start-up
-// event, and with it every fixed-seed trace.
+// event, and with it every fixed-seed trace. A multi-broker grid builds
+// the shared sites, then per member its own index, broker, private
+// sites (registered as built) and its registrations of shared sites.
 func NewSystem(cfg SystemConfig) *System {
-	if len(cfg.Sites) == 0 {
+	if len(cfg.Sites) == 0 && len(cfg.Members) == 0 {
 		cfg.Sites = []SiteSpec{{NameFormat: "site%02d", Count: 4, Nodes: 4}}
 	}
 	sim := simclock.NewSim(time.Time{})
@@ -156,8 +192,33 @@ func NewSystem(cfg SystemConfig) *System {
 	bcfg.Sim = sim
 	bcfg.Info = sys.Info
 	bcfg.Seed = cfg.Seed
-	sys.Broker = broker.New(bcfg)
-	sys.Sites = NewSites(sim, cfg.Sites, sys.Broker.RegisterSite)
+	if len(cfg.Members) == 0 {
+		sys.Broker = broker.New(bcfg)
+		sys.Sites = NewSites(sim, cfg.Sites, sys.Broker.RegisterSite)
+		return sys
+	}
+	shared := NewSites(sim, cfg.Sites, nil)
+	sys.Sites = shared
+	for _, ms := range cfg.Members {
+		m := Member{Name: ms.Name, Info: sys.Info}
+		if sys.Tracer != nil {
+			m.Tracer = trace.New(sim.Now)
+		}
+		if ms.Index != nil {
+			m.Info = NewIndex(sim, *ms.Index)
+			m.Info.SetTracer(m.Tracer)
+		}
+		mcfg := bcfg
+		mcfg.Name, mcfg.Seed, mcfg.Info, mcfg.Trace = ms.Name, ms.Seed, m.Info, m.Tracer
+		m.Broker = broker.New(mcfg)
+		sys.Sites = append(sys.Sites, NewSites(sim, ms.Sites, m.Broker.RegisterSite)...)
+		if ms.Index == nil {
+			for _, st := range shared {
+				m.Broker.RegisterSite(st)
+			}
+		}
+		sys.Members = append(sys.Members, m)
+	}
 	return sys
 }
 
@@ -221,18 +282,14 @@ func NewSites(sim *simclock.Sim, specs []SiteSpec, register func(*site.Site)) []
 // every site, the information service (partitions), the broker's agent
 // registry (agent kills) and the system tracer. Call inj.Start with a
 // schedule to begin injecting; the injected faults land on the same
-// timeline as the broker's and sites' events. A multi-broker grid
-// assembles a System of its shared parts (clock, sites, fault tracer),
-// leaves Info and Broker nil, and registers its own partition and
-// broker-fault hooks on the result.
+// timeline as the broker's and sites' events. On a multi-broker grid
+// the caller adds its federation's partition and broker-fault hooks.
 func (s *System) NewFaultInjector(seed int64) *faultinject.Injector {
 	inj := faultinject.New(s.Sim, seed)
 	for _, st := range s.Sites {
 		inj.AddSite(st)
 	}
-	if s.Info != nil {
-		inj.SetInfosys(s.Info)
-	}
+	inj.SetInfosys(s.Info)
 	if s.Broker != nil {
 		inj.SetAgentKiller(s.Broker)
 	}

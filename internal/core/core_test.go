@@ -22,6 +22,7 @@ import (
 	"crossbroker/internal/netsim"
 	"crossbroker/internal/simclock"
 	"crossbroker/internal/site"
+	"crossbroker/internal/trace"
 )
 
 func TestSystemDefaultGrid(t *testing.T) {
@@ -31,6 +32,67 @@ func TestSystemDefaultGrid(t *testing.T) {
 	}
 	if sys.Info.Len() != 4 {
 		t.Fatalf("info has %d records", sys.Info.Len())
+	}
+}
+
+// A multi-broker grid builds the shared sites, then each member's
+// private ones numbered within the member. Members on the system index
+// all register every shared site; an own-index member registers none,
+// and its sites publish only to its own index.
+func TestMemberSpecs(t *testing.T) {
+	shared := []SiteSpec{{Name: "shared-s00", Nodes: 2}}
+	names := func(sites []*site.Site) []string {
+		var out []string
+		for _, st := range sites {
+			out = append(out, st.Name())
+		}
+		return out
+	}
+
+	mesh := NewSystem(SystemConfig{Trace: true, Sites: shared,
+		Members: []MemberSpec{{Name: "bA", Seed: 1}, {Name: "bB", Seed: 2}}})
+	if mesh.Broker != nil {
+		t.Fatal("a multi-broker grid has a System.Broker")
+	}
+	seen := map[*trace.Tracer]bool{mesh.Tracer: true}
+	for _, m := range mesh.Members {
+		if m.Info != mesh.Info {
+			t.Fatalf("%s discovers through its own index, want System.Info", m.Name)
+		}
+		if m.Tracer == nil || seen[m.Tracer] {
+			t.Fatalf("%s's tracer is nil or shared", m.Name)
+		}
+		seen[m.Tracer] = true
+		if _, err := m.Broker.Submit(broker.Request{Job: &jdl.Job{Executable: "x", NodeNumber: 1}, User: "u", CPU: time.Minute}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mesh.Run(time.Hour)
+	if st := mesh.Sites[0].Stats(); st.MaxInflight < 2 || st.Committed != 2 {
+		t.Fatalf("shared site stats %+v, want both brokers' commits overlapping", st)
+	}
+
+	own := func(name string) MemberSpec {
+		return MemberSpec{Name: name, Index: &IndexSpec{}, Sites: []SiteSpec{{NameFormat: name + "-s%02d", Count: 2, Nodes: 1}}}
+	}
+	super := NewSystem(SystemConfig{Sites: shared, Members: []MemberSpec{own("bA"), own("bB")}})
+	if got, want := names(super.Sites), []string{"shared-s00", "bA-s00", "bA-s01", "bB-s00", "bB-s01"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("sites %v, want %v", got, want)
+	}
+	if n := super.Info.Len(); n != 0 {
+		t.Fatalf("the system index holds %d records; own-index members publish elsewhere", n)
+	}
+	for _, m := range super.Members {
+		var got []string
+		for _, r := range m.Info.QueryImmediate() {
+			got = append(got, r.Name)
+		}
+		if want := []string{m.Name + "-s00", m.Name + "-s01"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s's index holds %v, want %v", m.Name, got, want)
+		}
+		if m.Tracer != nil {
+			t.Fatalf("%s traces on an untraced grid", m.Name)
+		}
 	}
 }
 

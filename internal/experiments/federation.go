@@ -10,11 +10,8 @@ import (
 	"crossbroker/internal/core"
 	"crossbroker/internal/faultinject"
 	"crossbroker/internal/federation"
-	"crossbroker/internal/infosys"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/metrics"
-	"crossbroker/internal/simclock"
-	"crossbroker/internal/site"
 	"crossbroker/internal/trace"
 )
 
@@ -154,62 +151,40 @@ func FederationSweep(cfg FederationConfig) ([]FederationPoint, error) {
 	})
 }
 
-// addFedMember adds one broker to a federation cell — its own view of
-// svc, count private sites of nodes nodes each (appended to the cell's
-// shared System), then the sites every member registers — and returns
-// its tracer.
-func addFedMember(sys *core.System, svc *infosys.Service, fed *federation.Federation,
-	name string, seed int64, count, nodes int, shared []*site.Site) *trace.Tracer {
-	tr := trace.New(sys.Sim.Now)
-	v := svc.NewView()
-	// The same recovery posture as the single-broker chaos sweep,
-	// plus lease jitter so federated expiries desynchronize.
-	bcfg := RecoveryConfig()
-	bcfg.Sim, bcfg.Name, bcfg.Info, bcfg.Trace, bcfg.Seed = sys.Sim, name, v, tr, seed
-	bcfg.LeaseJitter = 0.25
-	b := broker.New(bcfg)
-	sys.Sites = append(sys.Sites, core.NewSites(sys.Sim, []core.SiteSpec{
+// fedMember is one broker of a federation cell with count private
+// sites of nodes nodes each.
+func fedMember(name string, seed int64, count, nodes int, index *core.IndexSpec) core.MemberSpec {
+	return core.MemberSpec{Name: name, Seed: seed, Index: index, Sites: []core.SiteSpec{
 		{NameFormat: name + "-s%02d", Count: count, Nodes: nodes, LRMCycle: 2 * time.Second},
-	}, b.RegisterSite)...)
-	for _, st := range shared {
-		b.RegisterSite(st)
-	}
-	fed.AddNode(federation.NodeConfig{Name: name, Broker: b, View: v, Trace: tr})
-	return tr
+	}}
 }
 
 func federationPoint(topo string, k int, rate float64, idx int64, cfg FederationConfig) (FederationPoint, error) {
 	p := FederationPoint{Topology: topo, K: k, FaultRate: rate}
-	sim := simclock.NewSim(time.Time{})
 	seed := cfg.Seed + idx
-	fed := federation.New(federation.Config{Sim: sim, K: k})
-	// The parts every broker shares — clock, sites, fault tracer — as a
-	// System, for the fault wiring and the drain.
-	sys := &core.System{Sim: sim, Tracer: trace.New(sim.Now)}
-
-	var trA, trB, supTr *trace.Tracer
+	// The same recovery posture as the single-broker chaos sweep, plus
+	// lease jitter so federated expiries desynchronize.
+	grid := core.SystemConfig{Broker: RecoveryConfig(), Trace: true}
+	grid.Broker.LeaseJitter = 0.25
+	fcfg := federation.Config{K: k}
 	switch topo {
 	case "mesh":
 		// One shared grid: each peer has a private site plus one site
 		// both register — the contended-lease arena.
-		svc := core.NewIndex(sim, core.IndexSpec{})
-		shared := core.NewSites(sim, []core.SiteSpec{
-			{Name: "shared-s00", Nodes: 1, LRMCycle: 2 * time.Second},
-		}, nil)
-		sys.Sites = append(sys.Sites, shared...)
-		trA = addFedMember(sys, svc, fed, "bA", seed, 1, 1, shared)
-		trB = addFedMember(sys, svc, fed, "bB", seed+1000, 1, 4, shared)
+		grid.Sites = []core.SiteSpec{{Name: "shared-s00", Nodes: 1, LRMCycle: 2 * time.Second}}
+		grid.Members = []core.MemberSpec{fedMember("bA", seed, 1, 1, nil), fedMember("bB", seed+1000, 1, 4, nil)}
 	case "super":
-		// Disjoint grids joined by a pure relay supervisor.
-		svcA := core.NewIndex(sim, core.IndexSpec{})
-		svcB := core.NewIndex(sim, core.IndexSpec{})
-		supTr = trace.New(sim.Now)
-		fed.AddNode(federation.NodeConfig{Name: "sup", Trace: supTr, Relay: true})
-		trA = addFedMember(sys, svcA, fed, "bA", seed, 2, 1, nil)
-		trB = addFedMember(sys, svcB, fed, "bB", seed+1000, 2, 4, nil)
+		// Disjoint grids, each on its own index, joined by a pure relay
+		// supervisor.
+		own := &core.IndexSpec{}
+		grid.Members = []core.MemberSpec{fedMember("bA", seed, 2, 1, own), fedMember("bB", seed+1000, 2, 4, own)}
+		fcfg.Supervisor = "sup"
 	default:
 		return p, fmt.Errorf("unknown topology %q", topo)
 	}
+	sys := core.NewSystem(grid)
+	sim := sys.Sim
+	fed := federation.New(sys, fcfg)
 
 	// The fault layer: broker crashes and peer-link outages drive the
 	// axis; site crashes and split-brain partitions are scaled off it.
@@ -306,9 +281,9 @@ func federationPoint(topo string, k int, rate float64, idx int64, cfg Federation
 	// The safety contract, checked on the merged multi-broker log: one
 	// lifecycle per job, at most one Started per attempt (no double
 	// allocation), balanced leases, paired transfer events.
-	traces := []trace.Trace{trA.Snapshot("bA"), trB.Snapshot("bB")}
-	if supTr != nil {
-		traces = append(traces, supTr.Snapshot("sup"))
+	var traces []trace.Trace
+	for _, n := range fed.Nodes() {
+		traces = append(traces, n.Trace().Snapshot(n.Name()))
 	}
 	traces = append(traces, sys.Tracer.Snapshot("faults"))
 	mergedTrace := trace.MergeByTime(traces)

@@ -34,13 +34,14 @@
 // the broker's seeded retry jitter, and each broker's lease table only
 // ever counts its own committed submissions.
 //
-// Split-brain: an InfosysPartition freezes each broker's infosys.View
-// independently; every broker keeps scheduling against its frozen
-// snapshot. On heal, Reconcile resolves the two kinds of disagreement
-// deterministically (nodes and sites visited in sorted order): ack-lost
-// transfer leases close against the receiver's acceptance record, and
-// a broker's site quarantine is cleared when an alive peer holds a
-// successful interaction newer than the breaker's trip.
+// Split-brain: an InfosysPartition freezes every member's index at the
+// same instant (members sharing one index freeze the same snapshots);
+// every broker keeps scheduling against its frozen snapshot. On heal,
+// Reconcile resolves the two kinds of disagreement deterministically
+// (nodes and sites visited in sorted order): ack-lost transfer leases
+// close against the receiver's acceptance record, and a broker's site
+// quarantine is cleared when an alive peer holds a successful
+// interaction newer than the breaker's trip.
 package federation
 
 import (
@@ -49,6 +50,7 @@ import (
 	"time"
 
 	"crossbroker/internal/broker"
+	"crossbroker/internal/core"
 	"crossbroker/internal/infosys"
 	"crossbroker/internal/netsim"
 	"crossbroker/internal/simclock"
@@ -57,8 +59,6 @@ import (
 
 // Config parametrizes a federation.
 type Config struct {
-	// Sim is the shared simulation clock.
-	Sim *simclock.Sim
 	// K is the offload headroom: a broker ships a queued job when its
 	// pending depth (including the job in hand) exceeds LeasedCPUs+K.
 	// Default 2.
@@ -73,13 +73,19 @@ type Config struct {
 	// RelayRetry is how often a supervisor retries relaying parked
 	// jobs when no child was eligible. Default 15 s.
 	RelayRetry time.Duration
+	// Supervisor names the hub of a star topology: every other member
+	// offloads to it, and it re-balances to the least-loaded child. A
+	// name that is no member adds a pure relay: a node with no broker,
+	// which owns no sites and adopts no jobs but forwards them. Empty
+	// keeps the peer mesh.
+	Supervisor string
 }
 
 func (c *Config) setDefaults() {
 	if c.K <= 0 {
 		c.K = 2
 	}
-	if c.Link.Name == "" && c.Link.OneWayDelay == 0 && c.Link.BytesPerSec == 0 {
+	if c.Link == (netsim.Profile{}) {
 		c.Link = netsim.WideArea()
 	}
 	if c.JobBytes <= 0 {
@@ -88,25 +94,6 @@ func (c *Config) setDefaults() {
 	if c.RelayRetry <= 0 {
 		c.RelayRetry = 15 * time.Second
 	}
-}
-
-// NodeConfig describes one member broker.
-type NodeConfig struct {
-	// Name must match the broker's Config.Name (it keys fault targeting
-	// and transfer bookkeeping).
-	Name string
-	// Broker is the member's scheduling engine. Nil only for a pure
-	// relay supervisor that owns no sites and adopts no jobs.
-	Broker *broker.Broker
-	// View is the member's private window onto the shared information
-	// system (split-brain cuts it per broker). Optional.
-	View *infosys.View
-	// Trace receives this member's offload events (usually the same
-	// tracer as the broker's, so the merged log is one file per node).
-	Trace *trace.Tracer
-	// Relay marks a supervisor that forwards transfers to the
-	// least-loaded child instead of adopting them into its own broker.
-	Relay bool
 }
 
 // transferLease is the origin-side record of an open transfer.
@@ -139,14 +126,13 @@ type shipment struct {
 	exclude *Node
 }
 
-// Node is one federated broker.
+// Node is one federated broker, or the relay supervisor (no broker).
 type Node struct {
 	fed      *Federation
 	name     string
 	b        *broker.Broker
-	view     *infosys.View
-	tr       *trace.Tracer
-	relay    bool
+	info     *infosys.Service // the index a split brain cuts; nil for the relay
+	tr       *trace.Tracer    // the broker's (or relay's own); offload events join it
 	down     bool
 	linkDown bool
 	out      map[string]*transferLease
@@ -161,11 +147,9 @@ func (n *Node) Name() string { return n.name }
 // Broker returns the member's broker (nil for a pure relay).
 func (n *Node) Broker() *broker.Broker { return n.b }
 
-// View returns the member's information-system view (may be nil).
-func (n *Node) View() *infosys.View { return n.view }
-
-// Down reports whether the member's federation plane is crashed.
-func (n *Node) Down() bool { return n.down }
+// Trace returns the node's tracer: its broker's, or the relay's own
+// (nil when the grid was built without tracing).
+func (n *Node) Trace() *trace.Tracer { return n.tr }
 
 // OpenTransfers returns the number of unresolved transfer leases this
 // node holds as origin (instrumentation: zero after drain+reconcile
@@ -229,7 +213,7 @@ func (j *JobRef) setCur(n *Node, h *broker.Handle) {
 }
 
 // Federation wires member brokers into one offloading mesh (or a
-// supervisor tree when one member is marked Relay / SetSupervisor).
+// supervisor tree when Config.Supervisor names a hub).
 type Federation struct {
 	sim    *simclock.Sim
 	cfg    Config
@@ -239,62 +223,36 @@ type Federation struct {
 	jobs   map[string]*JobRef
 }
 
-// New builds an empty federation.
-func New(cfg Config) *Federation {
+// New federates sys's members, plus the relay Config.Supervisor may
+// add, and installs each broker's queue-pressure offload hook. Call it
+// before the clock runs. Nodes are kept name-sorted so every
+// federation-wide sweep is deterministic.
+func New(sys *core.System, cfg Config) *Federation {
 	cfg.setDefaults()
-	return &Federation{
-		sim:    cfg.Sim,
-		cfg:    cfg,
-		byName: make(map[string]*Node),
-		jobs:   make(map[string]*JobRef),
+	f := &Federation{sim: sys.Sim, cfg: cfg, byName: make(map[string]*Node), jobs: make(map[string]*JobRef)}
+	for _, m := range sys.Members {
+		f.byName[m.Name] = &Node{name: m.Name, b: m.Broker, info: m.Info, tr: m.Tracer}
 	}
-}
-
-// AddNode registers a member and installs its queue-pressure offload
-// hook. Members are kept name-sorted so every federation-wide sweep is
-// deterministic.
-func (f *Federation) AddNode(nc NodeConfig) *Node {
-	n := &Node{
-		fed:      f,
-		name:     nc.Name,
-		b:        nc.Broker,
-		view:     nc.View,
-		tr:       nc.Trace,
-		relay:    nc.Relay,
-		out:      make(map[string]*transferLease),
-		accepted: make(map[string]*acceptance),
+	if sup := cfg.Supervisor; sup != "" && f.byName[sup] == nil {
+		f.byName[sup] = &Node{name: sup}
+		if sys.Tracer != nil {
+			f.byName[sup].tr = trace.New(sys.Sim.Now)
+		}
 	}
-	f.nodes = append(f.nodes, n)
+	for _, n := range f.byName {
+		n.fed, n.out, n.accepted = f, make(map[string]*transferLease), make(map[string]*acceptance)
+		if n.b != nil {
+			n.b.SetOffloader(n.offload)
+		}
+		f.nodes = append(f.nodes, n)
+	}
 	sort.Slice(f.nodes, func(i, j int) bool { return f.nodes[i].name < f.nodes[j].name })
-	f.byName[n.name] = n
-	if n.b != nil {
-		n.b.SetOffloader(n.offload)
-	}
-	if nc.Relay {
-		f.super = n
-	}
-	return n
-}
-
-// SetSupervisor names the hub of a star topology: every other member
-// offloads to it, and it relays (Relay member) or re-balances
-// (broker-backed member) to the least-loaded child.
-func (f *Federation) SetSupervisor(name string) {
-	f.super = f.byName[name]
+	f.super = f.byName[cfg.Supervisor]
+	return f
 }
 
 // Nodes returns the members in name order.
 func (f *Federation) Nodes() []*Node { return f.nodes }
-
-// Names returns the member names in order (the injector's
-// SetBrokerFaulter wants them).
-func (f *Federation) Names() []string {
-	out := make([]string, len(f.nodes))
-	for i, n := range f.nodes {
-		out[i] = n.name
-	}
-	return out
-}
 
 // Submit routes a job through a member broker and returns a ref that
 // survives offloads.
@@ -307,10 +265,7 @@ func (f *Federation) Submit(node string, req broker.Request) (*JobRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	jr := &JobRef{ID: h.ID, Done: f.sim.NewTrigger()}
-	f.jobs[h.ID] = jr
-	jr.setCur(n, h)
-	return jr, nil
+	return f.ref(n, h), nil
 }
 
 // ref returns the job's federation-wide ref, creating one lazily for
@@ -324,9 +279,6 @@ func (f *Federation) ref(n *Node, h *broker.Handle) *JobRef {
 	}
 	return jr
 }
-
-// Job looks up a ref by ID.
-func (f *Federation) Job(id string) *JobRef { return f.jobs[id] }
 
 // offload is the hook the member broker consults before parking a
 // batch job: true means the federation took the job.
@@ -371,7 +323,7 @@ func (f *Federation) target(origin *Node) *Node {
 func (f *Federation) leastLoaded(origin, exclude *Node) *Node {
 	var best *Node
 	for _, p := range f.nodes {
-		if p == origin || p == exclude || p.relay || p.b == nil || p.down || p.linkDown {
+		if p == origin || p == exclude || p.b == nil || p.down || p.linkDown {
 			continue
 		}
 		if best == nil || p.b.PendingBatch() < best.b.PendingBatch() {
@@ -438,7 +390,7 @@ func (n *Node) orphanHome(s *shipment, why string) {
 // original ID and attempt count; a relay forwards it onward.
 func (dst *Node) accept(s *shipment, from *Node) {
 	dst.tr.Emit(trace.Event{Kind: trace.OffloadAccepted, Job: s.id, Site: from.name, Detail: dst.name})
-	if dst.relay || dst.b == nil {
+	if dst.b == nil {
 		dst.accepted[s.id] = &acceptance{origin: from, req: s.req, attempt: s.attempt}
 		s.jr.setCur(dst, nil)
 		dst.forward(&shipment{jr: s.jr, id: s.id, req: s.req, attempt: s.attempt, exclude: from})
@@ -595,7 +547,7 @@ func (f *Federation) returnTo(origin, dead *Node, id string, req broker.Request,
 	origin.tr.Emit(trace.Event{Kind: trace.OffloadOrphaned, Job: id, Site: origin.name, Detail: "peer-crash"})
 	delete(origin.out, id)
 	jr := f.jobs[id]
-	if origin.relay || origin.b == nil {
+	if origin.b == nil {
 		s := &shipment{jr: jr, id: id, req: req, attempt: attempt, exclude: dead}
 		if jr != nil {
 			jr.setCur(origin, nil)
@@ -611,12 +563,13 @@ func (f *Federation) returnTo(origin, dead *Node, id string, req broker.Request,
 }
 
 // SetPartitioned implements faultinject.Partitioner for the whole
-// federation: a cut freezes every member's view at once (each keeps
-// scheduling against its own frozen snapshot); the heal reconciles.
+// federation: a cut freezes every member's index at once (each broker
+// keeps scheduling against the snapshots of that instant; a second cut
+// of a shared index keeps the first one's); the heal reconciles.
 func (f *Federation) SetPartitioned(cut bool) {
 	for _, n := range f.nodes {
-		if n.view != nil {
-			n.view.SetPartitioned(cut)
+		if n.info != nil {
+			n.info.SetPartitioned(cut)
 		}
 	}
 	if !cut {

@@ -1,61 +1,49 @@
 package federation
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"crossbroker/internal/broker"
-	"crossbroker/internal/infosys"
+	"crossbroker/internal/core"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/netsim"
 	"crossbroker/internal/simclock"
-	"crossbroker/internal/site"
 	"crossbroker/internal/trace"
 )
 
-// member bundles one federated broker with its private view and tracer.
-type member struct {
-	n  *Node
-	b  *broker.Broker
-	tr *trace.Tracer
-}
-
-func mkSites(sim *simclock.Sim, prefix string, n, nodes int) []*site.Site {
-	out := make([]*site.Site, n)
-	for i := range out {
-		out[i] = site.New(sim, site.Config{
-			Name:     fmt.Sprintf("%s%02d", prefix, i),
-			Nodes:    nodes,
-			Network:  netsim.CampusGrid(),
-			Costs:    site.DefaultCosts(),
-			LRMCycle: 2 * time.Second,
-		})
+// member is a federated broker with one private site of the given node
+// count ("bA-s00"); nodes 0 gives it none.
+func member(name string, seed int64, nodes int) core.MemberSpec {
+	m := core.MemberSpec{Name: name, Seed: seed}
+	if nodes > 0 {
+		m.Sites = []core.SiteSpec{{NameFormat: name + "-s%02d", Count: 1, Nodes: nodes, LRMCycle: 2 * time.Second}}
 	}
-	return out
+	return m
 }
 
-// addMember wires a broker-backed node: its own view of svc, its own
-// tracer, registering the given (possibly shared) sites.
-func addMember(fed *Federation, sim *simclock.Sim, svc *infosys.Service, name string, sites []*site.Site, bcfg broker.Config) *member {
-	tr := trace.New(sim.Now)
-	v := svc.NewView()
-	bcfg.Sim = sim
-	bcfg.Name = name
-	bcfg.Info = v
-	bcfg.Trace = tr
-	b := broker.New(bcfg)
-	for _, st := range sites {
-		b.RegisterSite(st)
-	}
-	n := fed.AddNode(NodeConfig{Name: name, Broker: b, View: v, Trace: tr})
-	return &member{n: n, b: b, tr: tr}
+// federate builds grid traced, over 500 ms indexes, and federates its
+// members.
+func federate(grid core.SystemConfig, cfg Config) (*core.System, *Federation) {
+	grid.Trace = true
+	grid.Index.Latency = 500 * time.Millisecond
+	sys := core.NewSystem(grid)
+	return sys, New(sys, cfg)
 }
 
-func addRelay(fed *Federation, sim *simclock.Sim, name string) *member {
-	tr := trace.New(sim.Now)
-	n := fed.AddNode(NodeConfig{Name: name, Trace: tr, Relay: true})
-	return &member{n: n, tr: tr}
+// mesh federates two brokers over one index; bA's private site has one
+// node, bB's has bNodes.
+func mesh(cfg Config, bcfg broker.Config, bNodes int) (*core.System, *Federation) {
+	return federate(core.SystemConfig{Broker: bcfg,
+		Members: []core.MemberSpec{member("bA", 0, 1), member("bB", 0, bNodes)}}, cfg)
+}
+
+// shared federates two brokers that register only the one shared
+// 2-node site.
+func shared(bcfg broker.Config) (*core.System, *Federation) {
+	return federate(core.SystemConfig{Broker: bcfg,
+		Sites:   []core.SiteSpec{{Name: "shared00", Nodes: 2, LRMCycle: 2 * time.Second}},
+		Members: []core.MemberSpec{member("bA", 1, 0), member("bB", 2, 0)}}, Config{})
 }
 
 func batchReq(cpu time.Duration) broker.Request {
@@ -66,13 +54,13 @@ func batchReq(cpu time.Duration) broker.Request {
 	}
 }
 
-// merged interleaves the members' logs and fails the test on any
+// merged interleaves every node's log and fails the test on any
 // cross-broker invariant violation.
-func merged(t *testing.T, ms ...*member) trace.Trace {
+func merged(t *testing.T, fed *Federation) trace.Trace {
 	t.Helper()
-	traces := make([]trace.Trace, len(ms))
-	for i, m := range ms {
-		traces[i] = m.tr.Snapshot(m.n.Name())
+	var traces []trace.Trace
+	for _, n := range fed.Nodes() {
+		traces = append(traces, n.Trace().Snapshot(n.Name()))
 	}
 	out := trace.MergeByTime(traces)
 	if vs := trace.CheckComplete(out.Events); len(vs) > 0 {
@@ -91,16 +79,16 @@ func countKind(tr trace.Trace, k trace.Kind, detail string) int {
 	return n
 }
 
-func assertDrained(t *testing.T, ms ...*member) {
+func assertDrained(t *testing.T, fed *Federation) {
 	t.Helper()
-	for _, m := range ms {
-		if m.b != nil {
-			if l := m.b.LeasedCPUs(); l != 0 {
-				t.Errorf("%s leaked %d leases", m.n.Name(), l)
+	for _, n := range fed.Nodes() {
+		if n.Broker() != nil {
+			if l := n.Broker().LeasedCPUs(); l != 0 {
+				t.Errorf("%s leaked %d leases", n.Name(), l)
 			}
 		}
-		if o := m.n.OpenTransfers(); o != 0 {
-			t.Errorf("%s leaked %d transfer leases", m.n.Name(), o)
+		if o := n.OpenTransfers(); o != 0 {
+			t.Errorf("%s leaked %d transfer leases", n.Name(), o)
 		}
 	}
 }
@@ -132,11 +120,8 @@ func waves(t *testing.T, sim *simclock.Sim, fed *Federation, node string, first,
 // An overloaded broker must ship queued jobs to the least-loaded peer
 // and every job must finish exactly once somewhere in the mesh.
 func TestOffloadRelievesQueuePressure(t *testing.T) {
-	sim := simclock.NewSim(time.Time{})
-	svc := infosys.New(sim, 500*time.Millisecond)
-	fed := New(Config{Sim: sim, K: 1})
-	mA := addMember(fed, sim, svc, "bA", mkSites(sim, "a-site", 1, 1), broker.Config{})
-	mB := addMember(fed, sim, svc, "bB", mkSites(sim, "b-site", 1, 4), broker.Config{})
+	sys, fed := mesh(Config{K: 1}, broker.Config{}, 4)
+	sim := sys.Sim
 
 	refsP := waves(t, sim, fed, "bA", 3, 3, time.Minute, 2*time.Minute)
 	sim.RunFor(2 * time.Hour)
@@ -147,7 +132,7 @@ func TestOffloadRelievesQueuePressure(t *testing.T) {
 			t.Fatalf("job %s: state %v err %v (owner %s)", jr.ID, jr.State(), jr.Err(), jr.Owner())
 		}
 	}
-	mtr := merged(t, mA, mB)
+	mtr := merged(t, fed)
 	if n := countKind(mtr, trace.OffloadAccepted, ""); n == 0 {
 		t.Fatal("no transfer was accepted — queue pressure never offloaded")
 	}
@@ -160,19 +145,14 @@ func TestOffloadRelievesQueuePressure(t *testing.T) {
 	if shipped == 0 {
 		t.Fatal("no job finished at the peer")
 	}
-	assertDrained(t, mA, mB)
+	assertDrained(t, fed)
 }
 
 // Two brokers racing the same site must be arbitrated by the site's
 // 2PC commit window (visible as overlapping in-flight commits) with
 // every job still executing exactly once.
 func TestContendedSiteCommitWindowArbitrates(t *testing.T) {
-	sim := simclock.NewSim(time.Time{})
-	svc := infosys.New(sim, 500*time.Millisecond)
-	fed := New(Config{Sim: sim})
-	shared := mkSites(sim, "shared", 1, 2)
-	mA := addMember(fed, sim, svc, "bA", shared, broker.Config{Seed: 1})
-	mB := addMember(fed, sim, svc, "bB", shared, broker.Config{Seed: 2})
+	sys, fed := shared(broker.Config{})
 
 	jrA, err := fed.Submit("bA", batchReq(time.Minute))
 	if err != nil {
@@ -182,31 +162,28 @@ func TestContendedSiteCommitWindowArbitrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.RunFor(time.Hour)
+	sys.Run(time.Hour)
 
 	if jrA.State() != broker.Done || jrB.State() != broker.Done {
 		t.Fatalf("states: A=%v B=%v", jrA.State(), jrB.State())
 	}
-	st := shared[0].Stats()
+	st := sys.Sites[0].Stats()
 	if st.MaxInflight < 2 {
 		t.Fatalf("MaxInflight = %d, want >= 2 (overlapping commit windows)", st.MaxInflight)
 	}
 	if st.Committed != 2 {
 		t.Fatalf("site committed %d, want 2", st.Committed)
 	}
-	merged(t, mA, mB)
-	assertDrained(t, mA, mB)
+	merged(t, fed)
+	assertDrained(t, fed)
 }
 
 // A crashed receiver's still-queued adopted jobs must return to their
 // origins ("peer-crash" orphans) and finish there exactly once; jobs
 // past the queue ride the crash out in place.
 func TestCrashReclaimReturnsQueuedJobs(t *testing.T) {
-	sim := simclock.NewSim(time.Time{})
-	svc := infosys.New(sim, 500*time.Millisecond)
-	fed := New(Config{Sim: sim, K: 1})
-	mA := addMember(fed, sim, svc, "bA", mkSites(sim, "a-site", 1, 1), broker.Config{})
-	mB := addMember(fed, sim, svc, "bB", mkSites(sim, "b-site", 1, 1), broker.Config{})
+	sys, fed := mesh(Config{K: 1}, broker.Config{}, 1)
+	sim := sys.Sim
 
 	// Fill bB completely (node + LRM queue) for half an hour so an
 	// offloaded job parks in its broker queue instead of starting.
@@ -241,23 +218,20 @@ func TestCrashReclaimReturnsQueuedJobs(t *testing.T) {
 			t.Fatalf("bB's own job rode the crash out badly: %v", jr.State())
 		}
 	}
-	mtr := merged(t, mA, mB)
+	mtr := merged(t, fed)
 	if n := countKind(mtr, trace.OffloadOrphaned, "peer-crash"); n == 0 {
 		t.Fatal("no peer-crash orphan recorded")
 	}
-	assertDrained(t, mA, mB)
+	assertDrained(t, fed)
 }
 
 // A transfer lost to a peer-link outage must be orphaned and requeued
 // at the origin — the job never reached the peer, so the requeue
 // cannot double-execute it.
 func TestLostTransferRequeuesAtOrigin(t *testing.T) {
-	sim := simclock.NewSim(time.Time{})
-	svc := infosys.New(sim, 500*time.Millisecond)
 	// A 30 s one-way link makes the flight long enough to cut mid-air.
-	fed := New(Config{Sim: sim, K: 1, Link: netsim.Profile{Name: "slow", OneWayDelay: 30 * time.Second}})
-	mA := addMember(fed, sim, svc, "bA", mkSites(sim, "a-site", 1, 1), broker.Config{})
-	mB := addMember(fed, sim, svc, "bB", mkSites(sim, "b-site", 1, 4), broker.Config{})
+	sys, fed := mesh(Config{K: 1, Link: netsim.Profile{Name: "slow", OneWayDelay: 30 * time.Second}}, broker.Config{}, 4)
+	sim := sys.Sim
 
 	refsP := waves(t, sim, fed, "bA", 3, 3, time.Minute, 2*time.Minute)
 	// Wave-2 offload decisions land just after 60 s; the flight takes
@@ -272,23 +246,20 @@ func TestLostTransferRequeuesAtOrigin(t *testing.T) {
 			t.Fatalf("job %s: state %v (owner %s)", jr.ID, jr.State(), jr.Owner())
 		}
 	}
-	mtr := merged(t, mA, mB)
+	mtr := merged(t, fed)
 	if n := countKind(mtr, trace.OffloadOrphaned, "lost"); n == 0 {
 		t.Fatal("no lost-transfer orphan recorded")
 	}
-	assertDrained(t, mA, mB)
+	assertDrained(t, fed)
 }
 
 // When only the acknowledgment is lost, the receiver keeps the job
 // (requeueing after delivery would risk double execution); the
 // origin's dangling transfer lease closes at reconciliation.
 func TestAckLostReceiverKeepsJob(t *testing.T) {
-	sim := simclock.NewSim(time.Time{})
-	svc := infosys.New(sim, 500*time.Millisecond)
 	// 10 s one-way: delivery at ~send+10 s, ack due ~send+20 s.
-	fed := New(Config{Sim: sim, K: 1, Link: netsim.Profile{Name: "slow", OneWayDelay: 10 * time.Second}})
-	mA := addMember(fed, sim, svc, "bA", mkSites(sim, "a-site", 1, 1), broker.Config{})
-	mB := addMember(fed, sim, svc, "bB", mkSites(sim, "b-site", 1, 4), broker.Config{})
+	sys, fed := mesh(Config{K: 1, Link: netsim.Profile{Name: "slow", OneWayDelay: 10 * time.Second}}, broker.Config{}, 4)
+	sim := sys.Sim
 
 	refsP := waves(t, sim, fed, "bA", 3, 3, time.Minute, 2*time.Minute)
 	// Wave-2 transfers send at ~61 s, deliver at ~71 s and expect the
@@ -303,7 +274,7 @@ func TestAckLostReceiverKeepsJob(t *testing.T) {
 			t.Fatalf("job %s: state %v (owner %s)", jr.ID, jr.State(), jr.Owner())
 		}
 	}
-	mtr := merged(t, mA, mB)
+	mtr := merged(t, fed)
 	if n := countKind(mtr, trace.OffloadOrphaned, "ack-lost"); n == 0 {
 		t.Fatal("no ack-lost orphan recorded")
 	}
@@ -319,37 +290,34 @@ func TestAckLostReceiverKeepsJob(t *testing.T) {
 		t.Fatal("receiver kept no job after the lost ack")
 	}
 	// The link heal reconciled: no dangling transfer leases remain.
-	assertDrained(t, mA, mB)
+	assertDrained(t, fed)
 }
 
 // After a split brain, a quarantine tripped by partition noise must be
 // cleared by a peer's fresher success evidence — without waiting out
 // the cooldown.
 func TestSplitBrainQuarantineReconciled(t *testing.T) {
-	sim := simclock.NewSim(time.Time{})
-	svc := infosys.New(sim, 500*time.Millisecond)
-	fed := New(Config{Sim: sim})
-	shared := mkSites(sim, "shared", 1, 2)
-	cool := time.Hour // long cooldown: only reconciliation can clear it
-	mA := addMember(fed, sim, svc, "bA", shared, broker.Config{QuarantineThreshold: 1, QuarantineCooldown: cool})
-	mB := addMember(fed, sim, svc, "bB", shared, broker.Config{QuarantineThreshold: 1, QuarantineCooldown: cool})
+	// A long cooldown: only reconciliation can clear the quarantine.
+	sys, fed := shared(broker.Config{QuarantineThreshold: 1, QuarantineCooldown: time.Hour})
+	sim, site := sys.Sim, sys.Sites[0]
+	bA := sys.Members[0].Broker
 
-	// Split brain: both views freeze; the site then drops off the net
-	// long enough for bA to trip its breaker.
+	// Split brain: the index freezes for both brokers; the site then
+	// drops off the net long enough for bA to trip its breaker.
 	fed.SetPartitioned(true)
-	shared[0].SetUnreachable(true)
+	site.SetUnreachable(true)
 	jrA, err := fed.Submit("bA", batchReq(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim.RunFor(2 * time.Minute)
-	if got := mA.b.QuarantinedSites(); len(got) != 1 {
+	if got := bA.QuarantinedSites(); len(got) != 1 {
 		t.Fatalf("bA quarantined %v, want [shared00]", got)
 	}
 
 	// The site recovers; bB (which never tripped) interacts with it
 	// successfully, producing evidence newer than bA's trip.
-	shared[0].SetUnreachable(false)
+	site.SetUnreachable(false)
 	jrB, err := fed.Submit("bB", batchReq(time.Minute))
 	if err != nil {
 		t.Fatal(err)
@@ -361,31 +329,29 @@ func TestSplitBrainQuarantineReconciled(t *testing.T) {
 
 	// Heal: reconciliation clears bA's stale quarantine immediately.
 	fed.SetPartitioned(false)
-	if got := mA.b.QuarantinedSites(); len(got) != 0 {
+	if got := bA.QuarantinedSites(); len(got) != 0 {
 		t.Fatalf("bA still quarantines %v after reconcile", got)
 	}
 	sim.RunFor(time.Hour)
 	if jrA.State() != broker.Done {
 		t.Fatalf("bA job after heal: %v (err %v)", jrA.State(), jrA.Err())
 	}
-	mtr := merged(t, mA, mB)
+	mtr := merged(t, fed)
 	if n := countKind(mtr, trace.Unquarantined, "reconciled"); n != 1 {
 		t.Fatalf("reconciled unquarantines = %d, want 1", n)
 	}
-	assertDrained(t, mA, mB)
+	assertDrained(t, fed)
 }
 
 // Disjoint grids joined by a pure relay supervisor: pressure on one
 // child flows up to the supervisor and down to the least-loaded other
 // child, under the same at-most-once transfer protocol.
 func TestSupervisorRelaysAcrossDisjointGrids(t *testing.T) {
-	sim := simclock.NewSim(time.Time{})
-	svcA := infosys.New(sim, 500*time.Millisecond)
-	svcB := infosys.New(sim, 500*time.Millisecond)
-	fed := New(Config{Sim: sim, K: 1})
-	sup := addRelay(fed, sim, "sup")
-	mA := addMember(fed, sim, svcA, "bA", mkSites(sim, "a-site", 1, 1), broker.Config{})
-	mB := addMember(fed, sim, svcB, "bB", mkSites(sim, "b-site", 1, 4), broker.Config{})
+	index := &core.IndexSpec{Latency: 500 * time.Millisecond}
+	a, b := member("bA", 0, 1), member("bB", 0, 4)
+	a.Index, b.Index = index, index
+	sys, fed := federate(core.SystemConfig{Members: []core.MemberSpec{a, b}}, Config{K: 1, Supervisor: "sup"})
+	sim := sys.Sim
 
 	refsP := waves(t, sim, fed, "bA", 3, 3, time.Minute, 2*time.Minute)
 	sim.RunFor(2 * time.Hour)
@@ -396,7 +362,7 @@ func TestSupervisorRelaysAcrossDisjointGrids(t *testing.T) {
 			t.Fatalf("job %s: state %v (owner %s)", jr.ID, jr.State(), jr.Owner())
 		}
 	}
-	mtr := merged(t, sup, mA, mB)
+	mtr := merged(t, fed)
 	up, down := 0, 0
 	for _, e := range mtr.Events {
 		if e.Kind == trace.OffloadSent {
@@ -420,22 +386,20 @@ func TestSupervisorRelaysAcrossDisjointGrids(t *testing.T) {
 	if crossed == 0 {
 		t.Fatal("no job crossed the grids")
 	}
-	assertDrained(t, sup, mA, mB)
+	assertDrained(t, fed)
 }
 
 // Two identically seeded federations must produce byte-identical
 // merged traces — the determinism contract the chaos sweep relies on.
 func TestFederationDeterministic(t *testing.T) {
 	run := func() trace.Trace {
-		sim := simclock.NewSim(time.Time{})
-		svc := infosys.New(sim, 500*time.Millisecond)
-		fed := New(Config{Sim: sim, K: 1})
-		mA := addMember(fed, sim, svc, "bA", mkSites(sim, "a-site", 1, 1), broker.Config{Seed: 11, LeaseJitter: 0.5})
-		mB := addMember(fed, sim, svc, "bB", mkSites(sim, "b-site", 1, 2), broker.Config{Seed: 22, LeaseJitter: 0.5})
+		sys, fed := federate(core.SystemConfig{Broker: broker.Config{LeaseJitter: 0.5},
+			Members: []core.MemberSpec{member("bA", 11, 1), member("bB", 22, 2)}}, Config{K: 1})
+		sim := sys.Sim
 		waves(t, sim, fed, "bA", 3, 3, time.Minute, 90*time.Second)
 		sim.AfterFunc(70*time.Second, func() { fed.CrashBroker("bB", 5*time.Minute) })
 		sim.RunFor(2 * time.Hour)
-		return trace.MergeByTime([]trace.Trace{mA.tr.Snapshot("bA"), mB.tr.Snapshot("bB")})
+		return merged(t, fed)
 	}
 	a, b := run(), run()
 	if len(a.Events) != len(b.Events) {
@@ -446,5 +410,30 @@ func TestFederationDeterministic(t *testing.T) {
 		if ea.T != eb.T || ea.Kind != eb.Kind || ea.Job != eb.Job || ea.Site != eb.Site || ea.Detail != eb.Detail {
 			t.Fatalf("event %d differs: %+v vs %+v", i, ea, eb)
 		}
+	}
+}
+
+// A link that sets only its per-message cost is a link, not the unset
+// default: the cost delays every transfer it carries.
+func TestLinkPerMessageCostKept(t *testing.T) {
+	const cost = 30 * time.Second
+	sys, fed := mesh(Config{K: 1, Link: netsim.Profile{PerMessageCost: cost}}, broker.Config{}, 4)
+	waves(t, sys.Sim, fed, "bA", 3, 3, time.Minute, 2*time.Minute)
+	sys.Run(2 * time.Hour)
+	sent := make(map[string]time.Duration)
+	accepted := 0
+	for _, e := range merged(t, fed).Events {
+		switch e.Kind {
+		case trace.OffloadSent:
+			sent[e.Job] = e.T
+		case trace.OffloadAccepted:
+			accepted++
+			if d := e.T - sent[e.Job]; d < cost {
+				t.Errorf("job %s accepted %v after it was sent, want >= %v", e.Job, d, cost)
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no transfer was accepted")
 	}
 }

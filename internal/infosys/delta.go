@@ -85,7 +85,7 @@ type SubUpdate struct {
 	// answer costs the whole snapshot on the wire.
 	Gap bool
 	// Snapshot is the shard as the subscriber now holds it: the shard
-	// as served at ToEpoch (frozen while the reader is partitioned),
+	// as served at ToEpoch (frozen while the service is partitioned),
 	// equal to what replaying Deltas over the previous answer's
 	// snapshot yields.
 	Snapshot *Snapshot
@@ -95,7 +95,7 @@ type SubUpdate struct {
 }
 
 // DeltaSource is the subscription surface an incremental matchmaker
-// consumes; *Service and *View both implement it.
+// consumes; *Service implements it.
 type DeltaSource interface {
 	ShardCount() int
 	SubscribeImmediate(shard int, since uint64) SubUpdate
@@ -219,26 +219,14 @@ func (s *Service) subCost(nDeltas int, repin *Snapshot) time.Duration {
 // While the service is partitioned the answer stops at the frozen
 // shard snapshot: the subscriber can catch up to the cut point but sees
 // nothing published behind the partition until it heals.
+//
+// The answer carries the shard as served, and the subscriber's new
+// position is that snapshot's own epoch — not whatever epoch the log
+// has reached since, which would skip or replay the mutations in
+// between. The missed deltas or, when the log no longer covers them,
+// the whole snapshot only set the modeled wire cost.
 func (s *Service) SubscribeImmediate(shard int, since uint64) SubUpdate {
-	return s.subscribeTo(shard, since, s.shardView(shard))
-}
-
-// SubscribeImmediate polls through this view without charging; while
-// the view is partitioned the answer stops at the view's own frozen
-// shard snapshot, so a split-brained broker's subscriber is held at its
-// cut point independently of other views.
-func (v *View) SubscribeImmediate(shard int, since uint64) SubUpdate {
-	return v.svc.subscribeTo(shard, since, v.shardView(shard))
-}
-
-// subscribeTo answers a poll of shard from since up to snap, the shard
-// as the polling reader sees it (live, or frozen at the reader's cut).
-// The answer carries snap, and the reader's new position is snap's own
-// epoch — not whatever epoch the log has reached since, which would
-// skip or replay the mutations in between. The missed deltas or, when
-// the log no longer covers them, the whole snapshot only set the
-// modeled wire cost.
-func (s *Service) subscribeTo(shard int, since uint64, snap *Snapshot) SubUpdate {
+	snap := s.shardView(shard)
 	u := SubUpdate{Shard: shard, FromEpoch: since, ToEpoch: snap.epoch, Snapshot: snap}
 	if since >= snap.epoch {
 		u.Cost = s.subCost(0, nil)

@@ -225,28 +225,46 @@ func TestSubscribeBoundedDuringPartition(t *testing.T) {
 	}
 }
 
-// TestViewSubscribeIndependence: a partitioned view's subscriber is
-// held at that view's cut point while another view (and the service)
-// keep answering with fresh epochs.
-func TestViewSubscribeIndependence(t *testing.T) {
+// TestSubscribeStopsAtCut: on a sharded service every shard's poll
+// stops at that shard's cut-time epoch and carries the very snapshot a
+// discovery cursor pages while cut; the heal releases the rest.
+func TestSubscribeStopsAtCut(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
-	svc := NewSharded(sim, time.Millisecond, 1)
+	svc := NewSharded(sim, time.Millisecond, 4)
 	svc.SetDeltaLog(16)
-	v1, v2 := svc.NewView(), svc.NewView()
-
-	mustPublish(t, svc, rec("a", 1))
-	v1.SetPartitioned(true)
-	mustPublish(t, svc, rec("b", 2))
-
-	if u := v1.SubscribeImmediate(0, 0); u.ToEpoch != 1 || len(u.Deltas) != 1 {
-		t.Fatalf("partitioned view saw to=%d deltas=%d, want the cut at epoch 1", u.ToEpoch, len(u.Deltas))
+	for i := 0; i < 8; i++ {
+		mustPublish(t, svc, rec(fmt.Sprintf("s%02d", i), i))
 	}
-	if u := v2.SubscribeImmediate(0, 0); u.ToEpoch != 2 || len(u.Deltas) != 2 {
-		t.Fatalf("fresh view saw to=%d deltas=%d, want full catch-up", u.ToEpoch, len(u.Deltas))
+	cutAt := make([]uint64, svc.ShardCount())
+	for i := range cutAt {
+		cutAt[i] = svc.SubscribeImmediate(i, 0).ToEpoch
 	}
-	v1.SetPartitioned(false)
-	if u := v1.SubscribeImmediate(0, 1); u.ToEpoch != 2 || len(u.Deltas) != 1 {
-		t.Fatalf("healed view saw to=%d deltas=%d", u.ToEpoch, len(u.Deltas))
+	svc.SetPartitioned(true)
+	for i := 0; i < 8; i++ {
+		mustPublish(t, svc, rec(fmt.Sprintf("s%02d", i), i+1))
+	}
+	pinned := make(map[int]*Snapshot)
+	for cur := svc.DiscoverImmediate(1); ; {
+		p, ok := cur.Next()
+		if !ok {
+			break
+		}
+		pinned[p.Shard()] = p.Snapshot()
+	}
+	for i, want := range cutAt {
+		u := svc.SubscribeImmediate(i, 0)
+		if u.ToEpoch != want || uint64(len(u.Deltas)) != want {
+			t.Fatalf("shard %d: cut poll to=%d deltas=%d, want both %d", i, u.ToEpoch, len(u.Deltas), want)
+		}
+		if p := pinned[i]; p != nil && p != u.Snapshot {
+			t.Fatalf("shard %d: the poll and the cursor serve different snapshots while cut", i)
+		}
+	}
+	svc.SetPartitioned(false)
+	for i, at := range cutAt {
+		if u := svc.SubscribeImmediate(i, at); u.ToEpoch != 2*at || uint64(len(u.Deltas)) != at {
+			t.Fatalf("shard %d: healed poll from %d to=%d deltas=%d, want to=%d", i, at, u.ToEpoch, len(u.Deltas), 2*at)
+		}
 	}
 }
 

@@ -58,9 +58,9 @@ type Cursor struct {
 	off      int
 }
 
-// shardSource is what a cursor pages: a Service or a View, which pin a
-// shard as that reader sees it when the cursor reaches it, or a slice
-// of snapshots pinned before.
+// shardSource is what a cursor pages: a Service, which pins a shard as
+// served when the cursor reaches it, or a slice of snapshots pinned
+// before.
 type shardSource interface {
 	ShardCount() int
 	shardView(i int) *Snapshot

@@ -2,6 +2,7 @@ package infosys
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -18,6 +19,39 @@ func publishN(s *Service, n int) {
 			Attrs:    map[string]any{"OS": "linux", "Gen": 0},
 			FreeCPUs: 0, TotalCPUs: 4,
 		})
+	}
+}
+
+// TestCursorHonoursPartition: while the service is cut, a paged
+// traversal serves the registry of cut time — no site published or
+// removed since — and the heal serves the live one on the next query.
+func TestCursorHonoursPartition(t *testing.T) {
+	svc := NewSharded(simclock.Real(), 0, 4)
+	publishN(svc, 10)
+	names := func() []string {
+		var out []string
+		for c := svc.DiscoverImmediate(1); ; {
+			p, ok := c.Next()
+			if !ok {
+				sort.Strings(out)
+				return out
+			}
+			for i := 0; i < p.Len(); i++ {
+				out = append(out, p.Name(i))
+			}
+		}
+	}
+	want := names()
+	svc.SetPartitioned(true)
+	svc.Remove("site003")
+	svc.Publish(SiteRecord{Name: "late", TotalCPUs: 4})
+	if got := names(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("cut traversal = %v, want the cut-time %v", got, want)
+	}
+	svc.SetPartitioned(false)
+	got := names()
+	if len(got) != 10 || got[0] != "late" || slices.Contains(got, "site003") {
+		t.Fatalf("healed traversal = %v", got)
 	}
 }
 

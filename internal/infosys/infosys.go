@@ -37,7 +37,7 @@
 // stay cached across the whole grid. Brokers that cannot afford one
 // flat snapshot of every site iterate the registry page by page
 // through Discover (discover.go); the merged whole-grid Snapshot
-// remains available for instrumentation, federation views and the
+// remains available for instrumentation, partition freezes and the
 // broker's test oracle.
 package infosys
 
@@ -391,12 +391,13 @@ type Service struct {
 	merged      *Snapshot
 	mergedEpoch uint64
 
-	// freeze is the service-wide partition switch: while cut, queries
-	// are answered from the snapshots taken at partition start even
-	// though sites keep publishing. Models a network partition between
-	// the broker and the index (or a wedged GIIS serving stale
-	// registrations).
-	freeze
+	// The partition switch: while cut, queries are answered from the
+	// snapshots taken at partition start even though sites keep
+	// publishing. Models a network partition between the brokers and the
+	// index (or a wedged GIIS serving stale registrations).
+	cutMu     sync.Mutex
+	cutShards []*Snapshot // one per shard; non-nil exactly while cut
+	cutWhole  *Snapshot
 
 	// Delta subscription state (delta.go): per-shard log depth, the
 	// modeled per-shard link, and the tracer DeltaPublished events go
@@ -731,24 +732,68 @@ func (s *Service) Snapshot() *Snapshot {
 // shard's slice reflects exactly one shard epoch) but, under
 // concurrent publishing, shards may be captured at slightly different
 // global epochs — the same guarantee Discover gives page by page.
-func (s *Service) SnapshotImmediate() *Snapshot { return s.freeze.servedWhole(s) }
+func (s *Service) SnapshotImmediate() *Snapshot {
+	s.cutMu.Lock()
+	whole := s.cutWhole
+	s.cutMu.Unlock()
+	if whole != nil {
+		return whole
+	}
+	return s.liveWhole()
+}
 
 // shardView pins shard i's current snapshot — or, while the service is
 // partitioned, the one frozen at partition start.
-func (s *Service) shardView(i int) *Snapshot { return s.freeze.servedShard(i, s) }
+func (s *Service) shardView(i int) *Snapshot {
+	s.cutMu.Lock()
+	shards := s.cutShards
+	s.cutMu.Unlock()
+	if shards != nil {
+		return shards[i]
+	}
+	return s.liveShard(i)
+}
+
+// Partitioned reports whether the service is serving its cut-time view.
+func (s *Service) Partitioned() bool {
+	s.cutMu.Lock()
+	defer s.cutMu.Unlock()
+	return s.cutShards != nil
+}
 
 // SetPartitioned cuts (or heals) the broker↔index link. While cut,
 // every query — whole-grid, paged or subscribed — is served from the
 // snapshots taken at partition start: publishes still land in the
 // registry, but brokers see a stale world until the partition heals.
 // Healing resumes normal (current-epoch) service on the next query.
-func (s *Service) SetPartitioned(cut bool) { s.freeze.set(cut, s) }
+// Idempotent per direction: a second cut keeps the first cut's view.
+func (s *Service) SetPartitioned(cut bool) {
+	if !cut {
+		s.cutMu.Lock()
+		s.cutShards, s.cutWhole = nil, nil
+		s.cutMu.Unlock()
+		return
+	}
+	if s.Partitioned() {
+		return
+	}
+	shards := make([]*Snapshot, len(s.shards))
+	for i := range shards {
+		shards[i] = s.liveShard(i)
+	}
+	whole := s.liveWhole()
+	s.cutMu.Lock()
+	if s.cutShards == nil {
+		s.cutShards, s.cutWhole = shards, whole
+	}
+	s.cutMu.Unlock()
+}
 
-// thawedShard is shard i of the live registry.
-func (s *Service) thawedShard(i int) *Snapshot { return s.shardSnapshot(i, s.sharedSchema()) }
+// liveShard is shard i of the live registry.
+func (s *Service) liveShard(i int) *Snapshot { return s.shardSnapshot(i, s.sharedSchema()) }
 
-// thawedWhole is the live whole-grid snapshot.
-func (s *Service) thawedWhole() *Snapshot {
+// liveWhole is the live whole-grid snapshot.
+func (s *Service) liveWhole() *Snapshot {
 	s.mu.Lock()
 	epoch := s.epoch
 	if s.merged != nil && s.mergedEpoch == epoch {

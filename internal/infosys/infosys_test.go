@@ -76,6 +76,36 @@ func TestRemove(t *testing.T) {
 	}
 }
 
+// Publishes land in the registry while the service is cut — the
+// partition is between brokers and index, not sites and index — but
+// are served only after the heal.
+func TestPublishLandsWhileCut(t *testing.T) {
+	sim := simclock.NewSim(time.Time{})
+	svc := New(sim, 0)
+	svc.Publish(rec("ifca", 4))
+	svc.SetPartitioned(true)
+	if err := svc.Publish(rec("uab", 8)); err != nil {
+		t.Fatal(err)
+	}
+	if svc.Len() != 2 {
+		t.Fatal("publish did not reach the registry")
+	}
+	if got := svc.SnapshotImmediate().Len(); got != 1 {
+		t.Fatalf("cut service serves %d sites, want the 1 of cut time", got)
+	}
+	svc.Remove("ifca")
+	if svc.Len() != 1 {
+		t.Fatal("remove did not reach the registry")
+	}
+	if got := svc.SnapshotImmediate().Len(); got != 1 {
+		t.Fatalf("cut service serves %d sites after a remove, want 1", got)
+	}
+	svc.SetPartitioned(false)
+	if got := svc.QueryImmediate(); len(got) != 1 || got[0].Name != "uab" {
+		t.Fatalf("healed service serves %v, want [uab]", got)
+	}
+}
+
 func TestSnapshotIsolation(t *testing.T) {
 	svc := New(simclock.Real(), 0)
 	svc.Publish(rec("a", 1))

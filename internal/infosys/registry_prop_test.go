@@ -118,27 +118,25 @@ func newSubscriber(shards int) *subscriber {
 
 // traversal is one open cursor with what it has pinned so far.
 type traversal struct {
-	cur    *Cursor
-	onView bool
-	shard  int       // shard of the last page, -1 before the first
-	snap   *Snapshot // that shard's pinned snapshot
-	hi     int       // end of the last page within snap
+	cur   *Cursor
+	shard int       // shard of the last page, -1 before the first
+	snap  *Snapshot // that shard's pinned snapshot
+	hi    int       // end of the last page within snap
 }
 
 type regModel struct {
 	t      *testing.T
 	sim    *simclock.Sim
 	svc    *Service
-	view   *View
 	held   map[string]SiteRecord // what each site's publisher holds; Attrs is its own map
 	live   world
 	global uint64
 
-	svcFrozen, viewFrozen *world // non-nil while that partition is on
-	subs                  [2]*subscriber
-	trav                  *traversal
-	cuts                  []cutSnap
-	step                  int
+	frozen *world // non-nil while the partition is on
+	subs   [2]*subscriber
+	trav   *traversal
+	cuts   []cutSnap
+	step   int
 }
 
 const propLogDepth = 3
@@ -153,7 +151,7 @@ func runRegistryOps(t *testing.T, shards int, ops []byte) {
 	sim := simclock.NewSim(time.Time{})
 	svc := NewSharded(sim, 0, shards)
 	svc.SetDeltaLog(propLogDepth)
-	m := &regModel{t: t, sim: sim, svc: svc, view: svc.NewView(),
+	m := &regModel{t: t, sim: sim, svc: svc,
 		held: make(map[string]SiteRecord),
 		live: world{recs: make(map[string]SiteRecord), epochs: make([]uint64, shards)},
 		subs: [2]*subscriber{newSubscriber(shards), newSubscriber(shards)}}
@@ -235,16 +233,10 @@ func (m *regModel) pickLive(b byte) (string, bool) {
 	return names[int(b)%len(names)], true
 }
 
-// publish pushes what the site's publisher holds, through the service
-// or the view, and records what the registry must now hold.
-func (m *regModel) publish(name string, viaView bool) {
-	var err error
-	if viaView {
-		err = m.view.Publish(m.held[name])
-	} else {
-		err = m.svc.Publish(m.held[name])
-	}
-	if err != nil {
+// publish pushes what the site's publisher holds and records what the
+// registry must now hold.
+func (m *regModel) publish(name string) {
+	if err := m.svc.Publish(m.held[name]); err != nil {
 		m.fatalf("publish %s: %v", name, err)
 	}
 	r := m.held[name].Clone()
@@ -268,7 +260,7 @@ func (m *regModel) republish(pick byte, change func(*SiteRecord)) {
 	}
 	change(&r)
 	m.held[name] = r
-	m.publish(name, pick&0x40 != 0)
+	m.publish(name)
 }
 
 func (m *regModel) changeValue(r *SiteRecord, b byte) {
@@ -311,7 +303,7 @@ func (m *regModel) publishNew(pick, shape byte) {
 	}
 	m.held[name] = SiteRecord{Name: name, Gatekeeper: name + "/gk", Attrs: attrs,
 		TotalCPUs: 4, FreeCPUs: int(shape % 5), QueuedJobs: int(shape % 3)}
-	m.publish(name, pick&0x80 != 0)
+	m.publish(name)
 }
 
 func (m *regModel) remove(name string) {
@@ -325,35 +317,22 @@ func (m *regModel) remove(name string) {
 	m.global++
 }
 
-// servedBy is what the service (or the view) should answer from now.
-func (m *regModel) servedBy(view bool) world {
-	if view && m.viewFrozen != nil {
-		return *m.viewFrozen
-	}
-	if m.svcFrozen != nil {
-		return *m.svcFrozen
+// served is what the service should answer from now.
+func (m *regModel) served() world {
+	if m.frozen != nil {
+		return *m.frozen
 	}
 	return m.live
 }
 
 func (m *regModel) partition(b byte) {
 	cut := b&1 != 0
-	if b&2 != 0 {
-		m.view.SetPartitioned(cut)
-		if !cut {
-			m.viewFrozen = nil
-		} else if m.viewFrozen == nil {
-			w := m.servedBy(false).clone()
-			m.viewFrozen = &w
-		}
-		return
-	}
 	m.svc.SetPartitioned(cut)
 	if !cut {
-		m.svcFrozen = nil
-	} else if m.svcFrozen == nil {
+		m.frozen = nil
+	} else if m.frozen == nil {
 		w := m.live.clone()
-		m.svcFrozen = &w
+		m.frozen = &w
 	}
 }
 
@@ -430,17 +409,11 @@ func (m *regModel) checkCuts() {
 	}
 }
 
-// cut takes the merged snapshot through the service or the view, holds
-// it to the oracle, scribbles over the copies it hands out, and keeps it.
+// cut takes the merged snapshot, holds it to the oracle, scribbles over
+// the copies it hands out, and keeps it.
 func (m *regModel) cut(b byte) {
-	view := b&1 != 0
-	var s *Snapshot
-	if view {
-		s = m.view.SnapshotImmediate()
-	} else {
-		s = m.svc.SnapshotImmediate()
-	}
-	m.mustEqual("cut", s, m.oracle(m.servedBy(view), -1))
+	s := m.svc.SnapshotImmediate()
+	m.mustEqual("cut", s, m.oracle(m.served(), -1))
 	m.remember(s)
 	for _, r := range s.Records() {
 		r.Attrs["Arch"] = "tampered"
@@ -452,25 +425,16 @@ func (m *regModel) cut(b byte) {
 	}
 }
 
-// checkServed holds what the service and the view answer right now to
-// the oracle.
+// checkServed holds what the service answers right now to the oracle.
 func (m *regModel) checkServed() {
-	for _, view := range []bool{false, true} {
-		var s *Snapshot
-		if view {
-			s = m.view.SnapshotImmediate()
-		} else {
-			s = m.svc.SnapshotImmediate()
-		}
-		w := m.servedBy(view)
-		m.mustEqual(fmt.Sprintf("served (view=%v)", view), s, m.oracle(w, -1))
-		var sum uint64
-		for _, e := range w.epochs {
-			sum += e
-		}
-		if s.Epoch() != sum {
-			m.fatalf("served (view=%v): epoch %d, want %d", view, s.Epoch(), sum)
-		}
+	s, w := m.svc.SnapshotImmediate(), m.served()
+	m.mustEqual("served", s, m.oracle(w, -1))
+	var sum uint64
+	for _, e := range w.epochs {
+		sum += e
+	}
+	if s.Epoch() != sum {
+		m.fatalf("served: epoch %d, want %d", s.Epoch(), sum)
 	}
 }
 
@@ -526,13 +490,7 @@ func (m *regModel) checkStore() {
 // first page, which must equal the oracle for what was served then.
 func (m *regModel) cursorStep(b byte) {
 	if m.trav == nil {
-		tr := &traversal{onView: b&1 != 0, shard: -1}
-		if tr.onView {
-			tr.cur = m.view.DiscoverImmediate(1 + int(b>>1)%4)
-		} else {
-			tr.cur = m.svc.DiscoverImmediate(1 + int(b>>1)%4)
-		}
-		m.trav = tr
+		m.trav = &traversal{cur: m.svc.DiscoverImmediate(1 + int(b>>1)%4), shard: -1}
 		return
 	}
 	tr := m.trav
@@ -548,7 +506,7 @@ func (m *regModel) cursorStep(b byte) {
 		if p.Shard() < tr.shard {
 			m.fatalf("traversal went back from shard %d to %d", tr.shard, p.Shard())
 		}
-		w := m.servedBy(tr.onView)
+		w := m.served()
 		m.mustEqual(fmt.Sprintf("pinned shard %d", p.Shard()), p.Snapshot(), m.oracle(w, p.Shard()))
 		if got, want := p.Snapshot().Epoch(), w.epochs[p.Shard()]; got != want {
 			m.fatalf("pinned shard %d at epoch %d, want %d", p.Shard(), got, want)
@@ -567,29 +525,22 @@ func (m *regModel) cursorStep(b byte) {
 	tr.hi += p.Len()
 }
 
-// poll asks one shard for what a subscriber missed, through the service
-// or the view. The log is shallow, so the model says whether the answer
+// poll asks one shard for what one of two subscribers missed. The log is shallow, so the model says whether the answer
 // must be deltas (one per missed epoch) or a re-pin, and either way the
 // subscriber must end up with the shard as served. Every answer carries
 // the shard snapshot at its ToEpoch, which must hold exactly what the
 // subscriber replayed: a broker pages that snapshot in place of keeping
 // the records itself.
 func (m *regModel) poll(b byte) {
-	view := b&1 != 0
 	sub := m.subs[b&1]
 	shard := int(b>>1) % len(sub.pos)
 	since := sub.pos[shard]
-	var u SubUpdate
-	if view {
-		u = m.view.SubscribeImmediate(shard, since)
-	} else {
-		u = m.svc.SubscribeImmediate(shard, since)
-	}
+	u := m.svc.SubscribeImmediate(shard, since)
 	if u.Snapshot == nil || u.Snapshot.Epoch() != u.ToEpoch {
 		m.fatalf("poll of shard %d from %d to %d carries snapshot %v", shard, since, u.ToEpoch, u.Snapshot)
 	}
 	m.remember(u.Snapshot)
-	w := m.servedBy(view)
+	w := m.served()
 	target := w.epochs[shard]
 	switch {
 	case since >= target:
