@@ -24,8 +24,8 @@ type chaosReport struct {
 // byte-identical point lists (and, with -traceout, byte-identical
 // event logs). A non-empty traceout enables per-cell tracing, checks
 // every cell's log against the trace invariants, and exports the logs
-// as JSONL. With delta set, matchmaking runs through the
-// delta-subscription path with explicit infosys partition windows, so
+// as JSONL. With delta set, each cell's index keeps delta logs, so the
+// broker subscribes, and infosys partition windows are injected, so
 // the exported traces carry DeltaPublished/SubscriptionGap events and
 // the checker's staleness invariant has something to bite on.
 func chaos(out, traceout string, quick, delta bool, seed int64) error {

@@ -72,7 +72,7 @@ func realMain(args []string, stderr io.Writer) int {
 	churn := fs.String("churn", "0,64,256,1024", "comma-separated churn-axis publish rates for -exp scale")
 	churnSites := fs.Int("churnsites", 50000, "grid size for the -exp scale churn axis")
 	deltaDepth := fs.Int("deltadepth", 256, "per-shard delta log depth for -exp scale delta cells")
-	deltaChaos := fs.Bool("delta", false, "route -exp chaos matchmaking through the delta-subscription path")
+	deltaChaos := fs.Bool("delta", false, "give -exp chaos a delta-logged index, which the broker reads by subscription")
 	tracePath := fs.String("trace", "", "SWF/GWF workload log to drive -exp replay")
 	synth := fs.Int("synth", 0, "generate a deterministic synthetic archive with this many jobs for -exp replay (instead of -trace)")
 	window := fs.String("window", "", "trace window for -exp replay as N:M hours (default whole trace)")

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"crossbroker/internal/jdl"
+	"crossbroker/internal/netsim"
 )
 
 // lifecycleAllocs is the average allocation count of one job's whole
@@ -53,5 +54,40 @@ func TestLifecycleAllocs(t *testing.T) {
 	}
 	if got := lifecycleAllocs(t, g, interactiveJob(jdl.SharedAccess, 10, 1)); got > sharedCeiling {
 		t.Errorf("shared-VM job lifecycle: %v allocations, ceiling %d", got, sharedCeiling)
+	}
+}
+
+// TestPollHandoffAllocs runs bursts of W concurrent passes over a
+// logged, linked index. The passes must poll in arrival order, and a
+// burst's allocations must grow linearly in W: a finished poll wakes
+// only the next queued pass. Waking every queued pass, all but one of
+// which re-queue, costs Θ(W²), and W=128 then costs over 6× W=32.
+func TestPollHandoffAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	job := equivJob(t)
+	burst := func(w int) float64 {
+		sim, b, info := deltaGrid(Config{Seed: 1, TopK: 1}, 8, 64)
+		info.SetShardLink(netsim.WideArea())
+		discovery := make([]time.Duration, w)
+		run := func() {
+			clear(discovery)
+			for i := range discovery {
+				b.SelectionPassStatsAsync(job, func(ps PassStats) { discovery[i] = ps.Discovery })
+			}
+			sim.RunFor(time.Minute)
+			for i, d := range discovery {
+				if d == 0 || i > 0 && d <= discovery[i-1] {
+					t.Fatalf("W=%d: pass %d polled out of arrival order: discovery %v", w, i, discovery)
+				}
+			}
+		}
+		run() // warm-up: the first poll's catch-up, pools and free lists
+		return testing.AllocsPerRun(5, run)
+	}
+	small, large := burst(32), burst(128)
+	if large >= 6*small {
+		t.Errorf("a burst of 128 passes cost %v allocations, %.1f× the %v of 32: the poll hand-off is quadratic", large, large/small, small)
 	}
 }

@@ -114,7 +114,11 @@ type Config struct {
 	// Empty — the single-broker default — keeps the classic "cb" prefix.
 	Name string
 	// Info is the information system used for resource discovery
-	// (required).
+	// (required). It also decides the read: an index that serves delta
+	// subscriptions (infosys.DeltaSource) is polled for what changed
+	// since the last pass, any other is queried each pass. New fixes the
+	// read from the index as it is then, so deploy the index's delta
+	// logs or shard links before building the broker.
 	Info Directory
 	// Fair is the fair-share policy; nil disables accounting.
 	Fair FairShare
@@ -187,17 +191,6 @@ type Config struct {
 	// re-ranked, so per-pass memory is O(PageSize + TopK) no matter how
 	// many sites match. 0 (the default) keeps every match.
 	TopK int
-	// Incremental selects how the broker reads the registry — a
-	// property of the modelled deployment, like
-	// core.IndexSpec.ShardLink, not a match algorithm. Instead of
-	// a discovery query each pass, the broker polls per-shard epoch
-	// deltas (infosys.DeltaSource, which Info must implement), so
-	// discovery's wire cost is proportional to churn instead of grid
-	// size. Every answer carries the shard snapshot it caught up to,
-	// and selection is the same scan, over those snapshots; TopK and
-	// the probe/rank pipeline behave exactly as after a discovery
-	// query.
-	Incremental bool
 	// Data is the grid's replica catalog. When set, jobs with
 	// InputData pay their real staging transfers before submission
 	// whether or not the broker plans around them.
@@ -398,7 +391,7 @@ type Handle struct {
 	// Config.TopK when the streamed pass prunes with a rank heap.
 	scanned int
 	peak    int
-	// Incremental-path bookkeeping for the last pass: the global
+	// Delta-subscription bookkeeping for the last pass: the global
 	// epoch the deciding delta poll caught up to, when the poll
 	// started, and how many deltas / shard re-pins it applied.
 	matchEpoch uint64
@@ -490,8 +483,8 @@ type Broker struct {
 	// nil outside a federation.
 	offloader func(h *Handle) bool
 
-	// sub is the delta subscription (incremental.go); non-nil only
-	// when Config.Incremental is set.
+	// sub is the delta subscription (incremental.go); non-nil exactly
+	// when Config.Info serves subscriptions.
 	sub *subscriber
 
 	// matchOracle, when set, replaces the match pipeline. Only
@@ -536,11 +529,7 @@ func New(cfg Config) *Broker {
 		health:     make(map[string]*siteHealth),
 		scan:       make(map[string]scanEntry),
 	}
-	if cfg.Incremental {
-		src, ok := cfg.Info.(infosys.DeltaSource)
-		if !ok {
-			panic("broker: Config.Incremental requires an Info that serves delta subscriptions (infosys.Service)")
-		}
+	if src, ok := cfg.Info.(infosys.DeltaSource); ok && src.ServesSubscriptions() {
 		b.sub = newSubscriber(b, src)
 	}
 	return b

@@ -26,8 +26,18 @@ type grid struct {
 
 func newGrid(t *testing.T, nSites, nodesPerSite int, cfg Config) *grid {
 	t.Helper()
+	return newGridOn(t, nSites, nodesPerSite, cfg, nil)
+}
+
+// newGridOn is newGrid with the index deployed by index (nil for a
+// plain one) before the broker is built, which reads it accordingly.
+func newGridOn(t *testing.T, nSites, nodesPerSite int, cfg Config, index func(*infosys.Service)) *grid {
+	t.Helper()
 	sim := simclock.NewSim(time.Time{})
 	info := infosys.New(sim, 500*time.Millisecond)
+	if index != nil {
+		index(info)
+	}
 	fair := fairshare.New(sim, fairshare.Config{HalfLife: time.Hour, UpdateInterval: time.Minute})
 	cfg.Sim = sim
 	cfg.Info = info

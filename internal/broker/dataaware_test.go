@@ -87,7 +87,7 @@ func TestDataAwareEquivalentAcrossPaths(t *testing.T) {
 		check(t, runMatchPass(t, sim, b, job))
 	})
 	t.Run("incremental", func(t *testing.T) {
-		sim, b, _ := deltaGrid(Config{Seed: seed, Incremental: true, Data: cat, DataAware: true}, 8, 64)
+		sim, b, _ := deltaGrid(Config{Seed: seed, Data: cat, DataAware: true}, 8, 64)
 		check(t, runMatchPass(t, sim, b, job))
 	})
 }
@@ -105,7 +105,7 @@ func TestDataAwareIncrementalTracksCatalogChanges(t *testing.T) {
 	}
 	job := dataJob(t, []string{"cal.db"})
 
-	simInc, inc, _ := deltaGrid(Config{Seed: seed, Incremental: true, Data: cat, DataAware: true}, 8, 64)
+	simInc, inc, _ := deltaGrid(Config{Seed: seed, Data: cat, DataAware: true}, 8, 64)
 	// The whole-snapshot reference advances in lockstep over the same
 	// shared catalog, so each round compares equal pass indices.
 	simRef, ref := equivGrid(Config{Seed: seed, Data: cat, DataAware: true}, 1)

@@ -118,20 +118,25 @@ func TestHalfOpenClaimNotLeakedByUnprobedSite(t *testing.T) {
 	rankLast := mustParseJob(t, `Executable = "x"; Rank = 0 - other.FreeCPUs;`) // site00 has the most CPUs
 	plain := &jdl.Job{Executable: "x", NodeNumber: 1}
 	for _, tc := range []struct {
-		name  string
-		cfg   Config
-		first *jdl.Job
+		name      string
+		cfg       Config
+		subscribe bool
+		first     *jdl.Job
 	}{
-		{"streamed/fails-requirements", Config{}, picky},
-		{"topk/fails-requirements", Config{TopK: 1}, picky},
-		{"topk/falls-out-of-heap", Config{TopK: 1}, rankLast},
-		{"incremental/fails-requirements", Config{Incremental: true}, picky},
-		{"incremental/falls-out-of-walk", Config{Incremental: true, TopK: 1}, rankLast},
+		{"streamed/fails-requirements", Config{}, false, picky},
+		{"topk/fails-requirements", Config{TopK: 1}, false, picky},
+		{"topk/falls-out-of-heap", Config{TopK: 1}, false, rankLast},
+		{"incremental/fails-requirements", Config{}, true, picky},
+		{"incremental/falls-out-of-walk", Config{TopK: 1}, true, rankLast},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.QuarantineThreshold, tc.cfg.QuarantineCooldown = 1, time.Minute
 			sim := simclock.NewSim(time.Time{})
-			tc.cfg.Sim, tc.cfg.Info = sim, infosys.New(sim, 500*time.Millisecond)
+			info := infosys.New(sim, 500*time.Millisecond)
+			if tc.subscribe {
+				info.SetDeltaLog(64)
+			}
+			tc.cfg.Sim, tc.cfg.Info = sim, info
 			b := New(tc.cfg)
 			for i, nodes := range []int{4, 1} {
 				b.RegisterSite(site.New(sim, site.Config{

@@ -1,7 +1,7 @@
 package broker
 
-// The delta-subscribed registry read (Config.Incremental): instead of
-// fetching every record each pass, the broker polls each shard for what
+// The delta-subscribed registry read (Info.ServesSubscriptions): instead
+// of fetching every record each pass, the broker polls each shard for what
 // changed since its last pass, so discovery costs one poll round trip
 // plus wire proportional to churn, not grid size — the contrast the
 // scale experiment's churn axis measures. Selection is unchanged.
@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"crossbroker/internal/infosys"
-	"crossbroker/internal/simclock"
 	"crossbroker/internal/trace"
 )
 
@@ -32,10 +31,16 @@ type subscriber struct {
 	pins    []*infosys.Snapshot // per shard; nil before the first poll
 	applied uint64              // sum of the pins' epochs == global epoch caught up to
 
-	polling     bool // a poll is mid-flight (waiting out link costs)
-	pollWaiters []*simclock.Trigger
+	polling bool         // a poll is mid-flight (waiting out link costs)
+	waiting []pollWaiter // passes queued behind it, in arrival order
 
 	updScratch []infosys.SubUpdate
+}
+
+// pollWaiter is a pass queued behind the in-flight poll.
+type pollWaiter struct {
+	h    *Handle
+	cont func()
 }
 
 func newSubscriber(b *Broker, src infosys.DeltaSource) *subscriber {
@@ -55,18 +60,15 @@ func (s *subscriber) poll(h *Handle, cont func()) {
 	// order, regressing the pins to stale snapshots. Queue behind the
 	// in-flight poll and fetch from the advanced positions instead.
 	if s.polling {
-		w := s.b.sim.NewTrigger()
-		s.pollWaiters = append(s.pollWaiters, w)
-		w.WaitThen(func() { s.poll(h, cont) })
+		s.waiting = append(s.waiting, pollWaiter{h, cont})
 		return
 	}
 	s.polling = true
 	finish := func() {
 		s.polling = false
-		ws := s.pollWaiters
-		s.pollWaiters = nil
-		for _, w := range ws {
-			w.Fire()
+		if queued := s.waiting; len(queued) > 0 {
+			s.waiting = nil
+			s.b.sim.Post(func() { s.handOff(queued) })
 		}
 		cont()
 	}
@@ -112,6 +114,25 @@ func (s *subscriber) poll(h *Handle, cont func()) {
 		return
 	}
 	applyAll()
+}
+
+// handOff gives the passes queued when a poll finished their turn in
+// one event, in arrival order: each polls while none is in flight, then
+// the rest queue again behind whoever queued since. That is the order of
+// waking each in an event of its own, at one wake-up per finished poll.
+func (s *subscriber) handOff(queued []pollWaiter) {
+	for i, w := range queued {
+		if s.polling {
+			if len(s.waiting) == 0 {
+				s.waiting = queued[i:]
+			} else {
+				s.waiting = append(s.waiting, queued[i:]...)
+			}
+			return
+		}
+		queued[i] = pollWaiter{}
+		s.poll(w.h, w.cont)
+	}
 }
 
 // apply takes one shard's answer: its snapshot becomes the shard's pin,

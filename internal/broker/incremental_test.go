@@ -17,13 +17,26 @@ import (
 	"crossbroker/internal/site"
 )
 
+// subscribable deploys an index to serve delta subscriptions: per-shard
+// logs of the given depth, or at depth 0 shard links instead, so the
+// subscriber re-pins on every epoch-advancing poll.
+func subscribable(depth int) func(*infosys.Service) {
+	return func(info *infosys.Service) {
+		if depth > 0 {
+			info.SetDeltaLog(depth)
+		} else {
+			info.SetShardLink(netsim.WideArea())
+		}
+	}
+}
+
 // deltaGrid is equivGrid with the information service exposed, so
-// tests can churn the registry and configure the delta log.
+// tests can churn the registry, and deployed to serve subscriptions.
 func deltaGrid(cfg Config, shards, depth int) (*simclock.Sim, *Broker, *infosys.Service) {
 	sim := simclock.NewSim(time.Time{})
 	cfg.Sim = sim
 	info := infosys.NewSharded(sim, 500*time.Millisecond, shards)
-	info.SetDeltaLog(depth)
+	subscribable(depth)(info)
 	cfg.Info = info
 	b := New(cfg)
 	for i := 0; i < 30; i++ {
@@ -75,13 +88,76 @@ func churn(t *testing.T, info *infosys.Service, round int) {
 	}
 }
 
+// TestReadFollowsIndex pins what picks the registry read: a broker
+// subscribes exactly when its index keeps delta logs or links its
+// shards, and queries any other index.
+func TestReadFollowsIndex(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		index func(*infosys.Service)
+		want  bool
+	}{
+		{"plain", nil, false},
+		{"logged", subscribable(64), true},
+		{"linked", subscribable(0), true},
+	} {
+		if got := newGridOn(t, 1, 1, Config{}, tc.index).b.sub != nil; got != tc.want {
+			t.Errorf("%s index: broker subscribes = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestPollHandoffOrder pins the order the poll hand-off keeps, that of
+// waking each queued pass in an event of its own. Here a's poll
+// finishes with b and c queued, and a's continuation starts d and e and
+// posts an event x. Behind the flat query latency d polls at once, and
+// x runs, then e, b and c queue behind d. Behind a zero-RTT link a poll
+// that finds nothing new finishes at once, so d, e, b and c each poll
+// in turn, and b's finish must not send c behind x.
+func TestPollHandoffOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		link *netsim.Profile
+		want string
+	}{
+		{"flat", nil, "a x d e b c"},
+		{"zero-rtt-link", &netsim.Profile{Name: "zero-rtt", BytesPerSec: 1e6}, "a d e b c x"},
+	} {
+		sim, b, info := deltaGrid(Config{Seed: 1}, 4, 64)
+		if tc.link != nil {
+			info.SetShardLink(*tc.link)
+		}
+		var polled Handle
+		var order []string
+		pass := func(name string, then func()) {
+			b.sub.poll(&polled, func() {
+				order = append(order, name)
+				if then != nil {
+					then()
+				}
+			})
+		}
+		pass("a", func() {
+			pass("d", nil)
+			pass("e", nil)
+			sim.Post(func() { order = append(order, "x") })
+		})
+		pass("b", nil)
+		pass("c", nil)
+		sim.RunFor(time.Minute)
+		if got := strings.Join(order, " "); got != tc.want {
+			t.Errorf("%s: passes polled in order %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestIncrementalEquivalentToSnapshotPass is the delta-subscribed
 // pass's oracle test, the same contract the page scan holds: for a
 // fixed seed the pass over the pinned snapshots must produce the exact
 // ordered candidate list of the naive whole-snapshot oracle
 // (oracle_test.go) — across shard counts, TopK settings and log depths
-// (depth 0 forces a re-pin every poll), and across passes with
-// identical churn applied to both grids.
+// (depth 0, a linked index without logs, re-pins every poll), and
+// across passes with identical churn applied to both grids.
 func TestIncrementalEquivalentToSnapshotPass(t *testing.T) {
 	const seed, rounds = 2006, 4
 	job := equivJob(t)
@@ -120,7 +196,7 @@ func TestIncrementalEquivalentToSnapshotPass(t *testing.T) {
 		{"dataaware/empty-catalog/topk=all/depth=0", 8, 64, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Seed: seed, TopK: tc.topk, Incremental: true}
+			cfg := Config{Seed: seed, TopK: tc.topk}
 			if tc.data {
 				cfg.Data = datacat.New(datacat.NewLinks(netsim.CampusGrid()))
 				cfg.DataAware = true
@@ -155,7 +231,7 @@ func TestIncrementalTopKBoundsCandidates(t *testing.T) {
 	sim, ref := equivGrid(Config{Seed: seed}, 1)
 	want := runMatchPass(t, sim, useOracle(ref), job)
 
-	sim, b, info := deltaGrid(Config{Seed: seed, TopK: k, Incremental: true}, 8, 64)
+	sim, b, info := deltaGrid(Config{Seed: seed, TopK: k}, 8, 64)
 	h := &Handle{request: Request{Job: job}}
 	var got []candidate
 	done := false
@@ -224,7 +300,7 @@ func TestPinsFollowRegistry(t *testing.T) {
 	var polled Handle // counts the deltas and re-pins every poll received
 	for trial := int64(0); trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(7000 + trial))
-		sim, b, info := deltaGrid(Config{Seed: 1, Incremental: true}, 4, 2)
+		sim, b, info := deltaGrid(Config{Seed: 1}, 4, 2)
 		s := b.sub
 
 		poll := func() {
@@ -362,14 +438,13 @@ func mustParseJob(t *testing.T, src string) *jdl.Job {
 // scenario of TestStreamedRunsMatchSnapshotRuns on identically seeded
 // grids differing only in matchmaking path: every job must land on the
 // same site with the same resubmission count whether matched by the
-// whole-snapshot oracle, from delta subscriptions, or through the
-// log-less re-pin fallback.
+// whole-snapshot oracle (on a plain index), from delta subscriptions,
+// or through the log-less re-pin fallback.
 func TestIncrementalRunsMatchSnapshotRuns(t *testing.T) {
 	type outcome struct{ sites, states string }
-	scenario := func(cfg Config, depth int, oracle bool) outcome {
-		g := newGrid(t, 8, 1, cfg)
-		g.info.SetDeltaLog(depth)
-		if oracle {
+	scenario := func(index func(*infosys.Service)) outcome {
+		g := newGridOn(t, 8, 1, Config{Seed: 99}, index)
+		if index == nil {
 			useOracle(g.b)
 		}
 		var hs []*Handle
@@ -397,7 +472,7 @@ func TestIncrementalRunsMatchSnapshotRuns(t *testing.T) {
 		return o
 	}
 
-	ref := scenario(Config{Seed: 99}, 0, true)
+	ref := scenario(nil)
 	for _, tc := range []struct {
 		name  string
 		depth int
@@ -405,7 +480,7 @@ func TestIncrementalRunsMatchSnapshotRuns(t *testing.T) {
 		{"incremental/depth=64", 64},
 		{"incremental/depth=0", 0}, // every poll re-pins
 	} {
-		if got := scenario(Config{Seed: 99, Incremental: true}, tc.depth, false); got != ref {
+		if got := scenario(subscribable(tc.depth)); got != ref {
 			t.Fatalf("%s diverged from the whole-snapshot run:\n  incremental: %+v\n  reference:   %+v",
 				tc.name, got, ref)
 		}

@@ -63,8 +63,8 @@ func selectionNoise(nonce uint64, name string) float64 {
 // The registry read is the pass's one fork, and it only decides which
 // cursor the pass pages. By default the broker queries the registry:
 // one discovery round trip, then a cursor that pins each shard as it
-// reaches it. A delta-subscribed broker (Config.Incremental,
-// incremental.go) polls each shard for what changed since its last
+// reaches it. A broker whose index serves subscriptions
+// (incremental.go) polls each shard for what changed since its last
 // pass, so discovery costs wire proportional to churn, and pages the
 // shard snapshots the poll caught it up to. Either way the pass then
 // visits every record the cursor returns through the one per-record

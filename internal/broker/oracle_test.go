@@ -384,11 +384,13 @@ func TestMatchPipelineAgreesWithOracle(t *testing.T) {
 				out[1] = runPassResult(t, sim, b, g.job, nil)
 				return out
 			}
-			with := func(cfg Config, shards, depth int, oracle bool) func() [2]passResult {
+			with := func(cfg Config, shards int, index func(*infosys.Service), oracle bool) func() [2]passResult {
 				return func() [2]passResult {
 					sim := simclock.NewSim(time.Time{})
 					info := infosys.NewSharded(sim, 500*time.Millisecond, shards)
-					info.SetDeltaLog(depth)
+					if index != nil {
+						index(info)
+					}
 					cfg.Seed, cfg.TopK = 2006+trial, topk
 					b := g.build(cfg, info, sim)
 					if oracle {
@@ -398,9 +400,9 @@ func TestMatchPipelineAgreesWithOracle(t *testing.T) {
 				}
 			}
 			arms := []arm{
-				{"oracle", with(Config{}, 1, 0, true)},
-				{"scan", with(Config{PageSize: page}, shards, 0, false)},
-				{"delta", with(Config{Incremental: true, PageSize: page}, shards, depth, false)},
+				{"oracle", with(Config{}, 1, nil, true)},
+				{"scan", with(Config{PageSize: page}, shards, nil, false)},
+				{"delta", with(Config{PageSize: page}, shards, subscribable(depth), false)},
 			}
 			want := arms[0].run()
 			for _, a := range arms[1:] {

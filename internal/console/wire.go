@@ -135,7 +135,9 @@ func WriteMessage(w io.Writer, m *Message) error {
 	return err
 }
 
-// ReadMessage reads and decodes one frame.
+// ReadMessage reads and decodes one frame. It returns io.EOF only when
+// the stream ends at a frame boundary; a frame cut short is
+// io.ErrUnexpectedEOF.
 func ReadMessage(r io.Reader) (*Message, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -157,6 +159,9 @@ func ReadMessage(r io.Reader) (*Message, error) {
 	if n > 0 {
 		m.Data = make([]byte, n)
 		if _, err := io.ReadFull(r, m.Data); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header arrived: the frame is torn, not absent
+			}
 			return nil, err
 		}
 	}

@@ -73,13 +73,13 @@ type IndexSpec struct {
 	// broker then pages discovery shard by shard (see Broker.PageSize
 	// for the page size).
 	Shards int
-	// DeltaLogDepth enables per-shard delta logs of this depth for
-	// delta-subscribed brokers (Broker.Incremental); 0 leaves them off,
-	// so every epoch-advancing poll re-pins a shard snapshot.
+	// DeltaLogDepth enables per-shard delta logs of this depth, which
+	// make every broker on the index subscribe; 0 leaves them off, so a
+	// subscriber's every epoch-advancing poll re-pins a shard snapshot.
 	DeltaLogDepth int
 	// ShardLink puts each shard behind its own network link, charging
-	// subscription answers for what they carry; the zero value keeps
-	// the flat Latency.
+	// subscription answers for what they carry, and also makes brokers
+	// subscribe; the zero value keeps the flat Latency.
 	ShardLink netsim.Profile
 }
 

@@ -532,8 +532,27 @@ func TestSpecReachesSiteAndIndex(t *testing.T) {
 	if got := sys.Info.ShardCount(); got != 4 {
 		t.Fatalf("ShardCount = %d, want 4", got)
 	}
-	if got := sys.Info.DeltaLogDepth(); got != 64 {
-		t.Fatalf("DeltaLogDepth = %d, want 64", got)
+	if !sys.Info.ServesSubscriptions() {
+		t.Fatal("a logged, linked index does not serve subscriptions")
+	}
+	for _, spec := range []IndexSpec{{DeltaLogDepth: 64}, {ShardLink: netsim.WideArea()}, {}} {
+		want := spec != IndexSpec{}
+		if got := NewSystem(SystemConfig{Index: spec}).Info.ServesSubscriptions(); got != want {
+			t.Fatalf("index %+v serves subscriptions = %v, want %v", spec, got, want)
+		}
+	}
+	// The depth reaches the log: a subscriber is still served deltas
+	// after 64 mutations of its shard, and re-pinned after a 65th
+	// compacts the first away.
+	logged := NewSystem(SystemConfig{Index: IndexSpec{DeltaLogDepth: 64}}).Info
+	since := logged.SubscribeImmediate(0, 0).ToEpoch
+	for n := 1; n <= 65; n++ {
+		if err := logged.Publish(infosys.SiteRecord{Name: "s"}); err != nil {
+			t.Fatal(err)
+		}
+		if gap := logged.SubscribeImmediate(0, since).Gap; gap != (n > 64) {
+			t.Fatalf("after %d mutations of a depth-64 log, a poll from epoch %d reports gap = %v", n, since, gap)
+		}
 	}
 	link := netsim.WideArea()
 	if got, want := sys.Info.SubscribeImmediate(0, 0).Cost, link.RTT(); got < want {

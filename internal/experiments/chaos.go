@@ -46,8 +46,8 @@ type ChaosPoint struct {
 	// MaxQuarantined is the largest number of simultaneously
 	// quarantined sites observed (sampled once per simulated minute).
 	MaxQuarantined int `json:"max_quarantined"`
-	// Delta records that the cell matched through the
-	// delta-subscription incremental path.
+	// Delta records that the cell's index kept delta logs, so its
+	// broker matched by delta subscription.
 	Delta bool `json:"delta,omitempty"`
 	// Elastic records that half the cell's sites ran the elastic pool
 	// backend.
@@ -91,9 +91,9 @@ type ChaosConfig struct {
 	// tracer and its own virtual clock, so the logs stay byte-stable
 	// for a fixed seed even with concurrent workers.
 	Traced bool
-	// Delta routes matchmaking through the delta-subscription
-	// incremental path (sharded information service, per-shard delta
-	// logs) instead of snapshot discovery, and injects two explicit
+	// Delta gives the cell a sharded information index with per-shard
+	// delta logs, which the broker reads by delta subscription instead
+	// of discovery queries, and injects two explicit
 	// InfosysPartition windows on top of the rate-driven schedule so
 	// the partition→bounded-subscription→heal→catch-up path is
 	// exercised at every rate, including rate 0.
@@ -152,12 +152,10 @@ func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
 	// Recovery knobs: bounded resubmission with capped exponential
 	// backoff; heartbeat monitoring and the circuit-breaker quarantine
 	// run at the broker's defaults.
-	bcfg := RecoveryConfig()
-	bcfg.Incremental = cfg.Delta
 	grid := core.SystemConfig{
 		Seed:   cfg.Seed + idx,
 		Trace:  cfg.Traced,
-		Broker: bcfg,
+		Broker: RecoveryConfig(),
 		Sites: []core.SiteSpec{{
 			NameFormat: "s%02d", Count: cfg.Sites, Nodes: cfg.NodesPerSite, LRMCycle: 2 * time.Second,
 			Vary: func(i int, s *core.SiteSpec) {

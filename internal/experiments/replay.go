@@ -82,11 +82,6 @@ type ReplayConfig struct {
 	// Speedups are the arrival-compression factors to sweep (default
 	// 1, 2, 4).
 	Speedups []float64
-	// TopK bounds each matchmaking pass's candidate heap (and so the
-	// direct site probes per submission, the dominant per-job cost on
-	// large grids). 0 uses 16; negative disables pruning and probes
-	// every matching site, the pre-sharding behavior.
-	TopK int
 	// Seed drives broker randomization.
 	Seed int64
 	// Workers bounds concurrent points; 0 uses one per CPU.
@@ -104,11 +99,6 @@ func (c *ReplayConfig) setDefaults() {
 	}
 	if len(c.Speedups) == 0 {
 		c.Speedups = []float64{1, 2, 4}
-	}
-	if c.TopK == 0 {
-		c.TopK = 16
-	} else if c.TopK < 0 {
-		c.TopK = 0
 	}
 }
 
@@ -149,7 +139,7 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 	defer stream.Close()
 
 	bcfg := RecoveryConfig()
-	bcfg.TopK = cfg.TopK
+	bcfg.TopK = 16 // bounds the site probes per job, the dominant cost on large grids
 	sys := core.NewSystem(core.SystemConfig{
 		Index:  core.IndexSpec{Latency: 500 * time.Millisecond},
 		Seed:   cfg.Seed + idx,

@@ -246,13 +246,13 @@ func scaleCell(cfg ScaleConfig, job *jdl.Job, spec scaleSpec) (ScalePoint, error
 		grid.Index.Shards = cfg.Shards
 	}
 	if spec.mode == "delta" || spec.mode == "repin" {
-		grid.Broker.Incremental = true
 		if spec.mode == "delta" {
 			pt.DeltaDepth = cfg.DeltaLogDepth
 		}
-		// Each shard publishes over its own wide-area link; the repin
-		// cells leave the log off so every epoch-advancing poll pays a
-		// full shard re-pin instead of a delta replay.
+		// Each shard publishes over its own wide-area link, so the
+		// broker subscribes; the repin cells leave the log off so every
+		// epoch-advancing poll pays a full shard re-pin instead of a
+		// delta replay.
 		grid.Index.DeltaLogDepth = pt.DeltaDepth
 		grid.Index.ShardLink = netsim.WideArea()
 	}

@@ -94,11 +94,21 @@ type SubUpdate struct {
 	Cost time.Duration
 }
 
-// DeltaSource is the subscription surface an incremental matchmaker
+// DeltaSource is the subscription surface a delta-subscribed broker
 // consumes; *Service implements it.
 type DeltaSource interface {
+	ServesSubscriptions() bool
 	ShardCount() int
 	SubscribeImmediate(shard int, since uint64) SubUpdate
+}
+
+// ServesSubscriptions reports whether the index keeps per-shard delta
+// logs or puts its shards behind links, the deployments that serve
+// delta subscribers: a broker built on it subscribes (DESIGN.md §3b).
+func (s *Service) ServesSubscriptions() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.deltaDepth > 0 || s.hasLink
 }
 
 // deltaLog is one shard's bounded mutation history: a ring of the last
@@ -158,7 +168,8 @@ const (
 // DeltaLogDepth knob). Depth <= 0 disables logging: every
 // epoch-advancing poll then falls back to a snapshot re-pin, which is
 // the degraded mode the scale experiment's "repin" cells measure. Not
-// safe to call concurrently with publishes; configure at setup time.
+// safe to call concurrently with publishes; configure at setup time,
+// before broker.New reads ServesSubscriptions.
 func (s *Service) SetDeltaLog(depth int) {
 	s.mu.Lock()
 	s.deltaDepth = depth
@@ -174,18 +185,11 @@ func (s *Service) SetDeltaLog(depth int) {
 	}
 }
 
-// DeltaLogDepth reports the configured per-shard log depth (0 when
-// delta logging is disabled).
-func (s *Service) DeltaLogDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deltaDepth
-}
-
 // SetShardLink models each shard as an independently-publishing unit
 // behind its own network link: subscription answers are charged p's
 // round trip plus transfer time for what they carry, instead of the
-// flat query latency. Configure at setup time.
+// flat query latency. Configure at setup time, before broker.New reads
+// ServesSubscriptions.
 func (s *Service) SetShardLink(p netsim.Profile) {
 	s.mu.Lock()
 	s.link, s.hasLink = p, true
@@ -212,8 +216,8 @@ func (s *Service) subCost(nDeltas int, repin *Snapshot) time.Duration {
 }
 
 // SubscribeImmediate polls shard for mutations since the given shard
-// epoch without charging the answer's cost — the incremental
-// matchmaker polls every shard and charges the slowest answer once, as
+// epoch without charging the answer's cost — the delta-subscribed
+// broker polls every shard and charges the slowest answer once, as
 // parallel per-shard link waits.
 //
 // While the service is partitioned the answer stops at the frozen

@@ -279,8 +279,8 @@ func (s *Site) Record() infosys.SiteRecord {
 	}
 }
 
-// Publisher receives the site's periodic record pushes — the shared
-// *infosys.Service, or any per-broker view that delegates to it.
+// Publisher receives the site's periodic record pushes: the
+// *infosys.Service the registering broker discovers through.
 type Publisher interface {
 	Publish(rec infosys.SiteRecord) error
 }

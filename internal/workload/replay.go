@@ -10,8 +10,8 @@ import (
 // are read: recorded grid workloads (SWF from the Parallel Workloads
 // Archive, GWF from the Grid Workloads Archive) are normalized into
 // TraceJobs, classified as interactive or batch, windowed and
-// speed-scaled into the same Stream abstraction the synthetic
-// generators feed. stream.go reads the archives. Real logs exercise
+// speed-scaled into a stream of the same Jobs the synthetic generators
+// produce. stream.go reads the archives. Real logs exercise
 // broker behavior the synthetic mixes never produce — heavy-tailed
 // runtimes, daily arrival waves, correlated bursts — so the day
 // experiment can run against published traces.

@@ -165,20 +165,6 @@ func TestReplayClassificationAndReset(t *testing.T) {
 	}
 }
 
-func TestSyntheticStream(t *testing.T) {
-	p, err := NewPoisson(60, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &Synthetic{Arrivals: p, Mix: NewMix(2)}
-	for i := 0; i < 100; i++ {
-		j, d, ok := s.Next()
-		if !ok || d < 0 || j.User == "" {
-			t.Fatalf("synthetic stream broke at %d: %+v %v %v", i, j, d, ok)
-		}
-	}
-}
-
 func TestScaleGapSaturates(t *testing.T) {
 	if got := ScaleGap(time.Hour, 1e-12); got != time.Duration(math.MaxInt64) {
 		t.Fatalf("tiny speedup did not saturate: %v", got)

@@ -281,12 +281,14 @@ func (tr *TraceReader) pop() pendEntry {
 	return top
 }
 
-// ReplayStream is a Stream over a recorded trace whose ingest can
+// ReplayStream is a job stream over a recorded trace whose ingest can
 // fail mid-flight and may own a file handle. Callers must check Err
 // once Next reports exhaustion: a parse or ordering error ends the
 // stream early and only surfaces there.
 type ReplayStream interface {
-	Stream
+	// Next yields a job plus the delay since the previous arrival, and
+	// false once the stream is exhausted.
+	Next() (Job, time.Duration, bool)
 	// Err returns the terminal ingest error, nil after a clean end.
 	Err() error
 	// Close releases the underlying source.

@@ -15,20 +15,6 @@ import (
 	"time"
 )
 
-// Arrivals produces inter-arrival times.
-type Arrivals interface {
-	// Next returns the delay until the next arrival.
-	Next() time.Duration
-}
-
-// Stream couples an arrival process with job generation: each Next
-// yields a job plus the delay since the previous arrival, until the
-// stream (if finite) is exhausted. Synthetic generators and trace
-// replays both feed experiments through this interface.
-type Stream interface {
-	Next() (Job, time.Duration, bool)
-}
-
 // Poisson is a Poisson arrival process (exponential inter-arrivals).
 type Poisson struct {
 	rng  *rand.Rand
@@ -53,40 +39,6 @@ func NewPoisson(perHour float64, seed int64) (*Poisson, error) {
 func (p *Poisson) Next() time.Duration {
 	return time.Duration(p.rng.ExpFloat64() * float64(p.mean))
 }
-
-// Uniform is a uniform arrival process in [Min, Max].
-type Uniform struct {
-	rng      *rand.Rand
-	min, max time.Duration
-}
-
-// NewUniform creates a uniform inter-arrival process.
-func NewUniform(min, max time.Duration, seed int64) *Uniform {
-	if max < min {
-		min, max = max, min
-	}
-	return &Uniform{rng: rand.New(rand.NewSource(seed)), min: min, max: max}
-}
-
-// Next draws a uniform inter-arrival time.
-func (u *Uniform) Next() time.Duration {
-	if u.max == u.min {
-		return u.min
-	}
-	return u.min + time.Duration(u.rng.Int63n(int64(u.max-u.min)))
-}
-
-// Dist samples job durations.
-type Dist interface {
-	// Sample draws one duration.
-	Sample() time.Duration
-}
-
-// Fixed always returns the same duration.
-type Fixed time.Duration
-
-// Sample returns the fixed duration.
-func (f Fixed) Sample() time.Duration { return time.Duration(f) }
 
 // LogNormal samples durations whose logarithm is normally distributed
 // — the classic heavy-tailed job-runtime model.
@@ -164,7 +116,7 @@ type Mix struct {
 	// Users is the size of the synthetic user population.
 	Users int
 	// BatchCPU and InteractiveCPU sample per-kind demands.
-	BatchCPU, InteractiveCPU Dist
+	BatchCPU, InteractiveCPU *LogNormal
 	// PerformanceLosses to draw from for interactive jobs.
 	PerformanceLosses []int
 }
@@ -206,17 +158,4 @@ func (m *Mix) Next() Job {
 
 func userName(i int) string {
 	return "/O=CrossGrid/CN=user" + string(rune('a'+i%26)) + string(rune('0'+i/26))
-}
-
-// Synthetic adapts an arrival process and a job mix into an endless
-// Stream, so experiments can swap synthetic load and trace replays
-// behind one interface.
-type Synthetic struct {
-	Arrivals Arrivals
-	Mix      *Mix
-}
-
-// Next draws one job and its inter-arrival delay.
-func (s *Synthetic) Next() (Job, time.Duration, bool) {
-	return s.Mix.Next(), s.Arrivals.Next(), true
 }

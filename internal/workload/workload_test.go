@@ -71,28 +71,6 @@ func TestGeneratorBoundaries(t *testing.T) {
 			t.Fatalf("tiny positive rate rejected: %v", err)
 		}
 	})
-	t.Run("uniform normalizes swapped and negative bounds", func(t *testing.T) {
-		cases := []struct {
-			min, max time.Duration
-		}{
-			{0, 0},
-			{-time.Second, time.Second},
-			{time.Second, -time.Second}, // swapped
-			{-3 * time.Second, -time.Second},
-		}
-		for _, c := range cases {
-			u := NewUniform(c.min, c.max, 1)
-			lo, hi := c.min, c.max
-			if hi < lo {
-				lo, hi = hi, lo
-			}
-			for i := 0; i < 100; i++ {
-				if d := u.Next(); d < lo || d > hi {
-					t.Fatalf("NewUniform(%v, %v) drew %v outside [%v, %v]", c.min, c.max, d, lo, hi)
-				}
-			}
-		}
-	})
 	t.Run("lognormal clamps non-positive parameters", func(t *testing.T) {
 		for _, c := range []struct {
 			median time.Duration
@@ -119,25 +97,6 @@ func TestGeneratorBoundaries(t *testing.T) {
 	})
 }
 
-func TestUniformBounds(t *testing.T) {
-	u := NewUniform(time.Second, 3*time.Second, 1)
-	for i := 0; i < 1000; i++ {
-		d := u.Next()
-		if d < time.Second || d > 3*time.Second {
-			t.Fatalf("out of bounds: %v", d)
-		}
-	}
-	// Swapped bounds are normalized; equal bounds degenerate.
-	u2 := NewUniform(3*time.Second, time.Second, 1)
-	if d := u2.Next(); d < time.Second || d > 3*time.Second {
-		t.Fatalf("swapped bounds: %v", d)
-	}
-	u3 := NewUniform(time.Second, time.Second, 1)
-	if u3.Next() != time.Second {
-		t.Fatal("degenerate uniform")
-	}
-}
-
 func TestLogNormalMedianAndCap(t *testing.T) {
 	l := NewLogNormal(10*time.Minute, 1.0, 3)
 	var above, total int
@@ -157,12 +116,6 @@ func TestLogNormalMedianAndCap(t *testing.T) {
 	frac := float64(above) / float64(total)
 	if math.Abs(frac-0.5) > 0.05 {
 		t.Fatalf("%.2f of samples above the median, want ~0.5", frac)
-	}
-}
-
-func TestFixedDist(t *testing.T) {
-	if Fixed(time.Minute).Sample() != time.Minute {
-		t.Fatal("Fixed broken")
 	}
 }
 
