@@ -7,19 +7,14 @@
 // with `#` and may carry `Key: value` directives. Missing values are
 // encoded as -1.
 //
-// Parsing is tolerant by default (short records padded, unparseable
-// numerics repaired to -1, surplus fields dropped) with a strict mode
-// that turns every repair into a line-numbered error. The canonical
-// serializer makes parse→serialize→parse a fixed point, which the
-// fuzz harness checks.
+// This package holds only the GWF column table; the line format
+// (reader, tolerant/strict repair, directives, errors, canonical
+// serializer) is scanio's, shared with SWF. String fields are kept
+// verbatim.
 package gwf
 
 import (
-	"bufio"
-	"errors"
-	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -30,7 +25,7 @@ import (
 const NumFields = 29
 
 // Missing is the GWF encoding for an absent value.
-const Missing = -1
+const Missing = scanio.Missing
 
 // missingStr is the canonical spelling of a missing string field.
 const missingStr = "-1"
@@ -97,300 +92,111 @@ type Record struct {
 	Project string
 }
 
-// Directive is one `# Key: value` header line, order-preserved.
-type Directive struct {
-	Key   string
-	Value string
+// dialect is GWF's column table over the shared line format.
+var dialect = &scanio.Dialect[Record]{
+	Name:      "gwf",
+	Comment:   "#",
+	NumFields: NumFields,
+	Column:    setColumn,
+	Fields:    Record.Fields,
 }
 
-// Trace is a parsed GWF file.
-type Trace struct {
-	// Directives are the recognized `# Key: value` header lines in
-	// file order. Plain comments are discarded.
-	Directives []Directive
-	// Records are the job entries in file order.
-	Records []Record
-}
-
-// Directive returns the value of the first directive with the given
-// key (case-insensitive), and whether it was present.
-func (t *Trace) Directive(key string) (string, bool) {
-	for _, d := range t.Directives {
-		if strings.EqualFold(d.Key, key) {
-			return d.Value, true
-		}
-	}
-	return "", false
-}
-
-// Options controls parsing.
-type Options struct {
-	// Strict rejects malformed records instead of repairing them.
-	Strict bool
-}
-
-// A ParseError reports where a strict parse failed.
-type ParseError struct {
-	Line int
-	Msg  string
-}
-
-func (e *ParseError) Error() string {
-	return fmt.Sprintf("gwf: line %d: %s", e.Line, e.Msg)
-}
-
-// Reader streams GWF records one at a time, sharing the batch
-// parser's line handling: blank lines are skipped, `# Key: value`
-// header comments accumulate into Directives (they may interleave
-// with records), and each remaining line parses as one Record under
-// the configured tolerance. Memory use is one line, independent of
-// trace length.
-type Reader struct {
-	sc         *scanio.Scanner
-	opts       Options
-	directives []Directive
-}
+// The line-format types are scanio's, shared with SWF.
+type (
+	// Directive is one `# Key: value` header line, order-preserved.
+	Directive = scanio.Directive
+	// Trace is a parsed GWF file.
+	Trace = scanio.Trace[Record]
+	// Options controls parsing.
+	Options = scanio.Options
+	// A ParseError reports where a strict parse failed.
+	ParseError = scanio.ParseError
+	// Reader streams GWF records one at a time.
+	Reader = scanio.Reader[Record]
+)
 
 // NewReader returns a streaming reader over r.
-func NewReader(r io.Reader, opts Options) *Reader {
-	return &Reader{sc: scanio.New(r), opts: opts}
-}
+func NewReader(r io.Reader, opts Options) *Reader { return dialect.NewReader(r, opts) }
 
-// Next returns the next job record. It returns io.EOF when the input
-// is exhausted, a *ParseError for a rejected record (strict mode) or
-// an over-long line, and the underlying reader's error otherwise.
-func (r *Reader) Next() (Record, error) {
-	for {
-		text, line, err := r.sc.Next()
-		if err != nil {
-			return Record{}, readErr(err)
-		}
-		text = strings.TrimSpace(text)
-		switch {
-		case text == "":
-			continue
-		case strings.HasPrefix(text, "#"):
-			if d, ok := parseDirective(text); ok {
-				r.directives = append(r.directives, d)
-			}
-		default:
-			return parseRecord(text, line, r.opts.Strict)
-		}
-	}
-}
-
-// Directives returns the header directives seen so far, in file
-// order. The full set is available once Next has returned io.EOF.
-func (r *Reader) Directives() []Directive { return r.directives }
-
-// Line returns the input line number of the most recent read.
-func (r *Reader) Line() int { return r.sc.Line() }
-
-// readErr converts scanner failures into this package's error shape;
-// io.EOF passes through as the stream terminator.
-func readErr(err error) error {
-	if err == io.EOF {
-		return io.EOF
-	}
-	var tl *scanio.TooLongError
-	if errors.As(err, &tl) {
-		return &ParseError{Line: tl.Line, Msg: fmt.Sprintf("line exceeds the %d-byte limit", scanio.MaxLine)}
-	}
-	return fmt.Errorf("gwf: %w", err)
-}
-
-// Parse reads a whole GWF stream; it is the collect-all wrapper over
-// Reader.
-func Parse(r io.Reader, opts Options) (*Trace, error) {
-	rd := NewReader(r, opts)
-	t := &Trace{}
-	for {
-		rec, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Records = append(t.Records, rec)
-	}
-	t.Directives = rd.Directives()
-	return t, nil
-}
+// Parse reads a whole GWF stream.
+func Parse(r io.Reader, opts Options) (*Trace, error) { return dialect.Parse(r, opts) }
 
 // ParseString parses an in-memory GWF document.
 func ParseString(src string, opts Options) (*Trace, error) {
 	return Parse(strings.NewReader(src), opts)
 }
 
-func parseDirective(text string) (Directive, bool) {
-	body := strings.TrimSpace(strings.TrimLeft(text, "#"))
-	i := strings.Index(body, ":")
-	if i <= 0 {
-		return Directive{}, false
-	}
-	key := strings.TrimSpace(body[:i])
-	if key == "" || strings.ContainsAny(key, " \t") {
-		return Directive{}, false
-	}
-	return Directive{Key: key, Value: strings.TrimSpace(body[i+1:])}, true
-}
+// Write serializes the trace canonically.
+func Write(w io.Writer, t *Trace) error { return dialect.Write(w, t) }
 
-// numField parses one numeric field; tolerant mode repairs anything
-// unparseable or non-finite to Missing.
-func numField(s string, line, idx int, strict bool) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		if strict {
-			return 0, &ParseError{Line: line, Msg: fmt.Sprintf("field %d: %q is not a number", idx+1, s)}
-		}
-		return Missing, nil
-	}
-	if v < Missing {
-		if strict {
-			return 0, &ParseError{Line: line, Msg: fmt.Sprintf("field %d: %v below -1", idx+1, v)}
-		}
-		return Missing, nil
-	}
-	return v, nil
-}
+// Format returns the canonical serialization as a string.
+func Format(t *Trace) string { return dialect.Format(t) }
 
-func intFromField(v float64, line, idx int, strict bool) (int64, error) {
-	if v != math.Trunc(v) {
-		if strict {
-			return 0, &ParseError{Line: line, Msg: fmt.Sprintf("field %d: %v is not an integer", idx+1, v)}
-		}
-		v = math.Trunc(v)
+// setColumn stores GWF column c.Index: fields 19-20, 23-24 and 27-29
+// are strings, 6, 21-22 and 25-26 floats, the rest integers.
+func setColumn(r *Record, c *scanio.Column) error {
+	var err error
+	switch c.Index {
+	case 18:
+		r.Structure = c.Tok
+	case 19:
+		r.StructureParams = c.Tok
+	case 22:
+		r.UsedResources = c.Tok
+	case 23:
+		r.ReqPlatform = c.Tok
+	case 26:
+		r.ReqResources = c.Tok
+	case 27:
+		r.VO = c.Tok
+	case 28:
+		r.Project = c.Tok
+	case 5:
+		r.AvgCPU, err = c.Num()
+	case 20:
+		r.UsedNetwork, err = c.Num()
+	case 21:
+		r.UsedDisk, err = c.Num()
+	case 24:
+		r.ReqNetwork, err = c.Num()
+	case 25:
+		r.ReqDisk, err = c.Num()
+	case 0:
+		r.JobID, err = c.Int()
+	case 1:
+		r.Submit, err = c.Int()
+	case 2:
+		r.Wait, err = c.Int()
+	case 3:
+		r.Runtime, err = c.Int()
+	case 4:
+		r.Procs, err = c.Int()
+	case 6:
+		r.UsedMem, err = c.Int()
+	case 7:
+		r.ReqProcs, err = c.Int()
+	case 8:
+		r.ReqTime, err = c.Int()
+	case 9:
+		r.ReqMem, err = c.Int()
+	case 10:
+		r.Status, err = c.Int()
+	case 11:
+		r.User, err = c.Int()
+	case 12:
+		r.Group, err = c.Int()
+	case 13:
+		r.Executable, err = c.Int()
+	case 14:
+		r.Queue, err = c.Int()
+	case 15:
+		r.Partition, err = c.Int()
+	case 16:
+		r.OrigSite, err = c.Int()
+	case 17:
+		r.LastRunSite, err = c.Int()
 	}
-	// float64(MaxInt64) rounds up to 2^63, so >= guards the
-	// conversion against overflow.
-	if v >= math.MaxInt64 {
-		if strict {
-			return 0, &ParseError{Line: line, Msg: fmt.Sprintf("field %d: %v overflows", idx+1, v)}
-		}
-		return Missing, nil
-	}
-	return int64(v), nil
-}
-
-// fieldKind tags how each of the 29 columns is typed.
-type fieldKind uint8
-
-const (
-	intKind fieldKind = iota
-	floatKind
-	stringKind
-)
-
-// kinds maps field index → type: 0-17 numeric (AvgCPU float), 18-19
-// string, 20-21 float, 22-23 string, 24-25 float, 26-28 string.
-var kinds = [NumFields]fieldKind{
-	5:  floatKind,
-	18: stringKind, 19: stringKind,
-	20: floatKind, 21: floatKind,
-	22: stringKind, 23: stringKind,
-	24: floatKind, 25: floatKind,
-	26: stringKind, 27: stringKind, 28: stringKind,
-}
-
-func parseRecord(text string, line int, strict bool) (Record, error) {
-	// Tokenize into a fixed scratch array: record parsing runs once
-	// per trace line, and strings.Fields' slice allocation was a
-	// measurable share of streamed-ingest garbage.
-	var fields [NumFields]string
-	nf := scanio.Fields(text, fields[:])
-	if strict && nf != NumFields {
-		return Record{}, &ParseError{Line: line, Msg: fmt.Sprintf("%d fields, want %d", nf, NumFields)}
-	}
-	var rec Record
-	for i := 0; i < NumFields; i++ {
-		tok := missingStr
-		if i < nf {
-			tok = fields[i]
-		}
-		switch kinds[i] {
-		case stringKind:
-			switch i {
-			case 18:
-				rec.Structure = tok
-			case 19:
-				rec.StructureParams = tok
-			case 22:
-				rec.UsedResources = tok
-			case 23:
-				rec.ReqPlatform = tok
-			case 26:
-				rec.ReqResources = tok
-			case 27:
-				rec.VO = tok
-			case 28:
-				rec.Project = tok
-			}
-		case floatKind:
-			v, err := numField(tok, line, i, strict)
-			if err != nil {
-				return Record{}, err
-			}
-			switch i {
-			case 5:
-				rec.AvgCPU = v
-			case 20:
-				rec.UsedNetwork = v
-			case 21:
-				rec.UsedDisk = v
-			case 24:
-				rec.ReqNetwork = v
-			case 25:
-				rec.ReqDisk = v
-			}
-		default:
-			v, err := numField(tok, line, i, strict)
-			if err != nil {
-				return Record{}, err
-			}
-			n, err := intFromField(v, line, i, strict)
-			if err != nil {
-				return Record{}, err
-			}
-			switch i {
-			case 0:
-				rec.JobID = n
-			case 1:
-				rec.Submit = n
-			case 2:
-				rec.Wait = n
-			case 3:
-				rec.Runtime = n
-			case 4:
-				rec.Procs = n
-			case 6:
-				rec.UsedMem = n
-			case 7:
-				rec.ReqProcs = n
-			case 8:
-				rec.ReqTime = n
-			case 9:
-				rec.ReqMem = n
-			case 10:
-				rec.Status = n
-			case 11:
-				rec.User = n
-			case 12:
-				rec.Group = n
-			case 13:
-				rec.Executable = n
-			case 14:
-				rec.Queue = n
-			case 15:
-				rec.Partition = n
-			case 16:
-				rec.OrigSite = n
-			case 17:
-				rec.LastRunSite = n
-			}
-		}
-	}
-	return rec, nil
+	return err
 }
 
 func strField(s string) string {
@@ -416,28 +222,4 @@ func (r Record) Fields() []string {
 		ff(r.ReqNetwork), ff(r.ReqDisk),
 		strField(r.ReqResources), strField(r.VO), strField(r.Project),
 	}
-}
-
-// Write serializes the trace canonically: directives first, then one
-// single-space-separated record per line.
-func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	for _, d := range t.Directives {
-		if _, err := fmt.Fprintf(bw, "# %s: %s\n", d.Key, d.Value); err != nil {
-			return err
-		}
-	}
-	for _, r := range t.Records {
-		if _, err := bw.WriteString(strings.Join(r.Fields(), " ") + "\n"); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Format returns the canonical serialization as a string.
-func Format(t *Trace) string {
-	var sb strings.Builder
-	_ = Write(&sb, t) // strings.Builder writes cannot fail
-	return sb.String()
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"crossbroker/internal/workload/gwf"
+	"crossbroker/internal/workload/scanio"
 	"crossbroker/internal/workload/swf"
 )
 
@@ -111,27 +112,30 @@ type TraceReader struct {
 func NewTraceReader(r io.Reader, format TraceFormat, opts TraceReaderOptions) *TraceReader {
 	opts.setDefaults()
 	tr := &TraceReader{opts: opts, users: make(map[int64]string)}
+	ropts := scanio.Options{Strict: opts.Strict}
 	switch format {
 	case FormatGWF:
-		rd := gwf.NewReader(r, gwf.Options{Strict: opts.Strict})
-		tr.read = func() (rawRec, error) {
-			rec, err := rd.Next()
-			if err != nil {
-				return rawRec{}, err
-			}
-			return rawRec{rec.JobID, rec.Submit, rec.Runtime, rec.ReqTime, rec.Procs, rec.ReqProcs, rec.User}, nil
-		}
+		tr.read = rawReader(gwf.NewReader(r, ropts), func(rec gwf.Record) rawRec {
+			return rawRec{rec.JobID, rec.Submit, rec.Runtime, rec.ReqTime, rec.Procs, rec.ReqProcs, rec.User}
+		})
 	default:
-		rd := swf.NewReader(r, swf.Options{Strict: opts.Strict})
-		tr.read = func() (rawRec, error) {
-			rec, err := rd.Next()
-			if err != nil {
-				return rawRec{}, err
-			}
-			return rawRec{rec.JobID, rec.Submit, rec.Runtime, rec.ReqTime, rec.Procs, rec.ReqProcs, rec.User}, nil
-		}
+		tr.read = rawReader(swf.NewReader(r, ropts), func(rec swf.Record) rawRec {
+			return rawRec{rec.JobID, rec.Submit, rec.Runtime, rec.ReqTime, rec.Procs, rec.ReqProcs, rec.User}
+		})
 	}
 	return tr
+}
+
+// rawReader adapts a format's record reader to the fields
+// normalization consumes.
+func rawReader[R any](rd *scanio.Reader[R], raw func(R) rawRec) func() (rawRec, error) {
+	return func() (rawRec, error) {
+		rec, err := rd.Next()
+		if err != nil {
+			return rawRec{}, err
+		}
+		return raw(rec), nil
+	}
 }
 
 // OpenTraceReader opens an archive file, picking the format from the

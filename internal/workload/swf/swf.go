@@ -4,24 +4,13 @@
 // carry `Key: value` directives (UnixStartTime, MaxNodes, ...).
 // Missing values are encoded as -1 throughout.
 //
-// Parsing is tolerant by default — short records are padded with -1,
-// unparseable fields become -1, surplus fields are dropped — so that
-// real archive logs with local quirks still load. Strict mode turns
-// every such repair into an error with a line number, for validating
-// fixtures and generated traces.
-//
-// The serializer emits a canonical form (directives, then records,
-// single-space separated), and parse→serialize→parse is a fixed
-// point: reparsing a serialized trace reproduces it exactly. The fuzz
-// harness leans on that property.
+// This package holds only the SWF column table; the line format
+// (reader, tolerant/strict repair, directives, errors, canonical
+// serializer) is scanio's, shared with GWF.
 package swf
 
 import (
-	"bufio"
-	"errors"
-	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -32,7 +21,7 @@ import (
 const NumFields = 18
 
 // Missing is the SWF encoding for an absent value.
-const Missing = -1
+const Missing = scanio.Missing
 
 // Record is one SWF job entry, fields in standard order.
 type Record struct {
@@ -75,255 +64,89 @@ type Record struct {
 	ThinkTime int64
 }
 
-// Directive is one `; Key: value` header line, order-preserved.
-type Directive struct {
-	Key   string
-	Value string
+// dialect is SWF's column table over the shared line format.
+var dialect = &scanio.Dialect[Record]{
+	Name:      "swf",
+	Comment:   ";",
+	NumFields: NumFields,
+	Column:    setColumn,
+	Fields:    Record.Fields,
 }
 
-// Trace is a parsed SWF file.
-type Trace struct {
-	// Directives are the recognized `; Key: value` header lines in
-	// file order. Plain comments are discarded.
-	Directives []Directive
-	// Records are the job entries in file order.
-	Records []Record
-}
-
-// Directive returns the value of the first directive with the given
-// key (case-insensitive), and whether it was present.
-func (t *Trace) Directive(key string) (string, bool) {
-	for _, d := range t.Directives {
-		if strings.EqualFold(d.Key, key) {
-			return d.Value, true
-		}
-	}
-	return "", false
-}
-
-// Options controls parsing.
-type Options struct {
-	// Strict rejects malformed records instead of repairing them:
-	// wrong field counts, unparseable or non-integral integer fields,
-	// and values below -1 all become errors carrying the line number.
-	Strict bool
-}
-
-// A ParseError reports where a strict parse failed.
-type ParseError struct {
-	Line int
-	Msg  string
-}
-
-func (e *ParseError) Error() string {
-	return fmt.Sprintf("swf: line %d: %s", e.Line, e.Msg)
-}
-
-// Reader streams SWF records one at a time, sharing the batch
-// parser's line handling: blank lines are skipped, `; Key: value`
-// header comments accumulate into Directives (they may interleave
-// with records), and each remaining line parses as one Record under
-// the configured tolerance. Memory use is one line, independent of
-// trace length.
-type Reader struct {
-	sc         *scanio.Scanner
-	opts       Options
-	directives []Directive
-}
+// The line-format types are scanio's, shared with GWF.
+type (
+	// Directive is one `; Key: value` header line, order-preserved.
+	Directive = scanio.Directive
+	// Trace is a parsed SWF file.
+	Trace = scanio.Trace[Record]
+	// Options controls parsing.
+	Options = scanio.Options
+	// A ParseError reports where a strict parse failed.
+	ParseError = scanio.ParseError
+	// Reader streams SWF records one at a time.
+	Reader = scanio.Reader[Record]
+)
 
 // NewReader returns a streaming reader over r.
-func NewReader(r io.Reader, opts Options) *Reader {
-	return &Reader{sc: scanio.New(r), opts: opts}
-}
+func NewReader(r io.Reader, opts Options) *Reader { return dialect.NewReader(r, opts) }
 
-// Next returns the next job record. It returns io.EOF when the input
-// is exhausted, a *ParseError for a rejected record (strict mode) or
-// an over-long line, and the underlying reader's error otherwise.
-func (r *Reader) Next() (Record, error) {
-	for {
-		text, line, err := r.sc.Next()
-		if err != nil {
-			return Record{}, readErr(err)
-		}
-		text = strings.TrimSpace(text)
-		switch {
-		case text == "":
-			continue
-		case strings.HasPrefix(text, ";"):
-			if d, ok := parseDirective(text, ";"); ok {
-				r.directives = append(r.directives, d)
-			}
-		default:
-			return parseRecord(text, line, r.opts.Strict)
-		}
-	}
-}
-
-// Directives returns the header directives seen so far, in file
-// order. The full set is available once Next has returned io.EOF.
-func (r *Reader) Directives() []Directive { return r.directives }
-
-// Line returns the input line number of the most recent read.
-func (r *Reader) Line() int { return r.sc.Line() }
-
-// readErr converts scanner failures into this package's error shape;
-// io.EOF passes through as the stream terminator.
-func readErr(err error) error {
-	if err == io.EOF {
-		return io.EOF
-	}
-	var tl *scanio.TooLongError
-	if errors.As(err, &tl) {
-		return &ParseError{Line: tl.Line, Msg: fmt.Sprintf("line exceeds the %d-byte limit", scanio.MaxLine)}
-	}
-	return fmt.Errorf("swf: %w", err)
-}
-
-// Parse reads a whole SWF stream; it is the collect-all wrapper over
-// Reader.
-func Parse(r io.Reader, opts Options) (*Trace, error) {
-	rd := NewReader(r, opts)
-	t := &Trace{}
-	for {
-		rec, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Records = append(t.Records, rec)
-	}
-	t.Directives = rd.Directives()
-	return t, nil
-}
+// Parse reads a whole SWF stream.
+func Parse(r io.Reader, opts Options) (*Trace, error) { return dialect.Parse(r, opts) }
 
 // ParseString parses an in-memory SWF document.
 func ParseString(src string, opts Options) (*Trace, error) {
 	return Parse(strings.NewReader(src), opts)
 }
 
-// parseDirective splits a `<marker> Key: value` comment. Comment lines
-// without a colon, or with an empty key, are not directives.
-func parseDirective(text, marker string) (Directive, bool) {
-	body := strings.TrimSpace(strings.TrimLeft(text, marker))
-	i := strings.Index(body, ":")
-	if i <= 0 {
-		return Directive{}, false
-	}
-	key := strings.TrimSpace(body[:i])
-	if key == "" || strings.ContainsAny(key, " \t") {
-		// Keys are single tokens (UnixStartTime, MaxNodes, ...); a
-		// colon later in running text is not a directive.
-		return Directive{}, false
-	}
-	return Directive{Key: key, Value: strings.TrimSpace(body[i+1:])}, true
-}
+// Write serializes the trace canonically.
+func Write(w io.Writer, t *Trace) error { return dialect.Write(w, t) }
 
-// fieldVal parses one numeric field. Tolerant mode repairs anything
-// unparseable (or non-finite, which the canonical serializer could
-// not round-trip) to Missing.
-func fieldVal(s string, line, idx int, strict bool) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		if strict {
-			return 0, &ParseError{Line: line, Msg: fmt.Sprintf("field %d: %q is not a number", idx+1, s)}
-		}
-		return Missing, nil
-	}
-	if v < Missing {
-		if strict {
-			return 0, &ParseError{Line: line, Msg: fmt.Sprintf("field %d: %v below -1", idx+1, v)}
-		}
-		return Missing, nil
-	}
-	return v, nil
-}
+// Format returns the canonical serialization as a string.
+func Format(t *Trace) string { return dialect.Format(t) }
 
-// intField converts a parsed field to int64, truncating fractions in
-// tolerant mode and rejecting them in strict mode.
-func intField(v float64, line, idx int, strict bool) (int64, error) {
-	if v != math.Trunc(v) {
-		if strict {
-			return 0, &ParseError{Line: line, Msg: fmt.Sprintf("field %d: %v is not an integer", idx+1, v)}
-		}
-		v = math.Trunc(v)
+// setColumn stores SWF column c.Index: field 6 (AvgCPU) is a float,
+// every other field an integer.
+func setColumn(r *Record, c *scanio.Column) error {
+	var err error
+	switch c.Index {
+	case 5:
+		r.AvgCPU, err = c.Num()
+	case 0:
+		r.JobID, err = c.Int()
+	case 1:
+		r.Submit, err = c.Int()
+	case 2:
+		r.Wait, err = c.Int()
+	case 3:
+		r.Runtime, err = c.Int()
+	case 4:
+		r.Procs, err = c.Int()
+	case 6:
+		r.UsedMem, err = c.Int()
+	case 7:
+		r.ReqProcs, err = c.Int()
+	case 8:
+		r.ReqTime, err = c.Int()
+	case 9:
+		r.ReqMem, err = c.Int()
+	case 10:
+		r.Status, err = c.Int()
+	case 11:
+		r.User, err = c.Int()
+	case 12:
+		r.Group, err = c.Int()
+	case 13:
+		r.Executable, err = c.Int()
+	case 14:
+		r.Queue, err = c.Int()
+	case 15:
+		r.Partition, err = c.Int()
+	case 16:
+		r.PrevJob, err = c.Int()
+	case 17:
+		r.ThinkTime, err = c.Int()
 	}
-	// float64(MaxInt64) rounds up to 2^63, so >= is the correct
-	// overflow guard for the int64 conversion below.
-	if v >= math.MaxInt64 {
-		if strict {
-			return 0, &ParseError{Line: line, Msg: fmt.Sprintf("field %d: %v overflows", idx+1, v)}
-		}
-		return Missing, nil
-	}
-	return int64(v), nil
-}
-
-func parseRecord(text string, line int, strict bool) (Record, error) {
-	// Tokenize into a fixed scratch array: record parsing runs once
-	// per trace line, and strings.Fields' slice allocation was a
-	// measurable share of streamed-ingest garbage.
-	var fields [NumFields]string
-	nf := scanio.Fields(text, fields[:])
-	if strict && nf != NumFields {
-		return Record{}, &ParseError{Line: line, Msg: fmt.Sprintf("%d fields, want %d", nf, NumFields)}
-	}
-	var rec Record
-	for i := 0; i < NumFields; i++ {
-		v := float64(Missing)
-		if i < nf {
-			var err error
-			if v, err = fieldVal(fields[i], line, i, strict); err != nil {
-				return Record{}, err
-			}
-		}
-		if i == 5 { // field 6 (AvgCPU) stays float
-			rec.AvgCPU = v
-			continue
-		}
-		n, err := intField(v, line, i, strict)
-		if err != nil {
-			return Record{}, err
-		}
-		switch i {
-		case 0:
-			rec.JobID = n
-		case 1:
-			rec.Submit = n
-		case 2:
-			rec.Wait = n
-		case 3:
-			rec.Runtime = n
-		case 4:
-			rec.Procs = n
-		case 6:
-			rec.UsedMem = n
-		case 7:
-			rec.ReqProcs = n
-		case 8:
-			rec.ReqTime = n
-		case 9:
-			rec.ReqMem = n
-		case 10:
-			rec.Status = n
-		case 11:
-			rec.User = n
-		case 12:
-			rec.Group = n
-		case 13:
-			rec.Executable = n
-		case 14:
-			rec.Queue = n
-		case 15:
-			rec.Partition = n
-		case 16:
-			rec.PrevJob = n
-		case 17:
-			rec.ThinkTime = n
-		}
-	}
-	return rec, nil
+	return err
 }
 
 // Fields returns the record in canonical textual field order.
@@ -348,28 +171,4 @@ func (r Record) Fields() []string {
 		strconv.FormatInt(r.PrevJob, 10),
 		strconv.FormatInt(r.ThinkTime, 10),
 	}
-}
-
-// Write serializes the trace canonically: directives first, then one
-// single-space-separated record per line.
-func Write(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	for _, d := range t.Directives {
-		if _, err := fmt.Fprintf(bw, "; %s: %s\n", d.Key, d.Value); err != nil {
-			return err
-		}
-	}
-	for _, r := range t.Records {
-		if _, err := bw.WriteString(strings.Join(r.Fields(), " ") + "\n"); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Format returns the canonical serialization as a string.
-func Format(t *Trace) string {
-	var sb strings.Builder
-	_ = Write(&sb, t) // strings.Builder writes cannot fail
-	return sb.String()
 }
