@@ -98,20 +98,32 @@ func TestSerialProbeCostsSumOfRTTs(t *testing.T) {
 func TestLeaseQueue(t *testing.T) {
 	var q leaseQueue
 	t0 := time.Unix(0, 0)
+	a, b, c := &Handle{ID: "a"}, &Handle{ID: "b"}, &Handle{ID: "c"}
 
-	q.push(t0.Add(30*time.Second), 2)
-	q.push(t0.Add(30*time.Second), 1) // same expiry: merges into one batch
-	if len(q.entries) != 1 || q.prune(t0) != 3 {
-		t.Fatalf("after merged push: entries=%d count=%d", len(q.entries), q.count)
+	q.push(a, t0.Add(30*time.Second), 2)
+	q.push(a, t0.Add(30*time.Second), 1) // same owner and expiry: merges into one batch
+	q.push(b, t0.Add(30*time.Second), 1) // another owner's lease is a batch of its own
+	if len(q.entries) != 2 || q.prune(t0) != 4 {
+		t.Fatalf("after pushes: entries=%d count=%d", len(q.entries), q.count)
 	}
-	q.push(t0.Add(60*time.Second), 2)
-	if got := q.prune(t0.Add(30 * time.Second)); got != 2 {
-		t.Fatalf("after first expiry: count=%d, want 2", got)
+	q.push(b, t0.Add(60*time.Second), 2)
+	q.push(b, t0.Add(75*time.Second), 1)
+	if got := q.prune(t0.Add(30 * time.Second)); got != 3 {
+		t.Fatalf("after first expiry: count=%d, want 3", got)
 	}
-	q.push(t0.Add(90*time.Second), 3)
-	q.drop(4) // spans the newest batch (3) into the older one (1 of 2)
-	if got := q.prune(t0.Add(30 * time.Second)); got != 1 {
-		t.Fatalf("after drop: count=%d, want 1", got)
+	q.push(c, t0.Add(90*time.Second), 3)
+	now := t0.Add(40 * time.Second)
+	q.drop(b, now, 2) // b's batches sit behind c's newer one; only b's shrink, newest first
+	if got := q.prune(now); got != 4 || q.entries[q.head].n != 1 || q.entries[q.head+1].n != 0 {
+		t.Fatalf("after b's drop: count=%d, want c's 3 and b's oldest 1", got)
+	}
+	q.drop(a, now, 5) // a's leases expired: nothing of a's is left to drop
+	if got := q.prune(now); got != 4 {
+		t.Fatalf("after a's expired drop: count=%d, want 4", got)
+	}
+	q.drop(c, now, 3) // the tail empties: c's batch and b's emptied one behind it go
+	if got := q.prune(now); got != 1 || len(q.entries)-q.head != 1 {
+		t.Fatalf("after c's drop: count=%d batches=%d, want b's 1 lease in 1 batch", got, len(q.entries)-q.head)
 	}
 	if got := q.prune(t0.Add(2 * time.Minute)); got != 0 {
 		t.Fatalf("after full expiry: count=%d, want 0", got)
@@ -119,7 +131,7 @@ func TestLeaseQueue(t *testing.T) {
 	if len(q.entries) != 0 || q.head != 0 {
 		t.Fatalf("queue not reset: entries=%d head=%d", len(q.entries), q.head)
 	}
-	q.drop(5) // dropping from an empty queue is a no-op
+	q.drop(a, now, 5) // dropping from an empty queue is a no-op
 	if q.count != 0 {
 		t.Fatalf("drop on empty queue changed count to %d", q.count)
 	}

@@ -61,10 +61,11 @@ func TestLeaseNoJitterExactExpiry(t *testing.T) {
 func TestLeaseQueueOutOfOrderPush(t *testing.T) {
 	base := time.Time{}
 	q := &leaseQueue{}
-	q.push(base.Add(40*time.Second), 2)
-	q.push(base.Add(10*time.Second), 1) // earlier than the tail
-	q.push(base.Add(25*time.Second), 3)
-	q.push(base.Add(25*time.Second), 1) // merges mid-window batch? no: tail merge only when equal to newest
+	h := &Handle{ID: "j"}
+	q.push(h, base.Add(40*time.Second), 2)
+	q.push(h, base.Add(10*time.Second), 1) // earlier than the tail
+	q.push(h, base.Add(25*time.Second), 3)
+	q.push(h, base.Add(25*time.Second), 1) // not the tail's expiry: a batch of its own
 	if got := q.prune(base.Add(11 * time.Second)); got != 6 {
 		t.Fatalf("after first expiry live = %d, want 6", got)
 	}

@@ -453,10 +453,12 @@ func (b *Broker) SelectionPassStatsAsync(job *jdl.Job, cont func(PassStats)) {
 	})
 }
 
-// leaseEntry is a batch of leases sharing one expiry instant.
+// leaseEntry is a batch of one job's leases sharing one expiry
+// instant.
 type leaseEntry struct {
-	exp time.Time
-	n   int
+	exp   time.Time
+	n     int
+	owner *Handle
 }
 
 // leaseQueue tracks a site's exclusive-temporal-access leases as a
@@ -473,15 +475,15 @@ type leaseQueue struct {
 	count   int
 }
 
-// push adds n leases expiring at exp, merging with the newest batch
-// when the expiry matches (several CPUs leased in one pass).
-func (q *leaseQueue) push(exp time.Time, n int) {
+// push adds n leases of owner expiring at exp, merging with the newest
+// batch when owner and expiry match.
+func (q *leaseQueue) push(owner *Handle, exp time.Time, n int) {
 	q.count += n
-	if last := len(q.entries) - 1; last >= q.head && q.entries[last].exp.Equal(exp) {
+	if last := len(q.entries) - 1; last >= q.head && q.entries[last].owner == owner && q.entries[last].exp.Equal(exp) {
 		q.entries[last].n += n
 		return
 	}
-	q.entries = append(q.entries, leaseEntry{exp: exp, n: n})
+	q.entries = append(q.entries, leaseEntry{exp: exp, n: n, owner: owner})
 	for i := len(q.entries) - 1; i > q.head && q.entries[i].exp.Before(q.entries[i-1].exp); i-- {
 		q.entries[i], q.entries[i-1] = q.entries[i-1], q.entries[i]
 	}
@@ -502,19 +504,25 @@ func (q *leaseQueue) prune(now time.Time) int {
 	return q.count
 }
 
-// drop releases n leases from the newest batches (the job started or
-// failed, so the most recent reservation is undone), mirroring the
-// previous slice truncation.
-func (q *leaseQueue) drop(n int) {
-	for n > 0 && len(q.entries) > q.head {
-		last := len(q.entries) - 1
-		if q.entries[last].n > n {
-			q.entries[last].n -= n
-			q.count -= n
-			return
+// drop releases up to n of owner's live leases, newest first (the job
+// started or failed, so its reservation is undone). Other jobs' leases
+// stay, and so does an expired lease of owner's: it reserves nothing
+// any more, and the next prune pops it. The scan starts at the newest
+// batch, which is the releasing job's in the common case, and stops at
+// the first expired one, since batches are sorted by expiry.
+func (q *leaseQueue) drop(owner *Handle, now time.Time, n int) {
+	for i := len(q.entries) - 1; n > 0 && i >= q.head && q.entries[i].exp.After(now); i-- {
+		if e := &q.entries[i]; e.owner == owner {
+			k := min(n, e.n)
+			e.n -= k
+			q.count -= k
+			n -= k
 		}
-		n -= q.entries[last].n
-		q.count -= q.entries[last].n
+	}
+	// Emptied batches at the tail go at once; one further in stays, with
+	// no leases, until it expires.
+	for last := len(q.entries) - 1; last >= q.head && q.entries[last].n == 0; last-- {
+		q.entries[last] = leaseEntry{}
 		q.entries = q.entries[:last]
 	}
 	if q.head == len(q.entries) {
@@ -548,17 +556,18 @@ func (b *Broker) lease(h *Handle, name string, n int) {
 	if b.cfg.LeaseJitter > 0 {
 		d += time.Duration(b.cfg.LeaseJitter * b.rng.Float64() * float64(d))
 	}
-	q.push(b.sim.Now().Add(d), n)
+	q.push(h, b.sim.Now().Add(d), n)
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.LeaseAcquired, Job: h.ID, Site: name, N: n})
 }
 
 // unlease releases n of h's leases on a site (the job started or
-// failed). Deferred unleases may run after the job's terminal event
-// and after a site death dropped the whole queue; the trace checker
-// accounts for both.
+// failed); another job's lease is never touched, and an expired one of
+// h's leaves nothing to release. Deferred unleases may run after the
+// job's terminal event and after a site death dropped the whole queue;
+// the trace checker accounts for both.
 func (b *Broker) unlease(h *Handle, name string, n int) {
 	if q := b.leases[name]; q != nil {
-		q.drop(n)
+		q.drop(h, b.sim.Now(), n)
 	}
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.LeaseReleased, Job: h.ID, Site: name, N: n})
 }

@@ -169,6 +169,33 @@ func TestLeaseExpiryFreesCapacity(t *testing.T) {
 	}
 }
 
+// TestLeaseReleaseDropsOwnLease — a release undoes the releasing job's
+// own lease and never another job's. A leases s at t=0, B at t=40 s,
+// and A releases at t=50 s: B's reservation must survive with its own
+// expiry, both while A's lease is still live (60 s window) and after it
+// expired (30 s window), when A's release has nothing left to drop.
+func TestLeaseReleaseDropsOwnLease(t *testing.T) {
+	for _, d := range []time.Duration{60 * time.Second, 30 * time.Second} {
+		t.Run(d.String(), func(t *testing.T) {
+			sim := simclock.NewSim(time.Time{})
+			b := New(Config{Sim: sim, Info: infosys.New(sim, 0), LeaseDuration: d})
+			a, other := &Handle{ID: "a"}, &Handle{ID: "b"}
+			start := sim.Now()
+			b.lease(a, "s", 1)
+			sim.AfterFunc(40*time.Second, func() { b.lease(other, "s", 1) })
+			sim.AfterFunc(50*time.Second, func() { b.unlease(a, "s", 1) })
+			sim.RunFor(50 * time.Second)
+			if n := b.activeLeases("s"); n != 1 {
+				t.Fatalf("%d active leases after A's release, want B's 1", n)
+			}
+			q := b.leases["s"]
+			if e := q.entries[len(q.entries)-1]; !e.exp.Equal(start.Add(40*time.Second + d)) {
+				t.Fatalf("surviving lease expires at +%v, want B's +%v", e.exp.Sub(start), 40*time.Second+d)
+			}
+		})
+	}
+}
+
 // TestDegreeNSharedPlacement — with AgentDegree 2, a 2-node shared MPI
 // job fits on a single agent's node.
 func TestDegreeNSharedPlacement(t *testing.T) {
