@@ -212,7 +212,7 @@ func (p *Pool) Verify(chain []*Certificate, now time.Time) (identity string, err
 				return "", fmt.Errorf("%w: %s issued by %s, parent is %s",
 					ErrBrokenChain, cert.Subject, cert.Issuer, parent.Subject)
 			}
-			if !ed25519.Verify(parent.PublicKey, cert.tbs(), cert.Signature) {
+			if !verifySig(parent.PublicKey, cert.tbs(), cert.Signature) {
 				return "", fmt.Errorf("%w: %s", ErrBadSignature, cert.Subject)
 			}
 		}
@@ -222,7 +222,7 @@ func (p *Pool) Verify(chain []*Certificate, now time.Time) (identity string, err
 	if !ok {
 		return "", fmt.Errorf("%w: issuer %q", ErrUntrustedCA, root.Issuer)
 	}
-	if !ed25519.Verify(caCert.PublicKey, root.tbs(), root.Signature) {
+	if !verifySig(caCert.PublicKey, root.tbs(), root.Signature) {
 		return "", fmt.Errorf("%w: %s", ErrBadSignature, root.Subject)
 	}
 	return root.Subject, nil

@@ -135,6 +135,23 @@ func TestVerifyRejectsBrokenChain(t *testing.T) {
 	}
 }
 
+// A peer supplies every link of its chain, so a parent key of the
+// wrong length must fail verification, not panic ed25519.Verify.
+func TestVerifyRejectsMalformedParentKey(t *testing.T) {
+	ca := newTestCA(t)
+	user := issue(t, ca, "/CN=u")
+	proxy, err := user.Delegate(t0, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := *user.Leaf()
+	parent.PublicKey = []byte{1, 2, 3}
+	chain := []*Certificate{proxy.Leaf(), &parent}
+	if _, err := NewPool(ca).Verify(chain, t0); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("err = %v, want ErrBadSignature", err)
+	}
+}
+
 func TestVerifyRejectsNonProxyIntermediate(t *testing.T) {
 	ca := newTestCA(t)
 	user := issue(t, ca, "/CN=u")
