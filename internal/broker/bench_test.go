@@ -64,7 +64,7 @@ func BenchmarkSelection(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				br.matchPass(h, nil, func(c []candidate) { cands = len(c) })
+				br.matchPass(h, func(c []candidate) { cands = len(c) })
 				sim.RunFor(time.Hour)
 			}
 			b.StopTimer()

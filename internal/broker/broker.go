@@ -490,7 +490,7 @@ type Broker struct {
 	// matchOracle, when set, replaces the match pipeline. Only
 	// oracle_test.go sets it, to run whole scheduling scenarios on the
 	// naive whole-snapshot reference.
-	matchOracle func(h *Handle, excluded map[string]bool, cont func([]candidate))
+	matchOracle func(h *Handle, cont func([]candidate))
 }
 
 // agentEntry pairs a registered agent with its hosting site in the

@@ -39,7 +39,7 @@ func runSelection(t *testing.T, sim *simclock.Sim, b *Broker, job *jdl.Job) (*Ha
 	h := &Handle{request: Request{Job: job}}
 	var cands []candidate
 	done := false
-	b.matchPass(h, nil, func(c []candidate) { cands, done = c, true })
+	b.matchPass(h, func(c []candidate) { cands, done = c, true })
 	sim.RunFor(time.Hour)
 	if !done {
 		t.Fatal("selection pass did not complete")

@@ -235,7 +235,7 @@ func TestIncrementalTopKBoundsCandidates(t *testing.T) {
 	h := &Handle{request: Request{Job: job}}
 	var got []candidate
 	done := false
-	b.matchPass(h, nil, func(c []candidate) { got, done = c, true })
+	b.matchPass(h, func(c []candidate) { got, done = c, true })
 	sim.RunFor(time.Hour)
 	if !done {
 		t.Fatal("pass did not complete")
@@ -258,7 +258,7 @@ func TestIncrementalTopKBoundsCandidates(t *testing.T) {
 	churn(t, info, 1)
 	h = &Handle{request: Request{Job: job}}
 	done = false
-	b.matchPass(h, nil, func([]candidate) { done = true })
+	b.matchPass(h, func([]candidate) { done = true })
 	sim.RunFor(time.Hour)
 	if !done {
 		t.Fatal("second pass did not complete")
@@ -379,17 +379,17 @@ func TestScanOrderIndependent(t *testing.T) {
 		for _, tc := range []struct{ topk, kept int }{{0, 22}, {1, 1}, {16, 16}} {
 			sim, b := equivGrid(Config{Seed: 2006, TopK: tc.topk, Deterministic: det}, 4)
 			// 24 sites pass Requirements in three Preferred groups of 8.
-			// Excluding one of rank 3 and quarantining one of rank 2
-			// leaves groups of 7, 7 and 8: TopK 1 cuts inside the first,
-			// TopK 16 inside the last.
-			excluded := map[string]bool{"site02": true}
+			// Quarantining one of rank 3 and one of rank 2 leaves groups
+			// of 7, 7 and 8: TopK 1 cuts inside the first, TopK 16 inside
+			// the last.
+			b.quarantineNow("site02")
 			b.quarantineNow("site07")
 
 			snap := b.cfg.Info.(*infosys.Service).SnapshotImmediate()
 			page, _ := infosys.PinnedCursor([]*infosys.Snapshot{snap}, snap.Len()).Next()
 			feed := func(order []int) string {
 				h := &Handle{request: Request{Job: job}}
-				s := passScan{b: b, h: h, excluded: excluded, now: sim.Now(), nonce: 42}
+				s := passScan{b: b, h: h, now: sim.Now(), nonce: 42}
 				for _, i := range order {
 					s.record(snap.Schema(), page.Name(i), page.Values(i), page.RecordShared(i).FreeCPUs)
 				}
@@ -407,7 +407,7 @@ func TestScanOrderIndependent(t *testing.T) {
 				sorted[i], reversed[i] = i, n-1-i
 			}
 			want := feed(sorted)
-			if !strings.HasSuffix(want, fmt.Sprintf("] peak=%d scanned=30 unavailable=1", tc.kept)) {
+			if !strings.HasSuffix(want, fmt.Sprintf("] peak=%d scanned=30 unavailable=2", tc.kept)) {
 				t.Fatalf("det=%v topk=%d: name-sorted feed: %s", det, tc.topk, want)
 			}
 			orders := [][]int{reversed}

@@ -113,18 +113,15 @@ func (h *topkHeap) Push(x any)        { *h = append(*h, x.(probeTask)) }
 func (h *topkHeap) Pop() any          { old := *h; n := len(old) - 1; x := old[n]; *h = old[:n]; return x }
 
 // admit is the pipeline's admission stage: it resolves one enumerated
-// site name to its registered site, or rejects it. A name the pass was
-// told to exclude, and a stale record for an unregistered site, are
-// skipped silently (st nil); a site whose circuit breaker excludes it
+// site name to its registered site, or rejects it. A stale record for
+// an unregistered site is skipped silently (st nil); a site whose
+// circuit breaker excludes it
 // is skipped and reported unavailable — checked before registration,
 // because a stale record may still carry breaker state from before the
 // site was unregistered. One index lookup resolves site and breaker
 // together, and now is read once per pass: no virtual time passes
 // inside the synchronous source→keep-K stretch.
-func (b *Broker) admit(name string, excluded map[string]bool, now time.Time) (st *site.Site, unavailable bool) {
-	if excluded[name] {
-		return nil, false
-	}
+func (b *Broker) admit(name string, now time.Time) (st *site.Site, unavailable bool) {
 	ent, registered := b.scan[name]
 	hl := ent.hl
 	if !registered {
@@ -190,9 +187,9 @@ func (b *Broker) newTask(p *probeTask, st *site.Site, sc *infosys.Schema, vals [
 // held (heap), so the pass keeps O(PageSize + K) state no matter how
 // many sites match; with TopK <= 0 every match is kept. Survivors are
 // probed and re-ranked on fresh state by finishSelection.
-func (b *Broker) matchPass(h *Handle, excluded map[string]bool, cont func([]candidate)) {
+func (b *Broker) matchPass(h *Handle, cont func([]candidate)) {
 	if b.matchOracle != nil {
-		b.matchOracle(h, excluded, cont)
+		b.matchOracle(h, cont)
 		return
 	}
 	h.state = Matching
@@ -204,7 +201,7 @@ func (b *Broker) matchPass(h *Handle, excluded map[string]bool, cont func([]cand
 
 		sstart := b.sim.Now()
 		h.unavailable, h.scanned, h.peak = 0, 0, 0
-		s := passScan{b: b, h: h, excluded: excluded, now: sstart, nonce: b.rng.Uint64(), keep: b.getTasks()}
+		s := passScan{b: b, h: h, now: sstart, nonce: b.rng.Uint64(), keep: b.getTasks()}
 		for page, ok := cur.Next(); ok; page, ok = cur.Next() {
 			sc := page.Snapshot().Schema()
 			for i := 0; i < page.Len(); i++ {
@@ -236,12 +233,11 @@ func (b *Broker) matchPass(h *Handle, excluded map[string]bool, cont func([]cand
 // bounded heap it fills. Pure computation, no virtual time passes
 // inside it — the read's latency and the probes happen outside.
 type passScan struct {
-	b        *Broker
-	h        *Handle
-	excluded map[string]bool
-	now      time.Time
-	nonce    uint64
-	keep     topkHeap
+	b     *Broker
+	h     *Handle
+	now   time.Time
+	nonce uint64
+	keep  topkHeap
 }
 
 // record is the per-record stage, run for every record the registry
@@ -254,7 +250,7 @@ type passScan struct {
 func (s *passScan) record(sc *infosys.Schema, name string, vals []any, freeCPUs int) {
 	b, h, topk := s.b, s.h, s.b.cfg.TopK
 	h.scanned++
-	st, unavailable := b.admit(name, s.excluded, s.now)
+	st, unavailable := b.admit(name, s.now)
 	if unavailable {
 		h.unavailable++
 	}
@@ -439,7 +435,7 @@ type PassStats struct {
 // use it to measure the pipeline end to end.
 func (b *Broker) SelectionPassStatsAsync(job *jdl.Job, cont func(PassStats)) {
 	h := &Handle{request: Request{Job: job}}
-	b.matchPass(h, nil, func(cands []candidate) {
+	b.matchPass(h, func(cands []candidate) {
 		cont(PassStats{
 			Scanned:     h.scanned,
 			Candidates:  len(cands),

@@ -37,8 +37,8 @@ type oracleMatch struct {
 
 // useOracle routes every matchmaking pass of b through the oracle.
 func useOracle(b *Broker) *Broker {
-	b.matchOracle = func(h *Handle, excluded map[string]bool, cont func([]candidate)) {
-		oraclePass(b, h, excluded, cont)
+	b.matchOracle = func(h *Handle, cont func([]candidate)) {
+		oraclePass(b, h, cont)
 	}
 	return b
 }
@@ -70,7 +70,7 @@ func oracleRank(job *jdl.Job, rec infosys.SiteRecord, free, queued int) (float64
 	return job.Rank.EvalNumber(oracleAttrs(rec, free, queued))
 }
 
-func oraclePass(b *Broker, h *Handle, excluded map[string]bool, cont func([]candidate)) {
+func oraclePass(b *Broker, h *Handle, cont func([]candidate)) {
 	h.state = Matching
 	job := h.request.Job
 	dstart := b.sim.Now()
@@ -83,9 +83,6 @@ func oraclePass(b *Broker, h *Handle, excluded map[string]bool, cont func([]cand
 
 		var kept []oracleMatch
 		for _, rec := range recs {
-			if excluded[rec.Name] {
-				continue
-			}
 			if hl := b.health[rec.Name]; hl != nil && (sstart.Before(hl.quarantinedUntil) || hl.probing) {
 				h.unavailable++
 				continue
@@ -192,12 +189,12 @@ func (r passResult) String() string {
 		r.scanned, r.unavailable, r.peak, r.probing, r.cands)
 }
 
-func runPassResult(t *testing.T, sim *simclock.Sim, b *Broker, job *jdl.Job, excluded map[string]bool) passResult {
+func runPassResult(t *testing.T, sim *simclock.Sim, b *Broker, job *jdl.Job) passResult {
 	t.Helper()
 	h := &Handle{request: Request{Job: job}}
 	var cands []candidate
 	done := false
-	b.matchPass(h, excluded, func(c []candidate) { cands, done = c, true })
+	b.matchPass(h, func(c []candidate) { cands, done = c, true })
 	sim.RunFor(time.Hour)
 	if !done {
 		t.Fatal("matchmaking pass did not complete")
@@ -224,15 +221,13 @@ type propSite struct {
 
 // propGrid is one seeded random scenario, applied identically to every
 // arm: the sites, stale records published for sites no broker
-// registered, the breaker state to impose, a per-pass exclusion set, a
-// catalog and a job.
+// registered, the breaker state to impose, a catalog and a job.
 type propGrid struct {
 	sites       []propSite
 	stale       []infosys.SiteRecord
 	cooled      []string // tripped, cooldown over before the first pass: half-open
 	inFlight    []string // half-open with a probe-back still unanswered
 	quarantined []string // tripped, inside the cooldown at the first pass, half-open at the second
-	excluded    map[string]bool
 	cat         *datacat.Catalog
 	job         *jdl.Job
 	jobSrc      string
@@ -280,11 +275,6 @@ func randomPropGrid(t *testing.T, rng *rand.Rand) propGrid {
 	if len(g.stale) > 0 && rng.Intn(2) == 0 {
 		g.quarantined = append(g.quarantined, g.stale[0].Name) // stale record with breaker state
 	}
-	g.excluded = map[string]bool{}
-	for i, k := 0, rng.Intn(4); i < k; i++ {
-		g.excluded[name()] = true
-	}
-
 	links := datacat.NewLinks(netsim.CampusGrid())
 	links.SetBoth(name(), name(), netsim.WideArea())
 	g.cat = datacat.New(links)
@@ -375,13 +365,13 @@ func TestMatchPipelineAgreesWithOracle(t *testing.T) {
 			}
 			passes := func(b *Broker, sim *simclock.Sim, info *infosys.Service) [2]passResult {
 				var out [2]passResult
-				out[0] = runPassResult(t, sim, b, g.job, g.excluded)
+				out[0] = runPassResult(t, sim, b, g.job)
 				for _, rec := range g.churn {
 					if err := info.Publish(rec); err != nil {
 						t.Fatal(err)
 					}
 				}
-				out[1] = runPassResult(t, sim, b, g.job, nil)
+				out[1] = runPassResult(t, sim, b, g.job)
 				return out
 			}
 			with := func(cfg Config, shards int, index func(*infosys.Service), oracle bool) func() [2]passResult {

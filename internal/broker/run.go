@@ -122,7 +122,7 @@ func (b *Broker) runBatch(h *Handle) {
 		return
 	}
 	job := h.request.Job
-	b.matchPass(h, nil, func(cands []candidate) {
+	b.matchPass(h, func(cands []candidate) {
 		if h.scanned == 0 {
 			// Empty registry: nothing to match, now or later.
 			b.fail(h, ErrNoMatch)
@@ -336,7 +336,7 @@ func (b *Broker) freeAgentRemove(agent *glidein.Agent) {
 
 func (b *Broker) runInteractiveExclusive(h *Handle) {
 	job := h.request.Job
-	b.matchPass(h, nil, func(cands []candidate) {
+	b.matchPass(h, func(cands []candidate) {
 		if len(cands) == 0 {
 			b.fail(h, ErrNoMatch)
 			return
@@ -657,7 +657,7 @@ func (b *Broker) runInteractiveShared(h *Handle) {
 			}
 			// Fill the shortfall with fresh agents on idle machines, "in
 			// a similar way to the case of a batch job".
-			b.matchPass(h, nil, func(cands []candidate) {
+			b.matchPass(h, func(cands []candidate) {
 				var fillSite func(i int)
 				var fillAgent func(i int)
 				endSite := func(i int) {

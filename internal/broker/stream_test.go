@@ -64,7 +64,7 @@ func runMatchPass(t *testing.T, sim *simclock.Sim, b *Broker, job *jdl.Job) []ca
 	h := &Handle{request: Request{Job: job}}
 	var cands []candidate
 	done := false
-	b.matchPass(h, nil, func(c []candidate) { cands, done = c, true })
+	b.matchPass(h, func(c []candidate) { cands, done = c, true })
 	sim.RunFor(time.Hour)
 	if !done {
 		t.Fatal("matchmaking pass did not complete")
@@ -146,7 +146,7 @@ func TestStreamTopKBoundsCandidates(t *testing.T) {
 	h := &Handle{request: Request{Job: job}}
 	var got []candidate
 	done := false
-	b.matchPass(h, nil, func(c []candidate) { got, done = c, true })
+	b.matchPass(h, func(c []candidate) { got, done = c, true })
 	sim.RunFor(time.Hour)
 	if !done {
 		t.Fatal("pass did not complete")
