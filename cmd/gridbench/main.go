@@ -237,7 +237,6 @@ func day(seed int64) error {
 	if err != nil {
 		return err
 	}
-	cfg = experiments.DayConfig{Sites: 4, NodesPerSite: 4, Hours: 24, ArrivalsPerHour: 6, Seed: seed}
 	fmt.Println(experiments.RenderDay(cfg, rep))
 	return nil
 }

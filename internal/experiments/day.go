@@ -157,8 +157,10 @@ func Day(cfg DayConfig) (DayReport, error) {
 	return rep, nil
 }
 
-// RenderDay formats the report.
+// RenderDay formats the report of the day Day ran under cfg, whose
+// unset fields read as Day's defaults.
 func RenderDay(cfg DayConfig, rep DayReport) string {
+	cfg.setDefaults()
 	return fmt.Sprintf(`Day in the life: %d sites x %d nodes, %.1f arrivals/h for %dh (seed %d)
   submitted:            %d batch, %d interactive
   interactive outcome:  %d ok, %d failed, %d on interactive VMs

@@ -385,6 +385,10 @@ func TestDayReplay(t *testing.T) {
 	if !strings.Contains(out, "interactive outcome") {
 		t.Fatalf("render:\n%s", out)
 	}
+	// A config left to Day's defaults renders the grid Day ran.
+	if out := RenderDay(DayConfig{Seed: 5}, rep); !strings.Contains(out, "4 sites x 4 nodes, 6.0 arrivals/h for 24h (seed 5)") {
+		t.Fatalf("defaults not rendered:\n%s", out)
+	}
 }
 
 func TestDegreeSweepTradeoff(t *testing.T) {
