@@ -395,26 +395,38 @@ func TestTraceReaderNoReorderWindow(t *testing.T) {
 }
 
 // Ingest must stay frugal: the reorder heap, record parsing and user
-// interning together spend a small constant number of allocations per
-// record. The ceiling catches accidental per-record garbage (maps,
-// boxed heap entries, un-interned strings) sneaking back in.
+// interning together spend about one allocation per record (the line
+// string), in both formats. The ceiling catches accidental per-record
+// garbage (maps, boxed heap entries or records, per-line scratch,
+// un-interned strings) sneaking back in.
 func TestTraceReaderAllocsPerRecord(t *testing.T) {
 	const n = 2000
-	var sb strings.Builder
-	for i := int64(0); i < n; i++ {
-		sb.WriteString(swfLine(i+1, i*3))
-	}
-	src := sb.String()
-	avg := testing.AllocsPerRun(5, func() {
-		tr := NewTraceReader(strings.NewReader(src), FormatSWF, TraceReaderOptions{})
-		for {
-			if _, err := tr.Next(); err != nil {
-				break
-			}
+	for _, f := range []struct {
+		name   string
+		format TraceFormat
+		line   func(id, submit int64) string
+	}{
+		{"swf", FormatSWF, swfLine},
+		{"gwf", FormatGWF, func(id, submit int64) string {
+			return fmt.Sprintf("%d %d -1 60 1 -1 -1 1 -1 -1 1 %d 1 -1 -1 -1 2 2 UNITARY -1 -1 -1 -1 -1 -1 -1 -1 vo0 p1\n", id, submit, id%3)
+		}},
+	} {
+		var sb strings.Builder
+		for i := int64(0); i < n; i++ {
+			sb.WriteString(f.line(i+1, i*3))
 		}
-	})
-	if perRec := avg / n; perRec > 6 {
-		t.Fatalf("ingest allocates %.2f per record, ceiling 6", perRec)
+		src := sb.String()
+		avg := testing.AllocsPerRun(5, func() {
+			tr := NewTraceReader(strings.NewReader(src), f.format, TraceReaderOptions{})
+			for {
+				if _, err := tr.Next(); err != nil {
+					break
+				}
+			}
+		})
+		if perRec := avg / n; perRec > 2 {
+			t.Fatalf("%s ingest allocates %.2f per record, ceiling 2", f.name, perRec)
+		}
 	}
 }
 
