@@ -206,8 +206,14 @@ func (c *Column) fail(msg string) error {
 // unparseable (or non-finite, which the canonical serializer could
 // not round-trip) and anything below -1 to Missing.
 func (c *Column) Num() (float64, error) {
-	v, err := strconv.ParseFloat(c.Tok, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+	var v float64
+	if n, err := strconv.ParseInt(c.Tok, 10, 64); err == nil && (n != 0 || c.Tok[0] != '-') {
+		// Nearly every archive column is a decimal integer. ParseInt
+		// reads it faster than ParseFloat, and both round the same
+		// exact value to the nearest float64 ("-0" is left to
+		// ParseFloat, whose result keeps the sign).
+		v = float64(n)
+	} else if v, err = strconv.ParseFloat(c.Tok, 64); err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		if c.strict {
 			return 0, c.fail(fmt.Sprintf("%q is not a number", c.Tok))
 		}
