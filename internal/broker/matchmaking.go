@@ -115,10 +115,9 @@ func (h *topkHeap) Pop() any          { old := *h; n := len(old) - 1; x := old[n
 // admit is the pipeline's admission stage: it resolves one enumerated
 // site name to its registered site, or rejects it. A stale record for
 // an unregistered site is skipped silently (st nil); a site whose
-// circuit breaker excludes it
-// is skipped and reported unavailable — checked before registration,
-// because a stale record may still carry breaker state from before the
-// site was unregistered. One index lookup resolves site and breaker
+// circuit breaker excludes it is skipped and reported unavailable —
+// checked before registration, because a stale record may still carry
+// breaker state from before the site was unregistered. One index lookup resolves site and breaker
 // together, and now is read once per pass: no virtual time passes
 // inside the synchronous source→keep-K stretch.
 func (b *Broker) admit(name string, now time.Time) (st *site.Site, unavailable bool) {
