@@ -272,6 +272,9 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
+// Terminal reports whether the state is final: Done or Failed.
+func (s State) Terminal() bool { return s == Done || s == Failed }
+
 // Phases records the duration of each Table I step.
 type Phases struct {
 	// Discovery is the information-system query time.
@@ -710,7 +713,7 @@ func (b *Broker) WithdrawQueued(h *Handle) bool {
 // Requeue parks a job back in the broker queue (a federation transfer
 // that could not be delivered returns home through it).
 func (b *Broker) Requeue(h *Handle) {
-	if h.state == Done || h.state == Failed {
+	if h.state.Terminal() {
 		return
 	}
 	b.pendingBatch = append(b.pendingBatch, h)
@@ -741,7 +744,7 @@ func jobClass(job *jdl.Job) string {
 // flow observes the abort; a job waiting in the broker queue is
 // dropped at its next dispatch.
 func (b *Broker) Abort(h *Handle, reason error) {
-	if h.state == Done || h.state == Failed || h.abort.Fired() {
+	if h.state.Terminal() || h.abort.Fired() {
 		return
 	}
 	if reason == nil {
@@ -790,7 +793,7 @@ func (b *Broker) route(h *Handle) {
 }
 
 func (b *Broker) fail(h *Handle, err error) {
-	if h.state == Done || h.state == Failed {
+	if h.state.Terminal() {
 		return
 	}
 	h.state = Failed
@@ -805,7 +808,7 @@ func (b *Broker) fail(h *Handle, err error) {
 }
 
 func (b *Broker) finish(h *Handle) {
-	if h.state == Done || h.state == Failed {
+	if h.state.Terminal() {
 		return
 	}
 	h.state = Done

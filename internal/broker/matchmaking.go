@@ -636,7 +636,7 @@ func (b *Broker) dispatchPending() {
 	}
 	for _, h := range queue {
 		h := h
-		if h.state == Done || h.state == Failed {
+		if h.state.Terminal() {
 			continue
 		}
 		if h.abort.Fired() {

@@ -69,7 +69,7 @@ func TestCrashMidSubmissionNoDoubleAllocation(t *testing.T) {
 		g.sim.AfterFunc(2*time.Minute, g.sites[0].Restart)
 		g.sim.RunFor(30 * time.Minute)
 
-		if h.State() != Done && h.State() != Failed {
+		if !h.State().Terminal() {
 			t.Fatalf("off=%v: job not terminal: %v", off, h.State())
 		}
 		if n := g.b.LeasedCPUs(); n != 0 {

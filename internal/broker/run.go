@@ -114,7 +114,7 @@ func (rc *RunContext) slotDone() {
 // ---------------------------------------------------------------------
 
 func (b *Broker) runBatch(h *Handle) {
-	if h.state == Done || h.state == Failed {
+	if h.state.Terminal() {
 		return
 	}
 	if h.abort.Fired() {

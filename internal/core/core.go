@@ -328,7 +328,7 @@ func Drain[J Job](s *System, jobs []J, step time.Duration, rounds int) (pending 
 	for spent := 0; ; spent++ {
 		pending = pending[:0]
 		for _, j := range jobs {
-			if st := j.State(); st != broker.Done && st != broker.Failed {
+			if !j.State().Terminal() {
 				pending = append(pending, j)
 			}
 		}

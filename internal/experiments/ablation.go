@@ -119,17 +119,12 @@ func LeaseSweep(leases []time.Duration, jobs, sitesN int, seed int64) ([]LeaseSw
 		if submitErr != nil {
 			return LeaseSweepResult{}, submitErr
 		}
-		res := LeaseSweepResult{Lease: lease}
-		for _, h := range handles {
-			switch h.State() {
-			case broker.Done:
-				res.Succeeded++
-			default:
-				res.Failed++
-			}
-			res.Resubmissions += h.Resubmissions()
+		tally := tallyOf(handles)
+		if err := tally.pendingErr(); err != nil {
+			return LeaseSweepResult{}, err
 		}
-		return res, nil
+		return LeaseSweepResult{Lease: lease, Succeeded: tally.Done, Failed: tally.Failed,
+			Resubmissions: tally.Resubmissions}, nil
 	})
 }
 
@@ -176,16 +171,14 @@ func SelectionPolicy(jobs, sitesN int) ([]SelectionPolicyResult, error) {
 			handles = append(handles, h)
 		}
 		sim.RunFor(2 * time.Hour)
-		res := SelectionPolicyResult{Policy: name}
 		seen := map[string]bool{}
 		for _, h := range handles {
 			if h.State() == broker.Done {
 				seen[h.Site()] = true
 			}
-			res.Resubmissions += h.Resubmissions()
 		}
-		res.DistinctSites = len(seen)
-		return res, nil
+		return SelectionPolicyResult{Policy: name, DistinctSites: len(seen),
+			Resubmissions: tallyOf(handles).Resubmissions}, nil
 	}
 	return runCells(2, 0, func(i int) (SelectionPolicyResult, error) {
 		return run(i == 1)
@@ -292,14 +285,8 @@ func DegreeSweep(degrees []int, jobs int) ([]DegreeSweepResult, error) {
 		if submitErr != nil {
 			return DegreeSweepResult{}, submitErr
 		}
-		res := DegreeSweepResult{Degree: degree}
-		for _, h := range handles {
-			if h.State() == broker.Done {
-				res.Placed++
-			}
-		}
-		res.MeanBurst = burst.Summarize().Mean
-		return res, nil
+		return DegreeSweepResult{Degree: degree, Placed: tallyOf(handles).Done,
+			MeanBurst: burst.Summarize().Mean}, nil
 	})
 }
 

@@ -260,26 +260,13 @@ func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
 	sim.RunFor(cfg.Horizon)
 	core.Drain(sys, handles, 15*time.Minute, 8)
 
-	recovery := metrics.NewSeries("recovery")
-	p.Submitted = len(handles)
-	for _, h := range handles {
-		p.Resubmissions += h.Resubmissions()
-		switch h.State() {
-		case broker.Done:
-			p.Done++
-			if h.Resubmissions() > 0 {
-				recovery.AddDuration(h.Turnaround())
-			}
-		default:
-			p.Aborted++
-		}
+	tally := tallyOf(handles)
+	if err := tally.pendingErr(); err != nil {
+		return p, err
 	}
-	if p.Submitted > 0 {
-		p.GoodputPct = 100 * float64(p.Done) / float64(p.Submitted)
-	}
-	if recovery.Len() > 0 {
-		p.P99RecoverySec = recovery.Summarize().P99
-	}
+	sum := tally.Summary()
+	p.Submitted, p.Done, p.Aborted = len(handles), tally.Done, tally.Failed
+	p.Resubmissions, p.GoodputPct, p.P99RecoverySec = tally.Resubmissions, sum.GoodputPct, sum.Recovery.P99
 	p.LeakedLeases = b.LeasedCPUs()
 	p.Trace = sys.Tracer.Snapshot(fmt.Sprintf("rate=%g", rate))
 	for _, line := range inj.Applied() {

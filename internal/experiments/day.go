@@ -8,7 +8,6 @@ import (
 	"crossbroker/internal/core"
 	"crossbroker/internal/fairshare"
 	"crossbroker/internal/jdl"
-	"crossbroker/internal/metrics"
 	"crossbroker/internal/workload"
 )
 
@@ -89,11 +88,7 @@ func Day(cfg DayConfig) (DayReport, error) {
 	mix := workload.NewMix(cfg.Seed + 100)
 	horizon := time.Duration(cfg.Hours) * time.Hour
 
-	type tracked struct {
-		h   *broker.Handle
-		job workload.Job
-	}
-	var all []tracked
+	var inter, batch []*broker.Handle
 	var submitErr error
 
 	// Arrival process: schedule the next submission recursively.
@@ -101,12 +96,12 @@ func Day(cfg DayConfig) (DayReport, error) {
 	arrive = func() {
 		j := mix.Next()
 		req := broker.Request{User: j.User, CPU: j.CPU}
+		kind := &batch
 		if j.Kind == workload.InteractiveJob {
-			rep.Interactive++
+			kind = &inter
 			req.Job = &jdl.Job{Executable: "iapp", Interactive: true, NodeNumber: 1,
 				Access: jdl.SharedAccess, PerformanceLoss: j.PerformanceLoss}
 		} else {
-			rep.Batch++
 			req.Job = &jdl.Job{Executable: "bapp", NodeNumber: 1}
 		}
 		h, err := b.Submit(req)
@@ -114,7 +109,7 @@ func Day(cfg DayConfig) (DayReport, error) {
 			submitErr = err
 			return
 		}
-		all = append(all, tracked{h: h, job: j})
+		*kind = append(*kind, h)
 		sim.AfterFunc(arrivals.Next(), arrive)
 	}
 	sim.AfterFunc(arrivals.Next(), arrive)
@@ -123,37 +118,17 @@ func Day(cfg DayConfig) (DayReport, error) {
 	if submitErr != nil {
 		return rep, submitErr
 	}
-	// Stop generating; let in-flight work settle briefly without new
-	// arrivals (the recursive AfterFunc chain ends when we stop
-	// running past scheduled events... drain by running a bounded
-	// tail window instead).
+	// The report is read at the horizon, with no drain: work still in
+	// flight then counts in neither outcome, and the broker's queue
+	// depth is reported as is.
 	rep.PendingAtEnd = b.PendingBatch()
 
-	startup := metrics.NewSeries("startup")
-	turnaround := metrics.NewSeries("turnaround")
-	for _, tr := range all {
-		if tr.job.Kind == workload.InteractiveJob {
-			switch tr.h.State() {
-			case broker.Done:
-				rep.InteractiveOK++
-				startup.AddDuration(tr.h.Phases.Submission)
-				if tr.h.Shared() {
-					rep.SharedPlacements++
-				}
-			case broker.Failed:
-				rep.InteractiveFailed++
-			}
-		} else if tr.h.State() == broker.Done {
-			rep.BatchDone++
-			turnaround.AddDuration(tr.h.Turnaround())
-		}
-	}
-	if startup.Len() > 0 {
-		rep.MeanInteractiveStartup = startup.Summarize().Mean
-	}
-	if turnaround.Len() > 0 {
-		rep.MeanBatchTurnaround = turnaround.Summarize().Mean / 3600
-	}
+	it, bt := tallyOf(inter), tallyOf(batch)
+	rep.Batch, rep.Interactive = len(batch), len(inter)
+	rep.InteractiveOK, rep.InteractiveFailed = it.Done, it.Failed
+	rep.SharedPlacements, rep.BatchDone = it.SharedPlacements, bt.Done
+	rep.MeanInteractiveStartup = it.Summary().Startup.Mean
+	rep.MeanBatchTurnaround = bt.Summary().Turnaround.Mean / 3600
 	return rep, nil
 }
 

@@ -240,27 +240,18 @@ func federationPoint(topo string, k int, rate float64, idx int64, cfg Federation
 	core.Drain(sys, refs, 15*time.Minute, 12)
 	fed.Reconcile()
 
-	p.Submitted = len(refs)
+	var tally Tally
 	for _, jr := range refs {
-		h := jr.Handle()
-		if h != nil {
-			p.Resubmissions += h.Resubmissions()
-		}
-		switch jr.State() {
-		case broker.Done:
-			p.Done++
-		case broker.Failed:
-			p.Failed++
-		default:
-			return p, fmt.Errorf("job %s never reached a terminal state (owner %s)", jr.ID, jr.Owner())
-		}
+		tally.Add(jr.Handle())
 		if origin := strings.SplitN(jr.ID, "-", 2)[0]; jr.Owner() != origin {
 			p.Migrated++
 		}
 	}
-	if p.Submitted > 0 {
-		p.GoodputPct = 100 * float64(p.Done) / float64(p.Submitted)
+	if err := tally.pendingErr(); err != nil {
+		return p, err
 	}
+	p.Submitted, p.Done, p.Failed = len(refs), tally.Done, tally.Failed
+	p.Resubmissions, p.GoodputPct = tally.Resubmissions, tally.Summary().GoodputPct
 	for _, st := range sys.Sites {
 		if mi := st.Stats().MaxInflight; mi > p.CommitRaces {
 			p.CommitRaces = mi

@@ -145,7 +145,6 @@ func loadPoint(load float64, mp bool, cfg LoadSweepConfig) (LoadPoint, error) {
 	if mp {
 		access = jdl.SharedAccess
 	}
-	startup := metrics.NewSeries("startup")
 	var inter []*broker.Handle
 	for i := 0; i < cfg.Interactive; i++ {
 		h, err := b.Submit(broker.Request{
@@ -162,33 +161,18 @@ func loadPoint(load float64, mp bool, cfg LoadSweepConfig) (LoadPoint, error) {
 	}
 	sim.RunFor(30 * time.Minute)
 
-	p.Submitted = len(inter)
-	for _, h := range inter {
-		switch h.State() {
-		case broker.Done:
-			p.Succeeded++
-			startup.AddDuration(h.Phases.Submission)
-		default:
-			p.Failed++
-		}
+	interTally := tallyOf(inter)
+	if err := interTally.pendingErr(); err != nil {
+		return p, err
 	}
-	if startup.Len() > 0 {
-		p.MeanStartup = startup.Summarize().Mean
-	}
+	p.Submitted, p.Succeeded, p.Failed = len(inter), interTally.Done, interTally.Failed
+	p.MeanStartup = interTally.Summary().Startup.Mean
 
 	// Run the grid until the batch jobs finish; their mean turnaround
 	// feeds the slowdown comparison against the exclusive-only run at
 	// the same load (where nothing shares their nodes).
 	sim.RunFor(cfg.BatchWork * 3)
-	batchElapsed := metrics.NewSeries("batch-turnaround")
-	for _, h := range batchHandles {
-		if h.State() == broker.Done {
-			batchElapsed.AddDuration(h.Turnaround())
-		}
-	}
-	if batchElapsed.Len() > 0 {
-		p.meanBatchElapsed = batchElapsed.Summarize().Mean
-	}
+	p.meanBatchElapsed = tallyOf(batchHandles).Summary().Turnaround.Mean
 	return p, nil
 }
 

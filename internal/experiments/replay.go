@@ -154,10 +154,8 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 	var (
 		submitErr  error
 		maxRuntime time.Duration
-		terminal   int
 		drained    bool
-		startup    = metrics.NewSeries("startup")
-		turnaround = metrics.NewSeries("turnaround")
+		tally      Tally
 	)
 
 	// Jobs in flight are pooled records: a description is only
@@ -167,10 +165,9 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 	// churning the heap. Each record binds its Done hook once, when it
 	// is first made.
 	type inFlight struct {
-		jd          jdl.Job
-		h           *broker.Handle
-		interactive bool
-		done        func()
+		jd   jdl.Job
+		h    *broker.Handle
+		done func()
 	}
 	var free []*inFlight
 	newInFlight := func() *inFlight {
@@ -185,23 +182,7 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 		// handle slice, no end-of-run scan, so memory stays constant
 		// in trace length.
 		r.done = func() {
-			h := r.h
-			terminal++
-			p.Resubmissions += h.Resubmissions()
-			switch h.State() {
-			case broker.Done:
-				p.Done++
-				if r.interactive {
-					startup.AddDuration(h.Phases.Submission)
-					if h.Shared() {
-						p.SharedPlacements++
-					}
-				} else {
-					turnaround.AddDuration(h.Turnaround())
-				}
-			case broker.Failed:
-				p.Failed++
-			}
+			tally.Add(r.h)
 			r.h = nil
 			free = append(free, r)
 		}
@@ -225,8 +206,7 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 		if nodes > 1 {
 			jd.Flavor = jdl.MPICHP4
 		}
-		r.interactive = j.Kind == workload.InteractiveJob
-		if r.interactive {
+		if j.Kind == workload.InteractiveJob {
 			p.Interactive++
 			jd.Executable = "iapp"
 			jd.Interactive = true
@@ -288,7 +268,7 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 			return p, submitErr
 		}
 		if drained {
-			if terminal >= p.Submitted {
+			if tally.Done+tally.Failed >= p.Submitted {
 				break
 			}
 			if waited >= maxRuntime+48*time.Hour {
@@ -298,21 +278,18 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 		}
 		sim.RunFor(chunk)
 	}
-	p.Pending = p.Submitted - terminal
+	// A job still in flight never fired its hook, so the tally learns
+	// of it here.
+	tally.Pending = p.Submitted - tally.Done - tally.Failed
+	p.Done, p.Failed, p.Pending = tally.Done, tally.Failed, tally.Pending
+	p.Resubmissions, p.SharedPlacements = tally.Resubmissions, tally.SharedPlacements
+	sum := tally.Summary()
+	p.GoodputPct = sum.GoodputPct
+	p.MeanStartupSec, p.P95StartupSec = sum.Startup.Mean, sum.Startup.P95
+	p.MeanTurnaroundH, p.P95TurnaroundH = sum.Turnaround.Mean/3600, sum.Turnaround.P95/3600
 	p.SimSeconds = sim.Now().Sub(simStart).Seconds()
 	if p.SimSeconds > 0 {
 		p.SimJobsPerSec = float64(p.Submitted) / p.SimSeconds
-	}
-	if p.Submitted > 0 {
-		p.GoodputPct = 100 * float64(p.Done) / float64(p.Submitted)
-	}
-	if startup.Len() > 0 {
-		s := startup.Summarize()
-		p.MeanStartupSec, p.P95StartupSec = s.Mean, s.P95
-	}
-	if turnaround.Len() > 0 {
-		s := turnaround.Summarize()
-		p.MeanTurnaroundH, p.P95TurnaroundH = s.Mean/3600, s.P95/3600
 	}
 	p.Trace = sys.Tracer.Snapshot(fmt.Sprintf("speedup=%g", speedup))
 	return p, nil
