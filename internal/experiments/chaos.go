@@ -34,6 +34,8 @@ type ChaosPoint struct {
 	Submitted int `json:"submitted"`
 	Done      int `json:"done"`
 	Aborted   int `json:"aborted"`
+	// FailedBy splits Aborted by reason (Tally.FailedBy).
+	FailedBy map[string]int `json:"failed_by,omitempty"`
 	// Resubmissions is the total failure-driven resubmission count
 	// across all jobs.
 	Resubmissions int `json:"resubmissions"`
@@ -265,7 +267,7 @@ func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
 		return p, err
 	}
 	sum := tally.Summary()
-	p.Submitted, p.Done, p.Aborted = len(handles), tally.Done, tally.Failed
+	p.Submitted, p.Done, p.Aborted, p.FailedBy = len(handles), tally.Done, tally.Failed, tally.FailedBy
 	p.Resubmissions, p.GoodputPct, p.P99RecoverySec = tally.Resubmissions, sum.GoodputPct, sum.Recovery.P99
 	p.LeakedLeases = b.LeasedCPUs()
 	p.Trace = sys.Tracer.Snapshot(fmt.Sprintf("rate=%g", rate))

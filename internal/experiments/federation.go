@@ -43,6 +43,8 @@ type FederationPoint struct {
 	Submitted int `json:"submitted"`
 	Done      int `json:"done"`
 	Failed    int `json:"failed"`
+	// FailedBy splits Failed by reason (Tally.FailedBy).
+	FailedBy map[string]int `json:"failed_by,omitempty"`
 	// Offloads, Accepted and Orphaned count transfer-protocol events
 	// in the merged trace (Orphaned covers lost requests, lost acks
 	// and peer-crash reclaims).
@@ -250,7 +252,7 @@ func federationPoint(topo string, k int, rate float64, idx int64, cfg Federation
 	if err := tally.pendingErr(); err != nil {
 		return p, err
 	}
-	p.Submitted, p.Done, p.Failed = len(refs), tally.Done, tally.Failed
+	p.Submitted, p.Done, p.Failed, p.FailedBy = len(refs), tally.Done, tally.Failed, tally.FailedBy
 	p.Resubmissions, p.GoodputPct = tally.Resubmissions, tally.Summary().GoodputPct
 	for _, st := range sys.Sites {
 		if mi := st.Stats().MaxInflight; mi > p.CommitRaces {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"crossbroker/internal/broker"
@@ -37,6 +39,8 @@ type ReplayPoint struct {
 	Done    int `json:"done"`
 	Failed  int `json:"failed"`
 	Pending int `json:"pending"`
+	// FailedBy splits Failed by reason (Tally.FailedBy).
+	FailedBy map[string]int `json:"failed_by,omitempty"`
 	// GoodputPct is Done/Submitted.
 	GoodputPct float64 `json:"goodput_pct"`
 	// MeanStartupSec and P95StartupSec summarize submission-to-first-
@@ -281,7 +285,7 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 	// A job still in flight never fired its hook, so the tally learns
 	// of it here.
 	tally.Pending = p.Submitted - tally.Done - tally.Failed
-	p.Done, p.Failed, p.Pending = tally.Done, tally.Failed, tally.Pending
+	p.Done, p.Failed, p.FailedBy, p.Pending = tally.Done, tally.Failed, tally.FailedBy, tally.Pending
 	p.Resubmissions, p.SharedPlacements = tally.Resubmissions, tally.SharedPlacements
 	sum := tally.Summary()
 	p.GoodputPct = sum.GoodputPct
@@ -295,7 +299,8 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 	return p, nil
 }
 
-// RenderReplay formats the sweep as a results table.
+// RenderReplay formats the sweep as a results table, followed by one
+// line per point with failures that splits them by reason.
 func RenderReplay(points []ReplayPoint) string {
 	t := metrics.NewTable("Speedup", "Jobs", "Inter", "Batch", "Done", "Failed",
 		"Goodput", "Startup mean/p95 (s)", "Turnaround mean/p95 (h)", "Shared", "Capped")
@@ -312,5 +317,16 @@ func RenderReplay(points []ReplayPoint) string {
 			fmt.Sprintf("%d", p.SharedPlacements),
 			fmt.Sprintf("%d", p.CappedWidths))
 	}
-	return t.String()
+	out := t.String()
+	for _, p := range points {
+		var reasons []string
+		for r, n := range p.FailedBy {
+			reasons = append(reasons, fmt.Sprintf("%s %d", r, n))
+		}
+		if len(reasons) > 0 {
+			sort.Strings(reasons)
+			out += fmt.Sprintf("failed at speedup %g: %s\n", p.Speedup, strings.Join(reasons, ", "))
+		}
+	}
+	return out
 }

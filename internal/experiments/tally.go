@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"crossbroker/internal/broker"
 	"crossbroker/internal/metrics"
+	"crossbroker/internal/site"
 )
 
 // Tally is the one account of how a run's jobs ended: every driver
@@ -14,6 +16,9 @@ import (
 type Tally struct {
 	// Done, Failed and Pending partition the jobs added.
 	Done, Failed, Pending int
+	// FailedBy splits Failed by the reason a job's error names (see
+	// failureReasons); nil while nothing failed.
+	FailedBy map[string]int
 	// Resubmissions sums every added job's resubmissions.
 	Resubmissions int
 	// SharedPlacements counts done interactive jobs that ran on an
@@ -50,9 +55,42 @@ func (t *Tally) Add(h *broker.Handle) {
 		}
 	case broker.Failed:
 		t.Failed++
+		if t.FailedBy == nil {
+			t.FailedBy = make(map[string]int)
+		}
+		t.FailedBy[failureReason(h.Err())]++
 	default:
 		t.Pending++
 	}
+}
+
+// failureReasons names the broker's and the site's failure sentinels.
+// A failed job takes the first one its error wraps: ErrMaxResubmits
+// leads because it carries the last attempt's cause.
+var failureReasons = []struct {
+	err  error
+	name string
+}{
+	{broker.ErrMaxResubmits, "max-resubmits"},
+	{broker.ErrNoResources, "no-resources"},
+	{broker.ErrRejected, "rejected"},
+	{broker.ErrNoMatch, "no-match"},
+	{broker.ErrAborted, "aborted"},
+	{broker.ErrSiteLost, "site-lost"},
+	{broker.ErrAgentLost, "agent-lost"},
+	{site.ErrSiteDown, "site-down"},
+	{site.ErrCommitAborted, "commit-aborted"},
+	{site.ErrGatekeeperTimeout, "gatekeeper-timeout"},
+}
+
+// failureReason names err by the first sentinel it wraps, or "other".
+func failureReason(err error) string {
+	for _, r := range failureReasons {
+		if errors.Is(err, r.err) {
+			return r.name
+		}
+	}
+	return "other"
 }
 
 // tallyOf adds every handle to a fresh tally.
