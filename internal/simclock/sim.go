@@ -323,7 +323,6 @@ func (s *Sim) step(limit time.Time, hasLimit bool) bool {
 	}
 	e := s.events[0]
 	if hasLimit && e.at.After(limit) {
-		s.now = limit
 		return false
 	}
 	s.events.pop()
@@ -354,11 +353,14 @@ func (s *Sim) Run() time.Time {
 }
 
 // RunUntil executes events with timestamps not after t, then sets the
-// clock to t.
+// clock to t if t is later than now. The clock never moves backwards.
 func (s *Sim) RunUntil(t time.Time) time.Time {
 	for s.step(t, true) {
 	}
-	return s.Now()
+	if t.After(s.now) {
+		s.now = t
+	}
+	return s.now
 }
 
 // RunFor advances the clock by d, executing all events in the window.

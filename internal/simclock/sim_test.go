@@ -133,6 +133,34 @@ func TestSimRunUntilStopsAtLimit(t *testing.T) {
 	}
 }
 
+// TestSimRunUntilMovesClockForwardOnly holds RunUntil to its doc at
+// both edges: with nothing pending the clock still reaches the target,
+// and a target in the past never moves the clock backwards, even with
+// an event pending.
+func TestSimRunUntilMovesClockForwardOnly(t *testing.T) {
+	t.Run("empty queue", func(t *testing.T) {
+		s := NewSim(time.Time{})
+		start := s.Now()
+		if got := s.RunFor(time.Hour).Sub(start); got != time.Hour {
+			t.Fatalf("RunFor(1h) on an empty queue left the clock at +%v", got)
+		}
+	})
+	t.Run("past target", func(t *testing.T) {
+		s := NewSim(time.Time{})
+		start := s.Now()
+		fired := false
+		s.AfterFunc(2*time.Hour, func() { fired = true })
+		s.RunFor(time.Hour)
+		if got := s.RunUntil(start.Add(30 * time.Minute)).Sub(start); got != time.Hour {
+			t.Fatalf("RunUntil(+30m) at +1h moved the clock to +%v", got)
+		}
+		s.Run()
+		if !fired || s.Since(start) != 2*time.Hour {
+			t.Fatalf("pending event: fired=%v, clock at +%v", fired, s.Since(start))
+		}
+	})
+}
+
 func TestSimProcessSleep(t *testing.T) {
 	s := NewSim(time.Time{})
 	start := s.Now()
