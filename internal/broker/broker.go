@@ -445,14 +445,13 @@ type Broker struct {
 	sim *simclock.Sim
 	rng *rand.Rand
 
-	sites      map[string]*site.Site
-	agents     map[string]*glidein.Agent
-	agentSites map[*glidein.Agent]*site.Site
-	// watching lists, per live agent, the shared-VM placements running
-	// on it (run.go), notified by the agent's one Released callback.
-	watching map[*glidein.Agent][]*placement
-	leases   map[string]*leaseQueue // site -> lease expiry batches
-	health   map[string]*siteHealth // site -> circuit-breaker state
+	sites map[string]*site.Site
+	// agents is the local registry of glide-in agents: every live agent,
+	// with the shared-VM placements running on it (run.go), which the
+	// agent's one Released callback notifies.
+	agents map[*glidein.Agent][]*placement
+	leases map[string]*leaseQueue // site -> lease expiry batches
+	health map[string]*siteHealth // site -> circuit-breaker state
 
 	// scan is the matchmaking-pass index: one lookup resolves a
 	// published record's registered site and its breaker state
@@ -463,17 +462,16 @@ type Broker struct {
 	scan map[string]scanEntry
 
 	// freeAgents tracks agents with a free interactive VM, sorted by
-	// agent ID. The list is exact: agents enter when they become
-	// ready or a VM frees up (OnFree) and leave when the last VM is
-	// taken (OnBusy) or on release, so an interactive submission
-	// scans only true candidates without polling FreeSlots — the old
-	// registry-wide scan was the dominant per-job cost on large
-	// grids, and the lazy busy-eviction walk that replaced it still
-	// paid a pointer-chasing Free() check per entry.
-	// freeSet is the membership index; freeScratch and reqMemo are
-	// per-call scratch storage for freeAgentsMatching.
-	freeAgents  []agentEntry
-	freeSet     map[*glidein.Agent]bool
+	// agent ID, which is unique: membership is a binary search. The
+	// list is exact: agents enter when they become ready or a VM frees
+	// up (OnFree) and leave when the last VM is taken (OnBusy) or on
+	// release, so an interactive submission scans only true candidates
+	// without polling FreeSlots — the old registry-wide scan was the
+	// dominant per-job cost on large grids, and the lazy busy-eviction
+	// walk that replaced it still paid a pointer-chasing Free() check
+	// per entry. freeScratch and reqMemo are per-call scratch storage
+	// for freeAgentsMatching.
+	freeAgents  []*glidein.Agent
 	freeScratch []*glidein.Agent
 	reqMemo     map[string]bool // site name -> Requirements pass
 	taskPool    [][]probeTask   // recycled matchmaking scratch, see getTasks
@@ -496,13 +494,6 @@ type Broker struct {
 	matchOracle func(h *Handle, cont func([]candidate))
 }
 
-// agentEntry pairs a registered agent with its hosting site in the
-// sorted registry slice.
-type agentEntry struct {
-	agent *glidein.Agent
-	site  *site.Site
-}
-
 // scanEntry is one site's slot in the matchmaking scan index. hl is
 // the same pointer held in the health map (nil until the breaker
 // records its first interaction).
@@ -521,16 +512,14 @@ func New(cfg Config) *Broker {
 		panic("broker: Config.Info is required")
 	}
 	b := &Broker{
-		cfg:        cfg,
-		sim:        cfg.Sim,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		sites:      make(map[string]*site.Site),
-		agents:     make(map[string]*glidein.Agent),
-		agentSites: make(map[*glidein.Agent]*site.Site),
-		watching:   make(map[*glidein.Agent][]*placement),
-		leases:     make(map[string]*leaseQueue),
-		health:     make(map[string]*siteHealth),
-		scan:       make(map[string]scanEntry),
+		cfg:    cfg,
+		sim:    cfg.Sim,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		sites:  make(map[string]*site.Site),
+		agents: make(map[*glidein.Agent][]*placement),
+		leases: make(map[string]*leaseQueue),
+		health: make(map[string]*siteHealth),
+		scan:   make(map[string]scanEntry),
 	}
 	if src, ok := cfg.Info.(infosys.DeltaSource); ok && src.ServesSubscriptions() {
 		b.sub = newSubscriber(b, src)
@@ -586,22 +575,14 @@ func (b *Broker) UnregisterSite(name string) {
 
 // FreeAgents reports how many registered agents have a free
 // interactive VM.
-func (b *Broker) FreeAgents() int {
-	n := 0
-	for _, a := range b.agents {
-		if a.Free() {
-			n++
-		}
-	}
-	return n
-}
+func (b *Broker) FreeAgents() int { return len(b.freeAgents) }
 
 // FreeInteractiveVMs reports the total free interactive VM count
 // across registered agents (differs from FreeAgents when the
 // multiprogramming degree exceeds one).
 func (b *Broker) FreeInteractiveVMs() int {
 	n := 0
-	for _, a := range b.agents {
+	for _, a := range b.freeAgents {
 		n += a.FreeSlots()
 	}
 	return n
@@ -1057,20 +1038,18 @@ func (b *Broker) LeasedCPUs() int {
 
 // KillAgentAt kills one glide-in agent on the named site (fault
 // injection: the glide-in process dies), reporting whether an agent
-// was there to kill. Agents are picked in sorted-ID order so a seeded
-// fault schedule stays deterministic.
+// was there to kill. The agent with the smallest ID is picked, so a
+// seeded fault schedule stays deterministic.
 func (b *Broker) KillAgentAt(siteName string) bool {
-	ids := make([]string, 0, len(b.agents))
-	for id := range b.agents {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		a := b.agents[id]
-		if st := b.agentSites[a]; st != nil && st.Name() == siteName {
-			a.Die()
-			return true
+	var victim *glidein.Agent
+	for a := range b.agents {
+		if a.Site().Name() == siteName && (victim == nil || a.ID() < victim.ID()) {
+			victim = a
 		}
 	}
-	return false
+	if victim == nil {
+		return false
+	}
+	victim.Die()
+	return true
 }

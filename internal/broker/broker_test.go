@@ -220,10 +220,10 @@ Requirements = `+requirements+`;`)
 		var hosts []string
 		var h *Handle
 		h, err := g.b.Submit(Request{Job: job, User: "u", Body: func(rc *RunContext) {
-			for a, ps := range g.b.watching {
+			for a, ps := range g.b.agents {
 				for _, p := range ps {
 					if p.h == h {
-						hosts = append(hosts, g.b.agentSites[a].Name())
+						hosts = append(hosts, a.Site().Name())
 					}
 				}
 			}

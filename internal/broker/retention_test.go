@@ -74,13 +74,13 @@ func TestSharedJobsLeaveNoRegistrations(t *testing.T) {
 	// Per agent: the glide-in's own two, the broker's wireAgent hook and
 	// the hosted batch payload's wait.
 	const maxReleased = 4
-	for id, a := range g.b.agents {
+	for a, ps := range g.b.agents {
 		if n := a.Released().Registered(); n > maxReleased {
 			t.Errorf("agent %s: Released holds %d registrations after %d jobs, want at most %d",
-				id, n, len(handles), maxReleased)
+				a.ID(), n, len(handles), maxReleased)
 		}
-		if ps := g.b.watching[a]; len(ps) != 0 {
-			t.Errorf("agent %s: %d placements still listed", id, len(ps))
+		if len(ps) != 0 {
+			t.Errorf("agent %s: %d placements still listed", a.ID(), len(ps))
 		}
 	}
 }

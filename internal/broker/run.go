@@ -208,7 +208,7 @@ func (b *Broker) runBatch(h *Handle) {
 						return
 					}
 					b.noteSiteSuccess(st.Name())
-					b.wireAgent(agent, st)
+					b.wireAgent(agent)
 
 					bh.Started.OnFire(func() {
 						b.unlease(h, st.Name(), 1)
@@ -260,12 +260,11 @@ func (b *Broker) runBatch(h *Handle) {
 
 // wireAgent registers a live agent in the broker's local registry and
 // hooks fair-share reclassification and availability callbacks.
-func (b *Broker) wireAgent(agent *glidein.Agent, st *site.Site) {
-	b.agentSites[agent] = st
-	b.agents[agent.ID()] = agent
+func (b *Broker) wireAgent(agent *glidein.Agent) {
+	b.agents[agent] = nil
 	agent.Ready().OnFire(func() {
 		if agent.Free() {
-			b.freeAgentAdd(agent, st)
+			b.freeAgentAdd(agent)
 		}
 	})
 	if b.cfg.Fair != nil {
@@ -277,54 +276,45 @@ func (b *Broker) wireAgent(agent *glidein.Agent, st *site.Site) {
 		}
 	}
 	agent.OnFree = func(*glidein.Agent) {
-		b.freeAgentAdd(agent, st)
+		b.freeAgentAdd(agent)
 		b.kickDispatch()
 	}
 	agent.OnBusy = func(*glidein.Agent) {
 		b.freeAgentRemove(agent)
 	}
 	agent.Released().OnFire(func() {
-		delete(b.agents, agent.ID())
-		delete(b.agentSites, agent)
 		b.freeAgentRemove(agent)
 		b.kickDispatch()
 		// The placements running on the agent learn of its death one
 		// heartbeat later, in the order they started.
-		for _, p := range b.watching[agent] {
+		for _, p := range b.agents[agent] {
 			b.sim.AfterFunc(b.cfg.AgentHeartbeat, p.loseAgent)
 		}
-		delete(b.watching, agent)
+		delete(b.agents, agent)
 	})
+}
+
+// freeAgentIndex is where agent sits, or would sit, in the ID-sorted
+// free list, and whether it is there.
+func (b *Broker) freeAgentIndex(agent *glidein.Agent) (int, bool) {
+	id := agent.ID()
+	i := sort.Search(len(b.freeAgents), func(k int) bool { return b.freeAgents[k].ID() >= id })
+	return i, i < len(b.freeAgents) && b.freeAgents[i] == agent
 }
 
 // freeAgentAdd records an agent with a free interactive VM in the
 // ID-sorted candidate list (no-op if already present).
-func (b *Broker) freeAgentAdd(agent *glidein.Agent, st *site.Site) {
-	if b.freeSet[agent] {
-		return
+func (b *Broker) freeAgentAdd(agent *glidein.Agent) {
+	if i, ok := b.freeAgentIndex(agent); !ok {
+		b.freeAgents = slices.Insert(b.freeAgents, i, agent)
 	}
-	if b.freeSet == nil {
-		b.freeSet = make(map[*glidein.Agent]bool)
-	}
-	b.freeSet[agent] = true
-	id := agent.ID()
-	i := sort.Search(len(b.freeAgents), func(k int) bool { return b.freeAgents[k].agent.ID() >= id })
-	b.freeAgents = append(b.freeAgents, agentEntry{})
-	copy(b.freeAgents[i+1:], b.freeAgents[i:])
-	b.freeAgents[i] = agentEntry{agent, st}
 }
 
 // freeAgentRemove drops an agent from the candidate list (no-op if
 // absent).
 func (b *Broker) freeAgentRemove(agent *glidein.Agent) {
-	if !b.freeSet[agent] {
-		return
-	}
-	delete(b.freeSet, agent)
-	id := agent.ID()
-	i := sort.Search(len(b.freeAgents), func(k int) bool { return b.freeAgents[k].agent.ID() >= id })
-	if i < len(b.freeAgents) && b.freeAgents[i].agent == agent {
-		b.freeAgents = append(b.freeAgents[:i], b.freeAgents[i+1:]...)
+	if i, ok := b.freeAgentIndex(agent); ok {
+		b.freeAgents = slices.Delete(b.freeAgents, i, i+1)
 	}
 }
 
@@ -691,7 +681,7 @@ func (b *Broker) runInteractiveShared(h *Handle) {
 								endSite(i)
 								return
 							}
-							b.wireAgent(agent, cands[i].site)
+							b.wireAgent(agent)
 							b.waitTrigger(agent.Ready(), b.cfg.QueueTimeout, func(ready bool) {
 								if !ready {
 									cands[i].site.Queue().Kill(bh.ID())
@@ -739,16 +729,14 @@ func (b *Broker) runInteractiveShared(h *Handle) {
 func (b *Broker) freeAgentsMatching(job *jdl.Job, need int) []*glidein.Agent {
 	out := b.freeScratch[:0]
 	if job.Requirements == nil {
-		for _, e := range b.freeAgents {
-			out = append(out, e.agent)
-		}
+		out = append(out, b.freeAgents...)
 	} else if len(b.freeAgents) > 0 {
 		if b.reqMemo == nil {
 			b.reqMemo = make(map[string]bool)
 		}
 		clear(b.reqMemo)
-		for _, e := range b.freeAgents {
-			b.reqMemo[e.site.Name()] = false
+		for _, a := range b.freeAgents {
+			b.reqMemo[a.Site().Name()] = false
 		}
 		left := len(b.reqMemo)
 		cur := b.cfg.Info.DiscoverImmediate(b.cfg.PageSize)
@@ -762,9 +750,9 @@ func (b *Broker) freeAgentsMatching(job *jdl.Job, need int) []*glidein.Agent {
 				}
 			}
 		}
-		for _, e := range b.freeAgents {
-			if b.reqMemo[e.site.Name()] {
-				out = append(out, e.agent)
+		for _, a := range b.freeAgents {
+			if b.reqMemo[a.Site().Name()] {
+				out = append(out, a)
 			}
 		}
 	}
@@ -793,12 +781,12 @@ func (b *Broker) placeOnAgents(h *Handle, agents []*glidein.Agent, cont func(ter
 	// registry meanwhile. Treat that like a mid-run death: the caller
 	// kills and resubmits under the usual budget.
 	for _, a := range agents {
-		if b.agentSites[a] == nil {
+		if a.Released().Fired() {
 			cont(false)
 			return
 		}
 	}
-	st := b.agentSites[agents[0]]
+	st := agents[0].Site()
 	h.site = st.Name()
 	if len(agents) > 1 {
 		h.site = "agents"
@@ -820,8 +808,8 @@ func (b *Broker) placeOnAgents(h *Handle, agents []*glidein.Agent, cont func(ter
 // agents' interactive VMs, and the broker's wait for the outcome. Its
 // triggers, run context and (for one agent) slot and completion lists
 // share this one allocation. While it runs it is listed under each
-// hosting agent (Broker.watching), whose one Released callback notifies
-// it; it leaves those lists when it ends.
+// hosting agent in the registry (Broker.agents), whose one Released
+// callback notifies it; it leaves those lists when it ends.
 type placement struct {
 	b      *Broker
 	h      *Handle
@@ -986,16 +974,15 @@ func (b *Broker) watchAgent(a *glidein.Agent, p *placement) {
 		b.sim.AfterFunc(b.cfg.AgentHeartbeat, p.loseAgent)
 		return
 	}
-	b.watching[a] = append(b.watching[a], p)
+	b.agents[a] = append(b.agents[a], p)
 }
 
 // unwatchAgents takes an ending placement off its agents' lists.
 func (b *Broker) unwatchAgents(p *placement) {
 	for _, a := range p.agents {
-		ps := b.watching[a]
+		ps := b.agents[a]
 		if i := slices.Index(ps, p); i >= 0 {
-			ps = slices.Delete(ps, i, i+1)
-			b.watching[a] = ps
+			b.agents[a] = slices.Delete(ps, i, i+1)
 		}
 	}
 }

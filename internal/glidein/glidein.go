@@ -97,10 +97,10 @@ type InteractiveJob struct {
 
 // Agent is a live glide-in on one worker node.
 type Agent struct {
-	id       string
-	sim      *simclock.Sim
-	opts     Options
-	siteName string
+	id   string
+	sim  *simclock.Sim
+	opts Options
+	site *site.Site
 
 	node    *batch.Node
 	batchVM *vmslot.Slot
@@ -162,7 +162,7 @@ func newAgent(sim *simclock.Sim, st *site.Site, payload *BatchPayload, priority 
 		id:         fmt.Sprintf("agent-%s", st.Name()),
 		sim:        sim,
 		opts:       opts,
-		siteName:   st.Name(),
+		site:       st,
 		activePL:   make(map[string]int),
 		released:   sim.NewTrigger(),
 		batchDoneT: sim.NewTrigger(),
@@ -231,7 +231,7 @@ func (a *Agent) body(payload *BatchPayload, startup time.Duration) func(*batch.E
 			if ctx.Killed.Fired() && !a.released.Fired() {
 				// Evicted: fire released so waiters (and the broker's
 				// resubmission logic) observe the death.
-				a.opts.Trace.Emit(trace.Event{Kind: trace.AgentDied, Site: a.siteName, Detail: a.id + " evicted"})
+				a.opts.Trace.Emit(trace.Event{Kind: trace.AgentDied, Site: a.site.Name(), Detail: a.id + " evicted"})
 				a.released.Fire()
 			}
 			a.batchVM.Close()
@@ -260,6 +260,9 @@ func (a *Agent) maybeLeave() {
 
 // ID returns the agent identifier.
 func (a *Agent) ID() string { return a.id }
+
+// Site returns the site whose worker node the agent runs on.
+func (a *Agent) Site() *site.Site { return a.site }
 
 // Node returns the worker node the agent controls (nil before start).
 func (a *Agent) Node() *batch.Node { return a.node }
@@ -296,7 +299,7 @@ func (a *Agent) Released() *simclock.Trigger { return a.released }
 // a no-op for agents that already left.
 func (a *Agent) Die() {
 	if !a.released.Fired() {
-		a.opts.Trace.Emit(trace.Event{Kind: trace.AgentDied, Site: a.siteName, Detail: a.id + " killed"})
+		a.opts.Trace.Emit(trace.Event{Kind: trace.AgentDied, Site: a.site.Name(), Detail: a.id + " killed"})
 		a.released.Fire()
 	}
 }
