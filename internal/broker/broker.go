@@ -97,8 +97,6 @@ type Directory interface {
 	DiscoverImmediate(pageSize int) *infosys.Cursor
 	// Publish lands a site record in the shared registry.
 	Publish(rec infosys.SiteRecord) error
-	// Remove deletes a site record from the shared registry.
-	Remove(name string)
 }
 
 // agentRegistryCost models the (local) combined discovery+selection
@@ -172,7 +170,6 @@ type Config struct {
 	// which a site is excluded from matchmaking (circuit breaker;
 	// default 3). After QuarantineCooldown the site is probed again:
 	// one success resets it, one more failure re-trips immediately.
-	// Negative disables quarantine.
 	QuarantineThreshold int
 	// QuarantineCooldown is how long a quarantined site stays
 	// excluded before the broker probes it back in (default 5 min).
@@ -229,7 +226,7 @@ func (c *Config) setDefaults() {
 	if c.RetryMaxInterval <= 0 {
 		c.RetryMaxInterval = 16 * c.RetryInterval
 	}
-	if c.QuarantineThreshold == 0 {
+	if c.QuarantineThreshold <= 0 {
 		c.QuarantineThreshold = 3
 	}
 	if c.QuarantineCooldown <= 0 {
@@ -319,7 +316,7 @@ type RunContext struct {
 // use.
 func (rc *RunContext) Output(n int) {
 	rc.Sim.Sleep(rc.st.Network().TransferTime(n))
-	rc.h.FirstOutput.Fire()
+	rc.h.outputArrived(rc.Sim.Now())
 }
 
 // Input models reading n bytes forwarded from the user machine (one
@@ -404,6 +401,9 @@ type Handle struct {
 
 	submittedAt time.Time
 	finishedAt  time.Time
+	// subStart is when the attempt that will measure Phases.Submission
+	// made its final submission, as an offset from submittedAt.
+	subStart time.Duration
 }
 
 // State returns the current lifecycle state.
@@ -429,6 +429,17 @@ func (h *Handle) SubmittedAt() time.Time { return h.submittedAt }
 // FinishedAt returns the virtual time the job reached Done or Failed
 // (zero while in flight).
 func (h *Handle) FinishedAt() time.Time { return h.finishedAt }
+
+// outputArrived records output reaching the user: the first one ends
+// the submission phase and fires FirstOutput, later ones (a resubmitted
+// job's included) change nothing.
+func (h *Handle) outputArrived(now time.Time) {
+	if h.firstOutput.Fired() {
+		return
+	}
+	h.Phases.Submission = now.Sub(h.submittedAt) - h.subStart
+	h.firstOutput.Fire()
+}
 
 // Turnaround is the total virtual time from submission to completion
 // (zero while in flight).
@@ -458,7 +469,7 @@ type Broker struct {
 	// together. The page scan visits every published record on every
 	// pass, so the separate sites/health hashes it replaces were the
 	// dominant matchmaking cost on large grids. Maintained by
-	// RegisterSite/UnregisterSite and healthFor.
+	// RegisterSite and healthFor.
 	scan map[string]scanEntry
 
 	// freeAgents tracks agents with a free interactive VM, sorted by
@@ -550,27 +561,6 @@ func (b *Broker) RegisterSite(st *site.Site) {
 		}
 		b.cfg.Fair.SetTotal(total)
 	}
-}
-
-// UnregisterSite removes a site from scheduling (decommissioned, or
-// declared dead by monitoring): its information-system record is
-// withdrawn and every lease held against it released immediately.
-func (b *Broker) UnregisterSite(name string) {
-	if _, ok := b.sites[name]; !ok {
-		return
-	}
-	delete(b.sites, name)
-	delete(b.scan, name)
-	b.cfg.Info.Remove(name)
-	b.releaseSiteLeases(name)
-	if b.cfg.Fair != nil {
-		total := 0
-		for _, s := range b.sites {
-			total += s.Queue().TotalCPUs()
-		}
-		b.cfg.Fair.SetTotal(total)
-	}
-	b.kickDispatch()
 }
 
 // FreeAgents reports how many registered agents have a free
@@ -873,9 +863,6 @@ func (b *Broker) healthFor(name string) *siteHealth {
 // noteSiteFailure records a failed interaction with a site, tripping
 // the circuit breaker at QuarantineThreshold consecutive failures.
 func (b *Broker) noteSiteFailure(name string) {
-	if b.cfg.QuarantineThreshold < 0 {
-		return
-	}
 	hl := b.healthFor(name)
 	hl.fails++
 	hl.probing = false
@@ -915,9 +902,6 @@ func (b *Broker) noteProbeAnswered(name string) {
 // quarantineNow trips a site's breaker immediately (crash
 // notification — no need to accumulate failures).
 func (b *Broker) quarantineNow(name string) {
-	if b.cfg.QuarantineThreshold < 0 {
-		return
-	}
 	hl := b.healthFor(name)
 	if hl.fails < b.cfg.QuarantineThreshold {
 		hl.fails = b.cfg.QuarantineThreshold
@@ -947,7 +931,7 @@ func breakerOpen(hl *siteHealth, now time.Time) bool {
 // failed Requirements or fell out of the top K was never released.
 func (b *Broker) claimHalfOpen(name string) {
 	hl := b.health[name]
-	if hl != nil && b.cfg.QuarantineThreshold > 0 && hl.fails >= b.cfg.QuarantineThreshold && !hl.quarantinedUntil.IsZero() {
+	if hl != nil && hl.fails >= b.cfg.QuarantineThreshold && !hl.quarantinedUntil.IsZero() {
 		hl.probing = true
 	}
 }
@@ -1014,8 +998,7 @@ func (b *Broker) QuarantinedSites() []string {
 }
 
 // releaseSiteLeases drops every lease held against a site (the site
-// died or was unregistered), so its reserved capacity stops shadowing
-// the rest of the grid.
+// died), so its reserved capacity stops shadowing the rest of the grid.
 func (b *Broker) releaseSiteLeases(name string) {
 	if q := b.leases[name]; q != nil && q.prune(b.sim.Now()) > 0 {
 		// The trace checker "forgives" leases dropped here: the owning

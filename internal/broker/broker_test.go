@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -117,6 +118,94 @@ func TestAgentRegisteredWhileBatchRuns(t *testing.T) {
 	if g.b.FreeAgents() != 1 {
 		t.Fatalf("FreeAgents = %d while batch runs", g.b.FreeAgents())
 	}
+}
+
+// TestFreeAgentListExact holds the free-agent list to its claim: it
+// lists exactly the live agents with a free interactive VM, in ID
+// order. FreeAgents and FreeInteractiveVMs read only the list, so once
+// per simulated minute they are checked against a scan of the registry
+// while shared jobs come and go, agents are killed and a site crash
+// evicts the agents on it.
+func TestFreeAgentListExact(t *testing.T) {
+	g := newGrid(t, 4, 4, Config{Seed: 3, AgentDegree: 2, AgentHeartbeat: 5 * time.Second})
+	rng := rand.New(rand.NewSource(1))
+	batch := func() {
+		if _, err := g.b.Submit(batchJob(time.Duration(20+rng.Intn(100)) * time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 12; i++ {
+		batch()
+	}
+	var shared []*Handle
+	kills, evicted, sawFree := 0, 0, 0
+	for minute := 1; minute <= 180; minute++ {
+		switch {
+		case minute == 60:
+			for a := range g.b.agents {
+				if a.Site() == g.sites[1] {
+					evicted++
+				}
+			}
+			g.sites[1].Crash()
+			g.sim.AfterFunc(2*time.Minute, g.sites[1].Restart)
+		case minute%20 == 0:
+			batch()
+		case minute%7 == 0:
+			if g.b.KillAgentAt(g.sites[rng.Intn(len(g.sites))].Name()) {
+				kills++
+			}
+		case minute%2 == 0:
+			req := interactiveJob(jdl.SharedAccess, 50, 1+rng.Intn(2))
+			if req.Job.NodeNumber > 1 {
+				req.Job.Flavor = jdl.MPICHG2
+			}
+			req.CPU = time.Duration(1+rng.Intn(10)) * time.Minute
+			h, err := g.b.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared = append(shared, h)
+		}
+		g.sim.RunFor(time.Minute)
+
+		free, vms := 0, 0
+		for a := range g.b.agents {
+			if a.Free() {
+				free++
+			}
+			vms += a.FreeSlots()
+		}
+		if got := g.b.FreeAgents(); got != free {
+			t.Fatalf("minute %d: FreeAgents = %d, the registry has %d free agents", minute, got, free)
+		}
+		if got := g.b.FreeInteractiveVMs(); got != vms {
+			t.Fatalf("minute %d: FreeInteractiveVMs = %d, the registry has %d free VMs", minute, got, vms)
+		}
+		for i, a := range g.b.freeAgents {
+			if _, ok := g.b.agents[a]; !ok || a.Released().Fired() {
+				t.Fatalf("minute %d: free list holds %s, which has left", minute, a.ID())
+			}
+			if i > 0 && g.b.freeAgents[i-1].ID() >= a.ID() {
+				t.Fatalf("minute %d: free list out of ID order: %s before %s", minute, g.b.freeAgents[i-1].ID(), a.ID())
+			}
+		}
+		if free > 0 {
+			sawFree++
+		}
+	}
+	done := 0
+	for _, h := range shared {
+		if h.State() == Done {
+			done++
+		}
+	}
+	if kills == 0 || evicted == 0 || sawFree < 30 || done < len(shared)/2 {
+		t.Fatalf("too quiet to test the list: %d kills, %d agents evicted, free agents in %d minutes, %d of %d shared jobs done",
+			kills, evicted, sawFree, done, len(shared))
+	}
+	t.Logf("%d kills, %d agents evicted, free agents in %d minutes, %d of %d shared jobs done",
+		kills, evicted, sawFree, done, len(shared))
 }
 
 func TestInteractiveExclusivePhases(t *testing.T) {

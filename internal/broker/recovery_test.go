@@ -102,21 +102,6 @@ func TestSiteDeathReleasesLeases(t *testing.T) {
 	}
 }
 
-// TestUnregisterSiteReleasesLeases covers the site-removed-from-
-// infosys flavor of the stale-lease leak.
-func TestUnregisterSiteReleasesLeases(t *testing.T) {
-	g := newGrid(t, 2, 4, Config{LeaseDuration: time.Hour})
-	g.b.lease(&Handle{ID: "t1"}, "site00", 2)
-	g.b.UnregisterSite("site00")
-	if n := g.b.LeasedCPUs(); n != 0 {
-		t.Fatalf("LeasedCPUs after unregister = %d, want 0", n)
-	}
-	g.sim.RunFor(time.Second)
-	if g.info.Len() != 1 {
-		t.Fatalf("infosys still has %d records, want 1", g.info.Len())
-	}
-}
-
 // TestQuarantineAndReadmission: consecutive submission failures trip
 // the breaker, the site disappears from matchmaking, and after the
 // cool-down it is probed back in and serves jobs again.
@@ -210,6 +195,34 @@ func TestAgentDeathResubmitsSharedJob(t *testing.T) {
 	}
 	if n := g.b.LeasedCPUs(); n != 0 {
 		t.Fatalf("%d leases leaked", n)
+	}
+}
+
+// TestResubmittedBatchKeepsSubmissionPhase: a batch job whose agent
+// dies after the first output reached the user is resubmitted, and the
+// later attempt leaves the submission phase the first output measured.
+func TestResubmittedBatchKeepsSubmissionPhase(t *testing.T) {
+	g := newGrid(t, 2, 1, Config{})
+	h, err := g.b.Submit(batchJob(10 * time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var atKill time.Duration
+	g.sim.AfterFunc(3*time.Minute, func() {
+		if !h.FirstOutput.Fired() {
+			t.Error("no first output before the agent died")
+		}
+		atKill = h.Phases.Submission
+		if !g.b.KillAgentAt(h.Site()) {
+			t.Errorf("no agent to kill at %s", h.Site())
+		}
+	})
+	g.sim.RunFor(2 * time.Hour)
+	if h.State() != Done || h.Resubmissions() != 1 {
+		t.Fatalf("state = %v after %d resubmissions (err %v), want done after 1", h.State(), h.Resubmissions(), h.Err())
+	}
+	if atKill <= 0 || h.Phases.Submission != atKill {
+		t.Fatalf("Phases.Submission = %v at the end, %v when the agent died; want the first output's, unchanged", h.Phases.Submission, atKill)
 	}
 }
 

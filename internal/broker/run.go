@@ -78,7 +78,7 @@ func (rc *RunContext) run(cont func()) {
 // defaultBody emits the first output, then burns the requested CPU on
 // every slot in parallel until the last run finishes or Killed fires.
 func (rc *RunContext) defaultBody() {
-	rc.h.FirstOutput.Fire()
+	rc.h.outputArrived(rc.Sim.Now())
 	cpu := rc.h.request.CPU
 	if cpu <= 0 {
 		rc.cont()
@@ -174,8 +174,7 @@ func (b *Broker) runBatch(h *Handle) {
 		b.lease(h, st.Name(), job.NodeNumber)
 		h.state = Submitted
 		h.site = st.Name()
-		subStart := b.sim.Now()
-		h.FirstOutput.OnFire(func() { h.Phases.Submission = b.sim.Since(subStart) })
+		h.subStart = b.sim.Since(h.submittedAt)
 		// Input datasets move to the site while the lease holds it.
 		b.stageData(h, st.Name(), func() {
 			if job.NodeNumber > 1 {
@@ -218,7 +217,7 @@ func (b *Broker) runBatch(h *Handle) {
 						// First output of the payload: startup then transfer.
 						b.sim.Post(func() {
 							b.sim.AfterFunc(st.Costs().JobStartup+st.Network().TransferTime(defaultFirstOutputBytes),
-								h.FirstOutput.Fire)
+								func() { h.outputArrived(b.sim.Now()) })
 						})
 					})
 
@@ -332,8 +331,7 @@ func (b *Broker) runInteractiveExclusive(h *Handle) {
 			return
 		}
 
-		subStart := b.sim.Now()
-		h.FirstOutput.OnFire(func() { h.Phases.Submission = b.sim.Since(subStart) })
+		h.subStart = b.sim.Since(h.submittedAt)
 
 		excluded := make(map[string]bool)
 		anyFree := false
@@ -358,8 +356,8 @@ func (b *Broker) runInteractiveExclusive(h *Handle) {
 				if chosen != nil {
 					anyFree = true
 					b.cfg.Trace.Emit(b.matchedEvent(h, chosen.site.Name(), chosen.rank))
-					b.runExclusiveAttempt(h, chosen.site, func(terminal bool) {
-						if terminal {
+					b.runExclusiveAttempt(h, chosen.site, func(lost bool) {
+						if !lost {
 							return
 						}
 						excluded[chosen.site.Name()] = true
@@ -451,17 +449,49 @@ func (x *exclusive) bodyOver() {
 	x.fin()
 }
 
+// await takes the attempt's outcome at the first of the body's end, the
+// LRM's kill, the LRM dropping the job (bh.Done) and an abort: an abort
+// fails the job, a job killed or dropped before its body was over was
+// lost with its site, and any other finished. next learns whether the
+// job was lost, which leaves it for the caller to resubmit.
+func (x *exclusive) await(bh *batch.Handle, next func(lost bool)) {
+	b, h, st := x.b, x.h, x.st
+	h.onAbort(&x.over)
+	x.over.WaitAny(func() {
+		h.endAttempt()
+		b.release(h)
+		// bodyDone also fires when the body stopped because it was
+		// killed, so the failure outcomes are checked first.
+		lost := false
+		switch {
+		case h.abort.Fired():
+			st.Queue().Kill(bh.ID())
+			b.fail(h, h.abortErr)
+		case x.killed.Fired(), !x.bodyDone.Fired():
+			// The site crashed under the job. Its death notification
+			// already released the leases and quarantined it.
+			h.lastErr = fmt.Errorf("%w: %s died running %s", ErrSiteLost, st.Name(), h.ID)
+			b.noteResub(h, st.Name(), "site lost")
+			lost = true
+		default:
+			b.finish(h)
+		}
+		next(lost)
+	}, &x.bodyDone, &x.killed, bh.Done)
+}
+
 // runExclusiveAttempt submits the job to one site and enforces the
-// on-line scheduling rule. cont receives whether the job reached a
-// terminal state there (ran to completion, or was aborted); false
-// sends the caller to the next candidate. The lease is released last,
+// on-line scheduling rule. cont receives whether the attempt was lost
+// (the submission failed, the job sat in the queue, or the site died
+// under it), which sends the caller to the next candidate; otherwise
+// the job reached a terminal state there. The lease is released last,
 // after the outcome is recorded.
-func (b *Broker) runExclusiveAttempt(h *Handle, st *site.Site, cont func(terminal bool)) {
+func (b *Broker) runExclusiveAttempt(h *Handle, st *site.Site, cont func(lost bool)) {
 	job := h.request.Job
 	b.lease(h, st.Name(), job.NodeNumber)
-	done := func(terminal bool) {
+	done := func(lost bool) {
 		b.unlease(h, st.Name(), job.NodeNumber)
-		cont(terminal)
+		cont(lost)
 	}
 	h.state = Submitted
 	b.stageData(h, st.Name(), func() {
@@ -472,7 +502,7 @@ func (b *Broker) runExclusiveAttempt(h *Handle, st *site.Site, cont func(termina
 				b.noteSiteFailure(st.Name())
 				h.lastErr = err
 				b.noteResub(h, st.Name(), "submit failed")
-				done(false)
+				done(true)
 				return
 			}
 			b.noteSiteSuccess(st.Name())
@@ -484,39 +514,14 @@ func (b *Broker) runExclusiveAttempt(h *Handle, st *site.Site, cont func(termina
 				if !started {
 					st.Queue().Kill(bh.ID())
 					b.noteResub(h, st.Name(), "queue timeout")
-					done(false)
+					done(true)
 					return
 				}
 				h.state = Running
 				h.site = st.Name()
 				b.cfg.Trace.Emit(trace.Event{Kind: trace.Started, Job: h.ID, Site: st.Name(), Attempt: h.resub})
 				b.account(h, job.NodeNumber)
-
-				h.onAbort(&x.over)
-				x.over.WaitAny(func() {
-					h.endAttempt()
-					// bodyDone also fires when the body stopped because it
-					// was killed, so the failure outcomes are checked first.
-					switch {
-					case h.abort.Fired():
-						st.Queue().Kill(bh.ID())
-						b.release(h)
-						b.fail(h, h.abortErr)
-						done(true)
-					case x.killed.Fired():
-						// The LRM killed the job under us — the site crashed.
-						// The death notification already released the leases and
-						// quarantined the site; move on to another candidate.
-						b.release(h)
-						h.lastErr = fmt.Errorf("%w: %s died running %s", ErrSiteLost, st.Name(), h.ID)
-						b.noteResub(h, st.Name(), "site lost")
-						done(false)
-					default:
-						b.release(h)
-						b.finish(h)
-						done(true)
-					}
-				}, &x.bodyDone, &x.killed)
+				x.await(bh, done)
 			})
 		})
 	})
@@ -549,30 +554,12 @@ func (b *Broker) runExclusiveOn(h *Handle, st *site.Site) {
 			b.account(h, job.NodeNumber)
 		})
 		h.site = st.Name()
-
-		// bh.Done without bodyDone means the LRM dropped the job (crash
-		// while queued or running) — its body may never have run.
-		h.onAbort(&x.over)
-		x.over.WaitAny(func() {
-			h.endAttempt()
-			// bodyDone also fires when the body stopped because it was
-			// killed, so the failure outcomes must be checked first.
-			switch {
-			case h.abort.Fired():
-				st.Queue().Kill(bh.ID())
-				b.release(h)
-				b.fail(h, h.abortErr)
-			case x.killed.Fired(), !x.bodyDone.Fired():
-				b.release(h)
-				h.lastErr = fmt.Errorf("%w: %s died running %s", ErrSiteLost, st.Name(), h.ID)
-				b.noteResub(h, st.Name(), "site lost")
+		x.await(bh, func(lost bool) {
+			if lost {
 				h.state = Pending
 				b.scheduleRetry(h)
-			default:
-				b.release(h)
-				b.finish(h)
 			}
-		}, &x.bodyDone, &x.killed, bh.Done)
+		})
 	})
 }
 
@@ -600,8 +587,7 @@ func (b *Broker) runInteractiveShared(h *Handle) {
 			if first {
 				first = false
 				h.Phases.Selection = b.sim.Since(start)
-				subStart := b.sim.Now()
-				h.FirstOutput.OnFire(func() { h.Phases.Submission = b.sim.Since(subStart) })
+				h.subStart = b.sim.Since(h.submittedAt)
 			}
 
 			need := job.NodeNumber
