@@ -456,21 +456,15 @@ type Broker struct {
 	sim *simclock.Sim
 	rng *rand.Rand
 
-	sites map[string]*site.Site
+	// sites is the registry of sites, keyed by name: everything the
+	// broker knows about a registered site is on its one record. The
+	// page scan resolves every published record here, so one lookup
+	// gives a pass the site and its breaker state together.
+	sites map[string]*siteEntry
 	// agents is the local registry of glide-in agents: every live agent,
 	// with the shared-VM placements running on it (run.go), which the
 	// agent's one Released callback notifies.
 	agents map[*glidein.Agent][]*placement
-	leases map[string]*leaseQueue // site -> lease expiry batches
-	health map[string]*siteHealth // site -> circuit-breaker state
-
-	// scan is the matchmaking-pass index: one lookup resolves a
-	// published record's registered site and its breaker state
-	// together. The page scan visits every published record on every
-	// pass, so the separate sites/health hashes it replaces were the
-	// dominant matchmaking cost on large grids. Maintained by
-	// RegisterSite and healthFor.
-	scan map[string]scanEntry
 
 	// freeAgents tracks agents with a free interactive VM, sorted by
 	// agent ID, which is unique: membership is a binary search. The
@@ -505,12 +499,12 @@ type Broker struct {
 	matchOracle func(h *Handle, cont func([]candidate))
 }
 
-// scanEntry is one site's slot in the matchmaking scan index. hl is
-// the same pointer held in the health map (nil until the breaker
-// records its first interaction).
-type scanEntry struct {
-	st *site.Site
-	hl *siteHealth
+// siteEntry is one registered site's record: the site, its circuit
+// breaker and its exclusive-temporal-access leases.
+type siteEntry struct {
+	st     *site.Site
+	health siteHealth
+	leases leaseQueue
 }
 
 // New creates a broker.
@@ -526,11 +520,8 @@ func New(cfg Config) *Broker {
 		cfg:    cfg,
 		sim:    cfg.Sim,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		sites:  make(map[string]*site.Site),
+		sites:  make(map[string]*siteEntry),
 		agents: make(map[*glidein.Agent][]*placement),
-		leases: make(map[string]*leaseQueue),
-		health: make(map[string]*siteHealth),
-		scan:   make(map[string]scanEntry),
 	}
 	if src, ok := cfg.Info.(infosys.DeltaSource); ok && src.ServesSubscriptions() {
 		b.sub = newSubscriber(b, src)
@@ -544,9 +535,8 @@ func New(cfg Config) *Broker {
 // capacity recovers without waiting for natural expiry) and
 // quarantines it.
 func (b *Broker) RegisterSite(st *site.Site) {
-	b.sites[st.Name()] = st
 	name := st.Name()
-	b.scan[name] = scanEntry{st: st, hl: b.health[name]}
+	b.sites[name] = &siteEntry{st: st}
 	st.SetTracer(b.cfg.Trace)
 	st.OnDeath(func() {
 		b.releaseSiteLeases(name)
@@ -556,8 +546,8 @@ func (b *Broker) RegisterSite(st *site.Site) {
 	st.StartPublishing(b.cfg.Info)
 	if b.cfg.Fair != nil {
 		total := 0
-		for _, s := range b.sites {
-			total += s.Queue().TotalCPUs()
+		for _, e := range b.sites {
+			total += e.st.Queue().TotalCPUs()
 		}
 		b.cfg.Fair.SetTotal(total)
 	}
@@ -844,26 +834,10 @@ type siteHealth struct {
 	lastSuccess time.Time
 }
 
-// healthFor returns the site's breaker state, creating it on first
-// use and mirroring the new pointer into the scan index so the
-// matchmaking pass resolves it without a second map hit.
-func (b *Broker) healthFor(name string) *siteHealth {
-	hl := b.health[name]
-	if hl == nil {
-		hl = &siteHealth{}
-		b.health[name] = hl
-		if ent, ok := b.scan[name]; ok {
-			ent.hl = hl
-			b.scan[name] = ent
-		}
-	}
-	return hl
-}
-
 // noteSiteFailure records a failed interaction with a site, tripping
 // the circuit breaker at QuarantineThreshold consecutive failures.
 func (b *Broker) noteSiteFailure(name string) {
-	hl := b.healthFor(name)
+	hl := &b.sites[name].health
 	hl.fails++
 	hl.probing = false
 	if hl.fails >= b.cfg.QuarantineThreshold {
@@ -878,7 +852,7 @@ func (b *Broker) noteSiteFailure(name string) {
 // noteSiteSuccess resets a site's circuit breaker and records the
 // success as reconciliation evidence.
 func (b *Broker) noteSiteSuccess(name string) {
-	hl := b.healthFor(name)
+	hl := &b.sites[name].health
 	if !hl.quarantinedUntil.IsZero() {
 		b.cfg.Trace.Emit(trace.Event{Kind: trace.Unquarantined, Site: name})
 	}
@@ -893,16 +867,15 @@ func (b *Broker) noteSiteSuccess(name string) {
 // a successful submission (noteSiteSuccess) does that. The answer is
 // still recorded as liveness evidence for reconciliation.
 func (b *Broker) noteProbeAnswered(name string) {
-	if hl := b.health[name]; hl != nil {
-		hl.probing = false
-		hl.lastSuccess = b.sim.Now()
-	}
+	hl := &b.sites[name].health
+	hl.probing = false
+	hl.lastSuccess = b.sim.Now()
 }
 
 // quarantineNow trips a site's breaker immediately (crash
 // notification — no need to accumulate failures).
 func (b *Broker) quarantineNow(name string) {
-	hl := b.healthFor(name)
+	hl := &b.sites[name].health
 	if hl.fails < b.cfg.QuarantineThreshold {
 		hl.fails = b.cfg.QuarantineThreshold
 	}
@@ -918,7 +891,7 @@ func (b *Broker) quarantineNow(name string) {
 // read: a site is excluded while its breaker is inside the cooldown,
 // or half-open with its one probe-back in flight.
 func breakerOpen(hl *siteHealth, now time.Time) bool {
-	return hl != nil && (now.Before(hl.quarantinedUntil) || hl.probing)
+	return now.Before(hl.quarantinedUntil) || hl.probing
 }
 
 // claimHalfOpen takes the half-open gate for a site a pass is about to
@@ -930,8 +903,8 @@ func breakerOpen(hl *siteHealth, now time.Time) bool {
 // probed, and not by the filter: a claim taken for a site that then
 // failed Requirements or fell out of the top K was never released.
 func (b *Broker) claimHalfOpen(name string) {
-	hl := b.health[name]
-	if hl != nil && hl.fails >= b.cfg.QuarantineThreshold && !hl.quarantinedUntil.IsZero() {
+	hl := &b.sites[name].health
+	if hl.fails >= b.cfg.QuarantineThreshold && !hl.quarantinedUntil.IsZero() {
 		hl.probing = true
 	}
 }
@@ -952,13 +925,14 @@ type HealthEvidence struct {
 }
 
 // SiteEvidence returns the broker's breaker evidence for a site; ok is
-// false when the broker holds no health state for it (no failures and
-// no recorded successes).
+// false when the site is not registered here. A registered site the
+// broker never interacted with reports zero evidence.
 func (b *Broker) SiteEvidence(name string) (HealthEvidence, bool) {
-	hl := b.health[name]
-	if hl == nil {
+	e := b.sites[name]
+	if e == nil {
 		return HealthEvidence{}, false
 	}
+	hl := &e.health
 	return HealthEvidence{
 		Fails:       hl.fails,
 		Quarantined: b.sim.Now().Before(hl.quarantinedUntil),
@@ -972,10 +946,11 @@ func (b *Broker) SiteEvidence(name string) (HealthEvidence, bool) {
 // site re-enters matchmaking immediately, as if a half-open probe had
 // succeeded.
 func (b *Broker) ClearQuarantine(name string) {
-	hl := b.health[name]
-	if hl == nil {
+	e := b.sites[name]
+	if e == nil {
 		return
 	}
+	hl := &e.health
 	if !hl.quarantinedUntil.IsZero() {
 		b.cfg.Trace.Emit(trace.Event{Kind: trace.Unquarantined, Site: name, Detail: "reconciled"})
 	}
@@ -988,8 +963,8 @@ func (b *Broker) ClearQuarantine(name string) {
 // sorted (instrumentation).
 func (b *Broker) QuarantinedSites() []string {
 	var out []string
-	for name, hl := range b.health {
-		if b.sim.Now().Before(hl.quarantinedUntil) {
+	for name, e := range b.sites {
+		if b.sim.Now().Before(e.health.quarantinedUntil) {
 			out = append(out, name)
 		}
 	}
@@ -1000,12 +975,13 @@ func (b *Broker) QuarantinedSites() []string {
 // releaseSiteLeases drops every lease held against a site (the site
 // died), so its reserved capacity stops shadowing the rest of the grid.
 func (b *Broker) releaseSiteLeases(name string) {
-	if q := b.leases[name]; q != nil && q.prune(b.sim.Now()) > 0 {
+	e := b.sites[name]
+	if n := e.leases.prune(b.sim.Now()); n > 0 {
 		// The trace checker "forgives" leases dropped here: the owning
 		// jobs' deferred releases still fire and must balance.
-		b.cfg.Trace.Emit(trace.Event{Kind: trace.LeaseDropped, Site: name, N: q.count})
+		b.cfg.Trace.Emit(trace.Event{Kind: trace.LeaseDropped, Site: name, N: n})
 	}
-	delete(b.leases, name)
+	e.leases = leaseQueue{}
 }
 
 // LeasedCPUs reports the total live (unexpired) lease count across
@@ -1013,8 +989,8 @@ func (b *Broker) releaseSiteLeases(name string) {
 func (b *Broker) LeasedCPUs() int {
 	now := b.sim.Now()
 	n := 0
-	for _, q := range b.leases {
-		n += q.prune(now)
+	for _, e := range b.sites {
+		n += e.leases.prune(now)
 	}
 	return n
 }

@@ -21,12 +21,14 @@ func TestLeaseJitterDesynchronizesExpiry(t *testing.T) {
 		return New(Config{Sim: sim, Info: infosys.New(sim, 0), Seed: seed, LeaseDuration: 30 * time.Second, LeaseJitter: 0.5})
 	}
 	bA, bB := mk(1), mk(2)
+	addSiteEntry(bA, "s00")
+	addSiteEntry(bB, "s00")
 	base := sim.Now().Add(30 * time.Second)
 	bA.lease(&Handle{ID: "a-000001"}, "s00", 1)
 	bB.lease(&Handle{ID: "b-000001"}, "s00", 1)
 	sim.RunFor(time.Second)
-	expA := bA.leases["s00"].entries[0].exp
-	expB := bB.leases["s00"].entries[0].exp
+	expA := bA.sites["s00"].leases.entries[0].exp
+	expB := bB.sites["s00"].leases.entries[0].exp
 	if expA.Equal(expB) {
 		t.Fatalf("both leases expire at %v — jitter did not desynchronize", expA)
 	}
@@ -46,9 +48,10 @@ func TestLeaseNoJitterExactExpiry(t *testing.T) {
 	before := b.rng.Uint64()
 	b2 := New(Config{Sim: sim, Info: info, Seed: 7, LeaseDuration: 30 * time.Second})
 	want := sim.Now().Add(30 * time.Second)
+	addSiteEntry(b2, "s00")
 	b2.lease(&Handle{ID: "cb-000001"}, "s00", 2)
 	sim.RunFor(time.Second)
-	if exp := b2.leases["s00"].entries[0].exp; !exp.Equal(want) {
+	if exp := b2.sites["s00"].leases.entries[0].exp; !exp.Equal(want) {
 		t.Fatalf("expiry = %v, want exactly +30s", exp)
 	}
 	if b2.rng.Uint64() != before {
@@ -157,7 +160,7 @@ func TestHalfOpenClaimNotLeakedByUnprobedSite(t *testing.T) {
 			if ps := pass(tc.first); ps.Unavailable != 0 {
 				t.Fatalf("first pass: %+v, want the half-open site admitted", ps)
 			}
-			if b.health["site00"].probing {
+			if b.sites["site00"].health.probing {
 				t.Fatal("a pass that did not probe site00 left its half-open gate claimed")
 			}
 			sim.RunFor(24 * time.Hour)

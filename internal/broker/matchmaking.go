@@ -115,21 +115,19 @@ func (h *topkHeap) Pop() any          { old := *h; n := len(old) - 1; x := old[n
 // admit is the pipeline's admission stage: it resolves one enumerated
 // site name to its registered site, or rejects it. A record for a site
 // not registered here is skipped silently (st nil); a site whose
-// circuit breaker excludes it is skipped and reported unavailable —
-// checked before registration, because breaker state is kept by site
-// name, registered or not. One index lookup resolves site and breaker
-// together, and now is read once per pass: no virtual time passes
-// inside the synchronous source→keep-K stretch.
+// circuit breaker excludes it is skipped and reported unavailable. One
+// registry lookup resolves site and breaker together, and now is read
+// once per pass: no virtual time passes inside the synchronous
+// source→keep-K stretch.
 func (b *Broker) admit(name string, now time.Time) (st *site.Site, unavailable bool) {
-	ent, registered := b.scan[name]
-	hl := ent.hl
-	if !registered {
-		hl = b.health[name]
+	e := b.sites[name]
+	if e == nil {
+		return nil, false
 	}
-	if breakerOpen(hl, now) {
+	if breakerOpen(&e.health, now) {
 		return nil, true
 	}
-	return ent.st, false
+	return e.st, false
 }
 
 // evaluate is the pipeline's evaluation stage, the one place a job's
@@ -529,11 +527,7 @@ func (q *leaseQueue) drop(owner *Handle, now time.Time, n int) {
 // activeLeases counts unexpired leases for a site, pruning expired
 // ones.
 func (b *Broker) activeLeases(name string) int {
-	q := b.leases[name]
-	if q == nil {
-		return 0
-	}
-	return q.prune(b.sim.Now())
+	return b.sites[name].leases.prune(b.sim.Now())
 }
 
 // lease reserves n CPUs on a site for the exclusive-temporal-access
@@ -542,16 +536,11 @@ func (b *Broker) activeLeases(name string) int {
 // brokers whose leases were acquired in the same tick expire — and
 // re-probe the grid — at different instants.
 func (b *Broker) lease(h *Handle, name string, n int) {
-	q := b.leases[name]
-	if q == nil {
-		q = &leaseQueue{}
-		b.leases[name] = q
-	}
 	d := b.cfg.LeaseDuration
 	if b.cfg.LeaseJitter > 0 {
 		d += time.Duration(b.cfg.LeaseJitter * b.rng.Float64() * float64(d))
 	}
-	q.push(h, b.sim.Now().Add(d), n)
+	b.sites[name].leases.push(h, b.sim.Now().Add(d), n)
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.LeaseAcquired, Job: h.ID, Site: name, N: n})
 }
 
@@ -561,9 +550,7 @@ func (b *Broker) lease(h *Handle, name string, n int) {
 // job's terminal event and after a site death dropped the whole queue;
 // the trace checker accounts for both.
 func (b *Broker) unlease(h *Handle, name string, n int) {
-	if q := b.leases[name]; q != nil {
-		q.drop(h, b.sim.Now(), n)
-	}
+	b.sites[name].leases.drop(h, b.sim.Now(), n)
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.LeaseReleased, Job: h.ID, Site: name, N: n})
 }
 

@@ -83,14 +83,15 @@ func oraclePass(b *Broker, h *Handle, cont func([]candidate)) {
 
 		var kept []oracleMatch
 		for _, rec := range recs {
-			if hl := b.health[rec.Name]; hl != nil && (sstart.Before(hl.quarantinedUntil) || hl.probing) {
+			e := b.sites[rec.Name]
+			if e == nil {
+				continue
+			}
+			if hl := &e.health; sstart.Before(hl.quarantinedUntil) || hl.probing {
 				h.unavailable++
 				continue
 			}
-			st := b.sites[rec.Name]
-			if st == nil {
-				continue
-			}
+			st := e.st
 			if job.Requirements != nil {
 				if ok, err := job.Requirements.EvalBool(oracleAttrs(rec, rec.FreeCPUs, rec.QueuedJobs)); err != nil || !ok {
 					continue
@@ -203,8 +204,8 @@ func runPassResult(t *testing.T, sim *simclock.Sim, b *Broker, job *jdl.Job) pas
 	for _, c := range cands {
 		res.cands = append(res.cands, candLine(c))
 	}
-	for name, hl := range b.health {
-		if hl.probing {
+	for name, e := range b.sites {
+		if e.health.probing {
 			res.probing = append(res.probing, name)
 		}
 	}
@@ -272,9 +273,6 @@ func randomPropGrid(t *testing.T, rng *rand.Rand) propGrid {
 	for i, k := 0, rng.Intn(2); i < k; i++ {
 		g.inFlight = append(g.inFlight, name())
 	}
-	if len(g.stale) > 0 && rng.Intn(2) == 0 {
-		g.quarantined = append(g.quarantined, g.stale[0].Name) // stale record with breaker state
-	}
 	links := datacat.NewLinks(netsim.CampusGrid())
 	links.SetBoth(name(), name(), netsim.WideArea())
 	g.cat = datacat.New(links)
@@ -336,7 +334,7 @@ func (g propGrid) build(cfg Config, info *infosys.Service, sim *simclock.Sim) *B
 	}
 	sim.RunFor(time.Hour)
 	for _, name := range g.inFlight {
-		b.health[name].probing = true
+		b.sites[name].health.probing = true
 	}
 	for _, name := range g.quarantined {
 		b.quarantineNow(name)
@@ -346,8 +344,7 @@ func (g propGrid) build(cfg Config, info *infosys.Service, sim *simclock.Sim) *B
 
 // TestMatchPipelineAgreesWithOracle is the seeded equivalence property
 // over random grids: stale records, per-pass exclusions, quarantined,
-// cooled-down and probe-in-flight sites (registered and stale),
-// Rank-error sites with and without a TopK bound, unobtainable
+// cooled-down and probe-in-flight sites, Rank-error sites with and without a TopK bound, unobtainable
 // datasets and registry churn between passes. On every grid the
 // oracle, the page scan (sharded, small pages), and the scan of a
 // delta-subscribed broker's pinned snapshots must agree candidate for

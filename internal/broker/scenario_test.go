@@ -169,6 +169,10 @@ func TestLeaseExpiryFreesCapacity(t *testing.T) {
 	}
 }
 
+// addSiteEntry registers a record for name with no site behind it, for
+// tests that drive a site's lease queue directly.
+func addSiteEntry(b *Broker, name string) { b.sites[name] = &siteEntry{} }
+
 // TestLeaseReleaseDropsOwnLease — a release undoes the releasing job's
 // own lease and never another job's. A leases s at t=0, B at t=40 s,
 // and A releases at t=50 s: B's reservation must survive with its own
@@ -179,6 +183,7 @@ func TestLeaseReleaseDropsOwnLease(t *testing.T) {
 		t.Run(d.String(), func(t *testing.T) {
 			sim := simclock.NewSim(time.Time{})
 			b := New(Config{Sim: sim, Info: infosys.New(sim, 0), LeaseDuration: d})
+			addSiteEntry(b, "s")
 			a, other := &Handle{ID: "a"}, &Handle{ID: "b"}
 			start := sim.Now()
 			b.lease(a, "s", 1)
@@ -188,7 +193,7 @@ func TestLeaseReleaseDropsOwnLease(t *testing.T) {
 			if n := b.activeLeases("s"); n != 1 {
 				t.Fatalf("%d active leases after A's release, want B's 1", n)
 			}
-			q := b.leases["s"]
+			q := &b.sites["s"].leases
 			if e := q.entries[len(q.entries)-1]; !e.exp.Equal(start.Add(40*time.Second + d)) {
 				t.Fatalf("surviving lease expires at +%v, want B's +%v", e.exp.Sub(start), 40*time.Second+d)
 			}
