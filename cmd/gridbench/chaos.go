@@ -2,24 +2,14 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 
 	"crossbroker/internal/experiments"
 	"crossbroker/internal/trace"
 )
 
-// chaosReport is the BENCH_chaos.json document: broker failure
-// recovery under the deterministic fault layer, per injected failure
-// rate.
-type chaosReport struct {
-	GeneratedBy string                   `json:"generated_by"`
-	GoVersion   string                   `json:"go_version"`
-	Seed        int64                    `json:"seed"`
-	Quick       bool                     `json:"quick"`
-	Points      []experiments.ChaosPoint `json:"points"`
-}
-
-// chaos runs the failure-rate sweep and writes BENCH_chaos.json.
+// chaos runs the failure-rate sweep and writes BENCH_chaos.json: broker
+// failure recovery under the deterministic fault layer, per injected
+// failure rate.
 // The sweep is fully deterministic for a fixed seed: two runs produce
 // byte-identical point lists (and, with -traceout, byte-identical
 // event logs). A non-empty traceout enables per-cell tracing, checks
@@ -46,14 +36,7 @@ func chaos(out, traceout string, quick, delta bool, seed int64) error {
 			return fmt.Errorf("chaos: rate %.2g leaked %d leases", p.CrashRate, p.LeakedLeases)
 		}
 	}
-	rep := chaosReport{
-		GeneratedBy: "gridbench -exp chaos",
-		GoVersion:   runtime.Version(),
-		Seed:        seed,
-		Quick:       quick,
-		Points:      pts,
-	}
-	if err := writeReport(out, rep); err != nil {
+	if err := writeReport(out, newSweepReport("chaos", seed, quick, pts)); err != nil {
 		return err
 	}
 	if traceout != "" {

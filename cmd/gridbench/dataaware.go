@@ -2,23 +2,13 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 
 	"crossbroker/internal/experiments"
 )
 
-// dataawareReport is the BENCH_dataaware.json document: data-aware vs
-// data-blind placement per replica count × link fabric.
-type dataawareReport struct {
-	GeneratedBy string                       `json:"generated_by"`
-	GoVersion   string                       `json:"go_version"`
-	Seed        int64                        `json:"seed"`
-	Quick       bool                         `json:"quick"`
-	Points      []experiments.DataAwarePoint `json:"points"`
-}
-
 // dataaware runs the data-aware placement sweep and writes
-// BENCH_dataaware.json. Each cell runs the identical workload twice —
+// BENCH_dataaware.json: data-aware vs data-blind placement per replica
+// count × link fabric. Each cell runs the identical workload twice —
 // transfer-cost-ranked and data-blind — on identically seeded grids;
 // the command re-asserts the placement contract (no lost jobs, aware
 // turnaround strictly better on every cell), renders the table, and
@@ -44,13 +34,7 @@ func dataaware(out, baseline string, quick bool, seed int64, tolerance float64) 
 				key, p.AwareMeanTurnSec, p.BlindMeanTurnSec)
 		}
 	}
-	rep := dataawareReport{
-		GeneratedBy: "gridbench -exp dataaware",
-		GoVersion:   runtime.Version(),
-		Seed:        seed,
-		Quick:       quick,
-		Points:      pts,
-	}
+	rep := newSweepReport("dataaware", seed, quick, pts)
 	if err := writeReport(out, rep); err != nil {
 		return err
 	}
@@ -73,7 +57,7 @@ func dataawareKey(p experiments.DataAwarePoint) string {
 var dataawareGate = gate{exp: "dataaware", noun: "cell", higherIsBetter: true,
 	width: 20, values: "speedup %5.1f%% -> %5.1f%%"}
 
-func dataawareRows(rep dataawareReport) []benchRow {
+func dataawareRows(rep sweepReport[experiments.DataAwarePoint]) []benchRow {
 	rows := make([]benchRow, len(rep.Points))
 	for i, p := range rep.Points {
 		rows[i] = benchRow{dataawareKey(p), p.SpeedupPct}

@@ -2,24 +2,14 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 
 	"crossbroker/internal/experiments"
 	"crossbroker/internal/trace"
 )
 
-// federationReport is the BENCH_federation.json document: federated
-// brokers under chaos, per topology × offload headroom × fault rate.
-type federationReport struct {
-	GeneratedBy string                        `json:"generated_by"`
-	GoVersion   string                        `json:"go_version"`
-	Seed        int64                         `json:"seed"`
-	Quick       bool                          `json:"quick"`
-	Points      []experiments.FederationPoint `json:"points"`
-}
-
 // federation runs the federation chaos sweep and writes
-// BENCH_federation.json. Every cell has already asserted the safety
+// BENCH_federation.json: federated brokers under chaos, per topology ×
+// offload headroom × fault rate. Every cell has already asserted the safety
 // contract (merged-trace invariants, zero leaked leases, zero open
 // transfer leases); this command re-checks the grid-wide totals,
 // renders the table, and optionally gates against a committed
@@ -48,13 +38,7 @@ func federation(out, baseline, traceout string, quick bool, seed int64, toleranc
 			return fmt.Errorf("federation: %s left %d transfer leases open", key, p.OpenTransfers)
 		}
 	}
-	rep := federationReport{
-		GeneratedBy: "gridbench -exp federation",
-		GoVersion:   runtime.Version(),
-		Seed:        seed,
-		Quick:       quick,
-		Points:      pts,
-	}
+	rep := newSweepReport("federation", seed, quick, pts)
 	if err := writeReport(out, rep); err != nil {
 		return err
 	}
@@ -79,7 +63,7 @@ func federationKey(p experiments.FederationPoint) string {
 var federationGate = gate{exp: "federation", noun: "cell", higherIsBetter: true,
 	width: 24, values: "goodput %5.1f%% -> %5.1f%%"}
 
-func federationRows(rep federationReport) []benchRow {
+func federationRows(rep sweepReport[experiments.FederationPoint]) []benchRow {
 	rows := make([]benchRow, len(rep.Points))
 	for i, p := range rep.Points {
 		rows[i] = benchRow{federationKey(p), p.GoodputPct}

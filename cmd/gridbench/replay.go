@@ -133,7 +133,7 @@ func synthDir() string { return filepath.Join(os.TempDir(), "gridbench-synth") }
 func replay(o replayOpts) error {
 	// Replay is an allocation-heavy batch workload; relaxing the GC
 	// target trades a bounded amount of extra heap (the live set stays
-	// constant thanks to streamed ingest) for ~10%% of wall time. An
+	// constant thanks to streamed ingest) for ~10% of wall time. An
 	// explicit GOGC from the environment still wins.
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(400)
@@ -143,7 +143,7 @@ func replay(o replayOpts) error {
 		if tracePath != "" {
 			return fmt.Errorf("-trace and -synth are mutually exclusive")
 		}
-		// The synthetic mix targets ~69%% utilization of an 8x16 grid
+		// The synthetic mix targets ~69% utilization of an 8x16 grid
 		// per 10k jobs/day at speedup 1, so the default shape scales
 		// with the job count: a larger archive on a fixed grid would
 		// measure saturation (mass failures and day-long queues), not

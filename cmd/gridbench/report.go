@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 
 	"crossbroker/internal/trace"
 )
@@ -19,6 +20,22 @@ func writeReport(out string, rep any) error {
 	}
 	fmt.Printf("wrote %s\n", out)
 	return nil
+}
+
+// sweepReport is the BENCH_*.json document of a seeded sweep: what
+// wrote it, the seed and size it ran at, and one entry per sweep point.
+type sweepReport[P any] struct {
+	GeneratedBy string `json:"generated_by"`
+	GoVersion   string `json:"go_version"`
+	Seed        int64  `json:"seed"`
+	Quick       bool   `json:"quick"`
+	Points      []P    `json:"points"`
+}
+
+// newSweepReport stamps the points of the sweep gridbench -exp exp ran.
+func newSweepReport[P any](exp string, seed int64, quick bool, pts []P) sweepReport[P] {
+	return sweepReport[P]{GeneratedBy: "gridbench -exp " + exp, GoVersion: runtime.Version(),
+		Seed: seed, Quick: quick, Points: pts}
 }
 
 // benchRow is one gated number of a report; key names it across runs.

@@ -10,6 +10,7 @@ import (
 	"crossbroker/internal/netsim"
 	"crossbroker/internal/simclock"
 	"crossbroker/internal/site"
+	"crossbroker/internal/trace"
 )
 
 // Test2PCAbortAtSite pins the two-phase-commit abort window at the
@@ -223,6 +224,48 @@ func TestResubmittedBatchKeepsSubmissionPhase(t *testing.T) {
 	}
 	if atKill <= 0 || h.Phases.Submission != atKill {
 		t.Fatalf("Phases.Submission = %v at the end, %v when the agent died; want the first output's, unchanged", h.Phases.Submission, atKill)
+	}
+}
+
+// TestQueuedAgentKillResubmitsBatch: killing a glide-in whose LRM job
+// is still queued resubmits the batch job, and the dead agent's job
+// leaves the LRM queue with it: started later, its body would run the
+// payload on the VM the released agent had already closed, and its
+// Started callback would mark the resubmitted job running.
+func TestQueuedAgentKillResubmitsBatch(t *testing.T) {
+	g, tr := tracedGrid(t, 1, 1, Config{Deterministic: true})
+	holder := interactiveJob(jdl.ExclusiveAccess, 0, 1)
+	holder.CPU = 5 * time.Minute
+	if _, err := g.b.Submit(holder); err != nil {
+		t.Fatal(err)
+	}
+	var h *Handle
+	g.sim.AfterFunc(time.Minute, func() {
+		var err error
+		if h, err = g.b.Submit(batchJob(10 * time.Minute)); err != nil {
+			t.Error(err)
+		}
+	})
+	g.sim.AfterFunc(2*time.Minute, func() {
+		if n := g.sites[0].Queue().QueueLength(); n != 1 {
+			t.Errorf("LRM queue holds %d jobs at the kill, want the batch job's agent", n)
+		}
+		if !g.b.KillAgentAt("site00") {
+			t.Error("no agent to kill at site00")
+		}
+	})
+	g.sim.RunFor(2 * time.Hour)
+	if h.State() != Done || h.Resubmissions() != 1 {
+		t.Fatalf("state = %v after %d resubmissions (err %v), want done after 1", h.State(), h.Resubmissions(), h.Err())
+	}
+	started := 0
+	for _, e := range tr.Events() {
+		if e.Job == h.ID && e.Kind == trace.Started {
+			started++
+		}
+	}
+	if started != 1 {
+		t.Fatalf("%d Started events for %s, want 1", started, h.ID)
 	}
 }
 

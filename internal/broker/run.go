@@ -244,7 +244,11 @@ func (b *Broker) runBatch(h *Handle) {
 							b.fail(h, h.abortErr)
 							return
 						}
-						// Evicted or lost.
+						// Evicted or lost. An agent that died still queued leaves
+						// the LRM queue too, or its job would start later.
+						if !bh.Started.Fired() {
+							st.Queue().Kill(bh.ID())
+						}
 						b.release(h)
 						h.lastErr = fmt.Errorf("%w: payload on %s unfinished", ErrAgentLost, st.Name())
 						b.noteResub(h, st.Name(), "agent lost")

@@ -295,52 +295,72 @@ func TestAckLostReceiverKeepsJob(t *testing.T) {
 
 // After a split brain, a quarantine tripped by partition noise must be
 // cleared by a peer's fresher success evidence — without waiting out
-// the cooldown.
+// the cooldown. A peer that registers the site but never touched it
+// has no such evidence, and the quarantine stands.
 func TestSplitBrainQuarantineReconciled(t *testing.T) {
-	// A long cooldown: only reconciliation can clear the quarantine.
-	sys, fed := shared(broker.Config{QuarantineThreshold: 1, QuarantineCooldown: time.Hour})
-	sim, site := sys.Sim, sys.Sites[0]
-	bA := sys.Members[0].Broker
+	for _, tc := range []struct {
+		name     string
+		peerRuns bool // bB runs a job on the site after bA's trip
+	}{
+		{"peer-succeeded-after-trip", true},
+		{"peer-never-touched-site", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A long cooldown: only reconciliation can clear the quarantine.
+			sys, fed := shared(broker.Config{QuarantineThreshold: 1, QuarantineCooldown: time.Hour})
+			sim, site := sys.Sim, sys.Sites[0]
+			bA := sys.Members[0].Broker
 
-	// Split brain: the index freezes for both brokers; the site then
-	// drops off the net long enough for bA to trip its breaker.
-	fed.SetPartitioned(true)
-	site.SetUnreachable(true)
-	jrA, err := fed.Submit("bA", batchReq(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.RunFor(2 * time.Minute)
-	if got := bA.QuarantinedSites(); len(got) != 1 {
-		t.Fatalf("bA quarantined %v, want [shared00]", got)
-	}
+			// Split brain: the index freezes for both brokers; the site then
+			// drops off the net long enough for bA to trip its breaker.
+			fed.SetPartitioned(true)
+			site.SetUnreachable(true)
+			jrA, err := fed.Submit("bA", batchReq(time.Minute))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.RunFor(2 * time.Minute)
+			if got := bA.QuarantinedSites(); len(got) != 1 {
+				t.Fatalf("bA quarantined %v, want [shared00]", got)
+			}
 
-	// The site recovers; bB (which never tripped) interacts with it
-	// successfully, producing evidence newer than bA's trip.
-	site.SetUnreachable(false)
-	jrB, err := fed.Submit("bB", batchReq(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.RunFor(5 * time.Minute)
-	if jrB.State() != broker.Done {
-		t.Fatalf("bB probe job: %v", jrB.State())
-	}
+			// The site recovers; bB (which never tripped) may interact with
+			// it successfully, producing evidence newer than bA's trip.
+			site.SetUnreachable(false)
+			if tc.peerRuns {
+				jrB, err := fed.Submit("bB", batchReq(time.Minute))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sim.RunFor(5 * time.Minute)
+				if jrB.State() != broker.Done {
+					t.Fatalf("bB probe job: %v", jrB.State())
+				}
+			} else {
+				sim.RunFor(5 * time.Minute)
+			}
 
-	// Heal: reconciliation clears bA's stale quarantine immediately.
-	fed.SetPartitioned(false)
-	if got := bA.QuarantinedSites(); len(got) != 0 {
-		t.Fatalf("bA still quarantines %v after reconcile", got)
+			// Heal: reconciliation clears bA's stale quarantine immediately,
+			// and only on the peer's evidence.
+			fed.SetPartitioned(false)
+			wantQuarantined, wantReconciled := 0, 1
+			if !tc.peerRuns {
+				wantQuarantined, wantReconciled = 1, 0
+			}
+			if got := bA.QuarantinedSites(); len(got) != wantQuarantined {
+				t.Fatalf("bA quarantines %v after reconcile, want %d site(s)", got, wantQuarantined)
+			}
+			sim.RunFor(2 * time.Hour)
+			if jrA.State() != broker.Done {
+				t.Fatalf("bA job after heal: %v (err %v)", jrA.State(), jrA.Err())
+			}
+			mtr := merged(t, fed)
+			if n := countKind(mtr, trace.Unquarantined, "reconciled"); n != wantReconciled {
+				t.Fatalf("reconciled unquarantines = %d, want %d", n, wantReconciled)
+			}
+			assertDrained(t, fed)
+		})
 	}
-	sim.RunFor(time.Hour)
-	if jrA.State() != broker.Done {
-		t.Fatalf("bA job after heal: %v (err %v)", jrA.State(), jrA.Err())
-	}
-	mtr := merged(t, fed)
-	if n := countKind(mtr, trace.Unquarantined, "reconciled"); n != 1 {
-		t.Fatalf("reconciled unquarantines = %d, want 1", n)
-	}
-	assertDrained(t, fed)
 }
 
 // Disjoint grids joined by a pure relay supervisor: pressure on one
