@@ -97,6 +97,8 @@ type Directory interface {
 	DiscoverImmediate(pageSize int) *infosys.Cursor
 	// Publish lands a site record in the shared registry.
 	Publish(rec infosys.SiteRecord) error
+	// PublishQueueState refreshes a published record's queue state.
+	PublishQueueState(name string, total, free, queued int) bool
 }
 
 // agentRegistryCost models the (local) combined discovery+selection
@@ -500,11 +502,13 @@ type Broker struct {
 }
 
 // siteEntry is one registered site's record: the site, its circuit
-// breaker and its exclusive-temporal-access leases.
+// breaker, its exclusive-temporal-access leases and the hash of its
+// name every pass's tie-break noise starts from.
 type siteEntry struct {
-	st     *site.Site
-	health siteHealth
-	leases leaseQueue
+	st       *site.Site
+	health   siteHealth
+	leases   leaseQueue
+	nameHash uint64
 }
 
 // New creates a broker.
@@ -536,7 +540,7 @@ func New(cfg Config) *Broker {
 // quarantines it.
 func (b *Broker) RegisterSite(st *site.Site) {
 	name := st.Name()
-	b.sites[name] = &siteEntry{st: st}
+	b.sites[name] = &siteEntry{st: st, nameHash: nameHash(name)}
 	st.SetTracer(b.cfg.Trace)
 	st.OnDeath(func() {
 		b.releaseSiteLeases(name)

@@ -33,25 +33,35 @@ func candBetter(a, b *candidate) bool {
 	return a.site.Name() < b.site.Name()
 }
 
-// selectionNoise derives a candidate's tie-break noise in [0, 1) from
-// the pass nonce and the site name (FNV-1a). Hashing instead of
-// drawing per candidate makes the noise — and with it the selection
+// A candidate's tie-break noise in [0, 1) is the FNV-1a hash of the
+// site name followed by the pass nonce's eight bytes. Hashing instead
+// of drawing per candidate makes the noise — and with it the selection
 // outcome — independent of enumeration order, so scans of the same
 // records in shard-major page order pick identical sites for the same
-// seed whatever the shard count.
-func selectionNoise(nonce uint64, name string) float64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+// seed whatever the shard count. FNV-1a is sequential, so the name's
+// part is hashed once, at registration (nameHash), and each pass only
+// folds in its nonce (noiseFrom).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// nameHash is the FNV-1a state after a site name.
+func nameHash(name string) uint64 {
+	h := uint64(fnvOffset64)
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
-		h *= prime64
+		h *= fnvPrime64
 	}
+	return h
+}
+
+// noiseFrom folds a pass nonce into a site's nameHash and maps the
+// result onto [0, 1).
+func noiseFrom(h, nonce uint64) float64 {
 	for i := 0; i < 8; i++ {
 		h ^= (nonce >> (8 * i)) & 0xff
-		h *= prime64
+		h *= fnvPrime64
 	}
 	return float64(h>>11) / (1 << 53)
 }
@@ -113,21 +123,21 @@ func (h *topkHeap) Push(x any)        { *h = append(*h, x.(probeTask)) }
 func (h *topkHeap) Pop() any          { old := *h; n := len(old) - 1; x := old[n]; *h = old[:n]; return x }
 
 // admit is the pipeline's admission stage: it resolves one enumerated
-// site name to its registered site, or rejects it. A record for a site
-// not registered here is skipped silently (st nil); a site whose
-// circuit breaker excludes it is skipped and reported unavailable. One
-// registry lookup resolves site and breaker together, and now is read
-// once per pass: no virtual time passes inside the synchronous
-// source→keep-K stretch.
-func (b *Broker) admit(name string, now time.Time) (st *site.Site, unavailable bool) {
-	e := b.sites[name]
+// site name to its registered site's entry, or rejects it. A record
+// for a site not registered here is skipped silently (nil); a site
+// whose circuit breaker excludes it is skipped and reported
+// unavailable. One registry lookup resolves site, breaker and name
+// hash together, and now is read once per pass: no virtual time passes
+// inside the synchronous source→keep-K stretch.
+func (b *Broker) admit(name string, now time.Time) (e *siteEntry, unavailable bool) {
+	e = b.sites[name]
 	if e == nil {
 		return nil, false
 	}
 	if breakerOpen(&e.health, now) {
 		return nil, true
 	}
-	return e.st, false
+	return e, false
 }
 
 // evaluate is the pipeline's evaluation stage, the one place a job's
@@ -169,10 +179,10 @@ func (b *Broker) evaluate(job *jdl.Job, sc *infosys.Schema, vals []any, name str
 // for this pass. It writes through a pointer because the scan builds a
 // task per passing record and few enter the bounded heap; returning
 // the 80-byte struct by value cost the scan a copy per record.
-func (b *Broker) newTask(p *probeTask, st *site.Site, sc *infosys.Schema, vals []any, prelim float64, nonce uint64) {
-	p.st, p.schema, p.vals, p.prelim = st, sc, vals, prelim
+func (b *Broker) newTask(p *probeTask, e *siteEntry, sc *infosys.Schema, vals []any, prelim float64, nonce uint64) {
+	p.st, p.schema, p.vals, p.prelim = e.st, sc, vals, prelim
 	if !b.cfg.Deterministic {
-		p.noise = selectionNoise(nonce, st.Name())
+		p.noise = noiseFrom(e.nameHash, nonce)
 	}
 }
 
@@ -247,11 +257,11 @@ type passScan struct {
 func (s *passScan) record(sc *infosys.Schema, name string, vals []any, freeCPUs int) {
 	b, h, topk := s.b, s.h, s.b.cfg.TopK
 	h.scanned++
-	st, unavailable := b.admit(name, s.now)
+	e, unavailable := b.admit(name, s.now)
 	if unavailable {
 		h.unavailable++
 	}
-	if st == nil {
+	if e == nil {
 		return
 	}
 	pass, prelim, rankErr := b.evaluate(h.request.Job, sc, vals, name, freeCPUs)
@@ -259,7 +269,7 @@ func (s *passScan) record(sc *infosys.Schema, name string, vals []any, freeCPUs 
 		return
 	}
 	var p probeTask
-	b.newTask(&p, st, sc, vals, prelim, s.nonce)
+	b.newTask(&p, e, sc, vals, prelim, s.nonce)
 	switch {
 	case topk <= 0:
 		s.keep = append(s.keep, p)

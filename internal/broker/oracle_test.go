@@ -1,7 +1,9 @@
 package broker
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"testing"
@@ -22,9 +24,11 @@ import (
 // attribute map, rank with the interpreted Rank AST, sort, truncate to
 // TopK, probe each survivor in name order and re-rank on the fresh
 // answer. It shares no compiled predicate, flat vector, page, cursor,
-// subscription or heap code with the pipeline it checks — only the
-// broker state both read (registered sites, breaker, leases, catalog)
-// and the seeded noise function that defines the tie-break.
+// subscription, heap or noise code with the pipeline it checks — only
+// the broker state both read (registered sites, breaker, leases,
+// catalog) and the definition of the seeded tie-break noise, which the
+// oracle computes in one pass (selectionNoise) where the pipeline
+// splits it at the name.
 
 // oracleMatch is one site the oracle kept.
 type oracleMatch struct {
@@ -33,6 +37,50 @@ type oracleMatch struct {
 	pen    float64 // staging seconds
 	prelim float64 // interpreted Rank on published state, minus pen
 	noise  float64
+}
+
+// selectionNoise is the tie-break noise of site name in the pass with
+// the given nonce: FNV-1a over the name, then the nonce's eight bytes
+// least significant first, its top 53 bits mapped onto [0, 1).
+func selectionNoise(nonce uint64, name string) float64 {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], nonce)
+	h.Write(b[:])
+	return float64(h.Sum64()>>11) / (1 << 53)
+}
+
+// TestSelectionNoisePinned pins the tie-break noise to values the
+// one-pass hash gave before the name's part was cached at registration,
+// and holds the split (nameHash, then noiseFrom) to the oracle's
+// one-pass reference: a change to either moves every seeded selection.
+func TestSelectionNoisePinned(t *testing.T) {
+	for _, c := range []struct {
+		nonce uint64
+		name  string
+		want  float64
+	}{
+		{0, "site00", 0.00957059213540723},
+		{1, "site42", 0.020744075679816842},
+		{0xdeadbeefcafef00d, "c0999", 0.970976613378058},
+		{2006, "", 0.44214696729413194},
+	} {
+		if got := selectionNoise(c.nonce, c.name); got != c.want {
+			t.Errorf("selectionNoise(%#x, %q) = %v, want %v", c.nonce, c.name, got, c.want)
+		}
+		if got := noiseFrom(nameHash(c.name), c.nonce); got != c.want {
+			t.Errorf("noiseFrom(nameHash(%q), %#x) = %v, want %v", c.name, c.nonce, got, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		name := fmt.Sprintf("s%0*d", rng.Intn(6), rng.Intn(100000))
+		nonce := rng.Uint64()
+		if got, want := noiseFrom(nameHash(name), nonce), selectionNoise(nonce, name); got != want {
+			t.Fatalf("noiseFrom(nameHash(%q), %#x) = %v, reference %v", name, nonce, got, want)
+		}
+	}
 }
 
 // useOracle routes every matchmaking pass of b through the oracle.

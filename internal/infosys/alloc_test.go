@@ -40,7 +40,9 @@ func skipUnderRace(t *testing.T) {
 // TestRegistryRepublishBudget: the periodic refresh of a site whose
 // attributes did not change stores one new row and nothing else; when
 // its queue state moved it also copies the vector and boxes the moved
-// counts (at most three).
+// counts (at most three). Both write paths hold to it: Publish, which
+// compares the attributes, and PublishQueueState, which carries them
+// over; the latter refuses an unknown name without allocating.
 func TestRegistryRepublishBudget(t *testing.T) {
 	skipUnderRace(t)
 	svc := budgetService(8)
@@ -57,6 +59,33 @@ func TestRegistryRepublishBudget(t *testing.T) {
 	snap := svc.SnapshotImmediate()
 	if got := snap.Record(3); got.FreeCPUs != r.FreeCPUs || got.Attrs["MemoryMB"] != 2048 {
 		t.Fatalf("republished record reads %+v", got)
+	}
+
+	if got := testing.AllocsPerRun(200, func() {
+		svc.PublishQueueState(r.Name, r.TotalCPUs, r.FreeCPUs, r.QueuedJobs)
+	}); got != 1 {
+		t.Errorf("unchanged PublishQueueState: %v allocations, want 1 (the row)", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		r.FreeCPUs, r.QueuedJobs = 1+r.FreeCPUs%15, 1+r.QueuedJobs%9
+		svc.PublishQueueState(r.Name, r.TotalCPUs, r.FreeCPUs, r.QueuedJobs)
+	}); got != 4 {
+		t.Errorf("moved PublishQueueState: %v allocations, want 4 (row, vector, two boxed counts)", got)
+	}
+	epoch := svc.Epoch()
+	if got := testing.AllocsPerRun(200, func() {
+		if svc.PublishQueueState("nosuchsite", 16, 7, 3) {
+			t.Fatal("PublishQueueState accepted a name with no record")
+		}
+	}); got != 0 {
+		t.Errorf("unknown-name PublishQueueState: %v allocations, want 0", got)
+	}
+	if svc.Epoch() != epoch {
+		t.Fatal("refused PublishQueueState moved the epoch")
+	}
+	got := svc.SnapshotImmediate().Record(3)
+	if got.FreeCPUs != r.FreeCPUs || got.QueuedJobs != r.QueuedJobs || got.Attrs["MemoryMB"] != 2048 || len(got.Attrs) != len(r.Attrs) {
+		t.Fatalf("refreshed record reads %+v", got)
 	}
 }
 
@@ -93,4 +122,36 @@ func TestSchemaFlattenBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() { valsFor(r, sc) }); got != 5 {
 		t.Errorf("valsFor: %v allocations, want 5 (vector, MemoryMB, three counts)", got)
 	}
+}
+
+// BenchmarkRepublish times one site's periodic refresh in an 800-row
+// shard (replay-wide's grid), its queue state moved: full is the
+// content-comparing Publish of a prebuilt record, queue-state the
+// PublishQueueState a registered site's tick calls. Records and names
+// are built before the timer starts.
+func BenchmarkRepublish(b *testing.B) {
+	const n = 800
+	recs := make([]SiteRecord, n)
+	for i := range recs {
+		recs[i] = budgetRecord(i)
+	}
+	b.Run("full", func(b *testing.B) {
+		svc := budgetService(n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := &recs[i%n]
+			r.FreeCPUs = 1 + (i/n)%15
+			svc.Publish(*r)
+		}
+	})
+	b.Run("queue-state", func(b *testing.B) {
+		svc := budgetService(n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := &recs[i%n]
+			svc.PublishQueueState(r.Name, r.TotalCPUs, 1+(i/n)%15, r.QueuedJobs)
+		}
+	})
 }

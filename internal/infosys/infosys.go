@@ -24,11 +24,15 @@
 // fresh queue state is overlaid on a pooled copy (MatchAttrs).
 //
 // The periodic refresh is the registry's main load (every site
-// republishes on a timer and almost every republish changes nothing
-// but its timestamp or queue state), so the registry is repaired, not
+// republishes on a timer, and a site's attributes never change, only
+// its timestamp and queue state), so the registry is repaired, not
 // rebuilt. Each shard keeps a standing store of immutable rows (record
 // plus flat vector); a publish stores one new row, reusing what did
-// not change of the old one, and a snapshot wraps the standing rows.
+// not change of the old one, and a snapshot wraps the standing rows. A
+// registered site refreshes through PublishQueueState, which carries
+// the stored attributes over without looking at them; Publish, which
+// compares attribute content, serves first pushes and outside
+// publishers.
 //
 // To scale past a monolithic index the registry is hash-sharded
 // (NewSharded): each shard keeps its own rows, epoch and snapshot, so
@@ -484,9 +488,10 @@ func (s *Service) shardIndexFor(name string) int {
 func (s *Service) QueryLatency() time.Duration { return s.queryLatency }
 
 // Publish stores or replaces a site record, stamping it with the
-// current time. Sites call this periodically (push model, as GRIS to
-// GIIS registration). Each publish starts a new snapshot epoch on the
-// record's shard (and a new global epoch).
+// current time. A site pushes its full record this way when it has
+// none in the index (push model, as GRIS to GIIS registration) and
+// refreshes it through PublishQueueState. Each publish starts a new
+// snapshot epoch on the record's shard (and a new global epoch).
 //
 // A publish pays for what changed since the site's last one, judged by
 // the content of Attrs (a publisher may reuse, and mutate, the map it
@@ -518,27 +523,66 @@ func (s *Service) Publish(rec SiteRecord) error {
 			nr.vals = valsFor(nr.rec, sh.schema)
 		}
 	}
+	s.storeLocked(si, nr, old, at, sameNames)
+	return nil
+}
+
+// PublishQueueState is a registered site's refresh: it republishes the
+// site's stored record with new queue state, stamped with the current
+// time, keeping Attrs and Gatekeeper as last published in full. A site
+// owns its attributes and never changes them, so its periodic push has
+// nothing to compare; only an outside publisher that may mutate its map
+// needs Publish's content compare. It reports false, changing nothing,
+// when name has no record (never published, or removed since): the
+// caller then publishes the full record.
+func (s *Service) PublishQueueState(name string, total, free, queued int) bool {
+	si := s.shardIndexFor(name)
+	sh := s.shards[si]
+	sh.mu.Lock()
+	at, ok := sh.index[name]
+	if !ok {
+		sh.mu.Unlock()
+		return false
+	}
+	old := sh.rows[at]
+	nr := &row{rec: old.rec}
+	nr.rec.TotalCPUs, nr.rec.FreeCPUs, nr.rec.QueuedJobs = total, free, queued
+	nr.rec.UpdatedAt = s.clock.Now()
+	nr.vals = sh.schema.requeued(old, nr.rec)
+	s.storeLocked(si, nr, old, at, true)
+	return true
+}
+
+// storeLocked is the tail both write paths share: it stores nr over
+// old, which sits at position at, or appends it when old is nil; bumps
+// the shard and global epochs; moves the shared attribute counts unless
+// the name set is the same; and logs the delta. The caller holds shard
+// si's lock: storeLocked releases it, then emits the DeltaPublished
+// event.
+func (s *Service) storeLocked(si int, nr, old *row, at int, sameNames bool) {
+	sh := s.shards[si]
+	name := nr.rec.Name
 	sh.own()
 	dk := DeltaUpdated
-	if replaced {
+	if old != nil {
 		sh.rows[at] = nr
 	} else {
 		dk = DeltaAdded
-		if n := len(sh.rows); n > 0 && sh.rows[n-1].rec.Name > rec.Name {
+		if n := len(sh.rows); n > 0 && sh.rows[n-1].rec.Name > name {
 			sh.sorted = false
 		}
-		sh.index[rec.Name] = len(sh.rows)
+		sh.index[name] = len(sh.rows)
 		sh.rows = append(sh.rows, nr)
 	}
 	sh.epoch++
 	s.mu.Lock()
 	s.epoch++
 	globalEpoch := s.epoch
-	if !replaced {
+	if old == nil {
 		s.count++
 	}
 	if !sameNames {
-		if replaced {
+		if old != nil {
 			s.dropAttrsLocked(old.rec)
 		}
 		s.addAttrsLocked(nr.rec)
@@ -548,9 +592,8 @@ func (s *Service) Publish(rec SiteRecord) error {
 	sh.mu.Unlock()
 	if emit {
 		s.tracer.Emit(trace.Event{Kind: trace.DeltaPublished,
-			Site: rec.Name, N: si, Epoch: globalEpoch, Detail: dk.String()})
+			Site: name, N: si, Epoch: globalEpoch, Detail: dk.String()})
 	}
-	return nil
 }
 
 // compareAttrs reports whether two attribute maps have the same names

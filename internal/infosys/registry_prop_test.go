@@ -13,8 +13,8 @@ import (
 )
 
 // The registry property: a shard is a standing row store that every
-// Publish and Remove repairs, and a snapshot wraps its rows. So after
-// any sequence of operations
+// Publish, PublishQueueState and Remove repairs, and a snapshot wraps
+// its rows. So after any sequence of operations
 //
 //   - what the registry holds and serves equals a snapshot rebuilt from
 //     scratch over the live records (NewSnapshot, the oracle),
@@ -172,11 +172,14 @@ func runRegistryOps(t *testing.T, shards int, ops []byte) {
 		switch op % 16 {
 		case 0, 1:
 			m.republish(next(), func(*SiteRecord) {})
-		case 2, 3:
+		case 2:
 			b := next()
 			m.republish(next(), func(r *SiteRecord) {
 				r.FreeCPUs, r.QueuedJobs, r.TotalCPUs = int(b%5), int(b>>3%4), 4+int(b>>6)
 			})
+		case 3:
+			b := next()
+			m.publishQueueState(next(), int(b%5), int(b>>3%4), 4+int(b>>6))
 		case 4, 5:
 			b := next()
 			m.republish(next(), func(r *SiteRecord) { m.changeValue(r, b) })
@@ -261,6 +264,35 @@ func (m *regModel) republish(pick byte, change func(*SiteRecord)) {
 	change(&r)
 	m.held[name] = r
 	m.publish(name)
+}
+
+// publishQueueState refreshes a site's queue state the way a
+// registered site does: a live site (in name order) or, when bit 7 of
+// pick is set, any site, live or not. A site with no record must be
+// refused without an epoch bump; a live one keeps the Attrs and
+// Gatekeeper the registry holds, whatever its publisher did to its map
+// since.
+func (m *regModel) publishQueueState(pick byte, free, queued, total int) {
+	name, ok := m.pickLive(pick)
+	if !ok || pick&0x80 != 0 {
+		name = propSites[int(pick)%len(propSites)]
+	}
+	r, live := m.live.recs[name]
+	epoch := m.svc.Epoch()
+	if got := m.svc.PublishQueueState(name, total, free, queued); got != live {
+		m.fatalf("PublishQueueState(%s) = %v, live %v", name, got, live)
+	}
+	if !live {
+		if got := m.svc.Epoch(); got != epoch {
+			m.fatalf("refused PublishQueueState(%s) moved the epoch %d -> %d", name, epoch, got)
+		}
+		return
+	}
+	r.TotalCPUs, r.FreeCPUs, r.QueuedJobs = total, free, queued
+	r.UpdatedAt = m.sim.Now()
+	m.live.recs[name] = r
+	m.live.epochs[m.svc.shardIndexFor(name)]++
+	m.global++
 }
 
 func (m *regModel) changeValue(r *SiteRecord, b byte) {

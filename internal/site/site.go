@@ -116,6 +116,8 @@ type Site struct {
 	cfg    Config
 	lrms   *batch.Queue
 	tracer *trace.Tracer
+	// gatekeeper is the published gatekeeper address, built once.
+	gatekeeper string
 
 	// Failure-model state (driven by internal/faultinject or tests).
 	down         bool // crashed: gatekeeper and worker pool dead
@@ -189,7 +191,7 @@ func New(sim *simclock.Sim, cfg Config) *Site {
 		attrs[infosys.AttrStartupSec] = b.Startup.Seconds()
 	}
 	cfg.Attrs = attrs
-	return &Site{sim: sim, cfg: cfg, lrms: lrms}
+	return &Site{sim: sim, cfg: cfg, lrms: lrms, gatekeeper: cfg.Name + "/gatekeeper"}
 }
 
 // Name returns the site name.
@@ -271,7 +273,7 @@ func (s *Site) OnDeath(fn func()) { s.deathHooks = append(s.deathHooks, fn) }
 func (s *Site) Record() infosys.SiteRecord {
 	return infosys.SiteRecord{
 		Name:       s.cfg.Name,
-		Gatekeeper: s.cfg.Name + "/gatekeeper",
+		Gatekeeper: s.gatekeeper,
 		Attrs:      s.cfg.Attrs,
 		TotalCPUs:  s.lrms.TotalCPUs(),
 		FreeCPUs:   s.lrms.FreeNodeCount(),
@@ -283,10 +285,14 @@ func (s *Site) Record() infosys.SiteRecord {
 // *infosys.Service the registering broker discovers through.
 type Publisher interface {
 	Publish(rec infosys.SiteRecord) error
+	PublishQueueState(name string, total, free, queued int) bool
 }
 
 // StartPublishing pushes the site record to the information service
 // now and on every PublishInterval, mirroring GRIS->GIIS registration.
+// The site's attributes never change, so a push refreshes only the
+// queue state of the record the index holds; the first push, and any
+// push after the index dropped the record, is the full record.
 // A crashed or partitioned-off site skips its pushes (a dead GRIS),
 // so its record goes stale in the index until it comes back.
 // Idempotent: when several federated brokers register the same site,
@@ -299,7 +305,8 @@ func (s *Site) StartPublishing(is Publisher) {
 	s.publishing = true
 	var tick func()
 	tick = func() {
-		if s.Available() {
+		q := s.lrms
+		if s.Available() && !is.PublishQueueState(s.cfg.Name, q.TotalCPUs(), q.FreeNodeCount(), q.QueueLength()) {
 			is.Publish(s.Record())
 		}
 		s.sim.AfterFunc(s.cfg.PublishInterval, tick)

@@ -121,11 +121,51 @@ func TestStartPublishing(t *testing.T) {
 	if is.Len() != 1 {
 		t.Fatal("initial publish missing")
 	}
-	first := is.QueryImmediate()[0].UpdatedAt
+	first := is.QueryImmediate()[0]
+	if first.Gatekeeper != "x/gatekeeper" || first.Attrs["OS"] != "linux" {
+		t.Fatalf("initial publish = %+v", first)
+	}
 	sim.RunFor(90 * time.Second)
-	second := is.QueryImmediate()[0].UpdatedAt
-	if !second.After(first) {
+	second := is.QueryImmediate()[0]
+	if !second.UpdatedAt.After(first.UpdatedAt) {
 		t.Fatal("record not refreshed")
+	}
+	if second.Gatekeeper != first.Gatekeeper || len(second.Attrs) != len(first.Attrs) {
+		t.Fatalf("refresh changed the published attributes: %+v", second)
+	}
+
+	// An index that dropped the record gets the full record back on the
+	// next tick, not a refusal.
+	is.Remove("x")
+	sim.RunFor(time.Minute)
+	recs := is.QueryImmediate()
+	if len(recs) != 1 {
+		t.Fatalf("%d records after the tick that follows a Remove, want 1", len(recs))
+	}
+	if r := recs[0]; r.Gatekeeper != "x/gatekeeper" || len(r.Attrs) != len(first.Attrs) || r.Attrs["OS"] != "linux" || !r.UpdatedAt.After(second.UpdatedAt) {
+		t.Fatalf("republish after Remove = %+v", r)
+	}
+}
+
+// TestPublishTickAllocs: one refresh tick of a registered, idle site
+// stores the index's one new row and allocates nothing of its own (no
+// record, no gatekeeper string).
+func TestPublishTickAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	sim := simclock.NewSim(time.Time{})
+	s := New(sim, Config{Name: "x", Nodes: 4, PublishInterval: time.Minute, Network: netsim.CampusGrid()})
+	is := infosys.New(sim, 0)
+	s.StartPublishing(is)
+	is.SnapshotImmediate() // the row gets its vector
+	epoch := is.Epoch()
+	const ticks = 100
+	if got := testing.AllocsPerRun(ticks, func() { sim.RunFor(time.Minute) }); got != 1 {
+		t.Errorf("publish tick: %v allocations, want 1 (the row)", got)
+	}
+	if got := is.Epoch() - epoch; got != ticks+1 {
+		t.Fatalf("%d publishes, want one per tick (%d)", got, ticks+1)
 	}
 }
 
