@@ -49,7 +49,10 @@ type Agent struct {
 	proc interpose.Process
 	link *Link
 
-	pumps   sync.WaitGroup
+	pumps sync.WaitGroup
+	// aux counts the auxiliary pumps that have not sent their EOF yet;
+	// stdout and stderr send theirs only after it drains (see pump).
+	aux     sync.WaitGroup
 	waitErr error
 	done    chan struct{}
 
@@ -97,6 +100,7 @@ func StartAgent(cfg AgentConfig, proc interpose.Process) (*Agent, error) {
 	}
 
 	a.pumps.Add(2 + len(auxReaders))
+	a.aux.Add(len(auxReaders))
 	go func() {
 		// Hold the pumps until the first connection (or permanent
 		// failure): the real CA opens its RPC channel to the shadow
@@ -117,7 +121,10 @@ func StartAgent(cfg AgentConfig, proc interpose.Process) (*Agent, error) {
 }
 
 // pump copies one application output stream into its flush buffer and
-// signals EOF downstream when the stream ends.
+// signals EOF downstream when the stream ends. The shadow completes on
+// the stdout and stderr EOFs alone, so those two wait until every
+// auxiliary stream has flushed and sent its own: the link is ordered,
+// so the shadow then holds every channel's data when it completes.
 func (a *Agent) pump(r io.Reader, buf *flushBuffer, stream Stream) {
 	defer a.pumps.Done()
 	chunk := make([]byte, 32<<10)
@@ -128,6 +135,12 @@ func (a *Agent) pump(r io.Reader, buf *flushBuffer, stream Stream) {
 		}
 		if err != nil {
 			buf.Close()
+			if stream.IsAux() {
+				a.link.SendEOF(stream)
+				a.aux.Done()
+				return
+			}
+			a.aux.Wait()
 			a.link.SendEOF(stream)
 			return
 		}

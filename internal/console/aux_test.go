@@ -110,16 +110,6 @@ func TestAuxChannelsForwarded(t *testing.T) {
 	if !shadow.Wait(5 * time.Second) {
 		t.Fatal("shadow did not complete")
 	}
-	// Give the aux EOFs a moment (they do not gate shadow completion).
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, eof0 := col.get(0); eof0 {
-			if _, eof1 := col.get(1); eof1 {
-				break
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 	got0, eof0 := col.get(0)
 	got1, eof1 := col.get(1)
 	if got0 != "monitor: cpu 42%\n" || !eof0 {
@@ -127,6 +117,31 @@ func TestAuxChannelsForwarded(t *testing.T) {
 	}
 	if got1 != "result: 3.14159\n" || !eof1 {
 		t.Fatalf("aux1 = %q eof=%v", got1, eof1)
+	}
+}
+
+// TestAuxDeliveredBeforeShadowCompletes: an aux channel that flushes
+// after stdout and stderr closed still reaches the shadow, EOF
+// included, before the session completes. The shadow completes on the
+// stdout and stderr EOFs, so those must not overtake aux traffic.
+func TestAuxDeliveredBeforeShadowCompletes(t *testing.T) {
+	app := func(stdin io.Reader, stdout, stderr io.Writer, aux []io.Writer) error {
+		fmt.Fprintln(stdout, "main output")
+		stdout.(io.Closer).Close()
+		stderr.(io.Closer).Close()
+		time.Sleep(100 * time.Millisecond)
+		fmt.Fprintln(aux[0], "late sample")
+		return nil
+	}
+	col, agent, shadow, _ := startAuxSession(t, jdl.ReliableStreaming, 1, app)
+	if !shadow.Wait(5 * time.Second) {
+		t.Fatal("shadow did not complete")
+	}
+	if got, eof := col.get(0); got != "late sample\n" || !eof {
+		t.Fatalf("aux0 at shadow completion = %q eof=%v, want the late sample and its EOF", got, eof)
+	}
+	if err := agent.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 
