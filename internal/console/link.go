@@ -172,6 +172,14 @@ func (l *Link) retryLoop() {
 			continue
 		}
 		l.mu.Lock()
+		if l.conn == nil && !l.closed {
+			// The fresh connection died before the loop stood down (its
+			// replay failed, or its reader saw it break), and
+			// markDeadLocked left the reconnect to this loop.
+			l.mu.Unlock()
+			lastErr = errors.New("connection lost during install")
+			continue
+		}
 		l.retrying = false
 		l.mu.Unlock()
 		return

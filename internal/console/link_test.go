@@ -177,6 +177,61 @@ func TestLinkReplayAfterReconnect(t *testing.T) {
 	}
 }
 
+// TestLinkRetriesWhenFreshConnectionDies: a connection that dies while
+// the retry loop is still installing it must not end the loop. The
+// first connection's peer answers the Hello and hangs up, so replaying
+// the spilled record fails inside install; the link must dial again
+// and deliver the record over the second connection.
+func TestLinkRetriesWhenFreshConnectionDies(t *testing.T) {
+	up := newRecorder()
+	cfg := func(name string) LinkConfig {
+		return LinkConfig{
+			Mode:          jdl.ReliableStreaming,
+			RetryInterval: 10 * time.Millisecond,
+			MaxRetries:    200,
+			SpillPath:     filepath.Join(t.TempDir(), name+".spill"),
+		}
+	}
+	acceptLink, err := NewAcceptLink(cfg("accept"), up.recv, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	dials := 0
+	dial := func() (net.Conn, error) {
+		mu.Lock()
+		dials++
+		first := dials == 1
+		mu.Unlock()
+		agent, peer := net.Pipe()
+		go func() {
+			hello, err := ReadMessage(peer)
+			if err != nil {
+				peer.Close()
+				return
+			}
+			if first {
+				WriteMessage(peer, &Message{Type: MsgHello})
+				peer.Close()
+				return
+			}
+			acceptLink.Attach(peer, hello)
+		}()
+		return agent, nil
+	}
+	dialLink, err := NewDialLink(cfg("dial"), dial, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dialLink.Close(); acceptLink.Close() })
+	dialLink.Send(Stdout, []byte("spilled before connecting"))
+	dialLink.Start()
+	waitFor(t, func() bool { return up.get(Stdout) == "spilled before connecting" }, "replay over a second connection")
+	if !dialLink.WaitDrained(5 * time.Second) {
+		t.Fatal("spill not drained")
+	}
+}
+
 func TestLinkNoDuplicatesAcrossManyOutages(t *testing.T) {
 	up := newRecorder()
 	p := newLinkPair(t, jdl.ReliableStreaming, nil, up.recv, nil)
