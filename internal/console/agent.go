@@ -136,11 +136,10 @@ func (a *Agent) pump(r io.Reader, buf *flushBuffer, stream Stream) {
 		if err != nil {
 			buf.Close()
 			if stream.IsAux() {
-				a.link.SendEOF(stream)
-				a.aux.Done()
-				return
+				defer a.aux.Done()
+			} else {
+				a.aux.Wait()
 			}
-			a.aux.Wait()
 			a.link.SendEOF(stream)
 			return
 		}
