@@ -67,11 +67,14 @@ func runInteractive(sys *core.System, pl int) time.Duration {
 			PerformanceLoss: pl,
 		},
 		User: "/CN=interuser",
-		Body: func(rc *broker.RunContext) {
-			rc.Output(64)
-			start := rc.Sim.Now()
-			rc.Slots[0].Run(10 * time.Second)
-			elapsed = rc.Sim.Since(start)
+		Body: func(rc *broker.RunContext, done func()) {
+			rc.Output(64, func() {
+				start := rc.Sim.Now()
+				rc.Slots[0].Start(10 * time.Second).WaitThen(func() {
+					elapsed = rc.Sim.Since(start)
+					done()
+				})
+			})
 		},
 	})
 	if err != nil {

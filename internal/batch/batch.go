@@ -78,18 +78,6 @@ type ExecCtx struct {
 // Sim returns the simulation clock the job runs on.
 func (c *ExecCtx) Sim() *simclock.Sim { return c.sim }
 
-// SleepOrKilled suspends a blocking job body (see simclock.Blocking)
-// for d, returning early — and reporting true — if the job is killed
-// first.
-func (c *ExecCtx) SleepOrKilled(d time.Duration) (killed bool) {
-	w := c.sim.NewTrigger()
-	t := c.sim.AfterFunc(d, w.Fire)
-	c.Killed.OnFire(w.Fire)
-	w.Wait()
-	t.Stop()
-	return c.Killed.Fired()
-}
-
 // Request describes a job submitted to the local queue.
 type Request struct {
 	// ID is the job identifier; unique per queue.
@@ -102,9 +90,9 @@ type Request struct {
 	// priority level). Local jobs default to 0.
 	Priority int
 	// RunCB is the job body, dispatched in a plain event when nodes
-	// are allocated: it wires its own continuations and calls done
-	// exactly once when the job completes. A body written as blocking
-	// steps is wrapped with simclock.Blocking.
+	// are allocated: it waits by scheduling its continuations
+	// (AfterFunc, Trigger.WaitThen) and calls done exactly once when
+	// the job completes.
 	RunCB func(ctx *ExecCtx, done func())
 }
 

@@ -18,11 +18,13 @@ func TestSubmitRunsAfterCycle(t *testing.T) {
 	q := newQueue(sim, 2, WithCycle(2*time.Second))
 	start := sim.Now()
 	var startedAt, doneAt time.Duration
-	h, err := q.Submit(Request{ID: "j1", Owner: "u", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
+	h, err := q.Submit(Request{ID: "j1", Owner: "u", Nodes: 1, RunCB: func(ctx *ExecCtx, done func()) {
 		startedAt = sim.Since(start)
-		ctx.SleepOrKilled(10 * time.Second)
-		doneAt = sim.Since(start)
-	})})
+		sleepOrKilled(ctx, 10*time.Second, func(bool) {
+			doneAt = sim.Since(start)
+			done()
+		})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +48,10 @@ func TestFCFSQueueing(t *testing.T) {
 	q := newQueue(sim, 1, WithCycle(time.Second))
 	var order []string
 	mk := func(id string) Request {
-		return Request{ID: id, Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
+		return Request{ID: id, Nodes: 1, RunCB: func(ctx *ExecCtx, done func()) {
 			order = append(order, id)
-			ctx.SleepOrKilled(5 * time.Second)
-		})}
+			sleepCB(5*time.Second)(ctx, done)
+		}}
 	}
 	q.Submit(mk("a"))
 	q.Submit(mk("b"))
@@ -65,10 +67,10 @@ func TestPriorityOrdering(t *testing.T) {
 	q := newQueue(sim, 1, WithCycle(time.Second))
 	var order []string
 	mk := func(id string, prio int) Request {
-		return Request{ID: id, Nodes: 1, Priority: prio, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
+		return Request{ID: id, Nodes: 1, Priority: prio, RunCB: func(ctx *ExecCtx, done func()) {
 			order = append(order, id)
-			ctx.SleepOrKilled(time.Second)
-		})}
+			sleepCB(time.Second)(ctx, done)
+		}}
 	}
 	q.Submit(mk("low", 0))
 	q.Submit(mk("high", 10))
@@ -82,10 +84,10 @@ func TestMultiNodeAllocation(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	q := newQueue(sim, 4, WithCycle(time.Second))
 	var got int
-	q.Submit(Request{ID: "mpi", Nodes: 3, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
+	q.Submit(Request{ID: "mpi", Nodes: 3, RunCB: func(ctx *ExecCtx, done func()) {
 		got = len(ctx.Nodes)
-		ctx.SleepOrKilled(time.Second)
-	})})
+		sleepCB(time.Second)(ctx, done)
+	}})
 	sim.Run()
 	if got != 3 {
 		t.Fatalf("allocated %d nodes, want 3", got)
@@ -97,14 +99,12 @@ func TestLargeJobBlocksQueueNoBackfill(t *testing.T) {
 	q := newQueue(sim, 2, WithCycle(time.Second))
 	start := sim.Now()
 	var bigStart, smallStart time.Duration
-	q.Submit(Request{ID: "hold", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ctx.SleepOrKilled(10 * time.Second) })})
-	q.Submit(Request{ID: "big", Nodes: 2, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
+	q.Submit(Request{ID: "hold", Nodes: 1, RunCB: sleepCB(10 * time.Second)})
+	q.Submit(Request{ID: "big", Nodes: 2, RunCB: func(ctx *ExecCtx, done func()) {
 		bigStart = sim.Since(start)
-		ctx.SleepOrKilled(time.Second)
-	})})
-	q.Submit(Request{ID: "small", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
-		smallStart = sim.Since(start)
-	})})
+		sleepCB(time.Second)(ctx, done)
+	}})
+	q.Submit(Request{ID: "small", Nodes: 1, RunCB: runCB(func() { smallStart = sim.Since(start) })})
 	sim.Run()
 	// big needs both nodes: waits for hold (ends t=11). small must not
 	// jump ahead of big (FCFS, no backfill).
@@ -145,8 +145,8 @@ func TestSubmitValidation(t *testing.T) {
 func TestAutoID(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	q := newQueue(sim, 1)
-	h1, _ := q.Submit(Request{Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})})
-	h2, _ := q.Submit(Request{Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})})
+	h1, _ := q.Submit(Request{Nodes: 1, RunCB: doneCB})
+	h2, _ := q.Submit(Request{Nodes: 1, RunCB: doneCB})
 	if h1.ID() == "" || h1.ID() == h2.ID() {
 		t.Fatalf("ids: %q %q", h1.ID(), h2.ID())
 	}
@@ -156,8 +156,8 @@ func TestKillPendingJob(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	q := newQueue(sim, 1, WithCycle(time.Second))
 	ran := false
-	q.Submit(Request{ID: "hold", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ctx.SleepOrKilled(time.Hour) })})
-	h, _ := q.Submit(Request{ID: "victim", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ran = true })})
+	q.Submit(Request{ID: "hold", Nodes: 1, RunCB: sleepCB(time.Hour)})
+	h, _ := q.Submit(Request{ID: "victim", Nodes: 1, RunCB: runCB(func() { ran = true })})
 	sim.AfterFunc(2*time.Second, func() {
 		if err := q.Kill("victim"); err != nil {
 			t.Errorf("Kill: %v", err)
@@ -188,13 +188,16 @@ func TestKillRunningJob(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	q := newQueue(sim, 1, WithCycle(time.Second))
 	var killedEarly bool
-	h, _ := q.Submit(Request{ID: "j", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
-		killedEarly = ctx.SleepOrKilled(time.Hour)
-	})})
+	h, _ := q.Submit(Request{ID: "j", Nodes: 1, RunCB: func(ctx *ExecCtx, done func()) {
+		sleepOrKilled(ctx, time.Hour, func(killed bool) {
+			killedEarly = killed
+			done()
+		})
+	}})
 	sim.AfterFunc(5*time.Second, func() { q.Kill("j") })
 	end := sim.Run()
 	if !killedEarly {
-		t.Fatal("SleepOrKilled did not report kill")
+		t.Fatal("sleepOrKilled did not report kill")
 	}
 	if h.State() != Killed {
 		t.Fatalf("state = %v", h.State())
@@ -220,8 +223,8 @@ func TestNodeReleasedStartsNext(t *testing.T) {
 	q := newQueue(sim, 1, WithCycle(time.Second))
 	start := sim.Now()
 	var secondStart time.Duration
-	q.Submit(Request{ID: "a", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ctx.SleepOrKilled(4 * time.Second) })})
-	q.Submit(Request{ID: "b", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { secondStart = sim.Since(start) })})
+	q.Submit(Request{ID: "a", Nodes: 1, RunCB: sleepCB(4 * time.Second)})
+	q.Submit(Request{ID: "b", Nodes: 1, RunCB: runCB(func() { secondStart = sim.Since(start) })})
 	sim.Run()
 	// a starts at 1s, ends at 5s; b starts one cycle later: 6s.
 	if secondStart != 6*time.Second {
@@ -232,8 +235,8 @@ func TestNodeReleasedStartsNext(t *testing.T) {
 func TestIntrospection(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	q := newQueue(sim, 2, WithCycle(time.Second))
-	q.Submit(Request{ID: "a", Nodes: 2, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ctx.SleepOrKilled(10 * time.Second) })})
-	q.Submit(Request{ID: "b", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})})
+	q.Submit(Request{ID: "a", Nodes: 2, RunCB: sleepCB(10 * time.Second)})
+	q.Submit(Request{ID: "b", Nodes: 1, RunCB: doneCB})
 	sim.RunFor(2 * time.Second)
 	if q.FreeNodeCount() != 0 || q.QueueLength() != 1 || q.RunningCount() != 1 {
 		t.Fatalf("free=%d queued=%d running=%d", q.FreeNodeCount(), q.QueueLength(), q.RunningCount())
@@ -285,11 +288,38 @@ func TestFixedWorkKilledReleasesCPU(t *testing.T) {
 func TestStartedTrigger(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	q := newQueue(sim, 1, WithCycle(time.Second))
-	h, _ := q.Submit(Request{ID: "j", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ctx.SleepOrKilled(time.Second) })})
+	h, _ := q.Submit(Request{ID: "j", Nodes: 1, RunCB: sleepCB(time.Second)})
 	var startedFired bool
 	sim.AfterFunc(1500*time.Millisecond, func() { startedFired = h.Started.Fired() })
 	sim.Run()
 	if !startedFired {
 		t.Fatal("Started not fired while running")
+	}
+}
+
+// sleepOrKilled waits d on the job's clock, or less if the LRM kills
+// the job first, then runs then with whether the kill came first.
+func sleepOrKilled(ctx *ExecCtx, d time.Duration, then func(killed bool)) {
+	w := ctx.Sim().NewTrigger()
+	t := ctx.Sim().AfterFunc(d, w.Fire)
+	w.WaitAny(func() {
+		t.Stop()
+		then(ctx.Killed.Fired())
+	}, ctx.Killed)
+}
+
+// sleepCB is a job body that holds its nodes for d, or until killed.
+func sleepCB(d time.Duration) func(*ExecCtx, func()) {
+	return func(ctx *ExecCtx, done func()) { sleepOrKilled(ctx, d, func(bool) { done() }) }
+}
+
+// doneCB is a job body that finishes at once.
+func doneCB(_ *ExecCtx, done func()) { done() }
+
+// runCB is a job body that runs f and finishes at once.
+func runCB(f func()) func(*ExecCtx, func()) {
+	return func(_ *ExecCtx, done func()) {
+		f()
+		done()
 	}
 }

@@ -21,10 +21,10 @@ func TestElasticColdStartThenWarmReuse(t *testing.T) {
 	})
 	start := sim.Now()
 	var firstStart, secondStart time.Duration
-	p.Submit(Request{ID: "a", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
+	p.Submit(Request{ID: "a", Nodes: 1, RunCB: func(ctx *ExecCtx, done func()) {
 		firstStart = sim.Since(start)
-		ctx.SleepOrKilled(10 * time.Second)
-	})})
+		sleepCB(10*time.Second)(ctx, done)
+	}})
 	sim.RunFor(time.Minute)
 	// Pass at +2s finds no warm node and boots one; the node lands at
 	// +47s; the next pass starts the job at +49s.
@@ -34,9 +34,7 @@ func TestElasticColdStartThenWarmReuse(t *testing.T) {
 
 	// The freed node is warm: a job submitted inside the warm window
 	// starts after one scheduling cycle, with no second cold start.
-	p.Submit(Request{ID: "b", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
-		secondStart = sim.Since(start)
-	})})
+	p.Submit(Request{ID: "b", Nodes: 1, RunCB: runCB(func() { secondStart = sim.Since(start) })})
 	sim.RunFor(10 * time.Second)
 	if secondStart != 62*time.Second {
 		t.Fatalf("warm job started at +%v, want +1m2s (one cycle after submission, no cold start)", secondStart)
@@ -52,9 +50,7 @@ func TestElasticScaleDownReclaim(t *testing.T) {
 		MaxNodes: 3, ColdStart: 30 * time.Second,
 		WarmWindow: 2 * time.Minute,
 	})
-	p.Submit(Request{ID: "a", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
-		ctx.SleepOrKilled(10 * time.Second)
-	})})
+	p.Submit(Request{ID: "a", Nodes: 1, RunCB: sleepCB(10 * time.Second)})
 	sim.RunFor(time.Minute)
 	if got := len(p.Nodes()); got != 1 {
 		t.Fatalf("provisioned after run = %d, want 1", got)
@@ -82,19 +78,17 @@ func TestElasticWarmReuseResetsReclaimTimer(t *testing.T) {
 		MaxNodes: 1, ColdStart: 30 * time.Second,
 		WarmWindow: 1 * time.Minute,
 	})
-	p.Submit(Request{ID: "a", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
-		ctx.SleepOrKilled(50 * time.Second)
-	})})
+	p.Submit(Request{ID: "a", Nodes: 1, RunCB: sleepCB(50 * time.Second)})
 	sim.Run()
 	// Reuse the node 30s into its 60s idle window: the old reclaim
 	// timer must not fire mid-run or just after the second job frees
 	// the node again.
 	sim.RunFor(30 * time.Second)
 	var started bool
-	p.Submit(Request{ID: "b", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
+	p.Submit(Request{ID: "b", Nodes: 1, RunCB: func(ctx *ExecCtx, done func()) {
 		started = true
-		ctx.SleepOrKilled(45 * time.Second)
-	})})
+		sleepCB(45*time.Second)(ctx, done)
+	}})
 	sim.RunFor(50 * time.Second)
 	if !started {
 		t.Fatal("second job never started on the warm node")
@@ -116,11 +110,14 @@ func TestElasticCrashAllKillsAndDeprovisions(t *testing.T) {
 	})
 	var killedOrder []string
 	mk := func(id string) Request {
-		return Request{ID: id, Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
-			if ctx.SleepOrKilled(time.Hour) {
-				killedOrder = append(killedOrder, id)
-			}
-		})}
+		return Request{ID: id, Nodes: 1, RunCB: func(ctx *ExecCtx, done func()) {
+			sleepOrKilled(ctx, time.Hour, func(killed bool) {
+				if killed {
+					killedOrder = append(killedOrder, id)
+				}
+				done()
+			})
+		}}
 	}
 	ha, _ := p.Submit(mk("a"))
 	hb, _ := p.Submit(mk("b"))
@@ -150,7 +147,7 @@ func TestElasticCrashAllKillsAndDeprovisions(t *testing.T) {
 	// A post-crash submission boots fresh; the pre-crash boot timers
 	// and idle timers must not resurrect the dead tenancy.
 	var restarted bool
-	p.Submit(Request{ID: "d", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { restarted = true })})
+	p.Submit(Request{ID: "d", Nodes: 1, RunCB: runCB(func() { restarted = true })})
 	sim.Run()
 	if !restarted {
 		t.Fatal("post-crash job never ran")
@@ -163,7 +160,7 @@ func TestElasticCrashDuringBoot(t *testing.T) {
 		MaxNodes: 1, ColdStart: 30 * time.Second,
 		WarmWindow: time.Minute,
 	})
-	h, _ := p.Submit(Request{ID: "a", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})})
+	h, _ := p.Submit(Request{ID: "a", Nodes: 1, RunCB: doneCB})
 	sim.RunFor(10 * time.Second) // boot in flight
 	p.CrashAll()
 	sim.RunFor(time.Minute) // boot timer fires into the dead generation
@@ -175,7 +172,7 @@ func TestElasticCrashDuringBoot(t *testing.T) {
 	}
 	// The pool still works afterwards.
 	var ran bool
-	p.Submit(Request{ID: "b", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ran = true })})
+	p.Submit(Request{ID: "b", Nodes: 1, RunCB: runCB(func() { ran = true })})
 	sim.Run()
 	if !ran {
 		t.Fatal("post-crash job never ran")
@@ -191,7 +188,7 @@ func TestElasticSeededJitterDeterministic(t *testing.T) {
 		})
 		start := sim.Now()
 		var at time.Duration
-		p.Submit(Request{ID: "a", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { at = sim.Since(start) })})
+		p.Submit(Request{ID: "a", Nodes: 1, RunCB: runCB(func() { at = sim.Since(start) })})
 		sim.Run()
 		return at
 	}
@@ -208,17 +205,17 @@ func TestElasticSeededJitterDeterministic(t *testing.T) {
 func TestElasticCapacityValidation(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	p := newPool(sim, ElasticConfig{MaxNodes: 2, ColdStart: time.Second, WarmWindow: time.Minute})
-	if _, err := p.Submit(Request{ID: "x", Nodes: 3, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})}); !errors.Is(err, ErrBadRequest) {
+	if _, err := p.Submit(Request{ID: "x", Nodes: 3, RunCB: doneCB}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("oversized job: err = %v, want ErrBadRequest", err)
 	}
-	if _, err := p.Submit(Request{ID: "x", Nodes: 0, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})}); !errors.Is(err, ErrBadRequest) {
+	if _, err := p.Submit(Request{ID: "x", Nodes: 0, RunCB: doneCB}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("zero-node job: err = %v, want ErrBadRequest", err)
 	}
 	if _, err := p.Submit(Request{ID: "x", Nodes: 1, RunCB: nil}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("nil body: err = %v, want ErrBadRequest", err)
 	}
-	p.Submit(Request{ID: "dup", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { ctx.SleepOrKilled(time.Hour) })})
-	if _, err := p.Submit(Request{ID: "dup", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {})}); !errors.Is(err, ErrDuplicateID) {
+	p.Submit(Request{ID: "dup", Nodes: 1, RunCB: sleepCB(time.Hour)})
+	if _, err := p.Submit(Request{ID: "dup", Nodes: 1, RunCB: doneCB}); !errors.Is(err, ErrDuplicateID) {
 		t.Fatalf("duplicate id: err = %v, want ErrDuplicateID", err)
 	}
 	if err := p.Kill("nope"); !errors.Is(err, ErrUnknownJob) {
@@ -253,7 +250,7 @@ func TestElasticStallDelaysScheduling(t *testing.T) {
 	if !p.Stalled() {
 		t.Fatal("not stalled after Stall")
 	}
-	p.Submit(Request{ID: "a", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) { at = sim.Since(start) })})
+	p.Submit(Request{ID: "a", Nodes: 1, RunCB: runCB(func() { at = sim.Since(start) })})
 	sim.Run()
 	// Stall to +30s, boot to +40s, pass at +42s.
 	if at != 42*time.Second {

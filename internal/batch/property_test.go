@@ -102,7 +102,7 @@ func TestQueueInvariantsUnderRandomLoad(t *testing.T) {
 					h, err := q.Submit(Request{
 						Nodes:    info.nodes,
 						Priority: info.prio,
-						RunCB: simclock.Blocking(sim, func(ctx *ExecCtx) {
+						RunCB: func(ctx *ExecCtx, done func()) {
 							info.starts++
 							info.started = sim.Now()
 							if len(ctx.Nodes) != info.nodes {
@@ -114,13 +114,15 @@ func TestQueueInvariantsUnderRandomLoad(t *testing.T) {
 								}
 								held[n] = info
 							}
-							ctx.SleepOrKilled(dur)
-							for _, n := range ctx.Nodes {
-								if held[n] == info {
-									delete(held, n)
+							sleepOrKilled(ctx, dur, func(bool) {
+								for _, n := range ctx.Nodes {
+									if held[n] == info {
+										delete(held, n)
+									}
 								}
-							}
-						}),
+								done()
+							})
+						},
 					})
 					if err != nil {
 						fail("submit: %v", err)

@@ -1,8 +1,8 @@
 package broker
 
-// Fault tests of the one cooperative leaf in the scheduling flow: a
-// custom blocking Body, started as a process inside the flow's own
-// event (runBody) and torn down from outside it.
+// Fault tests of a custom job Body: a chain of continuations started
+// inside the flow's own event (RunContext.run) and torn down from
+// outside it.
 
 import (
 	"bytes"
@@ -13,22 +13,15 @@ import (
 	"crossbroker/internal/trace"
 )
 
-// bodySleep suspends a blocking body for d, or until its allocation is
-// torn down; it reports whether it was.
-func bodySleep(rc *RunContext, d time.Duration) (killed bool) {
+// bodySleep waits d in a body, or less if its allocation is torn down
+// first, then runs then with whether it was.
+func bodySleep(rc *RunContext, d time.Duration, then func(killed bool)) {
 	w := rc.Sim.NewTrigger()
 	timer := rc.Sim.AfterFunc(d, w.Fire)
-	rc.Killed.OnFire(w.Fire)
-	w.Wait()
-	timer.Stop()
-	return rc.Killed.Fired()
-}
-
-// didPanic reports whether fn panicked.
-func didPanic(fn func()) (panicked bool) {
-	defer func() { panicked = recover() != nil }()
-	fn()
-	return false
+	w.WaitAny(func() {
+		timer.Stop()
+		then(rc.Killed.Fired())
+	}, rc.Killed)
 }
 
 // runBodyFaults drives the mixed workload once and returns its event
@@ -54,20 +47,24 @@ func runBodyFaults(t *testing.T) ([]byte, map[string]*Handle, map[string]int) {
 	// armed the first time the body reaches its think time and strikes
 	// five seconds into it.
 	body := func(name string, fault func(h *Handle)) Body {
-		return func(rc *RunContext) {
+		return func(rc *RunContext, done func()) {
 			starts[name]++
-			rc.Output(4 << 10)
-			rc.Input(256)
-			if fault != nil {
-				f := fault
-				fault = nil
-				rc.Sim.AfterFunc(5*time.Second, func() { f(handles[name]) })
-			}
-			if bodySleep(rc, 2*time.Minute) {
-				return
-			}
-			rc.Slots[0].Run(3 * time.Second)
-			rc.Output(512)
+			rc.Output(4<<10, func() {
+				rc.Input(256, func() {
+					if fault != nil {
+						f := fault
+						fault = nil
+						rc.Sim.AfterFunc(5*time.Second, func() { f(handles[name]) })
+					}
+					bodySleep(rc, 2*time.Minute, func(killed bool) {
+						if killed {
+							done()
+							return
+						}
+						rc.Slots[0].Start(3 * time.Second).WaitThen(func() { rc.Output(512, done) })
+					})
+				})
+			})
 		}
 	}
 	submit := func(name string, req Request) {
@@ -115,22 +112,7 @@ func runBodyFaults(t *testing.T) ([]byte, map[string]*Handle, map[string]int) {
 			}
 		})))
 
-	// A continuation that follows a finished body runs in a plain event
-	// again: blocking there is still a bug, and still panics.
-	sleepInDone := false
-	handles["shared-ok"].Done.OnFire(func() {
-		sleepInDone = didPanic(func() { sim.Sleep(time.Second) })
-	})
 	sim.RunFor(2 * time.Hour)
-	if !sleepInDone {
-		t.Error("Sleep in the continuation after a blocking body did not panic")
-	}
-	sim.Post(func() {
-		if !didPanic(func() { sim.Sleep(time.Second) }) {
-			t.Error("Sleep from a plain event did not panic")
-		}
-	})
-	sim.RunFor(time.Second)
 
 	if n := g.b.LeasedCPUs(); n != 0 {
 		t.Errorf("%d leases leaked", n)
@@ -160,10 +142,11 @@ func runBodyFaults(t *testing.T) ([]byte, map[string]*Handle, map[string]int) {
 	return log.Bytes(), handles, starts
 }
 
-// TestBlockingBodiesUnderFaults runs custom blocking bodies and
-// default bodies side by side through all three scenarios while every
-// way of tearing a body down strikes one of them mid-sleep: an abort,
-// a site crash, the hosting agent's death, an LRM kill.
+// TestBlockingBodiesUnderFaults runs custom bodies (waits chained as
+// continuations) and default bodies side by side through all three
+// scenarios while every way of tearing a body down strikes one of them
+// mid-wait: an abort, a site crash, the hosting agent's death, an LRM
+// kill.
 func TestBlockingBodiesUnderFaults(t *testing.T) {
 	log, handles, starts := runBodyFaults(t)
 

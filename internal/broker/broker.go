@@ -313,24 +313,27 @@ type RunContext struct {
 	remaining int
 }
 
-// Output models sending n bytes of output to the user machine: it
-// sleeps the transfer time and fires the handle's FirstOutput on first
-// use.
-func (rc *RunContext) Output(n int) {
-	rc.Sim.Sleep(rc.st.Network().TransferTime(n))
-	rc.h.outputArrived(rc.Sim.Now())
+// Output models sending n bytes of output to the user machine: after
+// the transfer time it fires the handle's FirstOutput on first use,
+// then runs then.
+func (rc *RunContext) Output(n int, then func()) {
+	rc.Sim.AfterFunc(rc.st.Network().TransferTime(n), func() {
+		rc.h.outputArrived(rc.Sim.Now())
+		then()
+	})
 }
 
 // Input models reading n bytes forwarded from the user machine (one
-// round trip of latency).
-func (rc *RunContext) Input(n int) {
-	rc.Sim.Sleep(rc.st.Network().RTT() + rc.st.Network().TransferTime(n))
+// round trip of latency), then runs then.
+func (rc *RunContext) Input(n int, then func()) {
+	rc.Sim.AfterFunc(rc.st.Network().RTT()+rc.st.Network().TransferTime(n), then)
 }
 
-// Body is a job's execution body, run as a simulation process once
-// per job (not per node): it may block on rc.Output, rc.Input, slot
-// runs, Sleep and Wait.
-type Body func(rc *RunContext)
+// Body is a job's execution body, run once per job (not per node) in
+// the event that allocated its nodes. It waits by scheduling its
+// continuations — rc.Output, rc.Input, a slot burst's
+// Start(w).WaitThen — and calls done exactly once when it is over.
+type Body func(rc *RunContext, done func())
 
 // Request is a submission to the broker.
 type Request struct {

@@ -208,6 +208,28 @@ func TestFreeAgentListExact(t *testing.T) {
 		kills, evicted, sawFree, done, len(shared))
 }
 
+// TestDiscoveryChargesQueryLatency: a discovery query costs the
+// index's QueryLatency, charged by the broker before it reads the
+// registry, and the wait is the job's discovery phase.
+func TestDiscoveryChargesQueryLatency(t *testing.T) {
+	sim := simclock.NewSim(time.Time{})
+	b := New(Config{Sim: sim, Info: infosys.New(sim, 250*time.Millisecond)})
+	b.RegisterSite(site.New(sim, site.Config{
+		Name: "site00", Nodes: 1, Network: netsim.CampusGrid(), Costs: site.DefaultCosts(), LRMCycle: 2 * time.Second,
+	}))
+	h, err := b.Submit(interactiveJob(jdl.ExclusiveAccess, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RunFor(10 * time.Minute)
+	if h.State() != Done {
+		t.Fatalf("state = %v err = %v", h.State(), h.Err())
+	}
+	if h.Phases.Discovery != 250*time.Millisecond {
+		t.Fatalf("discovery = %v, want the index's 250ms query cost", h.Phases.Discovery)
+	}
+}
+
 func TestInteractiveExclusivePhases(t *testing.T) {
 	g := newGrid(t, 20, 2, Config{})
 	h, err := g.b.Submit(interactiveJob(jdl.ExclusiveAccess, 0, 1))
@@ -308,7 +330,7 @@ NodeNumber = 2; MachineAccess = "shared"; PerformanceLoss = 10;
 Requirements = `+requirements+`;`)
 		var hosts []string
 		var h *Handle
-		h, err := g.b.Submit(Request{Job: job, User: "u", Body: func(rc *RunContext) {
+		h, err := g.b.Submit(Request{Job: job, User: "u", Body: func(rc *RunContext, done func()) {
 			for a, ps := range g.b.agents {
 				for _, p := range ps {
 					if p.h == h {
@@ -316,7 +338,7 @@ Requirements = `+requirements+`;`)
 					}
 				}
 			}
-			rc.Output(64)
+			rc.Output(64, done)
 		}})
 		if err != nil {
 			t.Fatal(err)
@@ -385,9 +407,8 @@ func TestInteractiveFailsWhenGridFull(t *testing.T) {
 	h1, _ := g.b.Submit(Request{
 		Job:  interactiveJob(jdl.SharedAccess, 0, 1).Job,
 		User: "u1",
-		Body: func(rc *RunContext) {
-			rc.Output(64)
-			rc.Sim.Sleep(time.Hour)
+		Body: func(rc *RunContext, done func()) {
+			rc.Output(64, func() { rc.Sim.AfterFunc(time.Hour, done) })
 		},
 	})
 	g.sim.RunFor(5 * time.Minute)
@@ -410,7 +431,7 @@ func TestBatchQueuesInBrokerWhenSaturated(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		g.sites[0].Queue().Submit(batch.Request{
 			ID: fmt.Sprintf("filler%d", i), Nodes: 1,
-			RunCB: simclock.Blocking(g.sim, func(ctx *batch.ExecCtx) { ctx.SleepOrKilled(20 * time.Minute) }),
+			RunCB: holdCB(20 * time.Minute),
 		})
 	}
 	g.sim.RunFor(time.Minute)
@@ -449,7 +470,7 @@ func TestOnLineSchedulingResubmits(t *testing.T) {
 	// (free=1) is stale by the time its job reaches the LRM.
 	sites[0].Queue().Submit(batch.Request{
 		ID: "local", Nodes: 1,
-		RunCB: simclock.Blocking(sim, func(ctx *batch.ExecCtx) { ctx.SleepOrKilled(time.Hour) }),
+		RunCB: holdCB(time.Hour),
 	})
 	req := interactiveJob(jdl.ExclusiveAccess, 0, 1)
 	rank, err := jdl.ParseJob(`Executable="x"; Rank = other.SiteIndex;`)
@@ -528,7 +549,9 @@ func TestFairShareRejection(t *testing.T) {
 	g.b.Submit(Request{
 		Job:  interactiveJob(jdl.SharedAccess, 0, 1).Job,
 		User: "other",
-		Body: func(rc *RunContext) { rc.Output(1); rc.Sim.Sleep(2 * time.Hour) },
+		Body: func(rc *RunContext, done func()) {
+			rc.Output(1, func() { rc.Sim.AfterFunc(2*time.Hour, done) })
+		},
 	})
 	g.sim.RunFor(5 * time.Minute)
 
@@ -551,9 +574,8 @@ func TestYieldedBatchReclassified(t *testing.T) {
 	hi, _ := g.b.Submit(Request{
 		Job:  interactiveJob(jdl.SharedAccess, 25, 1).Job,
 		User: "interuser",
-		Body: func(rc *RunContext) {
-			rc.Output(1)
-			rc.Slots[0].Run(time.Minute)
+		Body: func(rc *RunContext, done func()) {
+			rc.Output(1, func() { rc.Slots[0].Start(time.Minute).WaitThen(done) })
 		},
 	})
 	g.sim.RunFor(30 * time.Second)
@@ -596,21 +618,22 @@ func TestMPIG2AcrossAgents(t *testing.T) {
 	var slotsSeen int
 	h, err := g.b.Submit(Request{
 		Job: job, User: "mpiuser",
-		Body: func(rc *RunContext) {
+		Body: func(rc *RunContext, done func()) {
 			slotsSeen = len(rc.Slots)
-			rc.Output(64)
-			done := rc.Sim.NewTrigger()
-			n := len(rc.Slots)
-			for _, s := range rc.Slots {
-				tr := s.Start(10 * time.Second)
-				tr.OnFire(func() {
-					n--
-					if n == 0 {
-						done.Fire()
-					}
-				})
-			}
-			done.Wait()
+			rc.Output(64, func() {
+				all := rc.Sim.NewTrigger()
+				n := len(rc.Slots)
+				for _, s := range rc.Slots {
+					tr := s.Start(10 * time.Second)
+					tr.OnFire(func() {
+						n--
+						if n == 0 {
+							all.Fire()
+						}
+					})
+				}
+				all.WaitThen(done)
+			})
 		},
 	})
 	if err != nil {

@@ -50,8 +50,7 @@ const interactiveTickets = 100
 const defaultFirstOutputBytes = 64
 
 // init binds rc, embedded in a scheduling attempt, to the job it runs
-// for on st. Output and Input block, so only a custom Body — which run
-// starts as a process — calls them.
+// for on st.
 func (rc *RunContext) init(b *Broker, h *Handle, st *site.Site) {
 	rc.Sim = b.sim
 	rc.h = h
@@ -63,12 +62,11 @@ func (rc *RunContext) init(b *Broker, h *Handle, st *site.Site) {
 }
 
 // run executes the request's body (or the default, defaultBody) on
-// rc.Slots and calls cont when it is over. A custom Body is written as
-// blocking steps, so it is the one part of a scheduling flow that runs
-// as a process: started here, inside the event that reached this point.
+// rc.Slots and calls cont when it is over. A custom Body starts here,
+// inside the event that reached this point.
 func (rc *RunContext) run(cont func()) {
 	if body := rc.h.request.Body; body != nil {
-		simclock.Blocking(rc.Sim, body)(rc, cont)
+		body(rc, cont)
 		return
 	}
 	rc.cont = cont

@@ -92,11 +92,14 @@ func TestFigure5Scenario4(t *testing.T) {
 	hi, _ := g.b.Submit(Request{
 		Job:  interactiveJob(jdl.SharedAccess, 25, 1).Job,
 		User: "interuser",
-		Body: func(rc *RunContext) {
-			rc.Output(64)
-			t0 := rc.Sim.Now()
-			rc.Slots[0].Run(10 * time.Second)
-			burst = rc.Sim.Since(t0)
+		Body: func(rc *RunContext, done func()) {
+			rc.Output(64, func() {
+				t0 := rc.Sim.Now()
+				rc.Slots[0].Start(10 * time.Second).WaitThen(func() {
+					burst = rc.Sim.Since(t0)
+					done()
+				})
+			})
 		},
 	})
 	g.sim.RunFor(time.Hour)
@@ -169,6 +172,19 @@ func TestLeaseExpiryFreesCapacity(t *testing.T) {
 	}
 }
 
+// holdCB is an LRM job body that holds its nodes for d, or until the
+// LRM kills it.
+func holdCB(d time.Duration) func(*batch.ExecCtx, func()) {
+	return func(ctx *batch.ExecCtx, done func()) {
+		w := ctx.Sim().NewTrigger()
+		t := ctx.Sim().AfterFunc(d, w.Fire)
+		w.WaitAny(func() {
+			t.Stop()
+			done()
+		}, ctx.Killed)
+	}
+}
+
 // addSiteEntry registers a record for name with no site behind it, for
 // tests that drive a site's lease queue directly.
 func addSiteEntry(b *Broker, name string) { b.sites[name] = &siteEntry{} }
@@ -217,9 +233,9 @@ func TestDegreeNSharedPlacement(t *testing.T) {
 	var slots int
 	h, _ := g.b.Submit(Request{
 		Job: job, User: "u",
-		Body: func(rc *RunContext) {
+		Body: func(rc *RunContext, done func()) {
 			slots = len(rc.Slots)
-			rc.Output(64)
+			rc.Output(64, done)
 		},
 	})
 	g.sim.RunFor(time.Hour)
@@ -242,21 +258,22 @@ func TestInteractiveP4MultiNodeExclusive(t *testing.T) {
 	var slots int
 	h, err := g.b.Submit(Request{
 		Job: job, User: "u",
-		Body: func(rc *RunContext) {
+		Body: func(rc *RunContext, done func()) {
 			slots = len(rc.Slots)
-			rc.Output(64)
-			done := rc.Sim.NewTrigger()
-			n := len(rc.Slots)
-			for _, s := range rc.Slots {
-				tr := s.Start(5 * time.Second)
-				tr.OnFire(func() {
-					n--
-					if n == 0 {
-						done.Fire()
-					}
-				})
-			}
-			done.Wait()
+			rc.Output(64, func() {
+				all := rc.Sim.NewTrigger()
+				n := len(rc.Slots)
+				for _, s := range rc.Slots {
+					tr := s.Start(5 * time.Second)
+					tr.OnFire(func() {
+						n--
+						if n == 0 {
+							all.Fire()
+						}
+					})
+				}
+				all.WaitThen(done)
+			})
 		},
 	})
 	if err != nil {
@@ -316,7 +333,7 @@ func TestBrokerQueueServesBestPriorityFirst(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		g.sites[0].Queue().Submit(batch.Request{
 			ID: fmt.Sprintf("fill%d", i), Nodes: 1,
-			RunCB: simclock.Blocking(g.sim, func(ctx *batch.ExecCtx) { ctx.SleepOrKilled(30 * time.Minute) }),
+			RunCB: holdCB(30 * time.Minute),
 		})
 	}
 	g.sim.RunFor(time.Minute)

@@ -267,11 +267,14 @@ func DegreeSweep(degrees []int, jobs int) ([]DegreeSweepResult, error) {
 					Job: &jdl.Job{Executable: "i", Interactive: true, NodeNumber: 1,
 						Access: jdl.SharedAccess, PerformanceLoss: 10},
 					User: fmt.Sprintf("u%d", j),
-					Body: func(rc *broker.RunContext) {
-						rc.Output(64)
-						t0 := rc.Sim.Now()
-						rc.Slots[0].Run(10 * time.Minute)
-						burst.AddDuration(rc.Sim.Since(t0))
+					Body: func(rc *broker.RunContext, done func()) {
+						rc.Output(64, func() {
+							t0 := rc.Sim.Now()
+							rc.Slots[0].Start(10 * time.Minute).WaitThen(func() {
+								burst.AddDuration(rc.Sim.Since(t0))
+								done()
+							})
+						})
 					},
 				})
 				if err != nil {

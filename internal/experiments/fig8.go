@@ -95,18 +95,40 @@ func Fig8(cfg Fig8Config) ([]Fig8Case, error) {
 	})
 }
 
-// fig8Loop runs the measured iteration loop on a slot.
-func fig8Loop(sim *simclock.Sim, slot *vmslot.Slot, iters int, cpu, io *metrics.Series) {
-	for i := 0; i < iters; i++ {
-		t0 := sim.Now()
-		sim.Sleep(fig8IONet)
-		slot.Run(fig8IOCPU)
-		io.AddDuration(sim.Since(t0))
+// fig8Loop is the measured iteration loop on a slot, one event chain:
+// each iteration's I/O op (network wait, then its CPU part) and CPU
+// burst continue in the event that ends the step before.
+type fig8Loop struct {
+	sim     *simclock.Sim
+	slot    *vmslot.Slot
+	left    int
+	cpu, io *metrics.Series
+	done    func()
+	t0, t1  time.Time
+}
 
-		t1 := sim.Now()
-		slot.Run(fig8Burst)
-		cpu.AddDuration(sim.Since(t1))
+// next starts the next iteration, or calls done after the last.
+func (l *fig8Loop) next() {
+	if l.left == 0 {
+		l.done()
+		return
 	}
+	l.left--
+	l.t0 = l.sim.Now()
+	l.sim.AfterFunc(fig8IONet, l.ioCPU)
+}
+
+func (l *fig8Loop) ioCPU() { l.slot.Start(fig8IOCPU).WaitThen(l.burst) }
+
+func (l *fig8Loop) burst() {
+	l.io.AddDuration(l.sim.Since(l.t0))
+	l.t1 = l.sim.Now()
+	l.slot.Start(fig8Burst).WaitThen(l.burstDone)
+}
+
+func (l *fig8Loop) burstDone() {
+	l.cpu.AddDuration(l.sim.Since(l.t1))
+	l.next()
 }
 
 // fig8Exclusive runs the job alone on an idle machine — the baseline
@@ -117,7 +139,8 @@ func fig8Exclusive(cfg Fig8Config) (Fig8Case, error) {
 	m := vmslot.NewMachine(sim, fig8MachineOpts(cfg)...)
 	slot := m.NewSlot("job", 100)
 	c := Fig8Case{Name: "exclusive", CPU: metrics.NewSeries("cpu"), IO: metrics.NewSeries("io")}
-	sim.Go(func() { fig8Loop(sim, slot, cfg.Iterations, c.CPU, c.IO) })
+	loop := &fig8Loop{sim: sim, slot: slot, left: cfg.Iterations, cpu: c.CPU, io: c.IO, done: func() {}}
+	sim.Post(loop.next)
 	sim.Run()
 	if c.CPU.Len() != cfg.Iterations {
 		return c, fmt.Errorf("experiments: exclusive run incomplete: %d/%d", c.CPU.Len(), cfg.Iterations)
@@ -169,9 +192,10 @@ func fig8Shared(cfg Fig8Config, pl int) (Fig8Case, error) {
 	}
 	doneT, err := agent.StartInteractive(glidein.InteractiveJob{
 		ID: "fig8", Owner: "interuser", PerformanceLoss: effPL,
-		RunCB: simclock.Blocking(sim, func(ctx *glidein.InteractiveContext) {
-			fig8Loop(sim, ctx.Slot, cfg.Iterations, c.CPU, c.IO)
-		}),
+		RunCB: func(ctx *glidein.InteractiveContext, done func()) {
+			loop := &fig8Loop{sim: sim, slot: ctx.Slot, left: cfg.Iterations, cpu: c.CPU, io: c.IO, done: done}
+			loop.next()
+		},
 	})
 	if err != nil {
 		return c, err

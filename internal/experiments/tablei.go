@@ -190,12 +190,13 @@ func tableIRun(cfg TableIConfig, seed int64) (tableICell, error) {
 	// Glogin: destination chosen by hand; gatekeeper traversal,
 	// session setup transfer, remote shell start.
 	start := sim.Now()
-	sim.Go(func() {
+	sim.Post(func() {
 		c := execSite.Costs()
-		sim.Sleep(execProfile.RTT() + c.Auth + c.GRAM)
-		sim.Sleep(execProfile.TransferTime(gloginSessionBytes))
-		sim.Sleep(gloginShellStart)
-		cell.glogin = sim.Since(start)
+		sim.AfterFunc(execProfile.RTT()+c.Auth+c.GRAM, func() {
+			sim.AfterFunc(execProfile.TransferTime(gloginSessionBytes), func() {
+				sim.AfterFunc(gloginShellStart, func() { cell.glogin = sim.Since(start) })
+			})
+		})
 	})
 	sim.RunFor(5 * time.Minute)
 

@@ -175,9 +175,9 @@ func TestCrashKillsQueueAndStopsPublishing(t *testing.T) {
 	st.StartPublishing(info)
 
 	done := sim.NewTrigger()
-	st.SubmitAsync(batch.Request{Owner: "u", Nodes: 1, RunCB: simclock.Blocking(sim, func(ctx *batch.ExecCtx) {
-		ctx.Killed.Wait()
-	})}, site.SubmitOptions{}, func(h *batch.Handle, err error) {
+	st.SubmitAsync(batch.Request{Owner: "u", Nodes: 1, RunCB: func(ctx *batch.ExecCtx, done func()) {
+		ctx.Killed.WaitThen(done)
+	}}, site.SubmitOptions{}, func(h *batch.Handle, err error) {
 		if err != nil {
 			t.Errorf("submit: %v", err)
 			done.Fire()

@@ -47,11 +47,11 @@ func TestDegreeNHostsNJobs(t *testing.T) {
 		t.Fatalf("FreeSlots = %d", a.FreeSlots())
 	}
 	var errs [4]error
-	sim.Go(func() {
+	sim.Post(func() {
 		for i := 0; i < 4; i++ {
 			_, errs[i] = a.StartInteractive(InteractiveJob{
 				ID: string(rune('a' + i)), PerformanceLoss: 10,
-				RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(time.Minute) }),
+				RunCB: burstCB(time.Minute),
 			})
 		}
 	})
@@ -73,29 +73,23 @@ func TestDegreeTwoJobsShareCPUEvenly(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	a := launchDegree(t, sim, 2, false)
 	var e1, e2 time.Duration
-	sim.Go(func() {
-		d1, err := a.StartInteractive(InteractiveJob{ID: "i1", PerformanceLoss: 10,
-			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) {
-				t0 := ctx.Sim.Now()
-				ctx.Slot.Run(10 * time.Second)
-				e1 = ctx.Sim.Since(t0)
-			})})
-		if err != nil {
+	timed := func(elapsed *time.Duration) func(*InteractiveContext, func()) {
+		return func(ctx *InteractiveContext, done func()) {
+			t0 := ctx.Sim.Now()
+			ctx.Slot.Start(10 * time.Second).WaitThen(func() {
+				*elapsed = ctx.Sim.Since(t0)
+				done()
+			})
+		}
+	}
+	sim.Post(func() {
+		if _, err := a.StartInteractive(InteractiveJob{ID: "i1", PerformanceLoss: 10, RunCB: timed(&e1)}); err != nil {
 			t.Errorf("i1: %v", err)
 			return
 		}
-		d2, err := a.StartInteractive(InteractiveJob{ID: "i2", PerformanceLoss: 10,
-			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) {
-				t0 := ctx.Sim.Now()
-				ctx.Slot.Run(10 * time.Second)
-				e2 = ctx.Sim.Since(t0)
-			})})
-		if err != nil {
+		if _, err := a.StartInteractive(InteractiveJob{ID: "i2", PerformanceLoss: 10, RunCB: timed(&e2)}); err != nil {
 			t.Errorf("i2: %v", err)
-			return
 		}
-		d1.Wait()
-		d2.Wait()
 	})
 	sim.RunFor(time.Hour)
 	// Two equal-share interactive VMs: each 10s burst takes ~20s.
@@ -114,13 +108,9 @@ func TestBatchShareUsesMostRestrictivePL(t *testing.T) {
 	restored := 0
 	a.OnRestore = func(string) { restored++ }
 
-	sim.Go(func() {
-		d1, _ := a.StartInteractive(InteractiveJob{ID: "i1", PerformanceLoss: 25,
-			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(10 * time.Second) })})
-		d2, _ := a.StartInteractive(InteractiveJob{ID: "i2", PerformanceLoss: 10,
-			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(40 * time.Second) })})
-		d1.Wait()
-		d2.Wait()
+	sim.Post(func() {
+		a.StartInteractive(InteractiveJob{ID: "i1", PerformanceLoss: 25, RunCB: burstCB(10 * time.Second)})
+		a.StartInteractive(InteractiveJob{ID: "i2", PerformanceLoss: 10, RunCB: burstCB(40 * time.Second)})
 	})
 	sim.RunFor(time.Hour)
 	// First yield at PL=25, tightened to 10 when the second job lands.
@@ -141,9 +131,8 @@ func TestDuplicateInteractiveIDRejected(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	a := launchDegree(t, sim, 2, true)
 	var err2 error
-	sim.Go(func() {
-		a.StartInteractive(InteractiveJob{ID: "same", PerformanceLoss: 0,
-			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(time.Minute) })})
+	sim.Post(func() {
+		a.StartInteractive(InteractiveJob{ID: "same", PerformanceLoss: 0, RunCB: burstCB(time.Minute)})
 		_, err2 = a.StartInteractive(InteractiveJob{ID: "same"})
 	})
 	sim.RunFor(time.Second)
@@ -155,15 +144,14 @@ func TestDuplicateInteractiveIDRejected(t *testing.T) {
 func TestAgentLeavesOnlyAfterAllInteractiveDone(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	a := launchDegree(t, sim, 2, false) // no batch: leaves when idle
-	sim.Go(func() {
-		d1, _ := a.StartInteractive(InteractiveJob{ID: "short", PerformanceLoss: 0,
-			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(time.Second) })})
-		a.StartInteractive(InteractiveJob{ID: "long", PerformanceLoss: 0,
-			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(time.Hour) })})
-		d1.Wait()
-		if a.Released().Fired() {
-			t.Error("agent left while the long job still runs")
-		}
+	sim.Post(func() {
+		d1, _ := a.StartInteractive(InteractiveJob{ID: "short", PerformanceLoss: 0, RunCB: burstCB(time.Second)})
+		a.StartInteractive(InteractiveJob{ID: "long", PerformanceLoss: 0, RunCB: burstCB(time.Hour)})
+		d1.WaitThen(func() {
+			if a.Released().Fired() {
+				t.Error("agent left while the long job still runs")
+			}
+		})
 	})
 	sim.RunFor(30 * time.Minute)
 	if a.Released().Fired() {

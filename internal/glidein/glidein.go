@@ -75,7 +75,7 @@ type InteractiveContext struct {
 	// Sim is the simulation clock.
 	Sim *simclock.Sim
 	// Slot is the interactive virtual machine's CPU slot; CPU bursts
-	// go through Slot.Run.
+	// go through Slot.Start.
 	Slot *vmslot.Slot
 	// Node is the worker node hosting the job.
 	Node *batch.Node
@@ -88,10 +88,10 @@ type InteractiveJob struct {
 	// PerformanceLoss is the percentage of CPU left to the co-located
 	// batch job.
 	PerformanceLoss int
-	// RunCB is the job body, dispatched in a plain event: it wires its
-	// own continuations and calls done exactly once when the job is
-	// finished. A body written as blocking steps is wrapped with
-	// simclock.Blocking; nil finishes at once.
+	// RunCB is the job body, dispatched in a plain event: it waits by
+	// scheduling its continuations (AfterFunc, or WaitThen on the
+	// trigger of a ctx.Slot burst) and calls done exactly once when
+	// the job is finished; nil finishes at once.
 	RunCB func(ctx *InteractiveContext, done func())
 }
 

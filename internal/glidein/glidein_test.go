@@ -23,6 +23,11 @@ func newSite(sim *simclock.Sim, nodes int) *site.Site {
 	})
 }
 
+// burstCB is an interactive job body that burns d of CPU on its slot.
+func burstCB(d time.Duration) func(*InteractiveContext, func()) {
+	return func(ctx *InteractiveContext, done func()) { ctx.Slot.Start(d).WaitThen(done) }
+}
+
 // launchReady launches an agent and runs the sim until it holds a node.
 func launchReady(t *testing.T, sim *simclock.Sim, st *site.Site, payload *BatchPayload) *Agent {
 	t.Helper()
@@ -78,20 +83,20 @@ func TestInteractiveSharesCPUPerPerformanceLoss(t *testing.T) {
 	a := launchReady(t, sim, st, &BatchPayload{ID: "b", Owner: "u", Work: 10 * time.Hour})
 
 	var elapsed time.Duration
-	sim.Go(func() {
-		done, err := a.StartInteractive(InteractiveJob{
+	sim.Post(func() {
+		_, err := a.StartInteractive(InteractiveJob{
 			ID: "i1", Owner: "v", PerformanceLoss: 25,
-			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) {
+			RunCB: func(ctx *InteractiveContext, done func()) {
 				t0 := ctx.Sim.Now()
-				ctx.Slot.Run(10 * time.Second)
-				elapsed = ctx.Sim.Since(t0)
-			}),
+				ctx.Slot.Start(10 * time.Second).WaitThen(func() {
+					elapsed = ctx.Sim.Since(t0)
+					done()
+				})
+			},
 		})
 		if err != nil {
 			t.Errorf("start interactive: %v", err)
-			return
 		}
-		done.Wait()
 	})
 	sim.RunFor(2 * time.Hour)
 	// 10s of CPU at 100:25 → ~12.5s elapsed.
@@ -112,16 +117,13 @@ func TestBatchPriorityRestoredAfterInteractive(t *testing.T) {
 	freed := 0
 	a.OnFree = func(*Agent) { freed++ }
 
-	sim.Go(func() {
-		done, err := a.StartInteractive(InteractiveJob{
-			ID: "i", Owner: "v", PerformanceLoss: 10,
-			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(time.Second) }),
+	sim.Post(func() {
+		_, err := a.StartInteractive(InteractiveJob{
+			ID: "i", Owner: "v", PerformanceLoss: 10, RunCB: burstCB(time.Second),
 		})
 		if err != nil {
 			t.Errorf("start: %v", err)
-			return
 		}
-		done.Wait()
 	})
 	sim.RunFor(time.Minute)
 	if len(yielded) != 1 || yielded[0] != "b" {
@@ -143,9 +145,8 @@ func TestInteractiveVMExclusive(t *testing.T) {
 	st := newSite(sim, 1)
 	a := launchReady(t, sim, st, &BatchPayload{ID: "b", Owner: "u", Work: 10 * time.Hour})
 	var second error
-	sim.Go(func() {
-		a.StartInteractive(InteractiveJob{ID: "i1", PerformanceLoss: 0,
-			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(time.Hour) })})
+	sim.Post(func() {
+		a.StartInteractive(InteractiveJob{ID: "i1", PerformanceLoss: 0, RunCB: burstCB(time.Hour)})
 		_, second = a.StartInteractive(InteractiveJob{ID: "i2"})
 	})
 	sim.RunFor(time.Minute)
@@ -158,16 +159,13 @@ func TestAgentWithoutBatchLeavesAfterInteractive(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	st := newSite(sim, 1)
 	a := launchReady(t, sim, st, nil)
-	sim.Go(func() {
-		done, err := a.StartInteractive(InteractiveJob{
-			ID: "i", PerformanceLoss: 0,
-			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) { ctx.Slot.Run(5 * time.Second) }),
+	sim.Post(func() {
+		_, err := a.StartInteractive(InteractiveJob{
+			ID: "i", PerformanceLoss: 0, RunCB: burstCB(5 * time.Second),
 		})
 		if err != nil {
 			t.Errorf("start: %v", err)
-			return
 		}
-		done.Wait()
 	})
 	sim.RunFor(time.Hour)
 	if !a.Released().Fired() {
@@ -184,7 +182,7 @@ func TestStartInteractiveOnReleasedAgent(t *testing.T) {
 	a := launchReady(t, sim, st, &BatchPayload{ID: "b", Owner: "u", Work: time.Second})
 	sim.RunFor(time.Hour) // batch done, agent gone
 	var err error
-	sim.Go(func() { _, err = a.StartInteractive(InteractiveJob{ID: "i"}) })
+	sim.Post(func() { _, err = a.StartInteractive(InteractiveJob{ID: "i"}) })
 	sim.RunFor(time.Minute)
 	if !errors.Is(err, ErrReleased) {
 		t.Fatalf("err = %v, want ErrReleased", err)
@@ -226,10 +224,9 @@ func TestInteractiveAloneOverheadNegligible(t *testing.T) {
 		m := vmslot.NewMachine(sim)
 		s := m.NewSlot("job", 100)
 		var el time.Duration
-		sim.Go(func() {
+		sim.Post(func() {
 			t0 := sim.Now()
-			s.Run(921 * time.Millisecond)
-			el = sim.Since(t0)
+			s.Start(921 * time.Millisecond).WaitThen(func() { el = sim.Since(t0) })
 		})
 		sim.Run()
 		return el
@@ -239,14 +236,15 @@ func TestInteractiveAloneOverheadNegligible(t *testing.T) {
 	st := newSite(sim, 1)
 	a := launchReady(t, sim, st, nil)
 	var shared time.Duration
-	sim.Go(func() {
-		done, _ := a.StartInteractive(InteractiveJob{ID: "i", PerformanceLoss: 10,
-			RunCB: simclock.Blocking(sim, func(ctx *InteractiveContext) {
+	sim.Post(func() {
+		a.StartInteractive(InteractiveJob{ID: "i", PerformanceLoss: 10,
+			RunCB: func(ctx *InteractiveContext, done func()) {
 				t0 := ctx.Sim.Now()
-				ctx.Slot.Run(921 * time.Millisecond)
-				shared = ctx.Sim.Since(t0)
-			})})
-		done.Wait()
+				ctx.Slot.Start(921 * time.Millisecond).WaitThen(func() {
+					shared = ctx.Sim.Since(t0)
+					done()
+				})
+			}})
 	})
 	sim.RunFor(time.Hour)
 	if bare != shared {

@@ -76,18 +76,16 @@ func (p pinned) shardView(i int) *Snapshot { return p[i] }
 // non-positive page size.
 const DefaultPageSize = 256
 
-// Discover starts a paged traversal of the registry, charging the
-// service's query latency once (the index answers a paged query in one
-// round trip stream, as LDAP paged results do); when the clock is a
-// simulation clock the caller must be a simulation process. Page size
-// values < 1 fall back to DefaultPageSize.
-func (s *Service) Discover(pageSize int) *Cursor {
-	s.clock.Sleep(s.queryLatency)
-	return s.DiscoverImmediate(pageSize)
-}
+// Discover is DiscoverImmediate. A caller charges QueryLatency once
+// per traversal itself, in event style (the index answers a paged
+// query in one round trip stream, as LDAP paged results do); the name
+// is kept for the benchmark harness's timing decorator, which
+// overrides it.
+func (s *Service) Discover(pageSize int) *Cursor { return s.DiscoverImmediate(pageSize) }
 
-// DiscoverImmediate starts a paged traversal without charging query
-// latency; tests and instrumentation use it.
+// DiscoverImmediate starts a paged traversal of the registry without
+// charging query latency. Page size values < 1 fall back to
+// DefaultPageSize.
 func (s *Service) DiscoverImmediate(pageSize int) *Cursor { return newCursor(s, pageSize) }
 
 // PinnedCursor pages over shard snapshots the caller already holds, one

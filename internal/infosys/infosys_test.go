@@ -23,17 +23,9 @@ func TestPublishAndQuery(t *testing.T) {
 	svc.Publish(rec("ifca", 4))
 	svc.Publish(rec("uab", 8))
 
-	var got []SiteRecord
-	var elapsed time.Duration
-	start := sim.Now()
-	sim.Go(func() {
-		got = svc.Snapshot().Records()
-		elapsed = sim.Since(start)
-	})
-	sim.Run()
-	if elapsed != 250*time.Millisecond {
-		t.Fatalf("query cost %v, want 250ms", elapsed)
-	}
+	// The query's cost is charged by the caller (the broker's
+	// discovery, TestDiscoveryChargesQueryLatency), not by the read.
+	got := svc.Snapshot().Records()
 	if len(got) != 2 || got[0].Name != "ifca" || got[1].Name != "uab" {
 		t.Fatalf("records = %v", got)
 	}

@@ -3,6 +3,7 @@ package simclock
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The engine's allocation budgets, after warm-up (the event free list
@@ -64,5 +65,18 @@ func TestEmbeddedTriggerAllocs(t *testing.T) {
 		s.RunFor(time.Second)
 	}); got != 1 {
 		t.Errorf("WaitAny over two triggers: %v allocations, want 1 (the bound Fire)", got)
+	}
+}
+
+// TestEngineSizeBudget holds the engine's two hot structs to their
+// sizes on a 64-bit host: every busy simulation holds millions of
+// triggers (embedded in job state) and tens of thousands of pooled
+// events, so a field added to either shows in bytes per job.
+func TestEngineSizeBudget(t *testing.T) {
+	if got := unsafe.Sizeof(Trigger{}); got > 40 {
+		t.Errorf("Trigger is %d bytes, budget 40", got)
+	}
+	if got := unsafe.Sizeof(event{}); got > 64 {
+		t.Errorf("event is %d bytes, budget 64", got)
 	}
 }

@@ -3,32 +3,23 @@
 // implementation backed by package time, and a deterministic
 // discrete-event implementation (Sim) with virtual time.
 //
-// The discrete-event clock supports two styles of use:
-//
-//   - Event style: schedule callbacks with AfterFunc/At/Post and
-//     Trigger.WaitThen and drive the simulation with Run/RunUntil.
-//     This is the style every scheduling flow (grid site, batch queue,
-//     glide-in agent, broker, federation) is written in.
-//   - Process style: spawn cooperative processes with Sim.Go (or, for a
-//     blocking job body inside a flow, Blocking) whose code reads
-//     linearly (Sleep between actions). Processes interleave with
-//     scheduled events under a single logical thread of control, so
-//     simulations remain deterministic. Tests and leaf job bodies use
-//     it.
-//
-// Virtual time only advances when no process is runnable, mirroring the
-// usual sequential discrete-event simulation loop.
+// Everything on the discrete-event clock is written in one style:
+// schedule callbacks with AfterFunc/At/Post and continuations with
+// Trigger.WaitThen, and drive the simulation with Run/RunUntil. Every
+// flow — grid site, batch queue, glide-in agent, broker, federation,
+// job bodies and tests — runs as run-to-completion events on the
+// goroutine that called Run; the package starts no goroutine of its
+// own.
 //
 // # Same-timestamp ordering
 //
 // Events scheduled for the same virtual instant dispatch in the order
 // they were scheduled — FIFO by a monotone sequence number, never by
 // heap accident. This holds uniformly across every scheduling source:
-// AfterFunc/At/Post callbacks, Go process starts, Sleep wake-ups, and
-// Trigger/Queue releases all draw from one sequence. The guarantee is
-// part of the Clock contract for the simulated implementation;
-// byte-reproducible fixed-seed traces depend on it and
-// TestSameTimestampFIFO pins it.
+// AfterFunc/At/Post callbacks and Trigger releases (WaitThen, WaitAny)
+// all draw from one sequence. The guarantee is part of the Clock
+// contract for the simulated implementation; byte-reproducible
+// fixed-seed traces depend on it and TestSameTimestampFIFO pins it.
 package simclock
 
 import (
@@ -40,11 +31,6 @@ import (
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
-	// Sleep blocks the calling process for d. On the real clock this is
-	// time.Sleep; on the simulated clock it must be called from a
-	// process started with Sim.Go (or from within Run's event loop via
-	// a process), and suspends the process in virtual time.
-	Sleep(d time.Duration)
 	// AfterFunc schedules fn to run once d has elapsed. The returned
 	// Timer can stop the call before it fires.
 	AfterFunc(d time.Duration, fn func()) Timer
@@ -65,7 +51,6 @@ func Real() Clock { return realClock{} }
 type realClock struct{}
 
 func (realClock) Now() time.Time                  { return time.Now() }
-func (realClock) Sleep(d time.Duration)           { time.Sleep(d) }
 func (realClock) Since(t time.Time) time.Duration { return time.Since(t) }
 
 func (realClock) AfterFunc(d time.Duration, fn func()) Timer {

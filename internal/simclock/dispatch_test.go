@@ -9,36 +9,43 @@ import (
 
 // TestSameTimestampFIFO pins the Clock contract that events scheduled
 // for the same virtual instant dispatch in scheduling order, across
-// every scheduling source: AfterFunc, Post, Go, Sleep wake-ups and
-// Trigger releases. Byte-reproducible traces depend on this.
+// every scheduling source: AfterFunc, At, Post, WaitThen registered
+// before the fire or from inside an event, and WaitAny.
+// Byte-reproducible traces depend on this.
 func TestSameTimestampFIFO(t *testing.T) {
 	s := NewSim(time.Time{})
 	var got []string
 	rec := func(tag string) func() { return func() { got = append(got, tag) } }
 
 	// Everything below lands at now+1s. Sequence numbers are drawn when
-	// the event is actually scheduled: AfterFunc/At at call time, a
-	// Sleep wake-up when the process executes the Sleep (here at t=0,
-	// after every setup call), and Trigger waiters when Fire runs.
+	// the event is actually scheduled: AfterFunc/At at call time, an
+	// AfterFunc inside a posted event when that event runs (here at
+	// t=0, after every setup call), and Trigger waiters when Fire runs.
 	s.AfterFunc(time.Second, rec("afterfunc-1"))
-	s.Go(func() { s.Sleep(time.Second); got = append(got, "sleep-wake") })
+	s.Post(func() { s.AfterFunc(time.Second, rec("posted-afterfunc")) })
 	s.AfterFunc(time.Second, rec("afterfunc-2"))
 	s.At(s.Now().Add(time.Second), rec("at"))
 	tr := s.NewTrigger()
 	s.AfterFunc(time.Second, func() { got = append(got, "fire"); tr.Fire() })
-	// Waiters release in registration order: the WaitThen continuation
-	// registers here at setup, the two Wait processes register when
-	// they execute at t=0. Each releases in its own event scheduled by
-	// Fire, so after every event already queued for t=1s.
-	s.Go(func() { tr.Wait(); got = append(got, "wait-1") })
+	// Waiters release in registration order: the first WaitThen
+	// continuation registers here at setup, the two posted ones when
+	// their events run at t=0. Each releases in its own event scheduled
+	// by Fire, so after every event already queued for t=1s. WaitAny
+	// registers first of all, but through an OnFire callback of tr:
+	// callbacks run after Fire has scheduled tr's waiters, so its
+	// continuation comes last.
+	first := s.NewTrigger()
+	first.WaitAny(rec("waitany"), tr)
+	s.Post(func() { tr.WaitThen(rec("waitthen-event-1")) })
 	tr.WaitThen(rec("waitthen"))
-	s.Go(func() { tr.Wait(); got = append(got, "wait-2") })
+	s.Post(func() { tr.WaitThen(rec("waitthen-event-2")) })
 	s.AfterFunc(time.Second, rec("afterfunc-3"))
 	s.Run()
 
 	want := []string{
 		"afterfunc-1", "afterfunc-2", "at", "fire",
-		"afterfunc-3", "sleep-wake", "waitthen", "wait-1", "wait-2",
+		"afterfunc-3", "posted-afterfunc", "waitthen", "waitthen-event-1", "waitthen-event-2",
+		"waitany",
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("same-timestamp dispatch order:\n got  %v\n want %v", got, want)
@@ -46,13 +53,13 @@ func TestSameTimestampFIFO(t *testing.T) {
 }
 
 // TestPostRunsAfterPendingEvents pins Post's FIFO slot: it runs after
-// events already scheduled for the current instant, like Go does.
+// events already scheduled for the current instant.
 func TestPostRunsAfterPendingEvents(t *testing.T) {
 	s := NewSim(time.Time{})
 	var got []string
 	s.AfterFunc(0, func() { got = append(got, "a") })
 	s.Post(func() { got = append(got, "b") })
-	s.Go(func() { got = append(got, "c") })
+	s.Post(func() { got = append(got, "c") })
 	s.Post(func() { got = append(got, "d") })
 	s.Run()
 	if fmt.Sprint(got) != "[a b c d]" {
@@ -156,7 +163,7 @@ func TestTimerStopInterleavings(t *testing.T) {
 }
 
 // TestWaitThenAfterFire pins that WaitThen on an already-fired trigger
-// runs the continuation inline, matching Wait's immediate return.
+// runs the continuation inline, in the caller's event.
 func TestWaitThenAfterFire(t *testing.T) {
 	s := NewSim(time.Time{})
 	tr := s.NewTrigger()
@@ -165,97 +172,5 @@ func TestWaitThenAfterFire(t *testing.T) {
 	tr.WaitThen(func() { ran = true })
 	if !ran {
 		t.Fatal("WaitThen on fired trigger did not run inline")
-	}
-}
-
-// TestBlockingFromEvent pins the adapter's contract when the flow
-// calls it from a plain event: the body starts inside that event (no
-// event of its own, so nothing queued for the same instant overtakes
-// it), control returns to the caller when the body first blocks, and
-// done runs in the process after the body returns.
-func TestBlockingFromEvent(t *testing.T) {
-	s := NewSim(time.Time{})
-	var got []string
-	rec := func(tag string) { got = append(got, tag) }
-	run := Blocking(s, func(tag string) {
-		rec(tag + ":start")
-		s.Sleep(time.Second)
-		rec(tag + ":woke")
-	})
-	s.Post(func() {
-		before := s.seq
-		run("body", func() {
-			rec("done")
-			s.Sleep(0) // done still runs in the process
-			rec("done:woke")
-		})
-		if s.seq != before+1 {
-			t.Errorf("start drew %d sequence numbers, want 1 (the body's Sleep)", s.seq-before)
-		}
-		rec("caller")
-	})
-	s.Post(func() { rec("queued-behind") })
-	s.Run()
-	want := "[body:start caller queued-behind body:woke done done:woke]"
-	if fmt.Sprint(got) != want {
-		t.Fatalf("order = %v, want %v", got, want)
-	}
-	if s.nprocs != 0 || s.cur != nil {
-		t.Fatalf("leaked process state: %v cur=%v", s, s.cur)
-	}
-}
-
-// TestBlockingNested starts a body from inside another process — the
-// shape a trigger callback fired by a process produces — and checks
-// that both processes keep their own identity across the hand-offs.
-func TestBlockingNested(t *testing.T) {
-	s := NewSim(time.Time{})
-	var got []string
-	rec := func(tag string) { got = append(got, tag) }
-	inner := Blocking(s, func(struct{}) {
-		rec("inner:start")
-		s.Sleep(2 * time.Second)
-		rec("inner:woke")
-	})
-	tr := s.NewTrigger()
-	tr.OnFire(func() { inner(struct{}{}, func() { rec("inner:done") }) })
-	s.Go(func() {
-		rec("outer:start")
-		tr.Fire() // runs the callback, and with it inner's first stretch, inline
-		rec("outer:resumed")
-		s.Sleep(time.Second) // must suspend outer, not inner
-		rec("outer:woke")
-	})
-	s.Run()
-	want := "[outer:start inner:start outer:resumed outer:woke inner:woke inner:done]"
-	if fmt.Sprint(got) != want {
-		t.Fatalf("order = %v, want %v", got, want)
-	}
-	if s.nprocs != 0 {
-		t.Fatalf("leaked processes: %v", s)
-	}
-}
-
-// TestBlockingNeverBlocks: a body that returns without blocking runs
-// to completion, done included, before the adapter returns, schedules
-// nothing, and its worker is reusable at once.
-func TestBlockingNeverBlocks(t *testing.T) {
-	s := NewSim(time.Time{})
-	ran, finished := 0, 0
-	run := Blocking(s, func(n int) { ran += n })
-	s.Post(func() {
-		for i := 0; i < 3; i++ {
-			run(1, func() { finished++ })
-			if ran != i+1 || finished != i+1 {
-				t.Errorf("call %d: ran=%d finished=%d before the adapter returned", i, ran, finished)
-			}
-		}
-	})
-	s.Run()
-	if s.seq != 1 {
-		t.Fatalf("%d events scheduled, want only the Post", s.seq)
-	}
-	if len(s.freePr) != 1 || s.nprocs != 0 {
-		t.Fatalf("workers not recycled: %d pooled, %d live", len(s.freePr), s.nprocs)
 	}
 }

@@ -7,19 +7,21 @@ import (
 	"crossbroker/internal/simclock"
 )
 
-// Example runs two cooperative processes in virtual time: hours of
+// Example schedules two jobs' completions in virtual time: hours of
 // simulated waiting complete instantly and deterministically.
 func Example() {
 	sim := simclock.NewSim(time.Time{})
 	start := sim.Now()
 
-	sim.Go(func() {
-		sim.Sleep(2 * time.Hour)
-		fmt.Printf("batch job done at +%v\n", sim.Since(start))
+	sim.Post(func() {
+		sim.AfterFunc(2*time.Hour, func() {
+			fmt.Printf("batch job done at +%v\n", sim.Since(start))
+		})
 	})
-	sim.Go(func() {
-		sim.Sleep(5 * time.Second)
-		fmt.Printf("interactive job done at +%v\n", sim.Since(start))
+	sim.Post(func() {
+		sim.AfterFunc(5*time.Second, func() {
+			fmt.Printf("interactive job done at +%v\n", sim.Since(start))
+		})
 	})
 
 	sim.Run()

@@ -7,46 +7,29 @@ import (
 
 // Sim is a deterministic discrete-event simulation clock.
 //
-// A single scheduler goroutine (the caller of Run, RunFor or RunUntil)
-// pops events off one heap in (virtual time, seq) order and dispatches
-// each as a plain function call: AfterFunc, At and Post schedule a
-// function, Trigger.WaitThen a continuation. Virtual time jumps
-// directly from one event to the next, so simulations covering hours
-// complete in microseconds and are bit-for-bit reproducible. The
-// scheduling flows of every substrate package (site, batch, glidein,
-// broker, federation) are written in this run-to-completion style.
+// The caller of Run, RunFor or RunUntil pops events off one heap in
+// (virtual time, seq) order and dispatches each as a plain function
+// call: AfterFunc, At and Post schedule a function, Trigger.WaitThen a
+// continuation. Virtual time jumps directly from one event to the
+// next, so simulations covering hours complete in microseconds and are
+// bit-for-bit reproducible. Every flow — the scheduling flows of the
+// substrate packages (site, batch, glidein, broker, federation), job
+// bodies and test drivers alike — is written in this run-to-completion
+// style: a step that must wait schedules its continuation and returns.
 //
-// Code that is more naturally written as blocking steps — a job body,
-// a test driver — runs as a cooperative process instead: Go starts one
-// in its own event, Blocking starts one inside the event that is
-// already being dispatched, and a process may call Sleep, Trigger.Wait
-// and Queue.Get. Exactly one process runs at any instant, and control
-// returns to the scheduler whenever it blocks or finishes. A Sleep, a
-// Wait and a process start each cost one event, scheduled at the same
-// execution point as the AfterFunc, WaitThen and Post they correspond
-// to, so the two styles interleave on the heap without either
-// disturbing the other's order.
-//
-// Sim state is deliberately unlocked. Exactly one logical thread is
-// ever active — the scheduler, or the one process it handed control to
-// — and every transfer of control flows through a proc's wake/yield
-// channel handshake, whose sends and receives order all state access
-// between the scheduler goroutine and process goroutines (the race
-// detector sees those edges; CI runs the full suite under -race).
-// Calls from outside a run — the driver thread between RunFor chunks —
-// are part of the same single logical thread. What is NOT supported is
-// calling into one Sim from a second OS thread concurrently with a
+// Sim state is deliberately unlocked. The package starts no goroutine
+// and every event runs on the goroutine that called Run, so exactly
+// one logical thread ever touches a Sim; calls from the driver between
+// RunFor chunks belong to the same thread. What is NOT supported is
+// calling into one Sim from a second goroutine concurrently with a
 // run; no package in this repository does (netsim, gsi, interpose and
 // mpisim run real goroutines but never touch a Sim).
 type Sim struct {
 	now    time.Time
 	events eventHeap
 	freeEv []*event // recycled events; see event.gen
-	freePr []*proc  // idle pooled process workers; see lease
 	seq    int64
-	cur    *proc  // process currently holding control, nil in plain events
 	firing *event // event currently being dispatched; see SimTimer.Stop
-	nprocs int    // live (not yet exited) processes
 }
 
 // NewSim returns a simulation clock starting at start. A zero start is
@@ -64,17 +47,15 @@ type event struct {
 	seq      int64
 	gen      uint64 // bumped on recycle; stale SimTimers detect reuse
 	fn       func()
-	proc     *proc
 	canceled bool
 }
 
 // recycle returns an executed or canceled event to the free list.
 // Bumping gen invalidates any SimTimer still holding the event, and
-// clearing fn/proc drops the closure for the garbage collector.
+// clearing fn drops the closure for the garbage collector.
 func (s *Sim) recycle(e *event) {
 	e.gen++
 	e.fn = nil
-	e.proc = nil
 	s.freeEv = append(s.freeEv, e)
 }
 
@@ -85,9 +66,8 @@ func (s *Sim) recycle(e *event) {
 //
 // The seq tiebreak is a contract, not an implementation detail: events
 // scheduled for the same timestamp dispatch in the order they were
-// scheduled (FIFO), whether they carry a function or a process wake.
-// Fixed-seed traces are byte-reproducible only because of it. See
-// TestSameTimestampFIFO.
+// scheduled (FIFO), whichever call scheduled them. Fixed-seed traces
+// are byte-reproducible only because of it. See TestSameTimestampFIFO.
 type eventHeap []*event
 
 func (h eventHeap) less(i, j int) bool {
@@ -138,14 +118,6 @@ func (h *eventHeap) pop() *event {
 	return e
 }
 
-// proc is one cooperative process. Control is handed to the process by
-// sending on wake; the process returns control by sending on yield.
-type proc struct {
-	wake  chan struct{}
-	yield chan struct{}
-	fn    func() // body for the current lease
-}
-
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Time {
 	return s.now
@@ -154,7 +126,7 @@ func (s *Sim) Now() time.Time {
 // Since returns the virtual duration elapsed since t.
 func (s *Sim) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
 
-func (s *Sim) schedule(d time.Duration, fn func(), p *proc) *event {
+func (s *Sim) schedule(d time.Duration, fn func()) *event {
 	if d < 0 {
 		d = 0
 	}
@@ -163,9 +135,9 @@ func (s *Sim) schedule(d time.Duration, fn func(), p *proc) *event {
 	if n := len(s.freeEv); n > 0 {
 		e = s.freeEv[n-1]
 		s.freeEv = s.freeEv[:n-1]
-		e.key, e.at, e.seq, e.fn, e.proc, e.canceled = at.UnixNano(), at, s.seq, fn, p, false
+		e.key, e.at, e.seq, e.fn, e.canceled = at.UnixNano(), at, s.seq, fn, false
 	} else {
-		e = &event{key: at.UnixNano(), at: at, seq: s.seq, fn: fn, proc: p}
+		e = &event{key: at.UnixNano(), at: at, seq: s.seq, fn: fn}
 	}
 	s.seq++
 	s.events.push(e)
@@ -173,13 +145,12 @@ func (s *Sim) schedule(d time.Duration, fn func(), p *proc) *event {
 }
 
 // AfterFunc schedules fn to run in its own event after d of virtual
-// time. fn runs on the scheduler goroutine; it must not call Sleep or
-// Trigger.Wait directly (start a process with Go for that).
+// time.
 //
 // AfterFunc must stay small enough to inline: a caller that discards
 // the result then pays no allocation for the Timer interface value.
 func (s *Sim) AfterFunc(d time.Duration, fn func()) Timer {
-	e := s.schedule(d, fn, nil)
+	e := s.schedule(d, fn)
 	return SimTimer{s, e, e.gen}
 }
 
@@ -187,7 +158,7 @@ func (s *Sim) AfterFunc(d time.Duration, fn func()) Timer {
 // owner that keeps the handle in a field: storing a Timer interface
 // value boxes the handle in an allocation of its own.
 func (s *Sim) AfterFuncTimer(d time.Duration, fn func()) SimTimer {
-	e := s.schedule(d, fn, nil)
+	e := s.schedule(d, fn)
 	return SimTimer{s, e, e.gen}
 }
 
@@ -200,7 +171,7 @@ func (s *Sim) At(t time.Time, fn func()) Timer {
 // Post schedules fn to run in its own event at the current virtual
 // time, after all events already scheduled for this instant (FIFO).
 func (s *Sim) Post(fn func()) {
-	s.schedule(0, fn, nil)
+	s.schedule(0, fn)
 }
 
 // SimTimer is the Timer of a pending Sim event. The zero SimTimer is
@@ -235,83 +206,6 @@ func (t SimTimer) Stop() bool {
 	return true
 }
 
-// Go starts a cooperative process running fn. The process is scheduled
-// to begin at the current virtual time; fn may call Sleep and
-// Trigger.Wait freely. Go may be called before Run or from within a
-// running event or process.
-func (s *Sim) Go(fn func()) {
-	s.schedule(0, nil, s.lease(fn))
-}
-
-// lease binds fn to a process worker. Procs are pooled: the backing
-// goroutine loops, running one body per lease, so repeated process
-// starts reuse goroutines and channels instead of allocating fresh
-// ones.
-func (s *Sim) lease(fn func()) *proc {
-	s.nprocs++
-	if n := len(s.freePr); n > 0 {
-		p := s.freePr[n-1]
-		s.freePr = s.freePr[:n-1]
-		p.fn = fn
-		return p
-	}
-	p := &proc{wake: make(chan struct{}), yield: make(chan struct{}), fn: fn}
-	go func() {
-		for {
-			<-p.wake
-			p.fn()
-			s.nprocs--
-			p.fn = nil
-			s.freePr = append(s.freePr, p)
-			p.yield <- struct{}{}
-		}
-	}()
-	return p
-}
-
-// Blocking adapts a blocking body — one that calls Sleep, Trigger.Wait
-// or Queue.Get — to the continuation-passing shape the scheduling
-// flows dispatch job bodies in (batch.Request.RunCB,
-// glidein.InteractiveJob.RunCB, broker.Request.Body). The returned
-// function must be called from an event or a process; it starts body
-// as a process inside that dispatch slot, with no event of its own,
-// and returns when body first blocks or finishes. done runs in the
-// process once body returns.
-func Blocking[C any](s *Sim, body func(C)) func(ctx C, done func()) {
-	return func(ctx C, done func()) {
-		p := s.lease(func() {
-			body(ctx)
-			done()
-		})
-		// The caller — scheduler or enclosing process — plays the
-		// scheduler's part of the handshake for this first stretch;
-		// later wake-ups arrive through the heap like any process's.
-		prev := s.cur
-		s.cur = p
-		p.wake <- struct{}{}
-		<-p.yield
-		s.cur = prev
-	}
-}
-
-// Sleep suspends the calling process for d of virtual time. It panics
-// when called from outside a process (i.e. from a plain AfterFunc event
-// or before Run started the process).
-func (s *Sim) Sleep(d time.Duration) {
-	p := s.currentProc()
-	s.schedule(d, nil, p)
-	p.yield <- struct{}{}
-	<-p.wake
-}
-
-func (s *Sim) currentProc() *proc {
-	p := s.cur
-	if p == nil {
-		panic("simclock: Sleep/Wait called outside a Sim process; use Sim.Go")
-	}
-	return p
-}
-
 // step executes the next pending event. It reports false when no
 // events remain or the next event lies beyond limit (when hasLimit).
 func (s *Sim) step(limit time.Time, hasLimit bool) bool {
@@ -327,25 +221,18 @@ func (s *Sim) step(limit time.Time, hasLimit bool) bool {
 	}
 	s.events.pop()
 	s.now = e.at
-	s.cur = e.proc
 	s.firing = e
-
-	if e.proc != nil {
-		e.proc.wake <- struct{}{}
-		<-e.proc.yield
-	} else if e.fn != nil {
+	if e.fn != nil {
 		e.fn()
 	}
-
-	s.cur = nil
 	s.firing = nil
 	s.recycle(e)
 	return true
 }
 
 // Run executes events until none remain. It returns the final virtual
-// time. Processes blocked forever (e.g. on a Trigger that is never
-// fired) do not keep Run alive.
+// time. A continuation waiting on a Trigger that never fires does not
+// keep Run alive.
 func (s *Sim) Run() time.Time {
 	for s.step(time.Time{}, false) {
 	}
@@ -381,7 +268,7 @@ func (s *Sim) Pending() int {
 
 // String describes the clock state, for debugging.
 func (s *Sim) String() string {
-	return fmt.Sprintf("sim(now=%s pending=%d procs=%d)", s.now.Format(time.RFC3339), len(s.events), s.nprocs)
+	return fmt.Sprintf("sim(now=%s pending=%d)", s.now.Format(time.RFC3339), s.Pending())
 }
 
 var _ Clock = (*Sim)(nil)

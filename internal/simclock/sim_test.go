@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -8,7 +9,7 @@ import (
 func TestRealClockBasics(t *testing.T) {
 	c := Real()
 	t0 := c.Now()
-	c.Sleep(time.Millisecond)
+	time.Sleep(time.Millisecond)
 	if c.Since(t0) <= 0 {
 		t.Fatal("real clock did not advance")
 	}
@@ -161,76 +162,14 @@ func TestSimRunUntilMovesClockForwardOnly(t *testing.T) {
 	})
 }
 
-func TestSimProcessSleep(t *testing.T) {
-	s := NewSim(time.Time{})
-	start := s.Now()
-	var marks []time.Duration
-	s.Go(func() {
-		for i := 0; i < 3; i++ {
-			s.Sleep(10 * time.Second)
-			marks = append(marks, s.Since(start))
-		}
-	})
-	s.Run()
-	want := []time.Duration{10 * time.Second, 20 * time.Second, 30 * time.Second}
-	if len(marks) != 3 {
-		t.Fatalf("marks = %v", marks)
-	}
-	for i := range want {
-		if marks[i] != want[i] {
-			t.Fatalf("marks = %v, want %v", marks, want)
-		}
-	}
-}
-
-func TestSimProcessesInterleaveDeterministically(t *testing.T) {
-	run := func() []string {
-		s := NewSim(time.Time{})
-		var log []string
-		s.Go(func() {
-			log = append(log, "a0")
-			s.Sleep(2 * time.Second)
-			log = append(log, "a2")
-		})
-		s.Go(func() {
-			log = append(log, "b0")
-			s.Sleep(1 * time.Second)
-			log = append(log, "b1")
-			s.Sleep(2 * time.Second)
-			log = append(log, "b3")
-		})
-		s.Run()
-		return log
-	}
-	first := run()
-	want := []string{"a0", "b0", "b1", "a2", "b3"}
-	if len(first) != len(want) {
-		t.Fatalf("log = %v", first)
-	}
-	for i := range want {
-		if first[i] != want[i] {
-			t.Fatalf("log = %v, want %v", first, want)
-		}
-	}
-	for trial := 0; trial < 20; trial++ {
-		got := run()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("nondeterministic run %d: %v", trial, got)
-			}
-		}
-	}
-}
-
 func TestTriggerReleasesAllWaiters(t *testing.T) {
 	s := NewSim(time.Time{})
 	tr := s.NewTrigger()
 	var woke []time.Duration
 	start := s.Now()
 	for i := 0; i < 5; i++ {
-		s.Go(func() {
-			tr.Wait()
-			woke = append(woke, s.Since(start))
+		s.Post(func() {
+			tr.WaitThen(func() { woke = append(woke, s.Since(start)) })
 		})
 	}
 	s.AfterFunc(7*time.Second, tr.Fire)
@@ -248,66 +187,6 @@ func TestTriggerReleasesAllWaiters(t *testing.T) {
 	}
 }
 
-func TestTriggerWaitAfterFireReturnsImmediately(t *testing.T) {
-	s := NewSim(time.Time{})
-	tr := s.NewTrigger()
-	tr.Fire()
-	tr.Fire() // idempotent
-	var d time.Duration
-	start := s.Now()
-	s.Go(func() {
-		tr.Wait()
-		d = s.Since(start)
-	})
-	s.Run()
-	if d != 0 {
-		t.Fatalf("Wait after Fire took +%v", d)
-	}
-}
-
-func TestQueueFIFOAndBlocking(t *testing.T) {
-	s := NewSim(time.Time{})
-	q := s.NewQueue()
-	var got []int
-	s.Go(func() {
-		for {
-			v, ok := q.Get()
-			if !ok {
-				return
-			}
-			got = append(got, v.(int))
-		}
-	})
-	s.AfterFunc(time.Second, func() { q.Put(1); q.Put(2) })
-	s.AfterFunc(2*time.Second, func() { q.Put(3); q.Close() })
-	s.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestQueueLen(t *testing.T) {
-	s := NewSim(time.Time{})
-	q := s.NewQueue()
-	q.Put("x")
-	q.Put("y")
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", q.Len())
-	}
-}
-
-func TestQueueCloseUnblocksGetter(t *testing.T) {
-	s := NewSim(time.Time{})
-	q := s.NewQueue()
-	var ok = true
-	s.Go(func() { _, ok = q.Get() })
-	s.AfterFunc(time.Second, q.Close)
-	s.Run()
-	if ok {
-		t.Fatal("Get on closed empty queue returned ok=true")
-	}
-}
-
 func TestPendingCountsUncanceled(t *testing.T) {
 	s := NewSim(time.Time{})
 	a := s.AfterFunc(time.Second, func() {})
@@ -318,30 +197,14 @@ func TestPendingCountsUncanceled(t *testing.T) {
 	}
 }
 
-func TestSleepOutsideProcessPanics(t *testing.T) {
+// TestSimStringCountsLivePending: the debug description counts what
+// Pending counts, not the stopped events still on the heap.
+func TestSimStringCountsLivePending(t *testing.T) {
 	s := NewSim(time.Time{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Sleep outside process did not panic")
-		}
-	}()
-	s.Sleep(time.Second)
-}
-
-func TestGoFromWithinEvent(t *testing.T) {
-	s := NewSim(time.Time{})
-	var ran bool
-	s.AfterFunc(time.Second, func() {
-		s.Go(func() {
-			s.Sleep(time.Second)
-			ran = true
-		})
-	})
-	end := s.Run()
-	if !ran {
-		t.Fatal("nested process never ran")
-	}
-	if got := end.Sub(NewSim(time.Time{}).Now()); got != 2*time.Second {
-		t.Fatalf("final time +%v, want +2s", got)
+	a := s.AfterFunc(time.Second, func() {})
+	s.AfterFunc(2*time.Second, func() {})
+	a.Stop()
+	if got := s.String(); !strings.Contains(got, "pending=1)") {
+		t.Fatalf("String() = %q, want pending=1", got)
 	}
 }

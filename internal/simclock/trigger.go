@@ -1,16 +1,14 @@
 package simclock
 
-// Trigger is a one-shot rendezvous for simulation processes: any number
-// of processes Wait on it; Fire releases all current and future
-// waiters. It is the simulated analogue of closing a channel.
+// Trigger is a one-shot rendezvous: any number of continuations wait
+// on it (WaitThen); Fire releases all current and future waiters. It
+// is the simulated analogue of closing a channel.
 //
-// Waiters come in two shapes sharing one FIFO list: suspended processes
-// (Wait) and continuations (WaitThen). Fire releases them in
-// registration order regardless of shape, each in its own event at the
-// firing instant.
+// Fire releases the waiters in registration order, each in its own
+// event at the firing instant.
 //
 // Like the Sim it is bound to, a Trigger is unlocked: all calls happen
-// on the single active logical thread (see the Sim doc comment), so
+// on the one goroutine that runs the simulation (see the Sim doc), so
 // its state needs no mutex. This keeps Fire — the busiest rendezvous
 // primitive in the hot loop — a plain slice walk.
 //
@@ -31,7 +29,7 @@ package simclock
 type Trigger struct {
 	s     *Sim
 	fired bool
-	w0    waiter    // first waiter, inline
+	w0    func()    // first waiter, inline
 	cb0   func()    // first OnFire callback, inline
 	more  *overflow // second and later waiters and callbacks, rare
 }
@@ -41,18 +39,9 @@ type Trigger struct {
 // small: most triggers are embedded in an owner that lives as long as
 // a job, and the two slices would double their size.
 type overflow struct {
-	waiters   []waiter
+	waiters   []func()
 	callbacks []func()
 }
-
-// waiter is one entry in a Trigger's FIFO wait list: a suspended
-// process (p != nil) or a continuation (fn != nil).
-type waiter struct {
-	p  *proc
-	fn func()
-}
-
-func (w waiter) empty() bool { return w.p == nil && w.fn == nil }
 
 // NewTrigger returns an unfired Trigger bound to s, in an allocation of
 // its own. A trigger whose owner is fixed — a handle, a scheduling
@@ -80,7 +69,7 @@ func (t *Trigger) Fired() bool {
 // trigger to fire: a leak check's view of what the trigger keeps alive.
 func (t *Trigger) Registered() int {
 	n := 0
-	if !t.w0.empty() {
+	if t.w0 != nil {
 		n++
 	}
 	if t.cb0 != nil {
@@ -92,21 +81,21 @@ func (t *Trigger) Registered() int {
 	return n
 }
 
-// Fire releases all waiting processes at the current virtual time. It
-// is idempotent. It may be called from an event or a process.
+// Fire releases all waiters at the current virtual time, then runs the
+// OnFire callbacks inline. It is idempotent.
 func (t *Trigger) Fire() {
 	if t.fired {
 		return
 	}
 	t.fired = true
 	w0, cb0, more := t.w0, t.cb0, t.more
-	t.w0, t.cb0, t.more = waiter{}, nil, nil
-	if !w0.empty() {
-		t.s.schedule(0, w0.fn, w0.p)
+	t.w0, t.cb0, t.more = nil, nil, nil
+	if w0 != nil {
+		t.s.schedule(0, w0)
 	}
 	if more != nil {
 		for _, w := range more.waiters {
-			t.s.schedule(0, w.fn, w.p)
+			t.s.schedule(0, w)
 		}
 	}
 	if cb0 != nil {
@@ -129,8 +118,8 @@ func (t *Trigger) overflow() *overflow {
 
 // addWaiter appends to the FIFO wait list, filling the inline slot
 // first.
-func (t *Trigger) addWaiter(w waiter) {
-	if t.w0.empty() {
+func (t *Trigger) addWaiter(w func()) {
+	if t.w0 == nil {
 		t.w0 = w
 		return
 	}
@@ -154,30 +143,16 @@ func (t *Trigger) OnFire(fn func()) {
 	o.callbacks = append(o.callbacks, fn)
 }
 
-// Wait suspends the calling process until the trigger fires. It
-// returns immediately if the trigger already fired. Must be called
-// from a process started with Sim.Go.
-func (t *Trigger) Wait() {
-	p := t.s.currentProc()
-	if t.fired {
-		return
-	}
-	t.addWaiter(waiter{p: p})
-	p.yield <- struct{}{}
-	<-p.wake
-}
-
 // WaitThen runs cont once the trigger fires. If the trigger already
-// fired, cont runs inline (matching Wait's immediate return);
-// otherwise cont joins the same FIFO waiter list as suspended
-// processes and is dispatched in its own event at the firing instant,
-// in registration order.
+// fired, cont runs inline; otherwise cont joins the FIFO waiter list
+// and is dispatched in its own event at the firing instant, in
+// registration order.
 func (t *Trigger) WaitThen(cont func()) {
 	if t.fired {
 		cont()
 		return
 	}
-	t.addWaiter(waiter{fn: cont})
+	t.addWaiter(cont)
 }
 
 // WaitAny runs cont once the first of ts fires, through w: w fires at
@@ -191,72 +166,4 @@ func (w *Trigger) WaitAny(cont func(), ts ...*Trigger) {
 		t.OnFire(fire)
 	}
 	w.WaitThen(cont)
-}
-
-// Queue is an unbounded FIFO communication channel between simulation
-// processes: Put never blocks, Get suspends the calling process until
-// an item is available. It is the simulated analogue of a buffered
-// channel with infinite capacity. Unlocked, like Trigger.
-type Queue struct {
-	s       *Sim
-	items   []any
-	waiters []*proc
-	closed  bool
-}
-
-// NewQueue returns an empty queue bound to s.
-func (s *Sim) NewQueue() *Queue { return &Queue{s: s} }
-
-// Put appends v and wakes one waiting process, if any. Put on a closed
-// queue panics.
-func (q *Queue) Put(v any) {
-	if q.closed {
-		panic("simclock: Put on closed Queue")
-	}
-	q.items = append(q.items, v)
-	if len(q.waiters) > 0 {
-		p := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.s.schedule(0, nil, p)
-	}
-}
-
-// Close marks the queue closed and wakes all waiters; subsequent Gets
-// drain remaining items and then report ok=false.
-func (q *Queue) Close() {
-	q.closed = true
-	ws := q.waiters
-	q.waiters = nil
-	for _, p := range ws {
-		q.s.schedule(0, nil, p)
-	}
-}
-
-// Len reports the number of queued items.
-func (q *Queue) Len() int {
-	return len(q.items)
-}
-
-// Get removes and returns the oldest item, suspending the calling
-// process while the queue is empty. ok is false when the queue is
-// closed and drained. Must be called from a process started with
-// Sim.Go.
-func (q *Queue) Get() (v any, ok bool) {
-	for {
-		if len(q.items) > 0 {
-			v = q.items[0]
-			q.items = q.items[1:]
-			return v, true
-		}
-		if q.closed {
-			return nil, false
-		}
-		p := q.s.cur
-		if p == nil {
-			panic("simclock: Get called outside a Sim process; use Sim.Go")
-		}
-		q.waiters = append(q.waiters, p)
-		p.yield <- struct{}{}
-		<-p.wake
-	}
 }

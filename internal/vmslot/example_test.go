@@ -20,10 +20,11 @@ func Example() {
 
 	batch.Start(10 * time.Hour) // resident batch load
 
-	sim.Go(func() {
+	sim.Post(func() {
 		start := sim.Now()
-		interactive.Run(10 * time.Second)
-		fmt.Printf("10s burst took %.1fs\n", sim.Since(start).Seconds())
+		interactive.Start(10 * time.Second).WaitThen(func() {
+			fmt.Printf("10s burst took %.1fs\n", sim.Since(start).Seconds())
+		})
 	})
 	sim.RunFor(time.Minute)
 	// Output: 10s burst took 12.5s

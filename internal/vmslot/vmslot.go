@@ -49,8 +49,8 @@ const fullShareTickets = 100
 
 // Machine is one worker node's CPU, multiplexed among slots by stride
 // scheduling in virtual time. All methods must be called from the
-// machine's simulation (events or processes of the same Sim); the
-// simulation's sequential execution provides mutual exclusion.
+// machine's simulation (events of the same Sim); the simulation's
+// sequential execution provides mutual exclusion.
 type Machine struct {
 	sim *simclock.Sim
 	// Quantum is the scheduling slice. Shorter quanta track the ideal
@@ -124,7 +124,7 @@ type Slot struct {
 	closed  bool
 }
 
-// run is one outstanding Run request. Its completion trigger lives
+// run is one outstanding Start request. Its completion trigger lives
 // inside it: Start costs one allocation.
 type run struct {
 	slot      *Slot
@@ -191,15 +191,9 @@ func (s *Slot) Close() {
 	m.runq = q
 }
 
-// Run consumes work seconds of CPU on the slot, blocking the calling
-// simulation process until the work completes. The elapsed virtual
-// time depends on contention from other slots.
-func (s *Slot) Run(work time.Duration) {
-	s.Start(work).Wait()
-}
-
 // Start begins work seconds of CPU on the slot and returns a trigger
-// that fires on completion, without blocking.
+// that fires on completion. The elapsed virtual time depends on
+// contention from other slots.
 func (s *Slot) Start(work time.Duration) *simclock.Trigger {
 	if work <= 0 {
 		t := s.m.sim.NewTrigger()
@@ -207,7 +201,7 @@ func (s *Slot) Start(work time.Duration) *simclock.Trigger {
 		return t
 	}
 	if s.closed {
-		panic(fmt.Sprintf("vmslot: Run on closed slot %q", s.name))
+		panic(fmt.Sprintf("vmslot: Start on closed slot %q", s.name))
 	}
 	r := &run{slot: s, remaining: work}
 	s.m.sim.InitTrigger(&r.done)

@@ -14,9 +14,8 @@ func TestSingleSlotRunsAtFullSpeed(t *testing.T) {
 	s := m.NewSlot("only", 100)
 	start := sim.Now()
 	var elapsed time.Duration
-	sim.Go(func() {
-		s.Run(time.Second)
-		elapsed = sim.Since(start)
+	sim.Post(func() {
+		s.Start(time.Second).WaitThen(func() { elapsed = sim.Since(start) })
 	})
 	sim.Run()
 	if elapsed != time.Second {
@@ -32,9 +31,8 @@ func TestZeroWorkCompletesImmediately(t *testing.T) {
 	m := NewMachine(sim)
 	s := m.NewSlot("s", 100)
 	done := false
-	sim.Go(func() {
-		s.Run(0)
-		done = true
+	sim.Post(func() {
+		s.Start(0).WaitThen(func() { done = true })
 	})
 	sim.Run()
 	if !done || sim.Since(simclock.NewSim(time.Time{}).Now()) != 0 {
@@ -50,8 +48,8 @@ func TestEqualSharesSplitEvenly(t *testing.T) {
 	b := m.NewSlot("b", 50)
 	var ea, eb time.Duration
 	start := sim.Now()
-	sim.Go(func() { a.Run(time.Second); ea = sim.Since(start) })
-	sim.Go(func() { b.Run(time.Second); eb = sim.Since(start) })
+	sim.Post(func() { a.Start(time.Second).WaitThen(func() { ea = sim.Since(start) }) })
+	sim.Post(func() { b.Start(time.Second).WaitThen(func() { eb = sim.Since(start) }) })
 	sim.Run()
 	// Both need ~2s elapsed: each gets half the CPU.
 	for _, e := range []time.Duration{ea, eb} {
@@ -76,9 +74,8 @@ func TestPerformanceLossRatio(t *testing.T) {
 
 		start := sim.Now()
 		var elapsed time.Duration
-		sim.Go(func() {
-			inter.Run(time.Second)
-			elapsed = sim.Since(start)
+		sim.Post(func() {
+			inter.Start(time.Second).WaitThen(func() { elapsed = sim.Since(start) })
 		})
 		sim.RunFor(time.Hour)
 
@@ -100,10 +97,12 @@ func TestWorkConservation(t *testing.T) {
 
 	bg.Start(10 * time.Hour)
 
-	sim.Go(func() {
-		inter.Run(500 * time.Millisecond)
-		sim.Sleep(300 * time.Millisecond) // "I/O" phase
-		inter.Run(500 * time.Millisecond)
+	sim.Post(func() {
+		inter.Start(500 * time.Millisecond).WaitThen(func() {
+			sim.AfterFunc(300*time.Millisecond, func() { // "I/O" phase
+				inter.Start(500 * time.Millisecond)
+			})
+		})
 	})
 	sim.RunFor(1500 * time.Millisecond)
 
@@ -134,10 +133,11 @@ func TestStrictPriorityWithZeroTickets(t *testing.T) {
 	batch.Start(10 * time.Hour)
 	var elapsed, batchUsed time.Duration
 	start := sim.Now()
-	sim.Go(func() {
-		inter.Run(2 * time.Second)
-		elapsed = sim.Since(start)
-		batchUsed = batch.Used() // before work conservation hands the CPU back
+	sim.Post(func() {
+		inter.Start(2 * time.Second).WaitThen(func() {
+			elapsed = sim.Since(start)
+			batchUsed = batch.Used() // before work conservation hands the CPU back
+		})
 	})
 	sim.RunUntil(start.Add(2*time.Second + 50*time.Millisecond))
 	// The batch slot may hold at most one quantum (it was dispatched
@@ -160,10 +160,9 @@ func TestCatchupBoundedAfterSleep(t *testing.T) {
 	b.Start(10 * time.Hour)
 	sim.RunFor(5 * time.Second) // b runs alone, accumulating pass
 	var aElapsed time.Duration
-	sim.Go(func() {
+	sim.Post(func() {
 		t0 := sim.Now()
-		a.Run(time.Second)
-		aElapsed = sim.Since(t0)
+		a.Start(time.Second).WaitThen(func() { aElapsed = sim.Since(t0) })
 	})
 	sim.RunFor(time.Hour)
 	// Without the bound, a would run its full 1s exclusively (deficit
@@ -187,10 +186,9 @@ func TestSetTicketsChangesShare(t *testing.T) {
 	// interactive job arrives.
 	sim.AfterFunc(0, func() { b.SetTickets(10) })
 	var elapsed time.Duration
-	sim.Go(func() {
+	sim.Post(func() {
 		t0 := sim.Now()
-		a.Run(time.Second)
-		elapsed = sim.Since(t0)
+		a.Start(time.Second).WaitThen(func() { elapsed = sim.Since(t0) })
 	})
 	sim.RunFor(time.Hour)
 	want := 1.10
@@ -230,10 +228,9 @@ func TestCloseRemovesSlot(t *testing.T) {
 	b.Start(time.Hour)
 	b.Close()
 	var elapsed time.Duration
-	sim.Go(func() {
+	sim.Post(func() {
 		t0 := sim.Now()
-		a.Run(time.Second)
-		elapsed = sim.Since(t0)
+		a.Start(time.Second).WaitThen(func() { elapsed = sim.Since(t0) })
 	})
 	sim.RunFor(time.Hour)
 	// With b closed, a runs uncontended (modulo b's first quantum,
@@ -250,7 +247,7 @@ func TestRunOnClosedSlotPanics(t *testing.T) {
 	s.Close()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Run on closed slot did not panic")
+			t.Fatal("Start on closed slot did not panic")
 		}
 	}()
 	s.Start(time.Second)
@@ -297,14 +294,23 @@ func TestFigure8Shape(t *testing.T) {
 		}
 		const n = 50
 		var total time.Duration
-		sim.Go(func() {
-			for i := 0; i < n; i++ {
-				sim.Sleep(6 * time.Millisecond) // I/O op
-				t0 := sim.Now()
-				inter.Run(921 * time.Millisecond) // CPU burst
-				total += sim.Since(t0)
+		var t0 time.Time
+		i := 0
+		var iterate func()
+		iterate = func() {
+			if i == n {
+				return
 			}
-		})
+			i++
+			sim.AfterFunc(6*time.Millisecond, func() { // I/O op
+				t0 = sim.Now()
+				inter.Start(921 * time.Millisecond).WaitThen(func() { // CPU burst
+					total += sim.Since(t0)
+					iterate()
+				})
+			})
+		}
+		sim.Post(iterate)
 		sim.RunFor(2 * time.Hour)
 		return total.Seconds() / n
 	}
