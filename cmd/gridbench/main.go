@@ -62,7 +62,7 @@ func realMain(args []string, stderr io.Writer) int {
 	seed := fs.Int64("seed", 2006, "randomization seed")
 	out := fs.String("out", "", "output path for the one JSON-writing experiment named by -exp (default: its committed BENCH_*.json name)")
 	quick := fs.Bool("quick", false, "shrink -exp chaos, federation, dataaware and scale for smoke runs")
-	traceOut := fs.String("traceout", "", "enable event tracing in -exp chaos/federation and write the logs as JSONL here")
+	traceOut := fs.String("traceout", "", "enable event tracing in -exp chaos, federation or replay and write the logs as JSONL here")
 	traceIn := fs.String("tracein", "", "JSONL event log to verify with -exp checktrace")
 	chromeOut := fs.String("chromeout", "", "also convert -tracein to Chrome trace_event JSON at this path")
 	baseline := fs.String("baseline", "", "committed BENCH_*.json of the experiment named by -exp to gate its results against")
@@ -94,6 +94,10 @@ func realMain(args []string, stderr io.Writer) int {
 	}
 	if *exp == "all" && (*out != "" || *baseline != "") {
 		fmt.Fprintln(stderr, "gridbench: -out and -baseline name one experiment's report: pass -exp with them")
+		return 2
+	}
+	if *exp == "all" && *traceOut != "" {
+		fmt.Fprintln(stderr, "gridbench: -traceout names one experiment's event log: pass -exp with it")
 		return 2
 	}
 	// outPath is where an experiment writes its report: -out, or the

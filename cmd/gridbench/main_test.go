@@ -8,10 +8,11 @@ import (
 
 // TestUsageErrorsExitTwo pins that a command line naming nothing to
 // run fails loudly instead of succeeding vacuously: an unknown -exp
-// value lists the valid ones, -out or -baseline without the one
-// experiment they belong to is refused, and the removed -exp bench,
-// -engine, -scaleout and -nowall are errors, so scripts written against
-// them stop.
+// value lists the valid ones, -out, -baseline or -traceout without the
+// one experiment they belong to is refused (under -exp all each traced
+// sweep would overwrite the one -traceout file), and the removed -exp
+// bench, -engine, -scaleout and -nowall are errors, so scripts written
+// against them stop.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -25,6 +26,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-exp", "scale", "-scaleout", "x.json"}, "flag provided but not defined: -scaleout"},
 		{[]string{"-exp", "all", "-out", "x.json"}, "-out and -baseline name one experiment's report"},
 		{[]string{"-baseline", "BENCH_infosys.json"}, "-out and -baseline name one experiment's report"},
+		{[]string{"-traceout", "x.jsonl"}, "-traceout names one experiment's event log"},
 	} {
 		var stderr bytes.Buffer
 		if code := realMain(tc.args, &stderr); code != 2 {

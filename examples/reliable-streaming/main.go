@@ -46,6 +46,9 @@ func (c *collector) lines() int {
 func main() {
 	for _, mode := range []jdl.StreamingMode{jdl.ReliableStreaming, jdl.FastStreaming} {
 		got := run(mode)
+		if mode == jdl.ReliableStreaming && got < 20 {
+			log.Fatalf("reliable mode received %d of 20 progress lines: the outage lost data", got)
+		}
 		fmt.Printf("%-8s mode: received %2d of 20 progress lines", mode, got)
 		if mode == jdl.ReliableStreaming {
 			fmt.Printf("  <- nothing lost across the outage\n")

@@ -26,8 +26,6 @@ type AgentConfig struct {
 	// SpillDir is where the reliable mode write-ahead file lives
 	// (default: os.TempDir()).
 	SpillDir string
-	// BufferSize is the output buffer capacity (default 64 KiB).
-	BufferSize int
 	// FlushInterval is the output buffer timeout (default 100 ms).
 	FlushInterval time.Duration
 	// RetryInterval and MaxRetries tune the reliable reconnection
@@ -84,8 +82,8 @@ func StartAgent(cfg AgentConfig, proc interpose.Process) (*Agent, error) {
 	a.link = link
 	link.Start()
 
-	outBuf := newFlushBuffer(cfg.BufferSize, cfg.FlushInterval, func(b []byte) { link.Send(Stdout, b) })
-	errBuf := newFlushBuffer(cfg.BufferSize, cfg.FlushInterval, func(b []byte) { link.Send(Stderr, b) })
+	outBuf := newFlushBuffer(outputBufferSize, cfg.FlushInterval, func(b []byte) { link.Send(Stdout, b) })
+	errBuf := newFlushBuffer(outputBufferSize, cfg.FlushInterval, func(b []byte) { link.Send(Stderr, b) })
 
 	// Auxiliary output channels ("transparent streaming of other IO
 	// traffic"): each gets its own buffer and stream id.
@@ -96,7 +94,7 @@ func StartAgent(cfg AgentConfig, proc interpose.Process) (*Agent, error) {
 	auxBufs := make([]*flushBuffer, len(auxReaders))
 	for i := range auxReaders {
 		stream := Aux(i)
-		auxBufs[i] = newFlushBuffer(cfg.BufferSize, cfg.FlushInterval, func(b []byte) { link.Send(stream, b) })
+		auxBufs[i] = newFlushBuffer(outputBufferSize, cfg.FlushInterval, func(b []byte) { link.Send(stream, b) })
 	}
 
 	a.pumps.Add(2 + len(auxReaders))

@@ -20,10 +20,11 @@ type flushBuffer struct {
 	closed   bool
 }
 
+// outputBufferSize is the capacity of the agent's and the shadow's
+// output buffers.
+const outputBufferSize = 64 << 10
+
 func newFlushBuffer(max int, interval time.Duration, out func([]byte)) *flushBuffer {
-	if max <= 0 {
-		max = 64 << 10
-	}
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}

@@ -33,9 +33,6 @@ type LinkConfig struct {
 	// SpillPath is the reliable mode write-ahead file; required when
 	// Mode is ReliableStreaming.
 	SpillPath string
-	// HandshakeTimeout bounds the Hello exchange on a fresh
-	// connection.
-	HandshakeTimeout time.Duration
 	// DiskCost is a modeled per-record storage latency added to every
 	// reliable spill write (era calibration for experiments; zero in
 	// production).
@@ -53,10 +50,10 @@ func (c *LinkConfig) setDefaults() {
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 20
 	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 5 * time.Second
-	}
 }
+
+// handshakeTimeout bounds the Hello exchange on a fresh connection.
+const handshakeTimeout = 5 * time.Second
 
 // Receiver consumes data arriving on a link. eof marks the end of the
 // given stream.
@@ -200,7 +197,7 @@ func (l *Link) handshakeDial(conn net.Conn) error {
 	l.mu.Lock()
 	hello := &Message{Type: MsgHello, Subjob: l.cfg.Subjob, Seq: l.recvNext}
 	l.mu.Unlock()
-	conn.SetReadDeadline(time.Now().Add(l.cfg.HandshakeTimeout))
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	if err := WriteMessage(conn, hello); err != nil {
 		return err
 	}

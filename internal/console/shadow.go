@@ -35,9 +35,8 @@ type ShadowConfig struct {
 	// SpillDir holds the reliable mode write-ahead files for the
 	// shadow->agent (stdin) direction.
 	SpillDir string
-	// BufferSize and FlushInterval configure the screen-side output
-	// buffer (flush on full, timeout, or end of line).
-	BufferSize    int
+	// FlushInterval is the screen-side output buffer timeout (the
+	// buffer also flushes when full and at end of line).
 	FlushInterval time.Duration
 	// RetryInterval and MaxRetries tune per-subjob link behaviour.
 	RetryInterval time.Duration
@@ -106,12 +105,12 @@ func StartShadow(cfg ShadowConfig) (*Shadow, error) {
 		attaches: make(map[uint16]int),
 		done:     make(chan struct{}),
 	}
-	s.outBuf = newFlushBuffer(cfg.BufferSize, cfg.FlushInterval, func(b []byte) {
+	s.outBuf = newFlushBuffer(outputBufferSize, cfg.FlushInterval, func(b []byte) {
 		if cfg.Stdout != nil {
 			_, _ = cfg.Stdout.Write(b)
 		}
 	})
-	s.errBuf = newFlushBuffer(cfg.BufferSize, cfg.FlushInterval, func(b []byte) {
+	s.errBuf = newFlushBuffer(outputBufferSize, cfg.FlushInterval, func(b []byte) {
 		if cfg.Stderr != nil {
 			_, _ = cfg.Stderr.Write(b)
 		}

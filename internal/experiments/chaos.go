@@ -68,19 +68,6 @@ type ChaosPoint struct {
 
 // ChaosConfig parametrizes the sweep.
 type ChaosConfig struct {
-	// Sites and NodesPerSite shape the grid (default 4x2).
-	Sites, NodesPerSite int
-	// Interactive and Batch are the submission counts per point
-	// (default 6 each), arriving staggered.
-	Interactive, Batch int
-	// Rates are the site-crash rates per hour to sweep (default
-	// 0, 0.5, 1, 2, 4).
-	Rates []float64
-	// MeanDowntime is the mean crash-to-restart window (default 5m).
-	MeanDowntime time.Duration
-	// Horizon is the fault-injection window; the grid then heals and
-	// drains (default 4h).
-	Horizon time.Duration
 	// Seed drives both the fault schedule and broker randomization.
 	Seed int64
 	// Workers bounds concurrent points; 0 uses one per CPU.
@@ -108,48 +95,34 @@ type ChaosConfig struct {
 	Elastic bool
 }
 
-func (c *ChaosConfig) setDefaults() {
-	if c.Sites <= 0 {
-		c.Sites = 4
-	}
-	if c.NodesPerSite <= 0 {
-		c.NodesPerSite = 2
-	}
-	if c.Interactive <= 0 {
-		c.Interactive = 6
-	}
-	if c.Batch <= 0 {
-		c.Batch = 6
-	}
-	if c.MeanDowntime <= 0 {
-		c.MeanDowntime = 5 * time.Minute
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 4 * time.Hour
-	}
-	if len(c.Rates) == 0 {
-		c.Rates = []float64{0, 0.5, 1, 2, 4}
-	}
-	if c.Quick {
-		c.Rates = []float64{0, 2}
-		c.Horizon = time.Hour
-		c.Interactive, c.Batch = 3, 3
-	}
-}
+// The chaos grid is four sites of two nodes; a crashed site stays
+// down five minutes on average.
+const (
+	chaosSites, chaosNodes = 4, 2
+	chaosMeanDowntime      = 5 * time.Minute
+)
 
-// ChaosSweep runs one independent simulation per failure rate.
+// ChaosSweep runs one independent simulation per failure rate. The
+// full sweep injects 0, 0.5, 1, 2 and 4 site crashes per hour over a
+// 4 h fault window, with 6 batch and 6 interactive jobs per point;
+// Quick runs rates 0 and 2 over 1 h with 3 of each.
 func ChaosSweep(cfg ChaosConfig) ([]ChaosPoint, error) {
-	cfg.setDefaults()
-	return runCells(len(cfg.Rates), cfg.Workers, func(i int) (ChaosPoint, error) {
-		p, err := chaosPoint(cfg.Rates[i], int64(i), cfg)
+	rates, jobs, horizon := []float64{0, 0.5, 1, 2, 4}, 6, 4*time.Hour
+	if cfg.Quick {
+		rates, jobs, horizon = []float64{0, 2}, 3, time.Hour
+	}
+	return runCells(len(rates), cfg.Workers, func(i int) (ChaosPoint, error) {
+		p, err := chaosPoint(rates[i], int64(i), jobs, horizon, cfg)
 		if err != nil {
-			return p, fmt.Errorf("experiments: chaos rate %.2f/h: %w", cfg.Rates[i], err)
+			return p, fmt.Errorf("experiments: chaos rate %.2f/h: %w", rates[i], err)
 		}
 		return p, nil
 	})
 }
 
-func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
+// chaosPoint runs one rate: jobs batch and jobs interactive
+// submissions under faults injected for horizon.
+func chaosPoint(rate float64, idx int64, jobs int, horizon time.Duration, cfg ChaosConfig) (ChaosPoint, error) {
 	p := ChaosPoint{CrashRate: rate, Delta: cfg.Delta, Elastic: cfg.Elastic}
 	// Recovery knobs: bounded resubmission with capped exponential
 	// backoff; heartbeat monitoring and the circuit-breaker quarantine
@@ -159,11 +132,11 @@ func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
 		Trace:  cfg.Traced,
 		Broker: RecoveryConfig(),
 		Sites: []core.SiteSpec{{
-			NameFormat: "s%02d", Count: cfg.Sites, Nodes: cfg.NodesPerSite, LRMCycle: 2 * time.Second,
+			NameFormat: "s%02d", Count: chaosSites, Nodes: chaosNodes, LRMCycle: 2 * time.Second,
 			Vary: func(i int, s *core.SiteSpec) {
 				if cfg.Elastic && i%2 == 1 {
 					s.Elastic = &batch.ElasticConfig{
-						MaxNodes:        cfg.NodesPerSite,
+						MaxNodes:        chaosNodes,
 						ColdStart:       45 * time.Second,
 						ColdStartJitter: 15 * time.Second,
 						WarmWindow:      5 * time.Minute,
@@ -185,9 +158,9 @@ func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
 	inj := sys.NewFaultInjector(cfg.Seed + idx)
 	sched := faultinject.Schedule{
 		Seed:    cfg.Seed + idx,
-		Horizon: cfg.Horizon,
+		Horizon: horizon,
 		Rates: faultinject.Rates{
-			SiteCrashesPerHour: rate, MeanDowntime: cfg.MeanDowntime,
+			SiteCrashesPerHour: rate, MeanDowntime: chaosMeanDowntime,
 			GKStallsPerHour: rate, MeanGKStall: 30 * time.Second,
 			LRMStallsPerHour: rate / 2, MeanLRMStall: time.Minute,
 			AgentDeathsPerHour: rate,
@@ -213,7 +186,7 @@ func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
 	start := sim.Now()
 	var tick func()
 	tick = func() {
-		if sim.Since(start) >= cfg.Horizon+2*time.Hour {
+		if sim.Since(start) >= horizon+2*time.Hour {
 			return
 		}
 		if n := len(b.QuarantinedSites()); n > p.MaxQuarantined {
@@ -226,7 +199,7 @@ func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
 	// The workload: batch jobs staggered in, then interactive jobs
 	// alternating shared and exclusive access.
 	var handles []*broker.Handle
-	for i := 0; i < cfg.Batch; i++ {
+	for i := 0; i < jobs; i++ {
 		h, err := b.Submit(broker.Request{
 			Job:  &jdl.Job{Executable: "batch", NodeNumber: 1},
 			User: fmt.Sprintf("batch%02d", i),
@@ -238,7 +211,7 @@ func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
 		handles = append(handles, h)
 		sim.RunFor(time.Minute)
 	}
-	for i := 0; i < cfg.Interactive; i++ {
+	for i := 0; i < jobs; i++ {
 		access, pl := jdl.ExclusiveAccess, 0
 		if i%2 == 1 {
 			access, pl = jdl.SharedAccess, 10
@@ -259,7 +232,7 @@ func chaosPoint(rate float64, idx int64, cfg ChaosConfig) (ChaosPoint, error) {
 	// Ride out the fault window, then drain: the schedule stops at the
 	// horizon, crashed sites restart, and every surviving retry either
 	// completes or hits its resubmission cap.
-	sim.RunFor(cfg.Horizon)
+	sim.RunFor(horizon)
 	core.Drain(sys, handles, 15*time.Minute, 8)
 
 	tally := tallyOf(handles)

@@ -55,17 +55,6 @@ type DataAwarePoint struct {
 
 // DataAwareConfig parametrizes the sweep.
 type DataAwareConfig struct {
-	// Sites and NodesPerSite shape the grid (default 12x2).
-	Sites, NodesPerSite int
-	// Jobs is the workload size per run (default 16).
-	Jobs int
-	// Datasets is the catalog size (default 4).
-	Datasets int
-	// DatasetMB is each dataset's size (default 1024 — large enough
-	// that staging dominates a short job's runtime).
-	DatasetMB int64
-	// Replicas are the replica counts to sweep (default 1, 2, 4).
-	Replicas []int
 	// Seed drives replica placement, workload shape and broker
 	// randomization.
 	Seed int64
@@ -77,39 +66,30 @@ type DataAwareConfig struct {
 	Quick bool
 }
 
-func (c *DataAwareConfig) setDefaults() {
-	if c.Sites <= 0 {
-		c.Sites = 12
-	}
-	if c.NodesPerSite <= 0 {
-		c.NodesPerSite = 2
-	}
-	if c.Jobs <= 0 {
-		c.Jobs = 16
-	}
-	if c.Datasets <= 0 {
-		c.Datasets = 4
-	}
-	if c.DatasetMB <= 0 {
-		c.DatasetMB = 1024
-	}
-	if len(c.Replicas) == 0 {
-		c.Replicas = []int{1, 2, 4}
-	}
-	if c.Quick {
-		c.Replicas = []int{1, 2}
-	}
-}
+// The data-aware grid is twelve sites of two nodes. Each run submits
+// sixteen jobs, each naming one of four 1 GiB datasets: large enough
+// that staging dominates a short job's runtime.
+const (
+	daSites, daNodes = 12, 2
+	daJobs           = 16
+	daDatasets       = 4
+	daDatasetMB      = 1024
+)
 
 // DataAwareSweep runs one independent pair of simulations per cell.
+// The full sweep places each dataset on 1, 2 or 4 sites; Quick keeps
+// 1 and 2.
 func DataAwareSweep(cfg DataAwareConfig) ([]DataAwarePoint, error) {
-	cfg.setDefaults()
+	replicas := []int{1, 2, 4}
+	if cfg.Quick {
+		replicas = []int{1, 2}
+	}
 	type cell struct {
 		replicas int
 		asym     bool
 	}
 	var cells []cell
-	for _, r := range cfg.Replicas {
+	for _, r := range replicas {
 		for _, asym := range []bool{false, true} {
 			cells = append(cells, cell{r, asym})
 		}
@@ -127,7 +107,7 @@ func DataAwareSweep(cfg DataAwareConfig) ([]DataAwarePoint, error) {
 }
 
 func dataAwarePoint(replicas int, asym bool, idx int64, cfg DataAwareConfig) (DataAwarePoint, error) {
-	p := DataAwarePoint{Replicas: replicas, AsymLinks: asym, Jobs: cfg.Jobs}
+	p := DataAwarePoint{Replicas: replicas, AsymLinks: asym, Jobs: daJobs}
 	seed := cfg.Seed + idx
 	const siteNameFormat = "d%02d"
 	siteName := func(i int) string { return fmt.Sprintf(siteNameFormat, i) }
@@ -136,9 +116,9 @@ func dataAwarePoint(replicas int, asym bool, idx int64, cfg DataAwareConfig) (Da
 	// wide-area path between the two halves of the grid.
 	links := datacat.NewLinks(netsim.CampusGrid())
 	if asym {
-		for i := 0; i < cfg.Sites; i++ {
-			for j := 0; j < cfg.Sites; j++ {
-				if (i < cfg.Sites/2) != (j < cfg.Sites/2) {
+		for i := 0; i < daSites; i++ {
+			for j := 0; j < daSites; j++ {
+				if (i < daSites/2) != (j < daSites/2) {
 					links.Set(siteName(i), siteName(j), netsim.WideArea())
 				}
 			}
@@ -149,22 +129,22 @@ func dataAwarePoint(replicas int, asym bool, idx int64, cfg DataAwareConfig) (Da
 	// are identical for both runs.
 	rng := rand.New(rand.NewSource(seed))
 	cat := datacat.New(links)
-	for d := 0; d < cfg.Datasets; d++ {
+	for d := 0; d < daDatasets; d++ {
 		name := fmt.Sprintf("ds%d", d)
 		for placed := 0; placed < replicas; {
-			s := siteName(rng.Intn(cfg.Sites))
+			s := siteName(rng.Intn(daSites))
 			if cat.HasLocal(s, name) {
 				continue // AddReplica dedups; keep drawing until r distinct holders
 			}
-			if err := cat.AddReplica(name, cfg.DatasetMB<<20, s); err != nil {
+			if err := cat.AddReplica(name, daDatasetMB<<20, s); err != nil {
 				return p, err
 			}
 			placed++
 		}
 	}
-	wants := make([]string, cfg.Jobs)
+	wants := make([]string, daJobs)
 	for i := range wants {
-		wants[i] = fmt.Sprintf("ds%d", rng.Intn(cfg.Datasets))
+		wants[i] = fmt.Sprintf("ds%d", rng.Intn(daDatasets))
 	}
 
 	run := func(aware bool) (done int, meanTurn, meanStage, localPct float64, err error) {
@@ -173,7 +153,7 @@ func dataAwarePoint(replicas int, asym bool, idx int64, cfg DataAwareConfig) (Da
 			Seed:   seed,
 			Broker: broker.Config{Data: cat, DataAware: aware},
 			Sites: []core.SiteSpec{{
-				NameFormat: siteNameFormat, Count: cfg.Sites, Nodes: cfg.NodesPerSite, LRMCycle: 2 * time.Second,
+				NameFormat: siteNameFormat, Count: daSites, Nodes: daNodes, LRMCycle: 2 * time.Second,
 			}},
 		})
 		sim, b := sys.Sim, sys.Broker

@@ -80,15 +80,6 @@ type FederationPoint struct {
 
 // FederationConfig parametrizes the sweep.
 type FederationConfig struct {
-	// Topologies to sweep (default mesh and super).
-	Topologies []string
-	// Ks are the offload headrooms to sweep (default 1, 4).
-	Ks []int
-	// Rates are the broker-fault rates per hour (default 0, 1, 4).
-	Rates []float64
-	// Horizon is the fault window; the grid then heals and drains
-	// (default 4h).
-	Horizon time.Duration
 	// Seed drives the fault schedules and broker randomization.
 	Seed int64
 	// Workers bounds concurrent cells; 0 uses one per CPU.
@@ -99,40 +90,29 @@ type FederationConfig struct {
 	Traced bool
 }
 
-func (c *FederationConfig) setDefaults() {
-	if len(c.Topologies) == 0 {
-		c.Topologies = []string{"mesh", "super"}
-	}
-	if len(c.Ks) == 0 {
-		c.Ks = []int{1, 4}
-	}
-	if len(c.Rates) == 0 {
-		c.Rates = []float64{0, 1, 4}
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 4 * time.Hour
-	}
-	// Quick keeps a strict subset of the full sweep's cells (same Ks,
-	// rates and horizon) so a -quick run compares cell-for-cell against
-	// the committed full report.
-	if c.Quick {
-		c.Ks = []int{1}
-		c.Rates = []float64{0, 4}
-	}
-}
+// fedHorizon is the fault window; the grid then heals and drains.
+const fedHorizon = 4 * time.Hour
 
-// FederationSweep runs one independent simulation per cell.
+// FederationSweep runs one independent simulation per cell. The full
+// sweep crosses the mesh and super topologies with offload headrooms
+// K = 1 and 4 and broker-fault rates 0, 1 and 4 per hour. Quick keeps
+// K = 1 and rates 0 and 4, a strict subset of the full sweep's cells,
+// so a -quick run compares cell-for-cell against the committed full
+// report.
 func FederationSweep(cfg FederationConfig) ([]FederationPoint, error) {
-	cfg.setDefaults()
+	ks, rates := []int{1, 4}, []float64{0, 1, 4}
+	if cfg.Quick {
+		ks, rates = []int{1}, []float64{0, 4}
+	}
 	type cell struct {
 		topo string
 		k    int
 		rate float64
 	}
 	var cells []cell
-	for _, topo := range cfg.Topologies {
-		for _, k := range cfg.Ks {
-			for _, rate := range cfg.Rates {
+	for _, topo := range []string{"mesh", "super"} {
+		for _, k := range ks {
+			for _, rate := range rates {
 				cells = append(cells, cell{topo, k, rate})
 			}
 		}
@@ -175,14 +155,12 @@ func federationPoint(topo string, k int, rate float64, idx int64, cfg Federation
 		// both register — the contended-lease arena.
 		grid.Sites = []core.SiteSpec{{Name: "shared-s00", Nodes: 1, LRMCycle: 2 * time.Second}}
 		grid.Members = []core.MemberSpec{fedMember("bA", seed, 1, 1, nil), fedMember("bB", seed+1000, 1, 4, nil)}
-	case "super":
+	default: // "super"
 		// Disjoint grids, each on its own index, joined by a pure relay
 		// supervisor.
 		own := &core.IndexSpec{}
 		grid.Members = []core.MemberSpec{fedMember("bA", seed, 2, 1, own), fedMember("bB", seed+1000, 2, 4, own)}
 		fcfg.Supervisor = "sup"
-	default:
-		return p, fmt.Errorf("unknown topology %q", topo)
 	}
 	sys := core.NewSystem(grid)
 	sim := sys.Sim
@@ -195,7 +173,7 @@ func federationPoint(topo string, k int, rate float64, idx int64, cfg Federation
 	inj.SetBrokerFaulter(fed, "bA", "bB")
 	inj.Start(faultinject.Schedule{
 		Seed:    seed,
-		Horizon: cfg.Horizon,
+		Horizon: fedHorizon,
 		Rates: faultinject.Rates{
 			BrokerCrashesPerHour: rate, MeanBrokerDowntime: 10 * time.Minute,
 			PeerOutagesPerHour: rate, MeanPeerOutage: 3 * time.Minute,
@@ -238,7 +216,7 @@ func federationPoint(topo string, k int, rate float64, idx int64, cfg Federation
 
 	// Ride out the fault window, then drain until every job is
 	// terminal somewhere in the federation.
-	sim.RunFor(cfg.Horizon)
+	sim.RunFor(fedHorizon)
 	core.Drain(sys, refs, 15*time.Minute, 12)
 	fed.Reconcile()
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"crossbroker/internal/trace"
@@ -75,5 +76,43 @@ func TestFederationSweepSafetyContract(t *testing.T) {
 	}
 	if offloads == 0 {
 		t.Error("no cell offloaded any job — the pressure rule never fired")
+	}
+}
+
+// TestFederationQuickSubsetOfFull: cells are seeded by their
+// coordinates, so each quick point equals, field for field, the full
+// sweep's point of the same (topology, K, rate). The -quick baseline
+// gate relies on that.
+func TestFederationQuickSubsetOfFull(t *testing.T) {
+	quick, err := FederationSweep(FederationConfig{Seed: 2006, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := FederationSweep(FederationConfig{Seed: 2006})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type coord struct {
+		topo string
+		k    int
+		rate float64
+	}
+	byCoord := map[coord]FederationPoint{}
+	for _, p := range full {
+		byCoord[coord{p.Topology, p.K, p.FaultRate}] = p
+	}
+	if len(quick) == 0 || len(quick) >= len(full) {
+		t.Fatalf("quick sweep has %d cells, full %d: want a proper subset", len(quick), len(full))
+	}
+	for _, q := range quick {
+		c := coord{q.Topology, q.K, q.FaultRate}
+		p, ok := byCoord[c]
+		if !ok {
+			t.Errorf("quick cell %+v is not in the full sweep", c)
+			continue
+		}
+		if !reflect.DeepEqual(q, p) {
+			t.Errorf("quick cell %+v differs from the full sweep's:\nquick %+v\nfull  %+v", c, q, p)
+		}
 	}
 }

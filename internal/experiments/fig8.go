@@ -29,22 +29,13 @@ const (
 type Fig8Config struct {
 	// Iterations is the loop count (the paper uses 1,000).
 	Iterations int
-	// PerformanceLosses are the shared-mode settings to measure (the
-	// paper uses 10 and 25).
-	PerformanceLosses []int
 	// Quantum overrides the stride scheduler quantum (0 = default).
 	Quantum time.Duration
-	// Workers bounds how many cases are simulated concurrently; 0 uses
-	// one per CPU.
-	Workers int
 }
 
 func (c *Fig8Config) setDefaults() {
 	if c.Iterations <= 0 {
 		c.Iterations = 1000
-	}
-	if len(c.PerformanceLosses) == 0 {
-		c.PerformanceLosses = []int{10, 25}
 	}
 	if c.Quantum <= 0 {
 		// The agent's priority control operates at kernel granularity;
@@ -79,18 +70,19 @@ type Fig8Case struct {
 // Fig8 reproduces the multiprogramming overhead experiment: the
 // 1,000-iteration interactive loop in exclusive mode, in shared mode
 // with an empty batch VM, and in shared mode against a CPU-bound batch
-// job at each configured PerformanceLoss. The cases are independent
+// job at PerformanceLoss 10 and 25. The cases are independent
 // single-machine simulations, run as parallel cells.
 func Fig8(cfg Fig8Config) ([]Fig8Case, error) {
 	cfg.setDefaults()
-	return runCells(2+len(cfg.PerformanceLosses), cfg.Workers, func(i int) (Fig8Case, error) {
+	pls := []int{10, 25} // the shared-mode settings the paper measures
+	return runCells(2+len(pls), 0, func(i int) (Fig8Case, error) {
 		switch i {
 		case 0:
 			return fig8Exclusive(cfg)
 		case 1:
 			return fig8Shared(cfg, -1)
 		default:
-			return fig8Shared(cfg, cfg.PerformanceLosses[i-2])
+			return fig8Shared(cfg, pls[i-2])
 		}
 	})
 }

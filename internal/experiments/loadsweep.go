@@ -47,8 +47,6 @@ type LoadSweepConfig struct {
 	// Interactive is the number of interactive submissions per point
 	// (default 8), arriving 30 simulated seconds apart.
 	Interactive int
-	// PerformanceLoss is the shared-mode attribute (default 10).
-	PerformanceLoss int
 	// BatchWork is each batch job's CPU demand (default 2h).
 	BatchWork time.Duration
 	// Seed drives randomized selection.
@@ -67,9 +65,6 @@ func (c *LoadSweepConfig) setDefaults() {
 	}
 	if c.Interactive <= 0 {
 		c.Interactive = 8
-	}
-	if c.PerformanceLoss <= 0 {
-		c.PerformanceLoss = 10
 	}
 	if c.BatchWork <= 0 {
 		c.BatchWork = 2 * time.Hour
@@ -140,16 +135,17 @@ func loadPoint(load float64, mp bool, cfg LoadSweepConfig) (LoadPoint, error) {
 	}
 	sim.RunFor(5 * time.Minute)
 
-	// Interactive arrivals, 30 s apart.
-	access := jdl.ExclusiveAccess
+	// Interactive arrivals, 30 s apart; a shared-mode job accepts a
+	// PerformanceLoss of 10.
+	access, pl := jdl.ExclusiveAccess, 0
 	if mp {
-		access = jdl.SharedAccess
+		access, pl = jdl.SharedAccess, 10
 	}
 	var inter []*broker.Handle
 	for i := 0; i < cfg.Interactive; i++ {
 		h, err := b.Submit(broker.Request{
 			Job: &jdl.Job{Executable: "inter", Interactive: true, NodeNumber: 1,
-				Access: access, PerformanceLoss: pickPL(mp, cfg)},
+				Access: access, PerformanceLoss: pl},
 			User: fmt.Sprintf("user%02d", i),
 			CPU:  30 * time.Second,
 		})
@@ -174,13 +170,6 @@ func loadPoint(load float64, mp bool, cfg LoadSweepConfig) (LoadPoint, error) {
 	sim.RunFor(cfg.BatchWork * 3)
 	p.meanBatchElapsed = tallyOf(batchHandles).Summary().Turnaround.Mean
 	return p, nil
-}
-
-func pickPL(mp bool, cfg LoadSweepConfig) int {
-	if mp {
-		return cfg.PerformanceLoss
-	}
-	return 0
 }
 
 // RenderLoadSweep formats the sweep like a results table.

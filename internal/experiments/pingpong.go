@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"time"
 
 	"crossbroker/internal/baseline"
@@ -59,17 +57,12 @@ type PingPongConfig struct {
 	SpillDir string
 	// Seed makes jitter reproducible.
 	Seed int64
-	// DiskCost is the modeled per-spill-record storage latency
-	// (default 150 µs — the era calibration for the paper's worker
-	// nodes; see EXPERIMENTS.md).
-	DiskCost time.Duration
-	// Workers bounds how many (method, size) cells run concurrently.
-	// Unlike the virtual-time experiments this suite measures real
-	// elapsed time, so concurrent cells perturb each other's numbers;
-	// the default (0) therefore stays serial. Each parallel cell
-	// spills into its own subdirectory of SpillDir.
-	Workers int
 }
+
+// pingPongDiskCost is the modeled per-spill-record storage latency,
+// the era calibration for the paper's worker nodes (see
+// EXPERIMENTS.md).
+const pingPongDiskCost = 150 * time.Microsecond
 
 func (c *PingPongConfig) setDefaults() {
 	if len(c.Sizes) == 0 {
@@ -81,9 +74,6 @@ func (c *PingPongConfig) setDefaults() {
 	if c.SpillDir == "" {
 		c.SpillDir = "."
 	}
-	if c.DiskCost == 0 {
-		c.DiskCost = 150 * time.Microsecond
-	}
 }
 
 // PingPongResult holds one method's series per message size, in
@@ -93,50 +83,22 @@ type PingPongResult map[Method]map[int]*metrics.Series
 // PingPongSuite runs the full Section 6.2 experiment: for each method
 // and message size, Rounds coordinated write/read sequences between a
 // client on the submission machine and an echo server on the
-// execution machine, over the configured network profile.
+// execution machine, over the configured network profile. Unlike the
+// virtual-time experiments this suite measures real elapsed time, so
+// the cells run one at a time: concurrent cells would perturb each
+// other's numbers.
 func PingPongSuite(cfg PingPongConfig) (PingPongResult, error) {
 	cfg.setDefaults()
-	methods := AllMethods()
-	type cellKey struct {
-		m    Method
-		size int
-	}
-	var keys []cellKey
-	for _, m := range methods {
-		for _, size := range cfg.Sizes {
-			keys = append(keys, cellKey{m, size})
-		}
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1 // real-time measurement: serial unless opted in
-	}
-	series, err := runCells(len(keys), workers, func(i int) (*metrics.Series, error) {
-		c := cfg
-		if workers > 1 {
-			// Spill files are named by pid and subjob index, so
-			// concurrent cells must not share a spill directory.
-			dir := filepath.Join(cfg.SpillDir, fmt.Sprintf("cell-%03d", i))
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return nil, err
-			}
-			c.SpillDir = dir
-		}
-		s, err := pingPongOne(keys[i].m, keys[i].size, c)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s/%dB: %w", keys[i].m, keys[i].size, err)
-		}
-		return s, nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	out := make(PingPongResult)
-	for i, k := range keys {
-		if out[k.m] == nil {
-			out[k.m] = make(map[int]*metrics.Series)
+	for _, m := range AllMethods() {
+		out[m] = make(map[int]*metrics.Series)
+		for _, size := range cfg.Sizes {
+			s, err := pingPongOne(m, size, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s/%dB: %w", m, size, err)
+			}
+			out[m][size] = s
 		}
-		out[k.m][k.size] = series[i]
 	}
 	return out, nil
 }
@@ -175,7 +137,7 @@ func pingPongOne(m Method, size int, cfg PingPongConfig) (*metrics.Series, error
 		if m == Reliable {
 			mode = jdl.ReliableStreaming
 		}
-		cc, err := newConsoleChannel(nw, mode, cfg.SpillDir, cfg.DiskCost)
+		cc, err := newConsoleChannel(nw, mode, cfg.SpillDir)
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +231,7 @@ type consoleChannel struct {
 	lis    *netsim.Listener
 }
 
-func newConsoleChannel(nw *netsim.Net, mode jdl.StreamingMode, spillDir string, diskCost time.Duration) (*consoleChannel, error) {
+func newConsoleChannel(nw *netsim.Net, mode jdl.StreamingMode, spillDir string) (*consoleChannel, error) {
 	lis, err := nw.Listen("shadow")
 	if err != nil {
 		return nil, err
@@ -285,7 +247,7 @@ func newConsoleChannel(nw *netsim.Net, mode jdl.StreamingMode, spillDir string, 
 		Stderr:        io.Discard,
 		Stdin:         stdinR,
 		SpillDir:      spillDir,
-		DiskCost:      diskCost,
+		DiskCost:      pingPongDiskCost,
 		FlushInterval: 5 * time.Millisecond,
 		RetryInterval: 50 * time.Millisecond,
 		MaxRetries:    100,
@@ -311,7 +273,7 @@ func newConsoleChannel(nw *netsim.Net, mode jdl.StreamingMode, spillDir string, 
 		Mode:          mode,
 		Dial:          func() (net.Conn, error) { return nw.Dial("shadow") },
 		SpillDir:      spillDir,
-		DiskCost:      diskCost,
+		DiskCost:      pingPongDiskCost,
 		FlushInterval: 5 * time.Millisecond,
 		RetryInterval: 50 * time.Millisecond,
 		MaxRetries:    100,

@@ -90,10 +90,10 @@ type Config struct {
 	HalfLife time.Duration
 	// UpdateInterval is δt between priority updates.
 	UpdateInterval time.Duration
-	// InitialPriority is the value new users start at (usually 0, the
-	// best priority).
-	InitialPriority float64
 }
+
+// initialPriority is the value new users start at: the best priority.
+const initialPriority = 0.0
 
 func (c *Config) setDefaults() {
 	if c.HalfLife <= 0 {
@@ -192,7 +192,7 @@ func (m *Manager) Release(jobID string) {
 func (m *Manager) userLocked(name string) *user {
 	u, ok := m.users[name]
 	if !ok {
-		u = &user{name: name, priority: m.cfg.InitialPriority}
+		u = &user{name: name, priority: initialPriority}
 		m.users[name] = u
 	}
 	return u
@@ -228,7 +228,7 @@ func (m *Manager) Priority(name string) float64 {
 	if u, ok := m.users[name]; ok {
 		return u.priority
 	}
-	return m.cfg.InitialPriority
+	return initialPriority
 }
 
 // Better reports whether user a has strictly better (lower) priority
@@ -247,7 +247,7 @@ func (m *Manager) Tick() {
 	for name, u := range m.users {
 		usage := m.usageLocked(name)
 		u.priority = m.beta*u.priority + (1-m.beta)*usage
-		if usage == 0 && math.Abs(u.priority-m.cfg.InitialPriority) < eps {
+		if usage == 0 && math.Abs(u.priority-initialPriority) < eps {
 			delete(m.users, name)
 		}
 	}

@@ -66,13 +66,6 @@ type Config struct {
 	// Link shapes every peer-to-peer hop (transfer and ack). Default
 	// netsim.WideArea — federated brokers live in different centers.
 	Link netsim.Profile
-	// JobBytes is the serialized size of one shipped job (sandbox
-	// descriptor, not data): sets the transfer serialization cost on
-	// Link. Default 64 KiB.
-	JobBytes int
-	// RelayRetry is how often a supervisor retries relaying parked
-	// jobs when no child was eligible. Default 15 s.
-	RelayRetry time.Duration
 	// Supervisor names the hub of a star topology: every other member
 	// offloads to it, and it re-balances to the least-loaded child. A
 	// name that is no member adds a pure relay: a node with no broker,
@@ -88,13 +81,16 @@ func (c *Config) setDefaults() {
 	if c.Link == (netsim.Profile{}) {
 		c.Link = netsim.WideArea()
 	}
-	if c.JobBytes <= 0 {
-		c.JobBytes = 64 << 10
-	}
-	if c.RelayRetry <= 0 {
-		c.RelayRetry = 15 * time.Second
-	}
 }
+
+// jobBytes is the serialized size of one shipped job (sandbox
+// descriptor, not data): it sets the transfer serialization cost on
+// Link.
+const jobBytes = 64 << 10
+
+// relayRetry is how often a supervisor retries relaying parked jobs
+// when no child was eligible.
+const relayRetry = 15 * time.Second
 
 // transferLease is the origin-side record of an open transfer.
 type transferLease struct {
@@ -364,7 +360,7 @@ func (n *Node) send(s *shipment, dst *Node) {
 		delete(n.out, s.id)
 	}
 	f.sim.Post(func() {
-		f.sim.AfterFunc(f.cfg.Link.TransferTime(f.cfg.JobBytes), func() {
+		f.sim.AfterFunc(f.cfg.Link.TransferTime(jobBytes), func() {
 			deliver(func() {
 				f.sim.AfterFunc(f.cfg.Link.RTT()/2, ack)
 			})
@@ -441,7 +437,7 @@ func (n *Node) park(s *shipment) {
 	}
 	var loop func()
 	loop = func() {
-		n.fed.sim.AfterFunc(n.fed.cfg.RelayRetry, func() {
+		n.fed.sim.AfterFunc(relayRetry, func() {
 			if tick() {
 				loop()
 				return

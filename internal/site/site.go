@@ -338,9 +338,6 @@ func (s *Site) QueryStateAsync(cont func(free, queued int, ok bool)) {
 type SubmitOptions struct {
 	// WithAgent adds the glide-in agent staging cost.
 	WithAgent bool
-	// SkipStage omits the broker's staging/two-phase-commit cost (used
-	// by baselines such as Glogin that do no input staging).
-	SkipStage bool
 	// TraceJob labels this submission's two-phase-commit trace events
 	// with the broker job they serve; empty falls back to the LRM
 	// handle ID assigned at phase-1 accept.
@@ -437,12 +434,7 @@ func (s *Site) SubmitAsync(req batch.Request, opts SubmitOptions, cont func(*bat
 		}
 		s.sim.AfterFunc(c.Auth+c.GRAM, afterAuth)
 	}
-	// Request travels to the gatekeeper; two-phase commit costs a
-	// second round trip after the LRM accepts.
-	transfer := func() { s.sim.AfterFunc(s.cfg.Network.RTT(), afterTransfer) }
-	if !opts.SkipStage {
-		s.sim.AfterFunc(c.Stage, transfer)
-	} else {
-		transfer()
-	}
+	// After staging the request travels to the gatekeeper; two-phase
+	// commit costs a second round trip after the LRM accepts.
+	s.sim.AfterFunc(c.Stage, func() { s.sim.AfterFunc(s.cfg.Network.RTT(), afterTransfer) })
 }

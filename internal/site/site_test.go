@@ -79,21 +79,6 @@ func TestSubmitWithAgentCostsMore(t *testing.T) {
 	}
 }
 
-func TestSkipStage(t *testing.T) {
-	sim := simclock.NewSim(time.Time{})
-	s := newSite(sim, 2)
-	start := sim.Now()
-	var took time.Duration
-	s.SubmitAsync(batch.Request{ID: "g", Nodes: 1, RunCB: noop}, SubmitOptions{SkipStage: true}, func(*batch.Handle, error) {
-		took = sim.Since(start)
-	})
-	sim.Run()
-	full := DefaultCosts().Stage + DefaultCosts().Auth + DefaultCosts().GRAM
-	if took >= full {
-		t.Fatalf("SkipStage submission took %v, want < %v", took, full)
-	}
-}
-
 func TestQueryStateCostsRTT(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	s := newSite(sim, 3)

@@ -19,31 +19,29 @@ import (
 //
 // The job mix approximates the paper's workload split: ~72% short,
 // narrow jobs (the interactive sessions replay classifies by the
-// default rule) and ~28% wider batch production jobs. At the default
-// 24h span, 10k jobs offer roughly 766 node·seconds each — about 69%
-// utilization of an 8-site × 16-node grid — so a speedup sweep shows a
-// real load response instead of a flat line.
+// default rule) and ~28% wider batch production jobs. Arrivals spread
+// over a 24h span, so 10k jobs offer roughly 766 node·seconds each —
+// about 69% utilization of an 8-site × 16-node grid — so a speedup
+// sweep shows a real load response instead of a flat line.
 
 // SynthConfig parametrizes a generated archive. The zero value is
 // invalid: Jobs must be positive.
 type SynthConfig struct {
 	// Jobs is the number of records to generate.
 	Jobs int
-	// Span is the trace duration arrivals spread over (default 24h).
-	Span time.Duration
 	// Seed selects the deterministic pseudo-random sequence.
 	Seed int64
 }
 
-func (c *SynthConfig) setDefaults() error {
+func (c SynthConfig) validate() error {
 	if c.Jobs <= 0 {
 		return fmt.Errorf("workload: synth jobs %d (want > 0)", c.Jobs)
 	}
-	if c.Span <= 0 {
-		c.Span = 24 * time.Hour
-	}
 	return nil
 }
+
+// synthSpan is the trace duration arrivals spread over.
+const synthSpan = 24 * time.Hour
 
 // synthJitter is the arrival-jitter amplitude. Arrivals are evenly
 // spaced with ±30s of noise, so records land slightly out of submit
@@ -57,16 +55,16 @@ const synthJitter = 30
 // given config: the generator draws from a seeded math/rand source,
 // whose sequence the Go 1 compatibility promise pins.
 func WriteSynthSWF(w io.Writer, cfg SynthConfig) error {
-	if err := cfg.setDefaults(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	bw := bufio.NewWriterSize(w, 1<<16)
-	spanSec := int64(cfg.Span / time.Second)
+	spanSec := int64(synthSpan / time.Second)
 	fmt.Fprintf(bw, "; Version: 2\n")
 	fmt.Fprintf(bw, "; Computer: synthetic\n")
 	fmt.Fprintf(bw, "; MaxJobs: %d\n", cfg.Jobs)
-	fmt.Fprintf(bw, "; Note: generated benchmark trace, seed %d, span %v\n", cfg.Seed, cfg.Span)
+	fmt.Fprintf(bw, "; Note: generated benchmark trace, seed %d, span %v\n", cfg.Seed, synthSpan)
 	for i := 0; i < cfg.Jobs; i++ {
 		submit := int64(i)*spanSec/int64(cfg.Jobs) + rng.Int63n(2*synthJitter+1) - synthJitter
 		if submit < 0 {
@@ -97,13 +95,13 @@ func WriteSynthSWF(w io.Writer, cfg SynthConfig) error {
 // calls with the same config reuse the cached file after verifying
 // its size looks plausible; pass a fresh temp dir to force a rewrite.
 func SynthTracePath(dir string, cfg SynthConfig) (string, error) {
-	if err := cfg.setDefaults(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return "", err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	path := filepath.Join(dir, fmt.Sprintf("synth_j%d_s%d_p%d.swf", cfg.Jobs, cfg.Seed, int64(cfg.Span/time.Second)))
+	path := filepath.Join(dir, fmt.Sprintf("synth_j%d_s%d_p%d.swf", cfg.Jobs, cfg.Seed, int64(synthSpan/time.Second)))
 	if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
 		return path, nil
 	}
