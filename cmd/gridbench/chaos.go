@@ -12,15 +12,15 @@ import (
 // failure rate.
 // The sweep is fully deterministic for a fixed seed: two runs produce
 // byte-identical point lists (and, with -traceout, byte-identical
-// event logs). A non-empty traceout enables per-cell tracing, checks
+// event logs). A non-empty -traceout enables per-cell tracing, checks
 // every cell's log against the trace invariants, and exports the logs
-// as JSONL. With delta set, each cell's index keeps delta logs, so the
+// as JSONL. With -delta set, each cell's index keeps delta logs, so the
 // broker subscribes, and infosys partition windows are injected, so
 // the exported traces carry DeltaPublished/SubscriptionGap events and
 // the checker's staleness invariant has something to bite on.
-func chaos(out, traceout string, quick, delta bool, seed int64) error {
+func chaos(o options) error {
 	pts, err := experiments.ChaosSweep(experiments.ChaosConfig{
-		Seed: seed, Quick: quick, Traced: traceout != "", Delta: delta,
+		Seed: o.seed, Quick: o.quick, Traced: o.traceout != "", Delta: o.delta,
 	})
 	if err != nil {
 		return err
@@ -36,11 +36,8 @@ func chaos(out, traceout string, quick, delta bool, seed int64) error {
 			return fmt.Errorf("chaos: rate %.2g leaked %d leases", p.CrashRate, p.LeakedLeases)
 		}
 	}
-	if err := writeReport(out, newSweepReport("chaos", seed, quick, pts)); err != nil {
+	if err := writeReport(o.out, newSweepReport("chaos", o, pts)); err != nil {
 		return err
 	}
-	if traceout != "" {
-		return exportTraces("chaos", traceout, pts, func(p experiments.ChaosPoint) trace.Trace { return p.Trace }, nil)
-	}
-	return nil
+	return exportTraces("chaos", o.traceout, pts, func(p experiments.ChaosPoint) trace.Trace { return p.Trace }, nil)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"crossbroker/internal/trace"
@@ -11,13 +12,13 @@ import (
 // -traceout (or any trace.WriteJSONL export): it parses the stream,
 // runs the structural invariant checker over every embedded trace, and
 // prints a per-trace summary with derived latencies. A non-empty
-// chromeOut additionally converts the whole log to Chrome trace_event
+// -chromeout additionally converts the whole log to Chrome trace_event
 // JSON for chrome://tracing / Perfetto.
-func checktrace(in, chromeOut string) error {
-	if in == "" {
+func checktrace(o options) error {
+	if o.tracein == "" {
 		return fmt.Errorf("-tracein is required")
 	}
-	f, err := os.Open(in)
+	f, err := os.Open(o.tracein)
 	if err != nil {
 		return err
 	}
@@ -27,7 +28,7 @@ func checktrace(in, chromeOut string) error {
 		return err
 	}
 	if len(traces) == 0 {
-		return fmt.Errorf("%s holds no events", in)
+		return fmt.Errorf("%s holds no events", o.tracein)
 	}
 
 	bad := 0
@@ -50,23 +51,15 @@ func checktrace(in, chromeOut string) error {
 		bad += len(violations)
 	}
 
-	if chromeOut != "" {
-		g, err := os.Create(chromeOut)
-		if err != nil {
+	if o.chromeout != "" {
+		if err := writeFile(o.chromeout, func(w io.Writer) error { return trace.WriteChromeTrace(w, traces) }); err != nil {
 			return err
 		}
-		if err := trace.WriteChromeTrace(g, traces); err != nil {
-			g.Close()
-			return err
-		}
-		if err := g.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)\n", chromeOut)
+		fmt.Printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)\n", o.chromeout)
 	}
 	if bad != 0 {
-		return fmt.Errorf("%d invariant violations in %s", bad, in)
+		return fmt.Errorf("%d invariant violations in %s", bad, o.tracein)
 	}
-	fmt.Printf("%s: all invariants hold\n", in)
+	fmt.Printf("%s: all invariants hold\n", o.tracein)
 	return nil
 }

@@ -14,9 +14,9 @@ import (
 // turnaround strictly better on every cell), renders the table, and
 // optionally gates against a committed baseline. Deterministic for a
 // fixed seed: two runs produce byte-identical reports.
-func dataaware(out, baseline string, quick bool, seed int64, tolerance float64) error {
+func dataaware(o options) error {
 	pts, err := experiments.DataAwareSweep(experiments.DataAwareConfig{
-		Seed: seed, Quick: quick,
+		Seed: o.seed, Quick: o.quick,
 	})
 	if err != nil {
 		return err
@@ -34,14 +34,11 @@ func dataaware(out, baseline string, quick bool, seed int64, tolerance float64) 
 				key, p.AwareMeanTurnSec, p.BlindMeanTurnSec)
 		}
 	}
-	rep := newSweepReport("dataaware", seed, quick, pts)
-	if err := writeReport(out, rep); err != nil {
+	rep := newSweepReport("dataaware", o, pts)
+	if err := writeReport(o.out, rep); err != nil {
 		return err
 	}
-	if baseline != "" {
-		return gateReport(dataawareGate, rep, dataawareRows, baseline, tolerance)
-	}
-	return nil
+	return gateReport(dataawareGate, rep, dataawareRows, o)
 }
 
 func dataawareKey(p experiments.DataAwarePoint) string {

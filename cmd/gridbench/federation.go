@@ -16,9 +16,9 @@ import (
 // baseline. Fully deterministic for a fixed seed: two runs produce
 // byte-identical reports (and, with -traceout, byte-identical merged
 // event logs).
-func federation(out, baseline, traceout string, quick bool, seed int64, tolerance float64) error {
+func federation(o options) error {
 	pts, err := experiments.FederationSweep(experiments.FederationConfig{
-		Seed: seed, Quick: quick, Traced: traceout != "",
+		Seed: o.seed, Quick: o.quick, Traced: o.traceout != "",
 	})
 	if err != nil {
 		return err
@@ -38,20 +38,15 @@ func federation(out, baseline, traceout string, quick bool, seed int64, toleranc
 			return fmt.Errorf("federation: %s left %d transfer leases open", key, p.OpenTransfers)
 		}
 	}
-	rep := newSweepReport("federation", seed, quick, pts)
-	if err := writeReport(out, rep); err != nil {
+	rep := newSweepReport("federation", o, pts)
+	if err := writeReport(o.out, rep); err != nil {
 		return err
 	}
-	if traceout != "" {
-		traceOf := func(p experiments.FederationPoint) trace.Trace { return p.Trace }
-		if err := exportTraces("federation", traceout, pts, traceOf, nil); err != nil {
-			return err
-		}
+	traceOf := func(p experiments.FederationPoint) trace.Trace { return p.Trace }
+	if err := exportTraces("federation", o.traceout, pts, traceOf, nil); err != nil {
+		return err
 	}
-	if baseline != "" {
-		return gateReport(federationGate, rep, federationRows, baseline, tolerance)
-	}
-	return nil
+	return gateReport(federationGate, rep, federationRows, o)
 }
 
 func federationKey(p experiments.FederationPoint) string {

@@ -1,16 +1,26 @@
 // Command gridbench regenerates every table and figure of the paper's
-// evaluation section:
+// evaluation section, and the studies built on them:
 //
-//	gridbench -exp table1               # Table I, both scenarios
-//	gridbench -exp fig6                 # campus-grid streaming overhead
-//	gridbench -exp fig7                 # wide-area streaming overhead
-//	gridbench -exp fig8                 # VM load overhead
-//	gridbench -exp ablations            # design-choice studies
-//	gridbench -exp scale                # infosys scaling sweep -> JSON
-//	gridbench -exp federation           # federated-broker chaos sweep -> JSON
-//	gridbench -exp dataaware            # data-aware vs data-blind placement -> JSON
-//	gridbench -exp replay -trace f.swf  # replay a recorded workload -> JSON
-//	gridbench -exp all
+//	gridbench -exp table1                # Table I, both scenarios
+//	gridbench -exp load                  # interactive availability vs grid occupancy
+//	gridbench -exp day                   # synthetic day-in-the-life replay
+//	gridbench -exp fig6                  # campus-grid streaming overhead
+//	gridbench -exp fig7                  # wide-area streaming overhead
+//	gridbench -exp fig8                  # VM load overhead
+//	gridbench -exp ablations             # design-choice studies
+//	gridbench -exp scale                 # infosys scaling sweep -> JSON
+//	gridbench -exp chaos                 # broker recovery under injected faults -> JSON
+//	gridbench -exp federation            # federated-broker chaos sweep -> JSON
+//	gridbench -exp dataaware             # data-aware vs data-blind placement -> JSON
+//	gridbench -exp replay -trace f.swf   # replay a recorded workload -> JSON
+//	gridbench -exp checktrace -tracein f # check an exported event log's invariants
+//	gridbench -exp all                   # all of the above but replay and checktrace
+//
+// Each experiment reads the flags its row of the table below names: a
+// flag set on the command line that the named experiment does not read
+// exits 2, as do -out, -baseline and -traceout under -exp all, where
+// each would name several experiments' files. -exp, -cpuprofile and
+// -memprofile go with every experiment; -fetch URL takes no other flag.
 //
 // Figures 6 and 7 run in real time over shaped in-memory networks;
 // -scale shrinks network delays (default 1.0 = paper-like latencies)
@@ -21,6 +31,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,76 +52,145 @@ func main() {
 	os.Exit(realMain(os.Args[1:], os.Stderr))
 }
 
-// experimentNames are the values -exp accepts, in run order.
-var experimentNames = []string{
-	"table1", "load", "day", "fig6", "fig7", "fig8", "ablations", "scale",
-	"chaos", "federation", "dataaware", "replay", "checktrace", "all",
+// options holds every parsed flag, each field named after its flag.
+type options struct {
+	exp, out, baseline, traceout, tracein, chromeout, churn, trace, window, speedups   string
+	fetch, cpuprofile, memprofile                                                      string
+	rounds, runs, iters, shards, pagesize, churnsites, deltadepth, synth, sites, nodes int
+	scale, tolerance                                                                   float64
+	series, quick, delta                                                               bool
+	seed                                                                               int64
+}
+
+// experiment is one row of the table gridbench runs from.
+type experiment struct {
+	name   string
+	inAll  bool     // whether -exp all runs it
+	report string   // the committed BENCH_*.json it writes unless -out names another file
+	reads  []string // the flags it reads besides the global ones
+	run    func(options) error
+}
+
+// runs reports whether -exp exp runs e.
+func (e experiment) runs(exp string) bool { return e.name == exp || exp == "all" && e.inAll }
+
+// table lists the experiments in -exp all's run order. replay needs a
+// workload log and checktrace an event log, so -exp all runs neither.
+var table = []experiment{
+	{"table1", true, "", []string{"runs", "seed"}, table1},
+	{"load", true, "", []string{"seed"}, loadSweep},
+	{"day", true, "", []string{"seed"}, day},
+	{"fig6", true, "", []string{"rounds", "scale", "seed", "series"}, func(o options) error { return pingpong("fig6", netsim.CampusGrid(), o) }},
+	{"fig7", true, "", []string{"rounds", "scale", "seed", "series"}, func(o options) error { return pingpong("fig7", netsim.WideArea(), o) }},
+	{"fig8", true, "", []string{"iters", "series"}, fig8},
+	{"ablations", true, "", []string{"scale", "seed"}, ablations},
+	{"scale", true, "BENCH_infosys.json", []string{"out", "baseline", "tolerance", "seed", "quick", "shards", "pagesize", "churn", "churnsites", "deltadepth"}, scaleExp},
+	{"chaos", true, "BENCH_chaos.json", []string{"out", "traceout", "seed", "quick", "delta"}, chaos},
+	{"federation", true, "BENCH_federation.json", []string{"out", "baseline", "tolerance", "traceout", "seed", "quick"}, federation},
+	{"dataaware", true, "BENCH_dataaware.json", []string{"out", "baseline", "tolerance", "seed", "quick"}, dataaware},
+	{"replay", false, "BENCH_replay.json", []string{"out", "baseline", "tolerance", "traceout", "seed", "trace", "synth", "window", "speedups", "sites", "nodes"}, replay},
+	{"checktrace", false, "", []string{"tracein", "chromeout"}, checktrace},
+}
+
+// global lists the flags every experiment takes.
+var global = []string{"exp", "cpuprofile", "memprofile"}
+
+// oneFile lists the flags that each name one experiment's own file, so
+// -exp all, which runs several, refuses them.
+var oneFile = []string{"out", "baseline", "traceout"}
+
+// names lists the values -exp accepts, in run order.
+func names() (ns []string) {
+	for _, e := range table {
+		ns = append(ns, e.name)
+	}
+	return append(ns, "all")
+}
+
+// flagSet defines every gridbench flag on o.
+func flagSet(o *options, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("gridbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.exp, "exp", "all", "experiment: "+strings.Join(names(), ", "))
+	fs.IntVar(&o.rounds, "rounds", 1000, "ping-pong sequences per cell (figs 6/7)")
+	fs.IntVar(&o.runs, "runs", 100, "submissions per method (table 1)")
+	fs.IntVar(&o.iters, "iters", 1000, "loop iterations (fig 8)")
+	fs.Float64Var(&o.scale, "scale", 1.0, "network delay scale for real-time experiments")
+	fs.BoolVar(&o.series, "series", false, "dump raw per-iteration series as CSV")
+	fs.Int64Var(&o.seed, "seed", 2006, "randomization seed")
+	fs.StringVar(&o.out, "out", "", "output path for the one JSON-writing experiment named by -exp (default: its committed BENCH_*.json name)")
+	fs.BoolVar(&o.quick, "quick", false, "shrink -exp chaos, federation, dataaware and scale for smoke runs")
+	fs.StringVar(&o.traceout, "traceout", "", "enable event tracing in -exp chaos, federation or replay and write the logs as JSONL here")
+	fs.StringVar(&o.tracein, "tracein", "", "JSONL event log to verify with -exp checktrace")
+	fs.StringVar(&o.chromeout, "chromeout", "", "also convert -tracein to Chrome trace_event JSON at this path")
+	fs.StringVar(&o.baseline, "baseline", "", "committed BENCH_*.json of the experiment named by -exp to gate its results against")
+	fs.Float64Var(&o.tolerance, "tolerance", 0.25, "allowed fractional regression vs a baseline before failing")
+	fs.IntVar(&o.shards, "shards", 16, "information-service shard count for -exp scale")
+	fs.IntVar(&o.pagesize, "pagesize", 0, "discovery page size for -exp scale (0 or less = infosys default)")
+	fs.StringVar(&o.churn, "churn", "0,64,256,1024", "comma-separated churn-axis publish rates for -exp scale")
+	fs.IntVar(&o.churnsites, "churnsites", 50000, "grid size for the -exp scale churn axis")
+	fs.IntVar(&o.deltadepth, "deltadepth", 256, "per-shard delta log depth for -exp scale delta cells")
+	fs.BoolVar(&o.delta, "delta", false, "give -exp chaos a delta-logged index, which the broker reads by subscription")
+	fs.StringVar(&o.trace, "trace", "", "SWF/GWF workload log to drive -exp replay")
+	fs.IntVar(&o.synth, "synth", 0, "generate a deterministic synthetic archive with this many jobs for -exp replay (instead of -trace)")
+	fs.StringVar(&o.window, "window", "", "trace window for -exp replay as N:M hours (default whole trace)")
+	fs.StringVar(&o.speedups, "speedups", "", "comma-separated arrival speedups for -exp replay (default 1,2,4)")
+	fs.IntVar(&o.sites, "sites", 0, "replay grid sites (0 = 4, or 8 with -synth)")
+	fs.IntVar(&o.nodes, "nodes", 0, "replay nodes per site (0 = 8, or 16 with -synth)")
+	fs.StringVar(&o.fetch, "fetch", "", "download a workload archive URL into the local content-addressed cache and print its path (see EXPERIMENTS.md)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	return fs
+}
+
+// parse parses args and checks each flag set on the command line
+// against the table, printing what it refuses to stderr.
+func parse(args []string, stderr io.Writer) (o options, err error) {
+	fs := flagSet(&o, stderr)
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	switch {
+	case o.fetch != "":
+		if fs.NFlag() > 1 {
+			err = errors.New("-fetch reads no other flag")
+		}
+	case !slices.Contains(names(), o.exp):
+		err = fmt.Errorf("unknown experiment %q (valid: %s)", o.exp, strings.Join(names(), ", "))
+	default:
+		fs.Visit(func(f *flag.Flag) {
+			read := slices.Contains(global, f.Name) || slices.ContainsFunc(table, func(e experiment) bool {
+				return e.runs(o.exp) && slices.Contains(e.reads, f.Name)
+			})
+			switch {
+			case err != nil:
+			case o.exp == "all" && slices.Contains(oneFile, f.Name):
+				err = errors.New("-out and -baseline name one experiment's report and -traceout names one experiment's event log: pass -exp with them")
+			case !read:
+				err = fmt.Errorf("-exp %s does not read -%s", o.exp, f.Name)
+			}
+		})
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "gridbench: %v\n", err)
+	}
+	return o, err
 }
 
 // realMain carries the exit code back so deferred profile writers run
 // before the process exits (os.Exit skips defers): 0 on success, 1 when
 // an experiment fails, 2 on a usage error.
 func realMain(args []string, stderr io.Writer) int {
-	fs := flag.NewFlagSet("gridbench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment: "+strings.Join(experimentNames, ", "))
-	rounds := fs.Int("rounds", 1000, "ping-pong sequences per cell (figs 6/7)")
-	runs := fs.Int("runs", 100, "submissions per method (table 1)")
-	iters := fs.Int("iters", 1000, "loop iterations (fig 8)")
-	scale := fs.Float64("scale", 1.0, "network delay scale for real-time experiments")
-	series := fs.Bool("series", false, "dump raw per-iteration series as CSV")
-	seed := fs.Int64("seed", 2006, "randomization seed")
-	out := fs.String("out", "", "output path for the one JSON-writing experiment named by -exp (default: its committed BENCH_*.json name)")
-	quick := fs.Bool("quick", false, "shrink -exp chaos, federation, dataaware and scale for smoke runs")
-	traceOut := fs.String("traceout", "", "enable event tracing in -exp chaos, federation or replay and write the logs as JSONL here")
-	traceIn := fs.String("tracein", "", "JSONL event log to verify with -exp checktrace")
-	chromeOut := fs.String("chromeout", "", "also convert -tracein to Chrome trace_event JSON at this path")
-	baseline := fs.String("baseline", "", "committed BENCH_*.json of the experiment named by -exp to gate its results against")
-	tolerance := fs.Float64("tolerance", 0.25, "allowed fractional regression vs a baseline before failing")
-	shards := fs.Int("shards", 16, "information-service shard count for -exp scale")
-	pageSize := fs.Int("pagesize", 0, "discovery page size for -exp scale (0 or less = infosys default)")
-	churn := fs.String("churn", "0,64,256,1024", "comma-separated churn-axis publish rates for -exp scale")
-	churnSites := fs.Int("churnsites", 50000, "grid size for the -exp scale churn axis")
-	deltaDepth := fs.Int("deltadepth", 256, "per-shard delta log depth for -exp scale delta cells")
-	deltaChaos := fs.Bool("delta", false, "give -exp chaos a delta-logged index, which the broker reads by subscription")
-	tracePath := fs.String("trace", "", "SWF/GWF workload log to drive -exp replay")
-	synth := fs.Int("synth", 0, "generate a deterministic synthetic archive with this many jobs for -exp replay (instead of -trace)")
-	window := fs.String("window", "", "trace window for -exp replay as N:M hours (default whole trace)")
-	speedups := fs.String("speedups", "", "comma-separated arrival speedups for -exp replay (default 1,2,4)")
-	sites := fs.Int("sites", 0, "replay grid sites (0 = 4, or 8 with -synth)")
-	nodes := fs.Int("nodes", 0, "replay nodes per site (0 = 8, or 16 with -synth)")
-	fetch := fs.String("fetch", "", "download a workload archive URL into the local content-addressed cache and print its path (see EXPERIMENTS.md)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	o, err := parse(args, stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
-	if !slices.Contains(experimentNames, *exp) {
-		fmt.Fprintf(stderr, "gridbench: unknown experiment %q (valid: %s)\n", *exp, strings.Join(experimentNames, ", "))
+	if err != nil {
 		return 2
-	}
-	if *exp == "all" && (*out != "" || *baseline != "") {
-		fmt.Fprintln(stderr, "gridbench: -out and -baseline name one experiment's report: pass -exp with them")
-		return 2
-	}
-	if *exp == "all" && *traceOut != "" {
-		fmt.Fprintln(stderr, "gridbench: -traceout names one experiment's event log: pass -exp with it")
-		return 2
-	}
-	// outPath is where an experiment writes its report: -out, or the
-	// file name its committed baseline carries.
-	outPath := func(def string) string {
-		if *out != "" {
-			return *out
-		}
-		return def
 	}
 
-	if *fetch != "" {
-		path, err := workload.Fetch(*fetch, workload.FetchOptions{})
+	if o.fetch != "" {
+		path, err := workload.Fetch(o.fetch, workload.FetchOptions{})
 		if err != nil {
 			fmt.Fprintf(stderr, "gridbench: -fetch: %v\n", err)
 			return 1
@@ -119,96 +199,47 @@ func realMain(args []string, stderr io.Writer) int {
 		return 0
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
+		if err == nil {
+			defer f.Close()
+			err = pprof.StartCPUProfile(f)
+		}
 		if err != nil {
 			fmt.Fprintf(stderr, "gridbench: -cpuprofile: %v\n", err)
 			return 1
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "gridbench: -cpuprofile: %v\n", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+		defer pprof.StopCPUProfile()
 	}
-	if *memprofile != "" {
+	if o.memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(stderr, "gridbench: -memprofile: %v\n", err)
-				return
-			}
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := writeFile(o.memprofile, pprof.WriteHeapProfile); err != nil {
 				fmt.Fprintf(stderr, "gridbench: -memprofile: %v\n", err)
 			}
-			f.Close()
 		}()
 	}
 
-	exitCode := 0
-	run := func(name string, fn func() error) {
-		if exitCode != 0 || (*exp != "all" && *exp != name) {
-			return
+	for _, e := range table {
+		if !e.runs(o.exp) {
+			continue
 		}
+		eo := o
+		eo.out = cmp.Or(o.out, e.report)
 		start := time.Now()
-		if err := fn(); err != nil {
-			fmt.Fprintf(stderr, "gridbench: %s: %v\n", name, err)
-			exitCode = 1
-			return
+		if err := e.run(eo); err != nil {
+			fmt.Fprintf(stderr, "gridbench: %s: %v\n", e.name, err)
+			return 1
 		}
-		fmt.Fprintf(stderr, "[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "[%s completed in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	run("table1", func() error { return table1(*runs, *seed) })
-	run("load", func() error { return loadSweep(*seed) })
-	run("day", func() error { return day(*seed) })
-	run("fig6", func() error { return pingpong("fig6", netsim.CampusGrid(), *rounds, *scale, *seed, *series) })
-	run("fig7", func() error { return pingpong("fig7", netsim.WideArea(), *rounds, *scale, *seed, *series) })
-	run("fig8", func() error { return fig8(*iters, *series) })
-	run("ablations", func() error { return ablations(*scale, *seed) })
-	run("scale", func() error {
-		rates, err := parseIntList(*churn)
-		if err != nil {
-			return fmt.Errorf("-churn: %w", err)
-		}
-		return scaleExp(outPath("BENCH_infosys.json"), *baseline, *shards, *pageSize, *quick, *seed, *tolerance,
-			rates, *churnSites, *deltaDepth)
-	})
-	run("chaos", func() error { return chaos(outPath("BENCH_chaos.json"), *traceOut, *quick, *deltaChaos, *seed) })
-	run("federation", func() error {
-		return federation(outPath("BENCH_federation.json"), *baseline, *traceOut, *quick, *seed, *tolerance)
-	})
-	run("dataaware", func() error {
-		return dataaware(outPath("BENCH_dataaware.json"), *baseline, *quick, *seed, *tolerance)
-	})
-	// replay needs a workload log and checktrace an existing event
-	// log, so both run only when named explicitly (there is nothing to
-	// feed them under -exp all).
-	if *exp == "replay" {
-		run("replay", func() error {
-			return replay(replayOpts{
-				trace: *tracePath, synth: *synth,
-				out: outPath("BENCH_replay.json"), traceout: *traceOut,
-				window: *window, speedups: *speedups,
-				seed: *seed, sites: *sites, nodes: *nodes,
-				baseline: *baseline, tolerance: *tolerance,
-			})
-		})
-	}
-	if *exp == "checktrace" {
-		run("checktrace", func() error { return checktrace(*traceIn, *chromeOut) })
-	}
-	return exitCode
+	return 0
 }
 
-func table1(runs int, seed int64) error {
+func table1(o options) error {
 	for _, sc := range []experiments.Scenario{experiments.Campus, experiments.IFCA} {
 		rows, err := experiments.TableI(experiments.TableIConfig{
-			Sites: 20, Runs: runs, Scenario: sc, Seed: seed,
+			Sites: 20, Runs: o.runs, Scenario: sc, Seed: o.seed,
 		})
 		if err != nil {
 			return err
@@ -221,9 +252,9 @@ Virtual machine 6.79; Job+agent 29.3 (campus submission column).`)
 	return nil
 }
 
-func loadSweep(seed int64) error {
+func loadSweep(o options) error {
 	pts, err := experiments.LoadSweep([]float64{0, 0.25, 0.5, 0.75, 1.0},
-		experiments.LoadSweepConfig{Seed: seed})
+		experiments.LoadSweepConfig{Seed: o.seed})
 	if err != nil {
 		return err
 	}
@@ -235,8 +266,8 @@ within seconds at a bounded cost to the batch jobs (Section 5.2).`)
 	return nil
 }
 
-func day(seed int64) error {
-	cfg := experiments.DayConfig{Seed: seed, FairShare: true}
+func day(o options) error {
+	cfg := experiments.DayConfig{Seed: o.seed, FairShare: true}
 	rep, err := experiments.Day(cfg)
 	if err != nil {
 		return err
@@ -245,7 +276,7 @@ func day(seed int64) error {
 	return nil
 }
 
-func pingpong(name string, prof netsim.Profile, rounds int, scale float64, seed int64, series bool) error {
+func pingpong(name string, prof netsim.Profile, o options) error {
 	dir, err := os.MkdirTemp("", "gridbench-spill")
 	if err != nil {
 		return err
@@ -253,19 +284,19 @@ func pingpong(name string, prof netsim.Profile, rounds int, scale float64, seed 
 	defer os.RemoveAll(dir)
 	sizes := []int{10, 100, 1000, 10000}
 	res, err := experiments.PingPongSuite(experiments.PingPongConfig{
-		Profile:  prof.Scale(scale),
+		Profile:  prof.Scale(o.scale),
 		Sizes:    sizes,
-		Rounds:   rounds,
+		Rounds:   o.rounds,
 		SpillDir: dir,
-		Seed:     seed,
+		Seed:     o.seed,
 	})
 	if err != nil {
 		return err
 	}
 	title := fmt.Sprintf("Figure %s — sequential I/O streaming, %s profile (scale %.2f, %d rounds)",
-		strings.TrimPrefix(name, "fig"), prof.Name, scale, rounds)
+		strings.TrimPrefix(name, "fig"), prof.Name, o.scale, o.rounds)
 	fmt.Println(experiments.RenderPingPong(title, res, sizes))
-	if series {
+	if o.series {
 		fmt.Println("method,size,sequence,seconds")
 		for _, m := range experiments.AllMethods() {
 			for _, size := range sizes {
@@ -279,16 +310,16 @@ func pingpong(name string, prof netsim.Profile, rounds int, scale float64, seed 
 	return nil
 }
 
-func fig8(iters int, series bool) error {
-	cases, err := experiments.Fig8(experiments.Fig8Config{Iterations: iters})
+func fig8(o options) error {
+	cases, err := experiments.Fig8(experiments.Fig8Config{Iterations: o.iters})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Figure 8 — VM load overhead (%d iterations)\n", iters)
+	fmt.Printf("Figure 8 — VM load overhead (%d iterations)\n", o.iters)
 	fmt.Println(experiments.RenderFig8(cases))
 	fmt.Println(`Paper reference (Section 6.3): reference CPU 0.921 s (sd 0.001), I/O
 6.06 ms (sd 6.9e-5); PL=10 -> CPU +8%, I/O +5%; PL=25 -> CPU +22%, I/O +10%.`)
-	if series {
+	if o.series {
 		fmt.Println("case,iteration,cpu_seconds,io_seconds")
 		for _, c := range cases {
 			for i := 0; i < c.CPU.Len(); i++ {
@@ -299,9 +330,9 @@ func fig8(iters int, series bool) error {
 	return nil
 }
 
-func ablations(scale float64, seed int64) error {
+func ablations(o options) error {
 	fmt.Println("Ablation: ssh packetization block size, 10 KB round trip (campus)")
-	blocks, err := experiments.BlockSizeSweep(netsim.CampusGrid().Scale(scale), nil, 100)
+	blocks, err := experiments.BlockSizeSweep(netsim.CampusGrid().Scale(o.scale), nil, 100)
 	if err != nil {
 		return err
 	}
@@ -312,7 +343,7 @@ func ablations(scale float64, seed int64) error {
 	}
 
 	fmt.Println("\nAblation: exclusive-temporal-access lease duration (6 jobs, 6 single-node sites)")
-	leases, err := experiments.LeaseSweep(nil, 6, 6, seed)
+	leases, err := experiments.LeaseSweep(nil, 6, 6, o.seed)
 	if err != nil {
 		return err
 	}

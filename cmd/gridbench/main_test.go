@@ -2,6 +2,11 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"io"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -10,9 +15,10 @@ import (
 // run fails loudly instead of succeeding vacuously: an unknown -exp
 // value lists the valid ones, -out, -baseline or -traceout without the
 // one experiment they belong to is refused (under -exp all each traced
-// sweep would overwrite the one -traceout file), and the removed -exp
-// bench, -engine, -scaleout and -nowall are errors, so scripts written
-// against them stop.
+// sweep would overwrite the one -traceout file), a flag the named
+// experiment does not read is refused, -fetch takes no other flag, and
+// the removed -exp bench, -engine, -scaleout and -nowall are errors,
+// so scripts written against them stop.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -27,6 +33,12 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-exp", "all", "-out", "x.json"}, "-out and -baseline name one experiment's report"},
 		{[]string{"-baseline", "BENCH_infosys.json"}, "-out and -baseline name one experiment's report"},
 		{[]string{"-traceout", "x.jsonl"}, "-traceout names one experiment's event log"},
+		{[]string{"-exp", "table1", "-traceout", "x.jsonl"}, "-exp table1 does not read -traceout"},
+		{[]string{"-exp", "fig8", "-quick"}, "-exp fig8 does not read -quick"},
+		{[]string{"-exp", "replay", "-synth", "100", "-delta"}, "-exp replay does not read -delta"},
+		{[]string{"-exp", "chaos", "-quick", "-baseline", "BENCH_chaos.json"}, "-exp chaos does not read -baseline"},
+		{[]string{"-exp", "all", "-synth", "100"}, "-exp all does not read -synth"},
+		{[]string{"-fetch", "http://localhost:1/x.swf", "-exp", "replay"}, "-fetch reads no other flag"},
 	} {
 		var stderr bytes.Buffer
 		if code := realMain(tc.args, &stderr); code != 2 {
@@ -57,5 +69,58 @@ func TestCompareBaseline(t *testing.T) {
 	err = compareBaseline(higher, rows, base, "f.json", 0.25)
 	if err == nil || !strings.Contains(err.Error(), "[b]") {
 		t.Fatalf("higher-is-better gate at 25%%: %v", err)
+	}
+}
+
+// TestTableReadsEveryFlag holds the experiment table and the flag set
+// to each other: every flag is global, -fetch, or read by some
+// experiment, so none is dead, and every flag a row names exists.
+func TestTableReadsEveryFlag(t *testing.T) {
+	fs := flagSet(&options{}, io.Discard)
+	fs.VisitAll(func(f *flag.Flag) {
+		read := slices.ContainsFunc(table, func(e experiment) bool { return slices.Contains(e.reads, f.Name) })
+		if !read && f.Name != "fetch" && !slices.Contains(global, f.Name) {
+			t.Errorf("no experiment reads -%s", f.Name)
+		}
+	})
+	for _, e := range table {
+		for _, name := range e.reads {
+			if fs.Lookup(name) == nil {
+				t.Errorf("-exp %s reads -%s, which is not a flag", e.name, name)
+			}
+		}
+	}
+}
+
+// TestDocCommandLinesPassTheTable parses, without running it, every
+// gridbench command line with -exp in README.md and EXPERIMENTS.md, so
+// the docs cannot show a flag the named experiment does not read.
+func TestDocCommandLinesPassTheTable(t *testing.T) {
+	placeholder := regexp.MustCompile(`\$\([^)]*\)|<log>`)
+	for _, doc := range []string{"../../README.md", "../../EXPERIMENTS.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := placeholder.ReplaceAllString(strings.ReplaceAll(string(data), "\\\n", " "), "PLACEHOLDER")
+		found := 0
+		for _, line := range strings.Split(text, "\n") {
+			for _, cmd := range strings.Split(line, "gridbench ")[1:] {
+				cmd, _, _ = strings.Cut(cmd, "`")
+				cmd, _, _ = strings.Cut(cmd, " #")
+				args := strings.Fields(strings.ReplaceAll(cmd, `"`, ""))
+				if !slices.Contains(args, "-exp") {
+					continue
+				}
+				found++
+				var stderr bytes.Buffer
+				if _, err := parse(args, &stderr); err != nil {
+					t.Errorf("%s: gridbench %s: %s", doc, strings.Join(args, " "), stderr.String())
+				}
+			}
+		}
+		if found == 0 {
+			t.Errorf("%s: no gridbench -exp command line found", doc)
+		}
 	}
 }

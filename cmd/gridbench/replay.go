@@ -37,21 +37,6 @@ type replayReport struct {
 	Points         []experiments.ReplayPoint `json:"points"`
 }
 
-// replayOpts carries the -exp replay flag set.
-type replayOpts struct {
-	trace     string  // -trace: SWF/GWF file
-	synth     int     // -synth: generate this many synthetic jobs instead
-	out       string  // -out
-	traceout  string  // -traceout
-	window    string  // -window
-	speedups  string  // -speedups
-	seed      int64   // -seed
-	sites     int     // -sites (0 = auto)
-	nodes     int     // -nodes (0 = auto)
-	baseline  string  // -baseline
-	tolerance float64 // -tolerance
-}
-
 // parseWindow parses the -window flag: "N:M" replays hours N..M of
 // the trace, "N:" from N to the end, "" the whole trace.
 func parseWindow(s string) (start, end float64, err error) {
@@ -75,22 +60,13 @@ func parseWindow(s string) (start, end float64, err error) {
 	return start, end, nil
 }
 
-// parseSpeedups parses the -speedups flag, a comma-separated factor
-// list; "" keeps the sweep default (1,2,4).
+// parseSpeedups parses the -speedups flag, a comma-separated list of
+// positive factors; "" keeps the sweep default (1,2,4).
 func parseSpeedups(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("-speedups %q: %q is not a positive factor", s, p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return parseList("-speedups", s, func(p string) (float64, bool) {
+		v, err := strconv.ParseFloat(p, 64)
+		return v, err == nil && v > 0
+	})
 }
 
 // countTrace makes one streamed pass over the archive, counting
@@ -118,11 +94,6 @@ func countTrace(path string) (usable, dropped int, err error) {
 	}
 }
 
-// synthDir is the cache directory for generated archives: a fixed
-// location under the OS temp dir, so repeated benchmark runs reuse
-// the (deterministic) file instead of regenerating a million rows.
-func synthDir() string { return filepath.Join(os.TempDir(), "gridbench-synth") }
-
 // replay drives the replay sweep over streamed trace ingest: each
 // sweep point opens its own constant-memory reader, so even a
 // million-job archive never materializes. The sweep is fully
@@ -130,7 +101,7 @@ func synthDir() string { return filepath.Join(os.TempDir(), "gridbench-synth") }
 // byte-identical BENCH_replay.json (wall-clock throughput is printed,
 // never written: benchmark/ owns host time), and with -traceout
 // byte-identical event logs that pass -exp checktrace.
-func replay(o replayOpts) error {
+func replay(o options) error {
 	// Replay is an allocation-heavy batch workload; relaxing the GC
 	// target trades a bounded amount of extra heap (the live set stays
 	// constant thanks to streamed ingest) for ~10% of wall time. An
@@ -154,7 +125,11 @@ func replay(o replayOpts) error {
 		if o.nodes == 0 {
 			o.nodes = 16
 		}
-		p, err := workload.SynthTracePath(synthDir(), workload.SynthConfig{Jobs: o.synth, Seed: o.seed})
+		// Generated archives are cached at a fixed place under the OS
+		// temp dir, so repeated benchmark runs reuse the (deterministic)
+		// file instead of regenerating a million rows.
+		dir := filepath.Join(os.TempDir(), "gridbench-synth")
+		p, err := workload.SynthTracePath(dir, workload.SynthConfig{Jobs: o.synth, Seed: o.seed})
 		if err != nil {
 			return err
 		}
@@ -228,17 +203,12 @@ func replay(o replayOpts) error {
 	if err := writeReport(o.out, rep); err != nil {
 		return err
 	}
-	if o.traceout != "" {
-		traceOf := func(p experiments.ReplayPoint) trace.Trace { return p.Trace }
-		partial := func(p experiments.ReplayPoint) bool { return p.Pending > 0 }
-		if err := exportTraces("replay", o.traceout, pts, traceOf, partial); err != nil {
-			return err
-		}
+	traceOf := func(p experiments.ReplayPoint) trace.Trace { return p.Trace }
+	partial := func(p experiments.ReplayPoint) bool { return p.Pending > 0 }
+	if err := exportTraces("replay", o.traceout, pts, traceOf, partial); err != nil {
+		return err
 	}
-	if o.baseline != "" {
-		return gateReport(replayGate, rep, replayRows, o.baseline, o.tolerance)
-	}
-	return nil
+	return gateReport(replayGate, rep, replayRows, o)
 }
 
 func orDefault(v, def int) int {

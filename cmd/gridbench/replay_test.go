@@ -66,10 +66,10 @@ func TestReplayCommandDeterministic(t *testing.T) {
 	out2 := filepath.Join(dir, "r2.json")
 	tr1 := filepath.Join(dir, "t1.jsonl")
 	tr2 := filepath.Join(dir, "t2.jsonl")
-	if err := replay(replayOpts{trace: gwfFixture, out: out1, traceout: tr1, seed: 2006}); err != nil {
+	if err := replay(options{trace: gwfFixture, out: out1, traceout: tr1, seed: 2006}); err != nil {
 		t.Fatal(err)
 	}
-	if err := replay(replayOpts{trace: gwfFixture, out: out2, traceout: tr2, seed: 2006}); err != nil {
+	if err := replay(options{trace: gwfFixture, out: out2, traceout: tr2, seed: 2006}); err != nil {
 		t.Fatal(err)
 	}
 	j1, err := os.ReadFile(out1)
@@ -94,14 +94,14 @@ func TestReplayCommandDeterministic(t *testing.T) {
 	if !bytes.Equal(l1, l2) {
 		t.Fatal("event logs not byte-identical across runs")
 	}
-	if err := checktrace(tr1, filepath.Join(dir, "chrome.json")); err != nil {
+	if err := checktrace(options{tracein: tr1, chromeout: filepath.Join(dir, "chrome.json")}); err != nil {
 		t.Fatalf("checktrace rejected the replay log: %v", err)
 	}
 }
 
 func TestReplayCommandWindowAndSWF(t *testing.T) {
 	dir := t.TempDir()
-	if err := replay(replayOpts{trace: swfFixture, out: filepath.Join(dir, "swf.json"), window: "0:1", seed: 1}); err != nil {
+	if err := replay(options{trace: swfFixture, out: filepath.Join(dir, "swf.json"), window: "0:1", seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,7 +113,7 @@ func TestReplayCommandSynth(t *testing.T) {
 	dir := t.TempDir()
 	out1 := filepath.Join(dir, "s1.json")
 	out2 := filepath.Join(dir, "s2.json")
-	opts := replayOpts{synth: 300, out: out1, speedups: "1,4", seed: 5}
+	opts := options{synth: 300, out: out1, speedups: "1,4", seed: 5}
 	if err := replay(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestReplayCommandSynth(t *testing.T) {
 func TestReplayCommandBaselineGate(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "r.json")
-	opts := replayOpts{synth: 200, out: out, speedups: "1", seed: 9, tolerance: 0.25}
+	opts := options{synth: 200, out: out, speedups: "1", seed: 9, tolerance: 0.25}
 	if err := replay(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -189,19 +189,19 @@ func TestReplayCommandBaselineGate(t *testing.T) {
 func TestReplayCommandErrors(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out.json")
-	if err := replay(replayOpts{out: out, seed: 1}); err == nil {
+	if err := replay(options{out: out, seed: 1}); err == nil {
 		t.Fatal("missing -trace accepted")
 	}
-	if err := replay(replayOpts{trace: gwfFixture, out: out, window: "nonsense", seed: 1}); err == nil {
+	if err := replay(options{trace: gwfFixture, out: out, window: "nonsense", seed: 1}); err == nil {
 		t.Fatal("bad -window accepted")
 	}
-	if err := replay(replayOpts{trace: filepath.Join(dir, "absent.gwf"), out: out, seed: 1}); err == nil {
+	if err := replay(options{trace: filepath.Join(dir, "absent.gwf"), out: out, seed: 1}); err == nil {
 		t.Fatal("missing trace file accepted")
 	}
-	if err := replay(replayOpts{trace: gwfFixture, synth: 10, out: out, seed: 1}); err == nil {
+	if err := replay(options{trace: gwfFixture, synth: 10, out: out, seed: 1}); err == nil {
 		t.Fatal("-trace with -synth accepted")
 	}
-	if err := replay(replayOpts{trace: gwfFixture, out: out, speedups: "zero", seed: 1}); err == nil {
+	if err := replay(options{trace: gwfFixture, out: out, speedups: "zero", seed: 1}); err == nil {
 		t.Fatal("bad -speedups accepted")
 	}
 }
@@ -216,7 +216,7 @@ func TestReplayCommandRejectsTraceWithoutUsableJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "out.json")
-	if err := replay(replayOpts{trace: path, out: out, seed: 1}); !errors.Is(err, workload.ErrNoUsableRecords) {
+	if err := replay(options{trace: path, out: out, seed: 1}); !errors.Is(err, workload.ErrNoUsableRecords) {
 		t.Fatalf("replay err = %v, want ErrNoUsableRecords", err)
 	}
 	var stderr bytes.Buffer

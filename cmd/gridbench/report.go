@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -22,6 +23,19 @@ func writeReport(out string, rep any) error {
 	return nil
 }
 
+// writeFile creates path and fills it with write, closing it either way.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // sweepReport is the BENCH_*.json document of a seeded sweep: what
 // wrote it, the seed and size it ran at, and one entry per sweep point.
 type sweepReport[P any] struct {
@@ -33,9 +47,9 @@ type sweepReport[P any] struct {
 }
 
 // newSweepReport stamps the points of the sweep gridbench -exp exp ran.
-func newSweepReport[P any](exp string, seed int64, quick bool, pts []P) sweepReport[P] {
+func newSweepReport[P any](exp string, o options, pts []P) sweepReport[P] {
 	return sweepReport[P]{GeneratedBy: "gridbench -exp " + exp, GoVersion: runtime.Version(),
-		Seed: seed, Quick: quick, Points: pts}
+		Seed: o.seed, Quick: o.quick, Points: pts}
 }
 
 // benchRow is one gated number of a report; key names it across runs.
@@ -95,26 +109,33 @@ func compareBaseline(g gate, rows, base []benchRow, baseline string, tolerance f
 	return nil
 }
 
-// gateReport loads the committed report at baseline — the same
-// document type rep was just written as — and runs compareBaseline
-// over the rows each side yields.
-func gateReport[R any](g gate, rep R, rows func(R) []benchRow, baseline string, tolerance float64) error {
-	data, err := os.ReadFile(baseline)
+// gateReport loads the committed report -baseline names, if any — the
+// same document type rep was just written as — and runs
+// compareBaseline at -tolerance over the rows each side yields.
+func gateReport[R any](g gate, rep R, rows func(R) []benchRow, o options) error {
+	if o.baseline == "" {
+		return nil
+	}
+	data, err := os.ReadFile(o.baseline)
 	if err != nil {
 		return err
 	}
 	var base R
 	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s: parsing baseline %s: %w", g.exp, baseline, err)
+		return fmt.Errorf("%s: parsing baseline %s: %w", g.exp, o.baseline, err)
 	}
-	return compareBaseline(g, rows(rep), rows(base), baseline, tolerance)
+	return compareBaseline(g, rows(rep), rows(base), o.baseline, o.tolerance)
 }
 
 // exportTraces checks every sweep point's event log against the trace
 // invariants — the strict drained-grid checks, or the structural
 // subset for a point that partial (may be nil) reports as having left
-// jobs pending — and writes the logs as one JSONL stream.
+// jobs pending — and writes the logs as one JSONL stream to path, if
+// -traceout named one.
 func exportTraces[P any](exp, path string, pts []P, traceOf func(P) trace.Trace, partial func(P) bool) error {
+	if path == "" {
+		return nil
+	}
 	traces := make([]trace.Trace, len(pts))
 	events := 0
 	for i, p := range pts {
@@ -129,15 +150,7 @@ func exportTraces[P any](exp, path string, pts []P, traceOf func(P) trace.Trace,
 		}
 		events += len(tr.Events)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteJSONL(f, traces); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(path, func(w io.Writer) error { return trace.WriteJSONL(w, traces) }); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (%d cells, %d events, invariants clean)\n", path, len(traces), events)

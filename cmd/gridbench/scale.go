@@ -9,18 +9,18 @@ import (
 	"crossbroker/internal/experiments"
 )
 
-// parseIntList parses a comma-separated list of non-negative integers
-// (the -churn flag).
-func parseIntList(s string) ([]int, error) {
-	var out []int
+// parseList parses the comma-separated list that flag name holds
+// (-churn or -speedups), skipping empty items; parse reports whether
+// it accepts an item.
+func parseList[T any](name, s string, parse func(string) (T, bool)) ([]T, error) {
+	var out []T
 	for _, p := range strings.Split(s, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
+		if p = strings.TrimSpace(p); p == "" {
 			continue
 		}
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad value %q", p)
+		v, ok := parse(p)
+		if !ok {
+			return nil, fmt.Errorf("%s: bad value %q", name, p)
 		}
 		out = append(out, v)
 	}
@@ -45,13 +45,20 @@ type scaleReport struct {
 // baseline is supplied — if any shared point's pass latency grew
 // beyond tolerance (the CI regression gate, same 25% default as the
 // matchmaking benchmarks).
-func scaleExp(out, baseline string, shards, pageSize int, quick bool, seed int64, tolerance float64, churn []int, churnSites, deltaDepth int) error {
-	cfg := experiments.ScaleConfig{
-		Shards: shards, PageSize: pageSize, Seed: seed,
-		ChurnPerPass: 64,
-		ChurnRates:   churn, ChurnSites: churnSites, DeltaLogDepth: deltaDepth,
+func scaleExp(o options) error {
+	churn, err := parseList("-churn", o.churn, func(p string) (int, bool) {
+		v, err := strconv.Atoi(p)
+		return v, err == nil && v >= 0
+	})
+	if err != nil {
+		return err
 	}
-	if quick {
+	cfg := experiments.ScaleConfig{
+		Shards: o.shards, PageSize: o.pagesize, Seed: o.seed,
+		ChurnPerPass: 64,
+		ChurnRates:   churn, ChurnSites: o.churnsites, DeltaLogDepth: o.deltadepth,
+	}
+	if o.quick {
 		// The 50k point stays in the smoke run: the headline claim —
 		// delta flat where snapshot grows linearly — is only visible
 		// at the top of the size axis.
@@ -87,13 +94,10 @@ func scaleExp(out, baseline string, shards, pageSize int, quick bool, seed int64
 		GoVersion:   runtime.Version(),
 		Results:     pts,
 	}
-	if err := writeReport(out, rep); err != nil {
+	if err := writeReport(o.out, rep); err != nil {
 		return err
 	}
-	if baseline != "" {
-		return gateReport(scaleGate, rep, scaleRows, baseline, tolerance)
-	}
-	return nil
+	return gateReport(scaleGate, rep, scaleRows, o)
 }
 
 // scaleGate gates every point's virtual pass latency: growth beyond

@@ -1,8 +1,10 @@
 package broker
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"crossbroker/internal/infosys"
@@ -21,16 +23,22 @@ type candidate struct {
 	noise  float64 // randomized tie-break
 }
 
-// candBetter orders candidates best first: rank descending, then the
+// candOrder orders candidates best first: rank descending, then the
 // seeded tie-break noise, then site name so the order is total.
-func candBetter(a, b *candidate) bool {
+func candOrder(a, b candidate) int {
 	if a.rank != b.rank {
-		return a.rank > b.rank
+		if a.rank > b.rank {
+			return -1
+		}
+		return 1
 	}
 	if a.noise != b.noise {
-		return a.noise < b.noise
+		if a.noise < b.noise {
+			return -1
+		}
+		return 1
 	}
-	return a.site.Name() < b.site.Name()
+	return strings.Compare(a.site.Name(), b.site.Name())
 }
 
 // A candidate's tie-break noise in [0, 1) is the FNV-1a hash of the
@@ -98,7 +106,7 @@ type probeTask struct {
 }
 
 // probeBetter orders kept tasks by preliminary rank descending, then
-// noise, then site name — the same total order candBetter applies
+// noise, then site name — the same total order candOrder applies
 // after probing.
 func probeBetter(a, b *probeTask) bool {
 	if a.prelim != b.prelim {
@@ -297,7 +305,7 @@ func (b *Broker) finishSelection(h *Handle, kept []probeTask, cont func([]candid
 	// probes spend simulated time, so a stable order keeps lease
 	// expiries and concurrent passes interleaving identically across
 	// registry reads.
-	sort.Slice(kept, func(i, j int) bool { return kept[i].st.Name() < kept[j].st.Name() })
+	slices.SortFunc(kept, func(a, b probeTask) int { return strings.Compare(a.st.Name(), b.st.Name()) })
 	// Scan and finishSelection run in one event, so the probe-back
 	// claims land before any concurrent pass can filter.
 	for i := range kept {
@@ -350,7 +358,7 @@ func (b *Broker) rankProbed(h *Handle, kept []probeTask) []candidate {
 	// randomized selection "to generate different answers when there
 	// are multiple resource choices"); in Deterministic mode all noise
 	// is zero and ties resolve by site name.
-	sort.Slice(cands, func(i, j int) bool { return candBetter(&cands[i], &cands[j]) })
+	slices.SortFunc(cands, candOrder)
 	return cands
 }
 
@@ -607,7 +615,7 @@ func (b *Broker) kickDispatch() {
 // first. Priorities are snapshotted before sorting: fair-share
 // priorities decay over time, and calling Priority inside the
 // comparator lets a mid-sort decay produce inconsistent comparisons
-// (a strict-weak-ordering violation sort.SliceStable may answer with
+// (a strict-weak-ordering violation slices.SortStableFunc may answer with
 // an arbitrary permutation).
 func (b *Broker) dispatchPending() {
 	if len(b.pendingBatch) == 0 {
@@ -624,7 +632,7 @@ func (b *Broker) dispatchPending() {
 		for i := range order {
 			order[i] = i
 		}
-		sort.SliceStable(order, func(i, j int) bool { return prio[order[i]] < prio[order[j]] })
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(prio[a], prio[b]) })
 		sorted := make([]*Handle, len(queue))
 		for i, k := range order {
 			sorted[i] = queue[k]

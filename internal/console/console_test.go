@@ -154,7 +154,7 @@ func TestInteractiveEcho(t *testing.T) {
 	// Wait for the agent to connect before typing (fast mode drops
 	// earlier input).
 	deadline := time.Now().Add(5 * time.Second)
-	for s.shadow.Connected() == 0 && time.Now().Before(deadline) {
+	for s.shadow.Attached() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	io.WriteString(stdinW, "first command\n")

@@ -66,7 +66,7 @@ func TestShadowGiveUpReportsKill(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
-	for shadow.Connected() == 0 {
+	for shadow.Attached() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("agent never connected")
 		}
@@ -148,7 +148,7 @@ func TestShadowWatchdogTolerantOfReconnect(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
-	for shadow.Connected() == 0 {
+	for shadow.Attached() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("agent never connected")
 		}
@@ -161,7 +161,7 @@ func TestShadowWatchdogTolerantOfReconnect(t *testing.T) {
 
 	// Wait for the reconnect, then finish the app cleanly.
 	deadline = time.Now().Add(5 * time.Second)
-	for shadow.Connected() == 0 {
+	for !agent.Connected() {
 		if time.Now().After(deadline) {
 			t.Fatal("agent never reconnected")
 		}

@@ -80,7 +80,7 @@ type Shadow struct {
 	mu        sync.Mutex
 	links     map[uint16]*Link
 	eofs      map[uint16]map[Stream]bool
-	attaches  map[uint16]int // per-subjob connection count (tracing)
+	attaches  map[uint16]int // per-subjob connection count
 	doneOnce  sync.Once
 	done      chan struct{}
 	closed    bool
@@ -270,14 +270,14 @@ func (s *Shadow) admit(conn net.Conn) {
 	if err := link.Attach(conn, hello); err != nil {
 		return
 	}
+	s.mu.Lock()
+	s.attaches[hello.Subjob]++
+	kind := trace.ConsoleAttached
+	if s.attaches[hello.Subjob] > 1 {
+		kind = trace.LinkResumed
+	}
+	s.mu.Unlock()
 	if s.cfg.Trace.Enabled() {
-		s.mu.Lock()
-		s.attaches[hello.Subjob]++
-		kind := trace.ConsoleAttached
-		if s.attaches[hello.Subjob] > 1 {
-			kind = trace.LinkResumed
-		}
-		s.mu.Unlock()
 		s.cfg.Trace.Emit(trace.Event{Kind: kind, Job: s.cfg.TraceJob, N: int(hello.Subjob)})
 	}
 }
@@ -332,18 +332,14 @@ func (s *Shadow) Wait(timeout time.Duration) bool {
 	}
 }
 
-// Connected reports how many subjob links currently hold a live
-// connection.
-func (s *Shadow) Connected() int {
+// Attached reports how many subjobs have attached to the shadow at
+// least once. An agent whose application has exited closes its link
+// once its output is delivered, so this, not a count of live links,
+// tells when every agent has reached the shadow.
+func (s *Shadow) Attached() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, l := range s.links {
-		if l.Connected() {
-			n++
-		}
-	}
-	return n
+	return len(s.attaches)
 }
 
 // Close tears down all links and flushes the screen buffers. The

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"reflect"
 	"strings"
 	"sync"
@@ -298,6 +299,97 @@ func TestSessionMultiSubjob(t *testing.T) {
 			t.Fatalf("missing subjob %d in %q", i, out.String())
 		}
 	}
+}
+
+// TestSessionMultiSubjobLateAgent holds the session-start wait to
+// subjobs that attached once, not links live now: the last agent dials
+// only after the shadow has read every other subjob's output EOFs and
+// seen its agent close the link, so the links are never all live at
+// once.
+func TestSessionMultiSubjobLateAgent(t *testing.T) {
+	const n = 3
+	nw := netsim.New(netsim.Loopback(), 1)
+	lis, err := nw.Listen("shadow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{}, n)
+	var out syncBuf
+	shadow, err := console.StartShadow(console.ShadowConfig{
+		Mode:    jdl.FastStreaming,
+		Subjobs: n,
+		Accept: func() (net.Conn, error) {
+			c, err := lis.Accept()
+			if err != nil {
+				return nil, err
+			}
+			return &closeSignal{Conn: c, closed: closed}, nil
+		},
+		Stdout:        &out,
+		Stderr:        io.Discard,
+		SpillDir:      t.TempDir(),
+		FlushInterval: 5 * time.Millisecond,
+	})
+	if err != nil {
+		lis.Close()
+		t.Fatal(err)
+	}
+	sess := &Session{Net: nw, Shadow: shadow, lis: lis}
+	defer sess.Close()
+	for i := 0; i < n; i++ {
+		dial := func() (net.Conn, error) { return nw.Dial("shadow") }
+		if i == n-1 {
+			dial = func() (net.Conn, error) {
+				for j := 0; j < n-1; j++ {
+					<-closed
+				}
+				return nw.Dial("shadow")
+			}
+		}
+		rank := i
+		proc, err := interpose.Func(func(stdin io.Reader, stdout, stderr io.Writer) error {
+			fmt.Fprintf(stdout, "subjob %d\n", rank)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agent, err := console.StartAgent(console.AgentConfig{
+			Subjob:        uint16(i),
+			Mode:          jdl.FastStreaming,
+			Dial:          dial,
+			SpillDir:      t.TempDir(),
+			FlushInterval: 5 * time.Millisecond,
+		}, proc)
+		if err != nil {
+			_ = proc.Kill()
+			t.Fatal(err)
+		}
+		sess.Agents = append(sess.Agents, agent)
+	}
+	if err := sess.awaitAgents(n); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Wait(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if !strings.Contains(out.String(), fmt.Sprintf("subjob %d", i)) {
+			t.Fatalf("missing subjob %d in %q", i, out.String())
+		}
+	}
+}
+
+// closeSignal is a shadow-side connection that reports its first Close.
+type closeSignal struct {
+	net.Conn
+	once   sync.Once
+	closed chan<- struct{}
+}
+
+func (c *closeSignal) Close() error {
+	c.once.Do(func() { c.closed <- struct{}{} })
+	return c.Conn.Close()
 }
 
 func TestSessionValidation(t *testing.T) {

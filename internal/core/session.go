@@ -164,19 +164,30 @@ func StartAuxSession(cfg SessionConfig, naux int, apps []interpose.AuxAppFunc) (
 		}
 		s.Agents = append(s.Agents, agent)
 	}
-	// The session is interactive only once every Console Agent has its
-	// channel to the shadow (in the paper the CA opens its RPC channel
-	// as part of job startup). Without this, fast-mode input typed
-	// right after startup would be silently dropped.
+	if err := s.awaitAgents(len(apps)); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// awaitAgents waits until all n subjobs have attached to the shadow.
+// The session is interactive only once every Console Agent has had its
+// channel to the shadow (in the paper the CA opens its RPC channel as
+// part of job startup); without this, fast-mode input typed right
+// after startup would be silently dropped. It counts subjobs that
+// attached once, not live links: a subjob whose application already
+// exited may have delivered its output and closed its link before the
+// last agent dials.
+func (s *Session) awaitAgents(n int) error {
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Shadow.Connected() < len(apps) {
+	for s.Shadow.Attached() < n {
 		if time.Now().After(deadline) {
-			s.Close()
-			return nil, fmt.Errorf("core: agents did not connect")
+			return fmt.Errorf("core: agents did not connect")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return s, nil
+	return nil
 }
 
 // secureTransports wraps the raw dial/accept in GSI handshakes: the

@@ -288,7 +288,7 @@ func newConsoleChannel(nw *netsim.Net, mode jdl.StreamingMode, spillDir string) 
 	// interactive; otherwise the first fast-mode keystrokes would be
 	// dropped on the floor (see core.StartSession).
 	deadline := time.Now().Add(10 * time.Second)
-	for shadow.Connected() == 0 {
+	for shadow.Attached() == 0 {
 		if time.Now().After(deadline) {
 			_ = agent.Kill()
 			shadow.Close()
