@@ -29,15 +29,15 @@ func chaos(o options) error {
 	fmt.Println(experiments.RenderChaos(pts))
 	for _, p := range pts {
 		if p.Done+p.Aborted != p.Submitted {
-			return fmt.Errorf("chaos: rate %.2g left non-terminal jobs (%d done, %d aborted, %d submitted)",
+			return fmt.Errorf("rate %.2g left non-terminal jobs (%d done, %d aborted, %d submitted)",
 				p.CrashRate, p.Done, p.Aborted, p.Submitted)
 		}
 		if p.LeakedLeases != 0 {
-			return fmt.Errorf("chaos: rate %.2g leaked %d leases", p.CrashRate, p.LeakedLeases)
+			return fmt.Errorf("rate %.2g leaked %d leases", p.CrashRate, p.LeakedLeases)
 		}
 	}
 	if err := writeReport(o.out, newSweepReport("chaos", o, pts)); err != nil {
 		return err
 	}
-	return exportTraces("chaos", o.traceout, pts, func(p experiments.ChaosPoint) trace.Trace { return p.Trace }, nil)
+	return exportTraces(o.traceout, pts, func(p experiments.ChaosPoint) trace.Trace { return p.Trace }, nil)
 }

@@ -26,11 +26,11 @@ func dataaware(o options) error {
 	for _, p := range pts {
 		key := dataawareKey(p)
 		if p.AwareDone != p.Jobs || p.BlindDone != p.Jobs {
-			return fmt.Errorf("dataaware: %s lost jobs (aware %d, blind %d of %d)",
+			return fmt.Errorf("%s lost jobs (aware %d, blind %d of %d)",
 				key, p.AwareDone, p.BlindDone, p.Jobs)
 		}
 		if p.AwareMeanTurnSec >= p.BlindMeanTurnSec {
-			return fmt.Errorf("dataaware: %s aware turnaround %.1fs not better than blind %.1fs",
+			return fmt.Errorf("%s aware turnaround %.1fs not better than blind %.1fs",
 				key, p.AwareMeanTurnSec, p.BlindMeanTurnSec)
 		}
 	}
@@ -51,7 +51,7 @@ func dataawareKey(p experiments.DataAwarePoint) string {
 
 // dataawareGate gates the aware-over-blind speedup per cell: shrinking
 // by more than tolerance (of the baseline speedup) fails.
-var dataawareGate = gate{exp: "dataaware", noun: "cell", higherIsBetter: true,
+var dataawareGate = gate{noun: "cell", higherIsBetter: true,
 	width: 20, values: "speedup %5.1f%% -> %5.1f%%"}
 
 func dataawareRows(rep sweepReport[experiments.DataAwarePoint]) []benchRow {

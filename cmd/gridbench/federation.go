@@ -28,14 +28,14 @@ func federation(o options) error {
 	for _, p := range pts {
 		key := federationKey(p)
 		if p.Done+p.Failed != p.Submitted {
-			return fmt.Errorf("federation: %s left non-terminal jobs (%d done, %d failed, %d submitted)",
+			return fmt.Errorf("%s left non-terminal jobs (%d done, %d failed, %d submitted)",
 				key, p.Done, p.Failed, p.Submitted)
 		}
 		if p.LeakedLeases != 0 {
-			return fmt.Errorf("federation: %s leaked %d leases grid-wide", key, p.LeakedLeases)
+			return fmt.Errorf("%s leaked %d leases grid-wide", key, p.LeakedLeases)
 		}
 		if p.OpenTransfers != 0 {
-			return fmt.Errorf("federation: %s left %d transfer leases open", key, p.OpenTransfers)
+			return fmt.Errorf("%s left %d transfer leases open", key, p.OpenTransfers)
 		}
 	}
 	rep := newSweepReport("federation", o, pts)
@@ -43,7 +43,7 @@ func federation(o options) error {
 		return err
 	}
 	traceOf := func(p experiments.FederationPoint) trace.Trace { return p.Trace }
-	if err := exportTraces("federation", o.traceout, pts, traceOf, nil); err != nil {
+	if err := exportTraces(o.traceout, pts, traceOf, nil); err != nil {
 		return err
 	}
 	return gateReport(federationGate, rep, federationRows, o)
@@ -55,7 +55,7 @@ func federationKey(p experiments.FederationPoint) string {
 
 // federationGate gates per-cell goodput: a drop of more than tolerance
 // fails.
-var federationGate = gate{exp: "federation", noun: "cell", higherIsBetter: true,
+var federationGate = gate{noun: "cell", higherIsBetter: true,
 	width: 24, values: "goodput %5.1f%% -> %5.1f%%"}
 
 func federationRows(rep sweepReport[experiments.FederationPoint]) []benchRow {

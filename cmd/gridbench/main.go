@@ -168,6 +168,8 @@ func parse(args []string, stderr io.Writer) (o options, err error) {
 				err = errors.New("-out and -baseline name one experiment's report and -traceout names one experiment's event log: pass -exp with them")
 			case !read:
 				err = fmt.Errorf("-exp %s does not read -%s", o.exp, f.Name)
+			case f.Name == "tolerance" && o.baseline == "":
+				err = errors.New("-tolerance bounds the -baseline gate: pass -baseline with it")
 			}
 		})
 	}

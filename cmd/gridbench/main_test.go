@@ -16,7 +16,8 @@ import (
 // value lists the valid ones, -out, -baseline or -traceout without the
 // one experiment they belong to is refused (under -exp all each traced
 // sweep would overwrite the one -traceout file), a flag the named
-// experiment does not read is refused, -fetch takes no other flag, and
+// experiment does not read is refused, -tolerance without the
+// -baseline it bounds is refused, -fetch takes no other flag, and
 // the removed -exp bench, -engine, -scaleout and -nowall are errors,
 // so scripts written against them stop.
 func TestUsageErrorsExitTwo(t *testing.T) {
@@ -38,6 +39,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-exp", "replay", "-synth", "100", "-delta"}, "-exp replay does not read -delta"},
 		{[]string{"-exp", "chaos", "-quick", "-baseline", "BENCH_chaos.json"}, "-exp chaos does not read -baseline"},
 		{[]string{"-exp", "all", "-synth", "100"}, "-exp all does not read -synth"},
+		{[]string{"-exp", "scale", "-quick", "-tolerance", "0.01"}, "-tolerance bounds the -baseline gate"},
 		{[]string{"-fetch", "http://localhost:1/x.swf", "-exp", "replay"}, "-fetch reads no other flag"},
 	} {
 		var stderr bytes.Buffer
@@ -56,12 +58,12 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 func TestCompareBaseline(t *testing.T) {
 	base := []benchRow{{"a", 100}, {"b", 100}, {"gone", 100}, {"zero", 0}}
 	rows := []benchRow{{"a", 120}, {"b", 70}, {"new", 1}, {"zero", 50}}
-	lower := gate{exp: "x", noun: "row", width: 8, values: "%.0f -> %.0f"}
+	lower := gate{noun: "row", width: 8, values: "%.0f -> %.0f"}
 	if err := compareBaseline(lower, rows, base, "f.json", 0.25); err != nil {
 		t.Fatalf("a grew 20%% within a 25%% tolerance, b shrank: %v", err)
 	}
 	err := compareBaseline(lower, rows, base, "f.json", 0.10)
-	if err == nil || !strings.Contains(err.Error(), "x: 1 row(s) regressed beyond 10% vs f.json: [a]") {
+	if err == nil || !strings.Contains(err.Error(), "1 row(s) regressed beyond 10% vs f.json: [a]") {
 		t.Fatalf("lower-is-better gate at 10%%: %v", err)
 	}
 	higher := lower

@@ -179,7 +179,7 @@ func replay(o options) error {
 	total := 0
 	for _, p := range pts {
 		if p.Done+p.Failed+p.Pending != p.Submitted {
-			return fmt.Errorf("replay: speedup %g lost jobs (%d done, %d failed, %d pending, %d submitted)",
+			return fmt.Errorf("speedup %g lost jobs (%d done, %d failed, %d pending, %d submitted)",
 				p.Speedup, p.Done, p.Failed, p.Pending, p.Submitted)
 		}
 		total += p.Submitted
@@ -205,7 +205,7 @@ func replay(o options) error {
 	}
 	traceOf := func(p experiments.ReplayPoint) trace.Trace { return p.Trace }
 	partial := func(p experiments.ReplayPoint) bool { return p.Pending > 0 }
-	if err := exportTraces("replay", o.traceout, pts, traceOf, partial); err != nil {
+	if err := exportTraces(o.traceout, pts, traceOf, partial); err != nil {
 		return err
 	}
 	return gateReport(replayGate, rep, replayRows, o)
@@ -220,7 +220,7 @@ func orDefault(v, def int) int {
 
 // replayGate gates replay throughput against the simulated clock:
 // per-point jobs/sec may not drop by more than tolerance.
-var replayGate = gate{exp: "replay", noun: "throughput value", higherIsBetter: true,
+var replayGate = gate{noun: "throughput value", higherIsBetter: true,
 	width: 28, values: "%12.1f -> %12.1f jobs/s"}
 
 func replayRows(rep replayReport) []benchRow {

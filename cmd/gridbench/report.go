@@ -61,8 +61,7 @@ type benchRow struct {
 // gate says how one report's rows are worded and judged against a
 // committed baseline.
 type gate struct {
-	exp            string // error prefix: "bench", "scale", ...
-	noun           string // what a row is called: "benchmark", "point", "cell", ...
+	noun           string // what a row is called: "point", "cell", ...
 	width          int    // key column width
 	values         string // format of "baseline -> new" with the unit
 	higherIsBetter bool
@@ -102,8 +101,8 @@ func compareBaseline(g gate, rows, base []benchRow, baseline string, tolerance f
 		fmt.Printf("  %-*s "+g.values+" (%+.1f%%) %s\n", g.width, r.key, b, r.value, 100*change, verdict)
 	}
 	if len(regressed) > 0 {
-		return fmt.Errorf("%s: %d %s(s) regressed beyond %.0f%% vs %s: %v",
-			g.exp, len(regressed), g.noun, 100*tolerance, baseline, regressed)
+		return fmt.Errorf("%d %s(s) regressed beyond %.0f%% vs %s: %v",
+			len(regressed), g.noun, 100*tolerance, baseline, regressed)
 	}
 	fmt.Printf("no regressions beyond %.0f%% vs %s\n", 100*tolerance, baseline)
 	return nil
@@ -122,7 +121,7 @@ func gateReport[R any](g gate, rep R, rows func(R) []benchRow, o options) error 
 	}
 	var base R
 	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s: parsing baseline %s: %w", g.exp, o.baseline, err)
+		return fmt.Errorf("parsing baseline %s: %w", o.baseline, err)
 	}
 	return compareBaseline(g, rows(rep), rows(base), o.baseline, o.tolerance)
 }
@@ -132,7 +131,7 @@ func gateReport[R any](g gate, rep R, rows func(R) []benchRow, o options) error 
 // subset for a point that partial (may be nil) reports as having left
 // jobs pending — and writes the logs as one JSONL stream to path, if
 // -traceout named one.
-func exportTraces[P any](exp, path string, pts []P, traceOf func(P) trace.Trace, partial func(P) bool) error {
+func exportTraces[P any](path string, pts []P, traceOf func(P) trace.Trace, partial func(P) bool) error {
 	if path == "" {
 		return nil
 	}
@@ -146,7 +145,7 @@ func exportTraces[P any](exp, path string, pts []P, traceOf func(P) trace.Trace,
 			check = trace.Check
 		}
 		if v := check(tr.Events); len(v) != 0 {
-			return fmt.Errorf("%s: %s: %d trace invariant violations, first: %s", exp, tr.Label, len(v), v[0])
+			return fmt.Errorf("%s: %d trace invariant violations, first: %s", tr.Label, len(v), v[0])
 		}
 		events += len(tr.Events)
 	}

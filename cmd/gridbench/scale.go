@@ -78,13 +78,13 @@ func scaleExp(o options) error {
 	}
 	if paged, ok := byKey["paged/sites=1000"]; ok {
 		if snap, ok := byKey["snapshot/sites=1000"]; ok && paged.PassMicros > snap.PassMicros {
-			return fmt.Errorf("scale: paged pass slower than snapshot pass at 1000 sites (%dµs > %dµs)",
+			return fmt.Errorf("paged pass slower than snapshot pass at 1000 sites (%dµs > %dµs)",
 				paged.PassMicros, snap.PassMicros)
 		}
 	}
 	if delta, ok := byKey[fmt.Sprintf("delta/sites=50000/churn=%d", cfg.ChurnPerPass)]; ok {
 		if snap, ok := byKey["snapshot/sites=50000"]; ok && delta.PassMicros >= snap.PassMicros {
-			return fmt.Errorf("scale: delta pass not faster than snapshot pass at 50000 sites (%dµs >= %dµs)",
+			return fmt.Errorf("delta pass not faster than snapshot pass at 50000 sites (%dµs >= %dµs)",
 				delta.PassMicros, snap.PassMicros)
 		}
 	}
@@ -102,7 +102,7 @@ func scaleExp(o options) error {
 
 // scaleGate gates every point's virtual pass latency: growth beyond
 // tolerance fails.
-var scaleGate = gate{exp: "scale", noun: "point", width: 24, values: "%10.0fµs -> %10.0fµs"}
+var scaleGate = gate{noun: "point", width: 24, values: "%10.0fµs -> %10.0fµs"}
 
 func scaleRows(rep scaleReport) []benchRow {
 	rows := make([]benchRow, len(rep.Results))

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -466,6 +467,14 @@ type Broker struct {
 	// page scan resolves every published record here, so one lookup
 	// gives a pass the site and its breaker state together.
 	sites map[string]*siteEntry
+	// admitted is the page scan's admission cache over sites, per
+	// registry shard and row position (admit in matchmaking.go): the
+	// name last read at that position and its entry. A republished row
+	// keeps its position and its name string, so a pass resolves most
+	// records by one string comparison instead of a map lookup.
+	// RegisterSite clears it, since a new or replaced site changes what
+	// a cached name resolves to.
+	admitted [][]admitSlot
 	// agents is the local registry of glide-in agents: every live agent,
 	// with the shared-VM placements running on it (run.go), which the
 	// agent's one Released callback notifies.
@@ -514,6 +523,29 @@ type siteEntry struct {
 	nameHash uint64
 }
 
+// admitSlot is one row position's cached admission: the site name last
+// read there and its entry in Broker.sites, nil when no site of that
+// name is registered here. The zero slot matches no record, since the
+// registry refuses a record without a name.
+type admitSlot struct {
+	name string
+	e    *siteEntry
+}
+
+// admitRow returns shard's admission slots, grown with zero slots to
+// at least n row positions.
+func (b *Broker) admitRow(shard, n int) []admitSlot {
+	if shard >= len(b.admitted) {
+		b.admitted = slices.Grow(b.admitted, shard+1-len(b.admitted))[:shard+1]
+	}
+	row := b.admitted[shard]
+	if n > len(row) {
+		row = slices.Grow(row, n-len(row))[:n]
+		b.admitted[shard] = row
+	}
+	return row
+}
+
 // New creates a broker.
 func New(cfg Config) *Broker {
 	cfg.setDefaults()
@@ -544,6 +576,7 @@ func New(cfg Config) *Broker {
 func (b *Broker) RegisterSite(st *site.Site) {
 	name := st.Name()
 	b.sites[name] = &siteEntry{st: st, nameHash: nameHash(name)}
+	b.admitted = nil
 	st.SetTracer(b.cfg.Trace)
 	st.OnDeath(func() {
 		b.releaseSiteLeases(name)

@@ -368,11 +368,12 @@ func TestPinsFollowRegistry(t *testing.T) {
 // TestScanOrderIndependent pins that the per-record stage's kept set
 // and counters do not depend on the order records arrive in, as the
 // shard-major page order varies with the shard count. One record set is
-// fed to the stage
-// name-sorted, reversed and shuffled, unbounded and with TopK cutting
-// inside a group of equal preliminary ranks, where only the tie-break
-// (seeded noise, or the site name in Deterministic mode) decides who
-// is kept.
+// fed to the stage's per-page entry, the one the pipeline calls, as
+// one-record pages (so predicates and admission slots are resolved
+// per page as in a pass) name-sorted, reversed and shuffled, unbounded
+// and with TopK cutting inside a group of equal preliminary ranks,
+// where only the tie-break (seeded noise, or the site name in
+// Deterministic mode) decides who is kept.
 func TestScanOrderIndependent(t *testing.T) {
 	job := equivJob(t)
 	for _, det := range []bool{false, true} {
@@ -386,12 +387,16 @@ func TestScanOrderIndependent(t *testing.T) {
 			b.quarantineNow("site07")
 
 			snap := b.cfg.Info.(*infosys.Service).SnapshotImmediate()
-			page, _ := infosys.PinnedCursor([]*infosys.Snapshot{snap}, snap.Len()).Next()
+			var pages []infosys.Page
+			cur := infosys.PinnedCursor([]*infosys.Snapshot{snap}, 1)
+			for page, ok := cur.Next(); ok; page, ok = cur.Next() {
+				pages = append(pages, page)
+			}
 			feed := func(order []int) string {
 				h := &Handle{request: Request{Job: job}}
 				s := passScan{b: b, h: h, now: sim.Now(), nonce: 42}
 				for _, i := range order {
-					s.record(snap.Schema(), page.Name(i), page.Values(i), page.RecordShared(i).FreeCPUs)
+					s.page(pages[i])
 				}
 				kept := make([]string, len(s.keep))
 				for i, p := range s.keep {
@@ -401,7 +406,7 @@ func TestScanOrderIndependent(t *testing.T) {
 				return fmt.Sprintf("kept=%v peak=%d scanned=%d unavailable=%d", kept, h.peak, h.scanned, h.unavailable)
 			}
 
-			n := page.Len()
+			n := len(pages)
 			sorted, reversed := make([]int, n), make([]int, n)
 			for i := range sorted {
 				sorted[i], reversed[i] = i, n-1-i

@@ -2,7 +2,6 @@ package broker
 
 import (
 	"cmp"
-	"container/heap"
 	"slices"
 	"strings"
 	"time"
@@ -105,40 +104,77 @@ type probeTask struct {
 	noise        float64 // seeded tie-break, shared with the final order
 }
 
-// probeBetter orders kept tasks by preliminary rank descending, then
-// noise, then site name — the same total order candOrder applies
-// after probing.
-func probeBetter(a, b *probeTask) bool {
-	if a.prelim != b.prelim {
-		return a.prelim > b.prelim
+// outrankedBy reports whether a record of preliminary rank prelim,
+// tie-break noise and site name ranks ahead of the kept task p: rank
+// descending, then noise, then site name — the same total order
+// candOrder applies after probing. The keep-K stage asks it before it
+// builds a task, so a record that would not enter the heap costs no
+// task.
+func (p *probeTask) outrankedBy(prelim, noise float64, name string) bool {
+	if prelim != p.prelim {
+		return prelim > p.prelim
 	}
-	if a.noise != b.noise {
-		return a.noise < b.noise
+	if noise != p.noise {
+		return noise < p.noise
 	}
-	return a.st.Name() < b.st.Name()
+	return name < p.st.Name()
 }
 
 // topkHeap is a bounded min-heap of the best K candidates seen so far:
 // the root is the worst kept entry, so a better newcomer replaces it
-// in O(log K). It grows by append + heap.Fix, not heap.Push, which
-// would box the 80-byte task into an interface on every push.
+// in O(log K).
 type topkHeap []probeTask
 
-func (h topkHeap) Len() int           { return len(h) }
-func (h topkHeap) Less(i, j int) bool { return probeBetter(&h[j], &h[i]) }
-func (h topkHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *topkHeap) Push(x any)        { *h = append(*h, x.(probeTask)) }
-func (h *topkHeap) Pop() any          { old := *h; n := len(old) - 1; x := old[n]; *h = old[:n]; return x }
+// worse reports whether kept task i ranks behind kept task j.
+func (h topkHeap) worse(i, j int) bool {
+	return h[i].outrankedBy(h[j].prelim, h[j].noise, h[j].st.Name())
+}
+
+// up restores the heap order after a task was appended at i.
+func (h topkHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.worse(i, p) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// down restores the heap order after the task at i was replaced.
+func (h topkHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h.worse(r, j) {
+			j = r
+		}
+		if !h.worse(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
 
 // admit is the pipeline's admission stage: it resolves one enumerated
-// site name to its registered site's entry, or rejects it. A record
-// for a site not registered here is skipped silently (nil); a site
-// whose circuit breaker excludes it is skipped and reported
-// unavailable. One registry lookup resolves site, breaker and name
-// hash together, and now is read once per pass: no virtual time passes
-// inside the synchronous source→keep-K stretch.
-func (b *Broker) admit(name string, now time.Time) (e *siteEntry, unavailable bool) {
-	e = b.sites[name]
+// record to its registered site's entry, or rejects it. A record for a
+// site not registered here is skipped silently (nil); a site whose
+// circuit breaker excludes it is skipped and reported unavailable. c
+// is the admission cache's slot for the record's row position (see
+// Broker.admitted): it holds the name last read there and its entry,
+// so the registry lookup runs only when another name moved into the
+// position. One resolution gives the site, its breaker and its name
+// hash together, and now is read once per pass: no virtual time
+// passes inside the synchronous source→keep-K stretch.
+func (b *Broker) admit(c *admitSlot, name string, now time.Time) (e *siteEntry, unavailable bool) {
+	if c.name != name {
+		*c = admitSlot{name: name, e: b.sites[name]}
+	}
+	e = c.e
 	if e == nil {
 		return nil, false
 	}
@@ -152,17 +188,15 @@ func (b *Broker) admit(name string, now time.Time) (e *siteEntry, unavailable bo
 // predicates meet a published record: Requirements, then whether the
 // job's InputData can reach the site at all, then the preliminary rank
 // on published state (the job's Rank expression or free CPUs, minus
-// the staging penalty). name, freeCPUs and vals are the record's: vals
-// its flat vector laid out against sc, which compiled predicates only
-// read, so it is evaluated in place, shared. A failing or erroring
-// Requirements clause and an unobtainable dataset both fail the site;
-// a Rank evaluation error passes it with rankErr set, for the keep-K
-// stage to drop (bounded pass) or finishSelection to exclude after
-// probing (unbounded pass).
-func (b *Broker) evaluate(job *jdl.Job, sc *infosys.Schema, vals []any, name string, freeCPUs int) (pass bool, prelim float64, rankErr bool) {
-	// Schema pointers are stable while the attribute name set is, so
-	// this is a pointer comparison against the job's cached programs.
-	req, rank := job.CompiledPredicates(sc)
+// the staging penalty). req and rank are the job's predicates compiled
+// against the record's page schema; name, freeCPUs and vals are the
+// record's: vals its flat vector laid out against that schema, which
+// compiled predicates only read, so it is evaluated in place, shared.
+// A failing or erroring Requirements clause and an unobtainable
+// dataset both fail the site; a Rank evaluation error passes it with
+// rankErr set, for the keep-K stage to drop (bounded pass) or
+// finishSelection to exclude after probing (unbounded pass).
+func (b *Broker) evaluate(job *jdl.Job, req, rank *jdl.Compiled, vals []any, name string, freeCPUs int) (pass bool, prelim float64, rankErr bool) {
 	if req != nil {
 		if ok, err := req.EvalBool(vals); err != nil || !ok {
 			return false, 0, false
@@ -180,18 +214,6 @@ func (b *Broker) evaluate(job *jdl.Job, sc *infosys.Schema, vals []any, name str
 		prelim = r
 	}
 	return true, prelim - pen, rankErr
-}
-
-// newTask is the pipeline's task constructor: it fills p, which must be
-// zero, for an admitted, passing site and stamps its tie-break noise
-// for this pass. It writes through a pointer because the scan builds a
-// task per passing record and few enter the bounded heap; returning
-// the 80-byte struct by value cost the scan a copy per record.
-func (b *Broker) newTask(p *probeTask, e *siteEntry, sc *infosys.Schema, vals []any, prelim float64, nonce uint64) {
-	p.st, p.schema, p.vals, p.prelim = e.st, sc, vals, prelim
-	if !b.cfg.Deterministic {
-		p.noise = noiseFrom(e.nameHash, nonce)
-	}
 }
 
 // matchPass runs one discovery+selection attempt for h and hands the
@@ -218,10 +240,7 @@ func (b *Broker) matchPass(h *Handle, cont func([]candidate)) {
 		h.unavailable, h.scanned, h.peak = 0, 0, 0
 		s := passScan{b: b, h: h, now: sstart, nonce: b.rng.Uint64(), keep: b.getTasks()}
 		for page, ok := cur.Next(); ok; page, ok = cur.Next() {
-			sc := page.Snapshot().Schema()
-			for i := 0; i < page.Len(); i++ {
-				s.record(sc, page.Name(i), page.Values(i), page.RecordShared(i).FreeCPUs)
-			}
+			s.page(page)
 		}
 		kept := []probeTask(s.keep)
 		b.finishSelection(h, kept, func(cands []candidate) {
@@ -244,49 +263,76 @@ func (b *Broker) matchPass(h *Handle, cont func([]candidate)) {
 }
 
 // passScan is one pass's synchronous stretch from registry read to
-// kept set: the pass-wide inputs of the per-record stage and the
-// bounded heap it fills. Pure computation, no virtual time passes
-// inside it — the read's latency and the probes happen outside.
+// kept set: the pass-wide inputs of the per-record stage, the page
+// being scanned and the bounded heap the stage fills. Pure
+// computation, no virtual time passes inside it — the read's latency
+// and the probes happen outside.
 type passScan struct {
 	b     *Broker
 	h     *Handle
 	now   time.Time
 	nonce uint64
 	keep  topkHeap
+
+	sc        *infosys.Schema // the current page's schema
+	req, rank *jdl.Compiled   // the job's predicates compiled against sc
+}
+
+// page is the per-page entry of the per-record stage, the one the
+// pipeline calls for every page its cursor returns. Everything a page
+// shares is resolved once: the schema, the job's predicates compiled
+// against it (a pointer comparison in steady state) and the admission
+// cache's slots for the page's row positions.
+func (s *passScan) page(p infosys.Page) {
+	s.sc = p.Snapshot().Schema()
+	s.req, s.rank = s.h.request.Job.CompiledPredicates(s.sc)
+	lo, n := p.Index(0), p.Len()
+	row := s.b.admitRow(p.Shard(), lo+n)[lo:]
+	for i := 0; i < n; i++ {
+		s.record(&row[i], p.Name(i), p.Values(i), p.FreeCPUs(i))
+	}
 }
 
 // record is the per-record stage, run for every record the registry
-// read's cursor returned: count it, admit, evaluate, build the task,
-// keep it if it is among the K best so far. The pass visits every
-// published record, so this is what large grids pay for. The kept set
-// and the counters do not depend on the order records arrive in
-// (probeBetter is a total order and the noise is hashed from the name),
-// so the shard-major page order may vary with the shard count.
-func (s *passScan) record(sc *infosys.Schema, name string, vals []any, freeCPUs int) {
+// read's cursor returned: count it, admit, evaluate, and keep it if it
+// is among the K best so far, deciding that before a task is built.
+// The pass visits every published record, so this is what large grids
+// pay for. The kept set and the counters do not depend on the order
+// records arrive in (outrankedBy is a total order and the noise is
+// hashed from the name), so the shard-major page order may vary with
+// the shard count.
+func (s *passScan) record(c *admitSlot, name string, vals []any, freeCPUs int) {
 	b, h, topk := s.b, s.h, s.b.cfg.TopK
 	h.scanned++
-	e, unavailable := b.admit(name, s.now)
+	e, unavailable := b.admit(c, name, s.now)
 	if unavailable {
 		h.unavailable++
 	}
 	if e == nil {
 		return
 	}
-	pass, prelim, rankErr := b.evaluate(h.request.Job, sc, vals, name, freeCPUs)
+	pass, prelim, rankErr := b.evaluate(h.request.Job, s.req, s.rank, vals, name, freeCPUs)
 	if !pass || (rankErr && topk > 0) {
 		return
 	}
-	var p probeTask
-	b.newTask(&p, e, sc, vals, prelim, s.nonce)
+	var noise float64
+	if !b.cfg.Deterministic {
+		noise = noiseFrom(e.nameHash, s.nonce)
+	}
+	full := topk > 0 && len(s.keep) == topk
+	if full && !s.keep[0].outrankedBy(prelim, noise, name) {
+		return
+	}
+	p := probeTask{st: e.st, schema: s.sc, vals: vals, prelim: prelim, noise: noise}
 	switch {
-	case topk <= 0:
-		s.keep = append(s.keep, p)
-	case len(s.keep) < topk:
-		s.keep = append(s.keep, p)
-		heap.Fix(&s.keep, len(s.keep)-1)
-	case probeBetter(&p, &s.keep[0]):
+	case full:
 		s.keep[0] = p
-		heap.Fix(&s.keep, 0)
+		s.keep.down(0)
+	case topk > 0:
+		s.keep = append(s.keep, p)
+		s.keep.up(len(s.keep) - 1)
+	default:
+		s.keep = append(s.keep, p)
 	}
 	if len(s.keep) > h.peak {
 		h.peak = len(s.keep)

@@ -7,11 +7,11 @@ import (
 
 // Sim is a deterministic discrete-event simulation clock.
 //
-// The caller of Run, RunFor or RunUntil pops events off one heap in
-// (virtual time, seq) order and dispatches each as a plain function
-// call: AfterFunc, At and Post schedule a function, Trigger.WaitThen a
-// continuation. Virtual time jumps directly from one event to the
-// next, so simulations covering hours complete in microseconds and are
+// The caller of Run, RunFor or RunUntil takes events in (virtual time,
+// seq) order and dispatches each as a plain function call: AfterFunc,
+// At and Post schedule a function, Trigger.WaitThen a continuation.
+// Virtual time jumps directly from one event to the next, so
+// simulations covering hours complete in microseconds and are
 // bit-for-bit reproducible. Every flow — the scheduling flows of the
 // substrate packages (site, batch, glidein, broker, federation), job
 // bodies and test drivers alike — is written in this run-to-completion
@@ -26,8 +26,9 @@ import (
 // mpisim run real goroutines but never touch a Sim).
 type Sim struct {
 	now    time.Time
-	events eventHeap
-	freeEv []*event // recycled events; see event.gen
+	events eventHeap // events with a positive delay
+	lane   lane      // zero-delay events, all at now
+	freeEv []*event  // recycled events; see event.gen
 	seq    int64
 	firing *event // event currently being dispatched; see SimTimer.Stop
 }
@@ -41,10 +42,10 @@ func NewSim(start time.Time) *Sim {
 	return &Sim{now: start}
 }
 
+// event is one scheduled call. Its ordering key and sequence number
+// live in the slot that queues it, so ordering never dereferences it.
 type event struct {
-	key      int64 // at.UnixNano(): cheap integer ordering key
 	at       time.Time
-	seq      int64
 	gen      uint64 // bumped on recycle; stale SimTimers detect reuse
 	fn       func()
 	canceled bool
@@ -59,63 +60,124 @@ func (s *Sim) recycle(e *event) {
 	s.freeEv = append(s.freeEv, e)
 }
 
-// eventHeap is a hand-rolled binary min-heap ordered by (key, seq).
-// Heap operations dominate busy simulations, so ordering compares two
-// pre-computed int64s instead of time.Time values through the
-// container/heap interface.
+// slot queues one event under its ordering key: at.UnixNano() and the
+// scheduling sequence number.
 //
 // The seq tiebreak is a contract, not an implementation detail: events
 // scheduled for the same timestamp dispatch in the order they were
 // scheduled (FIFO), whichever call scheduled them. Fixed-seed traces
 // are byte-reproducible only because of it. See TestSameTimestampFIFO.
-type eventHeap []*event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].key != h[j].key {
-		return h[i].key < h[j].key
-	}
-	return h[i].seq < h[j].seq
+type slot struct {
+	key int64
+	seq int64
+	ev  *event
 }
 
-func (h *eventHeap) push(e *event) {
-	a := append(*h, e)
+func (a slot) before(b slot) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a hand-rolled 4-ary min-heap of slots ordered by (key,
+// seq). Heap operations dominate busy simulations: the slots carry
+// their keys inline, so a sift compares integers without touching an
+// event, and four children per node halve the depth of a binary heap.
+type eventHeap []slot
+
+func (h *eventHeap) push(x slot) {
+	a := append(*h, x)
 	*h = a
 	i := len(a) - 1
 	for i > 0 {
-		p := (i - 1) / 2
-		if !a.less(i, p) {
+		p := (i - 1) / 4
+		if !x.before(a[p]) {
 			break
 		}
-		a[i], a[p] = a[p], a[i]
+		a[i] = a[p]
 		i = p
 	}
+	a[i] = x
 }
 
-func (h *eventHeap) pop() *event {
+func (h *eventHeap) pop() slot {
 	a := *h
 	n := len(a) - 1
-	e := a[0]
-	a[0] = a[n]
-	a[n] = nil
+	top, x := a[0], a[n]
+	a[n] = slot{}
 	a = a[:n]
 	*h = a
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && a.less(r, l) {
-			m = r
+		m := c
+		if c+3 < n {
+			// All four children: the least of them in a two-round
+			// tournament, three compares with no data-dependent loop.
+			k := a[c : c+4 : c+4]
+			l, r := 0, 2
+			if k[1].before(k[0]) {
+				l = 1
+			}
+			if k[3].before(k[2]) {
+				r = 3
+			}
+			if k[r].before(k[l]) {
+				l = r
+			}
+			m += l
+		} else {
+			for j := c + 1; j < n; j++ {
+				if a[j].before(a[m]) {
+					m = j
+				}
+			}
 		}
-		if !a.less(m, i) {
+		if !a[m].before(x) {
 			break
 		}
-		a[i], a[m] = a[m], a[i]
+		a[i] = a[m]
 		i = m
 	}
-	return e
+	a[i] = x
+	return top
+}
+
+// lane is the FIFO of zero-delay events (Post, trigger releases,
+// AfterFunc(0)): a ring buffer whose length is a power of two. Every
+// event in it sits at the current instant and they were scheduled in
+// seq order, so queueing one costs an append instead of a heap sift.
+type lane struct {
+	buf        []slot
+	head, size int
+}
+
+func (l *lane) push(x slot) {
+	if l.size == len(l.buf) {
+		grown := make([]slot, max(16, 2*len(l.buf)))
+		n := copy(grown, l.buf[l.head:])
+		copy(grown[n:], l.buf[:l.head])
+		l.buf, l.head = grown, 0
+	}
+	l.buf[(l.head+l.size)&(len(l.buf)-1)] = x
+	l.size++
+}
+
+func (l *lane) front() *slot { return &l.buf[l.head] }
+
+func (l *lane) pop() slot {
+	x := l.buf[l.head]
+	l.buf[l.head] = slot{}
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.size--
+	return x
 }
 
 // Now returns the current virtual time.
@@ -127,20 +189,24 @@ func (s *Sim) Now() time.Time {
 func (s *Sim) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
 
 func (s *Sim) schedule(d time.Duration, fn func()) *event {
-	if d < 0 {
-		d = 0
-	}
-	at := s.now.Add(d)
 	var e *event
 	if n := len(s.freeEv); n > 0 {
 		e = s.freeEv[n-1]
 		s.freeEv = s.freeEv[:n-1]
-		e.key, e.at, e.seq, e.fn, e.canceled = at.UnixNano(), at, s.seq, fn, false
+		e.fn, e.canceled = fn, false
 	} else {
-		e = &event{key: at.UnixNano(), at: at, seq: s.seq, fn: fn}
+		e = &event{fn: fn}
+	}
+	if d <= 0 {
+		// Every lane event sits at now: the clock moves only when the
+		// lane is empty (see step).
+		e.at = s.now
+		s.lane.push(slot{s.now.UnixNano(), s.seq, e})
+	} else {
+		e.at = s.now.Add(d)
+		s.events.push(slot{e.at.UnixNano(), s.seq, e})
 	}
 	s.seq++
-	s.events.push(e)
 	return e
 }
 
@@ -208,18 +274,36 @@ func (t SimTimer) Stop() bool {
 
 // step executes the next pending event. It reports false when no
 // events remain or the next event lies beyond limit (when hasLimit).
+//
+// The next event is the lane's head unless the heap's top sits at the
+// same instant with a lower seq: a timer scheduled earlier for now. A
+// heap event is never earlier than now, so this is exactly (key, seq)
+// order over both queues.
 func (s *Sim) step(limit time.Time, hasLimit bool) bool {
-	for len(s.events) > 0 && s.events[0].canceled {
-		s.recycle(s.events.pop())
+	for s.lane.size > 0 && s.lane.front().ev.canceled {
+		s.recycle(s.lane.pop().ev)
 	}
-	if len(s.events) == 0 {
+	for len(s.events) > 0 && s.events[0].ev.canceled {
+		s.recycle(s.events.pop().ev)
+	}
+	fromLane := s.lane.size > 0 && (len(s.events) == 0 || !s.events[0].before(*s.lane.front()))
+	var e *event
+	switch {
+	case fromLane:
+		e = s.lane.front().ev
+	case len(s.events) > 0:
+		e = s.events[0].ev
+	default:
 		return false
 	}
-	e := s.events[0]
 	if hasLimit && e.at.After(limit) {
 		return false
 	}
-	s.events.pop()
+	if fromLane {
+		s.lane.pop()
+	} else {
+		s.events.pop()
+	}
 	s.now = e.at
 	s.firing = e
 	if e.fn != nil {
@@ -258,8 +342,13 @@ func (s *Sim) RunFor(d time.Duration) time.Time {
 // Pending reports the number of scheduled, uncanceled events.
 func (s *Sim) Pending() int {
 	n := 0
-	for _, e := range s.events {
-		if !e.canceled {
+	for _, x := range s.events {
+		if !x.ev.canceled {
+			n++
+		}
+	}
+	for i := 0; i < s.lane.size; i++ {
+		if !s.lane.buf[(s.lane.head+i)&(len(s.lane.buf)-1)].ev.canceled {
 			n++
 		}
 	}
