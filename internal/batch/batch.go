@@ -16,9 +16,10 @@
 package batch
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"crossbroker/internal/simclock"
@@ -325,7 +326,7 @@ func (q *Queue) CrashAll() {
 			running = append(running, h)
 		}
 	}
-	sort.Slice(running, func(i, j int) bool { return running[i].seq < running[j].seq })
+	slices.SortFunc(running, func(a, b *Handle) int { return cmp.Compare(a.seq, b.seq) })
 	for _, h := range running {
 		h.exec.Killed.Fire()
 	}
@@ -345,11 +346,13 @@ func (q *Queue) pass() {
 		}
 		return
 	}
-	sort.SliceStable(q.pending, func(i, j int) bool {
-		if q.pending[i].req.Priority != q.pending[j].req.Priority {
-			return q.pending[i].req.Priority > q.pending[j].req.Priority
+	// (priority desc, seq asc) is a total order, seq being unique, so
+	// an unstable sort gives the one order a stable sort would.
+	slices.SortFunc(q.pending, func(a, b *Handle) int {
+		if c := cmp.Compare(b.req.Priority, a.req.Priority); c != 0 {
+			return c
 		}
-		return q.pending[i].seq < q.pending[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for len(q.pending) > 0 {
 		h := q.pending[0]

@@ -16,10 +16,14 @@ type Value interface {
 // String is a JDL string literal.
 type String string
 
+// stringEscaper escapes a string literal's body. One value serves every
+// call: a Replacer is safe for concurrent use, and building one costs
+// more than most replacements.
+var stringEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\t", `\t`)
+
 // JDL renders the string with quoting and escapes.
 func (s String) JDL() string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\t", `\t`)
-	return `"` + r.Replace(string(s)) + `"`
+	return `"` + stringEscaper.Replace(string(s)) + `"`
 }
 
 // Number is a JDL numeric literal.

@@ -80,3 +80,30 @@ func TestEngineSizeBudget(t *testing.T) {
 		t.Errorf("event is %d bytes, budget 64", got)
 	}
 }
+
+// TestSameInstantRunBudget: timers scheduled back to back for one
+// instant, the shape of a site refresh sweep or a probe fan-out, share
+// one heap slot (a run; see schedule) and dispatch in scheduling order.
+func TestSameInstantRunBudget(t *testing.T) {
+	const n = 800
+	s := NewSim(time.Time{})
+	var got []int
+	for i := range n {
+		s.AfterFunc(time.Minute, func() { got = append(got, i) })
+	}
+	if len(s.events) != 1 {
+		t.Errorf("%d timers for one instant occupy %d heap slots, want 1", n, len(s.events))
+	}
+	if p := s.Pending(); p != n {
+		t.Errorf("Pending = %d, want %d", p, n)
+	}
+	s.Run()
+	if len(got) != n {
+		t.Fatalf("%d of %d timers ran", len(got), n)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("dispatch %d ran timer %d, want scheduling order", i, v)
+		}
+	}
+}

@@ -189,18 +189,48 @@ func (t *refTrigger) WaitAny(cont func(), ts ...trigger) {
 	t.WaitThen(cont)
 }
 
-// program is one seeded random schedule. Every decision an event makes
-// is drawn from a generator seeded by the program seed and the event's
-// id, and ids are handed out in creation order, so the two engines run
-// the same program exactly as long as they dispatch in the same order.
+// program is one random schedule. Every decision an event makes is
+// drawn from a chooser: in TestEngineMatchesReference a generator
+// seeded by the program seed and the event's id, and ids are handed out
+// in creation order; in FuzzEngineMatchesReference the next byte of the
+// fuzz input. Either way the two engines run the same program exactly
+// as long as they dispatch in the same order.
 type program struct {
 	seed   int64
+	input  *byteChooser // when set, every decision is read from it
 	e      engine
 	start  time.Time
 	log    []string
 	timers []Timer
+	burst  []Timer // the last burst, in scheduling order
 	trigs  []trigger
 	ids    int
+}
+
+// chooser draws one decision in [0, n).
+type chooser interface{ IntN(n int) int }
+
+// byteChooser reads decisions from fuzz input bytes, then zeros.
+type byteChooser struct {
+	b []byte
+	i int
+}
+
+func (c *byteChooser) IntN(n int) int {
+	if c.i == len(c.b) {
+		return 0
+	}
+	c.i++
+	return int(c.b[c.i-1]) % n
+}
+
+// rng returns the chooser for one event's decisions, or for the
+// program's top level (stream budget).
+func (p *program) rng(stream int) chooser {
+	if p.input != nil {
+		return p.input
+	}
+	return rand.New(rand.NewPCG(uint64(p.seed), uint64(stream)))
 }
 
 // budget bounds the events a program creates.
@@ -218,15 +248,15 @@ func (p *program) event() func() {
 	p.ids++
 	return func() {
 		p.logf("run %d @%v", id, p.e.Now().Sub(p.start))
-		p.act(rand.New(rand.NewPCG(uint64(p.seed), uint64(id))), 1+id%3)
+		p.act(p.rng(id), 1+id%3)
 	}
 }
 
 // act performs n random engine calls from inside an event or from the
 // program's top level between runs.
-func (p *program) act(rng *rand.Rand, n int) {
+func (p *program) act(rng chooser, n int) {
 	for k := 0; k < n; k++ {
-		switch op := rng.IntN(8); {
+		switch op := rng.IntN(10); {
 		case op <= 1 && p.ids < budget:
 			p.timers = append(p.timers, p.e.AfterFunc(delays[rng.IntN(len(delays))], p.event()))
 		case op == 2 && p.ids < budget:
@@ -249,6 +279,19 @@ func (p *program) act(rng *rand.Rand, n int) {
 			w.WaitAny(p.event(), ts...)
 		case op == 7:
 			p.trigs = append(p.trigs, p.e.trigger())
+		case op == 8 && p.ids < budget:
+			// A burst: timers back to back for one future instant, the
+			// shape of a refresh sweep or a probe fan-out.
+			d := delays[2+rng.IntN(len(delays)-2)]
+			p.burst = nil
+			for i := 2 + rng.IntN(5); i > 0 && p.ids < budget; i-- {
+				p.burst = append(p.burst, p.e.AfterFunc(d, p.event()))
+			}
+			p.timers = append(p.timers, p.burst...)
+		case op == 9 && len(p.burst) > 0:
+			// Stop the head, the middle or the tail of the last burst.
+			i := [3]int{0, len(p.burst) / 2, len(p.burst) - 1}[rng.IntN(3)]
+			p.logf("stop burst %d = %v", i, p.burst[i].Stop())
 		}
 	}
 }
@@ -261,7 +304,7 @@ func (p *program) run() string {
 	for i := 0; i < 4; i++ {
 		p.trigs = append(p.trigs, p.e.trigger())
 	}
-	rng := rand.New(rand.NewPCG(uint64(p.seed), budget))
+	rng := p.rng(budget)
 	for round := 0; round < 12; round++ {
 		p.act(rng, 4)
 		limit := p.e.Now().Add(time.Duration(rng.IntN(9)-2) * time.Second)
@@ -273,19 +316,46 @@ func (p *program) run() string {
 	return strings.Join(p.log, "\n")
 }
 
+// diverge runs the program newProgram builds on the Sim and on the
+// reference, and describes the first log line where they differ; it
+// returns "" when the logs are equal.
+func diverge(newProgram func(engine) *program) string {
+	start := NewSim(time.Time{}).Now()
+	got := newProgram(simEngine{NewSim(start)}).run()
+	want := newProgram(&refEngine{now: start}).run()
+	if got == want {
+		return ""
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	return fmt.Sprintf("the engine diverged from the reference at log line %d:\n  sim:       %q\n  reference: %q",
+		i, g[min(i, len(g)-1)], w[min(i, len(w)-1)])
+}
+
 func TestEngineMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
-		start := NewSim(time.Time{}).Now()
-		got := (&program{seed: seed, e: simEngine{NewSim(start)}}).run()
-		want := (&program{seed: seed, e: &refEngine{now: start}}).run()
-		if got != want {
-			g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
-			i := 0
-			for i < len(g) && i < len(w) && g[i] == w[i] {
-				i++
-			}
-			t.Fatalf("seed %d: the engine diverged from the reference at log line %d:\n  sim:       %q\n  reference: %q",
-				seed, i, g[min(i, len(g)-1)], w[min(i, len(w)-1)])
+		if d := diverge(func(e engine) *program { return &program{seed: seed, e: e} }); d != "" {
+			t.Fatalf("seed %d: %s", seed, d)
 		}
 	}
+}
+
+// FuzzEngineMatchesReference runs programs whose every op and delay is
+// read from the fuzz input.
+func FuzzEngineMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{8, 3, 4, 9, 0, 9, 2, 1, 1, 8, 0, 2, 9, 2})
+	f.Add([]byte{8, 2, 0, 9, 0, 9, 1, 9, 2, 0, 0, 8, 2, 0, 8, 1, 1, 3, 5, 6, 7})
+	// A timer at +1s, stopped and reaped by RunUntil(now) before its
+	// instant; then a burst of three at +1s, whose first timer reuses
+	// the reaped event at that same instant.
+	f.Add([]byte{0, 2, 3, 0, 7, 7, 2, 8, 0, 1})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if d := diverge(func(e engine) *program { return &program{input: &byteChooser{b: b}, e: e} }); d != "" {
+			t.Fatal(d)
+		}
+	})
 }

@@ -31,6 +31,12 @@ type Sim struct {
 	freeEv []*event  // recycled events; see event.gen
 	seq    int64
 	firing *event // event currently being dispatched; see SimTimer.Stop
+
+	// tail is the event last pushed on the heap, the end of its run,
+	// and tailKey its instant; nil once that event is recycled. See
+	// schedule.
+	tail    *event
+	tailKey int64
 }
 
 // NewSim returns a simulation clock starting at start. A zero start is
@@ -48,15 +54,20 @@ type event struct {
 	at       time.Time
 	gen      uint64 // bumped on recycle; stale SimTimers detect reuse
 	fn       func()
+	next     *event // next member of the heap run this event heads or is in
 	canceled bool
 }
 
 // recycle returns an executed or canceled event to the free list.
 // Bumping gen invalidates any SimTimer still holding the event, and
-// clearing fn drops the closure for the garbage collector.
+// clearing fn drops the closure for the garbage collector. A recycled
+// tail ends its run: the event may be reused at any instant.
 func (s *Sim) recycle(e *event) {
 	e.gen++
 	e.fn = nil
+	if e == s.tail {
+		s.tail = nil
+	}
 	s.freeEv = append(s.freeEv, e)
 }
 
@@ -84,7 +95,26 @@ func (a slot) before(b slot) bool {
 // seq). Heap operations dominate busy simulations: the slots carry
 // their keys inline, so a sift compares integers without touching an
 // event, and four children per node halve the depth of a binary heap.
+//
+// A slot queues a run of events, linked through event.next: the
+// events a run of consecutive heap pushes put at one instant, in seq
+// order (see schedule). The slot keeps its head's seq, which orders it
+// correctly against every other slot of that instant.
 type eventHeap []slot
+
+// take removes the first event of the top slot's run. The next member
+// moves into the slot in place, which keeps the heap order because the
+// key does not change; the slot pops only when its run ends.
+func (h *eventHeap) take() *event {
+	top := &(*h)[0]
+	e := top.ev
+	if e.next == nil {
+		h.pop()
+		return e
+	}
+	top.ev, e.next = e.next, nil
+	return e
+}
 
 func (h *eventHeap) push(x slot) {
 	a := append(*h, x)
@@ -203,8 +233,21 @@ func (s *Sim) schedule(d time.Duration, fn func()) *event {
 		e.at = s.now
 		s.lane.push(slot{s.now.UnixNano(), s.seq, e})
 	} else {
+		// An event at the instant of the last heap push joins that
+		// push's run instead of taking a slot of its own: site refresh
+		// ticks and probe fan-outs schedule timers back to back for one
+		// instant. Every run member is scheduled before its instant
+		// begins, so no lane event falls between two of them, and any
+		// other slot at that instant was pushed before the run opened
+		// or after it closed: (key, seq) order holds.
 		e.at = s.now.Add(d)
-		s.events.push(slot{e.at.UnixNano(), s.seq, e})
+		if key := e.at.UnixNano(); s.tail != nil && key == s.tailKey {
+			s.tail.next = e
+		} else {
+			s.events.push(slot{key, s.seq, e})
+			s.tailKey = key
+		}
+		s.tail = e
 	}
 	s.seq++
 	return e
@@ -284,7 +327,7 @@ func (s *Sim) step(limit time.Time, hasLimit bool) bool {
 		s.recycle(s.lane.pop().ev)
 	}
 	for len(s.events) > 0 && s.events[0].ev.canceled {
-		s.recycle(s.events.pop().ev)
+		s.recycle(s.events.take())
 	}
 	fromLane := s.lane.size > 0 && (len(s.events) == 0 || !s.events[0].before(*s.lane.front()))
 	var e *event
@@ -302,7 +345,7 @@ func (s *Sim) step(limit time.Time, hasLimit bool) bool {
 	if fromLane {
 		s.lane.pop()
 	} else {
-		s.events.pop()
+		s.events.take()
 	}
 	s.now = e.at
 	s.firing = e
@@ -343,8 +386,10 @@ func (s *Sim) RunFor(d time.Duration) time.Time {
 func (s *Sim) Pending() int {
 	n := 0
 	for _, x := range s.events {
-		if !x.ev.canceled {
-			n++
+		for e := x.ev; e != nil; e = e.next {
+			if !e.canceled {
+				n++
+			}
 		}
 	}
 	for i := 0; i < s.lane.size; i++ {
