@@ -36,7 +36,7 @@ func BenchmarkTableI(b *testing.B) {
 		b.Run(string(scenario), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rows, err := experiments.TableI(experiments.TableIConfig{
-					Sites: 20, Runs: 5, Scenario: scenario, Seed: int64(i + 1),
+					Runs: 5, Scenario: scenario, Seed: int64(i + 1),
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -124,10 +124,7 @@ func BenchmarkFigure8(b *testing.B) {
 // study (the paper's motivating claim for multiprogramming).
 func BenchmarkLoadSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.LoadSweep([]float64{0, 1.0}, experiments.LoadSweepConfig{
-			Sites: 2, NodesPerSite: 2, Interactive: 4,
-			BatchWork: 30 * time.Minute, Seed: int64(i + 1),
-		})
+		pts, err := experiments.LoadSweep([]float64{0, 1.0}, int64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -240,9 +240,7 @@ func realMain(args []string, stderr io.Writer) int {
 
 func table1(o options) error {
 	for _, sc := range []experiments.Scenario{experiments.Campus, experiments.IFCA} {
-		rows, err := experiments.TableI(experiments.TableIConfig{
-			Sites: 20, Runs: o.runs, Scenario: sc, Seed: o.seed,
-		})
+		rows, err := experiments.TableI(experiments.TableIConfig{Runs: o.runs, Scenario: sc, Seed: o.seed})
 		if err != nil {
 			return err
 		}
@@ -255,8 +253,7 @@ Virtual machine 6.79; Job+agent 29.3 (campus submission column).`)
 }
 
 func loadSweep(o options) error {
-	pts, err := experiments.LoadSweep([]float64{0, 0.25, 0.5, 0.75, 1.0},
-		experiments.LoadSweepConfig{Seed: o.seed})
+	pts, err := experiments.LoadSweep([]float64{0, 0.25, 0.5, 0.75, 1.0}, o.seed)
 	if err != nil {
 		return err
 	}
@@ -269,12 +266,11 @@ within seconds at a bounded cost to the batch jobs (Section 5.2).`)
 }
 
 func day(o options) error {
-	cfg := experiments.DayConfig{Seed: o.seed, FairShare: true}
-	rep, err := experiments.Day(cfg)
+	rep, err := experiments.Day(o.seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println(experiments.RenderDay(cfg, rep))
+	fmt.Println(experiments.RenderDay(o.seed, rep))
 	return nil
 }
 

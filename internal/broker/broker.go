@@ -169,14 +169,6 @@ type Config struct {
 	// RetryMaxInterval caps the backed-off retry delay (default
 	// 16×RetryInterval).
 	RetryMaxInterval time.Duration
-	// QuarantineThreshold is the consecutive-failure count after
-	// which a site is excluded from matchmaking (circuit breaker;
-	// default 3). After QuarantineCooldown the site is probed again:
-	// one success resets it, one more failure re-trips immediately.
-	QuarantineThreshold int
-	// QuarantineCooldown is how long a quarantined site stays
-	// excluded before the broker probes it back in (default 5 min).
-	QuarantineCooldown time.Duration
 	// AgentHeartbeat is the glide-in failure-detection latency: the
 	// broker notices a dead agent one heartbeat after the loss and
 	// kill-and-resubmits the hosted interactive job (default 10 s).
@@ -228,12 +220,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.RetryMaxInterval <= 0 {
 		c.RetryMaxInterval = 16 * c.RetryInterval
-	}
-	if c.QuarantineThreshold <= 0 {
-		c.QuarantineThreshold = 3
-	}
-	if c.QuarantineCooldown <= 0 {
-		c.QuarantineCooldown = 5 * time.Minute
 	}
 	if c.AgentHeartbeat <= 0 {
 		c.AgentHeartbeat = 10 * time.Second
@@ -859,6 +845,14 @@ func (b *Broker) failResubmits(h *Handle) {
 // one success resets the breaker, one more failure re-trips it.
 // ---------------------------------------------------------------------
 
+// quarantineThreshold is the consecutive-failure count that trips a
+// site's breaker, and quarantineCooldown how long a tripped site stays
+// excluded before the broker probes it back in.
+const (
+	quarantineThreshold = 3
+	quarantineCooldown  = 5 * time.Minute
+)
+
 type siteHealth struct {
 	fails            int
 	quarantinedUntil time.Time
@@ -875,17 +869,17 @@ type siteHealth struct {
 }
 
 // noteSiteFailure records a failed interaction with a site, tripping
-// the circuit breaker at QuarantineThreshold consecutive failures.
+// the circuit breaker at quarantineThreshold consecutive failures.
 func (b *Broker) noteSiteFailure(name string) {
 	hl := &b.sites[name].health
 	hl.fails++
 	hl.probing = false
-	if hl.fails >= b.cfg.QuarantineThreshold {
+	if hl.fails >= quarantineThreshold {
 		if !b.sim.Now().Before(hl.quarantinedUntil) {
 			b.cfg.Trace.Emit(trace.Event{Kind: trace.Quarantined, Site: name, N: hl.fails})
 		}
 		hl.trippedAt = b.sim.Now()
-		hl.quarantinedUntil = b.sim.Now().Add(b.cfg.QuarantineCooldown)
+		hl.quarantinedUntil = b.sim.Now().Add(quarantineCooldown)
 	}
 }
 
@@ -916,15 +910,15 @@ func (b *Broker) noteProbeAnswered(name string) {
 // notification — no need to accumulate failures).
 func (b *Broker) quarantineNow(name string) {
 	hl := &b.sites[name].health
-	if hl.fails < b.cfg.QuarantineThreshold {
-		hl.fails = b.cfg.QuarantineThreshold
+	if hl.fails < quarantineThreshold {
+		hl.fails = quarantineThreshold
 	}
 	if !b.sim.Now().Before(hl.quarantinedUntil) {
 		b.cfg.Trace.Emit(trace.Event{Kind: trace.Quarantined, Site: name, N: hl.fails})
 	}
 	hl.probing = false
 	hl.trippedAt = b.sim.Now()
-	hl.quarantinedUntil = b.sim.Now().Add(b.cfg.QuarantineCooldown)
+	hl.quarantinedUntil = b.sim.Now().Add(quarantineCooldown)
 }
 
 // breakerOpen is the admit stage's filter over quarantine state, a pure
@@ -944,7 +938,7 @@ func breakerOpen(hl *siteHealth, now time.Time) bool {
 // failed Requirements or fell out of the top K was never released.
 func (b *Broker) claimHalfOpen(name string) {
 	hl := &b.sites[name].health
-	if hl.fails >= b.cfg.QuarantineThreshold && !hl.quarantinedUntil.IsZero() {
+	if hl.fails >= quarantineThreshold && !hl.quarantinedUntil.IsZero() {
 		hl.probing = true
 	}
 }

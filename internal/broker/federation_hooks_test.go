@@ -85,9 +85,9 @@ func TestLeaseQueueOutOfOrderPush(t *testing.T) {
 // the other must keep treating it as quarantined until the probe
 // resolves.
 func TestHalfOpenProbeSingleFlight(t *testing.T) {
-	g := newGrid(t, 1, 1, Config{QuarantineThreshold: 1, QuarantineCooldown: time.Minute})
+	g := newGrid(t, 1, 1, Config{})
 	g.b.quarantineNow("site00")
-	g.sim.RunFor(2 * time.Minute) // past the cooldown: half-open
+	g.sim.RunFor(quarantineCooldown + time.Minute) // past the cooldown: half-open
 	job := &jdl.Job{Executable: "x", NodeNumber: 1}
 	var got []int
 	for i := 0; i < 2; i++ {
@@ -134,7 +134,6 @@ func TestHalfOpenClaimNotLeakedByUnprobedSite(t *testing.T) {
 		{"incremental/falls-out-of-walk", Config{TopK: 1}, true, rankLast},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.QuarantineThreshold, tc.cfg.QuarantineCooldown = 1, time.Minute
 			sim := simclock.NewSim(time.Time{})
 			info := infosys.New(sim, 500*time.Millisecond)
 			if tc.subscribe {
@@ -150,7 +149,7 @@ func TestHalfOpenClaimNotLeakedByUnprobedSite(t *testing.T) {
 			}
 			sim.RunFor(time.Second)
 			b.quarantineNow("site00")
-			sim.RunFor(2 * time.Minute) // past the cooldown: half-open
+			sim.RunFor(quarantineCooldown + time.Minute) // past the cooldown: half-open
 
 			pass := func(job *jdl.Job) (ps PassStats) {
 				b.SelectionPassStatsAsync(job, func(s PassStats) { ps = s })

@@ -363,7 +363,6 @@ func (g propGrid) build(cfg Config, info *infosys.Service, sim *simclock.Sim) *B
 	// Each pass is followed by an hour of simulated time, so a breaker
 	// tripped now is closed for the first pass and half-open for the
 	// second.
-	cfg.QuarantineCooldown = 30 * time.Minute
 	b := New(cfg)
 	for _, s := range g.sites {
 		b.RegisterSite(site.New(sim, site.Config{

@@ -103,22 +103,25 @@ func TestSiteDeathReleasesLeases(t *testing.T) {
 	}
 }
 
-// TestQuarantineAndReadmission: consecutive submission failures trip
-// the breaker, the site disappears from matchmaking, and after the
-// cool-down it is probed back in and serves jobs again.
+// TestQuarantineAndReadmission pins the breaker's constants: the
+// third consecutive failure, not the second, trips it; the tripped
+// site stays out of matchmaking for the whole five-minute cool-down,
+// a job submitted meanwhile is held rather than failed, and once the
+// cool-down is over the site is probed back in and serves the job.
 func TestQuarantineAndReadmission(t *testing.T) {
-	g := newGrid(t, 1, 2, Config{
-		QuarantineThreshold: 2,
-		QuarantineCooldown:  5 * time.Minute,
-	})
+	g := newGrid(t, 1, 2, Config{})
 	g.sim.RunFor(time.Second) // first infosys publish
 
-	// Crash the only site: death notification quarantines it at once.
-	g.sites[0].Crash()
-	if qs := g.b.QuarantinedSites(); len(qs) != 1 {
-		t.Fatalf("QuarantinedSites = %v, want [site00]", qs)
+	for n := 1; n <= 3; n++ {
+		if qs := g.b.QuarantinedSites(); len(qs) != 0 {
+			t.Fatalf("quarantined after %d consecutive failures: %v", n-1, qs)
+		}
+		g.b.noteSiteFailure("site00")
 	}
-	g.sim.AfterFunc(time.Minute, g.sites[0].Restart)
+	tripped := g.sim.Now()
+	if qs := g.b.QuarantinedSites(); len(qs) != 1 || qs[0] != "site00" {
+		t.Fatalf("QuarantinedSites after 3 failures = %v, want [site00]", qs)
+	}
 
 	// A batch job submitted during the quarantine is held, not failed:
 	// its matching site exists but is excluded.
@@ -126,12 +129,16 @@ func TestQuarantineAndReadmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.sim.RunFor(4 * time.Minute) // restart done, cool-down not yet over
+	g.sim.RunUntil(tripped.Add(5*time.Minute - time.Second))
 	if h.State() == Failed {
 		t.Fatalf("job failed during quarantine: %v", h.Err())
 	}
-	if len(g.b.QuarantinedSites()) != 1 {
-		t.Fatal("site readmitted before cool-down")
+	if h.State() != Pending || len(g.b.QuarantinedSites()) != 1 {
+		t.Fatalf("site readmitted before the 5 min cool-down: job %v, quarantined %v", h.State(), g.b.QuarantinedSites())
+	}
+	g.sim.RunUntil(tripped.Add(5 * time.Minute))
+	if qs := g.b.QuarantinedSites(); len(qs) != 0 {
+		t.Fatalf("QuarantinedSites at the end of the cool-down = %v, want none", qs)
 	}
 	// After the cool-down the site is probed again and the job runs.
 	g.sim.RunFor(10 * time.Minute)
@@ -273,17 +280,15 @@ func TestQueuedAgentKillResubmitsBatch(t *testing.T) {
 // under it exhausts Config.MaxResubmits and fails terminally with the
 // reason surfaced.
 func TestMaxResubmitsTerminalAbort(t *testing.T) {
-	g := newGrid(t, 1, 1, Config{
-		MaxResubmits:       1,
-		QuarantineCooldown: 30 * time.Second,
-	})
+	g := newGrid(t, 1, 1, Config{MaxResubmits: 1})
 	h, err := g.b.Submit(batchJob(20 * time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Crash the site (briefly) twice while the payload runs: first
-	// loss consumes the budget, second exceeds it.
-	for _, at := range []time.Duration{2 * time.Minute, 6 * time.Minute} {
+	// loss consumes the budget, second, once the cool-down has let the
+	// job back onto the site, exceeds it.
+	for _, at := range []time.Duration{2 * time.Minute, 12 * time.Minute} {
 		at := at
 		g.sim.AfterFunc(at, g.sites[0].Crash)
 		g.sim.AfterFunc(at+10*time.Second, g.sites[0].Restart)
@@ -329,9 +334,13 @@ func TestAbortKillsRunningExclusiveJob(t *testing.T) {
 
 // TestGatekeeperStallResubmitsElsewhere: a wedged gatekeeper times
 // the submission out, the failure quarantines the site, and the
-// retried job completes on the healthy one.
+// retried job completes on the healthy one. Two earlier failures are
+// on record, so the timeout is the third in a row and trips the
+// breaker.
 func TestGatekeeperStallResubmitsElsewhere(t *testing.T) {
-	g := newGrid(t, 2, 1, Config{Deterministic: true, QuarantineThreshold: 1})
+	g := newGrid(t, 2, 1, Config{Deterministic: true})
+	g.b.noteSiteFailure("site00")
+	g.b.noteSiteFailure("site00")
 	g.sites[0].StallGatekeeper(2 * time.Minute)
 	h, err := g.b.Submit(batchJob(10 * time.Second))
 	if err != nil {

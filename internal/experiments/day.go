@@ -11,36 +11,17 @@ import (
 	"crossbroker/internal/workload"
 )
 
-// DayConfig parametrizes the day-in-the-life scenario: a synthetic
-// job stream (Poisson arrivals, CrossGrid-flavored mix) replayed
-// against the full broker stack for a simulated day.
-type DayConfig struct {
-	// Sites and NodesPerSite shape the grid (default 4x4).
-	Sites, NodesPerSite int
-	// Hours is the simulated horizon (default 24).
-	Hours int
-	// ArrivalsPerHour is the job arrival rate (default 6).
-	ArrivalsPerHour float64
-	// Seed drives arrivals, mix and broker randomization.
-	Seed int64
-	// FairShare enables accounting and fair-share queue ordering.
-	FairShare bool
-}
-
-func (c *DayConfig) setDefaults() {
-	if c.Sites <= 0 {
-		c.Sites = 4
-	}
-	if c.NodesPerSite <= 0 {
-		c.NodesPerSite = 4
-	}
-	if c.Hours <= 0 {
-		c.Hours = 24
-	}
-	if c.ArrivalsPerHour <= 0 {
-		c.ArrivalsPerHour = 6
-	}
-}
+// The day-in-the-life scenario replays a synthetic job stream
+// (Poisson arrivals, CrossGrid-flavored mix) against the full broker
+// stack, with fair-share accounting and queue ordering on, for a
+// simulated day: dayArrivalsPerHour arrivals per hour for dayHours
+// hours on daySites sites of dayNodesPerSite nodes.
+const (
+	daySites           = 4
+	dayNodesPerSite    = 4
+	dayHours           = 24
+	dayArrivalsPerHour = 6.0
+)
 
 // DayReport summarizes the replay.
 type DayReport struct {
@@ -63,30 +44,27 @@ type DayReport struct {
 	PendingAtEnd int
 }
 
-// Day replays a synthetic day against the broker.
-func Day(cfg DayConfig) (DayReport, error) {
-	cfg.setDefaults()
+// Day replays a synthetic day against the broker; seed drives
+// arrivals, mix and broker randomization.
+func Day(seed int64) (DayReport, error) {
 	var rep DayReport
 
-	spec := core.SystemConfig{
+	sys := core.NewSystem(core.SystemConfig{
 		Index: core.IndexSpec{Latency: 500 * time.Millisecond},
-		Seed:  cfg.Seed,
+		Seed:  seed,
 		Sites: []core.SiteSpec{{
-			NameFormat: "s%02d", Count: cfg.Sites, Nodes: cfg.NodesPerSite, LRMCycle: 5 * time.Second,
+			NameFormat: "s%02d", Count: daySites, Nodes: dayNodesPerSite, LRMCycle: 5 * time.Second,
 		}},
-	}
-	if cfg.FairShare {
-		spec.FairShare = &fairshare.Config{HalfLife: 2 * time.Hour, UpdateInterval: time.Minute}
-	}
-	sys := core.NewSystem(spec)
+		FairShare: &fairshare.Config{HalfLife: 2 * time.Hour, UpdateInterval: time.Minute},
+	})
 	sim, b := sys.Sim, sys.Broker
 
-	arrivals, err := workload.NewPoisson(cfg.ArrivalsPerHour, cfg.Seed)
+	arrivals, err := workload.NewPoisson(dayArrivalsPerHour, seed)
 	if err != nil {
 		return rep, err
 	}
-	mix := workload.NewMix(cfg.Seed + 100)
-	horizon := time.Duration(cfg.Hours) * time.Hour
+	mix := workload.NewMix(seed + 100)
+	horizon := dayHours * time.Hour
 
 	var inter, batch []*broker.Handle
 	var submitErr error
@@ -132,17 +110,15 @@ func Day(cfg DayConfig) (DayReport, error) {
 	return rep, nil
 }
 
-// RenderDay formats the report of the day Day ran under cfg, whose
-// unset fields read as Day's defaults.
-func RenderDay(cfg DayConfig, rep DayReport) string {
-	cfg.setDefaults()
+// RenderDay formats the report of the day Day ran at seed.
+func RenderDay(seed int64, rep DayReport) string {
 	return fmt.Sprintf(`Day in the life: %d sites x %d nodes, %.1f arrivals/h for %dh (seed %d)
   submitted:            %d batch, %d interactive
   interactive outcome:  %d ok, %d failed, %d on interactive VMs
   interactive startup:  %.2f s mean (successful jobs)
   batch completed:      %d (mean turnaround %.2f h)
   broker queue at end:  %d
-`, cfg.Sites, cfg.NodesPerSite, cfg.ArrivalsPerHour, cfg.Hours, cfg.Seed,
+`, daySites, dayNodesPerSite, dayArrivalsPerHour, dayHours, seed,
 		rep.Batch, rep.Interactive,
 		rep.InteractiveOK, rep.InteractiveFailed, rep.SharedPlacements,
 		rep.MeanInteractiveStartup,

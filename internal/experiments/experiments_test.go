@@ -111,7 +111,7 @@ func TestPingPongSuiteShapeWAN(t *testing.T) {
 }
 
 func TestTableIShape(t *testing.T) {
-	rows, err := TableI(TableIConfig{Sites: 20, Runs: 3, Scenario: Campus, Seed: 7})
+	rows, err := TableI(TableIConfig{Runs: 3, Scenario: Campus, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestTableIShape(t *testing.T) {
 }
 
 func TestTableIIFCASlowerThanCampus(t *testing.T) {
-	campus, err := TableI(TableIConfig{Sites: 10, Runs: 2, Scenario: Campus, Seed: 1})
+	campus, err := TableI(TableIConfig{Runs: 2, Scenario: Campus, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ifca, err := TableI(TableIConfig{Sites: 10, Runs: 2, Scenario: IFCA, Seed: 1})
+	ifca, err := TableI(TableIConfig{Runs: 2, Scenario: IFCA, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +310,7 @@ func TestQuantumSweepAccuracy(t *testing.T) {
 }
 
 func TestLoadSweepMotivation(t *testing.T) {
-	cfg := LoadSweepConfig{
-		Sites: 2, NodesPerSite: 2, Interactive: 4,
-		BatchWork: 30 * time.Minute, Seed: 3,
-	}
-	pts, err := LoadSweep([]float64{0, 1.0}, cfg)
+	pts, err := LoadSweep([]float64{0, 1.0}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,16 +320,16 @@ func TestLoadSweepMotivation(t *testing.T) {
 	}
 
 	// Unloaded grid: both policies place everything.
-	if byKey["0-false"].Succeeded != 4 || byKey["0-true"].Succeeded != 4 {
+	if byKey["0-false"].Succeeded != loadInteractive || byKey["0-true"].Succeeded != loadInteractive {
 		t.Fatalf("unloaded failures: %+v / %+v", byKey["0-false"], byKey["0-true"])
 	}
 	// Saturated grid: the conventional broker locks interactive work
 	// out entirely; multiprogramming places all of it.
 	excl, mp := byKey["1-false"], byKey["1-true"]
-	if excl.Succeeded != 0 || excl.Failed != 4 {
+	if excl.Succeeded != 0 || excl.Failed != loadInteractive {
 		t.Fatalf("exclusive-only at 100%% load: %+v", excl)
 	}
-	if mp.Succeeded != 4 {
+	if mp.Succeeded != loadInteractive {
 		t.Fatalf("multiprogramming at 100%% load: %+v", mp)
 	}
 	// ...and its startup is the fast shared path (bounded well below
@@ -354,13 +350,12 @@ func TestLoadSweepMotivation(t *testing.T) {
 }
 
 func TestDayReplay(t *testing.T) {
-	cfg := DayConfig{Sites: 2, NodesPerSite: 2, Hours: 8, ArrivalsPerHour: 4, Seed: 5, FairShare: true}
-	rep, err := Day(cfg)
+	rep, err := Day(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Batch+rep.Interactive < 10 {
-		t.Fatalf("only %d arrivals in 8h at 4/h", rep.Batch+rep.Interactive)
+	if rep.Batch+rep.Interactive < 100 {
+		t.Fatalf("only %d arrivals in 24h at 6/h", rep.Batch+rep.Interactive)
 	}
 	// Interactive work overwhelmingly succeeds thanks to
 	// multiprogramming, and placements are on interactive VMs.
@@ -374,20 +369,16 @@ func TestDayReplay(t *testing.T) {
 		t.Fatalf("startup = %.2fs", rep.MeanInteractiveStartup)
 	}
 	// Determinism: the same seed reproduces the same report.
-	rep2, err := Day(cfg)
+	rep2, err := Day(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep != rep2 {
 		t.Fatalf("replay not deterministic:\n%+v\n%+v", rep, rep2)
 	}
-	out := RenderDay(cfg, rep)
-	if !strings.Contains(out, "interactive outcome") {
+	out := RenderDay(5, rep)
+	if !strings.Contains(out, "interactive outcome") || !strings.Contains(out, "4 sites x 4 nodes, 6.0 arrivals/h for 24h (seed 5)") {
 		t.Fatalf("render:\n%s", out)
-	}
-	// A config left to Day's defaults renders the grid Day ran.
-	if out := RenderDay(DayConfig{Seed: 5}, rep); !strings.Contains(out, "4 sites x 4 nodes, 6.0 arrivals/h for 24h (seed 5)") {
-		t.Fatalf("defaults not rendered:\n%s", out)
 	}
 }
 

@@ -82,7 +82,7 @@ func TestGoldenHashes(t *testing.T) {
 		{"table1", func(t *testing.T) goldenHash {
 			var rows [][]TableIRow
 			for _, sc := range []Scenario{Campus, IFCA} {
-				r, err := TableI(TableIConfig{Sites: 20, Runs: 2, Scenario: sc, Seed: 2006})
+				r, err := TableI(TableIConfig{Runs: 2, Scenario: sc, Seed: 2006})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -91,14 +91,14 @@ func TestGoldenHashes(t *testing.T) {
 			return hashRun(t, rows, nil)
 		}},
 		{"load", func(t *testing.T) goldenHash {
-			pts, err := LoadSweep([]float64{0, 0.25, 0.5, 0.75, 1.0}, LoadSweepConfig{Seed: 2006})
+			pts, err := LoadSweep([]float64{0, 0.25, 0.5, 0.75, 1.0}, 2006)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return hashRun(t, pts, nil)
 		}},
 		{"day", func(t *testing.T) goldenHash {
-			rep, err := Day(DayConfig{Seed: 2006, FairShare: true})
+			rep, err := Day(2006)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func TestGoldenHashes(t *testing.T) {
 		}},
 		{"scale", func(t *testing.T) goldenHash {
 			pts, err := ScaleSweep(ScaleConfig{
-				Points: []int{100}, Passes: 2, Seed: 3,
+				Points: []int{100}, Seed: 3,
 				ChurnRates: []int{64}, ChurnSites: 250,
 			})
 			if err != nil {

@@ -40,49 +40,28 @@ type LoadPoint struct {
 	meanBatchElapsed float64
 }
 
-// LoadSweepConfig parametrizes the experiment.
-type LoadSweepConfig struct {
-	// Sites and NodesPerSite shape the grid (default 4x4).
-	Sites, NodesPerSite int
-	// Interactive is the number of interactive submissions per point
-	// (default 8), arriving 30 simulated seconds apart.
-	Interactive int
-	// BatchWork is each batch job's CPU demand (default 2h).
-	BatchWork time.Duration
-	// Seed drives randomized selection.
-	Seed int64
-	// Workers bounds how many (load, policy) points are simulated
-	// concurrently; 0 uses one per CPU.
-	Workers int
-}
-
-func (c *LoadSweepConfig) setDefaults() {
-	if c.Sites <= 0 {
-		c.Sites = 4
-	}
-	if c.NodesPerSite <= 0 {
-		c.NodesPerSite = 4
-	}
-	if c.Interactive <= 0 {
-		c.Interactive = 8
-	}
-	if c.BatchWork <= 0 {
-		c.BatchWork = 2 * time.Hour
-	}
-}
+// Each point runs on loadSites sites of loadNodesPerSite nodes:
+// batch jobs of loadBatchWork CPU each fill the load share of the
+// grid, then loadInteractive interactive jobs arrive 30 simulated
+// seconds apart.
+const (
+	loadSites        = 4
+	loadNodesPerSite = 4
+	loadInteractive  = 8
+	loadBatchWork    = 2 * time.Hour
+)
 
 // LoadSweep measures each load level under both policies. The
 // (load, policy) points are independent simulations, run as parallel
 // cells; the batch-slowdown pairing happens after the deterministic
-// merge.
-func LoadSweep(loads []float64, cfg LoadSweepConfig) ([]LoadPoint, error) {
-	cfg.setDefaults()
+// merge. seed drives randomized selection.
+func LoadSweep(loads []float64, seed int64) ([]LoadPoint, error) {
 	if len(loads) == 0 {
 		loads = []float64{0, 0.5, 1.0}
 	}
-	out, err := runCells(2*len(loads), cfg.Workers, func(i int) (LoadPoint, error) {
+	out, err := runCells(2*len(loads), 0, func(i int) (LoadPoint, error) {
 		load, mp := loads[i/2], i%2 == 1
-		p, err := loadPoint(load, mp, cfg)
+		p, err := loadPoint(load, mp, seed)
 		if err != nil {
 			policy := "exclusive"
 			if mp {
@@ -105,12 +84,12 @@ func LoadSweep(loads []float64, cfg LoadSweepConfig) ([]LoadPoint, error) {
 	return out, nil
 }
 
-func loadPoint(load float64, mp bool, cfg LoadSweepConfig) (LoadPoint, error) {
+func loadPoint(load float64, mp bool, seed int64) (LoadPoint, error) {
 	p := LoadPoint{BatchLoad: load, Multiprogramming: mp}
 	sys := core.NewSystem(core.SystemConfig{
-		Seed: cfg.Seed,
+		Seed: seed,
 		Sites: []core.SiteSpec{{
-			NameFormat: "s%02d", Count: cfg.Sites, Nodes: cfg.NodesPerSite, LRMCycle: 2 * time.Second,
+			NameFormat: "s%02d", Count: loadSites, Nodes: loadNodesPerSite, LRMCycle: 2 * time.Second,
 		}},
 	})
 	sim, b := sys.Sim, sys.Broker
@@ -118,14 +97,14 @@ func loadPoint(load float64, mp bool, cfg LoadSweepConfig) (LoadPoint, error) {
 	// Occupy the grid with batch jobs (each holds one node via its
 	// agent), staggered so matchmaking sees prior placements. Each
 	// job's completion time is captured for the slowdown comparison.
-	totalCPUs := cfg.Sites * cfg.NodesPerSite
+	totalCPUs := loadSites * loadNodesPerSite
 	nBatch := int(load*float64(totalCPUs) + 0.5)
 	var batchHandles []*broker.Handle
 	for i := 0; i < nBatch; i++ {
 		h, err := b.Submit(broker.Request{
 			Job:  &jdl.Job{Executable: "batch", NodeNumber: 1},
 			User: fmt.Sprintf("batch%02d", i),
-			CPU:  cfg.BatchWork,
+			CPU:  loadBatchWork,
 		})
 		if err != nil {
 			return p, err
@@ -142,7 +121,7 @@ func loadPoint(load float64, mp bool, cfg LoadSweepConfig) (LoadPoint, error) {
 		access, pl = jdl.SharedAccess, 10
 	}
 	var inter []*broker.Handle
-	for i := 0; i < cfg.Interactive; i++ {
+	for i := 0; i < loadInteractive; i++ {
 		h, err := b.Submit(broker.Request{
 			Job: &jdl.Job{Executable: "inter", Interactive: true, NodeNumber: 1,
 				Access: access, PerformanceLoss: pl},
@@ -167,7 +146,7 @@ func loadPoint(load float64, mp bool, cfg LoadSweepConfig) (LoadPoint, error) {
 	// Run the grid until the batch jobs finish; their mean turnaround
 	// feeds the slowdown comparison against the exclusive-only run at
 	// the same load (where nothing shares their nodes).
-	sim.RunFor(cfg.BatchWork * 3)
+	sim.RunFor(loadBatchWork * 3)
 	p.meanBatchElapsed = tallyOf(batchHandles).Summary().Turnaround.Mean
 	return p, nil
 }

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"crossbroker/internal/trace"
+	"crossbroker/internal/workload"
 )
 
 func TestRunCellsOrderedResults(t *testing.T) {
@@ -65,43 +68,31 @@ func TestRunCellsSerialFailsFast(t *testing.T) {
 	}
 }
 
-// TestTableIByteIdenticalAcrossWorkers is the determinism acceptance
-// test: the rendered Table I must be byte-identical whatever the
-// worker count, because each run cell derives its seed from the run
-// index alone and results merge in run order.
-func TestTableIByteIdenticalAcrossWorkers(t *testing.T) {
-	render := func(workers int) string {
-		rows, err := TableI(TableIConfig{Sites: 5, Runs: 4, Scenario: Campus, Seed: 2006, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return RenderTableI(Campus, rows)
-	}
-	serial := render(1)
-	for _, workers := range []int{2, 4, 0} {
-		if got := render(workers); got != serial {
-			t.Fatalf("workers=%d output differs from serial:\n%s\n--- vs ---\n%s", workers, got, serial)
-		}
-	}
-	// And re-running the serial case reproduces itself exactly.
-	if again := render(1); again != serial {
-		t.Fatalf("serial rerun differs:\n%s\n--- vs ---\n%s", again, serial)
-	}
-}
-
-func TestLoadSweepDeterministicAcrossWorkers(t *testing.T) {
-	render := func(workers int) string {
-		pts, err := LoadSweep([]float64{0, 1.0}, LoadSweepConfig{
-			Sites: 2, NodesPerSite: 2, Interactive: 3, Seed: 7, Workers: workers,
+// TestReplaySweepByteIdenticalAcrossWorkers is the determinism
+// acceptance test: the rendered sweep, its points and every point's
+// event log must be byte-identical whatever the worker count, because
+// each point derives everything from the configuration alone and
+// results merge in point order.
+func TestReplaySweepByteIdenticalAcrossWorkers(t *testing.T) {
+	run := func(workers int) (string, goldenHash) {
+		pts, err := ReplaySweep(ReplayConfig{
+			Source: fixtureSource("grid5000.gwf", workload.ReplayConfig{}), Seed: 2006,
+			Speedups: []float64{1, 2, 4}, Workers: workers, Traced: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return RenderLoadSweep(pts)
+		return RenderReplay(pts), hashRun(t, pts, tracesOf(pts, func(p ReplayPoint) trace.Trace { return p.Trace }))
 	}
-	serial := render(1)
-	if got := render(4); got != serial {
-		t.Fatalf("parallel load sweep differs from serial:\n%s\n--- vs ---\n%s", got, serial)
+	serial, serialHash := run(1)
+	for _, workers := range []int{2, 4, 0} {
+		got, hash := run(workers)
+		if got != serial {
+			t.Fatalf("workers=%d output differs from serial:\n%s\n--- vs ---\n%s", workers, got, serial)
+		}
+		if hash != serialHash {
+			t.Fatalf("workers=%d hashes %+v, serial %+v", workers, hash, serialHash)
+		}
 	}
 }
 

@@ -5,14 +5,13 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 
 	"crossbroker/internal/trace"
 	"crossbroker/internal/workload"
 )
 
 // fixtureSource streams a workload fixture into the sweep the way
-// gridbench does: a fresh reader per point, rcfg's window and rule with
+// gridbench does: a fresh reader per point, rcfg's window with
 // the point's speedup filled in.
 func fixtureSource(name string, rcfg workload.ReplayConfig) func(float64) (workload.ReplayStream, error) {
 	return func(speedup float64) (workload.ReplayStream, error) {
@@ -120,10 +119,7 @@ func TestReplaySweepSWFFixture(t *testing.T) {
 func TestReplaySweepWindowAndRule(t *testing.T) {
 	// Hours 0..1 of the trace hold jobs 1-6 (submits 0..1800s).
 	pts, err := ReplaySweep(ReplayConfig{
-		Source: fixtureSource("grid5000.gwf", workload.ReplayConfig{
-			StartHour: 0, EndHour: 1,
-			Rule: workload.ClassifyRule{MaxRuntime: time.Minute, MaxNodes: 1},
-		}),
+		Source:   fixtureSource("grid5000.gwf", workload.ReplayConfig{StartHour: 0, EndHour: 1}),
 		Speedups: []float64{1}, Seed: 3,
 	})
 	if err != nil {
@@ -133,9 +129,11 @@ func TestReplaySweepWindowAndRule(t *testing.T) {
 	if p.Submitted != 6 {
 		t.Fatalf("window 0:1 submitted %d, want 6", p.Submitted)
 	}
-	// The tightened rule reclassifies everything as batch.
-	if p.Interactive != 0 || p.Batch != 6 {
-		t.Fatalf("rule override ignored: %d interactive, %d batch", p.Interactive, p.Batch)
+	// Jobs 1, 2, 4 and 6 run at most 10 minutes on at most 4 nodes, so
+	// the rule classifies them interactive; 3 (16 nodes) and 5 (32)
+	// are batch.
+	if p.Interactive != 4 || p.Batch != 2 {
+		t.Fatalf("rule split %d interactive, %d batch; want 4 and 2", p.Interactive, p.Batch)
 	}
 }
 

@@ -31,19 +31,8 @@ type ScaleConfig struct {
 	// PageSize is the discovery page size for the paged cells
 	// (default infosys.DefaultPageSize).
 	PageSize int
-	// TopK bounds the paged and incremental passes' candidate sets
-	// (default 16).
-	TopK int
-	// Passes is the number of measured matchmaking passes per cell
-	// (default 5); pass latency is identical across passes (virtual
-	// time) and allocations are reported as the minimum observed.
-	Passes int
 	// Seed drives the broker's randomized selection.
 	Seed int64
-	// ChurnPerPass is how many republishes land between consecutive
-	// passes of the size-axis delta cells (default 64), keeping the
-	// delta path exercised — not idle — as the grid grows.
-	ChurnPerPass int
 	// ChurnRates are the churn-axis points: republishes per pass at
 	// the fixed ChurnSites grid size, each measured on the delta path
 	// and on the re-pin path. Empty skips the churn axis (gridbench
@@ -69,15 +58,6 @@ func (c *ScaleConfig) setDefaults() {
 	if c.PageSize <= 0 {
 		c.PageSize = infosys.DefaultPageSize
 	}
-	if c.TopK <= 0 {
-		c.TopK = 16
-	}
-	if c.Passes <= 0 {
-		c.Passes = 5
-	}
-	if c.ChurnPerPass <= 0 {
-		c.ChurnPerPass = 64
-	}
 	if len(c.ChurnRates) > 0 && c.ChurnSites <= 0 {
 		c.ChurnSites = 50000
 	}
@@ -85,6 +65,18 @@ func (c *ScaleConfig) setDefaults() {
 		c.DeltaLogDepth = 256
 	}
 }
+
+// Every paged and incremental pass keeps scaleTopK candidates, and
+// each cell measures scalePasses passes: pass latency is identical
+// across them (virtual time) and allocations are reported as the
+// minimum observed. scalePassChurn republishes land between
+// consecutive passes of the size-axis delta cells, keeping the delta
+// path exercised, not idle, as the grid grows.
+const (
+	scaleTopK      = 16
+	scalePasses    = 5
+	scalePassChurn = 64
+)
 
 // ScalePoint is one measured cell of the sweep. Every field is
 // deterministic for a fixed configuration: latencies are virtual time,
@@ -172,7 +164,7 @@ type scaleSpec struct {
 // ScaleSweep measures matchmaking passes over grids of cfg.Points
 // sites — snapshot mode (one shard, every match kept), paged mode
 // (sharded registry, paged discovery, top-K rank heap) and delta mode
-// (delta-subscription incremental pass under ChurnPerPass churn) — and
+// (delta-subscription incremental pass under scalePassChurn churn) — and
 // then walks the churn axis at ChurnSites: each ChurnRates value on
 // the delta path and on the log-disabled re-pin path. This is the -exp
 // scale experiment behind BENCH_infosys.json. Cells run sequentially:
@@ -203,7 +195,7 @@ func ScaleSweep(cfg ScaleConfig) ([]ScalePoint, error) {
 		for _, spec := range []scaleSpec{
 			{n, "paged", 0},
 			{n, "snapshot", 0},
-			{n, "delta", cfg.ChurnPerPass},
+			{n, "delta", scalePassChurn},
 		} {
 			if err := add(spec); err != nil {
 				return nil, err
@@ -241,8 +233,8 @@ func scaleCell(cfg ScaleConfig, job *jdl.Job, spec scaleSpec) (ScalePoint, error
 		}},
 	}
 	if spec.mode != "snapshot" {
-		pt.Shards, pt.TopK = cfg.Shards, cfg.TopK
-		grid.Broker.TopK = cfg.TopK
+		pt.Shards, pt.TopK = cfg.Shards, scaleTopK
+		grid.Broker.TopK = scaleTopK
 		grid.Index.Shards = cfg.Shards
 	}
 	if spec.mode == "delta" || spec.mode == "repin" {
@@ -311,7 +303,7 @@ func scaleCell(cfg ScaleConfig, job *jdl.Job, spec scaleSpec) (ScalePoint, error
 	bytes := ^uint64(0)
 	var stats broker.PassStats
 	var err error
-	for p := 0; p < cfg.Passes; p++ {
+	for p := 0; p < scalePasses; p++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		stats, err = runPass()

@@ -12,7 +12,7 @@ func TestScalePassMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("5000-site sweep in -short mode")
 	}
-	cfg := ScaleConfig{Points: []int{5000}, Shards: 16, PageSize: 256, TopK: 16, Passes: 2, Seed: 2006, ChurnPerPass: 64}
+	cfg := ScaleConfig{Points: []int{5000}, Shards: 16, PageSize: 256, Seed: 2006}
 	pts, err := ScaleSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -35,13 +35,13 @@ func TestScalePassMemoryBounded(t *testing.T) {
 		t.Fatalf("passes scanned %d/%d records, want 5000", paged.Scanned, snap.Scanned)
 	}
 
-	bound := uint64(cfg.PageSize + cfg.TopK)
+	bound := uint64(cfg.PageSize + scaleTopK)
 	if !raceEnabled && paged.AllocsPerPass > bound {
 		t.Fatalf("paged pass allocated %d objects at 5000 sites, want <= page size + K = %d",
 			paged.AllocsPerPass, bound)
 	}
-	if paged.PeakCandidates != cfg.TopK {
-		t.Fatalf("paged pass held %d candidates at peak, want TopK = %d", paged.PeakCandidates, cfg.TopK)
+	if paged.PeakCandidates != scaleTopK {
+		t.Fatalf("paged pass held %d candidates at peak, want TopK = %d", paged.PeakCandidates, scaleTopK)
 	}
 	if snap.PeakCandidates != 5000 {
 		t.Fatalf("snapshot pass held %d candidates at peak, want all 5000", snap.PeakCandidates)
@@ -66,11 +66,11 @@ func TestScalePassMemoryBounded(t *testing.T) {
 	// pass is sent exactly that many deltas, holds TopK candidates, and
 	// its discovery (the poll) is far below the paged pass's serial
 	// page walk, let alone the snapshot transfer.
-	if delta.Churn != cfg.ChurnPerPass || delta.DeltasPerPass != delta.Churn || delta.RepinsPerPass != 0 {
+	if delta.Churn != scalePassChurn || delta.DeltasPerPass != delta.Churn || delta.RepinsPerPass != 0 {
 		t.Fatalf("delta cell: churn=%d deltas=%d repins=%d, want steady-state delta repair at churn %d",
-			delta.Churn, delta.DeltasPerPass, delta.RepinsPerPass, cfg.ChurnPerPass)
+			delta.Churn, delta.DeltasPerPass, delta.RepinsPerPass, scalePassChurn)
 	}
-	if delta.Scanned != 5000 || delta.PeakCandidates != cfg.TopK {
+	if delta.Scanned != 5000 || delta.PeakCandidates != scaleTopK {
 		t.Fatalf("delta cell: scanned=%d peak=%d, want every pinned record and TopK peak", delta.Scanned, delta.PeakCandidates)
 	}
 	if !raceEnabled && delta.DiscoveryMicros >= paged.DiscoveryMicros {

@@ -28,11 +28,12 @@ func (s Scenario) profile() netsim.Profile {
 	return netsim.CampusGrid()
 }
 
+// tableISites is the grid size during discovery and selection: the
+// paper used a set of 20 remote sites located all over Europe.
+const tableISites = 20
+
 // TableIConfig parametrizes the response-time experiment.
 type TableIConfig struct {
-	// Sites is the grid size during discovery/selection (the paper
-	// used a set of 20 remote sites located all over Europe).
-	Sites int
 	// Runs is the number of submissions per method (the paper used
 	// 100).
 	Runs int
@@ -41,16 +42,9 @@ type TableIConfig struct {
 	// Seed drives the broker's randomized selection; each run derives
 	// its own sub-seed, so results do not depend on scheduling.
 	Seed int64
-	// Workers bounds the number of runs simulated concurrently
-	// (independent Sim instances on real goroutines); 0 uses one per
-	// CPU. The output is identical for any worker count.
-	Workers int
 }
 
 func (c *TableIConfig) setDefaults() {
-	if c.Sites <= 0 {
-		c.Sites = 20
-	}
 	if c.Runs <= 0 {
 		c.Runs = 100
 	}
@@ -110,7 +104,7 @@ func TableI(cfg TableIConfig) ([]TableIRow, error) {
 		sub[i] = metrics.NewSeries("submission")
 	}
 
-	cells, err := runCells(cfg.Runs, cfg.Workers, func(run int) (tableICell, error) {
+	cells, err := runCells(cfg.Runs, 0, func(run int) (tableICell, error) {
 		// A distinct prime-stride sub-seed per run keeps the randomized
 		// selection streams independent of both each other and the
 		// worker schedule.
@@ -152,7 +146,7 @@ func tableIRun(cfg TableIConfig, seed int64) (tableICell, error) {
 			Name: "exec", Nodes: 4, Network: execProfile,
 			Attrs: map[string]any{"Arch": "i686", "OS": "linux", "Preferred": 1},
 		}, {
-			NameFormat: "eu%02d", Count: cfg.Sites - 1, Nodes: 4, Network: netsim.WideArea(),
+			NameFormat: "eu%02d", Count: tableISites - 1, Nodes: 4, Network: netsim.WideArea(),
 			Attrs: map[string]any{"Arch": "i686", "OS": "linux", "Preferred": 0},
 		}},
 	})

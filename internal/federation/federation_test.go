@@ -306,8 +306,7 @@ func TestSplitBrainQuarantineReconciled(t *testing.T) {
 		{"peer-never-touched-site", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// A long cooldown: only reconciliation can clear the quarantine.
-			sys, fed := shared(broker.Config{QuarantineThreshold: 1, QuarantineCooldown: time.Hour})
+			sys, fed := shared(broker.Config{})
 			sim, site := sys.Sim, sys.Sites[0]
 			bA := sys.Members[0].Broker
 
@@ -332,16 +331,17 @@ func TestSplitBrainQuarantineReconciled(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sim.RunFor(5 * time.Minute)
+				sim.RunFor(3 * time.Minute)
 				if jrB.State() != broker.Done {
 					t.Fatalf("bB probe job: %v", jrB.State())
 				}
 			} else {
-				sim.RunFor(5 * time.Minute)
+				sim.RunFor(3 * time.Minute)
 			}
 
-			// Heal: reconciliation clears bA's stale quarantine immediately,
-			// and only on the peer's evidence.
+			// Heal, inside the five-minute cooldown: reconciliation clears
+			// bA's stale quarantine immediately, and only on the peer's
+			// evidence.
 			fed.SetPartitioned(false)
 			wantQuarantined, wantReconciled := 0, 1
 			if !tc.peerRuns {

@@ -70,56 +70,22 @@ func normalizeFields(id, submit, runtime, reqTime, procs, reqProcs int64) (Trace
 	}, true
 }
 
-// ClassifyRule is the interactive/batch heuristic applied to trace
-// jobs: recorded traces predate the interactive-job JDL extension, so
-// replay tags short, narrow jobs as interactive sessions (the paper's
-// application classes) and everything else as batch production work.
-type ClassifyRule struct {
-	// MaxRuntime is the longest runtime still considered interactive
-	// (default 10m).
-	MaxRuntime time.Duration
-	// MaxNodes is the widest job still considered interactive
-	// (default 4).
-	MaxNodes int
-	// Startup is the grid's advertised worst-case node startup cost
-	// (the largest batch.BackendInfo.Startup among the sites the
-	// replay feeds — an elastic pool's cold-start bound). A job only
-	// counts as interactive when its runtime dominates that cost:
-	// classifying a 2-minute job as interactive in front of a
-	// 10-minute cold start buys queue-jumping for a session that
-	// spends most of its life waiting on provisioning. The interactive
-	// runtime ceiling is therefore max(MaxRuntime, 2×Startup). Zero —
-	// always-provisioned backends — keeps the classic rule.
-	Startup time.Duration
-}
+// Recorded traces predate the interactive-job JDL extension, so replay
+// tags short, narrow jobs as interactive sessions (the paper's
+// application classes) and everything else as batch production work:
+// a job is interactive when it runs at most interactiveMaxRuntime on at
+// most interactiveMaxNodes nodes, and then accepts a PerformanceLoss of
+// interactivePL.
+const (
+	interactiveMaxRuntime = 10 * time.Minute
+	interactiveMaxNodes   = 4
+	interactivePL         = 10
+)
 
-func (r *ClassifyRule) setDefaults() {
-	if r.MaxRuntime <= 0 {
-		r.MaxRuntime = 10 * time.Minute
-	}
-	if r.MaxNodes <= 0 {
-		r.MaxNodes = 4
-	}
-}
-
-// Interactive reports whether the rule classifies the job as an
+// interactive reports whether replay classifies the job as an
 // interactive session.
-func (r ClassifyRule) Interactive(j TraceJob) bool {
-	r.setDefaults()
-	if j.Nodes > r.MaxNodes {
-		return false
-	}
-	ceil := r.MaxRuntime
-	if backendCeil := 2 * r.Startup; backendCeil > ceil {
-		// Backend-aware ceiling: routed as batch on a slow-provisioning
-		// backend, any job up to twice the startup cost pays a cold
-		// start that rivals its own runtime — so such jobs keep the
-		// interactive classification (whose on-line scheduling kills a
-		// queued attempt and reroutes instead of waiting out the boot),
-		// even past the wall-clock MaxRuntime.
-		ceil = backendCeil
-	}
-	return j.Runtime <= ceil
+func interactive(j TraceJob) bool {
+	return j.Nodes <= interactiveMaxNodes && j.Runtime <= interactiveMaxRuntime
 }
 
 // ReplayConfig parametrizes a StreamReplay.
@@ -132,20 +98,12 @@ type ReplayConfig struct {
 	// by Speedup on the simulation clock (runtimes are untouched, so
 	// Speedup > 1 intensifies load). 0 means 1.
 	Speedup float64
-	// Rule classifies jobs as interactive or batch.
-	Rule ClassifyRule
-	// PerformanceLoss is assigned to interactive jobs (default 10).
-	PerformanceLoss int
 }
 
 func (c *ReplayConfig) setDefaults() {
 	if c.Speedup == 0 {
 		c.Speedup = 1
 	}
-	if c.PerformanceLoss == 0 {
-		c.PerformanceLoss = 10
-	}
-	c.Rule.setDefaults()
 }
 
 // ScaleGap divides one inter-arrival gap by the speedup factor. It is

@@ -132,36 +132,36 @@ func TestReplayConfigValidation(t *testing.T) {
 	}
 }
 
-// Classification tags short, narrow jobs interactive with the
-// configured PerformanceLoss and everything else batch. A stream is
-// rewound by reopening it, as each sweep point does: a second stream
-// over the same source yields the same sequence.
+// Classification tags jobs of at most 10 minutes on at most 4 nodes
+// interactive with a PerformanceLoss of 10 and everything else batch.
+// A stream is rewound by reopening it, as each sweep point does: a
+// second stream over the same source yields the same sequence.
 func TestReplayClassificationAndReset(t *testing.T) {
 	src := renderSWF([]TraceJob{
 		{ID: 1, Submit: 0, Runtime: 5 * time.Minute, Nodes: 1, User: traceUser(1)},
 		{ID: 2, Submit: time.Minute, Runtime: 5 * time.Hour, Nodes: 1, User: traceUser(1)},
 		{ID: 3, Submit: 2 * time.Minute, Runtime: 5 * time.Minute, Nodes: 64, User: traceUser(1)},
+		{ID: 4, Submit: 3 * time.Minute, Runtime: 10 * time.Minute, Nodes: 4, User: traceUser(1)},
+		{ID: 5, Submit: 4 * time.Minute, Runtime: 10*time.Minute + time.Second, Nodes: 1, User: traceUser(1)},
+		{ID: 6, Submit: 5 * time.Minute, Runtime: time.Minute, Nodes: 5, User: traceUser(1)},
 	})
-	cfg := ReplayConfig{Rule: ClassifyRule{MaxRuntime: 10 * time.Minute, MaxNodes: 4}, PerformanceLoss: 25}
-	got := streamSWF(t, src, cfg)
-	if len(got) != 3 {
-		t.Fatalf("%d jobs, want 3", len(got))
+	got := streamSWF(t, src, ReplayConfig{})
+	if len(got) != 6 {
+		t.Fatalf("%d jobs, want 6", len(got))
 	}
-	if got[0].job.Kind != InteractiveJob || got[0].job.PerformanceLoss != 25 {
-		t.Fatalf("short narrow job not interactive: %+v", got[0].job)
+	for i, want := range []JobKind{InteractiveJob, BatchJob, BatchJob, InteractiveJob, BatchJob, BatchJob} {
+		j := got[i].job
+		wantPL := 0
+		if want == InteractiveJob {
+			wantPL = 10
+		}
+		if j.Kind != want || j.PerformanceLoss != wantPL {
+			t.Fatalf("job %d (%v on %d nodes): kind %v PL %d, want %v PL %d",
+				j.TraceID, j.CPU, j.Nodes, j.Kind, j.PerformanceLoss, want, wantPL)
+		}
 	}
-	if got[1].job.Kind != BatchJob || got[1].job.PerformanceLoss != 0 {
-		t.Fatalf("long job not batch: %+v", got[1].job)
-	}
-	if got[2].job.Kind != BatchJob {
-		t.Fatalf("wide job not batch: %+v", got[2].job)
-	}
-	if again := streamSWF(t, src, cfg); len(again) != len(got) || again[2] != got[2] {
+	if again := streamSWF(t, src, ReplayConfig{}); len(again) != len(got) || again[2] != got[2] {
 		t.Fatal("a reopened stream did not replay the same sequence")
-	}
-	// The default PerformanceLoss is 10.
-	if def := streamSWF(t, src, ReplayConfig{Rule: cfg.Rule}); def[0].job.PerformanceLoss != 10 {
-		t.Fatalf("default PerformanceLoss = %d, want 10", def[0].job.PerformanceLoss)
 	}
 }
 

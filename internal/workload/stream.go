@@ -363,9 +363,9 @@ func (s *StreamReplay) Next() (Job, time.Duration, bool) {
 		s.prev = tj.Submit
 		s.count++
 		j := Job{Kind: BatchJob, User: tj.User, CPU: tj.Runtime, Nodes: tj.Nodes, TraceID: tj.ID}
-		if s.cfg.Rule.Interactive(tj) {
+		if interactive(tj) {
 			j.Kind = InteractiveJob
-			j.PerformanceLoss = s.cfg.PerformanceLoss
+			j.PerformanceLoss = interactivePL
 		}
 		return j, gap, true
 	}

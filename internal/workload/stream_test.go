@@ -22,7 +22,7 @@ import (
 // arrival to zero, then keep the jobs inside the window and scale each
 // gap. It shares no reader, reorder heap, user interning or window code
 // with the streamed path it checks, only the per-record rules both must
-// apply (normalizeFields, traceUser, ClassifyRule, ScaleGap) and the
+// apply (normalizeFields, traceUser, interactive, ScaleGap) and the
 // config defaults.
 
 // loadTrace parses and normalizes a whole archive file, .gwf by
@@ -97,8 +97,8 @@ func replayOracle(jobs []TraceJob, cfg ReplayConfig) []arrival {
 			continue
 		}
 		j := Job{Kind: BatchJob, User: tj.User, CPU: tj.Runtime, Nodes: tj.Nodes, TraceID: tj.ID}
-		if cfg.Rule.Interactive(tj) {
-			j.Kind, j.PerformanceLoss = InteractiveJob, cfg.PerformanceLoss
+		if interactive(tj) {
+			j.Kind, j.PerformanceLoss = InteractiveJob, interactivePL
 		}
 		out = append(out, arrival{j, ScaleGap(tj.Submit-prev, cfg.Speedup)})
 		prev = tj.Submit
@@ -214,7 +214,7 @@ func TestStreamReplayMatchesReplay(t *testing.T) {
 		{StartHour: 0.25, EndHour: 2, Speedup: 4},
 		{StartHour: 1},
 		{EndHour: 0.5, Speedup: 0.5},
-		{StartHour: 3, EndHour: 9.5, Speedup: 3.7, PerformanceLoss: 25},
+		{StartHour: 3, EndHour: 9.5, Speedup: 3.7},
 	}
 	sources := map[string]string{}
 	for _, name := range []string{"ctc_sp2.swf", "grid5000.gwf"} {

@@ -52,8 +52,7 @@ func TestSynthValidAndIngestible(t *testing.T) {
 	}
 
 	rd := NewTraceReader(strings.NewReader(sb.String()), FormatSWF, TraceReaderOptions{Strict: true})
-	var rule ClassifyRule
-	interactive, total := 0, 0
+	inter, total := 0, 0
 	last := time.Duration(-1)
 	for {
 		j, err := rd.Next()
@@ -67,15 +66,15 @@ func TestSynthValidAndIngestible(t *testing.T) {
 			t.Fatalf("stream not monotone: %v after %v", j.Submit, last)
 		}
 		last = j.Submit
-		if rule.Interactive(j) {
-			interactive++
+		if interactive(j) {
+			inter++
 		}
 		total++
 	}
 	if total != cfg.Jobs {
 		t.Fatalf("streamed %d jobs, want %d", total, cfg.Jobs)
 	}
-	if frac := float64(interactive) / float64(total); frac < 0.65 || frac > 0.80 {
+	if frac := float64(inter) / float64(total); frac < 0.65 || frac > 0.80 {
 		t.Fatalf("interactive fraction %.2f outside [0.65, 0.80]", frac)
 	}
 }
