@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -65,6 +66,58 @@ func TestRunCellsSerialFailsFast(t *testing.T) {
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("serial run invoked %d cells after the failure, want fail-fast (3 calls)", got)
+	}
+}
+
+// withProcs runs f with GOMAXPROCS set to procs, which sets the
+// worker count of every experiment that sizes its pool by Workers().
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// TestTableIByteIdenticalAcrossWorkers is the determinism acceptance
+// test for Table I: the rendered table must be byte-identical whatever
+// the worker count, because each run cell derives its seed from the
+// run index alone and results merge in run order. TableI sizes its
+// pool by Workers(), so the worker count is set through GOMAXPROCS.
+func TestTableIByteIdenticalAcrossWorkers(t *testing.T) {
+	render := func(procs int) (out string) {
+		withProcs(procs, func() {
+			rows, err := TableI(TableIConfig{Runs: 4, Scenario: Campus, Seed: 2006})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = RenderTableI(Campus, rows)
+		})
+		return out
+	}
+	serial := render(1)
+	for _, procs := range []int{2, 4} {
+		if got := render(procs); got != serial {
+			t.Fatalf("GOMAXPROCS=%d output differs from serial:\n%s\n--- vs ---\n%s", procs, got, serial)
+		}
+	}
+	// And re-running the serial case reproduces itself exactly.
+	if again := render(1); again != serial {
+		t.Fatalf("serial rerun differs:\n%s\n--- vs ---\n%s", again, serial)
+	}
+}
+
+func TestLoadSweepDeterministicAcrossWorkers(t *testing.T) {
+	render := func(procs int) (out string) {
+		withProcs(procs, func() {
+			pts, err := LoadSweep([]float64{0, 1.0}, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = RenderLoadSweep(pts)
+		})
+		return out
+	}
+	serial := render(1)
+	if got := render(4); got != serial {
+		t.Fatalf("parallel load sweep differs from serial:\n%s\n--- vs ---\n%s", got, serial)
 	}
 }
 
