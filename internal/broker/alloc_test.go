@@ -28,10 +28,12 @@ func lifecycleAllocs(t *testing.T, g *grid, req Request) float64 {
 	return testing.AllocsPerRun(50, run)
 }
 
-// TestLifecycleAllocs holds a batch job's and a shared-VM job's whole
-// life to a ceiling. The counts include the grid's background work
-// over the job's fifteen simulated minutes (publishes, fair-share
-// updates). Measured 128 and 68. A publish tick that builds and
+// TestLifecycleAllocs holds a batch job's, an exclusive interactive
+// job's and a shared-VM job's whole life to a ceiling. The counts
+// include the grid's background work over the job's fifteen simulated
+// minutes (publishes, fair-share updates). Measured 120, 100 and 68
+// (the exclusive row before its flow walked its candidates by index).
+// Earlier, with batch at 128, a publish tick that builds and
 // compares the whole record again (two allocations a tick instead of
 // one) measured 158 and 98, and an AfterFunc that stops inlining (its
 // Timer boxed on every call) took those to 201 and 133.
@@ -39,10 +41,13 @@ func TestLifecycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const batchCeiling, sharedCeiling = 134, 74
+	const batchCeiling, exclusiveCeiling, sharedCeiling = 134, 100, 74
 	g := newGrid(t, 4, 4, Config{Seed: 1})
 	if got := lifecycleAllocs(t, g, batchJob(time.Second)); got > batchCeiling {
 		t.Errorf("batch job lifecycle: %v allocations, ceiling %d", got, batchCeiling)
+	}
+	if got := lifecycleAllocs(t, g, interactiveJob(jdl.ExclusiveAccess, 0, 1)); got > exclusiveCeiling {
+		t.Errorf("exclusive interactive job lifecycle: %v allocations, ceiling %d", got, exclusiveCeiling)
 	}
 
 	// A standing agent for the shared path: a long batch job with its
