@@ -601,14 +601,8 @@ func (b *Broker) PendingBatch() int { return len(b.pendingBatch) }
 // flow starts in its own event at the current instant. The returned
 // handle's triggers report progress.
 func (b *Broker) Submit(req Request) (*Handle, error) {
-	if req.Job == nil {
-		return nil, fmt.Errorf("broker: request without job")
-	}
-	if err := req.Job.Validate(); err != nil {
+	if err := checkRequest(&req); err != nil {
 		return nil, err
-	}
-	if req.User == "" {
-		req.User = "anonymous"
 	}
 	b.seq++
 	prefix := b.cfg.Name
@@ -629,18 +623,27 @@ func (b *Broker) Submit(req Request) (*Handle, error) {
 // transfer protocol) guarantees at most one broker routes the job at
 // a time.
 func (b *Broker) SubmitTransferred(req Request, id string, attempt int) (*Handle, error) {
-	if req.Job == nil {
-		return nil, fmt.Errorf("broker: request without job")
-	}
-	if err := req.Job.Validate(); err != nil {
+	if err := checkRequest(&req); err != nil {
 		return nil, err
-	}
-	if req.User == "" {
-		req.User = "anonymous"
 	}
 	h := b.newHandle(req, id, attempt)
 	b.sim.Post(func() { b.route(h) })
 	return h, nil
+}
+
+// checkRequest validates a submission and names its user
+// ("anonymous" when it names none).
+func checkRequest(req *Request) error {
+	if req.Job == nil {
+		return fmt.Errorf("broker: request without job")
+	}
+	if err := req.Job.Validate(); err != nil {
+		return err
+	}
+	if req.User == "" {
+		req.User = "anonymous"
+	}
+	return nil
 }
 
 // newHandle builds a pending handle and binds its embedded triggers.
@@ -805,6 +808,16 @@ func (b *Broker) finish(h *Handle) {
 	b.kickDispatch()
 }
 
+// started records that h's attempt began running on site with cpus
+// processors: the job is Running there, the Started event is out, and
+// fair share charges the allocation.
+func (b *Broker) started(h *Handle, site string, cpus int) {
+	h.state = Running
+	h.site = site
+	b.cfg.Trace.Emit(trace.Event{Kind: trace.Started, Job: h.ID, Site: site, Attempt: h.resub})
+	b.account(h, cpus)
+}
+
 // matchedEvent builds a Matched trace event for h's current attempt.
 // On the incremental path it stamps the global epoch the deciding
 // delta poll caught up to and the time elapsed since that poll — the
@@ -821,20 +834,30 @@ func (b *Broker) matchedEvent(h *Handle, site string, rank float64) trace.Event 
 
 // noteResub advances a job's attempt counter after a failed attempt at
 // siteName, emitting the Resubmitted trace event with the failure
-// reason.
-func (b *Broker) noteResub(h *Handle, siteName, reason string) {
+// reason, and keeps the attempt's cause for a spent budget to report.
+// A queue timeout has no cause of its own (the job never ran): it
+// passes nil, and the last cause on record stays.
+func (b *Broker) noteResub(h *Handle, siteName, reason string, cause error) {
+	if cause != nil {
+		h.lastErr = cause
+	}
 	h.resub++
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.Resubmitted, Job: h.ID, Site: siteName, Attempt: h.resub, Detail: reason})
 }
 
-// failResubmits terminally aborts a job whose recovery budget is
-// spent, surfacing the last attempt's failure in the outcome.
-func (b *Broker) failResubmits(h *Handle) {
+// resubmitsSpent fails h terminally once its resubmissions exceed
+// Config.MaxResubmits, surfacing the last attempt's failure in the
+// outcome, and reports whether it did.
+func (b *Broker) resubmitsSpent(h *Handle) bool {
+	if b.cfg.MaxResubmits <= 0 || h.resub <= b.cfg.MaxResubmits {
+		return false
+	}
 	err := fmt.Errorf("%w (%d resubmissions)", ErrMaxResubmits, h.resub)
 	if h.lastErr != nil {
 		err = fmt.Errorf("%w (%d resubmissions): %v", ErrMaxResubmits, h.resub, h.lastErr)
 	}
 	b.fail(h, err)
+	return true
 }
 
 // ---------------------------------------------------------------------

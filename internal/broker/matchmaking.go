@@ -698,13 +698,13 @@ func (b *Broker) dispatchPending() {
 	}
 }
 
-// scheduleRetry re-queues a batch job with capped exponential backoff,
-// or aborts it terminally once the resubmission budget is spent. With
-// the default RetryBackoff of 1 the pacing is the fixed RetryInterval
-// of the original design.
+// scheduleRetry holds a batch job Pending in the broker queue with
+// capped exponential backoff, or fails it terminally once the
+// resubmission budget is spent. With the default RetryBackoff of 1 the
+// pacing is the fixed RetryInterval of the original design.
 func (b *Broker) scheduleRetry(h *Handle) {
-	if b.cfg.MaxResubmits > 0 && h.resub > b.cfg.MaxResubmits {
-		b.failResubmits(h)
+	h.state = Pending
+	if b.resubmitsSpent(h) {
 		return
 	}
 	// Queue-pressure offload: before parking the job, let the

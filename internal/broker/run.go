@@ -132,7 +132,6 @@ func (b *Broker) runBatch(h *Handle) {
 				// — a transient grid failure, not a requirements mismatch.
 				// Hold the job and retry after the backoff.
 				h.lastErr = ErrNoResources
-				h.state = Pending
 				b.scheduleRetry(h)
 				return
 			}
@@ -162,7 +161,6 @@ func (b *Broker) runBatch(h *Handle) {
 				b.fail(h, ErrRejected)
 				return
 			}
-			h.state = Pending
 			b.scheduleRetry(h)
 			return
 		}
@@ -195,9 +193,7 @@ func (b *Broker) runBatch(h *Handle) {
 							// released the slot). Quarantine bookkeeping, then retry
 							// elsewhere after the backoff.
 							b.noteSiteFailure(st.Name())
-							h.lastErr = err
-							b.noteResub(h, st.Name(), "agent launch failed")
-							h.state = Pending
+							b.noteResub(h, st.Name(), "agent launch failed", err)
 							b.scheduleRetry(h)
 							return
 						}
@@ -209,9 +205,7 @@ func (b *Broker) runBatch(h *Handle) {
 
 					bh.Started.OnFire(func() {
 						b.unlease(h, st.Name(), 1)
-						b.account(h, 1)
-						h.state = Running
-						b.cfg.Trace.Emit(trace.Event{Kind: trace.Started, Job: h.ID, Site: st.Name(), Attempt: h.resub})
+						b.started(h, st.Name(), 1)
 						// First output of the payload: startup then transfer.
 						b.sim.Post(func() {
 							b.sim.AfterFunc(st.Costs().JobStartup+st.Network().TransferTime(defaultFirstOutputBytes),
@@ -248,9 +242,7 @@ func (b *Broker) runBatch(h *Handle) {
 							st.Queue().Kill(bh.ID())
 						}
 						b.release(h)
-						h.lastErr = fmt.Errorf("%w: payload on %s unfinished", ErrAgentLost, st.Name())
-						b.noteResub(h, st.Name(), "agent lost")
-						h.state = Pending
+						b.noteResub(h, st.Name(), "agent lost", fmt.Errorf("%w: payload on %s unfinished", ErrAgentLost, st.Name()))
 						b.scheduleRetry(h)
 						b.kickDispatch()
 					}, agent.BatchDone(), agent.Released(), bh.Done)
@@ -326,60 +318,54 @@ func (b *Broker) freeAgentRemove(agent *glidein.Agent) {
 // ---------------------------------------------------------------------
 
 func (b *Broker) runInteractiveExclusive(h *Handle) {
-	job := h.request.Job
 	b.matchPass(h, func(cands []candidate) {
 		if len(cands) == 0 {
 			b.fail(h, ErrNoMatch)
 			return
 		}
-
 		h.subStart = b.sim.Since(h.submittedAt)
-
-		excluded := make(map[string]bool)
-		anyFree := false
-		var loop func(attempt int)
-		loop = func(attempt int) {
-			if attempt < len(cands) {
-				if h.abort.Fired() {
-					b.fail(h, h.abortErr)
-					return
-				}
-				if b.cfg.MaxResubmits > 0 && h.resub > b.cfg.MaxResubmits {
-					b.failResubmits(h)
-					return
-				}
-				var chosen *candidate
-				for i := range cands {
-					if !excluded[cands[i].site.Name()] && cands[i].free >= job.NodeNumber {
-						chosen = &cands[i]
-						break
-					}
-				}
-				if chosen != nil {
-					anyFree = true
-					b.cfg.Trace.Emit(b.matchedEvent(h, chosen.site.Name(), chosen.rank))
-					b.runExclusiveAttempt(h, chosen.site, func(lost bool) {
-						if !lost {
-							return
-						}
-						excluded[chosen.site.Name()] = true
-						loop(attempt + 1)
-					})
-					return
-				}
-			}
-			if h.abort.Fired() {
-				b.fail(h, h.abortErr)
-				return
-			}
-			if !anyFree && !b.admissionOK(h.request.User) {
-				b.fail(h, ErrRejected)
-				return
-			}
-			b.fail(h, ErrNoResources)
-		}
-		loop(0)
+		b.tryExclusive(h, cands, 0, 0)
 	})
+}
+
+// tryExclusive runs the job on the best candidate from cands[i] on that
+// has the nodes free, and after a lost attempt goes on past it. tries
+// counts the attempts made so far; the resubmission budget is checked
+// while it is below the candidate count. A job left without a
+// candidate fails: ErrRejected if no candidate was free and fair share
+// turns the user away, ErrNoResources otherwise.
+func (b *Broker) tryExclusive(h *Handle, cands []candidate, i, tries int) {
+	if tries < len(cands) {
+		if h.abort.Fired() {
+			b.fail(h, h.abortErr)
+			return
+		}
+		if b.resubmitsSpent(h) {
+			return
+		}
+		for i < len(cands) && cands[i].free < h.request.Job.NodeNumber {
+			i++
+		}
+		if i < len(cands) {
+			c := &cands[i]
+			b.cfg.Trace.Emit(b.matchedEvent(h, c.site.Name(), c.rank))
+			b.runExclusiveAttempt(h, c.site, func(lost bool) {
+				if lost {
+					b.tryExclusive(h, cands, i+1, tries+1)
+				}
+			})
+			return
+		}
+	}
+	if h.abort.Fired() {
+		b.fail(h, h.abortErr)
+		return
+	}
+	if tries == 0 && !b.admissionOK(h.request.User) {
+		b.fail(h, ErrRejected)
+		return
+	}
+	b.fail(h, ErrNoResources)
 }
 
 // exclusive is one gatekeeper-path attempt: the LRM job that runs the
@@ -472,8 +458,7 @@ func (x *exclusive) await(bh *batch.Handle, next func(lost bool)) {
 		case x.killed.Fired(), !x.bodyDone.Fired():
 			// The site crashed under the job. Its death notification
 			// already released the leases and quarantined it.
-			h.lastErr = fmt.Errorf("%w: %s died running %s", ErrSiteLost, st.Name(), h.ID)
-			b.noteResub(h, st.Name(), "site lost")
+			b.noteResub(h, st.Name(), "site lost", fmt.Errorf("%w: %s died running %s", ErrSiteLost, st.Name(), h.ID))
 			lost = true
 		default:
 			b.finish(h)
@@ -502,8 +487,7 @@ func (b *Broker) runExclusiveAttempt(h *Handle, st *site.Site, cont func(lost bo
 		st.SubmitAsync(req, site.SubmitOptions{TraceJob: h.ID, TraceAttempt: h.resub}, func(bh *batch.Handle, err error) {
 			if err != nil {
 				b.noteSiteFailure(st.Name())
-				h.lastErr = err
-				b.noteResub(h, st.Name(), "submit failed")
+				b.noteResub(h, st.Name(), "submit failed", err)
 				done(true)
 				return
 			}
@@ -515,14 +499,11 @@ func (b *Broker) runExclusiveAttempt(h *Handle, st *site.Site, cont func(lost bo
 			b.waitTrigger(bh.Started, b.cfg.QueueTimeout, func(started bool) {
 				if !started {
 					st.Queue().Kill(bh.ID())
-					b.noteResub(h, st.Name(), "queue timeout")
+					b.noteResub(h, st.Name(), "queue timeout", nil)
 					done(true)
 					return
 				}
-				h.state = Running
-				h.site = st.Name()
-				b.cfg.Trace.Emit(trace.Event{Kind: trace.Started, Job: h.ID, Site: st.Name(), Attempt: h.resub})
-				b.account(h, job.NodeNumber)
+				b.started(h, st.Name(), job.NodeNumber)
 				x.await(bh, done)
 			})
 		})
@@ -540,9 +521,7 @@ func (b *Broker) runExclusiveOn(h *Handle, st *site.Site) {
 		if err != nil {
 			if retryableSubmitErr(err) {
 				b.noteSiteFailure(st.Name())
-				h.lastErr = err
-				b.noteResub(h, st.Name(), "submit failed")
-				h.state = Pending
+				b.noteResub(h, st.Name(), "submit failed", err)
 				b.scheduleRetry(h)
 				return
 			}
@@ -550,15 +529,10 @@ func (b *Broker) runExclusiveOn(h *Handle, st *site.Site) {
 			return
 		}
 		b.noteSiteSuccess(st.Name())
-		bh.Started.OnFire(func() {
-			h.state = Running
-			b.cfg.Trace.Emit(trace.Event{Kind: trace.Started, Job: h.ID, Site: st.Name(), Attempt: h.resub})
-			b.account(h, job.NodeNumber)
-		})
+		bh.Started.OnFire(func() { b.started(h, st.Name(), job.NodeNumber) })
 		h.site = st.Name()
 		x.await(bh, func(lost bool) {
 			if lost {
-				h.state = Pending
 				b.scheduleRetry(h)
 			}
 		})
@@ -606,7 +580,7 @@ func (b *Broker) runInteractiveShared(h *Handle) {
 				}
 			}
 
-			place := func() {
+			place := func(chosen []*glidein.Agent) {
 				if len(chosen) < need {
 					if !b.admissionOK(h.request.User) {
 						b.fail(h, ErrRejected)
@@ -615,80 +589,68 @@ func (b *Broker) runInteractiveShared(h *Handle) {
 					b.fail(h, ErrNoResources)
 					return
 				}
+				// A hosting agent that dies mid-run sends the job back
+				// to the registry, bounded by the resubmission budget.
 				b.placeOnAgents(h, chosen, func(terminal bool) {
-					if terminal {
-						return
+					if !terminal && !b.resubmitsSpent(h) {
+						attempt()
 					}
-					// A hosting agent died mid-run: kill-and-resubmit,
-					// bounded by the resubmission budget.
-					if b.cfg.MaxResubmits > 0 && h.resub > b.cfg.MaxResubmits {
-						b.failResubmits(h)
-						return
-					}
-					attempt()
 				})
 			}
 
 			if len(chosen) >= need {
-				place()
+				place(chosen)
 				return
 			}
-			// Fill the shortfall with fresh agents on idle machines, "in
-			// a similar way to the case of a batch job".
 			b.matchPass(h, func(cands []candidate) {
-				var fillSite func(i int)
-				var fillAgent func(i int)
-				endSite := func(i int) {
-					if len(chosen) == need {
-						place()
-						return
-					}
-					fillSite(i + 1)
-				}
-				fillSite = func(i int) {
-					if i >= len(cands) {
-						place()
-						return
-					}
-					fillAgent(i)
-				}
-				fillAgent = func(i int) {
-					if !(len(chosen) < need && cands[i].free > 0) {
-						endSite(i)
-						return
-					}
-					// No TraceJob: the agent's 2PC is labeled by its own
-					// queue ID — several launches may serve one attempt.
-					glidein.LaunchAsync(b.sim, cands[i].site, nil, 10,
-						glidein.Options{Degree: b.cfg.AgentDegree, Trace: b.cfg.Trace},
-						func(agent *glidein.Agent, bh *batch.Handle, err error) {
-							if err != nil {
-								if retryableSubmitErr(err) {
-									b.noteSiteFailure(cands[i].site.Name())
-								}
-								endSite(i)
-								return
-							}
-							b.wireAgent(agent)
-							b.waitTrigger(agent.Ready(), b.cfg.QueueTimeout, func(ready bool) {
-								if !ready {
-									cands[i].site.Queue().Kill(bh.ID())
-									endSite(i)
-									return
-								}
-								cands[i].free--
-								for k := 0; k < agent.FreeSlots() && len(chosen) < need; k++ {
-									chosen = append(chosen, agent)
-								}
-								fillAgent(i)
-							})
-						})
-				}
-				fillSite(0)
+				b.fill(cands, 0, chosen, need, place)
 			})
 		})
 	}
 	attempt()
+}
+
+// fill makes up a shared job's shortfall with fresh agents on the
+// candidates' idle machines, "in a similar way to the case of a batch
+// job". It walks cands from i, launching on a site while the site has
+// idle machines and its agents come up, and moves on when a launch
+// fails or its agent is not ready within QueueTimeout. Once chosen
+// holds need VMs, or the candidates run out, place gets them.
+func (b *Broker) fill(cands []candidate, i int, chosen []*glidein.Agent, need int, place func([]*glidein.Agent)) {
+	for i < len(cands) && len(chosen) < need && cands[i].free <= 0 {
+		i++
+	}
+	if i == len(cands) || len(chosen) == need {
+		place(chosen)
+		return
+	}
+	st := cands[i].site
+	// No TraceJob: the agent's 2PC is labeled by its own queue ID —
+	// several launches may serve one attempt.
+	glidein.LaunchAsync(b.sim, st, nil, 10,
+		glidein.Options{Degree: b.cfg.AgentDegree, Trace: b.cfg.Trace},
+		func(agent *glidein.Agent, bh *batch.Handle, err error) {
+			if err != nil {
+				if retryableSubmitErr(err) {
+					b.noteSiteFailure(st.Name())
+				}
+				b.fill(cands, i+1, chosen, need, place)
+				return
+			}
+			b.wireAgent(agent)
+			b.waitTrigger(agent.Ready(), b.cfg.QueueTimeout, func(ready bool) {
+				if !ready {
+					st.Queue().Kill(bh.ID())
+					b.fill(cands, i+1, chosen, need, place)
+					return
+				}
+				cands[i].free--
+				for k := 0; k < agent.FreeSlots() && len(chosen) < need; k++ {
+					chosen = append(chosen, agent)
+				}
+				b.fill(cands, i, chosen, need, place)
+			})
+		})
 }
 
 // freeAgentsMatching returns free agents whose site satisfies the
@@ -872,9 +834,7 @@ func (p *placement) onVM(ctx *glidein.InteractiveContext, fin func()) {
 // after the startup cost, and the wait for the outcome.
 func (p *placement) start() {
 	b, h := p.b, p.h
-	h.state = Running
-	b.cfg.Trace.Emit(trace.Event{Kind: trace.Started, Job: h.ID, Site: h.site, Attempt: h.resub})
-	b.account(h, len(p.agents))
+	b.started(h, h.site, len(p.agents))
 
 	// Heartbeat monitoring: a hosting agent's death is noticed one
 	// AgentHeartbeat after the loss.
@@ -931,8 +891,7 @@ func (p *placement) end() {
 		// cannot land after the job's terminal event.
 		b.cfg.Trace.Emit(trace.Event{Kind: trace.HeartbeatLost, Job: h.ID, Site: h.site, Attempt: h.resub})
 		b.release(h)
-		h.lastErr = fmt.Errorf("%w while running %s", ErrAgentLost, h.ID)
-		b.noteResub(h, h.site, "agent lost")
+		b.noteResub(h, h.site, "agent lost", fmt.Errorf("%w while running %s", ErrAgentLost, h.ID))
 		p.cont(false)
 	default:
 		p.awaitVMs()
