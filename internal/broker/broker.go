@@ -377,9 +377,8 @@ type Handle struct {
 	// because they were quarantined or failed their direct probe —
 	// distinguishing "nothing matches" from "matches are all down".
 	unavailable int
-	// scanned counts the registry records the last pass enumerated
-	// (zero means an empty registry, the ErrNoMatch fast-fail); peak
-	// is the most candidates the pass held at once — bounded by
+	// scanned counts the registry records the last pass enumerated;
+	// peak is the most candidates the pass held at once — bounded by
 	// Config.TopK when the streamed pass prunes with a rank heap.
 	scanned int
 	peak    int

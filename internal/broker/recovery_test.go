@@ -357,3 +357,33 @@ func TestGatekeeperStallResubmitsElsewhere(t *testing.T) {
 		t.Fatal("stall timeout did not count a resubmission")
 	}
 }
+
+// TestExclusiveOnDownGridHasNoResources: an exclusive interactive job
+// whose only matching site is quarantined fails because the grid is
+// down (ErrNoResources), not because nothing matches; with no site
+// registered at all it still fails with ErrNoMatch.
+func TestExclusiveOnDownGridHasNoResources(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		sites int
+		want  error
+	}{
+		{"only matching site quarantined", 1, ErrNoResources},
+		{"empty registry", 0, ErrNoMatch},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := newGrid(t, c.sites, 1, Config{})
+			for _, st := range g.sites {
+				g.b.quarantineNow(st.Name())
+			}
+			h, err := g.b.Submit(interactiveJob(jdl.ExclusiveAccess, 0, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.sim.RunFor(time.Minute)
+			if h.State() != Failed || !errors.Is(h.Err(), c.want) {
+				t.Fatalf("state %v, err %v; want Failed with %v", h.State(), h.Err(), c.want)
+			}
+		})
+	}
+}

@@ -121,21 +121,15 @@ func (b *Broker) runBatch(h *Handle) {
 	}
 	job := h.request.Job
 	b.matchPass(h, func(cands []candidate) {
-		if h.scanned == 0 {
-			// Empty registry: nothing to match, now or later.
-			b.fail(h, ErrNoMatch)
-			return
-		}
 		if len(cands) == 0 {
-			if h.unavailable > 0 {
-				// Matching sites exist but are quarantined or unreachable
-				// — a transient grid failure, not a requirements mismatch.
-				// Hold the job and retry after the backoff.
-				h.lastErr = ErrNoResources
+			// A grid that is down is transient: hold the job and retry
+			// after the backoff.
+			if err := noCandidates(h); err == ErrNoResources {
+				h.lastErr = err
 				b.scheduleRetry(h)
-				return
+			} else {
+				b.fail(h, err)
 			}
-			b.fail(h, ErrNoMatch)
 			return
 		}
 
@@ -251,6 +245,17 @@ func (b *Broker) runBatch(h *Handle) {
 	})
 }
 
+// noCandidates says why a pass left h no candidate. Matching sites that
+// were quarantined or failed their probe mean the grid is down, not
+// that the requirements went unmet: ErrNoResources. Otherwise nothing
+// matched, an empty registry included: ErrNoMatch.
+func noCandidates(h *Handle) error {
+	if h.unavailable > 0 {
+		return ErrNoResources
+	}
+	return ErrNoMatch
+}
+
 // wireAgent registers a live agent in the broker's local registry and
 // hooks fair-share reclassification and availability callbacks.
 func (b *Broker) wireAgent(agent *glidein.Agent) {
@@ -320,7 +325,7 @@ func (b *Broker) freeAgentRemove(agent *glidein.Agent) {
 func (b *Broker) runInteractiveExclusive(h *Handle) {
 	b.matchPass(h, func(cands []candidate) {
 		if len(cands) == 0 {
-			b.fail(h, ErrNoMatch)
+			b.fail(h, noCandidates(h))
 			return
 		}
 		h.subStart = b.sim.Since(h.submittedAt)
