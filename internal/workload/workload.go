@@ -111,48 +111,43 @@ type Job struct {
 // Mix generates a stream of jobs.
 type Mix struct {
 	rng *rand.Rand
-	// InteractiveFraction is the probability a job is interactive.
-	InteractiveFraction float64
-	// Users is the size of the synthetic user population.
-	Users int
-	// BatchCPU and InteractiveCPU sample per-kind demands.
-	BatchCPU, InteractiveCPU *LogNormal
-	// PerformanceLosses to draw from for interactive jobs.
-	PerformanceLosses []int
+	// batchCPU and interactiveCPU sample per-kind demands.
+	batchCPU, interactiveCPU *LogNormal
 }
+
+// The mix's CrossGrid-flavored shape: the probability a job is
+// interactive, the size of the synthetic user population, and the
+// performance losses an interactive job draws from.
+const (
+	mixInteractiveFraction = 0.3
+	mixUsers               = 16
+)
+
+var mixPerformanceLosses = [...]int{5, 10, 25}
 
 // NewMix builds a generator with CrossGrid-flavored defaults: 30%
 // interactive, 16 users, multi-hour heavy-tailed batch jobs, short
 // interactive sessions, PL drawn from {5,10,25}.
 func NewMix(seed int64) *Mix {
 	return &Mix{
-		rng:                 rand.New(rand.NewSource(seed)),
-		InteractiveFraction: 0.3,
-		Users:               16,
-		BatchCPU:            NewLogNormal(2*time.Hour, 0.8, seed+1),
-		InteractiveCPU:      NewLogNormal(2*time.Minute, 0.7, seed+2),
-		PerformanceLosses:   []int{5, 10, 25},
+		rng:            rand.New(rand.NewSource(seed)),
+		batchCPU:       NewLogNormal(2*time.Hour, 0.8, seed+1),
+		interactiveCPU: NewLogNormal(2*time.Minute, 0.7, seed+2),
 	}
 }
 
 // Next generates one job.
 func (m *Mix) Next() Job {
 	j := Job{}
-	if m.rng.Float64() < m.InteractiveFraction {
+	if m.rng.Float64() < mixInteractiveFraction {
 		j.Kind = InteractiveJob
-		j.CPU = m.InteractiveCPU.Sample()
-		if len(m.PerformanceLosses) > 0 {
-			j.PerformanceLoss = m.PerformanceLosses[m.rng.Intn(len(m.PerformanceLosses))]
-		}
+		j.CPU = m.interactiveCPU.Sample()
+		j.PerformanceLoss = mixPerformanceLosses[m.rng.Intn(len(mixPerformanceLosses))]
 	} else {
 		j.Kind = BatchJob
-		j.CPU = m.BatchCPU.Sample()
+		j.CPU = m.batchCPU.Sample()
 	}
-	users := m.Users
-	if users <= 0 {
-		users = 1
-	}
-	j.User = userName(m.rng.Intn(users))
+	j.User = userName(m.rng.Intn(mixUsers))
 	return j
 }
 

@@ -84,17 +84,6 @@ func TestGeneratorBoundaries(t *testing.T) {
 			}
 		}
 	})
-	t.Run("mix clamps non-positive user population", func(t *testing.T) {
-		m := NewMix(1)
-		m.Users = 0
-		if j := m.Next(); j.User == "" {
-			t.Fatal("empty user with Users=0")
-		}
-		m.Users = -3
-		if j := m.Next(); j.User == "" {
-			t.Fatal("empty user with negative Users")
-		}
-	})
 }
 
 func TestLogNormalMedianAndCap(t *testing.T) {
@@ -130,7 +119,7 @@ func TestMixComposition(t *testing.T) {
 		case InteractiveJob:
 			interactive++
 			found := false
-			for _, pl := range m.PerformanceLosses {
+			for _, pl := range mixPerformanceLosses {
 				if j.PerformanceLoss == pl {
 					found = true
 				}
