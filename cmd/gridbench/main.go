@@ -54,12 +54,12 @@ func main() {
 
 // options holds every parsed flag, each field named after its flag.
 type options struct {
-	exp, out, baseline, traceout, tracein, chromeout, churn, trace, window, speedups   string
-	fetch, cpuprofile, memprofile                                                      string
-	rounds, runs, iters, shards, pagesize, churnsites, deltadepth, synth, sites, nodes int
-	scale, tolerance                                                                   float64
-	series, quick, delta                                                               bool
-	seed                                                                               int64
+	exp, out, baseline, traceout, tracein, chromeout, trace, window, speedups string
+	fetch, cpuprofile, memprofile                                             string
+	rounds, runs, iters, synth, sites, nodes                                  int
+	scale, tolerance                                                          float64
+	series, quick, delta                                                      bool
+	seed                                                                      int64
 }
 
 // experiment is one row of the table gridbench runs from.
@@ -84,7 +84,7 @@ var table = []experiment{
 	{"fig7", true, "", []string{"rounds", "scale", "seed", "series"}, func(o options) error { return pingpong("fig7", netsim.WideArea(), o) }},
 	{"fig8", true, "", []string{"iters", "series"}, fig8},
 	{"ablations", true, "", []string{"scale", "seed"}, ablations},
-	{"scale", true, "BENCH_infosys.json", []string{"out", "baseline", "tolerance", "seed", "quick", "shards", "pagesize", "churn", "churnsites", "deltadepth"}, scaleExp},
+	{"scale", true, "BENCH_infosys.json", []string{"out", "baseline", "tolerance", "seed", "quick"}, scaleExp},
 	{"chaos", true, "BENCH_chaos.json", []string{"out", "traceout", "seed", "quick", "delta"}, chaos},
 	{"federation", true, "BENCH_federation.json", []string{"out", "baseline", "tolerance", "traceout", "seed", "quick"}, federation},
 	{"dataaware", true, "BENCH_dataaware.json", []string{"out", "baseline", "tolerance", "seed", "quick"}, dataaware},
@@ -125,11 +125,6 @@ func flagSet(o *options, stderr io.Writer) *flag.FlagSet {
 	fs.StringVar(&o.chromeout, "chromeout", "", "also convert -tracein to Chrome trace_event JSON at this path")
 	fs.StringVar(&o.baseline, "baseline", "", "committed BENCH_*.json of the experiment named by -exp to gate its results against")
 	fs.Float64Var(&o.tolerance, "tolerance", 0.25, "allowed fractional regression vs a baseline before failing")
-	fs.IntVar(&o.shards, "shards", 16, "information-service shard count for -exp scale")
-	fs.IntVar(&o.pagesize, "pagesize", 0, "discovery page size for -exp scale (0 or less = infosys default)")
-	fs.StringVar(&o.churn, "churn", "0,64,256,1024", "comma-separated churn-axis publish rates for -exp scale")
-	fs.IntVar(&o.churnsites, "churnsites", 50000, "grid size for the -exp scale churn axis")
-	fs.IntVar(&o.deltadepth, "deltadepth", 256, "per-shard delta log depth for -exp scale delta cells")
 	fs.BoolVar(&o.delta, "delta", false, "give -exp chaos a delta-logged index, which the broker reads by subscription")
 	fs.StringVar(&o.trace, "trace", "", "SWF/GWF workload log to drive -exp replay")
 	fs.IntVar(&o.synth, "synth", 0, "generate a deterministic synthetic archive with this many jobs for -exp replay (instead of -trace)")

@@ -3,15 +3,13 @@ package main
 import (
 	"fmt"
 	"runtime"
-	"strconv"
 	"strings"
 
 	"crossbroker/internal/experiments"
 )
 
-// parseList parses the comma-separated list that flag name holds
-// (-churn or -speedups), skipping empty items; parse reports whether
-// it accepts an item.
+// parseList parses the comma-separated list that flag name holds,
+// skipping empty items; parse reports whether it accepts an item.
 func parseList[T any](name, s string, parse func(string) (T, bool)) ([]T, error) {
 	var out []T
 	for _, p := range strings.Split(s, ",") {
@@ -46,17 +44,7 @@ type scaleReport struct {
 // beyond tolerance (the CI regression gate, same 25% default as the
 // matchmaking benchmarks).
 func scaleExp(o options) error {
-	churn, err := parseList("-churn", o.churn, func(p string) (int, bool) {
-		v, err := strconv.Atoi(p)
-		return v, err == nil && v >= 0
-	})
-	if err != nil {
-		return err
-	}
-	cfg := experiments.ScaleConfig{
-		Shards: o.shards, PageSize: o.pagesize, Seed: o.seed,
-		ChurnRates: churn, ChurnSites: o.churnsites, DeltaLogDepth: o.deltadepth,
-	}
+	cfg := experiments.ScaleConfig{Seed: o.seed, ChurnRates: []int{0, 64, 256, 1024}, ChurnSites: 50000}
 	if o.quick {
 		// The 50k point stays in the smoke run: the headline claim —
 		// delta flat where snapshot grows linearly — is only visible

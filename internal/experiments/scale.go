@@ -25,44 +25,20 @@ type ScaleConfig struct {
 	// Points are the grid sizes to measure (default 100, 250, 500,
 	// 1000, 2500, 5000, 50000).
 	Points []int
-	// Shards is the information-service shard count for the paged and
-	// delta cells (default 16).
-	Shards int
-	// PageSize is the discovery page size for the paged cells
-	// (default infosys.DefaultPageSize).
-	PageSize int
 	// Seed drives the broker's randomized selection.
 	Seed int64
 	// ChurnRates are the churn-axis points: republishes per pass at
 	// the fixed ChurnSites grid size, each measured on the delta path
 	// and on the re-pin path. Empty skips the churn axis (gridbench
-	// always supplies rates via -churn; default there 0, 64, 256,
-	// 1024).
+	// runs 0, 64, 256 and 1024).
 	ChurnRates []int
-	// ChurnSites is the churn axis's grid size (default 50000 when
-	// ChurnRates is set).
+	// ChurnSites is the churn axis's grid size (gridbench runs 50000).
 	ChurnSites int
-	// DeltaLogDepth is the per-shard delta log depth for the delta
-	// cells (default 256); the repin cells force 0, so every
-	// epoch-advancing poll falls back to a shard snapshot re-pin.
-	DeltaLogDepth int
 }
 
 func (c *ScaleConfig) setDefaults() {
 	if len(c.Points) == 0 {
 		c.Points = []int{100, 250, 500, 1000, 2500, 5000, 50000}
-	}
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
-	if c.PageSize <= 0 {
-		c.PageSize = infosys.DefaultPageSize
-	}
-	if len(c.ChurnRates) > 0 && c.ChurnSites <= 0 {
-		c.ChurnSites = 50000
-	}
-	if c.DeltaLogDepth <= 0 {
-		c.DeltaLogDepth = 256
 	}
 }
 
@@ -71,11 +47,17 @@ func (c *ScaleConfig) setDefaults() {
 // across them (virtual time) and allocations are reported as the
 // minimum observed. scalePassChurn republishes land between
 // consecutive passes of the size-axis delta cells, keeping the delta
-// path exercised, not idle, as the grid grows.
+// path exercised, not idle, as the grid grows. The paged and delta
+// cells read a registry of scaleShards shards in pages of
+// infosys.DefaultPageSize records, and the delta cells' shards keep
+// scaleDeltaDepth deltas each (the repin cells keep none, so every
+// epoch-advancing poll falls back to a shard snapshot re-pin).
 const (
-	scaleTopK      = 16
-	scalePasses    = 5
-	scalePassChurn = 64
+	scaleTopK       = 16
+	scalePasses     = 5
+	scalePassChurn  = 64
+	scaleShards     = 16
+	scaleDeltaDepth = 256
 )
 
 // ScalePoint is one measured cell of the sweep. Every field is
@@ -217,11 +199,11 @@ func scaleCell(cfg ScaleConfig, job *jdl.Job, spec scaleSpec) (ScalePoint, error
 	n := spec.sites
 	// The snapshot cell is the unbounded baseline: one shard, every
 	// match kept (TopK 0).
-	pt := ScalePoint{Sites: n, Mode: spec.mode, Shards: 1, PageSize: cfg.PageSize, Churn: spec.churn}
+	pt := ScalePoint{Sites: n, Mode: spec.mode, Shards: 1, PageSize: infosys.DefaultPageSize, Churn: spec.churn}
 	grid := core.SystemConfig{
 		Index:  core.IndexSpec{Latency: 500 * time.Millisecond, Shards: 1},
 		Seed:   cfg.Seed,
-		Broker: broker.Config{PageSize: cfg.PageSize},
+		Broker: broker.Config{PageSize: infosys.DefaultPageSize},
 		Sites: []core.SiteSpec{{
 			NameFormat: "site%04d", Count: n, Nodes: 4, Network: netsim.WideArea(),
 			// Keep republish events out of the measured passes; churn
@@ -233,13 +215,13 @@ func scaleCell(cfg ScaleConfig, job *jdl.Job, spec scaleSpec) (ScalePoint, error
 		}},
 	}
 	if spec.mode != "snapshot" {
-		pt.Shards, pt.TopK = cfg.Shards, scaleTopK
+		pt.Shards, pt.TopK = scaleShards, scaleTopK
 		grid.Broker.TopK = scaleTopK
-		grid.Index.Shards = cfg.Shards
+		grid.Index.Shards = scaleShards
 	}
 	if spec.mode == "delta" || spec.mode == "repin" {
 		if spec.mode == "delta" {
-			pt.DeltaDepth = cfg.DeltaLogDepth
+			pt.DeltaDepth = scaleDeltaDepth
 		}
 		// Each shard publishes over its own wide-area link, so the
 		// broker subscribes; the repin cells leave the log off so every

@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"crossbroker/internal/infosys"
+)
 
 // TestScalePassMemoryBounded is the scale sweep's acceptance check at
 // the 5,000-site point: the paged pass's per-pass state and allocations
@@ -12,7 +16,7 @@ func TestScalePassMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("5000-site sweep in -short mode")
 	}
-	cfg := ScaleConfig{Points: []int{5000}, Shards: 16, PageSize: 256, Seed: 2006}
+	cfg := ScaleConfig{Points: []int{5000}, Seed: 2006}
 	pts, err := ScaleSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +39,7 @@ func TestScalePassMemoryBounded(t *testing.T) {
 		t.Fatalf("passes scanned %d/%d records, want 5000", paged.Scanned, snap.Scanned)
 	}
 
-	bound := uint64(cfg.PageSize + scaleTopK)
+	bound := uint64(infosys.DefaultPageSize + scaleTopK)
 	if !raceEnabled && paged.AllocsPerPass > bound {
 		t.Fatalf("paged pass allocated %d objects at 5000 sites, want <= page size + K = %d",
 			paged.AllocsPerPass, bound)
