@@ -31,9 +31,8 @@ func lifecycleAllocs(t *testing.T, g *grid, req Request) float64 {
 // TestLifecycleAllocs holds a batch job's, an exclusive interactive
 // job's and a shared-VM job's whole life to a ceiling. The counts
 // include the grid's background work over the job's fifteen simulated
-// minutes (publishes, fair-share updates). Measured 120, 100 and 68
-// (the exclusive row before its flow walked its candidates by index).
-// Earlier, with batch at 128, a publish tick that builds and
+// minutes (publishes, fair-share updates). Measured 120, 96 and 67. With
+// batch and shared at 128 and 68, a publish tick that builds and
 // compares the whole record again (two allocations a tick instead of
 // one) measured 158 and 98, and an AfterFunc that stops inlining (its
 // Timer boxed on every call) took those to 201 and 133.

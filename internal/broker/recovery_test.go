@@ -2,6 +2,7 @@ package broker
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -276,32 +277,101 @@ func TestQueuedAgentKillResubmitsBatch(t *testing.T) {
 	}
 }
 
-// TestMaxResubmitsTerminalAbort: a batch job whose site keeps dying
-// under it exhausts Config.MaxResubmits and fails terminally with the
-// reason surfaced.
+// TestMaxResubmitsTerminalAbort drives a job of each attempt kind
+// through repeated failures until it exhausts a budget of one
+// resubmission. The second failure spends the budget, so every job
+// ends Failed after two resubmissions with ErrMaxResubmits, and the
+// error names the last attempt's cause. A queue timeout records no
+// cause, because the job never ran, so the exclusive row's error
+// names none.
 func TestMaxResubmitsTerminalAbort(t *testing.T) {
-	g := newGrid(t, 1, 1, Config{MaxResubmits: 1})
-	h, err := g.b.Submit(batchJob(20 * time.Minute))
-	if err != nil {
-		t.Fatal(err)
+	// Crash the site (briefly) twice while the job runs: the first
+	// loss consumes the budget, the second, once the cool-down has let
+	// the job back onto the site, exceeds it.
+	crashTwice := func(t *testing.T, g *grid) {
+		for _, at := range []time.Duration{2 * time.Minute, 12 * time.Minute} {
+			g.sim.AfterFunc(at, g.sites[0].Crash)
+			g.sim.AfterFunc(at+10*time.Second, g.sites[0].Restart)
+		}
 	}
-	// Crash the site (briefly) twice while the payload runs: first
-	// loss consumes the budget, second, once the cool-down has let the
-	// job back onto the site, exceeds it.
-	for _, at := range []time.Duration{2 * time.Minute, 12 * time.Minute} {
-		at := at
-		g.sim.AfterFunc(at, g.sites[0].Crash)
-		g.sim.AfterFunc(at+10*time.Second, g.sites[0].Restart)
-	}
-	g.sim.RunFor(time.Hour)
-	if h.State() != Failed {
-		t.Fatalf("state = %v, want Failed", h.State())
-	}
-	if !errors.Is(h.Err(), ErrMaxResubmits) {
-		t.Fatalf("err = %v, want ErrMaxResubmits", h.Err())
-	}
-	if n := g.b.LeasedCPUs(); n != 0 {
-		t.Fatalf("%d leases leaked", n)
+	for _, c := range []struct {
+		name         string
+		sites, nodes int
+		req          func() Request
+		faults       func(t *testing.T, g *grid)
+		want         string
+	}{
+		{
+			name: "single-node batch, agent lost with its site", sites: 1, nodes: 1,
+			req:    func() Request { return batchJob(20 * time.Minute) },
+			faults: crashTwice,
+			want:   fmt.Sprintf("%v (2 resubmissions): %v: payload on site00 unfinished", ErrMaxResubmits, ErrAgentLost),
+		},
+		{
+			name: "parallel batch, site lost", sites: 1, nodes: 2,
+			req: func() Request {
+				r := batchJob(20 * time.Minute)
+				r.Job.NodeNumber, r.Job.Flavor = 2, jdl.MPICHP4
+				return r
+			},
+			faults: crashTwice,
+			want:   fmt.Sprintf("%v (2 resubmissions): %v: site00 died running cb-000001", ErrMaxResubmits, ErrSiteLost),
+		},
+		{
+			name: "exclusive interactive, queue timeouts", sites: 3, nodes: 1,
+			req: func() Request { return interactiveJob(jdl.ExclusiveAccess, 0, 1) },
+			// A local job reaches every LRM queue before the broker's
+			// submission does: the probes still see the node free, and
+			// each attempt then sits in the queue until it times out.
+			faults: func(t *testing.T, g *grid) {
+				for _, st := range g.sites {
+					if _, err := st.Queue().Submit(batch.Request{ID: "local", Nodes: 1, RunCB: holdCB(time.Hour)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
+			want: fmt.Sprintf("%v (2 resubmissions)", ErrMaxResubmits),
+		},
+		{
+			name: "shared interactive, agent deaths", sites: 1, nodes: 2,
+			req: func() Request {
+				r := interactiveJob(jdl.SharedAccess, 50, 1)
+				r.CPU = 30 * time.Minute
+				return r
+			},
+			faults: func(t *testing.T, g *grid) {
+				for _, at := range []time.Duration{2 * time.Minute, 10 * time.Minute} {
+					g.sim.AfterFunc(at, func() {
+						if !g.b.KillAgentAt("site00") {
+							t.Error("no agent to kill at site00")
+						}
+					})
+				}
+			},
+			want: fmt.Sprintf("%v (2 resubmissions): %v while running cb-000001", ErrMaxResubmits, ErrAgentLost),
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := newGrid(t, c.sites, c.nodes, Config{MaxResubmits: 1, AgentHeartbeat: 5 * time.Second})
+			c.faults(t, g)
+			h, err := g.b.Submit(c.req())
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.sim.RunFor(2 * time.Hour)
+			if h.State() != Failed || !errors.Is(h.Err(), ErrMaxResubmits) {
+				t.Fatalf("state %v, err %v; want Failed with %v", h.State(), h.Err(), ErrMaxResubmits)
+			}
+			if h.Resubmissions() != 2 {
+				t.Errorf("%d resubmissions, want 2", h.Resubmissions())
+			}
+			if got := h.Err().Error(); got != c.want {
+				t.Errorf("err %q, want %q", got, c.want)
+			}
+			if n := g.b.LeasedCPUs(); n != 0 {
+				t.Errorf("%d leases leaked", n)
+			}
+		})
 	}
 }
 

@@ -124,7 +124,7 @@ func (b *Broker) runBatch(h *Handle) {
 		if len(cands) == 0 {
 			// A grid that is down is transient: hold the job and retry
 			// after the backoff.
-			if err := noCandidates(h); err == ErrNoResources {
+			if err := noCandidates(h); errors.Is(err, ErrNoResources) {
 				h.lastErr = err
 				b.scheduleRetry(h)
 			} else {
