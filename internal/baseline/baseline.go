@@ -35,13 +35,10 @@ import (
 // endpoint on the submission machine and a server endpoint on the
 // execution machine.
 type Channel struct {
-	name   string
+	name   string // the mechanism: "ssh", "glogin" or a custom name
 	client *endpoint
 	server *endpoint
 }
-
-// Name identifies the mechanism ("ssh", "glogin").
-func (c *Channel) Name() string { return c.name }
 
 // Client returns the submission-machine endpoint.
 func (c *Channel) Client() io.ReadWriter { return c.client }

@@ -48,8 +48,8 @@ func TestSSHRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ch.Close()
-	if ch.Name() != "ssh" {
-		t.Fatalf("name = %q", ch.Name())
+	if ch.name != "ssh" {
+		t.Fatalf("name = %q", ch.name)
 	}
 	if d := roundTrips(t, ch, 10, 20); d <= 0 {
 		t.Fatal("no time elapsed")
@@ -131,8 +131,8 @@ func TestCustomChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ch.Close()
-	if ch.Name() != "mychan" {
-		t.Fatalf("name = %q", ch.Name())
+	if ch.name != "mychan" {
+		t.Fatalf("name = %q", ch.name)
 	}
 	roundTrips(t, ch, 128, 5)
 }

@@ -62,9 +62,6 @@ type Node struct {
 	holder *job
 }
 
-// Busy reports whether a job currently holds the node.
-func (n *Node) Busy() bool { return n.holder != nil }
-
 // ExecCtx is passed to a job's body when it starts.
 type ExecCtx struct {
 	// Nodes are the worker nodes allocated to the job.
@@ -75,9 +72,6 @@ type ExecCtx struct {
 
 	sim *simclock.Sim
 }
-
-// Sim returns the simulation clock the job runs on.
-func (c *ExecCtx) Sim() *simclock.Sim { return c.sim }
 
 // Request describes a job submitted to the local queue.
 type Request struct {
@@ -99,7 +93,6 @@ type Request struct {
 
 // Handle tracks a submitted job.
 type Handle struct {
-	sim  *simclock.Sim
 	req  Request
 	st   State
 	exec *ExecCtx
@@ -108,9 +101,7 @@ type Handle struct {
 	// Started fires when the job begins execution.
 	Started *simclock.Trigger
 
-	submitAt time.Time
-	startAt  time.Time
-	seq      int
+	seq int
 }
 
 // ID returns the job identifier.
@@ -118,18 +109,6 @@ func (h *Handle) ID() string { return h.req.ID }
 
 // State returns the job's current state.
 func (h *Handle) State() State { return h.st }
-
-// Owner returns the submitting identity.
-func (h *Handle) Owner() string { return h.req.Owner }
-
-// QueueWait returns how long the job waited before starting; for jobs
-// still pending it is the wait so far.
-func (h *Handle) QueueWait() time.Duration {
-	if h.st == Pending {
-		return h.sim.Since(h.submitAt)
-	}
-	return h.startAt.Sub(h.submitAt)
-}
 
 // Backend kinds, one per node supply.
 const (
@@ -215,13 +194,6 @@ func NewQueue(sim *simclock.Sim, name string, n int, machineOpts []vmslot.Option
 	return q
 }
 
-// Name returns the queue (site) name.
-func (q *Queue) Name() string { return q.name }
-
-// Nodes returns the provisioned worker nodes (shared slice; do not
-// mutate). An elastic queue's set grows and shrinks.
-func (q *Queue) Nodes() []*Node { return q.nodes }
-
 // Submission errors.
 var (
 	ErrDuplicateID = errors.New("batch: duplicate job id")
@@ -251,13 +223,11 @@ func (q *Queue) Submit(r Request) (*Handle, error) {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateID, r.ID)
 	}
 	h := &Handle{
-		sim:      q.sim,
-		req:      r,
-		st:       Pending,
-		Done:     q.sim.NewTrigger(),
-		Started:  q.sim.NewTrigger(),
-		submitAt: q.sim.Now(),
-		seq:      q.seq,
+		req:     r,
+		st:      Pending,
+		Done:    q.sim.NewTrigger(),
+		Started: q.sim.NewTrigger(),
+		seq:     q.seq,
 	}
 	q.seq++
 	q.jobs[r.ID] = h
@@ -382,7 +352,6 @@ type job struct{ h *Handle }
 
 func (q *Queue) start(h *Handle, nodes []*Node) {
 	h.st = Running
-	h.startAt = q.sim.Now()
 	j := &job{h: h}
 	for _, n := range nodes {
 		n.holder = j
@@ -452,14 +421,6 @@ func (q *Queue) Kill(id string) error {
 		h.exec.Killed.Fire()
 	}
 	return nil
-}
-
-// Lookup returns the handle of a pending or running job. A job killed
-// while running stays until its body returns; a finished job is
-// forgotten, and its submitter's Handle is the only record left.
-func (q *Queue) Lookup(id string) (*Handle, bool) {
-	h, ok := q.jobs[id]
-	return h, ok
 }
 
 // FreeNodeCount reports placeable capacity: provisioned nodes with no

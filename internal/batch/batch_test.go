@@ -38,9 +38,6 @@ func TestSubmitRunsAfterCycle(t *testing.T) {
 	if h.State() != Completed {
 		t.Fatalf("state = %v", h.State())
 	}
-	if h.QueueWait() != 2*time.Second {
-		t.Fatalf("QueueWait = %v", h.QueueWait())
-	}
 }
 
 func TestFCFSQueueing(t *testing.T) {
@@ -171,7 +168,7 @@ func TestKillPendingJob(t *testing.T) {
 		t.Fatal("Done not fired for killed pending job")
 	}
 	// The dropped job is forgotten, and so is a finished one.
-	if _, ok := q.Lookup("victim"); ok {
+	if _, ok := q.jobs["victim"]; ok {
 		t.Fatal("killed pending job still known")
 	}
 	if err := q.Kill("victim"); !errors.Is(err, ErrUnknownJob) {
@@ -179,7 +176,7 @@ func TestKillPendingJob(t *testing.T) {
 	}
 	q.Kill("hold")
 	sim.RunFor(time.Second)
-	if _, ok := q.Lookup("hold"); ok || q.RunningCount() != 0 {
+	if _, ok := q.jobs["hold"]; ok || q.RunningCount() != 0 {
 		t.Fatalf("finished job still known: running = %d", q.RunningCount())
 	}
 }
@@ -241,12 +238,12 @@ func TestIntrospection(t *testing.T) {
 	if q.FreeNodeCount() != 0 || q.QueueLength() != 1 || q.RunningCount() != 1 {
 		t.Fatalf("free=%d queued=%d running=%d", q.FreeNodeCount(), q.QueueLength(), q.RunningCount())
 	}
-	h, ok := q.Lookup("a")
+	h, ok := q.jobs["a"]
 	if !ok || h.State() != Running {
 		t.Fatalf("lookup a: %v %v", ok, h)
 	}
-	for _, n := range q.Nodes() {
-		if !n.Busy() {
+	for _, n := range q.nodes {
+		if n.holder == nil {
 			t.Fatalf("node %s not busy", n.Name)
 		}
 	}
@@ -275,8 +272,8 @@ func TestFixedWorkKilledReleasesCPU(t *testing.T) {
 	if h.State() != Killed {
 		t.Fatalf("state = %v", h.State())
 	}
-	node := q.Nodes()[0]
-	if node.Busy() {
+	node := q.nodes[0]
+	if node.holder != nil {
 		t.Fatal("node still held")
 	}
 	// The killed job's slot must stop consuming CPU.
@@ -300,8 +297,8 @@ func TestStartedTrigger(t *testing.T) {
 // sleepOrKilled waits d on the job's clock, or less if the LRM kills
 // the job first, then runs then with whether the kill came first.
 func sleepOrKilled(ctx *ExecCtx, d time.Duration, then func(killed bool)) {
-	w := ctx.Sim().NewTrigger()
-	t := ctx.Sim().AfterFunc(d, w.Fire)
+	w := ctx.sim.NewTrigger()
+	t := ctx.sim.AfterFunc(d, w.Fire)
 	w.WaitAny(func() {
 		t.Stop()
 		then(ctx.Killed.Fired())

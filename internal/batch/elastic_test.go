@@ -39,7 +39,7 @@ func TestElasticColdStartThenWarmReuse(t *testing.T) {
 	if secondStart != 62*time.Second {
 		t.Fatalf("warm job started at +%v, want +1m2s (one cycle after submission, no cold start)", secondStart)
 	}
-	if got := len(p.Nodes()); got != 1 {
+	if got := len(p.nodes); got != 1 {
 		t.Fatalf("provisioned nodes = %d, want 1 (only the demanded node booted)", got)
 	}
 }
@@ -52,7 +52,7 @@ func TestElasticScaleDownReclaim(t *testing.T) {
 	})
 	p.Submit(Request{ID: "a", Nodes: 1, RunCB: sleepCB(10 * time.Second)})
 	sim.RunFor(time.Minute)
-	if got := len(p.Nodes()); got != 1 {
+	if got := len(p.nodes); got != 1 {
 		t.Fatalf("provisioned after run = %d, want 1", got)
 	}
 	if got := p.FreeNodeCount(); got != 3 {
@@ -61,7 +61,7 @@ func TestElasticScaleDownReclaim(t *testing.T) {
 	// Past the warm window the idle node is reclaimed; capacity is
 	// still fully placeable, just cold again.
 	sim.RunFor(3 * time.Minute)
-	if got := len(p.Nodes()); got != 0 {
+	if got := len(p.nodes); got != 0 {
 		t.Fatalf("provisioned after warm window = %d, want 0 (reclaimed)", got)
 	}
 	if got := p.FreeNodeCount(); got != 3 {
@@ -93,11 +93,11 @@ func TestElasticWarmReuseResetsReclaimTimer(t *testing.T) {
 	if !started {
 		t.Fatal("second job never started on the warm node")
 	}
-	if got := len(p.Nodes()); got != 1 {
+	if got := len(p.nodes); got != 1 {
 		t.Fatalf("node reclaimed while the stale idle timer was pending: nodes = %d", got)
 	}
 	sim.RunFor(2 * time.Minute)
-	if got := len(p.Nodes()); got != 0 {
+	if got := len(p.nodes); got != 0 {
 		t.Fatalf("node not reclaimed after its fresh idle window: nodes = %d", got)
 	}
 }
@@ -137,7 +137,7 @@ func TestElasticCrashAllKillsAndDeprovisions(t *testing.T) {
 	if len(killedOrder) != 2 || killedOrder[0] != "a" || killedOrder[1] != "b" {
 		t.Fatalf("kill order = %v, want [a b] (submission order)", killedOrder)
 	}
-	if got := len(p.Nodes()); got != 0 {
+	if got := len(p.nodes); got != 0 {
 		t.Fatalf("nodes after crash = %d, want 0 (tenancy gone)", got)
 	}
 	if got := p.FreeNodeCount(); got != 2 {
@@ -167,7 +167,7 @@ func TestElasticCrashDuringBoot(t *testing.T) {
 	if h.State() != Killed {
 		t.Fatalf("job = %v, want killed", h.State())
 	}
-	if got := len(p.Nodes()); got != 0 {
+	if got := len(p.nodes); got != 0 {
 		t.Fatalf("a crashed boot still provisioned a node: nodes = %d", got)
 	}
 	// The pool still works afterwards.

@@ -71,9 +71,9 @@ func TestQueueInvariantsUnderRandomLoad(t *testing.T) {
 			// A watchdog samples provisioning and free counts every 500ms.
 			var watch func()
 			watch = func() {
-				prov, idle := len(q.Nodes()), 0
-				for _, n := range q.Nodes() {
-					if !n.Busy() {
+				prov, idle := len(q.nodes), 0
+				for _, n := range q.nodes {
+					if n.holder == nil {
 						idle++
 					}
 				}
@@ -133,7 +133,7 @@ func TestQueueInvariantsUnderRandomLoad(t *testing.T) {
 					h.Done.OnFire(func() {
 						info.dones++
 						info.doneState = h.State()
-						if _, ok := q.Lookup(h.ID()); ok {
+						if _, ok := q.jobs[h.ID()]; ok {
 							fail("job %d still known to the queue at Done", info.order)
 						}
 					})
@@ -169,8 +169,8 @@ func TestQueueInvariantsUnderRandomLoad(t *testing.T) {
 			if len(q.jobs) != 0 {
 				fail("queue still holds %d jobs after the drain", len(q.jobs))
 			}
-			if sup.name == "elastic" && (len(q.Nodes()) != 0 || len(q.idleAt) != 0) {
-				fail("%d nodes (%d idle stamps) left after the warm window", len(q.Nodes()), len(q.idleAt))
+			if sup.name == "elastic" && (len(q.nodes) != 0 || len(q.idleAt) != 0) {
+				fail("%d nodes (%d idle stamps) left after the warm window", len(q.nodes), len(q.idleAt))
 			}
 			if q.FreeNodeCount() != nodes {
 				fail("FreeNodeCount = %d after the drain, want %d", q.FreeNodeCount(), nodes)

@@ -50,7 +50,7 @@ func runBodyFaults(t *testing.T) ([]byte, map[string]*Handle, map[string]int) {
 		return func(rc *RunContext, done func()) {
 			starts[name]++
 			rc.Output(4<<10, func() {
-				rc.Input(256, func() {
+				rc.input(256, func() {
 					if fault != nil {
 						f := fault
 						fault = nil

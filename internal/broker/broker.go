@@ -92,14 +92,12 @@ type FairShare interface {
 // same instant). A discovery query is the latency, charged by the
 // broker as one timer event, followed by the read at that instant.
 type Directory interface {
+	// Publisher is where every registered site publishes its record.
+	site.Publisher
 	// QueryLatency is the cost of one discovery query.
 	QueryLatency() time.Duration
 	// DiscoverImmediate starts a paged traversal as of now.
 	DiscoverImmediate(pageSize int) *infosys.Cursor
-	// Publish lands a site record in the shared registry.
-	Publish(rec infosys.SiteRecord) error
-	// PublishQueueState refreshes a published record's queue state.
-	PublishQueueState(name string, total, free, queued int) bool
 }
 
 // agentRegistryCost models the (local) combined discovery+selection
@@ -310,15 +308,15 @@ func (rc *RunContext) Output(n int, then func()) {
 	})
 }
 
-// Input models reading n bytes forwarded from the user machine (one
+// input models reading n bytes forwarded from the user machine (one
 // round trip of latency), then runs then.
-func (rc *RunContext) Input(n int, then func()) {
+func (rc *RunContext) input(n int, then func()) {
 	rc.Sim.AfterFunc(rc.st.Network().RTT()+rc.st.Network().TransferTime(n), then)
 }
 
 // Body is a job's execution body, run once per job (not per node) in
 // the event that allocated its nodes. It waits by scheduling its
-// continuations — rc.Output, rc.Input, a slot burst's
+// continuations — rc.Output, a slot burst's
 // Start(w).WaitThen — and calls done exactly once when it is over.
 type Body func(rc *RunContext, done func())
 
@@ -413,13 +411,6 @@ func (h *Handle) Shared() bool { return h.shared }
 // Resubmissions reports how many times on-line scheduling moved the
 // job.
 func (h *Handle) Resubmissions() int { return h.resub }
-
-// SubmittedAt returns the virtual time the job entered the broker.
-func (h *Handle) SubmittedAt() time.Time { return h.submittedAt }
-
-// FinishedAt returns the virtual time the job reached Done or Failed
-// (zero while in flight).
-func (h *Handle) FinishedAt() time.Time { return h.finishedAt }
 
 // outputArrived records output reaching the user: the first one ends
 // the submission phase and fires FirstOutput, later ones (a resubmitted
@@ -582,10 +573,10 @@ func (b *Broker) RegisterSite(st *site.Site) {
 // interactive VM.
 func (b *Broker) FreeAgents() int { return len(b.freeAgents) }
 
-// FreeInteractiveVMs reports the total free interactive VM count
+// freeInteractiveVMs reports the total free interactive VM count
 // across registered agents (differs from FreeAgents when the
 // multiprogramming degree exceeds one).
-func (b *Broker) FreeInteractiveVMs() int {
+func (b *Broker) freeInteractiveVMs() int {
 	n := 0
 	for _, a := range b.freeAgents {
 		n += a.FreeSlots()

@@ -179,7 +179,7 @@ func TestFreeAgentListExact(t *testing.T) {
 		if got := g.b.FreeAgents(); got != free {
 			t.Fatalf("minute %d: FreeAgents = %d, the registry has %d free agents", minute, got, free)
 		}
-		if got := g.b.FreeInteractiveVMs(); got != vms {
+		if got := g.b.freeInteractiveVMs(); got != vms {
 			t.Fatalf("minute %d: FreeInteractiveVMs = %d, the registry has %d free VMs", minute, got, vms)
 		}
 		for i, a := range g.b.freeAgents {
@@ -431,7 +431,7 @@ func TestBatchQueuesInBrokerWhenSaturated(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		g.sites[0].Queue().Submit(batch.Request{
 			ID: fmt.Sprintf("filler%d", i), Nodes: 1,
-			RunCB: holdCB(20 * time.Minute),
+			RunCB: holdCB(g.sim, 20*time.Minute),
 		})
 	}
 	g.sim.RunFor(time.Minute)
@@ -470,7 +470,7 @@ func TestOnLineSchedulingResubmits(t *testing.T) {
 	// (free=1) is stale by the time its job reaches the LRM.
 	sites[0].Queue().Submit(batch.Request{
 		ID: "local", Nodes: 1,
-		RunCB: holdCB(time.Hour),
+		RunCB: holdCB(sim, time.Hour),
 	})
 	req := interactiveJob(jdl.ExclusiveAccess, 0, 1)
 	rank, err := jdl.ParseJob(`Executable="x"; Rank = other.SiteIndex;`)

@@ -180,7 +180,7 @@ func TestDispatchPendingSnapshotsPriorities(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		g.sites[0].Queue().Submit(batch.Request{
 			ID: fmt.Sprintf("fill%d", i), Nodes: 1,
-			RunCB: holdCB(30 * time.Minute),
+			RunCB: holdCB(g.sim, 30*time.Minute),
 		})
 	}
 	g.sim.RunFor(time.Minute)

@@ -281,8 +281,9 @@ type pagedRecord struct {
 func readCursor(cur *infosys.Cursor) []pagedRecord {
 	var out []pagedRecord
 	for page, ok := cur.Next(); ok; page, ok = cur.Next() {
+		recs := page.Snapshot().Records()
 		for i := 0; i < page.Len(); i++ {
-			out = append(out, pagedRecord{page.RecordShared(i), page.Values(i), page.Snapshot().Schema()})
+			out = append(out, pagedRecord{recs[page.Index(i)], page.Values(i), page.Snapshot().Schema()})
 		}
 	}
 	return out

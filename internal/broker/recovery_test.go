@@ -325,7 +325,7 @@ func TestMaxResubmitsTerminalAbort(t *testing.T) {
 			// each attempt then sits in the queue until it times out.
 			faults: func(t *testing.T, g *grid) {
 				for _, st := range g.sites {
-					if _, err := st.Queue().Submit(batch.Request{ID: "local", Nodes: 1, RunCB: holdCB(time.Hour)}); err != nil {
+					if _, err := st.Queue().Submit(batch.Request{ID: "local", Nodes: 1, RunCB: holdCB(g.sim, time.Hour)}); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -21,7 +21,7 @@ func TestSharedJobsLeaveNoRegistrations(t *testing.T) {
 		}
 	}
 	g.sim.RunFor(10 * time.Minute)
-	if n := g.b.FreeInteractiveVMs(); n != 4 {
+	if n := g.b.freeInteractiveVMs(); n != 4 {
 		t.Fatalf("free VMs = %d, want 4 on the two standing agents", n)
 	}
 

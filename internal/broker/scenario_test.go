@@ -172,12 +172,12 @@ func TestLeaseExpiryFreesCapacity(t *testing.T) {
 	}
 }
 
-// holdCB is an LRM job body that holds its nodes for d, or until the
-// LRM kills it.
-func holdCB(d time.Duration) func(*batch.ExecCtx, func()) {
+// holdCB is an LRM job body that holds its nodes for d on sim, or
+// until the LRM kills it.
+func holdCB(sim *simclock.Sim, d time.Duration) func(*batch.ExecCtx, func()) {
 	return func(ctx *batch.ExecCtx, done func()) {
-		w := ctx.Sim().NewTrigger()
-		t := ctx.Sim().AfterFunc(d, w.Fire)
+		w := sim.NewTrigger()
+		t := sim.AfterFunc(d, w.Fire)
 		w.WaitAny(func() {
 			t.Stop()
 			done()
@@ -223,8 +223,8 @@ func TestDegreeNSharedPlacement(t *testing.T) {
 	g := newGrid(t, 1, 1, Config{AgentDegree: 2})
 	g.b.Submit(batchJob(4 * time.Hour))
 	g.sim.RunFor(2 * time.Minute)
-	if g.b.FreeInteractiveVMs() != 2 {
-		t.Fatalf("free VMs = %d, want 2", g.b.FreeInteractiveVMs())
+	if g.b.freeInteractiveVMs() != 2 {
+		t.Fatalf("free VMs = %d, want 2", g.b.freeInteractiveVMs())
 	}
 	job := &jdl.Job{
 		Executable: "mpi", Interactive: true, Flavor: jdl.MPICHG2,
@@ -333,7 +333,7 @@ func TestBrokerQueueServesBestPriorityFirst(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		g.sites[0].Queue().Submit(batch.Request{
 			ID: fmt.Sprintf("fill%d", i), Nodes: 1,
-			RunCB: holdCB(30 * time.Minute),
+			RunCB: holdCB(g.sim, 30*time.Minute),
 		})
 	}
 	g.sim.RunFor(time.Minute)

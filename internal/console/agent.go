@@ -198,12 +198,5 @@ func (a *Agent) Wait() error {
 	return a.waitErr
 }
 
-// Done is closed when the agent has fully finished.
-func (a *Agent) Done() <-chan struct{} { return a.done }
-
 // Kill terminates the application.
 func (a *Agent) Kill() error { return a.proc.Kill() }
-
-// Connected reports whether the agent currently has a live link to the
-// shadow.
-func (a *Agent) Connected() bool { return a.link.Connected() }

@@ -345,7 +345,7 @@ func TestFastModeLosesDataDuringOutageButRecovers(t *testing.T) {
 	s.nw.SetDown(false)
 	// Wait for the agent to re-establish its link before the final
 	// line, so only the middle line is lost.
-	for !s.agents[0].Connected() && time.Now().Before(deadline) {
+	for !s.agents[0].link.connected() && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	step <- struct{}{}

@@ -72,8 +72,8 @@ func TestShadowGiveUpReportsKill(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if shadow.LinkFailure() != nil {
-		t.Fatalf("premature link failure: %v", shadow.LinkFailure())
+	if shadow.linkFailure() != nil {
+		t.Fatalf("premature link failure: %v", shadow.linkFailure())
 	}
 
 	nw.SetDown(true) // permanent outage
@@ -86,8 +86,8 @@ func TestShadowGiveUpReportsKill(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("OnLinkFail never called")
 	}
-	if !errors.Is(shadow.LinkFailure(), ErrLinkFailed) {
-		t.Fatalf("LinkFailure = %v, want ErrLinkFailed", shadow.LinkFailure())
+	if !errors.Is(shadow.linkFailure(), ErrLinkFailed) {
+		t.Fatalf("linkFailure = %v, want ErrLinkFailed", shadow.linkFailure())
 	}
 	// The failed subjob's streams are released: the session completes
 	// instead of hanging on output that can never arrive.
@@ -161,7 +161,7 @@ func TestShadowWatchdogTolerantOfReconnect(t *testing.T) {
 
 	// Wait for the reconnect, then finish the app cleanly.
 	deadline = time.Now().Add(5 * time.Second)
-	for !agent.Connected() {
+	for !agent.link.connected() {
 		if time.Now().After(deadline) {
 			t.Fatal("agent never reconnected")
 		}
@@ -174,7 +174,7 @@ func TestShadowWatchdogTolerantOfReconnect(t *testing.T) {
 	if err := agent.Wait(); err != nil {
 		t.Fatalf("agent.Wait = %v", err)
 	}
-	if shadow.LinkFailure() != nil {
-		t.Fatalf("LinkFailure = %v after clean completion", shadow.LinkFailure())
+	if shadow.linkFailure() != nil {
+		t.Fatalf("linkFailure = %v after clean completion", shadow.linkFailure())
 	}
 }

@@ -439,15 +439,6 @@ func (l *Link) handleData(conn net.Conn, m *Message) {
 	}
 }
 
-// Pending reports unacknowledged reliable records (always 0 in fast
-// mode).
-func (l *Link) Pending() int {
-	if l.spill == nil {
-		return 0
-	}
-	return l.spill.Pending()
-}
-
 // WaitDrained blocks until all reliable data has been acknowledged —
 // or, on fast links, until any pending EOFs have reached a live
 // connection — or the timeout elapses, reporting whether the link
@@ -497,15 +488,8 @@ func (l *Link) WaitConnected() bool {
 	}
 }
 
-// Failed reports whether the link gave up permanently.
-func (l *Link) Failed() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.failed
-}
-
-// Connected reports whether a live connection is installed.
-func (l *Link) Connected() bool {
+// connected reports whether a live connection is installed.
+func (l *Link) connected() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.conn != nil

@@ -119,7 +119,7 @@ func TestLinkBasicExchange(t *testing.T) {
 	down := newRecorder() // received by dial side
 	p := newLinkPair(t, jdl.ReliableStreaming, down.recv, up.recv, nil)
 
-	waitFor(t, p.dialer.Connected, "connection")
+	waitFor(t, p.dialer.connected, "connection")
 	if err := p.dialer.Send(Stdout, []byte("from agent")); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestLinkBasicExchange(t *testing.T) {
 func TestLinkEOFDelivery(t *testing.T) {
 	up := newRecorder()
 	p := newLinkPair(t, jdl.ReliableStreaming, nil, up.recv, nil)
-	waitFor(t, p.dialer.Connected, "connection")
+	waitFor(t, p.dialer.connected, "connection")
 	p.dialer.Send(Stderr, []byte("last words"))
 	p.dialer.SendEOF(Stderr)
 	waitFor(t, func() bool { return up.eof(Stderr) }, "EOF")
@@ -145,19 +145,19 @@ func TestLinkEOFDelivery(t *testing.T) {
 func TestLinkAcksRetireSpill(t *testing.T) {
 	up := newRecorder()
 	p := newLinkPair(t, jdl.ReliableStreaming, nil, up.recv, nil)
-	waitFor(t, p.dialer.Connected, "connection")
+	waitFor(t, p.dialer.connected, "connection")
 	for i := 0; i < 10; i++ {
 		p.dialer.Send(Stdout, []byte("chunk"))
 	}
 	if !p.dialer.WaitDrained(5 * time.Second) {
-		t.Fatalf("spill not drained: %d pending", p.dialer.Pending())
+		t.Fatalf("spill not drained: %d pending", p.dialer.spill.Pending())
 	}
 }
 
 func TestLinkReplayAfterReconnect(t *testing.T) {
 	up := newRecorder()
 	p := newLinkPair(t, jdl.ReliableStreaming, nil, up.recv, nil)
-	waitFor(t, p.dialer.Connected, "connection")
+	waitFor(t, p.dialer.connected, "connection")
 	p.dialer.Send(Stdout, []byte("one|"))
 	waitFor(t, func() bool { return up.get(Stdout) == "one|" }, "first message")
 
@@ -235,7 +235,7 @@ func TestLinkRetriesWhenFreshConnectionDies(t *testing.T) {
 func TestLinkNoDuplicatesAcrossManyOutages(t *testing.T) {
 	up := newRecorder()
 	p := newLinkPair(t, jdl.ReliableStreaming, nil, up.recv, nil)
-	waitFor(t, p.dialer.Connected, "connection")
+	waitFor(t, p.dialer.connected, "connection")
 
 	want := ""
 	for round := 0; round < 5; round++ {
@@ -283,9 +283,6 @@ func TestLinkGiveUpAfterMaxRetries(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("timed out waiting for give-up")
 	}
-	if !l.Failed() {
-		t.Fatal("onFail ran but the link does not report Failed")
-	}
 	if err := l.Send(Stdout, []byte("x")); !errors.Is(err, ErrLinkFailed) {
 		t.Fatalf("Send after failure = %v", err)
 	}
@@ -314,7 +311,7 @@ func TestReliableLinkRequiresSpillPath(t *testing.T) {
 func TestFastLinkDropsDataWhileDown(t *testing.T) {
 	up := newRecorder()
 	p := newLinkPair(t, jdl.FastStreaming, nil, up.recv, nil)
-	waitFor(t, p.dialer.Connected, "connection")
+	waitFor(t, p.dialer.connected, "connection")
 	p.dialer.Send(Stdout, []byte("kept|"))
 	waitFor(t, func() bool { return up.get(Stdout) == "kept|" }, "first message")
 
@@ -323,7 +320,7 @@ func TestFastLinkDropsDataWhileDown(t *testing.T) {
 		t.Fatalf("fast send while down errored: %v", err)
 	}
 	p.nw.SetDown(false)
-	waitFor(t, p.dialer.Connected, "reconnection")
+	waitFor(t, p.dialer.connected, "reconnection")
 	p.dialer.Send(Stdout, []byte("after|"))
 	waitFor(t, func() bool { return up.get(Stdout) == "kept|after|" }, "post-outage message")
 	if up.get(Stdout) != "kept|after|" {

@@ -196,9 +196,9 @@ func (s *Shadow) failerFor(sub uint16) func(error) {
 	}
 }
 
-// LinkFailure returns the first permanent link failure observed (nil
+// linkFailure returns the first permanent link failure observed (nil
 // while every subjob's link is healthy or merely retrying).
-func (s *Shadow) LinkFailure() error {
+func (s *Shadow) linkFailure() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.linkErr
@@ -304,16 +304,6 @@ func (s *Shadow) stdinLoop() {
 			s.mu.Unlock()
 			return
 		}
-	}
-}
-
-// SendInput programmatically forwards input to every subjob (used by
-// steering front ends instead of a Stdin reader).
-func (s *Shadow) SendInput(data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, l := range s.links {
-		l.Send(Stdin, data)
 	}
 }
 

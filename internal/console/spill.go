@@ -204,20 +204,6 @@ func (s *Spill) Pending() int {
 	return len(s.recs)
 }
 
-// NextSeq returns the next sequence number to be assigned.
-func (s *Spill) NextSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next
-}
-
-// Acked returns the cumulative acknowledgment horizon.
-func (s *Spill) Acked() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.acked
-}
-
 // Close closes and removes the spill file.
 func (s *Spill) Close() error {
 	s.mu.Lock()

@@ -30,8 +30,8 @@ func TestSpillAppendAssignsSequences(t *testing.T) {
 			t.Fatalf("seq = %d, want %d", seq, i)
 		}
 	}
-	if s.NextSeq() != 5 || s.Pending() != 5 {
-		t.Fatalf("next=%d pending=%d", s.NextSeq(), s.Pending())
+	if s.next != 5 || s.Pending() != 5 {
+		t.Fatalf("next=%d pending=%d", s.next, s.Pending())
 	}
 }
 
@@ -103,8 +103,8 @@ func TestSpillAckIsMonotone(t *testing.T) {
 	s.Append(Stdout, []byte("a"))
 	s.Ack(1)
 	s.Ack(0) // regression must not unack
-	if s.Acked() != 1 || s.Pending() != 0 {
-		t.Fatalf("acked=%d pending=%d", s.Acked(), s.Pending())
+	if s.acked != 1 || s.Pending() != 0 {
+		t.Fatalf("acked=%d pending=%d", s.acked, s.Pending())
 	}
 }
 

@@ -85,7 +85,7 @@ func TestMemberSpecs(t *testing.T) {
 	}
 	for _, m := range super.Members {
 		var got []string
-		for _, r := range m.Info.QueryImmediate() {
+		for _, r := range m.Info.SnapshotImmediate().Records() {
 			got = append(got, r.Name)
 		}
 		if want := []string{m.Name + "-s00", m.Name + "-s01"}; !reflect.DeepEqual(got, want) {
@@ -653,10 +653,10 @@ func TestSpecReachesSiteAndIndex(t *testing.T) {
 	if flat := NewSystem(SystemConfig{}).Info; flat.SubscribeImmediate(0, 0).Cost != flat.QueryLatency() {
 		t.Fatal("an index without a shard link did not charge the flat latency")
 	}
-	if k := sys.Sites[0].Backend().Kind; k != batch.BackendBatch {
+	if k := sys.Sites[0].Queue().Backend().Kind; k != batch.BackendBatch {
 		t.Fatalf("fixed site backend = %q", k)
 	}
-	if k := sys.Sites[1].Backend().Kind; k != batch.BackendElastic {
+	if k := sys.Sites[1].Queue().Backend().Kind; k != batch.BackendElastic {
 		t.Fatalf("elastic site backend = %q", k)
 	}
 	if got := sys.Sites[1].Record().TotalCPUs; got != 3 {

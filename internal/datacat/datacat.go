@@ -120,34 +120,6 @@ func (c *Catalog) DropReplica(name, site string) {
 	}
 }
 
-// Datasets returns the registered dataset names, sorted.
-func (c *Catalog) Datasets() []string {
-	names := make([]string, 0, len(c.datasets))
-	for n := range c.datasets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Size returns a dataset's size in bytes.
-func (c *Catalog) Size(name string) (int64, bool) {
-	d := c.datasets[name]
-	if d == nil {
-		return 0, false
-	}
-	return d.size, true
-}
-
-// Replicas returns the sorted sites holding name (copy).
-func (c *Catalog) Replicas(name string) []string {
-	d := c.datasets[name]
-	if d == nil {
-		return nil
-	}
-	return append([]string(nil), d.sites...)
-}
-
 // HasLocal reports whether site holds a replica of name.
 func (c *Catalog) HasLocal(site, name string) bool {
 	d := c.datasets[name]

@@ -62,7 +62,7 @@ func TestAddReplicaValidation(t *testing.T) {
 	if err := c.AddReplica("d", 10, "b", "a", "b"); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Replicas("d"); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+	if got := c.datasets["d"].sites; len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("replicas = %v, want sorted deduped [a b]", got)
 	}
 }

@@ -33,7 +33,6 @@ package fairshare
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -142,9 +141,6 @@ func New(clock simclock.Clock, cfg Config) *Manager {
 	return m
 }
 
-// Beta returns β = 0.5^(δt/h).
-func (m *Manager) Beta() float64 { return m.beta }
-
 // SetTotal sets the total grid CPU count used to normalize r(u,t).
 func (m *Manager) SetTotal(cpus int) {
 	m.mu.Lock()
@@ -231,12 +227,6 @@ func (m *Manager) Priority(name string) float64 {
 	return initialPriority
 }
 
-// Better reports whether user a has strictly better (lower) priority
-// than user b.
-func (m *Manager) Better(a, b string) bool {
-	return m.Priority(a) < m.Priority(b)
-}
-
 // Tick applies equation (1) once to every tracked user, and forgets
 // users that have fully recovered their initial priority with no
 // allocations.
@@ -254,7 +244,7 @@ func (m *Manager) Tick() {
 }
 
 // Start arranges Tick to run every UpdateInterval on the manager's
-// clock until Stop is called.
+// clock until stop is called.
 func (m *Manager) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -274,31 +264,12 @@ func (m *Manager) armLocked() {
 	})
 }
 
-// Stop cancels the periodic update.
-func (m *Manager) Stop() {
+// stop cancels the periodic update.
+func (m *Manager) stop() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.ticker != nil {
 		m.ticker.Stop()
 		m.ticker = nil
 	}
-}
-
-// Ranking returns all tracked users ordered best priority first; ties
-// break alphabetically for determinism.
-func (m *Manager) Ranking() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.users))
-	for n := range m.users {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		pi, pj := m.users[names[i]].priority, m.users[names[j]].priority
-		if pi != pj {
-			return pi < pj
-		}
-		return names[i] < names[j]
-	})
-	return names
 }

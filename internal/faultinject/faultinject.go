@@ -258,12 +258,6 @@ type AgentKiller interface {
 	KillAgentAt(siteName string) bool
 }
 
-// NetLink is a real-time network hook (netsim.Net implements it);
-// registered links are cut alongside virtual NetOutage windows.
-type NetLink interface {
-	SetDown(down bool)
-}
-
 // BrokerFaulter is the federation hook (federation.Federation
 // implements it): crash a named broker or cut its peer links for d
 // (zero crash duration means permanent), reporting whether the target
@@ -283,7 +277,6 @@ type Injector struct {
 	names  []string // sorted registration order for seeded target picks
 	part   Partitioner
 	agents AgentKiller
-	nets   []NetLink
 	tracer *trace.Tracer
 
 	brokers     BrokerFaulter
@@ -333,11 +326,6 @@ func (in *Injector) SetBrokerFaulter(f BrokerFaulter, names ...string) {
 // skipped — is emitted as a FaultInjected event, so job timelines can
 // cross-reference the fault that hit their site (nil disables).
 func (in *Injector) SetTracer(t *trace.Tracer) { in.tracer = t }
-
-// AddNet registers a real-time network link to cut during NetOutage
-// windows (virtual-time grids don't need this; the site's
-// SetUnreachable covers them).
-func (in *Injector) AddNet(n NetLink) { in.nets = append(in.nets, n) }
 
 // Start expands the schedule and arms one simulation timer per event.
 // It returns the resolved event list (targets picked); the injector
@@ -424,16 +412,8 @@ func (in *Injector) apply(e Event) {
 			return
 		}
 		st.SetUnreachable(true)
-		for _, n := range in.nets {
-			n.SetDown(true)
-		}
 		if e.Duration > 0 {
-			in.sim.AfterFunc(e.Duration, func() {
-				st.SetUnreachable(false)
-				for _, n := range in.nets {
-					n.SetDown(false)
-				}
-			})
+			in.sim.AfterFunc(e.Duration, func() { st.SetUnreachable(false) })
 		}
 	}
 	in.log(e, "injected")

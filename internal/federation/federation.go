@@ -185,8 +185,8 @@ func (j *JobRef) State() broker.State {
 	return j.cur.State()
 }
 
-// Err returns the terminal error, if any.
-func (j *JobRef) Err() error {
+// err returns the terminal error, if any.
+func (j *JobRef) err() error {
 	if j.cur == nil {
 		return nil
 	}

@@ -129,7 +129,7 @@ func TestOffloadRelievesQueuePressure(t *testing.T) {
 
 	for _, jr := range refs {
 		if jr.State() != broker.Done {
-			t.Fatalf("job %s: state %v err %v (owner %s)", jr.ID, jr.State(), jr.Err(), jr.Owner())
+			t.Fatalf("job %s: state %v err %v (owner %s)", jr.ID, jr.State(), jr.err(), jr.Owner())
 		}
 	}
 	mtr := merged(t, fed)
@@ -352,7 +352,7 @@ func TestSplitBrainQuarantineReconciled(t *testing.T) {
 			}
 			sim.RunFor(2 * time.Hour)
 			if jrA.State() != broker.Done {
-				t.Fatalf("bA job after heal: %v (err %v)", jrA.State(), jrA.Err())
+				t.Fatalf("bA job after heal: %v (err %v)", jrA.State(), jrA.err())
 			}
 			mtr := merged(t, fed)
 			if n := countKind(mtr, trace.Unquarantined, "reconciled"); n != wantReconciled {

@@ -35,8 +35,8 @@ func launchDegree(t *testing.T, sim *simclock.Sim, degree int, withBatch bool) *
 func TestDegreeDefaultsToOne(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	a := launchDegree(t, sim, 0, true)
-	if a.Degree() != 1 || a.FreeSlots() != 1 {
-		t.Fatalf("degree=%d free=%d", a.Degree(), a.FreeSlots())
+	if a.opts.Degree != 1 || a.FreeSlots() != 1 {
+		t.Fatalf("degree=%d free=%d", a.opts.Degree, a.FreeSlots())
 	}
 }
 
@@ -64,8 +64,8 @@ func TestDegreeNHostsNJobs(t *testing.T) {
 	if !errors.Is(errs[3], ErrBusy) {
 		t.Fatalf("4th job on degree-3 agent: %v", errs[3])
 	}
-	if a.Running() != 3 || a.FreeSlots() != 0 {
-		t.Fatalf("running=%d free=%d", a.Running(), a.FreeSlots())
+	if len(a.activePL) != 3 || a.FreeSlots() != 0 {
+		t.Fatalf("running=%d free=%d", len(a.activePL), a.FreeSlots())
 	}
 }
 

@@ -267,12 +267,6 @@ func (a *Agent) Site() *site.Site { return a.site }
 // Node returns the worker node the agent controls (nil before start).
 func (a *Agent) Node() *batch.Node { return a.node }
 
-// BatchJobID returns the id of the hosted batch payload ("" if none).
-func (a *Agent) BatchJobID() string { return a.batchID }
-
-// Degree returns the agent's maximum interactive VM count.
-func (a *Agent) Degree() int { return a.opts.Degree }
-
 // FreeSlots reports how many interactive VMs can take a job right now.
 func (a *Agent) FreeSlots() int {
 	if a.node == nil || a.relFired {
@@ -283,9 +277,6 @@ func (a *Agent) FreeSlots() int {
 
 // Free reports whether at least one interactive VM is available.
 func (a *Agent) Free() bool { return a.FreeSlots() > 0 }
-
-// Running reports the number of interactive jobs currently hosted.
-func (a *Agent) Running() int { return len(a.activePL) }
 
 // Released fires when the agent has left (or was evicted from) the
 // machine.

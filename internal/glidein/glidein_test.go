@@ -56,8 +56,8 @@ func TestAgentAcquiresNodeAndCreatesVMs(t *testing.T) {
 	if st.Queue().FreeNodeCount() != 0 {
 		t.Fatal("agent does not hold the node in the LRM's view")
 	}
-	if a.BatchJobID() != "b1" {
-		t.Fatalf("batch id = %q", a.BatchJobID())
+	if a.batchID != "b1" {
+		t.Fatalf("batch id = %q", a.batchID)
 	}
 }
 

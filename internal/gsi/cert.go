@@ -117,9 +117,6 @@ func NewCA(name string, now time.Time, lifetime time.Duration) (*CA, error) {
 // Certificate returns the CA's self-signed certificate.
 func (ca *CA) Certificate() *Certificate { return ca.cert }
 
-// Name returns the CA's distinguished name.
-func (ca *CA) Name() string { return ca.name }
-
 // Issue creates an end-entity credential for subject, valid from now
 // for lifetime.
 func (ca *CA) Issue(subject string, now time.Time, lifetime time.Duration) (*Credential, error) {

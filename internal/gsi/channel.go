@@ -47,7 +47,7 @@ type auth struct {
 type Conn struct {
 	raw          net.Conn
 	peerIdentity string
-	peerSubject  string
+	peerSubject  string // the peer leaf DN: the proxy subject under delegation
 
 	sendKey, recvKey [32]byte
 	sendSeq, recvSeq uint64
@@ -161,10 +161,6 @@ func verifySig(pub ed25519.PublicKey, msg, sig []byte) bool {
 // PeerIdentity returns the end-entity DN of the peer (the user behind
 // any proxy chain).
 func (c *Conn) PeerIdentity() string { return c.peerIdentity }
-
-// PeerSubject returns the DN of the peer's leaf certificate (the
-// proxy's own subject when delegation was used).
-func (c *Conn) PeerSubject() string { return c.peerSubject }
 
 // Write encrypts and sends b as one or more authenticated frames.
 func (c *Conn) Write(b []byte) (int, error) {

@@ -225,8 +225,8 @@ func TestHandshakeWithProxyCredential(t *testing.T) {
 	if bc.PeerIdentity() != "/CN=user" {
 		t.Fatalf("server saw identity %q, want /CN=user", bc.PeerIdentity())
 	}
-	if !strings.Contains(bc.PeerSubject(), "proxy") {
-		t.Fatalf("server saw subject %q, want proxy DN", bc.PeerSubject())
+	if !strings.Contains(bc.peerSubject, "proxy") {
+		t.Fatalf("server saw subject %q, want proxy DN", bc.peerSubject)
 	}
 }
 

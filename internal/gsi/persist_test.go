@@ -80,7 +80,7 @@ func TestCertificateSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cert.Subject != ca.Name() {
+	if cert.Subject != ca.name {
 		t.Fatalf("subject = %q", cert.Subject)
 	}
 	// A pool built from the loaded certificate verifies chains.

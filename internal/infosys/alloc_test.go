@@ -57,7 +57,7 @@ func TestRegistryRepublishBudget(t *testing.T) {
 		t.Errorf("queue-state republish: %v allocations, want 4 (row, vector, two boxed counts)", got)
 	}
 	snap := svc.SnapshotImmediate()
-	if got := snap.Record(3); got.FreeCPUs != r.FreeCPUs || got.Attrs["MemoryMB"] != 2048 {
+	if got := snap.rows[3].rec; got.FreeCPUs != r.FreeCPUs || got.Attrs["MemoryMB"] != 2048 {
 		t.Fatalf("republished record reads %+v", got)
 	}
 
@@ -83,7 +83,7 @@ func TestRegistryRepublishBudget(t *testing.T) {
 	if svc.Epoch() != epoch {
 		t.Fatal("refused PublishQueueState moved the epoch")
 	}
-	got := svc.SnapshotImmediate().Record(3)
+	got := svc.SnapshotImmediate().rows[3].rec
 	if got.FreeCPUs != r.FreeCPUs || got.QueuedJobs != r.QueuedJobs || got.Attrs["MemoryMB"] != 2048 || len(got.Attrs) != len(r.Attrs) {
 		t.Fatalf("refreshed record reads %+v", got)
 	}

@@ -36,7 +36,7 @@ func (m *replayMirror) apply(t *testing.T, u SubUpdate) {
 			delete(m.recs, name)
 		}
 		for i := 0; i < u.Snapshot.Len(); i++ {
-			r := u.Snapshot.RecordShared(i)
+			r := u.Snapshot.rows[i].rec
 			m.recs[r.Name] = r
 		}
 	} else {
@@ -60,7 +60,7 @@ func (m *replayMirror) apply(t *testing.T, u SubUpdate) {
 // checkAgainst asserts the mirror equals the registry's current state.
 func (m *replayMirror) checkAgainst(t *testing.T, svc *Service) {
 	t.Helper()
-	want := svc.QueryImmediate()
+	want := svc.SnapshotImmediate().Records()
 	if len(m.recs) != len(want) {
 		t.Fatalf("mirror holds %d records, registry %d", len(m.recs), len(want))
 	}

@@ -38,18 +38,14 @@ func (p Page) Name(i int) string { return p.snap.Name(p.lo + i) }
 // Index returns page record i's position in its shard snapshot.
 func (p Page) Index(i int) int { return p.lo + i }
 
-// RecordShared returns page record i under the snapshot's no-mutate
-// contract (no per-record map clone).
-func (p Page) RecordShared(i int) SiteRecord { return p.snap.rows[p.lo+i].rec }
-
 // FreeCPUs returns page record i's published free CPU count, without
 // copying the record.
 func (p Page) FreeCPUs(i int) int { return p.snap.rows[p.lo+i].rec.FreeCPUs }
 
 // Values returns page record i's flat attribute vector — static
 // attributes plus publish-time queue state, in schema offset order —
-// without copying. Like RecordShared it stays shared with the snapshot
-// and every other reader and MUST NOT be written: compiled predicates
+// without copying. It stays shared with the snapshot and every other
+// reader and MUST NOT be written: compiled predicates
 // only read it, and a caller that overlays fresh state copies it first
 // (PooledMatchAttrs).
 func (p Page) Values(i int) []any { return p.snap.rows[p.lo+i].vals }

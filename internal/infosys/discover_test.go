@@ -85,8 +85,8 @@ func TestCursorCoversRegistry(t *testing.T) {
 					t.Fatalf("shards=%d: shard %d out of order: %q after %q", shards, p.Shard(), name, last)
 				}
 				lastName[p.Shard()] = name
-				if r := p.RecordShared(i); r.Name != name {
-					t.Fatalf("RecordShared(%d) = %q, want %q", i, r.Name, name)
+				if r := p.snap.rows[p.lo+i].rec; r.Name != name {
+					t.Fatalf("record %d = %q, want %q", i, r.Name, name)
 				}
 			}
 		}
@@ -175,7 +175,7 @@ func TestCursorConsistentUnderChurn(t *testing.T) {
 						break
 					}
 					for i := 0; i < p.Len(); i++ {
-						rec := p.RecordShared(i)
+						rec := p.snap.rows[p.lo+i].rec
 						if seen[rec.Name] {
 							fail.Do(func() { failure = fmt.Errorf("duplicate %s in one traversal", rec.Name) })
 							return

@@ -148,10 +148,6 @@ func newSchema(names []string) *Schema {
 // Len reports the number of attribute slots.
 func (sc *Schema) Len() int { return len(sc.names) }
 
-// Names returns a copy of the canonical attribute names in offset
-// order.
-func (sc *Schema) Names() []string { return append([]string(nil), sc.names...) }
-
 // Offset resolves an attribute name, case-insensitively, to its slot.
 // Canonical and lower-case spellings resolve without allocating.
 func (sc *Schema) Offset(name string) (int, bool) {
@@ -315,18 +311,6 @@ func (s *Snapshot) Len() int { return len(s.rows) }
 
 // Name returns the name of record i without copying the record.
 func (s *Snapshot) Name(i int) string { return s.rows[i].rec.Name }
-
-// Record returns a deep copy of record i, so mutations cannot reach
-// the snapshot or the registry.
-func (s *Snapshot) Record(i int) SiteRecord { return s.rows[i].rec.Clone() }
-
-// RecordShared returns record i without copying. The record — its
-// Attrs map included — stays shared with the snapshot (and through it
-// with every other reader) and MUST NOT be mutated. The paged
-// discovery hot path reads through this accessor to keep per-site map
-// allocations off each matchmaking pass; callers that need to mutate
-// use Record.
-func (s *Snapshot) RecordShared(i int) SiteRecord { return s.rows[i].rec }
 
 // Records returns deep copies of all records, sorted by site name.
 func (s *Snapshot) Records() []SiteRecord {
@@ -916,11 +900,6 @@ func mergeSnapshots(epoch uint64, parts []*Snapshot, sc *Schema) *Snapshot {
 func sortRows(rows []*row) {
 	slices.SortFunc(rows, func(a, b *row) int { return cmp.Compare(a.rec.Name, b.rec.Name) })
 }
-
-// QueryImmediate returns deep copies of all published records, sorted
-// by site name, without charging query latency; tests and
-// instrumentation use it.
-func (s *Service) QueryImmediate() []SiteRecord { return s.SnapshotImmediate().Records() }
 
 // StaleAfter reports the records older than maxAge at the current
 // clock time; monitoring uses it to spot sites that stopped pushing.

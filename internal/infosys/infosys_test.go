@@ -36,7 +36,7 @@ func TestPublishStampsTime(t *testing.T) {
 	svc := New(sim, 0)
 	sim.AfterFunc(time.Hour, func() { svc.Publish(rec("a", 1)) })
 	sim.Run()
-	r := svc.QueryImmediate()[0]
+	r := svc.SnapshotImmediate().Records()[0]
 	if r.UpdatedAt != sim.Now() {
 		t.Fatalf("UpdatedAt = %v, want %v", r.UpdatedAt, sim.Now())
 	}
@@ -46,7 +46,7 @@ func TestPublishReplaces(t *testing.T) {
 	svc := New(simclock.Real(), 0)
 	svc.Publish(rec("a", 1))
 	svc.Publish(rec("a", 7))
-	rs := svc.QueryImmediate()
+	rs := svc.SnapshotImmediate().Records()
 	if len(rs) != 1 || rs[0].FreeCPUs != 7 {
 		t.Fatalf("records = %v", rs)
 	}
@@ -93,7 +93,7 @@ func TestPublishLandsWhileCut(t *testing.T) {
 		t.Fatalf("cut service serves %d sites after a remove, want 1", got)
 	}
 	svc.SetPartitioned(false)
-	if got := svc.QueryImmediate(); len(got) != 1 || got[0].Name != "uab" {
+	if got := svc.SnapshotImmediate().Records(); len(got) != 1 || got[0].Name != "uab" {
 		t.Fatalf("healed service serves %v, want [uab]", got)
 	}
 }
@@ -101,10 +101,10 @@ func TestPublishLandsWhileCut(t *testing.T) {
 func TestSnapshotIsolation(t *testing.T) {
 	svc := New(simclock.Real(), 0)
 	svc.Publish(rec("a", 1))
-	out := svc.QueryImmediate()
+	out := svc.SnapshotImmediate().Records()
 	out[0].Attrs["Arch"] = "sparc"
 	out[0].FreeCPUs = 99
-	again := svc.QueryImmediate()[0]
+	again := svc.SnapshotImmediate().Records()[0]
 	if again.Attrs["Arch"] != "i686" || again.FreeCPUs != 1 {
 		t.Fatal("query result aliases registry state")
 	}

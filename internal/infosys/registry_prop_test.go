@@ -76,7 +76,7 @@ type snapCopy struct {
 }
 
 func copyOf(s *Snapshot) snapCopy {
-	c := snapCopy{Epoch: s.Epoch(), Schema: s.Schema().Names(), Recs: s.Records(), Vals: make([][]any, 0, s.Len())}
+	c := snapCopy{Epoch: s.Epoch(), Schema: slices.Clone(s.Schema().names), Recs: s.Records(), Vals: make([][]any, 0, s.Len())}
 	for cur := PinnedCursor([]*Snapshot{s}, 7); ; {
 		p, ok := cur.Next()
 		if !ok {
@@ -394,7 +394,7 @@ func (m *regModel) oracle(w world, shard int) snapCopy {
 // vector. Epochs are left to the caller, which knows which epoch a
 // served snapshot carries.
 func (c snapCopy) differs(s *Snapshot) string {
-	if got := s.Schema().Names(); !slices.Equal(got, c.Schema) {
+	if got := s.Schema().names; !slices.Equal(got, c.Schema) {
 		return fmt.Sprintf("schema names %v, want %v", got, c.Schema)
 	}
 	if s.Len() != len(c.Recs) {
@@ -402,7 +402,7 @@ func (c snapCopy) differs(s *Snapshot) string {
 	}
 	page, _ := PinnedCursor([]*Snapshot{s}, s.Len()+1).Next()
 	for i, want := range c.Recs {
-		if got := s.RecordShared(i); s.Name(i) != want.Name || !sameRecord(got, want) {
+		if got := s.rows[i].rec; s.Name(i) != want.Name || !sameRecord(got, want) {
 			return fmt.Sprintf("record %d (%s) = %+v, want %+v", i, s.Name(i), got, want)
 		}
 		if vals := page.Values(i); !slices.Equal(vals, c.Vals[i]) {
@@ -452,8 +452,7 @@ func (m *regModel) cut(b byte) {
 		r.Attrs["Scribble"] = 1
 	}
 	if s.Len() > 0 {
-		r := s.Record(int(b>>1) % s.Len())
-		delete(r.Attrs, "OS")
+		delete(s.Records()[int(b>>1)%s.Len()].Attrs, "OS")
 	}
 }
 
@@ -582,7 +581,7 @@ func (m *regModel) poll(b byte) {
 	case u.Gap:
 		sub.recs[shard] = make(map[string]SiteRecord)
 		for i := 0; i < u.Snapshot.Len(); i++ {
-			sub.recs[shard][u.Snapshot.Name(i)] = u.Snapshot.RecordShared(i)
+			sub.recs[shard][u.Snapshot.Name(i)] = u.Snapshot.rows[i].rec
 		}
 	default:
 		if uint64(len(u.Deltas)) != target-since {
@@ -624,7 +623,7 @@ func (m *regModel) poll(b byte) {
 	}
 	held := make(map[string]SiteRecord, u.Snapshot.Len())
 	for i := 0; i < u.Snapshot.Len(); i++ {
-		held[u.Snapshot.Name(i)] = u.Snapshot.RecordShared(i)
+		held[u.Snapshot.Name(i)] = u.Snapshot.rows[i].rec
 	}
 	if !maps.EqualFunc(held, sub.recs[shard], sameRecord) {
 		m.fatalf("poll of shard %d to %d carries a snapshot holding %+v, the subscriber replayed %+v", shard, u.ToEpoch, held, sub.recs[shard])

@@ -68,16 +68,10 @@ func TestSnapshotImmutable(t *testing.T) {
 	s := snapService(t, 2)
 	snap := s.SnapshotImmediate()
 
-	rec := snap.Record(0)
-	rec.Attrs["Arch"] = "tampered"
-	rec.FreeCPUs = 99
-	if got := snap.Record(0); got.Attrs["Arch"] != "i686" || got.FreeCPUs != 4 {
-		t.Fatal("mutating a returned record reached the snapshot")
-	}
-
 	recs := snap.Records()
+	recs[0].Attrs["Arch"] = "tampered"
 	recs[1].Attrs["MemoryMB"] = -1
-	if got := snap.Record(1); got.Attrs["MemoryMB"] != 257 {
+	if got := snap.rows[1].rec; got.Attrs["MemoryMB"] != 257 {
 		t.Fatal("mutating Records() output reached the snapshot")
 	}
 
@@ -92,7 +86,7 @@ func TestSnapshotImmutable(t *testing.T) {
 	}
 
 	// And the registry itself is unaffected by all of the above.
-	if got := s.QueryImmediate()[0]; got.Attrs["Arch"] != "i686" || got.FreeCPUs != 4 {
+	if got := s.SnapshotImmediate().Records()[0]; got.Attrs["Arch"] != "i686" || got.FreeCPUs != 4 {
 		t.Fatal("registry state was reachable through a snapshot")
 	}
 }
@@ -234,7 +228,7 @@ func TestConcurrentPublishQueryRemove(t *testing.T) {
 						t.Error("snapshot row without FreeCPUs")
 					}
 				}
-				if recs := s.QueryImmediate(); len(recs) != snap.Len() && s.Epoch() == snap.Epoch() {
+				if recs := s.SnapshotImmediate().Records(); len(recs) != snap.Len() && s.Epoch() == snap.Epoch() {
 					t.Error("query and snapshot disagree within one epoch")
 				}
 				s.StaleAfter(time.Hour)

@@ -66,12 +66,6 @@ type Cmd struct {
 	aux    []io.Reader
 }
 
-// Command starts the named program with the given arguments, with all
-// three standard streams interposed.
-func Command(name string, args ...string) (*Cmd, error) {
-	return CommandAux(0, name, args...)
-}
-
 // CommandAux starts the named program with naux additional interposed
 // output channels on file descriptors 3, 4, ... (the Unix convention
 // for inherited pipes); the program writes to them as ordinary fds,
@@ -145,14 +139,6 @@ func (c *Cmd) Kill() error {
 		return errors.New("interpose: process not started")
 	}
 	return c.cmd.Process.Kill()
-}
-
-// PID returns the operating-system process id.
-func (c *Cmd) PID() int {
-	if c.cmd.Process == nil {
-		return 0
-	}
-	return c.cmd.Process.Pid
 }
 
 // FuncProcess is a Process backed by a Go function, used as a

@@ -102,12 +102,12 @@ func TestFuncEOFOnStdinClose(t *testing.T) {
 }
 
 func TestCommandRealProcess(t *testing.T) {
-	p, err := Command("cat")
+	p, err := CommandAux(0, "cat")
 	if err != nil {
 		t.Skipf("cat unavailable: %v", err)
 	}
-	if p.PID() == 0 {
-		t.Fatal("PID = 0 for started process")
+	if p.cmd.Process == nil || p.cmd.Process.Pid == 0 {
+		t.Fatal("no process id for started process")
 	}
 	go func() {
 		io.WriteString(p.Stdin(), "through a real process\n")
@@ -126,7 +126,7 @@ func TestCommandRealProcess(t *testing.T) {
 }
 
 func TestCommandKill(t *testing.T) {
-	p, err := Command("sleep", "100")
+	p, err := CommandAux(0, "sleep", "100")
 	if err != nil {
 		t.Skipf("sleep unavailable: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestCommandKill(t *testing.T) {
 }
 
 func TestCommandMissingBinary(t *testing.T) {
-	if _, err := Command("/definitely/not/a/binary"); err == nil {
+	if _, err := CommandAux(0, "/definitely/not/a/binary"); err == nil {
 		t.Fatal("starting a missing binary succeeded")
 	}
 }

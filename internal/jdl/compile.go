@@ -23,7 +23,6 @@ type Resolver interface {
 // EvalBool or EvalNumber against a value slice laid out by the same
 // Resolver it was compiled for.
 type Compiled struct {
-	src  string
 	any  func(vals []any) (any, error)
 	bool func(vals []any) (bool, error) // non-nil for boolean-typed trees
 	num  func(vals []any) (float64, error)
@@ -35,7 +34,7 @@ func Compile(e *Expr, r Resolver) *Compiled {
 	if e == nil {
 		return nil
 	}
-	c := &Compiled{src: e.Node.String(), any: compileAny(e.Node, r)}
+	c := &Compiled{any: compileAny(e.Node, r)}
 	c.bool, _ = compileBool(e.Node, r)
 	// A bare reference stays on the generic path: at top level the
 	// interpreter promotes booleans to 1/0 (classad convention), which
@@ -46,9 +45,6 @@ func Compile(e *Expr, r Resolver) *Compiled {
 	}
 	return c
 }
-
-// Source returns the JDL source of the compiled expression.
-func (c *Compiled) Source() string { return c.src }
 
 // EvalBool evaluates a Requirements-style program to a boolean.
 func (c *Compiled) EvalBool(vals []any) (bool, error) {

@@ -28,7 +28,7 @@ func TestInputDataAbsent(t *testing.T) {
 	if j.InputData != nil {
 		t.Fatalf("InputData = %v, want nil", j.InputData)
 	}
-	if _, ok := j.Descriptor().Get("InputData"); ok {
+	if _, ok := j.descriptor().Get("InputData"); ok {
 		t.Fatal("Descriptor emitted an InputData attribute for a job without one")
 	}
 }
@@ -54,7 +54,7 @@ func TestInputDataRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseJob(j.Descriptor().String())
+	back, err := ParseJob(j.descriptor().String())
 	if err != nil {
 		t.Fatalf("round trip failed: %v", err)
 	}
@@ -94,7 +94,7 @@ func FuzzInputData(f *testing.F) {
 			}
 			seen[name] = true
 		}
-		out := j.Descriptor().String()
+		out := j.descriptor().String()
 		back, err := ParseJob(out)
 		if err != nil {
 			t.Fatalf("formatted job failed to reparse: %v\nsource: %s\noutput: %s", err, src, out)

@@ -19,8 +19,8 @@ func TestParseFigure2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Len() != 4 {
-		t.Fatalf("parsed %d attributes, want 4", d.Len())
+	if len(d.names) != 4 {
+		t.Fatalf("parsed %d attributes, want 4", len(d.names))
 	}
 	j, err := ExtractJob(d)
 	if err != nil {
@@ -314,14 +314,14 @@ func TestRoundTripCanonicalForm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		printed := j1.Descriptor().String()
+		printed := j1.descriptor().String()
 		j2, err := ParseJob(printed)
 		if err != nil {
 			t.Fatalf("reparse of %q failed: %v\nprinted:\n%s", src, err, printed)
 		}
-		if j2.Descriptor().SortedString() != j1.Descriptor().SortedString() {
+		if j2.descriptor().sortedString() != j1.descriptor().sortedString() {
 			t.Fatalf("round trip changed job:\nfirst:\n%s\nsecond:\n%s",
-				j1.Descriptor().SortedString(), j2.Descriptor().SortedString())
+				j1.descriptor().sortedString(), j2.descriptor().sortedString())
 		}
 	}
 }
@@ -362,8 +362,8 @@ func TestSetOverwritesKeepingOrder(t *testing.T) {
 	d.Set("A", Number(1))
 	d.Set("B", Number(2))
 	d.Set("a", Number(3))
-	if d.Len() != 2 {
-		t.Fatalf("Len = %d", d.Len())
+	if len(d.names) != 2 {
+		t.Fatalf("Len = %d", len(d.names))
 	}
 	if v, _ := d.Get("A"); v.(Number) != 3 {
 		t.Fatalf("A = %v", v)

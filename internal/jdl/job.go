@@ -351,10 +351,10 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// Descriptor converts the job back to a JDL descriptor containing
+// descriptor converts the job back to a JDL descriptor containing
 // exactly the attributes that differ from defaults (plus the
-// mandatory ones), so Parse(ExtractJob(d).Descriptor()) is stable.
-func (j *Job) Descriptor() *Descriptor {
+// mandatory ones), so Parse(ExtractJob(d).descriptor()) is stable.
+func (j *Job) descriptor() *Descriptor {
 	d := NewDescriptor()
 	d.Set("Executable", String(j.Executable))
 	var jt List

@@ -43,9 +43,6 @@ func (d *Descriptor) Names() []string {
 	return out
 }
 
-// Len reports the number of attributes.
-func (d *Descriptor) Len() int { return len(d.names) }
-
 // String renders the descriptor in canonical JDL: one aligned
 // assignment per line, terminated with semicolons, in source order.
 func (d *Descriptor) String() string {
@@ -63,10 +60,10 @@ func (d *Descriptor) String() string {
 	return b.String()
 }
 
-// SortedString renders the descriptor with attributes in
+// sortedString renders the descriptor with attributes in
 // case-insensitive alphabetical order; useful for comparing
 // descriptors irrespective of source order.
-func (d *Descriptor) SortedString() string {
+func (d *Descriptor) sortedString() string {
 	names := d.Names()
 	sort.Slice(names, func(i, j int) bool {
 		return strings.ToLower(names[i]) < strings.ToLower(names[j])

@@ -23,9 +23,6 @@ type Series struct {
 // NewSeries returns an empty named series.
 func NewSeries(name string) *Series { return &Series{name: name} }
 
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
-
 // Add appends one sample.
 func (s *Series) Add(v float64) { s.samples = append(s.samples, v) }
 

@@ -21,8 +21,8 @@ type App struct {
 	Body func(r *Rank) error
 }
 
-// Subjobs returns how many Console Agents the application needs.
-func (a *App) Subjobs() int {
+// subjobs returns how many Console Agents the application needs.
+func (a *App) subjobs() int {
 	if a.Flavor == jdl.MPICHG2 {
 		return a.Ranks
 	}

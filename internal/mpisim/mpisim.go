@@ -5,7 +5,7 @@
 // and 4.
 //
 // Ranks are goroutines communicating through an in-process Comm with
-// point-to-point Send/Recv (tag matching), Barrier, Bcast and a sum
+// point-to-point messages (tag matching), Barrier, Bcast and a sum
 // reduction. The package's job is not to be an MPI implementation but
 // to give the Grid Console and broker realistic parallel applications:
 // rank 0 reads the forwarded stdin (the paper's convention), every
@@ -45,10 +45,10 @@ type message struct {
 // aborts the application.
 var ErrAborted = errors.New("mpisim: application aborted")
 
-// AnySource matches messages from any rank in Recv.
+// AnySource matches messages from any rank in recv.
 const AnySource = -1
 
-// AnyTag matches messages with any tag in Recv.
+// AnyTag matches messages with any tag in recv.
 const AnyTag = -1
 
 // NewComm creates a communicator for size ranks.
@@ -61,9 +61,6 @@ func NewComm(size int) *Comm {
 	c.barCond = sync.NewCond(&c.mu)
 	return c
 }
-
-// Size returns the number of ranks.
-func (c *Comm) Size() int { return c.size }
 
 // Abort wakes every blocked rank with ErrAborted.
 func (c *Comm) Abort() {
@@ -154,9 +151,9 @@ func (r *Rank) Size() int { return r.comm.size }
 // Send delivers data to rank `to` with the given tag.
 func (r *Rank) Send(to, tag int, data []byte) error { return r.comm.send(r.rank, to, tag, data) }
 
-// Recv blocks for a message from `from` (or AnySource) with tag `tag`
+// recv blocks for a message from `from` (or AnySource) with tag `tag`
 // (or AnyTag), returning the payload and actual source.
-func (r *Rank) Recv(from, tag int) (data []byte, source int, err error) {
+func (r *Rank) recv(from, tag int) (data []byte, source int, err error) {
 	return r.comm.recv(r.rank, from, tag)
 }
 

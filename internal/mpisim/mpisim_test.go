@@ -26,7 +26,7 @@ func TestSendRecv(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		r := &Rank{rank: 1, comm: c}
-		got, _, _ = r.Recv(0, 7)
+		got, _, _ = r.recv(0, 7)
 	}()
 	wg.Wait()
 	if string(got) != "ping" {
@@ -41,11 +41,11 @@ func TestRecvTagMatching(t *testing.T) {
 	s.Send(1, 1, []byte("first"))
 	s.Send(1, 2, []byte("second"))
 	// Receive tag 2 first even though tag 1 arrived earlier.
-	data, from, err := r.Recv(0, 2)
+	data, from, err := r.recv(0, 2)
 	if err != nil || string(data) != "second" || from != 0 {
 		t.Fatalf("recv tag2 = %q from %d err %v", data, from, err)
 	}
-	data, _, _ = r.Recv(AnySource, AnyTag)
+	data, _, _ = r.recv(AnySource, AnyTag)
 	if string(data) != "first" {
 		t.Fatalf("recv any = %q", data)
 	}
@@ -66,7 +66,7 @@ func TestSendCopiesData(t *testing.T) {
 	s.Send(1, 0, buf)
 	buf[0] = 'X'
 	r := &Rank{rank: 1, comm: c}
-	got, _, _ := r.Recv(0, 0)
+	got, _, _ := r.recv(0, 0)
 	if string(got) != "mutate-me" {
 		t.Fatalf("message aliased sender buffer: %q", got)
 	}
@@ -169,7 +169,7 @@ func TestAbortUnblocksEveryone(t *testing.T) {
 			r := &Rank{rank: rank, comm: c}
 			switch rank {
 			case 0:
-				_, _, errs[0] = r.Recv(1, 9)
+				_, _, errs[0] = r.recv(1, 9)
 			case 1:
 				errs[1] = r.Barrier()
 			case 2:
@@ -241,8 +241,8 @@ func TestG2AppOneSubjobPerRank(t *testing.T) {
 			return nil
 		},
 	}
-	if app.Subjobs() != 3 {
-		t.Fatalf("Subjobs = %d", app.Subjobs())
+	if app.subjobs() != 3 {
+		t.Fatalf("Subjobs = %d", app.subjobs())
 	}
 	outs, errs := runApp(t, app, "steering input\n")
 	for i, err := range errs {
@@ -275,8 +275,8 @@ func TestP4AppSingleSubjob(t *testing.T) {
 			return nil
 		},
 	}
-	if app.Subjobs() != 1 {
-		t.Fatalf("Subjobs = %d", app.Subjobs())
+	if app.subjobs() != 1 {
+		t.Fatalf("Subjobs = %d", app.subjobs())
 	}
 	outs, errs := runApp(t, app, "")
 	if errs[0] != nil {
@@ -313,7 +313,7 @@ func TestAppErrorsAbortPeers(t *testing.T) {
 			if r.Rank() == 0 {
 				return errors.New("rank 0 exploded")
 			}
-			_, _, err := r.Recv(0, 99) // would block forever without abort
+			_, _, err := r.recv(0, 99) // would block forever without abort
 			return err
 		},
 	}

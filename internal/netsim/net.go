@@ -34,9 +34,6 @@ func New(p Profile, seed int64) *Net {
 	}
 }
 
-// Profile returns the network's shaping profile.
-func (n *Net) Profile() Profile { return n.prof }
-
 // ErrAddrInUse is returned by Listen when the name is already taken.
 var ErrAddrInUse = errors.New("netsim: address already in use")
 
@@ -127,8 +124,8 @@ func (n *Net) SetDown(down bool) {
 	}
 }
 
-// Down reports whether the network is currently cut.
-func (n *Net) Down() bool {
+// isDown reports whether the network is currently cut.
+func (n *Net) isDown() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.down

@@ -221,7 +221,7 @@ func TestNetworkOutageBreaksConns(t *testing.T) {
 	}
 	srv := <-accepted
 	nw.SetDown(true)
-	if !nw.Down() {
+	if !nw.isDown() {
 		t.Fatal("Down() = false after SetDown(true)")
 	}
 	if _, err := c.Write([]byte("x")); !errors.Is(err, ErrLinkDown) {
@@ -249,15 +249,15 @@ func TestNetworkOutageBreaksConns(t *testing.T) {
 func TestOutageSchedule(t *testing.T) {
 	nw := New(Loopback(), 1)
 	nw.Outage(10*time.Millisecond, 30*time.Millisecond)
-	if nw.Down() {
+	if nw.isDown() {
 		t.Fatal("down immediately")
 	}
 	time.Sleep(25 * time.Millisecond)
-	if !nw.Down() {
+	if !nw.isDown() {
 		t.Fatal("not down during outage window")
 	}
 	time.Sleep(40 * time.Millisecond)
-	if nw.Down() {
+	if nw.isDown() {
 		t.Fatal("still down after outage window")
 	}
 }

@@ -34,8 +34,6 @@ type Clock interface {
 	// AfterFunc schedules fn to run once d has elapsed. The returned
 	// Timer can stop the call before it fires.
 	AfterFunc(d time.Duration, fn func()) Timer
-	// Since returns the duration elapsed since t.
-	Since(t time.Time) time.Duration
 }
 
 // Timer is a handle to a pending AfterFunc call.
@@ -50,8 +48,7 @@ func Real() Clock { return realClock{} }
 
 type realClock struct{}
 
-func (realClock) Now() time.Time                  { return time.Now() }
-func (realClock) Since(t time.Time) time.Duration { return time.Since(t) }
+func (realClock) Now() time.Time { return time.Now() }
 
 func (realClock) AfterFunc(d time.Duration, fn func()) Timer {
 	return realTimer{time.AfterFunc(d, fn)}

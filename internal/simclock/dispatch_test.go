@@ -24,7 +24,7 @@ func TestSameTimestampFIFO(t *testing.T) {
 	s.AfterFunc(time.Second, rec("afterfunc-1"))
 	s.Post(func() { s.AfterFunc(time.Second, rec("posted-afterfunc")) })
 	s.AfterFunc(time.Second, rec("afterfunc-2"))
-	s.At(s.Now().Add(time.Second), rec("at"))
+	s.at(s.Now().Add(time.Second), rec("at"))
 	tr := s.NewTrigger()
 	s.AfterFunc(time.Second, func() { got = append(got, "fire"); tr.Fire() })
 	// Waiters release in registration order: the first WaitThen

@@ -271,9 +271,9 @@ func (s *Sim) AfterFuncTimer(d time.Duration, fn func()) SimTimer {
 	return SimTimer{s, e, e.gen}
 }
 
-// At schedules fn at absolute virtual time t (immediately if t is in
+// at schedules fn at absolute virtual time t (immediately if t is in
 // the past).
-func (s *Sim) At(t time.Time, fn func()) Timer {
+func (s *Sim) at(t time.Time, fn func()) Timer {
 	return s.AfterFunc(t.Sub(s.Now()), fn)
 }
 

@@ -42,7 +42,7 @@ func TestElasticSitePublishesBackendAttrs(t *testing.T) {
 	if got := r.Attrs[infosys.AttrStartupSec]; got != 45.0 {
 		t.Fatalf("attrs[%s] = %v, want 45 (cold start + jitter bound)", infosys.AttrStartupSec, got)
 	}
-	if b := s.Backend(); b.Kind != batch.BackendElastic || b.Startup != 45*time.Second {
+	if b := s.lrms.Backend(); b.Kind != batch.BackendElastic || b.Startup != 45*time.Second {
 		t.Fatalf("Backend() = %+v", b)
 	}
 }

@@ -204,9 +204,6 @@ func (s *Site) SetTracer(t *trace.Tracer) { s.tracer = t }
 // Queue exposes the local resource manager.
 func (s *Site) Queue() *batch.Queue { return s.lrms }
 
-// Backend describes the shape of the site's node supply.
-func (s *Site) Backend() batch.BackendInfo { return s.lrms.Backend() }
-
 // Costs returns the site's cost model.
 func (s *Site) Costs() Costs { return s.cfg.Costs }
 

@@ -106,12 +106,12 @@ func TestStartPublishing(t *testing.T) {
 	if is.Len() != 1 {
 		t.Fatal("initial publish missing")
 	}
-	first := is.QueryImmediate()[0]
+	first := is.SnapshotImmediate().Records()[0]
 	if first.Gatekeeper != "x/gatekeeper" || first.Attrs["OS"] != "linux" {
 		t.Fatalf("initial publish = %+v", first)
 	}
 	sim.RunFor(90 * time.Second)
-	second := is.QueryImmediate()[0]
+	second := is.SnapshotImmediate().Records()[0]
 	if !second.UpdatedAt.After(first.UpdatedAt) {
 		t.Fatal("record not refreshed")
 	}
@@ -123,7 +123,7 @@ func TestStartPublishing(t *testing.T) {
 	// next tick, not a refusal.
 	is.Remove("x")
 	sim.RunFor(time.Minute)
-	recs := is.QueryImmediate()
+	recs := is.SnapshotImmediate().Records()
 	if len(recs) != 1 {
 		t.Fatalf("%d records after the tick that follows a Remove, want 1", len(recs))
 	}
@@ -157,7 +157,7 @@ func TestPublishTickAllocs(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	s := New(sim, Config{Name: "d"})
-	if len(s.Queue().Nodes()) != 1 {
+	if s.Queue().TotalCPUs() != 1 {
 		t.Fatal("default nodes != 1")
 	}
 	if s.Record().Attrs["OS"] != "linux" {

@@ -281,16 +281,6 @@ func (t *Tracer) Emit(e Event) {
 // Enabled reports whether the tracer records (false for nil).
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Len reports the recorded event count (0 for nil).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
 // Events returns a copy of the recorded log in emission order (nil for
 // a nil tracer).
 func (t *Tracer) Events() []Event {

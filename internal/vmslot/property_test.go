@@ -55,13 +55,13 @@ func TestSchedulerInvariantsUnderRandomLoad(t *testing.T) {
 			if st.pending != 0 {
 				t.Fatalf("seed %d: slot %d has %d unfinished runs", seed, i, st.pending)
 			}
-			if st.slot.Used() != st.requested {
-				t.Fatalf("seed %d: slot %d used %v, requested %v", seed, i, st.slot.Used(), st.requested)
+			if st.slot.consumed() != st.requested {
+				t.Fatalf("seed %d: slot %d used %v, requested %v", seed, i, st.slot.consumed(), st.requested)
 			}
 			total += st.requested
 		}
-		if m.Busy() != total {
-			t.Fatalf("seed %d: busy %v != total work %v", seed, m.Busy(), total)
+		if m.busy() != total {
+			t.Fatalf("seed %d: busy %v != total work %v", seed, m.busy(), total)
 		}
 		if m.Runnable() != 0 {
 			t.Fatalf("seed %d: %d runs left", seed, m.Runnable())
@@ -81,7 +81,7 @@ func TestProportionalityRandomTickets(t *testing.T) {
 		a.Start(1000 * time.Hour)
 		b.Start(1000 * time.Hour)
 		sim.RunFor(60 * time.Second)
-		gotA := a.Used().Seconds() / (a.Used().Seconds() + b.Used().Seconds())
+		gotA := a.consumed().Seconds() / (a.consumed().Seconds() + b.consumed().Seconds())
 		wantA := float64(ta) / float64(ta+tb)
 		if math.Abs(gotA-wantA) > 0.03 {
 			t.Fatalf("seed %d: tickets %d:%d share %.3f, want %.3f", seed, ta, tb, gotA, wantA)

@@ -143,9 +143,6 @@ func (m *Machine) NewSlot(name string, tickets int) *Slot {
 	return s
 }
 
-// Name returns the slot name.
-func (s *Slot) Name() string { return s.name }
-
 // Tickets returns the slot's current ticket count.
 func (s *Slot) Tickets() int { return s.tickets }
 
@@ -164,8 +161,8 @@ func (s *Slot) SetTickets(n int) {
 	s.tickets = n
 }
 
-// Used returns the total CPU time consumed by the slot.
-func (s *Slot) Used() time.Duration {
+// consumed returns the total CPU time consumed by the slot.
+func (s *Slot) consumed() time.Duration {
 	s.m.interrupt()
 	return s.used
 }
@@ -354,9 +351,9 @@ func (m *Machine) complete(r *run, used time.Duration) {
 	m.dispatch()
 }
 
-// Busy returns the cumulative time the CPU spent executing slices,
+// busy returns the cumulative time the CPU spent executing slices,
 // including the in-flight portion of the current slice.
-func (m *Machine) Busy() time.Duration {
+func (m *Machine) busy() time.Duration {
 	if b := m.burst; b != nil {
 		// A contended burst keeps the CPU busy for its whole span, so
 		// busy time interpolates linearly without materializing it.

@@ -21,8 +21,8 @@ func TestSingleSlotRunsAtFullSpeed(t *testing.T) {
 	if elapsed != time.Second {
 		t.Fatalf("uncontended 1s of work took %v", elapsed)
 	}
-	if s.Used() != time.Second {
-		t.Fatalf("Used = %v", s.Used())
+	if s.consumed() != time.Second {
+		t.Fatalf("Used = %v", s.consumed())
 	}
 }
 
@@ -109,16 +109,16 @@ func TestWorkConservation(t *testing.T) {
 	// Background consumed at least most of the I/O window, plus the
 	// tail after the second burst, and the interactive job was never
 	// slowed: total interactive elapsed = 0.5 + 0.3 + 0.5 = 1.3s.
-	if bg.Used() < 280*time.Millisecond {
-		t.Fatalf("background used only %v during idle windows", bg.Used())
+	if bg.consumed() < 280*time.Millisecond {
+		t.Fatalf("background used only %v during idle windows", bg.consumed())
 	}
-	if inter.Used() != time.Second {
-		t.Fatalf("interactive used %v, want 1s", inter.Used())
+	if inter.consumed() != time.Second {
+		t.Fatalf("interactive used %v, want 1s", inter.consumed())
 	}
 	// The machine is work-conserving: busy for the whole window (the
 	// final slice may be dispatched at the window edge, hence the one
 	// extra quantum of slack).
-	if got := m.Busy(); got < 1490*time.Millisecond || got > 1510*time.Millisecond {
+	if got := m.busy(); got < 1490*time.Millisecond || got > 1510*time.Millisecond {
 		t.Fatalf("machine busy %v, want ~full 1.5s window", got)
 	}
 }
@@ -136,7 +136,7 @@ func TestStrictPriorityWithZeroTickets(t *testing.T) {
 	sim.Post(func() {
 		inter.Start(2 * time.Second).WaitThen(func() {
 			elapsed = sim.Since(start)
-			batchUsed = batch.Used() // before work conservation hands the CPU back
+			batchUsed = batch.consumed() // before work conservation hands the CPU back
 		})
 	})
 	sim.RunUntil(start.Add(2*time.Second + 50*time.Millisecond))
@@ -207,14 +207,14 @@ func TestShareConvergenceProperty(t *testing.T) {
 		a.Start(10 * time.Hour)
 		b.Start(10 * time.Hour)
 		sim.RunFor(10 * time.Second)
-		total := a.Used().Seconds() + b.Used().Seconds()
-		gotA := a.Used().Seconds() / total
+		total := a.consumed().Seconds() + b.consumed().Seconds()
+		gotA := a.consumed().Seconds() / total
 		wantA := float64(tc.ta) / float64(tc.ta+tc.tb)
 		if math.Abs(gotA-wantA) > 0.02 {
 			t.Errorf("tickets %d:%d — share %.3f, want %.3f", tc.ta, tc.tb, gotA, wantA)
 		}
 		// Work conservation: CPU never idle while work pending.
-		if busy := m.Busy(); busy < 9999*time.Millisecond {
+		if busy := m.busy(); busy < 9999*time.Millisecond {
 			t.Errorf("tickets %d:%d — busy %v of 10s", tc.ta, tc.tb, busy)
 		}
 	}

@@ -27,7 +27,7 @@ func readFixture(t *testing.T, name string) []byte {
 
 func TestGoldenSWF(t *testing.T) {
 	raw := readFixture(t, "ctc_sp2.swf")
-	tr, err := swf.ParseString(string(raw), swf.Options{Strict: true})
+	tr, err := swf.Parse(strings.NewReader(string(raw)), swf.Options{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestGoldenSWF(t *testing.T) {
 
 func TestGoldenGWF(t *testing.T) {
 	raw := readFixture(t, "grid5000.gwf")
-	tr, err := gwf.ParseString(string(raw), gwf.Options{Strict: true})
+	tr, err := gwf.Parse(strings.NewReader(string(raw)), gwf.Options{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}

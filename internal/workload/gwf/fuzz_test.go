@@ -54,7 +54,7 @@ func FuzzParseGWF(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		tr, err := ParseString(src, Options{})
+		tr, err := Parse(strings.NewReader(src), Options{})
 		if err != nil {
 			if tr != nil {
 				t.Fatal("non-nil trace alongside error")
@@ -62,7 +62,7 @@ func FuzzParseGWF(f *testing.F) {
 			return
 		}
 		out := Format(tr)
-		tr2, err := ParseString(out, Options{Strict: true})
+		tr2, err := Parse(strings.NewReader(out), Options{Strict: true})
 		if err != nil {
 			t.Fatalf("canonical form rejected by strict parse: %v\ninput: %q\ncanonical: %q", err, src, out)
 		}
@@ -72,7 +72,7 @@ func FuzzParseGWF(f *testing.F) {
 		if out2 := Format(tr2); out2 != out {
 			t.Fatalf("second serialization diverged:\n%q\n%q", out, out2)
 		}
-		if st, err := ParseString(src, Options{Strict: true}); err == nil {
+		if st, err := Parse(strings.NewReader(src), Options{Strict: true}); err == nil {
 			if !reflect.DeepEqual(st, tr) {
 				t.Fatalf("strict and tolerant parses of valid input diverged\n%+v\n%+v", st, tr)
 			}

@@ -16,7 +16,6 @@ package gwf
 import (
 	"io"
 	"strconv"
-	"strings"
 
 	"crossbroker/internal/workload/scanio"
 )
@@ -120,11 +119,6 @@ func NewReader(r io.Reader, opts Options) *Reader { return dialect.NewReader(r, 
 
 // Parse reads a whole GWF stream.
 func Parse(r io.Reader, opts Options) (*Trace, error) { return dialect.Parse(r, opts) }
-
-// ParseString parses an in-memory GWF document.
-func ParseString(src string, opts Options) (*Trace, error) {
-	return Parse(strings.NewReader(src), opts)
-}
 
 // Write serializes the trace canonically.
 func Write(w io.Writer, t *Trace) error { return dialect.Write(w, t) }

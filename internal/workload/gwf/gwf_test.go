@@ -3,6 +3,7 @@ package gwf
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -14,7 +15,7 @@ const sample = `# Version: 2.0
 `
 
 func TestParseSample(t *testing.T) {
-	tr, err := ParseString(sample, Options{Strict: true})
+	tr, err := Parse(strings.NewReader(sample), Options{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestTolerantRepairs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, err := ParseString(tc.line+"\n", Options{})
+			tr, err := Parse(strings.NewReader(tc.line+"\n"), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,28 +85,28 @@ func TestStrictErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseString(tc.src, Options{Strict: true})
+			_, err := Parse(strings.NewReader(tc.src), Options{Strict: true})
 			var pe *ParseError
 			if !errors.As(err, &pe) {
 				t.Fatalf("err = %v, want *ParseError", err)
 			}
-			if _, err := ParseString(tc.src, Options{}); err != nil {
+			if _, err := Parse(strings.NewReader(tc.src), Options{}); err != nil {
 				t.Fatalf("tolerant parse failed: %v", err)
 			}
 		})
 	}
-	if _, err := ParseString(valid+"\n", Options{Strict: true}); err != nil {
+	if _, err := Parse(strings.NewReader(valid+"\n"), Options{Strict: true}); err != nil {
 		t.Fatalf("valid record rejected: %v", err)
 	}
 }
 
 func TestRoundTripCanonical(t *testing.T) {
-	tr, err := ParseString(sample, Options{Strict: true})
+	tr, err := Parse(strings.NewReader(sample), Options{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := Format(tr)
-	tr2, err := ParseString(out, Options{Strict: true})
+	tr2, err := Parse(strings.NewReader(out), Options{Strict: true})
 	if err != nil {
 		t.Fatalf("canonical form does not reparse strictly: %v\n%s", err, out)
 	}
@@ -118,7 +119,7 @@ func TestRoundTripCanonical(t *testing.T) {
 }
 
 func TestParseErrorMessage(t *testing.T) {
-	_, err := ParseString("1 x\n", Options{Strict: true})
+	_, err := Parse(strings.NewReader("1 x\n"), Options{Strict: true})
 	if err == nil {
 		t.Fatal("strict parse accepted a truncated record")
 	}

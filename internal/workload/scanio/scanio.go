@@ -85,9 +85,6 @@ func (s *Scanner) Next() (text string, line int, err error) {
 	return "", s.line, io.EOF
 }
 
-// Line returns the number of the most recently scanned line.
-func (s *Scanner) Line() int { return s.line }
-
 // Fields splits s around runs of ASCII whitespace into dst and
 // returns the total number of fields in s, which may exceed len(dst)
 // (the extras are counted but not stored). Unlike strings.Fields it
@@ -307,9 +304,6 @@ func (r *Reader[R]) Next() (R, error) {
 // Directives returns the header directives seen so far, in file
 // order. The full set is available once Next has returned io.EOF.
 func (r *Reader[R]) Directives() []Directive { return r.directives }
-
-// Line returns the input line number of the most recent read.
-func (r *Reader[R]) Line() int { return r.sc.Line() }
 
 // readErr converts scanner failures into the dialect's error shape;
 // io.EOF passes through as the stream terminator.

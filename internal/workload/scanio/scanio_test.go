@@ -30,8 +30,8 @@ func TestNextCountsLines(t *testing.T) {
 	if _, _, err := s.Next(); err != io.EOF {
 		t.Fatalf("second err = %v, want io.EOF", err)
 	}
-	if s.Line() != 4 {
-		t.Fatalf("Line() = %d", s.Line())
+	if s.line != 4 {
+		t.Fatalf("Line() = %d", s.line)
 	}
 }
 

@@ -88,7 +88,7 @@ type pendEntry struct {
 // long as no record is displaced more than ReorderWindow kept records
 // from its sorted position. Past that bound, strict mode returns an
 // error; tolerant mode clamps the stray submit to the last emitted
-// offset (keeping the stream monotone) and counts it in Clamped.
+// offset (keeping the stream monotone) and counts it.
 type TraceReader struct {
 	read  func() (rawRec, error)
 	close func() error
@@ -212,10 +212,6 @@ func (tr *TraceReader) Next() (TraceJob, error) {
 
 // Dropped reports how many records normalization discarded so far.
 func (tr *TraceReader) Dropped() int { return tr.dropped }
-
-// Clamped reports how many records arrived out of order beyond the
-// reorder window and had their submit offset clamped (tolerant mode).
-func (tr *TraceReader) Clamped() int { return tr.clamped }
 
 // Close releases the underlying file, if the reader owns one.
 func (tr *TraceReader) Close() error {
@@ -373,9 +369,6 @@ func (s *StreamReplay) Next() (Job, time.Duration, bool) {
 
 // Err returns the ingest error that ended the stream, if any.
 func (s *StreamReplay) Err() error { return s.err }
-
-// Count reports how many jobs the stream has yielded.
-func (s *StreamReplay) Count() int { return s.count }
 
 // Close releases the underlying trace source.
 func (s *StreamReplay) Close() error { return s.tr.Close() }

@@ -120,8 +120,8 @@ func collect(t *testing.T, s *StreamReplay) []arrival {
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Count() != len(out) {
-		t.Fatalf("Count() = %d after %d jobs", s.Count(), len(out))
+	if s.count != len(out) {
+		t.Fatalf("Count() = %d after %d jobs", s.count, len(out))
 	}
 	return out
 }
@@ -195,8 +195,8 @@ func TestTraceReaderMatchesLoadTrace(t *testing.T) {
 			if tr.Dropped() != wantDropped {
 				t.Fatalf("%s strict=%v: Dropped() = %d, want %d", name, strict, tr.Dropped(), wantDropped)
 			}
-			if tr.Clamped() != 0 {
-				t.Fatalf("%s: unexpected clamps: %d", name, tr.Clamped())
+			if tr.clamped != 0 {
+				t.Fatalf("%s: unexpected clamps: %d", name, tr.clamped)
 			}
 		}
 	}
@@ -311,7 +311,7 @@ func FuzzStreamReplay(f *testing.F) {
 		if (oracleErr != nil) != (streamErr != nil) {
 			t.Fatalf("oracle err = %v, stream err = %v", oracleErr, streamErr)
 		}
-		if oracleErr != nil || tr.Clamped() != 0 {
+		if oracleErr != nil || tr.clamped != 0 {
 			return
 		}
 		if want := replayOracle(jobs, cfg); !reflect.DeepEqual(got, want) {
@@ -341,8 +341,8 @@ func TestTraceReaderReorderWithinWindow(t *testing.T) {
 			t.Fatalf("job %d rebased submit = %v, want %vs", i, jobs[i].Submit, want)
 		}
 	}
-	if tr.Clamped() != 0 {
-		t.Fatalf("Clamped() = %d, want 0", tr.Clamped())
+	if tr.clamped != 0 {
+		t.Fatalf("Clamped() = %d, want 0", tr.clamped)
 	}
 }
 
@@ -369,8 +369,8 @@ func TestTraceReaderReorderBeyondWindow(t *testing.T) {
 
 	tr = NewTraceReader(strings.NewReader(src), FormatSWF, TraceReaderOptions{ReorderWindow: 4})
 	jobs := drainTraceReader(t, tr)
-	if tr.Clamped() != 1 {
-		t.Fatalf("Clamped() = %d, want 1", tr.Clamped())
+	if tr.clamped != 1 {
+		t.Fatalf("Clamped() = %d, want 1", tr.clamped)
 	}
 	last := time.Duration(-1)
 	for _, j := range jobs {

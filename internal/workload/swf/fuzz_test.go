@@ -56,7 +56,7 @@ func FuzzParseSWF(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		tr, err := ParseString(src, Options{})
+		tr, err := Parse(strings.NewReader(src), Options{})
 		if err != nil {
 			// Only scanner-level failures (absurdly long lines) may
 			// error in tolerant mode; they must be real errors.
@@ -66,7 +66,7 @@ func FuzzParseSWF(f *testing.F) {
 			return
 		}
 		out := Format(tr)
-		tr2, err := ParseString(out, Options{Strict: true})
+		tr2, err := Parse(strings.NewReader(out), Options{Strict: true})
 		if err != nil {
 			t.Fatalf("canonical form rejected by strict parse: %v\ninput: %q\ncanonical: %q", err, src, out)
 		}
@@ -77,7 +77,7 @@ func FuzzParseSWF(f *testing.F) {
 			t.Fatalf("second serialization diverged:\n%q\n%q", out, out2)
 		}
 		// Strict parses, when they succeed, must agree with tolerant.
-		if st, err := ParseString(src, Options{Strict: true}); err == nil {
+		if st, err := Parse(strings.NewReader(src), Options{Strict: true}); err == nil {
 			if !reflect.DeepEqual(st, tr) {
 				t.Fatalf("strict and tolerant parses of valid input diverged\n%+v\n%+v", st, tr)
 			}

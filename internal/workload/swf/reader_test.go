@@ -30,7 +30,7 @@ func drainReader(t *testing.T, r *Reader) []Record {
 // wrapper over Reader, and this pins the equivalence independently.
 func TestReaderMatchesParse(t *testing.T) {
 	for _, strict := range []bool{false, true} {
-		tr, err := ParseString(sample, Options{Strict: strict})
+		tr, err := Parse(strings.NewReader(sample), Options{Strict: strict})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestReaderStrictError(t *testing.T) {
 // the streaming and the batch entry points, not a bare scanner error.
 func TestTooLongLineIsParseError(t *testing.T) {
 	src := "; Version: 2\n" + strings.Repeat("9", 2*1024*1024) + "\n"
-	_, err := ParseString(src, Options{})
+	_, err := Parse(strings.NewReader(src), Options{})
 	var pe *ParseError
 	if !errors.As(err, &pe) {
 		t.Fatalf("Parse err = %v, want *ParseError", err)

@@ -12,7 +12,6 @@ package swf
 import (
 	"io"
 	"strconv"
-	"strings"
 
 	"crossbroker/internal/workload/scanio"
 )
@@ -92,14 +91,6 @@ func NewReader(r io.Reader, opts Options) *Reader { return dialect.NewReader(r, 
 
 // Parse reads a whole SWF stream.
 func Parse(r io.Reader, opts Options) (*Trace, error) { return dialect.Parse(r, opts) }
-
-// ParseString parses an in-memory SWF document.
-func ParseString(src string, opts Options) (*Trace, error) {
-	return Parse(strings.NewReader(src), opts)
-}
-
-// Write serializes the trace canonically.
-func Write(w io.Writer, t *Trace) error { return dialect.Write(w, t) }
 
 // Format returns the canonical serialization as a string.
 func Format(t *Trace) string { return dialect.Format(t) }

@@ -16,7 +16,7 @@ const sample = `; Version: 2
 `
 
 func TestParseSample(t *testing.T) {
-	tr, err := ParseString(sample, Options{Strict: true})
+	tr, err := Parse(strings.NewReader(sample), Options{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTolerantRepairs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, err := ParseString(tc.line+"\n", Options{})
+			tr, err := Parse(strings.NewReader(tc.line+"\n"), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestStrictErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseString(tc.src, Options{Strict: true})
+			_, err := Parse(strings.NewReader(tc.src), Options{Strict: true})
 			var pe *ParseError
 			if !errors.As(err, &pe) {
 				t.Fatalf("err = %v, want *ParseError", err)
@@ -109,19 +109,19 @@ func TestStrictErrors(t *testing.T) {
 	}
 	// The same inputs parse tolerantly.
 	for _, tc := range cases {
-		if _, err := ParseString(tc.src, Options{}); err != nil {
+		if _, err := Parse(strings.NewReader(tc.src), Options{}); err != nil {
 			t.Fatalf("tolerant parse of %q failed: %v", tc.name, err)
 		}
 	}
 }
 
 func TestRoundTripCanonical(t *testing.T) {
-	tr, err := ParseString(sample, Options{Strict: true})
+	tr, err := Parse(strings.NewReader(sample), Options{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := Format(tr)
-	tr2, err := ParseString(out, Options{Strict: true})
+	tr2, err := Parse(strings.NewReader(out), Options{Strict: true})
 	if err != nil {
 		t.Fatalf("canonical form does not reparse strictly: %v\n%s", err, out)
 	}
@@ -135,7 +135,7 @@ func TestRoundTripCanonical(t *testing.T) {
 }
 
 func TestDirectiveEdgeCases(t *testing.T) {
-	tr, err := ParseString("; no colon here\n;; Multi: semi\n;Key:value\n; two words: v\n", Options{})
+	tr, err := Parse(strings.NewReader("; no colon here\n;; Multi: semi\n;Key:value\n; two words: v\n"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestSynthValidAndIngestible(t *testing.T) {
 	if err := WriteSynthSWF(&sb, cfg); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := swf.ParseString(sb.String(), swf.Options{Strict: true})
+	tr, err := swf.Parse(strings.NewReader(sb.String()), swf.Options{Strict: true})
 	if err != nil {
 		t.Fatalf("strict parse: %v", err)
 	}
