@@ -51,6 +51,9 @@ var (
 	// the job now; interactive submissions fail with it, per Section
 	// 5.2.
 	ErrNoResources = errors.New("broker: no resources available")
+	// ErrQueueTimeout means an exclusive interactive attempt sat in a
+	// remote LRM queue past Config.QueueTimeout and was withdrawn.
+	ErrQueueTimeout = errors.New("broker: queue timeout")
 	// ErrRejected means the user's fair-share priority was too poor
 	// for the current contention.
 	ErrRejected = errors.New("broker: rejected by fair-share policy")
@@ -844,7 +847,7 @@ func (b *Broker) resubmitsSpent(h *Handle) bool {
 	}
 	err := fmt.Errorf("%w (%d resubmissions)", ErrMaxResubmits, h.resub)
 	if h.lastErr != nil {
-		err = fmt.Errorf("%w (%d resubmissions): %v", ErrMaxResubmits, h.resub, h.lastErr)
+		err = fmt.Errorf("%w (%d resubmissions): %w", ErrMaxResubmits, h.resub, h.lastErr)
 	}
 	b.fail(h, err)
 	return true

@@ -696,12 +696,25 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestNoSitesFailsCleanly: on an empty registry every attempt kind
+// fails because nothing matches, not because the grid is full.
 func TestNoSitesFailsCleanly(t *testing.T) {
-	sim := simclock.NewSim(time.Time{})
-	b := New(Config{Sim: sim, Info: infosys.New(sim, 0)})
-	h, _ := b.Submit(batchJob(time.Second))
-	sim.RunFor(time.Minute)
-	if h.State() != Failed || !errors.Is(h.Err(), ErrNoMatch) {
-		t.Fatalf("state = %v err = %v", h.State(), h.Err())
+	for _, c := range []struct {
+		name string
+		req  Request
+	}{
+		{"batch", batchJob(time.Second)},
+		{"exclusive interactive", interactiveJob(jdl.ExclusiveAccess, 0, 1)},
+		{"shared interactive", interactiveJob(jdl.SharedAccess, 50, 1)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sim := simclock.NewSim(time.Time{})
+			b := New(Config{Sim: sim, Info: infosys.New(sim, 0)})
+			h, _ := b.Submit(c.req)
+			sim.RunFor(time.Minute)
+			if h.State() != Failed || !errors.Is(h.Err(), ErrNoMatch) {
+				t.Fatalf("state = %v err = %v", h.State(), h.Err())
+			}
+		})
 	}
 }

@@ -281,9 +281,8 @@ func TestQueuedAgentKillResubmitsBatch(t *testing.T) {
 // through repeated failures until it exhausts a budget of one
 // resubmission. The second failure spends the budget, so every job
 // ends Failed after two resubmissions with ErrMaxResubmits, and the
-// error names the last attempt's cause. A queue timeout records no
-// cause, because the job never ran, so the exclusive row's error
-// names none.
+// error wraps the last attempt's cause. An exclusive job spends the
+// budget on its last candidate as well as on an earlier one.
 func TestMaxResubmitsTerminalAbort(t *testing.T) {
 	// Crash the site (briefly) twice while the job runs: the first
 	// loss consumes the budget, the second, once the cool-down has let
@@ -294,17 +293,29 @@ func TestMaxResubmitsTerminalAbort(t *testing.T) {
 			g.sim.AfterFunc(at+10*time.Second, g.sites[0].Restart)
 		}
 	}
+	// A local job reaches every LRM queue before the broker's
+	// submission does: the probes still see the node free, and each
+	// attempt then sits in the queue until it times out.
+	queueLocal := func(t *testing.T, g *grid) {
+		for _, st := range g.sites {
+			if _, err := st.Queue().Submit(batch.Request{ID: "local", Nodes: 1, RunCB: holdCB(g.sim, time.Hour)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, c := range []struct {
 		name         string
 		sites, nodes int
 		req          func() Request
 		faults       func(t *testing.T, g *grid)
+		cause        error
 		want         string
 	}{
 		{
 			name: "single-node batch, agent lost with its site", sites: 1, nodes: 1,
 			req:    func() Request { return batchJob(20 * time.Minute) },
 			faults: crashTwice,
+			cause:  ErrAgentLost,
 			want:   fmt.Sprintf("%v (2 resubmissions): %v: payload on site00 unfinished", ErrMaxResubmits, ErrAgentLost),
 		},
 		{
@@ -315,22 +326,22 @@ func TestMaxResubmitsTerminalAbort(t *testing.T) {
 				return r
 			},
 			faults: crashTwice,
+			cause:  ErrSiteLost,
 			want:   fmt.Sprintf("%v (2 resubmissions): %v: site00 died running cb-000001", ErrMaxResubmits, ErrSiteLost),
 		},
 		{
 			name: "exclusive interactive, queue timeouts", sites: 3, nodes: 1,
-			req: func() Request { return interactiveJob(jdl.ExclusiveAccess, 0, 1) },
-			// A local job reaches every LRM queue before the broker's
-			// submission does: the probes still see the node free, and
-			// each attempt then sits in the queue until it times out.
-			faults: func(t *testing.T, g *grid) {
-				for _, st := range g.sites {
-					if _, err := st.Queue().Submit(batch.Request{ID: "local", Nodes: 1, RunCB: holdCB(g.sim, time.Hour)}); err != nil {
-						t.Fatal(err)
-					}
-				}
-			},
-			want: fmt.Sprintf("%v (2 resubmissions)", ErrMaxResubmits),
+			req:    func() Request { return interactiveJob(jdl.ExclusiveAccess, 0, 1) },
+			faults: queueLocal,
+			cause:  ErrQueueTimeout,
+			want:   fmt.Sprintf("%v (2 resubmissions): %v at site01", ErrMaxResubmits, ErrQueueTimeout),
+		},
+		{
+			name: "exclusive interactive, queue timeouts on every candidate", sites: 2, nodes: 1,
+			req:    func() Request { return interactiveJob(jdl.ExclusiveAccess, 0, 1) },
+			faults: queueLocal,
+			cause:  ErrQueueTimeout,
+			want:   fmt.Sprintf("%v (2 resubmissions): %v at site01", ErrMaxResubmits, ErrQueueTimeout),
 		},
 		{
 			name: "shared interactive, agent deaths", sites: 1, nodes: 2,
@@ -348,7 +359,8 @@ func TestMaxResubmitsTerminalAbort(t *testing.T) {
 					})
 				}
 			},
-			want: fmt.Sprintf("%v (2 resubmissions): %v while running cb-000001", ErrMaxResubmits, ErrAgentLost),
+			cause: ErrAgentLost,
+			want:  fmt.Sprintf("%v (2 resubmissions): %v while running cb-000001", ErrMaxResubmits, ErrAgentLost),
 		},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -359,8 +371,8 @@ func TestMaxResubmitsTerminalAbort(t *testing.T) {
 				t.Fatal(err)
 			}
 			g.sim.RunFor(2 * time.Hour)
-			if h.State() != Failed || !errors.Is(h.Err(), ErrMaxResubmits) {
-				t.Fatalf("state %v, err %v; want Failed with %v", h.State(), h.Err(), ErrMaxResubmits)
+			if h.State() != Failed || !errors.Is(h.Err(), ErrMaxResubmits) || !errors.Is(h.Err(), c.cause) {
+				t.Fatalf("state %v, err %v; want Failed with %v wrapping %v", h.State(), h.Err(), ErrMaxResubmits, c.cause)
 			}
 			if h.Resubmissions() != 2 {
 				t.Errorf("%d resubmissions, want 2", h.Resubmissions())

@@ -335,35 +335,30 @@ func (b *Broker) runInteractiveExclusive(h *Handle) {
 
 // tryExclusive runs the job on the best candidate from cands[i] on that
 // has the nodes free, and after a lost attempt goes on past it. tries
-// counts the attempts made so far; the resubmission budget is checked
-// while it is below the candidate count. A job left without a
-// candidate fails: ErrRejected if no candidate was free and fair share
-// turns the user away, ErrNoResources otherwise.
+// counts the attempts made so far. The resubmission budget is checked
+// before every step, so a job whose last attempt spends it fails with
+// ErrMaxResubmits. A job left without a candidate fails: ErrRejected if
+// no candidate was free and fair share turns the user away,
+// ErrNoResources otherwise.
 func (b *Broker) tryExclusive(h *Handle, cands []candidate, i, tries int) {
-	if tries < len(cands) {
-		if h.abort.Fired() {
-			b.fail(h, h.abortErr)
-			return
-		}
-		if b.resubmitsSpent(h) {
-			return
-		}
-		for i < len(cands) && cands[i].free < h.request.Job.NodeNumber {
-			i++
-		}
-		if i < len(cands) {
-			c := &cands[i]
-			b.cfg.Trace.Emit(b.matchedEvent(h, c.site.Name(), c.rank))
-			b.runExclusiveAttempt(h, c.site, func(lost bool) {
-				if lost {
-					b.tryExclusive(h, cands, i+1, tries+1)
-				}
-			})
-			return
-		}
-	}
 	if h.abort.Fired() {
 		b.fail(h, h.abortErr)
+		return
+	}
+	if b.resubmitsSpent(h) {
+		return
+	}
+	for i < len(cands) && cands[i].free < h.request.Job.NodeNumber {
+		i++
+	}
+	if i < len(cands) {
+		c := &cands[i]
+		b.cfg.Trace.Emit(b.matchedEvent(h, c.site.Name(), c.rank))
+		b.runExclusiveAttempt(h, c.site, func(lost bool) {
+			if lost {
+				b.tryExclusive(h, cands, i+1, tries+1)
+			}
+		})
 		return
 	}
 	if tries == 0 && !b.admissionOK(h.request.User) {
@@ -504,7 +499,7 @@ func (b *Broker) runExclusiveAttempt(h *Handle, st *site.Site, cont func(lost bo
 			b.waitTrigger(bh.Started, b.cfg.QueueTimeout, func(started bool) {
 				if !started {
 					st.Queue().Kill(bh.ID())
-					b.noteResub(h, st.Name(), "queue timeout", nil)
+					b.noteResub(h, st.Name(), "queue timeout", fmt.Errorf("%w at %s", ErrQueueTimeout, st.Name()))
 					done(true)
 					return
 				}
@@ -608,6 +603,10 @@ func (b *Broker) runInteractiveShared(h *Handle) {
 				return
 			}
 			b.matchPass(h, func(cands []candidate) {
+				if len(cands) == 0 && len(chosen) == 0 {
+					b.fail(h, noCandidates(h))
+					return
+				}
 				b.fill(cands, 0, chosen, need, place)
 			})
 		})
