@@ -95,7 +95,8 @@ type FairShare interface {
 // same instant). A discovery query is the latency, charged by the
 // broker as one timer event, followed by the read at that instant.
 type Directory interface {
-	// Publisher is where every registered site publishes its record.
+	// RegisterSite hands the directory to the site, which publishes
+	// its record through it.
 	site.Publisher
 	// QueryLatency is the cost of one discovery query.
 	QueryLatency() time.Duration

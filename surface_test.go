@@ -62,10 +62,7 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 		fset: token.NewFileSet(),
 		std:  importer.Default(),
 		pkgs: map[string]*types.Package{},
-		info: &types.Info{
-			Defs: map[*ast.Ident]types.Object{},
-			Uses: map[*ast.Ident]types.Object{},
-		},
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}},
 	}
 	var own []*types.Package // packages of this module, not benchmark/
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -97,7 +94,7 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 			used[fn.Origin()] = true
 		}
 	}
-	ifaces := surfaceInterfaces(own, l.info)
+	ifaces := surfaceInterfaces(own)
 
 	var unused []string
 	seen := map[string]bool{}
@@ -215,10 +212,9 @@ func exportedFuncs(pkgs []*types.Package) []*types.Func {
 }
 
 // surfaceInterfaces returns the interfaces a method can be called
-// through without a direct reference: error, every named interface of
-// the module and of the standard-library packages it imports, and every
-// interface literal the module's code spells out.
-func surfaceInterfaces(pkgs []*types.Package, info *types.Info) []*types.Interface {
+// through without a direct reference: error, and every named interface
+// of the module and of the standard-library packages it imports.
+func surfaceInterfaces(pkgs []*types.Package) []*types.Interface {
 	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	seen := map[*types.Package]bool{}
 	var walk func(*types.Package)
@@ -242,34 +238,35 @@ func surfaceInterfaces(pkgs []*types.Package, info *types.Info) []*types.Interfa
 	for _, pkg := range pkgs {
 		walk(pkg)
 	}
-	for _, tv := range info.Types {
-		if iface, ok := tv.Type.(*types.Interface); ok && iface.NumMethods() > 0 {
-			out = append(out, iface)
-		}
-	}
 	return out
+}
+
+// recvNamed returns the named type fn is a method of (an interface
+// for an interface's own method), or nil for a function.
+func recvNamed(fn *types.Func) *types.Named {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
 }
 
 // satisfiesInterface reports whether fn is a concrete method whose
 // receiver implements an interface that has a method of fn's name.
 func satisfiesInterface(fn *types.Func, ifaces []*types.Interface) bool {
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	base := recv.Type()
-	if p, ok := base.(*types.Pointer); ok {
-		base = p.Elem()
-	}
-	if _, ok := base.Underlying().(*types.Interface); ok {
+	named := recvNamed(fn)
+	if named == nil || types.IsInterface(named) {
 		return false
 	}
 	for _, iface := range ifaces {
 		for i := 0; i < iface.NumMethods(); i++ {
-			if iface.Method(i).Name() != fn.Name() {
-				continue
-			}
-			if types.Implements(base, iface) || types.Implements(types.NewPointer(base), iface) {
+			if iface.Method(i).Name() == fn.Name() &&
+				(types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
 				return true
 			}
 		}
@@ -284,34 +281,10 @@ func surfaceName(fn *types.Func) string {
 	if pkg == "" {
 		pkg = "crossbroker"
 	}
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return pkg + "." + fn.Name()
+	if named := recvNamed(fn); named != nil {
+		return pkg + "." + named.Obj().Name() + "." + fn.Name()
 	}
-	base := recv.Type()
-	if p, ok := base.(*types.Pointer); ok {
-		base = p.Elem()
-	}
-	switch b := base.(type) {
-	case *types.Named:
-		return pkg + "." + b.Obj().Name() + "." + fn.Name()
-	default:
-		// An interface's own method: its receiver is the interface.
-		for _, name := range fn.Pkg().Scope().Names() {
-			tn, ok := fn.Pkg().Scope().Lookup(name).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
-				for i := 0; i < iface.NumExplicitMethods(); i++ {
-					if iface.ExplicitMethod(i) == fn {
-						return pkg + "." + name + "." + fn.Name()
-					}
-				}
-			}
-		}
-		return pkg + "." + fn.Name()
-	}
+	return pkg + "." + fn.Name()
 }
 
 func hasSurfaceKind(reason string) bool {
