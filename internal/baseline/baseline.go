@@ -35,7 +35,6 @@ import (
 // endpoint on the submission machine and a server endpoint on the
 // execution machine.
 type Channel struct {
-	name   string // the mechanism: "ssh", "glogin" or a custom name
 	client *endpoint
 	server *endpoint
 }
@@ -69,7 +68,7 @@ type Config struct {
 // unique per session. The per-block cost models 2004-era per-packet
 // crypto and channel handling on Pentium III/Xeon worker nodes.
 func NewSSH(nw *netsim.Net, addr string) (*Channel, error) {
-	return newChannel(nw, addr, "ssh", Config{
+	return newChannel(nw, addr, Config{
 		BlockSize: 512,
 		PerBlock:  150 * time.Microsecond,
 	})
@@ -79,7 +78,7 @@ func NewSSH(nw *netsim.Net, addr string) (*Channel, error) {
 // is heavier than ssh's channel crypto, and bulk data moves in
 // stop-and-wait blocks).
 func NewGlogin(nw *netsim.Net, addr string) (*Channel, error) {
-	return newChannel(nw, addr, "glogin", Config{
+	return newChannel(nw, addr, Config{
 		BlockSize:   1024,
 		PerBlock:    300 * time.Microsecond,
 		StopAndWait: true,
@@ -88,11 +87,11 @@ func NewGlogin(nw *netsim.Net, addr string) (*Channel, error) {
 
 // NewCustom establishes a session with an explicit cost structure
 // (used by ablation benches).
-func NewCustom(nw *netsim.Net, addr, name string, cfg Config) (*Channel, error) {
-	return newChannel(nw, addr, name, cfg)
+func NewCustom(nw *netsim.Net, addr string, cfg Config) (*Channel, error) {
+	return newChannel(nw, addr, cfg)
 }
 
-func newChannel(nw *netsim.Net, addr, name string, cfg Config) (*Channel, error) {
+func newChannel(nw *netsim.Net, addr string, cfg Config) (*Channel, error) {
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = 512
 	}
@@ -123,7 +122,6 @@ func newChannel(nw *netsim.Net, addr, name string, cfg Config) (*Channel, error)
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	ch := &Channel{
-		name:   name,
 		client: newEndpoint(cc, cfg),
 		server: newEndpoint(sc, cfg),
 	}

@@ -48,9 +48,6 @@ func TestSSHRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ch.Close()
-	if ch.name != "ssh" {
-		t.Fatalf("name = %q", ch.name)
-	}
 	if d := roundTrips(t, ch, 10, 20); d <= 0 {
 		t.Fatal("no time elapsed")
 	}
@@ -126,14 +123,11 @@ func TestGloginDegradesOnHighLatencyBulk(t *testing.T) {
 
 func TestCustomChannel(t *testing.T) {
 	nw := netsim.New(netsim.Loopback(), 1)
-	ch, err := NewCustom(nw, "c", "mychan", Config{BlockSize: 64, PerBlock: time.Microsecond})
+	ch, err := NewCustom(nw, "c", Config{BlockSize: 64, PerBlock: time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ch.Close()
-	if ch.name != "mychan" {
-		t.Fatalf("name = %q", ch.name)
-	}
 	roundTrips(t, ch, 128, 5)
 }
 

@@ -31,7 +31,7 @@ func BlockSizeSweep(profile netsim.Profile, blockSizes []int, rounds int) (map[i
 	out := make(map[int]metrics.Summary)
 	for _, bs := range blockSizes {
 		nw := netsim.New(profile, int64(bs))
-		ch, err := baseline.NewCustom(nw, "sweep", fmt.Sprintf("block%d", bs), baseline.Config{
+		ch, err := baseline.NewCustom(nw, "sweep", baseline.Config{
 			BlockSize: bs,
 			PerBlock:  40 * time.Microsecond,
 		})
@@ -306,7 +306,7 @@ type FairShareUser struct {
 // returns the resulting priorities (higher = worse); the paper's
 // ordering is interactive > batch > yielded.
 func FairShareScenario(ticks int) []FairShareUser {
-	m := fairshare.New(simclock.Real(), fairshare.Config{
+	m := fairshare.New(simclock.NewSim(time.Time{}), fairshare.Config{
 		HalfLife: time.Hour, UpdateInterval: time.Minute,
 	})
 	m.SetTotal(15)

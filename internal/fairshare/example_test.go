@@ -12,7 +12,7 @@ import (
 // worsens its user's priority faster than an equal batch allocation,
 // and the priority recovers once resources are released.
 func Example() {
-	m := fairshare.New(simclock.Real(), fairshare.Config{
+	m := fairshare.New(simclock.NewSim(time.Time{}), fairshare.Config{
 		HalfLife:       time.Hour,
 		UpdateInterval: time.Hour, // beta = 0.5 per tick
 	})

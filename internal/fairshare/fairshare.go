@@ -33,7 +33,6 @@ package fairshare
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"crossbroker/internal/simclock"
@@ -103,17 +102,17 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// Manager tracks per-user priorities and resource allocations.
+// Manager tracks per-user priorities and resource allocations. It
+// belongs to one Sim: every call runs on the goroutine driving it.
 type Manager struct {
-	cfg   Config
-	clock simclock.Clock
-	beta  float64
+	cfg     Config
+	sim     *simclock.Sim
+	beta    float64
+	started bool
 
-	mu     sync.Mutex
 	total  int // total grid CPUs, for normalization
 	users  map[string]*user
 	allocs map[string]*alloc
-	ticker simclock.Timer
 }
 
 type user struct {
@@ -128,12 +127,12 @@ type alloc struct {
 	pl    int
 }
 
-// New creates a manager on the given clock.
-func New(clock simclock.Clock, cfg Config) *Manager {
+// New creates a manager on the given simulation clock.
+func New(sim *simclock.Sim, cfg Config) *Manager {
 	cfg.setDefaults()
 	m := &Manager{
 		cfg:    cfg,
-		clock:  clock,
+		sim:    sim,
 		beta:   math.Pow(0.5, cfg.UpdateInterval.Seconds()/cfg.HalfLife.Seconds()),
 		users:  make(map[string]*user),
 		allocs: make(map[string]*alloc),
@@ -142,24 +141,20 @@ func New(clock simclock.Clock, cfg Config) *Manager {
 }
 
 // SetTotal sets the total grid CPU count used to normalize r(u,t).
-func (m *Manager) SetTotal(cpus int) {
-	m.mu.Lock()
-	m.total = cpus
-	m.mu.Unlock()
-}
+func (m *Manager) SetTotal(cpus int) { m.total = cpus }
 
 // Allocate records that jobID holds cpus CPUs for userName under the
 // given class. pl is the PerformanceLoss attribute of the interactive
 // job involved (the job's own for InteractiveClass, the co-located
 // interactive job's for YieldedBatchClass; ignored for BatchClass).
 func (m *Manager) Allocate(jobID, userName string, cpus int, class Class, pl int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if _, dup := m.allocs[jobID]; dup {
 		return fmt.Errorf("fairshare: allocation %q already exists", jobID)
 	}
 	m.allocs[jobID] = &alloc{user: userName, cpus: cpus, class: class, pl: pl}
-	m.userLocked(userName)
+	if _, ok := m.users[userName]; !ok {
+		m.users[userName] = &user{name: userName, priority: initialPriority}
+	}
 	return nil
 }
 
@@ -167,8 +162,6 @@ func (m *Manager) Allocate(jobID, userName string, cpus int, class Class, pl int
 // becoming YieldedBatchClass when an interactive job with the given
 // PerformanceLoss lands on its machine, and back when it leaves.
 func (m *Manager) Reclass(jobID string, class Class, pl int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	a, ok := m.allocs[jobID]
 	if !ok {
 		return fmt.Errorf("fairshare: unknown allocation %q", jobID)
@@ -179,23 +172,11 @@ func (m *Manager) Reclass(jobID string, class Class, pl int) error {
 }
 
 // Release removes an allocation (job finished or was killed).
-func (m *Manager) Release(jobID string) {
-	m.mu.Lock()
-	delete(m.allocs, jobID)
-	m.mu.Unlock()
-}
+func (m *Manager) Release(jobID string) { delete(m.allocs, jobID) }
 
-func (m *Manager) userLocked(name string) *user {
-	u, ok := m.users[name]
-	if !ok {
-		u = &user{name: name, priority: initialPriority}
-		m.users[name] = u
-	}
-	return u
-}
-
-// usageLocked computes af·r(u,t) summed over the user's allocations.
-func (m *Manager) usageLocked(name string) float64 {
+// Usage returns the user's current af-weighted normalized usage:
+// af·r(u,t) summed over the user's allocations.
+func (m *Manager) Usage(name string) float64 {
 	if m.total <= 0 {
 		return 0
 	}
@@ -209,18 +190,9 @@ func (m *Manager) usageLocked(name string) float64 {
 	return sum
 }
 
-// Usage returns the user's current af-weighted normalized usage.
-func (m *Manager) Usage(name string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.usageLocked(name)
-}
-
 // Priority returns P(u) — higher is worse. Unknown users have the
 // initial (best) priority.
 func (m *Manager) Priority(name string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if u, ok := m.users[name]; ok {
 		return u.priority
 	}
@@ -231,11 +203,9 @@ func (m *Manager) Priority(name string) float64 {
 // users that have fully recovered their initial priority with no
 // allocations.
 func (m *Manager) Tick() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	const eps = 1e-12
 	for name, u := range m.users {
-		usage := m.usageLocked(name)
+		usage := m.Usage(name)
 		u.priority = m.beta*u.priority + (1-m.beta)*usage
 		if usage == 0 && math.Abs(u.priority-initialPriority) < eps {
 			delete(m.users, name)
@@ -244,32 +214,18 @@ func (m *Manager) Tick() {
 }
 
 // Start arranges Tick to run every UpdateInterval on the manager's
-// clock until stop is called.
+// clock for as long as the simulation runs. A second call changes
+// nothing.
 func (m *Manager) Start() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.ticker == nil {
-		m.armLocked()
+	if !m.started {
+		m.started = true
+		m.arm()
 	}
 }
 
-func (m *Manager) armLocked() {
-	m.ticker = m.clock.AfterFunc(m.cfg.UpdateInterval, func() {
+func (m *Manager) arm() {
+	m.sim.AfterFunc(m.cfg.UpdateInterval, func() {
 		m.Tick()
-		m.mu.Lock()
-		if m.ticker != nil { // not stopped meanwhile
-			m.armLocked()
-		}
-		m.mu.Unlock()
+		m.arm()
 	})
-}
-
-// stop cancels the periodic update.
-func (m *Manager) stop() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.ticker != nil {
-		m.ticker.Stop()
-		m.ticker = nil
-	}
 }

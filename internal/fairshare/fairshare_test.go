@@ -9,8 +9,8 @@ import (
 	"crossbroker/internal/simclock"
 )
 
-func mgr(clock simclock.Clock) *Manager {
-	return New(clock, Config{HalfLife: time.Hour, UpdateInterval: time.Minute})
+func mgr() *Manager {
+	return New(simclock.NewSim(time.Time{}), Config{HalfLife: time.Hour, UpdateInterval: time.Minute})
 }
 
 func TestAppFactorOrdering(t *testing.T) {
@@ -36,14 +36,14 @@ func TestAppFactorOrdering(t *testing.T) {
 }
 
 func TestBetaHalfLife(t *testing.T) {
-	m := New(simclock.Real(), Config{HalfLife: time.Hour, UpdateInterval: time.Hour})
+	m := New(simclock.NewSim(time.Time{}), Config{HalfLife: time.Hour, UpdateInterval: time.Hour})
 	if math.Abs(m.beta-0.5) > 1e-12 {
 		t.Fatalf("beta = %v with δt = h, want 0.5", m.beta)
 	}
 }
 
 func TestPriorityWorsensWithUsage(t *testing.T) {
-	m := mgr(simclock.Real())
+	m := mgr()
 	m.SetTotal(100)
 	if err := m.Allocate("j1", "alice", 10, BatchClass, 0); err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestPriorityWorsensWithUsage(t *testing.T) {
 }
 
 func TestPriorityDecaysWithHalfLife(t *testing.T) {
-	m := New(simclock.Real(), Config{HalfLife: time.Hour, UpdateInterval: time.Hour})
+	m := New(simclock.NewSim(time.Time{}), Config{HalfLife: time.Hour, UpdateInterval: time.Hour})
 	m.SetTotal(10)
 	m.Allocate("j", "u", 10, BatchClass, 0)
 	m.Tick()
@@ -74,7 +74,7 @@ func TestPriorityDecaysWithHalfLife(t *testing.T) {
 }
 
 func TestInteractiveWorsensFasterThanBatch(t *testing.T) {
-	m := mgr(simclock.Real())
+	m := mgr()
 	m.SetTotal(10)
 	m.Allocate("jb", "batchuser", 5, BatchClass, 0)
 	m.Allocate("ji", "interuser", 5, InteractiveClass, 10)
@@ -86,7 +86,7 @@ func TestInteractiveWorsensFasterThanBatch(t *testing.T) {
 }
 
 func TestYieldedBatchCompensated(t *testing.T) {
-	m := mgr(simclock.Real())
+	m := mgr()
 	m.SetTotal(10)
 	m.Allocate("jb", "victim", 5, BatchClass, 0)
 	m.Allocate("jb2", "normal", 5, BatchClass, 0)
@@ -109,7 +109,7 @@ func TestYieldedBatchCompensated(t *testing.T) {
 }
 
 func TestDuplicateAllocationRejected(t *testing.T) {
-	m := mgr(simclock.Real())
+	m := mgr()
 	m.SetTotal(10)
 	m.Allocate("j", "u", 1, BatchClass, 0)
 	if err := m.Allocate("j", "u", 1, BatchClass, 0); err == nil {
@@ -118,21 +118,21 @@ func TestDuplicateAllocationRejected(t *testing.T) {
 }
 
 func TestReclassUnknownAllocation(t *testing.T) {
-	m := mgr(simclock.Real())
+	m := mgr()
 	if err := m.Reclass("ghost", BatchClass, 0); err == nil {
 		t.Fatal("reclass of unknown allocation accepted")
 	}
 }
 
 func TestUnknownUserHasInitialPriority(t *testing.T) {
-	m := mgr(simclock.Real())
+	m := mgr()
 	if m.Priority("nobody") != 0 {
 		t.Fatalf("priority = %v", m.Priority("nobody"))
 	}
 }
 
 func TestBetterAndRanking(t *testing.T) {
-	m := mgr(simclock.Real())
+	m := mgr()
 	m.SetTotal(10)
 	m.Allocate("j1", "heavy", 8, BatchClass, 0)
 	m.Allocate("j2", "light", 1, BatchClass, 0)
@@ -143,7 +143,7 @@ func TestBetterAndRanking(t *testing.T) {
 }
 
 func TestRecoveredUsersForgotten(t *testing.T) {
-	m := New(simclock.Real(), Config{HalfLife: time.Millisecond, UpdateInterval: time.Hour})
+	m := New(simclock.NewSim(time.Time{}), Config{HalfLife: time.Millisecond, UpdateInterval: time.Hour})
 	m.SetTotal(1)
 	m.Allocate("j", "u", 1, BatchClass, 0)
 	m.Tick()
@@ -162,15 +162,9 @@ func TestTickerOnSimClock(t *testing.T) {
 	m.Allocate("j", "u", 10, BatchClass, 0)
 	m.Start()
 	sim.RunFor(10 * time.Minute)
-	m.stop()
 	p10 := m.Priority("u")
 	if p10 <= 0 {
 		t.Fatalf("priority after 10 ticks = %v", p10)
-	}
-	// Stopped: no further updates.
-	sim.RunFor(10 * time.Minute)
-	if m.Priority("u") != p10 {
-		t.Fatal("ticker kept running after Stop")
 	}
 	// Closed form: P_n = (1-β^n)·usage for constant usage from P_0=0.
 	want := (1 - math.Pow(m.beta, 10)) * 1.0
@@ -187,7 +181,6 @@ func TestStartIdempotent(t *testing.T) {
 	m.Start()
 	m.Start() // must not double-tick
 	sim.RunFor(time.Minute + time.Second)
-	m.stop()
 	want := (1 - m.beta) * 1.0
 	if got := m.Priority("u"); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("P after 1 tick = %v, want %v (double ticker?)", got, want)
@@ -199,7 +192,7 @@ func TestStartIdempotent(t *testing.T) {
 // below), and is monotone non-decreasing across ticks.
 func TestPriorityBoundsProperty(t *testing.T) {
 	f := func(cpus []uint8, ticks uint8) bool {
-		m := mgr(simclock.Real())
+		m := mgr()
 		m.SetTotal(256 * 4)
 		for i, c := range cpus {
 			if err := m.Allocate(string(rune('a'+i%26))+string(rune('0'+i/26)), "u", int(c), InteractiveClass, 0); err != nil {

@@ -105,11 +105,7 @@ type DeltaSource interface {
 // ServesSubscriptions reports whether the index keeps per-shard delta
 // logs or puts its shards behind links, the deployments that serve
 // delta subscribers: a broker built on it subscribes (DESIGN.md §3b).
-func (s *Service) ServesSubscriptions() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deltaDepth > 0 || s.hasLink
-}
+func (s *Service) ServesSubscriptions() bool { return s.deltaDepth > 0 || s.hasLink }
 
 // deltaLog is one shard's bounded mutation history: a ring of the last
 // (at most) depth deltas. Epochs in the ring are contiguous, so the
@@ -167,21 +163,16 @@ const (
 // SetDeltaLog enables per-shard delta logs of the given depth (the
 // DeltaLogDepth knob). Depth <= 0 disables logging: every
 // epoch-advancing poll then falls back to a snapshot re-pin, which is
-// the degraded mode the scale experiment's "repin" cells measure. Not
-// safe to call concurrently with publishes; configure at setup time,
-// before broker.New reads ServesSubscriptions.
+// the degraded mode the scale experiment's "repin" cells measure.
+// Configure at setup time, before broker.New reads ServesSubscriptions.
 func (s *Service) SetDeltaLog(depth int) {
-	s.mu.Lock()
 	s.deltaDepth = depth
-	s.mu.Unlock()
 	for _, sh := range s.shards {
-		sh.mu.Lock()
 		if depth > 0 {
 			sh.log = newDeltaLog(depth)
 		} else {
 			sh.log = nil
 		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -190,11 +181,7 @@ func (s *Service) SetDeltaLog(depth int) {
 // round trip plus transfer time for what they carry, instead of the
 // flat query latency. Configure at setup time, before broker.New reads
 // ServesSubscriptions.
-func (s *Service) SetShardLink(p netsim.Profile) {
-	s.mu.Lock()
-	s.link, s.hasLink = p, true
-	s.mu.Unlock()
-}
+func (s *Service) SetShardLink(p netsim.Profile) { s.link, s.hasLink = p, true }
 
 // SetTracer wires a tracer to the registry: every effective mutation
 // emits a DeltaPublished event while delta logs are enabled. Configure
@@ -203,16 +190,13 @@ func (s *Service) SetTracer(t *trace.Tracer) { s.tracer = t }
 
 // subCost models the wire cost of one subscription answer.
 func (s *Service) subCost(nDeltas int, repin *Snapshot) time.Duration {
-	s.mu.Lock()
-	link, hasLink := s.link, s.hasLink
-	s.mu.Unlock()
-	if !hasLink {
+	if !s.hasLink {
 		return s.queryLatency
 	}
 	if repin != nil {
-		return link.RTT() + link.TransferTime(repin.Len()*recordWireBytes)
+		return s.link.RTT() + s.link.TransferTime(repin.Len()*recordWireBytes)
 	}
-	return link.RTT() + link.TransferTime(nDeltas*deltaWireBytes)
+	return s.link.RTT() + s.link.TransferTime(nDeltas*deltaWireBytes)
 }
 
 // SubscribeImmediate polls shard for mutations since the given shard
@@ -238,11 +222,9 @@ func (s *Service) SubscribeImmediate(shard int, since uint64) SubUpdate {
 	}
 	sh := s.shards[shard]
 	covered := false
-	sh.mu.Lock()
 	if sh.log != nil {
 		u.Deltas, covered = sh.log.slice(since, snap.epoch)
 	}
-	sh.mu.Unlock()
 	if covered {
 		u.Cost = s.subCost(len(u.Deltas), nil)
 	} else {
@@ -252,16 +234,18 @@ func (s *Service) SubscribeImmediate(shard int, since uint64) SubUpdate {
 	return u
 }
 
-// logDeltaLocked appends one mutation to the shard's delta log. The
-// caller holds sh.mu and s.mu (the epoch fields are stable); the
-// returned flag says whether a DeltaPublished event should be emitted
-// once the locks are released.
-func (s *Service) logDeltaLocked(sh *shard, k DeltaKind, rec SiteRecord) bool {
+// logDelta appends one mutation to shard si's delta log and, with a
+// tracer wired, emits its DeltaPublished event.
+func (s *Service) logDelta(si int, k DeltaKind, rec SiteRecord) {
+	sh := s.shards[si]
 	if sh.log == nil {
-		return false
+		return
 	}
 	sh.log.append(Delta{Kind: k, Epoch: sh.epoch, Name: rec.Name, Rec: rec})
-	return s.tracer != nil
+	if s.tracer != nil {
+		s.tracer.Emit(trace.Event{Kind: trace.DeltaPublished,
+			Site: rec.Name, N: si, Epoch: s.epoch, Detail: k.String()})
+	}
 }
 
 // Flatten lays one record's attributes out against the schema, in

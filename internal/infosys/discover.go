@@ -15,7 +15,7 @@ package infosys
 
 // Page is one contiguous run of records from a single shard snapshot.
 // Records reached through a page are shared with the snapshot and must
-// not be mutated (see Snapshot.RecordShared).
+// not be mutated.
 type Page struct {
 	snap   *Snapshot
 	lo, hi int // record index range [lo, hi) within snap
@@ -50,9 +50,8 @@ func (p Page) FreeCPUs(i int) int { return p.snap.rows[p.lo+i].rec.FreeCPUs }
 // (PooledMatchAttrs).
 func (p Page) Values(i int) []any { return p.snap.rows[p.lo+i].vals }
 
-// Cursor iterates the registry in pages. A cursor is single-use and
-// not safe for concurrent use by multiple goroutines; obtain one per
-// matchmaking pass.
+// Cursor iterates the registry in pages. A cursor is single-use;
+// obtain one per matchmaking pass.
 type Cursor struct {
 	src      shardSource
 	pageSize int

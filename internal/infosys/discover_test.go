@@ -2,9 +2,10 @@ package infosys
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,7 +27,7 @@ func publishN(s *Service, n int) {
 // traversal serves the registry of cut time — no site published or
 // removed since — and the heal serves the live one on the next query.
 func TestCursorHonoursPartition(t *testing.T) {
-	svc := NewSharded(simclock.Real(), 0, 4)
+	svc := NewSharded(simclock.NewSim(time.Time{}), 0, 4)
 	publishN(svc, 10)
 	names := func() []string {
 		var out []string
@@ -61,7 +62,7 @@ func TestCursorHonoursPartition(t *testing.T) {
 // page of a shard backed by the same pinned snapshot.
 func TestCursorCoversRegistry(t *testing.T) {
 	for _, shards := range []int{1, 4, 16, 64} {
-		svc := NewSharded(simclock.Real(), 0, shards)
+		svc := NewSharded(simclock.NewSim(time.Time{}), 0, shards)
 		publishN(svc, 50) // fewer sites than 64 shards leaves some empty
 		seen := make(map[string]int)
 		pinned := make(map[int]*Snapshot)
@@ -101,12 +102,13 @@ func TestCursorCoversRegistry(t *testing.T) {
 	}
 }
 
-// TestCursorConsistentUnderChurn runs paged traversals concurrently
-// with publishers rewriting and adding/removing records. Within a shard
-// a traversal must see one consistent epoch: no duplicates, no torn
-// records (FreeCPUs and the Gen attribute are always published
-// together), and no omissions of the stable sites that are never
-// removed. Run under -race this also proves the shard locking sound.
+// TestCursorConsistentUnderChurn interleaves paged traversals with
+// publishers rewriting and adding/removing records, on one goroutine in
+// seeded random orders, so publishes and removes land between two
+// Cursor.Next calls. Within a shard a traversal must see one consistent
+// epoch: no duplicates, no torn records (FreeCPUs and the Gen attribute
+// are always published together), and no omissions of the stable sites
+// that are never removed.
 func TestCursorConsistentUnderChurn(t *testing.T) {
 	const (
 		shards  = 8
@@ -116,103 +118,94 @@ func TestCursorConsistentUnderChurn(t *testing.T) {
 		readers = 4
 		rounds  = 60
 	)
-	svc := NewSharded(simclock.Real(), 0, shards)
-	for i := 0; i < stable; i++ {
-		svc.Publish(SiteRecord{
-			Name:     fmt.Sprintf("stable%03d", i),
-			Attrs:    map[string]any{"Gen": 0},
-			FreeCPUs: 0, TotalCPUs: 4,
-		})
-	}
-
-	stop := make(chan struct{})
-	var writerWG, readerWG sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		w := w
-		writerWG.Add(1)
-		go func() {
-			defer writerWG.Done()
-			for g := 1; ; g++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				// Rewrite a stable site with a coherent (FreeCPUs, Gen)
-				// pair and churn a transient one.
-				i := (g*7 + w) % stable
+	for seed := int64(1); seed <= 5; seed++ {
+		svc := NewSharded(simclock.NewSim(time.Time{}), 0, shards)
+		for i := 0; i < stable; i++ {
+			svc.Publish(SiteRecord{
+				Name:     fmt.Sprintf("stable%03d", i),
+				Attrs:    map[string]any{"Gen": 0},
+				FreeCPUs: 0, TotalCPUs: 4,
+			})
+		}
+		rng := rand.New(rand.NewSource(seed))
+		gen := make([]int, writers)
+		open, midTraversal := 0, 0
+		write := func(w int) {
+			if open > 0 {
+				midTraversal++
+			}
+			gen[w]++
+			g := gen[w]
+			// Rewrite a stable site with a coherent (FreeCPUs, Gen)
+			// pair and churn a transient one.
+			i := (g*7 + w) % stable
+			svc.Publish(SiteRecord{
+				Name:     fmt.Sprintf("stable%03d", i),
+				Attrs:    map[string]any{"Gen": g},
+				FreeCPUs: g, TotalCPUs: 4,
+			})
+			j := (g*5 + w) % churn
+			if g%2 == 0 {
 				svc.Publish(SiteRecord{
-					Name:     fmt.Sprintf("stable%03d", i),
+					Name:     fmt.Sprintf("churn%03d", j),
 					Attrs:    map[string]any{"Gen": g},
 					FreeCPUs: g, TotalCPUs: 4,
 				})
-				j := (g*5 + w) % churn
-				if g%2 == 0 {
-					svc.Publish(SiteRecord{
-						Name:     fmt.Sprintf("churn%03d", j),
-						Attrs:    map[string]any{"Gen": g},
-						FreeCPUs: g, TotalCPUs: 4,
-					})
-				} else {
-					svc.Remove(fmt.Sprintf("churn%03d", j))
+			} else {
+				svc.Remove(fmt.Sprintf("churn%03d", j))
+			}
+		}
+
+		type reader struct {
+			c          *Cursor // traversal in progress
+			seen       map[string]bool
+			stableSeen int
+			round      int
+		}
+		rs := make([]reader, readers)
+		for active := readers; active > 0; {
+			a := rng.Intn(writers + readers)
+			if a < writers {
+				write(a)
+				continue
+			}
+			r := &rs[a-writers]
+			if r.round == rounds {
+				continue
+			}
+			if r.c == nil {
+				r.c, r.seen, r.stableSeen = svc.DiscoverImmediate(13), make(map[string]bool), 0
+				open++
+			}
+			p, ok := r.c.Next()
+			if !ok {
+				if r.stableSeen != stable {
+					t.Fatalf("seed %d: traversal saw %d stable sites, want %d", seed, r.stableSeen, stable)
+				}
+				r.c = nil
+				open--
+				if r.round++; r.round == rounds {
+					active--
+				}
+				continue
+			}
+			for i := 0; i < p.Len(); i++ {
+				rec := p.snap.rows[p.lo+i].rec
+				if r.seen[rec.Name] {
+					t.Fatalf("seed %d: duplicate %s in one traversal", seed, rec.Name)
+				}
+				r.seen[rec.Name] = true
+				if gen, _ := rec.Attrs["Gen"].(int); gen != rec.FreeCPUs {
+					t.Fatalf("seed %d: torn record %s: FreeCPUs %d, Gen %v", seed, rec.Name, rec.FreeCPUs, rec.Attrs["Gen"])
+				}
+				if strings.HasPrefix(rec.Name, "stable") {
+					r.stableSeen++
 				}
 			}
-		}()
-	}
-
-	var fail sync.Once
-	var failure error
-	for r := 0; r < readers; r++ {
-		readerWG.Add(1)
-		go func() {
-			defer readerWG.Done()
-			for round := 0; round < rounds; round++ {
-				seen := make(map[string]bool)
-				stableSeen := 0
-				for c := svc.DiscoverImmediate(13); ; {
-					p, ok := c.Next()
-					if !ok {
-						break
-					}
-					for i := 0; i < p.Len(); i++ {
-						rec := p.snap.rows[p.lo+i].rec
-						if seen[rec.Name] {
-							fail.Do(func() { failure = fmt.Errorf("duplicate %s in one traversal", rec.Name) })
-							return
-						}
-						seen[rec.Name] = true
-						if gen, _ := rec.Attrs["Gen"].(int); gen != rec.FreeCPUs {
-							fail.Do(func() {
-								failure = fmt.Errorf("torn record %s: FreeCPUs %d, Gen %v", rec.Name, rec.FreeCPUs, rec.Attrs["Gen"])
-							})
-							return
-						}
-						if len(rec.Name) >= 6 && rec.Name[:6] == "stable" {
-							stableSeen++
-						}
-					}
-				}
-				if stableSeen != stable {
-					fail.Do(func() { failure = fmt.Errorf("traversal saw %d stable sites, want %d", stableSeen, stable) })
-					return
-				}
-			}
-		}()
-	}
-
-	// The readers bound the test: the writers churn until every reader
-	// finishes its rounds, a watchdog catches a hang.
-	watchdog := time.AfterFunc(60*time.Second, func() {
-		fail.Do(func() { failure = fmt.Errorf("churn test wedged") })
-		close(stop)
-	})
-	readerWG.Wait()
-	if watchdog.Stop() {
-		close(stop)
-	}
-	writerWG.Wait()
-	if failure != nil {
-		t.Fatal(failure)
+		}
+		if midTraversal == 0 {
+			t.Fatalf("seed %d: no publish landed mid-traversal", seed)
+		}
 	}
 }
 
@@ -221,7 +214,7 @@ func TestCursorConsistentUnderChurn(t *testing.T) {
 // pinned keeps serving its epoch — the documented loose cross-shard
 // consistency.
 func TestCursorObservesRemove(t *testing.T) {
-	svc := NewSharded(simclock.Real(), 0, 4)
+	svc := NewSharded(simclock.NewSim(time.Time{}), 0, 4)
 	publishN(svc, 40)
 	c := svc.DiscoverImmediate(5)
 	p, ok := c.Next()

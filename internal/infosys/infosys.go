@@ -43,6 +43,12 @@
 // through Discover (discover.go); the merged whole-grid Snapshot
 // remains available for instrumentation, partition freezes and the
 // broker's test oracle.
+//
+// The index lives in virtual time only. A Service belongs to one
+// simclock.Sim, and every publish, query and configuration call runs
+// on the goroutine driving it, so the registry holds no lock: a
+// traversal or a subscriber sees other writes only between its own
+// calls (DESIGN.md §3k).
 package infosys
 
 import (
@@ -356,11 +362,10 @@ func (m *MatchAttrs) Release() {
 // classic single-shard (monolithic) index; NewSharded builds an
 // N-shard one for thousands-of-sites grids paged through Discover.
 type Service struct {
-	clock        simclock.Clock
+	sim          *simclock.Sim
 	queryLatency time.Duration
 	shards       []*shard
 
-	mu    sync.Mutex
 	epoch uint64 // global generation: one bump per effective mutation
 	count int    // total records across all shards
 
@@ -383,13 +388,12 @@ type Service struct {
 	// snapshots taken at partition start even though sites keep
 	// publishing. Models a network partition between the brokers and the
 	// index (or a wedged GIIS serving stale registrations).
-	cutMu     sync.Mutex
 	cutShards []*Snapshot // one per shard; non-nil exactly while cut
 	cutWhole  *Snapshot
 
 	// Delta subscription state (delta.go): per-shard log depth, the
 	// modeled per-shard link, and the tracer DeltaPublished events go
-	// to. tracer is set once at setup and read without s.mu.
+	// to. tracer is set once at setup.
 	deltaDepth int
 	link       netsim.Profile
 	hasLink    bool
@@ -398,12 +402,8 @@ type Service struct {
 
 // shard is one hash partition of the registry: a standing row store
 // that Publish and Remove repair in place, so cutting a snapshot wraps
-// the rows instead of re-deriving them. Lock ordering: shard.mu may be
-// held while taking Service.mu (Publish/Remove update the shared
-// attribute counts under both); Service.mu is never held while taking
-// a shard lock.
+// the rows instead of re-deriving them.
 type shard struct {
-	mu    sync.Mutex
 	rows  []*row         // one immutable row per site
 	index map[string]int // site name -> position in rows
 	// schema is what every row's vector is laid out against; nil while
@@ -430,20 +430,20 @@ func (sh *shard) own() {
 	}
 }
 
-// New creates an information service on clock whose queries cost
+// New creates an information service on sim whose queries cost
 // queryLatency (one round trip from the broker to the index).
-func New(clock simclock.Clock, queryLatency time.Duration) *Service {
-	return NewSharded(clock, queryLatency, 1)
+func New(sim *simclock.Sim, queryLatency time.Duration) *Service {
+	return NewSharded(sim, queryLatency, 1)
 }
 
 // NewSharded creates an information service whose registry is split
 // into the given number of hash shards (values < 1 mean one shard).
-func NewSharded(clock simclock.Clock, queryLatency time.Duration, shards int) *Service {
+func NewSharded(sim *simclock.Sim, queryLatency time.Duration, shards int) *Service {
 	if shards < 1 {
 		shards = 1
 	}
 	s := &Service{
-		clock:        clock,
+		sim:          sim,
 		queryLatency: queryLatency,
 		shards:       make([]*shard, shards),
 		attrCount:    make(map[string]int),
@@ -486,10 +486,9 @@ func (s *Service) Publish(rec SiteRecord) error {
 	if rec.Name == "" {
 		return fmt.Errorf("infosys: record without site name")
 	}
-	rec.UpdatedAt = s.clock.Now()
+	rec.UpdatedAt = s.sim.Now()
 	si := s.shardIndexFor(rec.Name)
 	sh := s.shards[si]
-	sh.mu.Lock()
 	at, replaced := sh.index[rec.Name]
 	var old *row
 	sameNames, sameValues := false, false
@@ -507,7 +506,7 @@ func (s *Service) Publish(rec SiteRecord) error {
 			nr.vals = valsFor(nr.rec, sh.schema)
 		}
 	}
-	s.storeLocked(si, nr, old, at, sameNames)
+	s.store(si, nr, old, at, sameNames)
 	return nil
 }
 
@@ -522,28 +521,24 @@ func (s *Service) Publish(rec SiteRecord) error {
 func (s *Service) PublishQueueState(name string, total, free, queued int) bool {
 	si := s.shardIndexFor(name)
 	sh := s.shards[si]
-	sh.mu.Lock()
 	at, ok := sh.index[name]
 	if !ok {
-		sh.mu.Unlock()
 		return false
 	}
 	old := sh.rows[at]
 	nr := &row{rec: old.rec}
 	nr.rec.TotalCPUs, nr.rec.FreeCPUs, nr.rec.QueuedJobs = total, free, queued
-	nr.rec.UpdatedAt = s.clock.Now()
+	nr.rec.UpdatedAt = s.sim.Now()
 	nr.vals = sh.schema.requeued(old, nr.rec)
-	s.storeLocked(si, nr, old, at, true)
+	s.store(si, nr, old, at, true)
 	return true
 }
 
-// storeLocked is the tail both write paths share: it stores nr over
-// old, which sits at position at, or appends it when old is nil; bumps
-// the shard and global epochs; moves the shared attribute counts unless
-// the name set is the same; and logs the delta. The caller holds shard
-// si's lock: storeLocked releases it, then emits the DeltaPublished
-// event.
-func (s *Service) storeLocked(si int, nr, old *row, at int, sameNames bool) {
+// store is the tail both write paths share: it stores nr over old,
+// which sits at position at in shard si, or appends it when old is
+// nil; bumps the shard and global epochs; moves the shared attribute
+// counts unless the name set is the same; and logs the delta.
+func (s *Service) store(si int, nr, old *row, at int, sameNames bool) {
 	sh := s.shards[si]
 	name := nr.rec.Name
 	sh.own()
@@ -559,25 +554,17 @@ func (s *Service) storeLocked(si int, nr, old *row, at int, sameNames bool) {
 		sh.rows = append(sh.rows, nr)
 	}
 	sh.epoch++
-	s.mu.Lock()
 	s.epoch++
-	globalEpoch := s.epoch
 	if old == nil {
 		s.count++
 	}
 	if !sameNames {
 		if old != nil {
-			s.dropAttrsLocked(old.rec)
+			s.dropAttrs(old.rec)
 		}
-		s.addAttrsLocked(nr.rec)
+		s.addAttrs(nr.rec)
 	}
-	emit := s.logDeltaLocked(sh, dk, nr.rec)
-	s.mu.Unlock()
-	sh.mu.Unlock()
-	if emit {
-		s.tracer.Emit(trace.Event{Kind: trace.DeltaPublished,
-			Site: name, N: si, Epoch: globalEpoch, Detail: dk.String()})
-	}
+	s.logDelta(si, dk, nr.rec)
 }
 
 // compareAttrs reports whether two attribute maps have the same names
@@ -644,41 +631,31 @@ func (sc *Schema) requeued(old *row, rec SiteRecord) []any {
 func (s *Service) Remove(name string) {
 	si := s.shardIndexFor(name)
 	sh := s.shards[si]
-	sh.mu.Lock()
-	emit := false
-	var globalEpoch uint64
-	if at, ok := sh.index[name]; ok {
-		old := sh.rows[at]
-		sh.own()
-		last := len(sh.rows) - 1
-		if at != last {
-			sh.rows[at] = sh.rows[last]
-			sh.index[sh.rows[at].rec.Name] = at
-			sh.sorted = false
-		}
-		sh.rows[last] = nil
-		sh.rows = sh.rows[:last]
-		delete(sh.index, name)
-		sh.epoch++
-		s.mu.Lock()
-		s.epoch++
-		globalEpoch = s.epoch
-		s.count--
-		s.dropAttrsLocked(old.rec)
-		emit = s.logDeltaLocked(sh, DeltaRemoved, SiteRecord{Name: name})
-		s.mu.Unlock()
+	at, ok := sh.index[name]
+	if !ok {
+		return
 	}
-	sh.mu.Unlock()
-	if emit {
-		s.tracer.Emit(trace.Event{Kind: trace.DeltaPublished,
-			Site: name, N: si, Epoch: globalEpoch, Detail: DeltaRemoved.String()})
+	old := sh.rows[at]
+	sh.own()
+	last := len(sh.rows) - 1
+	if at != last {
+		sh.rows[at] = sh.rows[last]
+		sh.index[sh.rows[at].rec.Name] = at
+		sh.sorted = false
 	}
+	sh.rows[last] = nil
+	sh.rows = sh.rows[:last]
+	delete(sh.index, name)
+	sh.epoch++
+	s.epoch++
+	s.count--
+	s.dropAttrs(old.rec)
+	s.logDelta(si, DeltaRemoved, SiteRecord{Name: name})
 }
 
-// addAttrsLocked credits a record's static attributes to the shared
-// schema bookkeeping, invalidating the schema when the name set grows.
-// Callers hold s.mu.
-func (s *Service) addAttrsLocked(rec SiteRecord) {
+// addAttrs credits a record's static attributes to the shared schema
+// bookkeeping, invalidating the schema when the name set grows.
+func (s *Service) addAttrs(rec SiteRecord) {
 	for k := range rec.Attrs {
 		lk := strings.ToLower(k)
 		if lk == "totalcpus" || lk == "freecpus" || lk == "queuedjobs" {
@@ -692,9 +669,9 @@ func (s *Service) addAttrsLocked(rec SiteRecord) {
 	}
 }
 
-// dropAttrsLocked is addAttrsLocked's inverse, invalidating the schema
-// when an attribute loses its last holder. Callers hold s.mu.
-func (s *Service) dropAttrsLocked(rec SiteRecord) {
+// dropAttrs is addAttrs's inverse, invalidating the schema when an
+// attribute loses its last holder.
+func (s *Service) dropAttrs(rec SiteRecord) {
 	for k := range rec.Attrs {
 		lk := strings.ToLower(k)
 		if lk == "totalcpus" || lk == "freecpus" || lk == "queuedjobs" {
@@ -712,8 +689,6 @@ func (s *Service) dropAttrsLocked(rec SiteRecord) {
 // attribute any published record carries, rebuilding it only when the
 // attribute name set changed since the last call.
 func (s *Service) sharedSchema() *Schema {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.schema == nil {
 		names := make([]string, 0, len(s.attrCanon))
 		for _, canon := range s.attrCanon {
@@ -726,19 +701,11 @@ func (s *Service) sharedSchema() *Schema {
 
 // Len reports the number of published sites without query cost
 // (instrumentation, not part of the simulated protocol).
-func (s *Service) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
+func (s *Service) Len() int { return s.count }
 
 // Epoch reports the current registry generation (bumped by every
 // Publish and effective Remove), without query cost.
-func (s *Service) Epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
-}
+func (s *Service) Epoch() uint64 { return s.epoch }
 
 // Snapshot is SnapshotImmediate. A caller charges QueryLatency itself,
 // in event style, as the broker's discovery does; the name is kept for
@@ -750,16 +717,10 @@ func (s *Service) Snapshot() *Snapshot { return s.SnapshotImmediate() }
 // is partitioned it returns the view frozen at partition start.
 //
 // With more than one shard the result is the cached merge of every
-// shard's snapshot. A merged view is consistent per shard (each
-// shard's slice reflects exactly one shard epoch) but, under
-// concurrent publishing, shards may be captured at slightly different
-// global epochs — the same guarantee Discover gives page by page.
+// shard's snapshot, all cut in one call and so at one global epoch.
 func (s *Service) SnapshotImmediate() *Snapshot {
-	s.cutMu.Lock()
-	whole := s.cutWhole
-	s.cutMu.Unlock()
-	if whole != nil {
-		return whole
+	if s.cutWhole != nil {
+		return s.cutWhole
 	}
 	return s.liveWhole()
 }
@@ -767,21 +728,14 @@ func (s *Service) SnapshotImmediate() *Snapshot {
 // shardView pins shard i's current snapshot — or, while the service is
 // partitioned, the one frozen at partition start.
 func (s *Service) shardView(i int) *Snapshot {
-	s.cutMu.Lock()
-	shards := s.cutShards
-	s.cutMu.Unlock()
-	if shards != nil {
-		return shards[i]
+	if s.cutShards != nil {
+		return s.cutShards[i]
 	}
 	return s.liveShard(i)
 }
 
 // Partitioned reports whether the service is serving its cut-time view.
-func (s *Service) Partitioned() bool {
-	s.cutMu.Lock()
-	defer s.cutMu.Unlock()
-	return s.cutShards != nil
-}
+func (s *Service) Partitioned() bool { return s.cutShards != nil }
 
 // SetPartitioned cuts (or heals) the broker↔index link. While cut,
 // every query — whole-grid, paged or subscribed — is served from the
@@ -791,9 +745,7 @@ func (s *Service) Partitioned() bool {
 // Idempotent per direction: a second cut keeps the first cut's view.
 func (s *Service) SetPartitioned(cut bool) {
 	if !cut {
-		s.cutMu.Lock()
 		s.cutShards, s.cutWhole = nil, nil
-		s.cutMu.Unlock()
 		return
 	}
 	if s.Partitioned() {
@@ -803,12 +755,7 @@ func (s *Service) SetPartitioned(cut bool) {
 	for i := range shards {
 		shards[i] = s.liveShard(i)
 	}
-	whole := s.liveWhole()
-	s.cutMu.Lock()
-	if s.cutShards == nil {
-		s.cutShards, s.cutWhole = shards, whole
-	}
-	s.cutMu.Unlock()
+	s.cutShards, s.cutWhole = shards, s.liveWhole()
 }
 
 // liveShard is shard i of the live registry.
@@ -816,15 +763,9 @@ func (s *Service) liveShard(i int) *Snapshot { return s.shardSnapshot(i, s.share
 
 // liveWhole is the live whole-grid snapshot.
 func (s *Service) liveWhole() *Snapshot {
-	s.mu.Lock()
-	epoch := s.epoch
-	if s.merged != nil && s.mergedEpoch == epoch {
-		m := s.merged
-		s.mu.Unlock()
-		return m
+	if s.merged != nil && s.mergedEpoch == s.epoch {
+		return s.merged
 	}
-	s.mu.Unlock()
-
 	sc := s.sharedSchema()
 	var merged *Snapshot
 	if len(s.shards) == 1 {
@@ -837,13 +778,9 @@ func (s *Service) liveWhole() *Snapshot {
 		for i := range s.shards {
 			parts[i] = s.shardSnapshot(i, sc)
 		}
-		merged = mergeSnapshots(epoch, parts, sc)
+		merged = mergeSnapshots(s.epoch, parts, sc)
 	}
-	s.mu.Lock()
-	if s.epoch == epoch {
-		s.merged, s.mergedEpoch = merged, epoch
-	}
-	s.mu.Unlock()
+	s.merged, s.mergedEpoch = merged, s.epoch
 	return merged
 }
 
@@ -854,8 +791,6 @@ func (s *Service) liveWhole() *Snapshot {
 // when the rows are laid out against another schema.
 func (s *Service) shardSnapshot(i int, sc *Schema) *Snapshot {
 	sh := s.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if sh.snap != nil && sh.snap.epoch == sh.epoch && sh.snap.schema == sc {
 		return sh.snap
 	}
@@ -904,16 +839,14 @@ func sortRows(rows []*row) {
 // StaleAfter reports the records older than maxAge at the current
 // clock time; monitoring uses it to spot sites that stopped pushing.
 func (s *Service) StaleAfter(maxAge time.Duration) []string {
-	now := s.clock.Now()
+	now := s.sim.Now()
 	var stale []string
 	for _, sh := range s.shards {
-		sh.mu.Lock()
 		for _, r := range sh.rows {
 			if now.Sub(r.rec.UpdatedAt) > maxAge {
 				stale = append(stale, r.rec.Name)
 			}
 		}
-		sh.mu.Unlock()
 	}
 	sort.Strings(stale)
 	return stale

@@ -43,7 +43,7 @@ func TestPublishStampsTime(t *testing.T) {
 }
 
 func TestPublishReplaces(t *testing.T) {
-	svc := New(simclock.Real(), 0)
+	svc := New(simclock.NewSim(time.Time{}), 0)
 	svc.Publish(rec("a", 1))
 	svc.Publish(rec("a", 7))
 	rs := svc.SnapshotImmediate().Records()
@@ -53,14 +53,14 @@ func TestPublishReplaces(t *testing.T) {
 }
 
 func TestPublishRequiresName(t *testing.T) {
-	svc := New(simclock.Real(), 0)
+	svc := New(simclock.NewSim(time.Time{}), 0)
 	if err := svc.Publish(SiteRecord{}); err == nil {
 		t.Fatal("unnamed record accepted")
 	}
 }
 
 func TestRemove(t *testing.T) {
-	svc := New(simclock.Real(), 0)
+	svc := New(simclock.NewSim(time.Time{}), 0)
 	svc.Publish(rec("a", 1))
 	svc.Remove("a")
 	if svc.Len() != 0 {
@@ -99,7 +99,7 @@ func TestPublishLandsWhileCut(t *testing.T) {
 }
 
 func TestSnapshotIsolation(t *testing.T) {
-	svc := New(simclock.Real(), 0)
+	svc := New(simclock.NewSim(time.Time{}), 0)
 	svc.Publish(rec("a", 1))
 	out := svc.SnapshotImmediate().Records()
 	out[0].Attrs["Arch"] = "sparc"
@@ -113,7 +113,7 @@ func TestSnapshotIsolation(t *testing.T) {
 // The published row predicates evaluate merges the static attributes
 // with the publish-time queue state, numbers as float64.
 func TestMatchAttrsMergesDynamicState(t *testing.T) {
-	svc := New(simclock.Real(), 0)
+	svc := New(simclock.NewSim(time.Time{}), 0)
 	r := rec("a", 3)
 	r.QueuedJobs = 5
 	svc.Publish(r)

@@ -469,11 +469,10 @@ func (m *regModel) checkServed() {
 	}
 }
 
-// checkStore reads the shards' standing rows under their locks, without
-// cutting a snapshot: the rows are the live records, the index finds
-// them, a shard that says it is sorted is, vectors are laid out against
-// the shard's schema, and the epochs counted every effective mutation
-// once.
+// checkStore reads the shards' standing rows without cutting a
+// snapshot: the rows are the live records, the index finds them, a
+// shard that says it is sorted is, vectors are laid out against the
+// shard's schema, and the epochs counted every effective mutation once.
 func (m *regModel) checkStore() {
 	if got := m.svc.Epoch(); got != m.global {
 		m.fatalf("global epoch %d after %d effective mutations", got, m.global)
@@ -483,7 +482,6 @@ func (m *regModel) checkStore() {
 	}
 	seen := 0
 	for si, sh := range m.svc.shards {
-		sh.mu.Lock()
 		if sh.epoch != m.live.epochs[si] {
 			m.fatalf("shard %d at epoch %d after %d effective mutations", si, sh.epoch, m.live.epochs[si])
 		}
@@ -508,7 +506,6 @@ func (m *regModel) checkStore() {
 				m.fatalf("shard %d: %s vector %v, flattened %v", si, r.rec.Name, r.vals, valsFor(r.rec, sh.schema))
 			}
 		}
-		sh.mu.Unlock()
 	}
 	if seen != len(m.live.recs) {
 		m.fatalf("shards hold %d rows, %d sites live", seen, len(m.live.recs))

@@ -2,7 +2,7 @@ package infosys
 
 import (
 	"fmt"
-	"sync"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -20,7 +20,7 @@ func attrOf(snap *Snapshot, i int, name string) any {
 
 func snapService(t *testing.T, n int) *Service {
 	t.Helper()
-	s := New(simclock.Real(), 0)
+	s := New(simclock.NewSim(time.Time{}), 0)
 	for i := 0; i < n; i++ {
 		if err := s.Publish(SiteRecord{
 			Name:     fmt.Sprintf("site%02d", i),
@@ -119,7 +119,7 @@ func TestSchemaReusedAcrossEpochs(t *testing.T) {
 // compiled-predicate cache key — changed on each of those publishes.
 // It may change only when the name set does.
 func TestSchemaStableWhenSoleHolderRepublishes(t *testing.T) {
-	s := New(simclock.Real(), 0)
+	s := New(simclock.NewSim(time.Time{}), 0)
 	b := SiteRecord{Name: "b", Attrs: map[string]any{"OS": "linux", "Preferred": true}, TotalCPUs: 4}
 	s.Publish(SiteRecord{Name: "a", Attrs: map[string]any{"OS": "linux"}, TotalCPUs: 4})
 	s.Publish(b)
@@ -192,19 +192,34 @@ func TestMatchAttrsVector(t *testing.T) {
 	}
 }
 
-// TestConcurrentPublishQueryRemove drives the service from many
-// goroutines at once; the race detector (-race in CI) verifies the
-// locking, and each reader verifies snapshot self-consistency.
+// TestConcurrentPublishQueryRemove interleaves writers and readers on
+// one goroutine in seeded random orders. Each reader reads the registry
+// twice, with whatever publishes and removes the order puts between the
+// reads: every snapshot row carries FreeCPUs, and the two reads agree
+// whenever no mutation landed between them.
 func TestConcurrentPublishQueryRemove(t *testing.T) {
-	s := New(simclock.Real(), 0)
 	const writers, readers, iters = 4, 4, 300
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				name := fmt.Sprintf("site%d-%d", w, i%7)
+	for seed := int64(1); seed <= 5; seed++ {
+		s := New(simclock.NewSim(time.Time{}), 0)
+		rng := rand.New(rand.NewSource(seed))
+		written := make([]int, writers)
+		type reader struct {
+			snap  *Snapshot // first read of the pair in progress
+			pairs int
+		}
+		rs := make([]reader, readers)
+		var sameEpoch, movedEpoch int
+		for done := 0; done < writers+readers; {
+			a := rng.Intn(writers + readers)
+			if a < writers {
+				i := written[a]
+				if i == iters {
+					continue
+				}
+				if written[a]++; written[a] == iters {
+					done++
+				}
+				name := fmt.Sprintf("site%d-%d", a, i%7)
 				if i%5 == 4 {
 					s.Remove(name)
 					continue
@@ -214,32 +229,44 @@ func TestConcurrentPublishQueryRemove(t *testing.T) {
 					Attrs:    map[string]any{"Arch": "i686", "MemoryMB": i},
 					FreeCPUs: i % 5, TotalCPUs: 4,
 				})
+				continue
 			}
-		}(w)
-	}
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				snap := s.SnapshotImmediate()
-				for j := 0; j < snap.Len(); j++ {
-					if attrOf(snap, j, AttrFreeCPUs) == nil {
-						t.Error("snapshot row without FreeCPUs")
+			r := &rs[a-writers]
+			if r.pairs == iters {
+				continue
+			}
+			if r.snap == nil {
+				r.snap = s.SnapshotImmediate()
+				for j := 0; j < r.snap.Len(); j++ {
+					if attrOf(r.snap, j, AttrFreeCPUs) == nil {
+						t.Fatalf("seed %d: snapshot row without FreeCPUs", seed)
 					}
 				}
-				if recs := s.SnapshotImmediate().Records(); len(recs) != snap.Len() && s.Epoch() == snap.Epoch() {
-					t.Error("query and snapshot disagree within one epoch")
-				}
-				s.StaleAfter(time.Hour)
+				continue
 			}
-		}()
+			recs := s.SnapshotImmediate().Records()
+			if s.Epoch() != r.snap.Epoch() {
+				movedEpoch++
+			} else {
+				sameEpoch++
+				if len(recs) != r.snap.Len() {
+					t.Fatalf("seed %d: query and snapshot disagree within one epoch", seed)
+				}
+			}
+			s.StaleAfter(time.Hour)
+			r.snap = nil
+			if r.pairs++; r.pairs == iters {
+				done++
+			}
+		}
+		if sameEpoch == 0 || movedEpoch == 0 {
+			t.Fatalf("seed %d: %d read pairs within one epoch, %d across a mutation; want both", seed, sameEpoch, movedEpoch)
+		}
 	}
-	wg.Wait()
 }
 
 func BenchmarkMatchAttrs(b *testing.B) {
-	s := New(simclock.Real(), 0)
+	s := New(simclock.NewSim(time.Time{}), 0)
 	for i := 0; i < 100; i++ {
 		s.Publish(SiteRecord{
 			Name:     fmt.Sprintf("site%03d", i),

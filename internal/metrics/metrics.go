@@ -16,12 +16,12 @@ import (
 // Series is an append-only sequence of float64 samples, typically one
 // per experiment iteration. The zero value is ready to use.
 type Series struct {
-	name    string
 	samples []float64
 }
 
-// NewSeries returns an empty named series.
-func NewSeries(name string) *Series { return &Series{name: name} }
+// NewSeries returns an empty series. The name labels the call site
+// only; the series does not keep it.
+func NewSeries(name string) *Series { return new(Series) }
 
 // Add appends one sample.
 func (s *Series) Add(v float64) { s.samples = append(s.samples, v) }

@@ -8,8 +8,8 @@ import (
 // Sim is a deterministic discrete-event simulation clock.
 //
 // The caller of Run, RunFor or RunUntil takes events in (virtual time,
-// seq) order and dispatches each as a plain function call: AfterFunc,
-// At and Post schedule a function, Trigger.WaitThen a continuation.
+// seq) order and dispatches each as a plain function call: AfterFunc
+// and Post schedule a function, Trigger.WaitThen a continuation.
 // Virtual time jumps directly from one event to the next, so
 // simulations covering hours complete in microseconds and are
 // bit-for-bit reproducible. Every flow — the scheduling flows of the
@@ -404,5 +404,3 @@ func (s *Sim) Pending() int {
 func (s *Sim) String() string {
 	return fmt.Sprintf("sim(now=%s pending=%d)", s.now.Format(time.RFC3339), s.Pending())
 }
-
-var _ Clock = (*Sim)(nil)

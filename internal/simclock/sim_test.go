@@ -6,36 +6,6 @@ import (
 	"time"
 )
 
-func TestRealClockBasics(t *testing.T) {
-	c := Real()
-	t0 := c.Now()
-	time.Sleep(time.Millisecond)
-	if time.Since(t0) <= 0 {
-		t.Fatal("real clock did not advance")
-	}
-	done := make(chan struct{})
-	c.AfterFunc(time.Millisecond, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("real AfterFunc never fired")
-	}
-}
-
-func TestRealTimerStop(t *testing.T) {
-	c := Real()
-	fired := make(chan struct{}, 1)
-	tm := c.AfterFunc(time.Hour, func() { fired <- struct{}{} })
-	if !tm.Stop() {
-		t.Fatal("Stop on pending timer returned false")
-	}
-	select {
-	case <-fired:
-		t.Fatal("stopped timer fired")
-	case <-time.After(10 * time.Millisecond):
-	}
-}
-
 func TestSimAfterFuncOrder(t *testing.T) {
 	s := NewSim(time.Time{})
 	var order []int

@@ -36,7 +36,6 @@ var keptSurface = map[string]string{
 	"internal/broker.Broker.Abort":                 "roadmap: item 5 makes it the console's give-up kill, or it goes",
 	"internal/datacat.Catalog.DropReplica":         "seam: broker's data-aware test changes the catalog between match passes",
 	"internal/experiments.PingPongOne":             "seam: the root package's Figure 6/7 benchmarks time one cell",
-	"internal/fairshare.Manager.Usage":             "seam: broker and core tests read a user's charged usage",
 	"internal/infosys.Service.Epoch":               "seam: broker and site tests count registry writes",
 	"internal/infosys.Service.StaleAfter":          "seam: faultinject's partition test reads the records that went stale",
 	"internal/infosys.Snapshot.Records":            "seam: broker, site and core tests read what the index holds",
