@@ -12,8 +12,8 @@
 //   - Randomized selection among equally ranked resources.
 //   - Fair-share user priorities (internal/fairshare) with
 //     application factors that make interactive jobs cost more and
-//     compensate yielded batch jobs; users with worse priority are
-//     rejected when resources are insufficient.
+//     compensate yielded batch jobs; waiting batch jobs are dispatched
+//     best priority first.
 //   - Job multi-programming via glide-in agents (internal/glidein):
 //     the broker keeps a local registry of agents, so placing an
 //     interactive job on a free interactive VM skips discovery,
@@ -54,9 +54,6 @@ var (
 	// ErrQueueTimeout means an exclusive interactive attempt sat in a
 	// remote LRM queue past Config.QueueTimeout and was withdrawn.
 	ErrQueueTimeout = errors.New("broker: queue timeout")
-	// ErrRejected means the user's fair-share priority was too poor
-	// for the current contention.
-	ErrRejected = errors.New("broker: rejected by fair-share policy")
 	// ErrNoMatch means no registered site satisfies the job's
 	// Requirements.
 	ErrNoMatch = errors.New("broker: no site matches job requirements")
@@ -147,10 +144,6 @@ type Config struct {
 	// RetryInterval is the broker-queue dispatch period for waiting
 	// batch jobs (default 30 s).
 	RetryInterval time.Duration
-	// RejectAbove is the fair-share priority ceiling: when resources
-	// are insufficient, users with priority above it are rejected.
-	// Zero means no ceiling.
-	RejectAbove float64
 	// AgentDegree is the multiprogramming degree of launched agents:
 	// the number of interactive VMs each creates (default 1, the
 	// paper's two-VM configuration; Section 5.2 discusses larger

@@ -537,31 +537,6 @@ func TestRandomizedSelectionVariesWithSeed(t *testing.T) {
 	}
 }
 
-func TestFairShareRejection(t *testing.T) {
-	g := newGrid(t, 1, 1, Config{RejectAbove: 0.05})
-	// hog builds up bad priority.
-	g.fair.SetTotal(1)
-	g.fair.Allocate("ext", "hog", 1, fairshare.InteractiveClass, 0)
-	for i := 0; i < 30; i++ {
-		g.fair.Tick()
-	}
-	// Saturate the grid so admission control engages.
-	g.b.Submit(Request{
-		Job:  interactiveJob(jdl.SharedAccess, 0, 1).Job,
-		User: "other",
-		Body: func(rc *RunContext, done func()) {
-			rc.Output(1, func() { rc.Sim.AfterFunc(2*time.Hour, done) })
-		},
-	})
-	g.sim.RunFor(5 * time.Minute)
-
-	h, _ := g.b.Submit(Request{Job: interactiveJob(jdl.SharedAccess, 0, 1).Job, User: "hog", CPU: time.Second})
-	g.sim.RunFor(5 * time.Minute)
-	if h.State() != Failed || !errors.Is(h.Err(), ErrRejected) {
-		t.Fatalf("state = %v err = %v, want ErrRejected", h.State(), h.Err())
-	}
-}
-
 func TestYieldedBatchReclassified(t *testing.T) {
 	g := newGrid(t, 1, 1, Config{})
 	hb, _ := g.b.Submit(batchJob(5 * time.Hour))

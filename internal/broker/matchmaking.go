@@ -618,15 +618,6 @@ func (b *Broker) unlease(h *Handle, name string, n int) {
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.LeaseReleased, Job: h.ID, Site: name, N: n})
 }
 
-// admissionOK applies the fair-share rejection rule when resources are
-// insufficient.
-func (b *Broker) admissionOK(user string) bool {
-	if b.cfg.Fair == nil || b.cfg.RejectAbove <= 0 {
-		return true
-	}
-	return b.cfg.Fair.Priority(user) <= b.cfg.RejectAbove
-}
-
 // account registers a fair-share allocation for a started job.
 func (b *Broker) account(h *Handle, cpus int) {
 	if b.cfg.Fair == nil {

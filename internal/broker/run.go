@@ -151,10 +151,6 @@ func (b *Broker) runBatch(h *Handle) {
 			}
 		}
 		if chosen == nil {
-			if !b.admissionOK(h.request.User) {
-				b.fail(h, ErrRejected)
-				return
-			}
 			b.scheduleRetry(h)
 			return
 		}
@@ -329,18 +325,16 @@ func (b *Broker) runInteractiveExclusive(h *Handle) {
 			return
 		}
 		h.subStart = b.sim.Since(h.submittedAt)
-		b.tryExclusive(h, cands, 0, 0)
+		b.tryExclusive(h, cands, 0)
 	})
 }
 
 // tryExclusive runs the job on the best candidate from cands[i] on that
-// has the nodes free, and after a lost attempt goes on past it. tries
-// counts the attempts made so far. The resubmission budget is checked
-// before every step, so a job whose last attempt spends it fails with
-// ErrMaxResubmits. A job left without a candidate fails: ErrRejected if
-// no candidate was free and fair share turns the user away,
-// ErrNoResources otherwise.
-func (b *Broker) tryExclusive(h *Handle, cands []candidate, i, tries int) {
+// has the nodes free, and after a lost attempt goes on past it. The
+// resubmission budget is checked before every step, so a job whose
+// last attempt spends it fails with ErrMaxResubmits. A job left without
+// a candidate fails with ErrNoResources.
+func (b *Broker) tryExclusive(h *Handle, cands []candidate, i int) {
 	if h.abort.Fired() {
 		b.fail(h, h.abortErr)
 		return
@@ -356,13 +350,9 @@ func (b *Broker) tryExclusive(h *Handle, cands []candidate, i, tries int) {
 		b.cfg.Trace.Emit(b.matchedEvent(h, c.site.Name(), c.rank))
 		b.runExclusiveAttempt(h, c.site, func(lost bool) {
 			if lost {
-				b.tryExclusive(h, cands, i+1, tries+1)
+				b.tryExclusive(h, cands, i+1)
 			}
 		})
-		return
-	}
-	if tries == 0 && !b.admissionOK(h.request.User) {
-		b.fail(h, ErrRejected)
 		return
 	}
 	b.fail(h, ErrNoResources)
@@ -582,10 +572,6 @@ func (b *Broker) runInteractiveShared(h *Handle) {
 
 			place := func(chosen []*glidein.Agent) {
 				if len(chosen) < need {
-					if !b.admissionOK(h.request.User) {
-						b.fail(h, ErrRejected)
-						return
-					}
 					b.fail(h, ErrNoResources)
 					return
 				}

@@ -37,10 +37,6 @@ type LinkConfig struct {
 	// reliable spill write (era calibration for experiments; zero in
 	// production).
 	DiskCost time.Duration
-	// OnDown, when set, is called (on its own goroutine — the link's
-	// lock is held at the detection point) each time a live connection
-	// is lost. Permanent give-up is reported through onFail instead.
-	OnDown func()
 }
 
 func (c *LinkConfig) setDefaults() {
@@ -354,9 +350,6 @@ func (l *Link) markDeadLocked(conn net.Conn) {
 	}
 	l.conn.Close()
 	l.conn = nil
-	if l.cfg.OnDown != nil {
-		go l.cfg.OnDown()
-	}
 	l.startRetryLocked()
 	l.startWatchdogLocked()
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"crossbroker/internal/jdl"
-	"crossbroker/internal/trace"
 )
 
 // ShadowConfig configures a Console Shadow.
@@ -57,15 +56,6 @@ type ShadowConfig struct {
 	// subjob's streams so Done can still fire. Nil disables reporting
 	// (the session then simply never completes).
 	OnLinkFail func(subjob uint16, err error)
-	// Trace records console lifecycle events — first agent attach,
-	// transient link losses and reconnections, permanent give-up —
-	// labeled with TraceJob (nil disables). The shadow runs in real
-	// time, so these events are NOT deterministic across runs; keep
-	// console sessions on their own tracer when byte-stable exports
-	// matter.
-	Trace *trace.Tracer
-	// TraceJob is the job ID stamped on the shadow's trace events.
-	TraceJob string
 }
 
 // Shadow is the Console Shadow / Job Shadow (CS/JS) of Section 4,
@@ -80,7 +70,7 @@ type Shadow struct {
 	mu        sync.Mutex
 	links     map[uint16]*Link
 	eofs      map[uint16]map[Stream]bool
-	attaches  map[uint16]int // per-subjob connection count
+	attaches  map[uint16]bool // subjobs that attached at least once
 	doneOnce  sync.Once
 	done      chan struct{}
 	closed    bool
@@ -102,7 +92,7 @@ func StartShadow(cfg ShadowConfig) (*Shadow, error) {
 		cfg:      cfg,
 		links:    make(map[uint16]*Link),
 		eofs:     make(map[uint16]map[Stream]bool),
-		attaches: make(map[uint16]int),
+		attaches: make(map[uint16]bool),
 		done:     make(chan struct{}),
 	}
 	s.outBuf = newFlushBuffer(outputBufferSize, cfg.FlushInterval, func(b []byte) {
@@ -122,20 +112,14 @@ func StartShadow(cfg ShadowConfig) (*Shadow, error) {
 	}
 	for i := 0; i < cfg.Subjobs; i++ {
 		sub := uint16(i)
-		lcfg := LinkConfig{
+		link, err := NewAcceptLink(LinkConfig{
 			Mode:          cfg.Mode,
 			Subjob:        sub,
 			RetryInterval: cfg.RetryInterval,
 			MaxRetries:    cfg.MaxRetries,
 			DiskCost:      cfg.DiskCost,
 			SpillPath:     filepath.Join(spillDir, fmt.Sprintf("cs-spill-%d-%d.log", os.Getpid(), sub)),
-		}
-		if cfg.Trace.Enabled() {
-			lcfg.OnDown = func() {
-				cfg.Trace.Emit(trace.Event{Kind: trace.LinkDown, Job: cfg.TraceJob, N: int(sub), Detail: "connection lost"})
-			}
-		}
-		link, err := NewAcceptLink(lcfg, s.receiverFor(sub), s.failerFor(sub))
+		}, s.receiverFor(sub), s.failerFor(sub))
 		if err != nil {
 			for _, l := range s.links {
 				l.Close()
@@ -181,7 +165,6 @@ func (s *Shadow) receiverFor(sub uint16) Receiver {
 // session.
 func (s *Shadow) failerFor(sub uint16) func(error) {
 	return func(err error) {
-		s.cfg.Trace.Emit(trace.Event{Kind: trace.LinkDown, Job: s.cfg.TraceJob, N: int(sub), Detail: "gave up"})
 		s.mu.Lock()
 		if s.linkErr == nil {
 			s.linkErr = fmt.Errorf("subjob %d: %w", sub, err)
@@ -271,15 +254,8 @@ func (s *Shadow) admit(conn net.Conn) {
 		return
 	}
 	s.mu.Lock()
-	s.attaches[hello.Subjob]++
-	kind := trace.ConsoleAttached
-	if s.attaches[hello.Subjob] > 1 {
-		kind = trace.LinkResumed
-	}
+	s.attaches[hello.Subjob] = true
 	s.mu.Unlock()
-	if s.cfg.Trace.Enabled() {
-		s.cfg.Trace.Emit(trace.Event{Kind: kind, Job: s.cfg.TraceJob, N: int(hello.Subjob)})
-	}
 }
 
 // stdinLoop forwards user input line by line to every subjob; "the

@@ -114,9 +114,8 @@ type SystemConfig struct {
 	// every component — broker, sites, glide-in agents, the index's
 	// delta logs and (via NewFaultInjector) fault injection — so a
 	// whole run exports as one timeline, exposed as System.Tracer.
-	// Pass System.Tracer as SessionConfig.Trace to interleave a console
-	// session's events. Supplying Broker.Trace directly also works;
-	// System.Tracer then aliases it.
+	// Supplying Broker.Trace directly also works; System.Tracer then
+	// aliases it.
 	Trace bool
 	// Broker optionally tunes the broker beyond defaults; Sim, Info,
 	// Fair and Seed are filled in by NewSystem (and, per member, Name

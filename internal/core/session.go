@@ -12,7 +12,6 @@ import (
 	"crossbroker/internal/interpose"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/netsim"
-	"crossbroker/internal/trace"
 )
 
 // SessionConfig configures a real-time interactive session.
@@ -49,11 +48,6 @@ type SessionConfig struct {
 	// permanently (retry budget exhausted, process killed); wire it to
 	// the broker's Abort to drive the job terminal.
 	OnLinkFail func(subjob uint16, err error)
-	// Trace records the session's console events (attach, link
-	// down/resume, give-up) labeled with TraceJob; nil disables.
-	Trace *trace.Tracer
-	// TraceJob is the broker job ID stamped on the session's events.
-	TraceJob string
 }
 
 // Session is a running interactive session: one Console Shadow plus
@@ -129,8 +123,6 @@ func StartAuxSession(cfg SessionConfig, naux int, apps []interpose.AuxAppFunc) (
 		Stdin:         cfg.Stdin,
 		AuxSink:       cfg.AuxSink,
 		OnLinkFail:    cfg.OnLinkFail,
-		Trace:         cfg.Trace,
-		TraceJob:      cfg.TraceJob,
 		SpillDir:      cfg.SpillDir,
 		FlushInterval: cfg.FlushInterval,
 		RetryInterval: cfg.RetryInterval,

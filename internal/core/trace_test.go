@@ -2,23 +2,20 @@ package core
 
 import (
 	"bytes"
-	"io"
 	"testing"
 	"time"
 
 	"crossbroker/internal/broker"
 	"crossbroker/internal/faultinject"
-	"crossbroker/internal/interpose"
-	"crossbroker/internal/jdl"
 	"crossbroker/internal/trace"
 )
 
 // TestSystemUnifiedTrace drives every traced component — broker
 // scheduling on a sharded registry, a site crash and an information
-// system partition via the system fault injector, and a real-time
-// console session — through the one tracer NewSystem wires end to
-// end, then asserts the combined log exports as a single JSONL
-// timeline that round-trips and passes the trace checker.
+// system partition via the system fault injector — through the one
+// tracer NewSystem wires end to end, then asserts the combined log
+// exports as a single JSONL timeline that round-trips and passes the
+// trace checker.
 func TestSystemUnifiedTrace(t *testing.T) {
 	sys := NewSystem(SystemConfig{
 		Trace: true,
@@ -51,41 +48,15 @@ func TestSystemUnifiedTrace(t *testing.T) {
 	}
 	sys.Run(time.Hour) // play the remaining faults out
 
-	// A real-time console session shares the tracer; its events are
-	// labeled with their own job ID (the session outlives any broker
-	// job here, so it must not reuse a terminated job's ID).
-	var out syncBuf
-	sess, err := StartSession(SessionConfig{
-		Mode:     jdl.FastStreaming,
-		Stdout:   &out,
-		Stderr:   io.Discard,
-		SpillDir: t.TempDir(),
-		Trace:    sys.Tracer,
-		TraceJob: "console-session",
-	}, []interpose.AppFunc{func(_ io.Reader, stdout, _ io.Writer) error {
-		_, err := io.WriteString(stdout, "hello\n")
-		return err
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Wait(10 * time.Second); err != nil {
-		sess.Close()
-		t.Fatal(err)
-	}
-	sess.Close()
-
-	// One timeline: broker lifecycle, injected faults and console
-	// attach all present in a single log. The log is read once: the
-	// shadow's reader goroutine may still emit its link-down after
-	// Close returns, and a second read could be one event longer.
+	// One timeline: broker lifecycle and injected faults both present
+	// in a single log.
 	unified := sys.Tracer.Snapshot("unified")
 	events := unified.Events
 	seen := make(map[trace.Kind]bool, len(events))
 	for _, e := range events {
 		seen[e.Kind] = true
 	}
-	for _, want := range []trace.Kind{trace.Submitted, trace.Done, trace.ConsoleAttached} {
+	for _, want := range []trace.Kind{trace.Submitted, trace.Done, trace.FaultInjected} {
 		if !seen[want] {
 			t.Fatalf("unified log missing %v events (kinds seen: %v)", want, seen)
 		}

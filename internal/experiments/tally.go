@@ -73,7 +73,6 @@ var failureReasons = []struct {
 }{
 	{broker.ErrMaxResubmits, "max-resubmits"},
 	{broker.ErrNoResources, "no-resources"},
-	{broker.ErrRejected, "rejected"},
 	{broker.ErrNoMatch, "no-match"},
 	{broker.ErrAborted, "aborted"},
 	{broker.ErrSiteLost, "site-lost"},

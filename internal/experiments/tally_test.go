@@ -53,7 +53,6 @@ func TestTally(t *testing.T) {
 		// wrapped one must still count as the exhausted budget.
 		{fmt.Errorf("%w: %w", broker.ErrMaxResubmits, site.ErrSiteDown), "max-resubmits"},
 		{broker.ErrNoResources, "no-resources"},
-		{broker.ErrRejected, "rejected"},
 		{broker.ErrNoMatch, "no-match"},
 		{broker.ErrAborted, "aborted"},
 		{broker.ErrSiteLost, "site-lost"},

@@ -1,7 +1,5 @@
 package jdl
 
-import "sync/atomic"
-
 // This file lowers Requirements/Rank expression trees into closure
 // chains over a flat attribute slice. The interpreted path
 // (ExprNode.Eval) walks the AST and hashes map keys for every
@@ -356,16 +354,11 @@ func compileNum(n ExprNode, r Resolver) (func(vals []any) (float64, error), bool
 }
 
 // compiledEntry caches a job's compiled predicates for one resolver
-// generation. It is immutable; swaps are atomic.
+// generation. It is immutable; a resolver change replaces it.
 type compiledEntry struct {
 	resolver Resolver
 	req      *Compiled
 	rank     *Compiled
-}
-
-// programCache is the per-job predicate cache embedded in Job.
-type programCache struct {
-	p atomic.Pointer[compiledEntry]
 }
 
 // CompiledPredicates returns the job's Requirements and Rank compiled
@@ -375,10 +368,10 @@ type programCache struct {
 // per job and amortizes to a pointer comparison per selection pass.
 // Either result is nil when the job leaves that predicate unset.
 func (j *Job) CompiledPredicates(r Resolver) (req, rank *Compiled) {
-	if e := j.compiled.p.Load(); e != nil && e.resolver == r {
+	if e := j.compiled; e != nil && e.resolver == r {
 		return e.req, e.rank
 	}
 	e := &compiledEntry{resolver: r, req: Compile(j.Requirements, r), rank: Compile(j.Rank, r)}
-	j.compiled.p.Store(e)
+	j.compiled = e
 	return e.req, e.rank
 }

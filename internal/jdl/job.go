@@ -115,9 +115,11 @@ type Job struct {
 	Owner string
 
 	// compiled caches the Requirements/Rank programs lowered against
-	// the current information-system schema (see compile.go). Jobs are
-	// handled by pointer throughout; the cache must not be copied.
-	compiled programCache
+	// the current information-system schema (see compile.go). It is
+	// unlocked: a job is compiled only on the goroutine of the Sim it
+	// was submitted to. Jobs are handled by pointer throughout; the
+	// cache must not be copied.
+	compiled *compiledEntry
 }
 
 // ErrValidation tags job validation failures.

@@ -15,10 +15,11 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// TestAfterFuncAllocs: a timer whose handle is discarded costs
-// nothing. This holds only while AfterFunc inlines into its caller;
-// routed through a helper it returns a boxed Timer, one allocation per
-// call on the hottest path of every replay.
+// TestAfterFuncAllocs: a timer costs nothing beyond its pooled event,
+// whether its handle is discarded, stopped, or kept by an owner that
+// outlives the call: a field of a heap object or a closure the engine
+// holds. Timer must stay a plain value: as an interface, a kept handle
+// is boxed, one allocation per exclusive attempt and per glide-in wait.
 func TestAfterFuncAllocs(t *testing.T) {
 	skipUnderRace(t)
 	s := NewSim(time.Time{})
@@ -30,13 +31,35 @@ func TestAfterFuncAllocs(t *testing.T) {
 		t.Errorf("AfterFunc with the result discarded: %v allocations, want 0", got)
 	}
 	if got := testing.AllocsPerRun(1000, func() {
-		tm := s.AfterFuncTimer(time.Second, fn)
+		tm := s.AfterFunc(time.Second, fn)
 		tm.Stop()
 		s.RunFor(time.Second)
 	}); got != 0 {
-		t.Errorf("AfterFuncTimer then Stop: %v allocations, want 0", got)
+		t.Errorf("AfterFunc then Stop: %v allocations, want 0", got)
+	}
+	owner := &timerOwner{}
+	if got := testing.AllocsPerRun(1000, func() {
+		owner.timer = s.AfterFunc(time.Second, fn)
+		owner.timer.Stop()
+		s.RunFor(time.Second)
+	}); got != 0 {
+		t.Errorf("AfterFunc kept in a heap field: %v allocations, want 0", got)
+	}
+	// The closure is built once, as a long-lived owner's is; each run
+	// re-arms the timer it captured.
+	var tm Timer
+	stop := func() { tm.Stop() }
+	if got := testing.AllocsPerRun(1000, func() {
+		tm = s.AfterFunc(time.Second, fn)
+		s.Post(stop)
+		s.RunFor(time.Second)
+	}); got != 0 {
+		t.Errorf("AfterFunc captured by an escaping closure: %v allocations, want 0", got)
 	}
 }
+
+// timerOwner keeps a Timer in a field, as vmslot's machines do.
+type timerOwner struct{ timer Timer }
 
 // TestEmbeddedTriggerAllocs: a trigger that lives in its owner, with
 // one waiter and one callback, costs nothing to arm, fire and dispatch;

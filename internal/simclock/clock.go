@@ -18,10 +18,3 @@
 // all draw from one sequence. Byte-reproducible fixed-seed traces
 // depend on it and TestSameTimestampFIFO pins it.
 package simclock
-
-// Timer is a handle to a pending AfterFunc call.
-type Timer interface {
-	// Stop cancels the timer. It reports whether the call was stopped
-	// before firing.
-	Stop() bool
-}

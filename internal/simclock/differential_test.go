@@ -19,13 +19,16 @@ import (
 // engine is what a program drives; both implementations satisfy it.
 type engine interface {
 	Now() time.Time
-	AfterFunc(d time.Duration, fn func()) Timer
+	AfterFunc(d time.Duration, fn func()) stopper
 	Post(fn func())
 	RunUntil(t time.Time) time.Time
 	Run() time.Time
 	Pending() int
 	trigger() trigger
 }
+
+// stopper is the part of Timer a program drives.
+type stopper interface{ Stop() bool }
 
 // trigger is the part of Trigger a program drives.
 type trigger interface {
@@ -35,6 +38,8 @@ type trigger interface {
 }
 
 type simEngine struct{ *Sim }
+
+func (e simEngine) AfterFunc(d time.Duration, fn func()) stopper { return e.Sim.AfterFunc(d, fn) }
 
 func (e simEngine) trigger() trigger { return simTrigger{e.NewTrigger()} }
 
@@ -74,7 +79,7 @@ func (r *refEngine) schedule(d time.Duration, fn func()) *refEvent {
 	return e
 }
 
-func (r *refEngine) AfterFunc(d time.Duration, fn func()) Timer {
+func (r *refEngine) AfterFunc(d time.Duration, fn func()) stopper {
 	return refTimer{r, r.schedule(d, fn)}
 }
 
@@ -201,8 +206,8 @@ type program struct {
 	e      engine
 	start  time.Time
 	log    []string
-	timers []Timer
-	burst  []Timer // the last burst, in scheduling order
+	timers []stopper
+	burst  []stopper // the last burst, in scheduling order
 	trigs  []trigger
 	ids    int
 }

@@ -30,7 +30,7 @@ type Sim struct {
 	lane   lane      // zero-delay events, all at now
 	freeEv []*event  // recycled events; see event.gen
 	seq    int64
-	firing *event // event currently being dispatched; see SimTimer.Stop
+	firing *event // event currently being dispatched; see Timer.Stop
 
 	// tail is the event last pushed on the heap, the end of its run,
 	// and tailKey its instant; nil once that event is recycled. See
@@ -52,14 +52,14 @@ func NewSim(start time.Time) *Sim {
 // live in the slot that queues it, so ordering never dereferences it.
 type event struct {
 	at       time.Time
-	gen      uint64 // bumped on recycle; stale SimTimers detect reuse
+	gen      uint64 // bumped on recycle; stale Timers detect reuse
 	fn       func()
 	next     *event // next member of the heap run this event heads or is in
 	canceled bool
 }
 
 // recycle returns an executed or canceled event to the free list.
-// Bumping gen invalidates any SimTimer still holding the event, and
+// Bumping gen invalidates any Timer still holding the event, and
 // clearing fn drops the closure for the garbage collector. A recycled
 // tail ends its run: the event may be reused at any instant.
 func (s *Sim) recycle(e *event) {
@@ -255,20 +255,9 @@ func (s *Sim) schedule(d time.Duration, fn func()) *event {
 
 // AfterFunc schedules fn to run in its own event after d of virtual
 // time.
-//
-// AfterFunc must stay small enough to inline: a caller that discards
-// the result then pays no allocation for the Timer interface value.
 func (s *Sim) AfterFunc(d time.Duration, fn func()) Timer {
 	e := s.schedule(d, fn)
-	return SimTimer{s, e, e.gen}
-}
-
-// AfterFuncTimer is AfterFunc returning the concrete SimTimer, for an
-// owner that keeps the handle in a field: storing a Timer interface
-// value boxes the handle in an allocation of its own.
-func (s *Sim) AfterFuncTimer(d time.Duration, fn func()) SimTimer {
-	e := s.schedule(d, fn)
-	return SimTimer{s, e, e.gen}
+	return Timer{s, e, e.gen}
 }
 
 // at schedules fn at absolute virtual time t (immediately if t is in
@@ -283,9 +272,10 @@ func (s *Sim) Post(fn func()) {
 	s.schedule(0, fn)
 }
 
-// SimTimer is the Timer of a pending Sim event. The zero SimTimer is
-// a timer that already fired: Stop reports false.
-type SimTimer struct {
+// Timer is a handle to a pending AfterFunc call. It is a plain value:
+// an owner keeps it in a field or a closure at no allocation. The zero
+// Timer is a timer that already fired: Stop reports false.
+type Timer struct {
 	s   *Sim
 	e   *event
 	gen uint64
@@ -299,7 +289,7 @@ type SimTimer struct {
 // callback never runs, even when the canceling event carries the same
 // timestamp. This mirrors time.Timer.Stop semantics and is pinned by
 // TestTimerStopInterleavings.
-func (t SimTimer) Stop() bool {
+func (t Timer) Stop() bool {
 	if t.e == nil || t.e.gen != t.gen || t.e.canceled {
 		return false // already executed (event recycled) or already stopped
 	}

@@ -47,7 +47,7 @@ func TestSimNowAdvances(t *testing.T) {
 	}
 }
 
-func TestSimTimerStop(t *testing.T) {
+func TestTimerStop(t *testing.T) {
 	s := NewSim(time.Time{})
 	fired := false
 	tm := s.AfterFunc(time.Second, func() { fired = true })

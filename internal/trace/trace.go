@@ -21,7 +21,6 @@ package trace
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -46,7 +45,9 @@ const (
 	// Started marks the job running on its allocation.
 	Started
 	// ConsoleAttached marks a console agent's first connection to the
-	// shadow (N carries the subjob index).
+	// shadow (N carries the subjob index). No component emits the three
+	// console kinds yet: they keep their wire names for console events
+	// on the simulation clock.
 	ConsoleAttached
 	// LinkDown marks a console link losing its connection (transient)
 	// or giving up permanently (Detail says which).
@@ -242,23 +243,21 @@ type Trace struct {
 	Events []Event
 }
 
-// Tracer records events against a virtual (or real) clock. All methods
-// are safe on a nil receiver: a nil *Tracer is the disabled state, and
+// Tracer records events against a simulation clock. All methods are
+// safe on a nil receiver: a nil *Tracer is the disabled state, and
 // instrumented code calls Emit unconditionally.
 //
-// The mutex exists for the real-time console path; on the simulation
-// hot path it is uncontended and costs a few nanoseconds per event.
+// A Tracer is unlocked, like the Sim it reads: every component that
+// emits runs on that Sim's goroutine.
 type Tracer struct {
-	mu     sync.Mutex
 	now    func() time.Time
 	start  time.Time
 	events []Event
 	seq    uint64
 }
 
-// New creates a tracer reading timestamps from now — Sim.Now for
-// deterministic virtual-time traces, time.Now for the real-time
-// console. The first reading fixes the trace origin.
+// New creates a tracer reading timestamps from now, normally Sim.Now.
+// The first reading fixes the trace origin.
 func New(now func() time.Time) *Tracer {
 	return &Tracer{now: now, start: now(), events: make([]Event, 0, 256)}
 }
@@ -269,17 +268,12 @@ func (t *Tracer) Emit(e Event) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	e.Seq = t.seq
 	t.seq++
 	e.T = t.now().Sub(t.start)
 	e.Name = e.Kind.String()
 	t.events = append(t.events, e)
-	t.mu.Unlock()
 }
-
-// Enabled reports whether the tracer records (false for nil).
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // Events returns a copy of the recorded log in emission order (nil for
 // a nil tracer).
@@ -287,8 +281,6 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return append([]Event(nil), t.events...)
 }
 

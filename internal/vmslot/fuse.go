@@ -23,7 +23,7 @@ import (
 // ordering perturbation of at most one quantum, well inside the
 // scheduler's behavioural tolerances, and fully deterministic.
 type burst struct {
-	timer  simclock.SimTimer
+	timer  simclock.Timer
 	start  time.Time
 	cost   time.Duration // virtual time until the winning completion
 	winner int           // index into fin.runs of the completing run
@@ -234,9 +234,9 @@ func (m *Machine) fuse() bool {
 	b.winner, _, _ = b.fin.advance(-1)
 	b.cost = b.fin.elapsed
 	m.current = nil
-	m.curEvent = simclock.SimTimer{}
+	m.curEvent = simclock.Timer{}
 	m.burst = b
-	b.timer = m.sim.AfterFuncTimer(b.cost, m.burstEnd)
+	b.timer = m.sim.AfterFunc(b.cost, m.burstEnd)
 	return true
 }
 
@@ -311,5 +311,5 @@ func (m *Machine) interrupt() {
 	m.current = r
 	m.curStart = b.start.Add(bs.elapsed)
 	m.curSlice = slice
-	m.curEvent = m.sim.AfterFuncTimer(bs.elapsed+slice-elapsed, m.sliceEnd)
+	m.curEvent = m.sim.AfterFunc(bs.elapsed+slice-elapsed, m.sliceEnd)
 }

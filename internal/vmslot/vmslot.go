@@ -71,7 +71,7 @@ type Machine struct {
 	// run is dispatched as one big slice (instead of millions of
 	// quantum events) and preempted with exact partial accounting when
 	// competition arrives. curEvent is zero when no slice is in flight.
-	curEvent simclock.SimTimer
+	curEvent simclock.Timer
 	curStart time.Time
 	curSlice time.Duration
 
@@ -301,7 +301,7 @@ func (m *Machine) dispatch() {
 	}
 	m.curStart = m.sim.Now()
 	m.curSlice = slice
-	m.curEvent = m.sim.AfterFuncTimer(slice, m.sliceEnd)
+	m.curEvent = m.sim.AfterFunc(slice, m.sliceEnd)
 }
 
 // preemptLongSlice interrupts a running slice longer than the quantum,
@@ -309,7 +309,7 @@ func (m *Machine) dispatch() {
 // under normal quantum sharing.
 func (m *Machine) preemptLongSlice() {
 	r := m.current
-	if r == nil || m.curSlice <= m.quantum || m.curEvent == (simclock.SimTimer{}) {
+	if r == nil || m.curSlice <= m.quantum || m.curEvent == (simclock.Timer{}) {
 		return
 	}
 	if !m.curEvent.Stop() {
@@ -326,7 +326,7 @@ func (m *Machine) complete(r *run, used time.Duration) {
 	s := r.slot
 	s.used += used
 	m.busyFor += used
-	m.curEvent = simclock.SimTimer{}
+	m.curEvent = simclock.Timer{}
 	if s.tickets > 0 {
 		s.pass += used.Seconds() / float64(s.tickets)
 		if s.pass > m.vtime {
@@ -364,7 +364,7 @@ func (m *Machine) busy() time.Duration {
 		return m.busyFor + elapsed
 	}
 	busy := m.busyFor
-	if m.current != nil && m.curEvent != (simclock.SimTimer{}) {
+	if m.current != nil && m.curEvent != (simclock.Timer{}) {
 		elapsed := m.sim.Since(m.curStart)
 		if elapsed > m.curSlice {
 			elapsed = m.curSlice
