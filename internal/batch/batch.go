@@ -145,7 +145,13 @@ type Queue struct {
 	// latency.
 	cycle time.Duration
 
+	// pending holds the jobs waiting for nodes. Its first sorted
+	// entries are in pass order, (priority desc, seq asc), as the last
+	// pass left them; the rest arrived since, in submission order, and
+	// the next pass merges them in (see order).
 	pending []*Handle
+	sorted  int
+	merge   []*Handle          // order's scratch copy of the arrivals
 	jobs    map[string]*Handle // pending and running jobs; finished ones are forgotten
 	seq     int
 	passing bool
@@ -286,7 +292,7 @@ func (q *Queue) CrashAll() {
 		delete(q.jobs, h.req.ID)
 		h.Done.Fire()
 	}
-	q.pending = nil
+	q.pending, q.sorted = nil, 0
 	// Kill in submission order: q.jobs is a map, and job bodies emit
 	// trace events from their Killed hooks, so iteration order must be
 	// deterministic.
@@ -316,14 +322,7 @@ func (q *Queue) pass() {
 		}
 		return
 	}
-	// (priority desc, seq asc) is a total order, seq being unique, so
-	// an unstable sort gives the one order a stable sort would.
-	slices.SortFunc(q.pending, func(a, b *Handle) int {
-		if c := cmp.Compare(b.req.Priority, a.req.Priority); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
+	q.order()
 	for len(q.pending) > 0 {
 		h := q.pending[0]
 		if q.nfree < h.req.Nodes {
@@ -344,8 +343,52 @@ func (q *Queue) pass() {
 			}
 		}
 		q.pending = q.pending[1:]
+		if q.sorted > 0 {
+			q.sorted--
+		}
 		q.start(h, nodes)
 	}
+}
+
+// passOrder is the order a pass starts pending jobs in: priority
+// descending, then submission order. seq is unique, so it is a total
+// order, and any sort gives the one order a stable sort would.
+func passOrder(a, b *Handle) int {
+	if c := cmp.Compare(b.req.Priority, a.req.Priority); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// order puts pending in pass order. Only the arrivals since the last
+// pass can be out of place: they are sorted among themselves and
+// merged into the sorted prefix from the back, through a scratch copy
+// the queue keeps. The result is the full sort of pending, because
+// passOrder is total.
+func (q *Queue) order() {
+	p, n := q.pending, q.sorted
+	q.sorted = len(p)
+	arrivals := p[n:]
+	if len(arrivals) == 0 {
+		return
+	}
+	slices.SortFunc(arrivals, passOrder)
+	if n == 0 || passOrder(p[n-1], arrivals[0]) < 0 {
+		return // every arrival goes after the prefix
+	}
+	arrivals = append(q.merge[:0], arrivals...)
+	i, j := n-1, len(arrivals)-1
+	for k := len(p) - 1; j >= 0; k-- {
+		if i >= 0 && passOrder(p[i], arrivals[j]) > 0 {
+			p[k] = p[i]
+			i--
+		} else {
+			p[k] = arrivals[j]
+			j--
+		}
+	}
+	clear(arrivals) // hold no finished job
+	q.merge = arrivals[:0]
 }
 
 type job struct{ h *Handle }
@@ -411,6 +454,9 @@ func (q *Queue) Kill(id string) error {
 		for i, p := range q.pending {
 			if p == h {
 				q.pending = append(q.pending[:i], q.pending[i+1:]...)
+				if i < q.sorted {
+					q.sorted--
+				}
 				break
 			}
 		}

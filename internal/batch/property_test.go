@@ -2,7 +2,9 @@ package batch
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -177,4 +179,91 @@ func TestQueueInvariantsUnderRandomLoad(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPassOrderMatchesFullSort drives a queue through seeded random
+// submissions at a few priority levels, kills of pending jobs, passes
+// and crashes, and holds pending to a reference that sorts all of it
+// at every pass: after a pass the jobs it started are the head of the
+// full sort and the rest are its tail; between passes pending is the
+// sorted remainder followed by the arrivals in submission order; and
+// CrashAll drops the pending jobs in that order.
+func TestPassOrderMatchesFullSort(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sim := simclock.NewSim(time.Time{})
+		q := NewQueue(sim, "order", 3, nil, WithCycle(time.Second))
+		var ref, dropped []*Handle
+		fail := func(op int, format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d op %d: "+format, append([]any{seed, op}, args...)...)
+		}
+		same := func(op int, what string, got, want []*Handle) {
+			t.Helper()
+			if !slices.Equal(got, want) {
+				fail(op, "%s: pending %v, want %v", what, ids(got), ids(want))
+			}
+		}
+		for op := 0; op < 400; op++ {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				h, err := q.Submit(Request{
+					ID:       fmt.Sprintf("j%d", op),
+					Nodes:    1 + rng.Intn(3),
+					Priority: rng.Intn(3) * 5,
+					RunCB:    func(_ *ExecCtx, done func()) { done() },
+				})
+				if err != nil {
+					fail(op, "submit: %v", err)
+				}
+				h.Done.OnFire(func() {
+					if h.State() == Killed {
+						dropped = append(dropped, h)
+					}
+				})
+				ref = append(ref, h)
+			case r < 7 && len(ref) > 0:
+				h := ref[rng.Intn(len(ref))]
+				if err := q.Kill(h.ID()); err != nil {
+					fail(op, "kill: %v", err)
+				}
+				ref = slices.DeleteFunc(ref, func(p *Handle) bool { return p == h })
+			case r < 9:
+				want := slices.Clone(ref)
+				slices.SortFunc(want, func(a, b *Handle) int {
+					if a.req.Priority != b.req.Priority {
+						return b.req.Priority - a.req.Priority
+					}
+					return a.seq - b.seq
+				})
+				q.pass()
+				k := len(want) - len(q.pending)
+				for _, h := range want[:k] {
+					if h.State() != Running {
+						fail(op, "pass started %v, want the head %v of the full sort", ids(want[:k]), ids(want))
+					}
+				}
+				ref = want[k:]
+				same(op, "after pass", q.pending, ref)
+				if rng.Intn(2) == 0 {
+					sim.RunUntil(sim.Now()) // the started bodies end and free their nodes
+				}
+			default:
+				dropped = dropped[:0]
+				q.CrashAll()
+				same(op, "crash drop order", dropped, ref)
+				ref = ref[:0]
+				sim.RunUntil(sim.Now())
+			}
+			same(op, "between passes", q.pending, ref)
+		}
+	}
+}
+
+func ids(hs []*Handle) []string {
+	out := make([]string, len(hs))
+	for i, h := range hs {
+		out[i] = fmt.Sprintf("%s/p%d", h.ID(), h.req.Priority)
+	}
+	return out
 }

@@ -31,17 +31,20 @@ func lifecycleAllocs(t *testing.T, g *grid, req Request) float64 {
 // TestLifecycleAllocs holds a batch job's, an exclusive interactive
 // job's and a shared-VM job's whole life to a ceiling. The counts
 // include the grid's background work over the job's fifteen simulated
-// minutes (publishes, fair-share updates). Measured 119, 95 and 67;
-// the batch and exclusive ceilings are those counts. A queue-timeout
-// wait (waitTrigger) whose timer is boxed in an interface measured 120
-// and 96. With batch and shared at 128 and 68, a publish tick that
-// builds and compares the whole record again (two allocations a tick
-// instead of one) measured 158 and 98.
+// minutes (publishes, fair-share updates). The ceilings are the counts
+// measured once each owner bound its continuations once (the probe
+// walk, a site's query records, the placement's phases, the default
+// body, WaitAny, the glide-in's interactive job, the fused burst):
+// 108, 82 and 53. With a closure or method value made per step they
+// measured 119, 95 and 67. A queue-timeout wait (waitTrigger) whose
+// timer is boxed in an interface measured 120 and 96 on that code, and
+// a publish tick that builds and compares the whole record again (two
+// allocations a tick instead of one) raised batch and shared by 30.
 func TestLifecycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const batchCeiling, exclusiveCeiling, sharedCeiling = 119, 95, 74
+	const batchCeiling, exclusiveCeiling, sharedCeiling = 108, 82, 53
 	g := newGrid(t, 4, 4, Config{Seed: 1})
 	if got := lifecycleAllocs(t, g, batchJob(time.Second)); got > batchCeiling {
 		t.Errorf("batch job lifecycle: %v allocations, ceiling %d", got, batchCeiling)
@@ -61,6 +64,37 @@ func TestLifecycleAllocs(t *testing.T) {
 	}
 	if got := lifecycleAllocs(t, g, interactiveJob(jdl.SharedAccess, 10, 1)); got > sharedCeiling {
 		t.Errorf("shared-VM job lifecycle: %v allocations, ceiling %d", got, sharedCeiling)
+	}
+}
+
+// TestProbePassAllocs: a pass's direct probes cost nothing per site, so
+// a pass that probes 16 sites allocates no more than one that probes 1.
+// The walk is a recycled probeRun and each site recycles its query
+// records; a closure per probe on each side cost about two allocations
+// per probed site.
+func TestProbePassAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	job := batchJob(time.Second).Job
+	pass := func(topK int) float64 {
+		g := newGrid(t, 16, 4, Config{Seed: 1, TopK: topK})
+		h := &Handle{request: Request{Job: job}}
+		probed := 0
+		cont := func(c []candidate) { probed = len(c) }
+		run := func() {
+			g.b.matchPass(h, cont)
+			g.sim.RunFor(time.Minute)
+		}
+		run() // warm-up: pools, free lists and the sites' first publishes
+		if probed != topK {
+			t.Fatalf("TopK %d: %d sites probed and ranked", topK, probed)
+		}
+		return testing.AllocsPerRun(20, run)
+	}
+	one, all := pass(1), pass(16)
+	if all > one {
+		t.Errorf("a pass probing 16 sites: %v allocations, over the %v of one probing 1", all, one)
 	}
 }
 

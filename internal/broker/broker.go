@@ -288,8 +288,11 @@ type RunContext struct {
 	killed simclock.Trigger
 	// The default body's state (defaultBody, run.go): over runs cont
 	// once the CPU is burnt or Killed fires; slotsDone fires when the
-	// last of several slots finishes, counted down by remaining.
+	// last of several slots finishes, counted down by remaining. step
+	// (rc.next, bound once by run) starts the body, then counts slots.
 	cont      func()
+	step      func()
+	bodyRan   bool
 	over      simclock.Trigger
 	slotsDone simclock.Trigger
 	remaining int
@@ -344,6 +347,10 @@ type Handle struct {
 	Done *simclock.Trigger
 
 	firstOutput, done simclock.Trigger
+
+	// subjob0 is subjobID(h, 0) while resub is 0, when Submit named the
+	// job; it shares ID's bytes.
+	subjob0 string
 
 	state   State
 	err     error
@@ -467,6 +474,7 @@ type Broker struct {
 	freeScratch []*glidein.Agent
 	reqMemo     map[string]bool // site name -> Requirements pass
 	taskPool    [][]probeTask   // recycled matchmaking scratch, see getTasks
+	probeRuns   []*probeRun     // recycled probe walks, see probeSites
 
 	pendingBatch []*Handle
 	seq          int
@@ -596,7 +604,9 @@ func (b *Broker) Submit(req Request) (*Handle, error) {
 	if prefix == "" {
 		prefix = "cb"
 	}
-	h := b.newHandle(req, jobID(prefix, b.seq), 0)
+	id, subjob0 := jobID(prefix, b.seq)
+	h := b.newHandle(req, id, 0)
+	h.subjob0 = subjob0
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.Submitted, Job: h.ID, Detail: jobClass(req.Job)})
 	b.sim.Post(func() { b.route(h) })
 	return h, nil
@@ -652,16 +662,20 @@ func (b *Broker) newHandle(req Request, id string, attempt int) *Handle {
 }
 
 // jobID formats prefix-NNNNNN, the sequence number zero-padded to six
-// digits, with the result string as its only allocation.
-func jobID(prefix string, seq int) string {
-	var buf [32]byte
-	id := append(buf[:0], prefix...)
-	id = append(id, '-')
+// digits, and the name of the job's first subjob on a shared VM in its
+// first attempt, prefix-NNNNNN#0.0 (see subjobID). The two share one
+// string, the only allocation.
+func jobID(prefix string, seq int) (id, subjob0 string) {
+	var buf [36]byte
+	b := append(buf[:0], prefix...)
+	b = append(b, '-')
 	for w := 100000; w > 1 && seq < w; w /= 10 {
-		id = append(id, '0')
+		b = append(b, '0')
 	}
-	id = strconv.AppendInt(id, int64(seq), 10)
-	return string(id)
+	b = strconv.AppendInt(b, int64(seq), 10)
+	n := len(b)
+	subjob0 = string(append(b, "#0.0"...))
+	return subjob0[:n], subjob0
 }
 
 // SetOffloader installs the federation's queue-pressure hook: it is

@@ -436,37 +436,62 @@ func (b *Broker) putTasks(t []probeTask) {
 // other's reservations). Sites are contacted one after another, the
 // paper's behavior: selection costs the sum of site round trips, ~3 s
 // for 20 sites in Table I.
+//
+// The walk is one probeRun from the broker's free list, whose answer
+// continuation was bound when the run was made: a pass probes any
+// number of sites at no allocation of its own.
 func (b *Broker) probeSites(tasks []probeTask, cont func()) {
-	n := len(tasks)
-	if n == 0 {
+	if len(tasks) == 0 {
 		cont()
 		return
 	}
-	handle := func(i, free, queued int, ok bool) {
-		tasks[i].ok = ok
-		if !ok {
-			b.noteSiteFailure(tasks[i].st.Name())
-			return
-		}
-		b.noteProbeAnswered(tasks[i].st.Name())
-		free -= b.activeLeases(tasks[i].st.Name())
+	var r *probeRun
+	if n := len(b.probeRuns); n > 0 {
+		r = b.probeRuns[n-1]
+		b.probeRuns = b.probeRuns[:n-1]
+	} else {
+		r = &probeRun{b: b}
+		r.answer = r.answered
+	}
+	r.tasks, r.i, r.cont = tasks, 0, cont
+	r.tasks[0].st.QueryStateAsync(r.answer)
+}
+
+// probeRun is one pass's walk over its kept sites: tasks[i] is the
+// site being probed, and cont runs after the last answer.
+type probeRun struct {
+	b      *Broker
+	tasks  []probeTask
+	i      int
+	cont   func()
+	answer func(free, queued int, ok bool) // r.answered, bound once per run
+}
+
+// answered records tasks[i]'s probe outcome and probes the next site;
+// after the last it returns the run to the broker's free list, then
+// calls cont, which may start a pass of its own.
+func (r *probeRun) answered(free, queued int, ok bool) {
+	b, t := r.b, &r.tasks[r.i]
+	t.ok = ok
+	if ok {
+		b.noteProbeAnswered(t.st.Name())
+		free -= b.activeLeases(t.st.Name())
 		if free < 0 {
 			free = 0
 		}
-		tasks[i].free, tasks[i].queued = free, queued
+		t.free, t.queued = free, queued
+	} else {
+		b.noteSiteFailure(t.st.Name())
 	}
-	var step func(i int)
-	step = func(i int) {
-		if i == n {
-			cont()
-			return
-		}
-		tasks[i].st.QueryStateAsync(func(free, queued int, ok bool) {
-			handle(i, free, queued, ok)
-			step(i + 1)
-		})
+	r.i++
+	if r.i < len(r.tasks) {
+		r.tasks[r.i].st.QueryStateAsync(r.answer)
+		return
 	}
-	step(0)
+	cont := r.cont
+	r.tasks, r.cont = nil, nil
+	b.probeRuns = append(b.probeRuns, r)
+	cont()
 }
 
 // PassStats describes one matchmaking pass for instrumentation (the

@@ -42,6 +42,15 @@ func attemptID(h *Handle) string {
 	return h.ID + "." + strconv.Itoa(h.resub)
 }
 
+// subjobID names h's i-th subjob on a shared VM in the current
+// attempt: ID#i.resub.
+func subjobID(h *Handle, i int) string {
+	if i == 0 && h.resub == 0 && h.subjob0 != "" {
+		return h.subjob0
+	}
+	return h.ID + "#" + strconv.Itoa(i) + "." + strconv.Itoa(h.resub)
+}
+
 // interactiveTickets matches glidein's interactive share.
 const interactiveTickets = 100
 
@@ -70,7 +79,19 @@ func (rc *RunContext) run(cont func()) {
 		return
 	}
 	rc.cont = cont
-	rc.Sim.AfterFunc(rc.st.Network().TransferTime(defaultFirstOutputBytes), rc.defaultBody)
+	rc.step = rc.next
+	rc.Sim.AfterFunc(rc.st.Network().TransferTime(defaultFirstOutputBytes), rc.step)
+}
+
+// next is the default body's one continuation: the body the first
+// time it runs, then the end of one of its slots' runs.
+func (rc *RunContext) next() {
+	if !rc.bodyRan {
+		rc.bodyRan = true
+		rc.defaultBody()
+		return
+	}
+	rc.slotDone()
 }
 
 // defaultBody emits the first output, then burns the requested CPU on
@@ -88,9 +109,8 @@ func (rc *RunContext) defaultBody() {
 		done = rc.Slots[0].Start(cpu)
 	} else {
 		rc.remaining = len(rc.Slots)
-		slotDone := rc.slotDone
 		for _, s := range rc.Slots {
-			s.Start(cpu).OnFire(slotDone)
+			s.Start(cpu).OnFire(rc.step)
 		}
 		done = &rc.slotsDone
 	}
@@ -739,9 +759,8 @@ func (b *Broker) placeOnAgents(h *Handle, agents []*glidein.Agent, cont func(ter
 	// the interactive VM — but the gatekeeper, GRAM and the local
 	// queue are skipped entirely. Catalog datasets move first.
 	p := b.newPlacement(h, st, agents, cont)
-	b.stageData(h, st.Name(), func() {
-		b.sim.AfterFunc(st.Costs().Stage+st.Network().RTT()+st.Costs().VMDispatch, p.dispatch)
-	})
+	p.phase = placeSend
+	b.stageData(h, st.Name(), p.step)
 }
 
 // placement is one shared-VM attempt: the job's subjobs on the chosen
@@ -750,6 +769,11 @@ func (b *Broker) placeOnAgents(h *Handle, agents []*glidein.Agent, cont func(ter
 // share this one allocation. While it runs it is listed under each
 // hosting agent in the registry (Broker.agents), whose one Released
 // callback notifies it; it leaves those lists when it ends.
+//
+// The attempt binds its continuations once. step walks the placement
+// phases in order (phase names the next), one scheduled at a time; the
+// outcome wait, which the loss of an agent or an abort can start while
+// a phase is still pending, has a continuation of its own, settle.
 type placement struct {
 	b      *Broker
 	h      *Handle
@@ -761,20 +785,37 @@ type placement struct {
 	lost    simclock.Trigger // a hosting agent died, noticed one heartbeat later
 	over    simclock.Trigger // first of the body's end, lost and an abort
 
-	rc          RunContext
-	bodyStarted bool
-	placed      int
-	vmDone      []*simclock.Trigger // per subjob: its VM was released
-	waited      int                 // vmDone entries seen fired
-	slotBuf     [1]*vmslot.Slot
-	vmDoneBuf   [1]*simclock.Trigger
+	step, settle func()     // p.next and p.outcome, bound in newPlacement
+	phase        placePhase // what step does next
+	ended        bool       // the outcome was taken; settle now waits out the VMs
+	bodyStarted  bool
+
+	rc        RunContext
+	placed    int
+	vmDone    []*simclock.Trigger // per subjob: its VM was released
+	waited    int                 // vmDone entries seen fired
+	slotBuf   [1]*vmslot.Slot
+	vmDoneBuf [1]*simclock.Trigger
 }
+
+// placePhase is the placement phase step runs next.
+type placePhase uint8
+
+const (
+	placeSend     placePhase = iota // input staged: the dispatch message travels to the agents
+	placeDispatch                   // the message arrived: start the subjobs
+	placeStart                      // every VM is held: start the job
+	placeStartup                    // the startup cost begins
+	placeBody                       // the startup cost is paid: run the body
+	placeBodyOver                   // the body called its continuation
+)
 
 func (b *Broker) newPlacement(h *Handle, st *site.Site, agents []*glidein.Agent, cont func(bool)) *placement {
 	p := &placement{b: b, h: h, st: st, agents: agents, cont: cont}
 	b.sim.InitTrigger(&p.jobDone)
 	b.sim.InitTrigger(&p.lost)
 	b.sim.InitTrigger(&p.over)
+	p.step, p.settle = p.next, p.outcome
 	p.rc.init(b, h, st)
 	p.rc.Slots = p.slotBuf[:0]
 	p.vmDone = p.vmDoneBuf[:0]
@@ -785,13 +826,34 @@ func (b *Broker) newPlacement(h *Handle, st *site.Site, agents []*glidein.Agent,
 	return p
 }
 
+// next runs the placement's pending phase.
+func (p *placement) next() {
+	switch p.phase {
+	case placeSend:
+		p.phase = placeDispatch
+		st := p.st
+		p.b.sim.AfterFunc(st.Costs().Stage+st.Network().RTT()+st.Costs().VMDispatch, p.step)
+	case placeDispatch:
+		p.dispatch()
+	case placeStart:
+		p.start()
+	case placeStartup:
+		p.phase = placeBody
+		p.b.sim.AfterFunc(p.st.Costs().JobStartup, p.step)
+	case placeBody:
+		p.startBody()
+	case placeBodyOver:
+		p.over.Fire()
+	}
+}
+
 // dispatch starts one subjob per chosen VM.
 func (p *placement) dispatch() {
 	b, h := p.b, p.h
 	onVM := p.onVM
 	for i, a := range p.agents {
 		done, err := a.StartInteractive(glidein.InteractiveJob{
-			ID:              h.ID + "#" + strconv.Itoa(i) + "." + strconv.Itoa(h.resub),
+			ID:              subjobID(h, i),
 			Owner:           h.request.User,
 			PerformanceLoss: h.request.Job.PerformanceLoss,
 			RunCB:           onVM,
@@ -815,7 +877,8 @@ func (p *placement) onVM(ctx *glidein.InteractiveContext, fin func()) {
 	p.rc.Slots = append(p.rc.Slots, ctx.Slot)
 	p.placed++
 	if p.placed == len(p.agents) {
-		p.b.sim.Post(p.start)
+		p.phase = placeStart
+		p.b.sim.Post(p.step)
 	}
 	p.jobDone.WaitThen(fin)
 }
@@ -833,14 +896,11 @@ func (p *placement) start() {
 			b.watchAgent(a, p)
 		}
 	}
-	b.sim.Post(p.afterStartup)
+	p.phase = placeStartup
+	b.sim.Post(p.step)
 
 	h.onAbort(&p.over)
-	p.over.WaitAny(p.end, &p.lost)
-}
-
-func (p *placement) afterStartup() {
-	p.b.sim.AfterFunc(p.st.Costs().JobStartup, p.startBody)
+	p.over.WaitAny(p.settle, &p.lost)
 }
 
 func (p *placement) startBody() {
@@ -849,7 +909,8 @@ func (p *placement) startBody() {
 	}
 	p.bodyStarted = true
 	p.h.onAbort(p.rc.Killed)
-	p.rc.run(p.over.Fire)
+	p.phase = placeBodyOver
+	p.rc.run(p.step)
 }
 
 // loseAgent is the heartbeat's verdict on a dead hosting agent: the
@@ -859,6 +920,17 @@ func (p *placement) loseAgent() {
 	if p.bodyStarted {
 		p.rc.killed.Fire()
 	}
+}
+
+// outcome is settle: the attempt's end the first time it runs, then
+// the wait for the VMs.
+func (p *placement) outcome() {
+	if p.ended {
+		p.awaitVMs()
+		return
+	}
+	p.ended = true
+	p.end()
 }
 
 // end takes the attempt's outcome.
@@ -895,7 +967,7 @@ func (p *placement) awaitVMs() {
 		t := p.vmDone[p.waited]
 		p.waited++
 		if !t.Fired() {
-			t.WaitThen(p.awaitVMs)
+			t.WaitThen(p.settle)
 			return
 		}
 	}

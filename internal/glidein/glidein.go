@@ -344,28 +344,49 @@ func (a *Agent) StartInteractive(job InteractiveJob) (*simclock.Trigger, error) 
 		a.OnBusy(a)
 	}
 
-	slot := a.node.CPU.NewSlot("interactive-vm/"+job.ID, interactiveTickets)
-	done := a.sim.NewTrigger()
-	cleanup := func() {
-		slot.Close()
-		delete(a.activePL, job.ID)
-		if !a.released.Fired() {
-			// Skip share juggling on a dead agent: its batch VM is
-			// already closed.
-			a.applyBatchShare(false)
-			if a.OnFree != nil {
-				a.OnFree(a)
-			}
-		}
-		done.Fire()
-		a.maybeLeave()
-	}
-	a.sim.Post(func() {
-		if job.RunCB != nil {
-			job.RunCB(&InteractiveContext{Sim: a.sim, Slot: slot, Node: a.node}, cleanup)
+	r := &interactive{a: a, job: job}
+	r.ctx = InteractiveContext{Sim: a.sim, Slot: a.node.CPU.NewSlot("interactive-vm", interactiveTickets), Node: a.node}
+	a.sim.InitTrigger(&r.done)
+	r.step = r.next
+	a.sim.Post(r.step)
+	return &r.done, nil
+}
+
+// interactive is one job on an interactive VM. Its context, with the
+// VM's slot, and its completion trigger share this allocation, and one
+// continuation, step, bound once, serves as both the posted start of
+// the body and the done the body calls.
+type interactive struct {
+	a       *Agent
+	job     InteractiveJob
+	ctx     InteractiveContext
+	done    simclock.Trigger
+	step    func() // r.next
+	started bool
+}
+
+// next is the job's start the first time it runs, its cleanup the
+// second: the slot closes, the batch VM's share is restored and done
+// fires.
+func (r *interactive) next() {
+	a := r.a
+	if !r.started {
+		r.started = true
+		if r.job.RunCB != nil {
+			r.job.RunCB(&r.ctx, r.step)
 			return
 		}
-		cleanup()
-	})
-	return done, nil
+	}
+	r.ctx.Slot.Close()
+	delete(a.activePL, r.job.ID)
+	if !a.released.Fired() {
+		// Skip share juggling on a dead agent: its batch VM is
+		// already closed.
+		a.applyBatchShare(false)
+		if a.OnFree != nil {
+			a.OnFree(a)
+		}
+	}
+	r.done.Fire()
+	a.maybeLeave()
 }

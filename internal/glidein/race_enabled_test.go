@@ -1,0 +1,7 @@
+//go:build race
+
+package glidein
+
+// raceEnabled lets the allocation budgets skip under the race detector,
+// whose instrumentation allocates on its own.
+const raceEnabled = true

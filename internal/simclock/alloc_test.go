@@ -62,8 +62,11 @@ func TestAfterFuncAllocs(t *testing.T) {
 type timerOwner struct{ timer Timer }
 
 // TestEmbeddedTriggerAllocs: a trigger that lives in its owner, with
-// one waiter and one callback, costs nothing to arm, fire and dispatch;
-// a first-of wait over two sources costs only the bound w.Fire.
+// one waiter and one callback, costs nothing to arm, fire and dispatch.
+// A first-of wait costs nothing over sources whose first callback slot
+// is free, and one bound w.Fire over any number of sources whose slot
+// is taken (it cost that one binding over free sources too, before
+// a source kept w as a pointer).
 func TestEmbeddedTriggerAllocs(t *testing.T) {
 	skipUnderRace(t)
 	s := NewSim(time.Time{})
@@ -86,8 +89,23 @@ func TestEmbeddedTriggerAllocs(t *testing.T) {
 		owner.b.Fire()
 		owner.a.Fire()
 		s.RunFor(time.Second)
-	}); got != 1 {
-		t.Errorf("WaitAny over two triggers: %v allocations, want 1 (the bound Fire)", got)
+	}); got != 0 {
+		t.Errorf("WaitAny over two fresh triggers: %v allocations, want 0", got)
+	}
+	// Sources whose first slot holds a callback: one binding of w.Fire
+	// serves both, beside each source's overflow list and its array.
+	if got := testing.AllocsPerRun(1000, func() {
+		s.InitTrigger(&owner.a)
+		s.InitTrigger(&owner.b)
+		s.InitTrigger(&owner.w)
+		owner.a.OnFire(cb)
+		owner.b.OnFire(cb)
+		owner.w.WaitAny(cont, &owner.a, &owner.b)
+		owner.a.Fire()
+		owner.b.Fire()
+		s.RunFor(time.Second)
+	}); got != 5 {
+		t.Errorf("WaitAny over two triggers with a callback each: %v allocations, want 5", got)
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 
 // TestSameTimestampFIFO pins the Clock contract that events scheduled
 // for the same virtual instant dispatch in scheduling order, across
-// every scheduling source: AfterFunc, At, Post, WaitThen registered
+// every scheduling source: AfterFunc (by delay or to an absolute
+// instant), Post, WaitThen registered
 // before the fire or from inside an event, and WaitAny.
 // Byte-reproducible traces depend on this.
 func TestSameTimestampFIFO(t *testing.T) {
@@ -18,13 +19,14 @@ func TestSameTimestampFIFO(t *testing.T) {
 	rec := func(tag string) func() { return func() { got = append(got, tag) } }
 
 	// Everything below lands at now+1s. Sequence numbers are drawn when
-	// the event is actually scheduled: AfterFunc/At at call time, an
+	// the event is actually scheduled: AfterFunc at call time, an
 	// AfterFunc inside a posted event when that event runs (here at
 	// t=0, after every setup call), and Trigger waiters when Fire runs.
 	s.AfterFunc(time.Second, rec("afterfunc-1"))
 	s.Post(func() { s.AfterFunc(time.Second, rec("posted-afterfunc")) })
 	s.AfterFunc(time.Second, rec("afterfunc-2"))
-	s.at(s.Now().Add(time.Second), rec("at"))
+	at := s.Now().Add(time.Second)
+	s.AfterFunc(at.Sub(s.Now()), rec("at"))
 	tr := s.NewTrigger()
 	s.AfterFunc(time.Second, func() { got = append(got, "fire"); tr.Fire() })
 	// Waiters release in registration order: the first WaitThen
@@ -172,5 +174,37 @@ func TestWaitThenAfterFire(t *testing.T) {
 	tr.WaitThen(func() { ran = true })
 	if !ran {
 		t.Fatal("WaitThen on fired trigger did not run inline")
+	}
+}
+
+// TestWaitAnyKeepsCallbackOrder: a source runs its OnFire callbacks in
+// registration order whether a WaitAny registration took its first
+// callback slot (kept as a pointer) or came after a callback there (a
+// bound Fire in the overflow list).
+func TestWaitAnyKeepsCallbackOrder(t *testing.T) {
+	s := NewSim(time.Time{})
+	var got []string
+	rec := func(tag string) func() { return func() { got = append(got, tag) } }
+	wait := func(tag string, src *Trigger) {
+		w := s.NewTrigger()
+		w.OnFire(rec(tag))
+		w.WaitAny(func() {}, src)
+	}
+
+	callbackFirst := s.NewTrigger()
+	callbackFirst.OnFire(rec("a"))
+	wait("w1", callbackFirst)
+	callbackFirst.OnFire(rec("b"))
+
+	waitFirst := s.NewTrigger()
+	wait("w2", waitFirst)
+	waitFirst.OnFire(rec("c"))
+	wait("w3", waitFirst)
+
+	callbackFirst.Fire()
+	waitFirst.Fire()
+	want := []string{"a", "w1", "b", "w2", "c", "w3"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("callback order:\n got  %v\n want %v", got, want)
 	}
 }

@@ -260,12 +260,6 @@ func (s *Sim) AfterFunc(d time.Duration, fn func()) Timer {
 	return Timer{s, e, e.gen}
 }
 
-// at schedules fn at absolute virtual time t (immediately if t is in
-// the past).
-func (s *Sim) at(t time.Time, fn func()) Timer {
-	return s.AfterFunc(t.Sub(s.Now()), fn)
-}
-
 // Post schedules fn to run in its own event at the current virtual
 // time, after all events already scheduled for this instant (FIFO).
 func (s *Sim) Post(fn func()) {

@@ -74,14 +74,16 @@ func TestSimNegativeDelayFiresImmediately(t *testing.T) {
 	}
 }
 
+// TestSimAt: a timer set for an absolute instant, by the distance from
+// now, fires at that instant.
 func TestSimAt(t *testing.T) {
 	s := NewSim(time.Time{})
 	target := s.Now().Add(42 * time.Second)
 	var at time.Time
-	s.at(target, func() { at = s.Now() })
+	s.AfterFunc(target.Sub(s.Now()), func() { at = s.Now() })
 	s.Run()
 	if !at.Equal(target) {
-		t.Fatalf("At fired at %v, want %v", at, target)
+		t.Fatalf("timer for an absolute instant fired at %v, want %v", at, target)
 	}
 }
 

@@ -27,12 +27,22 @@ package simclock
 // the trigger's lifetime. Such owners keep a list of current attempts
 // and notify it from one registration of their own.
 type Trigger struct {
-	s     *Sim
-	fired bool
-	w0    func()    // first waiter, inline
-	cb0   func()    // first OnFire callback, inline
-	more  *overflow // second and later waiters and callbacks, rare
+	s   *Sim
+	w0  func() // first waiter, inline
+	cb0 func() // first OnFire callback, inline
+	// then is the first callback when that callback is another
+	// trigger's Fire (a WaitAny source): a pointer, where a bound
+	// method value would cost an allocation. At most one of cb0 and
+	// then is set.
+	then *Trigger
+	more *overflow // second and later waiters and callbacks, rare; spent once fired
 }
+
+// spent is the more of every fired trigger: Fire swaps a trigger's
+// registrations for it, so more doubles as the fired flag and a
+// Trigger stays five words. Nothing registers on a fired trigger, so
+// its lists stay empty.
+var spent = new(overflow)
 
 // overflow holds a Trigger's second and later registrations. It sits
 // behind a pointer so the common one-waiter, one-callback trigger stays
@@ -62,7 +72,7 @@ func (s *Sim) InitTrigger(t *Trigger) { *t = Trigger{s: s} }
 
 // Fired reports whether Fire has been called.
 func (t *Trigger) Fired() bool {
-	return t.fired
+	return t.more == spent
 }
 
 // Registered reports how many waiters and callbacks wait for the
@@ -72,7 +82,7 @@ func (t *Trigger) Registered() int {
 	if t.w0 != nil {
 		n++
 	}
-	if t.cb0 != nil {
+	if t.cb0 != nil || t.then != nil {
 		n++
 	}
 	if t.more != nil {
@@ -84,12 +94,11 @@ func (t *Trigger) Registered() int {
 // Fire releases all waiters at the current virtual time, then runs the
 // OnFire callbacks inline. It is idempotent.
 func (t *Trigger) Fire() {
-	if t.fired {
+	if t.more == spent {
 		return
 	}
-	t.fired = true
-	w0, cb0, more := t.w0, t.cb0, t.more
-	t.w0, t.cb0, t.more = nil, nil, nil
+	w0, cb0, then, more := t.w0, t.cb0, t.then, t.more
+	t.w0, t.cb0, t.then, t.more = nil, nil, nil, spent
 	if w0 != nil {
 		t.s.schedule(0, w0)
 	}
@@ -100,6 +109,8 @@ func (t *Trigger) Fire() {
 	}
 	if cb0 != nil {
 		cb0()
+	} else if then != nil {
+		then.Fire()
 	}
 	if more != nil {
 		for _, fn := range more.callbacks {
@@ -131,11 +142,11 @@ func (t *Trigger) addWaiter(w func()) {
 // fired, fn runs immediately. Callbacks run inline in the firing
 // context and must be short and non-blocking.
 func (t *Trigger) OnFire(fn func()) {
-	if t.fired {
+	if t.Fired() {
 		fn()
 		return
 	}
-	if t.cb0 == nil {
+	if t.cb0 == nil && t.then == nil {
 		t.cb0 = fn
 		return
 	}
@@ -148,7 +159,7 @@ func (t *Trigger) OnFire(fn func()) {
 // and is dispatched in its own event at the firing instant, in
 // registration order.
 func (t *Trigger) WaitThen(cont func()) {
-	if t.fired {
+	if t.Fired() {
 		cont()
 		return
 	}
@@ -157,13 +168,25 @@ func (t *Trigger) WaitThen(cont func()) {
 
 // WaitAny runs cont once the first of ts fires, through w: w fires at
 // that instant and cont is its waiter, exactly as WaitThen (inline if
-// one of ts has already fired). w.Fire is bound once for all
-// registrations, which are made in the order of ts. A source that is not
-// a Trigger registers w itself before calling WaitAny.
+// one of ts has already fired). Each source registers w.Fire as an
+// OnFire callback, in the order of ts. A source whose first callback
+// slot is free keeps w there as a pointer, at no allocation; w.Fire is
+// bound once, on the first source whose slot is taken. A source that
+// is not a Trigger registers w itself before calling WaitAny.
 func (w *Trigger) WaitAny(cont func(), ts ...*Trigger) {
-	fire := w.Fire
+	var fire func()
 	for _, t := range ts {
-		t.OnFire(fire)
+		switch {
+		case t.Fired():
+			w.Fire()
+		case t.cb0 == nil && t.then == nil:
+			t.then = w
+		default:
+			if fire == nil {
+				fire = w.Fire
+			}
+			t.OnFire(fire)
+		}
 	}
 	w.WaitThen(cont)
 }

@@ -127,6 +127,8 @@ type Site struct {
 
 	publishing bool // publish loop started (idempotency guard)
 
+	queries []*query // free list of probe records (QueryStateAsync)
+
 	// Two-phase-commit accounting (see CommitStats).
 	stats    CommitStats
 	inflight int // commit windows currently open
@@ -320,14 +322,43 @@ func (s *Site) Stats() CommitStats { return s.stats }
 // event; cont receives the answer at that instant. ok is false when
 // the gatekeeper could not be reached (the probe still costs its round
 // trip — the timeout the broker waited out).
+//
+// A probe in flight is a query record from the site's free list, whose
+// timer callback was bound when the record was made, so a probe costs
+// no allocation once the list holds as many records as the site has
+// probes in flight.
 func (s *Site) QueryStateAsync(cont func(free, queued int, ok bool)) {
-	s.sim.AfterFunc(s.cfg.Network.RTT()+queryCost, func() {
-		if !s.Available() {
-			cont(0, 0, false)
-			return
-		}
-		cont(s.lrms.FreeNodeCount(), s.lrms.QueueLength(), true)
-	})
+	var q *query
+	if n := len(s.queries); n > 0 {
+		q = s.queries[n-1]
+		s.queries = s.queries[:n-1]
+	} else {
+		q = &query{s: s}
+		q.fire = q.answer
+	}
+	q.cont = cont
+	s.sim.AfterFunc(s.cfg.Network.RTT()+queryCost, q.fire)
+}
+
+// query is one direct queue-state probe in flight.
+type query struct {
+	s    *Site
+	cont func(free, queued int, ok bool)
+	fire func() // q.answer, bound once per record
+}
+
+// answer delivers the probe's outcome as the site stands at this
+// instant. It takes cont and returns the record to the free list
+// first: cont may probe again and reuse it.
+func (q *query) answer() {
+	s, cont := q.s, q.cont
+	q.cont = nil
+	s.queries = append(s.queries, q)
+	if !s.Available() {
+		cont(0, 0, false)
+		return
+	}
+	cont(s.lrms.FreeNodeCount(), s.lrms.QueueLength(), true)
 }
 
 // SubmitOptions select which middleware costs a gatekeeper submission

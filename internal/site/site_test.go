@@ -98,6 +98,62 @@ func TestQueryStateCostsRTT(t *testing.T) {
 	}
 }
 
+// TestQueryStateAnswersAtFireInstant: a probe reports the site as it
+// stands when the answer arrives, and a continuation that probes again
+// from inside the answer (reusing the record just freed) gets its own
+// answer one round trip later.
+func TestQueryStateAnswersAtFireInstant(t *testing.T) {
+	sim := simclock.NewSim(time.Time{})
+	s := newSite(sim, 3)
+	var answers []bool
+	s.QueryStateAsync(func(_, _ int, ok bool) {
+		answers = append(answers, ok)
+		s.SetUnreachable(false)
+		s.QueryStateAsync(func(free, _ int, ok bool) {
+			answers = append(answers, ok && free == 3)
+		})
+	})
+	s.SetUnreachable(true) // cut before the first answer arrives
+	sim.Run()
+	if len(answers) != 2 || answers[0] || !answers[1] {
+		t.Fatalf("answers %v, want [false true]", answers)
+	}
+	if len(s.queries) != 1 {
+		t.Fatalf("%d query records on the free list after two sequential probes, want 1", len(s.queries))
+	}
+}
+
+// TestQueryStateAllocs: once the site's free list holds a record per
+// probe in flight, a probe with a continuation made beforehand
+// allocates nothing.
+func TestQueryStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	sim := simclock.NewSim(time.Time{})
+	s := newSite(sim, 4)
+	answered := 0
+	cont := func(_, _ int, ok bool) {
+		if ok {
+			answered++
+		}
+	}
+	probe := func() {
+		for i := 0; i < 3; i++ {
+			s.QueryStateAsync(cont)
+		}
+		sim.RunFor(time.Minute)
+	}
+	probe() // warm-up: three records, the event free list
+	answered = 0
+	if got := testing.AllocsPerRun(100, probe); got != 0 {
+		t.Errorf("three probes in flight: %v allocations, want 0", got)
+	}
+	if answered != 3*101 { // AllocsPerRun runs probe once more to warm up
+		t.Fatalf("%d probes answered, want %d", answered, 3*101)
+	}
+}
+
 func TestStartPublishing(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	s := New(sim, Config{Name: "x", Nodes: 1, PublishInterval: time.Minute, Network: netsim.CampusGrid()})

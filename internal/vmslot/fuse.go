@@ -29,7 +29,15 @@ type burst struct {
 	winner int           // index into fin.runs of the completing run
 	init   burstState    // state at burst start, for interrupt replay
 	fin    burstState    // state at the winning completion
+
+	// buf backs init.runs and fin.runs for a runq of up to inlineRuns
+	// runs, an interactive VM's and its batch VM's, so the usual burst
+	// is one allocation.
+	buf [2 * inlineRuns]burstRun
 }
+
+// inlineRuns is the longest runq whose burst states live in burst.buf.
+const inlineRuns = 2
 
 // burstState is a scratch copy of every scheduler variable the
 // dispatch loop touches, so the schedule can be computed (and
@@ -60,9 +68,10 @@ type burstRun struct {
 }
 
 // newBurstState snapshots the live scheduler state for the current
-// runq. The runq is frozen for the burst's lifetime: every mutation
-// path interrupts the burst first.
-func (m *Machine) newBurstState() burstState {
+// runq into runs, an empty slice with room for the runq. The runq is
+// frozen for the burst's lifetime: every mutation path interrupts the
+// burst first.
+func (m *Machine) newBurstState(runs []burstRun) burstState {
 	b := burstState{
 		vtime:   m.vtime,
 		bgvtime: m.bgvtime,
@@ -73,7 +82,7 @@ func (m *Machine) newBurstState() burstState {
 			break
 		}
 	}
-	b.runs = make([]burstRun, len(m.runq))
+	b.runs = runs[:len(m.runq)]
 	for i, r := range m.runq {
 		br := burstRun{r: r, tickets: r.slot.tickets, remaining: r.remaining}
 		first := true
@@ -97,11 +106,6 @@ func (m *Machine) newBurstState() burstState {
 		}
 		b.runs[i] = br
 	}
-	return b
-}
-
-func (b burstState) clone() burstState {
-	b.runs = append([]burstRun(nil), b.runs...)
 	return b
 }
 
@@ -229,8 +233,14 @@ func (b *burstState) jump(limit time.Duration) {
 // fuse starts a fused burst for a contended runq: compute the schedule
 // up to the next completion and sleep in one event.
 func (m *Machine) fuse() bool {
-	b := &burst{start: m.sim.Now(), init: m.newBurstState()}
-	b.fin = b.init.clone()
+	b := &burst{start: m.sim.Now()}
+	initRuns, finRuns := b.buf[:0:inlineRuns], b.buf[inlineRuns:inlineRuns]
+	if n := len(m.runq); n > inlineRuns {
+		initRuns, finRuns = make([]burstRun, 0, n), make([]burstRun, 0, n)
+	}
+	b.init = m.newBurstState(initRuns)
+	b.fin = b.init
+	b.fin.runs = append(finRuns, b.init.runs...)
 	b.winner, _, _ = b.fin.advance(-1)
 	b.cost = b.fin.elapsed
 	m.current = nil
