@@ -99,6 +99,9 @@ type Directory interface {
 	QueryLatency() time.Duration
 	// DiscoverImmediate starts a paged traversal as of now.
 	DiscoverImmediate(pageSize int) *infosys.Cursor
+	// Row reads one site's published row as a traversal started now
+	// would page it (the shared-mode agent registry's check).
+	Row(name string) (sc *infosys.Schema, vals []any, ok bool)
 }
 
 // agentRegistryCost models the (local) combined discovery+selection
@@ -475,6 +478,10 @@ type Broker struct {
 	reqMemo     map[string]bool // site name -> Requirements pass
 	taskPool    [][]probeTask   // recycled matchmaking scratch, see getTasks
 	probeRuns   []*probeRun     // recycled probe walks, see probeSites
+
+	// classes shares each job class's compiled Requirements and Rank
+	// among its jobs (jdl.Classes).
+	classes jdl.Classes
 
 	pendingBatch []*Handle
 	seq          int

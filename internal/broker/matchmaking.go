@@ -285,7 +285,7 @@ type passScan struct {
 // cache's slots for the page's row positions.
 func (s *passScan) page(p infosys.Page) {
 	s.sc = p.Snapshot().Schema()
-	s.req, s.rank = s.h.request.Job.CompiledPredicates(s.sc)
+	s.req, s.rank = s.h.request.Job.CompiledPredicates(s.sc, &s.b.classes)
 	lo, n := p.Index(0), p.Len()
 	row := s.b.admitRow(p.Shard(), lo+n)[lo:]
 	for i := 0; i < n; i++ {
@@ -383,7 +383,7 @@ func (b *Broker) rankProbed(h *Handle, kept []probeTask) []candidate {
 		// source kept the task; unobtainable sites were already excluded
 		// pre-probe.
 		pen, _ := b.dataPenalty(job, p.st.Name())
-		_, rank := job.CompiledPredicates(p.schema)
+		_, rank := job.CompiledPredicates(p.schema, &b.classes)
 		if rank != nil {
 			// The one copy of the published vector a pass makes per kept
 			// site: fresh queue state is overlaid on it.

@@ -396,7 +396,9 @@ func (g propGrid) build(cfg Config, info *infosys.Service, sim *simclock.Sim) *B
 // oracle, the page scan (sharded, small pages), and the scan of a
 // delta-subscribed broker's pinned snapshots must agree candidate for
 // candidate, in the pass counters, and in which sites each pass leaves
-// holding a half-open probe claim.
+// holding a half-open probe claim. So must the page scan of jobs parsed
+// separately from the scenario's text, each running on the programs
+// its class compiled for an earlier parse.
 func TestMatchPipelineAgreesWithOracle(t *testing.T) {
 	for trial := int64(0); trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(4200 + trial))
@@ -407,18 +409,28 @@ func TestMatchPipelineAgreesWithOracle(t *testing.T) {
 				name string
 				run  func() [2]passResult
 			}
-			passes := func(b *Broker, sim *simclock.Sim, info *infosys.Service) [2]passResult {
+			// job is the description a pass runs: g.job, or for the
+			// classes arm a separate parse of its text whose class
+			// another separate parse compiled first.
+			job := func(b *Broker, info *infosys.Service, classes bool) *jdl.Job {
+				if !classes {
+					return g.job
+				}
+				mustParseJob(t, g.jobSrc).CompiledPredicates(info.SnapshotImmediate().Schema(), &b.classes)
+				return mustParseJob(t, g.jobSrc)
+			}
+			passes := func(b *Broker, sim *simclock.Sim, info *infosys.Service, classes bool) [2]passResult {
 				var out [2]passResult
-				out[0] = runPassResult(t, sim, b, g.job)
+				out[0] = runPassResult(t, sim, b, job(b, info, classes))
 				for _, rec := range g.churn {
 					if err := info.Publish(rec); err != nil {
 						t.Fatal(err)
 					}
 				}
-				out[1] = runPassResult(t, sim, b, g.job)
+				out[1] = runPassResult(t, sim, b, job(b, info, classes))
 				return out
 			}
-			with := func(cfg Config, shards int, index func(*infosys.Service), oracle bool) func() [2]passResult {
+			with := func(cfg Config, shards int, index func(*infosys.Service), oracle, classes bool) func() [2]passResult {
 				return func() [2]passResult {
 					sim := simclock.NewSim(time.Time{})
 					info := infosys.NewSharded(sim, 500*time.Millisecond, shards)
@@ -430,13 +442,14 @@ func TestMatchPipelineAgreesWithOracle(t *testing.T) {
 					if oracle {
 						useOracle(b)
 					}
-					return passes(b, sim, info)
+					return passes(b, sim, info, classes)
 				}
 			}
 			arms := []arm{
-				{"oracle", with(Config{}, 1, nil, true)},
-				{"scan", with(Config{PageSize: page}, shards, nil, false)},
-				{"delta", with(Config{PageSize: page}, shards, subscribable(depth), false)},
+				{"oracle", with(Config{}, 1, nil, true, false)},
+				{"scan", with(Config{PageSize: page}, shards, nil, false, false)},
+				{"delta", with(Config{PageSize: page}, shards, subscribable(depth), false, false)},
+				{"classes", with(Config{PageSize: page}, shards, nil, false, true)},
 			}
 			want := arms[0].run()
 			for _, a := range arms[1:] {

@@ -673,14 +673,16 @@ func (b *Broker) fill(cands []candidate, i int, chosen []*glidein.Agent, need in
 // callers consume it before yielding to the simulation.
 //
 // Requirements are evaluated once per distinct site that hosts a free
-// agent, not per agent, and the same way matchmaking evaluates them:
-// the job's compiled predicates over the site's published row, read
-// through this broker's own Config.Info. That is the row the scan
-// decides on, so a partitioned index or a stale record gives both
-// paths the same answer. The site's live LRM state is not read: it
-// would hand this path, in zero virtual time, what the scan pays a
-// probe round trip to learn. A site with no published record fails,
-// as it does in the scan.
+// agent, not per agent, with the job's class's compiled predicates
+// over the site's published row. The row is read by name through this
+// broker's Config.Info as a discovery traversal started now would page
+// it, so a partitioned index or a stale record answers as it does for
+// a broker that queries its index each pass. A delta-subscribed
+// broker's scan reads its subscription's pinned snapshots instead,
+// which may lag the index this read sees. The site's live LRM state
+// is not read: it would hand this path, in zero virtual time, what
+// the scan pays a probe round trip to learn. A site with no published
+// record fails, as it does in the scan.
 //
 // need caps how many leading agents the caller will consume, so only
 // that prefix is randomized (a partial Fisher-Yates draws each prefix
@@ -696,22 +698,17 @@ func (b *Broker) freeAgentsMatching(job *jdl.Job, need int) []*glidein.Agent {
 		}
 		clear(b.reqMemo)
 		for _, a := range b.freeAgents {
-			b.reqMemo[a.Site().Name()] = false
-		}
-		left := len(b.reqMemo)
-		cur := b.cfg.Info.DiscoverImmediate(b.cfg.PageSize)
-		for page, ok := cur.Next(); ok && left > 0; page, ok = cur.Next() {
-			req, _ := job.CompiledPredicates(page.Snapshot().Schema())
-			for i := 0; i < page.Len(); i++ {
-				if _, hosts := b.reqMemo[page.Name(i)]; hosts {
-					v, err := req.EvalBool(page.Values(i))
-					b.reqMemo[page.Name(i)] = err == nil && v
-					left--
+			name := a.Site().Name()
+			pass, seen := b.reqMemo[name]
+			if !seen {
+				if sc, vals, ok := b.cfg.Info.Row(name); ok {
+					req, _ := job.CompiledPredicates(sc, &b.classes)
+					v, err := req.EvalBool(vals)
+					pass = err == nil && v
 				}
+				b.reqMemo[name] = pass
 			}
-		}
-		for _, a := range b.freeAgents {
-			if b.reqMemo[a.Site().Name()] {
+			if pass {
 				out = append(out, a)
 			}
 		}

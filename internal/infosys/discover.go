@@ -1,5 +1,10 @@
 package infosys
 
+import (
+	"slices"
+	"strings"
+)
+
 // Paged reads: every matchmaking pass iterates the registry shard by
 // shard, page by page, through a Cursor instead of one flat snapshot of
 // every site. A discovery cursor (Discover) pins each shard's
@@ -89,6 +94,22 @@ func (s *Service) Discover(pageSize int) *Cursor { return s.DiscoverImmediate(pa
 // charging query latency. Page size values < 1 fall back to
 // DefaultPageSize.
 func (s *Service) DiscoverImmediate(pageSize int) *Cursor { return newCursor(s, pageSize) }
+
+// Row reads the named site's published row as a discovery cursor would
+// page it now: the site's shard is pinned as served (the snapshot
+// frozen at partition start while the service is cut) and the row is
+// looked up inside that snapshot. vals is shared like Page.Values and
+// must not be written; sc is the resolver to compile predicates
+// against. ok is false when the pinned view holds no record of the
+// name. It charges no query latency.
+func (s *Service) Row(name string) (sc *Schema, vals []any, ok bool) {
+	snap := s.shardView(s.shardIndexFor(name))
+	i, found := slices.BinarySearchFunc(snap.rows, name, func(r *row, n string) int { return strings.Compare(r.rec.Name, n) })
+	if !found {
+		return nil, nil, false
+	}
+	return snap.schema, snap.rows[i].vals, true
+}
 
 // PinnedCursor pages over shard snapshots the caller already holds, one
 // per shard in shard order — such as the ones a delta subscriber caught

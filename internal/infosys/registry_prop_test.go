@@ -456,10 +456,24 @@ func (m *regModel) cut(b byte) {
 	}
 }
 
-// checkServed holds what the service answers right now to the oracle.
+// checkServed holds what the service answers right now to the oracle,
+// the whole-grid snapshot and the by-name read of every site.
 func (m *regModel) checkServed() {
 	s, w := m.svc.SnapshotImmediate(), m.served()
-	m.mustEqual("served", s, m.oracle(w, -1))
+	want := m.oracle(w, -1)
+	m.mustEqual("served", s, want)
+	for _, name := range propSites {
+		sc, vals, ok := m.svc.Row(name)
+		i := slices.IndexFunc(want.Recs, func(r SiteRecord) bool { return r.Name == name })
+		switch {
+		case ok != (i >= 0):
+			m.fatalf("Row(%s) found = %v, want %v", name, ok, i >= 0)
+		case ok && !slices.Equal(sc.names, want.Schema):
+			m.fatalf("Row(%s) schema names %v, want %v", name, sc.names, want.Schema)
+		case ok && !slices.Equal(vals, want.Vals[i]):
+			m.fatalf("Row(%s) values %v, want %v", name, vals, want.Vals[i])
+		}
+	}
 	var sum uint64
 	for _, e := range w.epochs {
 		sum += e

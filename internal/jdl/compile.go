@@ -1,14 +1,18 @@
 package jdl
 
+import "strings"
+
 // This file lowers Requirements/Rank expression trees into closure
 // chains over a flat attribute slice. The interpreted path
 // (ExprNode.Eval) walks the AST and hashes map keys for every
 // attribute reference on every candidate; the compiled path resolves
 // each reference to a slice offset once, constant-folds literals, and
-// keeps boolean and numeric subtrees unboxed, so per-candidate
-// evaluation is a few closure calls with zero allocations. The broker
-// compiles a job's predicates once per information-system schema and
-// reuses them across every site of every selection pass.
+// keeps boolean and numeric subtrees unboxed, and compares an attribute
+// with a number or string literal without boxing either, so
+// per-candidate evaluation is a few closure calls with zero
+// allocations. The broker compiles each job class's predicates once per
+// information-system schema (Classes) and reuses them across every job
+// of the class and every site of every selection pass.
 
 // Resolver maps attribute names (case-insensitively) to offsets in the
 // flat value slices a Compiled program evaluates against.
@@ -127,8 +131,7 @@ func compileAny(n ExprNode, r Resolver) func(vals []any) (any, error) {
 		}
 
 	case Binary:
-		if x.Op == "&&" || x.Op == "||" {
-			b, _ := compileBool(x, r)
+		if b, ok := compileBool(x, r); ok {
 			return func(vals []any) (any, error) { return b(vals) }
 		}
 		if f, ok := compileNum(x, r); ok {
@@ -140,21 +143,9 @@ func compileAny(n ExprNode, r Resolver) func(vals []any) (any, error) {
 				return v, nil
 			}
 		}
+		// "+" over operands of any type, or arithmetic on an operand
+		// compileNum cannot type.
 		l, rr := compileAny(x.L, r), compileAny(x.R, r)
-		if x.Op == "+" || x.Op == "-" || x.Op == "*" || x.Op == "/" {
-			op := x.Op
-			return func(vals []any) (any, error) {
-				lv, err := l(vals)
-				if err != nil {
-					return nil, err
-				}
-				rv, err := rr(vals)
-				if err != nil {
-					return nil, err
-				}
-				return arith(op, lv, rv)
-			}
-		}
 		op := x.Op
 		return func(vals []any) (any, error) {
 			lv, err := l(vals)
@@ -165,7 +156,7 @@ func compileAny(n ExprNode, r Resolver) func(vals []any) (any, error) {
 			if err != nil {
 				return nil, err
 			}
-			return compareBool(op, lv, rv)
+			return arith(op, lv, rv)
 		}
 	}
 	err := evalErrf("cannot compile node %T", n)
@@ -247,7 +238,7 @@ func compileBool(n ExprNode, r Resolver) (func(vals []any) (bool, error), bool) 
 		case "==", "!=", "<", "<=", ">", ">=":
 			l, rr := compileAny(x.L, r), compileAny(x.R, r)
 			op := x.Op
-			return func(vals []any) (bool, error) {
+			generic := func(vals []any) (bool, error) {
 				lv, err := l(vals)
 				if err != nil {
 					return false, err
@@ -257,10 +248,99 @@ func compileBool(n ExprNode, r Resolver) (func(vals []any) (bool, error), bool) 
 					return false, err
 				}
 				return compareBool(op, lv, rv)
-			}, true
+			}
+			if f := compareLit(x, r, generic); f != nil {
+				return f, true
+			}
+			return generic, true
 		}
 	}
 	return nil, false
+}
+
+// compareLit specializes an attribute compared with a literal on its
+// right, the shape Requirements take: the program reads the
+// attribute's slot unboxed and compares it with the constant directly.
+// A slot holding any other dynamic type, or nothing, goes to slow, the
+// generic comparison, so the value and the error are the
+// interpreter's. Number literals take every comparison operator,
+// string literals == and != (folding case, as compareBool does);
+// ordering on strings stays generic. nil means the comparison has no
+// such shape.
+func compareLit(x Binary, r Resolver, slow func(vals []any) (bool, error)) func(vals []any) (bool, error) {
+	op := x.Op
+	ref, isRef := x.L.(Ref)
+	lit, isLit := x.R.(Lit)
+	if !isRef || !isLit {
+		return nil
+	}
+	off, ok := r.Offset(ref.Name)
+	if !ok {
+		return nil
+	}
+	switch k := lit.V.(type) {
+	case Number:
+		return compareNumLit(op, off, float64(k), slow)
+	case String:
+		if op == "==" || op == "!=" {
+			neq, k := op == "!=", string(k)
+			return func(vals []any) (bool, error) {
+				if s, ok := vals[off].(string); ok {
+					return (s == k || strings.EqualFold(s, k)) != neq, nil
+				}
+				return slow(vals)
+			}
+		}
+	}
+	return nil
+}
+
+// compareNumLit compares the number in slot off with k, one closure
+// per operator so no operator dispatch is left at evaluation time.
+func compareNumLit(op string, off int, k float64, slow func(vals []any) (bool, error)) func(vals []any) (bool, error) {
+	switch op {
+	case "==":
+		return func(vals []any) (bool, error) {
+			if f, ok := vals[off].(float64); ok {
+				return f == k, nil
+			}
+			return slow(vals)
+		}
+	case "!=":
+		return func(vals []any) (bool, error) {
+			if f, ok := vals[off].(float64); ok {
+				return f != k, nil
+			}
+			return slow(vals)
+		}
+	case "<":
+		return func(vals []any) (bool, error) {
+			if f, ok := vals[off].(float64); ok {
+				return f < k, nil
+			}
+			return slow(vals)
+		}
+	case "<=":
+		return func(vals []any) (bool, error) {
+			if f, ok := vals[off].(float64); ok {
+				return f <= k, nil
+			}
+			return slow(vals)
+		}
+	case ">":
+		return func(vals []any) (bool, error) {
+			if f, ok := vals[off].(float64); ok {
+				return f > k, nil
+			}
+			return slow(vals)
+		}
+	}
+	return func(vals []any) (bool, error) {
+		if f, ok := vals[off].(float64); ok {
+			return f >= k, nil
+		}
+		return slow(vals)
+	}
 }
 
 // boolFallback wraps a generically-compiled node with the boolean
@@ -353,25 +433,111 @@ func compileNum(n ExprNode, r Resolver) (func(vals []any) (float64, error), bool
 	return nil, false
 }
 
-// compiledEntry caches a job's compiled predicates for one resolver
-// generation. It is immutable; a resolver change replaces it.
+// compiledEntry holds one class's programs for one resolver
+// generation. It is immutable, so every job of the class holds the
+// same entry; a resolver change replaces it.
 type compiledEntry struct {
 	resolver Resolver
 	req      *Compiled
 	rank     *Compiled
 }
 
+// Classes shares compiled predicates among the jobs of one class, the
+// jobs whose Requirements and Rank are the same expression trees, so
+// a class compiles once per resolver however many jobs it has and
+// however often each was parsed. Sharing is safe because a program is
+// a pure function of its tree and its resolver: it holds constants and
+// offsets, never a job. The key is the pair of trees itself (node
+// values compare structurally), so no expression is rendered. Entries
+// are kept for the latest resolver only, as a job's own cache is, so
+// a schema change drops the previous generation's programs.
+//
+// The zero value is ready to use. A Classes belongs to one owner (a
+// broker) on one Sim, like the jobs it compiles for, and is unlocked.
+type Classes struct {
+	resolver Resolver
+	byClass  map[classKey]*compiledEntry
+}
+
+// classKey is a class: its Requirements and Rank trees, nil where the
+// job leaves the predicate unset.
+type classKey struct{ req, rank ExprNode }
+
+// entry returns j's class's programs against r, compiling them on the
+// class's first job. A nil Classes, or a tree that cannot key a map,
+// compiles for j alone.
+func (c *Classes) entry(j *Job, r Resolver) *compiledEntry {
+	share := c != nil && shareable(j.Requirements) && shareable(j.Rank)
+	var key classKey
+	if share {
+		if c.resolver != r {
+			clear(c.byClass)
+			c.resolver = r
+		}
+		if j.Requirements != nil {
+			key.req = j.Requirements.Node
+		}
+		if j.Rank != nil {
+			key.rank = j.Rank.Node
+		}
+		if e := c.byClass[key]; e != nil {
+			return e
+		}
+	}
+	e := &compiledEntry{resolver: r, req: Compile(j.Requirements, r), rank: Compile(j.Rank, r)}
+	if share {
+		if c.byClass == nil {
+			c.byClass = make(map[classKey]*compiledEntry)
+		}
+		c.byClass[key] = e
+	}
+	return e
+}
+
+// shareable reports whether e can key a class: absent, or a tree of
+// the parser's node types over string, number and boolean literals,
+// which compare by value. Any other tree would panic as a map key (a
+// list literal, a caller's own node type) or never equal itself (a NaN
+// literal).
+func shareable(e *Expr) bool {
+	return e == nil || shareableNode(e.Node)
+}
+
+func shareableNode(n ExprNode) bool {
+	switch x := n.(type) {
+	case Lit:
+		switch v := x.V.(type) {
+		case String, Bool:
+			return true
+		case Number:
+			return v == v
+		}
+	case Ref:
+		return true
+	case Not:
+		return shareableNode(x.X)
+	case Binary:
+		return shareableNode(x.L) && shareableNode(x.R)
+	}
+	return false
+}
+
 // CompiledPredicates returns the job's Requirements and Rank compiled
-// against r, reusing the cached programs while the resolver is
-// unchanged. Schema pointers are stable across snapshot epochs with an
-// unchanged attribute name set, so in steady state this compiles once
-// per job and amortizes to a pointer comparison per selection pass.
-// Either result is nil when the job leaves that predicate unset.
-func (j *Job) CompiledPredicates(r Resolver) (req, rank *Compiled) {
+// against r, reusing the job's cached programs while the resolver is
+// unchanged and otherwise its class's programs in classes (nil
+// compiles for this job alone). Schema pointers are stable across
+// snapshot epochs with an unchanged attribute name set, so in steady
+// state this is a pointer comparison per selection pass, and a class
+// compiles once. Either result is nil when the job leaves that
+// predicate unset; a job with neither costs nothing.
+func (j *Job) CompiledPredicates(r Resolver, classes *Classes) (req, rank *Compiled) {
+	if j.Requirements == nil && j.Rank == nil {
+		return nil, nil
+	}
 	if e := j.compiled; e != nil && e.resolver == r {
 		return e.req, e.rank
 	}
-	e := &compiledEntry{resolver: r, req: Compile(j.Requirements, r), rank: Compile(j.Rank, r)}
+	e := classes.entry(j, r)
 	j.compiled = e
 	return e.req, e.rank
 }

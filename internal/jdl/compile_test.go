@@ -77,6 +77,44 @@ var interpreterCases = []struct {
 	{expr: `other.HasMPI`, num: true},                // bool promotes to 1/0
 	{expr: `other.Missing * 3`, num: true},           // undefined attribute -> error
 	{expr: `other.Site * 2`, num: true},              // type mismatch -> error
+
+	// Attribute-vs-literal comparisons: specialized while the slot
+	// holds a float64 or a string, the generic comparison otherwise.
+	{expr: `other.Load >= 1.5`},
+	{expr: `other.Load != 1.5`},
+	{expr: `other.Huge > 1000000 && other.Load < 2`},
+	{expr: `other.MemoryMB == 512`},   // int slot: the normalize path
+	{expr: `other.Neg <= 0`},          // int64 slot
+	{expr: `other.Zero != 0`},         // int slot
+	{expr: `other.Unset == 1`},        // nil slot -> error
+	{expr: `other.Unset != "x"`},      // nil slot -> error
+	{expr: `other.Missing != "x"`},    // undefined attribute -> error
+	{expr: `other.MemoryMB == "512"`}, // number slot, string literal -> error
+	{expr: `other.Load != "1.5"`},     // float slot, string literal -> error
+	{expr: `other.OS >= 1`},           // string slot, number literal -> error
+	{expr: `other.OS == 1`},           // string slot, number literal -> error
+	{expr: `other.HasMPI == 1`},       // boolean slot -> error
+	{expr: `other.HasMPI != "true"`},  // boolean slot -> error
+	{expr: `other.Tags == "mpi"`},     // unsupported slot type -> error
+	{expr: `other.Tags < 1`},          // unsupported slot type -> error
+	{expr: `other.OS == "LINUX"`},     // mixed case ==
+	{expr: `other.Site != "UAB"`},     // mixed case !=
+	{expr: `other.Site != "uab"`},
+	{expr: `other.Empty == ""`},
+	{expr: `other.Arch < "I686"`}, // string ordering stays generic, case-sensitive
+	{expr: `other.Arch >= "i686"`},
+	{expr: `256 <= other.MemoryMB`}, // literal on the left: generic
+	{expr: `2 > other.Load`},
+	{expr: `1.5 == other.Load`},
+	{expr: `1 < other.Unset`},
+	{expr: `"i686" == other.ARCH`},
+	{expr: `"UAB" != other.Site`},
+	{expr: `"x" != other.Unset`},
+	{expr: `"a" < other.Arch`},
+	{expr: `1 == 1`}, // no attribute: generic
+	{expr: `other.Load == other.Load`},
+	{expr: `other.MemoryMB >= 600`, num: true}, // boolean Rank promotes
+	{expr: `other.OS == "linux"`, num: true},
 }
 
 // TestCompiledMatchesInterpreter runs a table of expressions through
@@ -211,15 +249,68 @@ Rank = other.FreeCPUs;`)
 		t.Fatal(err)
 	}
 	r1, _ := flatten(map[string]any{"Arch": "i686", "FreeCPUs": 3})
-	req1, rank1 := j.CompiledPredicates(r1)
-	req2, rank2 := j.CompiledPredicates(r1)
+	req1, rank1 := j.CompiledPredicates(r1, nil)
+	req2, rank2 := j.CompiledPredicates(r1, nil)
 	if req1 != req2 || rank1 != rank2 {
 		t.Fatal("same resolver should return cached programs")
 	}
 	r2, _ := flatten(map[string]any{"Arch": "i686", "FreeCPUs": 3, "New": 1})
-	req3, _ := j.CompiledPredicates(r2)
+	req3, _ := j.CompiledPredicates(r2, nil)
 	if req3 == req1 {
 		t.Fatal("new resolver should recompile")
+	}
+}
+
+// TestClassesShareCompiledPrograms checks class sharing: jobs parsed
+// separately from one text take the same programs, jobs with another
+// Requirements or Rank do not, a resolver change compiles the class
+// again, and a tree that cannot key a map compiles for its job alone.
+func TestClassesShareCompiledPrograms(t *testing.T) {
+	parse := func(req, rank string) *Job {
+		t.Helper()
+		j, err := ParseJob(`Executable = "x"; Requirements = ` + req + `; Rank = ` + rank + `;`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	const req, rank = `other.OS == "linux" && other.MemoryMB >= 600`, `other.MemoryMB`
+	r1, _ := flatten(map[string]any{"OS": "linux", "MemoryMB": 1024.0})
+	var classes Classes
+	a, b := parse(req, rank), parse(req, rank)
+	reqA, rankA := a.CompiledPredicates(r1, &classes)
+	reqB, rankB := b.CompiledPredicates(r1, &classes)
+	if reqA == nil || rankA == nil || reqA != reqB || rankA != rankB {
+		t.Fatalf("same class: programs %p %p and %p %p, want one shared pair", reqA, rankA, reqB, rankB)
+	}
+	for _, other := range []*Job{parse(`other.OS == "linux" && other.MemoryMB >= 601`, rank), parse(req, `other.MemoryMB * 2`)} {
+		reqO, rankO := other.CompiledPredicates(r1, &classes)
+		if reqO == reqA || rankO == rankA {
+			t.Fatalf("%s / %s shares the programs of %s / %s", other.Requirements.Node, other.Rank.Node, req, rank)
+		}
+	}
+	if reqAlone, _ := parse(req, rank).CompiledPredicates(r1, nil); reqAlone == reqA {
+		t.Fatal("a job compiled without Classes took the class's programs")
+	}
+
+	r2, _ := flatten(map[string]any{"OS": "linux", "MemoryMB": 1024.0, "New": 1})
+	reqA2, _ := a.CompiledPredicates(r2, &classes)
+	reqB2, _ := b.CompiledPredicates(r2, &classes)
+	if reqA2 == reqA || reqB2 != reqA2 {
+		t.Fatal("a resolver change must compile the class once more and share the result")
+	}
+
+	// A list literal would panic as a map key and a NaN literal never
+	// equals itself: such jobs compile alone, every time.
+	for _, lit := range []Value{List{String("mpi")}, Number(math.NaN())} {
+		odd := func() *Job {
+			return &Job{Executable: "x", Requirements: &Expr{Node: Binary{Op: "==", L: Ref{Name: "OS"}, R: Lit{V: lit}}}}
+		}
+		p, _ := odd().CompiledPredicates(r1, &classes)
+		q, _ := odd().CompiledPredicates(r1, &classes)
+		if p == nil || p == q {
+			t.Fatalf("literal %v: programs %p and %p, want one per job", lit, p, q)
+		}
 	}
 }
 
@@ -242,7 +333,7 @@ Rank = other.FreeCPUs - other.QueuedJobs / 2;`)
 func BenchmarkCompiledEval(b *testing.B) {
 	j := benchPredicates(b)
 	r, vals := flatten(benchAttrs)
-	req, rank := j.CompiledPredicates(r)
+	req, rank := j.CompiledPredicates(r, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
