@@ -478,6 +478,8 @@ type Broker struct {
 	reqMemo     map[string]bool // site name -> Requirements pass
 	taskPool    [][]probeTask   // recycled matchmaking scratch, see getTasks
 	probeRuns   []*probeRun     // recycled probe walks, see probeSites
+	passes      []*pass         // recycled matchmaking passes, see matchPass
+	placements  []*placement    // recycled shared-VM attempts, see newPlacement
 
 	// classes shares each job class's compiled Requirements and Rank
 	// among its jobs (jdl.Classes).
@@ -486,6 +488,13 @@ type Broker struct {
 	pendingBatch []*Handle
 	seq          int
 	dispatching  bool
+
+	// routing holds the submissions whose route event is posted, oldest
+	// from routeHead on; each event, routeNext (b.routeOldest, bound in
+	// New), routes the oldest, so jobs route in submission order.
+	routing   []*Handle
+	routeHead int
+	routeNext func()
 
 	// offloader is the federation's queue-pressure hook (SetOffloader);
 	// nil outside a federation.
@@ -550,6 +559,7 @@ func New(cfg Config) *Broker {
 		sites:  make(map[string]*siteEntry),
 		agents: make(map[*glidein.Agent][]*placement),
 	}
+	b.routeNext = b.routeOldest
 	if src, ok := cfg.Info.(infosys.DeltaSource); ok && src.ServesSubscriptions() {
 		b.sub = newSubscriber(b, src)
 	}
@@ -615,7 +625,7 @@ func (b *Broker) Submit(req Request) (*Handle, error) {
 	h := b.newHandle(req, id, 0)
 	h.subjob0 = subjob0
 	b.cfg.Trace.Emit(trace.Event{Kind: trace.Submitted, Job: h.ID, Detail: jobClass(req.Job)})
-	b.sim.Post(func() { b.route(h) })
+	b.postRoute(h)
 	return h, nil
 }
 
@@ -631,7 +641,7 @@ func (b *Broker) SubmitTransferred(req Request, id string, attempt int) (*Handle
 		return nil, err
 	}
 	h := b.newHandle(req, id, attempt)
-	b.sim.Post(func() { b.route(h) })
+	b.postRoute(h)
 	return h, nil
 }
 
@@ -777,6 +787,26 @@ func (h *Handle) endAttempt() {
 	h.aborts = h.aborts[:0]
 }
 
+// postRoute routes h in an event of its own at the current instant.
+// The routing queue stands in for a closure per submission: the posted
+// events run in the order they were posted, so the oldest handle is the
+// one each event is for.
+func (b *Broker) postRoute(h *Handle) {
+	b.routing = append(b.routing, h)
+	b.sim.Post(b.routeNext)
+}
+
+// routeOldest routes the oldest submission in the routing queue.
+func (b *Broker) routeOldest() {
+	h := b.routing[b.routeHead]
+	b.routing[b.routeHead] = nil
+	b.routeHead++
+	if b.routeHead == len(b.routing) {
+		b.routing, b.routeHead = b.routing[:0], 0
+	}
+	b.route(h)
+}
+
 // route picks the scheduling path per job type (Figure 5).
 func (b *Broker) route(h *Handle) {
 	job := h.request.Job
@@ -784,7 +814,7 @@ func (b *Broker) route(h *Handle) {
 	case !job.Interactive:
 		b.runBatch(h)
 	case job.Access == jdl.SharedAccess:
-		b.runInteractiveShared(h)
+		b.runInteractiveShared(h, true)
 	default:
 		b.runInteractiveExclusive(h)
 	}

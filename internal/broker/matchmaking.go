@@ -224,6 +224,9 @@ func (b *Broker) evaluate(job *jdl.Job, req, rank *jdl.Compiled, vals []any, nam
 // held (heap), so the pass keeps O(PageSize + K) state no matter how
 // many sites match; with TopK <= 0 every match is kept. Survivors are
 // probed and re-ranked on fresh state by finishSelection.
+//
+// The pass in flight is a pass record from the broker's free list,
+// whose continuations were bound when the record was made.
 func (b *Broker) matchPass(h *Handle, cont func([]candidate)) {
 	if b.matchOracle != nil {
 		b.matchOracle(h, cont)
@@ -231,35 +234,78 @@ func (b *Broker) matchPass(h *Handle, cont func([]candidate)) {
 	}
 	h.state = Matching
 
-	dstart := b.sim.Now()
-	// selectFrom runs once the read has landed.
-	selectFrom := func(cur *infosys.Cursor) {
-		h.Phases.Discovery = b.sim.Since(dstart)
-
-		sstart := b.sim.Now()
-		h.unavailable, h.scanned, h.peak = 0, 0, 0
-		s := passScan{b: b, h: h, now: sstart, nonce: b.rng.Uint64(), keep: b.getTasks()}
-		for page, ok := cur.Next(); ok; page, ok = cur.Next() {
-			s.page(page)
-		}
-		kept := []probeTask(s.keep)
-		b.finishSelection(h, kept, func(cands []candidate) {
-			b.putTasks(kept)
-			h.Phases.Selection += b.sim.Since(sstart)
-			cont(cands)
-		})
+	var m *pass
+	if n := len(b.passes); n > 0 {
+		m = b.passes[n-1]
+		b.passes = b.passes[:n-1]
+	} else {
+		m = &pass{b: b}
+		m.discovered, m.polled, m.probed = m.discover, m.pinned, m.rank
 	}
+	m.h, m.cont, m.dstart = h, cont, b.sim.Now()
 	if b.sub == nil {
-		info := b.cfg.Info
-		b.sim.AfterFunc(info.QueryLatency(), func() { selectFrom(info.DiscoverImmediate(b.cfg.PageSize)) })
+		b.sim.AfterFunc(b.cfg.Info.QueryLatency(), m.discovered)
 		return
 	}
-	h.polledAt = dstart
+	h.polledAt = m.dstart
 	h.deltas, h.repins = 0, 0
-	b.sub.poll(h, func() {
-		h.matchEpoch = b.sub.applied
-		selectFrom(infosys.PinnedCursor(b.sub.pins, b.cfg.PageSize))
-	})
+	b.sub.poll(h, m.polled)
+}
+
+// pass is one matchmaking pass in flight: the handle it selects for,
+// its continuation, its phase starts and the kept set being probed.
+// discovered, polled and probed (m.discover, m.pinned and m.rank) are
+// bound once per record.
+type pass struct {
+	b              *Broker
+	h              *Handle
+	cont           func([]candidate)
+	dstart, sstart time.Time
+	kept           []probeTask
+
+	discovered, polled, probed func()
+}
+
+// discover is the discovery query's answer: a cursor over the index as
+// it stands now.
+func (m *pass) discover() {
+	m.selectFrom(m.b.cfg.Info.DiscoverImmediate(m.b.cfg.PageSize))
+}
+
+// pinned is the delta poll's answer: a cursor over the shard snapshots
+// it caught up to.
+func (m *pass) pinned() {
+	b := m.b
+	m.h.matchEpoch = b.sub.applied
+	m.selectFrom(infosys.PinnedCursor(b.sub.pins, b.cfg.PageSize))
+}
+
+// selectFrom runs once the read has landed: the scan keeps the best
+// records, and finishSelection probes them.
+func (m *pass) selectFrom(cur *infosys.Cursor) {
+	b, h := m.b, m.h
+	h.Phases.Discovery = b.sim.Since(m.dstart)
+
+	m.sstart = b.sim.Now()
+	h.unavailable, h.scanned, h.peak = 0, 0, 0
+	s := passScan{b: b, h: h, now: m.sstart, nonce: b.rng.Uint64(), keep: b.getTasks()}
+	for page, ok := cur.Next(); ok; page, ok = cur.Next() {
+		s.page(page)
+	}
+	m.kept = []probeTask(s.keep)
+	b.finishSelection(m)
+}
+
+// rank ranks the probed sites and ends the pass. The record goes back
+// to the free list before cont runs, since cont may start a pass.
+func (m *pass) rank() {
+	b, h, kept, cont := m.b, m.h, m.kept, m.cont
+	cands := b.rankProbed(h, kept)
+	b.putTasks(kept)
+	h.Phases.Selection += b.sim.Since(m.sstart)
+	m.h, m.cont, m.kept = nil, nil, nil
+	b.passes = append(b.passes, m)
+	cont(cands)
 }
 
 // passScan is one pass's synchronous stretch from registry read to
@@ -345,7 +391,8 @@ func (s *passScan) record(c *admitSlot, name string, vals []any, freeCPUs int) {
 // candidates best first with the seeded tie-break. A candidate whose
 // Rank evaluation errors is excluded, exactly like a failing
 // Requirements evaluation.
-func (b *Broker) finishSelection(h *Handle, kept []probeTask, cont func([]candidate)) {
+func (b *Broker) finishSelection(m *pass) {
+	kept := m.kept
 	// Probe in site-name order no matter how the scan enumerated its
 	// matches (shard-major pages over any shard count, top-K heap):
 	// probes spend simulated time, so a stable order keeps lease
@@ -360,9 +407,7 @@ func (b *Broker) finishSelection(h *Handle, kept []probeTask, cont func([]candid
 	// "Information may not be completely accurate ... CrossBroker
 	// contacts each remote site individually and gets the most updated
 	// information about the state of their local queues."
-	b.probeSites(kept, func() {
-		cont(b.rankProbed(h, kept))
-	})
+	b.probeSites(kept, m.probed)
 }
 
 // rankProbed is the pure post-probe half of finishSelection: apply

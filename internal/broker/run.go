@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"time"
 
 	"crossbroker/internal/batch"
 	"crossbroker/internal/fairshare"
@@ -79,7 +80,9 @@ func (rc *RunContext) run(cont func()) {
 		return
 	}
 	rc.cont = cont
-	rc.step = rc.next
+	if rc.step == nil {
+		rc.step = rc.next
+	}
 	rc.Sim.AfterFunc(rc.st.Network().TransferTime(defaultFirstOutputBytes), rc.step)
 }
 
@@ -302,7 +305,7 @@ func (b *Broker) wireAgent(agent *glidein.Agent) {
 		// The placements running on the agent learn of its death one
 		// heartbeat later, in the order they started.
 		for _, p := range b.agents[agent] {
-			b.sim.AfterFunc(b.cfg.AgentHeartbeat, p.loseAgent)
+			p.heartbeat()
 		}
 		delete(b.agents, agent)
 	})
@@ -557,110 +560,120 @@ func (b *Broker) runExclusiveOn(h *Handle, st *site.Site) {
 // (interactive jobs never preempt interactive jobs).
 // ---------------------------------------------------------------------
 
-func (b *Broker) runInteractiveShared(h *Handle) {
-	job := h.request.Job
-	first := true
-	var attempt func()
-	attempt = func() {
-		if h.abort.Fired() {
-			b.fail(h, h.abortErr)
-			return
-		}
-		// Combined discovery+selection over the local registry.
-		start := b.sim.Now()
-		b.sim.AfterFunc(agentRegistryCost, func() {
-			free := b.freeAgentsMatching(job, job.NodeNumber)
-			if first {
-				first = false
-				h.Phases.Selection = b.sim.Since(start)
-				h.subStart = b.sim.Since(h.submittedAt)
-			}
-
-			need := job.NodeNumber
-			// Expand each free agent by its free interactive VM count:
-			// with a multiprogramming degree above one, several subjobs
-			// may share a node.
-			var chosen []*glidein.Agent
-			for _, a := range free {
-				for k := 0; k < a.FreeSlots() && len(chosen) < need; k++ {
-					chosen = append(chosen, a)
-				}
-				if len(chosen) == need {
-					break
-				}
-			}
-
-			place := func(chosen []*glidein.Agent) {
-				if len(chosen) < need {
-					b.fail(h, ErrNoResources)
-					return
-				}
-				// A hosting agent that dies mid-run sends the job back
-				// to the registry, bounded by the resubmission budget.
-				b.placeOnAgents(h, chosen, func(terminal bool) {
-					if !terminal && !b.resubmitsSpent(h) {
-						attempt()
-					}
-				})
-			}
-
-			if len(chosen) >= need {
-				place(chosen)
-				return
-			}
-			b.matchPass(h, func(cands []candidate) {
-				if len(cands) == 0 && len(chosen) == 0 {
-					b.fail(h, noCandidates(h))
-					return
-				}
-				b.fill(cands, 0, chosen, need, place)
-			})
-		})
+// runInteractiveShared starts one shared-VM attempt of h on a
+// placement from the broker's free list; first says whether it is the
+// job's first attempt, whose selection measures the phases.
+func (b *Broker) runInteractiveShared(h *Handle, first bool) {
+	if h.abort.Fired() {
+		b.fail(h, h.abortErr)
+		return
 	}
-	attempt()
+	p := b.newPlacement(h, first)
+	// Combined discovery+selection over the local registry.
+	p.since = b.sim.Now()
+	p.phase = placeSelect
+	b.sim.AfterFunc(agentRegistryCost, p.step)
+}
+
+// choose takes the free VMs the registry offers once its cost is paid.
+// Each free agent counts once per free interactive VM: with a
+// multiprogramming degree above one, several subjobs may share a node.
+// A shortfall is filled from a candidate pass.
+func (p *placement) choose() {
+	b, h := p.b, p.h
+	job := h.request.Job
+	free := b.freeAgentsMatching(job, job.NodeNumber)
+	if p.first {
+		h.Phases.Selection = b.sim.Since(p.since)
+		h.subStart = b.sim.Since(h.submittedAt)
+	}
+	p.need = job.NodeNumber
+	for _, a := range free {
+		for k := 0; k < a.FreeSlots() && len(p.chosen) < p.need; k++ {
+			p.chosen = append(p.chosen, a)
+		}
+		if len(p.chosen) == p.need {
+			break
+		}
+	}
+	if len(p.chosen) >= p.need {
+		p.place()
+		return
+	}
+	if p.matched == nil {
+		p.matched = p.candidates
+	}
+	b.matchPass(h, p.matched)
+}
+
+// candidates receives the pass that makes up a shortfall.
+func (p *placement) candidates(cands []candidate) {
+	if len(cands) == 0 && len(p.chosen) == 0 {
+		p.b.fail(p.h, noCandidates(p.h))
+		return
+	}
+	p.cands, p.ci = cands, 0
+	p.b.fill(p)
 }
 
 // fill makes up a shared job's shortfall with fresh agents on the
 // candidates' idle machines, "in a similar way to the case of a batch
-// job". It walks cands from i, launching on a site while the site has
-// idle machines and its agents come up, and moves on when a launch
-// fails or its agent is not ready within QueueTimeout. Once chosen
-// holds need VMs, or the candidates run out, place gets them.
-func (b *Broker) fill(cands []candidate, i int, chosen []*glidein.Agent, need int, place func([]*glidein.Agent)) {
-	for i < len(cands) && len(chosen) < need && cands[i].free <= 0 {
-		i++
+// job". It walks p.cands from p.ci, launching on a site while the site
+// has idle machines and its agents come up, and moves on when a launch
+// fails or its agent is not ready within QueueTimeout. Once p.chosen
+// holds the VMs the job needs, or the candidates run out, the
+// placement places what it holds.
+func (b *Broker) fill(p *placement) {
+	for p.ci < len(p.cands) && len(p.chosen) < p.need && p.cands[p.ci].free <= 0 {
+		p.ci++
 	}
-	if i == len(cands) || len(chosen) == need {
-		place(chosen)
+	if p.ci == len(p.cands) || len(p.chosen) == p.need {
+		p.place()
 		return
 	}
-	st := cands[i].site
+	if p.launched == nil {
+		p.launched, p.readied = p.launchDone, p.agentReady
+	}
 	// No TraceJob: the agent's 2PC is labeled by its own queue ID —
 	// several launches may serve one attempt.
-	glidein.LaunchAsync(b.sim, st, nil, 10,
-		glidein.Options{Degree: b.cfg.AgentDegree, Trace: b.cfg.Trace},
-		func(agent *glidein.Agent, bh *batch.Handle, err error) {
-			if err != nil {
-				if retryableSubmitErr(err) {
-					b.noteSiteFailure(st.Name())
-				}
-				b.fill(cands, i+1, chosen, need, place)
-				return
-			}
-			b.wireAgent(agent)
-			b.waitTrigger(agent.Ready(), b.cfg.QueueTimeout, func(ready bool) {
-				if !ready {
-					st.Queue().Kill(bh.ID())
-					b.fill(cands, i+1, chosen, need, place)
-					return
-				}
-				cands[i].free--
-				for k := 0; k < agent.FreeSlots() && len(chosen) < need; k++ {
-					chosen = append(chosen, agent)
-				}
-				b.fill(cands, i, chosen, need, place)
-			})
-		})
+	glidein.LaunchAsync(b.sim, p.cands[p.ci].site, nil, 10,
+		glidein.Options{Degree: b.cfg.AgentDegree, Trace: b.cfg.Trace}, p.launched)
+}
+
+// launchDone takes a fill launch's outcome: a failed launch moves on to
+// the next candidate, a launched agent is waited for up to
+// QueueTimeout.
+func (p *placement) launchDone(agent *glidein.Agent, bh *batch.Handle, err error) {
+	b := p.b
+	if err != nil {
+		if retryableSubmitErr(err) {
+			b.noteSiteFailure(p.cands[p.ci].site.Name())
+		}
+		p.ci++
+		b.fill(p)
+		return
+	}
+	b.wireAgent(agent)
+	p.agent, p.bh = agent, bh
+	b.waitTrigger(agent.Ready(), b.cfg.QueueTimeout, p.readied)
+}
+
+// agentReady adds a launched agent's VMs to the chosen ones, or kills
+// an agent that was not ready in time and moves on.
+func (p *placement) agentReady(ready bool) {
+	b, agent, bh := p.b, p.agent, p.bh
+	p.agent, p.bh = nil, nil
+	if !ready {
+		p.cands[p.ci].site.Queue().Kill(bh.ID())
+		p.ci++
+		b.fill(p)
+		return
+	}
+	p.cands[p.ci].free--
+	for k := 0; k < agent.FreeSlots() && len(p.chosen) < p.need; k++ {
+		p.chosen = append(p.chosen, agent)
+	}
+	b.fill(p)
 }
 
 // freeAgentsMatching returns free agents whose site satisfies the
@@ -727,70 +740,113 @@ func (b *Broker) freeAgentsMatching(job *jdl.Job, need int) []*glidein.Agent {
 	return out
 }
 
-// placeOnAgents runs the job across the chosen interactive VMs. cont
-// receives whether the job reached a terminal state (finished, failed
-// or aborted); false means a hosting agent died mid-run and the
-// caller should kill-and-resubmit.
-func (b *Broker) placeOnAgents(h *Handle, agents []*glidein.Agent, cont func(terminal bool)) {
+// place runs the job across the chosen interactive VMs, or fails it
+// when the registry and the fill came up short.
+func (p *placement) place() {
+	b, h := p.b, p.h
+	p.cands = nil
+	if len(p.chosen) < p.need {
+		b.fail(h, ErrNoResources)
+		return
+	}
 	// The chosen agents were alive at match time, but filling a
 	// shortfall launches fresh agents — virtual time passes, and a
 	// previously free agent may have died and been reaped from the
-	// registry meanwhile. Treat that like a mid-run death: the caller
-	// kills and resubmits under the usual budget.
-	for _, a := range agents {
+	// registry meanwhile. Treat that like a mid-run death: the job goes
+	// back to the registry under the usual budget.
+	for _, a := range p.chosen {
 		if a.Released().Fired() {
-			cont(false)
+			p.resubmit()
 			return
 		}
 	}
-	st := agents[0].Site()
+	st := p.chosen[0].Site()
+	p.st = st
 	h.site = st.Name()
-	if len(agents) > 1 {
+	if len(p.chosen) > 1 {
 		h.site = "agents"
 	}
 	h.shared = true
-	b.cfg.Trace.Emit(trace.Event{Kind: trace.Matched, Job: h.ID, Site: h.site, N: len(agents), Attempt: h.resub})
+	b.cfg.Trace.Emit(trace.Event{Kind: trace.Matched, Job: h.ID, Site: h.site, N: len(p.chosen), Attempt: h.resub})
 
+	p.rc.init(b, h, st)
+	if n := len(p.chosen); cap(p.rc.Slots) < n {
+		p.rc.Slots = make([]*vmslot.Slot, 0, n)
+		p.vmDone = make([]*simclock.Trigger, 0, n)
+	}
 	// The broker still stages input files to the VM, dispatches the
 	// job over its direct agent channel, and the agent sets it up on
 	// the interactive VM — but the gatekeeper, GRAM and the local
 	// queue are skipped entirely. Catalog datasets move first.
-	p := b.newPlacement(h, st, agents, cont)
 	p.phase = placeSend
 	b.stageData(h, st.Name(), p.step)
 }
 
-// placement is one shared-VM attempt: the job's subjobs on the chosen
-// agents' interactive VMs, and the broker's wait for the outcome. Its
-// triggers, run context and (for one agent) slot and completion lists
-// share this one allocation. While it runs it is listed under each
-// hosting agent in the registry (Broker.agents), whose one Released
-// callback notifies it; it leaves those lists when it ends.
+// resubmit sends the job back to the registry after a hosting agent
+// died, bounded by the resubmission budget. The retry takes a fresh
+// placement: this one may still be reached.
+func (p *placement) resubmit() {
+	if !p.b.resubmitsSpent(p.h) {
+		p.b.runInteractiveShared(p.h, false)
+	}
+}
+
+// placement is one shared-VM attempt: the selection over the broker's
+// agent registry, the fresh agents that make up a shortfall, the job's
+// subjobs on the chosen agents' interactive VMs, and the broker's wait
+// for the outcome. Its triggers, run context and (for one VM) chosen,
+// slot and completion lists share this one allocation. While it runs
+// it is listed under each hosting agent in the registry
+// (Broker.agents), whose one Released callback notifies it; it leaves
+// those lists when it ends.
 //
-// The attempt binds its continuations once. step walks the placement
-// phases in order (phase names the next), one scheduled at a time; the
-// outcome wait, which the loss of an agent or an abort can start while
-// a phase is still pending, has a continuation of its own, settle.
+// The attempt binds its continuations once. step walks the phases in
+// order (phase names the next), one scheduled at a time; the outcome
+// wait, which the loss of an agent or an abort can start while a phase
+// is still pending, has a continuation of its own, settle. The pass
+// and the launches that fill a shortfall answer through matched,
+// launched and readied, bound the first time a fill needs them.
+//
+// A placement comes from the broker's free list and goes back to it
+// from one point only, the job's finish in awaitVMs, and only when
+// nothing can reach it any more (quiescent). Every other ending (a
+// lost agent, an abort, the dispatch race, a resubmission) leaves it to
+// the collector, and a retry takes a fresh one.
 type placement struct {
 	b      *Broker
 	h      *Handle
 	st     *site.Site
-	agents []*glidein.Agent
-	cont   func(terminal bool)
+	first  bool      // the job's first attempt: its selection measures the phases
+	since  time.Time // the registry cost began
+	need   int
+	chosen []*glidein.Agent // one entry per VM: the hosting agents once placed
+
+	// The fill of a shortfall: the pass's candidates, the one tried,
+	// and the launched agent waited for.
+	cands []candidate
+	ci    int
+	agent *glidein.Agent
+	bh    *batch.Handle
 
 	jobDone simclock.Trigger // body finished; the VM placeholders release
-	lost    simclock.Trigger // a hosting agent died, noticed one heartbeat later
-	over    simclock.Trigger // first of the body's end, lost and an abort
+	over    simclock.Trigger // first of the body's end, a lost agent and an abort
 
-	step, settle func()     // p.next and p.outcome, bound in newPlacement
-	phase        placePhase // what step does next
-	ended        bool       // the outcome was taken; settle now waits out the VMs
+	step, settle func()                                     // p.next and p.outcome
+	onVM         func(*glidein.InteractiveContext, func())  // p.hold
+	matched      func([]candidate)                          // p.candidates
+	launched     func(*glidein.Agent, *batch.Handle, error) // p.launchDone
+	readied      func(bool)                                 // p.agentReady
+	phase        placePhase                                 // what step does next
+	lost         bool                                       // a hosting agent died, noticed one heartbeat later
+	ended        bool                                       // the outcome was taken; settle now waits out the VMs
 	bodyStarted  bool
+	heartbeats   int // loseAgent verdicts pending
 
 	rc        RunContext
 	placed    int
 	vmDone    []*simclock.Trigger // per subjob: its VM was released
 	waited    int                 // vmDone entries seen fired
+	chosenBuf [1]*glidein.Agent
 	slotBuf   [1]*vmslot.Slot
 	vmDoneBuf [1]*simclock.Trigger
 }
@@ -799,7 +855,8 @@ type placement struct {
 type placePhase uint8
 
 const (
-	placeSend     placePhase = iota // input staged: the dispatch message travels to the agents
+	placeSelect   placePhase = iota // the registry cost is paid: choose the VMs
+	placeSend                       // input staged: the dispatch message travels to the agents
 	placeDispatch                   // the message arrived: start the subjobs
 	placeStart                      // every VM is held: start the job
 	placeStartup                    // the startup cost begins
@@ -807,25 +864,36 @@ const (
 	placeBodyOver                   // the body called its continuation
 )
 
-func (b *Broker) newPlacement(h *Handle, st *site.Site, agents []*glidein.Agent, cont func(bool)) *placement {
-	p := &placement{b: b, h: h, st: st, agents: agents, cont: cont}
-	b.sim.InitTrigger(&p.jobDone)
-	b.sim.InitTrigger(&p.lost)
-	b.sim.InitTrigger(&p.over)
-	p.step, p.settle = p.next, p.outcome
-	p.rc.init(b, h, st)
-	p.rc.Slots = p.slotBuf[:0]
-	p.vmDone = p.vmDoneBuf[:0]
-	if len(agents) > len(p.slotBuf) {
-		p.rc.Slots = make([]*vmslot.Slot, 0, len(agents))
-		p.vmDone = make([]*simclock.Trigger, 0, len(agents))
+// newPlacement takes a placement for h's next attempt from the broker's
+// free list, keeping its bound continuations and grown lists, or makes
+// one and binds them.
+func (b *Broker) newPlacement(h *Handle, first bool) *placement {
+	var p *placement
+	if n := len(b.placements); n > 0 {
+		p = b.placements[n-1]
+		b.placements = b.placements[:n-1]
+		*p = placement{
+			b: b, step: p.step, settle: p.settle, onVM: p.onVM,
+			matched: p.matched, launched: p.launched, readied: p.readied,
+			chosen: p.chosen, vmDone: p.vmDone,
+			rc: RunContext{Slots: p.rc.Slots, step: p.rc.step},
+		}
+	} else {
+		p = &placement{b: b}
+		p.step, p.settle, p.onVM = p.next, p.outcome, p.hold
+		p.chosen, p.rc.Slots, p.vmDone = p.chosenBuf[:0], p.slotBuf[:0], p.vmDoneBuf[:0]
 	}
+	p.h, p.first = h, first
+	b.sim.InitTrigger(&p.jobDone)
+	b.sim.InitTrigger(&p.over)
 	return p
 }
 
 // next runs the placement's pending phase.
 func (p *placement) next() {
 	switch p.phase {
+	case placeSelect:
+		p.choose()
 	case placeSend:
 		p.phase = placeDispatch
 		st := p.st
@@ -847,33 +915,31 @@ func (p *placement) next() {
 // dispatch starts one subjob per chosen VM.
 func (p *placement) dispatch() {
 	b, h := p.b, p.h
-	onVM := p.onVM
-	for i, a := range p.agents {
+	for i, a := range p.chosen {
 		done, err := a.StartInteractive(glidein.InteractiveJob{
 			ID:              subjobID(h, i),
 			Owner:           h.request.User,
 			PerformanceLoss: h.request.Job.PerformanceLoss,
-			RunCB:           onVM,
+			RunCB:           p.onVM,
 		})
 		if err != nil {
 			// Registry race: someone took the VM. Treat as failure.
 			p.jobDone.Fire()
 			b.fail(h, ErrNoResources)
-			p.cont(true)
 			return
 		}
 		p.vmDone = append(p.vmDone, done)
 	}
 }
 
-// onVM is every subjob's body: it records the VM's slot and holds the
+// hold is every subjob's body: it records the VM's slot and holds the
 // VM until the job is done; the last one to hold its VM starts the job
 // in an event of its own. StartInteractive posts the bodies in call
 // order, so slots line up with agents.
-func (p *placement) onVM(ctx *glidein.InteractiveContext, fin func()) {
+func (p *placement) hold(ctx *glidein.InteractiveContext, fin func()) {
 	p.rc.Slots = append(p.rc.Slots, ctx.Slot)
 	p.placed++
-	if p.placed == len(p.agents) {
+	if p.placed == len(p.chosen) {
 		p.phase = placeStart
 		p.b.sim.Post(p.step)
 	}
@@ -884,12 +950,12 @@ func (p *placement) onVM(ctx *glidein.InteractiveContext, fin func()) {
 // after the startup cost, and the wait for the outcome.
 func (p *placement) start() {
 	b, h := p.b, p.h
-	b.started(h, h.site, len(p.agents))
+	b.started(h, h.site, len(p.chosen))
 
 	// Heartbeat monitoring: a hosting agent's death is noticed one
 	// AgentHeartbeat after the loss.
-	for i, a := range p.agents {
-		if !slices.Contains(p.agents[:i], a) {
+	for i, a := range p.chosen {
+		if !slices.Contains(p.chosen[:i], a) {
 			b.watchAgent(a, p)
 		}
 	}
@@ -897,11 +963,11 @@ func (p *placement) start() {
 	b.sim.Post(p.step)
 
 	h.onAbort(&p.over)
-	p.over.WaitAny(p.settle, &p.lost)
+	p.over.WaitThen(p.settle)
 }
 
 func (p *placement) startBody() {
-	if p.lost.Fired() {
+	if p.lost {
 		p.rc.killed.Fire()
 	}
 	p.bodyStarted = true
@@ -910,10 +976,19 @@ func (p *placement) startBody() {
 	p.rc.run(p.step)
 }
 
+// heartbeat schedules the heartbeat's verdict on a hosting agent that
+// died.
+func (p *placement) heartbeat() {
+	p.heartbeats++
+	p.b.sim.AfterFunc(p.b.cfg.AgentHeartbeat, p.loseAgent)
+}
+
 // loseAgent is the heartbeat's verdict on a dead hosting agent: the
 // wait learns of the loss first, then the body.
 func (p *placement) loseAgent() {
-	p.lost.Fire()
+	p.heartbeats--
+	p.lost = true
+	p.over.Fire()
 	if p.bodyStarted {
 		p.rc.killed.Fire()
 	}
@@ -942,23 +1017,22 @@ func (p *placement) end() {
 	case h.abort.Fired():
 		b.release(h)
 		b.fail(h, h.abortErr)
-		p.cont(true)
-	case p.lost.Fired():
-		// Agent lost: release the accounting, report the kill, let the
-		// caller resubmit on the surviving registry. The HeartbeatLost
-		// event is emitted here, not in the heartbeat callback, so it
-		// cannot land after the job's terminal event.
+	case p.lost:
+		// Agent lost: release the accounting, report the kill, resubmit
+		// on the surviving registry. The HeartbeatLost event is emitted
+		// here, not in the heartbeat callback, so it cannot land after
+		// the job's terminal event.
 		b.cfg.Trace.Emit(trace.Event{Kind: trace.HeartbeatLost, Job: h.ID, Site: h.site, Attempt: h.resub})
 		b.release(h)
 		b.noteResub(h, h.site, "agent lost", fmt.Errorf("%w while running %s", ErrAgentLost, h.ID))
-		p.cont(false)
+		p.resubmit()
 	default:
 		p.awaitVMs()
 	}
 }
 
 // awaitVMs finishes the job once every subjob's VM is released, in
-// subjob order.
+// subjob order. This is the placement's one way back to the free list.
 func (p *placement) awaitVMs() {
 	for p.waited < len(p.vmDone) {
 		t := p.vmDone[p.waited]
@@ -968,16 +1042,54 @@ func (p *placement) awaitVMs() {
 			return
 		}
 	}
-	p.b.release(p.h)
-	p.b.finish(p.h)
-	p.cont(true)
+	b, h := p.b, p.h
+	if p.quiescent() {
+		p.recycle()
+	}
+	b.release(h)
+	b.finish(h)
+}
+
+// quiescent reports whether nothing can reach the finished placement
+// any more: no heartbeat verdict is pending from a hosting agent that
+// died while the placement was listed, endAttempt cleared the handle's
+// abort list, the body was the default one (a custom body may keep rc
+// past its done), and no trigger of its own holds a registration.
+func (p *placement) quiescent() bool {
+	if p.heartbeats > 0 || len(p.h.aborts) > 0 || p.h.request.Body != nil {
+		return false
+	}
+	// The default body's first-of wait leaves Killed registered to fire
+	// the body's own over, which has fired: firing Killed now runs
+	// nothing and drops that registration.
+	if p.rc.over.Fired() {
+		p.rc.killed.Fire()
+	}
+	for _, t := range [...]*simclock.Trigger{&p.jobDone, &p.over, &p.rc.killed, &p.rc.over, &p.rc.slotsDone} {
+		if t.Registered() != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// recycle returns a quiescent placement to the broker's free list. It
+// drops what the placement held of the job, its agents and their
+// slots; newPlacement resets the rest.
+func (p *placement) recycle() {
+	clear(p.chosen)
+	clear(p.rc.Slots)
+	clear(p.vmDone)
+	p.chosen, p.rc.Slots, p.vmDone = p.chosen[:0], p.rc.Slots[:0], p.vmDone[:0]
+	p.h, p.st, p.rc.h, p.rc.st, p.rc.cont = nil, nil, nil, nil, nil
+	p.b.placements = append(p.b.placements, p)
 }
 
 // watchAgent lists p under a hosting agent until p ends, so the agent's
 // death reaches it. For an agent already gone the heartbeat starts now.
 func (b *Broker) watchAgent(a *glidein.Agent, p *placement) {
 	if a.Released().Fired() {
-		b.sim.AfterFunc(b.cfg.AgentHeartbeat, p.loseAgent)
+		p.heartbeat()
 		return
 	}
 	b.agents[a] = append(b.agents[a], p)
@@ -985,7 +1097,7 @@ func (b *Broker) watchAgent(a *glidein.Agent, p *placement) {
 
 // unwatchAgents takes an ending placement off its agents' lists.
 func (b *Broker) unwatchAgents(p *placement) {
-	for _, a := range p.agents {
+	for _, a := range p.chosen {
 		ps := b.agents[a]
 		if i := slices.Index(ps, p); i >= 0 {
 			b.agents[a] = slices.Delete(ps, i, i+1)

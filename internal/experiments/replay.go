@@ -236,8 +236,14 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 	// Arrival process: walk the replay stream on the virtual clock.
 	// Zero-gap arrivals (simultaneous submits, common at high
 	// speedups) are pumped in one batch instead of one timer event
-	// each.
+	// each. At most one arrival timer is pending, so one continuation,
+	// made once, submits the job it waited for (next) and pumps on.
 	var pump func()
+	var next workload.Job
+	arriveNext := func() {
+		arrive(next)
+		pump()
+	}
 	pump = func() {
 		for {
 			j, delay, ok := stream.Next()
@@ -252,10 +258,8 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 				arrive(j)
 				continue
 			}
-			sim.AfterFunc(delay, func() {
-				arrive(j)
-				pump()
-			})
+			next = j
+			sim.AfterFunc(delay, arriveNext)
 			return
 		}
 	}

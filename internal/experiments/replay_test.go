@@ -157,3 +157,45 @@ func TestRenderReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayAllocsPerJob holds the whole replay path, from the archive
+// reader through the broker, the sites and the engine to the tally, to
+// an allocation budget per job: a synthetic 5000-job day on an 8x16
+// grid at speedup 1, grid setup included. The ceiling is the count
+// measured once the shared attempt, the match pass and the gatekeeper's
+// two-phase commit became recycled records, Submit routed without a
+// closure, the arrival loop bound its timer once and archive lines were
+// parsed in the scanner's buffer: 27.14. Before those changes it
+// measured 43.44.
+func TestReplayAllocsPerJob(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const jobs, ceiling = 5000, 27.14
+	path, err := workload.SynthTracePath(t.TempDir(), workload.SynthConfig{Jobs: jobs, Seed: 2006})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ReplayConfig{
+		Sites: 8, NodesPerSite: 16, Speedups: []float64{1}, Seed: 2006, Workers: 1,
+		Source: func(speedup float64) (workload.ReplayStream, error) {
+			tr, err := workload.OpenTraceReader(path, workload.TraceReaderOptions{})
+			if err != nil {
+				return nil, err
+			}
+			return workload.NewStreamReplay(tr, workload.ReplayConfig{Speedup: speedup})
+		},
+	}
+	run := func() {
+		pts, err := ReplaySweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pts[0].Submitted != jobs || pts[0].Pending != 0 {
+			t.Fatalf("%d of %d jobs submitted, %d pending", pts[0].Submitted, jobs, pts[0].Pending)
+		}
+	}
+	if perJob := testing.AllocsPerRun(3, run) / jobs; perJob > ceiling {
+		t.Errorf("replay: %.2f allocations per job, ceiling %.2f", perJob, ceiling)
+	}
+}

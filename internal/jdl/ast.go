@@ -195,15 +195,18 @@ func precedence(op string) int {
 	return 0
 }
 
+// String renders the node as text the parser reads back to the same
+// tree. The parser groups equal-precedence operators to the left, so a
+// right operand at the parent's precedence keeps its parentheses
+// (a + (b + c), a - (b - c)); comparisons do not chain, so either
+// operand that is itself a comparison keeps them.
 func (b Binary) String() string {
 	p := precedence(b.Op)
-	// The right operand needs parentheses at equal precedence for the
-	// non-commutative operators (a - (b - c), a / (b / c)).
-	rightMin := p
-	if b.Op == "-" || b.Op == "/" {
-		rightMin = p + 1
+	leftMin := p
+	if p == precedence("==") {
+		leftMin = p + 1
 	}
-	return parenthesize(b.L, p) + " " + b.Op + " " + parenthesize(b.R, rightMin)
+	return parenthesize(b.L, leftMin) + " " + b.Op + " " + parenthesize(b.R, p+1)
 }
 
 // parenthesize renders n, wrapping binary children that bind more

@@ -2,6 +2,7 @@ package jdl
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -383,5 +384,50 @@ func TestFlavorAndModeStrings(t *testing.T) {
 	}
 	if ExclusiveAccess.String() != "exclusive" || SharedAccess.String() != "shared" {
 		t.Fatal("access strings wrong")
+	}
+}
+
+// TestExprRenderParsesToSameTree renders parsed expressions and parses
+// the text again: the tree must come back equal, and a second render
+// must be byte-equal to the first. Equal-precedence right operands and
+// comparison operands are the shapes that need parentheses.
+func TestExprRenderParsesToSameTree(t *testing.T) {
+	parseE := func(src string) Value {
+		t.Helper()
+		d, err := Parse("E = " + src + ";")
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		v, _ := d.Get("E")
+		return v
+	}
+	for _, src := range []string{
+		`other.HasMPI == (other.Load == 1.5)`,
+		`(other.A == 1) != (other.B == 2)`,
+		`(other.A < other.B) == false`,
+		`other.A + (other.B + other.C)`,
+		`other.A - (other.B - other.C)`,
+		`other.A * (other.B * other.C)`,
+		`other.A / (other.B / other.C)`,
+		`other.A + other.B + other.C`,
+		`other.A - other.B + (other.C - other.D)`,
+		`(other.A + other.B) * other.C`,
+		`other.A && (other.B && other.C)`,
+		`other.A || (other.B || other.C)`,
+		`other.A || other.B && other.C`,
+		`(other.A || other.B) && other.C`,
+		`!(other.A == 1) && !other.B`,
+		`other.Arch == "i686" && other.MemoryMB >= 256 && (other.OS == "linux" || other.OS == "Linux")`,
+	} {
+		v1 := parseE(src)
+		text := v1.JDL()
+		v2 := parseE(text)
+		if !reflect.DeepEqual(v1, v2) {
+			t.Errorf("%s renders as %s, which parses to another tree", src, text)
+			continue
+		}
+		if again := v2.JDL(); again != text {
+			t.Errorf("%s renders as %s, then as %s", src, text, again)
+		}
 	}
 }

@@ -127,7 +127,8 @@ type Site struct {
 
 	publishing bool // publish loop started (idempotency guard)
 
-	queries []*query // free list of probe records (QueryStateAsync)
+	queries     []*query      // free list of probe records (QueryStateAsync)
+	submissions []*submission // free list of 2PC records (SubmitAsync)
 
 	// Two-phase-commit accounting (see CommitStats).
 	stats    CommitStats
@@ -389,8 +390,13 @@ type SubmitOptions struct {
 // aborts the two-phase commit — the uncommitted job is withdrawn from
 // the LRM (if it still exists) and ErrCommitAborted is returned, so
 // the broker's lease release leaves no resources stranded.
+//
+// A submission that reaches the gatekeeper is a submission record from
+// the site's free list, whose one timer callback was bound when the
+// record was made, so the chain costs no allocation of its own once
+// the list holds as many records as the site has submissions in
+// flight.
 func (s *Site) SubmitAsync(req batch.Request, opts SubmitOptions, cont func(*batch.Handle, error)) {
-	c := s.cfg.Costs
 	if stall := s.gkStallUntil.Sub(s.sim.Now()); stall > 0 {
 		// A wedged jobmanager: the request hangs for the remainder of
 		// the stall window, then the broker's submission times out.
@@ -405,64 +411,133 @@ func (s *Site) SubmitAsync(req batch.Request, opts SubmitOptions, cont func(*bat
 		})
 		return
 	}
-	commitAck := func(h *batch.Handle, tj string) {
-		s.inflight--
-		if !s.Available() {
-			// Phase 2 never completed: abort. A crash already dropped
-			// the job with the rest of the queue; after a mere outage
-			// the LRM aborts the uncommitted job when its commit timer
-			// expires.
-			s.lrms.Kill(req.ID)
-			if req.ID == "" {
-				s.lrms.Kill(h.ID())
-			}
-			s.stats.Aborted++
-			s.tracer.Emit(trace.Event{Kind: trace.CommitAborted, Job: tj, Site: s.cfg.Name, Attempt: opts.TraceAttempt})
-			cont(nil, fmt.Errorf("%w: %s died before commit", ErrCommitAborted, s.cfg.Name))
-			return
-		}
-		s.stats.Committed++
-		s.tracer.Emit(trace.Event{Kind: trace.Committed, Job: tj, Site: s.cfg.Name, Attempt: opts.TraceAttempt})
-		cont(h, nil)
+	var q *submission
+	if n := len(s.submissions); n > 0 {
+		q = s.submissions[n-1]
+		s.submissions = s.submissions[:n-1]
+	} else {
+		q = &submission{s: s}
+		q.step = q.next
 	}
-	phase1 := func() {
-		if !s.Available() {
-			cont(nil, fmt.Errorf("%w: %s", ErrSiteDown, s.cfg.Name))
-			return
-		}
-		h, err := s.lrms.Submit(req) // phase-1 accept
-		if err != nil {
-			s.stats.Phase1Rejects++
-			cont(nil, err)
-			return
-		}
-		tj := opts.TraceJob
-		if tj == "" {
-			tj = h.ID()
-		}
-		s.stats.Sent++
-		s.inflight++
-		if s.inflight > s.stats.MaxInflight {
-			s.stats.MaxInflight = s.inflight
-		}
-		s.tracer.Emit(trace.Event{Kind: trace.CommitSent, Job: tj, Site: s.cfg.Name, Attempt: opts.TraceAttempt})
-		s.sim.AfterFunc(s.cfg.Network.RTT(), func() { commitAck(h, tj) }) // commit acknowledgment
-	}
-	afterAuth := func() {
-		if opts.WithAgent {
-			s.sim.AfterFunc(c.AgentStage, phase1)
-		} else {
-			phase1()
-		}
-	}
-	afterTransfer := func() {
-		if !s.Available() {
-			cont(nil, fmt.Errorf("%w: %s", ErrSiteDown, s.cfg.Name))
-			return
-		}
-		s.sim.AfterFunc(c.Auth+c.GRAM, afterAuth)
-	}
+	q.req, q.opts, q.cont = req, opts, cont
 	// After staging the request travels to the gatekeeper; two-phase
 	// commit costs a second round trip after the LRM accepts.
-	s.sim.AfterFunc(c.Stage, func() { s.sim.AfterFunc(s.cfg.Network.RTT(), afterTransfer) })
+	q.phase = submitStaged
+	s.sim.AfterFunc(s.cfg.Costs.Stage, q.step)
+}
+
+// submission is one gatekeeper submission in flight: the request, its
+// options and continuation, and after phase 1 the LRM's handle and the
+// job the trace events name. step (q.next) walks the chain, one timer
+// at a time; phase names what it does next.
+type submission struct {
+	s     *Site
+	req   batch.Request
+	opts  SubmitOptions
+	cont  func(*batch.Handle, error)
+	h     *batch.Handle
+	tj    string
+	phase submitPhase
+	step  func()
+}
+
+// submitPhase is the submission step the timer runs next.
+type submitPhase uint8
+
+const (
+	submitStaged  submitPhase = iota // staged: the request travels to the gatekeeper
+	submitArrived                    // at the gatekeeper: GSI auth and GRAM setup
+	submitAuthed                     // authenticated: the agent's stage, if any, then phase 1
+	submitPhase1                     // the agent is staged: phase 1
+	submitAcked                      // the commit acknowledgment arrived
+)
+
+// next runs the submission's pending step.
+func (q *submission) next() {
+	s, c := q.s, q.s.cfg.Costs
+	switch q.phase {
+	case submitStaged:
+		q.phase = submitArrived
+		s.sim.AfterFunc(s.cfg.Network.RTT(), q.step)
+	case submitArrived:
+		if !s.Available() {
+			q.end(nil, fmt.Errorf("%w: %s", ErrSiteDown, s.cfg.Name))
+			return
+		}
+		q.phase = submitAuthed
+		s.sim.AfterFunc(c.Auth+c.GRAM, q.step)
+	case submitAuthed:
+		if q.opts.WithAgent {
+			q.phase = submitPhase1
+			s.sim.AfterFunc(c.AgentStage, q.step)
+			return
+		}
+		q.phase1()
+	case submitPhase1:
+		q.phase1()
+	case submitAcked:
+		q.commitAck()
+	}
+}
+
+// phase1 offers the job to the LRM (phase-1 accept) and opens the
+// commit window, which the acknowledgment closes one round trip later.
+func (q *submission) phase1() {
+	s := q.s
+	if !s.Available() {
+		q.end(nil, fmt.Errorf("%w: %s", ErrSiteDown, s.cfg.Name))
+		return
+	}
+	h, err := s.lrms.Submit(q.req) // phase-1 accept
+	if err != nil {
+		s.stats.Phase1Rejects++
+		q.end(nil, err)
+		return
+	}
+	tj := q.opts.TraceJob
+	if tj == "" {
+		tj = h.ID()
+	}
+	s.stats.Sent++
+	s.inflight++
+	if s.inflight > s.stats.MaxInflight {
+		s.stats.MaxInflight = s.inflight
+	}
+	s.tracer.Emit(trace.Event{Kind: trace.CommitSent, Job: tj, Site: s.cfg.Name, Attempt: q.opts.TraceAttempt})
+	q.h, q.tj, q.phase = h, tj, submitAcked
+	s.sim.AfterFunc(s.cfg.Network.RTT(), q.step) // commit acknowledgment
+}
+
+// commitAck closes the commit window: committed, or aborted when the
+// site died or was cut off inside it.
+func (q *submission) commitAck() {
+	s, h, tj := q.s, q.h, q.tj
+	s.inflight--
+	if !s.Available() {
+		// Phase 2 never completed: abort. A crash already dropped
+		// the job with the rest of the queue; after a mere outage
+		// the LRM aborts the uncommitted job when its commit timer
+		// expires.
+		s.lrms.Kill(q.req.ID)
+		if q.req.ID == "" {
+			s.lrms.Kill(h.ID())
+		}
+		s.stats.Aborted++
+		s.tracer.Emit(trace.Event{Kind: trace.CommitAborted, Job: tj, Site: s.cfg.Name, Attempt: q.opts.TraceAttempt})
+		q.end(nil, fmt.Errorf("%w: %s died before commit", ErrCommitAborted, s.cfg.Name))
+		return
+	}
+	s.stats.Committed++
+	s.tracer.Emit(trace.Event{Kind: trace.Committed, Job: tj, Site: s.cfg.Name, Attempt: q.opts.TraceAttempt})
+	q.end(h, nil)
+}
+
+// end delivers the submission's outcome. Every step ran, so nothing
+// reaches the record any more: it returns to the site's free list
+// before cont runs, since cont may submit again and take it.
+func (q *submission) end(h *batch.Handle, err error) {
+	s, cont := q.s, q.cont
+	q.req, q.opts, q.cont, q.h, q.tj = batch.Request{}, SubmitOptions{}, nil, nil, ""
+	s.submissions = append(s.submissions, q)
+	cont(h, err)
 }

@@ -284,3 +284,56 @@ func TestCommitStatsCountAbort(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 sent / 1 aborted", st)
 	}
 }
+
+// TestSubmitRecordRecycles: a submission returns its record to the
+// site's free list before its continuation runs, so a continuation that
+// submits again reuses it and gets its own outcome, and the gatekeeper
+// chain allocates nothing beyond what the LRM does for the same jobs.
+func TestSubmitRecordRecycles(t *testing.T) {
+	sim := simclock.NewSim(time.Time{})
+	s := newSite(sim, 4)
+	var outcomes []error
+	s.SubmitAsync(batch.Request{Nodes: 1, RunCB: noop}, SubmitOptions{}, func(_ *batch.Handle, err error) {
+		outcomes = append(outcomes, err)
+		s.SubmitAsync(batch.Request{Nodes: 1, RunCB: noop}, SubmitOptions{WithAgent: true}, func(_ *batch.Handle, err error) {
+			outcomes = append(outcomes, err)
+		})
+	})
+	sim.Run()
+	if len(outcomes) != 2 || outcomes[0] != nil || outcomes[1] != nil {
+		t.Fatalf("outcomes %v, want two commits", outcomes)
+	}
+	if len(s.submissions) != 1 {
+		t.Fatalf("%d submission records on the free list after two sequential submissions, want 1", len(s.submissions))
+	}
+
+	if raceEnabled {
+		return // allocation counts are not meaningful under the race detector
+	}
+	req := batch.Request{Nodes: 1, RunCB: noop}
+	cont := func(_ *batch.Handle, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	viaGatekeeper := func() {
+		for i := 0; i < 3; i++ {
+			s.SubmitAsync(req, SubmitOptions{}, cont)
+		}
+		sim.RunFor(time.Minute)
+	}
+	direct := func() {
+		for i := 0; i < 3; i++ {
+			if _, err := s.lrms.Submit(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sim.RunFor(time.Minute)
+	}
+	viaGatekeeper() // warm-up: three records, the event free list
+	direct()
+	gk, lrm := testing.AllocsPerRun(50, viaGatekeeper), testing.AllocsPerRun(50, direct)
+	if gk > lrm {
+		t.Errorf("three submissions through the gatekeeper: %v allocations, over the LRM's own %v", gk, lrm)
+	}
+}

@@ -127,7 +127,9 @@ func Write(w io.Writer, t *Trace) error { return dialect.Write(w, t) }
 func Format(t *Trace) string { return dialect.Format(t) }
 
 // setColumn stores GWF column c.Index: fields 19-20, 23-24 and 27-29
-// are strings, 6, 21-22 and 25-26 floats, the rest integers.
+// are strings, 6, 21-22 and 25-26 floats, the rest integers. A string
+// column's text is a view of the line; the last column, which scanio
+// stores after all others, copies the seven out of it (keepStrings).
 func setColumn(r *Record, c *scanio.Column) error {
 	var err error
 	switch c.Index {
@@ -145,6 +147,7 @@ func setColumn(r *Record, c *scanio.Column) error {
 		r.VO = c.Tok
 	case 28:
 		r.Project = c.Tok
+		r.keepStrings()
 	case 5:
 		r.AvgCPU, err = c.Num()
 	case 20:
@@ -191,6 +194,32 @@ func setColumn(r *Record, c *scanio.Column) error {
 		r.LastRunSite, err = c.Int()
 	}
 	return err
+}
+
+// keepStrings copies the record's string columns out of the line they
+// view, all seven into one allocation. "-1", the usual value, becomes
+// the constant and costs none.
+func (r *Record) keepStrings() {
+	fields := [...]*string{&r.Structure, &r.StructureParams, &r.UsedResources,
+		&r.ReqPlatform, &r.ReqResources, &r.VO, &r.Project}
+	var buf [128]byte
+	text := buf[:0]
+	for _, f := range fields {
+		if *f == missingStr {
+			*f = missingStr
+		} else {
+			text = append(text, *f...)
+		}
+	}
+	if len(text) == 0 {
+		return
+	}
+	kept := string(text)
+	for _, f := range fields {
+		if *f != missingStr {
+			*f, kept = kept[:len(*f)], kept[len(*f):]
+		}
+	}
 }
 
 func strField(s string) string {

@@ -87,3 +87,29 @@ func TestTooLongLineIsParseError(t *testing.T) {
 		t.Fatalf("Reader err = %v, want *ParseError at line 2", err)
 	}
 }
+
+// TestStringFieldsOutliveTheLine: records are parsed in the scanner's
+// buffer, which later lines overwrite once the input outgrows it. The
+// string columns and directives a record or the header kept must still
+// read as they were after the rest of the archive has been scanned.
+func TestStringFieldsOutliveTheLine(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("# Note: kept from the header\n")
+	sb.WriteString("1 0 -1 60 1 -1 -1 1 -1 -1 1 1 1 -1 -1 -1 2 2 UNITARY seq=1 -1 -1 cpu=1 x86 -1 -1 mem=2 voA projA\n")
+	// Well past the scanner's 64 KiB buffer, with other text in every
+	// string column.
+	for sb.Len() < 512*1024 {
+		sb.WriteString("2 0 -1 60 1 -1 -1 1 -1 -1 1 1 1 -1 -1 -1 2 2 BAGOFTASKS zzzzz -1 -1 zzzzz zzz -1 -1 zzzzz zzz zzzzz\n")
+	}
+	r := NewReader(strings.NewReader(sb.String()), Options{})
+	recs := drainReader(t, r)
+	first := recs[0]
+	got := []string{first.Structure, first.StructureParams, first.UsedResources, first.ReqPlatform, first.ReqResources, first.VO, first.Project}
+	want := []string{"UNITARY", "seq=1", "cpu=1", "x86", "mem=2", "voA", "projA"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("first record's string columns read %q after the archive was scanned, want %q", got, want)
+	}
+	if d := r.Directives(); len(d) != 1 || d[0].Key != "Note" || d[0].Value != "kept from the header" {
+		t.Fatalf("directives read %+v after the archive was scanned", d)
+	}
+}

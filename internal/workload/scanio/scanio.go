@@ -23,6 +23,12 @@
 // *TooLongError carrying the offending line number (and unwrapping to
 // bufio.ErrTooLong), instead of the bare, position-free scanner
 // error; a Reader reports it as a ParseError.
+//
+// A record line is parsed in the scanner's buffer, without a copy: a
+// column's text (Column.Tok) is a view of the line, valid only while
+// the Dialect's Column function runs. What outlives the line is
+// copied: directive keys and values here, and any text column a
+// dialect keeps in its record.
 package scanio
 
 import (
@@ -33,6 +39,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 const (
@@ -68,21 +75,28 @@ func New(r io.Reader) *Scanner {
 	return &Scanner{sc: sc}
 }
 
-// Next returns the next line and its number. It returns io.EOF when
+// Next returns the next line and its number. The line is the
+// scanner's buffer, valid until the next call. It returns io.EOF when
 // the input is exhausted, a *TooLongError for an over-long line, and
 // the underlying reader's error otherwise.
-func (s *Scanner) Next() (text string, line int, err error) {
+func (s *Scanner) Next() (text []byte, line int, err error) {
 	if s.sc.Scan() {
 		s.line++
-		return s.sc.Text(), s.line, nil
+		return s.sc.Bytes(), s.line, nil
 	}
 	if err := s.sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
-			return "", s.line + 1, &TooLongError{Line: s.line + 1}
+			return nil, s.line + 1, &TooLongError{Line: s.line + 1}
 		}
-		return "", s.line + 1, err
+		return nil, s.line + 1, err
 	}
-	return "", s.line, io.EOF
+	return nil, s.line, io.EOF
+}
+
+// view is b read as a string in place, without a copy. It is valid as
+// long as b is: until the scanner reads the next line.
+func view(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // Fields splits s around runs of ASCII whitespace into dst and
@@ -187,7 +201,9 @@ func (e *ParseError) Error() string {
 type Column struct {
 	// Index is the 0-based column number.
 	Index int
-	// Tok is the column's text; a column the line lacks reads "-1".
+	// Tok is the column's text; a column the line lacks reads "-1". It
+	// is a view of the scanner's buffer, valid only during the Column
+	// call: a dialect that keeps it in the record copies it.
 	Tok string
 
 	line   int
@@ -280,11 +296,11 @@ func (d *Dialect[R]) NewReader(r io.Reader, opts Options) *Reader[R] {
 func (r *Reader[R]) Next() (R, error) {
 	var zero R
 	for {
-		text, line, err := r.sc.Next()
+		b, line, err := r.sc.Next()
 		if err != nil {
 			return zero, r.readErr(err)
 		}
-		text = strings.TrimSpace(text)
+		text := strings.TrimSpace(view(b))
 		switch {
 		case text == "":
 			continue
@@ -341,7 +357,8 @@ func (r *Reader[R]) parseRecord(text string, line int) error {
 }
 
 // parseDirective splits a `<marker> Key: value` comment. Comment lines
-// without a colon, or with an empty key, are not directives.
+// without a colon, or with an empty key, are not directives. The key
+// and the value are copied out of text, which is a view of the line.
 func parseDirective(text, marker string) (Directive, bool) {
 	body := strings.TrimSpace(strings.TrimLeft(text, marker))
 	i := strings.Index(body, ":")
@@ -354,7 +371,7 @@ func parseDirective(text, marker string) (Directive, bool) {
 		// colon later in running text is not a directive.
 		return Directive{}, false
 	}
-	return Directive{Key: key, Value: strings.TrimSpace(body[i+1:])}, true
+	return Directive{Key: strings.Clone(key), Value: strings.Clone(strings.TrimSpace(body[i+1:]))}, true
 }
 
 // Parse reads a whole archive; it is the collect-all wrapper over

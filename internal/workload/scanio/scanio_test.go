@@ -19,7 +19,7 @@ func TestNextCountsLines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("line %d: %v", w.line, err)
 		}
-		if text != w.text || line != w.line {
+		if string(text) != w.text || line != w.line {
 			t.Fatalf("got %q line %d, want %q line %d", text, line, w.text, w.line)
 		}
 	}

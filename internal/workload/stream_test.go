@@ -394,22 +394,27 @@ func TestTraceReaderNoReorderWindow(t *testing.T) {
 	}
 }
 
-// Ingest must stay frugal: the reorder heap, record parsing and user
-// interning together spend about one allocation per record (the line
-// string), in both formats. The ceiling catches accidental per-record
-// garbage (maps, boxed heap entries or records, per-line scratch,
-// un-interned strings) sneaking back in.
+// Ingest must stay frugal. An SWF record line is parsed in the
+// scanner's buffer, so the reorder heap, record parsing and user
+// interning spend nothing per record: a 2000-record pass costs the 25
+// allocations of the reader's own setup, 0.0125 per record. A GWF
+// record keeps its string columns, copied out of the line in one
+// allocation, about one per record; its ceiling is 2. The ceilings
+// catch accidental per-record garbage (maps, boxed heap entries or
+// records, per-line scratch, line copies, un-interned strings) sneaking
+// back in.
 func TestTraceReaderAllocsPerRecord(t *testing.T) {
 	const n = 2000
 	for _, f := range []struct {
-		name   string
-		format TraceFormat
-		line   func(id, submit int64) string
+		name    string
+		format  TraceFormat
+		line    func(id, submit int64) string
+		ceiling float64
 	}{
-		{"swf", FormatSWF, swfLine},
+		{"swf", FormatSWF, swfLine, 25.0 / n},
 		{"gwf", FormatGWF, func(id, submit int64) string {
 			return fmt.Sprintf("%d %d -1 60 1 -1 -1 1 -1 -1 1 %d 1 -1 -1 -1 2 2 UNITARY -1 -1 -1 -1 -1 -1 -1 -1 vo0 p1\n", id, submit, id%3)
-		}},
+		}, 2},
 	} {
 		var sb strings.Builder
 		for i := int64(0); i < n; i++ {
@@ -424,8 +429,8 @@ func TestTraceReaderAllocsPerRecord(t *testing.T) {
 				}
 			}
 		})
-		if perRec := avg / n; perRec > 2 {
-			t.Fatalf("%s ingest allocates %.2f per record, ceiling 2", f.name, perRec)
+		if perRec := avg / n; perRec > f.ceiling {
+			t.Fatalf("%s ingest allocates %.4f per record, ceiling %.4f", f.name, perRec, f.ceiling)
 		}
 	}
 }

@@ -43,7 +43,6 @@ var keptSurface = map[string]string{
 	"internal/jdl.Expr.EvalNumber":                 "reference: the AST interpreter the compiled predicates are held to",
 	"internal/metrics.Series.Values":               "seam: experiments' golden-hash test hashes Figure 8's samples",
 	"internal/netsim.Loopback":                     "seam: console, core and baseline tests and the root benchmarks run on a zero-latency net",
-	"internal/simclock.Trigger.Registered":         "seam: broker's retention test checks a finished job leaves no waiter behind",
 	"internal/vmslot.Machine.Runnable":             "seam: batch's kill test checks a killed job leaves no run on the CPU",
 	"internal/vmslot.Slot.Tickets":                 "seam: glidein's degree test checks the batch VM gets its share back",
 	"internal/workload/gwf.Format":                 "reference: the canonical serialization the fuzz round trips compare",
