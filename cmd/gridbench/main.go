@@ -187,7 +187,7 @@ func realMain(args []string, stderr io.Writer) int {
 	}
 
 	if o.fetch != "" {
-		path, err := workload.Fetch(o.fetch, workload.FetchOptions{})
+		path, err := workload.Fetch(o.fetch)
 		if err != nil {
 			fmt.Fprintf(stderr, "gridbench: -fetch: %v\n", err)
 			return 1

@@ -89,10 +89,10 @@ func summarize(j *jdl.Job) string {
 		b.WriteByte('\n')
 	}
 	if j.Requirements != nil {
-		fmt.Fprintf(&b, "requires   : %s\n", j.Requirements.JDL())
+		fmt.Fprintf(&b, "requires   : %s\n", j.Requirements.Node)
 	}
 	if j.Rank != nil {
-		fmt.Fprintf(&b, "rank       : %s\n", j.Rank.JDL())
+		fmt.Fprintf(&b, "rank       : %s\n", j.Rank.Node)
 	}
 	if len(j.InputFiles) > 0 {
 		fmt.Fprintf(&b, "inputs     : %s\n", strings.Join(j.InputFiles, ", "))

@@ -59,9 +59,9 @@ type Config struct {
 	// PerBlock is the endpoint processing cost charged per block
 	// (crypto, protocol handling).
 	PerBlock time.Duration
-	// StopAndWait makes the sender wait for an application-level ack
+	// stopAndWait makes the sender wait for an application-level ack
 	// after every block (the Glogin bulk path).
-	StopAndWait bool
+	stopAndWait bool
 }
 
 // NewSSH establishes an ssh-like session across nw. The addr must be
@@ -81,7 +81,7 @@ func NewGlogin(nw *netsim.Net, addr string) (*Channel, error) {
 	return newChannel(nw, addr, Config{
 		BlockSize:   1024,
 		PerBlock:    300 * time.Microsecond,
-		StopAndWait: true,
+		stopAndWait: true,
 	})
 }
 
@@ -175,7 +175,7 @@ func (e *endpoint) readLoop() {
 			e.readBuf = append(e.readBuf, data...)
 			e.cond.Broadcast()
 			e.mu.Unlock()
-			if e.cfg.StopAndWait {
+			if e.cfg.stopAndWait {
 				e.writeFrame(frameAck, nil)
 			}
 		case frameAck:
@@ -229,7 +229,7 @@ func (e *endpoint) Write(p []byte) (int, error) {
 		if err := e.writeFrame(frameData, p[:n]); err != nil {
 			return total, err
 		}
-		if e.cfg.StopAndWait {
+		if e.cfg.stopAndWait {
 			e.mu.Lock()
 			for e.acks == ackWait && e.err == nil && !e.closed {
 				e.cond.Wait()

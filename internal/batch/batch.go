@@ -273,9 +273,9 @@ func (q *Queue) Stall(d time.Duration) {
 	}
 }
 
-// Stalled reports whether the LRM is currently inside an injected
+// stalled reports whether the LRM is currently inside an injected
 // stall window.
-func (q *Queue) Stalled() bool { return q.sim.Now().Before(q.stalledUntil) }
+func (q *Queue) stalled() bool { return q.sim.Now().Before(q.stalledUntil) }
 
 // CrashAll models the site's worker pool dying with its gatekeeper:
 // every pending job is dropped as Killed, including uncommitted
@@ -316,7 +316,7 @@ func (q *Queue) CrashAll() {
 // jobs, as in a plain FCFS PBS configuration; an elastic queue boots
 // the head job's deficit while it waits.
 func (q *Queue) pass() {
-	if q.Stalled() {
+	if q.stalled() {
 		if len(q.pending) > 0 {
 			q.schedulePass()
 		}

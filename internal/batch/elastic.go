@@ -20,9 +20,10 @@ type ElasticConfig struct {
 	// ColdStartJitter adds a seeded uniform extra in [0, Jitter] to
 	// each boot (default 0: deterministic cold starts).
 	ColdStartJitter time.Duration
-	// WarmWindow is how long a freed node stays provisioned waiting
-	// for reuse before scale-down reclaims it (default 5m).
-	WarmWindow time.Duration
+	// warmWindow is how long a freed node stays provisioned waiting
+	// for reuse before scale-down reclaims it (default 5m, which every
+	// production site uses; tests shorten it).
+	warmWindow time.Duration
 	// Seed drives the cold-start jitter stream.
 	Seed int64
 }
@@ -34,8 +35,8 @@ func (c *ElasticConfig) setDefaults() {
 	if c.ColdStart <= 0 {
 		c.ColdStart = 45 * time.Second
 	}
-	if c.WarmWindow <= 0 {
-		c.WarmWindow = 5 * time.Minute
+	if c.warmWindow <= 0 {
+		c.warmWindow = 5 * time.Minute
 	}
 }
 
@@ -116,7 +117,7 @@ func (q *Queue) noteIdle(n *Node) {
 	now := q.sim.Now()
 	q.idleAt[n] = now
 	gen := q.gen
-	q.sim.AfterFunc(q.elastic.WarmWindow, func() {
+	q.sim.AfterFunc(q.elastic.warmWindow, func() {
 		if gen != q.gen {
 			return
 		}

@@ -17,7 +17,7 @@ func TestElasticColdStartThenWarmReuse(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	p := newPool(sim, ElasticConfig{
 		MaxNodes: 2, ColdStart: 45 * time.Second,
-		WarmWindow: 5 * time.Minute,
+		warmWindow: 5 * time.Minute,
 	})
 	start := sim.Now()
 	var firstStart, secondStart time.Duration
@@ -48,7 +48,7 @@ func TestElasticScaleDownReclaim(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	p := newPool(sim, ElasticConfig{
 		MaxNodes: 3, ColdStart: 30 * time.Second,
-		WarmWindow: 2 * time.Minute,
+		warmWindow: 2 * time.Minute,
 	})
 	p.Submit(Request{ID: "a", Nodes: 1, RunCB: sleepCB(10 * time.Second)})
 	sim.RunFor(time.Minute)
@@ -76,7 +76,7 @@ func TestElasticWarmReuseResetsReclaimTimer(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	p := newPool(sim, ElasticConfig{
 		MaxNodes: 1, ColdStart: 30 * time.Second,
-		WarmWindow: 1 * time.Minute,
+		warmWindow: 1 * time.Minute,
 	})
 	p.Submit(Request{ID: "a", Nodes: 1, RunCB: sleepCB(50 * time.Second)})
 	sim.Run()
@@ -106,7 +106,7 @@ func TestElasticCrashAllKillsAndDeprovisions(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	p := newPool(sim, ElasticConfig{
 		MaxNodes: 2, ColdStart: 20 * time.Second,
-		WarmWindow: 5 * time.Minute,
+		warmWindow: 5 * time.Minute,
 	})
 	var killedOrder []string
 	mk := func(id string) Request {
@@ -158,7 +158,7 @@ func TestElasticCrashDuringBoot(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	p := newPool(sim, ElasticConfig{
 		MaxNodes: 1, ColdStart: 30 * time.Second,
-		WarmWindow: time.Minute,
+		warmWindow: time.Minute,
 	})
 	h, _ := p.Submit(Request{ID: "a", Nodes: 1, RunCB: doneCB})
 	sim.RunFor(10 * time.Second) // boot in flight
@@ -184,7 +184,7 @@ func TestElasticSeededJitterDeterministic(t *testing.T) {
 		sim := simclock.NewSim(time.Time{})
 		p := newPool(sim, ElasticConfig{
 			MaxNodes: 1, ColdStart: 30 * time.Second, ColdStartJitter: 10 * time.Second,
-			WarmWindow: time.Minute, Seed: 7,
+			warmWindow: time.Minute, Seed: 7,
 		})
 		start := sim.Now()
 		var at time.Duration
@@ -204,7 +204,7 @@ func TestElasticSeededJitterDeterministic(t *testing.T) {
 
 func TestElasticCapacityValidation(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
-	p := newPool(sim, ElasticConfig{MaxNodes: 2, ColdStart: time.Second, WarmWindow: time.Minute})
+	p := newPool(sim, ElasticConfig{MaxNodes: 2, ColdStart: time.Second, warmWindow: time.Minute})
 	if _, err := p.Submit(Request{ID: "x", Nodes: 3, RunCB: doneCB}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("oversized job: err = %v, want ErrBadRequest", err)
 	}
@@ -242,12 +242,12 @@ func TestElasticBackendInfo(t *testing.T) {
 func TestElasticStallDelaysScheduling(t *testing.T) {
 	sim := simclock.NewSim(time.Time{})
 	p := newPool(sim, ElasticConfig{
-		MaxNodes: 1, ColdStart: 10 * time.Second, WarmWindow: time.Minute,
+		MaxNodes: 1, ColdStart: 10 * time.Second, warmWindow: time.Minute,
 	})
 	start := sim.Now()
 	var at time.Duration
 	p.Stall(30 * time.Second)
-	if !p.Stalled() {
+	if !p.stalled() {
 		t.Fatal("not stalled after Stall")
 	}
 	p.Submit(Request{ID: "a", Nodes: 1, RunCB: runCB(func() { at = sim.Since(start) })})

@@ -27,7 +27,7 @@ var supplies = []struct {
 			ColdStart:       time.Duration(5+rng.Intn(25)) * time.Second,
 			ColdStartJitter: time.Duration(rng.Intn(10)) * time.Second,
 			// Some windows close before a job on a reused node ends.
-			WarmWindow: time.Duration(10+rng.Intn(110)) * time.Second,
+			warmWindow: time.Duration(10+rng.Intn(110)) * time.Second,
 			Seed:       rng.Int63(),
 		}, nil, WithCycle(time.Second))
 	}},

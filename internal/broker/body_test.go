@@ -120,7 +120,7 @@ func runBodyFaults(t *testing.T) ([]byte, map[string]*Handle, map[string]int) {
 	if n := g.b.PendingBatch(); n != 0 {
 		t.Errorf("%d jobs still queued in the broker", n)
 	}
-	events := tr.Events()
+	events := tr.Snapshot("").Events
 	if v := trace.CheckComplete(events); len(v) != 0 {
 		t.Errorf("trace invariant violations: %v", v)
 	}

@@ -171,14 +171,16 @@ type Config struct {
 	// broker notices a dead agent one heartbeat after the loss and
 	// kill-and-resubmits the hosted interactive job (default 10 s).
 	AgentHeartbeat time.Duration
-	// PageSize bounds how many registry records one discovery page
+	// pageSize bounds how many registry records one discovery page
 	// carries: matchmaking streams the information system page by
 	// page instead of materializing one flat snapshot of every site.
-	// 0 or less (the default) uses infosys.DefaultPageSize.
-	PageSize int
+	// 0 or less (the default, and every production grid) uses
+	// infosys.DefaultPageSize; tests set small pages to cross page
+	// boundaries.
+	pageSize int
 	// TopK bounds the candidate set a matchmaking pass keeps: only the
 	// K best sites by published-state rank are held, probed and
-	// re-ranked, so per-pass memory is O(PageSize + TopK) no matter how
+	// re-ranked, so per-pass memory is O(page size + TopK) no matter how
 	// many sites match. 0 (the default) keeps every match.
 	TopK int
 	// Data is the grid's replica catalog. When set, jobs with

@@ -3,6 +3,7 @@ package broker
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func dataJob(t *testing.T, names []string) *jdl.Job {
 		if i > 0 {
 			list += ", "
 		}
-		list += jdl.String(n).JDL()
+		list += strconv.Quote(n)
 	}
 	job, err := jdl.ParseJob(`
 Executable   = "iapp";
@@ -79,11 +80,11 @@ func TestDataAwareEquivalentAcrossPaths(t *testing.T) {
 		}
 	}
 	t.Run("streamed", func(t *testing.T) {
-		sim, b := equivGrid(Config{Seed: seed, PageSize: 4, Data: cat, DataAware: true}, 8)
+		sim, b := equivGrid(Config{Seed: seed, pageSize: 4, Data: cat, DataAware: true}, 8)
 		check(t, runMatchPass(t, sim, b, job))
 	})
 	t.Run("streamed/topk=all", func(t *testing.T) {
-		sim, b := equivGrid(Config{Seed: seed, PageSize: 3, TopK: 64, Data: cat, DataAware: true}, 8)
+		sim, b := equivGrid(Config{Seed: seed, pageSize: 3, TopK: 64, Data: cat, DataAware: true}, 8)
 		check(t, runMatchPass(t, sim, b, job))
 	})
 	t.Run("incremental", func(t *testing.T) {
@@ -175,7 +176,7 @@ func TestDataAwarePlacementOptimality(t *testing.T) {
 		}
 		job := dataJob(t, names)
 
-		sim, b := equivGrid(Config{Seed: 2006, PageSize: 4, Data: cat, DataAware: true}, 8)
+		sim, b := equivGrid(Config{Seed: 2006, pageSize: 4, Data: cat, DataAware: true}, 8)
 		cands := runMatchPass(t, sim, b, job)
 		if len(cands) == 0 {
 			t.Fatalf("trial %d: no candidates despite replicated datasets", trial)
@@ -265,7 +266,7 @@ func TestDataStagingChargedAtSubmit(t *testing.T) {
 		if h.State() != Done {
 			t.Fatalf("aware=%v: state = %v err = %v", aware, h.State(), h.Err())
 		}
-		for _, e := range tr.Events() {
+		for _, e := range tr.Snapshot("").Events {
 			if e.Kind == trace.DataStaged {
 				staged = append(staged, e)
 			}

@@ -221,7 +221,7 @@ func (b *Broker) evaluate(job *jdl.Job, req, rank *jdl.Compiled, vals []any, nam
 // the registry (a poll of the delta subscription, or a discovery
 // query); both end in a cursor, and every step after it exists once.
 // With TopK > 0 only the K best candidates by published-state rank are
-// held (heap), so the pass keeps O(PageSize + K) state no matter how
+// held (heap), so the pass keeps O(page size + K) state no matter how
 // many sites match; with TopK <= 0 every match is kept. Survivors are
 // probed and re-ranked on fresh state by finishSelection.
 //
@@ -269,7 +269,7 @@ type pass struct {
 // discover is the discovery query's answer: a cursor over the index as
 // it stands now.
 func (m *pass) discover() {
-	m.selectFrom(m.b.cfg.Info.DiscoverImmediate(m.b.cfg.PageSize))
+	m.selectFrom(m.b.cfg.Info.DiscoverImmediate(m.b.cfg.pageSize))
 }
 
 // pinned is the delta poll's answer: a cursor over the shard snapshots
@@ -277,7 +277,7 @@ func (m *pass) discover() {
 func (m *pass) pinned() {
 	b := m.b
 	m.h.matchEpoch = b.sub.applied
-	m.selectFrom(infosys.PinnedCursor(b.sub.pins, b.cfg.PageSize))
+	m.selectFrom(infosys.PinnedCursor(b.sub.pins, b.cfg.pageSize))
 }
 
 // selectFrom runs once the read has landed: the scan keeps the best

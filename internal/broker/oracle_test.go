@@ -447,9 +447,9 @@ func TestMatchPipelineAgreesWithOracle(t *testing.T) {
 			}
 			arms := []arm{
 				{"oracle", with(Config{}, 1, nil, true, false)},
-				{"scan", with(Config{PageSize: page}, shards, nil, false, false)},
-				{"delta", with(Config{PageSize: page}, shards, subscribable(depth), false, false)},
-				{"classes", with(Config{PageSize: page}, shards, nil, false, true)},
+				{"scan", with(Config{pageSize: page}, shards, nil, false, false)},
+				{"delta", with(Config{pageSize: page}, shards, subscribable(depth), false, false)},
+				{"classes", with(Config{pageSize: page}, shards, nil, false, true)},
 			}
 			want := arms[0].run()
 			for _, a := range arms[1:] {

@@ -267,7 +267,7 @@ func TestQueuedAgentKillResubmitsBatch(t *testing.T) {
 		t.Fatalf("state = %v after %d resubmissions (err %v), want done after 1", h.State(), h.Resubmissions(), h.Err())
 	}
 	started := 0
-	for _, e := range tr.Events() {
+	for _, e := range tr.Snapshot("").Events {
 		if e.Job == h.ID && e.Kind == trace.Started {
 			started++
 		}

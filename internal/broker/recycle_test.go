@@ -68,7 +68,7 @@ func runUntilTerminal(t *testing.T, g *grid, h *Handle) {
 func checkRecycled(t *testing.T, g *grid, tr *trace.Tracer) {
 	t.Helper()
 	g.sim.RunFor(3 * time.Hour)
-	if v := trace.CheckComplete(tr.Events()); len(v) != 0 {
+	if v := trace.CheckComplete(tr.Snapshot("").Events); len(v) != 0 {
 		t.Errorf("trace invariant violations: %v", v)
 	}
 	for i, p := range g.b.placements {
@@ -91,7 +91,7 @@ func wantDone(t *testing.T, tr *trace.Tracer, h *Handle, resub int) {
 		t.Errorf("%s: %v after %d resubmissions (err %v), want done after %d", h.ID, h.State(), h.Resubmissions(), h.Err(), resub)
 	}
 	lost := 0
-	for _, e := range tr.Events() {
+	for _, e := range tr.Snapshot("").Events {
 		if e.Job == h.ID && e.Kind == trace.HeartbeatLost {
 			lost++
 		}

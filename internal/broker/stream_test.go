@@ -113,7 +113,7 @@ func TestStreamEquivalentToSnapshotPass(t *testing.T) {
 		{"dataaware/empty-catalog/topk=all", 8, 5, 64, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Seed: seed, PageSize: tc.pg, TopK: tc.topk}
+			cfg := Config{Seed: seed, pageSize: tc.pg, TopK: tc.topk}
 			if tc.data {
 				cfg.Data = datacat.New(datacat.NewLinks(netsim.CampusGrid()))
 				cfg.DataAware = true
@@ -142,7 +142,7 @@ func TestStreamTopKBoundsCandidates(t *testing.T) {
 	sim, ref := equivGrid(Config{Seed: seed}, 1)
 	want := runMatchPass(t, sim, useOracle(ref), job)
 
-	sim, b := equivGrid(Config{Seed: seed, PageSize: 4, TopK: k}, 8)
+	sim, b := equivGrid(Config{Seed: seed, pageSize: 4, TopK: k}, 8)
 	h := &Handle{request: Request{Job: job}}
 	var got []candidate
 	done := false
@@ -210,8 +210,8 @@ func TestStreamedRunsMatchSnapshotRuns(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"stream/topk=0", Config{Seed: 99, PageSize: 3}},
-		{"stream/topk=all", Config{Seed: 99, PageSize: 3, TopK: 100}},
+		{"stream/topk=0", Config{Seed: 99, pageSize: 3}},
+		{"stream/topk=all", Config{Seed: 99, pageSize: 3, TopK: 100}},
 	} {
 		if got := scenario(tc.cfg, false); got != ref {
 			t.Fatalf("%s diverged from the whole-snapshot run:\n  streamed:  %+v\n  reference: %+v",

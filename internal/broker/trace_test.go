@@ -86,7 +86,7 @@ func TestTraceExclusiveHappyPath(t *testing.T) {
 	if h.State() != Done {
 		t.Fatalf("state = %v err = %v", h.State(), h.Err())
 	}
-	events := tr.Events()
+	events := tr.Snapshot("").Events
 	assertOrdered(t, events, h.ID, []trace.Kind{
 		trace.Submitted, trace.Matched, trace.LeaseAcquired, trace.CommitSent,
 		trace.Committed, trace.Started, trace.Done, trace.LeaseReleased,
@@ -121,7 +121,7 @@ func TestTraceBatchViaAgent(t *testing.T) {
 	if h.State() != Done {
 		t.Fatalf("state = %v err = %v", h.State(), h.Err())
 	}
-	events := tr.Events()
+	events := tr.Snapshot("").Events
 	assertOrdered(t, events, h.ID, []trace.Kind{
 		trace.Submitted, trace.Matched, trace.Started, trace.Done,
 	})
@@ -150,7 +150,7 @@ func TestTraceCrashRecovery(t *testing.T) {
 		if !h.State().Terminal() {
 			t.Fatalf("off=%v: job not terminal: %v", off, h.State())
 		}
-		events := tr.Events()
+		events := tr.Snapshot("").Events
 		if v := trace.CheckComplete(events); len(v) != 0 {
 			t.Fatalf("off=%v: invariant violations: %v", off, v)
 		}
@@ -189,7 +189,7 @@ func TestTraceQuarantineEvents(t *testing.T) {
 		t.Fatalf("state = %v err = %v", h.State(), h.Err())
 	}
 	var quarantined bool
-	for _, e := range tr.Events() {
+	for _, e := range tr.Snapshot("").Events {
 		if e.Kind == trace.Quarantined && e.Site == "site00" {
 			quarantined = true
 		}
@@ -197,7 +197,7 @@ func TestTraceQuarantineEvents(t *testing.T) {
 	if !quarantined {
 		t.Fatal("no Quarantined event for the dead site")
 	}
-	if v := trace.Check(tr.Events()); len(v) != 0 {
+	if v := trace.Check(tr.Snapshot("").Events); len(v) != 0 {
 		t.Fatalf("invariant violations: %v", v)
 	}
 }

@@ -45,7 +45,7 @@ type AgentConfig struct {
 type Agent struct {
 	cfg  AgentConfig
 	proc interpose.Process
-	link *Link
+	link *link
 
 	pumps sync.WaitGroup
 	// aux counts the auxiliary pumps that have not sent their EOF yet;
@@ -67,7 +67,7 @@ func StartAgent(cfg AgentConfig, proc interpose.Process) (*Agent, error) {
 	if spillDir == "" {
 		spillDir = os.TempDir()
 	}
-	lcfg := LinkConfig{
+	lcfg := linkConfig{
 		Mode:          cfg.Mode,
 		Subjob:        cfg.Subjob,
 		RetryInterval: cfg.RetryInterval,
@@ -75,15 +75,15 @@ func StartAgent(cfg AgentConfig, proc interpose.Process) (*Agent, error) {
 		DiskCost:      cfg.DiskCost,
 		SpillPath:     filepath.Join(spillDir, fmt.Sprintf("ca-spill-%d-%d.log", os.Getpid(), cfg.Subjob)),
 	}
-	link, err := NewDialLink(lcfg, cfg.Dial, a.receive, a.linkFailed)
+	link, err := newDialLink(lcfg, cfg.Dial, a.receive, a.linkFailed)
 	if err != nil {
 		return nil, err
 	}
 	a.link = link
-	link.Start()
+	link.start()
 
-	outBuf := newFlushBuffer(outputBufferSize, cfg.FlushInterval, func(b []byte) { link.Send(Stdout, b) })
-	errBuf := newFlushBuffer(outputBufferSize, cfg.FlushInterval, func(b []byte) { link.Send(Stderr, b) })
+	outBuf := newFlushBuffer(outputBufferSize, cfg.FlushInterval, func(b []byte) { link.send(stdout, b, false) })
+	errBuf := newFlushBuffer(outputBufferSize, cfg.FlushInterval, func(b []byte) { link.send(stderr, b, false) })
 
 	// Auxiliary output channels ("transparent streaming of other IO
 	// traffic"): each gets its own buffer and stream id.
@@ -93,8 +93,8 @@ func StartAgent(cfg AgentConfig, proc interpose.Process) (*Agent, error) {
 	}
 	auxBufs := make([]*flushBuffer, len(auxReaders))
 	for i := range auxReaders {
-		stream := Aux(i)
-		auxBufs[i] = newFlushBuffer(outputBufferSize, cfg.FlushInterval, func(b []byte) { link.Send(stream, b) })
+		stream := aux(i)
+		auxBufs[i] = newFlushBuffer(outputBufferSize, cfg.FlushInterval, func(b []byte) { link.send(stream, b, false) })
 	}
 
 	a.pumps.Add(2 + len(auxReaders))
@@ -106,11 +106,11 @@ func StartAgent(cfg AgentConfig, proc interpose.Process) (*Agent, error) {
 		// only loses data during genuine outages. The application may
 		// block on a full stdio pipe meanwhile, exactly as under the
 		// paper's interposition library.
-		link.WaitConnected()
-		go a.pump(proc.Stdout(), outBuf, Stdout)
-		go a.pump(proc.Stderr(), errBuf, Stderr)
+		link.waitConnected()
+		go a.pump(proc.Stdout(), outBuf, stdout)
+		go a.pump(proc.Stderr(), errBuf, stderr)
 		for i, r := range auxReaders {
-			go a.pump(r, auxBufs[i], Aux(i))
+			go a.pump(r, auxBufs[i], aux(i))
 		}
 	}()
 
@@ -123,7 +123,7 @@ func StartAgent(cfg AgentConfig, proc interpose.Process) (*Agent, error) {
 // the stdout and stderr EOFs alone, so those two wait until every
 // auxiliary stream has flushed and sent its own: the link is ordered,
 // so the shadow then holds every channel's data when it completes.
-func (a *Agent) pump(r io.Reader, buf *flushBuffer, stream Stream) {
+func (a *Agent) pump(r io.Reader, buf *flushBuffer, stream stream) {
 	defer a.pumps.Done()
 	chunk := make([]byte, 32<<10)
 	for {
@@ -132,21 +132,21 @@ func (a *Agent) pump(r io.Reader, buf *flushBuffer, stream Stream) {
 			buf.Write(chunk[:n])
 		}
 		if err != nil {
-			buf.Close()
-			if stream.IsAux() {
+			buf.close()
+			if stream.isAux() {
 				defer a.aux.Done()
 			} else {
 				a.aux.Wait()
 			}
-			a.link.SendEOF(stream)
+			a.link.send(stream, nil, true)
 			return
 		}
 	}
 }
 
 // receive handles stdin data arriving from the shadow.
-func (a *Agent) receive(stream Stream, data []byte, eof bool) {
-	if stream != Stdin {
+func (a *Agent) receive(stream stream, data []byte, eof bool) {
+	if stream != stdin {
 		return
 	}
 	a.mu.Lock()
@@ -179,7 +179,7 @@ func (a *Agent) linkFailed(err error) {
 func (a *Agent) run() {
 	a.waitErr = a.proc.Wait()
 	a.pumps.Wait()
-	a.link.WaitDrained(30 * time.Second)
+	a.link.waitDrained(30 * time.Second)
 	a.link.Close()
 	close(a.done)
 }

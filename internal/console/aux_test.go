@@ -227,11 +227,11 @@ func TestAuxAbsentWithoutSink(t *testing.T) {
 }
 
 func TestStreamAuxHelpers(t *testing.T) {
-	s := Aux(2)
-	if !s.IsAux() || s.AuxIndex() != 2 || s.String() != "aux2" {
-		t.Fatalf("aux helpers: %v %v %q", s.IsAux(), s.AuxIndex(), s.String())
+	s := aux(2)
+	if !s.isAux() || s.auxIndex() != 2 || s.String() != "aux2" {
+		t.Fatalf("aux helpers: %v %v %q", s.isAux(), s.auxIndex(), s.String())
 	}
-	if Stdout.IsAux() {
+	if stdout.isAux() {
 		t.Fatal("stdout marked aux")
 	}
 }

@@ -81,8 +81,8 @@ func (b *flushBuffer) Flush() {
 	b.mu.Unlock()
 }
 
-// Close flushes and disables the buffer.
-func (b *flushBuffer) Close() {
+// close flushes and disables the buffer.
+func (b *flushBuffer) close() {
 	b.mu.Lock()
 	b.flushLocked()
 	b.closed = true

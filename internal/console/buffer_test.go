@@ -73,7 +73,7 @@ func TestCloseFlushesRemainder(t *testing.T) {
 	var c collector
 	b := newFlushBuffer(1<<20, time.Hour, c.sink)
 	b.Write([]byte("tail"))
-	b.Close()
+	b.close()
 	if string(c.all()) != "tail" {
 		t.Fatalf("flushes = %q", c.all())
 	}
@@ -83,7 +83,7 @@ func TestNoEmptyFlushes(t *testing.T) {
 	var c collector
 	b := newFlushBuffer(1<<20, time.Hour, c.sink)
 	b.Flush()
-	b.Close()
+	b.close()
 	if c.count() != 0 {
 		t.Fatalf("%d empty flushes", c.count())
 	}
@@ -101,7 +101,7 @@ func TestOrderPreservedUnderMixedWrites(t *testing.T) {
 		want.Write(chunk)
 		b.Write(chunk)
 	}
-	b.Close()
+	b.close()
 	if !bytes.Equal(c.all(), want.Bytes()) {
 		t.Fatal("buffered output lost or reordered")
 	}

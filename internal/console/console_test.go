@@ -401,20 +401,20 @@ func TestShadowMergesOutputWithoutCorruption(t *testing.T) {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	msgs := []*Message{
-		{Type: MsgHello, Subjob: 3, Seq: 9},
-		{Type: MsgData, Stream: Stdout, Seq: 1, Data: []byte("payload")},
-		{Type: MsgAck, Seq: 42},
-		{Type: MsgEOF, Stream: Stderr, Seq: 7},
+	msgs := []*message{
+		{Type: msgHello, Subjob: 3, Seq: 9},
+		{Type: msgData, Stream: stdout, Seq: 1, Data: []byte("payload")},
+		{Type: msgAck, Seq: 42},
+		{Type: msgEOF, Stream: stderr, Seq: 7},
 	}
 	var buf bytes.Buffer
 	for _, m := range msgs {
-		if err := WriteMessage(&buf, m); err != nil {
+		if err := writeMessage(&buf, m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, want := range msgs {
-		got, err := ReadMessage(&buf)
+		got, err := readMessage(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,25 +427,25 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 func TestWireRejectsBadFrames(t *testing.T) {
-	if err := WriteMessage(io.Discard, &Message{Type: MsgData, Data: make([]byte, MaxData+1)}); !errors.Is(err, ErrFrameTooLarge) {
+	if err := writeMessage(io.Discard, &message{Type: msgData, Data: make([]byte, MaxData+1)}); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversize write: %v", err)
 	}
 	// Type 0 frame.
 	raw := make([]byte, headerLen)
-	if _, err := ReadMessage(bytes.NewReader(raw)); !errors.Is(err, ErrBadFrame) {
+	if _, err := readMessage(bytes.NewReader(raw)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("bad type: %v", err)
 	}
 	// Truncated frame.
 	var buf bytes.Buffer
-	WriteMessage(&buf, &Message{Type: MsgData, Data: []byte("hello")})
+	writeMessage(&buf, &message{Type: msgData, Data: []byte("hello")})
 	trunc := buf.Bytes()[:buf.Len()-2]
-	if _, err := ReadMessage(bytes.NewReader(trunc)); err == nil {
+	if _, err := readMessage(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }
 
 func TestStreamString(t *testing.T) {
-	if Stdin.String() != "stdin" || Stdout.String() != "stdout" || Stderr.String() != "stderr" {
+	if stdin.String() != "stdin" || stdout.String() != "stdout" || stderr.String() != "stderr" {
 		t.Fatal("stream names wrong")
 	}
 }

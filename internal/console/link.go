@@ -14,11 +14,11 @@ import (
 // reconnection budget; per the paper the process is then killed.
 var ErrLinkFailed = errors.New("console: link failed permanently")
 
-// ErrLinkClosed is returned by Send after Close.
+// ErrLinkClosed is returned by send after Close.
 var ErrLinkClosed = errors.New("console: link closed")
 
-// LinkConfig configures one agent<->shadow link endpoint.
-type LinkConfig struct {
+// linkConfig configures one agent<->shadow link endpoint.
+type linkConfig struct {
 	// Mode selects fast or reliable streaming.
 	Mode jdl.StreamingMode
 	// Subjob identifies this agent's subjob in Hello messages (agents
@@ -39,7 +39,7 @@ type LinkConfig struct {
 	DiskCost time.Duration
 }
 
-func (c *LinkConfig) setDefaults() {
+func (c *linkConfig) setDefaults() {
 	if c.RetryInterval <= 0 {
 		c.RetryInterval = 500 * time.Millisecond
 	}
@@ -51,23 +51,23 @@ func (c *LinkConfig) setDefaults() {
 // handshakeTimeout bounds the Hello exchange on a fresh connection.
 const handshakeTimeout = 5 * time.Second
 
-// Receiver consumes data arriving on a link. eof marks the end of the
+// receiver consumes data arriving on a link. eof marks the end of the
 // given stream.
-type Receiver func(stream Stream, data []byte, eof bool)
+type receiver func(stream stream, data []byte, eof bool)
 
-// Link is one endpoint of the agent<->shadow channel. A dial-side link
+// link is one endpoint of the agent<->shadow channel. A dial-side link
 // (the Console Agent's) owns connection establishment and the retry
 // loop; an accept-side link (the shadow's, one per subjob) is handed
 // fresh connections by the shadow's accept loop.
-type Link struct {
-	cfg  LinkConfig
+type link struct {
+	cfg  linkConfig
 	dial func() (net.Conn, error) // nil on the accept side
 
 	mu       sync.Mutex
 	conn     net.Conn
 	sendSeq  uint64 // fast mode sequence counter
 	recvNext uint64
-	spill    *Spill
+	spill    *spill
 	closed   bool
 	failed   bool
 	retrying bool
@@ -76,53 +76,53 @@ type Link struct {
 	// live connection. EOF is control information the agent knows
 	// authoritatively, so unlike fast-mode data it is re-sent after a
 	// reconnect.
-	pendingEOF map[Stream]bool
+	pendingEOF map[stream]bool
 
-	receiver Receiver
+	receiver receiver
 	onFail   func(error)
 }
 
-// NewDialLink creates the agent-side endpoint. dial must produce a
+// newDialLink creates the agent-side endpoint. dial must produce a
 // ready-to-use connection to the shadow (typically netsim or TCP,
-// already wrapped in GSI). The link connects lazily on Start.
-func NewDialLink(cfg LinkConfig, dial func() (net.Conn, error), recv Receiver, onFail func(error)) (*Link, error) {
+// already wrapped in GSI). The link connects lazily on start.
+func newDialLink(cfg linkConfig, dial func() (net.Conn, error), recv receiver, onFail func(error)) (*link, error) {
 	cfg.setDefaults()
-	l := &Link{cfg: cfg, dial: dial, receiver: recv, onFail: onFail}
+	l := &link{cfg: cfg, dial: dial, receiver: recv, onFail: onFail}
 	if err := l.initSpill(); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// NewAcceptLink creates the shadow-side endpoint for one subjob.
-func NewAcceptLink(cfg LinkConfig, recv Receiver, onFail func(error)) (*Link, error) {
+// newAcceptLink creates the shadow-side endpoint for one subjob.
+func newAcceptLink(cfg linkConfig, recv receiver, onFail func(error)) (*link, error) {
 	cfg.setDefaults()
-	l := &Link{cfg: cfg, receiver: recv, onFail: onFail}
+	l := &link{cfg: cfg, receiver: recv, onFail: onFail}
 	if err := l.initSpill(); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-func (l *Link) initSpill() error {
+func (l *link) initSpill() error {
 	if l.cfg.Mode != jdl.ReliableStreaming {
 		return nil
 	}
 	if l.cfg.SpillPath == "" {
 		return errors.New("console: reliable link needs SpillPath")
 	}
-	sp, err := OpenSpill(l.cfg.SpillPath)
+	sp, err := openSpill(l.cfg.SpillPath)
 	if err != nil {
 		return err
 	}
-	sp.SetDelay(l.cfg.DiskCost)
+	sp.setDelay(l.cfg.DiskCost)
 	l.spill = sp
 	return nil
 }
 
-// Start connects a dial-side link (asynchronously retrying per the
+// start connects a dial-side link (asynchronously retrying per the
 // configuration). It is a no-op on accept-side links.
-func (l *Link) Start() {
+func (l *link) start() {
 	if l.dial == nil {
 		return
 	}
@@ -132,7 +132,7 @@ func (l *Link) Start() {
 }
 
 // startRetryLocked launches the reconnect loop if not already running.
-func (l *Link) startRetryLocked() {
+func (l *link) startRetryLocked() {
 	if l.retrying || l.closed || l.failed || l.dial == nil {
 		return
 	}
@@ -140,7 +140,7 @@ func (l *Link) startRetryLocked() {
 	go l.retryLoop()
 }
 
-func (l *Link) retryLoop() {
+func (l *link) retryLoop() {
 	var lastErr error
 	for attempt := 0; attempt < l.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -189,32 +189,32 @@ func (l *Link) retryLoop() {
 
 // handshakeDial performs the dial-side Hello exchange and installs the
 // connection.
-func (l *Link) handshakeDial(conn net.Conn) error {
+func (l *link) handshakeDial(conn net.Conn) error {
 	l.mu.Lock()
-	hello := &Message{Type: MsgHello, Subjob: l.cfg.Subjob, Seq: l.recvNext}
+	hello := &message{Type: msgHello, Subjob: l.cfg.Subjob, Seq: l.recvNext}
 	l.mu.Unlock()
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	if err := WriteMessage(conn, hello); err != nil {
+	if err := writeMessage(conn, hello); err != nil {
 		return err
 	}
-	peer, err := ReadMessage(conn)
+	peer, err := readMessage(conn)
 	if err != nil {
 		return err
 	}
-	if peer.Type != MsgHello {
+	if peer.Type != msgHello {
 		return fmt.Errorf("%w: expected hello, got type %d", ErrBadFrame, peer.Type)
 	}
 	conn.SetReadDeadline(time.Time{})
 	return l.install(conn, peer)
 }
 
-// Attach installs a connection accepted by the shadow, replying to the
+// attach installs a connection accepted by the shadow, replying to the
 // peer's Hello. It replaces any previous connection.
-func (l *Link) Attach(conn net.Conn, peerHello *Message) error {
+func (l *link) attach(conn net.Conn, peerHello *message) error {
 	l.mu.Lock()
-	hello := &Message{Type: MsgHello, Subjob: l.cfg.Subjob, Seq: l.recvNext}
+	hello := &message{Type: msgHello, Subjob: l.cfg.Subjob, Seq: l.recvNext}
 	l.mu.Unlock()
-	if err := WriteMessage(conn, hello); err != nil {
+	if err := writeMessage(conn, hello); err != nil {
 		conn.Close()
 		return err
 	}
@@ -224,7 +224,7 @@ func (l *Link) Attach(conn net.Conn, peerHello *Message) error {
 // install replaces the live connection, replays unacknowledged data
 // past the peer's receive horizon (reliable mode), and starts the read
 // loop.
-func (l *Link) install(conn net.Conn, peerHello *Message) error {
+func (l *link) install(conn net.Conn, peerHello *message) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -238,26 +238,26 @@ func (l *Link) install(conn net.Conn, peerHello *Message) error {
 	if l.spill != nil {
 		// Everything below the peer's next expected sequence has been
 		// delivered.
-		if err := l.spill.Ack(peerHello.Seq); err != nil {
+		if err := l.spill.ack(peerHello.Seq); err != nil {
 			return err
 		}
-		recs, err := l.spill.Unacked(peerHello.Seq)
+		recs, err := l.spill.unacked(peerHello.Seq)
 		if err != nil {
 			return err
 		}
 		for _, r := range recs {
-			if err := WriteMessage(conn, recordMessage(r)); err != nil {
+			if err := writeMessage(conn, recordMessage(r)); err != nil {
 				// The fresh connection died during replay; the retry
-				// loop (or next Attach) will try again.
+				// loop (or next attach) will try again.
 				l.markDeadLocked(conn)
 				break
 			}
 		}
 	} else {
 		for stream := range l.pendingEOF {
-			m := &Message{Type: MsgEOF, Stream: stream, Subjob: l.cfg.Subjob, Seq: l.sendSeq}
+			m := &message{Type: msgEOF, Stream: stream, Subjob: l.cfg.Subjob, Seq: l.sendSeq}
 			l.sendSeq++
-			if err := WriteMessage(conn, m); err != nil {
+			if err := writeMessage(conn, m); err != nil {
 				l.markDeadLocked(conn)
 				break
 			}
@@ -268,29 +268,21 @@ func (l *Link) install(conn net.Conn, peerHello *Message) error {
 	return nil
 }
 
-func recordMessage(r Record) *Message {
-	m := &Message{Type: MsgData, Stream: r.Stream, Seq: r.Seq, Data: r.Data}
+func recordMessage(r record) *message {
+	m := &message{Type: msgData, Stream: r.Stream, Seq: r.Seq, Data: r.Data}
 	if len(r.Data) == 0 {
-		m.Type = MsgEOF
+		m.Type = msgEOF
 	}
 	return m
 }
 
-// Send transmits data on the given stream. In reliable mode the data
-// is written through the spill file first and Send succeeds even while
-// the network is down (the data will be replayed); in fast mode data
-// is written straight to the connection and silently dropped when the
-// link is down, as the paper specifies.
-func (l *Link) Send(stream Stream, data []byte) error {
-	return l.send(stream, data, false)
-}
-
-// SendEOF marks the end of a stream.
-func (l *Link) SendEOF(stream Stream) error {
-	return l.send(stream, nil, true)
-}
-
-func (l *Link) send(stream Stream, data []byte, eof bool) error {
+// send transmits data on the given stream, or marks its end when eof
+// is set. In reliable mode the data is written through the spill file
+// first and send succeeds even while the network is down (the data
+// will be replayed); in fast mode data is written straight to the
+// connection and silently dropped when the link is down, as the paper
+// specifies.
+func (l *link) send(stream stream, data []byte, eof bool) error {
 	if !eof && len(data) == 0 {
 		return nil
 	}
@@ -302,13 +294,13 @@ func (l *Link) send(stream Stream, data []byte, eof bool) error {
 	if l.failed {
 		return ErrLinkFailed
 	}
-	m := &Message{Type: MsgData, Stream: stream, Subjob: l.cfg.Subjob, Data: data}
+	m := &message{Type: msgData, Stream: stream, Subjob: l.cfg.Subjob, Data: data}
 	if eof {
-		m.Type = MsgEOF
+		m.Type = msgEOF
 		m.Data = nil
 	}
 	if l.spill != nil {
-		seq, err := l.spill.Append(stream, m.Data)
+		seq, err := l.spill.append(stream, m.Data)
 		if err != nil {
 			return err
 		}
@@ -325,7 +317,7 @@ func (l *Link) send(stream Stream, data []byte, eof bool) error {
 		}
 		return nil
 	}
-	if err := WriteMessage(l.conn, m); err != nil {
+	if err := writeMessage(l.conn, m); err != nil {
 		if l.spill == nil && eof {
 			l.notePendingEOFLocked(stream)
 		}
@@ -334,17 +326,17 @@ func (l *Link) send(stream Stream, data []byte, eof bool) error {
 	return nil
 }
 
-func (l *Link) notePendingEOFLocked(stream Stream) {
+func (l *link) notePendingEOFLocked(st stream) {
 	if l.pendingEOF == nil {
-		l.pendingEOF = make(map[Stream]bool)
+		l.pendingEOF = make(map[stream]bool)
 	}
-	l.pendingEOF[stream] = true
+	l.pendingEOF[st] = true
 }
 
 // markDeadLocked drops the connection (if it is still the current one)
 // and, on the dial side, starts the retry loop. On the accept side it
 // arms the give-up watchdog instead.
-func (l *Link) markDeadLocked(conn net.Conn) {
+func (l *link) markDeadLocked(conn net.Conn) {
 	if l.conn != conn || l.conn == nil {
 		return
 	}
@@ -358,7 +350,7 @@ func (l *Link) markDeadLocked(conn net.Conn) {
 // is the dialing agent's job, so the shadow's link just waits out the
 // peer's whole retry budget (plus one interval of slack for the last
 // in-flight attempt) and then declares the link permanently failed.
-func (l *Link) startWatchdogLocked() {
+func (l *link) startWatchdogLocked() {
 	if l.dial != nil || l.onFail == nil || l.failed || l.closed {
 		return
 	}
@@ -367,7 +359,7 @@ func (l *Link) startWatchdogLocked() {
 	go l.watchdog(gen)
 }
 
-func (l *Link) watchdog(gen int) {
+func (l *link) watchdog(gen int) {
 	grace := time.Duration(l.cfg.MaxRetries+1) * l.cfg.RetryInterval
 	time.Sleep(grace)
 	l.mu.Lock()
@@ -381,9 +373,9 @@ func (l *Link) watchdog(gen int) {
 	cb(fmt.Errorf("%w: no reconnection within %v", ErrLinkFailed, grace))
 }
 
-func (l *Link) readLoop(conn net.Conn) {
+func (l *link) readLoop(conn net.Conn) {
 	for {
-		m, err := ReadMessage(conn)
+		m, err := readMessage(conn)
 		if err != nil {
 			l.mu.Lock()
 			l.markDeadLocked(conn)
@@ -391,28 +383,28 @@ func (l *Link) readLoop(conn net.Conn) {
 			return
 		}
 		switch m.Type {
-		case MsgData, MsgEOF:
+		case msgData, msgEOF:
 			l.handleData(conn, m)
-		case MsgAck:
+		case msgAck:
 			if l.spill != nil {
 				// Best effort: a failed truncate only delays spill-file
 				// reclamation until the next ack.
-				_ = l.spill.Ack(m.Seq)
+				_ = l.spill.ack(m.Seq)
 			}
-		case MsgHello:
+		case msgHello:
 			// Duplicate hello on an established connection: ignore.
 		}
 	}
 }
 
-func (l *Link) handleData(conn net.Conn, m *Message) {
+func (l *link) handleData(conn net.Conn, m *message) {
 	reliable := l.cfg.Mode == jdl.ReliableStreaming
 	if reliable {
 		l.mu.Lock()
 		if m.Seq < l.recvNext {
 			// Duplicate from a replay: re-acknowledge and drop.
 			if l.conn == conn && l.conn != nil {
-				if err := WriteMessage(l.conn, &Message{Type: MsgAck, Seq: l.recvNext}); err != nil {
+				if err := writeMessage(l.conn, &message{Type: msgAck, Seq: l.recvNext}); err != nil {
 					l.markDeadLocked(l.conn)
 				}
 			}
@@ -421,22 +413,22 @@ func (l *Link) handleData(conn net.Conn, m *Message) {
 		}
 		l.recvNext = m.Seq + 1
 		if l.conn == conn && l.conn != nil {
-			if err := WriteMessage(l.conn, &Message{Type: MsgAck, Seq: l.recvNext}); err != nil {
+			if err := writeMessage(l.conn, &message{Type: msgAck, Seq: l.recvNext}); err != nil {
 				l.markDeadLocked(l.conn)
 			}
 		}
 		l.mu.Unlock()
 	}
 	if l.receiver != nil {
-		l.receiver(m.Stream, m.Data, m.Type == MsgEOF)
+		l.receiver(m.Stream, m.Data, m.Type == msgEOF)
 	}
 }
 
-// WaitDrained blocks until all reliable data has been acknowledged —
+// waitDrained blocks until all reliable data has been acknowledged —
 // or, on fast links, until any pending EOFs have reached a live
 // connection — or the timeout elapses, reporting whether the link
 // drained.
-func (l *Link) WaitDrained(timeout time.Duration) bool {
+func (l *link) waitDrained(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		if l.drained() {
@@ -453,20 +445,20 @@ func (l *Link) WaitDrained(timeout time.Duration) bool {
 	return l.drained()
 }
 
-func (l *Link) drained() bool {
+func (l *link) drained() bool {
 	if l.spill != nil {
-		return l.spill.Pending() == 0
+		return l.spill.pending() == 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.pendingEOF) == 0
 }
 
-// WaitConnected blocks until the link holds a live connection, has
+// waitConnected blocks until the link holds a live connection, has
 // failed permanently, or was closed, reporting whether it connected.
 // The agent uses it to avoid streaming into the void before the first
 // connection in fast mode.
-func (l *Link) WaitConnected() bool {
+func (l *link) waitConnected() bool {
 	for {
 		l.mu.Lock()
 		conn, stop := l.conn != nil, l.failed || l.closed
@@ -482,14 +474,14 @@ func (l *Link) WaitConnected() bool {
 }
 
 // connected reports whether a live connection is installed.
-func (l *Link) connected() bool {
+func (l *link) connected() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.conn != nil
 }
 
 // Close tears the link down and removes its spill file.
-func (l *Link) Close() error {
+func (l *link) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()

@@ -15,16 +15,16 @@ import (
 // recorder collects receiver callbacks.
 type recorder struct {
 	mu    sync.Mutex
-	data  map[Stream][]byte
-	eofs  map[Stream]bool
+	data  map[stream][]byte
+	eofs  map[stream]bool
 	count int
 }
 
 func newRecorder() *recorder {
-	return &recorder{data: map[Stream][]byte{}, eofs: map[Stream]bool{}}
+	return &recorder{data: map[stream][]byte{}, eofs: map[stream]bool{}}
 }
 
-func (r *recorder) recv(stream Stream, data []byte, eof bool) {
+func (r *recorder) recv(stream stream, data []byte, eof bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if eof {
@@ -35,13 +35,13 @@ func (r *recorder) recv(stream Stream, data []byte, eof bool) {
 	r.count++
 }
 
-func (r *recorder) get(stream Stream) string {
+func (r *recorder) get(stream stream) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return string(r.data[stream])
 }
 
-func (r *recorder) eof(stream Stream) bool {
+func (r *recorder) eof(stream stream) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.eofs[stream]
@@ -51,12 +51,12 @@ func (r *recorder) eof(stream Stream) bool {
 // with a manual admission loop.
 type linkPair struct {
 	nw     *netsim.Net
-	dialer *Link
-	accept *Link
+	dialer *link
+	accept *link
 	lis    *netsim.Listener
 }
 
-func newLinkPair(t *testing.T, mode jdl.StreamingMode, dialRecv, acceptRecv Receiver, onFail func(error)) *linkPair {
+func newLinkPair(t *testing.T, mode jdl.StreamingMode, dialRecv, acceptRecv receiver, onFail func(error)) *linkPair {
 	t.Helper()
 	nw := netsim.New(netsim.Loopback(), 21)
 	lis, err := nw.Listen("shadow")
@@ -65,15 +65,15 @@ func newLinkPair(t *testing.T, mode jdl.StreamingMode, dialRecv, acceptRecv Rece
 	}
 	t.Cleanup(func() { lis.Close() })
 
-	mkCfg := func(name string) LinkConfig {
-		return LinkConfig{
+	mkCfg := func(name string) linkConfig {
+		return linkConfig{
 			Mode:          mode,
 			RetryInterval: 10 * time.Millisecond,
 			MaxRetries:    200,
 			SpillPath:     filepath.Join(t.TempDir(), name+".spill"),
 		}
 	}
-	acceptLink, err := NewAcceptLink(mkCfg("accept"), acceptRecv, nil)
+	acceptLink, err := newAcceptLink(mkCfg("accept"), acceptRecv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,21 +84,21 @@ func newLinkPair(t *testing.T, mode jdl.StreamingMode, dialRecv, acceptRecv Rece
 				return
 			}
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			hello, err := ReadMessage(conn)
-			if err != nil || hello.Type != MsgHello {
+			hello, err := readMessage(conn)
+			if err != nil || hello.Type != msgHello {
 				conn.Close()
 				continue
 			}
 			conn.SetReadDeadline(time.Time{})
-			acceptLink.Attach(conn, hello)
+			acceptLink.attach(conn, hello)
 		}
 	}()
 
-	dialLink, err := NewDialLink(mkCfg("dial"), func() (net.Conn, error) { return nw.Dial("shadow") }, dialRecv, onFail)
+	dialLink, err := newDialLink(mkCfg("dial"), func() (net.Conn, error) { return nw.Dial("shadow") }, dialRecv, onFail)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dialLink.Start()
+	dialLink.start()
 	t.Cleanup(func() { dialLink.Close(); acceptLink.Close() })
 	return &linkPair{nw: nw, dialer: dialLink, accept: acceptLink, lis: lis}
 }
@@ -120,25 +120,25 @@ func TestLinkBasicExchange(t *testing.T) {
 	p := newLinkPair(t, jdl.ReliableStreaming, down.recv, up.recv, nil)
 
 	waitFor(t, p.dialer.connected, "connection")
-	if err := p.dialer.Send(Stdout, []byte("from agent")); err != nil {
+	if err := p.dialer.send(stdout, []byte("from agent"), false); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.accept.Send(Stdin, []byte("from shadow")); err != nil {
+	if err := p.accept.send(stdin, []byte("from shadow"), false); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return up.get(Stdout) == "from agent" }, "agent data")
-	waitFor(t, func() bool { return down.get(Stdin) == "from shadow" }, "shadow data")
+	waitFor(t, func() bool { return up.get(stdout) == "from agent" }, "agent data")
+	waitFor(t, func() bool { return down.get(stdin) == "from shadow" }, "shadow data")
 }
 
 func TestLinkEOFDelivery(t *testing.T) {
 	up := newRecorder()
 	p := newLinkPair(t, jdl.ReliableStreaming, nil, up.recv, nil)
 	waitFor(t, p.dialer.connected, "connection")
-	p.dialer.Send(Stderr, []byte("last words"))
-	p.dialer.SendEOF(Stderr)
-	waitFor(t, func() bool { return up.eof(Stderr) }, "EOF")
-	if up.get(Stderr) != "last words" {
-		t.Fatalf("data = %q", up.get(Stderr))
+	p.dialer.send(stderr, []byte("last words"), false)
+	p.dialer.send(stderr, nil, true)
+	waitFor(t, func() bool { return up.eof(stderr) }, "EOF")
+	if up.get(stderr) != "last words" {
+		t.Fatalf("data = %q", up.get(stderr))
 	}
 }
 
@@ -147,10 +147,10 @@ func TestLinkAcksRetireSpill(t *testing.T) {
 	p := newLinkPair(t, jdl.ReliableStreaming, nil, up.recv, nil)
 	waitFor(t, p.dialer.connected, "connection")
 	for i := 0; i < 10; i++ {
-		p.dialer.Send(Stdout, []byte("chunk"))
+		p.dialer.send(stdout, []byte("chunk"), false)
 	}
-	if !p.dialer.WaitDrained(5 * time.Second) {
-		t.Fatalf("spill not drained: %d pending", p.dialer.spill.Pending())
+	if !p.dialer.waitDrained(5 * time.Second) {
+		t.Fatalf("spill not drained: %d pending", p.dialer.spill.pending())
 	}
 }
 
@@ -158,21 +158,21 @@ func TestLinkReplayAfterReconnect(t *testing.T) {
 	up := newRecorder()
 	p := newLinkPair(t, jdl.ReliableStreaming, nil, up.recv, nil)
 	waitFor(t, p.dialer.connected, "connection")
-	p.dialer.Send(Stdout, []byte("one|"))
-	waitFor(t, func() bool { return up.get(Stdout) == "one|" }, "first message")
+	p.dialer.send(stdout, []byte("one|"), false)
+	waitFor(t, func() bool { return up.get(stdout) == "one|" }, "first message")
 
 	p.nw.SetDown(true)
 	// Sent while down: spilled, not delivered.
-	p.dialer.Send(Stdout, []byte("two|"))
-	p.dialer.Send(Stdout, []byte("three|"))
+	p.dialer.send(stdout, []byte("two|"), false)
+	p.dialer.send(stdout, []byte("three|"), false)
 	time.Sleep(30 * time.Millisecond)
-	if up.get(Stdout) != "one|" {
-		t.Fatalf("data leaked through a down network: %q", up.get(Stdout))
+	if up.get(stdout) != "one|" {
+		t.Fatalf("data leaked through a down network: %q", up.get(stdout))
 	}
 	p.nw.SetDown(false)
 
-	waitFor(t, func() bool { return up.get(Stdout) == "one|two|three|" }, "replay")
-	if !p.dialer.WaitDrained(5 * time.Second) {
+	waitFor(t, func() bool { return up.get(stdout) == "one|two|three|" }, "replay")
+	if !p.dialer.waitDrained(5 * time.Second) {
 		t.Fatal("spill not drained after replay")
 	}
 }
@@ -184,15 +184,15 @@ func TestLinkReplayAfterReconnect(t *testing.T) {
 // and deliver the record over the second connection.
 func TestLinkRetriesWhenFreshConnectionDies(t *testing.T) {
 	up := newRecorder()
-	cfg := func(name string) LinkConfig {
-		return LinkConfig{
+	cfg := func(name string) linkConfig {
+		return linkConfig{
 			Mode:          jdl.ReliableStreaming,
 			RetryInterval: 10 * time.Millisecond,
 			MaxRetries:    200,
 			SpillPath:     filepath.Join(t.TempDir(), name+".spill"),
 		}
 	}
-	acceptLink, err := NewAcceptLink(cfg("accept"), up.recv, nil)
+	acceptLink, err := newAcceptLink(cfg("accept"), up.recv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,29 +205,29 @@ func TestLinkRetriesWhenFreshConnectionDies(t *testing.T) {
 		mu.Unlock()
 		agent, peer := net.Pipe()
 		go func() {
-			hello, err := ReadMessage(peer)
+			hello, err := readMessage(peer)
 			if err != nil {
 				peer.Close()
 				return
 			}
 			if first {
-				WriteMessage(peer, &Message{Type: MsgHello})
+				writeMessage(peer, &message{Type: msgHello})
 				peer.Close()
 				return
 			}
-			acceptLink.Attach(peer, hello)
+			acceptLink.attach(peer, hello)
 		}()
 		return agent, nil
 	}
-	dialLink, err := NewDialLink(cfg("dial"), dial, nil, nil)
+	dialLink, err := newDialLink(cfg("dial"), dial, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { dialLink.Close(); acceptLink.Close() })
-	dialLink.Send(Stdout, []byte("spilled before connecting"))
-	dialLink.Start()
-	waitFor(t, func() bool { return up.get(Stdout) == "spilled before connecting" }, "replay over a second connection")
-	if !dialLink.WaitDrained(5 * time.Second) {
+	dialLink.send(stdout, []byte("spilled before connecting"), false)
+	dialLink.start()
+	waitFor(t, func() bool { return up.get(stdout) == "spilled before connecting" }, "replay over a second connection")
+	if !dialLink.waitDrained(5 * time.Second) {
 		t.Fatal("spill not drained")
 	}
 }
@@ -241,7 +241,7 @@ func TestLinkNoDuplicatesAcrossManyOutages(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		msg := string(rune('a'+round)) + "|"
 		want += msg
-		p.dialer.Send(Stdout, []byte(msg))
+		p.dialer.send(stdout, []byte(msg), false)
 		// Cut the link mid-flight on odd rounds.
 		if round%2 == 1 {
 			p.nw.SetDown(true)
@@ -249,10 +249,10 @@ func TestLinkNoDuplicatesAcrossManyOutages(t *testing.T) {
 			p.nw.SetDown(false)
 		}
 	}
-	waitFor(t, func() bool { return up.get(Stdout) == want }, "exactly-once delivery")
+	waitFor(t, func() bool { return up.get(stdout) == want }, "exactly-once delivery")
 	// Extra settle time: replays must not introduce duplicates.
 	time.Sleep(50 * time.Millisecond)
-	if got := up.get(Stdout); got != want {
+	if got := up.get(stdout); got != want {
 		t.Fatalf("got %q, want %q", got, want)
 	}
 }
@@ -264,7 +264,7 @@ func TestLinkGiveUpAfterMaxRetries(t *testing.T) {
 	// unlocking, so Failed() turning true does not mean the callback has
 	// run yet: wait on the callback's own signal.
 	failed := make(chan error, 1)
-	l, err := NewDialLink(LinkConfig{
+	l, err := newDialLink(linkConfig{
 		Mode:          jdl.ReliableStreaming,
 		RetryInterval: 5 * time.Millisecond,
 		MaxRetries:    3,
@@ -274,7 +274,7 @@ func TestLinkGiveUpAfterMaxRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	l.Start()
+	l.start()
 	select {
 	case failErr := <-failed:
 		if !errors.Is(failErr, ErrLinkFailed) {
@@ -283,18 +283,18 @@ func TestLinkGiveUpAfterMaxRetries(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("timed out waiting for give-up")
 	}
-	if err := l.Send(Stdout, []byte("x")); !errors.Is(err, ErrLinkFailed) {
-		t.Fatalf("Send after failure = %v", err)
+	if err := l.send(stdout, []byte("x"), false); !errors.Is(err, ErrLinkFailed) {
+		t.Fatalf("send after failure = %v", err)
 	}
 }
 
 func TestLinkSendAfterClose(t *testing.T) {
-	l, err := NewAcceptLink(LinkConfig{Mode: jdl.FastStreaming}, nil, nil)
+	l, err := newAcceptLink(linkConfig{Mode: jdl.FastStreaming}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
-	if err := l.Send(Stdout, []byte("x")); !errors.Is(err, ErrLinkClosed) {
+	if err := l.send(stdout, []byte("x"), false); !errors.Is(err, ErrLinkClosed) {
 		t.Fatalf("err = %v", err)
 	}
 	if err := l.Close(); err != nil {
@@ -303,7 +303,7 @@ func TestLinkSendAfterClose(t *testing.T) {
 }
 
 func TestReliableLinkRequiresSpillPath(t *testing.T) {
-	if _, err := NewAcceptLink(LinkConfig{Mode: jdl.ReliableStreaming}, nil, nil); err == nil {
+	if _, err := newAcceptLink(linkConfig{Mode: jdl.ReliableStreaming}, nil, nil); err == nil {
 		t.Fatal("reliable link without spill path accepted")
 	}
 }
@@ -312,18 +312,18 @@ func TestFastLinkDropsDataWhileDown(t *testing.T) {
 	up := newRecorder()
 	p := newLinkPair(t, jdl.FastStreaming, nil, up.recv, nil)
 	waitFor(t, p.dialer.connected, "connection")
-	p.dialer.Send(Stdout, []byte("kept|"))
-	waitFor(t, func() bool { return up.get(Stdout) == "kept|" }, "first message")
+	p.dialer.send(stdout, []byte("kept|"), false)
+	waitFor(t, func() bool { return up.get(stdout) == "kept|" }, "first message")
 
 	p.nw.SetDown(true)
-	if err := p.dialer.Send(Stdout, []byte("lost|")); err != nil {
+	if err := p.dialer.send(stdout, []byte("lost|"), false); err != nil {
 		t.Fatalf("fast send while down errored: %v", err)
 	}
 	p.nw.SetDown(false)
 	waitFor(t, p.dialer.connected, "reconnection")
-	p.dialer.Send(Stdout, []byte("after|"))
-	waitFor(t, func() bool { return up.get(Stdout) == "kept|after|" }, "post-outage message")
-	if up.get(Stdout) != "kept|after|" {
-		t.Fatalf("got %q", up.get(Stdout))
+	p.dialer.send(stdout, []byte("after|"), false)
+	waitFor(t, func() bool { return up.get(stdout) == "kept|after|" }, "post-outage message")
+	if up.get(stdout) != "kept|after|" {
+		t.Fatalf("got %q", up.get(stdout))
 	}
 }

@@ -68,8 +68,8 @@ type Shadow struct {
 	errBuf *flushBuffer
 
 	mu        sync.Mutex
-	links     map[uint16]*Link
-	eofs      map[uint16]map[Stream]bool
+	links     map[uint16]*link
+	eofs      map[uint16]map[stream]bool
 	attaches  map[uint16]bool // subjobs that attached at least once
 	doneOnce  sync.Once
 	done      chan struct{}
@@ -90,8 +90,8 @@ func StartShadow(cfg ShadowConfig) (*Shadow, error) {
 	}
 	s := &Shadow{
 		cfg:      cfg,
-		links:    make(map[uint16]*Link),
-		eofs:     make(map[uint16]map[Stream]bool),
+		links:    make(map[uint16]*link),
+		eofs:     make(map[uint16]map[stream]bool),
 		attaches: make(map[uint16]bool),
 		done:     make(chan struct{}),
 	}
@@ -112,7 +112,7 @@ func StartShadow(cfg ShadowConfig) (*Shadow, error) {
 	}
 	for i := 0; i < cfg.Subjobs; i++ {
 		sub := uint16(i)
-		link, err := NewAcceptLink(LinkConfig{
+		link, err := newAcceptLink(linkConfig{
 			Mode:          cfg.Mode,
 			Subjob:        sub,
 			RetryInterval: cfg.RetryInterval,
@@ -138,11 +138,11 @@ func StartShadow(cfg ShadowConfig) (*Shadow, error) {
 
 // receiverFor merges one subjob's output into the screen buffers and
 // tracks per-stream EOFs.
-func (s *Shadow) receiverFor(sub uint16) Receiver {
-	return func(stream Stream, data []byte, eof bool) {
-		if stream.IsAux() {
+func (s *Shadow) receiverFor(sub uint16) receiver {
+	return func(stream stream, data []byte, eof bool) {
+		if stream.isAux() {
 			if s.cfg.AuxSink != nil {
-				s.cfg.AuxSink(sub, stream.AuxIndex(), data, eof)
+				s.cfg.AuxSink(sub, stream.auxIndex(), data, eof)
 			}
 			return
 		}
@@ -151,9 +151,9 @@ func (s *Shadow) receiverFor(sub uint16) Receiver {
 			return
 		}
 		switch stream {
-		case Stdout:
+		case stdout:
 			s.outBuf.Write(data)
-		case Stderr:
+		case stderr:
 			s.errBuf.Write(data)
 		}
 	}
@@ -174,8 +174,8 @@ func (s *Shadow) failerFor(sub uint16) func(error) {
 		if cb != nil {
 			cb(sub, err)
 		}
-		s.markEOF(sub, Stdout)
-		s.markEOF(sub, Stderr)
+		s.markEOF(sub, stdout)
+		s.markEOF(sub, stderr)
 	}
 }
 
@@ -187,18 +187,18 @@ func (s *Shadow) linkFailure() error {
 	return s.linkErr
 }
 
-func (s *Shadow) markEOF(sub uint16, stream Stream) {
+func (s *Shadow) markEOF(sub uint16, st stream) {
 	s.mu.Lock()
 	m := s.eofs[sub]
 	if m == nil {
-		m = make(map[Stream]bool)
+		m = make(map[stream]bool)
 		s.eofs[sub] = m
 	}
-	m[stream] = true
+	m[st] = true
 	complete := len(s.eofs) == s.cfg.Subjobs
 	if complete {
 		for _, streams := range s.eofs {
-			if !streams[Stdout] || !streams[Stderr] {
+			if !streams[stdout] || !streams[stderr] {
 				complete = false
 				break
 			}
@@ -212,8 +212,8 @@ func (s *Shadow) markEOF(sub uint16, stream Stream) {
 
 func (s *Shadow) finish() {
 	s.doneOnce.Do(func() {
-		s.outBuf.Close()
-		s.errBuf.Close()
+		s.outBuf.close()
+		s.errBuf.close()
 		close(s.done)
 	})
 }
@@ -236,8 +236,8 @@ func (s *Shadow) acceptLoop() {
 
 func (s *Shadow) admit(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	hello, err := ReadMessage(conn)
-	if err != nil || hello.Type != MsgHello {
+	hello, err := readMessage(conn)
+	if err != nil || hello.Type != msgHello {
 		conn.Close()
 		return
 	}
@@ -250,7 +250,7 @@ func (s *Shadow) admit(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	if err := link.Attach(conn, hello); err != nil {
+	if err := link.attach(conn, hello); err != nil {
 		return
 	}
 	s.mu.Lock()
@@ -268,14 +268,14 @@ func (s *Shadow) stdinLoop() {
 		if len(line) > 0 {
 			s.mu.Lock()
 			for _, l := range s.links {
-				l.Send(Stdin, line)
+				l.send(stdin, line, false)
 			}
 			s.mu.Unlock()
 		}
 		if err != nil {
 			s.mu.Lock()
 			for _, l := range s.links {
-				l.SendEOF(Stdin)
+				l.send(stdin, nil, true)
 			}
 			s.mu.Unlock()
 			return
@@ -317,7 +317,7 @@ func (s *Shadow) Close() error {
 		return nil
 	}
 	s.closed = true
-	links := make([]*Link, 0, len(s.links))
+	links := make([]*link, 0, len(s.links))
 	for _, l := range s.links {
 		links = append(links, l)
 	}

@@ -9,14 +9,14 @@ import (
 	"time"
 )
 
-// Spill is the reliable mode's write-ahead buffer: an append-only disk
+// spill is the reliable mode's write-ahead buffer: an append-only disk
 // file of sequence-numbered records. Every outgoing message is written
 // here before transmission ("intermediate buffering in a file of the
 // I/O stream", Section 3) and retired by cumulative acknowledgment;
 // after a reconnect the unacknowledged suffix is replayed from disk.
 //
-// Spill is safe for concurrent use.
-type Spill struct {
+// spill is safe for concurrent use.
+type spill struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
@@ -34,8 +34,8 @@ type Spill struct {
 	recs  []spillRec
 }
 
-// SetDelay sets the modeled per-record storage latency.
-func (s *Spill) SetDelay(d time.Duration) {
+// setDelay sets the modeled per-record storage latency.
+func (s *spill) setDelay(d time.Duration) {
 	s.mu.Lock()
 	s.delay = d
 	s.mu.Unlock()
@@ -43,7 +43,7 @@ func (s *Spill) SetDelay(d time.Duration) {
 
 type spillRec struct {
 	seq    uint64
-	stream Stream
+	stream stream
 	off    int64
 	size   int
 }
@@ -51,18 +51,18 @@ type spillRec struct {
 // record layout on disk: [8 seq][1 stream][4 len][payload]
 const spillHdrLen = 8 + 1 + 4
 
-// OpenSpill creates (truncating) the spill file at path.
-func OpenSpill(path string) (*Spill, error) {
+// openSpill creates (truncating) the spill file at path.
+func openSpill(path string) (*spill, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("console: open spill: %w", err)
 	}
-	return &Spill{f: f, path: path}, nil
+	return &spill{f: f, path: path}, nil
 }
 
-// Append writes one record through to disk and returns its sequence
+// append writes one record through to disk and returns its sequence
 // number.
-func (s *Spill) Append(stream Stream, data []byte) (uint64, error) {
+func (s *spill) append(stream stream, data []byte) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
@@ -97,10 +97,10 @@ func (s *Spill) Append(stream Stream, data []byte) (uint64, error) {
 // with intermittent connectivity.
 const compactThreshold = 4 << 20
 
-// Ack retires every record with sequence < upTo. When the file becomes
+// ack retires every record with sequence < upTo. When the file becomes
 // empty it is truncated; when a large retired prefix accumulates the
 // live suffix is compacted into a fresh file.
-func (s *Spill) Ack(upTo uint64) error {
+func (s *spill) ack(upTo uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if upTo > s.acked {
@@ -129,7 +129,7 @@ func (s *Spill) Ack(upTo uint64) error {
 
 // compactLocked rewrites the unacknowledged records to the start of a
 // fresh file. Caller holds s.mu.
-func (s *Spill) compactLocked() error {
+func (s *spill) compactLocked() error {
 	tmpPath := s.path + ".compact"
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
@@ -168,22 +168,22 @@ func (s *Spill) compactLocked() error {
 	return nil
 }
 
-// Record is one replayed spill entry.
-type Record struct {
+// record is one replayed spill entry.
+type record struct {
 	Seq    uint64
-	Stream Stream
+	Stream stream
 	Data   []byte
 }
 
-// Unacked reads back every unacknowledged record with sequence >= from
+// unacked reads back every unacknowledged record with sequence >= from
 // in order, for replay after a reconnect.
-func (s *Spill) Unacked(from uint64) ([]Record, error) {
+func (s *spill) unacked(from uint64) ([]record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return nil, os.ErrClosed
 	}
-	var out []Record
+	var out []record
 	for _, r := range s.recs {
 		if r.seq < from {
 			continue
@@ -192,20 +192,20 @@ func (s *Spill) Unacked(from uint64) ([]Record, error) {
 		if _, err := s.f.ReadAt(data, r.off); err != nil {
 			return nil, fmt.Errorf("console: spill read: %w", err)
 		}
-		out = append(out, Record{Seq: r.seq, Stream: r.stream, Data: data})
+		out = append(out, record{Seq: r.seq, Stream: r.stream, Data: data})
 	}
 	return out, nil
 }
 
-// Pending reports the number of unacknowledged records.
-func (s *Spill) Pending() int {
+// pending reports the number of unacknowledged records.
+func (s *spill) pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.recs)
 }
 
 // Close closes and removes the spill file.
-func (s *Spill) Close() error {
+func (s *spill) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {

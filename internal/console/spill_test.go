@@ -9,9 +9,9 @@ import (
 	"testing/quick"
 )
 
-func newSpill(t *testing.T) *Spill {
+func newSpill(t *testing.T) *spill {
 	t.Helper()
-	s, err := OpenSpill(filepath.Join(t.TempDir(), "spill.log"))
+	s, err := openSpill(filepath.Join(t.TempDir(), "spill.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func newSpill(t *testing.T) *Spill {
 func TestSpillAppendAssignsSequences(t *testing.T) {
 	s := newSpill(t)
 	for i := 0; i < 5; i++ {
-		seq, err := s.Append(Stdout, []byte{byte(i)})
+		seq, err := s.append(stdout, []byte{byte(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,19 +30,19 @@ func TestSpillAppendAssignsSequences(t *testing.T) {
 			t.Fatalf("seq = %d, want %d", seq, i)
 		}
 	}
-	if s.next != 5 || s.Pending() != 5 {
-		t.Fatalf("next=%d pending=%d", s.next, s.Pending())
+	if s.next != 5 || s.pending() != 5 {
+		t.Fatalf("next=%d pending=%d", s.next, s.pending())
 	}
 }
 
 func TestSpillUnackedRoundTrip(t *testing.T) {
 	s := newSpill(t)
 	payloads := [][]byte{[]byte("alpha"), []byte("beta"), {}, []byte("gamma")}
-	streams := []Stream{Stdout, Stderr, Stdout, Stdin}
+	streams := []stream{stdout, stderr, stdout, stdin}
 	for i := range payloads {
-		s.Append(streams[i], payloads[i])
+		s.append(streams[i], payloads[i])
 	}
-	recs, err := s.Unacked(0)
+	recs, err := s.unacked(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +59,9 @@ func TestSpillUnackedRoundTrip(t *testing.T) {
 func TestSpillUnackedFrom(t *testing.T) {
 	s := newSpill(t)
 	for i := 0; i < 10; i++ {
-		s.Append(Stdout, []byte{byte(i)})
+		s.append(stdout, []byte{byte(i)})
 	}
-	recs, _ := s.Unacked(7)
+	recs, _ := s.unacked(7)
 	if len(recs) != 3 || recs[0].Seq != 7 {
 		t.Fatalf("recs = %+v", recs)
 	}
@@ -70,15 +70,15 @@ func TestSpillUnackedFrom(t *testing.T) {
 func TestSpillAckRetiresAndTruncates(t *testing.T) {
 	s := newSpill(t)
 	for i := 0; i < 3; i++ {
-		s.Append(Stdout, bytes.Repeat([]byte("x"), 100))
+		s.append(stdout, bytes.Repeat([]byte("x"), 100))
 	}
-	s.Ack(2)
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d", s.Pending())
+	s.ack(2)
+	if s.pending() != 1 {
+		t.Fatalf("pending = %d", s.pending())
 	}
-	s.Ack(3)
-	if s.Pending() != 0 {
-		t.Fatalf("pending = %d after full ack", s.Pending())
+	s.ack(3)
+	if s.pending() != 0 {
+		t.Fatalf("pending = %d after full ack", s.pending())
 	}
 	fi, err := os.Stat(s.path)
 	if err != nil {
@@ -88,11 +88,11 @@ func TestSpillAckRetiresAndTruncates(t *testing.T) {
 		t.Fatalf("file size %d after full ack, want 0 (truncated)", fi.Size())
 	}
 	// New appends continue the sequence space.
-	seq, _ := s.Append(Stdout, []byte("next"))
+	seq, _ := s.append(stdout, []byte("next"))
 	if seq != 3 {
 		t.Fatalf("seq = %d after truncate, want 3", seq)
 	}
-	recs, _ := s.Unacked(0)
+	recs, _ := s.unacked(0)
 	if len(recs) != 1 || !bytes.Equal(recs[0].Data, []byte("next")) {
 		t.Fatalf("recs = %+v", recs)
 	}
@@ -100,28 +100,28 @@ func TestSpillAckRetiresAndTruncates(t *testing.T) {
 
 func TestSpillAckIsMonotone(t *testing.T) {
 	s := newSpill(t)
-	s.Append(Stdout, []byte("a"))
-	s.Ack(1)
-	s.Ack(0) // regression must not unack
-	if s.acked != 1 || s.Pending() != 0 {
-		t.Fatalf("acked=%d pending=%d", s.acked, s.Pending())
+	s.append(stdout, []byte("a"))
+	s.ack(1)
+	s.ack(0) // regression must not unack
+	if s.acked != 1 || s.pending() != 0 {
+		t.Fatalf("acked=%d pending=%d", s.acked, s.pending())
 	}
 }
 
 func TestSpillCloseRemovesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.log")
-	s, err := OpenSpill(path)
+	s, err := openSpill(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Append(Stdout, []byte("x"))
+	s.append(stdout, []byte("x"))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("spill file still exists: %v", err)
 	}
-	if _, err := s.Append(Stdout, []byte("y")); err == nil {
+	if _, err := s.append(stdout, []byte("y")); err == nil {
 		t.Fatal("append after close succeeded")
 	}
 }
@@ -132,13 +132,13 @@ func TestSpillCompaction(t *testing.T) {
 	// acknowledged records followed by a live tail.
 	big := bytes.Repeat([]byte("x"), 1<<20)
 	for i := 0; i < 6; i++ {
-		s.Append(Stdout, big)
+		s.append(stdout, big)
 	}
 	tail := [][]byte{[]byte("alive-1"), []byte("alive-2")}
 	for _, d := range tail {
-		s.Append(Stderr, d)
+		s.append(stderr, d)
 	}
-	if err := s.Ack(6); err != nil {
+	if err := s.ack(6); err != nil {
 		t.Fatal(err)
 	}
 	fi, err := os.Stat(s.path)
@@ -149,7 +149,7 @@ func TestSpillCompaction(t *testing.T) {
 		t.Fatalf("spill file %d bytes after compaction", fi.Size())
 	}
 	// The live records survive, byte-identical, and replay correctly.
-	recs, err := s.Unacked(0)
+	recs, err := s.unacked(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,22 +157,22 @@ func TestSpillCompaction(t *testing.T) {
 		t.Fatalf("%d records after compaction", len(recs))
 	}
 	for i, r := range recs {
-		if r.Seq != uint64(6+i) || r.Stream != Stderr || !bytes.Equal(r.Data, tail[i]) {
+		if r.Seq != uint64(6+i) || r.Stream != stderr || !bytes.Equal(r.Data, tail[i]) {
 			t.Fatalf("record %d = %+v", i, r)
 		}
 	}
 	// Appends continue into the compacted file.
-	seq, err := s.Append(Stdout, []byte("after-compact"))
+	seq, err := s.append(stdout, []byte("after-compact"))
 	if err != nil || seq != 8 {
 		t.Fatalf("append after compaction: seq=%d err=%v", seq, err)
 	}
-	recs, _ = s.Unacked(8)
+	recs, _ = s.unacked(8)
 	if len(recs) != 1 || !bytes.Equal(recs[0].Data, []byte("after-compact")) {
 		t.Fatalf("post-compaction append lost: %+v", recs)
 	}
 }
 
-// Property: for any sequence of appends and a cut point, Unacked(cut)
+// Property: for any sequence of appends and a cut point, unacked(cut)
 // returns exactly the suffix, byte-identical.
 func TestSpillReplayProperty(t *testing.T) {
 	f := func(chunks [][]byte, cut uint8) bool {
@@ -181,13 +181,13 @@ func TestSpillReplayProperty(t *testing.T) {
 			return false
 		}
 		defer os.RemoveAll(dir)
-		s, err := OpenSpill(filepath.Join(dir, "s.log"))
+		s, err := openSpill(filepath.Join(dir, "s.log"))
 		if err != nil {
 			return false
 		}
 		defer s.Close()
 		for _, c := range chunks {
-			if _, err := s.Append(Stdout, c); err != nil {
+			if _, err := s.append(stdout, c); err != nil {
 				return false
 			}
 		}
@@ -195,7 +195,7 @@ func TestSpillReplayProperty(t *testing.T) {
 		if len(chunks) > 0 {
 			from = uint64(int(cut) % (len(chunks) + 1))
 		}
-		recs, err := s.Unacked(from)
+		recs, err := s.unacked(from)
 		if err != nil {
 			return false
 		}

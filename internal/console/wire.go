@@ -29,70 +29,70 @@ import (
 	"io"
 )
 
-// Stream identifies one of the three interposed byte streams.
-type Stream byte
+// stream identifies one of the three interposed byte streams.
+type stream byte
 
 // The three standard streams, plus the base id for auxiliary
 // channels.
 const (
-	Stdin Stream = iota
-	Stdout
-	Stderr
-	// AuxBase is the first auxiliary stream id: the paper's future
+	stdin stream = iota
+	stdout
+	stderr
+	// auxBase is the first auxiliary stream id: the paper's future
 	// work item "transparent streaming of other IO traffic" —
 	// additional application output channels (monitoring feeds,
 	// result files) forwarded alongside the standard streams.
-	AuxBase
+	auxBase
 )
 
-// Aux returns the stream id of auxiliary channel i (0-based).
-func Aux(i int) Stream { return AuxBase + Stream(i) }
+// aux returns the stream id of auxiliary channel i (0-based).
+func aux(i int) stream { return auxBase + stream(i) }
 
-// IsAux reports whether the stream is an auxiliary channel.
-func (s Stream) IsAux() bool { return s >= AuxBase }
+// isAux reports whether the stream is an auxiliary channel.
+func (s stream) isAux() bool { return s >= auxBase }
 
-// AuxIndex returns the 0-based auxiliary channel index (meaningful
-// only when IsAux).
-func (s Stream) AuxIndex() int { return int(s - AuxBase) }
+// auxIndex returns the 0-based auxiliary channel index (meaningful
+// only when isAux).
+func (s stream) auxIndex() int { return int(s - auxBase) }
 
 // String names the stream.
-func (s Stream) String() string {
+func (s stream) String() string {
 	switch s {
-	case Stdin:
+	case stdin:
 		return "stdin"
-	case Stdout:
+	case stdout:
 		return "stdout"
-	case Stderr:
+	case stderr:
 		return "stderr"
 	}
-	if s.IsAux() {
-		return fmt.Sprintf("aux%d", s.AuxIndex())
+	if s.isAux() {
+		return fmt.Sprintf("aux%d", s.auxIndex())
 	}
 	return fmt.Sprintf("Stream(%d)", byte(s))
 }
 
-// MsgType identifies a wire message.
-type MsgType byte
+// msgType identifies a wire message.
+type msgType byte
 
 // Wire message types.
 const (
-	// MsgHello opens (or reopens) a session: Subjob identifies the
+	// msgHello opens (or reopens) a session: Subjob identifies the
 	// sender's subjob, Seq carries the sender's next expected receive
 	// sequence so the peer can replay exactly the unseen suffix.
-	MsgHello MsgType = 1 + iota
-	// MsgData carries Seq-numbered payload for Stream.
-	MsgData
-	// MsgAck acknowledges every sequence below Seq (cumulative).
-	MsgAck
-	// MsgEOF marks the end of Stream; carries the Seq after the last
+	msgHello msgType = 1 + iota
+	// msgData carries Seq-numbered payload for Stream.
+	msgData
+	// msgAck acknowledges every sequence below Seq (cumulative).
+	msgAck
+	// msgEOF marks the end of Stream; carries the Seq after the last
 	// data message of that stream.
-	MsgEOF
+	msgEOF
 )
 
-// Message is one Grid Console frame.
-type Message struct {
-	Type   MsgType
-	Stream Stream
+// message is one Grid Console frame.
+type message struct {
+	Type   msgType
+	Stream stream
 	Subjob uint16
 	Seq    uint64
 	Data   []byte
@@ -109,8 +109,8 @@ var (
 
 const headerLen = 1 + 1 + 2 + 8 + 4
 
-// AppendMessage encodes m onto buf and returns the extended slice.
-func AppendMessage(buf []byte, m *Message) ([]byte, error) {
+// appendMessage encodes m onto buf and returns the extended slice.
+func appendMessage(buf []byte, m *message) ([]byte, error) {
 	if len(m.Data) > MaxData {
 		return buf, ErrFrameTooLarge
 	}
@@ -125,9 +125,9 @@ func AppendMessage(buf []byte, m *Message) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteMessage encodes and writes m as a single Write call.
-func WriteMessage(w io.Writer, m *Message) error {
-	buf, err := AppendMessage(make([]byte, 0, headerLen+len(m.Data)), m)
+// writeMessage encodes and writes m as a single Write call.
+func writeMessage(w io.Writer, m *message) error {
+	buf, err := appendMessage(make([]byte, 0, headerLen+len(m.Data)), m)
 	if err != nil {
 		return err
 	}
@@ -135,21 +135,21 @@ func WriteMessage(w io.Writer, m *Message) error {
 	return err
 }
 
-// ReadMessage reads and decodes one frame. It returns io.EOF only when
+// readMessage reads and decodes one frame. It returns io.EOF only when
 // the stream ends at a frame boundary; a frame cut short is
 // io.ErrUnexpectedEOF.
-func ReadMessage(r io.Reader) (*Message, error) {
+func readMessage(r io.Reader) (*message, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	m := &Message{
-		Type:   MsgType(hdr[0]),
-		Stream: Stream(hdr[1]),
+	m := &message{
+		Type:   msgType(hdr[0]),
+		Stream: stream(hdr[1]),
 		Subjob: binary.BigEndian.Uint16(hdr[2:4]),
 		Seq:    binary.BigEndian.Uint64(hdr[4:12]),
 	}
-	if m.Type < MsgHello || m.Type > MsgEOF {
+	if m.Type < msgHello || m.Type > msgEOF {
 		return nil, fmt.Errorf("%w: type %d", ErrBadFrame, hdr[0])
 	}
 	n := binary.BigEndian.Uint32(hdr[12:16])

@@ -10,22 +10,22 @@ import (
 
 // FuzzReadMessage decodes frames from arbitrary bytes until the first
 // error. No input may panic the decoder; every frame it accepts must
-// re-encode through AppendMessage to exactly the bytes it consumed; and
+// re-encode through appendMessage to exactly the bytes it consumed; and
 // every error must be one a reader can classify: io.EOF at a frame
 // boundary, io.ErrUnexpectedEOF for a torn frame, ErrBadFrame or
 // ErrFrameTooLarge.
 func FuzzReadMessage(f *testing.F) {
-	frame := func(m *Message) []byte {
-		b, err := AppendMessage(nil, m)
+	frame := func(m *message) []byte {
+		b, err := appendMessage(nil, m)
 		if err != nil {
 			f.Fatal(err)
 		}
 		return b
 	}
-	for typ := MsgHello; typ <= MsgEOF; typ++ {
-		f.Add(frame(&Message{Type: typ, Stream: Stdout, Subjob: 3, Seq: 42, Data: []byte("payload")}))
+	for typ := msgHello; typ <= msgEOF; typ++ {
+		f.Add(frame(&message{Type: typ, Stream: stdout, Subjob: 3, Seq: 42, Data: []byte("payload")}))
 	}
-	empty := frame(&Message{Type: MsgAck, Seq: 7})
+	empty := frame(&message{Type: msgAck, Seq: 7})
 	f.Add(empty)
 	f.Add(empty[:headerLen-3]) // truncated header
 	oversized := bytes.Clone(empty)
@@ -39,7 +39,7 @@ func FuzzReadMessage(f *testing.F) {
 		r := bytes.NewReader(in)
 		for {
 			start := len(in) - r.Len()
-			m, err := ReadMessage(r)
+			m, err := readMessage(r)
 			consumed := in[start : len(in)-r.Len()]
 			if err != nil {
 				switch {
@@ -53,7 +53,7 @@ func FuzzReadMessage(f *testing.F) {
 				}
 				return
 			}
-			out, err := AppendMessage(nil, m)
+			out, err := appendMessage(nil, m)
 			if err != nil {
 				t.Fatalf("accepted frame %+v does not re-encode: %v", m, err)
 			}

@@ -12,7 +12,7 @@
 //
 // Every virtual-time grid in the module — the examples, crossbroker,
 // each gridbench experiment driver, a federation — is a SystemConfig
-// literal built by NewSystem; NewSites is the one function that loops
+// literal built by NewSystem; newSites is the one function that loops
 // over site.New (DESIGN.md "Grid assembly").
 package core
 
@@ -70,8 +70,8 @@ type IndexSpec struct {
 	// Shards splits the registry into hash shards (default 1, the
 	// classic monolithic index). Thousands-of-sites grids shard so a
 	// site's publish invalidates only its own shard's snapshot; the
-	// broker then pages discovery shard by shard (see Broker.PageSize
-	// for the page size).
+	// broker then pages discovery shard by shard, in pages of
+	// infosys.DefaultPageSize records.
 	Shards int
 	// DeltaLogDepth enables per-shard delta logs of this depth, which
 	// make every broker on the index subscribe; 0 leaves them off, so a
@@ -173,7 +173,7 @@ func NewSystem(cfg SystemConfig) *System {
 		cfg.Sites = []SiteSpec{{NameFormat: "site%02d", Count: 4, Nodes: 4}}
 	}
 	sim := simclock.NewSim(time.Time{})
-	sys := &System{Sim: sim, Info: NewIndex(sim, cfg.Index)}
+	sys := &System{Sim: sim, Info: newIndex(sim, cfg.Index)}
 
 	bcfg := cfg.Broker
 	if cfg.FairShare != nil {
@@ -193,10 +193,10 @@ func NewSystem(cfg SystemConfig) *System {
 	bcfg.Seed = cfg.Seed
 	if len(cfg.Members) == 0 {
 		sys.Broker = broker.New(bcfg)
-		sys.Sites = NewSites(sim, cfg.Sites, sys.Broker.RegisterSite)
+		sys.Sites = newSites(sim, cfg.Sites, sys.Broker.RegisterSite)
 		return sys
 	}
-	shared := NewSites(sim, cfg.Sites, nil)
+	shared := newSites(sim, cfg.Sites, nil)
 	sys.Sites = shared
 	for _, ms := range cfg.Members {
 		m := Member{Name: ms.Name, Info: sys.Info}
@@ -204,13 +204,13 @@ func NewSystem(cfg SystemConfig) *System {
 			m.Tracer = trace.New(sim.Now)
 		}
 		if ms.Index != nil {
-			m.Info = NewIndex(sim, *ms.Index)
+			m.Info = newIndex(sim, *ms.Index)
 			m.Info.SetTracer(m.Tracer)
 		}
 		mcfg := bcfg
 		mcfg.Name, mcfg.Seed, mcfg.Info, mcfg.Trace = ms.Name, ms.Seed, m.Info, m.Tracer
 		m.Broker = broker.New(mcfg)
-		sys.Sites = append(sys.Sites, NewSites(sim, ms.Sites, m.Broker.RegisterSite)...)
+		sys.Sites = append(sys.Sites, newSites(sim, ms.Sites, m.Broker.RegisterSite)...)
 		if ms.Index == nil {
 			for _, st := range shared {
 				m.Broker.RegisterSite(st)
@@ -221,8 +221,8 @@ func NewSystem(cfg SystemConfig) *System {
 	return sys
 }
 
-// NewIndex builds an information index on sim.
-func NewIndex(sim *simclock.Sim, spec IndexSpec) *infosys.Service {
+// newIndex builds an information index on sim.
+func newIndex(sim *simclock.Sim, spec IndexSpec) *infosys.Service {
 	if spec.Latency <= 0 {
 		spec.Latency = 250 * time.Millisecond
 	}
@@ -236,11 +236,11 @@ func NewIndex(sim *simclock.Sim, spec IndexSpec) *infosys.Service {
 	return info
 }
 
-// NewSites builds the sites specs describe, in order, handing each to
+// newSites builds the sites specs describe, in order, handing each to
 // register (a broker's RegisterSite; nil to register later) before the
 // next is built. It is the only place outside benchmark/ that loops
 // over site.New.
-func NewSites(sim *simclock.Sim, specs []SiteSpec, register func(*site.Site)) []*site.Site {
+func newSites(sim *simclock.Sim, specs []SiteSpec, register func(*site.Site)) []*site.Site {
 	var out []*site.Site
 	for _, spec := range specs {
 		run, n := spec.NameFormat != "", 1

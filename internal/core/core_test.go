@@ -476,7 +476,7 @@ StreamingMode = "reliable";
 		SpillDir:      t.TempDir(),
 		RetryInterval: 10 * time.Millisecond,
 		MaxRetries:    5,
-		OnLinkFail: func(sub uint16, err error) {
+		onLinkFail: func(sub uint16, err error) {
 			select {
 			case linkFailed <- err:
 			default:

@@ -44,10 +44,10 @@ type SessionConfig struct {
 	// started with extra output channels (interpose.FuncAux); nil
 	// discards it.
 	AuxSink func(subjob uint16, channel int, data []byte, eof bool)
-	// OnLinkFail is called when a subjob's console link gives up
+	// onLinkFail is called when a subjob's console link gives up
 	// permanently (retry budget exhausted, process killed); wire it to
 	// the broker's Abort to drive the job terminal.
-	OnLinkFail func(subjob uint16, err error)
+	onLinkFail func(subjob uint16, err error)
 }
 
 // Session is a running interactive session: one Console Shadow plus
@@ -122,7 +122,7 @@ func StartAuxSession(cfg SessionConfig, naux int, apps []interpose.AuxAppFunc) (
 		Stderr:        cfg.Stderr,
 		Stdin:         cfg.Stdin,
 		AuxSink:       cfg.AuxSink,
-		OnLinkFail:    cfg.OnLinkFail,
+		OnLinkFail:    cfg.onLinkFail,
 		SpillDir:      cfg.SpillDir,
 		FlushInterval: cfg.FlushInterval,
 		RetryInterval: cfg.RetryInterval,

@@ -44,8 +44,8 @@ func (l *Links) SetBoth(a, b string, p netsim.Profile) {
 	l.Set(b, a, p)
 }
 
-// Between returns the profile of the directed from->to link.
-func (l *Links) Between(from, to string) netsim.Profile {
+// between returns the profile of the directed from->to link.
+func (l *Links) between(from, to string) netsim.Profile {
 	if l == nil {
 		return netsim.Profile{}
 	}
@@ -165,7 +165,7 @@ func (c *Catalog) stageOne(site, name string) (time.Duration, bool) {
 	}
 	best := time.Duration(-1)
 	for _, holder := range d.sites {
-		t := c.links.Between(holder, site).TransferTimeBytes(d.size)
+		t := c.links.between(holder, site).TransferTimeBytes(d.size)
 		if best < 0 || t < best {
 			best = t
 		}

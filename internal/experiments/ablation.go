@@ -205,11 +205,11 @@ func QuantumSweep(quanta []time.Duration, iterations int) ([]QuantumSweepResult,
 	}
 	return runCells(len(quanta), 0, func(i int) (QuantumSweepResult, error) {
 		q := quanta[i]
-		ref, err := fig8Exclusive(Fig8Config{Iterations: iterations, Quantum: q})
+		ref, err := fig8Exclusive(Fig8Config{Iterations: iterations, quantum: q})
 		if err != nil {
 			return QuantumSweepResult{}, err
 		}
-		shared, err := fig8Shared(Fig8Config{Iterations: iterations, Quantum: q}, 25)
+		shared, err := fig8Shared(Fig8Config{Iterations: iterations, quantum: q}, 25)
 		if err != nil {
 			return QuantumSweepResult{}, err
 		}

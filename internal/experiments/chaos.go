@@ -34,7 +34,7 @@ type ChaosPoint struct {
 	Submitted int `json:"submitted"`
 	Done      int `json:"done"`
 	Aborted   int `json:"aborted"`
-	// FailedBy splits Aborted by reason (Tally.FailedBy).
+	// FailedBy splits Aborted by reason (tally.FailedBy).
 	FailedBy map[string]int `json:"failed_by,omitempty"`
 	// Resubmissions is the total failure-driven resubmission count
 	// across all jobs.
@@ -87,12 +87,12 @@ type ChaosConfig struct {
 	// the partition→bounded-subscription→heal→catch-up path is
 	// exercised at every rate, including rate 0.
 	Delta bool
-	// Elastic gives every odd-indexed site's queue an elastic node
+	// elastic gives every odd-indexed site's queue an elastic node
 	// supply (cold starts, warm-pool reuse, scale-down reclaim), so the
 	// crash/stall/quarantine recovery machinery is exercised against
 	// provisioning latencies: a crash landing during a cold boot must
 	// still release its lease.
-	Elastic bool
+	elastic bool
 }
 
 // The chaos grid is four sites of two nodes; a crashed site stays
@@ -123,23 +123,22 @@ func ChaosSweep(cfg ChaosConfig) ([]ChaosPoint, error) {
 // chaosPoint runs one rate: jobs batch and jobs interactive
 // submissions under faults injected for horizon.
 func chaosPoint(rate float64, idx int64, jobs int, horizon time.Duration, cfg ChaosConfig) (ChaosPoint, error) {
-	p := ChaosPoint{CrashRate: rate, Delta: cfg.Delta, Elastic: cfg.Elastic}
+	p := ChaosPoint{CrashRate: rate, Delta: cfg.Delta, Elastic: cfg.elastic}
 	// Recovery knobs: bounded resubmission with capped exponential
 	// backoff; heartbeat monitoring and the circuit-breaker quarantine
 	// run at the broker's defaults.
 	grid := core.SystemConfig{
 		Seed:   cfg.Seed + idx,
 		Trace:  cfg.Traced,
-		Broker: RecoveryConfig(),
+		Broker: recoveryConfig(),
 		Sites: []core.SiteSpec{{
 			NameFormat: "s%02d", Count: chaosSites, Nodes: chaosNodes, LRMCycle: 2 * time.Second,
 			Vary: func(i int, s *core.SiteSpec) {
-				if cfg.Elastic && i%2 == 1 {
+				if cfg.elastic && i%2 == 1 {
 					s.Elastic = &batch.ElasticConfig{
 						MaxNodes:        chaosNodes,
 						ColdStart:       45 * time.Second,
 						ColdStartJitter: 15 * time.Second,
-						WarmWindow:      5 * time.Minute,
 						Seed:            cfg.Seed + idx + int64(i),
 					}
 				}
@@ -239,7 +238,7 @@ func chaosPoint(rate float64, idx int64, jobs int, horizon time.Duration, cfg Ch
 	if err := tally.pendingErr(); err != nil {
 		return p, err
 	}
-	sum := tally.Summary()
+	sum := tally.summary()
 	p.Submitted, p.Done, p.Aborted, p.FailedBy = len(handles), tally.Done, tally.Failed, tally.FailedBy
 	p.Resubmissions, p.GoodputPct, p.P99RecoverySec = tally.Resubmissions, sum.GoodputPct, sum.Recovery.P99
 	p.LeakedLeases = b.LeasedCPUs()

@@ -80,7 +80,7 @@ func TestChaosTraceInvariants(t *testing.T) {
 	events := append([]trace.Event(nil), pts[1].Trace.Events...)
 	var victim string
 	for _, e := range events {
-		if e.Kind.Terminal() && e.Job != "" {
+		if (e.Kind == trace.Done || e.Kind == trace.Failed || e.Kind == trace.Aborted) && e.Job != "" {
 			victim = e.Job
 			break
 		}
@@ -145,7 +145,7 @@ func TestChaosSweepRecovers(t *testing.T) {
 // leases leak even when crashes land during cold boots and warm-pool
 // reclaims.
 func TestChaosSweepElasticRecovers(t *testing.T) {
-	cfg := ChaosConfig{Seed: 2006, Quick: true, Elastic: true, Delta: true}
+	cfg := ChaosConfig{Seed: 2006, Quick: true, elastic: true, Delta: true}
 	pts, err := ChaosSweep(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -105,8 +105,8 @@ func Day(seed int64) (DayReport, error) {
 	rep.Batch, rep.Interactive = len(batch), len(inter)
 	rep.InteractiveOK, rep.InteractiveFailed = it.Done, it.Failed
 	rep.SharedPlacements, rep.BatchDone = it.SharedPlacements, bt.Done
-	rep.MeanInteractiveStartup = it.Summary().Startup.Mean
-	rep.MeanBatchTurnaround = bt.Summary().Turnaround.Mean / 3600
+	rep.MeanInteractiveStartup = it.summary().Startup.Mean
+	rep.MeanBatchTurnaround = bt.summary().Turnaround.Mean / 3600
 	return rep, nil
 }
 

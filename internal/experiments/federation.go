@@ -43,7 +43,7 @@ type FederationPoint struct {
 	Submitted int `json:"submitted"`
 	Done      int `json:"done"`
 	Failed    int `json:"failed"`
-	// FailedBy splits Failed by reason (Tally.FailedBy).
+	// FailedBy splits Failed by reason (tally.FailedBy).
 	FailedBy map[string]int `json:"failed_by,omitempty"`
 	// Offloads, Accepted and Orphaned count transfer-protocol events
 	// in the merged trace (Orphaned covers lost requests, lost acks
@@ -146,7 +146,7 @@ func federationPoint(topo string, k int, rate float64, idx int64, cfg Federation
 	seed := cfg.Seed + idx
 	// The same recovery posture as the single-broker chaos sweep, plus
 	// lease jitter so federated expiries desynchronize.
-	grid := core.SystemConfig{Broker: RecoveryConfig(), Trace: true}
+	grid := core.SystemConfig{Broker: recoveryConfig(), Trace: true}
 	grid.Broker.LeaseJitter = 0.25
 	fcfg := federation.Config{K: k}
 	switch topo {
@@ -220,18 +220,18 @@ func federationPoint(topo string, k int, rate float64, idx int64, cfg Federation
 	core.Drain(sys, refs, 15*time.Minute, 12)
 	fed.Reconcile()
 
-	var tally Tally
+	var outcomes tally
 	for _, jr := range refs {
-		tally.Add(jr.Handle())
+		outcomes.add(jr.Handle())
 		if origin := strings.SplitN(jr.ID, "-", 2)[0]; jr.Owner() != origin {
 			p.Migrated++
 		}
 	}
-	if err := tally.pendingErr(); err != nil {
+	if err := outcomes.pendingErr(); err != nil {
 		return p, err
 	}
-	p.Submitted, p.Done, p.Failed, p.FailedBy = len(refs), tally.Done, tally.Failed, tally.FailedBy
-	p.Resubmissions, p.GoodputPct = tally.Resubmissions, tally.Summary().GoodputPct
+	p.Submitted, p.Done, p.Failed, p.FailedBy = len(refs), outcomes.Done, outcomes.Failed, outcomes.FailedBy
+	p.Resubmissions, p.GoodputPct = outcomes.Resubmissions, outcomes.summary().GoodputPct
 	for _, st := range sys.Sites {
 		if mi := st.Stats().MaxInflight; mi > p.CommitRaces {
 			p.CommitRaces = mi

@@ -29,20 +29,20 @@ const (
 type Fig8Config struct {
 	// Iterations is the loop count (the paper uses 1,000).
 	Iterations int
-	// Quantum overrides the stride scheduler quantum (0 = default).
-	Quantum time.Duration
+	// quantum overrides the stride scheduler quantum (0 = default).
+	quantum time.Duration
 }
 
 func (c *Fig8Config) setDefaults() {
 	if c.Iterations <= 0 {
 		c.Iterations = 1000
 	}
-	if c.Quantum <= 0 {
+	if c.quantum <= 0 {
 		// The agent's priority control operates at kernel granularity;
 		// a 1 ms quantum plus immediate preemption of uncontended
 		// slices models Unix priority scheduling on the paper's
 		// testbed.
-		c.Quantum = time.Millisecond
+		c.quantum = time.Millisecond
 	}
 }
 
@@ -54,7 +54,7 @@ func (c *Fig8Config) setDefaults() {
 // shape directly: CPU loss tracking the attribute and I/O loss about
 // half of it, growing with PL (Section 6.3's 5%/10%).
 func fig8MachineOpts(cfg Fig8Config) []vmslot.Option {
-	return []vmslot.Option{vmslot.WithQuantum(cfg.Quantum), vmslot.WithMaxCatchup(0)}
+	return []vmslot.Option{vmslot.WithQuantum(cfg.quantum), vmslot.WithMaxCatchup(0)}
 }
 
 // Fig8Case is one curve pair of Figure 8.

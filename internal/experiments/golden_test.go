@@ -152,7 +152,7 @@ func TestGoldenHashes(t *testing.T) {
 			return hashRun(t, pts, tracesOf(pts, func(p ChaosPoint) trace.Trace { return p.Trace }))
 		}},
 		{"chaos-delta-elastic", func(t *testing.T) goldenHash {
-			pts, err := ChaosSweep(ChaosConfig{Quick: true, Seed: 5, Delta: true, Elastic: true, Traced: true})
+			pts, err := ChaosSweep(ChaosConfig{Quick: true, Seed: 5, Delta: true, elastic: true, Traced: true})
 			if err != nil {
 				t.Fatal(err)
 			}

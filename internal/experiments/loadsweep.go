@@ -141,13 +141,13 @@ func loadPoint(load float64, mp bool, seed int64) (LoadPoint, error) {
 		return p, err
 	}
 	p.Submitted, p.Succeeded, p.Failed = len(inter), interTally.Done, interTally.Failed
-	p.MeanStartup = interTally.Summary().Startup.Mean
+	p.MeanStartup = interTally.summary().Startup.Mean
 
 	// Run the grid until the batch jobs finish; their mean turnaround
 	// feeds the slowdown comparison against the exclusive-only run at
 	// the same load (where nothing shares their nodes).
 	sim.RunFor(loadBatchWork * 3)
-	p.meanBatchElapsed = tallyOf(batchHandles).Summary().Turnaround.Mean
+	p.meanBatchElapsed = tallyOf(batchHandles).summary().Turnaround.Mean
 	return p, nil
 }
 

@@ -14,21 +14,18 @@ import (
 // byte-identical whatever the worker count, while wall clock drops
 // severalfold on multi-core machines.
 
-// Workers returns the default cell parallelism: one worker per
-// available CPU.
-func Workers() int { return runtime.GOMAXPROCS(0) }
-
 // runCells evaluates cell(0..n-1) on up to workers goroutines and
-// returns the results in cell order. workers <= 0 selects Workers();
-// a single worker degenerates to a plain loop with fail-fast. When
-// cells fail, the error of the lowest-indexed failing cell is
-// returned, keeping error reporting independent of scheduling.
+// returns the results in cell order. workers <= 0 selects one worker
+// per available CPU (GOMAXPROCS); a single worker degenerates to a
+// plain loop with fail-fast. When cells fail, the error of the
+// lowest-indexed failing cell is returned, keeping error reporting
+// independent of scheduling.
 func runCells[T any](n, workers int, cell func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	if workers <= 0 {
-		workers = Workers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n

@@ -70,7 +70,7 @@ func TestRunCellsSerialFailsFast(t *testing.T) {
 }
 
 // withProcs runs f with GOMAXPROCS set to procs, which sets the
-// worker count of every experiment that sizes its pool by Workers().
+// worker count of every experiment that sizes its pool by GOMAXPROCS.
 func withProcs(procs int, f func()) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	f()
@@ -80,7 +80,7 @@ func withProcs(procs int, f func()) {
 // test for Table I: the rendered table must be byte-identical whatever
 // the worker count, because each run cell derives its seed from the
 // run index alone and results merge in run order. TableI sizes its
-// pool by Workers(), so the worker count is set through GOMAXPROCS.
+// pool by GOMAXPROCS, so the worker count is set through it.
 func TestTableIByteIdenticalAcrossWorkers(t *testing.T) {
 	render := func(procs int) (out string) {
 		withProcs(procs, func() {
@@ -146,11 +146,5 @@ func TestReplaySweepByteIdenticalAcrossWorkers(t *testing.T) {
 		if hash != serialHash {
 			t.Fatalf("workers=%d hashes %+v, serial %+v", workers, hash, serialHash)
 		}
-	}
-}
-
-func TestWorkersPositive(t *testing.T) {
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d", Workers())
 	}
 }

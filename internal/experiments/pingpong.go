@@ -309,6 +309,11 @@ func (c *consoleChannel) Read(p []byte) (int, error) { return c.outR.Read(p) }
 func (c *consoleChannel) close() {
 	c.stdinW.Close()
 	_ = c.agent.Kill()
+	// Let the agent drain to the shadow and close its link before the
+	// shadow goes: closed first, it would leave the agent redialling it
+	// for seconds after the cell returned. The exit error of a killed
+	// echo loop says nothing.
+	_ = c.agent.Wait()
 	c.shadow.Close()
 	c.lis.Close()
 	c.outR.Close()

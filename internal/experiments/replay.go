@@ -39,7 +39,7 @@ type ReplayPoint struct {
 	Done    int `json:"done"`
 	Failed  int `json:"failed"`
 	Pending int `json:"pending"`
-	// FailedBy splits Failed by reason (Tally.FailedBy).
+	// FailedBy splits Failed by reason (tally.FailedBy).
 	FailedBy map[string]int `json:"failed_by,omitempty"`
 	// GoodputPct is Done/Submitted.
 	GoodputPct float64 `json:"goodput_pct"`
@@ -121,13 +121,13 @@ func ReplaySweep(cfg ReplayConfig) ([]ReplayPoint, error) {
 	})
 }
 
-// RecoveryConfig is the bounded-recovery broker posture the replay,
+// recoveryConfig is the bounded-recovery broker posture the replay,
 // chaos and federation sweeps share: capped resubmission with
 // exponential backoff, so every job reaches a terminal state even when
 // the workload overloads the grid or faults keep hitting it. Heartbeat
 // monitoring and the circuit breaker run at the broker's defaults.
 // Callers set their own fields on the returned value.
-func RecoveryConfig() broker.Config {
+func recoveryConfig() broker.Config {
 	return broker.Config{
 		MaxResubmits:  10,
 		RetryInterval: 15 * time.Second, RetryBackoff: 2, RetryMaxInterval: 4 * time.Minute,
@@ -142,7 +142,7 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 	}
 	defer stream.Close()
 
-	bcfg := RecoveryConfig()
+	bcfg := recoveryConfig()
 	bcfg.TopK = 16 // bounds the site probes per job, the dominant cost on large grids
 	sys := core.NewSystem(core.SystemConfig{
 		Index:  core.IndexSpec{Latency: 500 * time.Millisecond},
@@ -159,7 +159,7 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 		submitErr  error
 		maxRuntime time.Duration
 		drained    bool
-		tally      Tally
+		outcomes   tally
 	)
 
 	// Jobs in flight are pooled records: a description is only
@@ -186,7 +186,7 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 		// handle slice, no end-of-run scan, so memory stays constant
 		// in trace length.
 		r.done = func() {
-			tally.Add(r.h)
+			outcomes.add(r.h)
 			r.h = nil
 			free = append(free, r)
 		}
@@ -276,7 +276,7 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 			return p, submitErr
 		}
 		if drained {
-			if tally.Done+tally.Failed >= p.Submitted {
+			if outcomes.Done+outcomes.Failed >= p.Submitted {
 				break
 			}
 			if waited >= maxRuntime+48*time.Hour {
@@ -288,10 +288,10 @@ func replayPoint(speedup float64, idx int64, cfg ReplayConfig) (ReplayPoint, err
 	}
 	// A job still in flight never fired its hook, so the tally learns
 	// of it here.
-	tally.Pending = p.Submitted - tally.Done - tally.Failed
-	p.Done, p.Failed, p.FailedBy, p.Pending = tally.Done, tally.Failed, tally.FailedBy, tally.Pending
-	p.Resubmissions, p.SharedPlacements = tally.Resubmissions, tally.SharedPlacements
-	sum := tally.Summary()
+	outcomes.Pending = p.Submitted - outcomes.Done - outcomes.Failed
+	p.Done, p.Failed, p.FailedBy, p.Pending = outcomes.Done, outcomes.Failed, outcomes.FailedBy, outcomes.Pending
+	p.Resubmissions, p.SharedPlacements = outcomes.Resubmissions, outcomes.SharedPlacements
+	sum := outcomes.summary()
 	p.GoodputPct = sum.GoodputPct
 	p.MeanStartupSec, p.P95StartupSec = sum.Startup.Mean, sum.Startup.P95
 	p.MeanTurnaroundH, p.P95TurnaroundH = sum.Turnaround.Mean/3600, sum.Turnaround.P95/3600

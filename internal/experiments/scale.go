@@ -201,9 +201,8 @@ func scaleCell(cfg ScaleConfig, job *jdl.Job, spec scaleSpec) (ScalePoint, error
 	// match kept (TopK 0).
 	pt := ScalePoint{Sites: n, Mode: spec.mode, Shards: 1, PageSize: infosys.DefaultPageSize, Churn: spec.churn}
 	grid := core.SystemConfig{
-		Index:  core.IndexSpec{Latency: 500 * time.Millisecond, Shards: 1},
-		Seed:   cfg.Seed,
-		Broker: broker.Config{PageSize: infosys.DefaultPageSize},
+		Index: core.IndexSpec{Latency: 500 * time.Millisecond, Shards: 1},
+		Seed:  cfg.Seed,
 		Sites: []core.SiteSpec{{
 			NameFormat: "site%04d", Count: n, Nodes: 4, Network: netsim.WideArea(),
 			// Keep republish events out of the measured passes; churn

@@ -9,11 +9,11 @@ import (
 	"crossbroker/internal/site"
 )
 
-// Tally is the one account of how a run's jobs ended: every driver
+// tally is the one account of how a run's jobs ended: every driver
 // feeds it the handles it submitted instead of deciding for itself
 // what counts as done, failed or still pending. A job that is not
 // terminal is pending and never counts as failed.
-type Tally struct {
+type tally struct {
 	// Done, Failed and Pending partition the jobs added.
 	Done, Failed, Pending int
 	// FailedBy splits Failed by the reason a job's error names (see
@@ -31,9 +31,9 @@ type Tally struct {
 	startup, turnaround, recovery metrics.Series
 }
 
-// Add classifies one job. A nil handle (a federated job between
+// add classifies one job. A nil handle (a federated job between
 // brokers) is pending.
-func (t *Tally) Add(h *broker.Handle) {
+func (t *tally) add(h *broker.Handle) {
 	if h == nil {
 		t.Pending++
 		return
@@ -93,34 +93,34 @@ func failureReason(err error) string {
 }
 
 // tallyOf adds every handle to a fresh tally.
-func tallyOf(hs []*broker.Handle) *Tally {
-	t := new(Tally)
+func tallyOf(hs []*broker.Handle) *tally {
+	t := new(tally)
 	for _, h := range hs {
-		t.Add(h)
+		t.add(h)
 	}
 	return t
 }
 
 // pendingErr reports the jobs still pending, for a driver that runs
 // every job to the end.
-func (t *Tally) pendingErr() error {
+func (t *tally) pendingErr() error {
 	if t.Pending == 0 {
 		return nil
 	}
 	return fmt.Errorf("%d of %d jobs never reached a terminal state", t.Pending, t.Done+t.Failed+t.Pending)
 }
 
-// TallySummary reduces a tally to the paper's Table I metrics.
+// tallySummary reduces a tally to the paper's Table I metrics.
 // GoodputPct is Done over every job added, in percent; Startup,
 // Turnaround and Recovery summarize the tally's series, in seconds.
-type TallySummary struct {
+type tallySummary struct {
 	GoodputPct                    float64
 	Startup, Turnaround, Recovery metrics.Summary
 }
 
-// Summary reduces the tally.
-func (t *Tally) Summary() TallySummary {
-	s := TallySummary{Startup: t.startup.Summarize(), Turnaround: t.turnaround.Summarize(),
+// summary reduces the tally.
+func (t *tally) summary() tallySummary {
+	s := tallySummary{Startup: t.startup.Summarize(), Turnaround: t.turnaround.Summarize(),
 		Recovery: t.recovery.Summarize()}
 	if n := t.Done + t.Failed + t.Pending; n > 0 {
 		s.GoodputPct = 100 * float64(t.Done) / float64(n)

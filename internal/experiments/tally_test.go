@@ -84,16 +84,16 @@ func TestTally(t *testing.T) {
 			return tallyJob(t, batch(), time.Minute, fmt.Errorf("wrapped: %w", f.err), time.Hour)
 		}, want{failed: 1, reason: f.reason}})
 	}
-	var all Tally
+	var all tally
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := tc.h(t)
-			var tally Tally
-			tally.Add(h)
-			all.Add(h)
-			s := tally.Summary()
-			got := want{tally.Done, tally.Failed, tally.Pending, tally.SharedPlacements, s.Startup.N, s.Turnaround.N, ""}
-			for reason := range tally.FailedBy {
+			var one tally
+			one.add(h)
+			all.add(h)
+			s := one.summary()
+			got := want{one.Done, one.Failed, one.Pending, one.SharedPlacements, s.Startup.N, s.Turnaround.N, ""}
+			for reason := range one.FailedBy {
 				got.reason = reason
 			}
 			if got != tc.want {
@@ -102,7 +102,7 @@ func TestTally(t *testing.T) {
 		})
 	}
 	jobs := 4 + len(fails)
-	if g, w := all.Summary().GoodputPct, 100*2/float64(jobs); g != w {
+	if g, w := all.summary().GoodputPct, 100*2/float64(jobs); g != w {
 		t.Fatalf("goodput %.1f%%, want %.1f%% (2 done of %d)", g, w, jobs)
 	}
 	if err := all.pendingErr(); err == nil || err.Error() != fmt.Sprintf("2 of %d jobs never reached a terminal state", jobs) {

@@ -66,9 +66,9 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", int(c))
 }
 
-// AppFactor returns af for a class given the relevant PerformanceLoss
+// appFactor returns af for a class given the relevant PerformanceLoss
 // percentage (the interactive job's attribute).
-func AppFactor(c Class, performanceLoss int) float64 {
+func appFactor(c Class, performanceLoss int) float64 {
 	pl := float64(performanceLoss) / 100
 	switch c {
 	case BatchClass:
@@ -185,7 +185,7 @@ func (m *Manager) Usage(name string) float64 {
 		if a.user != name {
 			continue
 		}
-		sum += AppFactor(a.class, a.pl) * float64(a.cpus) / float64(m.total)
+		sum += appFactor(a.class, a.pl) * float64(a.cpus) / float64(m.total)
 	}
 	return sum
 }

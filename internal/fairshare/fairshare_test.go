@@ -17,21 +17,21 @@ func TestAppFactorOrdering(t *testing.T) {
 	// Paper invariant: interactive >= batch >= yielded batch, for every
 	// PerformanceLoss value.
 	for pl := 0; pl <= 100; pl += 5 {
-		i := AppFactor(InteractiveClass, pl)
-		b := AppFactor(BatchClass, pl)
-		y := AppFactor(YieldedBatchClass, pl)
+		i := appFactor(InteractiveClass, pl)
+		b := appFactor(BatchClass, pl)
+		y := appFactor(YieldedBatchClass, pl)
 		if !(i >= b && b >= y) {
 			t.Fatalf("PL=%d: factors i=%v b=%v y=%v violate ordering", pl, i, b, y)
 		}
 	}
-	if AppFactor(BatchClass, 0) != 1 {
+	if appFactor(BatchClass, 0) != 1 {
 		t.Fatal("batch af != 1")
 	}
-	if AppFactor(YieldedBatchClass, 25) != 0.25 {
-		t.Fatalf("yielded af = %v", AppFactor(YieldedBatchClass, 25))
+	if appFactor(YieldedBatchClass, 25) != 0.25 {
+		t.Fatalf("yielded af = %v", appFactor(YieldedBatchClass, 25))
 	}
-	if AppFactor(InteractiveClass, 25) != 1.75 {
-		t.Fatalf("interactive af = %v", AppFactor(InteractiveClass, 25))
+	if appFactor(InteractiveClass, 25) != 1.75 {
+		t.Fatalf("interactive af = %v", appFactor(InteractiveClass, 25))
 	}
 }
 

@@ -206,11 +206,11 @@ type Schedule struct {
 	Rates Rates
 }
 
-// Generate expands the schedule into a time-ordered event list:
+// generate expands the schedule into a time-ordered event list:
 // explicit events plus seeded Poisson arrivals per kind. Target sites
 // are left as declared (empty targets are resolved by the injector's
 // seeded pick at Start). Deterministic: same schedule, same list.
-func (s Schedule) Generate() []Event {
+func (s Schedule) generate() []Event {
 	events := append([]Event(nil), s.Events...)
 	for k := Kind(0); k < numKinds; k++ {
 		rate := s.Rates.rate(k)
@@ -335,7 +335,7 @@ func (in *Injector) Start(s Schedule) []Event {
 		panic("faultinject: injector started twice")
 	}
 	in.started = true
-	events := s.Generate()
+	events := s.generate()
 	for i := range events {
 		ev := &events[i]
 		switch {

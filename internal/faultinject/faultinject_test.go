@@ -36,7 +36,7 @@ func TestGenerateDeterministic(t *testing.T) {
 			OutagesPerHour: 1, MeanOutage: time.Minute,
 		},
 	}
-	a, b := sched.Generate(), sched.Generate()
+	a, b := sched.generate(), sched.generate()
 	if len(a) == 0 {
 		t.Fatal("no events generated")
 	}
@@ -44,7 +44,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal("same schedule generated different event lists")
 	}
 	sched.Seed = 43
-	c := sched.Generate()
+	c := sched.generate()
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds generated identical event lists")
 	}
@@ -62,7 +62,7 @@ func TestGenerateMergesExplicitEvents(t *testing.T) {
 		Events:  []Event{{At: 5 * time.Minute, Kind: SiteCrash, Site: "s0", Duration: time.Minute}},
 		Rates:   Rates{AgentDeathsPerHour: 5},
 	}
-	evs := sched.Generate()
+	evs := sched.generate()
 	found := false
 	for _, e := range evs {
 		if e.Kind == SiteCrash && e.Site == "s0" {
@@ -260,12 +260,12 @@ func TestBrokerRatesDoNotShiftOtherStreams(t *testing.T) {
 	withBrokers.Rates.PeerOutagesPerHour = 1
 	withBrokers.Rates.MeanPeerOutage = time.Minute
 	var siteOnly, mixed []Event
-	for _, e := range withBrokers.Generate() {
+	for _, e := range withBrokers.generate() {
 		if e.Kind == SiteCrash {
 			mixed = append(mixed, e)
 		}
 	}
-	siteOnly = base.Generate()
+	siteOnly = base.generate()
 	if !reflect.DeepEqual(siteOnly, mixed) {
 		t.Fatal("adding broker fault rates shifted the site-crash stream")
 	}

@@ -63,9 +63,9 @@ type Config struct {
 	// pending depth (including the job in hand) exceeds LeasedCPUs+K.
 	// Default 2.
 	K int
-	// Link shapes every peer-to-peer hop (transfer and ack). Default
+	// link shapes every peer-to-peer hop (transfer and ack). Default
 	// netsim.WideArea — federated brokers live in different centers.
-	Link netsim.Profile
+	link netsim.Profile
 	// Supervisor names the hub of a star topology: every other member
 	// offloads to it, and it re-balances to the least-loaded child. A
 	// name that is no member adds a pure relay: a node with no broker,
@@ -78,8 +78,8 @@ func (c *Config) setDefaults() {
 	if c.K <= 0 {
 		c.K = 2
 	}
-	if c.Link == (netsim.Profile{}) {
-		c.Link = netsim.WideArea()
+	if c.link == (netsim.Profile{}) {
+		c.link = netsim.WideArea()
 	}
 }
 
@@ -360,9 +360,9 @@ func (n *Node) send(s *shipment, dst *Node) {
 		delete(n.out, s.id)
 	}
 	f.sim.Post(func() {
-		f.sim.AfterFunc(f.cfg.Link.TransferTime(jobBytes), func() {
+		f.sim.AfterFunc(f.cfg.link.TransferTime(jobBytes), func() {
 			deliver(func() {
-				f.sim.AfterFunc(f.cfg.Link.RTT()/2, ack)
+				f.sim.AfterFunc(f.cfg.link.RTT()/2, ack)
 			})
 		})
 	})
@@ -460,13 +460,13 @@ func (f *Federation) CrashBroker(name string, d time.Duration) bool {
 	n.down = true
 	f.reclaimFrom(n)
 	if d > 0 {
-		f.sim.AfterFunc(d, func() { f.RestartBroker(name) })
+		f.sim.AfterFunc(d, func() { f.restartBroker(name) })
 	}
 	return true
 }
 
-// RestartBroker brings a crashed member back and reconciles.
-func (f *Federation) RestartBroker(name string) {
+// restartBroker brings a crashed member back and reconciles.
+func (f *Federation) restartBroker(name string) {
 	n := f.byName[name]
 	if n == nil || !n.down {
 		return

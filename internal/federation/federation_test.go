@@ -230,7 +230,7 @@ func TestCrashReclaimReturnsQueuedJobs(t *testing.T) {
 // cannot double-execute it.
 func TestLostTransferRequeuesAtOrigin(t *testing.T) {
 	// A 30 s one-way link makes the flight long enough to cut mid-air.
-	sys, fed := mesh(Config{K: 1, Link: netsim.Profile{Name: "slow", OneWayDelay: 30 * time.Second}}, broker.Config{}, 4)
+	sys, fed := mesh(Config{K: 1, link: netsim.Profile{Name: "slow", OneWayDelay: 30 * time.Second}}, broker.Config{}, 4)
 	sim := sys.Sim
 
 	refsP := waves(t, sim, fed, "bA", 3, 3, time.Minute, 2*time.Minute)
@@ -258,7 +258,7 @@ func TestLostTransferRequeuesAtOrigin(t *testing.T) {
 // origin's dangling transfer lease closes at reconciliation.
 func TestAckLostReceiverKeepsJob(t *testing.T) {
 	// 10 s one-way: delivery at ~send+10 s, ack due ~send+20 s.
-	sys, fed := mesh(Config{K: 1, Link: netsim.Profile{Name: "slow", OneWayDelay: 10 * time.Second}}, broker.Config{}, 4)
+	sys, fed := mesh(Config{K: 1, link: netsim.Profile{Name: "slow", OneWayDelay: 10 * time.Second}}, broker.Config{}, 4)
 	sim := sys.Sim
 
 	refsP := waves(t, sim, fed, "bA", 3, 3, time.Minute, 2*time.Minute)
@@ -437,7 +437,7 @@ func TestFederationDeterministic(t *testing.T) {
 // default: the cost delays every transfer it carries.
 func TestLinkPerMessageCostKept(t *testing.T) {
 	const cost = 30 * time.Second
-	sys, fed := mesh(Config{K: 1, Link: netsim.Profile{PerMessageCost: cost}}, broker.Config{}, 4)
+	sys, fed := mesh(Config{K: 1, link: netsim.Profile{PerMessageCost: cost}}, broker.Config{}, 4)
 	waves(t, sys.Sim, fed, "bA", 3, 3, time.Minute, 2*time.Minute)
 	sys.Run(2 * time.Hour)
 	sent := make(map[string]time.Duration)

@@ -79,8 +79,8 @@ type Credential struct {
 	key   ed25519.PrivateKey
 }
 
-// Leaf returns the chain's leaf certificate.
-func (c *Credential) Leaf() *Certificate { return c.Chain[0] }
+// leaf returns the chain's leaf certificate.
+func (c *Credential) leaf() *Certificate { return c.Chain[0] }
 
 // Subject returns the leaf subject DN.
 func (c *Credential) Subject() string { return c.Chain[0].Subject }
@@ -144,7 +144,7 @@ func (c *Credential) Delegate(now time.Time, lifetime time.Duration) (*Credentia
 		return nil, fmt.Errorf("gsi: generate proxy key: %w", err)
 	}
 	notAfter := now.Add(lifetime)
-	if parent := c.Leaf(); notAfter.After(parent.NotAfter) {
+	if parent := c.leaf(); notAfter.After(parent.NotAfter) {
 		notAfter = parent.NotAfter
 	}
 	cert := &Certificate{

@@ -78,10 +78,10 @@ func FuzzHandshake(f *testing.F) {
 	genuine := rec.out.Bytes()
 
 	// A delegated chain whose parent key is 3 bytes long.
-	parent := *user.Leaf()
+	parent := *user.leaf()
 	parent.PublicKey = []byte{1, 2, 3}
 	var shortKey bytes.Buffer
-	if err := writeMsg(&shortKey, &hello{Chain: []*Certificate{proxy.Leaf(), &parent}, ECDH: make([]byte, 32)}); err != nil {
+	if err := writeMsg(&shortKey, &hello{Chain: []*Certificate{proxy.leaf(), &parent}, ECDH: make([]byte, 32)}); err != nil {
 		f.Fatal(err)
 	}
 	var oversized [4]byte

@@ -78,7 +78,7 @@ func TestProxyLifetimeClippedToParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if proxy.Leaf().NotAfter.After(user.Leaf().NotAfter) {
+	if proxy.leaf().NotAfter.After(user.leaf().NotAfter) {
 		t.Fatal("proxy outlives parent certificate")
 	}
 }
@@ -109,7 +109,7 @@ func TestVerifyRejectsUntrustedCA(t *testing.T) {
 func TestVerifyRejectsTamperedCert(t *testing.T) {
 	ca := newTestCA(t)
 	cred := issue(t, ca, "/CN=u")
-	tampered := *cred.Leaf()
+	tampered := *cred.leaf()
 	tampered.Subject = "/CN=root" // escalate
 	if _, err := NewPool(ca).Verify([]*Certificate{&tampered}, t0); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("err = %v, want ErrBadSignature", err)
@@ -129,7 +129,7 @@ func TestVerifyRejectsBrokenChain(t *testing.T) {
 	b := issue(t, ca, "/CN=b")
 	pa, _ := a.Delegate(t0, time.Hour)
 	// Graft a's proxy onto b's chain: issuer mismatch.
-	chain := []*Certificate{pa.Leaf(), b.Leaf()}
+	chain := []*Certificate{pa.leaf(), b.leaf()}
 	if _, err := NewPool(ca).Verify(chain, t0); !errors.Is(err, ErrBrokenChain) {
 		t.Fatalf("err = %v, want ErrBrokenChain", err)
 	}
@@ -144,9 +144,9 @@ func TestVerifyRejectsMalformedParentKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent := *user.Leaf()
+	parent := *user.leaf()
 	parent.PublicKey = []byte{1, 2, 3}
-	chain := []*Certificate{proxy.Leaf(), &parent}
+	chain := []*Certificate{proxy.leaf(), &parent}
 	if _, err := NewPool(ca).Verify(chain, t0); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("err = %v, want ErrBadSignature", err)
 	}
@@ -156,9 +156,9 @@ func TestVerifyRejectsNonProxyIntermediate(t *testing.T) {
 	ca := newTestCA(t)
 	user := issue(t, ca, "/CN=u")
 	proxy, _ := user.Delegate(t0, time.Hour)
-	leaf := *proxy.Leaf()
+	leaf := *proxy.leaf()
 	leaf.IsProxy = false // forged flag breaks both rule and signature
-	chain := []*Certificate{&leaf, user.Leaf()}
+	chain := []*Certificate{&leaf, user.leaf()}
 	if _, err := NewPool(ca).Verify(chain, t0); err == nil {
 		t.Fatal("forged non-proxy intermediate accepted")
 	}

@@ -100,7 +100,7 @@ func TestRegistryDirtyCutBudget(t *testing.T) {
 		return testing.AllocsPerRun(50, func() {
 			r.FreeCPUs = 1 + r.FreeCPUs%15
 			svc.Publish(r)
-			if svc.SnapshotImmediate().Len() != n {
+			if svc.SnapshotImmediate().len() != n {
 				t.Fatal("snapshot lost rows")
 			}
 		})

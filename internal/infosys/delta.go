@@ -194,7 +194,7 @@ func (s *Service) subCost(nDeltas int, repin *Snapshot) time.Duration {
 		return s.queryLatency
 	}
 	if repin != nil {
-		return s.link.RTT() + s.link.TransferTime(repin.Len()*recordWireBytes)
+		return s.link.RTT() + s.link.TransferTime(repin.len()*recordWireBytes)
 	}
 	return s.link.RTT() + s.link.TransferTime(nDeltas*deltaWireBytes)
 }

@@ -35,7 +35,7 @@ func (m *replayMirror) apply(t *testing.T, u SubUpdate) {
 		for name := range m.recs {
 			delete(m.recs, name)
 		}
-		for i := 0; i < u.Snapshot.Len(); i++ {
+		for i := 0; i < u.Snapshot.len(); i++ {
 			r := u.Snapshot.rows[i].rec
 			m.recs[r.Name] = r
 		}
@@ -296,7 +296,7 @@ func TestSubscribeCostModel(t *testing.T) {
 	if !u.Gap {
 		t.Fatal("expected a re-pin")
 	}
-	if want := link.RTT() + link.TransferTime(u.Snapshot.Len()*recordWireBytes); u.Cost != want {
+	if want := link.RTT() + link.TransferTime(u.Snapshot.len()*recordWireBytes); u.Cost != want {
 		t.Fatalf("re-pin cost = %v, want %v", u.Cost, want)
 	}
 }

@@ -38,7 +38,7 @@ func (p Page) Shard() int { return p.shard }
 func (p Page) Snapshot() *Snapshot { return p.snap }
 
 // Name returns the site name of page record i without copying.
-func (p Page) Name(i int) string { return p.snap.Name(p.lo + i) }
+func (p Page) Name(i int) string { return p.snap.rows[p.lo+i].rec.Name }
 
 // Index returns page record i's position in its shard snapshot.
 func (p Page) Index(i int) int { return p.lo + i }
@@ -132,11 +132,11 @@ func (c *Cursor) Next() (Page, bool) {
 			c.cur = c.src.shardView(c.shard)
 			c.off = 0
 		}
-		if c.off < c.cur.Len() {
+		if c.off < c.cur.len() {
 			lo := c.off
 			hi := lo + c.pageSize
-			if hi > c.cur.Len() {
-				hi = c.cur.Len()
+			if hi > c.cur.len() {
+				hi = c.cur.len()
 			}
 			c.off = hi
 			return Page{snap: c.cur, lo: lo, hi: hi, shard: c.shard}, true

@@ -222,7 +222,7 @@ func TestCursorObservesRemove(t *testing.T) {
 		t.Fatal("empty first page")
 	}
 	firstShard := p.Shard()
-	pinnedLen := p.Snapshot().Len()
+	pinnedLen := p.Snapshot().len()
 
 	// Remove every site; the pinned shard must keep its view, and
 	// shards not yet reached must come back empty.
@@ -243,7 +243,7 @@ func TestCursorObservesRemove(t *testing.T) {
 	if total != pinnedLen {
 		t.Fatalf("pinned shard yielded %d records, want its full epoch %d", total, pinnedLen)
 	}
-	if got := svc.SnapshotImmediate().Len(); got != 0 {
+	if got := svc.SnapshotImmediate().len(); got != 0 {
 		t.Fatalf("registry still has %d records after removals", got)
 	}
 }

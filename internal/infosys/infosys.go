@@ -84,8 +84,8 @@ type SiteRecord struct {
 	UpdatedAt time.Time
 }
 
-// Clone returns a deep copy so callers cannot mutate registry state.
-func (r SiteRecord) Clone() SiteRecord {
+// clone returns a deep copy so callers cannot mutate registry state.
+func (r SiteRecord) clone() SiteRecord {
 	attrs := make(map[string]any, len(r.Attrs))
 	for k, v := range r.Attrs {
 		attrs[k] = v
@@ -151,8 +151,8 @@ func newSchema(names []string) *Schema {
 	return sc
 }
 
-// Len reports the number of attribute slots.
-func (sc *Schema) Len() int { return len(sc.names) }
+// len reports the number of attribute slots.
+func (sc *Schema) len() int { return len(sc.names) }
 
 // Offset resolves an attribute name, case-insensitively, to its slot.
 // Canonical and lower-case spellings resolve without allocating.
@@ -254,7 +254,7 @@ func flatRows(recs []SiteRecord, schema *Schema) []*row {
 // valsFor flattens one record's attributes (static plus publish-time
 // queue state) into a value slice in schema offset order.
 func valsFor(r SiteRecord, schema *Schema) []any {
-	v := make([]any, schema.Len())
+	v := make([]any, schema.len())
 	for k, raw := range r.Attrs {
 		if off, ok := schema.Offset(k); ok {
 			v[off] = normalizeAttr(raw)
@@ -272,7 +272,7 @@ func valsFor(r SiteRecord, schema *Schema) []any {
 func NewSnapshot(recs []SiteRecord, prev *Snapshot) *Snapshot {
 	cloned := make([]SiteRecord, len(recs))
 	for i, r := range recs {
-		cloned[i] = r.Clone()
+		cloned[i] = r.clone()
 	}
 	var epoch uint64
 	if prev != nil {
@@ -312,17 +312,14 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 // snapshot. It satisfies jdl.Resolver for predicate compilation.
 func (s *Snapshot) Schema() *Schema { return s.schema }
 
-// Len reports the number of site records.
-func (s *Snapshot) Len() int { return len(s.rows) }
-
-// Name returns the name of record i without copying the record.
-func (s *Snapshot) Name(i int) string { return s.rows[i].rec.Name }
+// len reports the number of site records.
+func (s *Snapshot) len() int { return len(s.rows) }
 
 // Records returns deep copies of all records, sorted by site name.
 func (s *Snapshot) Records() []SiteRecord {
 	out := make([]SiteRecord, len(s.rows))
 	for i, r := range s.rows {
-		out[i] = r.rec.Clone()
+		out[i] = r.rec.clone()
 	}
 	return out
 }
@@ -501,7 +498,7 @@ func (s *Service) Publish(rec SiteRecord) error {
 		nr.rec.Attrs = old.rec.Attrs
 		nr.vals = sh.schema.requeued(old, rec)
 	} else {
-		nr.rec = rec.Clone()
+		nr.rec = rec.clone()
 		if sh.schema != nil {
 			nr.vals = valsFor(nr.rec, sh.schema)
 		}

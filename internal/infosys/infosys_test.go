@@ -82,14 +82,14 @@ func TestPublishLandsWhileCut(t *testing.T) {
 	if svc.Len() != 2 {
 		t.Fatal("publish did not reach the registry")
 	}
-	if got := svc.SnapshotImmediate().Len(); got != 1 {
+	if got := svc.SnapshotImmediate().len(); got != 1 {
 		t.Fatalf("cut service serves %d sites, want the 1 of cut time", got)
 	}
 	svc.Remove("ifca")
 	if svc.Len() != 1 {
 		t.Fatal("remove did not reach the registry")
 	}
-	if got := svc.SnapshotImmediate().Len(); got != 1 {
+	if got := svc.SnapshotImmediate().len(); got != 1 {
 		t.Fatalf("cut service serves %d sites after a remove, want 1", got)
 	}
 	svc.SetPartitioned(false)

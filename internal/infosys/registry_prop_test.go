@@ -62,7 +62,7 @@ type world struct {
 func (w world) clone() world {
 	c := world{recs: make(map[string]SiteRecord, len(w.recs)), epochs: append([]uint64(nil), w.epochs...)}
 	for k, r := range w.recs {
-		c.recs[k] = r.Clone()
+		c.recs[k] = r.clone()
 	}
 	return c
 }
@@ -76,7 +76,7 @@ type snapCopy struct {
 }
 
 func copyOf(s *Snapshot) snapCopy {
-	c := snapCopy{Epoch: s.Epoch(), Schema: slices.Clone(s.Schema().names), Recs: s.Records(), Vals: make([][]any, 0, s.Len())}
+	c := snapCopy{Epoch: s.Epoch(), Schema: slices.Clone(s.Schema().names), Recs: s.Records(), Vals: make([][]any, 0, s.len())}
 	for cur := PinnedCursor([]*Snapshot{s}, 7); ; {
 		p, ok := cur.Next()
 		if !ok {
@@ -242,7 +242,7 @@ func (m *regModel) publish(name string) {
 	if err := m.svc.Publish(m.held[name]); err != nil {
 		m.fatalf("publish %s: %v", name, err)
 	}
-	r := m.held[name].Clone()
+	r := m.held[name].clone()
 	r.UpdatedAt = m.sim.Now()
 	m.live.recs[name] = r
 	m.live.epochs[m.svc.shardIndexFor(name)]++
@@ -259,7 +259,7 @@ func (m *regModel) republish(pick byte, change func(*SiteRecord)) {
 	}
 	r := m.held[name]
 	if pick&0x80 != 0 {
-		r = r.Clone()
+		r = r.clone()
 	}
 	change(&r)
 	m.held[name] = r
@@ -397,13 +397,13 @@ func (c snapCopy) differs(s *Snapshot) string {
 	if got := s.Schema().names; !slices.Equal(got, c.Schema) {
 		return fmt.Sprintf("schema names %v, want %v", got, c.Schema)
 	}
-	if s.Len() != len(c.Recs) {
-		return fmt.Sprintf("%d records, want %d", s.Len(), len(c.Recs))
+	if s.len() != len(c.Recs) {
+		return fmt.Sprintf("%d records, want %d", s.len(), len(c.Recs))
 	}
-	page, _ := PinnedCursor([]*Snapshot{s}, s.Len()+1).Next()
+	page, _ := PinnedCursor([]*Snapshot{s}, s.len()+1).Next()
 	for i, want := range c.Recs {
-		if got := s.rows[i].rec; s.Name(i) != want.Name || !sameRecord(got, want) {
-			return fmt.Sprintf("record %d (%s) = %+v, want %+v", i, s.Name(i), got, want)
+		if got := s.rows[i].rec; s.rows[i].rec.Name != want.Name || !sameRecord(got, want) {
+			return fmt.Sprintf("record %d (%s) = %+v, want %+v", i, s.rows[i].rec.Name, got, want)
 		}
 		if vals := page.Values(i); !slices.Equal(vals, c.Vals[i]) {
 			return fmt.Sprintf("%s values %v, want %v", want.Name, vals, c.Vals[i])
@@ -451,8 +451,8 @@ func (m *regModel) cut(b byte) {
 		r.Attrs["Arch"] = "tampered"
 		r.Attrs["Scribble"] = 1
 	}
-	if s.Len() > 0 {
-		delete(s.Records()[int(b>>1)%s.Len()].Attrs, "OS")
+	if s.len() > 0 {
+		delete(s.Records()[int(b>>1)%s.len()].Attrs, "OS")
 	}
 }
 
@@ -537,8 +537,8 @@ func (m *regModel) cursorStep(b byte) {
 	}
 	tr := m.trav
 	p, ok := tr.cur.Next()
-	if tr.snap != nil && (!ok || p.Shard() != tr.shard) && tr.hi != tr.snap.Len() {
-		m.fatalf("traversal left shard %d at record %d of %d", tr.shard, tr.hi, tr.snap.Len())
+	if tr.snap != nil && (!ok || p.Shard() != tr.shard) && tr.hi != tr.snap.len() {
+		m.fatalf("traversal left shard %d at record %d of %d", tr.shard, tr.hi, tr.snap.len())
 	}
 	if !ok {
 		m.trav = nil
@@ -560,8 +560,8 @@ func (m *regModel) cursorStep(b byte) {
 		m.fatalf("shard %d served from two snapshots in one traversal", tr.shard)
 	}
 	for i := 0; i < p.Len(); i++ {
-		if p.Name(i) != tr.snap.Name(tr.hi+i) {
-			m.fatalf("shard %d: page record %d is %s, snapshot has %s", tr.shard, i, p.Name(i), tr.snap.Name(tr.hi+i))
+		if p.Name(i) != tr.snap.rows[tr.hi+i].rec.Name {
+			m.fatalf("shard %d: page record %d is %s, snapshot has %s", tr.shard, i, p.Name(i), tr.snap.rows[tr.hi+i].rec.Name)
 		}
 	}
 	tr.hi += p.Len()
@@ -591,8 +591,8 @@ func (m *regModel) poll(b byte) {
 		}
 	case u.Gap:
 		sub.recs[shard] = make(map[string]SiteRecord)
-		for i := 0; i < u.Snapshot.Len(); i++ {
-			sub.recs[shard][u.Snapshot.Name(i)] = u.Snapshot.rows[i].rec
+		for i := 0; i < u.Snapshot.len(); i++ {
+			sub.recs[shard][u.Snapshot.rows[i].rec.Name] = u.Snapshot.rows[i].rec
 		}
 	default:
 		if uint64(len(u.Deltas)) != target-since {
@@ -632,9 +632,9 @@ func (m *regModel) poll(b byte) {
 	if !maps.EqualFunc(sub.recs[shard], want, sameRecord) {
 		m.fatalf("subscriber of shard %d at %d holds %+v, served %+v", shard, target, sub.recs[shard], want)
 	}
-	held := make(map[string]SiteRecord, u.Snapshot.Len())
-	for i := 0; i < u.Snapshot.Len(); i++ {
-		held[u.Snapshot.Name(i)] = u.Snapshot.rows[i].rec
+	held := make(map[string]SiteRecord, u.Snapshot.len())
+	for i := 0; i < u.Snapshot.len(); i++ {
+		held[u.Snapshot.rows[i].rec.Name] = u.Snapshot.rows[i].rec
 	}
 	if !maps.EqualFunc(held, sub.recs[shard], sameRecord) {
 		m.fatalf("poll of shard %d to %d carries a snapshot holding %+v, the subscriber replayed %+v", shard, u.ToEpoch, held, sub.recs[shard])

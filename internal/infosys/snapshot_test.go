@@ -51,7 +51,7 @@ func TestSnapshotSharedUntilMutation(t *testing.T) {
 		t.Fatalf("epoch did not advance: %d -> %d", s1.Epoch(), s2.Epoch())
 	}
 	s.Remove("site01")
-	if s3 := s.SnapshotImmediate(); s3 == s2 || s3.Len() != 2 {
+	if s3 := s.SnapshotImmediate(); s3 == s2 || s3.len() != 2 {
 		t.Fatal("remove did not produce a smaller snapshot")
 	}
 	// Removing an absent site is not a mutation.
@@ -161,7 +161,7 @@ func TestMatchAttrsVector(t *testing.T) {
 	m := PooledMatchAttrs(snap.Schema(), snap.rows[0].vals)
 	defer m.Release()
 	vals := m.Values()
-	if len(vals) != snap.Schema().Len() {
+	if len(vals) != snap.Schema().len() {
 		t.Fatal("vector length differs from schema length")
 	}
 	at := func(name string) any {
@@ -237,7 +237,7 @@ func TestConcurrentPublishQueryRemove(t *testing.T) {
 			}
 			if r.snap == nil {
 				r.snap = s.SnapshotImmediate()
-				for j := 0; j < r.snap.Len(); j++ {
+				for j := 0; j < r.snap.len(); j++ {
 					if attrOf(r.snap, j, AttrFreeCPUs) == nil {
 						t.Fatalf("seed %d: snapshot row without FreeCPUs", seed)
 					}
@@ -249,7 +249,7 @@ func TestConcurrentPublishQueryRemove(t *testing.T) {
 				movedEpoch++
 			} else {
 				sameEpoch++
-				if len(recs) != r.snap.Len() {
+				if len(recs) != r.snap.len() {
 					t.Fatalf("seed %d: query and snapshot disagree within one epoch", seed)
 				}
 			}
@@ -278,7 +278,7 @@ func BenchmarkMatchAttrs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := PooledMatchAttrs(snap.Schema(), snap.rows[i%snap.Len()].vals)
+		m := PooledMatchAttrs(snap.Schema(), snap.rows[i%snap.len()].vals)
 		m.SetQueueState(3, 1)
 		m.Release()
 	}

@@ -32,6 +32,11 @@ func TestArithmeticPrecedence(t *testing.T) {
 		{`other.A * other.B + other.C / other.A`, 8},
 		{`-5 + other.A`, -3},
 		{`other.A - 3`, -1}, // '-' as operator, not sign
+		{`-other.A * other.B`, -6},
+		{`other.C - -other.A`, 6},
+		{`-(other.A + other.B)`, -5},
+		{`2.5e1 + other.A`, 27},
+		{`1E-1 * other.C`, 0.4},
 	}
 	for _, c := range cases {
 		if got := evalRank(t, c.expr, attrs); math.Abs(got-c.want) > 1e-12 {
@@ -60,7 +65,7 @@ func TestStringConcatenation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := d.Get("Executable")
+	v, _ := d.get("Executable")
 	if string(v.(String)) != "app-v2" {
 		t.Fatalf("got %v", v)
 	}
@@ -71,13 +76,13 @@ func TestConstantFolding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := d.Get("Timeout"); v.(Number) != 300 {
+	if v, _ := d.get("Timeout"); v.(Number) != 300 {
 		t.Fatalf("Timeout = %v", v)
 	}
-	if v, _ := d.Get("Half"); v.(Number) != 3.5 {
+	if v, _ := d.get("Half"); v.(Number) != 3.5 {
 		t.Fatalf("Half = %v", v)
 	}
-	if v, _ := d.Get("Flag"); v.(Bool) != true {
+	if v, _ := d.get("Flag"); v.(Bool) != true {
 		t.Fatalf("Flag = %v", v)
 	}
 }
@@ -139,7 +144,7 @@ func TestArithmeticRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", e, err)
 		}
-		printed := j1.Rank.JDL()
+		printed := j1.Rank.jdl()
 		j2, err := ParseJob(`Executable = "x"; Rank = ` + printed + `;`)
 		if err != nil {
 			t.Fatalf("reparse %q (printed from %q): %v", printed, e, err)
@@ -157,10 +162,10 @@ func TestNegativeLiteralsStillWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := d.Get("A"); v.(Number) != -3 {
+	if v, _ := d.get("A"); v.(Number) != -3 {
 		t.Fatalf("A = %v", v)
 	}
-	l, _ := d.Get("L")
+	l, _ := d.get("L")
 	if l.(List)[1].(Number) != -2.5 {
 		t.Fatalf("L = %v", l)
 	}

@@ -9,8 +9,8 @@ import (
 // Value is an attribute value: a string, number, boolean, list, or
 // unevaluated expression (Requirements/Rank).
 type Value interface {
-	// JDL renders the value in canonical JDL syntax.
-	JDL() string
+	// jdl renders the value in canonical JDL syntax.
+	jdl() string
 }
 
 // String is a JDL string literal.
@@ -21,16 +21,16 @@ type String string
 // more than most replacements.
 var stringEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\t", `\t`)
 
-// JDL renders the string with quoting and escapes.
-func (s String) JDL() string {
+// jdl renders the string with quoting and escapes.
+func (s String) jdl() string {
 	return `"` + stringEscaper.Replace(string(s)) + `"`
 }
 
 // Number is a JDL numeric literal.
 type Number float64
 
-// JDL renders the number, without a trailing ".0" for integers.
-func (n Number) JDL() string {
+// jdl renders the number, without a trailing ".0" for integers.
+func (n Number) jdl() string {
 	if n == Number(int64(n)) {
 		return strconv.FormatInt(int64(n), 10)
 	}
@@ -40,8 +40,8 @@ func (n Number) JDL() string {
 // Bool is a JDL boolean literal.
 type Bool bool
 
-// JDL renders "true" or "false".
-func (b Bool) JDL() string {
+// jdl renders "true" or "false".
+func (b Bool) jdl() string {
 	if b {
 		return "true"
 	}
@@ -51,11 +51,11 @@ func (b Bool) JDL() string {
 // List is a brace-delimited list of values.
 type List []Value
 
-// JDL renders the list in {a, b, c} form.
-func (l List) JDL() string {
+// jdl renders the list in {a, b, c} form.
+func (l List) jdl() string {
 	parts := make([]string, len(l))
 	for i, v := range l {
-		parts[i] = v.JDL()
+		parts[i] = v.jdl()
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
 }
@@ -63,15 +63,15 @@ func (l List) JDL() string {
 // Expr is an unevaluated expression value (Requirements, Rank).
 type Expr struct{ Node ExprNode }
 
-// JDL renders the expression source.
-func (e Expr) JDL() string { return e.Node.String() }
+// jdl renders the expression source.
+func (e Expr) jdl() string { return e.Node.String() }
 
 // ExprNode is a node in the Requirements/Rank expression tree.
 type ExprNode interface {
 	fmt.Stringer
-	// Eval evaluates the node against a machine's attribute set.
+	// eval evaluates the node against a machine's attribute set.
 	// Attribute values may be string, bool, or any integer/float type.
-	Eval(attrs map[string]any) (any, error)
+	eval(attrs map[string]any) (any, error)
 }
 
 // EvalError describes an expression evaluation failure.
@@ -86,10 +86,10 @@ func evalErrf(format string, args ...any) error {
 // Lit is a literal operand.
 type Lit struct{ V Value }
 
-func (l Lit) String() string { return l.V.JDL() }
+func (l Lit) String() string { return l.V.jdl() }
 
-// Eval returns the Go value of the literal.
-func (l Lit) Eval(map[string]any) (any, error) {
+// eval returns the Go value of the literal.
+func (l Lit) eval(map[string]any) (any, error) {
 	switch v := l.V.(type) {
 	case String:
 		return string(v), nil
@@ -98,7 +98,7 @@ func (l Lit) Eval(map[string]any) (any, error) {
 	case Bool:
 		return bool(v), nil
 	}
-	return nil, evalErrf("literal %s not usable in expression", l.V.JDL())
+	return nil, evalErrf("literal %s not usable in expression", l.V.jdl())
 }
 
 // Ref references a machine attribute, written other.Name (classad
@@ -115,8 +115,8 @@ func (r Ref) String() string {
 	return r.Name
 }
 
-// Eval looks the attribute up case-insensitively.
-func (r Ref) Eval(attrs map[string]any) (any, error) {
+// eval looks the attribute up case-insensitively.
+func (r Ref) eval(attrs map[string]any) (any, error) {
 	if v, ok := attrs[r.Name]; ok {
 		return normalize(v)
 	}
@@ -157,9 +157,9 @@ type Not struct{ X ExprNode }
 
 func (n Not) String() string { return "!" + parenthesize(n.X, 6) }
 
-// Eval evaluates the operand and negates it.
-func (n Not) Eval(attrs map[string]any) (any, error) {
-	v, err := n.X.Eval(attrs)
+// eval evaluates the operand and negates it.
+func (n Not) eval(attrs map[string]any) (any, error) {
+	v, err := n.X.eval(attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -218,10 +218,10 @@ func parenthesize(n ExprNode, minPrec int) string {
 	return n.String()
 }
 
-// Eval evaluates the operator with short-circuiting for && and ||.
-func (b Binary) Eval(attrs map[string]any) (any, error) {
+// eval evaluates the operator with short-circuiting for && and ||.
+func (b Binary) eval(attrs map[string]any) (any, error) {
 	if b.Op == "&&" || b.Op == "||" {
-		lv, err := b.L.Eval(attrs)
+		lv, err := b.L.eval(attrs)
 		if err != nil {
 			return nil, err
 		}
@@ -235,7 +235,7 @@ func (b Binary) Eval(attrs map[string]any) (any, error) {
 		if b.Op == "||" && lb {
 			return true, nil
 		}
-		rv, err := b.R.Eval(attrs)
+		rv, err := b.R.eval(attrs)
 		if err != nil {
 			return nil, err
 		}
@@ -246,11 +246,11 @@ func (b Binary) Eval(attrs map[string]any) (any, error) {
 		return rb, nil
 	}
 
-	lv, err := b.L.Eval(attrs)
+	lv, err := b.L.eval(attrs)
 	if err != nil {
 		return nil, err
 	}
-	rv, err := b.R.Eval(attrs)
+	rv, err := b.R.eval(attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +360,7 @@ func compareBool(op string, lv, rv any) (bool, error) {
 
 // EvalBool evaluates a Requirements-style expression to a boolean.
 func (e Expr) EvalBool(attrs map[string]any) (bool, error) {
-	v, err := e.Node.Eval(attrs)
+	v, err := e.Node.eval(attrs)
 	if err != nil {
 		return false, err
 	}
@@ -374,7 +374,7 @@ func (e Expr) EvalBool(attrs map[string]any) (bool, error) {
 // EvalNumber evaluates a Rank-style expression to a number. Boolean
 // results are promoted to 1/0 (classad convention).
 func (e Expr) EvalNumber(attrs map[string]any) (float64, error) {
-	v, err := e.Node.Eval(attrs)
+	v, err := e.Node.eval(attrs)
 	if err != nil {
 		return 0, err
 	}

@@ -4,7 +4,7 @@ import "strings"
 
 // This file lowers Requirements/Rank expression trees into closure
 // chains over a flat attribute slice. The interpreted path
-// (ExprNode.Eval) walks the AST and hashes map keys for every
+// (ExprNode.eval) walks the AST and hashes map keys for every
 // attribute reference on every candidate; the compiled path resolves
 // each reference to a slice offset once, constant-folds literals, and
 // keeps boolean and numeric subtrees unboxed, and compares an attribute
@@ -92,7 +92,7 @@ func (c *Compiled) EvalNumber(vals []any) (float64, error) {
 func compileAny(n ExprNode, r Resolver) func(vals []any) (any, error) {
 	switch x := n.(type) {
 	case Lit:
-		v, err := x.Eval(nil)
+		v, err := x.eval(nil)
 		if err != nil {
 			return func([]any) (any, error) { return nil, err }
 		}

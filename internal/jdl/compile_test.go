@@ -77,6 +77,10 @@ var interpreterCases = []struct {
 	{expr: `other.HasMPI`, num: true},                // bool promotes to 1/0
 	{expr: `other.Missing * 3`, num: true},           // undefined attribute -> error
 	{expr: `other.Site * 2`, num: true},              // type mismatch -> error
+	{expr: `-other.FreeCPUs`, num: true},             // negation is -1 * x
+	{expr: `-other.Load * 2 > -1e-3`},
+	{expr: `other.FreeCPUs - -other.QueuedJobs >= 2E1`},
+	{expr: `-other.Site`, num: true}, // type mismatch -> error
 
 	// Attribute-vs-literal comparisons: specialized while the slot
 	// holds a float64 or a string, the generic comparison otherwise.

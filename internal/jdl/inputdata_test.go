@@ -28,9 +28,6 @@ func TestInputDataAbsent(t *testing.T) {
 	if j.InputData != nil {
 		t.Fatalf("InputData = %v, want nil", j.InputData)
 	}
-	if _, ok := j.descriptor().Get("InputData"); ok {
-		t.Fatal("Descriptor emitted an InputData attribute for a job without one")
-	}
 }
 
 func TestInputDataValidation(t *testing.T) {
@@ -50,11 +47,11 @@ func TestInputDataValidation(t *testing.T) {
 
 func TestInputDataRoundTrip(t *testing.T) {
 	src := `Executable = "ana"; JobType = "interactive"; InputData = {"d2", "d0", "d1"};`
-	j, err := ParseJob(src)
+	d, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseJob(j.descriptor().String())
+	back, err := ParseJob(d.String())
 	if err != nil {
 		t.Fatalf("round trip failed: %v", err)
 	}
@@ -94,7 +91,11 @@ func FuzzInputData(f *testing.F) {
 			}
 			seen[name] = true
 		}
-		out := j.descriptor().String()
+		d, err := Parse(src)
+		if err != nil {
+			t.Fatalf("ParseJob accepted what Parse rejects: %v", err)
+		}
+		out := d.String()
 		back, err := ParseJob(out)
 		if err != nil {
 			t.Fatalf("formatted job failed to reparse: %v\nsource: %s\noutput: %s", err, src, out)

@@ -2,6 +2,8 @@ package jdl
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -72,7 +74,7 @@ func TestStringEscapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := d.Get("Executable")
+	v, _ := d.get("Executable")
 	if string(v.(String)) != "a\"b\\c\nd\te" {
 		t.Fatalf("got %q", v.(String))
 	}
@@ -83,16 +85,16 @@ func TestNumbersAndBooleans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := d.Get("A"); v.(Number) != -3 {
+	if v, _ := d.get("A"); v.(Number) != -3 {
 		t.Fatalf("A = %v", v)
 	}
-	if v, _ := d.Get("B"); v.(Number) != 2.5 {
+	if v, _ := d.get("B"); v.(Number) != 2.5 {
 		t.Fatalf("B = %v", v)
 	}
-	if v, _ := d.Get("C"); v.(Bool) != true {
+	if v, _ := d.get("C"); v.(Bool) != true {
 		t.Fatalf("C = %v", v)
 	}
-	if v, _ := d.Get("D"); v.(Bool) != false {
+	if v, _ := d.get("D"); v.(Bool) != false {
 		t.Fatalf("D = %v", v)
 	}
 }
@@ -102,7 +104,7 @@ func TestNestedLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := d.Get("L")
+	v, _ := d.get("L")
 	l := v.(List)
 	if len(l) != 3 {
 		t.Fatalf("list = %v", l)
@@ -118,7 +120,7 @@ func TestEmptyList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := d.Get("L")
+	v, _ := d.get("L")
 	if len(v.(List)) != 0 {
 		t.Fatalf("list = %v", v)
 	}
@@ -278,7 +280,7 @@ func TestValidationErrors(t *testing.T) {
 func TestPerformanceLossMultiplesOfFive(t *testing.T) {
 	for _, pl := range []int{0, 5, 10, 25, 100} {
 		src := `Executable = "x"; JobType = "interactive"; MachineAccess = "shared"; PerformanceLoss = ` +
-			String("").JDL()[:0] + itoa(pl) + `;`
+			String("").jdl()[:0] + itoa(pl) + `;`
 		j, err := ParseJob(src)
 		if err != nil {
 			t.Fatalf("PL=%d rejected: %v", pl, err)
@@ -290,7 +292,7 @@ func TestPerformanceLossMultiplesOfFive(t *testing.T) {
 }
 
 func itoa(n int) string {
-	return Number(n).JDL()
+	return Number(n).jdl()
 }
 
 func TestArgumentsStringSplit(t *testing.T) {
@@ -315,14 +317,17 @@ func TestRoundTripCanonicalForm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		printed := j1.descriptor().String()
+		d, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		printed := d.String()
 		j2, err := ParseJob(printed)
 		if err != nil {
 			t.Fatalf("reparse of %q failed: %v\nprinted:\n%s", src, err, printed)
 		}
-		if j2.descriptor().sortedString() != j1.descriptor().sortedString() {
-			t.Fatalf("round trip changed job:\nfirst:\n%s\nsecond:\n%s",
-				j1.descriptor().sortedString(), j2.descriptor().sortedString())
+		if !reflect.DeepEqual(j1, j2) {
+			t.Fatalf("round trip changed job:\nfirst:  %+v\nsecond: %+v", j1, j2)
 		}
 	}
 }
@@ -345,7 +350,7 @@ func TestExprJDLPreservesPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	printed := j.Requirements.JDL()
+	printed := j.Requirements.jdl()
 	j2, err := ParseJob(`Executable = "x"; Requirements = ` + printed + `;`)
 	if err != nil {
 		t.Fatalf("reparse %q: %v", printed, err)
@@ -359,17 +364,17 @@ func TestExprJDLPreservesPrecedence(t *testing.T) {
 }
 
 func TestSetOverwritesKeepingOrder(t *testing.T) {
-	d := NewDescriptor()
-	d.Set("A", Number(1))
-	d.Set("B", Number(2))
-	d.Set("a", Number(3))
+	d := newDescriptor()
+	d.set("A", Number(1))
+	d.set("B", Number(2))
+	d.set("a", Number(3))
 	if len(d.names) != 2 {
 		t.Fatalf("Len = %d", len(d.names))
 	}
-	if v, _ := d.Get("A"); v.(Number) != 3 {
+	if v, _ := d.get("A"); v.(Number) != 3 {
 		t.Fatalf("A = %v", v)
 	}
-	names := d.Names()
+	names := d.names
 	if names[0] != "A" || names[1] != "B" {
 		t.Fatalf("names = %v", names)
 	}
@@ -387,10 +392,42 @@ func TestFlavorAndModeStrings(t *testing.T) {
 	}
 }
 
-// TestExprRenderParsesToSameTree renders parsed expressions and parses
-// the text again: the tree must come back equal, and a second render
-// must be byte-equal to the first. Equal-precedence right operands and
-// comparison operands are the shapes that need parentheses.
+// renderCases are attribute values whose rendering must parse back to
+// the same tree. Equal-precedence right operands and comparison
+// operands are the shapes that need parentheses; numbers the renderer
+// writes with an exponent need the lexer to read one; a minus before a
+// non-literal operand is the gLite way to rank by a smaller value; a
+// constant that overflows stays an expression.
+var renderCases = []string{
+	`other.HasMPI == (other.Load == 1.5)`,
+	`(other.A == 1) != (other.B == 2)`,
+	`(other.A < other.B) == false`,
+	`other.A + (other.B + other.C)`,
+	`other.A - (other.B - other.C)`,
+	`other.A * (other.B * other.C)`,
+	`other.A / (other.B / other.C)`,
+	`other.A + other.B + other.C`,
+	`other.A - other.B + (other.C - other.D)`,
+	`(other.A + other.B) * other.C`,
+	`other.A && (other.B && other.C)`,
+	`other.A || (other.B || other.C)`,
+	`other.A || other.B && other.C`,
+	`(other.A || other.B) && other.C`,
+	`!(other.A == 1) && !other.B`,
+	`other.Arch == "i686" && other.MemoryMB >= 256 && (other.OS == "linux" || other.OS == "Linux")`,
+	`-other.FreeCPUs`,
+	`1e3`,
+	`0.0000001`,
+	`1000000000000000000000`,
+	`other.A * -other.B`,
+	`other.A - -other.B`,
+	`-(other.A + 1) * 2.5E-3`,
+	`1e308 * 10`,
+}
+
+// TestExprRenderParsesToSameTree renders parsed values and parses the
+// text again: the tree must come back equal, and a second render must
+// be byte-equal to the first.
 func TestExprRenderParsesToSameTree(t *testing.T) {
 	parseE := func(src string) Value {
 		t.Helper()
@@ -398,36 +435,66 @@ func TestExprRenderParsesToSameTree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		v, _ := d.Get("E")
+		v, _ := d.get("E")
 		return v
 	}
-	for _, src := range []string{
-		`other.HasMPI == (other.Load == 1.5)`,
-		`(other.A == 1) != (other.B == 2)`,
-		`(other.A < other.B) == false`,
-		`other.A + (other.B + other.C)`,
-		`other.A - (other.B - other.C)`,
-		`other.A * (other.B * other.C)`,
-		`other.A / (other.B / other.C)`,
-		`other.A + other.B + other.C`,
-		`other.A - other.B + (other.C - other.D)`,
-		`(other.A + other.B) * other.C`,
-		`other.A && (other.B && other.C)`,
-		`other.A || (other.B || other.C)`,
-		`other.A || other.B && other.C`,
-		`(other.A || other.B) && other.C`,
-		`!(other.A == 1) && !other.B`,
-		`other.Arch == "i686" && other.MemoryMB >= 256 && (other.OS == "linux" || other.OS == "Linux")`,
-	} {
+	for _, src := range renderCases {
 		v1 := parseE(src)
-		text := v1.JDL()
+		text := v1.jdl()
 		v2 := parseE(text)
 		if !reflect.DeepEqual(v1, v2) {
 			t.Errorf("%s renders as %s, which parses to another tree", src, text)
 			continue
 		}
-		if again := v2.JDL(); again != text {
+		if again := v2.jdl(); again != text {
 			t.Errorf("%s renders as %s, then as %s", src, text, again)
 		}
 	}
+}
+
+// FuzzParseJob holds the renderer to the parser on whole documents:
+// every document Parse accepts renders (Descriptor.String) to text that
+// parses to an equal tree and renders to the same bytes again, and a
+// job ExtractJob accepts comes back equal from that text. No input may
+// panic.
+func FuzzParseJob(f *testing.F) {
+	examples, err := filepath.Glob("../../examples/jobs/*.jdl")
+	if err != nil || len(examples) == 0 {
+		f.Fatalf("example jobs: %v (%d files)", err, len(examples))
+	}
+	for _, path := range examples {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	for _, v := range renderCases {
+		f.Add(`Executable = "x"; Rank = ` + v + `;`)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		d, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := d.String()
+		back, err := Parse(text)
+		if err != nil {
+			t.Fatalf("renders as text that does not parse: %v\n%s", err, text)
+		}
+		if !reflect.DeepEqual(d, back) {
+			t.Fatalf("renders as text that parses to another tree:\n%s", text)
+		}
+		if again := back.String(); again != text {
+			t.Fatalf("renders as\n%s\nthen as\n%s", text, again)
+		}
+		j, err := ExtractJob(d)
+		if err != nil {
+			return
+		}
+		j2, err := ExtractJob(back)
+		if err != nil || !reflect.DeepEqual(j, j2) {
+			t.Fatalf("job %+v comes back as %+v (%v) from\n%s", j, j2, err, text)
+		}
+	})
 }

@@ -135,7 +135,7 @@ func validationErrf(format string, args ...any) error {
 func ExtractJob(d *Descriptor) (*Job, error) {
 	j := &Job{NodeNumber: 1}
 
-	v, ok := d.Get("Executable")
+	v, ok := d.get("Executable")
 	if !ok {
 		return nil, validationErrf("missing Executable")
 	}
@@ -145,7 +145,7 @@ func ExtractJob(d *Descriptor) (*Job, error) {
 	}
 	j.Executable = string(s)
 
-	if v, ok := d.Get("Arguments"); ok {
+	if v, ok := d.get("Arguments"); ok {
 		switch a := v.(type) {
 		case String:
 			j.Arguments = strings.Fields(string(a))
@@ -162,13 +162,13 @@ func ExtractJob(d *Descriptor) (*Job, error) {
 		}
 	}
 
-	if v, ok := d.Get("JobType"); ok {
+	if v, ok := d.get("JobType"); ok {
 		if err := parseJobType(j, v); err != nil {
 			return nil, err
 		}
 	}
 
-	if v, ok := d.Get("NodeNumber"); ok {
+	if v, ok := d.get("NodeNumber"); ok {
 		n, ok := v.(Number)
 		if !ok || n != Number(int(n)) || int(n) < 1 {
 			return nil, validationErrf("NodeNumber must be a positive integer")
@@ -176,7 +176,7 @@ func ExtractJob(d *Descriptor) (*Job, error) {
 		j.NodeNumber = int(n)
 	}
 
-	if v, ok := d.Get("StreamingMode"); ok {
+	if v, ok := d.get("StreamingMode"); ok {
 		s, ok := v.(String)
 		if !ok {
 			return nil, validationErrf("StreamingMode must be a string")
@@ -191,7 +191,7 @@ func ExtractJob(d *Descriptor) (*Job, error) {
 		}
 	}
 
-	if v, ok := d.Get("MachineAccess"); ok {
+	if v, ok := d.get("MachineAccess"); ok {
 		s, ok := v.(String)
 		if !ok {
 			return nil, validationErrf("MachineAccess must be a string")
@@ -206,7 +206,7 @@ func ExtractJob(d *Descriptor) (*Job, error) {
 		}
 	}
 
-	if v, ok := d.Get("PerformanceLoss"); ok {
+	if v, ok := d.get("PerformanceLoss"); ok {
 		n, ok := v.(Number)
 		if !ok || n != Number(int(n)) {
 			return nil, validationErrf("PerformanceLoss must be an integer")
@@ -219,7 +219,7 @@ func ExtractJob(d *Descriptor) (*Job, error) {
 		j.PerformanceLoss = pl
 	}
 
-	if v, ok := d.Get("ShadowPort"); ok {
+	if v, ok := d.get("ShadowPort"); ok {
 		n, ok := v.(Number)
 		if !ok || n != Number(int(n)) || int(n) < 0 || int(n) > 65535 {
 			return nil, validationErrf("ShadowPort must be a port number")
@@ -227,14 +227,14 @@ func ExtractJob(d *Descriptor) (*Job, error) {
 		j.ShadowPort = int(n)
 	}
 
-	if v, ok := d.Get("Requirements"); ok {
+	if v, ok := d.get("Requirements"); ok {
 		e, err := asExpr(v, "Requirements")
 		if err != nil {
 			return nil, err
 		}
 		j.Requirements = e
 	}
-	if v, ok := d.Get("Rank"); ok {
+	if v, ok := d.get("Rank"); ok {
 		e, err := asExpr(v, "Rank")
 		if err != nil {
 			return nil, err
@@ -242,7 +242,7 @@ func ExtractJob(d *Descriptor) (*Job, error) {
 		j.Rank = e
 	}
 
-	if v, ok := d.Get("InputFiles"); ok {
+	if v, ok := d.get("InputFiles"); ok {
 		l, ok := v.(List)
 		if !ok {
 			return nil, validationErrf("InputFiles must be a list of strings")
@@ -256,7 +256,7 @@ func ExtractJob(d *Descriptor) (*Job, error) {
 		}
 	}
 
-	if v, ok := d.Get("InputData"); ok {
+	if v, ok := d.get("InputData"); ok {
 		l, ok := v.(List)
 		if !ok {
 			return nil, validationErrf("InputData must be a list of strings")
@@ -351,63 +351,6 @@ func (j *Job) Validate() error {
 		}
 	}
 	return nil
-}
-
-// descriptor converts the job back to a JDL descriptor containing
-// exactly the attributes that differ from defaults (plus the
-// mandatory ones), so Parse(ExtractJob(d).descriptor()) is stable.
-func (j *Job) descriptor() *Descriptor {
-	d := NewDescriptor()
-	d.Set("Executable", String(j.Executable))
-	var jt List
-	if j.Interactive {
-		jt = append(jt, String("interactive"))
-	} else {
-		jt = append(jt, String("batch"))
-	}
-	jt = append(jt, String(j.Flavor.String()))
-	d.Set("JobType", jt)
-	if len(j.Arguments) > 0 {
-		var args List
-		for _, a := range j.Arguments {
-			args = append(args, String(a))
-		}
-		d.Set("Arguments", args)
-	}
-	if j.NodeNumber != 1 {
-		d.Set("NodeNumber", Number(j.NodeNumber))
-	}
-	if j.Interactive {
-		d.Set("StreamingMode", String(j.Streaming.String()))
-		d.Set("MachineAccess", String(j.Access.String()))
-		if j.Access == SharedAccess {
-			d.Set("PerformanceLoss", Number(j.PerformanceLoss))
-		}
-	}
-	if j.ShadowPort != 0 {
-		d.Set("ShadowPort", Number(j.ShadowPort))
-	}
-	if j.Requirements != nil {
-		d.Set("Requirements", *j.Requirements)
-	}
-	if j.Rank != nil {
-		d.Set("Rank", *j.Rank)
-	}
-	if len(j.InputFiles) > 0 {
-		var files List
-		for _, f := range j.InputFiles {
-			files = append(files, String(f))
-		}
-		d.Set("InputFiles", files)
-	}
-	if len(j.InputData) > 0 {
-		var data List
-		for _, n := range j.InputData {
-			data = append(data, String(n))
-		}
-		d.Set("InputData", data)
-	}
-	return d
 }
 
 // ParseJob parses JDL source and extracts the validated job in one

@@ -240,6 +240,9 @@ func (l *lexer) scanString() (token, error) {
 	return token{}, l.errf("unterminated string literal")
 }
 
+// scanNumber reads -?digits[.digits][(e|E)[+|-]digits]. An exponent
+// marker not followed by digits ends the number before it, so "1e"
+// stays the number 1 and the identifier e.
 func (l *lexer) scanNumber() (token, error) {
 	start := l.pos
 	if l.src[l.pos] == '-' {
@@ -257,6 +260,19 @@ func (l *lexer) scanNumber() (token, error) {
 			break
 		}
 		l.pos++
+	}
+	if i := l.pos; i < len(l.src) && (l.src[i] == 'e' || l.src[i] == 'E') {
+		i++
+		if i < len(l.src) && (l.src[i] == '+' || l.src[i] == '-') {
+			i++
+		}
+		digits := i
+		for i < len(l.src) && unicode.IsDigit(rune(l.src[i])) {
+			i++
+		}
+		if i > digits {
+			l.pos = i
+		}
 	}
 	return token{kind: tokNumber, text: l.src[start:l.pos], line: l.line}, nil
 }

@@ -2,7 +2,7 @@ package jdl
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -15,14 +15,14 @@ type Descriptor struct {
 	values map[string]Value // keyed by lowercase name
 }
 
-// NewDescriptor returns an empty descriptor.
-func NewDescriptor() *Descriptor {
+// newDescriptor returns an empty descriptor.
+func newDescriptor() *Descriptor {
 	return &Descriptor{values: make(map[string]Value)}
 }
 
-// Set assigns an attribute, replacing any previous value but keeping
+// set assigns an attribute, replacing any previous value but keeping
 // the original position in the attribute order.
-func (d *Descriptor) Set(name string, v Value) {
+func (d *Descriptor) set(name string, v Value) {
 	key := strings.ToLower(name)
 	if _, ok := d.values[key]; !ok {
 		d.names = append(d.names, name)
@@ -30,17 +30,10 @@ func (d *Descriptor) Set(name string, v Value) {
 	d.values[key] = v
 }
 
-// Get returns the attribute value, looked up case-insensitively.
-func (d *Descriptor) Get(name string) (Value, bool) {
+// get returns the attribute value, looked up case-insensitively.
+func (d *Descriptor) get(name string) (Value, bool) {
 	v, ok := d.values[strings.ToLower(name)]
 	return v, ok
-}
-
-// Names returns the attribute names in source order.
-func (d *Descriptor) Names() []string {
-	out := make([]string, len(d.names))
-	copy(out, d.names)
-	return out
 }
 
 // String renders the descriptor in canonical JDL: one aligned
@@ -55,23 +48,7 @@ func (d *Descriptor) String() string {
 	var b strings.Builder
 	for _, n := range d.names {
 		v := d.values[strings.ToLower(n)]
-		fmt.Fprintf(&b, "%-*s = %s;\n", width, n, v.JDL())
-	}
-	return b.String()
-}
-
-// sortedString renders the descriptor with attributes in
-// case-insensitive alphabetical order; useful for comparing
-// descriptors irrespective of source order.
-func (d *Descriptor) sortedString() string {
-	names := d.Names()
-	sort.Slice(names, func(i, j int) bool {
-		return strings.ToLower(names[i]) < strings.ToLower(names[j])
-	})
-	var b strings.Builder
-	for _, n := range names {
-		v := d.values[strings.ToLower(n)]
-		fmt.Fprintf(&b, "%s = %s;\n", n, v.JDL())
+		fmt.Fprintf(&b, "%-*s = %s;\n", width, n, v.jdl())
 	}
 	return b.String()
 }
@@ -82,13 +59,13 @@ func Parse(src string) (*Descriptor, error) {
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	d := NewDescriptor()
+	d := newDescriptor()
 	for p.tok.kind != tokEOF {
 		name, v, err := p.assignment()
 		if err != nil {
 			return nil, err
 		}
-		d.Set(name, v)
+		d.set(name, v)
 	}
 	return d, nil
 }
@@ -154,10 +131,14 @@ func (p *parser) value() (Value, error) {
 		return lit.V, nil
 	}
 	// Constant-fold pure expressions (no attribute references):
-	// "Timeout = 60 * 5;" stores 300.
-	if v, err := node.Eval(map[string]any{}); err == nil {
+	// "Timeout = 60 * 5;" stores 300. A non-finite result has no
+	// literal to render as, so it stays an expression.
+	if v, err := node.eval(map[string]any{}); err == nil {
 		switch x := v.(type) {
 		case float64:
+			if math.IsInf(x, 0) || math.IsNaN(x) {
+				break
+			}
 			return Number(x), nil
 		case bool:
 			return Bool(x), nil
@@ -300,15 +281,23 @@ func (p *parser) mulExpr() (ExprNode, error) {
 	return l, nil
 }
 
-// unary := '!' unary | primary
+// unary := ('!' | '-') unary | primary
+//
+// A minus the lexer did not fold into a number literal negates its
+// operand as -1 * x: exact in IEEE arithmetic, and rendered as text
+// that parses back to the same tree.
 func (p *parser) unary() (ExprNode, error) {
-	if p.tok.kind == tokOp && p.tok.text == "!" {
+	if p.tok.kind == tokOp && (p.tok.text == "!" || p.tok.text == "-") {
+		op := p.tok.text
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 		x, err := p.unary()
 		if err != nil {
 			return nil, err
+		}
+		if op == "-" {
+			return Binary{Op: "*", L: Lit{V: Number(-1)}, R: x}, nil
 		}
 		return Not{X: x}, nil
 	}

@@ -23,12 +23,12 @@ type Series struct {
 // only; the series does not keep it.
 func NewSeries(name string) *Series { return new(Series) }
 
-// Add appends one sample.
-func (s *Series) Add(v float64) { s.samples = append(s.samples, v) }
+// add appends one sample.
+func (s *Series) add(v float64) { s.samples = append(s.samples, v) }
 
 // AddDuration appends a duration sample in seconds, the unit used
 // throughout the paper's plots.
-func (s *Series) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
+func (s *Series) AddDuration(d time.Duration) { s.add(d.Seconds()) }
 
 // Len reports the number of samples.
 func (s *Series) Len() int { return len(s.samples) }
@@ -54,10 +54,10 @@ type Summary struct {
 
 // Summarize computes a Summary over the series' samples. An empty
 // series yields the zero Summary.
-func (s *Series) Summarize() Summary { return Summarize(s.samples) }
+func (s *Series) Summarize() Summary { return summarize(s.samples) }
 
-// Summarize computes aggregate statistics over samples.
-func Summarize(samples []float64) Summary {
+// summarize computes aggregate statistics over samples.
+func summarize(samples []float64) Summary {
 	var sum Summary
 	sum.N = len(samples)
 	if sum.N == 0 {
@@ -79,16 +79,16 @@ func Summarize(samples []float64) Summary {
 	if sum.N > 1 {
 		sum.Stddev = math.Sqrt(sq / float64(sum.N-1))
 	}
-	sum.P50 = Percentile(sorted, 50)
-	sum.P95 = Percentile(sorted, 95)
-	sum.P99 = Percentile(sorted, 99)
+	sum.P50 = percentile(sorted, 50)
+	sum.P95 = percentile(sorted, 95)
+	sum.P99 = percentile(sorted, 99)
 	return sum
 }
 
-// Percentile returns the p-th percentile (0-100) of sorted (ascending)
+// percentile returns the p-th percentile (0-100) of sorted (ascending)
 // samples using linear interpolation between closest ranks. It panics
 // on an empty slice.
-func Percentile(sorted []float64, p float64) float64 {
+func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		panic("metrics: Percentile of empty sample set")
 	}

@@ -13,7 +13,7 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 func TestSummaryBasics(t *testing.T) {
 	s := NewSeries("t")
 	for _, v := range []float64{1, 2, 3, 4, 5} {
-		s.Add(v)
+		s.add(v)
 	}
 	sum := s.Summarize()
 	if sum.N != 5 || !almost(sum.Mean, 3) || !almost(sum.Min, 1) || !almost(sum.Max, 5) {
@@ -39,7 +39,7 @@ func TestEmptySummaryIsZero(t *testing.T) {
 }
 
 func TestSingleSampleStddevZero(t *testing.T) {
-	sum := Summarize([]float64{7})
+	sum := summarize([]float64{7})
 	if sum.Stddev != 0 || sum.Mean != 7 {
 		t.Fatalf("summary = %+v", sum)
 	}
@@ -55,7 +55,7 @@ func TestAddDuration(t *testing.T) {
 
 func TestValuesIsCopy(t *testing.T) {
 	s := NewSeries("c")
-	s.Add(1)
+	s.add(1)
 	v := s.Values()
 	v[0] = 99
 	if s.At(0) != 1 {
@@ -65,13 +65,13 @@ func TestValuesIsCopy(t *testing.T) {
 
 func TestPercentileInterpolation(t *testing.T) {
 	sorted := []float64{0, 10}
-	if got := Percentile(sorted, 50); !almost(got, 5) {
+	if got := percentile(sorted, 50); !almost(got, 5) {
 		t.Fatalf("p50 = %v, want 5", got)
 	}
-	if got := Percentile(sorted, 0); !almost(got, 0) {
+	if got := percentile(sorted, 0); !almost(got, 0) {
 		t.Fatalf("p0 = %v", got)
 	}
-	if got := Percentile(sorted, 100); !almost(got, 10) {
+	if got := percentile(sorted, 100); !almost(got, 10) {
 		t.Fatalf("p100 = %v", got)
 	}
 }
@@ -82,7 +82,7 @@ func TestPercentileEmptyPanics(t *testing.T) {
 			t.Fatal("no panic on empty percentile")
 		}
 	}()
-	Percentile(nil, 50)
+	percentile(nil, 50)
 }
 
 func TestSummaryBoundsProperty(t *testing.T) {
@@ -96,7 +96,7 @@ func TestSummaryBoundsProperty(t *testing.T) {
 		if len(clean) == 0 {
 			return true
 		}
-		s := Summarize(clean)
+		s := summarize(clean)
 		return s.Min <= s.Mean+1e-6 && s.Mean <= s.Max+1e-6 &&
 			s.Min <= s.P50 && s.P50 <= s.Max && s.Stddev >= 0
 	}
@@ -116,7 +116,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		if len(clean) == 0 {
 			return true
 		}
-		sum := Summarize(clean) // sorts internally; re-sort here
+		sum := summarize(clean) // sorts internally; re-sort here
 		_ = sum
 		sorted := append([]float64(nil), clean...)
 		for i := 1; i < len(sorted); i++ {
@@ -128,7 +128,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		if pa > pb {
 			pa, pb = pb, pa
 		}
-		return Percentile(sorted, pa) <= Percentile(sorted, pb)
+		return percentile(sorted, pa) <= percentile(sorted, pb)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestSummaryString(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
+	s := summarize([]float64{1, 2, 3})
 	if !strings.Contains(s.String(), "n=3") {
 		t.Fatalf("String() = %q", s.String())
 	}

@@ -44,7 +44,7 @@ func (a *App) AppFuncs() ([]interpose.AppFunc, error) {
 	if a.Body == nil {
 		return nil, fmt.Errorf("mpisim: app without body")
 	}
-	comm := NewComm(a.Ranks)
+	comm := newComm(a.Ranks)
 
 	if a.Flavor == jdl.MPICHG2 {
 		funcs := make([]interpose.AppFunc, a.Ranks)
@@ -54,7 +54,7 @@ func (a *App) AppFuncs() ([]interpose.AppFunc, error) {
 				r := &Rank{rank: rank, comm: comm, Stdin: stdin, Stdout: stdout, Stderr: stderr}
 				err := a.Body(r)
 				if err != nil {
-					comm.Abort()
+					comm.abort()
 				}
 				return err
 			}
@@ -81,7 +81,7 @@ func (a *App) AppFuncs() ([]interpose.AppFunc, error) {
 				}
 				errs[rank] = a.Body(r)
 				if errs[rank] != nil {
-					comm.Abort()
+					comm.abort()
 				}
 			}()
 		}

@@ -22,8 +22,8 @@ import (
 	"sync"
 )
 
-// Comm is the communicator shared by all ranks of one application.
-type Comm struct {
+// comm is the communicator shared by all ranks of one application.
+type comm struct {
 	size int
 
 	mu      sync.Mutex
@@ -51,9 +51,9 @@ const AnySource = -1
 // AnyTag matches messages with any tag in recv.
 const AnyTag = -1
 
-// NewComm creates a communicator for size ranks.
-func NewComm(size int) *Comm {
-	c := &Comm{size: size, queues: make([][]message, size)}
+// newComm creates a communicator for size ranks.
+func newComm(size int) *comm {
+	c := &comm{size: size, queues: make([][]message, size)}
 	c.cond = make([]*sync.Cond, size)
 	for i := range c.cond {
 		c.cond[i] = sync.NewCond(&c.mu)
@@ -62,8 +62,8 @@ func NewComm(size int) *Comm {
 	return c
 }
 
-// Abort wakes every blocked rank with ErrAborted.
-func (c *Comm) Abort() {
+// abort wakes every blocked rank with ErrAborted.
+func (c *comm) abort() {
 	c.mu.Lock()
 	c.aborted = true
 	for _, cd := range c.cond {
@@ -73,7 +73,7 @@ func (c *Comm) Abort() {
 	c.mu.Unlock()
 }
 
-func (c *Comm) send(from, to, tag int, data []byte) error {
+func (c *comm) send(from, to, tag int, data []byte) error {
 	if to < 0 || to >= c.size {
 		return fmt.Errorf("mpisim: send to invalid rank %d (size %d)", to, c.size)
 	}
@@ -89,7 +89,7 @@ func (c *Comm) send(from, to, tag int, data []byte) error {
 	return nil
 }
 
-func (c *Comm) recv(me, from, tag int) ([]byte, int, error) {
+func (c *comm) recv(me, from, tag int) ([]byte, int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
@@ -107,7 +107,7 @@ func (c *Comm) recv(me, from, tag int) ([]byte, int, error) {
 	}
 }
 
-func (c *Comm) barrier() error {
+func (c *comm) barrier() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.aborted {
@@ -133,7 +133,7 @@ func (c *Comm) barrier() error {
 // Rank is the per-rank handle passed to the application body.
 type Rank struct {
 	rank int
-	comm *Comm
+	comm *comm
 	// Stdin is the rank's standard input; by the paper's convention
 	// only rank 0 consumes it.
 	Stdin io.Reader
@@ -148,8 +148,8 @@ func (r *Rank) Rank() int { return r.rank }
 // Size returns the communicator size.
 func (r *Rank) Size() int { return r.comm.size }
 
-// Send delivers data to rank `to` with the given tag.
-func (r *Rank) Send(to, tag int, data []byte) error { return r.comm.send(r.rank, to, tag, data) }
+// send delivers data to rank `to` with the given tag.
+func (r *Rank) send(to, tag int, data []byte) error { return r.comm.send(r.rank, to, tag, data) }
 
 // recv blocks for a message from `from` (or AnySource) with tag `tag`
 // (or AnyTag), returning the payload and actual source.
@@ -185,7 +185,7 @@ func (r *Rank) Bcast(root int, data []byte) ([]byte, error) {
 // big-endian bit patterns.
 func (r *Rank) ReduceSum(root int, v float64) (float64, error) {
 	if r.rank != root {
-		return 0, r.Send(root, bcastTag-1, encodeFloat(v))
+		return 0, r.send(root, bcastTag-1, encodeFloat(v))
 	}
 	sum := v
 	for i := 1; i < r.comm.size; i++ {

@@ -14,14 +14,14 @@ import (
 )
 
 func TestSendRecv(t *testing.T) {
-	c := NewComm(2)
+	c := newComm(2)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	var got []byte
 	go func() {
 		defer wg.Done()
 		r := &Rank{rank: 0, comm: c}
-		r.Send(1, 7, []byte("ping"))
+		r.send(1, 7, []byte("ping"))
 	}()
 	go func() {
 		defer wg.Done()
@@ -35,11 +35,11 @@ func TestSendRecv(t *testing.T) {
 }
 
 func TestRecvTagMatching(t *testing.T) {
-	c := NewComm(2)
+	c := newComm(2)
 	s := &Rank{rank: 0, comm: c}
 	r := &Rank{rank: 1, comm: c}
-	s.Send(1, 1, []byte("first"))
-	s.Send(1, 2, []byte("second"))
+	s.send(1, 1, []byte("first"))
+	s.send(1, 2, []byte("second"))
 	// Receive tag 2 first even though tag 1 arrived earlier.
 	data, from, err := r.recv(0, 2)
 	if err != nil || string(data) != "second" || from != 0 {
@@ -52,18 +52,18 @@ func TestRecvTagMatching(t *testing.T) {
 }
 
 func TestSendInvalidRank(t *testing.T) {
-	c := NewComm(2)
+	c := newComm(2)
 	r := &Rank{rank: 0, comm: c}
-	if err := r.Send(5, 0, nil); err == nil {
+	if err := r.send(5, 0, nil); err == nil {
 		t.Fatal("send to rank 5 of 2 accepted")
 	}
 }
 
 func TestSendCopiesData(t *testing.T) {
-	c := NewComm(2)
+	c := newComm(2)
 	s := &Rank{rank: 0, comm: c}
 	buf := []byte("mutate-me")
-	s.Send(1, 0, buf)
+	s.send(1, 0, buf)
 	buf[0] = 'X'
 	r := &Rank{rank: 1, comm: c}
 	got, _, _ := r.recv(0, 0)
@@ -74,7 +74,7 @@ func TestSendCopiesData(t *testing.T) {
 
 func TestBarrier(t *testing.T) {
 	const n = 8
-	c := NewComm(n)
+	c := newComm(n)
 	var mu sync.Mutex
 	phase := make(map[int]int)
 	var wg sync.WaitGroup
@@ -102,7 +102,7 @@ func TestBarrier(t *testing.T) {
 
 func TestBcast(t *testing.T) {
 	const n = 4
-	c := NewComm(n)
+	c := newComm(n)
 	var wg sync.WaitGroup
 	results := make([][]byte, n)
 	for i := 0; i < n; i++ {
@@ -132,7 +132,7 @@ func TestBcast(t *testing.T) {
 
 func TestReduceSum(t *testing.T) {
 	const n = 5
-	c := NewComm(n)
+	c := newComm(n)
 	var wg sync.WaitGroup
 	var total float64
 	for i := 0; i < n; i++ {
@@ -158,7 +158,7 @@ func TestReduceSum(t *testing.T) {
 }
 
 func TestAbortUnblocksEveryone(t *testing.T) {
-	c := NewComm(3)
+	c := newComm(3)
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	for i := 0; i < 3; i++ {
@@ -173,7 +173,7 @@ func TestAbortUnblocksEveryone(t *testing.T) {
 			case 1:
 				errs[1] = r.Barrier()
 			case 2:
-				c.Abort()
+				c.abort()
 			}
 		}()
 	}
@@ -183,7 +183,7 @@ func TestAbortUnblocksEveryone(t *testing.T) {
 	}
 	// Post-abort operations fail fast.
 	r := &Rank{rank: 2, comm: c}
-	if err := r.Send(0, 0, nil); !errors.Is(err, ErrAborted) {
+	if err := r.send(0, 0, nil); !errors.Is(err, ErrAborted) {
 		t.Fatalf("send after abort = %v", err)
 	}
 }

@@ -18,7 +18,7 @@ type Net struct {
 	seed      int64
 	nextSeed  int64
 	listeners map[string]*Listener
-	conns     map[*Conn]struct{}
+	conns     map[*conn]struct{}
 	down      bool
 }
 
@@ -30,7 +30,7 @@ func New(p Profile, seed int64) *Net {
 		seed:      seed,
 		nextSeed:  seed,
 		listeners: make(map[string]*Listener),
-		conns:     make(map[*Conn]struct{}),
+		conns:     make(map[*conn]struct{}),
 	}
 }
 
@@ -47,7 +47,7 @@ func (n *Net) Listen(name string) (*Listener, error) {
 	if _, ok := n.listeners[name]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrAddrInUse, name)
 	}
-	l := &Listener{net: n, name: name, backlog: make(chan *Conn, 64)}
+	l := &Listener{net: n, name: name, backlog: make(chan *conn, 64)}
 	n.listeners[name] = l
 	return l, nil
 }
@@ -68,7 +68,7 @@ func (n *Net) Dial(name string) (net.Conn, error) {
 	}
 	seed := n.nextSeed
 	n.nextSeed += 2
-	client, server := Pair(n.prof, seed)
+	client, server := pair(n.prof, seed)
 	client.local, client.remote = "dialer", name
 	server.local, server.remote = name, "dialer"
 	n.conns[client] = struct{}{}
@@ -83,7 +83,7 @@ func (n *Net) Dial(name string) (net.Conn, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.down || l.closed {
-		client.Break()
+		client.sever()
 		if n.down {
 			return nil, ErrLinkDown
 		}
@@ -93,12 +93,12 @@ func (n *Net) Dial(name string) (net.Conn, error) {
 	case l.backlog <- server:
 		return client, nil
 	default:
-		client.Break()
+		client.sever()
 		return nil, fmt.Errorf("%w: %s (backlog full)", ErrConnRefused, name)
 	}
 }
 
-func (n *Net) forget(c *Conn) {
+func (n *Net) forget(c *conn) {
 	n.mu.Lock()
 	delete(n.conns, c)
 	n.mu.Unlock()
@@ -111,16 +111,16 @@ func (n *Net) forget(c *Conn) {
 func (n *Net) SetDown(down bool) {
 	n.mu.Lock()
 	n.down = down
-	var broken []*Conn
+	var broken []*conn
 	if down {
 		for c := range n.conns {
 			broken = append(broken, c)
 		}
-		n.conns = make(map[*Conn]struct{})
+		n.conns = make(map[*conn]struct{})
 	}
 	n.mu.Unlock()
 	for _, c := range broken {
-		c.Break()
+		c.sever()
 	}
 }
 
@@ -145,7 +145,7 @@ func (n *Net) Outage(after, dur time.Duration) {
 type Listener struct {
 	net     *Net
 	name    string
-	backlog chan *Conn
+	backlog chan *conn
 	closed  bool // guarded by net.mu
 }
 
@@ -171,7 +171,7 @@ func (l *Listener) Close() error {
 	close(l.backlog)
 	l.net.mu.Unlock()
 	for c := range l.backlog {
-		c.Break()
+		c.sever()
 	}
 	return nil
 }

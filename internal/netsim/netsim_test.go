@@ -12,7 +12,7 @@ import (
 )
 
 func TestPairRoundTrip(t *testing.T) {
-	a, b := Pair(Loopback(), 1)
+	a, b := pair(Loopback(), 1)
 	defer a.Close()
 	defer b.Close()
 	msg := []byte("hello grid")
@@ -28,7 +28,7 @@ func TestPairRoundTrip(t *testing.T) {
 }
 
 func TestPairBidirectional(t *testing.T) {
-	a, b := Pair(Loopback(), 2)
+	a, b := pair(Loopback(), 2)
 	defer a.Close()
 	defer b.Close()
 	go func() {
@@ -46,7 +46,7 @@ func TestPairBidirectional(t *testing.T) {
 
 func TestLatencyFloor(t *testing.T) {
 	p := Profile{Name: "slow", OneWayDelay: 30 * time.Millisecond}
-	a, b := Pair(p, 3)
+	a, b := pair(p, 3)
 	defer a.Close()
 	defer b.Close()
 	start := time.Now()
@@ -63,7 +63,7 @@ func TestLatencyFloor(t *testing.T) {
 func TestBandwidthSerialization(t *testing.T) {
 	// 1 KB at 100 KB/s should take ~10ms.
 	p := Profile{Name: "narrow", BytesPerSec: 100e3}
-	a, b := Pair(p, 4)
+	a, b := pair(p, 4)
 	defer a.Close()
 	defer b.Close()
 	payload := make([]byte, 1000)
@@ -83,7 +83,7 @@ func TestOrderedDeliveryProperty(t *testing.T) {
 		for _, c := range chunks {
 			want = append(want, c...)
 		}
-		a, b := Pair(Profile{Jitter: 100 * time.Microsecond, OneWayDelay: 10 * time.Microsecond}, seed)
+		a, b := pair(Profile{Jitter: 100 * time.Microsecond, OneWayDelay: 10 * time.Microsecond}, seed)
 		defer a.Close()
 		defer b.Close()
 		go func() {
@@ -107,7 +107,7 @@ func TestOrderedDeliveryProperty(t *testing.T) {
 }
 
 func TestEOFAfterPeerClose(t *testing.T) {
-	a, b := Pair(Loopback(), 5)
+	a, b := pair(Loopback(), 5)
 	a.Write([]byte("tail"))
 	a.Close()
 	got, err := io.ReadAll(b)
@@ -118,9 +118,9 @@ func TestEOFAfterPeerClose(t *testing.T) {
 
 func TestBreakDropsDataAndErrors(t *testing.T) {
 	p := Profile{OneWayDelay: 50 * time.Millisecond}
-	a, b := Pair(p, 6)
+	a, b := pair(p, 6)
 	a.Write([]byte("lost"))
-	a.Break()
+	a.sever()
 	if _, err := b.Read(make([]byte, 4)); !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("read err = %v, want ErrLinkDown", err)
 	}
@@ -130,7 +130,7 @@ func TestBreakDropsDataAndErrors(t *testing.T) {
 }
 
 func TestReadDeadline(t *testing.T) {
-	a, b := Pair(Loopback(), 7)
+	a, b := pair(Loopback(), 7)
 	defer a.Close()
 	defer b.Close()
 	b.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
@@ -285,12 +285,12 @@ func TestJitterSampleBounds(t *testing.T) {
 	p := Profile{Jitter: time.Millisecond}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
-		j := p.JitterSample(rng)
+		j := p.jitterSample(rng)
 		if j < 0 || j > time.Millisecond {
 			t.Fatalf("jitter %v out of bounds", j)
 		}
 	}
-	if (Profile{}).JitterSample(rng) != 0 {
+	if (Profile{}).jitterSample(rng) != 0 {
 		t.Fatal("zero-jitter profile produced jitter")
 	}
 }

@@ -13,47 +13,47 @@ import (
 // link has been cut by failure injection. It models a TCP reset.
 var ErrLinkDown = errors.New("netsim: link down")
 
-// Conn is one end of a shaped in-memory connection. It implements
+// conn is one end of a shaped in-memory connection. It implements
 // net.Conn. Data written on one end becomes readable on the other
 // after the profile's propagation, jitter and serialization delays.
-type Conn struct {
+type conn struct {
 	local, remote string
 	in            *halfPipe // data arriving at this end
 	out           *halfPipe // data leaving this end (peer's in)
 	onClose       func()
 }
 
-// Pair returns the two ends of a shaped connection using profile p.
+// pair returns the two ends of a shaped connection using profile p.
 // Jitter is drawn from a generator seeded with seed, so a fixed seed
 // yields reproducible delivery times.
-func Pair(p Profile, seed int64) (client, server *Conn) {
+func pair(p Profile, seed int64) (client, server *conn) {
 	rngA := rand.New(rand.NewSource(seed))
 	rngB := rand.New(rand.NewSource(seed + 1))
 	ab := newHalfPipe(p, rngA) // a -> b
 	ba := newHalfPipe(p, rngB) // b -> a
-	a := &Conn{local: "client", remote: "server", in: ba, out: ab}
-	b := &Conn{local: "server", remote: "client", in: ab, out: ba}
+	a := &conn{local: "client", remote: "server", in: ba, out: ab}
+	b := &conn{local: "server", remote: "client", in: ab, out: ba}
 	return a, b
 }
 
-// Break severs the link in both directions: queued undelivered data is
+// sever severs the link in both directions: queued undelivered data is
 // dropped and subsequent operations on either end fail with
 // ErrLinkDown. This is the failure-injection hook used to exercise the
 // Grid Console's reliable mode.
-func (c *Conn) Break() {
+func (c *conn) sever() {
 	c.in.breakLink()
 	c.out.breakLink()
 }
 
 // Read implements net.Conn.
-func (c *Conn) Read(b []byte) (int, error) { return c.in.read(b) }
+func (c *conn) Read(b []byte) (int, error) { return c.in.read(b) }
 
 // Write implements net.Conn.
-func (c *Conn) Write(b []byte) (int, error) { return c.out.write(b) }
+func (c *conn) Write(b []byte) (int, error) { return c.out.write(b) }
 
 // Close closes this end; the peer's pending data still drains, after
 // which its reads return io.EOF.
-func (c *Conn) Close() error {
+func (c *conn) Close() error {
 	c.out.closeWrite()
 	c.in.closeRead()
 	if c.onClose != nil {
@@ -63,26 +63,26 @@ func (c *Conn) Close() error {
 }
 
 // LocalAddr implements net.Conn.
-func (c *Conn) LocalAddr() net.Addr { return simAddr(c.local) }
+func (c *conn) LocalAddr() net.Addr { return simAddr(c.local) }
 
 // RemoteAddr implements net.Conn.
-func (c *Conn) RemoteAddr() net.Addr { return simAddr(c.remote) }
+func (c *conn) RemoteAddr() net.Addr { return simAddr(c.remote) }
 
 // SetDeadline implements net.Conn.
-func (c *Conn) SetDeadline(t time.Time) error {
+func (c *conn) SetDeadline(t time.Time) error {
 	c.in.setReadDeadline(t)
 	return nil
 }
 
 // SetReadDeadline implements net.Conn.
-func (c *Conn) SetReadDeadline(t time.Time) error {
+func (c *conn) SetReadDeadline(t time.Time) error {
 	c.in.setReadDeadline(t)
 	return nil
 }
 
 // SetWriteDeadline implements net.Conn. Writes never block in this
 // model, so the deadline is a no-op.
-func (c *Conn) SetWriteDeadline(time.Time) error { return nil }
+func (c *conn) SetWriteDeadline(time.Time) error { return nil }
 
 type simAddr string
 
@@ -134,7 +134,7 @@ func (h *halfPipe) write(b []byte) (int, error) {
 		ser = time.Duration(float64(len(b)) / h.prof.BytesPerSec * float64(time.Second))
 	}
 	h.nextFree = start.Add(ser)
-	ready := h.nextFree.Add(h.prof.OneWayDelay + h.prof.PerMessageCost + h.prof.JitterSample(h.rng))
+	ready := h.nextFree.Add(h.prof.OneWayDelay + h.prof.PerMessageCost + h.prof.jitterSample(h.rng))
 	data := make([]byte, len(b))
 	copy(data, b)
 	h.segs = append(h.segs, segment{data: data, ready: ready})
@@ -233,4 +233,4 @@ func (timeoutError) Error() string   { return "netsim: i/o timeout" }
 func (timeoutError) Timeout() bool   { return true }
 func (timeoutError) Temporary() bool { return true }
 
-var _ net.Conn = (*Conn)(nil)
+var _ net.Conn = (*conn)(nil)

@@ -80,7 +80,7 @@ func (p Profile) Scale(f float64) Profile {
 // TransferTime returns the one-way virtual-time cost of moving n bytes
 // as a single message: propagation + serialization + per-message cost.
 // Jitter is not included; callers wanting jitter add it from their own
-// RNG via JitterSample.
+// RNG via jitterSample.
 func (p Profile) TransferTime(n int) time.Duration {
 	d := p.OneWayDelay + p.PerMessageCost
 	if p.BytesPerSec > 0 {
@@ -105,9 +105,9 @@ func (p Profile) RTT() time.Duration {
 	return 2 * (p.OneWayDelay + p.PerMessageCost)
 }
 
-// JitterSample draws one jitter value from rng, uniform in [0,
+// jitterSample draws one jitter value from rng, uniform in [0,
 // p.Jitter].
-func (p Profile) JitterSample(rng *rand.Rand) time.Duration {
+func (p Profile) jitterSample(rng *rand.Rand) time.Duration {
 	if p.Jitter <= 0 {
 		return 0
 	}

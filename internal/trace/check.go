@@ -90,7 +90,7 @@ func Check(events []Event) []Violation {
 	offload := make(map[string]bool)     // job -> transfer lease outstanding
 
 	for _, e := range events {
-		if e.Job != "" && e.Kind.Lifecycle() {
+		if e.Job != "" && e.Kind.lifecycle() {
 			if k, dead := terminal[e.Job]; dead {
 				violate(e.Seq, e.Job, "%s after terminal %s", e.Kind, k)
 			}
@@ -172,7 +172,7 @@ func Check(events []Event) []Violation {
 			}
 			commits[k] = e.Kind
 		}
-		if e.Kind.Terminal() && e.Job != "" {
+		if e.Kind.terminal() && e.Job != "" {
 			if _, dead := terminal[e.Job]; !dead {
 				terminal[e.Job] = e.Kind
 			}
@@ -275,7 +275,7 @@ func CheckComplete(events []Event) []Violation {
 				jobs = append(jobs, e.Job)
 			}
 		}
-		if e.Kind.Terminal() {
+		if e.Kind.terminal() {
 			terminal[e.Job] = true
 		}
 	}

@@ -55,7 +55,7 @@ func ParseJSONL(r io.Reader) ([]Trace, error) {
 		if err := json.Unmarshal(sc.Bytes(), &je); err != nil {
 			return nil, fmt.Errorf("trace: jsonl line %d: %w", lineno, err)
 		}
-		k, ok := KindByName(je.Name)
+		k, ok := kindByName[je.Name]
 		if !ok {
 			return nil, fmt.Errorf("trace: jsonl line %d: unknown kind %q", lineno, je.Name)
 		}

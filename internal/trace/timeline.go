@@ -57,7 +57,7 @@ func (tl *Timeline) Latencies() Latencies {
 			if e.Attempt > l.Resubmits {
 				l.Resubmits = e.Attempt
 			}
-		case e.Kind.Terminal() && terminal == nil:
+		case e.Kind.terminal() && terminal == nil:
 			terminal = e
 			l.Terminal = e.Kind
 		}
@@ -117,7 +117,7 @@ func Timelines(events []Event) []Timeline {
 			if e.Site != "" {
 				w.sites[e.Site] = true
 			}
-			if e.Kind.Terminal() {
+			if e.Kind.terminal() {
 				w.end = e.T
 				w.openEnded = false
 			} else if w.openEnded {

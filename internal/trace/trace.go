@@ -172,6 +172,7 @@ var kindNames = map[Kind]string{
 	DataStaged:      "data-staged",
 }
 
+// kindByName resolves a kind from its wire name (JSONL imports).
 var kindByName = func() map[string]Kind {
 	m := make(map[string]Kind, len(kindNames))
 	for k, n := range kindNames {
@@ -188,19 +189,13 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// KindByName resolves a kind from its wire name (JSONL imports).
-func KindByName(name string) (Kind, bool) {
-	k, ok := kindByName[name]
-	return k, ok
-}
+// terminal reports whether the kind ends a job's lifecycle.
+func (k Kind) terminal() bool { return k == Done || k == Failed || k == Aborted }
 
-// Terminal reports whether the kind ends a job's lifecycle.
-func (k Kind) Terminal() bool { return k == Done || k == Failed || k == Aborted }
-
-// Lifecycle reports whether the kind is a job lifecycle event — the
+// lifecycle reports whether the kind is a job lifecycle event — the
 // class the post-terminal invariant applies to. Lease bookkeeping and
 // grid-level events are exempt.
-func (k Kind) Lifecycle() bool { return k <= Aborted }
+func (k Kind) lifecycle() bool { return k <= Aborted }
 
 // Event is one trace record. The zero value of every optional field is
 // omitted from exports, so the JSONL stays compact and deterministic.
@@ -275,16 +270,11 @@ func (t *Tracer) Emit(e Event) {
 	t.events = append(t.events, e)
 }
 
-// Events returns a copy of the recorded log in emission order (nil for
-// a nil tracer).
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	return append([]Event(nil), t.events...)
-}
-
-// Snapshot packages the current log under a label for export.
+// Snapshot packages a copy of the current log, in emission order,
+// under a label for export (no events for a nil tracer).
 func (t *Tracer) Snapshot(label string) Trace {
-	return Trace{Label: label, Events: t.Events()}
+	if t == nil {
+		return Trace{Label: label}
+	}
+	return Trace{Label: label, Events: append([]Event(nil), t.events...)}
 }

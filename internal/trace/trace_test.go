@@ -21,7 +21,7 @@ func (c *fakeClock) tracer() *Tracer         { return New(c.Now) }
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(Event{Kind: Submitted, Job: "j1"})
-	if tr.Events() != nil {
+	if tr.Snapshot("").Events != nil {
 		t.Error("nil tracer holds events")
 	}
 	if got := tr.Snapshot("x"); got.Events != nil {
@@ -35,7 +35,7 @@ func TestEmitAssignsSeqAndTime(t *testing.T) {
 	tr.Emit(Event{Kind: Submitted, Job: "j1"})
 	clk.Advance(3 * time.Second)
 	tr.Emit(Event{Kind: Matched, Job: "j1", Site: "s0", Rank: 2.5})
-	evs := tr.Events()
+	evs := tr.Snapshot("").Events
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2", len(evs))
 	}
@@ -59,15 +59,15 @@ func TestKindNamesRoundTrip(t *testing.T) {
 		if strings.HasPrefix(name, "Kind(") {
 			t.Errorf("kind %d has no name", k)
 		}
-		back, ok := KindByName(name)
+		back, ok := kindByName[name]
 		if !ok || back != k {
-			t.Errorf("KindByName(%q) = %v,%v, want %v", name, back, ok, k)
+			t.Errorf("kindByName[%q] = %v,%v, want %v", name, back, ok, k)
 		}
 	}
-	if Submitted.Terminal() || !Done.Terminal() || !Failed.Terminal() || !Aborted.Terminal() {
+	if Submitted.terminal() || !Done.terminal() || !Failed.terminal() || !Aborted.terminal() {
 		t.Error("Terminal misclassifies")
 	}
-	if !Aborted.Lifecycle() || LeaseAcquired.Lifecycle() || FaultInjected.Lifecycle() {
+	if !Aborted.lifecycle() || LeaseAcquired.lifecycle() || FaultInjected.lifecycle() {
 		t.Error("Lifecycle misclassifies")
 	}
 }
@@ -155,7 +155,7 @@ func TestTimelinesAndLatencies(t *testing.T) {
 	// A crash on an untouched site must not be cross-referenced.
 	tr.Emit(Event{Kind: SiteCrashed, Site: "s9"})
 
-	tls := Timelines(tr.Events())
+	tls := Timelines(tr.Snapshot("").Events)
 	if len(tls) != 1 || tls[0].Job != "j1" {
 		t.Fatalf("timelines = %+v, want one for j1", tls)
 	}

@@ -26,20 +26,24 @@ import (
 // error instead of poisoning later runs. A cached copy is re-validated
 // on every hit and silently re-fetched if it no longer parses (e.g. a
 // previous process died mid-write or the disk corrupted it).
-func Fetch(rawURL string, opts FetchOptions) (string, error) {
+func Fetch(rawURL string) (string, error) { return fetch(rawURL, fetchOptions{}) }
+
+// fetch is Fetch with the cache directory and HTTP client that tests
+// substitute.
+func fetch(rawURL string, opts fetchOptions) (string, error) {
 	opts.setDefaults()
 	ext, err := archiveExt(rawURL)
 	if err != nil {
 		return "", err
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(opts.dir, 0o755); err != nil {
 		return "", err
 	}
 	urlKey := shortHash(rawURL)
 
 	// Cache lookup: any file stored under this URL's key. Validate it
 	// again — a hit that stopped parsing is deleted and re-fetched.
-	pattern := filepath.Join(opts.Dir, urlKey+"-*"+ext)
+	pattern := filepath.Join(opts.dir, urlKey+"-*"+ext)
 	if matches, _ := filepath.Glob(pattern); len(matches) > 0 {
 		cached := matches[0]
 		if err := validateArchive(cached); err == nil {
@@ -48,7 +52,7 @@ func Fetch(rawURL string, opts FetchOptions) (string, error) {
 		os.Remove(cached)
 	}
 
-	resp, err := opts.Client.Get(rawURL)
+	resp, err := opts.client.Get(rawURL)
 	if err != nil {
 		return "", fmt.Errorf("workload: fetch %s: %w", rawURL, err)
 	}
@@ -68,7 +72,7 @@ func Fetch(rawURL string, opts FetchOptions) (string, error) {
 
 	// Spool to a temp file in the cache dir (same filesystem, so the
 	// final rename is atomic), hashing the decompressed content.
-	tmp, err := os.CreateTemp(opts.Dir, "fetch-*"+ext)
+	tmp, err := os.CreateTemp(opts.dir, "fetch-*"+ext)
 	if err != nil {
 		return "", err
 	}
@@ -90,7 +94,7 @@ func Fetch(rawURL string, opts FetchOptions) (string, error) {
 		os.Remove(tmpPath)
 		return "", fmt.Errorf("workload: fetch %s: archive does not parse (truncated download?): %w", rawURL, err)
 	}
-	final := filepath.Join(opts.Dir, fmt.Sprintf("%s-%s%s", urlKey, hex.EncodeToString(hash.Sum(nil))[:16], ext))
+	final := filepath.Join(opts.dir, fmt.Sprintf("%s-%s%s", urlKey, hex.EncodeToString(hash.Sum(nil))[:16], ext))
 	if err := os.Rename(tmpPath, final); err != nil {
 		os.Remove(tmpPath)
 		return "", err
@@ -98,26 +102,26 @@ func Fetch(rawURL string, opts FetchOptions) (string, error) {
 	return final, nil
 }
 
-// FetchOptions parametrizes Fetch.
-type FetchOptions struct {
-	// Dir is the cache directory (default: <user cache dir>/
+// fetchOptions parametrizes fetch.
+type fetchOptions struct {
+	// dir is the cache directory (default: <user cache dir>/
 	// gridbench-archives, falling back to the OS temp dir).
-	Dir string
-	// Client issues the download (default: http.Client with a 5-minute
+	dir string
+	// client issues the download (default: http.Client with a 5-minute
 	// timeout — public archive mirrors are slow, not hung).
-	Client *http.Client
+	client *http.Client
 }
 
-func (o *FetchOptions) setDefaults() {
-	if o.Dir == "" {
+func (o *fetchOptions) setDefaults() {
+	if o.dir == "" {
 		base, err := os.UserCacheDir()
 		if err != nil {
 			base = os.TempDir()
 		}
-		o.Dir = filepath.Join(base, "gridbench-archives")
+		o.dir = filepath.Join(base, "gridbench-archives")
 	}
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 5 * time.Minute}
+	if o.client == nil {
+		o.client = &http.Client{Timeout: 5 * time.Minute}
 	}
 }
 

@@ -36,9 +36,9 @@ func fixtureBytes(t *testing.T, name string) []byte {
 func TestFetchCachesAndReuses(t *testing.T) {
 	body := fixtureBytes(t, "ctc_sp2.swf")
 	srv, hits := fetchServer(t, body)
-	opts := FetchOptions{Dir: t.TempDir(), Client: srv.Client()}
+	opts := fetchOptions{dir: t.TempDir(), client: srv.Client()}
 
-	p1, err := Fetch(srv.URL+"/archives/ctc_sp2.swf", opts)
+	p1, err := fetch(srv.URL+"/archives/ctc_sp2.swf", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFetchCachesAndReuses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2, err := Fetch(srv.URL+"/archives/ctc_sp2.swf", opts)
+	p2, err := fetch(srv.URL+"/archives/ctc_sp2.swf", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFetchGzip(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, _ := fetchServer(t, buf.Bytes())
-	p, err := Fetch(srv.URL+"/gwa/grid5000.gwf.gz", FetchOptions{Dir: t.TempDir(), Client: srv.Client()})
+	p, err := fetch(srv.URL+"/gwa/grid5000.gwf.gz", fetchOptions{dir: t.TempDir(), client: srv.Client()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFetchGzip(t *testing.T) {
 func TestFetchRejectsUnparseableDownload(t *testing.T) {
 	srv, _ := fetchServer(t, []byte("this is not a workload archive\n"))
 	dir := t.TempDir()
-	_, err := Fetch(srv.URL+"/bogus.swf", FetchOptions{Dir: dir, Client: srv.Client()})
+	_, err := fetch(srv.URL+"/bogus.swf", fetchOptions{dir: dir, client: srv.Client()})
 	if err == nil || !strings.Contains(err.Error(), "does not parse") {
 		t.Fatalf("unparseable download accepted: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestFetchRejectsUnparseableDownload(t *testing.T) {
 // with ErrNoUsableRecords.
 func TestFetchRejectsArchiveWithoutUsableJobs(t *testing.T) {
 	srv, _ := fetchServer(t, []byte("1 0 -1 -1 1 -1 -1 1 -1 -1 1 1 1 -1 -1 -1 -1 -1\n"))
-	_, err := Fetch(srv.URL+"/empty.swf", FetchOptions{Dir: t.TempDir(), Client: srv.Client()})
+	_, err := fetch(srv.URL+"/empty.swf", fetchOptions{dir: t.TempDir(), client: srv.Client()})
 	if !errors.Is(err, ErrNoUsableRecords) {
 		t.Fatalf("Fetch err = %v, want ErrNoUsableRecords", err)
 	}
@@ -122,10 +122,10 @@ func TestFetchRejectsArchiveWithoutUsableJobs(t *testing.T) {
 func TestFetchRefetchesCorruptedCache(t *testing.T) {
 	body := fixtureBytes(t, "ctc_sp2.swf")
 	srv, hits := fetchServer(t, body)
-	opts := FetchOptions{Dir: t.TempDir(), Client: srv.Client()}
+	opts := fetchOptions{dir: t.TempDir(), client: srv.Client()}
 	url := srv.URL + "/ctc_sp2.swf"
 
-	p, err := Fetch(url, opts)
+	p, err := fetch(url, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestFetchRefetchesCorruptedCache(t *testing.T) {
 	if err := os.WriteFile(p, []byte("corrupted\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Fetch(url, opts)
+	p2, err := fetch(url, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestFetchRefetchesCorruptedCache(t *testing.T) {
 }
 
 func TestFetchUnknownExtension(t *testing.T) {
-	if _, err := Fetch("http://example.invalid/trace.csv", FetchOptions{Dir: t.TempDir()}); err == nil {
+	if _, err := fetch("http://example.invalid/trace.csv", fetchOptions{dir: t.TempDir()}); err == nil {
 		t.Fatal("unknown extension accepted")
 	}
 }

@@ -64,7 +64,7 @@ func TestGoldenSWF(t *testing.T) {
 		}
 	}
 
-	rd := NewTraceReader(strings.NewReader(string(raw)), FormatSWF, TraceReaderOptions{Strict: true})
+	rd := newTraceReader(strings.NewReader(string(raw)), FormatSWF, TraceReaderOptions{Strict: true})
 	jobs := drainTraceReader(t, rd)
 	if rd.Dropped() != 0 || len(jobs) != 12 {
 		t.Fatalf("streamed: %d jobs, %d dropped", len(jobs), rd.Dropped())
@@ -120,7 +120,7 @@ func TestGoldenGWF(t *testing.T) {
 		}
 	}
 
-	rd := NewTraceReader(strings.NewReader(string(raw)), FormatGWF, TraceReaderOptions{Strict: true})
+	rd := newTraceReader(strings.NewReader(string(raw)), FormatGWF, TraceReaderOptions{Strict: true})
 	jobs := drainTraceReader(t, rd)
 	// Job 7 was cancelled before running and requested nothing: it is
 	// the one record replay cannot use.
@@ -145,7 +145,7 @@ func TestGoldenGWF(t *testing.T) {
 
 	// The default classification rule tags the short, narrow jobs as
 	// interactive sessions.
-	s, err := NewStreamReplay(NewTraceReader(strings.NewReader(string(raw)), FormatGWF, TraceReaderOptions{}), ReplayConfig{})
+	s, err := NewStreamReplay(newTraceReader(strings.NewReader(string(raw)), FormatGWF, TraceReaderOptions{}), ReplayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ var dialect = &scanio.Dialect[Record]{
 	Comment:   "#",
 	NumFields: NumFields,
 	Column:    setColumn,
-	Fields:    Record.Fields,
+	Fields:    Record.fields,
 }
 
 // The line-format types are scanio's, shared with SWF.
@@ -229,8 +229,8 @@ func strField(s string) string {
 	return s
 }
 
-// Fields returns the record in canonical textual field order.
-func (r Record) Fields() []string {
+// fields returns the record in canonical textual field order.
+func (r Record) fields() []string {
 	ff := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	fi := func(v int64) string { return strconv.FormatInt(v, 10) }
 	return []string{

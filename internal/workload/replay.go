@@ -106,10 +106,10 @@ func (c *ReplayConfig) setDefaults() {
 	}
 }
 
-// ScaleGap divides one inter-arrival gap by the speedup factor. It is
+// scaleGap divides one inter-arrival gap by the speedup factor. It is
 // exported so property tests (and experiment code) apply the exact
 // arithmetic the stream uses.
-func ScaleGap(gap time.Duration, speedup float64) time.Duration {
+func scaleGap(gap time.Duration, speedup float64) time.Duration {
 	if speedup == 1 {
 		return gap
 	}

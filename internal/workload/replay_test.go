@@ -86,7 +86,7 @@ func TestReplayWindowPartitionConservesJobs(t *testing.T) {
 
 // Property: time-scaling by S scales every inter-arrival gap by
 // exactly 1/S on the sim clock — the scaled stream's delays equal
-// ScaleGap applied to the unscaled stream's delays, gap by gap.
+// scaleGap applied to the unscaled stream's delays, gap by gap.
 func TestReplaySpeedupScalesEveryGap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		src := renderSWF(randomTraceJobs(seed, 250, 24))
@@ -97,7 +97,7 @@ func TestReplaySpeedupScalesEveryGap(t *testing.T) {
 				t.Fatalf("seed %d S=%v: %d delays vs %d", seed, s, len(scaled), len(base))
 			}
 			for i := range base {
-				if want := ScaleGap(base[i].delay, s); scaled[i].delay != want {
+				if want := scaleGap(base[i].delay, s); scaled[i].delay != want {
 					t.Fatalf("seed %d S=%v gap %d: %v, want %v (unscaled %v)",
 						seed, s, i, scaled[i].delay, want, base[i].delay)
 				}
@@ -112,7 +112,7 @@ func TestReplaySpeedupScalesEveryGap(t *testing.T) {
 
 func TestReplayConfigValidation(t *testing.T) {
 	src := renderSWF(randomTraceJobs(1, 10, 24))
-	reader := func() *TraceReader { return NewTraceReader(strings.NewReader(src), FormatSWF, TraceReaderOptions{}) }
+	reader := func() *TraceReader { return newTraceReader(strings.NewReader(src), FormatSWF, TraceReaderOptions{}) }
 	bad := []ReplayConfig{
 		{Speedup: -1},
 		{Speedup: math.NaN()},
@@ -166,10 +166,10 @@ func TestReplayClassificationAndReset(t *testing.T) {
 }
 
 func TestScaleGapSaturates(t *testing.T) {
-	if got := ScaleGap(time.Hour, 1e-12); got != time.Duration(math.MaxInt64) {
+	if got := scaleGap(time.Hour, 1e-12); got != time.Duration(math.MaxInt64) {
 		t.Fatalf("tiny speedup did not saturate: %v", got)
 	}
-	if got := ScaleGap(0, 0.001); got != 0 {
+	if got := scaleGap(0, 0.001); got != 0 {
 		t.Fatalf("zero gap scaled to %v", got)
 	}
 }

@@ -62,24 +62,24 @@ func (e *TooLongError) Error() string {
 // Unwrap lets errors.Is(err, bufio.ErrTooLong) keep working.
 func (e *TooLongError) Unwrap() error { return bufio.ErrTooLong }
 
-// Scanner yields input lines with their 1-based line numbers.
-type Scanner struct {
+// scanner yields input lines with their 1-based line numbers.
+type scanner struct {
 	sc   *bufio.Scanner
 	line int
 }
 
-// New wraps r in a Scanner with the shared buffer policy.
-func New(r io.Reader) *Scanner {
+// newScanner wraps r in a Scanner with the shared buffer policy.
+func newScanner(r io.Reader) *scanner {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, initialBuf), MaxLine)
-	return &Scanner{sc: sc}
+	return &scanner{sc: sc}
 }
 
-// Next returns the next line and its number. The line is the
+// next returns the next line and its number. The line is the
 // scanner's buffer, valid until the next call. It returns io.EOF when
 // the input is exhausted, a *TooLongError for an over-long line, and
 // the underlying reader's error otherwise.
-func (s *Scanner) Next() (text []byte, line int, err error) {
+func (s *scanner) next() (text []byte, line int, err error) {
 	if s.sc.Scan() {
 		s.line++
 		return s.sc.Bytes(), s.line, nil
@@ -99,12 +99,12 @@ func view(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// Fields splits s around runs of ASCII whitespace into dst and
+// fields splits s around runs of ASCII whitespace into dst and
 // returns the total number of fields in s, which may exceed len(dst)
 // (the extras are counted but not stored). Unlike strings.Fields it
 // performs no allocation, so the per-record parsers can tokenize into
 // a stack-resident scratch array.
-func Fields(s string, dst []string) int {
+func fields(s string, dst []string) int {
 	n := 0
 	i := 0
 	for {
@@ -271,7 +271,7 @@ func (c *Column) Int() (int64, error) {
 // as one record under the configured tolerance. Memory use is one
 // line, independent of trace length.
 type Reader[R any] struct {
-	sc         *Scanner
+	sc         *scanner
 	d          *Dialect[R]
 	directives []Directive
 	// fields, col and rec are per-line scratch, kept here so that
@@ -284,7 +284,7 @@ type Reader[R any] struct {
 // NewReader returns a streaming reader of dialect d over r.
 func (d *Dialect[R]) NewReader(r io.Reader, opts Options) *Reader[R] {
 	return &Reader[R]{
-		sc: New(r), d: d,
+		sc: newScanner(r), d: d,
 		fields: make([]string, d.NumFields),
 		col:    Column{strict: opts.Strict, name: d.Name},
 	}
@@ -296,7 +296,7 @@ func (d *Dialect[R]) NewReader(r io.Reader, opts Options) *Reader[R] {
 func (r *Reader[R]) Next() (R, error) {
 	var zero R
 	for {
-		b, line, err := r.sc.Next()
+		b, line, err := r.sc.next()
 		if err != nil {
 			return zero, r.readErr(err)
 		}
@@ -336,7 +336,7 @@ func (r *Reader[R]) readErr(err error) error {
 
 // parseRecord fills r.rec from one record line.
 func (r *Reader[R]) parseRecord(text string, line int) error {
-	nf := Fields(text, r.fields)
+	nf := fields(text, r.fields)
 	if r.col.strict && nf != len(r.fields) {
 		return &ParseError{name: r.d.Name, Line: line, Msg: fmt.Sprintf("%d fields, want %d", nf, len(r.fields))}
 	}

@@ -9,13 +9,13 @@ import (
 )
 
 func TestNextCountsLines(t *testing.T) {
-	s := New(strings.NewReader("a\nb\n\nc"))
+	s := newScanner(strings.NewReader("a\nb\n\nc"))
 	want := []struct {
 		text string
 		line int
 	}{{"a", 1}, {"b", 2}, {"", 3}, {"c", 4}}
 	for _, w := range want {
-		text, line, err := s.Next()
+		text, line, err := s.next()
 		if err != nil {
 			t.Fatalf("line %d: %v", w.line, err)
 		}
@@ -23,11 +23,11 @@ func TestNextCountsLines(t *testing.T) {
 			t.Fatalf("got %q line %d, want %q line %d", text, line, w.text, w.line)
 		}
 	}
-	if _, _, err := s.Next(); err != io.EOF {
+	if _, _, err := s.next(); err != io.EOF {
 		t.Fatalf("err = %v, want io.EOF", err)
 	}
 	// Next past EOF keeps returning io.EOF.
-	if _, _, err := s.Next(); err != io.EOF {
+	if _, _, err := s.next(); err != io.EOF {
 		t.Fatalf("second err = %v, want io.EOF", err)
 	}
 	if s.line != 4 {
@@ -37,11 +37,11 @@ func TestNextCountsLines(t *testing.T) {
 
 func TestNextTooLong(t *testing.T) {
 	long := strings.Repeat("x", MaxLine+1)
-	s := New(strings.NewReader("ok\n" + long + "\nnever"))
-	if _, line, err := s.Next(); err != nil || line != 1 {
+	s := newScanner(strings.NewReader("ok\n" + long + "\nnever"))
+	if _, line, err := s.next(); err != nil || line != 1 {
 		t.Fatalf("first line: %v (line %d)", err, line)
 	}
-	_, line, err := s.Next()
+	_, line, err := s.next()
 	var tl *TooLongError
 	if !errors.As(err, &tl) {
 		t.Fatalf("err = %v, want *TooLongError", err)
@@ -63,8 +63,8 @@ func (f failReader) Read([]byte) (int, error) { return 0, f.err }
 
 func TestNextReaderError(t *testing.T) {
 	boom := errors.New("boom")
-	s := New(failReader{boom})
-	if _, _, err := s.Next(); !errors.Is(err, boom) {
+	s := newScanner(failReader{boom})
+	if _, _, err := s.next(); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 }

@@ -108,8 +108,8 @@ type TraceReader struct {
 	users   map[int64]string
 }
 
-// NewTraceReader streams records of the given format from r.
-func NewTraceReader(r io.Reader, format TraceFormat, opts TraceReaderOptions) *TraceReader {
+// newTraceReader streams records of the given format from r.
+func newTraceReader(r io.Reader, format TraceFormat, opts TraceReaderOptions) *TraceReader {
 	opts.setDefaults()
 	tr := &TraceReader{opts: opts, users: make(map[int64]string)}
 	ropts := scanio.Options{Strict: opts.Strict}
@@ -154,7 +154,7 @@ func OpenTraceReader(path string, opts TraceReaderOptions) (*TraceReader, error)
 	if err != nil {
 		return nil, err
 	}
-	tr := NewTraceReader(f, format, opts)
+	tr := newTraceReader(f, format, opts)
 	tr.close = f.Close
 	return tr, nil
 }
@@ -355,7 +355,7 @@ func (s *StreamReplay) Next() (Job, time.Duration, bool) {
 			// further.
 			return Job{}, 0, false
 		}
-		gap := ScaleGap(tj.Submit-s.prev, s.cfg.Speedup)
+		gap := scaleGap(tj.Submit-s.prev, s.cfg.Speedup)
 		s.prev = tj.Submit
 		s.count++
 		j := Job{Kind: BatchJob, User: tj.User, CPU: tj.Runtime, Nodes: tj.Nodes, TraceID: tj.ID}

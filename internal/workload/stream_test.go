@@ -22,7 +22,7 @@ import (
 // arrival to zero, then keep the jobs inside the window and scale each
 // gap. It shares no reader, reorder heap, user interning or window code
 // with the streamed path it checks, only the per-record rules both must
-// apply (normalizeFields, traceUser, interactive, ScaleGap) and the
+// apply (normalizeFields, traceUser, interactive, scaleGap) and the
 // config defaults.
 
 // loadTrace parses and normalizes a whole archive file, .gwf by
@@ -100,7 +100,7 @@ func replayOracle(jobs []TraceJob, cfg ReplayConfig) []arrival {
 		if interactive(tj) {
 			j.Kind, j.PerformanceLoss = InteractiveJob, interactivePL
 		}
-		out = append(out, arrival{j, ScaleGap(tj.Submit-prev, cfg.Speedup)})
+		out = append(out, arrival{j, scaleGap(tj.Submit-prev, cfg.Speedup)})
 		prev = tj.Submit
 	}
 	return out
@@ -129,7 +129,7 @@ func collect(t *testing.T, s *StreamReplay) []arrival {
 // streamSWF replays an in-memory SWF archive through the streamed path.
 func streamSWF(t *testing.T, src string, cfg ReplayConfig) []arrival {
 	t.Helper()
-	s, err := NewStreamReplay(NewTraceReader(strings.NewReader(src), FormatSWF, TraceReaderOptions{}), cfg)
+	s, err := NewStreamReplay(newTraceReader(strings.NewReader(src), FormatSWF, TraceReaderOptions{}), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestTraceReaderReorderWithinWindow(t *testing.T) {
 	for _, s := range []int64{40, 10, 20, 30, 0, 50} { // min arrives 4 late
 		sb.WriteString(swfLine(s+1, s))
 	}
-	tr := NewTraceReader(strings.NewReader(sb.String()), FormatSWF, TraceReaderOptions{Strict: true, ReorderWindow: 4})
+	tr := newTraceReader(strings.NewReader(sb.String()), FormatSWF, TraceReaderOptions{Strict: true, ReorderWindow: 4})
 	jobs := drainTraceReader(t, tr)
 	for i, want := range []int64{0, 10, 20, 30, 40, 50} {
 		if jobs[i].Submit != time.Duration(want)*time.Second {
@@ -355,7 +355,7 @@ func TestTraceReaderReorderBeyondWindow(t *testing.T) {
 	}
 	src := sb.String()
 
-	tr := NewTraceReader(strings.NewReader(src), FormatSWF, TraceReaderOptions{Strict: true, ReorderWindow: 4})
+	tr := newTraceReader(strings.NewReader(src), FormatSWF, TraceReaderOptions{Strict: true, ReorderWindow: 4})
 	var err error
 	for err == nil {
 		_, err = tr.Next()
@@ -367,7 +367,7 @@ func TestTraceReaderReorderBeyondWindow(t *testing.T) {
 		t.Fatalf("error not sticky: %v then %v", err, again)
 	}
 
-	tr = NewTraceReader(strings.NewReader(src), FormatSWF, TraceReaderOptions{ReorderWindow: 4})
+	tr = newTraceReader(strings.NewReader(src), FormatSWF, TraceReaderOptions{ReorderWindow: 4})
 	jobs := drainTraceReader(t, tr)
 	if tr.clamped != 1 {
 		t.Fatalf("Clamped() = %d, want 1", tr.clamped)
@@ -388,7 +388,7 @@ func TestTraceReaderReorderBeyondWindow(t *testing.T) {
 // trace correctly.
 func TestTraceReaderNoReorderWindow(t *testing.T) {
 	src := swfLine(1, 0) + swfLine(2, 10) + swfLine(3, 20)
-	tr := NewTraceReader(strings.NewReader(src), FormatSWF, TraceReaderOptions{Strict: true, ReorderWindow: -1})
+	tr := newTraceReader(strings.NewReader(src), FormatSWF, TraceReaderOptions{Strict: true, ReorderWindow: -1})
 	if jobs := drainTraceReader(t, tr); len(jobs) != 3 || jobs[2].Submit != 20*time.Second {
 		t.Fatalf("jobs = %+v", jobs)
 	}
@@ -422,7 +422,7 @@ func TestTraceReaderAllocsPerRecord(t *testing.T) {
 		}
 		src := sb.String()
 		avg := testing.AllocsPerRun(5, func() {
-			tr := NewTraceReader(strings.NewReader(src), f.format, TraceReaderOptions{})
+			tr := newTraceReader(strings.NewReader(src), f.format, TraceReaderOptions{})
 			for {
 				if _, err := tr.Next(); err != nil {
 					break
@@ -438,7 +438,7 @@ func TestTraceReaderAllocsPerRecord(t *testing.T) {
 // StreamReplay surfaces ingest errors through Err, not a panic or a
 // silent truncation.
 func TestStreamReplayErr(t *testing.T) {
-	tr := NewTraceReader(strings.NewReader("not a record\n"), FormatSWF, TraceReaderOptions{Strict: true})
+	tr := newTraceReader(strings.NewReader("not a record\n"), FormatSWF, TraceReaderOptions{Strict: true})
 	s, err := NewStreamReplay(tr, ReplayConfig{})
 	if err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ var dialect = &scanio.Dialect[Record]{
 	Comment:   ";",
 	NumFields: NumFields,
 	Column:    setColumn,
-	Fields:    Record.Fields,
+	Fields:    Record.fields,
 }
 
 // The line-format types are scanio's, shared with GWF.
@@ -140,8 +140,8 @@ func setColumn(r *Record, c *scanio.Column) error {
 	return err
 }
 
-// Fields returns the record in canonical textual field order.
-func (r Record) Fields() []string {
+// fields returns the record in canonical textual field order.
+func (r Record) fields() []string {
 	return []string{
 		strconv.FormatInt(r.JobID, 10),
 		strconv.FormatInt(r.Submit, 10),

@@ -51,7 +51,7 @@ func TestSynthValidAndIngestible(t *testing.T) {
 		t.Fatalf("records = %d, want %d", len(tr.Records), cfg.Jobs)
 	}
 
-	rd := NewTraceReader(strings.NewReader(sb.String()), FormatSWF, TraceReaderOptions{Strict: true})
+	rd := newTraceReader(strings.NewReader(sb.String()), FormatSWF, TraceReaderOptions{Strict: true})
 	inter, total := 0, 0
 	last := time.Duration(-1)
 	for {

@@ -40,27 +40,27 @@ func (p *Poisson) Next() time.Duration {
 	return time.Duration(p.rng.ExpFloat64() * float64(p.mean))
 }
 
-// LogNormal samples durations whose logarithm is normally distributed
+// logNormal samples durations whose logarithm is normally distributed
 // — the classic heavy-tailed job-runtime model.
-type LogNormal struct {
+type logNormal struct {
 	rng    *rand.Rand
 	mu     float64 // of ln(seconds)
 	sigma  float64
 	maxCap time.Duration
 }
 
-// NewLogNormal builds a log-normal duration source with the given
+// newLogNormal builds a log-normal duration source with the given
 // median and shape (sigma of the underlying normal; ~0.5 mild, ~1.5
 // heavy tail). Samples are capped at 50x the median to keep
 // simulations bounded.
-func NewLogNormal(median time.Duration, sigma float64, seed int64) *LogNormal {
+func newLogNormal(median time.Duration, sigma float64, seed int64) *logNormal {
 	if median <= 0 {
 		median = time.Minute
 	}
 	if sigma <= 0 {
 		sigma = 1
 	}
-	return &LogNormal{
+	return &logNormal{
 		rng:    rand.New(rand.NewSource(seed)),
 		mu:     math.Log(median.Seconds()),
 		sigma:  sigma,
@@ -68,8 +68,8 @@ func NewLogNormal(median time.Duration, sigma float64, seed int64) *LogNormal {
 	}
 }
 
-// Sample draws one duration.
-func (l *LogNormal) Sample() time.Duration {
+// sample draws one duration.
+func (l *logNormal) sample() time.Duration {
 	secs := math.Exp(l.mu + l.sigma*l.rng.NormFloat64())
 	d := time.Duration(secs * float64(time.Second))
 	if d > l.maxCap {
@@ -112,7 +112,7 @@ type Job struct {
 type Mix struct {
 	rng *rand.Rand
 	// batchCPU and interactiveCPU sample per-kind demands.
-	batchCPU, interactiveCPU *LogNormal
+	batchCPU, interactiveCPU *logNormal
 }
 
 // The mix's CrossGrid-flavored shape: the probability a job is
@@ -131,8 +131,8 @@ var mixPerformanceLosses = [...]int{5, 10, 25}
 func NewMix(seed int64) *Mix {
 	return &Mix{
 		rng:            rand.New(rand.NewSource(seed)),
-		batchCPU:       NewLogNormal(2*time.Hour, 0.8, seed+1),
-		interactiveCPU: NewLogNormal(2*time.Minute, 0.7, seed+2),
+		batchCPU:       newLogNormal(2*time.Hour, 0.8, seed+1),
+		interactiveCPU: newLogNormal(2*time.Minute, 0.7, seed+2),
 	}
 }
 
@@ -141,11 +141,11 @@ func (m *Mix) Next() Job {
 	j := Job{}
 	if m.rng.Float64() < mixInteractiveFraction {
 		j.Kind = InteractiveJob
-		j.CPU = m.interactiveCPU.Sample()
+		j.CPU = m.interactiveCPU.sample()
 		j.PerformanceLoss = mixPerformanceLosses[m.rng.Intn(len(mixPerformanceLosses))]
 	} else {
 		j.Kind = BatchJob
-		j.CPU = m.batchCPU.Sample()
+		j.CPU = m.batchCPU.sample()
 	}
 	j.User = userName(m.rng.Intn(mixUsers))
 	return j

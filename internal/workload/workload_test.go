@@ -76,10 +76,10 @@ func TestGeneratorBoundaries(t *testing.T) {
 			median time.Duration
 			sigma  float64
 		}{{0, 1}, {-time.Hour, 1}, {time.Minute, 0}, {time.Minute, -2}, {0, 0}} {
-			l := NewLogNormal(c.median, c.sigma, 1)
+			l := newLogNormal(c.median, c.sigma, 1)
 			for i := 0; i < 100; i++ {
-				if d := l.Sample(); d < time.Millisecond {
-					t.Fatalf("NewLogNormal(%v, %v) drew %v", c.median, c.sigma, d)
+				if d := l.sample(); d < time.Millisecond {
+					t.Fatalf("newLogNormal(%v, %v) drew %v", c.median, c.sigma, d)
 				}
 			}
 		}
@@ -87,10 +87,10 @@ func TestGeneratorBoundaries(t *testing.T) {
 }
 
 func TestLogNormalMedianAndCap(t *testing.T) {
-	l := NewLogNormal(10*time.Minute, 1.0, 3)
+	l := newLogNormal(10*time.Minute, 1.0, 3)
 	var above, total int
 	for i := 0; i < 4000; i++ {
-		d := l.Sample()
+		d := l.sample()
 		if d <= 0 {
 			t.Fatalf("non-positive sample %v", d)
 		}
