@@ -28,7 +28,7 @@ func strayRecord(t *testing.T, info *infosys.Service, name string) {
 func candNames(cands []candidate) string {
 	names := make([]string, len(cands))
 	for i, c := range cands {
-		names[i] = c.site.Name()
+		names[i] = c.e.st.Name()
 	}
 	return strings.Join(names, " ")
 }

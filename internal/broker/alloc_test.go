@@ -3,9 +3,12 @@ package broker
 import (
 	"testing"
 	"time"
+	"unsafe"
 
+	"crossbroker/internal/infosys"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/netsim"
+	"crossbroker/internal/simclock"
 )
 
 // lifecycleAllocs is the average allocation count of one job's whole
@@ -70,9 +73,9 @@ func TestLifecycleAllocs(t *testing.T) {
 
 // TestProbePassAllocs: a pass's direct probes cost nothing per site, so
 // a pass that probes 16 sites allocates no more than one that probes 1.
-// The walk is a recycled probeRun and each site recycles its query
-// records; a closure per probe on each side cost about two allocations
-// per probed site.
+// The walk runs on the recycled pass record and each site recycles its
+// query records; a closure per probe on each side cost about two
+// allocations per probed site.
 func TestProbePassAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -131,5 +134,59 @@ func TestPollHandoffAllocs(t *testing.T) {
 	small, large := burst(32), burst(128)
 	if large >= 6*small {
 		t.Errorf("a burst of 128 passes cost %v allocations, %.1f× the %v of 32: the poll hand-off is quadratic", large, large/small, small)
+	}
+}
+
+// TestBrokerQueueAllocs holds the broker queue to no allocation per
+// retry. Every pass is stubbed to find the job's matching sites down,
+// so each of the job's attempts is the queue's work alone: the
+// re-queue, its backoff timer, the queue pass that wakes and the
+// job's posted attempt. With a method value per re-queue, a closure
+// per wake, one per retried job and the attempt's pass continuation
+// made afresh, a retry cost four allocations.
+func TestBrokerQueueAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	sim := simclock.NewSim(time.Time{})
+	b := New(Config{Sim: sim, Info: infosys.New(sim, 0), RetryInterval: time.Minute})
+	passes := 0
+	b.matchOracle = func(h *Handle, cont func([]candidate)) {
+		passes++
+		h.unavailable = 1 // matching sites, all down: hold the job and retry
+		cont(nil)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := b.Submit(batchJob(time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.RunFor(time.Hour) // warm-up: the queue's buffers and the engine's heap
+	retries := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		before := passes
+		sim.RunFor(10 * time.Hour)
+		retries = passes - before
+	})
+	if retries < 1000 {
+		t.Fatalf("%d retries in ten hours, want one a minute for each of 4 jobs", retries)
+	}
+	if allocs != 0 {
+		t.Errorf("%d retries cost %v allocations, want none", retries, allocs)
+	}
+}
+
+// TestMatchRecordSizeBudget holds two per-site records to their size
+// classes. A pass returns one 40-byte candidate per survivor, and the
+// candidate reads its ordinal through its entry rather than carry one.
+// Every registered site holds one entry: an entry that carried its
+// name beside its ordinal moved from the 144- to the 176-byte class,
+// and the 800-site replay's bytes per job rose where they now fall.
+func TestMatchRecordSizeBudget(t *testing.T) {
+	if got := unsafe.Sizeof(candidate{}); got > 40 {
+		t.Errorf("candidate is %d bytes, budget 40", got)
+	}
+	if got := unsafe.Sizeof(siteEntry{}); got > 144 {
+		t.Errorf("siteEntry is %d bytes, budget 144", got)
 	}
 }

@@ -54,12 +54,22 @@ func benchBroker(tb testing.TB, nSites int, cfg Config) (*simclock.Sim, *Broker)
 // system discovery plus the selection phase (requirements filtering,
 // direct site probes, ranking) — per iteration. Allocations per op are
 // the headline metric: the pass runs once per submission and once per
-// resubmission retry, with the user waiting.
+// resubmission retry, with the user waiting. The unbounded arms keep
+// and probe every site; sites=48/topk=16 is the replay-overload pass,
+// which keeps the 16 best of 48 and probes those.
 func BenchmarkSelection(b *testing.B) {
-	for _, n := range []int{20, 100} {
-		b.Run(fmt.Sprintf("sites=%d", n), func(b *testing.B) {
-			sim, br := benchBroker(b, n, Config{})
+	for _, c := range []struct{ sites, topk int }{{20, 0}, {100, 0}, {48, 16}} {
+		name := fmt.Sprintf("sites=%d", c.sites)
+		if c.topk > 0 {
+			name += fmt.Sprintf("/topk=%d", c.topk)
+		}
+		b.Run(name, func(b *testing.B) {
+			sim, br := benchBroker(b, c.sites, Config{TopK: c.topk})
 			h := &Handle{request: Request{Job: benchSelectionJob(b)}}
+			want := c.sites
+			if c.topk > 0 {
+				want = c.topk
+			}
 			var cands int
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -68,8 +78,8 @@ func BenchmarkSelection(b *testing.B) {
 				sim.RunFor(time.Hour)
 			}
 			b.StopTimer()
-			if cands != n {
-				b.Fatalf("selection kept %d of %d sites", cands, n)
+			if cands != want {
+				b.Fatalf("selection kept %d of %d sites, want %d", cands, c.sites, want)
 			}
 		})
 	}

@@ -380,6 +380,9 @@ type Handle struct {
 	// backoffs counts broker-queue re-queues, driving the capped
 	// exponential dispatch backoff.
 	backoffs int
+	// batchPass is a batch job's match-pass continuation, bound on its
+	// first attempt (runBatch).
+	batchPass func([]candidate)
 	// unavailable counts sites the last selection pass skipped
 	// because they were quarantined or failed their direct probe —
 	// distinguishing "nothing matches" from "matches are all down".
@@ -452,6 +455,11 @@ type Broker struct {
 	// page scan resolves every published record here, so one lookup
 	// gives a pass the site and its breaker state together.
 	sites map[string]*siteEntry
+	// names lists the registered names, in name order unless renumber
+	// says a site registered under a new name since the entries'
+	// ordinals were last assigned (ordinals).
+	names    []string
+	renumber bool
 	// admitted is the page scan's admission cache over sites, per
 	// registry shard and row position (admit in matchmaking.go): the
 	// name last read at that position and its entry. A republished row
@@ -478,8 +486,6 @@ type Broker struct {
 	freeAgents  []*glidein.Agent
 	freeScratch []*glidein.Agent
 	reqMemo     map[string]bool // site name -> Requirements pass
-	taskPool    [][]probeTask   // recycled matchmaking scratch, see getTasks
-	probeRuns   []*probeRun     // recycled probe walks, see probeSites
 	passes      []*pass         // recycled matchmaking passes, see matchPass
 	placements  []*placement    // recycled shared-VM attempts, see newPlacement
 
@@ -487,16 +493,24 @@ type Broker struct {
 	// among its jobs (jdl.Classes).
 	classes jdl.Classes
 
-	pendingBatch []*Handle
-	seq          int
-	dispatching  bool
+	seq int
 
-	// routing holds the submissions whose route event is posted, oldest
-	// from routeHead on; each event, routeNext (b.routeOldest, bound in
-	// New), routes the oldest, so jobs route in submission order.
-	routing   []*Handle
-	routeHead int
-	routeNext func()
+	// The broker queue: pendingBatch holds the batch jobs waiting for
+	// resources, and drained the buffer it was last emptied from, which
+	// the next re-queues fill. A re-queue wakes the queue through kick
+	// (b.kickDispatch), and a wake runs dispatchNow (b.dispatchKicked)
+	// unless dispatching says one is scheduled already.
+	pendingBatch, drained []*Handle
+	dispatching           bool
+	kick, dispatchNow     func()
+
+	// routing holds the submissions whose route event is posted; each
+	// event, routeNext (b.routeOldest), routes the oldest, so jobs route
+	// in submission order. retrying and retryNext (b.retryOldest) do
+	// the same for the queued jobs a broker-queue pass retries. All
+	// four are bound in New.
+	routing, retrying    handleFIFO
+	routeNext, retryNext func()
 
 	// offloader is the federation's queue-pressure hook (SetOffloader);
 	// nil outside a federation.
@@ -513,13 +527,54 @@ type Broker struct {
 }
 
 // siteEntry is one registered site's record: the site, its circuit
-// breaker, its exclusive-temporal-access leases and the hash of its
-// name every pass's tie-break noise starts from.
+// breaker, its exclusive-temporal-access leases, the hash of its name
+// every pass's tie-break noise starts from, and its ordinal, the
+// site's position in name order among the sites registered here. Every "then by site name" of the match pass
+// compares ordinals; a pass renumbers them after a registration
+// (ordinals).
 type siteEntry struct {
 	st       *site.Site
 	health   siteHealth
 	leases   leaseQueue
 	nameHash uint64
+	ord      int32
+}
+
+// ordinals numbers the registered sites in name order, if a site
+// registered under a new name since they were last numbered. A pass
+// calls it before its scan. Numbering once per batch of registrations
+// costs O(sites log sites), however the names arrive; numbering at each
+// registration would cost O(sites) each, quadratic in a grid whose
+// names do not register in name order ("site9999" before "site10000").
+func (b *Broker) ordinals() {
+	if !b.renumber {
+		return
+	}
+	b.renumber = false
+	slices.Sort(b.names)
+	for i, name := range b.names {
+		b.sites[name].ord = int32(i)
+	}
+}
+
+// handleFIFO is the queue behind a posted event that stands in for a
+// closure per handle: posted events run in the order they were posted,
+// so the oldest handle is the one each event is for.
+type handleFIFO struct {
+	hs   []*Handle
+	head int
+}
+
+func (q *handleFIFO) push(h *Handle) { q.hs = append(q.hs, h) }
+
+func (q *handleFIFO) pop() *Handle {
+	h := q.hs[q.head]
+	q.hs[q.head] = nil
+	q.head++
+	if q.head == len(q.hs) {
+		q.hs, q.head = q.hs[:0], 0
+	}
+	return h
 }
 
 // admitSlot is one row position's cached admission: the site name last
@@ -561,7 +616,8 @@ func New(cfg Config) *Broker {
 		sites:  make(map[string]*siteEntry),
 		agents: make(map[*glidein.Agent][]*placement),
 	}
-	b.routeNext = b.routeOldest
+	b.routeNext, b.retryNext = b.routeOldest, b.retryOldest
+	b.kick, b.dispatchNow = b.kickDispatch, b.dispatchKicked
 	if src, ok := cfg.Info.(infosys.DeltaSource); ok && src.ServesSubscriptions() {
 		b.sub = newSubscriber(b, src)
 	}
@@ -572,10 +628,19 @@ func New(cfg Config) *Broker {
 // information-system publishing. A crash notification from the site
 // immediately releases every lease held against it (so matchmaking
 // capacity recovers without waiting for natural expiry) and
-// quarantines it.
+// quarantines it. A site registered under a taken name replaces the
+// entry and keeps its ordinal; a new name renumbers the sites before
+// the next pass (ordinals).
 func (b *Broker) RegisterSite(st *site.Site) {
 	name := st.Name()
-	b.sites[name] = &siteEntry{st: st, nameHash: nameHash(name)}
+	e := &siteEntry{st: st, nameHash: nameHash(name)}
+	if old := b.sites[name]; old != nil {
+		e.ord = old.ord
+	} else {
+		b.names = append(b.names, name)
+		b.renumber = true
+	}
+	b.sites[name] = e
 	b.admitted = nil
 	st.SetTracer(b.cfg.Trace)
 	st.OnDeath(func() {
@@ -727,7 +792,7 @@ func (b *Broker) Requeue(h *Handle) {
 		return
 	}
 	b.pendingBatch = append(b.pendingBatch, h)
-	b.sim.AfterFunc(b.retryDelay(h.backoffs), b.kickDispatch)
+	b.sim.AfterFunc(b.retryDelay(h.backoffs), b.kick)
 	h.backoffs++
 }
 
@@ -790,24 +855,13 @@ func (h *Handle) endAttempt() {
 }
 
 // postRoute routes h in an event of its own at the current instant.
-// The routing queue stands in for a closure per submission: the posted
-// events run in the order they were posted, so the oldest handle is the
-// one each event is for.
 func (b *Broker) postRoute(h *Handle) {
-	b.routing = append(b.routing, h)
+	b.routing.push(h)
 	b.sim.Post(b.routeNext)
 }
 
 // routeOldest routes the oldest submission in the routing queue.
-func (b *Broker) routeOldest() {
-	h := b.routing[b.routeHead]
-	b.routing[b.routeHead] = nil
-	b.routeHead++
-	if b.routeHead == len(b.routing) {
-		b.routing, b.routeHead = b.routing[:0], 0
-	}
-	b.route(h)
-}
+func (b *Broker) routeOldest() { b.route(b.routing.pop()) }
 
 // route picks the scheduling path per job type (Figure 5).
 func (b *Broker) route(h *Handle) {
@@ -916,14 +970,16 @@ const (
 	quarantineCooldown  = 5 * time.Minute
 )
 
+// siteHealth's fails and probing share one word, which keeps a
+// siteEntry, ordinal included, in the 144-byte size class.
 type siteHealth struct {
-	fails            int
-	quarantinedUntil time.Time
+	fails int32
 	// probing gates the half-open state to one probe in flight: the
 	// pass about to probe the site back sets it (claimHalfOpen),
 	// concurrent passes keep treating the site as quarantined until the
 	// probe resolves.
-	probing bool
+	probing          bool
+	quarantinedUntil time.Time
 	// trippedAt and lastSuccess are the evidence federation
 	// reconciliation compares: a peer whose success on the site is
 	// newer than this broker's trip refutes the quarantine.
@@ -939,7 +995,7 @@ func (b *Broker) noteSiteFailure(name string) {
 	hl.probing = false
 	if hl.fails >= quarantineThreshold {
 		if !b.sim.Now().Before(hl.quarantinedUntil) {
-			b.cfg.Trace.Emit(trace.Event{Kind: trace.Quarantined, Site: name, N: hl.fails})
+			b.cfg.Trace.Emit(trace.Event{Kind: trace.Quarantined, Site: name, N: int(hl.fails)})
 		}
 		hl.trippedAt = b.sim.Now()
 		hl.quarantinedUntil = b.sim.Now().Add(quarantineCooldown)
@@ -963,8 +1019,8 @@ func (b *Broker) noteSiteSuccess(name string) {
 // was answered, without resetting the breaker's failure count — only
 // a successful submission (noteSiteSuccess) does that. The answer is
 // still recorded as liveness evidence for reconciliation.
-func (b *Broker) noteProbeAnswered(name string) {
-	hl := &b.sites[name].health
+func (b *Broker) noteProbeAnswered(e *siteEntry) {
+	hl := &e.health
 	hl.probing = false
 	hl.lastSuccess = b.sim.Now()
 }
@@ -977,7 +1033,7 @@ func (b *Broker) quarantineNow(name string) {
 		hl.fails = quarantineThreshold
 	}
 	if !b.sim.Now().Before(hl.quarantinedUntil) {
-		b.cfg.Trace.Emit(trace.Event{Kind: trace.Quarantined, Site: name, N: hl.fails})
+		b.cfg.Trace.Emit(trace.Event{Kind: trace.Quarantined, Site: name, N: int(hl.fails)})
 	}
 	hl.probing = false
 	hl.trippedAt = b.sim.Now()
@@ -999,8 +1055,8 @@ func breakerOpen(hl *siteHealth, now time.Time) bool {
 // probe in flight. The claim is taken here, for a site that will be
 // probed, and not by the filter: a claim taken for a site that then
 // failed Requirements or fell out of the top K was never released.
-func (b *Broker) claimHalfOpen(name string) {
-	hl := &b.sites[name].health
+func (b *Broker) claimHalfOpen(e *siteEntry) {
+	hl := &e.health
 	if hl.fails >= quarantineThreshold && !hl.quarantinedUntil.IsZero() {
 		hl.probing = true
 	}
@@ -1031,7 +1087,7 @@ func (b *Broker) SiteEvidence(name string) (HealthEvidence, bool) {
 	}
 	hl := &e.health
 	return HealthEvidence{
-		Fails:       hl.fails,
+		Fails:       int(hl.fails),
 		Quarantined: b.sim.Now().Before(hl.quarantinedUntil),
 		TrippedAt:   hl.trippedAt,
 		LastSuccess: hl.lastSuccess,

@@ -200,25 +200,25 @@ func TestDataAwarePlacementOptimality(t *testing.T) {
 			t.Fatalf("trial %d: pass kept %d sites, model says %d eligible", trial, len(cands), len(model))
 		}
 		for _, c := range cands {
-			m, ok := model[c.site.Name()]
+			m, ok := model[c.e.st.Name()]
 			if !ok {
-				t.Fatalf("trial %d: ineligible site %s matched", trial, c.site.Name())
+				t.Fatalf("trial %d: ineligible site %s matched", trial, c.e.st.Name())
 			}
 			if c.rank != m.rank-m.stage {
 				t.Fatalf("trial %d: %s rank %g, want base %g - staging %g",
-					trial, c.site.Name(), c.rank, m.rank, m.stage)
+					trial, c.e.st.Name(), c.rank, m.rank, m.stage)
 			}
 		}
-		chosen := model[cands[0].site.Name()]
+		chosen := model[cands[0].e.st.Name()]
 		for name, m := range model {
-			if name == cands[0].site.Name() {
+			if name == cands[0].e.st.Name() {
 				continue
 			}
 			dominates := m.rank >= chosen.rank && m.stage <= chosen.stage &&
 				(m.rank > chosen.rank || m.stage < chosen.stage)
 			if dominates {
 				t.Fatalf("trial %d: chose %s (rank %g, staging %gs) but %s strictly dominates (rank %g, staging %gs)",
-					trial, cands[0].site.Name(), chosen.rank, chosen.stage, name, m.rank, m.stage)
+					trial, cands[0].e.st.Name(), chosen.rank, chosen.stage, name, m.rank, m.stage)
 			}
 		}
 	}

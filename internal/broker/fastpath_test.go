@@ -69,7 +69,7 @@ func TestRankEvalErrorExcludesSite(t *testing.T) {
 	if len(cands) != 1 {
 		t.Fatalf("got %d candidates, want 1 (rank-error site excluded)", len(cands))
 	}
-	if got := cands[0].site.Name(); got != "withscore" {
+	if got := cands[0].e.st.Name(); got != "withscore" {
 		t.Fatalf("kept %q, want withscore", got)
 	}
 }

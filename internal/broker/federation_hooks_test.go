@@ -24,8 +24,8 @@ func TestLeaseJitterDesynchronizesExpiry(t *testing.T) {
 	addSiteEntry(bA, "s00")
 	addSiteEntry(bB, "s00")
 	base := sim.Now().Add(30 * time.Second)
-	bA.lease(&Handle{ID: "a-000001"}, "s00", 1)
-	bB.lease(&Handle{ID: "b-000001"}, "s00", 1)
+	bA.lease(&Handle{ID: "a-000001"}, bA.sites["s00"], 1)
+	bB.lease(&Handle{ID: "b-000001"}, bB.sites["s00"], 1)
 	sim.RunFor(time.Second)
 	expA := bA.sites["s00"].leases.entries[0].exp
 	expB := bB.sites["s00"].leases.entries[0].exp
@@ -49,7 +49,7 @@ func TestLeaseNoJitterExactExpiry(t *testing.T) {
 	b2 := New(Config{Sim: sim, Info: info, Seed: 7, LeaseDuration: 30 * time.Second})
 	want := sim.Now().Add(30 * time.Second)
 	addSiteEntry(b2, "s00")
-	b2.lease(&Handle{ID: "cb-000001"}, "s00", 2)
+	b2.lease(&Handle{ID: "cb-000001"}, b2.sites["s00"], 2)
 	sim.RunFor(time.Second)
 	if exp := b2.sites["s00"].leases.entries[0].exp; !exp.Equal(want) {
 		t.Fatalf("expiry = %v, want exactly +30s", exp)

@@ -395,13 +395,15 @@ func TestScanOrderIndependent(t *testing.T) {
 			}
 			feed := func(order []int) string {
 				h := &Handle{request: Request{Job: job}}
+				b.ordinals()
 				s := passScan{b: b, h: h, now: sim.Now(), nonce: 42}
 				for _, i := range order {
 					s.page(pages[i])
 				}
-				kept := make([]string, len(s.keep))
-				for i, p := range s.keep {
-					kept[i] = fmt.Sprintf("%s:%g:%g", p.st.Name(), p.prelim, p.noise)
+				kept := make([]string, len(s.heap))
+				for i, k := range s.heap {
+					p := &s.tasks[k]
+					kept[i] = fmt.Sprintf("%s:%g:%g", p.e.st.Name(), p.rank, p.noise)
 				}
 				sort.Strings(kept)
 				return fmt.Sprintf("kept=%v peak=%d scanned=%d unavailable=%d", kept, h.peak, h.scanned, h.unavailable)

@@ -3,41 +3,24 @@ package broker
 import (
 	"cmp"
 	"slices"
-	"strings"
 	"time"
 
 	"crossbroker/internal/infosys"
 	"crossbroker/internal/jdl"
 	"crossbroker/internal/simclock"
-	"crossbroker/internal/site"
 	"crossbroker/internal/trace"
 )
 
-// candidate is one matched site with fresh state.
+// candidate is one matched site with fresh state, as a pass hands it
+// to the flow that asked, best first (rankOrder). It carries the site's
+// registry entry, so the flow reaches the site, its breaker and its
+// leases without a lookup by name.
 type candidate struct {
-	site   *site.Site
+	e      *siteEntry
 	free   int // effective free CPUs (after leases)
 	queued int
 	rank   float64
 	noise  float64 // randomized tie-break
-}
-
-// candOrder orders candidates best first: rank descending, then the
-// seeded tie-break noise, then site name so the order is total.
-func candOrder(a, b candidate) int {
-	if a.rank != b.rank {
-		if a.rank > b.rank {
-			return -1
-		}
-		return 1
-	}
-	if a.noise != b.noise {
-		if a.noise < b.noise {
-			return -1
-		}
-		return 1
-	}
-	return strings.Compare(a.site.Name(), b.site.Name())
 }
 
 // A candidate's tie-break noise in [0, 1) is the FNV-1a hash of the
@@ -90,74 +73,56 @@ func noiseFrom(h, nonce uint64) float64 {
 // oracle_test.go checks both against a naive whole-snapshot reference.
 
 // probeTask carries one admitted, requirement-matched site from the
-// keep-K stage through the direct state probe: vals is the record's
+// keep-K stage through the direct state probe to the final order: e is
+// the site's registry entry and ord a copy of its ordinal, so every
+// comparison and the sorts read the task alone; vals is the record's
 // published flat attribute vector laid out against schema — shared
 // with the snapshot it came from, never written — free and queued are
-// filled by probeSites, prelim and noise order the keep-K stage.
+// filled by the probe; rank, noise and ord order the tasks.
 type probeTask struct {
-	st           *site.Site
+	e            *siteEntry
 	schema       *infosys.Schema
 	vals         []any
 	free, queued int
-	ok           bool    // direct probe answered (site reachable)
-	prelim       float64 // published-state rank (keep-K ordering)
-	noise        float64 // seeded tie-break, shared with the final order
+	ok           bool  // direct probe answered (site reachable)
+	ord          int32 // e.ord when the task was kept
+	// rank is the site's rank on its published state through the
+	// keep-K stage, and on its probed state once rankProbed re-ranks it.
+	rank  float64
+	noise float64 // seeded tie-break
+}
+
+// rankOrder orders tasks best first: rank descending, then the seeded
+// tie-break noise, then site name (the ordinals), so the order is
+// total.
+func rankOrder(a, b *probeTask) int {
+	if a.rank != b.rank {
+		if a.rank > b.rank {
+			return -1
+		}
+		return 1
+	}
+	if a.noise != b.noise {
+		if a.noise < b.noise {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.ord, b.ord)
 }
 
 // outrankedBy reports whether a record of preliminary rank prelim,
-// tie-break noise and site name ranks ahead of the kept task p: rank
-// descending, then noise, then site name — the same total order
-// candOrder applies after probing. The keep-K stage asks it before it
-// builds a task, so a record that would not enter the heap costs no
-// task.
-func (p *probeTask) outrankedBy(prelim, noise float64, name string) bool {
-	if prelim != p.prelim {
-		return prelim > p.prelim
+// tie-break noise and site ordinal ord ranks ahead of the kept task p
+// in rankOrder. The keep-K stage asks it before it builds a task, so a
+// record that would not enter the heap costs no task.
+func (p *probeTask) outrankedBy(prelim, noise float64, ord int32) bool {
+	if prelim != p.rank {
+		return prelim > p.rank
 	}
 	if noise != p.noise {
 		return noise < p.noise
 	}
-	return name < p.st.Name()
-}
-
-// topkHeap is a bounded min-heap of the best K candidates seen so far:
-// the root is the worst kept entry, so a better newcomer replaces it
-// in O(log K).
-type topkHeap []probeTask
-
-// worse reports whether kept task i ranks behind kept task j.
-func (h topkHeap) worse(i, j int) bool {
-	return h[i].outrankedBy(h[j].prelim, h[j].noise, h[j].st.Name())
-}
-
-// up restores the heap order after a task was appended at i.
-func (h topkHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.worse(i, p) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-// down restores the heap order after the task at i was replaced.
-func (h topkHeap) down(i int) {
-	for {
-		j := 2*i + 1
-		if j >= len(h) {
-			return
-		}
-		if r := j + 1; r < len(h) && h.worse(r, j) {
-			j = r
-		}
-		if !h.worse(j, i) {
-			return
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
+	return ord < p.ord
 }
 
 // admit is the pipeline's admission stage: it resolves one enumerated
@@ -240,7 +205,11 @@ func (b *Broker) matchPass(h *Handle, cont func([]candidate)) {
 		b.passes = b.passes[:n-1]
 	} else {
 		m = &pass{b: b}
-		m.discovered, m.polled, m.probed = m.discover, m.pinned, m.rank
+		m.discovered, m.polled, m.answer = m.discover, m.pinned, m.answered
+		if k := b.cfg.TopK; k > 0 {
+			// A bounded pass keeps at most K: its kept set is sized once.
+			m.tasks, m.order = make([]probeTask, 0, k), make([]int32, 0, k)
+		}
 	}
 	m.h, m.cont, m.dstart = h, cont, b.sim.Now()
 	if b.sub == nil {
@@ -253,17 +222,26 @@ func (b *Broker) matchPass(h *Handle, cont func([]candidate)) {
 }
 
 // pass is one matchmaking pass in flight: the handle it selects for,
-// its continuation, its phase starts and the kept set being probed.
-// discovered, polled and probed (m.discover, m.pinned and m.rank) are
-// bound once per record.
+// its continuation, its phase starts and its kept set. tasks holds the
+// kept sites and order their indices in tasks: a min-heap during the
+// scan, the probe order from finishSelection on, which the probes walk
+// (next is the position being probed). Both keep their capacity while
+// the record waits on the broker's free list, so a pass builds its
+// kept set in the slots the last one left; a free list, not one
+// scratch set, because probing spends simulated time and several
+// passes can be in flight. discovered, polled and answer (m.discover,
+// m.pinned and m.answered) are bound once per record.
 type pass struct {
 	b              *Broker
 	h              *Handle
 	cont           func([]candidate)
 	dstart, sstart time.Time
-	kept           []probeTask
+	tasks          []probeTask
+	order          []int32
+	next           int
 
-	discovered, polled, probed func()
+	discovered, polled func()
+	answer             func(free, queued int, ok bool)
 }
 
 // discover is the discovery query's answer: a cursor over the index as
@@ -288,40 +266,89 @@ func (m *pass) selectFrom(cur *infosys.Cursor) {
 
 	m.sstart = b.sim.Now()
 	h.unavailable, h.scanned, h.peak = 0, 0, 0
-	s := passScan{b: b, h: h, now: m.sstart, nonce: b.rng.Uint64(), keep: b.getTasks()}
+	b.ordinals()
+	s := passScan{b: b, h: h, now: m.sstart, nonce: b.rng.Uint64(), tasks: m.tasks[:0], heap: m.order[:0]}
 	for page, ok := cur.Next(); ok; page, ok = cur.Next() {
 		s.page(page)
 	}
-	m.kept = []probeTask(s.keep)
+	m.tasks, m.order = s.tasks, s.heap
 	b.finishSelection(m)
 }
 
 // rank ranks the probed sites and ends the pass. The record goes back
 // to the free list before cont runs, since cont may start a pass.
 func (m *pass) rank() {
-	b, h, kept, cont := m.b, m.h, m.kept, m.cont
-	cands := b.rankProbed(h, kept)
-	b.putTasks(kept)
+	b, h, cont := m.b, m.h, m.cont
+	cands := b.rankProbed(h, m.tasks, m.order)
+	clear(m.tasks) // drop entry and attribute-vector pointers
 	h.Phases.Selection += b.sim.Since(m.sstart)
-	m.h, m.cont, m.kept = nil, nil, nil
+	m.h, m.cont = nil, nil
+	m.tasks, m.order = m.tasks[:0], m.order[:0]
 	b.passes = append(b.passes, m)
 	cont(cands)
 }
 
 // passScan is one pass's synchronous stretch from registry read to
 // kept set: the pass-wide inputs of the per-record stage, the page
-// being scanned and the bounded heap the stage fills. Pure
-// computation, no virtual time passes inside it — the read's latency
-// and the probes happen outside.
+// being scanned and the kept set the stage fills. Pure computation, no
+// virtual time passes inside it — the read's latency and the probes
+// happen outside.
+//
+// The kept set is the pass's slots (tasks) and their indices (heap).
+// With TopK > 0 heap is a bounded min-heap whose root indexes the worst
+// kept task, so a better newcomer overwrites the root's slot and the
+// heap sifts 4-byte indices, not 80-byte tasks; without a bound every
+// match is appended and heap is left in arrival order.
 type passScan struct {
 	b     *Broker
 	h     *Handle
 	now   time.Time
 	nonce uint64
-	keep  topkHeap
+	tasks []probeTask
+	heap  []int32
 
 	sc        *infosys.Schema // the current page's schema
 	req, rank *jdl.Compiled   // the job's predicates compiled against sc
+}
+
+// worse reports whether the task at heap position i ranks behind the
+// one at position j.
+func (s *passScan) worse(i, j int) bool {
+	a, c := &s.tasks[s.heap[i]], &s.tasks[s.heap[j]]
+	return a.outrankedBy(c.rank, c.noise, c.ord)
+}
+
+// up restores the heap order after an index was appended at i.
+func (s *passScan) up(i int) {
+	h := s.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.worse(i, p) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// down restores the heap order after the task indexed at i was
+// replaced.
+func (s *passScan) down(i int) {
+	h := s.heap
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && s.worse(r, j) {
+			j = r
+		}
+		if !s.worse(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // page is the per-page entry of the per-record stage, the one the
@@ -361,27 +388,38 @@ func (s *passScan) record(c *admitSlot, name string, vals []any, freeCPUs int) {
 	if !pass || (rankErr && topk > 0) {
 		return
 	}
+	var root *probeTask
+	full := topk > 0 && len(s.heap) == topk
+	if full {
+		root = &s.tasks[s.heap[0]]
+		// Below the worst kept rank a record loses on rank alone, before
+		// its noise is hashed.
+		if prelim < root.rank {
+			return
+		}
+	}
 	var noise float64
 	if !b.cfg.Deterministic {
 		noise = noiseFrom(e.nameHash, s.nonce)
 	}
-	full := topk > 0 && len(s.keep) == topk
-	if full && !s.keep[0].outrankedBy(prelim, noise, name) {
+	if full && !root.outrankedBy(prelim, noise, e.ord) {
 		return
 	}
-	p := probeTask{st: e.st, schema: s.sc, vals: vals, prelim: prelim, noise: noise}
+	t := probeTask{e: e, schema: s.sc, vals: vals, ord: e.ord, rank: prelim, noise: noise}
 	switch {
 	case full:
-		s.keep[0] = p
-		s.keep.down(0)
+		*root = t
+		s.down(0)
 	case topk > 0:
-		s.keep = append(s.keep, p)
-		s.keep.up(len(s.keep) - 1)
+		s.heap = append(s.heap, int32(len(s.tasks)))
+		s.tasks = append(s.tasks, t)
+		s.up(len(s.heap) - 1)
 	default:
-		s.keep = append(s.keep, p)
+		s.heap = append(s.heap, int32(len(s.tasks)))
+		s.tasks = append(s.tasks, t)
 	}
-	if len(s.keep) > h.peak {
-		h.peak = len(s.keep)
+	if len(s.heap) > h.peak {
+		h.peak = len(s.heap)
 	}
 }
 
@@ -392,42 +430,85 @@ func (s *passScan) record(c *admitSlot, name string, vals []any, freeCPUs int) {
 // Rank evaluation errors is excluded, exactly like a failing
 // Requirements evaluation.
 func (b *Broker) finishSelection(m *pass) {
-	kept := m.kept
 	// Probe in site-name order no matter how the scan enumerated its
 	// matches (shard-major pages over any shard count, top-K heap):
 	// probes spend simulated time, so a stable order keeps lease
 	// expiries and concurrent passes interleaving identically across
-	// registry reads.
-	slices.SortFunc(kept, func(a, b probeTask) int { return strings.Compare(a.st.Name(), b.st.Name()) })
+	// registry reads. The tasks carry their sites' ordinals, so the
+	// sort compares integers in the slots.
+	tasks := m.tasks
+	slices.SortFunc(m.order, func(i, j int32) int { return cmp.Compare(tasks[i].ord, tasks[j].ord) })
 	// Scan and finishSelection run in one event, so the probe-back
 	// claims land before any concurrent pass can filter.
-	for i := range kept {
-		b.claimHalfOpen(kept[i].st.Name())
+	for _, i := range m.order {
+		b.claimHalfOpen(tasks[i].e)
 	}
 	// "Information may not be completely accurate ... CrossBroker
 	// contacts each remote site individually and gets the most updated
 	// information about the state of their local queues."
-	b.probeSites(kept, m.probed)
+	if len(m.order) == 0 {
+		m.rank()
+		return
+	}
+	m.next = 0
+	m.probe()
+}
+
+// probe asks the site at position next of the probe order for its
+// queue state, through the site's direct QueryStateAsync; answered
+// takes the answer. Sites are contacted one after another, the paper's
+// behavior: selection costs the sum of site round trips, ~3 s for 20
+// sites in Table I.
+func (m *pass) probe() {
+	m.tasks[m.order[m.next]].e.st.QueryStateAsync(m.answer)
+}
+
+// answered records the probed site's outcome, subtracting the broker's
+// active leases from its free CPUs as the answer arrives (so concurrent
+// matchmaking passes see each other's reservations), and probes the
+// next site; after the last it ranks the pass.
+func (m *pass) answered(free, queued int, ok bool) {
+	b, t := m.b, &m.tasks[m.order[m.next]]
+	t.ok = ok
+	if ok {
+		b.noteProbeAnswered(t.e)
+		free -= b.activeLeases(t.e)
+		if free < 0 {
+			free = 0
+		}
+		t.free, t.queued = free, queued
+	} else {
+		b.noteSiteFailure(t.e.st.Name())
+	}
+	m.next++
+	if m.next < len(m.order) {
+		m.probe()
+		return
+	}
+	m.rank()
 }
 
 // rankProbed is the pure post-probe half of finishSelection: apply
 // probe outcomes, re-rank survivors on fresh state, order best first.
-func (b *Broker) rankProbed(h *Handle, kept []probeTask) []candidate {
+// It walks tasks in the probe order, keeps the survivors' indices in
+// its place, and sorts those: the sort moves 4-byte indices and
+// compares ordinals in the tasks.
+func (b *Broker) rankProbed(h *Handle, tasks []probeTask, order []int32) []candidate {
 	job := h.request.Job
-	cands := make([]candidate, 0, len(kept))
-	for _, p := range kept {
+	kept := order[:0]
+	for _, i := range order {
+		p := &tasks[i]
 		if !p.ok {
 			// The direct probe went unanswered: the record is stale,
 			// the site is down or cut off. Exclude it this pass.
 			h.unavailable++
 			continue
 		}
-		c := candidate{site: p.st, free: p.free, queued: p.queued, noise: p.noise}
 		// The staging penalty is recomputed here (not carried from the
 		// pass) so the final rank derives from the same inputs whichever
 		// source kept the task; unobtainable sites were already excluded
 		// pre-probe.
-		pen, _ := b.dataPenalty(job, p.st.Name())
+		pen, _ := b.dataPenalty(job, p.e.st.Name())
 		_, rank := job.CompiledPredicates(p.schema, &b.classes)
 		if rank != nil {
 			// The one copy of the published vector a pass makes per kept
@@ -439,104 +520,23 @@ func (b *Broker) rankProbed(h *Handle, kept []probeTask) []candidate {
 			if err != nil {
 				continue
 			}
-			c.rank = r - pen
+			p.rank = r - pen
 		} else {
-			c.rank = float64(p.free) - pen
+			p.rank = float64(p.free) - pen
 		}
-		cands = append(cands, c)
+		kept = append(kept, i)
 	}
 	// Best rank first; equal ranks in seeded-noise order (the paper's
 	// randomized selection "to generate different answers when there
 	// are multiple resource choices"); in Deterministic mode all noise
 	// is zero and ties resolve by site name.
-	slices.SortFunc(cands, candOrder)
+	slices.SortFunc(kept, func(i, j int32) int { return rankOrder(&tasks[i], &tasks[j]) })
+	cands := make([]candidate, len(kept))
+	for k, i := range kept {
+		p := &tasks[i]
+		cands[k] = candidate{e: p.e, free: p.free, queued: p.queued, rank: p.rank, noise: p.noise}
+	}
 	return cands
-}
-
-// getTasks and putTasks pool probeTask slices across streamed
-// matchmaking passes: the replay hot loop runs one pass per
-// submission, and a fresh slice per pass was the broker's largest
-// allocation source. A free list (rather than a single scratch
-// buffer) is needed because probing spends simulated time, so several
-// passes can be in flight.
-func (b *Broker) getTasks() []probeTask {
-	if n := len(b.taskPool); n > 0 {
-		t := b.taskPool[n-1]
-		b.taskPool = b.taskPool[:n-1]
-		return t
-	}
-	return nil
-}
-
-func (b *Broker) putTasks(t []probeTask) {
-	for i := range t {
-		t[i] = probeTask{} // drop site and attribute-vector pointers
-	}
-	b.taskPool = append(b.taskPool, t[:0])
-}
-
-// probeSites fills each task's free/queued fields via the site's
-// direct QueryStateAsync, subtracting the broker's active leases as
-// each answer arrives (so concurrent matchmaking passes see each
-// other's reservations). Sites are contacted one after another, the
-// paper's behavior: selection costs the sum of site round trips, ~3 s
-// for 20 sites in Table I.
-//
-// The walk is one probeRun from the broker's free list, whose answer
-// continuation was bound when the run was made: a pass probes any
-// number of sites at no allocation of its own.
-func (b *Broker) probeSites(tasks []probeTask, cont func()) {
-	if len(tasks) == 0 {
-		cont()
-		return
-	}
-	var r *probeRun
-	if n := len(b.probeRuns); n > 0 {
-		r = b.probeRuns[n-1]
-		b.probeRuns = b.probeRuns[:n-1]
-	} else {
-		r = &probeRun{b: b}
-		r.answer = r.answered
-	}
-	r.tasks, r.i, r.cont = tasks, 0, cont
-	r.tasks[0].st.QueryStateAsync(r.answer)
-}
-
-// probeRun is one pass's walk over its kept sites: tasks[i] is the
-// site being probed, and cont runs after the last answer.
-type probeRun struct {
-	b      *Broker
-	tasks  []probeTask
-	i      int
-	cont   func()
-	answer func(free, queued int, ok bool) // r.answered, bound once per run
-}
-
-// answered records tasks[i]'s probe outcome and probes the next site;
-// after the last it returns the run to the broker's free list, then
-// calls cont, which may start a pass of its own.
-func (r *probeRun) answered(free, queued int, ok bool) {
-	b, t := r.b, &r.tasks[r.i]
-	t.ok = ok
-	if ok {
-		b.noteProbeAnswered(t.st.Name())
-		free -= b.activeLeases(t.st.Name())
-		if free < 0 {
-			free = 0
-		}
-		t.free, t.queued = free, queued
-	} else {
-		b.noteSiteFailure(t.st.Name())
-	}
-	r.i++
-	if r.i < len(r.tasks) {
-		r.tasks[r.i].st.QueryStateAsync(r.answer)
-		return
-	}
-	cont := r.cont
-	r.tasks, r.cont = nil, nil
-	b.probeRuns = append(b.probeRuns, r)
-	cont()
 }
 
 // PassStats describes one matchmaking pass for instrumentation (the
@@ -658,10 +658,10 @@ func (q *leaseQueue) drop(owner *Handle, now time.Time, n int) {
 	}
 }
 
-// activeLeases counts unexpired leases for a site, pruning expired
+// activeLeases counts a site's unexpired leases, pruning expired
 // ones.
-func (b *Broker) activeLeases(name string) int {
-	return b.sites[name].leases.prune(b.sim.Now())
+func (b *Broker) activeLeases(e *siteEntry) int {
+	return e.leases.prune(b.sim.Now())
 }
 
 // lease reserves n CPUs on a site for the exclusive-temporal-access
@@ -669,13 +669,13 @@ func (b *Broker) activeLeases(name string) int {
 // window is stretched by a seeded random fraction, so two federated
 // brokers whose leases were acquired in the same tick expire — and
 // re-probe the grid — at different instants.
-func (b *Broker) lease(h *Handle, name string, n int) {
+func (b *Broker) lease(h *Handle, e *siteEntry, n int) {
 	d := b.cfg.LeaseDuration
 	if b.cfg.LeaseJitter > 0 {
 		d += time.Duration(b.cfg.LeaseJitter * b.rng.Float64() * float64(d))
 	}
-	b.sites[name].leases.push(h, b.sim.Now().Add(d), n)
-	b.cfg.Trace.Emit(trace.Event{Kind: trace.LeaseAcquired, Job: h.ID, Site: name, N: n})
+	e.leases.push(h, b.sim.Now().Add(d), n)
+	b.cfg.Trace.Emit(trace.Event{Kind: trace.LeaseAcquired, Job: h.ID, Site: e.st.Name(), N: n})
 }
 
 // unlease releases n of h's leases on a site (the job started or
@@ -706,30 +706,35 @@ func (b *Broker) release(h *Handle) {
 }
 
 // kickDispatch schedules a broker-queue pass (batch jobs waiting for
-// resources).
+// resources) in an event of its own at the current instant.
 func (b *Broker) kickDispatch() {
 	if b.dispatching || len(b.pendingBatch) == 0 {
 		return
 	}
 	b.dispatching = true
-	b.sim.AfterFunc(0, func() {
-		b.dispatching = false
-		b.dispatchPending()
-	})
+	b.sim.AfterFunc(0, b.dispatchNow)
+}
+
+// dispatchKicked is the broker-queue pass kickDispatch scheduled.
+func (b *Broker) dispatchKicked() {
+	b.dispatching = false
+	b.dispatchPending()
 }
 
 // dispatchPending retries queued batch jobs, best fair-share priority
-// first. Priorities are snapshotted before sorting: fair-share
-// priorities decay over time, and calling Priority inside the
-// comparator lets a mid-sort decay produce inconsistent comparisons
-// (a strict-weak-ordering violation slices.SortStableFunc may answer with
-// an arbitrary permutation).
+// first, each in an event of its own. Priorities are snapshotted before
+// sorting: fair-share priorities decay over time, and calling Priority
+// inside the comparator lets a mid-sort decay produce inconsistent
+// comparisons (a strict-weak-ordering violation slices.SortStableFunc
+// may answer with an arbitrary permutation). The queue's two buffers
+// take turns: the drained one is kept for the next re-queues.
 func (b *Broker) dispatchPending() {
 	if len(b.pendingBatch) == 0 {
 		return
 	}
-	queue := b.pendingBatch
-	b.pendingBatch = nil
+	drained := b.pendingBatch
+	b.pendingBatch = b.drained
+	queue := drained
 	if b.cfg.Fair != nil {
 		prio := make([]float64, len(queue))
 		for i, h := range queue {
@@ -747,7 +752,6 @@ func (b *Broker) dispatchPending() {
 		queue = sorted
 	}
 	for _, h := range queue {
-		h := h
 		if h.state.Terminal() {
 			continue
 		}
@@ -755,9 +759,15 @@ func (b *Broker) dispatchPending() {
 			b.fail(h, h.abortErr)
 			continue
 		}
-		b.sim.Post(func() { b.runBatch(h) })
+		b.retrying.push(h)
+		b.sim.Post(b.retryNext)
 	}
+	clear(drained)
+	b.drained = drained[:0]
 }
+
+// retryOldest runs the oldest job dispatchPending posted.
+func (b *Broker) retryOldest() { b.runBatch(b.retrying.pop()) }
 
 // scheduleRetry holds a batch job Pending in the broker queue with
 // capped exponential backoff, or fails it terminally once the
@@ -778,7 +788,7 @@ func (b *Broker) scheduleRetry(h *Handle) {
 	d := b.retryDelay(h.backoffs)
 	h.backoffs++
 	b.pendingBatch = append(b.pendingBatch, h)
-	b.sim.AfterFunc(d, b.kickDispatch)
+	b.sim.AfterFunc(d, b.kick)
 }
 
 // retryDelay computes the dispatch delay for a job's n-th re-queue:

@@ -33,7 +33,7 @@ import (
 // oracleMatch is one site the oracle kept.
 type oracleMatch struct {
 	rec    infosys.SiteRecord
-	st     *site.Site
+	e      *siteEntry
 	pen    float64 // staging seconds
 	prelim float64 // interpreted Rank on published state, minus pen
 	noise  float64
@@ -139,7 +139,6 @@ func oraclePass(b *Broker, h *Handle, cont func([]candidate)) {
 				h.unavailable++
 				continue
 			}
-			st := e.st
 			if job.Requirements != nil {
 				if ok, err := job.Requirements.EvalBool(oracleAttrs(rec, rec.FreeCPUs, rec.QueuedJobs)); err != nil || !ok {
 					continue
@@ -149,7 +148,7 @@ func oraclePass(b *Broker, h *Handle, cont func([]candidate)) {
 			if !ok {
 				continue
 			}
-			m := oracleMatch{rec: rec, st: st, pen: pen}
+			m := oracleMatch{rec: rec, e: e, pen: pen}
 			if !b.cfg.Deterministic {
 				m.noise = selectionNoise(nonce, rec.Name)
 			}
@@ -179,7 +178,7 @@ func oraclePass(b *Broker, h *Handle, cont func([]candidate)) {
 		h.peak = len(kept)
 		sort.Slice(kept, func(i, j int) bool { return kept[i].rec.Name < kept[j].rec.Name })
 		for _, m := range kept {
-			b.claimHalfOpen(m.rec.Name) // the one probe-back of a cooled-down breaker
+			b.claimHalfOpen(b.sites[m.rec.Name]) // the one probe-back of a cooled-down breaker
 		}
 
 		var cands []candidate
@@ -194,29 +193,29 @@ func oraclePass(b *Broker, h *Handle, cont func([]candidate)) {
 					if a.noise != c.noise {
 						return a.noise < c.noise
 					}
-					return a.site.Name() < c.site.Name()
+					return a.e.st.Name() < c.e.st.Name()
 				})
 				h.Phases.Selection += b.sim.Since(sstart)
 				cont(cands)
 				return
 			}
 			m := kept[i]
-			m.st.QueryStateAsync(func(free, queued int, ok bool) {
+			m.e.st.QueryStateAsync(func(free, queued int, ok bool) {
 				defer probe(i + 1)
 				if !ok {
 					b.noteSiteFailure(m.rec.Name)
 					h.unavailable++
 					return
 				}
-				b.noteProbeAnswered(m.rec.Name)
-				if free -= b.activeLeases(m.rec.Name); free < 0 {
+				b.noteProbeAnswered(m.e)
+				if free -= b.activeLeases(m.e); free < 0 {
 					free = 0
 				}
 				r, err := oracleRank(job, m.rec, free, queued)
 				if err != nil {
 					return
 				}
-				cands = append(cands, candidate{site: m.st, free: free, queued: queued, rank: r - m.pen, noise: m.noise})
+				cands = append(cands, candidate{e: m.e, free: free, queued: queued, rank: r - m.pen, noise: m.noise})
 			})
 		}
 		probe(0)
@@ -269,10 +268,13 @@ type propSite struct {
 }
 
 // propGrid is one seeded random scenario, applied identically to every
-// arm: the sites, stale records published for sites no broker
-// registered, the breaker state to impose, a catalog and a job.
+// arm: the sites in their registration order (not name order), a site
+// registered between the two passes whose name sorts among theirs,
+// stale records published for sites no broker registered, the breaker
+// state to impose, a catalog and a job.
 type propGrid struct {
 	sites       []propSite
+	late        propSite
 	stale       []infosys.SiteRecord
 	cooled      []string // tripped, cooldown over before the first pass: half-open
 	inFlight    []string // half-open with a probe-back still unanswered
@@ -353,7 +355,17 @@ func randomPropGrid(t *testing.T, rng *rand.Rand) propGrid {
 		src += `InputData = {"cal.db", "events.raw"};` + "\n"
 	}
 	g.job, g.jobSrc = mustParseJob(t, src), src
+	g.late = propSite{name: name() + "a", nodes: 1 + rng.Intn(3), attrs: attrsFor()}
+	rng.Shuffle(n, func(i, j int) { g.sites[i], g.sites[j] = g.sites[j], g.sites[i] })
 	return g
+}
+
+// register stands s up on b's simulator and registers it with b.
+func (s propSite) register(b *Broker, sim *simclock.Sim) {
+	b.RegisterSite(site.New(sim, site.Config{
+		Name: s.name, Nodes: s.nodes, Network: netsim.CampusGrid(), Costs: site.DefaultCosts(),
+		PublishInterval: 10000 * time.Hour, Attrs: s.attrs,
+	}))
 }
 
 // build stands one arm's broker up over the scenario and imposes its
@@ -365,10 +377,7 @@ func (g propGrid) build(cfg Config, info *infosys.Service, sim *simclock.Sim) *B
 	// second.
 	b := New(cfg)
 	for _, s := range g.sites {
-		b.RegisterSite(site.New(sim, site.Config{
-			Name: s.name, Nodes: s.nodes, Network: netsim.CampusGrid(), Costs: site.DefaultCosts(),
-			PublishInterval: 10000 * time.Hour, Attrs: s.attrs,
-		}))
+		s.register(b, sim)
 	}
 	for _, rec := range g.stale {
 		if err := info.Publish(rec); err != nil {
@@ -392,7 +401,10 @@ func (g propGrid) build(cfg Config, info *infosys.Service, sim *simclock.Sim) *B
 // TestMatchPipelineAgreesWithOracle is the seeded equivalence property
 // over random grids: stale records, per-pass exclusions, quarantined,
 // cooled-down and probe-in-flight sites, Rank-error sites with and without a TopK bound, unobtainable
-// datasets and registry churn between passes. On every grid the
+// datasets, and registry churn and a site registered between passes.
+// Sites register out of name order, and a third of the trials run
+// Deterministic, where ties in rank resolve by site name alone, so the
+// pipeline's name ordinals are held to the oracle's names. On every grid the
 // oracle, the page scan (sharded, small pages), and the scan of a
 // delta-subscribed broker's pinned snapshots must agree candidate for
 // candidate, in the pass counters, and in which sites each pass leaves
@@ -427,6 +439,8 @@ func TestMatchPipelineAgreesWithOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				g.late.register(b, sim)
+				sim.RunFor(time.Second) // land its first publish
 				out[1] = runPassResult(t, sim, b, job(b, info, classes))
 				return out
 			}
@@ -437,7 +451,7 @@ func TestMatchPipelineAgreesWithOracle(t *testing.T) {
 					if index != nil {
 						index(info)
 					}
-					cfg.Seed, cfg.TopK = 2006+trial, topk
+					cfg.Seed, cfg.TopK, cfg.Deterministic = 2006+trial, topk, trial%3 == 0
 					b := g.build(cfg, info, sim)
 					if oracle {
 						useOracle(b)

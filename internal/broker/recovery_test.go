@@ -90,8 +90,8 @@ func TestCrashMidSubmissionNoDoubleAllocation(t *testing.T) {
 // expiry.
 func TestSiteDeathReleasesLeases(t *testing.T) {
 	g := newGrid(t, 2, 4, Config{LeaseDuration: time.Hour})
-	g.b.lease(&Handle{ID: "t1"}, "site00", 3)
-	g.b.lease(&Handle{ID: "t2"}, "site01", 1)
+	g.b.lease(&Handle{ID: "t1"}, g.b.sites["site00"], 3)
+	g.b.lease(&Handle{ID: "t2"}, g.b.sites["site01"], 1)
 	if n := g.b.LeasedCPUs(); n != 4 {
 		t.Fatalf("LeasedCPUs = %d, want 4", n)
 	}

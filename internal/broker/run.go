@@ -142,125 +142,134 @@ func (b *Broker) runBatch(h *Handle) {
 		b.fail(h, h.abortErr)
 		return
 	}
-	job := h.request.Job
-	b.matchPass(h, func(cands []candidate) {
-		if len(cands) == 0 {
-			// A grid that is down is transient: hold the job and retry
-			// after the backoff.
-			if err := noCandidates(h); errors.Is(err, ErrNoResources) {
-				h.lastErr = err
-				b.scheduleRetry(h)
-			} else {
-				b.fail(h, err)
-			}
-			return
-		}
+	// The pass's continuation is bound once per job, so a job the
+	// broker queue retries makes none per attempt.
+	if h.batchPass == nil {
+		h.batchPass = func(cands []candidate) { b.batchMatched(h, cands) }
+	}
+	b.matchPass(h, h.batchPass)
+}
 
-		// Prefer a site with an idle machine; otherwise one with queue
-		// space; otherwise hold the job in the CrossBroker (arrow 2).
-		var chosen *candidate
+// batchMatched takes a batch attempt's pass: it places the job on the
+// best candidate with room, or holds it in the broker queue.
+func (b *Broker) batchMatched(h *Handle, cands []candidate) {
+	job := h.request.Job
+	if len(cands) == 0 {
+		// A grid that is down is transient: hold the job and retry
+		// after the backoff.
+		if err := noCandidates(h); errors.Is(err, ErrNoResources) {
+			h.lastErr = err
+			b.scheduleRetry(h)
+		} else {
+			b.fail(h, err)
+		}
+		return
+	}
+
+	// Prefer a site with an idle machine; otherwise one with queue
+	// space; otherwise hold the job in the CrossBroker (arrow 2).
+	var chosen *candidate
+	for i := range cands {
+		if cands[i].free >= job.NodeNumber {
+			chosen = &cands[i]
+			break
+		}
+	}
+	if chosen == nil {
 		for i := range cands {
-			if cands[i].free >= job.NodeNumber {
+			if cands[i].queued < cands[i].e.st.QueueSlots() {
 				chosen = &cands[i]
 				break
 			}
 		}
-		if chosen == nil {
-			for i := range cands {
-				if cands[i].queued < cands[i].site.QueueSlots() {
-					chosen = &cands[i]
-					break
-				}
-			}
-		}
-		if chosen == nil {
-			b.scheduleRetry(h)
+	}
+	if chosen == nil {
+		b.scheduleRetry(h)
+		return
+	}
+
+	st := chosen.e.st
+	b.cfg.Trace.Emit(b.matchedEvent(h, st.Name(), chosen.rank))
+	b.lease(h, chosen.e, job.NodeNumber)
+	h.state = Submitted
+	h.site = st.Name()
+	h.subStart = b.sim.Since(h.submittedAt)
+	// Input datasets move to the site while the lease holds it.
+	b.stageData(h, st.Name(), func() {
+		if job.NodeNumber > 1 {
+			// Parallel batch jobs go through the gatekeeper without an
+			// agent (the multi-programming scheme targets single nodes).
+			b.runExclusiveOn(h, st)
 			return
 		}
 
-		st := chosen.site
-		b.cfg.Trace.Emit(b.matchedEvent(h, st.Name(), chosen.rank))
-		b.lease(h, st.Name(), job.NodeNumber)
-		h.state = Submitted
-		h.site = st.Name()
-		h.subStart = b.sim.Since(h.submittedAt)
-		// Input datasets move to the site while the lease holds it.
-		b.stageData(h, st.Name(), func() {
-			if job.NodeNumber > 1 {
-				// Parallel batch jobs go through the gatekeeper without an
-				// agent (the multi-programming scheme targets single nodes).
-				b.runExclusiveOn(h, st)
-				return
-			}
-
-			payload := &glidein.BatchPayload{ID: h.ID, Owner: h.request.User, Work: h.request.CPU}
-			glidein.LaunchAsync(b.sim, st, payload, 0,
-				glidein.Options{Degree: b.cfg.AgentDegree, Trace: b.cfg.Trace,
-					TraceJob: h.ID, TraceAttempt: h.resub},
-				func(agent *glidein.Agent, bh *batch.Handle, err error) {
-					if err != nil {
-						b.unlease(h, st.Name(), 1)
-						if retryableSubmitErr(err) {
-							// The gatekeeper died under the submission (possibly
-							// between phase-1 accept and phase-2 commit — the abort
-							// released the slot). Quarantine bookkeeping, then retry
-							// elsewhere after the backoff.
-							b.noteSiteFailure(st.Name())
-							b.noteResub(h, st.Name(), "agent launch failed", err)
-							b.scheduleRetry(h)
-							return
-						}
-						b.fail(h, fmt.Errorf("broker: agent launch on %s: %w", st.Name(), err))
+		payload := &glidein.BatchPayload{ID: h.ID, Owner: h.request.User, Work: h.request.CPU}
+		glidein.LaunchAsync(b.sim, st, payload, 0,
+			glidein.Options{Degree: b.cfg.AgentDegree, Trace: b.cfg.Trace,
+				TraceJob: h.ID, TraceAttempt: h.resub},
+			func(agent *glidein.Agent, bh *batch.Handle, err error) {
+				if err != nil {
+					b.unlease(h, st.Name(), 1)
+					if retryableSubmitErr(err) {
+						// The gatekeeper died under the submission (possibly
+						// between phase-1 accept and phase-2 commit — the abort
+						// released the slot). Quarantine bookkeeping, then retry
+						// elsewhere after the backoff.
+						b.noteSiteFailure(st.Name())
+						b.noteResub(h, st.Name(), "agent launch failed", err)
+						b.scheduleRetry(h)
 						return
 					}
-					b.noteSiteSuccess(st.Name())
-					b.wireAgent(agent)
+					b.fail(h, fmt.Errorf("broker: agent launch on %s: %w", st.Name(), err))
+					return
+				}
+				b.noteSiteSuccess(st.Name())
+				b.wireAgent(agent)
 
-					bh.Started.OnFire(func() {
-						b.unlease(h, st.Name(), 1)
-						b.started(h, st.Name(), 1)
-						// First output of the payload: startup then transfer.
-						b.sim.Post(func() {
-							b.sim.AfterFunc(st.Costs().JobStartup+st.Network().TransferTime(defaultFirstOutputBytes),
-								func() { h.outputArrived(b.sim.Now()) })
-						})
+				bh.Started.OnFire(func() {
+					b.unlease(h, st.Name(), 1)
+					b.started(h, st.Name(), 1)
+					// First output of the payload: startup then transfer.
+					b.sim.Post(func() {
+						b.sim.AfterFunc(st.Costs().JobStartup+st.Network().TransferTime(defaultFirstOutputBytes),
+							func() { h.outputArrived(b.sim.Now()) })
 					})
-
-					// Wait for the payload to finish; if the agent is evicted (or
-					// the site crashes the queued agent job) first, resubmit ("new
-					// agents will be submitted when possible"). bh.Done covers an
-					// agent job killed while still queued — its body never ran, so
-					// Released alone would wait forever.
-					w := b.sim.NewTrigger()
-					h.onAbort(w)
-					w.WaitAny(func() {
-						h.endAttempt()
-						if agent.BatchDone().Fired() {
-							b.release(h)
-							b.finish(h)
-							return
-						}
-						if !bh.Started.Fired() {
-							b.unlease(h, st.Name(), 1) // reservation for a job that never ran
-						}
-						if h.abort.Fired() {
-							st.Queue().Kill(bh.ID())
-							b.release(h)
-							b.fail(h, h.abortErr)
-							return
-						}
-						// Evicted or lost. An agent that died still queued leaves
-						// the LRM queue too, or its job would start later.
-						if !bh.Started.Fired() {
-							st.Queue().Kill(bh.ID())
-						}
-						b.release(h)
-						b.noteResub(h, st.Name(), "agent lost", fmt.Errorf("%w: payload on %s unfinished", ErrAgentLost, st.Name()))
-						b.scheduleRetry(h)
-						b.kickDispatch()
-					}, agent.BatchDone(), agent.Released(), bh.Done)
 				})
-		})
+
+				// Wait for the payload to finish; if the agent is evicted (or
+				// the site crashes the queued agent job) first, resubmit ("new
+				// agents will be submitted when possible"). bh.Done covers an
+				// agent job killed while still queued — its body never ran, so
+				// Released alone would wait forever.
+				w := b.sim.NewTrigger()
+				h.onAbort(w)
+				w.WaitAny(func() {
+					h.endAttempt()
+					if agent.BatchDone().Fired() {
+						b.release(h)
+						b.finish(h)
+						return
+					}
+					if !bh.Started.Fired() {
+						b.unlease(h, st.Name(), 1) // reservation for a job that never ran
+					}
+					if h.abort.Fired() {
+						st.Queue().Kill(bh.ID())
+						b.release(h)
+						b.fail(h, h.abortErr)
+						return
+					}
+					// Evicted or lost. An agent that died still queued leaves
+					// the LRM queue too, or its job would start later.
+					if !bh.Started.Fired() {
+						st.Queue().Kill(bh.ID())
+					}
+					b.release(h)
+					b.noteResub(h, st.Name(), "agent lost", fmt.Errorf("%w: payload on %s unfinished", ErrAgentLost, st.Name()))
+					b.scheduleRetry(h)
+					b.kickDispatch()
+				}, agent.BatchDone(), agent.Released(), bh.Done)
+			})
 	})
 }
 
@@ -370,8 +379,8 @@ func (b *Broker) tryExclusive(h *Handle, cands []candidate, i int) {
 	}
 	if i < len(cands) {
 		c := &cands[i]
-		b.cfg.Trace.Emit(b.matchedEvent(h, c.site.Name(), c.rank))
-		b.runExclusiveAttempt(h, c.site, func(lost bool) {
+		b.cfg.Trace.Emit(b.matchedEvent(h, c.e.st.Name(), c.rank))
+		b.runExclusiveAttempt(h, c.e, func(lost bool) {
 			if lost {
 				b.tryExclusive(h, cands, i+1)
 			}
@@ -486,9 +495,9 @@ func (x *exclusive) await(bh *batch.Handle, next func(lost bool)) {
 // under it), which sends the caller to the next candidate; otherwise
 // the job reached a terminal state there. The lease is released last,
 // after the outcome is recorded.
-func (b *Broker) runExclusiveAttempt(h *Handle, st *site.Site, cont func(lost bool)) {
-	job := h.request.Job
-	b.lease(h, st.Name(), job.NodeNumber)
+func (b *Broker) runExclusiveAttempt(h *Handle, e *siteEntry, cont func(lost bool)) {
+	job, st := h.request.Job, e.st
+	b.lease(h, e, job.NodeNumber)
 	done := func(lost bool) {
 		b.unlease(h, st.Name(), job.NodeNumber)
 		cont(lost)
@@ -636,7 +645,7 @@ func (b *Broker) fill(p *placement) {
 	}
 	// No TraceJob: the agent's 2PC is labeled by its own queue ID —
 	// several launches may serve one attempt.
-	glidein.LaunchAsync(b.sim, p.cands[p.ci].site, nil, 10,
+	glidein.LaunchAsync(b.sim, p.cands[p.ci].e.st, nil, 10,
 		glidein.Options{Degree: b.cfg.AgentDegree, Trace: b.cfg.Trace}, p.launched)
 }
 
@@ -647,7 +656,7 @@ func (p *placement) launchDone(agent *glidein.Agent, bh *batch.Handle, err error
 	b := p.b
 	if err != nil {
 		if retryableSubmitErr(err) {
-			b.noteSiteFailure(p.cands[p.ci].site.Name())
+			b.noteSiteFailure(p.cands[p.ci].e.st.Name())
 		}
 		p.ci++
 		b.fill(p)
@@ -664,7 +673,7 @@ func (p *placement) agentReady(ready bool) {
 	b, agent, bh := p.b, p.agent, p.bh
 	p.agent, p.bh = nil, nil
 	if !ready {
-		p.cands[p.ci].site.Queue().Kill(bh.ID())
+		p.cands[p.ci].e.st.Queue().Kill(bh.ID())
 		p.ci++
 		b.fill(p)
 		return

@@ -156,12 +156,12 @@ func TestLeaseExpiryFreesCapacity(t *testing.T) {
 		Network: netsim.CampusGrid(), Costs: site.DefaultCosts(), LRMCycle: time.Second})
 	b.RegisterSite(st)
 
-	b.lease(&Handle{ID: "t1"}, "s", 1)
-	if b.activeLeases("s") != 1 {
+	b.lease(&Handle{ID: "t1"}, b.sites["s"], 1)
+	if b.activeLeases(b.sites["s"]) != 1 {
 		t.Fatal("lease not recorded")
 	}
 	sim.RunFor(time.Minute)
-	if b.activeLeases("s") != 0 {
+	if b.activeLeases(b.sites["s"]) != 0 {
 		t.Fatal("lease survived its window")
 	}
 	// And a job can now be placed.
@@ -185,9 +185,11 @@ func holdCB(sim *simclock.Sim, d time.Duration) func(*batch.ExecCtx, func()) {
 	}
 }
 
-// addSiteEntry registers a record for name with no site behind it, for
-// tests that drive a site's lease queue directly.
-func addSiteEntry(b *Broker, name string) { b.sites[name] = &siteEntry{} }
+// addSiteEntry registers a record for a site of that name that never
+// publishes, for tests that drive a site's lease queue directly.
+func addSiteEntry(b *Broker, name string) {
+	b.sites[name] = &siteEntry{st: site.New(b.sim, site.Config{Name: name})}
+}
 
 // TestLeaseReleaseDropsOwnLease — a release undoes the releasing job's
 // own lease and never another job's. A leases s at t=0, B at t=40 s,
@@ -202,11 +204,11 @@ func TestLeaseReleaseDropsOwnLease(t *testing.T) {
 			addSiteEntry(b, "s")
 			a, other := &Handle{ID: "a"}, &Handle{ID: "b"}
 			start := sim.Now()
-			b.lease(a, "s", 1)
-			sim.AfterFunc(40*time.Second, func() { b.lease(other, "s", 1) })
+			b.lease(a, b.sites["s"], 1)
+			sim.AfterFunc(40*time.Second, func() { b.lease(other, b.sites["s"], 1) })
 			sim.AfterFunc(50*time.Second, func() { b.unlease(a, "s", 1) })
 			sim.RunFor(50 * time.Second)
-			if n := b.activeLeases("s"); n != 1 {
+			if n := b.activeLeases(b.sites["s"]); n != 1 {
 				t.Fatalf("%d active leases after A's release, want B's 1", n)
 			}
 			q := &b.sites["s"].leases

@@ -75,7 +75,7 @@ func runMatchPass(t *testing.T, sim *simclock.Sim, b *Broker, job *jdl.Job) []ca
 // candLine renders a candidate for byte-for-byte comparison.
 func candLine(c candidate) string {
 	return fmt.Sprintf("%s rank=%g free=%d queued=%d noise=%g",
-		c.site.Name(), c.rank, c.free, c.queued, c.noise)
+		c.e.st.Name(), c.rank, c.free, c.queued, c.noise)
 }
 
 // TestStreamEquivalentToSnapshotPass is the page scan's oracle test:

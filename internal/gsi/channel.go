@@ -194,33 +194,47 @@ func (c *Conn) writeFrame(plain []byte) error {
 }
 
 // Read returns decrypted data, one frame at a time, buffering any
-// surplus.
+// surplus. An empty frame delivers nothing, so Read goes on to the
+// next; a stream that ends inside a frame is torn
+// (io.ErrUnexpectedEOF), and only one that ends between frames reads
+// as io.EOF.
 func (c *Conn) Read(b []byte) (int, error) {
-	if c.readBuf.Len() > 0 {
-		return c.readBuf.Read(b)
+	for c.readBuf.Len() == 0 {
+		if err := c.readFrame(); err != nil {
+			return 0, err
+		}
 	}
+	return c.readBuf.Read(b)
+}
+
+// readFrame reads, authenticates and decrypts the next frame into
+// readBuf.
+func (c *Conn) readFrame() error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(c.raw, hdr[:]); err != nil {
-		return 0, err
+		return err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n < sha256.Size || n > maxFrame+sha256.Size {
-		return 0, ErrFrameSize
+		return ErrFrameSize
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(c.raw, body); err != nil {
-		return 0, err
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // a header without its body
+		}
+		return err
 	}
 	ct, mac := body[:n-sha256.Size], body[n-sha256.Size:]
 	want := frameMAC(c.recvKey, c.recvSeq, ct)
 	if !hmac.Equal(mac, want) {
-		return 0, ErrBadMAC
+		return ErrBadMAC
 	}
 	plain := make([]byte, len(ct))
 	xorKeyStream(c.recvKey, c.recvSeq, plain, ct)
 	c.recvSeq++
 	c.readBuf.Write(plain)
-	return c.readBuf.Read(b)
+	return nil
 }
 
 func frameMAC(key [32]byte, seq uint64, ct []byte) []byte {
