@@ -38,39 +38,40 @@ func skipUnderRace(t *testing.T) {
 }
 
 // TestRegistryRepublishBudget: the periodic refresh of a site whose
-// attributes did not change stores one new row and nothing else; when
-// its queue state moved it also copies the vector and boxes the moved
-// counts (at most three). Both write paths hold to it: Publish, which
-// compares the attributes, and PublishQueueState, which carries them
-// over; the latter refuses an unknown name without allocating.
+// record changed only its time stores no row, only the time (a beat in
+// a slice the shard already owns); when its queue state moved it stores
+// one new row and copies the vector, the moved counts coming boxed from
+// boxedCounts. Both write paths hold to it: Publish, which compares the
+// attributes, and PublishQueueState, which carries them over; the
+// latter refuses an unknown name without allocating.
 func TestRegistryRepublishBudget(t *testing.T) {
 	skipUnderRace(t)
 	svc := budgetService(8)
 	r := budgetRecord(3)
-	if got := testing.AllocsPerRun(200, func() { svc.Publish(r) }); got != 1 {
-		t.Errorf("unchanged republish: %v allocations, want 1 (the row)", got)
+	if got := testing.AllocsPerRun(200, func() { svc.Publish(r) }); got != 0 {
+		t.Errorf("unchanged republish: %v allocations, want 0", got)
 	}
 	if got := testing.AllocsPerRun(200, func() {
 		r.FreeCPUs, r.QueuedJobs = 1+r.FreeCPUs%15, 1+r.QueuedJobs%9
 		svc.Publish(r)
-	}); got != 4 {
-		t.Errorf("queue-state republish: %v allocations, want 4 (row, vector, two boxed counts)", got)
+	}); got != 2 {
+		t.Errorf("queue-state republish: %v allocations, want 2 (row, vector)", got)
 	}
 	snap := svc.SnapshotImmediate()
-	if got := snap.rows[3].rec; got.FreeCPUs != r.FreeCPUs || got.Attrs["MemoryMB"] != 2048 {
+	if got := snap.record(3); got.FreeCPUs != r.FreeCPUs || got.Attrs["MemoryMB"] != 2048 {
 		t.Fatalf("republished record reads %+v", got)
 	}
 
 	if got := testing.AllocsPerRun(200, func() {
 		svc.PublishQueueState(r.Name, r.TotalCPUs, r.FreeCPUs, r.QueuedJobs)
-	}); got != 1 {
-		t.Errorf("unchanged PublishQueueState: %v allocations, want 1 (the row)", got)
+	}); got != 0 {
+		t.Errorf("unchanged PublishQueueState: %v allocations, want 0", got)
 	}
 	if got := testing.AllocsPerRun(200, func() {
 		r.FreeCPUs, r.QueuedJobs = 1+r.FreeCPUs%15, 1+r.QueuedJobs%9
 		svc.PublishQueueState(r.Name, r.TotalCPUs, r.FreeCPUs, r.QueuedJobs)
-	}); got != 4 {
-		t.Errorf("moved PublishQueueState: %v allocations, want 4 (row, vector, two boxed counts)", got)
+	}); got != 2 {
+		t.Errorf("moved PublishQueueState: %v allocations, want 2 (row, vector)", got)
 	}
 	epoch := svc.Epoch()
 	if got := testing.AllocsPerRun(200, func() {
@@ -83,7 +84,7 @@ func TestRegistryRepublishBudget(t *testing.T) {
 	if svc.Epoch() != epoch {
 		t.Fatal("refused PublishQueueState moved the epoch")
 	}
-	got := svc.SnapshotImmediate().rows[3].rec
+	got := svc.SnapshotImmediate().record(3)
 	if got.FreeCPUs != r.FreeCPUs || got.QueuedJobs != r.QueuedJobs || got.Attrs["MemoryMB"] != 2048 || len(got.Attrs) != len(r.Attrs) {
 		t.Fatalf("refreshed record reads %+v", got)
 	}
@@ -113,27 +114,108 @@ func TestRegistryDirtyCutBudget(t *testing.T) {
 
 // TestSchemaFlattenBudget: laying a record with canonical
 // spellings out against a schema allocates its vector and one box per
-// integer it turns into a float64 (MemoryMB and the three counts;
-// strings and floats are stored as published) and no lowered name.
+// integer attribute it turns into a float64 (MemoryMB; strings and
+// floats are stored as published, small counts come from boxedCounts)
+// and no lowered name.
 func TestSchemaFlattenBudget(t *testing.T) {
 	skipUnderRace(t)
 	r := budgetRecord(0)
 	sc := NewSnapshot([]SiteRecord{r}, nil).Schema()
-	if got := testing.AllocsPerRun(200, func() { valsFor(r, sc) }); got != 5 {
-		t.Errorf("valsFor: %v allocations, want 5 (vector, MemoryMB, three counts)", got)
+	if got := testing.AllocsPerRun(200, func() { valsFor(r, sc) }); got != 2 {
+		t.Errorf("valsFor: %v allocations, want 2 (vector, MemoryMB)", got)
+	}
+}
+
+// TestBoxedCountsAreTheFloats: a count taken from boxedCounts is the
+// float64 boxing it afresh would give, at both ends of the table and
+// past them, and a probe overlay of small counts allocates nothing.
+func TestBoxedCountsAreTheFloats(t *testing.T) {
+	for _, n := range []int{0, 1, 7, len(boxedCounts) - 1, len(boxedCounts), 1 << 20, -1} {
+		if got, ok := boxCount(n).(float64); !ok || got != float64(n) {
+			t.Errorf("boxCount(%d) = %#v, want float64(%d)", n, boxCount(n), n)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	snap := NewSnapshot([]SiteRecord{budgetRecord(0)}, nil)
+	m := PooledMatchAttrs(snap.Schema(), snap.rows[0].vals)
+	defer m.Release()
+	if got := testing.AllocsPerRun(200, func() { m.SetQueueState(5, 900) }); got != 0 {
+		t.Errorf("SetQueueState: %v allocations, want 0", got)
+	}
+}
+
+// TestRowReadsLiveShard: on a service that is not partitioned, Row
+// looks the name up in the live shard instead of cutting a snapshot of
+// it, so the publish that follows copies no slice and the pair costs
+// just the publish's row and vector. While the service is partitioned
+// Row still reads the view frozen at the cut.
+func TestRowReadsLiveShard(t *testing.T) {
+	svc := budgetService(8)
+	r := budgetRecord(3)
+	r.FreeCPUs = 1
+	svc.Publish(r) // takes the rows back from budgetService's snapshot
+	sh := svc.shards[0]
+	snap := sh.snap
+	sc, vals, ok := svc.Row(r.Name)
+	if !ok || sc != svc.sharedSchema() || vals[sc.free] != float64(1) {
+		t.Fatalf("Row(%s) = %v, %v, %v", r.Name, sc, vals, ok)
+	}
+	if sh.snap != snap || sh.shared {
+		t.Fatal("Row cut a snapshot of the live shard")
+	}
+	if _, _, ok := svc.Row("nosuchsite"); ok {
+		t.Fatal("Row found a site that never published")
+	}
+	if !raceEnabled {
+		if got := testing.AllocsPerRun(200, func() {
+			svc.Row(r.Name)
+			r.FreeCPUs = 1 + r.FreeCPUs%15
+			svc.PublishQueueState(r.Name, r.TotalCPUs, r.FreeCPUs, r.QueuedJobs)
+		}); got != 2 {
+			t.Errorf("Row + moved PublishQueueState: %v allocations, want 2 (row, vector)", got)
+		}
+	}
+
+	svc.SetPartitioned(true)
+	frozen := r.FreeCPUs
+	r.FreeCPUs = 1 + r.FreeCPUs%15
+	svc.PublishQueueState(r.Name, r.TotalCPUs, r.FreeCPUs, r.QueuedJobs)
+	if _, vals, ok := svc.Row(r.Name); !ok || vals[sc.free] != float64(frozen) {
+		t.Fatalf("partitioned Row(%s) reads FreeCPUs %v, want the frozen %d", r.Name, vals[sc.free], frozen)
+	}
+	svc.SetPartitioned(false)
+	if _, vals, ok := svc.Row(r.Name); !ok || vals[sc.free] != float64(r.FreeCPUs) {
+		t.Fatalf("healed Row(%s) reads FreeCPUs %v, want %d", r.Name, vals[sc.free], r.FreeCPUs)
 	}
 }
 
 // BenchmarkRepublish times one site's periodic refresh in an 800-row
-// shard (replay-wide's grid), its queue state moved: full is the
-// content-comparing Publish of a prebuilt record, queue-state the
-// PublishQueueState a registered site's tick calls. Records and names
-// are built before the timer starts.
+// shard (replay-wide's grid). full and queue-state move the queue
+// state: full is the content-comparing Publish of a prebuilt record,
+// queue-state the PublishQueueState a registered site's tick calls.
+// idle is that tick with nothing moved, replay-wide's common case, and
+// idle-cut the same with a snapshot cut every n refreshes, as a round
+// of discovery passes between synchronized ticks does. Records and
+// names are built before the timer starts.
 func BenchmarkRepublish(b *testing.B) {
 	const n = 800
 	recs := make([]SiteRecord, n)
 	for i := range recs {
 		recs[i] = budgetRecord(i)
+	}
+	idle := func(b *testing.B, cut bool) {
+		svc := budgetService(n)
+		r := budgetRecord(0) // every budget record's queue state
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if cut && i%n == 0 {
+				svc.SnapshotImmediate()
+			}
+			svc.PublishQueueState(recs[i%n].Name, r.TotalCPUs, r.FreeCPUs, r.QueuedJobs)
+		}
 	}
 	b.Run("full", func(b *testing.B) {
 		svc := budgetService(n)
@@ -154,4 +236,6 @@ func BenchmarkRepublish(b *testing.B) {
 			svc.PublishQueueState(r.Name, r.TotalCPUs, 1+(i/n)%15, r.QueuedJobs)
 		}
 	})
+	b.Run("idle", func(b *testing.B) { idle(b, false) })
+	b.Run("idle-cut", func(b *testing.B) { idle(b, true) })
 }

@@ -36,7 +36,7 @@ func (m *replayMirror) apply(t *testing.T, u SubUpdate) {
 			delete(m.recs, name)
 		}
 		for i := 0; i < u.Snapshot.len(); i++ {
-			r := u.Snapshot.rows[i].rec
+			r := u.Snapshot.record(i)
 			m.recs[r.Name] = r
 		}
 	} else {

@@ -96,14 +96,26 @@ func (s *Service) Discover(pageSize int) *Cursor { return s.DiscoverImmediate(pa
 func (s *Service) DiscoverImmediate(pageSize int) *Cursor { return newCursor(s, pageSize) }
 
 // Row reads the named site's published row as a discovery cursor would
-// page it now: the site's shard is pinned as served (the snapshot
-// frozen at partition start while the service is cut) and the row is
-// looked up inside that snapshot. vals is shared like Page.Values and
-// must not be written; sc is the resolver to compile predicates
-// against. ok is false when the pinned view holds no record of the
+// page it now: from the snapshot frozen at partition start while the
+// service is cut, else from the live shard. vals is shared like
+// Page.Values and must not be written; sc is the resolver to compile
+// predicates against. ok is false when the view holds no record of the
 // name. It charges no query latency.
+//
+// A live shard already laid out against the shared schema holds the
+// rows its next snapshot would wrap, so the row is read through the
+// shard's index and no snapshot is cut: a cut here would only make the
+// shard's next write copy its row slice.
 func (s *Service) Row(name string) (sc *Schema, vals []any, ok bool) {
-	snap := s.shardView(s.shardIndexFor(name))
+	si := s.shardIndexFor(name)
+	if sh := s.shards[si]; s.cutShards == nil && sh.schema == s.sharedSchema() {
+		at, found := sh.index[name]
+		if !found {
+			return nil, nil, false
+		}
+		return sh.schema, sh.rows[at].vals, true
+	}
+	snap := s.shardView(si)
 	i, found := slices.BinarySearchFunc(snap.rows, name, func(r *row, n string) int { return strings.Compare(r.rec.Name, n) })
 	if !found {
 		return nil, nil, false

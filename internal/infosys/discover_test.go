@@ -86,7 +86,7 @@ func TestCursorCoversRegistry(t *testing.T) {
 					t.Fatalf("shards=%d: shard %d out of order: %q after %q", shards, p.Shard(), name, last)
 				}
 				lastName[p.Shard()] = name
-				if r := p.snap.rows[p.lo+i].rec; r.Name != name {
+				if r := p.snap.record(p.lo + i); r.Name != name {
 					t.Fatalf("record %d = %q, want %q", i, r.Name, name)
 				}
 			}
@@ -190,7 +190,7 @@ func TestCursorConsistentUnderChurn(t *testing.T) {
 				continue
 			}
 			for i := 0; i < p.Len(); i++ {
-				rec := p.snap.rows[p.lo+i].rec
+				rec := p.snap.record(p.lo + i)
 				if r.seen[rec.Name] {
 					t.Fatalf("seed %d: duplicate %s in one traversal", seed, rec.Name)
 				}

@@ -27,11 +27,13 @@
 // republishes on a timer, and a site's attributes never change, only
 // its timestamp and queue state), so the registry is repaired, not
 // rebuilt. Each shard keeps a standing store of immutable rows (record
-// plus flat vector); a publish stores one new row, reusing what did
-// not change of the old one, and a snapshot wraps the standing rows. A
-// registered site refreshes through PublishQueueState, which carries
-// the stored attributes over without looking at them; Publish, which
-// compares attribute content, serves first pushes and outside
+// plus flat vector) and, beside it, one beat per row: a refresh that
+// changes only the time writes the row's beat and stores nothing, one
+// that moves the queue state stores one new row, reusing what did not
+// change of the old one, and a snapshot wraps the standing rows and
+// beats. A registered site refreshes through PublishQueueState, which
+// carries the stored attributes over without looking at them; Publish,
+// which compares attribute content, serves first pushes and outside
 // publishers.
 //
 // To scale past a monolithic index the registry is hash-sharded
@@ -80,7 +82,8 @@ type SiteRecord struct {
 	TotalCPUs, FreeCPUs int
 	// QueuedJobs is the local queue length at publish time.
 	QueuedJobs int
-	// UpdatedAt is the publish time of this record.
+	// UpdatedAt is the time of the site's latest publish or refresh,
+	// including one that changed nothing else.
 	UpdatedAt time.Time
 }
 
@@ -180,11 +183,40 @@ func (sc *Schema) sameNames(lowered map[string]bool) bool {
 }
 
 // row is one site's record with its flat attribute vector. A row is
-// immutable once a shard or a snapshot holds it: a republish stores a
-// new row, so every snapshot cut before keeps reading the old one.
+// immutable once a shard or a snapshot holds it: a republish that
+// changes anything but the time stores a new row, and one that changes
+// only the time writes the row's beat (shard.beats), so every snapshot
+// cut before keeps reading what it read.
 type row struct {
 	rec  SiteRecord // Attrs private to the registry or the snapshot
 	vals []any      // rec's attributes in the holder's schema order, normalized
+}
+
+// updatedAt is the row's UpdatedAt given its beat, the UnixNano time of
+// its latest refresh that changed nothing else (0 for none): the later
+// of the two. It is the one place a record's time is read.
+func (r *row) updatedAt(beat int64) time.Time {
+	t := r.rec.UpdatedAt
+	if d := beat - t.UnixNano(); beat != 0 && d > 0 {
+		return t.Add(time.Duration(d))
+	}
+	return t
+}
+
+// record is the row's record as of beat; Attrs stays shared.
+func (r *row) record(beat int64) SiteRecord {
+	rec := r.rec
+	rec.UpdatedAt = r.updatedAt(beat)
+	return rec
+}
+
+// beatAt reads position i of a beat slice, which is nil until its first
+// beat.
+func beatAt(beats []int64, i int) int64 {
+	if beats == nil {
+		return 0
+	}
+	return beats[i]
 }
 
 // Snapshot is an immutable view of the registry at one epoch. All
@@ -194,8 +226,12 @@ type row struct {
 type Snapshot struct {
 	epoch  uint64
 	schema *Schema
-	rows   []*row // sorted by name, every vector laid out against schema
+	rows   []*row  // sorted by name, every vector laid out against schema
+	beats  []int64 // each row's beat (shard.beats); nil while none has one
 }
+
+// record is record i as the snapshot reads it; Attrs stays shared.
+func (s *Snapshot) record(i int) SiteRecord { return s.rows[i].record(beatAt(s.beats, i)) }
 
 // newSnapshot builds a snapshot over recs (which must already be
 // private clones), reusing prev's schema when the attribute name set
@@ -260,10 +296,28 @@ func valsFor(r SiteRecord, schema *Schema) []any {
 			v[off] = normalizeAttr(raw)
 		}
 	}
-	v[schema.total] = float64(r.TotalCPUs)
-	v[schema.free] = float64(r.FreeCPUs)
-	v[schema.queued] = float64(r.QueuedJobs)
+	v[schema.total] = boxCount(r.TotalCPUs)
+	v[schema.free] = boxCount(r.FreeCPUs)
+	v[schema.queued] = boxCount(r.QueuedJobs)
 	return v
+}
+
+// boxedCounts holds float64(i) already boxed for every small count i,
+// so that laying a count into a vector allocates nothing.
+var boxedCounts = func() (t [1024]any) {
+	for i := range t {
+		t[i] = float64(i)
+	}
+	return t
+}()
+
+// boxCount is float64(n) as a vector slot: from boxedCounts when n is
+// small and non-negative, boxed afresh otherwise.
+func boxCount(n int) any {
+	if uint(n) < uint(len(boxedCounts)) {
+		return boxedCounts[n]
+	}
+	return float64(n)
 }
 
 // NewSnapshot builds a standalone snapshot from records, for tests and
@@ -318,8 +372,8 @@ func (s *Snapshot) len() int { return len(s.rows) }
 // Records returns deep copies of all records, sorted by site name.
 func (s *Snapshot) Records() []SiteRecord {
 	out := make([]SiteRecord, len(s.rows))
-	for i, r := range s.rows {
-		out[i] = r.rec.clone()
+	for i := range s.rows {
+		out[i] = s.record(i).clone()
 	}
 	return out
 }
@@ -341,8 +395,8 @@ func (m *MatchAttrs) Values() []any { return m.vals }
 // SetQueueState overlays fresh FreeCPUs and QueuedJobs, the two slots
 // a direct probe refreshes, without resolving their names.
 func (m *MatchAttrs) SetQueueState(freeCPUs, queuedJobs int) {
-	m.vals[m.schema.free] = float64(freeCPUs)
-	m.vals[m.schema.queued] = float64(queuedJobs)
+	m.vals[m.schema.free] = boxCount(freeCPUs)
+	m.vals[m.schema.queued] = boxCount(queuedJobs)
 }
 
 // Release returns the vector to the pool.
@@ -401,7 +455,13 @@ type Service struct {
 // that Publish and Remove repair in place, so cutting a snapshot wraps
 // the rows instead of re-deriving them.
 type shard struct {
-	rows  []*row         // one immutable row per site
+	rows []*row // one immutable row per site
+	// beats is parallel to rows once any row has a beat (nil before):
+	// the UnixNano time of each row's latest refresh that changed
+	// nothing but the time, 0 for none. Such a refresh writes its beat
+	// instead of storing a row; row.updatedAt reads the later of the
+	// two, so a row stored since outdates the beat left at its position.
+	beats []int64
 	index map[string]int // site name -> position in rows
 	// schema is what every row's vector is laid out against; nil while
 	// rows stored before the first snapshot have none yet. A snapshot
@@ -411,12 +471,15 @@ type shard struct {
 	// swaps with the last row, so either may clear it; the next snapshot
 	// sorts.
 	sorted bool
-	// shared says a snapshot holds rows' backing array, so the next
-	// write copies the slice (8 bytes a row) first.
-	shared bool
-	epoch  uint64
-	snap   *Snapshot // valid while snap.epoch == epoch and the schema matches
-	log    *deltaLog // bounded mutation history; nil while disabled
+	// shared says a snapshot holds rows' backing array, beatsShared
+	// beats', so the next write to that slice copies it (8 bytes a row)
+	// first. A row store copies only rows, a beat only beats.
+	shared      bool
+	beatsShared bool
+
+	epoch uint64
+	snap  *Snapshot // valid while snap.epoch == epoch and the schema matches
+	log   *deltaLog // bounded mutation history; nil while disabled
 }
 
 // own makes rows writable: snapshots keep the array they were cut from.
@@ -426,6 +489,20 @@ func (sh *shard) own() {
 		sh.shared = false
 	}
 }
+
+// ownBeats makes beats writable, creating it at the shard's first beat.
+func (sh *shard) ownBeats() {
+	switch {
+	case sh.beats == nil:
+		sh.beats = make([]int64, len(sh.rows))
+	case sh.beatsShared:
+		sh.beats = slices.Clone(sh.beats)
+	}
+	sh.beatsShared = false
+}
+
+// record is the record at position at as the shard holds it now.
+func (sh *shard) record(at int) SiteRecord { return sh.rows[at].record(beatAt(sh.beats, at)) }
 
 // New creates an information service on sim whose queries cost
 // queryLatency (one round trip from the broker to the index).
@@ -476,9 +553,10 @@ func (s *Service) QueryLatency() time.Duration { return s.queryLatency }
 //
 // A publish pays for what changed since the site's last one, judged by
 // the content of Attrs (a publisher may reuse, and mutate, the map it
-// published before): unchanged attributes keep the stored private map
-// and vector, changed values re-flatten this one row, and only a
-// changed name set or a new site touches the shared schema's counts.
+// published before): a record that changed only its time stores none,
+// unchanged attributes keep the stored private map and vector, changed
+// values re-flatten this one row, and only a changed name set or a new
+// site touches the shared schema's counts.
 func (s *Service) Publish(rec SiteRecord) error {
 	if rec.Name == "" {
 		return fmt.Errorf("infosys: record without site name")
@@ -492,6 +570,10 @@ func (s *Service) Publish(rec SiteRecord) error {
 	if replaced {
 		old = sh.rows[at]
 		sameNames, sameValues = compareAttrs(old.rec.Attrs, rec.Attrs)
+		if sameValues && rec.Gatekeeper == old.rec.Gatekeeper && sameCounts(&old.rec, rec.TotalCPUs, rec.FreeCPUs, rec.QueuedJobs) {
+			s.beat(si, at)
+			return nil
+		}
 	}
 	nr := &row{rec: rec}
 	if sameValues {
@@ -514,7 +596,8 @@ func (s *Service) Publish(rec SiteRecord) error {
 // nothing to compare; only an outside publisher that may mutate its map
 // needs Publish's content compare. It reports false, changing nothing,
 // when name has no record (never published, or removed since): the
-// caller then publishes the full record.
+// caller then publishes the full record. A refresh whose counts did not
+// move stores no row, only the time (beat).
 func (s *Service) PublishQueueState(name string, total, free, queued int) bool {
 	si := s.shardIndexFor(name)
 	sh := s.shards[si]
@@ -523,6 +606,10 @@ func (s *Service) PublishQueueState(name string, total, free, queued int) bool {
 		return false
 	}
 	old := sh.rows[at]
+	if sameCounts(&old.rec, total, free, queued) {
+		s.beat(si, at)
+		return true
+	}
 	nr := &row{rec: old.rec}
 	nr.rec.TotalCPUs, nr.rec.FreeCPUs, nr.rec.QueuedJobs = total, free, queued
 	nr.rec.UpdatedAt = s.sim.Now()
@@ -531,10 +618,30 @@ func (s *Service) PublishQueueState(name string, total, free, queued int) bool {
 	return true
 }
 
-// store is the tail both write paths share: it stores nr over old,
-// which sits at position at in shard si, or appends it when old is
-// nil; bumps the shard and global epochs; moves the shared attribute
-// counts unless the name set is the same; and logs the delta.
+// sameCounts reports whether rec carries the given queue state.
+func sameCounts(rec *SiteRecord, total, free, queued int) bool {
+	return rec.TotalCPUs == total && rec.FreeCPUs == free && rec.QueuedJobs == queued
+}
+
+// beat is the tail of a refresh that changed nothing but the time of
+// the row at position at in shard si: it stores no row, writes the
+// row's beat, and moves the epochs and the delta log as store does.
+func (s *Service) beat(si, at int) {
+	sh := s.shards[si]
+	sh.ownBeats()
+	sh.beats[at] = s.sim.Now().UnixNano()
+	sh.epoch++
+	s.epoch++
+	if sh.log != nil { // spare the record copy when nothing logs it
+		s.logDelta(si, DeltaUpdated, sh.record(at))
+	}
+}
+
+// store is the tail both write paths share when a row changed: it
+// stores nr over old, which sits at position at in shard si, or appends
+// it when old is nil; bumps the shard and global epochs; moves the
+// shared attribute counts unless the name set is the same; and logs
+// the delta.
 func (s *Service) store(si int, nr, old *row, at int, sameNames bool) {
 	sh := s.shards[si]
 	name := nr.rec.Name
@@ -549,6 +656,10 @@ func (s *Service) store(si int, nr, old *row, at int, sameNames bool) {
 		}
 		sh.index[name] = len(sh.rows)
 		sh.rows = append(sh.rows, nr)
+		if sh.beats != nil {
+			sh.ownBeats()
+			sh.beats = append(sh.beats, 0)
+		}
 	}
 	sh.epoch++
 	s.epoch++
@@ -613,13 +724,13 @@ func (sc *Schema) requeued(old *row, rec SiteRecord) []any {
 	}
 	v := slices.Clone(old.vals)
 	if o.TotalCPUs != rec.TotalCPUs {
-		v[sc.total] = float64(rec.TotalCPUs)
+		v[sc.total] = boxCount(rec.TotalCPUs)
 	}
 	if o.FreeCPUs != rec.FreeCPUs {
-		v[sc.free] = float64(rec.FreeCPUs)
+		v[sc.free] = boxCount(rec.FreeCPUs)
 	}
 	if o.QueuedJobs != rec.QueuedJobs {
-		v[sc.queued] = float64(rec.QueuedJobs)
+		v[sc.queued] = boxCount(rec.QueuedJobs)
 	}
 	return v
 }
@@ -635,6 +746,11 @@ func (s *Service) Remove(name string) {
 	old := sh.rows[at]
 	sh.own()
 	last := len(sh.rows) - 1
+	if sh.beats != nil {
+		sh.ownBeats()
+		sh.beats[at] = sh.beats[last]
+		sh.beats = sh.beats[:last]
+	}
 	if at != last {
 		sh.rows[at] = sh.rows[last]
 		sh.index[sh.rows[at].rec.Name] = at
@@ -783,18 +899,20 @@ func (s *Service) liveWhole() *Snapshot {
 
 // shardSnapshot returns shard i's snapshot laid out against sc, cutting
 // a new one only when the shard's epoch moved or the shared schema
-// changed. Cutting wraps the standing rows: it sorts only after an
-// insert or remove left them out of name order, and re-flattens only
-// when the rows are laid out against another schema.
+// changed. Cutting wraps the standing rows and beats: it sorts only
+// after an insert or remove left them out of name order, and
+// re-flattens only when the rows are laid out against another schema
+// (the new rows keep their positions, so the beats stay as they are).
 func (s *Service) shardSnapshot(i int, sc *Schema) *Snapshot {
 	sh := s.shards[i]
 	if sh.snap != nil && sh.snap.epoch == sh.epoch && sh.snap.schema == sc {
 		return sh.snap
 	}
 	if !sh.sorted {
-		// The insert or remove that cleared sorted took rows back from
-		// every snapshot (own), and none was cut since.
-		sortRows(sh.rows)
+		// The insert or remove that cleared sorted took rows and beats
+		// back from every snapshot (own, ownBeats), and none was cut
+		// since.
+		sortRows(sh.rows, sh.beats)
 		for at, r := range sh.rows {
 			sh.index[r.rec.Name] = at
 		}
@@ -807,30 +925,55 @@ func (s *Service) shardSnapshot(i int, sc *Schema) *Snapshot {
 		}
 		sh.rows, sh.schema = flatRows(recs, sc), sc
 	}
-	sh.snap = &Snapshot{epoch: sh.epoch, schema: sc, rows: sh.rows}
-	sh.shared = true
+	sh.snap = &Snapshot{epoch: sh.epoch, schema: sc, rows: sh.rows, beats: sh.beats}
+	sh.shared, sh.beatsShared = true, sh.beats != nil
 	return sh.snap
 }
 
 // mergeSnapshots concatenates per-shard snapshots, all laid out
 // against sc, into one whole-grid snapshot sorted by site name. The
-// merged view shares the shards' rows.
+// merged view shares the shards' rows and carries their beats.
 func mergeSnapshots(epoch uint64, parts []*Snapshot, sc *Schema) *Snapshot {
-	n := 0
+	n, beats := 0, false
 	for _, p := range parts {
 		n += len(p.rows)
+		beats = beats || p.beats != nil
 	}
 	m := &Snapshot{epoch: epoch, schema: sc, rows: make([]*row, 0, n)}
+	if beats {
+		m.beats = make([]int64, n)
+	}
 	for _, p := range parts {
+		if p.beats != nil {
+			copy(m.beats[len(m.rows):], p.beats)
+		}
 		m.rows = append(m.rows, p.rows...)
 	}
-	sortRows(m.rows)
+	sortRows(m.rows, m.beats)
 	return m
 }
 
-// sortRows orders rows by site name.
-func sortRows(rows []*row) {
-	slices.SortFunc(rows, func(a, b *row) int { return cmp.Compare(a.rec.Name, b.rec.Name) })
+// sortRows orders rows by site name, moving each beat with its row
+// when beats is not nil.
+func sortRows(rows []*row, beats []int64) {
+	if beats == nil {
+		slices.SortFunc(rows, func(a, b *row) int { return cmp.Compare(a.rec.Name, b.rec.Name) })
+		return
+	}
+	sort.Sort(rowsByName{rows, beats})
+}
+
+// rowsByName sorts rows and their beats together.
+type rowsByName struct {
+	rows  []*row
+	beats []int64
+}
+
+func (x rowsByName) Len() int           { return len(x.rows) }
+func (x rowsByName) Less(i, j int) bool { return x.rows[i].rec.Name < x.rows[j].rec.Name }
+func (x rowsByName) Swap(i, j int) {
+	x.rows[i], x.rows[j] = x.rows[j], x.rows[i]
+	x.beats[i], x.beats[j] = x.beats[j], x.beats[i]
 }
 
 // StaleAfter reports the records older than maxAge at the current
@@ -839,8 +982,8 @@ func (s *Service) StaleAfter(maxAge time.Duration) []string {
 	now := s.sim.Now()
 	var stale []string
 	for _, sh := range s.shards {
-		for _, r := range sh.rows {
-			if now.Sub(r.rec.UpdatedAt) > maxAge {
+		for at, r := range sh.rows {
+			if now.Sub(r.updatedAt(beatAt(sh.beats, at))) > maxAge {
 				stale = append(stale, r.rec.Name)
 			}
 		}

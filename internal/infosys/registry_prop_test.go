@@ -402,8 +402,8 @@ func (c snapCopy) differs(s *Snapshot) string {
 	}
 	page, _ := PinnedCursor([]*Snapshot{s}, s.len()+1).Next()
 	for i, want := range c.Recs {
-		if got := s.rows[i].rec; s.rows[i].rec.Name != want.Name || !sameRecord(got, want) {
-			return fmt.Sprintf("record %d (%s) = %+v, want %+v", i, s.rows[i].rec.Name, got, want)
+		if got := s.record(i); got.Name != want.Name || !sameRecord(got, want) {
+			return fmt.Sprintf("record %d (%s) = %+v, want %+v", i, got.Name, got, want)
 		}
 		if vals := page.Values(i); !slices.Equal(vals, c.Vals[i]) {
 			return fmt.Sprintf("%s values %v, want %v", want.Name, vals, c.Vals[i])
@@ -499,25 +499,29 @@ func (m *regModel) checkStore() {
 		if sh.epoch != m.live.epochs[si] {
 			m.fatalf("shard %d at epoch %d after %d effective mutations", si, sh.epoch, m.live.epochs[si])
 		}
-		if sh.shared && !sh.sorted {
-			m.fatalf("shard %d: a snapshot holds rows that are out of name order", si)
+		if (sh.shared || sh.beatsShared) && !sh.sorted {
+			m.fatalf("shard %d: a snapshot holds rows or beats that are out of name order", si)
 		}
 		if len(sh.index) != len(sh.rows) {
 			m.fatalf("shard %d: %d rows, %d indexed", si, len(sh.rows), len(sh.index))
 		}
+		if sh.beats != nil && len(sh.beats) != len(sh.rows) {
+			m.fatalf("shard %d: %d rows, %d beats", si, len(sh.rows), len(sh.beats))
+		}
 		for at, r := range sh.rows {
 			seen++
-			if sh.index[r.rec.Name] != at {
-				m.fatalf("shard %d: %s at %d, indexed at %d", si, r.rec.Name, at, sh.index[r.rec.Name])
+			rec := sh.record(at)
+			if sh.index[rec.Name] != at {
+				m.fatalf("shard %d: %s at %d, indexed at %d", si, rec.Name, at, sh.index[rec.Name])
 			}
-			if want, ok := m.live.recs[r.rec.Name]; !ok || !sameRecord(r.rec, want) {
-				m.fatalf("shard %d holds %+v, published %+v (live %v)", si, r.rec, want, ok)
+			if want, ok := m.live.recs[rec.Name]; !ok || !sameRecord(rec, want) {
+				m.fatalf("shard %d holds %+v, published %+v (live %v)", si, rec, want, ok)
 			}
-			if sh.sorted && at > 0 && sh.rows[at-1].rec.Name >= r.rec.Name {
-				m.fatalf("shard %d claims name order with %s before %s", si, sh.rows[at-1].rec.Name, r.rec.Name)
+			if sh.sorted && at > 0 && sh.record(at-1).Name >= rec.Name {
+				m.fatalf("shard %d claims name order with %s before %s", si, sh.record(at-1).Name, rec.Name)
 			}
-			if sh.schema != nil && !slices.Equal(r.vals, valsFor(r.rec, sh.schema)) {
-				m.fatalf("shard %d: %s vector %v, flattened %v", si, r.rec.Name, r.vals, valsFor(r.rec, sh.schema))
+			if sh.schema != nil && !slices.Equal(r.vals, valsFor(rec, sh.schema)) {
+				m.fatalf("shard %d: %s vector %v, flattened %v", si, rec.Name, r.vals, valsFor(rec, sh.schema))
 			}
 		}
 	}
@@ -560,8 +564,8 @@ func (m *regModel) cursorStep(b byte) {
 		m.fatalf("shard %d served from two snapshots in one traversal", tr.shard)
 	}
 	for i := 0; i < p.Len(); i++ {
-		if p.Name(i) != tr.snap.rows[tr.hi+i].rec.Name {
-			m.fatalf("shard %d: page record %d is %s, snapshot has %s", tr.shard, i, p.Name(i), tr.snap.rows[tr.hi+i].rec.Name)
+		if want := tr.snap.record(tr.hi + i).Name; p.Name(i) != want {
+			m.fatalf("shard %d: page record %d is %s, snapshot has %s", tr.shard, i, p.Name(i), want)
 		}
 	}
 	tr.hi += p.Len()
@@ -592,7 +596,8 @@ func (m *regModel) poll(b byte) {
 	case u.Gap:
 		sub.recs[shard] = make(map[string]SiteRecord)
 		for i := 0; i < u.Snapshot.len(); i++ {
-			sub.recs[shard][u.Snapshot.rows[i].rec.Name] = u.Snapshot.rows[i].rec
+			r := u.Snapshot.record(i)
+			sub.recs[shard][r.Name] = r
 		}
 	default:
 		if uint64(len(u.Deltas)) != target-since {
@@ -634,7 +639,8 @@ func (m *regModel) poll(b byte) {
 	}
 	held := make(map[string]SiteRecord, u.Snapshot.len())
 	for i := 0; i < u.Snapshot.len(); i++ {
-		held[u.Snapshot.rows[i].rec.Name] = u.Snapshot.rows[i].rec
+		r := u.Snapshot.record(i)
+		held[r.Name] = r
 	}
 	if !maps.EqualFunc(held, sub.recs[shard], sameRecord) {
 		m.fatalf("poll of shard %d to %d carries a snapshot holding %+v, the subscriber replayed %+v", shard, u.ToEpoch, held, sub.recs[shard])

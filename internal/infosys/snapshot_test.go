@@ -3,6 +3,7 @@ package infosys
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -71,7 +72,7 @@ func TestSnapshotImmutable(t *testing.T) {
 	recs := snap.Records()
 	recs[0].Attrs["Arch"] = "tampered"
 	recs[1].Attrs["MemoryMB"] = -1
-	if got := snap.rows[1].rec; got.Attrs["MemoryMB"] != 257 {
+	if got := snap.record(1); got.Attrs["MemoryMB"] != 257 {
 		t.Fatal("mutating Records() output reached the snapshot")
 	}
 
@@ -88,6 +89,68 @@ func TestSnapshotImmutable(t *testing.T) {
 	// And the registry itself is unaffected by all of the above.
 	if got := s.SnapshotImmediate().Records()[0]; got.Attrs["Arch"] != "i686" || got.FreeCPUs != 4 {
 		t.Fatal("registry state was reachable through a snapshot")
+	}
+}
+
+// TestRefreshAfterCutKeepsCutTime: a refresh that changes only the
+// time stores no row, only the row's beat. The snapshot cut before it
+// keeps reading the old UpdatedAt, the next cut reads the new one (the
+// merged whole-grid cut too, which carries the shards' beats through
+// its sort), and StaleAfter counts the beat as a refresh.
+func TestRefreshAfterCutKeepsCutTime(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		sim := simclock.NewSim(time.Time{})
+		svc := NewSharded(sim, 0, shards)
+		recs := make([]SiteRecord, 6)
+		for i := range recs {
+			recs[i] = SiteRecord{Name: fmt.Sprintf("s%d", 5-i), Gatekeeper: "gk",
+				Attrs: map[string]any{"Arch": "i686"}, TotalCPUs: 4, FreeCPUs: 2, QueuedJobs: 1}
+			svc.Publish(recs[i])
+		}
+		sim.RunFor(time.Second)
+		for _, r := range recs { // every row has a beat before the cut
+			svc.PublishQueueState(r.Name, r.TotalCPUs, r.FreeCPUs, r.QueuedJobs)
+		}
+		start := sim.Now()
+		before := svc.SnapshotImmediate()
+		rowOf := make(map[string]*row)
+		for _, r := range before.rows {
+			rowOf[r.rec.Name] = r
+		}
+
+		sim.RunFor(time.Minute)
+		refreshed := sim.Now()
+		svc.PublishQueueState("s1", 4, 2, 1) // the queue state it holds
+		svc.Publish(recs[1])                 // s4, unchanged
+		epoch := svc.Epoch()
+
+		for _, r := range before.Records() {
+			if r.UpdatedAt != start {
+				t.Fatalf("shards=%d: %s cut before the refresh now reads UpdatedAt %v, want %v", shards, r.Name, r.UpdatedAt, start)
+			}
+		}
+		after := svc.SnapshotImmediate()
+		if after.Epoch() != epoch || after.Epoch() != before.Epoch()+2 {
+			t.Fatalf("shards=%d: epochs %d -> %d (service %d), want one per refresh", shards, before.Epoch(), after.Epoch(), epoch)
+		}
+		for i, r := range after.Records() {
+			want := start
+			if r.Name == "s1" || r.Name == "s4" {
+				want = refreshed
+			}
+			if r.UpdatedAt != want {
+				t.Fatalf("shards=%d: %s reads UpdatedAt %v after the refresh, want %v", shards, r.Name, r.UpdatedAt, want)
+			}
+			if after.rows[i] != rowOf[r.Name] {
+				t.Fatalf("shards=%d: a refresh that changed only the time stored a new row for %s", shards, r.Name)
+			}
+		}
+
+		sim.RunFor(30 * time.Second)
+		stale := svc.StaleAfter(time.Minute)
+		if want := []string{"s0", "s2", "s3", "s5"}; !slices.Equal(stale, want) {
+			t.Fatalf("shards=%d: StaleAfter = %v, want %v", shards, stale, want)
+		}
 	}
 }
 
